@@ -10,18 +10,18 @@
 //! Usage:
 //! `table1 [--row eval|partial|max|subsumption|parallel|classes] [--quick] [--threads N] [--json]`
 //!
-//! The `parallel` row compares the sequential evaluator with the
-//! `std::thread::scope` fan-out (`--threads 0` auto-detects), prints the
-//! engine-counter deltas alongside wall-clock, and finishes with an
-//! EXPLAIN-style [`wdpt_core::evaluate_parallel_profiled`] profile of one
+//! The `parallel` row compares one worker with the `std::thread::scope`
+//! fan-out (`--threads 0` auto-detects), prints the engine-counter deltas
+//! alongside wall-clock, and finishes with an EXPLAIN-style
+//! [`wdpt_core::try_evaluate_parallel_captured_planned`] profile of one
 //! representative run. With `--json`, all prose is suppressed and every row
 //! becomes one machine-readable JSON object on stdout.
 
 use wdpt_bench::{measure, Report, Series};
 use wdpt_core::{
-    eval_bounded_interface, eval_decide, evaluate_parallel, has_bounded_interface, interface_width,
-    is_globally_in, is_locally_in, max_eval_decide, partial_eval_decide, subsumed, Engine,
-    WidthKind,
+    eval_bounded_interface, eval_decide, has_bounded_interface, interface_width, is_globally_in,
+    is_locally_in, max_eval_decide, partial_eval_decide, subsumed,
+    try_evaluate_parallel_captured_planned, try_evaluate_parallel_planned, Engine, WidthKind,
 };
 use wdpt_gen::db::{random_graph_db, random_undirected_graph, rng};
 use wdpt_gen::music::{music_catalog, MusicParams};
@@ -29,7 +29,7 @@ use wdpt_gen::reductions::{qbf_instance, three_col_instance, QbfLit};
 use wdpt_gen::trees::{
     chain_wdpt, clique_chain_wdpt, clique_pattern_wdpt, random_wdpt, star_wdpt, wide_interface_wdpt,
 };
-use wdpt_model::{Interner, Mapping};
+use wdpt_model::{CancelToken, Interner, Mapping};
 
 struct Config {
     row: Option<String>,
@@ -100,6 +100,26 @@ fn main() {
     }
 }
 
+/// [`measure`] for a cell that times a structured engine on a family inside
+/// its class. Outside the class `Engine` falls back to backtracking; that
+/// must not pass for a polynomial cell.
+fn measure_in_class<F: FnMut(usize)>(
+    label: &str,
+    params: &[usize],
+    min_runtime: f64,
+    f: F,
+) -> Series {
+    let fallbacks = wdpt_obs::counter!("core.engine.class_fallback");
+    let before = fallbacks.get();
+    let s = measure(label, params, min_runtime, f);
+    assert_eq!(
+        fallbacks.get(),
+        before,
+        "{label}: the engine fell back to backtracking"
+    );
+    s
+}
+
 /// Row EVAL: Σ₂ᵖ/NP-hard for general, ℓ-C(k), g-C(k); LogCFL for
 /// ℓ-C(k) ∩ BI(c) (Theorems 1, 5, 7; Proposition 3).
 fn row_eval(cfg: &Config) {
@@ -150,7 +170,7 @@ fn row_eval(cfg: &Config) {
 
     r.section("EVAL  | ℓ-TW(1) ∩ BI(1): LogCFL algorithm (Theorem 6)");
     let sizes: Vec<usize> = (4..=40).step_by(4).collect();
-    let s = measure(
+    let s = measure_in_class(
         "eval_bounded_interface on star trees (x = optional branches, fixed DB)",
         &sizes,
         cfg.min_runtime,
@@ -164,7 +184,7 @@ fn row_eval(cfg: &Config) {
     );
     r.series(&s);
     let dbs: Vec<usize> = (20..=200).step_by(20).collect();
-    let s = measure(
+    let s = measure_in_class(
         "eval_bounded_interface on the Figure-1 query over growing catalogs (x = bands)",
         &dbs,
         cfg.min_runtime,
@@ -213,7 +233,7 @@ fn row_partial(cfg: &Config) {
 
     r.section("P-EVAL | g-TW(1): LogCFL algorithm (Theorem 8)");
     let depths: Vec<usize> = (4..=40).step_by(4).collect();
-    let s = measure(
+    let s = measure_in_class(
         "partial_eval (TW engine) on chain trees (x = tree depth)",
         &depths,
         cfg.min_runtime,
@@ -252,7 +272,7 @@ fn row_max(cfg: &Config) {
 
     r.section("M-EVAL | g-TW(1): LogCFL algorithm (Theorem 9)");
     let sizes: Vec<usize> = (4..=28).step_by(3).collect();
-    let s = measure(
+    let s = measure_in_class(
         "max_eval (TW engine) on star trees over the music catalog (x = branches)",
         &sizes,
         cfg.min_runtime,
@@ -273,7 +293,7 @@ fn row_subsumption(cfg: &Config) {
     let r = cfg.report();
     r.section("⊑ / ≡ₛ | outer co-nondeterminism: exponential in |p₁| (rooted subtrees)");
     let ns: Vec<usize> = (2..=11 + cfg.scale).collect();
-    let s = measure(
+    let s = measure_in_class(
         "subsumed(star_n ⊑ star_n) with TW-engine inner checks (x = branches)",
         &ns,
         cfg.min_runtime,
@@ -306,7 +326,7 @@ fn row_subsumption(cfg: &Config) {
 
     r.section("⊑      | inner check, g-TW(1) right side: coNP algorithm (Theorem 11)");
     let ds: Vec<usize> = (4..=40).step_by(4).collect();
-    let s = measure(
+    let s = measure_in_class(
         "subsumed(chain_d ⊑ chain_d) with TW-engine inner checks (x = depth)",
         &ds,
         cfg.min_runtime,
@@ -321,7 +341,7 @@ fn row_subsumption(cfg: &Config) {
     r.note("  (≡ₛ runs both directions of ⊑ and inherits these shapes; Prop. 5 equates it with ≡_max.)");
 }
 
-/// Row "parallel": sequential vs thread-parallel enumeration of `p(D)` on
+/// Row "parallel": one worker vs thread-parallel enumeration of `p(D)` on
 /// the Figure-1 query over growing catalogs, with engine-counter deltas
 /// making the fan-out and the index behaviour observable.
 fn row_parallel(cfg: &Config) {
@@ -332,11 +352,11 @@ fn row_parallel(cfg: &Config) {
         cfg.threads
     };
     r.section(&format!(
-        "Parallel | p(D) enumeration: sequential vs {threads} scoped threads (identical answers)"
+        "Parallel | p(D) enumeration: one worker vs {threads} scoped threads (identical answers)"
     ));
     let bands: Vec<usize> = (100..=400 + cfg.scale * 400).step_by(150).collect();
     let s = measure(
-        "evaluate (sequential) on the Figure-1 query (x = bands)",
+        "evaluate (one worker) on the Figure-1 query (x = bands)",
         &bands,
         cfg.min_runtime,
         |bands| {
@@ -355,7 +375,7 @@ fn row_parallel(cfg: &Config) {
     r.series(&s);
     let before = wdpt_obs::metrics_snapshot();
     let s = measure(
-        "evaluate_parallel on the Figure-1 query (x = bands)",
+        "try_evaluate_parallel_planned on the Figure-1 query (x = bands)",
         &bands,
         cfg.min_runtime,
         |bands| {
@@ -368,7 +388,14 @@ fn row_parallel(cfg: &Config) {
                 },
             );
             let p = wdpt_gen::music::figure1_wdpt(&mut i);
-            std::hint::black_box(evaluate_parallel(&p, &db, threads));
+            std::hint::black_box(try_evaluate_parallel_planned(
+                &p,
+                &db,
+                threads,
+                CancelToken::never(),
+                None,
+            ))
+            .expect("the never token cannot cancel");
         },
     );
     r.series(&s);
@@ -386,11 +413,13 @@ fn row_parallel(cfg: &Config) {
         },
     );
     let p = wdpt_gen::music::figure1_wdpt(&mut i);
-    let (_, profile) = wdpt_core::evaluate_parallel_profiled(
+    let (_, profile) = try_evaluate_parallel_captured_planned(
         &p,
         &db,
         threads,
-        &format!("figure1 evaluate_parallel ({largest} bands, {threads} threads)"),
+        CancelToken::never(),
+        &format!("figure1 ({largest} bands, {threads} threads)"),
+        None,
     );
     r.profile(&profile);
 }

@@ -9,7 +9,7 @@
 //! plain-text table printer.
 
 use std::time::Instant;
-use wdpt_obs::{metrics_snapshot, Json, MetricsSnapshot, QueryProfile};
+use wdpt_obs::{Json, MetricsSnapshot, QueryProfile};
 
 /// One measured series: parameter values and mean runtimes (seconds).
 #[derive(Debug, Clone)]
@@ -285,61 +285,6 @@ pub fn human_time(secs: f64) -> String {
 /// Prints a section header used by the table binaries.
 pub fn section(title: &str) {
     println!("\n=== {title} ===");
-}
-
-/// Minimum measured wall-clock per bench case, in seconds; override with
-/// the `BENCH_MIN_RUNTIME` environment variable.
-fn bench_min_runtime() -> f64 {
-    std::env::var("BENCH_MIN_RUNTIME")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.05)
-}
-
-/// Runs `f` repeatedly (after one untimed warmup that populates lazy
-/// indexes) for at least [`bench_min_runtime`] seconds and prints one
-/// `name  mean-time  (iters)` line. The std-only runner behind the
-/// `[[bench]]` targets (`harness = false`).
-pub fn bench_case<F: FnMut()>(name: &str, f: F) {
-    let (mean, iters, _) = run_case(f);
-    println!("  {name:<48} {} ({iters} iters)", human_time(mean));
-}
-
-/// Like [`bench_case`], but also prints the per-iteration engine-counter
-/// deltas (from the [`wdpt_obs`] metrics registry) averaged over the
-/// measured iterations — this is how the ablation benchmarks show *why* a
-/// configuration is slow (index rebuilds, tuples scanned, nodes expanded),
-/// not just that it is.
-pub fn bench_case_with_stats<F: FnMut()>(name: &str, f: F) {
-    let (mean, iters, delta) = run_case(f);
-    let per = |metric: &str| delta.counter(metric) / u64::from(iters);
-    println!(
-        "  {name:<48} {} ({iters} iters)  [builds={} probes={} scanned={} nodes={} tasks={} per iter]",
-        human_time(mean),
-        per(wdpt_model::stats::INDEX_BUILDS),
-        per(wdpt_model::stats::INDEX_PROBES),
-        per(wdpt_model::stats::TUPLES_SCANNED),
-        per(wdpt_model::stats::NODES_EXPANDED),
-        per(wdpt_model::stats::PARALLEL_TASKS),
-    );
-}
-
-fn run_case<F: FnMut()>(mut f: F) -> (f64, u32, MetricsSnapshot) {
-    let min = bench_min_runtime();
-    f(); // warmup
-    let before = metrics_snapshot();
-    let start = Instant::now();
-    let mut iters = 0u32;
-    loop {
-        f();
-        iters += 1;
-        if start.elapsed().as_secs_f64() >= min || iters >= 100_000 {
-            break;
-        }
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    let delta = metrics_snapshot().since(&before);
-    (elapsed / f64::from(iters), iters, delta)
 }
 
 #[cfg(test)]

@@ -28,16 +28,22 @@ pub enum Engine {
 }
 
 impl Engine {
+    /// The decomposition the engine evaluates `q` over; `None` means
+    /// backtracking. A query outside the engine's class (`wdpt check
+    /// --engine tw:1` hands this user input) has no such decomposition and
+    /// falls back to backtracking — always applicable, same verdict, no
+    /// polynomial bound — counted in `core.engine.class_fallback` so a
+    /// measurement can tell it did not time the structured engine.
     fn plan(self, q: &ConjunctiveQuery) -> Option<StructuredPlan> {
-        match self {
-            Engine::Backtrack => None,
-            Engine::Tw(k) => Some(StructuredPlan::for_query_tw(q, k).unwrap_or_else(|| {
-                panic!("Engine::Tw({k}): query is not in TW({k}); class restriction violated")
-            })),
-            Engine::Hw(k) => Some(StructuredPlan::for_query_hw(q, k).unwrap_or_else(|| {
-                panic!("Engine::Hw({k}): query is not in HW({k}); class restriction violated")
-            })),
+        let plan = match self {
+            Engine::Backtrack => return None,
+            Engine::Tw(k) => StructuredPlan::for_query_tw(q, k),
+            Engine::Hw(k) => StructuredPlan::for_query_hw(q, k),
+        };
+        if plan.is_none() {
+            wdpt_obs::counter!("core.engine.class_fallback").incr();
         }
+        plan
     }
 
     /// Does a homomorphism from `q`'s body into `db` extending `seed` exist?
@@ -93,13 +99,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not in TW(1)")]
-    fn tw_engine_rejects_wide_queries() {
+    fn tw_engine_falls_back_on_wide_queries() {
         let mut i = Interner::new();
-        let db = parse_database(&mut i, "e(a,b)").unwrap();
+        let db = parse_database(&mut i, "e(a,b) e(b,c) e(c,a)").unwrap();
+        // The triangle has treewidth 2.
         let q =
             ConjunctiveQuery::boolean(parse_atoms(&mut i, "e(?x,?y) e(?y,?z) e(?z,?x)").unwrap());
-        Engine::Tw(1).hom_exists(&q, &db, &Mapping::empty());
+        let (verdict, delta) =
+            wdpt_obs::delta_scope(|| Engine::Tw(1).hom_exists(&q, &db, &Mapping::empty()));
+        assert_eq!(
+            verdict,
+            Engine::Backtrack.hom_exists(&q, &db, &Mapping::empty())
+        );
+        assert!(verdict);
+        assert_eq!(delta.counter("core.engine.class_fallback"), 1);
     }
 
     #[test]

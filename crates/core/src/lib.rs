@@ -6,9 +6,12 @@
 //!
 //! * [`tree`] — the WDPT type `(T, λ, x̄)` with well-designedness checking
 //!   and rooted-subtree machinery (Definitions 1–2).
-//! * [`semantics`] — maximal homomorphisms, `p(D)`, `p_m(D)`, and the
-//!   thread-parallel evaluator fanning out over root homomorphisms and
-//!   independent OPT children.
+//! * [`semantics`] — maximal homomorphisms, `p(D)`, `p_m(D)`: one executor
+//!   (root homomorphisms × independent OPT children, inline or fanned out
+//!   over threads) behind [`evaluate`], [`evaluate_max`],
+//!   [`try_evaluate_parallel_planned`] (threads, cancel token, planned atom
+//!   orders) and [`try_evaluate_parallel_captured_planned`] (the same, plus
+//!   a profile).
 //! * [`classes`] — local tractability `ℓ-C(k)`, bounded interface `BI(c)`,
 //!   global tractability `g-C(k)`, the well-behaved classes `WB(k)`
 //!   (Sections 3 and 5).
@@ -17,7 +20,7 @@
 //! * [`eval`] — the general EVAL decision procedure (Σ₂ᵖ, Theorem 1).
 //! * [`eval_bi`] — the Theorem 6 polynomial algorithm for
 //!   `ℓ-C(k) ∩ BI(c)`.
-//! * [`profile`] — profiled evaluation entry points returning a
+//! * [`profile`] — the profiled entry point, returning a
 //!   [`wdpt_obs::QueryProfile`] (per-node homomorphism tallies, time per
 //!   phase) alongside the answers.
 //! * [`projection_free`] — the Theorem 4 polynomial algorithm for
@@ -49,17 +52,9 @@ pub use eval::eval_decide;
 pub use eval_bi::eval_bounded_interface;
 pub use optimize::normalize;
 pub use planning::plan_wdpt;
-pub use profile::{
-    evaluate_max_profiled, evaluate_parallel_profiled, evaluate_profiled,
-    try_evaluate_parallel_captured, try_evaluate_parallel_captured_planned,
-    try_evaluate_parallel_profiled,
-};
+pub use profile::try_evaluate_parallel_captured_planned;
 pub use projection_free::eval_projection_free;
-pub use semantics::{
-    evaluate, evaluate_max, evaluate_max_parallel, evaluate_parallel, maximal_homomorphisms,
-    maximal_homomorphisms_parallel, try_evaluate, try_evaluate_parallel,
-    try_evaluate_parallel_planned, try_maximal_homomorphisms, try_maximal_homomorphisms_parallel,
-};
+pub use semantics::{evaluate, evaluate_max, maximal_homomorphisms, try_evaluate_parallel_planned};
 pub use subsumption::{max_equivalent, subsumed, subsumption_equivalent};
 pub use text::{parse_wdpt, to_text};
 pub use tree::{NodeId, Subtree, Wdpt, WdptBuilder, WdptError};

@@ -99,6 +99,7 @@ mod tests {
         .unwrap();
         let stats = StatsCatalog::build(&db);
         let token = CancelToken::new();
+        let expected = crate::semantics::evaluate(&p, &db);
         for strategy in [
             Strategy::Auto,
             Strategy::Greedy,
@@ -106,19 +107,18 @@ mod tests {
             Strategy::Bushy,
         ] {
             let plan = plan_wdpt(&p, &stats, strategy, &token).unwrap();
-            let (planned, _) = crate::profile::try_evaluate_parallel_captured_planned(
-                &p,
-                &db,
-                2,
-                &token,
-                "planned",
-                Some(&plan),
-            );
-            assert_eq!(
-                planned.unwrap(),
-                crate::semantics::evaluate_parallel(&p, &db, 2),
-                "{strategy}"
-            );
+            for threads in [1, 2] {
+                for plan in [None, Some(&plan)] {
+                    let planned = crate::semantics::try_evaluate_parallel_planned(
+                        &p, &db, threads, &token, plan,
+                    );
+                    assert_eq!(
+                        planned.as_ref(),
+                        Ok(&expected),
+                        "{strategy} threads={threads}"
+                    );
+                }
+            }
         }
     }
 

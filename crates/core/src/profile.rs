@@ -1,28 +1,22 @@
-//! Profiled WDPT evaluation: the `EXPLAIN ANALYZE` entry points.
+//! Profiled WDPT evaluation: the `EXPLAIN ANALYZE` entry point.
 //!
-//! [`evaluate_profiled`] / [`evaluate_parallel_profiled`] run the same
-//! evaluators as [`crate::semantics`] but bracket them with a
+//! [`try_evaluate_parallel_captured_planned`] runs the same executor as
+//! every other entry point in [`crate::semantics`] but brackets it with a
 //! [`wdpt_obs::ProfileRecorder`] (enabling span tracing for the duration)
-//! and collect exact per-tree-node homomorphism tallies via a query-local
-//! [`NodeTally`](crate::semantics). Because the tally is query-local — not
-//! a process-wide counter — the per-node numbers are deterministic: the
-//! parallel profile's node data equals the sequential one's exactly, which
-//! the observability-parity test relies on.
+//! and reports the executor's per-tree-node homomorphism counts. Those are
+//! local to the evaluation — not a process-wide counter — so they are
+//! deterministic: the same at every thread count, which the
+//! observability-parity test relies on.
 
-use crate::semantics::{
-    maximal_homomorphisms_parallel_tallied, maximal_homomorphisms_tallied,
-    try_maximal_homomorphisms_parallel_tallied, NodeTally,
-};
+use crate::semantics::{execute, project_free};
 use crate::tree::Wdpt;
-use std::collections::BTreeSet;
-use wdpt_model::{mapping::maximal_mappings, CancelToken, Cancelled, Database, Mapping};
+use wdpt_model::{CancelToken, Cancelled, Database, Mapping};
 use wdpt_obs::{NodeEntry, ProfileRecorder, QueryProfile};
 
-/// Builds the per-node profile entries from a finished tally: preorder ids,
-/// parent/depth for indentation, a label summarizing the node's pattern,
-/// and the homomorphism count.
-fn node_entries(p: &Wdpt, tally: &NodeTally) -> Vec<NodeEntry> {
-    let counts = tally.hom_counts();
+/// Builds the per-node profile entries from the executor's counts: preorder
+/// ids, parent/depth for indentation, a label summarizing the node's
+/// pattern, and the homomorphism count.
+fn node_entries(p: &Wdpt, hom_counts: &[u64]) -> Vec<NodeEntry> {
     (0..p.node_count())
         .map(|t| NodeEntry {
             id: t,
@@ -33,92 +27,21 @@ fn node_entries(p: &Wdpt, tally: &NodeTally) -> Vec<NodeEntry> {
                 p.atoms(t).len(),
                 p.node_vars(t).len()
             ),
-            metrics: vec![("homomorphisms", counts[t])],
+            metrics: vec![("homomorphisms", hom_counts[t])],
         })
         .collect()
 }
 
-fn project_free(p: &Wdpt, homs: Vec<Mapping>) -> Vec<Mapping> {
-    let free = p.free_set();
-    let set: BTreeSet<Mapping> = homs.into_iter().map(|h| h.restrict(&free)).collect();
-    set.into_iter().collect()
-}
-
-/// [`crate::evaluate`] plus a [`QueryProfile`] of the run.
-pub fn evaluate_profiled(p: &Wdpt, db: &Database, label: &str) -> (Vec<Mapping>, QueryProfile) {
-    let mut rec = ProfileRecorder::start(label);
-    let tally = NodeTally::new(p.node_count());
-    let answers = project_free(p, maximal_homomorphisms_tallied(p, db, Some(&tally)));
-    rec.set_nodes(node_entries(p, &tally));
-    let profile = rec.finish(answers.len() as u64);
-    (answers, profile)
-}
-
-/// [`crate::evaluate_parallel`] plus a [`QueryProfile`] of the run. The
-/// profile's per-node homomorphism counts equal the sequential profile's
-/// exactly; its span and counter sections additionally show the fan-out
+/// [`crate::try_evaluate_parallel_planned`] plus a [`QueryProfile`] of the
+/// run, which *survives* cancellation: whatever phases, counters, and
+/// per-node tallies accumulated up to the deadline come back alongside the
+/// `Err`. This is what a serving layer's slow-query log needs — the queries
+/// most worth explaining are exactly the ones that blew their deadline, and
+/// a discarded profile would leave their EXPLAIN empty. With more than one
+/// thread the span and counter sections additionally show the fan-out
 /// (`wdpt.parallel.worker` spans, `wdpt.parallel_tasks` counter).
-pub fn evaluate_parallel_profiled(
-    p: &Wdpt,
-    db: &Database,
-    threads: usize,
-    label: &str,
-) -> (Vec<Mapping>, QueryProfile) {
-    let mut rec = ProfileRecorder::start(label);
-    let tally = NodeTally::new(p.node_count());
-    let answers = project_free(
-        p,
-        maximal_homomorphisms_parallel_tallied(p, db, threads, Some(&tally)),
-    );
-    rec.set_nodes(node_entries(p, &tally));
-    let profile = rec.finish(answers.len() as u64);
-    (answers, profile)
-}
-
-/// [`evaluate_parallel_profiled`] under a cancel token. On cancellation the
-/// partially-recorded profile is discarded (the recorder still runs to
-/// completion so the global tracing state is restored).
-pub fn try_evaluate_parallel_profiled(
-    p: &Wdpt,
-    db: &Database,
-    threads: usize,
-    token: &CancelToken,
-    label: &str,
-) -> Result<(Vec<Mapping>, QueryProfile), Cancelled> {
-    let mut rec = ProfileRecorder::start(label);
-    let tally = NodeTally::new(p.node_count());
-    match try_maximal_homomorphisms_parallel_tallied(p, db, threads, Some(&tally), None, token) {
-        Ok(homs) => {
-            let answers = project_free(p, homs);
-            rec.set_nodes(node_entries(p, &tally));
-            let profile = rec.finish(answers.len() as u64);
-            Ok((answers, profile))
-        }
-        Err(Cancelled) => {
-            rec.finish(0);
-            Err(Cancelled)
-        }
-    }
-}
-
-/// [`try_evaluate_parallel_profiled`], except the profile *survives*
-/// cancellation: whatever phases, counters, and per-node tallies accumulated
-/// up to the deadline come back alongside the `Err`. This is what a serving
-/// layer's slow-query log needs — the queries most worth explaining are
-/// exactly the ones that blew their deadline, and a discarded profile would
-/// leave their EXPLAIN empty.
-pub fn try_evaluate_parallel_captured(
-    p: &Wdpt,
-    db: &Database,
-    threads: usize,
-    token: &CancelToken,
-    label: &str,
-) -> (Result<Vec<Mapping>, Cancelled>, QueryProfile) {
-    try_evaluate_parallel_captured_planned(p, db, threads, token, label, None)
-}
-
-/// [`try_evaluate_parallel_captured`] executing an optional cost-based
-/// [`ExecPlan`]: nodes with a planned atom order run it statically; a
+///
+/// The plan contract: nodes with a planned atom order run it statically; a
 /// `None` plan (or a plan built for a different tree shape) falls back to
 /// the dynamic most-constrained heuristic per node. Answers are identical
 /// either way — a plan only changes the order work is discovered in.
@@ -131,39 +54,17 @@ pub fn try_evaluate_parallel_captured_planned(
     plan: Option<&wdpt_plan::ExecPlan>,
 ) -> (Result<Vec<Mapping>, Cancelled>, QueryProfile) {
     let mut rec = ProfileRecorder::start(label);
-    let tally = NodeTally::new(p.node_count());
-    match try_maximal_homomorphisms_parallel_tallied(p, db, threads, Some(&tally), plan, token) {
-        Ok(homs) => {
-            let answers = project_free(p, homs);
-            rec.set_nodes(node_entries(p, &tally));
-            let profile = rec.finish(answers.len() as u64);
-            (Ok(answers), profile)
-        }
-        Err(Cancelled) => {
-            rec.set_nodes(node_entries(p, &tally));
-            let profile = rec.finish(0);
-            (Err(Cancelled), profile)
-        }
-    }
-}
-
-/// [`crate::evaluate_max`] plus a [`QueryProfile`] of the run.
-pub fn evaluate_max_profiled(p: &Wdpt, db: &Database, label: &str) -> (Vec<Mapping>, QueryProfile) {
-    let mut rec = ProfileRecorder::start(label);
-    let tally = NodeTally::new(p.node_count());
-    let answers = maximal_mappings(project_free(
-        p,
-        maximal_homomorphisms_tallied(p, db, Some(&tally)),
-    ));
-    rec.set_nodes(node_entries(p, &tally));
-    let profile = rec.finish(answers.len() as u64);
+    let (homs, hom_counts) = execute(p, db, threads, token, plan);
+    let answers = homs.map(|homs| project_free(p, homs));
+    rec.set_nodes(node_entries(p, &hom_counts));
+    let profile = rec.finish(answers.as_ref().map_or(0, |a| a.len() as u64));
     (answers, profile)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::semantics::{evaluate, evaluate_parallel};
+    use crate::semantics::evaluate;
     use crate::tree::WdptBuilder;
     use wdpt_model::parse::{parse_atoms, parse_database};
     use wdpt_model::Interner;
@@ -185,28 +86,41 @@ mod tests {
         (i, p, db)
     }
 
+    fn profiled(p: &Wdpt, db: &Database, threads: usize) -> (Vec<Mapping>, QueryProfile) {
+        let (answers, profile) = try_evaluate_parallel_captured_planned(
+            p,
+            db,
+            threads,
+            CancelToken::never(),
+            "test",
+            None,
+        );
+        (answers.unwrap(), profile)
+    }
+
     #[test]
     fn profiled_answers_match_unprofiled() {
         let (_i, p, db) = fixture();
-        let (answers, profile) = evaluate_profiled(&p, &db, "test seq");
+        let (answers, profile) = profiled(&p, &db, 1);
         assert_eq!(answers, evaluate(&p, &db));
         assert_eq!(profile.answers, answers.len() as u64);
         assert_eq!(profile.nodes.len(), p.node_count());
         // The root saw its 3 local homomorphisms.
         assert_eq!(profile.nodes[0].metrics[0], ("homomorphisms", 3));
-        // Spans fired: the sequential evaluator and the backtrack engine.
-        assert!(profile.phase("wdpt.eval.sequential").is_some());
+        // Spans fired: the executor and the backtrack engine — and with one
+        // worker, nothing was fanned out.
+        assert!(profile.phase("wdpt.eval.execute").is_some());
         assert!(profile.phase("cq.backtrack.extend_all").is_some());
+        assert!(profile.phase("wdpt.parallel.worker").is_none());
     }
 
     #[test]
-    fn parallel_profile_has_exact_node_parity_with_sequential() {
+    fn profile_has_exact_node_parity_across_thread_counts() {
         let (_i, p, db) = fixture();
-        let (seq_answers, seq_profile) = evaluate_profiled(&p, &db, "seq");
+        let (seq_answers, seq_profile) = profiled(&p, &db, 1);
         for threads in [2, 4, 8] {
-            let (par_answers, par_profile) = evaluate_parallel_profiled(&p, &db, threads, "par");
+            let (par_answers, par_profile) = profiled(&p, &db, threads);
             assert_eq!(par_answers, seq_answers);
-            assert_eq!(par_answers, evaluate_parallel(&p, &db, threads));
             // Observability parity: identical per-node homomorphism tallies,
             // merged across the scoped workers.
             assert_eq!(par_profile.nodes, seq_profile.nodes);
@@ -218,11 +132,23 @@ mod tests {
     }
 
     #[test]
+    fn cancelled_run_keeps_its_profile() {
+        let (_i, p, db) = fixture();
+        let token = CancelToken::new();
+        token.cancel();
+        let (answers, profile) =
+            try_evaluate_parallel_captured_planned(&p, &db, 4, &token, "late", None);
+        assert_eq!(answers, Err(Cancelled));
+        assert_eq!(profile.answers, 0);
+        assert_eq!(profile.nodes.len(), p.node_count());
+    }
+
+    #[test]
     fn profile_serializes_and_renders() {
         let (_i, p, db) = fixture();
-        let (_, profile) = evaluate_parallel_profiled(&p, &db, 4, "render");
+        let (_, profile) = profiled(&p, &db, 4);
         let text = profile.render();
-        assert!(text.contains("wdpt.eval.parallel"));
+        assert!(text.contains("wdpt.eval.execute"));
         assert!(text.contains("homomorphisms="));
         let json = profile.to_json().to_string();
         let parsed = wdpt_obs::Json::parse(&json).expect("valid JSON");
@@ -230,13 +156,5 @@ mod tests {
             parsed.get("nodes").unwrap().as_arr().unwrap().len(),
             p.node_count()
         );
-    }
-
-    #[test]
-    fn max_profiled_matches_evaluate_max() {
-        let (_i, p, db) = fixture();
-        let (answers, profile) = evaluate_max_profiled(&p, &db, "max");
-        assert_eq!(answers, crate::semantics::evaluate_max(&p, &db));
-        assert_eq!(profile.answers, answers.len() as u64);
     }
 }

@@ -13,186 +13,228 @@
 //! that is extendable at all, with some maximal extension into that child —
 //! a recursive product that never enumerates the `2^{|T|}` subtrees
 //! explicitly.
+//!
+//! There is one executor ([`execute`] over [`Run::extensions`]); the public
+//! functions differ only in what they pass it (threads, cancel token, plan)
+//! and what they do with the maximal homomorphisms it returns.
 
 use crate::tree::Wdpt;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use wdpt_cq::backtrack::{extend_all, extend_exists, try_extend_all, try_extend_all_ordered};
+use wdpt_cq::backtrack::{extend_all, extend_exists, try_extend_all};
 use wdpt_model::{mapping::maximal_mappings, CancelToken, Cancelled, Database, Mapping};
 use wdpt_obs::span;
 use wdpt_plan::ExecPlan;
 
-/// Local homomorphisms of node `t` under `inherited`, following the
-/// planned static atom order when an [`ExecPlan`] carries one for the node
-/// and the dynamic most-constrained heuristic otherwise. A plan indexed
-/// for a different tree shape degrades per-node to the dynamic default.
-fn node_extend(
-    db: &Database,
-    p: &Wdpt,
-    t: usize,
-    plan: Option<&ExecPlan>,
-    inherited: &Mapping,
-    token: &CancelToken,
-) -> Result<Vec<Mapping>, Cancelled> {
-    match plan.and_then(|pl| pl.nodes.get(t)) {
-        Some(no) => try_extend_all_ordered(db, p.atoms(t), &no.order, inherited, token),
-        None => try_extend_all(db, p.atoms(t), inherited, token),
-    }
-}
-
-/// Per-query, per-tree-node tallies collected while evaluating. One slot
-/// per WDPT node (preorder id); atomics so the parallel workers can share
-/// one tally. Unlike the process-wide metrics registry, a `NodeTally` is
-/// local to a single evaluation, so its counts are exact and deterministic
-/// even when other queries run concurrently — which is what lets the
-/// observability-parity test assert sequential == parallel exactly.
-#[derive(Debug)]
-pub(crate) struct NodeTally {
-    /// Local homomorphisms found at node `t`, summed over all ancestor
-    /// contexts the node was evaluated under.
+/// What one evaluation carries down the tree.
+struct Run<'a> {
+    p: &'a Wdpt,
+    db: &'a Database,
+    /// Planned static atom order per node; nodes the plan does not cover (no
+    /// plan, or one indexed for a different tree shape) use the dynamic
+    /// most-constrained heuristic.
+    plan: Option<&'a ExecPlan>,
+    token: &'a CancelToken,
+    /// Local homomorphisms found per node (preorder id), summed over every
+    /// ancestor context the node was evaluated under. Local to this
+    /// evaluation — unlike the process-wide metrics registry — so the counts
+    /// are exact whatever else runs concurrently; atomics because the
+    /// workers share them.
     homs: Vec<AtomicU64>,
 }
 
-impl NodeTally {
-    pub(crate) fn new(nodes: usize) -> Self {
-        NodeTally {
-            homs: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
+impl Run<'_> {
+    /// Local homomorphisms of node `t` under `inherited`, tallied.
+    fn node_extend(&self, t: usize, inherited: &Mapping) -> Result<Vec<Mapping>, Cancelled> {
+        let order = self.plan.and_then(|pl| pl.nodes.get(t));
+        let locals = try_extend_all(
+            self.db,
+            self.p.atoms(t),
+            order.map(|no| no.order.as_slice()),
+            inherited,
+            self.token,
+        )?;
+        self.homs[t].fetch_add(locals.len() as u64, Relaxed);
+        Ok(locals)
+    }
+
+    /// Maximal extensions into the subtree rooted at `t`, given the bindings
+    /// of the ancestors. Empty result means "`t` is not extendable" (the OPT
+    /// branch fails and is dropped). The token is polled inside the per-node
+    /// backtracking search and between cartesian-product assembly rounds.
+    ///
+    /// Children are independent given their context (well-designedness), so
+    /// every (context, child) pair is one job. With `workers < 2`, or fewer
+    /// than two jobs, they run inline, context by context; otherwise they
+    /// are strided over scoped threads first (`Database` is `Sync` — the
+    /// column indexes live in `OnceLock`s). Either way the per-context
+    /// products are assembled here, on the calling thread. Only the root is
+    /// called with more than one worker.
+    fn extensions(
+        &self,
+        t: usize,
+        inherited: &Mapping,
+        workers: usize,
+    ) -> Result<Vec<Mapping>, Cancelled> {
+        let token = self.token;
+        let ctxs: Vec<Mapping> = self
+            .node_extend(t, inherited)?
+            .into_iter()
+            .map(|g| {
+                inherited
+                    .union(&g)
+                    .expect("local homomorphism agrees with inherited bindings")
+            })
+            .collect();
+        let children = self.p.children(t);
+        let job = |ci: usize, j: usize| self.extensions(children[j], &ctxs[ci], 1);
+        let jobs = ctxs.len() * children.len();
+        let workers = workers.min(jobs);
+        let fanned = if workers < 2 {
+            None
+        } else {
+            Some(fan_out(jobs, workers, |idx| {
+                job(idx / children.len(), idx % children.len())
+            })?)
+        };
+        let _assemble_span = fanned.is_some().then(|| span!("wdpt.eval.assemble"));
+        let mut out = Vec::new();
+        for (ci, ctx) in ctxs.iter().enumerate() {
+            if token.is_cancelled() {
+                return Err(Cancelled);
+            }
+            let inline;
+            let parts: &[Vec<Mapping>] = match &fanned {
+                Some(results) => &results[ci * children.len()..][..children.len()],
+                None => {
+                    inline = (0..children.len())
+                        .map(|j| job(ci, j))
+                        .collect::<Result<Vec<_>, _>>()?;
+                    &inline
+                }
+            };
+            // Cartesian product of the children's maximal extensions. A
+            // child that is not extendable contributes nothing — maximality
+            // w.r.t. it holds vacuously.
+            let mut acc: Vec<Mapping> = vec![ctx.clone()];
+            for part in parts.iter().filter(|part| !part.is_empty()) {
+                if token.is_cancelled() {
+                    return Err(Cancelled);
+                }
+                let mut next = Vec::with_capacity(acc.len() * part.len());
+                for base in &acc {
+                    for ext in part {
+                        next.push(
+                            base.union(ext)
+                                .expect("sibling subtrees only share ancestor variables"),
+                        );
+                    }
+                }
+                acc = next;
+            }
+            out.extend(acc);
         }
+        Ok(out)
     }
+}
 
-    fn add_homs(&self, t: usize, n: u64) {
-        self.homs[t].fetch_add(n, Relaxed);
+/// `job(0), …, job(n - 1)`, strided over `workers` scoped threads and
+/// returned in job order. The workers share the evaluation's cancel token,
+/// so one hitting the deadline stops the rest within one poll interval; the
+/// scope still joins everything before the error propagates.
+fn fan_out(
+    n: usize,
+    workers: usize,
+    job: impl Fn(usize) -> Result<Vec<Mapping>, Cancelled> + Sync,
+) -> Result<Vec<Vec<Mapping>>, Cancelled> {
+    let mut results: Vec<Vec<Mapping>> = vec![Vec::new(); n];
+    let mut cancelled = false;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let job = &job;
+                s.spawn(move || {
+                    let _span = span!("wdpt.parallel.worker");
+                    let mut out = Vec::new();
+                    for idx in (w..n).step_by(workers) {
+                        wdpt_model::stats::record_parallel_task();
+                        out.push((idx, job(idx)?));
+                    }
+                    Ok(out)
+                })
+            })
+            .collect();
+        for handle in handles {
+            match handle.join().expect("worker thread panicked") {
+                Ok(done) => done.into_iter().for_each(|(idx, exts)| results[idx] = exts),
+                Err(Cancelled) => cancelled = true,
+            }
+        }
+    });
+    if cancelled {
+        Err(Cancelled)
+    } else {
+        Ok(results)
     }
+}
 
-    /// Final per-node counts, indexed by preorder node id.
-    pub(crate) fn hom_counts(&self) -> Vec<u64> {
-        self.homs.iter().map(|a| a.load(Relaxed)).collect()
-    }
+/// The one executor: all maximal homomorphisms from `p` to `db`, canonically
+/// ordered, plus the per-node local-homomorphism counts (preorder ids) —
+/// which survive cancellation, so a deadline-killed query can still be
+/// explained. `threads` bounds the workers the root's (local homomorphism ×
+/// OPT child) jobs are spread over (`0` means
+/// [`std::thread::available_parallelism`]); with one worker no thread is
+/// spawned. Answers are identical at every thread count and under any plan;
+/// backtracking work is identical at every thread count.
+pub(crate) fn execute(
+    p: &Wdpt,
+    db: &Database,
+    threads: usize,
+    token: &CancelToken,
+    plan: Option<&ExecPlan>,
+) -> (Result<Vec<Mapping>, Cancelled>, Vec<u64>) {
+    let _span = span!("wdpt.eval.execute");
+    let workers = match threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    };
+    let run = Run {
+        p,
+        db,
+        plan,
+        token,
+        homs: (0..p.node_count()).map(|_| AtomicU64::new(0)).collect(),
+    };
+    // BTreeSet puts the homomorphisms in canonical order.
+    let homs = run
+        .extensions(p.root(), &Mapping::empty(), workers)
+        .map(|homs| {
+            let set: BTreeSet<Mapping> = homs.into_iter().collect();
+            set.into_iter().collect()
+        });
+    (homs, run.homs.iter().map(|a| a.load(Relaxed)).collect())
+}
+
+/// Projections of `homs` onto the free variables of `p`, deduplicated.
+pub(crate) fn project_free(p: &Wdpt, homs: Vec<Mapping>) -> Vec<Mapping> {
+    let free = p.free_set();
+    let set: BTreeSet<Mapping> = homs.into_iter().map(|h| h.restrict(&free)).collect();
+    set.into_iter().collect()
 }
 
 /// All maximal homomorphisms from `p` to `db` (on their various domains).
 /// Exponential in the size of the output; intended for exact small-scale
 /// semantics, tests, and the intractable baselines of the benchmarks.
 pub fn maximal_homomorphisms(p: &Wdpt, db: &Database) -> Vec<Mapping> {
-    maximal_homomorphisms_tallied(p, db, None)
-}
-
-/// [`maximal_homomorphisms`] under a cancel token: `Err(Cancelled)` if the
-/// token fires (or its deadline passes) mid-evaluation.
-pub fn try_maximal_homomorphisms(
-    p: &Wdpt,
-    db: &Database,
-    token: &CancelToken,
-) -> Result<Vec<Mapping>, Cancelled> {
-    try_maximal_homomorphisms_tallied(p, db, None, None, token)
-}
-
-/// [`maximal_homomorphisms`] with an optional per-node tally (used by the
-/// profiled entry points in [`crate::profile`]).
-pub(crate) fn maximal_homomorphisms_tallied(
-    p: &Wdpt,
-    db: &Database,
-    tally: Option<&NodeTally>,
-) -> Vec<Mapping> {
-    try_maximal_homomorphisms_tallied(p, db, tally, None, CancelToken::never())
+    execute(p, db, 1, CancelToken::never(), None)
+        .0
         .expect("the never token cannot cancel")
-}
-
-pub(crate) fn try_maximal_homomorphisms_tallied(
-    p: &Wdpt,
-    db: &Database,
-    tally: Option<&NodeTally>,
-    plan: Option<&ExecPlan>,
-    token: &CancelToken,
-) -> Result<Vec<Mapping>, Cancelled> {
-    let _span = span!("wdpt.eval.sequential");
-    let homs = extensions(p, db, p.root(), &Mapping::empty(), tally, plan, token)?;
-    let out: BTreeSet<Mapping> = homs.into_iter().collect();
-    // The recursion can produce duplicates through different local homs
-    // projecting equally; BTreeSet dedups canonically.
-    Ok(out.into_iter().collect())
-}
-
-/// Maximal extensions into the subtree rooted at `t`, given the bindings of
-/// the ancestors. Empty result means "`t` is not extendable" (the OPT
-/// branch fails and is dropped). The token is polled inside the per-node
-/// backtracking search and between cartesian-product assembly rounds.
-fn extensions(
-    p: &Wdpt,
-    db: &Database,
-    t: usize,
-    inherited: &Mapping,
-    tally: Option<&NodeTally>,
-    plan: Option<&ExecPlan>,
-    token: &CancelToken,
-) -> Result<Vec<Mapping>, Cancelled> {
-    let local = node_extend(db, p, t, plan, inherited, token)?;
-    if let Some(tally) = tally {
-        tally.add_homs(t, local.len() as u64);
-    }
-    let mut out = Vec::new();
-    for g in local {
-        if token.is_cancelled() {
-            return Err(Cancelled);
-        }
-        let ctx = inherited
-            .union(&g)
-            .expect("local homomorphism agrees with inherited bindings");
-        // Children are independent given ctx (well-designedness).
-        let mut parts: Vec<Vec<Mapping>> = Vec::new();
-        for &c in p.children(t) {
-            let subs = extensions(p, db, c, &ctx, tally, plan, token)?;
-            if !subs.is_empty() {
-                parts.push(subs);
-            }
-            // Not extendable: child contributes nothing — and maximality
-            // w.r.t. this child holds vacuously.
-        }
-        // Cartesian product of the children's maximal extensions.
-        let mut acc: Vec<Mapping> = vec![ctx.clone()];
-        for part in parts {
-            if token.is_cancelled() {
-                return Err(Cancelled);
-            }
-            let mut next = Vec::with_capacity(acc.len() * part.len());
-            for base in &acc {
-                for ext in &part {
-                    next.push(
-                        base.union(ext)
-                            .expect("sibling subtrees only share ancestor variables"),
-                    );
-                }
-            }
-            acc = next;
-        }
-        out.extend(acc);
-    }
-    Ok(out)
 }
 
 /// The evaluation `p(D)`: projections of the maximal homomorphisms onto the
 /// free variables, deduplicated (Definition 2).
 pub fn evaluate(p: &Wdpt, db: &Database) -> Vec<Mapping> {
-    let free = p.free_set();
-    let set: BTreeSet<Mapping> = maximal_homomorphisms(p, db)
-        .into_iter()
-        .map(|h| h.restrict(&free))
-        .collect();
-    set.into_iter().collect()
-}
-
-/// [`evaluate`] under a cancel token.
-pub fn try_evaluate(
-    p: &Wdpt,
-    db: &Database,
-    token: &CancelToken,
-) -> Result<Vec<Mapping>, Cancelled> {
-    let free = p.free_set();
-    let set: BTreeSet<Mapping> = try_maximal_homomorphisms(p, db, token)?
-        .into_iter()
-        .map(|h| h.restrict(&free))
-        .collect();
-    Ok(set.into_iter().collect())
+    project_free(p, maximal_homomorphisms(p, db))
 }
 
 /// The maximal-mapping semantics `p_m(D)` (Section 3.4): the ⊑-maximal
@@ -201,182 +243,13 @@ pub fn evaluate_max(p: &Wdpt, db: &Database) -> Vec<Mapping> {
     maximal_mappings(evaluate(p, db))
 }
 
-/// Fewest (root local homomorphism × OPT child) work items for which
-/// spawning threads can pay off; below this the sequential path runs.
-const MIN_PARALLEL_JOBS: usize = 2;
-
-/// [`maximal_homomorphisms`], computed with up to `threads` worker threads
-/// (`0` means [`std::thread::available_parallelism`]).
-///
-/// Well-designedness is what makes the split safe: sibling OPT subtrees
-/// share variables only through their common ancestors, so once a root
-/// local homomorphism fixes the ancestor valuation, every `(local hom,
-/// child subtree)` pair is an independent work item. The items are strided
-/// over scoped threads (`Database` is `Sync` — the column indexes live in
-/// `OnceLock`s), each computing the child's maximal extensions, and the
-/// per-context cartesian products are assembled sequentially afterwards.
-/// Falls back to the sequential evaluator when there are fewer than
-/// [`MIN_PARALLEL_JOBS`] items or a single thread; the result is always
-/// identical to [`maximal_homomorphisms`].
-pub fn maximal_homomorphisms_parallel(p: &Wdpt, db: &Database, threads: usize) -> Vec<Mapping> {
-    maximal_homomorphisms_parallel_tallied(p, db, threads, None)
-}
-
-/// [`maximal_homomorphisms_parallel`] under a cancel token. The token is
-/// shared by every scoped worker, so one worker hitting the deadline stops
-/// the rest within one poll interval.
-pub fn try_maximal_homomorphisms_parallel(
-    p: &Wdpt,
-    db: &Database,
-    threads: usize,
-    token: &CancelToken,
-) -> Result<Vec<Mapping>, Cancelled> {
-    try_maximal_homomorphisms_parallel_tallied(p, db, threads, None, None, token)
-}
-
-/// [`maximal_homomorphisms_parallel`] with an optional per-node tally. The
-/// tally is shared by reference across the scoped workers; its atomics make
-/// the counts exact once the scope joins.
-pub(crate) fn maximal_homomorphisms_parallel_tallied(
-    p: &Wdpt,
-    db: &Database,
-    threads: usize,
-    tally: Option<&NodeTally>,
-) -> Vec<Mapping> {
-    try_maximal_homomorphisms_parallel_tallied(p, db, threads, tally, None, CancelToken::never())
-        .expect("the never token cannot cancel")
-}
-
-pub(crate) fn try_maximal_homomorphisms_parallel_tallied(
-    p: &Wdpt,
-    db: &Database,
-    threads: usize,
-    tally: Option<&NodeTally>,
-    plan: Option<&ExecPlan>,
-    token: &CancelToken,
-) -> Result<Vec<Mapping>, Cancelled> {
-    let _span = span!("wdpt.eval.parallel");
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        threads
-    };
-    let root = p.root();
-    let locals = node_extend(db, p, root, plan, &Mapping::empty(), token)?;
-    let children = p.children(root);
-    let jobs: Vec<(usize, usize)> = (0..locals.len())
-        .flat_map(|ci| children.iter().map(move |&c| (ci, c)))
-        .collect();
-    if threads <= 1 || jobs.len() < MIN_PARALLEL_JOBS {
-        // The root locals just computed would be double-counted by the
-        // sequential fallback, which recomputes them.
-        return try_maximal_homomorphisms_tallied(p, db, tally, plan, token);
-    }
-    if let Some(tally) = tally {
-        tally.add_homs(root, locals.len() as u64);
-    }
-    // Child extensions for every (context, child) pair, computed in
-    // parallel. The workers only read `p`, `db`, `locals`, and `jobs`.
-    // A cancelled worker leaves a hole; the scope still joins everything
-    // before the error propagates.
-    let mut results: Vec<Vec<Mapping>> = vec![Vec::new(); jobs.len()];
-    let workers = threads.min(jobs.len());
-    let mut cancelled = false;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let (jobs, locals) = (&jobs, &locals);
-                s.spawn(move || {
-                    let _span = span!("wdpt.parallel.worker");
-                    let mut out = Vec::new();
-                    let mut idx = w;
-                    while idx < jobs.len() {
-                        let (ci, child) = jobs[idx];
-                        wdpt_model::stats::record_parallel_task();
-                        out.push((
-                            idx,
-                            extensions(p, db, child, &locals[ci], tally, plan, token),
-                        ));
-                        idx += workers;
-                    }
-                    out
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (idx, exts) in handle.join().expect("worker thread panicked") {
-                match exts {
-                    Ok(exts) => results[idx] = exts,
-                    Err(Cancelled) => cancelled = true,
-                }
-            }
-        }
-    });
-    if cancelled {
-        return Err(Cancelled);
-    }
-    // Sequential assembly, mirroring `extensions` at the root: for each
-    // local homomorphism, the cartesian product over its extendable
-    // children, then canonical dedup.
-    let _assemble_span = span!("wdpt.eval.assemble");
-    let mut out: BTreeSet<Mapping> = BTreeSet::new();
-    for (ci, ctx) in locals.iter().enumerate() {
-        if token.is_cancelled() {
-            return Err(Cancelled);
-        }
-        let mut acc: Vec<Mapping> = vec![ctx.clone()];
-        for (j, _) in children.iter().enumerate() {
-            let part = &results[ci * children.len() + j];
-            if part.is_empty() {
-                continue; // not extendable: maximality holds vacuously
-            }
-            let mut next = Vec::with_capacity(acc.len() * part.len());
-            for base in &acc {
-                for ext in part {
-                    next.push(
-                        base.union(ext)
-                            .expect("sibling subtrees only share ancestor variables"),
-                    );
-                }
-            }
-            acc = next;
-        }
-        out.extend(acc);
-    }
-    Ok(out.into_iter().collect())
-}
-
-/// [`evaluate`] via the thread-parallel evaluator; agrees with the
-/// sequential result exactly (same answers, same canonical order).
-pub fn evaluate_parallel(p: &Wdpt, db: &Database, threads: usize) -> Vec<Mapping> {
-    let free = p.free_set();
-    let set: BTreeSet<Mapping> = maximal_homomorphisms_parallel(p, db, threads)
-        .into_iter()
-        .map(|h| h.restrict(&free))
-        .collect();
-    set.into_iter().collect()
-}
-
-/// [`evaluate_parallel`] under a cancel token — the entry point the query
-/// service uses to enforce per-request deadlines.
-pub fn try_evaluate_parallel(
-    p: &Wdpt,
-    db: &Database,
-    threads: usize,
-    token: &CancelToken,
-) -> Result<Vec<Mapping>, Cancelled> {
-    let free = p.free_set();
-    let set: BTreeSet<Mapping> = try_maximal_homomorphisms_parallel(p, db, threads, token)?
-        .into_iter()
-        .map(|h| h.restrict(&free))
-        .collect();
-    Ok(set.into_iter().collect())
-}
-
-/// [`try_evaluate_parallel`] executing an optional cost-based
-/// [`ExecPlan`]; see
+/// [`evaluate`] on up to `threads` worker threads (`0` means
+/// [`std::thread::available_parallelism`]), under a cancel token —
+/// `Err(Cancelled)` if it fires or its deadline passes mid-evaluation — and
+/// executing an optional cost-based [`ExecPlan`]; see
 /// [`try_evaluate_parallel_captured_planned`](crate::profile::try_evaluate_parallel_captured_planned)
-/// for the plan contract. Answers are identical with or without a plan.
+/// for the plan contract. Answers are identical to [`evaluate`]'s, in the
+/// same canonical order, whatever the thread count or plan.
 pub fn try_evaluate_parallel_planned(
     p: &Wdpt,
     db: &Database,
@@ -384,18 +257,7 @@ pub fn try_evaluate_parallel_planned(
     token: &CancelToken,
     plan: Option<&ExecPlan>,
 ) -> Result<Vec<Mapping>, Cancelled> {
-    let free = p.free_set();
-    let set: BTreeSet<Mapping> =
-        try_maximal_homomorphisms_parallel_tallied(p, db, threads, None, plan, token)?
-            .into_iter()
-            .map(|h| h.restrict(&free))
-            .collect();
-    Ok(set.into_iter().collect())
-}
-
-/// [`evaluate_max`] via the thread-parallel evaluator.
-pub fn evaluate_max_parallel(p: &Wdpt, db: &Database, threads: usize) -> Vec<Mapping> {
-    maximal_mappings(evaluate_parallel(p, db, threads))
+    Ok(project_free(p, execute(p, db, threads, token, plan).0?))
 }
 
 /// All homomorphisms from `p` to `db` (not only maximal ones): full
@@ -612,31 +474,32 @@ mod tests {
         }
     }
 
+    /// `p(D)` through the cancellable entry point at `threads` workers.
+    fn eval_at(p: &Wdpt, db: &Database, threads: usize) -> Vec<Mapping> {
+        try_evaluate_parallel_planned(p, db, threads, CancelToken::never(), None).unwrap()
+    }
+
     #[test]
-    fn parallel_matches_sequential_on_paper_examples() {
+    fn every_thread_count_matches_evaluate_on_paper_examples() {
         let mut i = Interner::new();
         let (p, db) = example2(&mut i);
         for threads in [0, 1, 2, 4, 16] {
-            assert_eq!(evaluate_parallel(&p, &db, threads), evaluate(&p, &db));
+            assert_eq!(eval_at(&p, &db, threads), evaluate(&p, &db));
             assert_eq!(
-                maximal_homomorphisms_parallel(&p, &db, threads),
-                maximal_homomorphisms(&p, &db)
-            );
-            assert_eq!(
-                evaluate_max_parallel(&p, &db, threads),
-                evaluate_max(&p, &db)
+                execute(&p, &db, threads, CancelToken::never(), None).0,
+                Ok(maximal_homomorphisms(&p, &db))
             );
         }
     }
 
     #[test]
-    fn parallel_falls_back_on_single_node_trees() {
+    fn single_node_trees_fan_nothing_out() {
         let mut i = Interner::new();
         let root = parse_atoms(&mut i, "a(?x)").unwrap();
         let p = WdptBuilder::new(root).build(vec![i.var("x")]).unwrap();
         let db = parse_database(&mut i, "a(1) a(2)").unwrap();
         let before = wdpt_model::stats::snapshot();
-        let ans = evaluate_parallel(&p, &db, 8);
+        let ans = eval_at(&p, &db, 8);
         let delta = wdpt_model::stats::snapshot().since(&before);
         assert_eq!(ans, evaluate(&p, &db));
         // No children means no work items, so nothing is fanned out.
@@ -644,7 +507,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fans_out_one_task_per_context_child_pair() {
+    fn fans_out_one_task_per_context_child_pair() {
         let mut i = Interner::new();
         // 3 root homomorphisms × 2 children = 6 work items.
         let root = parse_atoms(&mut i, "a(?x)").unwrap();
@@ -655,7 +518,7 @@ mod tests {
         let p = b.build(free).unwrap();
         let db = parse_database(&mut i, "a(1) a(2) a(3) b(1,10) b(2,20) c(2,30) c(3,31)").unwrap();
         let before = wdpt_model::stats::snapshot();
-        let ans = evaluate_parallel(&p, &db, 4);
+        let ans = eval_at(&p, &db, 4);
         let delta = wdpt_model::stats::snapshot().since(&before);
         assert_eq!(ans, evaluate(&p, &db));
         assert_eq!(ans.len(), 3);
@@ -663,87 +526,25 @@ mod tests {
     }
 
     #[test]
-    fn parallel_agrees_with_sequential_on_random_trees() {
-        // Deterministic LCG in place of an external RNG (same pattern as
-        // `eval::tests::agrees_with_enumeration_on_random_trees`).
-        let mut state = 0x5eed_cafe_u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as usize
-        };
-        for _case in 0..30 {
-            let mut i = Interner::new();
-            let e = i.pred("e");
-            let f = i.pred("f");
-            let g = i.pred("g");
-            let mut db = Database::new();
-            for _ in 0..(4 + next() % 10) {
-                let a = i.constant(&format!("c{}", next() % 4));
-                let b = i.constant(&format!("c{}", next() % 4));
-                db.insert(e, vec![a, b]);
-                if next() % 2 == 0 {
-                    db.insert(f, vec![b, a]);
-                }
-                if next() % 3 == 0 {
-                    db.insert(g, vec![a, a]);
-                }
-            }
-            let x = i.var("x");
-            let y = i.var("y");
-            let z = i.var("z");
-            let w = i.var("w");
-            let mut b = WdptBuilder::new(vec![wdpt_model::Atom::new(e, vec![x.into(), y.into()])]);
-            let c1 = b.child(
-                0,
-                vec![wdpt_model::Atom::new(
-                    if next() % 2 == 0 { e } else { f },
-                    vec![y.into(), z.into()],
-                )],
-            );
-            b.child(0, vec![wdpt_model::Atom::new(g, vec![x.into(), w.into()])]);
-            if next() % 2 == 0 {
-                // ?v is existential; reusing ?x here would break
-                // well-designedness (x occurs at the root but not at c1).
-                let v = i.var("v");
-                b.child(c1, vec![wdpt_model::Atom::new(f, vec![z.into(), v.into()])]);
-            }
-            let p = b.build(vec![x, y, z, w]).unwrap();
-            let threads = 1 + next() % 5;
-            assert_eq!(
-                evaluate_parallel(&p, &db, threads),
-                evaluate(&p, &db),
-                "threads={threads}"
-            );
-            assert_eq!(
-                evaluate_max_parallel(&p, &db, threads),
-                evaluate_max(&p, &db),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
     fn cancelled_evaluation_returns_typed_error() {
         let mut i = Interner::new();
         let (p, db) = example2(&mut i);
-        let token = wdpt_model::CancelToken::new();
+        let token = CancelToken::new();
         token.cancel();
-        assert_eq!(try_evaluate(&p, &db, &token), Err(wdpt_model::Cancelled));
         for threads in [1, 4] {
             assert_eq!(
-                try_evaluate_parallel(&p, &db, threads, &token),
-                Err(wdpt_model::Cancelled)
+                try_evaluate_parallel_planned(&p, &db, threads, &token, None),
+                Err(Cancelled)
             );
         }
         // A live token changes nothing about the answers.
-        let live = wdpt_model::CancelToken::new();
-        assert_eq!(try_evaluate(&p, &db, &live).unwrap(), evaluate(&p, &db));
-        assert_eq!(
-            try_evaluate_parallel(&p, &db, 4, &live).unwrap(),
-            evaluate_parallel(&p, &db, 4)
-        );
+        let live = CancelToken::new();
+        for threads in [1, 4] {
+            assert_eq!(
+                try_evaluate_parallel_planned(&p, &db, threads, &live, None),
+                Ok(evaluate(&p, &db))
+            );
+        }
     }
 
     #[test]

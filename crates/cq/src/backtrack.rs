@@ -8,32 +8,15 @@
 //! the paper's tractable classes are designed to avoid — but it serves as
 //! (a) the general-purpose fallback and (b) the baseline the benchmark
 //! harness compares the structured engines against.
+//!
+//! Every entry point — [`extend_all`], [`extend_exists`], [`try_extend_all`],
+//! [`evaluate`] — is the same search with a different "on homomorphism"
+//! action; a cost-based plan replaces the ordering heuristic by a static
+//! permutation through [`try_extend_all`]'s `order`.
 
 use crate::query::ConjunctiveQuery;
 use std::cell::Cell;
 use wdpt_model::{Atom, CancelToken, Cancelled, Const, Database, Mapping, Term};
-
-/// Tunables of the backtracking search, exposed for the ablation
-/// benchmarks. The default (`indexed matching + dynamic most-constrained
-/// ordering`) is what every other entry point uses.
-#[derive(Debug, Clone, Copy)]
-pub struct BacktrackConfig {
-    /// Use the per-column hash indexes when scanning matches; `false`
-    /// forces full relation scans.
-    pub use_index: bool,
-    /// Re-select the most constrained atom at every step; `false` processes
-    /// atoms in the fixed input order.
-    pub dynamic_order: bool,
-}
-
-impl Default for BacktrackConfig {
-    fn default() -> Self {
-        BacktrackConfig {
-            use_index: true,
-            dynamic_order: true,
-        }
-    }
-}
 
 /// How a search should proceed after each discovered homomorphism.
 enum Found {
@@ -86,23 +69,10 @@ fn pattern(atom: &Atom, h: &Mapping) -> Vec<Option<Const>> {
 /// fully-bound atoms, the shortest posting list among bound columns for
 /// partially-bound atoms (the seed returned `rel.len()` there, which
 /// mis-ranked selective partially-bound atoms behind small relations), and
-/// the relation size for unbound atoms. With `use_index = false` (the
-/// index-ablation config) posting lists are off limits, so partially-bound
-/// atoms fall back to the relation size.
-pub(crate) fn estimate(db: &Database, atom: &Atom, h: &Mapping, use_index: bool) -> usize {
-    match db.relation(atom.pred) {
-        None => 0,
-        Some(rel) => {
-            let pat = pattern(atom, h);
-            if use_index {
-                rel.estimate_matching(&pat)
-            } else if pat.iter().all(Option::is_some) {
-                usize::from(rel.contains(&pat.iter().map(|c| c.unwrap()).collect::<Vec<_>>()))
-            } else {
-                rel.len()
-            }
-        }
-    }
+/// the relation size for unbound atoms.
+fn estimate(db: &Database, atom: &Atom, h: &Mapping) -> usize {
+    db.relation(atom.pred)
+        .map_or(0, |rel| rel.estimate_matching(&pattern(atom, h)))
 }
 
 fn search<F: FnMut(&Mapping) -> Found>(
@@ -111,15 +81,15 @@ fn search<F: FnMut(&Mapping) -> Found>(
     done: &mut [bool],
     h: &mut Mapping,
     on_hom: &mut F,
-    config: BacktrackConfig,
+    dynamic_order: bool,
     ctl: &Ctl<'_>,
 ) -> Found {
     if ctl.cancelled() {
         return Found::Cancelled;
     }
     // Pick the next unprocessed atom: most constrained first by default,
-    // fixed input order under the ablation config.
-    let next = if config.dynamic_order {
+    // the given sequence under a planned static order.
+    let next = if dynamic_order {
         atoms
             .iter()
             .enumerate()
@@ -127,7 +97,7 @@ fn search<F: FnMut(&Mapping) -> Found>(
             .max_by_key(|&(_, a)| {
                 let bound = pattern(a, h).iter().filter(|p| p.is_some()).count();
                 // Prefer many bound positions; break ties toward few matches.
-                (bound, usize::MAX - estimate(db, a, h, config.use_index))
+                (bound, usize::MAX - estimate(db, a, h))
             })
             .map(|(i, _)| i)
     } else {
@@ -149,12 +119,7 @@ fn search<F: FnMut(&Mapping) -> Found>(
         // materialize a `Vec<Vec<Const>>` of matches at every search node
         // (the seed did, making allocation the dominant cost on large
         // relations).
-        let tuples: Box<dyn Iterator<Item = &[Const]>> = if config.use_index {
-            rel.matching(&pat)
-        } else {
-            Box::new(rel.matching_unindexed(&pat))
-        };
-        for tuple in tuples {
+        for tuple in rel.matching(&pat) {
             // Extend h with the new bindings; tuples matching `pat` can only
             // conflict through repeated variables inside this atom.
             let mut added: Vec<wdpt_model::Var> = Vec::new();
@@ -173,7 +138,7 @@ fn search<F: FnMut(&Mapping) -> Found>(
                 }
             }
             if ok {
-                match search(db, atoms, done, h, on_hom, config, ctl) {
+                match search(db, atoms, done, h, on_hom, dynamic_order, ctl) {
                     Found::Continue => {}
                     stop => {
                         for v in added {
@@ -193,69 +158,8 @@ fn search<F: FnMut(&Mapping) -> Found>(
     result
 }
 
-/// All homomorphisms from the atom set into `db` that extend `seed`,
-/// i.e. total assignments of the atoms' variables consistent with `seed`
-/// under which every atom is in `db`. The returned mappings include the
-/// seed bindings for variables that occur in the atoms.
-pub fn extend_all(db: &Database, atoms: &[Atom], seed: &Mapping) -> Vec<Mapping> {
-    extend_all_config(db, atoms, seed, BacktrackConfig::default())
-}
-
-/// [`extend_all`] with explicit search tunables (ablation benchmarks).
-pub fn extend_all_config(
-    db: &Database,
-    atoms: &[Atom],
-    seed: &Mapping,
-    config: BacktrackConfig,
-) -> Vec<Mapping> {
-    try_extend_all_config(db, atoms, seed, config, CancelToken::never())
-        .expect("the never token cannot cancel")
-}
-
-/// [`extend_all`] under a cancel token: `Err(Cancelled)` if the token
-/// fires mid-search, discarding partial results.
-pub fn try_extend_all(
-    db: &Database,
-    atoms: &[Atom],
-    seed: &Mapping,
-    token: &CancelToken,
-) -> Result<Vec<Mapping>, Cancelled> {
-    try_extend_all_config(db, atoms, seed, BacktrackConfig::default(), token)
-}
-
-/// [`try_extend_all`] with explicit search tunables.
-pub fn try_extend_all_config(
-    db: &Database,
-    atoms: &[Atom],
-    seed: &Mapping,
-    config: BacktrackConfig,
-    token: &CancelToken,
-) -> Result<Vec<Mapping>, Cancelled> {
-    let _span = wdpt_obs::span!("cq.backtrack.extend_all");
-    let refs: Vec<&Atom> = atoms.iter().collect();
-    let mut done = vec![false; refs.len()];
-    let mut h = relevant_seed(atoms, seed);
-    let mut out = Vec::new();
-    let ctl = Ctl::new(token);
-    match search(
-        db,
-        &refs,
-        &mut done,
-        &mut h,
-        &mut |hom| {
-            out.push(hom.clone());
-            Found::Continue
-        },
-        config,
-        &ctl,
-    ) {
-        Found::Cancelled => Err(Cancelled),
-        _ => Ok(out),
-    }
-}
-
-/// True iff `order` is a permutation of `0..n` — the precondition for the
-/// planned entry points to execute it as a static atom order.
+/// True iff `order` is a permutation of `0..n` — the precondition for
+/// executing it as a static atom order.
 fn valid_order(order: &[usize], n: usize) -> bool {
     if order.len() != n {
         return false;
@@ -266,123 +170,78 @@ fn valid_order(order: &[usize], n: usize) -> bool {
         .all(|&i| i < n && !std::mem::replace(&mut seen[i], true))
 }
 
-/// [`try_extend_all`] executing a *planned* static atom order instead of
-/// the dynamic most-constrained heuristic: atoms are processed exactly in
-/// the sequence `atoms[order[0]], atoms[order[1]], …`. This is the hook
-/// the cost-based planner drives — the plan layer picks the permutation
-/// from its cardinality estimates, and this function executes it verbatim
-/// (indexes stay on; only the ordering heuristic is replaced).
+/// The one search entry: hands `on_hom` every total assignment of the
+/// atoms' variables consistent with `seed` under which every atom is in
+/// `db`. `seed` is restricted to the atoms' variables first, so the
+/// homomorphisms have exactly those as domain.
 ///
-/// If `order` is not a permutation of `0..atoms.len()` (a plan built for a
-/// different query shape), the call degrades to the dynamic default rather
-/// than failing — a stale plan must never change answers.
-pub fn try_extend_all_ordered(
+/// `order = Some(perm)` processes `atoms[perm[0]], atoms[perm[1]], …`
+/// verbatim — the hook the cost-based planner drives — and `None` re-selects
+/// the most constrained atom at every step. Anything but a permutation of
+/// `0..atoms.len()` (a plan built for a different query shape) degrades to
+/// the dynamic default: a stale plan must never change answers.
+fn run_search<F: FnMut(&Mapping) -> Found>(
     db: &Database,
     atoms: &[Atom],
-    order: &[usize],
+    order: Option<&[usize]>,
     seed: &Mapping,
     token: &CancelToken,
-) -> Result<Vec<Mapping>, Cancelled> {
-    if !valid_order(order, atoms.len()) {
-        return try_extend_all(db, atoms, seed, token);
-    }
-    let permuted: Vec<Atom> = order.iter().map(|&i| atoms[i].clone()).collect();
-    try_extend_all_config(
-        db,
-        &permuted,
-        seed,
-        BacktrackConfig {
-            use_index: true,
-            dynamic_order: false,
-        },
-        token,
-    )
-}
-
-/// [`try_extend_exists`] executing a planned static atom order; see
-/// [`try_extend_all_ordered`] for the contract.
-pub fn try_extend_exists_ordered(
-    db: &Database,
-    atoms: &[Atom],
-    order: &[usize],
-    seed: &Mapping,
-    token: &CancelToken,
-) -> Result<bool, Cancelled> {
-    if !valid_order(order, atoms.len()) {
-        return try_extend_exists(db, atoms, seed, token);
-    }
-    let permuted: Vec<Atom> = order.iter().map(|&i| atoms[i].clone()).collect();
-    try_extend_exists_config(
-        db,
-        &permuted,
-        seed,
-        BacktrackConfig {
-            use_index: true,
-            dynamic_order: false,
-        },
-        token,
-    )
-}
-
-/// True iff at least one homomorphism extending `seed` exists.
-pub fn extend_exists(db: &Database, atoms: &[Atom], seed: &Mapping) -> bool {
-    extend_exists_config(db, atoms, seed, BacktrackConfig::default())
-}
-
-/// [`extend_exists`] with explicit search tunables (ablation benchmarks).
-pub fn extend_exists_config(
-    db: &Database,
-    atoms: &[Atom],
-    seed: &Mapping,
-    config: BacktrackConfig,
-) -> bool {
-    try_extend_exists_config(db, atoms, seed, config, CancelToken::never())
-        .expect("the never token cannot cancel")
-}
-
-/// [`extend_exists`] under a cancel token.
-pub fn try_extend_exists(
-    db: &Database,
-    atoms: &[Atom],
-    seed: &Mapping,
-    token: &CancelToken,
-) -> Result<bool, Cancelled> {
-    try_extend_exists_config(db, atoms, seed, BacktrackConfig::default(), token)
-}
-
-/// [`try_extend_exists`] with explicit search tunables.
-pub fn try_extend_exists_config(
-    db: &Database,
-    atoms: &[Atom],
-    seed: &Mapping,
-    config: BacktrackConfig,
-    token: &CancelToken,
-) -> Result<bool, Cancelled> {
-    let _span = wdpt_obs::span!("cq.backtrack.extend_exists");
-    let refs: Vec<&Atom> = atoms.iter().collect();
+    mut on_hom: F,
+) -> Found {
+    let order = order.filter(|o| valid_order(o, atoms.len()));
+    let refs: Vec<&Atom> = match order {
+        Some(perm) => perm.iter().map(|&i| &atoms[i]).collect(),
+        None => atoms.iter().collect(),
+    };
     let mut done = vec![false; refs.len()];
-    let mut h = relevant_seed(atoms, seed);
-    let ctl = Ctl::new(token);
-    match search(
+    let mut h = seed.restrict(&wdpt_model::atom::vars_of_atoms(atoms));
+    search(
         db,
         &refs,
         &mut done,
         &mut h,
-        &mut |_| Found::Stop,
-        config,
-        &ctl,
-    ) {
+        &mut on_hom,
+        order.is_none(),
+        &Ctl::new(token),
+    )
+}
+
+/// All homomorphisms from the atom set into `db` that extend `seed`,
+/// i.e. total assignments of the atoms' variables consistent with `seed`
+/// under which every atom is in `db`. The returned mappings include the
+/// seed bindings for variables that occur in the atoms.
+pub fn extend_all(db: &Database, atoms: &[Atom], seed: &Mapping) -> Vec<Mapping> {
+    try_extend_all(db, atoms, None, seed, CancelToken::never())
+        .expect("the never token cannot cancel")
+}
+
+/// [`extend_all`] under a cancel token — `Err(Cancelled)` if it fires
+/// mid-search, discarding partial results — and an optional planned static
+/// atom order (`None`: the dynamic most-constrained heuristic; an `order`
+/// that is not a permutation of the atoms degrades to it).
+pub fn try_extend_all(
+    db: &Database,
+    atoms: &[Atom],
+    order: Option<&[usize]>,
+    seed: &Mapping,
+    token: &CancelToken,
+) -> Result<Vec<Mapping>, Cancelled> {
+    let _span = wdpt_obs::span!("cq.backtrack.extend_all");
+    let mut out = Vec::new();
+    match run_search(db, atoms, order, seed, token, |hom| {
+        out.push(hom.clone());
+        Found::Continue
+    }) {
         Found::Cancelled => Err(Cancelled),
-        Found::Stop => Ok(true),
-        Found::Continue => Ok(false),
+        _ => Ok(out),
     }
 }
 
-/// Restricts `seed` to the variables occurring in `atoms` so that returned
-/// homomorphisms have exactly the atoms' variables as domain.
-fn relevant_seed(atoms: &[Atom], seed: &Mapping) -> Mapping {
-    let vars = wdpt_model::atom::vars_of_atoms(atoms);
-    seed.restrict(&vars)
+/// True iff at least one homomorphism extending `seed` exists.
+pub fn extend_exists(db: &Database, atoms: &[Atom], seed: &Mapping) -> bool {
+    let _span = wdpt_obs::span!("cq.backtrack.extend_exists");
+    let found = run_search(db, atoms, None, seed, CancelToken::never(), |_| Found::Stop);
+    matches!(found, Found::Stop)
 }
 
 /// The paper's `q(D)`: the set of restrictions `h_x̄` of homomorphisms from
@@ -391,21 +250,16 @@ pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Vec<Mapping> {
     let _span = wdpt_obs::span!("cq.backtrack.evaluate");
     let head = q.head_set();
     let mut out: std::collections::BTreeSet<Mapping> = Default::default();
-    let refs: Vec<&Atom> = q.body().iter().collect();
-    let mut done = vec![false; refs.len()];
-    let mut h = Mapping::empty();
-    let ctl = Ctl::new(CancelToken::never());
-    search(
+    run_search(
         db,
-        &refs,
-        &mut done,
-        &mut h,
-        &mut |hom| {
+        q.body(),
+        None,
+        &Mapping::empty(),
+        CancelToken::never(),
+        |hom| {
             out.insert(hom.restrict(&head));
             Found::Continue
         },
-        BacktrackConfig::default(),
-        &ctl,
     );
     out.into_iter().collect()
 }
@@ -521,12 +375,10 @@ mod tests {
         // Bound on ?y, the big atom has a 1-element posting list; the seed
         // implementation returned rel.len() = 60 and ranked it *behind* the
         // unbound small atom (10).
-        assert_eq!(estimate(&db, &atoms[0], &seed, true), 1);
-        assert_eq!(estimate(&db, &atoms[1], &seed, true), 10);
+        assert_eq!(estimate(&db, &atoms[0], &seed), 1);
+        assert_eq!(estimate(&db, &atoms[1], &seed), 10);
         // Unbound, the big atom estimates its full size.
-        assert_eq!(estimate(&db, &atoms[0], &Mapping::empty(), true), 60);
-        // The index-free ablation cannot consult posting lists.
-        assert_eq!(estimate(&db, &atoms[0], &seed, false), 60);
+        assert_eq!(estimate(&db, &atoms[0], &Mapping::empty()), 60);
     }
 
     #[test]
@@ -568,17 +420,15 @@ mod tests {
         let atoms = parse_atoms(&mut i, "e(?x,?y), e(?y,?z)").unwrap();
         let token = CancelToken::new();
         token.cancel();
-        assert_eq!(
-            try_extend_all(&db, &atoms, &Mapping::empty(), &token),
-            Err(Cancelled)
-        );
-        assert_eq!(
-            try_extend_exists(&db, &atoms, &Mapping::empty(), &token),
-            Err(Cancelled)
-        );
+        for order in [None, Some(&[1usize, 0][..])] {
+            assert_eq!(
+                try_extend_all(&db, &atoms, order, &Mapping::empty(), &token),
+                Err(Cancelled)
+            );
+        }
         // A live token behaves exactly like the plain entry points.
         let live = CancelToken::new();
-        let homs = try_extend_all(&db, &atoms, &Mapping::empty(), &live).unwrap();
+        let homs = try_extend_all(&db, &atoms, None, &Mapping::empty(), &live).unwrap();
         assert_eq!(homs, extend_all(&db, &atoms, &Mapping::empty()));
     }
 
@@ -589,7 +439,7 @@ mod tests {
         let token = CancelToken::with_deadline(std::time::Duration::ZERO);
         token.poll_deadline(); // latch the expiry
         assert_eq!(
-            try_extend_all(&db, &atoms, &Mapping::empty(), &token),
+            try_extend_all(&db, &atoms, None, &Mapping::empty(), &token),
             Err(Cancelled)
         );
     }
@@ -609,13 +459,12 @@ mod tests {
         let token = CancelToken::new();
         // Bad order: small → fan explodes the frontier before filter prunes.
         let before = wdpt_model::stats::snapshot();
-        let bad =
-            try_extend_all_ordered(&db, &atoms, &[0, 1, 2], &Mapping::empty(), &token).unwrap();
+        let bad = try_extend_all(&db, &atoms, Some(&[0, 1, 2]), &Mapping::empty(), &token).unwrap();
         let bad_nodes = wdpt_model::stats::snapshot().since(&before).nodes_expanded;
         // Good order: filter first keeps the frontier at 1.
         let before = wdpt_model::stats::snapshot();
         let good =
-            try_extend_all_ordered(&db, &atoms, &[2, 1, 0], &Mapping::empty(), &token).unwrap();
+            try_extend_all(&db, &atoms, Some(&[2, 1, 0]), &Mapping::empty(), &token).unwrap();
         let good_nodes = wdpt_model::stats::snapshot().since(&before).nodes_expanded;
         // Same answers either way; radically different work.
         let mut b = bad.clone();
@@ -637,27 +486,9 @@ mod tests {
         let token = CancelToken::new();
         // Wrong length and duplicate entries both fall back cleanly.
         for order in [&[0usize][..], &[0, 0][..], &[1, 2][..]] {
-            let homs =
-                try_extend_all_ordered(&db, &atoms, order, &Mapping::empty(), &token).unwrap();
+            let homs = try_extend_all(&db, &atoms, Some(order), &Mapping::empty(), &token).unwrap();
             assert_eq!(homs.len(), 3, "order {order:?}");
-            assert!(
-                try_extend_exists_ordered(&db, &atoms, order, &Mapping::empty(), &token).unwrap()
-            );
         }
-    }
-
-    #[test]
-    fn ordered_exists_short_circuits() {
-        let (mut i, db) = setup();
-        let atoms = parse_atoms(&mut i, "e(?x,?y), e(?y,?z)").unwrap();
-        let token = CancelToken::new();
-        assert!(
-            try_extend_exists_ordered(&db, &atoms, &[1, 0], &Mapping::empty(), &token).unwrap()
-        );
-        let none = parse_atoms(&mut i, "e(?x,?y), e(?y,?x)").unwrap();
-        assert!(
-            !try_extend_exists_ordered(&db, &none, &[1, 0], &Mapping::empty(), &token).unwrap()
-        );
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub fn try_core_of(
         let (db, table) = freeze(&current, interner);
         let unfreeze: BTreeMap<Const, Var> = table.iter().map(|(&v, &c)| (c, v)).collect();
         let seed = Mapping::from_pairs(current.head().iter().map(|&x| (x, table[&x])));
-        let endos = try_extend_all(&db, current.body(), &seed, token)?;
+        let endos = try_extend_all(&db, current.body(), None, &seed, token)?;
         let n_atoms = current.body().len();
         let n_vars = current.variables().len();
         // Pick the endomorphism with the smallest image, if any shrinks it.

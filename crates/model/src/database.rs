@@ -436,22 +436,6 @@ impl Relation {
         }
     }
 
-    /// Like [`Relation::matching`] but always performs a full scan,
-    /// ignoring the column indexes. Exists for the index-ablation
-    /// benchmarks (`benches/ablations.rs`) — never faster in practice.
-    pub fn matching_unindexed<'a>(
-        &'a self,
-        pattern: &'a [Option<Const>],
-    ) -> impl Iterator<Item = &'a [Const]> + 'a {
-        debug_assert_eq!(pattern.len(), self.arity);
-        CountScans::new(self.tuples()).filter(move |t| {
-            pattern
-                .iter()
-                .zip(t.iter())
-                .all(|(p, v)| p.is_none_or(|c| c == *v))
-        })
-    }
-
     /// Iterates over tuples matching `pattern`: position `i` must equal
     /// `pattern[i]` when it is `Some(c)`. Uses the column index of the most
     /// selective bound position when one exists.

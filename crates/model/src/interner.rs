@@ -6,7 +6,7 @@
 //! Each kind (variable / constant / predicate) has its own namespace: the
 //! variable `x` and the constant `x` receive independent ids.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -314,10 +314,11 @@ impl Interner {
                 return None;
             }
             out.names.push((space, name));
-            if out.lookup.contains_key(&hash) {
-                out.overflow.push((hash, id));
-            } else {
-                out.lookup.insert(hash, id);
+            match out.lookup.entry(hash) {
+                Entry::Occupied(_) => out.overflow.push((hash, id)),
+                Entry::Vacant(slot) => {
+                    slot.insert(id);
+                }
             }
         }
         out.fresh_counter = fresh_counter;

@@ -9,10 +9,10 @@
 //!
 //! * [`span`] — hierarchical scoped timers ([`span!`] guards) with
 //!   thread-local span stacks. Aggregation is per-site into process-wide
-//!   relaxed atomics, so the worker threads of `evaluate_parallel`
+//!   relaxed atomics, so the worker threads of the WDPT executor
 //!   contribute to the same aggregates and a snapshot taken around joined
 //!   work is exact. Tracing is off by default; a disabled [`span!`] costs
-//!   one relaxed atomic load (measured < 2% on the `wdpt_eval` bench, see
+//!   one relaxed atomic load (measured < 2% on the retired `wdpt_eval` bench, see
 //!   `EXPERIMENTS.md`).
 //! * [`metrics`] — a registry of named counters ([`counter!`]) and
 //!   log₂-bucketed histograms ([`histogram!`]) generalizing the five

@@ -6,7 +6,7 @@
 //! much of its wall time was spent inside nested spans (`child_ns`), which
 //! lets reports show exclusive (self) time. Aggregation is per-site into
 //! process-wide relaxed atomics, so spans recorded on the scoped worker
-//! threads of `evaluate_parallel` merge into the same aggregates and a
+//! threads of the WDPT executor merge into the same aggregates and a
 //! snapshot taken around joined work is exact.
 //!
 //! Tracing is **off by default**: a disabled [`span!`] reads one relaxed

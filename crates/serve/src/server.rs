@@ -67,7 +67,7 @@ use wdpt_sparql::{parse_query, GraphPattern};
 pub struct ServeConfig {
     /// Evaluation worker threads.
     pub workers: usize,
-    /// Threads *inside* one evaluation (`evaluate_parallel` fan-out).
+    /// Threads *inside* one evaluation (the executor's root fan-out).
     pub eval_threads: usize,
     /// Bounded queue depth between connections and workers; the
     /// backpressure threshold.

@@ -9,7 +9,7 @@
 //! would corrupt the `nodes_expanded` comparison.
 
 use wdpt_gen::{random_wdpt, Lcg};
-use wdpt_model::{stats, Database, Interner, Mapping};
+use wdpt_model::{stats, CancelToken, Database, Interner, Mapping};
 use wdpt_store::{decode_snapshot, snapshot_to_vec, snapshot_to_vec_v2};
 
 /// A random database over the binary predicates `e` and `f` that
@@ -39,7 +39,9 @@ fn random_ef_db(interner: &mut Interner, seed: u64) -> Database {
 
 fn run(p: &wdpt_core::Wdpt, db: &Database, threads: usize) -> (Vec<Mapping>, u64) {
     let before = stats::snapshot();
-    let mut answers = wdpt_core::evaluate_parallel(p, db, threads);
+    let mut answers =
+        wdpt_core::try_evaluate_parallel_planned(p, db, threads, CancelToken::never(), None)
+            .expect("the never token cannot cancel");
     let expanded = stats::snapshot().since(&before).nodes_expanded;
     answers.sort_unstable();
     (answers, expanded)
@@ -76,7 +78,10 @@ fn v1_and_v2_loads_answer_identically_with_identical_work() {
             // Same work as evaluating the never-serialized original.
             let (a0, n0) = run(&p, &db, threads);
             assert_eq!(a0, a1, "seed {seed}, {threads} threads: original differs");
-            assert_eq!(n0, n1, "seed {seed}, {threads} threads: original work differs");
+            assert_eq!(
+                n0, n1,
+                "seed {seed}, {threads} threads: original work differs"
+            );
         }
     }
 }

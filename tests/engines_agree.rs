@@ -6,13 +6,24 @@
 //! property-testing framework.
 
 use std::collections::BTreeSet;
+use std::sync::{Mutex, MutexGuard};
 use wdpt::core::{
-    eval_bounded_interface, eval_decide, max_eval_decide, partial_eval_decide, semantics, Engine,
-    Wdpt, WdptBuilder,
+    eval_bounded_interface, eval_decide, max_eval_decide, partial_eval_decide, semantics,
+    try_evaluate_parallel_planned, Engine, Wdpt, WdptBuilder,
 };
 use wdpt::cq::{backtrack, structured, ConjunctiveQuery};
 use wdpt::gen::Lcg;
-use wdpt::model::{Atom, Database, Interner, Mapping, Var};
+use wdpt::model::mapping::maximal_mappings;
+use wdpt::model::{Atom, CancelToken, Database, Interner, Mapping, Var};
+
+/// The engine counters are process-wide and the harness runs this binary's
+/// tests on parallel threads: every test holds this lock, so the
+/// `cq.nodes_expanded` deltas `parallel_evaluator_agrees_with_sequential`
+/// compares contain its own work only.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A random fact list over `e/2`, `f/2` with constants `c0..c{dom}`:
 /// triples `(predicate, subject, object)`.
@@ -70,6 +81,7 @@ fn build_body(i: &mut Interner, spec: &[(u8, u8, u8)]) -> Vec<Atom> {
 /// Structured TW evaluation agrees with backtracking on satisfiability.
 #[test]
 fn structured_tw_matches_backtracking() {
+    let _serial = serial();
     let mut r = Lcg::new(0x7157_0001);
     for _case in 0..64 {
         let facts = random_facts(&mut r, 4, 12);
@@ -87,6 +99,7 @@ fn structured_tw_matches_backtracking() {
 /// Structured HW evaluation agrees with backtracking on satisfiability.
 #[test]
 fn structured_hw_matches_backtracking() {
+    let _serial = serial();
     let mut r = Lcg::new(0x7157_0002);
     for _case in 0..64 {
         let facts = random_facts(&mut r, 4, 12);
@@ -105,6 +118,7 @@ fn structured_hw_matches_backtracking() {
 /// Theorem 6 algorithm agrees with the general one.
 #[test]
 fn eval_procedures_agree() {
+    let _serial = serial();
     let mut r = Lcg::new(0x7157_0003);
     for _case in 0..64 {
         let facts = random_facts(&mut r, 3, 10);
@@ -166,6 +180,7 @@ fn eval_procedures_agree() {
 /// MAX-EVAL matches membership in p_m(D).
 #[test]
 fn partial_and_max_match_semantics() {
+    let _serial = serial();
     let mut r = Lcg::new(0x7157_0004);
     for _case in 0..64 {
         let facts = random_facts(&mut r, 3, 10);
@@ -213,6 +228,7 @@ fn partial_and_max_match_semantics() {
 /// is the projection of a maximal homomorphism.
 #[test]
 fn answers_are_projections_of_maximal_homs() {
+    let _serial = serial();
     let mut r = Lcg::new(0x7157_0005);
     for _case in 0..64 {
         let facts = random_facts(&mut r, 3, 8);
@@ -235,12 +251,30 @@ fn answers_are_projections_of_maximal_homs() {
     }
 }
 
-/// The thread-parallel evaluator is answer-for-answer identical to the
-/// sequential one — on the generator's random well-designed trees over
-/// random graph databases, across thread counts (including the
-/// auto-detecting `0` and the degenerate `1`).
+/// `p` with every variable free, so that `p(D)` *is* the set of maximal
+/// homomorphisms.
+fn projection_free(p: &Wdpt) -> Wdpt {
+    let mut b = WdptBuilder::new(p.atoms(p.root()).to_vec());
+    for t in 1..p.node_count() {
+        // `parent(t) < t`, so the builder hands out the same ids again.
+        b.child(p.parent(t).expect("non-root"), p.atoms(t).to_vec());
+    }
+    b.build(p.all_variables().into_iter().collect())
+        .expect("freeing variables keeps a tree well-designed")
+}
+
+/// Every thread count of the one executor is answer-for-answer identical
+/// to `evaluate` *and does the same backtracking work* — on the generator's
+/// random well-designed trees (single-node ones included) over random graph
+/// databases, across thread counts (including the auto-detecting `0` and
+/// the inline `1`).
 #[test]
 fn parallel_evaluator_agrees_with_sequential() {
+    let _serial = serial();
+    let at = |p: &Wdpt, db: &Database, threads: usize| {
+        try_evaluate_parallel_planned(p, db, threads, CancelToken::never(), None)
+            .expect("the never token cannot cancel")
+    };
     let mut r = Lcg::new(0x7157_0006);
     for case in 0..40 {
         let mut i = Interner::new();
@@ -260,16 +294,22 @@ fn parallel_evaluator_agrees_with_sequential() {
         }
         let p = wdpt::gen::random_wdpt(&mut i, 1 + r.gen_range(0..7), &mut r);
         let threads = r.gen_range(0..6);
-        let sequential = semantics::evaluate(&p, &db);
-        let parallel = semantics::evaluate_parallel(&p, &db, threads);
+        let (sequential, seq_work) = wdpt_obs::delta_scope(|| semantics::evaluate(&p, &db));
+        let (parallel, par_work) = wdpt_obs::delta_scope(|| at(&p, &db, threads));
         assert_eq!(parallel, sequential, "case={case} threads={threads}");
+        // The root's local homomorphisms are computed once on every path.
         assert_eq!(
-            semantics::evaluate_max_parallel(&p, &db, threads),
+            par_work.counter("cq.nodes_expanded"),
+            seq_work.counter("cq.nodes_expanded"),
+            "case={case} threads={threads}"
+        );
+        assert_eq!(
+            maximal_mappings(parallel),
             semantics::evaluate_max(&p, &db),
             "case={case} threads={threads}"
         );
         assert_eq!(
-            semantics::maximal_homomorphisms_parallel(&p, &db, threads),
+            at(&projection_free(&p), &db, threads),
             semantics::maximal_homomorphisms(&p, &db),
             "case={case} threads={threads}"
         );
