@@ -1,4 +1,4 @@
-//! Zero-copy columnar relation backing for WDPTSNAP v2 snapshots.
+//! Zero-copy columnar relation backing for WDPTSNAP snapshots.
 //!
 //! A [`ColumnarRelation`] is a set of offset+len views into one shared
 //! `Arc<[u8]>` holding the raw snapshot bytes: per column, a **cells blob**
@@ -166,9 +166,9 @@ impl ColumnarRelation {
         out
     }
 
-    /// Materializes the row-major tuple block — the expensive step v1
-    /// decode paid eagerly for every relation, deferred here until a scan
-    /// or index probe actually needs whole rows.
+    /// Materializes the row-major tuple block — the expensive step of a
+    /// load, deferred here until a scan or index probe actually needs
+    /// whole rows.
     pub fn decode_tuples(&self) -> Vec<Box<[Const]>> {
         if self.arity == 0 {
             return (0..self.rows).map(|_| Box::from(&[][..])).collect();

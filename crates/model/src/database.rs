@@ -65,10 +65,6 @@ impl<I> Drop for CountScans<I> {
 /// One column's posting index: constant → ascending tuple indices.
 pub type ColumnIndex = HashMap<Const, Vec<u32>>;
 
-/// A relation decomposed by [`Relation::into_parts`]: arity, sorted
-/// tuples, and whichever column indexes were already built.
-pub type RelationParts = (usize, Vec<Box<[Const]>>, Vec<Option<ColumnIndex>>);
-
 /// A relation outgrew the `u32` row-id space: posting lists, snapshot row
 /// counts, and delta row remaps all address tuples by `u32`, so row
 /// `u32::MAX + 1` cannot be represented. Surfaced as a typed error by
@@ -102,12 +98,14 @@ pub fn row_id(row: usize) -> Result<u32, TooManyRows> {
 /// The extension of a single predicate: a set of constant tuples.
 ///
 /// A relation is either **owned** (its tuple block was built eagerly — the
-/// insert, bulk-load, and v1 snapshot paths) or **lazy** (a zero-copy
-/// [`ColumnarRelation`] view into a shared v2 snapshot buffer, with tuples
-/// and indexes decoded behind `OnceLock`s on first touch). The two are
-/// indistinguishable through the query API; mutation detaches the backing
-/// first (see [`Relation::force_owned`]) so incremental index maintenance
-/// can never race a stale lazy decode.
+/// insert, bulk-load, and delta-merge paths) or **lazy** (a zero-copy
+/// [`ColumnarRelation`] view into a shared snapshot buffer, with tuples
+/// decoded behind a `OnceLock` on first touch). The two are
+/// indistinguishable through the query API. Either way the relation is the
+/// only owner of its column indexes: each one is derived here, on the first
+/// probe of that column, and nobody hands a relation a prebuilt one.
+/// Mutation detaches the backing first (see [`Relation::force_owned`]) so
+/// incremental index maintenance can never race a stale lazy decode.
 #[derive(Debug, Clone)]
 pub struct Relation {
     arity: usize,
@@ -172,7 +170,7 @@ impl Relation {
 
     /// Builds a **lazy** relation over a zero-copy columnar backing: no
     /// tuples are materialized and no indexes are decoded until a query
-    /// actually touches them. The caller (the `wdpt-store` v2 decoder) must
+    /// actually touches them. The caller (the `wdpt-store` decoder) must
     /// have validated the backing's streams — strictly sorted rows, cells
     /// in the constant namespace, row count in the `u32` id space.
     pub fn from_columnar(backing: crate::columnar::ColumnarRelation) -> Relation {
@@ -204,46 +202,23 @@ impl Relation {
         })
     }
 
-    /// Detaches the columnar backing before a mutation: every not-yet-built
-    /// column index is decoded from the backing now, and the tuple block is
-    /// materialized. Without this, an insert followed by a lazy index
-    /// decode would resurrect the pre-insert posting lists from the
-    /// snapshot bytes and silently drop the new row.
+    /// Detaches the columnar backing before a mutation, materializing the
+    /// tuple block. Column indexes that were never probed stay unbuilt and
+    /// are derived from the (by then mutated) tuple block on first use —
+    /// with the backing gone, a later lazy decode cannot resurrect the
+    /// pre-insert posting lists from the snapshot bytes.
     fn force_owned(&mut self) {
         let Some(backing) = self.backing.take() else {
             return;
         };
-        for (col, cell) in self.column_index.iter_mut().enumerate() {
-            if cell.get().is_none() {
-                let _ = cell.set(backing.decode_index(col));
-            }
-        }
         if self.tuples.get().is_none() {
             let _ = self.tuples.set(backing.decode_tuples());
         }
     }
 
-    /// Installs a prebuilt column index (deserialized posting lists), so
-    /// [`Relation::matching`] works immediately with zero index rebuild.
-    /// Returns `false` (and drops `idx`) if that column's index was already
-    /// built. The caller is responsible for `idx` being exactly what
-    /// [`Relation::index_for`] would have computed; `wdpt-store` guarantees
-    /// this by checksumming serialized indexes and validating posting
-    /// targets against the tuple count.
-    pub fn install_column_index(&mut self, col: usize, idx: HashMap<Const, Vec<u32>>) -> bool {
-        self.column_index[col].set(idx).is_ok()
-    }
-
-    /// The built index of a column, or `None` if it has not been built yet.
-    /// Unlike [`Relation::index_for`] this never triggers a build — it is
-    /// the serialization-side peek used when writing snapshots.
-    pub fn built_column_index(&self, col: usize) -> Option<&HashMap<Const, Vec<u32>>> {
-        self.column_index[col].get()
-    }
-
     /// Forces every column index to be built now (they are otherwise built
-    /// lazily on first probe). Snapshot writers call this so the serialized
-    /// relation carries all its posting lists.
+    /// lazily on first probe) — a warm-up for callers that want the first
+    /// query to pay no index work.
     pub fn build_all_indexes(&self) {
         for col in 0..self.arity {
             let _ = self.index_for(col);
@@ -309,24 +284,15 @@ impl Relation {
         }
     }
 
-    /// Decomposes the relation into its owned tuples and whichever column
-    /// indexes were built, without cloning either. This is the bulk
-    /// *mutation* counterpart of [`Relation::from_sorted`]: the snapshot
-    /// delta-apply and id-remap paths take a loaded relation apart, merge
-    /// or translate its sorted run, carry the posting lists over, and
-    /// reassemble — instead of re-inserting every tuple and rebuilding
-    /// every index from scratch.
-    /// Decomposition forces a lazy relation fully — delta application and
-    /// id-remapping rewrite the tuple run, so a zero-copy view cannot
-    /// survive them anyway.
-    pub fn into_parts(mut self) -> RelationParts {
+    /// Decomposes the relation into its arity and owned tuple block without
+    /// cloning. This is the bulk *mutation* counterpart of
+    /// [`Relation::from_sorted`]: the snapshot delta-apply and id-remap
+    /// paths take a loaded relation apart, merge or translate its tuple
+    /// run, and reassemble. Column indexes are not carried across — the
+    /// reassembled relation derives the ones its queries probe.
+    pub fn into_parts(mut self) -> (usize, Vec<Box<[Const]>>) {
         self.force_owned();
-        let indexes = self
-            .column_index
-            .into_iter()
-            .map(OnceLock::into_inner)
-            .collect();
-        (self.arity, self.tuples.take().unwrap_or_default(), indexes)
+        (self.arity, self.tuples.take().unwrap_or_default())
     }
 
     /// The membership set, built on first use from the tuple list.
@@ -489,8 +455,8 @@ impl Relation {
     /// against the tuple block: ascending in-range rows, targets whose
     /// cell equals the key, and lists that jointly cover every row exactly
     /// once per column. `wdpt-store verify` runs this to extend the
-    /// load-time stream validation of lazily-decoded snapshots to the full
-    /// depth the v1 eager decoder checked inline.
+    /// load-time stream validation of lazily-decoded snapshots down to the
+    /// derived posting lists.
     pub fn verify_deep(&self) -> Result<(), String> {
         let tuples = self.tuple_vec();
         if tuples.len() != self.rows {
@@ -948,46 +914,13 @@ mod tests {
     }
 
     #[test]
-    fn installed_column_index_answers_probes_without_a_build() {
-        let (mut i, db, e) = db3();
-        let a = i.constant("a");
-        let src = db.relation(e).unwrap();
-        src.build_all_indexes();
-        let mut tuples: Vec<Box<[Const]>> = src.tuples().map(Box::from).collect();
-        tuples.sort_unstable();
-        // Serialize-shape copy of column 0's postings, remapped to the
-        // sorted row order.
-        let order: Vec<usize> = tuples
-            .iter()
-            .map(|t| src.tuples().position(|u| u == &**t).unwrap())
-            .collect();
-        let mut rel = Relation::from_sorted(2, tuples);
-        for col in 0..2 {
-            let mut idx: HashMap<Const, Vec<u32>> = HashMap::new();
-            for (row, &orig) in order.iter().enumerate() {
-                let key = src.tuples().nth(orig).unwrap()[col];
-                idx.entry(key).or_default().push(row_id(row).unwrap());
-            }
-            assert!(rel.install_column_index(col, idx));
-            assert!(rel.built_column_index(col).is_some());
-        }
-        let before = crate::stats::snapshot();
-        assert_eq!(rel.matching(&[Some(a), None]).count(), 2);
-        let delta = crate::stats::snapshot().since(&before);
-        // The probe used the installed index; concurrent tests may build
-        // indexes of their own, so only assert our probes were indexed.
-        assert!(delta.index_probes >= 1);
-        // A second install on the same column is refused.
-        assert!(!rel.install_column_index(0, HashMap::new()));
-    }
-
-    #[test]
     fn bulk_loaded_relation_stays_consistent_under_interleaved_mutation() {
         // Guards the snapshot/delta-apply path: a relation assembled via
-        // `from_sorted` with *installed* indexes and a still-lazy `seen`
-        // set must keep `insert`, `contains`, and `posting_len` mutually
-        // consistent when loads and mutations interleave — the `seen` set
-        // materializes mid-stream, after some inserts already happened.
+        // `from_sorted`, whose indexes and `seen` set are all still unbuilt,
+        // must keep `insert`, `contains`, and `posting_len` mutually
+        // consistent when loads and mutations interleave — column 0's index
+        // is derived mid-stream by the first probe, column 1's and the
+        // `seen` set only after some inserts already happened.
         let mut i = Interner::new();
         let e = i.pred("e");
         let consts: Vec<Const> = (0..24).map(|j| i.constant(&format!("c{j}"))).collect();
@@ -995,22 +928,9 @@ mod tests {
             .map(|j| vec![consts[j], consts[j + 1]].into_boxed_slice())
             .collect();
         tuples.sort_unstable();
-        let mut indexes: Vec<HashMap<Const, Vec<u32>>> = vec![HashMap::new(), HashMap::new()];
-        for (row, t) in tuples.iter().enumerate() {
-            for col in 0..2 {
-                indexes[col]
-                    .entry(t[col])
-                    .or_default()
-                    .push(row_id(row).unwrap());
-            }
-        }
-        let mut rel = Relation::from_sorted(2, tuples);
-        for (col, idx) in indexes.into_iter().enumerate() {
-            assert!(rel.install_column_index(col, idx));
-        }
-        let mut db = Database::from_sorted(vec![(e, rel)]);
+        let mut db = Database::from_sorted(vec![(e, Relation::from_sorted(2, tuples))]);
 
-        // Interleave: probe (posting_len through the installed index),
+        // Interleave: probe (posting_len through the derived index),
         // insert a new tuple, membership-check both old and new tuples.
         for j in 8..16 {
             let (a, b) = (consts[j], consts[j + 1]);
@@ -1020,7 +940,7 @@ mod tests {
             assert!(db.insert(e, vec![a, b]));
             assert!(!db.insert(e, vec![a, b]), "re-insert must dedup");
             let rel = db.relation(e).unwrap();
-            // The installed index was maintained incrementally…
+            // The derived indexes were maintained incrementally…
             assert_eq!(rel.posting_len(0, a), 1);
             assert_eq!(rel.posting_len(1, b), 1);
             // …and membership agrees with it, for old and new tuples alike.
@@ -1040,22 +960,17 @@ mod tests {
     }
 
     #[test]
-    fn into_parts_round_trips_tuples_and_built_indexes() {
+    fn into_parts_hands_back_the_tuple_block() {
         let (_, db, e) = db3();
-        let rel = db.relation(e).unwrap();
-        rel.build_all_indexes();
+        let expected: BTreeSet<Box<[Const]>> =
+            db.relation(e).unwrap().tuples().map(Box::from).collect();
         let mut rels: Vec<(Pred, Relation)> = db.into_relations().collect();
         assert_eq!(rels.len(), 1);
         let (pred, rel) = rels.pop().unwrap();
         assert_eq!(pred, e);
-        let (arity, mut tuples, indexes) = rel.into_parts();
+        let (arity, tuples) = rel.into_parts();
         assert_eq!(arity, 2);
-        assert_eq!(tuples.len(), 3);
-        assert!(indexes.iter().all(Option::is_some), "built indexes survive");
-        // Reassemble and compare against a fresh build.
-        tuples.sort_unstable();
-        let rebuilt = Relation::from_sorted(arity, tuples);
-        assert_eq!(rebuilt.len(), 3);
+        assert_eq!(tuples.into_iter().collect::<BTreeSet<_>>(), expected);
     }
 
     #[test]

@@ -6,12 +6,13 @@
 //! shared with the rest of the workspace: the lenient N-Triples dialect
 //! lives in [`wdpt_sparql::nt`], and file loading goes through the store's
 //! parallel bulk loader ([`wdpt_store::bulk_load_path`]: streamed chunking,
-//! two-pass parallel interning, prebuilt posting indexes) with the facts
-//! format handled by `wdpt_model::parse`. Binary snapshots load via
+//! two-pass parallel interning, sorted tuple runs) with the facts format
+//! handled by `wdpt_model::parse`. Binary snapshots load via
 //! [`wdpt_store::load_snapshot`] and are merged into the server's interner
-//! by [`merge_snapshot`].
+//! by [`merge_snapshot`]. Neither path builds a posting index: every
+//! relation derives its column indexes on the first probe of each column,
+//! so a cold start (and a reload) does no index work at all.
 
-use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use wdpt_model::{Const, Database, Interner, Pred, Relation};
@@ -29,10 +30,10 @@ pub fn parse_dataset(interner: &mut Interner, text: &str) -> Result<Database, St
 
 /// Loads a dataset file through the store's parallel bulk loader: streamed
 /// chunking, two-pass parallel interning (deterministic across thread
-/// counts), and prebuilt posting indexes on every relation — the same
-/// pipeline as `wdpt-store build`, so a cold `--db` start of a large
-/// catalog no longer serializes on one parse thread. `threads == 0` means
-/// one worker per available core.
+/// counts), and per-relation sort + dedup — the same pipeline as
+/// `wdpt-store build`, so a cold `--db` start of a large catalog no longer
+/// serializes on one parse thread. `threads == 0` means one worker per
+/// available core.
 pub fn load_database(interner: &mut Interner, path: &Path, threads: usize) -> io::Result<Database> {
     let opts = wdpt_store::LoadOptions {
         threads,
@@ -55,16 +56,15 @@ pub fn load_database(interner: &mut Interner, path: &Path, threads: usize) -> io
 ///
 /// * If the live interner is still empty (the common case — snapshots load
 ///   before any text dataset), the snapshot's interner is **adopted**
-///   wholesale and its database returned as-is, keeping the prebuilt
-///   posting indexes: zero re-interning, zero index rebuild.
+///   wholesale and its database returned as-is, still lazy: zero
+///   re-interning, zero decoding.
 /// * Otherwise an old-id→new-id **translation table** is built once (one
-///   name lookup per *symbol*, not per tuple cell), every column is
-///   remapped through it, and the snapshot's prebuilt posting indexes are
-///   carried over — keys translated, rows routed through the tuple-sort
-///   permutation the new ids induce — instead of being dropped and lazily
-///   rebuilt. `serve.store.snapshot_remapped` counts this path; when the
-///   table turns out to be the identity (the live interner extends the
-///   snapshot's), the relations are moved wholesale without even a re-sort.
+///   name lookup per *symbol*, not per tuple cell). When the table turns
+///   out to be the identity (the live interner extends the snapshot's), the
+///   relations are moved wholesale, still lazy. If not, every cell is
+///   translated and each relation's run re-sorted under the new ids
+///   (`serve.store.snapshot_remapped` counts this path); the rewritten
+///   relations derive their column indexes on first probe.
 pub fn merge_snapshot(interner: &mut Interner, snapshot: (Interner, Database)) -> Database {
     let (snap_interner, snap_db) = snapshot;
     if interner.is_empty() {
@@ -94,46 +94,18 @@ pub fn merge_snapshot(interner: &mut Interner, snapshot: (Interner, Database)) -
 
     let mut out: Vec<(Pred, Relation)> = Vec::new();
     for (pred, rel) in snap_db.into_relations() {
-        let new_pred = Pred(translate[pred.0 as usize]);
-        let (arity, mut tuples, indexes) = rel.into_parts();
+        let (arity, mut tuples) = rel.into_parts();
         for t in tuples.iter_mut() {
             for c in t.iter_mut() {
                 *c = Const(translate[c.0 as usize]);
             }
         }
-        // New ids generally reorder the lexicographic tuple order; sort via
-        // a permutation so posting rows can be routed through it.
-        let mut perm: Vec<u32> = (0..tuples.len() as u32).collect();
-        perm.sort_by(|&a, &b| tuples[a as usize].cmp(&tuples[b as usize]));
-        let mut pos = vec![0u32; tuples.len()];
-        for (new_row, &old_row) in perm.iter().enumerate() {
-            pos[old_row as usize] = new_row as u32;
-        }
-        let mut slots: Vec<Option<Box<[Const]>>> = tuples.into_iter().map(Some).collect();
-        let sorted: Vec<Box<[Const]>> = perm
-            .iter()
-            .map(|&old| {
-                slots[old as usize]
-                    .take()
-                    .expect("permutation is a bijection")
-            })
-            .collect();
-        let mut relation = Relation::from_sorted(arity, sorted);
-        for (col, built) in indexes.into_iter().enumerate() {
-            let Some(index) = built else { continue };
-            let remapped: HashMap<Const, Vec<u32>> = index
-                .into_iter()
-                .map(|(key, mut rows)| {
-                    for r in rows.iter_mut() {
-                        *r = pos[*r as usize];
-                    }
-                    rows.sort_unstable();
-                    (Const(translate[key.0 as usize]), rows)
-                })
-                .collect();
-            relation.install_column_index(col, remapped);
-        }
-        out.push((new_pred, relation));
+        // New ids generally reorder the lexicographic tuple order.
+        tuples.sort_unstable();
+        out.push((
+            Pred(translate[pred.0 as usize]),
+            Relation::from_sorted(arity, tuples),
+        ));
     }
     Database::from_sorted(out)
 }
@@ -198,16 +170,17 @@ Swim NME_rating "2"^^<http://www.w3.org/2001/XMLSchema#integer> .
         let mut ts = TripleStore::new();
         ts.insert_str(&mut snap_i, "a", "b", "c");
         let snap_db = ts.into_database();
-        for (_, rel) in snap_db.relations() {
-            rel.build_all_indexes();
-        }
+        let symbols = snap_i.len();
 
         let mut live = Interner::new();
         let db = merge_snapshot(&mut live, (snap_i, snap_db));
         assert_eq!(db.size(), 1);
-        // Adopted wholesale: the prebuilt index came along.
+        // Adopted wholesale: the snapshot's ids are the live ids.
+        assert_eq!(live.len(), symbols);
         let p = TripleStore::pred(&mut live);
-        assert!(db.relation(p).unwrap().built_column_index(0).is_some());
+        let a = live.constant("a");
+        assert_eq!(live.len(), symbols, "lookups must not intern anything new");
+        assert_eq!(db.relation(p).unwrap().posting_len(0, a), 1);
     }
 
     #[test]
@@ -230,9 +203,9 @@ Swim NME_rating "2"^^<http://www.w3.org/2001/XMLSchema#integer> .
     }
 
     #[test]
-    fn merge_remap_keeps_prebuilt_indexes() {
+    fn merge_remap_resorts_rows_under_the_new_ids() {
         // Several tuples whose relative order *changes* under the new ids,
-        // so the posting rows must be routed through the sort permutation.
+        // so the translated run must be re-sorted before `from_sorted`.
         let mut snap_i = Interner::new();
         let mut ts = TripleStore::new();
         ts.insert_str(&mut snap_i, "a", "p", "u");
@@ -240,9 +213,6 @@ Swim NME_rating "2"^^<http://www.w3.org/2001/XMLSchema#integer> .
         ts.insert_str(&mut snap_i, "b", "q", "v");
         ts.insert_str(&mut snap_i, "c", "q", "u");
         let snap_db = ts.into_database();
-        for (_, rel) in snap_db.relations() {
-            rel.build_all_indexes();
-        }
 
         // A live interner that reverses the id order of a/b/c.
         let mut live = Interner::new();
@@ -253,30 +223,13 @@ Swim NME_rating "2"^^<http://www.w3.org/2001/XMLSchema#integer> .
         assert_eq!(db.size(), 4);
         let p = TripleStore::pred(&mut live);
         let rel = db.relation(p).unwrap();
-        // The prebuilt indexes survived the remap (the pre-fix path dropped
-        // them and fell back to lazy rebuilds)...
-        for col in 0..rel.arity() {
-            assert!(
-                rel.built_column_index(col).is_some(),
-                "column {col} index was dropped by the remap"
-            );
-        }
-        // ...and they answer correctly under the new ids.
+        let rows: Vec<&[Const]> = rel.tuples().collect();
+        assert!(rows.windows(2).all(|w| w[0] < w[1]), "run not re-sorted");
+        // The derived indexes answer correctly under the new ids.
         let (b, u, q) = (live.constant("b"), live.constant("u"), live.constant("q"));
         assert_eq!(rel.posting_len(0, b), 2);
         assert_eq!(rel.posting_len(2, u), 3);
         assert_eq!(rel.matching(&[Some(b), Some(q), None]).count(), 1);
-        // Posting lists stay ascending (the Relation invariant the merge
-        // must restore after permuting rows).
-        for col in 0..rel.arity() {
-            let idx = rel.built_column_index(col).unwrap();
-            for rows in idx.values() {
-                assert!(
-                    rows.windows(2).all(|w| w[0] < w[1]),
-                    "column {col} rows unsorted"
-                );
-            }
-        }
     }
 
     #[test]
@@ -284,10 +237,8 @@ Swim NME_rating "2"^^<http://www.w3.org/2001/XMLSchema#integer> .
         let mut snap_i = Interner::new();
         let mut ts = TripleStore::new();
         ts.insert_str(&mut snap_i, "a", "p", "u");
-        let snap_db = ts.into_database();
-        for (_, rel) in snap_db.relations() {
-            rel.build_all_indexes();
-        }
+        let bytes = wdpt_store::snapshot_to_vec_v2(&snap_i, ts.database()).unwrap();
+        let (snap_i, snap_db) = wdpt_store::decode_snapshot(&bytes).unwrap();
 
         // The live interner extends the snapshot's: identity translation.
         let mut live = snap_i.clone();
@@ -296,6 +247,6 @@ Swim NME_rating "2"^^<http://www.w3.org/2001/XMLSchema#integer> .
         let p = TripleStore::pred(&mut live);
         let rel = db.relation(p).unwrap();
         assert_eq!(db.size(), 1);
-        assert!(rel.built_column_index(0).is_some());
+        assert!(rel.is_lazy(), "identity merge must not decode anything");
     }
 }

@@ -536,21 +536,25 @@ fn hot_reload_swaps_data_over_the_wire() {
     subjects.sort_unstable();
     assert_eq!(subjects, ["our_love", "swim"]);
 
-    // A failed reload reports reload_failed and leaves the served data
+    // A failed reload — a missing file, or a snapshot in the retired
+    // version-1 format — reports reload_failed and leaves the served data
     // and the connection intact.
-    let (err, _) = c.round_trip(&Json::obj([
-        ("op", Json::str("reload")),
-        ("id", Json::str("r2")),
-        (
-            "snapshot",
-            Json::str(dir.join("missing.wdpt").to_str().unwrap()),
-        ),
-    ]));
-    assert_eq!(status_of(&err), "error", "got {err}");
-    assert_eq!(
-        err.get("kind").and_then(Json::as_str),
-        Some("reload_failed")
-    );
+    let v1_path = dir.join("old.wdpt");
+    let mut v1 = wdpt_store::MAGIC.to_vec();
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&v1_path, v1).unwrap();
+    for bad in [dir.join("missing.wdpt"), v1_path] {
+        let (err, _) = c.round_trip(&Json::obj([
+            ("op", Json::str("reload")),
+            ("id", Json::str("r2")),
+            ("snapshot", Json::str(bad.to_str().unwrap())),
+        ]));
+        assert_eq!(status_of(&err), "error", "got {err}");
+        assert_eq!(
+            err.get("kind").and_then(Json::as_str),
+            Some("reload_failed")
+        );
+    }
     let (ok2, rows2) = c.round_trip(&query("q2", Q));
     assert_eq!(status_of(&ok2), "ok");
     assert_eq!(rows2.len(), 2);

@@ -23,14 +23,14 @@ use wdpt_obs::Json;
 use wdpt_store::{LoadOptions, StoreError};
 
 const USAGE: &str = "usage:
-  wdpt-store build INPUT SNAPSHOT [--threads N] [--chunk-lines N] [--format 1|2]
+  wdpt-store build INPUT SNAPSHOT [--threads N] [--chunk-lines N]
       parse a text dataset (N-Triples or facts) in parallel and write a
-      snapshot; --format 2 writes the compressed columnar v2 encoding
-      (delta+varint postings, front-coded dictionary, zero-copy load)
+      snapshot (compressed columnar encoding: delta+varint cells,
+      front-coded dictionary, zero-copy load)
   wdpt-store verify SNAPSHOT [--delta DELTA]...
       fully decode a snapshot (applying any delta chain), checking every
       checksum, chain hash, and invariant, then cross-check each relation's
-      posting directory against a fresh index rebuild
+      key directory against the indexes derived from its cells
   wdpt-store verify --chain DIR
       order every WDPTSNAP file in DIR into a delta chain by base-hash
       linkage (the layout a replication log keeps), verify it end to end,
@@ -42,10 +42,9 @@ const USAGE: &str = "usage:
   wdpt-store delta BASE INPUT DELTA_OUT [--delta PRIOR]... [--threads N] [--chunk-lines N]
       parse INPUT and write the new tuples/symbols as a delta chained onto
       BASE (after any PRIOR deltas, in order)
-  wdpt-store apply BASE SNAPSHOT_OUT [--delta DELTA]... [--format 1|2]
+  wdpt-store apply BASE SNAPSHOT_OUT [--delta DELTA]...
       apply a delta chain to BASE and write the merged full snapshot; with
-      no deltas this is a verified re-encode of BASE (a checked copy, and
-      with --format a v1 <-> v2 migration verb)
+      no deltas this is a verified re-encode of BASE (a checked copy)
   wdpt-store gen-music BANDSxRECORDS OUTPUT.nt [--seed S]
       write a synthetic music-catalog dataset as N-Triples
   wdpt-store gen-synth TRIPLES OUTPUT.nt [--seed S] [--skew K]
@@ -95,20 +94,7 @@ fn take_str_flags(args: &mut Vec<String>, flag: &str) -> Result<Vec<String>, Str
     Ok(out)
 }
 
-/// Parses `--format 1|2` into a snapshot encoding version (default v1).
-fn take_format(args: &mut Vec<String>) -> Result<u32, String> {
-    match take_flag(args, "--format")? {
-        None | Some(1) => Ok(wdpt_store::VERSION),
-        Some(2) => Ok(wdpt_store::VERSION_V2),
-        Some(v) => Err(format!("--format must be 1 or 2, got {v}")),
-    }
-}
-
 fn cmd_build(mut args: Vec<String>) -> ExitCode {
-    let format = match take_format(&mut args) {
-        Ok(v) => v,
-        Err(e) => return usage_err(&e),
-    };
     let threads = match take_flag(&mut args, "--threads") {
         Ok(v) => v.unwrap_or(0),
         Err(e) => return usage_err(&e),
@@ -132,14 +118,13 @@ fn cmd_build(mut args: Vec<String>) -> ExitCode {
     };
     let parse_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t1 = Instant::now();
-    let bytes = match wdpt_store::save_snapshot_versioned(Path::new(output), &interner, &db, format)
-    {
+    let bytes = match wdpt_store::save_snapshot(Path::new(output), &interner, &db) {
         Ok(n) => n,
         Err(e) => return data_err(&e),
     };
     let write_ms = t1.elapsed().as_secs_f64() * 1e3;
     println!(
-        "built {output} (v{format}): {} tuples in {} relations ({} lines, {} symbols, \
+        "built {output}: {} tuples in {} relations ({} lines, {} symbols, \
          {} duplicates dropped, {} threads) parse {parse_ms:.1}ms write {write_ms:.1}ms \
          {bytes} bytes",
         report.tuples,
@@ -341,10 +326,6 @@ fn cmd_delta(mut args: Vec<String>) -> ExitCode {
 }
 
 fn cmd_apply(mut args: Vec<String>) -> ExitCode {
-    let format = match take_format(&mut args) {
-        Ok(v) => v,
-        Err(e) => return usage_err(&e),
-    };
     let deltas = match take_str_flags(&mut args, "--delta") {
         Ok(v) => v,
         Err(e) => return usage_err(&e),
@@ -362,14 +343,13 @@ fn cmd_apply(mut args: Vec<String>) -> ExitCode {
     };
     let apply_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t1 = Instant::now();
-    let bytes = match wdpt_store::save_snapshot_versioned(Path::new(output), &interner, &db, format)
-    {
+    let bytes = match wdpt_store::save_snapshot(Path::new(output), &interner, &db) {
         Ok(n) => n,
         Err(e) => return data_err(&e),
     };
     let write_ms = t1.elapsed().as_secs_f64() * 1e3;
     println!(
-        "applied {} deltas onto {base} (v{format}): {} symbols, {} relations, {} tuples \
+        "applied {} deltas onto {base}: {} symbols, {} relations, {} tuples \
          apply {apply_ms:.1}ms write {write_ms:.1}ms {bytes} bytes -> {output}",
         deltas.len(),
         interner.len(),
@@ -401,15 +381,9 @@ fn cmd_inspect(mut args: Vec<String>) -> ExitCode {
         Ok(summary) => {
             let h = summary.header;
             if json {
-                let encoding = if h.version == wdpt_store::VERSION_V2 {
-                    "columnar-varint"
-                } else {
-                    "row-fixed"
-                };
                 let doc = Json::obj([
                     ("kind".to_string(), Json::str("snapshot")),
                     ("version".to_string(), Json::int(h.version as u64)),
-                    ("encoding".to_string(), Json::str(encoding)),
                     ("chain_head".to_string(), Json::str(chain_head.clone())),
                     ("bytes".to_string(), Json::int(summary.bytes as u64)),
                     ("symbols".to_string(), Json::int(h.symbols)),
@@ -418,10 +392,6 @@ fn cmd_inspect(mut args: Vec<String>) -> ExitCode {
                     (
                         "dictionary_bytes".to_string(),
                         Json::int(summary.dict_bytes as u64),
-                    ),
-                    (
-                        "dictionary_raw_bytes".to_string(),
-                        Json::int(summary.dict_raw_bytes),
                     ),
                     (
                         "relations".to_string(),
@@ -436,7 +406,6 @@ fn cmd_inspect(mut args: Vec<String>) -> ExitCode {
                                         ("arity".to_string(), Json::int(r.arity as u64)),
                                         ("rows".to_string(), Json::int(r.rows)),
                                         ("bytes".to_string(), Json::int(r.bytes as u64)),
-                                        ("raw_bytes".to_string(), Json::int(r.raw_bytes)),
                                     ])
                                 })
                                 .collect(),
@@ -450,14 +419,11 @@ fn cmd_inspect(mut args: Vec<String>) -> ExitCode {
                      {} tuples, chain head {chain_head}",
                     h.version, summary.bytes, h.symbols, h.fresh_counter, h.relations, h.tuples
                 );
-                println!(
-                    "  dictionary: {} bytes ({} raw)",
-                    summary.dict_bytes, summary.dict_raw_bytes
-                );
+                println!("  dictionary: {} bytes", summary.dict_bytes);
                 for r in &summary.relations {
                     println!(
-                        "  {}/{} (id {}): {} rows, {} bytes ({} raw)",
-                        r.name, r.arity, r.pred, r.rows, r.bytes, r.raw_bytes
+                        "  {}/{} (id {}): {} rows, {} bytes",
+                        r.name, r.arity, r.pred, r.rows, r.bytes
                     );
                 }
             }

@@ -1,15 +1,16 @@
 //! Incremental **delta snapshots**: insert-only diffs chained onto a base
 //! `WDPTSNAP` file.
 //!
-//! A delta reuses the container of the full format — the same magic,
-//! version, and CRC-framed sections — but opens with a *delta header*
-//! (tag `0x04`) instead of a snapshot header, so a delta can never be
-//! mistaken for a full snapshot (and vice versa):
+//! A delta reuses the container of the full format — the same magic and
+//! CRC-framed sections — but carries its own version number
+//! (`DELTA_VERSION`) and opens with a *delta header* (tag `0x04`) instead
+//! of a snapshot header, so a delta can never be mistaken for a full
+//! snapshot (and vice versa):
 //!
 //! | tag  | section        | payload                                                        |
 //! |------|----------------|----------------------------------------------------------------|
 //! | 0x04 | delta header   | base_hash u64 · base_symbols u64 · symbols u64 · fresh u64 · relations u32 · inserted u64 |
-//! | 0x02 | dictionary     | the `symbols − base_symbols` **appended** symbols, id order    |
+//! | 0x02 | dictionary     | the `symbols − base_symbols` **appended** symbols, id order: space u8 · len u32 · UTF-8 bytes |
 //! | 0x05 | relation delta | pred u32 · arity u32 · rows u64 · column-major cells (sorted)  |
 //! | 0xFF | end            | empty                                                          |
 //!
@@ -19,22 +20,26 @@
 //! from file bytes, with no registry. Deltas are **insert-only**: symbols
 //! are appended (existing ids never move, which is what keeps serve-side
 //! plan caches valid across a reload) and tuples are added, never
-//! removed. Applying merges each relation's sorted base run with the
-//! sorted insertion run in one pass and *remaps* any already-built
-//! posting indexes through the merge positions instead of rebuilding
-//! them; relations the delta does not touch are moved into the result
-//! wholesale, indexes and all.
+//! removed. Applying merges each touched relation's sorted base run with
+//! the sorted insertion run in one pass; the merged relation derives its
+//! column indexes on first probe, like any other. Relations the delta does
+//! not touch are moved into the result wholesale, still lazy.
 
 use crate::format::{
-    checked_count, content_hash, decode_snapshot, encode_dictionary, expect_tag, len_u32,
-    malformed, parse_dictionary_entries, push_section, read_magic_version, read_section, Reader,
-    SpaceTable, StoreError, MAGIC, TAG_DELTA_HEADER, TAG_DICTIONARY, TAG_END, TAG_HEADER,
-    TAG_RELATION_DELTA, VERSION,
+    checked_count, content_hash, decode_snapshot, expect_tag, len_u32, malformed, push_section,
+    read_magic_version, read_section, space_code, space_from_code, write_atomic, Reader,
+    SpaceTable, StoreError, MAGIC, SECTION_FRAME_BYTES, TAG_DELTA_HEADER, TAG_DICTIONARY, TAG_END,
+    TAG_HEADER, TAG_RELATION_DELTA,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::Path;
 use wdpt_model::{Const, Database, Interner, Pred, Relation, SymbolSpace};
 use wdpt_obs::{counter, span};
+
+/// The version field of a delta file. Deltas share the snapshot container
+/// but are versioned on their own: the delta sections have not changed
+/// since they were introduced.
+const DELTA_VERSION: u32 = 1;
 
 /// The parsed delta-header section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,7 +182,7 @@ pub fn delta_to_vec(
 
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&DELTA_VERSION.to_le_bytes());
 
     let mut header = Vec::with_capacity(8 * 4 + 4 + 8);
     header.extend_from_slice(&base_hash.to_le_bytes());
@@ -213,6 +218,53 @@ pub fn delta_to_vec(
     Ok(out)
 }
 
+/// Encodes the appended-symbols dictionary: `space u8 · len u32 · bytes`
+/// per entry.
+fn encode_dictionary<'a>(
+    symbols: impl Iterator<Item = (SymbolSpace, &'a str)>,
+) -> Result<Vec<u8>, StoreError> {
+    let mut dict = Vec::new();
+    for (space, name) in symbols {
+        dict.push(space_code(space));
+        dict.extend_from_slice(&len_u32(name.len(), "symbol name length")?.to_le_bytes());
+        dict.extend_from_slice(name.as_bytes());
+    }
+    Ok(dict)
+}
+
+/// Parses exactly `count` dictionary entries from `payload` (inverse of
+/// [`encode_dictionary`]).
+fn parse_dictionary_entries(
+    payload: &[u8],
+    count: usize,
+) -> Result<Vec<(SymbolSpace, String)>, StoreError> {
+    // Every entry is at least 5 bytes (space u8 · len u32 · 0+ name
+    // bytes); a declared count the payload cannot possibly hold is a
+    // typed error before anything is sized from it.
+    checked_count(count as u64, 5, payload.len(), "dictionary", "symbols")?;
+    let mut r = Reader::new(payload);
+    let mut symbols = Vec::with_capacity(count);
+    for i in 0..count {
+        let space = space_from_code(r.u8("dictionary")?)
+            .ok_or_else(|| malformed("dictionary", format!("bad namespace code for symbol {i}")))?;
+        let len = r.u32("dictionary")? as usize;
+        let bytes = r.take(len, "dictionary")?;
+        let name = std::str::from_utf8(bytes)
+            .map_err(|_| malformed("dictionary", format!("symbol {i} is not UTF-8")))?;
+        symbols.push((space, name.to_string()));
+    }
+    if r.remaining() != 0 {
+        return Err(malformed("dictionary", "trailing bytes"));
+    }
+    Ok(symbols)
+}
+
+/// Infallible-by-inspection little-endian u32 read: `None` instead of a
+/// `try_into().unwrap()` panic on the decode path.
+fn le_u32(bytes: &[u8]) -> Option<u32> {
+    Some(u32::from_le_bytes(<[u8; 4]>::try_from(bytes).ok()?))
+}
+
 /// Parses a delta file, verifying magic, version, every CRC, and all
 /// structure that can be checked without the base (sortedness, counts,
 /// ascending predicates). Cell namespaces are validated at apply time,
@@ -221,14 +273,17 @@ pub fn decode_delta(bytes: &[u8]) -> Result<Delta, StoreError> {
     let _g = span!("store.delta.decode");
     let mut r = Reader::new(bytes);
     let version = read_magic_version(&mut r)?;
-
-    let section = read_section(&mut r, "delta header")?;
-    if section.tag == TAG_HEADER {
+    if r.peek_u8() == Some(TAG_HEADER) {
         return Err(malformed(
             "delta header",
             "file is a full snapshot, not a delta (wdpt-store verify reads it directly)",
         ));
     }
+    if version != DELTA_VERSION {
+        return Err(StoreError::UnsupportedVersion(version));
+    }
+
+    let section = read_section(&mut r, "delta header")?;
     expect_tag(&section, TAG_DELTA_HEADER, "delta header")?;
     let mut hr = Reader::new(section.payload);
     let header = DeltaHeader {
@@ -262,7 +317,7 @@ pub fn decode_delta(bytes: &[u8]) -> Result<Delta, StoreError> {
     // declared count against the bytes present before sizing anything.
     let rel_count = checked_count(
         u64::from(header.relations),
-        crate::format::SECTION_FRAME_BYTES as u64,
+        SECTION_FRAME_BYTES as u64,
         r.remaining(),
         "delta header",
         "relation sections",
@@ -319,7 +374,7 @@ pub fn decode_delta(bytes: &[u8]) -> Result<Delta, StoreError> {
             for c in &columns {
                 let cell = c
                     .get(row * 4..row * 4 + 4)
-                    .and_then(crate::format::le_u32)
+                    .and_then(le_u32)
                     .ok_or_else(|| malformed(label, "misaligned cell bytes"))?;
                 tuple.push(Const(cell));
             }
@@ -368,118 +423,44 @@ pub fn decode_delta(bytes: &[u8]) -> Result<Delta, StoreError> {
     })
 }
 
-/// Merges one sorted insertion run into a relation, carrying built posting
-/// indexes across by *remapping* row positions through the merge instead of
-/// rebuilding from the cells. Columns whose index was never built stay
-/// lazy.
+/// Merges one sorted insertion run into a relation's sorted tuple run.
 fn merge_relation(
     label: &str,
     base: Relation,
     add: Vec<Box<[Const]>>,
 ) -> Result<Relation, StoreError> {
-    let (arity, base_tuples, base_indexes) = base.into_parts();
-    let n = base_tuples.len();
-    let m = add.len();
-    len_u32(n + m, "merged row count")?;
+    let (arity, base_tuples) = base.into_parts();
+    // Row ids are u32 everywhere; bound the merged run before building it.
+    len_u32(base_tuples.len() + add.len(), "merged row count")?;
 
-    let mut merged: Vec<Box<[Const]>> = Vec::with_capacity(n + m);
-    // New position of base row i / insertion row j after the merge. Both
-    // arrays are monotonically increasing, which is what lets posting lists
-    // be remapped without re-sorting.
-    let mut base_new = vec![0u32; n];
-    let mut add_new = vec![0u32; m];
-    {
-        let mut b = base_tuples.into_iter().enumerate().peekable();
-        let mut a = add.into_iter().enumerate().peekable();
-        loop {
-            let take_base = match (b.peek(), a.peek()) {
-                (Some((_, bt)), Some((_, at))) => match bt.cmp(at) {
-                    std::cmp::Ordering::Less => true,
-                    std::cmp::Ordering::Greater => false,
-                    std::cmp::Ordering::Equal => {
-                        return Err(malformed(
-                            label,
-                            "delta inserts a tuple the base already holds",
-                        ))
-                    }
-                },
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let (idx, t) = if take_base {
-                b.next().expect("peeked")
-            } else {
-                a.next().expect("peeked")
-            };
-            if merged.last().is_some_and(|p| **p >= *t) {
-                // The base relation's run was not sorted — possible only if
-                // the relation was mutated outside the snapshot paths.
-                return Err(malformed(label, "base relation run is not sorted"));
-            }
-            // `len_u32(n + m)` above bounds every merged position, so this
-            // checked conversion cannot fail — but keep it checked rather
-            // than an `as` cast so a future refactor that drops the guard
-            // turns into a typed error, not a silent row-id wrap.
-            let pos = u32::try_from(merged.len())
-                .map_err(|_| malformed(label, "merged row position overflows u32"))?;
-            if take_base {
-                base_new[idx] = pos;
-            } else {
-                add_new[idx] = pos;
-            }
-            merged.push(t);
+    let mut merged: Vec<Box<[Const]>> = Vec::with_capacity(base_tuples.len() + add.len());
+    let mut b = base_tuples.into_iter().peekable();
+    let mut a = add.into_iter().peekable();
+    loop {
+        let take_base = match (b.peek(), a.peek()) {
+            (Some(bt), Some(at)) => match bt.cmp(at) {
+                std::cmp::Ordering::Less => true,
+                std::cmp::Ordering::Greater => false,
+                std::cmp::Ordering::Equal => {
+                    return Err(malformed(
+                        label,
+                        "delta inserts a tuple the base already holds",
+                    ))
+                }
+            },
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => break,
+        };
+        let t = if take_base { b.next() } else { a.next() }.expect("peeked");
+        if merged.last().is_some_and(|p| **p >= *t) {
+            // The base relation's run was not sorted — possible only if
+            // the relation was mutated outside the snapshot paths.
+            return Err(malformed(label, "base relation run is not sorted"));
         }
+        merged.push(t);
     }
-
-    // Remap whichever indexes were built; leave never-built columns lazy.
-    let mut rebuilt: Vec<(usize, HashMap<Const, Vec<u32>>)> = Vec::new();
-    for (col, built) in base_indexes.into_iter().enumerate() {
-        let Some(mut index) = built else { continue };
-        for rows in index.values_mut() {
-            for r in rows.iter_mut() {
-                *r = base_new[*r as usize];
-            }
-        }
-        // Collect the insertion rows per key, then splice each key's two
-        // ascending lists (base positions and insertion positions interleave
-        // in general).
-        let mut fresh: HashMap<Const, Vec<u32>> = HashMap::new();
-        for &row in &add_new {
-            let key = merged[row as usize][col];
-            fresh.entry(key).or_default().push(row);
-        }
-        for (key, new_rows) in fresh {
-            let slot = index.entry(key).or_default();
-            let old = std::mem::take(slot);
-            *slot = merge_ascending(old, new_rows);
-        }
-        rebuilt.push((col, index));
-    }
-
-    let mut rel = Relation::from_sorted(arity, merged);
-    for (col, index) in rebuilt {
-        rel.install_column_index(col, index);
-    }
-    Ok(rel)
-}
-
-/// Merges two strictly ascending row lists into one.
-fn merge_ascending(a: Vec<u32>, b: Vec<u32>) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut ai, mut bi) = (0, 0);
-    while ai < a.len() && bi < b.len() {
-        if a[ai] < b[bi] {
-            out.push(a[ai]);
-            ai += 1;
-        } else {
-            out.push(b[bi]);
-            bi += 1;
-        }
-    }
-    out.extend_from_slice(&a[ai..]);
-    out.extend_from_slice(&b[bi..]);
-    out
+    Ok(Relation::from_sorted(arity, merged))
 }
 
 /// Applies one parsed delta to an `(Interner, Database)` pair, consuming
@@ -613,12 +594,11 @@ pub fn load_with_deltas<P: AsRef<Path>>(
     decode_with_deltas(&base_bytes, &delta_bytes)
 }
 
-/// Writes already-encoded delta bytes to a file atomically (temp file +
-/// rename, mirroring [`crate::format::save_snapshot`]).
+/// Writes already-encoded delta bytes to a file atomically and durably
+/// (temp file, fsync, rename — the same path [`crate::save_snapshot`]
+/// takes).
 pub fn save_delta(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-    let tmp = path.with_extension("delta.tmp");
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)?;
+    write_atomic(path, bytes)?;
     counter!("store.delta.saves").add(1);
     Ok(())
 }
@@ -626,7 +606,7 @@ pub fn save_delta(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::snapshot_to_vec;
+    use crate::format::snapshot_to_vec_v2;
 
     fn base() -> (Interner, Database) {
         let mut i = Interner::new();
@@ -641,11 +621,10 @@ mod tests {
     }
 
     /// Decode the base through the snapshot round trip so relations arrive
-    /// sorted with installed indexes, exactly as the serve reload path sees
-    /// them.
+    /// sorted and lazy, exactly as the serve reload path sees them.
     fn decoded_base() -> (Vec<u8>, Interner, Database) {
         let (i, db) = base();
-        let bytes = snapshot_to_vec(&i, &db).unwrap();
+        let bytes = snapshot_to_vec_v2(&i, &db).unwrap();
         let (i2, db2) = decode_snapshot(&bytes).unwrap();
         (bytes, i2, db2)
     }
@@ -674,10 +653,10 @@ mod tests {
         assert_eq!(rdb.display(&ri), ndb.display(&ni));
 
         // The applied result re-encodes to the same bytes as a full
-        // snapshot of the updated pair: merge + remap is exact.
+        // snapshot of the updated pair: the merge is exact.
         assert_eq!(
-            snapshot_to_vec(&ri, &rdb).unwrap(),
-            snapshot_to_vec(&ni, &ndb).unwrap()
+            snapshot_to_vec_v2(&ri, &rdb).unwrap(),
+            snapshot_to_vec_v2(&ni, &ndb).unwrap()
         );
 
         // A second delta chains onto the first via its file hash.
@@ -704,24 +683,17 @@ mod tests {
     }
 
     #[test]
-    fn merged_relations_keep_remapped_indexes() {
+    fn merged_relations_answer_probes_for_old_and_new_tuples() {
         let (base_bytes, mut i, db) = decoded_base();
         let (ni, ndb) = extend(&i, &db);
         let delta = delta_to_vec(content_hash(&base_bytes), &i, &db, &ni, &ndb).unwrap();
-        let (ri, rdb) = decode_with_deltas(&base_bytes, &[delta]).unwrap();
-        drop(ri);
+        let (_, rdb) = decode_with_deltas(&base_bytes, &[delta]).unwrap();
 
-        // The merged `edge` relation kept its prebuilt indexes (remapped,
-        // not rebuilt lazily): both columns report built, and the postings
-        // answer correctly for old and new tuples alike.
+        // Only `edge` was touched by the delta; `node` stays a lazy view.
+        let n = i.pred("node");
+        assert!(rdb.relation(n).unwrap().is_lazy());
         let e = i.pred("edge");
         let rel = rdb.relation(e).unwrap();
-        for col in 0..rel.arity() {
-            assert!(
-                rel.built_column_index(col).is_some(),
-                "column {col} index was dropped by the merge"
-            );
-        }
         let c = i.constant("c");
         assert_eq!(rel.posting_len(0, c), 1, "new tuple not indexed");
         assert_eq!(rel.posting_len(1, c), 1, "old tuple lost from index");

@@ -1,11 +1,11 @@
-//! The versioned binary snapshot format for an `(Interner, Database)` pair.
+//! The binary snapshot format for an `(Interner, Database)` pair.
 //!
 //! Layout (all integers little-endian; see `DESIGN.md` §8 for the rationale
 //! and versioning rules):
 //!
 //! ```text
 //! magic    b"WDPTSNAP"                                       8 bytes
-//! version  u32                                               = 1
+//! version  u32                                               = 2
 //! section* tag u8 · len u64 · payload · crc32 u32
 //! ```
 //!
@@ -17,22 +17,29 @@
 //! | tag  | section    | payload                                          |
 //! |------|------------|--------------------------------------------------|
 //! | 0x01 | header     | symbols u64 · fresh u64 · relations u32 · tuples u64 |
-//! | 0x02 | dictionary | per symbol: space u8 · len u32 · UTF-8 bytes     |
-//! | 0x03 | relation   | pred u32 · arity u32 · rows u64 · column-major cells · per-column posting index |
+//! | 0x07 | dictionary | per symbol: space u8 · shared-prefix varint · suffix-len varint · suffix bytes |
+//! | 0x06 | relation   | pred u32 · arity u32 · rows u64 · per column (cells bytes u64 · keys u64 · dir bytes u64) · per column (cells blob · key directory) |
 //! | 0xFF | end        | empty                                            |
 //!
 //! Relation tuples are stored **sorted** (lexicographic on `Const` ids,
-//! deduplicated) and column-major; each column also serializes its posting
-//! index (`key → ascending row list`, keys ascending), so the decoder
-//! reconstructs `Relation`s whose `matching` works immediately with zero
-//! index rebuild. The decoder validates every structural invariant it
-//! relies on (sortedness, posting targets, namespace of every id) and
-//! returns a typed [`StoreError`] — never a panic — on anything off.
+//! deduplicated) and column-major: each column is a zigzag-delta varint
+//! cells blob plus a key directory (ascending distinct values with their
+//! posting-list lengths). Posting row-lists are *not* stored — a decoded
+//! [`Relation`] is a lazy view into the shared snapshot buffer and derives
+//! each column index itself, on the first probe of that column. The decoder
+//! validates every structural invariant it relies on (sortedness, counts,
+//! namespace of every id) and returns a typed [`StoreError`] — never a
+//! panic — on anything off.
+//!
+//! Tags `0x02`, `0x04` and `0x05` belong to delta files ([`crate::delta`]),
+//! which share this container but carry their own version number. Tag
+//! `0x03` and version `1` were the retired row-major format: such a file is
+//! refused with [`StoreError::UnsupportedVersion`] and must be rebuilt from
+//! its text source.
 
 use crate::crc::{crc32, Crc32};
-use std::collections::HashMap;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
 use wdpt_model::columnar::{
@@ -43,17 +50,12 @@ use wdpt_obs::{counter, span};
 
 /// The eight magic bytes opening every snapshot.
 pub const MAGIC: [u8; 8] = *b"WDPTSNAP";
-/// The v1 (eager, fixed-width) format version — still the default write
-/// format; see [`VERSION_V2`].
-pub const VERSION: u32 = 1;
-/// The v2 (zero-copy columnar, varint-compressed) format version. v2 files
-/// decode into lazy [`Relation`]s borrowing from the shared snapshot
-/// buffer; see `DESIGN.md` §13.
-pub const VERSION_V2: u32 = 2;
+/// The one snapshot format version this build reads and writes
+/// (zero-copy columnar, varint-compressed; `DESIGN.md` §8 and §13).
+pub const VERSION: u32 = 2;
 
 pub(crate) const TAG_HEADER: u8 = 0x01;
 pub(crate) const TAG_DICTIONARY: u8 = 0x02;
-pub(crate) const TAG_RELATION: u8 = 0x03;
 pub(crate) const TAG_DELTA_HEADER: u8 = 0x04;
 pub(crate) const TAG_RELATION_DELTA: u8 = 0x05;
 pub(crate) const TAG_RELATION_V2: u8 = 0x06;
@@ -123,7 +125,8 @@ impl fmt::Display for StoreError {
             StoreError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported snapshot version {v} (this build reads {VERSION} and {VERSION_V2})"
+                    "unsupported format version {v}: this build reads version-{VERSION} \
+                     snapshots only; rebuild the file from its text source (wdpt-store build)"
                 )
             }
             StoreError::Truncated { section } => {
@@ -212,97 +215,8 @@ pub(crate) fn push_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
 
 /// Serializes a snapshot to bytes. Deterministic: the same `(Interner,
 /// Database)` pair always yields identical bytes (relations ordered by
-/// predicate id, posting keys ascending), so snapshots can be compared and
-/// cached byte-wise.
-pub fn snapshot_to_vec(interner: &Interner, db: &Database) -> Result<Vec<u8>, StoreError> {
-    let _g = span!("store.encode");
-    let mut rel_order: Vec<(Pred, &Relation)> = db.relations().collect();
-    rel_order.sort_by_key(|(p, _)| *p);
-
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-
-    // Header.
-    let mut header = Vec::with_capacity(8 + 8 + 4 + 8);
-    header.extend_from_slice(&(interner.len() as u64).to_le_bytes());
-    header.extend_from_slice(&interner.fresh_counter().to_le_bytes());
-    header.extend_from_slice(&len_u32(rel_order.len(), "relation count")?.to_le_bytes());
-    header.extend_from_slice(&(db.size() as u64).to_le_bytes());
-    push_section(&mut out, TAG_HEADER, &header);
-
-    // Dictionary: every interned symbol, in id order.
-    push_section(
-        &mut out,
-        TAG_DICTIONARY,
-        &encode_dictionary(interner.symbols())?,
-    );
-
-    // Relations, sorted tuples, column-major, plus per-column postings.
-    for (pred, rel) in rel_order {
-        let mut rows: Vec<&[Const]> = rel.tuples().collect();
-        rows.sort_unstable();
-        let arity = rel.arity();
-        let mut payload = Vec::with_capacity(16 + rows.len() * arity * 4);
-        payload.extend_from_slice(&pred.0.to_le_bytes());
-        payload.extend_from_slice(&len_u32(arity, "relation arity")?.to_le_bytes());
-        payload.extend_from_slice(&(rows.len() as u64).to_le_bytes());
-        // One up-front check makes every row index below a valid u32.
-        len_u32(rows.len(), "relation row count")?;
-        for col in 0..arity {
-            for t in &rows {
-                payload.extend_from_slice(&t[col].0.to_le_bytes());
-            }
-        }
-        // Posting indexes are derived from the *sorted* row order here (the
-        // in-memory relation's lazily-built indexes, if any, refer to
-        // insertion order). BTreeMap keeps keys ascending → determinism.
-        for col in 0..arity {
-            let mut postings: std::collections::BTreeMap<Const, Vec<u32>> = Default::default();
-            for (row, t) in rows.iter().enumerate() {
-                postings
-                    .entry(t[col])
-                    .or_default()
-                    .push(len_u32(row, "posting row index")?);
-            }
-            payload.extend_from_slice(&(postings.len() as u64).to_le_bytes());
-            for (key, rows_for_key) in &postings {
-                payload.extend_from_slice(&key.0.to_le_bytes());
-                payload.extend_from_slice(
-                    &len_u32(rows_for_key.len(), "posting length")?.to_le_bytes(),
-                );
-            }
-            for rows_for_key in postings.values() {
-                for &r in rows_for_key {
-                    payload.extend_from_slice(&r.to_le_bytes());
-                }
-            }
-        }
-        push_section(&mut out, TAG_RELATION, &payload);
-    }
-
-    push_section(&mut out, TAG_END, &[]);
-    counter!("store.snapshot.bytes_encoded").add(out.len() as u64);
-    Ok(out)
-}
-
-/// Serializes a snapshot in the requested format version. v1 stays the
-/// default everywhere a version is not explicitly chosen — v2 readers are
-/// required on every node before a fleet switches its writers.
-pub fn snapshot_to_vec_versioned(
-    interner: &Interner,
-    db: &Database,
-    version: u32,
-) -> Result<Vec<u8>, StoreError> {
-    match version {
-        VERSION => snapshot_to_vec(interner, db),
-        VERSION_V2 => snapshot_to_vec_v2(interner, db),
-        v => Err(StoreError::UnsupportedVersion(v)),
-    }
-}
-
-/// Serializes a v2 (zero-copy columnar) snapshot. Deterministic like
-/// [`snapshot_to_vec`]: same pair, same bytes. Per relation and column the
+/// predicate id, directory keys ascending), so snapshots can be compared
+/// and cached byte-wise. Per relation and column the
 /// payload carries a zigzag-delta varint **cells blob** and a delta-varint
 /// **key directory** (ascending distinct values + posting-list lengths);
 /// posting row-lists are derived from the cells at decode time, so they
@@ -315,9 +229,8 @@ pub fn snapshot_to_vec_v2(interner: &Interner, db: &Database) -> Result<Vec<u8>,
 
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION_V2.to_le_bytes());
+    out.extend_from_slice(&VERSION.to_le_bytes());
 
-    // Header — identical payload to v1.
     let mut header = Vec::with_capacity(8 + 8 + 4 + 8);
     header.extend_from_slice(&(interner.len() as u64).to_le_bytes());
     header.extend_from_slice(&interner.fresh_counter().to_le_bytes());
@@ -401,55 +314,40 @@ pub(crate) fn encode_dictionary_v2<'a>(
     dict
 }
 
-/// Encodes a run of dictionary entries (`space u8 · len u32 · bytes`) —
-/// shared between the full snapshot dictionary and the appended-symbols
-/// dictionary of a delta.
-pub(crate) fn encode_dictionary<'a>(
-    symbols: impl Iterator<Item = (SymbolSpace, &'a str)>,
-) -> Result<Vec<u8>, StoreError> {
-    let mut dict = Vec::new();
-    for (space, name) in symbols {
-        dict.push(space_code(space));
-        dict.extend_from_slice(&len_u32(name.len(), "symbol name length")?.to_le_bytes());
-        dict.extend_from_slice(name.as_bytes());
-    }
-    Ok(dict)
-}
-
-/// Writes a snapshot to a writer. Returns the byte count.
-pub fn write_snapshot<W: Write>(
-    w: &mut W,
-    interner: &Interner,
-    db: &Database,
-) -> Result<u64, StoreError> {
-    let bytes = snapshot_to_vec(interner, db)?;
-    w.write_all(&bytes)?;
-    Ok(bytes.len() as u64)
-}
-
-/// Writes a snapshot to a file (atomically: a temp file in the same
-/// directory, then a rename, so a crash mid-write never leaves a partial
-/// snapshot under the final name).
-pub fn save_snapshot(path: &Path, interner: &Interner, db: &Database) -> Result<u64, StoreError> {
-    save_snapshot_versioned(path, interner, db, VERSION)
-}
-
-/// [`save_snapshot`] with an explicit format version (`wdpt-store build
-/// --format 2` / `apply --format 2` route through this).
-pub fn save_snapshot_versioned(
-    path: &Path,
-    interner: &Interner,
-    db: &Database,
-    version: u32,
-) -> Result<u64, StoreError> {
-    let _g = span!("store.save_snapshot");
-    let bytes = snapshot_to_vec_versioned(interner, db, version)?;
-    let tmp = path.with_extension("snap.tmp");
-    let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(&bytes)?;
+/// Writes `bytes` to `path` atomically and durably: a temp file beside the
+/// target is written and fsynced, renamed over the final name, and the
+/// directory entry is fsynced — so a crash at any point leaves either the
+/// old file or the complete new one, never a partial or zero-length file
+/// under the final name. Snapshots, deltas and the replication log all
+/// write through here.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = Path::new(&tmp);
+    let mut f = std::fs::File::create(tmp)?;
+    f.write_all(bytes)?;
     f.sync_all()?;
     drop(f);
-    std::fs::rename(&tmp, path)?;
+    std::fs::rename(tmp, path)?;
+    #[cfg(unix)]
+    if let Some(dir) = path.parent() {
+        let dir = if dir.as_os_str().is_empty() {
+            Path::new(".")
+        } else {
+            dir
+        };
+        std::fs::File::open(dir)?.sync_all()?;
+    }
+    Ok(())
+}
+
+/// Writes a snapshot to a file, atomically and durably (temp file, fsync,
+/// rename — a crash mid-write never leaves a partial snapshot under the
+/// final name). Returns the byte count.
+pub fn save_snapshot(path: &Path, interner: &Interner, db: &Database) -> Result<u64, StoreError> {
+    let _g = span!("store.save_snapshot");
+    let bytes = snapshot_to_vec_v2(interner, db)?;
+    write_atomic(path, &bytes)?;
     counter!("store.snapshot.saves").add(1);
     Ok(bytes.len() as u64)
 }
@@ -478,6 +376,11 @@ impl<'a> Reader<'a> {
         let s = &self.bytes[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+
+    /// The next byte, without consuming it.
+    pub(crate) fn peek_u8(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
     }
 
     pub(crate) fn u8(&mut self, section: &str) -> Result<u8, StoreError> {
@@ -511,12 +414,6 @@ pub(crate) fn malformed(section: &str, detail: impl Into<String>) -> StoreError 
         section: section.to_string(),
         detail: detail.into(),
     }
-}
-
-/// Infallible-by-inspection little-endian u32 read: `None` instead of the
-/// `try_into().unwrap()` panic the decode paths used to carry.
-pub(crate) fn le_u32(bytes: &[u8]) -> Option<u32> {
-    Some(u32::from_le_bytes(<[u8; 4]>::try_from(bytes).ok()?))
 }
 
 /// Bounds an untrusted count field against the bytes that would have to
@@ -608,12 +505,8 @@ pub struct RelationSummary {
     pub arity: u32,
     /// Tuple count.
     pub rows: u64,
-    /// Serialized (possibly compressed) size of the section payload.
+    /// Serialized size of the section payload.
     pub bytes: usize,
-    /// What the same relation costs in the uncompressed v1 encoding —
-    /// equal to `bytes` for v1 sections, computed from the row/key counts
-    /// for v2, so operators can read the compression ratio off `inspect`.
-    pub raw_bytes: u64,
 }
 
 /// A full snapshot summary: what `wdpt-store inspect` prints.
@@ -627,26 +520,23 @@ pub struct SnapshotSummary {
     pub bytes: usize,
     /// Serialized size of the dictionary section payload.
     pub dict_bytes: usize,
-    /// The dictionary's uncompressed (v1 encoding) size.
-    pub dict_raw_bytes: u64,
 }
 
+/// Reads the container preamble shared by snapshots and deltas: checks the
+/// magic and returns the version field for the caller to judge (the two
+/// file kinds are versioned independently).
 pub(crate) fn read_magic_version(r: &mut Reader<'_>) -> Result<u32, StoreError> {
     let magic = r.take(MAGIC.len(), "magic")?;
     if magic != MAGIC {
         return Err(StoreError::BadMagic);
     }
-    let version = r.u32("version")?;
-    if version != VERSION && version != VERSION_V2 {
-        return Err(StoreError::UnsupportedVersion(version));
-    }
-    Ok(version)
+    r.u32("version")
 }
 
-fn parse_header(payload: &[u8], version: u32) -> Result<SnapshotHeader, StoreError> {
+fn parse_header(payload: &[u8]) -> Result<SnapshotHeader, StoreError> {
     let mut r = Reader::new(payload);
     let header = SnapshotHeader {
-        version,
+        version: VERSION,
         symbols: r.u64("header")?,
         fresh_counter: r.u64("header")?,
         relations: r.u32("header")?,
@@ -671,44 +561,6 @@ pub(crate) fn expect_tag(section: &Section<'_>, tag: u8, label: &str) -> Result<
     Ok(())
 }
 
-fn parse_dictionary(
-    payload: &[u8],
-    header: &SnapshotHeader,
-) -> Result<Vec<(SymbolSpace, String)>, StoreError> {
-    let count = usize::try_from(header.symbols)
-        .ok()
-        .filter(|&n| u32::try_from(n).is_ok())
-        .ok_or_else(|| malformed("dictionary", "symbol count exceeds u32 id space"))?;
-    parse_dictionary_entries(payload, count)
-}
-
-/// Parses exactly `count` dictionary entries from `payload` (shared with
-/// the appended-symbols dictionary of a delta snapshot).
-pub(crate) fn parse_dictionary_entries(
-    payload: &[u8],
-    count: usize,
-) -> Result<Vec<(SymbolSpace, String)>, StoreError> {
-    // Every entry is at least 5 bytes (space u8 · len u32 · 0+ name
-    // bytes); a declared count the payload cannot possibly hold is a
-    // typed error before anything is sized from it.
-    checked_count(count as u64, 5, payload.len(), "dictionary", "symbols")?;
-    let mut r = Reader::new(payload);
-    let mut symbols = Vec::with_capacity(count);
-    for i in 0..count {
-        let space = space_from_code(r.u8("dictionary")?)
-            .ok_or_else(|| malformed("dictionary", format!("bad namespace code for symbol {i}")))?;
-        let len = r.u32("dictionary")? as usize;
-        let bytes = r.take(len, "dictionary")?;
-        let name = std::str::from_utf8(bytes)
-            .map_err(|_| malformed("dictionary", format!("symbol {i} is not UTF-8")))?;
-        symbols.push((space, name.to_string()));
-    }
-    if r.remaining() != 0 {
-        return Err(malformed("dictionary", "trailing bytes"));
-    }
-    Ok(symbols)
-}
-
 /// Per-symbol namespace lookup table for cell validation (dense, so the
 /// per-cell check in relation decoding is an array index, not a hash probe).
 pub(crate) struct SpaceTable {
@@ -728,220 +580,40 @@ impl SpaceTable {
     }
 }
 
-struct DecodedRelation {
-    pred: Pred,
-    relation: Relation,
+/// Everything ahead of the relation sections — magic, version, header and
+/// dictionary — which [`inspect_snapshot`] and the full decoder read
+/// identically.
+struct Preamble {
+    header: SnapshotHeader,
+    symbols: Vec<(SymbolSpace, String)>,
+    /// Serialized size of the dictionary section payload.
+    dict_bytes: usize,
+    /// `header.relations`, bounded against the bytes left to carry them.
+    rel_count: usize,
 }
 
-fn parse_relation(
-    payload: &[u8],
-    idx: usize,
-    spaces: &SpaceTable,
-) -> Result<DecodedRelation, StoreError> {
-    let label = format!("relation[{idx}]");
-    let label = label.as_str();
-    let mut r = Reader::new(payload);
-    let pred_id = r.u32(label)?;
-    if !spaces.is(pred_id, SymbolSpace::Pred) {
-        return Err(malformed(label, format!("id {pred_id} is not a predicate")));
-    }
-    let arity_u32 = r.u32(label)?;
-    let rows_u64 = r.u64(label)?;
-    // Bound both counts against the bytes that must carry them *before*
-    // sizing any allocation: each column costs at least its 8-byte posting
-    // key count (so `arity` alone cannot length-bomb a zero-row relation),
-    // and each row costs 4 bytes per column of cells. The pre-fix code
-    // checked only `arity·rows·4`, which is 0 whenever either factor is —
-    // a 28-byte file claiming 4 billion empty columns allocated first.
-    let arity = checked_count(u64::from(arity_u32), 8, r.remaining(), label, "columns")?;
-    if arity == 0 && rows_u64 > 1 {
-        return Err(malformed(label, "nullary relation with more than one row"));
-    }
-    let rows = checked_count(
-        rows_u64,
-        4 * (arity as u64).max(1),
-        r.remaining(),
-        label,
-        "rows",
-    )?;
-    let cells = arity
-        .checked_mul(rows)
-        .and_then(|c| c.checked_mul(4))
-        .ok_or_else(|| malformed(label, "cell count overflow"))?;
-    if r.remaining() < cells {
-        return Err(StoreError::Truncated {
-            section: label.to_string(),
-        });
-    }
-
-    // Columns are stored column-major; reassemble row-major tuples.
-    let mut columns: Vec<Vec<Const>> = Vec::with_capacity(arity);
-    for col in 0..arity {
-        let raw = r.take(rows * 4, label)?;
-        let mut column = Vec::with_capacity(rows);
-        for cell in raw.chunks_exact(4) {
-            let id = le_u32(cell).ok_or_else(|| malformed(label, "misaligned cell bytes"))?;
-            if !spaces.is(id, SymbolSpace::Const) {
-                return Err(malformed(
-                    label,
-                    format!("column {col} holds id {id}, which is not a constant"),
-                ));
-            }
-            column.push(Const(id));
-        }
-        columns.push(column);
-    }
-    let mut tuples: Vec<Box<[Const]>> = Vec::with_capacity(rows);
-    for row in 0..rows {
-        tuples.push(columns.iter().map(|c| c[row]).collect());
-    }
-    if let Some(w) = tuples.windows(2).find(|w| w[0] >= w[1]) {
-        let detail = if w[0] == w[1] {
-            "duplicate tuple in sorted block"
-        } else {
-            "tuple block is not sorted"
-        };
-        return Err(malformed(label, detail));
-    }
-
-    // Posting indexes: keys ascending, row lists ascending, every entry
-    // pointing at a row whose cell really holds the key, and exactly `rows`
-    // entries per column — together that pins the index to be exactly what
-    // a rebuild would produce.
-    let mut indexes: Vec<HashMap<Const, Vec<u32>>> = Vec::with_capacity(arity);
-    // The loop is driven by the wire format (one serialized index per
-    // column, read sequentially), not by iterating `tuples`.
-    #[allow(clippy::needless_range_loop)]
-    for col in 0..arity {
-        let keys = r.u64(label)?;
-        let keys = usize::try_from(keys).map_err(|_| malformed(label, "key count overflow"))?;
-        if keys > rows {
-            return Err(malformed(
-                label,
-                format!("column {col} claims {keys} keys for {rows} rows"),
-            ));
-        }
-        let mut lens: Vec<(Const, u32)> = Vec::with_capacity(keys);
-        let mut prev_key: Option<u32> = None;
-        let mut total: u64 = 0;
-        for _ in 0..keys {
-            let key = r.u32(label)?;
-            if prev_key.is_some_and(|p| p >= key) {
-                return Err(malformed(label, format!("column {col} keys not ascending")));
-            }
-            prev_key = Some(key);
-            if !spaces.is(key, SymbolSpace::Const) {
-                return Err(malformed(
-                    label,
-                    format!("column {col} posting key {key} is not a constant"),
-                ));
-            }
-            let len = r.u32(label)?;
-            total += u64::from(len);
-            lens.push((Const(key), len));
-        }
-        if total != rows_u64 {
-            return Err(malformed(
-                label,
-                format!("column {col} postings cover {total} rows, expected {rows_u64}"),
-            ));
-        }
-        let mut index: HashMap<Const, Vec<u32>> = HashMap::with_capacity(keys);
-        for (key, len) in lens {
-            // `len ≤ Σlens = rows` was proven above, and `rows` is bounded
-            // by the remaining-bytes budget — so this capacity can no
-            // longer be a length-bomb; clamp anyway so the bound does not
-            // depend on check ordering at a distance.
-            let mut postings = Vec::with_capacity((len as usize).min(rows));
-            let mut prev: Option<u32> = None;
-            for _ in 0..len {
-                let row = r.u32(label)?;
-                if row as usize >= rows {
-                    return Err(malformed(
-                        label,
-                        format!("column {col} posting row {row} out of range"),
-                    ));
-                }
-                if prev.is_some_and(|p| p >= row) {
-                    return Err(malformed(
-                        label,
-                        format!("column {col} postings for {} not ascending", key.0),
-                    ));
-                }
-                prev = Some(row);
-                postings.push(row);
-            }
-            index.insert(key, postings);
-        }
-        // Cross-check every posting against the tuple block.
-        for (key, postings) in &index {
-            for &row in postings {
-                if tuples[row as usize][col] != *key {
-                    return Err(malformed(
-                        label,
-                        format!(
-                            "column {col} posting for id {} points at a mismatched row",
-                            key.0
-                        ),
-                    ));
-                }
-            }
-        }
-        indexes.push(index);
-    }
-    if r.remaining() != 0 {
-        return Err(malformed(label, "trailing bytes"));
-    }
-    let mut relation = Relation::from_sorted(arity, tuples);
-    for (col, index) in indexes.into_iter().enumerate() {
-        relation.install_column_index(col, index);
-    }
-    Ok(DecodedRelation {
-        pred: Pred(pred_id),
-        relation,
-    })
-}
-
-/// Decodes a snapshot from bytes into a fresh `(Interner, Database)` pair,
-/// dispatching on the version field: v1 materializes eagerly; v2 copies
-/// the bytes into a shared buffer once and decodes zero-copy (callers that
-/// already hold an `Arc<[u8]>` — [`load_snapshot`], the replication
-/// bootstrap — use [`decode_snapshot_shared`] and skip even that copy).
-pub fn decode_snapshot(bytes: &[u8]) -> Result<(Interner, Database), StoreError> {
-    if peek_version(bytes)? == VERSION_V2 {
-        return decode_snapshot_shared(&Arc::from(bytes));
-    }
-    decode_snapshot_v1(bytes)
-}
-
-/// Reads the magic and version fields without consuming anything else.
-pub fn peek_version(bytes: &[u8]) -> Result<u32, StoreError> {
-    read_magic_version(&mut Reader::new(bytes))
-}
-
-fn decode_snapshot_v1(bytes: &[u8]) -> Result<(Interner, Database), StoreError> {
-    let _g = span!("store.decode");
-    let mut r = Reader::new(bytes);
-    let version = read_magic_version(&mut r)?;
-
-    let section = read_section(&mut r, "header")?;
-    if section.tag == TAG_DELTA_HEADER {
+fn read_preamble(r: &mut Reader<'_>) -> Result<Preamble, StoreError> {
+    let version = read_magic_version(r)?;
+    if r.peek_u8() == Some(TAG_DELTA_HEADER) {
         return Err(malformed(
             "header",
             "file is a delta snapshot; apply it to its base first (wdpt-store apply)",
         ));
     }
+    if version != VERSION {
+        return Err(StoreError::UnsupportedVersion(version));
+    }
+    let section = read_section(r, "header")?;
     expect_tag(&section, TAG_HEADER, "header")?;
-    let header = parse_header(section.payload, version)?;
+    let header = parse_header(section.payload)?;
 
-    let section = read_section(&mut r, "dictionary")?;
-    expect_tag(&section, TAG_DICTIONARY, "dictionary")?;
-    let symbols = parse_dictionary(section.payload, &header)?;
-    let spaces = SpaceTable {
-        spaces: symbols.iter().map(|(s, _)| *s).collect(),
-    };
-    let interner = Interner::from_symbols(symbols, header.fresh_counter)
-        .ok_or_else(|| malformed("dictionary", "duplicate symbol entry"))?;
+    let section = read_section(r, "dictionary")?;
+    expect_tag(&section, TAG_DICTIONARY_V2, "dictionary")?;
+    let count = usize::try_from(header.symbols)
+        .ok()
+        .filter(|&n| u32::try_from(n).is_ok())
+        .ok_or_else(|| malformed("dictionary", "symbol count exceeds u32 id space"))?;
+    let symbols = parse_dictionary_v2(section.payload, count)?;
 
     let rel_count = checked_count(
         u64::from(header.relations),
@@ -950,31 +622,17 @@ fn decode_snapshot_v1(bytes: &[u8]) -> Result<(Interner, Database), StoreError> 
         "header",
         "relation sections",
     )?;
-    let mut relations: Vec<(Pred, Relation)> = Vec::with_capacity(rel_count);
-    let mut seen_preds = std::collections::HashSet::new();
-    let mut total_tuples: u64 = 0;
-    for idx in 0..rel_count {
-        let label = format!("relation[{idx}]");
-        let section = read_section(&mut r, &label)?;
-        expect_tag(&section, TAG_RELATION, &label)?;
-        let decoded = parse_relation(section.payload, idx, &spaces)?;
-        if !seen_preds.insert(decoded.pred) {
-            return Err(malformed(&label, "predicate appears in two relations"));
-        }
-        total_tuples += decoded.relation.len() as u64;
-        relations.push((decoded.pred, decoded.relation));
-    }
-    if total_tuples != header.tuples {
-        return Err(malformed(
-            "header",
-            format!(
-                "header claims {} tuples, sections hold {total_tuples}",
-                header.tuples
-            ),
-        ));
-    }
+    Ok(Preamble {
+        header,
+        symbols,
+        dict_bytes: section.payload.len(),
+        rel_count,
+    })
+}
 
-    let section = read_section(&mut r, "end")?;
+/// Reads the closing end section and insists nothing follows it.
+fn read_end(r: &mut Reader<'_>) -> Result<(), StoreError> {
+    let section = read_section(r, "end")?;
     expect_tag(&section, TAG_END, "end")?;
     if !section.payload.is_empty() {
         return Err(malformed("end", "non-empty end section"));
@@ -982,58 +640,39 @@ fn decode_snapshot_v1(bytes: &[u8]) -> Result<(Interner, Database), StoreError> 
     if r.remaining() != 0 {
         return Err(malformed("end", "trailing bytes after end section"));
     }
-
-    counter!("store.snapshot.loads").add(1);
-    counter!("store.snapshot.tuples_loaded").add(total_tuples);
-    Ok((interner, Database::from_sorted(relations)))
+    Ok(())
 }
 
-/// Decodes a snapshot held in a shared buffer. For v2 files this is the
-/// zero-copy path: relations come out **lazy**, their cells and posting
-/// directories borrowing from `bytes` (each keeps its own `Arc` clone, so
-/// the buffer outlives any `Arc<Database>` swap that drops the rest of the
-/// load context — see DESIGN.md §13 for the lifetime rules). Load cost is
-/// CRC verification plus one streaming validation pass per section; no
-/// tuple, index, or string-heavy structure is materialized here except the
-/// dictionary. v1 files take the eager path unchanged.
-pub fn decode_snapshot_shared(bytes: &Arc<[u8]>) -> Result<(Interner, Database), StoreError> {
-    if peek_version(bytes)? != VERSION_V2 {
-        return decode_snapshot_v1(bytes);
-    }
+/// Decodes a snapshot from bytes into a fresh `(Interner, Database)` pair.
+/// The bytes are copied into a shared buffer once and decoded zero-copy;
+/// [`load_snapshot`] reads a file straight into that buffer and skips even
+/// the copy.
+pub fn decode_snapshot(bytes: &[u8]) -> Result<(Interner, Database), StoreError> {
+    decode_shared(&Arc::from(bytes))
+}
+
+/// Decodes a snapshot held in a shared buffer. Relations come out **lazy**,
+/// their cells and key directories borrowing from `bytes` (each keeps its
+/// own `Arc` clone, so the buffer outlives any `Arc<Database>` swap that
+/// drops the rest of the load context — see DESIGN.md §13 for the lifetime
+/// rules). Load cost is CRC verification plus one streaming validation pass
+/// per section; no tuple, index, or string-heavy structure is materialized
+/// here except the dictionary.
+fn decode_shared(bytes: &Arc<[u8]>) -> Result<(Interner, Database), StoreError> {
     let _g = span!("store.decode");
     let mut r = Reader::new(bytes);
-    let version = read_magic_version(&mut r)?;
-
-    let section = read_section(&mut r, "header")?;
-    if section.tag == TAG_DELTA_HEADER {
-        return Err(malformed(
-            "header",
-            "file is a delta snapshot; apply it to its base first (wdpt-store apply)",
-        ));
-    }
-    expect_tag(&section, TAG_HEADER, "header")?;
-    let header = parse_header(section.payload, version)?;
-
-    let section = read_section(&mut r, "dictionary")?;
-    expect_tag(&section, TAG_DICTIONARY_V2, "dictionary")?;
-    let count = usize::try_from(header.symbols)
-        .ok()
-        .filter(|&n| u32::try_from(n).is_ok())
-        .ok_or_else(|| malformed("dictionary", "symbol count exceeds u32 id space"))?;
-    let symbols = parse_dictionary_v2(section.payload, count)?;
+    let Preamble {
+        header,
+        symbols,
+        rel_count,
+        ..
+    } = read_preamble(&mut r)?;
     let spaces = SpaceTable {
         spaces: symbols.iter().map(|(s, _)| *s).collect(),
     };
     let interner = Interner::from_symbols(symbols, header.fresh_counter)
         .ok_or_else(|| malformed("dictionary", "duplicate symbol entry"))?;
 
-    let rel_count = checked_count(
-        u64::from(header.relations),
-        SECTION_FRAME_BYTES as u64,
-        r.remaining(),
-        "header",
-        "relation sections",
-    )?;
     let mut relations: Vec<(Pred, Relation)> = Vec::with_capacity(rel_count);
     let mut seen_preds = std::collections::HashSet::new();
     let mut total_tuples: u64 = 0;
@@ -1057,15 +696,7 @@ pub fn decode_snapshot_shared(bytes: &Arc<[u8]>) -> Result<(Interner, Database),
             ),
         ));
     }
-
-    let section = read_section(&mut r, "end")?;
-    expect_tag(&section, TAG_END, "end")?;
-    if !section.payload.is_empty() {
-        return Err(malformed("end", "non-empty end section"));
-    }
-    if r.remaining() != 0 {
-        return Err(malformed("end", "trailing bytes after end section"));
-    }
+    read_end(&mut r)?;
 
     counter!("store.snapshot.loads").add(1);
     counter!("store.snapshot.tuples_loaded").add(total_tuples);
@@ -1363,14 +994,12 @@ pub fn verify_database_deep(db: &Database) -> Result<(), StoreError> {
         }
         rel.verify_deep().map_err(|detail| malformed(&label, detail))?;
         for (col, dir) in dirs.into_iter().enumerate() {
-            let idx = rel
-                .built_column_index(col)
-                .ok_or_else(|| malformed(&label, "deep verify left an index unbuilt"))?;
-            if dir.len() != idx.len()
-                || dir
-                    .iter()
-                    .any(|(c, n)| idx.get(c).map(Vec::len) != Some(*n as usize))
-            {
+            // `verify_deep` derived every column index from the cells, and
+            // the scan prefers a derived index over the directory.
+            let mut derived = Vec::with_capacity(dir.len());
+            rel.scan_posting_lens(col, |c, n| derived.push((c, n)));
+            derived.sort_unstable();
+            if dir != derived {
                 return Err(malformed(
                     &label,
                     format!("column {col} key directory disagrees with the cells"),
@@ -1381,20 +1010,13 @@ pub fn verify_database_deep(db: &Database) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Reads and decodes a snapshot from any reader.
-pub fn read_snapshot<R: Read>(r: &mut R) -> Result<(Interner, Database), StoreError> {
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
-    decode_snapshot(&bytes)
-}
-
 /// Loads a snapshot file: one `File::read` of the whole file into a shared
-/// buffer, then [`decode_snapshot_shared`] — for v2 files the relations
-/// keep borrowing that buffer, so this is the zero-copy cold-start path.
+/// buffer that the decoded relations keep borrowing — the zero-copy
+/// cold-start path.
 pub fn load_snapshot(path: &Path) -> Result<(Interner, Database), StoreError> {
     let _g = span!("store.load_snapshot");
     let bytes: Arc<[u8]> = std::fs::read(path)?.into();
-    decode_snapshot_shared(&bytes)
+    decode_shared(&bytes)
 }
 
 /// Walks a snapshot's sections — verifying magic, version, and every CRC —
@@ -1403,70 +1025,21 @@ pub fn load_snapshot(path: &Path) -> Result<(Interner, Database), StoreError> {
 /// full structural validation on top.
 pub fn inspect_snapshot(bytes: &[u8]) -> Result<SnapshotSummary, StoreError> {
     let mut r = Reader::new(bytes);
-    let version = read_magic_version(&mut r)?;
-    let section = read_section(&mut r, "header")?;
-    if section.tag == TAG_DELTA_HEADER {
-        return Err(malformed(
-            "header",
-            "file is a delta snapshot; apply it to its base first (wdpt-store apply)",
-        ));
-    }
-    expect_tag(&section, TAG_HEADER, "header")?;
-    let header = parse_header(section.payload, version)?;
-
-    let section = read_section(&mut r, "dictionary")?;
-    let dict_bytes = section.payload.len();
-    let symbols = if version == VERSION_V2 {
-        expect_tag(&section, TAG_DICTIONARY_V2, "dictionary")?;
-        let count = usize::try_from(header.symbols)
-            .ok()
-            .filter(|&n| u32::try_from(n).is_ok())
-            .ok_or_else(|| malformed("dictionary", "symbol count exceeds u32 id space"))?;
-        parse_dictionary_v2(section.payload, count)?
-    } else {
-        expect_tag(&section, TAG_DICTIONARY, "dictionary")?;
-        parse_dictionary(section.payload, &header)?
-    };
-    // v1 dictionary cost of the same symbols: space u8 + len u32 + bytes.
-    let dict_raw_bytes: u64 = symbols.iter().map(|(_, n)| 5 + n.len() as u64).sum();
-
-    let rel_tag = if version == VERSION_V2 {
-        TAG_RELATION_V2
-    } else {
-        TAG_RELATION
-    };
-    let rel_count = checked_count(
-        u64::from(header.relations),
-        SECTION_FRAME_BYTES as u64,
-        r.remaining(),
-        "header",
-        "relation sections",
-    )?;
+    let Preamble {
+        header,
+        symbols,
+        dict_bytes,
+        rel_count,
+    } = read_preamble(&mut r)?;
     let mut relations = Vec::with_capacity(rel_count);
     for idx in 0..rel_count {
         let label = format!("relation[{idx}]");
         let section = read_section(&mut r, &label)?;
-        expect_tag(&section, rel_tag, &label)?;
+        expect_tag(&section, TAG_RELATION_V2, &label)?;
         let mut pr = Reader::new(section.payload);
         let pred = pr.u32(&label)?;
         let arity = pr.u32(&label)?;
         let rows = pr.u64(&label)?;
-        // The uncompressed (v1) payload cost: 16-byte header, 4 bytes per
-        // cell, and per column a key count u64 + (key,len) pairs + 4-byte
-        // posting rows.
-        let mut raw_bytes: u64 = 16 + u64::from(arity) * rows * 4;
-        if version == VERSION_V2 {
-            for col in 0..arity as usize {
-                let _cells_bytes = pr.u64(&label)?;
-                let keys = pr.u64(&label)?;
-                let _dir_bytes = pr.u64(&label)?;
-                let _ = col;
-                raw_bytes += 8 + keys * 8 + rows * 4;
-            }
-        } else {
-            // v1 sections *are* the raw encoding.
-            raw_bytes = section.payload.len() as u64;
-        }
         let name = symbols
             .get(pred as usize)
             .map(|(_, n)| n.clone())
@@ -1477,20 +1050,14 @@ pub fn inspect_snapshot(bytes: &[u8]) -> Result<SnapshotSummary, StoreError> {
             arity,
             rows,
             bytes: section.payload.len(),
-            raw_bytes,
         });
     }
-    let section = read_section(&mut r, "end")?;
-    expect_tag(&section, TAG_END, "end")?;
-    if r.remaining() != 0 {
-        return Err(malformed("end", "trailing bytes after end section"));
-    }
+    read_end(&mut r)?;
     Ok(SnapshotSummary {
         header,
         relations,
         bytes: bytes.len(),
         dict_bytes,
-        dict_raw_bytes,
     })
 }
 
@@ -1515,7 +1082,7 @@ mod tests {
     #[test]
     fn round_trips_a_small_database() {
         let (i, db) = sample();
-        let bytes = snapshot_to_vec(&i, &db).unwrap();
+        let bytes = snapshot_to_vec_v2(&i, &db).unwrap();
         let (i2, db2) = decode_snapshot(&bytes).unwrap();
         assert_eq!(i2.len(), i.len());
         assert_eq!(db2.size(), db.size());
@@ -1524,18 +1091,13 @@ mod tests {
     }
 
     #[test]
-    fn decoded_relations_have_installed_indexes() {
+    fn decoded_relations_answer_probes_from_derived_indexes() {
         let (mut i, db) = sample();
-        let bytes = snapshot_to_vec(&i, &db).unwrap();
+        let bytes = snapshot_to_vec_v2(&i, &db).unwrap();
         let (_, db2) = decode_snapshot(&bytes).unwrap();
         let e = i.pred("edge");
         let rel = db2.relation(e).unwrap();
-        for col in 0..rel.arity() {
-            assert!(
-                rel.built_column_index(col).is_some(),
-                "column {col} not installed"
-            );
-        }
+        assert!(rel.is_lazy(), "decode must not materialize anything");
         let a = i.constant("a");
         assert_eq!(rel.posting_len(0, a), 1);
         assert_eq!(rel.matching(&[Some(a), None]).count(), 1);
@@ -1544,12 +1106,12 @@ mod tests {
     #[test]
     fn encoding_is_deterministic_and_idempotent() {
         let (i, db) = sample();
-        let bytes = snapshot_to_vec(&i, &db).unwrap();
-        assert_eq!(bytes, snapshot_to_vec(&i, &db).unwrap());
+        let bytes = snapshot_to_vec_v2(&i, &db).unwrap();
+        assert_eq!(bytes, snapshot_to_vec_v2(&i, &db).unwrap());
         let (i2, db2) = decode_snapshot(&bytes).unwrap();
         assert_eq!(
             bytes,
-            snapshot_to_vec(&i2, &db2).unwrap(),
+            snapshot_to_vec_v2(&i2, &db2).unwrap(),
             "re-encode differs"
         );
     }
@@ -1557,7 +1119,7 @@ mod tests {
     #[test]
     fn inspect_reports_sections() {
         let (i, db) = sample();
-        let bytes = snapshot_to_vec(&i, &db).unwrap();
+        let bytes = snapshot_to_vec_v2(&i, &db).unwrap();
         let summary = inspect_snapshot(&bytes).unwrap();
         assert_eq!(summary.header.version, VERSION);
         assert_eq!(summary.header.symbols, i.len() as u64);
@@ -1574,7 +1136,7 @@ mod tests {
     fn empty_database_round_trips() {
         let i = Interner::new();
         let db = Database::new();
-        let bytes = snapshot_to_vec(&i, &db).unwrap();
+        let bytes = snapshot_to_vec_v2(&i, &db).unwrap();
         let (i2, db2) = decode_snapshot(&bytes).unwrap();
         assert!(i2.is_empty());
         assert_eq!(db2.size(), 0);
@@ -1603,14 +1165,31 @@ mod tests {
     #[test]
     fn bad_magic_and_version_are_typed() {
         let (i, db) = sample();
-        let mut bytes = snapshot_to_vec(&i, &db).unwrap();
+        let mut bytes = snapshot_to_vec_v2(&i, &db).unwrap();
         let mut wrong = bytes.clone();
         wrong[0] ^= 0xFF;
         assert!(matches!(decode_snapshot(&wrong), Err(StoreError::BadMagic)));
         bytes[8] = 0xFE; // version little-endian low byte
         assert!(matches!(
             decode_snapshot(&bytes),
-            Err(StoreError::UnsupportedVersion(_))
+            Err(StoreError::UnsupportedVersion(0xFE))
         ));
+    }
+
+    #[test]
+    fn write_atomic_leaves_the_bytes_and_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("wdpt-write-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("chain.delta");
+        write_atomic(&path, b"first").unwrap();
+        // Overwriting goes through the same temp + rename.
+        write_atomic(&path, b"second, longer").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"second, longer");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["chain.delta"], "temp file left behind");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

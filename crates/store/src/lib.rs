@@ -1,20 +1,21 @@
 //! # wdpt-store — persistent snapshot storage for WDPT databases
 //!
 //! Text datasets (N-Triples or the facts format) parse in linear time but
-//! pay string tokenization, escape decoding, interning, and index builds on
+//! pay string tokenization, escape decoding, interning and sorting on
 //! every cold start. This crate adds a persistent binary **snapshot** of an
 //! `(Interner, Database)` pair so a server restart is a sequential read +
 //! validation pass instead of a re-parse:
 //!
-//! * [`format`] — the versioned on-disk layout: dictionary-coded term
-//!   table, per-relation sorted column-major tuple blocks with serialized
-//!   posting indexes (so [`wdpt_model::Relation::matching`] works with zero
-//!   index rebuild), and a CRC-32 per section so corruption surfaces as a
-//!   typed [`StoreError`] instead of garbage answers.
+//! * [`format`] — the one on-disk layout: front-coded term dictionary,
+//!   per-relation sorted column-major tuple runs as delta+varint cells with
+//!   a key directory, and a CRC-32 per section so corruption surfaces as a
+//!   typed [`StoreError`] instead of garbage answers. Decoded relations are
+//!   lazy views into the file's bytes; no posting list is stored, carried
+//!   or installed anywhere — every [`wdpt_model::Relation`] derives a
+//!   column's index itself on the first probe of that column.
 //! * [`delta`] — incremental **delta snapshots**: insert-only diffs
-//!   chained to their base by content hash, applied by merging sorted runs
-//!   and remapping (not rebuilding) posting indexes, so a small update is
-//!   proportional to its size instead of the database's.
+//!   chained to their base by content hash, applied by merging sorted
+//!   runs, so a small update touches only the relations it names.
 //! * [`loader`] — a parallel bulk loader that streams text through scoped
 //!   parser threads (std-only) with **two-pass parallel interning**:
 //!   workers intern into per-worker local dictionaries, the union merges
@@ -26,8 +27,8 @@
 //!   the chain-directory scanner behind `verify --chain`.
 //! * [`text`] — the serial streaming text loader (same dialects, one
 //!   thread, used as the fallback path and as the loader's test oracle).
-//! * `wdpt-store` (binary) — `build` / `verify` / `inspect` / `gen-music`
-//!   / `gen-synth`.
+//! * `wdpt-store` (binary) — `build` / `verify` / `inspect` / `delta` /
+//!   `apply` / `gen-music` / `gen-synth`.
 //!
 //! Snapshots are byte-deterministic for a given `(Interner, Database)`
 //! pair, and the canonical merge makes bulk-load interning a pure function
@@ -47,10 +48,9 @@ pub use delta::{
     Delta, DeltaHeader,
 };
 pub use format::{
-    content_hash, decode_snapshot, decode_snapshot_shared, inspect_snapshot, load_snapshot,
-    peek_version, read_snapshot, save_snapshot, save_snapshot_versioned, snapshot_to_vec,
-    snapshot_to_vec_v2, snapshot_to_vec_versioned, verify_database_deep, write_snapshot,
-    RelationSummary, SnapshotHeader, SnapshotSummary, StoreError, MAGIC, VERSION, VERSION_V2,
+    content_hash, decode_snapshot, inspect_snapshot, load_snapshot, save_snapshot,
+    snapshot_to_vec_v2, verify_database_deep, RelationSummary, SnapshotHeader, SnapshotSummary,
+    StoreError, MAGIC, VERSION,
 };
 pub use loader::{bulk_load, bulk_load_path, LoadOptions, LoadReport};
 pub use replog::{head_hex, parse_head_hex, scan_chain_dir, ChainScan, LogEntry, ReplLog};

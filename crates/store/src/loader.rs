@@ -14,8 +14,9 @@
 //!       symbol set, never on worker count or scheduling
 //! then: parallel remap — each coded chunk is rewritten local→global ids
 //!       and grouped by predicate across M threads
-//! then: per-relation sort + dedup + (relation, column) index builds
-//!       across M threads
+//! then: per-relation sort + dedup across M threads (column indexes are
+//!       not built here — a relation derives each on first probe, and the
+//!       snapshot encoder works from the sorted rows alone)
 //! ```
 //!
 //! Parsing and interning are both the expensive steps at catalog scale
@@ -471,8 +472,8 @@ fn read_chunks<R: BufRead>(
 
 /// Bulk-loads a text dataset from a reader: parallel parse into per-worker
 /// local dictionaries, deterministic canonical merge into `interner`,
-/// parallel remap, then parallel sort/dedup/index builds. See the module
-/// docs for the pipeline and the determinism argument.
+/// parallel remap, then parallel sort/dedup. See the module docs for the
+/// pipeline and the determinism argument.
 pub fn bulk_load<R: BufRead + Send>(
     interner: &mut Interner,
     r: &mut R,
@@ -683,7 +684,7 @@ pub fn bulk_load<R: BufRead + Send>(
                 tuples.dedup();
                 // Row ids are u32 everywhere (posting lists, snapshots):
                 // reject a >4Gi-row relation with a typed error instead of
-                // letting the index build below wrap and alias rows.
+                // letting a later index build wrap and alias rows.
                 if let Some(last) = tuples.len().checked_sub(1) {
                     if let Err(e) = row_id(last) {
                         *sort_err.lock().expect("loader mutex poisoned") = Some(e.into());
@@ -701,41 +702,7 @@ pub fn bulk_load<R: BufRead + Send>(
     if let Some(e) = sort_err.into_inner().expect("loader mutex poisoned") {
         return Err(e);
     }
-    let mut relations = built.into_inner().expect("loader mutex poisoned");
-    relations.sort_by_key(|(p, _)| *p);
-
-    // Index builds parallelize at (relation, column) granularity — the
-    // common N-Triples load is a single triple/3 relation, which would
-    // otherwise serialize all three column builds on one thread.
-    let jobs: Vec<(usize, usize)> = relations
-        .iter()
-        .enumerate()
-        .flat_map(|(i, (_, rel))| (0..rel.arity()).map(move |col| (i, col)))
-        .collect();
-    let job_queue = Mutex::new(jobs.into_iter());
-    let indexes = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let Some((i, col)) = job_queue.lock().expect("loader mutex poisoned").next() else {
-                    return;
-                };
-                let rel = &relations[i].1;
-                let mut index: HashMap<Const, Vec<u32>> = HashMap::new();
-                for (row, t) in rel.tuples().enumerate() {
-                    let row = row_id(row).expect("row count checked after dedup");
-                    index.entry(t[col]).or_default().push(row);
-                }
-                indexes
-                    .lock()
-                    .expect("loader mutex poisoned")
-                    .push((i, col, index));
-            });
-        }
-    });
-    for (i, col, index) in indexes.into_inner().expect("loader mutex poisoned") {
-        relations[i].1.install_column_index(col, index);
-    }
+    let relations = built.into_inner().expect("loader mutex poisoned");
 
     let db = Database::from_sorted(relations);
     let tuples = db.size() as u64;
@@ -812,8 +779,8 @@ mod tests {
         }
         let (i1, db1, _) = load(&text, tiny_chunks()).unwrap();
         let (i2, db2, _) = load(&text, tiny_chunks()).unwrap();
-        let a = crate::format::snapshot_to_vec(&i1, &db1).unwrap();
-        let b = crate::format::snapshot_to_vec(&i2, &db2).unwrap();
+        let a = crate::format::snapshot_to_vec_v2(&i1, &db1).unwrap();
+        let b = crate::format::snapshot_to_vec_v2(&i2, &db2).unwrap();
         assert_eq!(a, b, "interner ids depend on worker scheduling");
     }
 
@@ -831,7 +798,7 @@ mod tests {
                 chunk_lines: 3,
             };
             let (i, db, _) = load(&text, opts).unwrap();
-            let bytes = crate::format::snapshot_to_vec(&i, &db).unwrap();
+            let bytes = crate::format::snapshot_to_vec_v2(&i, &db).unwrap();
             match &reference {
                 None => reference = Some(bytes),
                 Some(r) => assert_eq!(r, &bytes, "thread count {threads} changed the bytes"),
@@ -971,16 +938,5 @@ mod tests {
         let (_, db, report) = load("", LoadOptions::default()).unwrap();
         assert_eq!(db.size(), 0);
         assert_eq!(report.tuples, 0);
-    }
-
-    #[test]
-    fn loaded_relations_have_prebuilt_indexes() {
-        let text = "<a> <b> <c> .\n<a> <b> <d> .\n";
-        let (mut i, db, _) = load(text, LoadOptions::default()).unwrap();
-        let p = i.pred("triple");
-        let rel = db.relation(p).unwrap();
-        for col in 0..rel.arity() {
-            assert!(rel.built_column_index(col).is_some());
-        }
     }
 }

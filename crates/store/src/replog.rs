@@ -17,7 +17,9 @@
 //! bootstrap when its head is not on the chain.
 
 use crate::delta::decode_delta;
-use crate::format::{content_hash, malformed, push_section, read_section, Reader, StoreError};
+use crate::format::{
+    content_hash, malformed, push_section, read_section, write_atomic, Reader, StoreError,
+};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use wdpt_obs::counter;
@@ -348,16 +350,6 @@ fn parse_record(payload: &[u8], label: &str) -> Result<LogEntry, StoreError> {
     })
 }
 
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-    let tmp = path.with_extension("tmp");
-    let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(bytes)?;
-    f.sync_all()?;
-    drop(f);
-    std::fs::rename(&tmp, path)?;
-    Ok(())
-}
-
 fn truncate_file(path: &Path, len: u64) -> Result<(), StoreError> {
     let f = std::fs::OpenOptions::new().write(true).open(path)?;
     f.set_len(len)?;
@@ -461,7 +453,7 @@ pub fn scan_chain_dir(dir: &Path) -> Result<ChainScan, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{delta_to_vec, save_delta, save_snapshot, snapshot_to_vec};
+    use crate::{delta_to_vec, save_delta, save_snapshot, snapshot_to_vec_v2};
     use wdpt_model::{Const, Database, Interner};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -476,14 +468,14 @@ mod tests {
     }
 
     /// A base pair plus two successive insert-only extensions, round-tripped
-    /// through snapshot bytes so relations arrive sorted and indexed.
+    /// through snapshot bytes so relations arrive sorted.
     fn chain_fixture() -> (Vec<u8>, Vec<Vec<u8>>) {
         let mut i = Interner::new();
         let p = i.pred("edge");
         let mut db = Database::new();
         let (a, b) = (i.constant("a"), i.constant("b"));
         db.insert(p, vec![Const(a.0), Const(b.0)]);
-        let base_bytes = snapshot_to_vec(&i, &db).unwrap();
+        let base_bytes = snapshot_to_vec_v2(&i, &db).unwrap();
         let (mut ci, mut cdb) = crate::decode_snapshot(&base_bytes).unwrap();
 
         let mut deltas = Vec::new();

@@ -81,6 +81,44 @@ fn apply_with_no_deltas_is_a_verified_byte_identical_copy() {
 }
 
 #[test]
+fn the_format_flag_is_gone_and_version_1_files_are_refused() {
+    let dir = TempDir::new("one-format");
+    let input = dir.path("in.nt");
+    let snap = dir.path("out.snap");
+    run_ok(&["gen-music", "5x2", s(&input), "--seed", "3"]);
+
+    // `--format 1|2` is no longer an option of `build` or `apply`: typed as
+    // a user would, it is a usage error and nothing is written.
+    let line = format!("build {} {} --format 2", s(&input), s(&snap));
+    let out = run(&line.split(' ').collect::<Vec<_>>());
+    assert_eq!(out.status.code(), Some(2), "`{line}` must exit 2");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    assert!(!snap.exists(), "a rejected build must not write anything");
+    run_ok(&["build", s(&input), s(&snap)]);
+    let line = format!("apply {0} {0}.copy --format 1", s(&snap));
+    let out = run(&line.split(' ').collect::<Vec<_>>());
+    assert_eq!(out.status.code(), Some(2), "`{line}` must exit 2");
+
+    // A version-1 file is a data error (exit 1) with the rebuild hint, for
+    // every verb that reads a snapshot.
+    let v1 = dir.path("old.snap");
+    let mut bytes = b"WDPTSNAP".to_vec();
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&v1, &bytes).unwrap();
+    for args in [
+        vec!["verify", s(&v1)],
+        vec!["inspect", s(&v1)],
+        vec!["apply", s(&v1), s(&dir.path("never.snap"))],
+    ] {
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("version 1"), "{args:?} stderr: {stderr}");
+        assert!(stderr.contains("rebuild"), "{args:?} stderr: {stderr}");
+    }
+}
+
+#[test]
 fn gen_synth_streams_deterministic_nt_and_builds_identical_snapshots() {
     let dir = TempDir::new("gen-synth");
     let a = dir.path("a.nt");

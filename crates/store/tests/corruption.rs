@@ -1,9 +1,10 @@
-//! Corruption tests: every truncation and every single-byte flip of a valid
-//! snapshot must decode to a typed [`StoreError`] — never a panic, never a
-//! silently wrong database.
+//! Corruption tests: damage to a valid snapshot must decode to a typed
+//! [`StoreError`] — never a panic, never a silently wrong database. (The
+//! exhaustive truncation and single-byte-flip sweeps over `decode_snapshot`
+//! live in `v2_format.rs`.)
 
 use wdpt_model::{Database, Interner};
-use wdpt_store::{decode_snapshot, inspect_snapshot, snapshot_to_vec, StoreError};
+use wdpt_store::{decode_snapshot, inspect_snapshot, snapshot_to_vec_v2, StoreError, MAGIC};
 
 fn sample_snapshot() -> Vec<u8> {
     let mut i = Interner::new();
@@ -17,52 +18,7 @@ fn sample_snapshot() -> Vec<u8> {
     db.insert(e, vec![a, c]);
     db.insert(n, vec![a]);
     db.insert(n, vec![b]);
-    snapshot_to_vec(&i, &db).unwrap()
-}
-
-#[test]
-fn every_truncation_is_a_typed_error() {
-    let bytes = sample_snapshot();
-    for len in 0..bytes.len() {
-        let truncated = &bytes[..len];
-        match decode_snapshot(truncated) {
-            Ok(_) => panic!("decode of {len}-byte prefix succeeded"),
-            Err(
-                StoreError::Truncated { .. }
-                | StoreError::BadMagic
-                | StoreError::ChecksumMismatch { .. }
-                | StoreError::Malformed { .. },
-            ) => {}
-            Err(other) => panic!("prefix of {len} bytes gave unexpected error: {other}"),
-        }
-    }
-}
-
-#[test]
-fn every_single_byte_flip_is_a_typed_error() {
-    let bytes = sample_snapshot();
-    let mut mutated = bytes.clone();
-    for i in 0..bytes.len() {
-        for bit in [0x01u8, 0x80u8] {
-            mutated[i] ^= bit;
-            match decode_snapshot(&mutated) {
-                // Flipping bytes can only legitimately surface as one of
-                // the corruption variants; the magic and version fields get
-                // their dedicated errors.
-                Err(
-                    StoreError::BadMagic
-                    | StoreError::UnsupportedVersion(_)
-                    | StoreError::Truncated { .. }
-                    | StoreError::ChecksumMismatch { .. }
-                    | StoreError::Malformed { .. },
-                ) => {}
-                Err(other) => panic!("flip at byte {i}: unexpected error {other}"),
-                Ok(_) => panic!("flip at byte {i} went undetected"),
-            }
-            mutated[i] ^= bit;
-        }
-    }
-    assert_eq!(mutated, bytes, "mutation loop must restore the input");
+    snapshot_to_vec_v2(&i, &db).unwrap()
 }
 
 #[test]
@@ -132,4 +88,29 @@ fn empty_and_tiny_inputs_are_handled() {
         decode_snapshot(b"NOTASNAPSHOT"),
         Err(StoreError::BadMagic)
     ));
+}
+
+#[test]
+fn a_version_1_file_is_refused_by_version_not_by_accident() {
+    // The retired row-major format: a well-formed magic + version prefix is
+    // all it takes. It must surface as the typed version error (with the
+    // rebuild hint), whatever follows — not as truncation, a bad tag, or a
+    // checksum complaint.
+    let mut v1 = MAGIC.to_vec();
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    for tail in [&[][..], &[0x01, 0, 0, 0][..], &sample_snapshot()[12..]] {
+        let mut bytes = v1.clone();
+        bytes.extend_from_slice(tail);
+        for result in [
+            decode_snapshot(&bytes).map(|_| ()),
+            inspect_snapshot(&bytes).map(|_| ()),
+        ] {
+            match result {
+                Err(e @ StoreError::UnsupportedVersion(1)) => {
+                    assert!(e.to_string().contains("rebuild"), "no hint in: {e}")
+                }
+                other => panic!("expected UnsupportedVersion(1), got {other:?}"),
+            }
+        }
+    }
 }

@@ -11,7 +11,7 @@
 use std::io::Cursor;
 use wdpt_gen::Lcg;
 use wdpt_model::Interner;
-use wdpt_store::{bulk_load, read_text_database, snapshot_to_vec, LoadOptions};
+use wdpt_store::{bulk_load, read_text_database, snapshot_to_vec_v2, LoadOptions};
 
 /// A random mixed-shape facts dataset: several predicates of differing
 /// arities, quoted constants with escapes, comments, blank lines, and
@@ -77,7 +77,7 @@ fn random_nt(r: &mut Lcg) -> String {
 fn snapshot_bytes(text: &str, opts: LoadOptions) -> (Vec<u8>, String) {
     let mut i = Interner::new();
     let (db, _) = bulk_load(&mut i, &mut Cursor::new(text.as_bytes()), opts).unwrap();
-    (snapshot_to_vec(&i, &db).unwrap(), db.display(&i))
+    (snapshot_to_vec_v2(&i, &db).unwrap(), db.display(&i))
 }
 
 #[test]

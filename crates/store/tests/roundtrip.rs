@@ -1,10 +1,11 @@
 //! Property test: a random `(Interner, Database)` pair survives a snapshot
-//! round trip losslessly — relations, tuples, posting indexes, active
-//! domain, fresh counter, and every term name.
+//! round trip losslessly — relations, tuples, posting lengths, active
+//! domain, fresh counter, and every term name — and the decoded pair passes
+//! the deep verification `wdpt-store verify` runs.
 
 use wdpt_gen::Lcg;
 use wdpt_model::{Database, Interner, SymbolSpace};
-use wdpt_store::{decode_snapshot, snapshot_to_vec};
+use wdpt_store::{decode_snapshot, snapshot_to_vec_v2, verify_database_deep};
 
 /// Builds a random database: a few relations of mixed arity (1–4), tuples
 /// drawn from a bounded constant pool (so duplicates and shared constants
@@ -90,10 +91,6 @@ fn assert_equal(seed: u64, a_int: &Interner, a_db: &Database, b_int: &Interner, 
         assert_eq!(at, bt, "seed {seed}: tuples of {pred:?}");
         // Postings answer identically to a fresh build.
         for col in 0..rel.arity() {
-            assert!(
-                brel.built_column_index(col).is_some(),
-                "seed {seed}: column {col} index not installed on load"
-            );
             for c in a_db.active_domain() {
                 assert_eq!(
                     rel.posting_len(col, *c),
@@ -109,16 +106,17 @@ fn assert_equal(seed: u64, a_int: &Interner, a_db: &Database, b_int: &Interner, 
 fn random_databases_round_trip_losslessly() {
     for seed in 0..40u64 {
         let (interner, db) = random_instance(seed ^ 0x5EED_BA5E);
-        let bytes = snapshot_to_vec(&interner, &db).unwrap();
+        let bytes = snapshot_to_vec_v2(&interner, &db).unwrap();
         let (i2, db2) =
             decode_snapshot(&bytes).unwrap_or_else(|e| panic!("seed {seed}: decode failed: {e}"));
         assert_equal(seed, &interner, &db, &i2, &db2);
+        verify_database_deep(&db2).unwrap_or_else(|e| panic!("seed {seed}: deep verify: {e}"));
 
         // And the round trip is a fixed point: re-encoding the decoded pair
         // reproduces the bytes exactly.
         assert_eq!(
             bytes,
-            snapshot_to_vec(&i2, &db2).unwrap(),
+            snapshot_to_vec_v2(&i2, &db2).unwrap(),
             "seed {seed}: re-encode differs"
         );
     }
@@ -129,7 +127,7 @@ fn queries_answer_identically_after_reload() {
     // Beyond structural equality: probe `matching` through bound columns on
     // both sides.
     let (mut interner, db) = random_instance(0xABCD);
-    let bytes = snapshot_to_vec(&interner, &db).unwrap();
+    let bytes = snapshot_to_vec_v2(&interner, &db).unwrap();
     let (_, db2) = decode_snapshot(&bytes).unwrap();
     let consts: Vec<_> = db.active_domain().iter().copied().collect();
     for (pred, rel) in db.relations() {

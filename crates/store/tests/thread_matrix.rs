@@ -13,7 +13,7 @@ use std::io::Cursor;
 use wdpt_gen::{write_synth_nt, SynthParams};
 use wdpt_model::Interner;
 use wdpt_obs::delta_scope;
-use wdpt_store::{bulk_load, snapshot_to_vec, LoadOptions};
+use wdpt_store::{bulk_load, snapshot_to_vec_v2, LoadOptions};
 
 #[test]
 fn snapshots_and_counters_are_identical_across_thread_counts() {
@@ -46,7 +46,7 @@ fn snapshots_and_counters_are_identical_across_thread_counts() {
         let ((db, report, bytes), delta) = delta_scope(|| {
             let mut interner = Interner::new();
             let (db, report) = bulk_load(&mut interner, &mut Cursor::new(&text), opts).unwrap();
-            let bytes = snapshot_to_vec(&interner, &db).unwrap();
+            let bytes = snapshot_to_vec_v2(&interner, &db).unwrap();
             (db, report, bytes)
         });
 

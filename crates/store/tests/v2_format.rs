@@ -1,50 +1,14 @@
-//! v2 (columnar varint) format tests: lossless round trips, lazy decode
-//! behavior, corruption and length-bomb resistance, the size guarantee the
-//! format exists for, and the deep-verify net under forged-but-CRC-valid
-//! posting directories.
+//! Snapshot format tests: lazy decode behavior, corruption and length-bomb
+//! resistance, the size guarantee the columnar encoding exists for, and the
+//! deep-verify net under forged-but-CRC-valid key directories. (Lossless
+//! round trips live in `roundtrip.rs`, the remaining corruption sweeps in
+//! `corruption.rs`.)
 
 use wdpt_gen::Lcg;
-use wdpt_model::{Database, Interner, SymbolSpace};
+use wdpt_model::{Database, Interner};
 use wdpt_store::{
-    crc32, decode_snapshot, snapshot_to_vec, snapshot_to_vec_v2, verify_database_deep, StoreError,
-    VERSION_V2,
+    crc32, decode_snapshot, snapshot_to_vec_v2, verify_database_deep, StoreError, VERSION,
 };
-
-/// Same construction as the v1 round-trip property test: mixed arities,
-/// shared constants, unused symbols, unicode names, a bumped fresh counter.
-fn random_instance(seed: u64) -> (Interner, Database) {
-    let mut rng = Lcg::new(seed);
-    let mut interner = Interner::new();
-    let n_consts = 2 + rng.gen_range(0..40);
-    let consts: Vec<_> = (0..n_consts)
-        .map(|i| interner.constant(&format!("c{i}")))
-        .collect();
-    for i in 0..rng.gen_range(0..5) {
-        interner.var(&format!("v{i}"));
-    }
-    for i in 0..rng.gen_range(0..3) {
-        interner.pred(&format!("unused{i}"));
-    }
-    interner.constant("with space");
-    interner.constant("caf\u{00E9}\u{2603}");
-    let mut db = Database::new();
-    let n_rels = rng.gen_range(0..5);
-    for r in 0..n_rels {
-        let pred = interner.pred(&format!("rel{r}"));
-        let arity = 1 + rng.gen_range(0..4);
-        let rows = rng.gen_range(0..60);
-        for _ in 0..rows {
-            let tuple: Vec<_> = (0..arity)
-                .map(|_| consts[rng.gen_range(0..consts.len())])
-                .collect();
-            db.insert(pred, tuple);
-        }
-    }
-    for _ in 0..rng.gen_range(0..4) {
-        interner.fresh_var("f");
-    }
-    (interner, db)
-}
 
 fn sample_snapshot_v2() -> Vec<u8> {
     let mut i = Interner::new();
@@ -59,65 +23,6 @@ fn sample_snapshot_v2() -> Vec<u8> {
     db.insert(n, vec![a]);
     db.insert(n, vec![b]);
     snapshot_to_vec_v2(&i, &db).unwrap()
-}
-
-#[test]
-fn random_databases_round_trip_losslessly_through_v2() {
-    for seed in 0..40u64 {
-        let (interner, db) = random_instance(seed ^ 0x0C01_0C01);
-        let bytes = snapshot_to_vec_v2(&interner, &db).unwrap();
-        let (i2, db2) = decode_snapshot(&bytes)
-            .unwrap_or_else(|e| panic!("seed {seed}: v2 decode failed: {e}"));
-
-        let a_syms: Vec<(SymbolSpace, &str)> = interner.symbols().collect();
-        let b_syms: Vec<(SymbolSpace, &str)> = i2.symbols().collect();
-        assert_eq!(a_syms, b_syms, "seed {seed}: dictionary");
-        assert_eq!(
-            interner.fresh_counter(),
-            i2.fresh_counter(),
-            "seed {seed}: fresh counter"
-        );
-
-        assert_eq!(db.size(), db2.size(), "seed {seed}: tuple count");
-        assert_eq!(
-            db.active_domain(),
-            db2.active_domain(),
-            "seed {seed}: active domain"
-        );
-        for (pred, rel) in db.relations() {
-            let brel = db2.relation(pred).unwrap();
-            assert_eq!(rel.arity(), brel.arity(), "seed {seed}: arity");
-            let mut at: Vec<_> = rel.tuples().collect();
-            let mut bt: Vec<_> = brel.tuples().collect();
-            at.sort_unstable();
-            bt.sort_unstable();
-            assert_eq!(at, bt, "seed {seed}: tuples of {pred:?}");
-            for col in 0..rel.arity() {
-                for c in db.active_domain() {
-                    assert_eq!(
-                        rel.posting_len(col, *c),
-                        brel.posting_len(col, *c),
-                        "seed {seed}: posting length col {col}"
-                    );
-                }
-            }
-        }
-
-        // Both directions of re-encoding reproduce bytes exactly: the v2
-        // encode of the decoded pair is a fixed point, and the v1 encode
-        // matches a direct v1 encode of the original (migration parity).
-        assert_eq!(
-            bytes,
-            snapshot_to_vec_v2(&i2, &db2).unwrap(),
-            "seed {seed}: v2 re-encode differs"
-        );
-        assert_eq!(
-            snapshot_to_vec(&interner, &db).unwrap(),
-            snapshot_to_vec(&i2, &db2).unwrap(),
-            "seed {seed}: v1 encode of v2-decoded pair differs"
-        );
-        verify_database_deep(&db2).unwrap_or_else(|e| panic!("seed {seed}: deep verify: {e}"));
-    }
 }
 
 #[test]
@@ -148,10 +53,6 @@ fn v2_decode_is_lazy_and_stats_scans_stay_lazy() {
     let mut streamed = 0u64;
     assert!(rel.scan_posting_lens(0, |_, n| streamed += u64::from(n)));
     assert_eq!(streamed, n);
-    assert!(
-        rel.built_column_index(0).is_none(),
-        "scanning the directory must not build an index"
-    );
     assert!(rel.is_lazy(), "directory scan must keep the relation lazy");
 
     // The active domain likewise comes from the directories alone.
@@ -246,37 +147,6 @@ fn expect_bomb_rejected(what: &str, result: Result<(Interner, Database), StoreEr
 }
 
 #[test]
-fn v1_length_bombs_are_rejected_without_allocation() {
-    let mut i = Interner::new();
-    let e = i.pred("e");
-    let (a, b) = (i.constant("a"), i.constant("b"));
-    let mut db = Database::new();
-    db.insert(e, vec![a, b]);
-    let bytes = snapshot_to_vec(&i, &db).unwrap();
-
-    // Dictionary claims u64::MAX entries in a handful of payload bytes.
-    let mut bomb = bytes.clone();
-    let (hs, hl) = find_section(&bomb, 0x01);
-    bomb[hs..hs + 8].copy_from_slice(&u64::MAX.to_le_bytes()); // header.symbols
-    restamp_crc(&mut bomb, hs, hl);
-    expect_bomb_rejected("v1 symbol-count bomb", decode_snapshot(&bomb));
-
-    // Relation claims ~u64::MAX rows.
-    let mut bomb = bytes.clone();
-    let (rs, rl) = find_section(&bomb, 0x03);
-    bomb[rs + 8..rs + 16].copy_from_slice(&(u64::MAX / 2).to_le_bytes()); // rows
-    restamp_crc(&mut bomb, rs, rl);
-    expect_bomb_rejected("v1 row-count bomb", decode_snapshot(&bomb));
-
-    // Relation claims u32::MAX columns.
-    let mut bomb = bytes;
-    let (rs, rl) = find_section(&bomb, 0x03);
-    bomb[rs + 4..rs + 8].copy_from_slice(&u32::MAX.to_le_bytes()); // arity
-    restamp_crc(&mut bomb, rs, rl);
-    expect_bomb_rejected("v1 arity bomb", decode_snapshot(&bomb));
-}
-
-#[test]
 fn v2_length_bombs_are_rejected_without_allocation() {
     let bytes = sample_snapshot_v2();
 
@@ -316,7 +186,7 @@ fn delta_length_bombs_are_rejected_without_allocation() {
     let (a, b) = (i.constant("a"), i.constant("b"));
     let mut db = Database::new();
     db.insert(e, vec![a, a]);
-    let base = snapshot_to_vec(&i, &db).unwrap();
+    let base = snapshot_to_vec_v2(&i, &db).unwrap();
     let mut i2 = i.clone();
     let mut db2 = db.clone();
     let c = i2.constant("c");
@@ -395,44 +265,36 @@ fn forged_key_directory_passes_decode_but_fails_deep_verify() {
 }
 
 #[test]
-fn v2_snapshots_are_at_most_six_tenths_of_v1() {
-    // The acceptance bar for the format: on a realistically-shaped dataset
-    // (synthetic triples, mild skew), v2 must be ≤ 0.6× the v1 size.
+fn snapshots_stay_under_the_bytes_per_triple_budget() {
+    // The acceptance bar for the columnar encoding, as the same absolute
+    // budget CI's store_smoke holds 1M triples to: 7 bytes per triple on a
+    // realistically-shaped dataset (synthetic triples, mild skew; measured
+    // 6.1 here, 5.5 at 1M).
     let mut nt = Vec::new();
     wdpt_gen::write_synth_nt(&mut nt, wdpt_gen::SynthParams::sized_skewed(50_000, 3)).unwrap();
     let mut i = Interner::new();
     let db =
         wdpt_store::read_text_database(&mut i, &mut std::io::BufReader::new(nt.as_slice())).unwrap();
-    let v1 = snapshot_to_vec(&i, &db).unwrap();
-    let v2 = snapshot_to_vec_v2(&i, &db).unwrap();
+    let bytes = snapshot_to_vec_v2(&i, &db).unwrap();
     assert!(
-        v2.len() * 10 <= v1.len() * 6,
-        "v2 is {} bytes, v1 is {} ({}%)",
-        v2.len(),
-        v1.len(),
-        v2.len() * 100 / v1.len()
+        bytes.len() <= 7 * db.size(),
+        "{} bytes for {} triples ({:.2} B/triple)",
+        bytes.len(),
+        db.size(),
+        bytes.len() as f64 / db.size() as f64
     );
     // And the compressed form still decodes to the same database.
-    let (_, db2) = decode_snapshot(&v2).unwrap();
+    let (_, db2) = decode_snapshot(&bytes).unwrap();
     assert_eq!(db.size(), db2.size());
-    let (_, db1) = decode_snapshot(&v1).unwrap();
-    assert_eq!(db1.active_domain(), db2.active_domain());
+    assert_eq!(db.active_domain(), db2.active_domain());
 }
 
 #[test]
-fn v2_header_version_and_inspect_report_the_encoding() {
+fn header_version_and_inspect_report_the_sections() {
     let bytes = sample_snapshot_v2();
     let summary = wdpt_store::inspect_snapshot(&bytes).unwrap();
-    assert_eq!(summary.header.version, VERSION_V2);
+    assert_eq!(summary.header.version, VERSION);
     assert_eq!(summary.relations.len(), 2);
-    for r in &summary.relations {
-        assert!(
-            r.raw_bytes >= r.bytes as u64,
-            "{}: raw {} < stored {}",
-            r.name,
-            r.raw_bytes,
-            r.bytes
-        );
-    }
-    assert!(summary.dict_raw_bytes >= summary.dict_bytes as u64);
+    let sections: usize = summary.relations.iter().map(|r| r.bytes).sum();
+    assert!(sections + summary.dict_bytes < summary.bytes);
 }
