@@ -7,7 +7,8 @@
 //! * [`tree`] — the WDPT type `(T, λ, x̄)` with well-designedness checking
 //!   and rooted-subtree machinery (Definitions 1–2).
 //! * [`semantics`] — maximal homomorphisms, `p(D)`, `p_m(D)`: one executor
-//!   (root homomorphisms × independent OPT children, inline or fanned out
+//!   (local homomorphisms × independent OPT children, each subtree
+//!   evaluated once per distinct interface valuation, inline or fanned out
 //!   over threads) behind [`evaluate`], [`evaluate_max`],
 //!   [`try_evaluate_parallel_planned`] (threads, cancel token, planned atom
 //!   orders) and [`try_evaluate_parallel_captured_planned`] (the same, plus

@@ -8,7 +8,7 @@
 //! deterministic: the same at every thread count, which the
 //! observability-parity test relies on.
 
-use crate::semantics::{execute, project_free};
+use crate::semantics::execute;
 use crate::tree::Wdpt;
 use wdpt_model::{CancelToken, Cancelled, Database, Mapping};
 use wdpt_obs::{NodeEntry, ProfileRecorder, QueryProfile};
@@ -54,8 +54,7 @@ pub fn try_evaluate_parallel_captured_planned(
     plan: Option<&wdpt_plan::ExecPlan>,
 ) -> (Result<Vec<Mapping>, Cancelled>, QueryProfile) {
     let mut rec = ProfileRecorder::start(label);
-    let (homs, hom_counts) = execute(p, db, threads, token, plan);
-    let answers = homs.map(|homs| project_free(p, homs));
+    let (answers, hom_counts) = execute(p, db, threads, token, plan, &p.free_set());
     rec.set_nodes(node_entries(p, &hom_counts));
     let profile = rec.finish(answers.as_ref().map_or(0, |a| a.len() as u64));
     (answers, profile)
@@ -70,6 +69,11 @@ mod tests {
     use wdpt_model::Interner;
 
     fn fixture() -> (Interner, Wdpt, Database) {
+        fixture_with("")
+    }
+
+    /// The fixture with `more` facts on top of its nine.
+    fn fixture_with(more: &str) -> (Interner, Wdpt, Database) {
         let mut i = Interner::new();
         let root = parse_atoms(&mut i, "a(?x)").unwrap();
         let mut b = WdptBuilder::new(root);
@@ -80,7 +84,7 @@ mod tests {
         let p = b.build(free).unwrap();
         let db = parse_database(
             &mut i,
-            "a(1) a(2) a(3) b(1,10) b(2,20) b(2,21) c(2,30) c(3,31) d(20,40)",
+            &format!("a(1) a(2) a(3) b(1,10) b(2,20) b(2,21) c(2,30) c(3,31) d(20,40) {more}"),
         )
         .unwrap();
         (i, p, db)
@@ -100,6 +104,7 @@ mod tests {
 
     #[test]
     fn profiled_answers_match_unprofiled() {
+        let _fan_out = crate::semantics::fan_out_test_lock();
         let (_i, p, db) = fixture();
         let (answers, profile) = profiled(&p, &db, 1);
         assert_eq!(answers, evaluate(&p, &db));
@@ -116,7 +121,17 @@ mod tests {
 
     #[test]
     fn profile_has_exact_node_parity_across_thread_counts() {
-        let (_i, p, db) = fixture();
+        let _fan_out = crate::semantics::fan_out_test_lock();
+        // Wide enough for every level to be worth sharing out: 1500 more
+        // values of ?x, each with a ?y of its own, every other one a ?w.
+        let mut more = String::new();
+        for j in 100..1600 {
+            more.push_str(&format!("a({j}) b({j},y{j}) "));
+            if j % 2 == 0 {
+                more.push_str(&format!("d(y{j},w{j}) "));
+            }
+        }
+        let (_i, p, db) = fixture_with(&more);
         let (seq_answers, seq_profile) = profiled(&p, &db, 1);
         for threads in [2, 4, 8] {
             let (par_answers, par_profile) = profiled(&p, &db, threads);
@@ -125,7 +140,7 @@ mod tests {
             // merged across the scoped workers.
             assert_eq!(par_profile.nodes, seq_profile.nodes);
             // And the parallel run is visibly parallel.
-            assert!(par_profile.counter("wdpt.parallel_tasks") >= 6);
+            assert!(par_profile.counter("wdpt.parallel_tasks") >= 3000);
             let worker = par_profile.phase("wdpt.parallel.worker").unwrap();
             assert!(worker.calls >= 2, "expected ≥2 worker spans");
         }

@@ -6,25 +6,138 @@
 //! homomorphism; `p(D)` is the set of projections `h_x̄` of maximal
 //! homomorphisms; `p_m(D)` (Section 3.4) keeps only the ⊑-maximal ones.
 //!
-//! The evaluator exploits well-designedness: two sibling subtrees can share
-//! a variable only through their common ancestors, so once the ancestor
-//! valuation is fixed the children are independent. A maximal homomorphism
-//! is therefore a local homomorphism of the root joined, for every child
+//! The evaluator exploits well-designedness twice. Two sibling subtrees can
+//! share a variable only through their common ancestors, so once the
+//! ancestor valuation is fixed the children are independent: a maximal
+//! homomorphism is a local homomorphism of the root joined, for every child
 //! that is extendable at all, with some maximal extension into that child —
 //! a recursive product that never enumerates the `2^{|T|}` subtrees
-//! explicitly.
+//! explicitly. And the variables a node shares with everything outside its
+//! subtree — its *interface*, the quantity `BI(c)` bounds — all occur in
+//! its parent, so the maximal extensions into a subtree are a function of
+//! the interface valuation alone: each subtree is evaluated once per
+//! *distinct* interface valuation its contexts produce, not once per
+//! context.
 //!
-//! There is one executor ([`execute`] over [`Run::extensions`]); the public
-//! functions differ only in what they pass it (threads, cancel token, plan)
-//! and what they do with the maximal homomorphisms it returns.
+//! There is one executor ([`execute`] over [`Run::subtree`]); the public
+//! functions differ only in what they pass it (threads, cancel token, plan,
+//! the variables to project onto) and what they do with the mappings it
+//! returns.
 
 use crate::tree::Wdpt;
-use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use wdpt_cq::backtrack::{extend_all, extend_exists, try_extend_all};
-use wdpt_model::{mapping::maximal_mappings, CancelToken, Cancelled, Database, Mapping};
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
+use wdpt_cq::backtrack::{extend_all, extend_exists, Search};
+use wdpt_model::{
+    mapping::maximal_mappings, CancelToken, Cancelled, Const, Database, Mapping, Var,
+};
 use wdpt_obs::span;
 use wdpt_plan::ExecPlan;
+
+/// Rows of `width` cells, stored flat, in consecutive groups — one group
+/// per interface valuation a node was evaluated under.
+struct Grouped<T> {
+    width: usize,
+    cells: Vec<T>,
+    rows: usize,
+    /// `ends[g]` is one past the last row of group `g`.
+    ends: Vec<usize>,
+}
+
+impl<T> Grouped<T> {
+    fn new(width: usize) -> Self {
+        Grouped {
+            width,
+            cells: Vec::new(),
+            rows: 0,
+            ends: Vec::new(),
+        }
+    }
+
+    /// Ends the group the rows pushed since the last call belong to.
+    fn close_group(&mut self) {
+        self.ends.push(self.rows);
+    }
+
+    fn group(&self, g: usize) -> Range<usize> {
+        let start = if g == 0 { 0 } else { self.ends[g - 1] };
+        start..self.ends[g]
+    }
+
+    fn row(&self, r: usize) -> &[T] {
+        &self.cells[r * self.width..(r + 1) * self.width]
+    }
+}
+
+/// The distinct interface valuations one node is evaluated under.
+struct Keys {
+    /// Cells per key: the size of the node's interface.
+    width: usize,
+    cells: Vec<Const>,
+    /// How many contexts — chains of local homomorphisms from the root down
+    /// to the parent — produce each key. Its length is the number of keys.
+    contexts: Vec<u64>,
+}
+
+/// What the executor knows of a tree node before it looks at the data.
+struct Shape {
+    /// The node's variables, ascending: the slots of its [`Search`].
+    vars: Vec<Var>,
+    /// The interface: per variable shared with the parent, its slot here
+    /// and its slot in the parent. By well-designedness these are all the
+    /// variables the node's subtree shares with the rest of the tree.
+    iface: Vec<(usize, usize)>,
+    /// Slots of the variables no ancestor mentions.
+    fresh: Vec<usize>,
+    /// Cells in a row of the subtree's table: the fresh variables of the
+    /// node, then one segment per child, recursively.
+    width: usize,
+}
+
+fn shapes(p: &Wdpt) -> Vec<Shape> {
+    let mut shapes: Vec<Shape> = Vec::with_capacity(p.node_count());
+    for t in 0..p.node_count() {
+        let vars: Vec<Var> = p.node_vars(t).into_iter().collect();
+        // Preorder ids: the parent's shape is already there.
+        let parent_vars: &[Var] = p.parent(t).map_or(&[], |parent| &shapes[parent].vars);
+        let (mut iface, mut fresh) = (Vec::new(), Vec::new());
+        for (slot, v) in vars.iter().enumerate() {
+            match parent_vars.binary_search(v) {
+                Ok(parent_slot) => iface.push((slot, parent_slot)),
+                Err(_) => fresh.push(slot),
+            }
+        }
+        shapes.push(Shape {
+            width: fresh.len(),
+            vars,
+            iface,
+            fresh,
+        });
+    }
+    for t in (1..p.node_count()).rev() {
+        let parent = p.parent(t).expect("only the root has no parent");
+        shapes[parent].width += shapes[t].width;
+    }
+    shapes
+}
+
+/// The variable behind each cell of a row of `t`'s subtree table.
+fn layout(p: &Wdpt, shapes: &[Shape], t: usize, out: &mut Vec<Var>) {
+    out.extend(shapes[t].fresh.iter().map(|&slot| shapes[t].vars[slot]));
+    for &c in p.children(t) {
+        layout(p, shapes, c, out);
+    }
+}
+
+/// The fewest keys worth a worker thread of their own. Spawning and joining
+/// a scoped thread costs 13–27 µs where this was measured, a key of a
+/// one-atom node 0.1–0.3 µs to search: below a couple of hundred keys the
+/// thread costs more than it takes off the caller, so the root (one key),
+/// point queries and the thin lower levels of a deep tree stay on the
+/// calling thread whatever `threads` says. The bound counts keys, not work:
+/// a node with few keys and an expensive CQ each is searched inline too.
+const MIN_KEYS_PER_WORKER: usize = 256;
 
 /// What one evaluation carries down the tree.
 struct Run<'a> {
@@ -35,155 +148,248 @@ struct Run<'a> {
     /// most-constrained heuristic.
     plan: Option<&'a ExecPlan>,
     token: &'a CancelToken,
+    workers: usize,
+    shapes: Vec<Shape>,
     /// Local homomorphisms found per node (preorder id), summed over every
-    /// ancestor context the node was evaluated under. Local to this
-    /// evaluation — unlike the process-wide metrics registry — so the counts
-    /// are exact whatever else runs concurrently; atomics because the
-    /// workers share them.
-    homs: Vec<AtomicU64>,
+    /// ancestor context the node was evaluated under — a context whose
+    /// interface valuation was already evaluated counts what that
+    /// evaluation found. Local to this evaluation — unlike the process-wide
+    /// metrics registry — so the counts are exact whatever else runs
+    /// concurrently.
+    homs: Vec<u64>,
+    /// Amortizes the token's deadline checks over the assembly loops.
+    poll_steps: u32,
 }
 
 impl Run<'_> {
-    /// Local homomorphisms of node `t` under `inherited`, tallied.
-    fn node_extend(&self, t: usize, inherited: &Mapping) -> Result<Vec<Mapping>, Cancelled> {
+    /// The local homomorphisms of node `t` under `keys[range]`, one group
+    /// per key, as full frames of the node's variables.
+    fn search_keys(
+        &self,
+        t: usize,
+        keys: &Keys,
+        range: Range<usize>,
+    ) -> Result<Grouped<Const>, Cancelled> {
+        // One span per node (and worker), not one per key: the phase keeps
+        // the name of the CQ entry point it times, with the keys as calls.
+        let mut span = span!("cq.backtrack.extend_all");
+        span.set_calls(range.len() as u64);
+        let shape = &self.shapes[t];
         let order = self.plan.and_then(|pl| pl.nodes.get(t));
-        let locals = try_extend_all(
+        let mut search = Search::compile(
             self.db,
             self.p.atoms(t),
             order.map(|no| no.order.as_slice()),
-            inherited,
-            self.token,
-        )?;
-        self.homs[t].fetch_add(locals.len() as u64, Relaxed);
+            |v| shape.iface.iter().any(|&(slot, _)| shape.vars[slot] == v),
+        );
+        let mut locals = Grouped::new(shape.vars.len());
+        for g in range {
+            let key = &keys.cells[g * keys.width..(g + 1) * keys.width];
+            for (&(slot, _), &value) in shape.iface.iter().zip(key) {
+                search.set(slot, value);
+            }
+            let (cells, rows) = (&mut locals.cells, &mut locals.rows);
+            search.for_each(self.token, |frame| {
+                cells.extend_from_slice(frame);
+                *rows += 1;
+            })?;
+            locals.close_group();
+        }
         Ok(locals)
     }
 
-    /// Maximal extensions into the subtree rooted at `t`, given the bindings
-    /// of the ancestors. Empty result means "`t` is not extendable" (the OPT
-    /// branch fails and is dropped). The token is polled inside the per-node
-    /// backtracking search and between cartesian-product assembly rounds.
-    ///
-    /// Children are independent given their context (well-designedness), so
-    /// every (context, child) pair is one job. With `workers < 2`, or fewer
-    /// than two jobs, they run inline, context by context; otherwise they
-    /// are strided over scoped threads first (`Database` is `Sync` — the
-    /// column indexes live in `OnceLock`s). Either way the per-context
-    /// products are assembled here, on the calling thread. Only the root is
-    /// called with more than one worker.
-    fn extensions(
+    /// [`Run::search_keys`] over all of `keys`: inline when fewer than two
+    /// workers would get [`MIN_KEYS_PER_WORKER`] keys each, otherwise in
+    /// contiguous chunks over scoped threads (`Database` is `Sync` — the
+    /// column indexes live in `OnceLock`s), concatenated in key order. The
+    /// workers share the evaluation's cancel token, so one hitting the
+    /// deadline stops the rest within one poll interval; the scope still
+    /// joins everything before the error propagates.
+    fn local_homs(&self, t: usize, keys: &Keys) -> Result<Grouped<Const>, Cancelled> {
+        let n = keys.contexts.len();
+        let workers = self.workers.min(n / MIN_KEYS_PER_WORKER);
+        if workers < 2 {
+            return self.search_keys(t, keys, 0..n);
+        }
+        let chunk = n.div_ceil(workers);
+        let chunks = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..n)
+                .step_by(chunk)
+                .map(|start| {
+                    s.spawn(move || {
+                        let _span = span!("wdpt.parallel.worker");
+                        let range = start..(start + chunk).min(n);
+                        wdpt_model::stats::record_parallel_tasks(range.len() as u64);
+                        self.search_keys(t, keys, range)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker thread panicked"))
+                .collect::<Vec<_>>()
+        });
+        let mut locals = Grouped::new(self.shapes[t].vars.len());
+        for part in chunks {
+            let part = part?;
+            locals.cells.extend_from_slice(&part.cells);
+            locals
+                .ends
+                .extend(part.ends.iter().map(|e| locals.rows + e));
+            locals.rows += part.rows;
+        }
+        Ok(locals)
+    }
+
+    /// The distinct interface valuations of child `c` among the rows of its
+    /// parent's local homomorphisms (found under `parent_keys`), in order of
+    /// first occurrence, and the key each row maps to.
+    fn child_keys(
         &self,
-        t: usize,
-        inherited: &Mapping,
-        workers: usize,
-    ) -> Result<Vec<Mapping>, Cancelled> {
-        let token = self.token;
-        let ctxs: Vec<Mapping> = self
-            .node_extend(t, inherited)?
-            .into_iter()
-            .map(|g| {
-                inherited
-                    .union(&g)
-                    .expect("local homomorphism agrees with inherited bindings")
-            })
-            .collect();
-        let children = self.p.children(t);
-        let job = |ci: usize, j: usize| self.extensions(children[j], &ctxs[ci], 1);
-        let jobs = ctxs.len() * children.len();
-        let workers = workers.min(jobs);
-        let fanned = if workers < 2 {
-            None
-        } else {
-            Some(fan_out(jobs, workers, |idx| {
-                job(idx / children.len(), idx % children.len())
-            })?)
-        };
-        let _assemble_span = fanned.is_some().then(|| span!("wdpt.eval.assemble"));
-        let mut out = Vec::new();
-        for (ci, ctx) in ctxs.iter().enumerate() {
-            if token.is_cancelled() {
-                return Err(Cancelled);
+        c: usize,
+        locals: &Grouped<Const>,
+        parent_keys: &Keys,
+    ) -> (Keys, Vec<u32>) {
+        let iface = &self.shapes[c].iface;
+        let width = iface.len();
+        let mut projected = Vec::with_capacity(locals.rows * width);
+        let mut row_contexts = Vec::with_capacity(locals.rows);
+        for (g, &contexts) in parent_keys.contexts.iter().enumerate() {
+            for r in locals.group(g) {
+                let row = locals.row(r);
+                projected.extend(iface.iter().map(|&(_, parent_slot)| row[parent_slot]));
+                row_contexts.push(contexts);
             }
-            let inline;
-            let parts: &[Vec<Mapping>] = match &fanned {
-                Some(results) => &results[ci * children.len()..][..children.len()],
-                None => {
-                    inline = (0..children.len())
-                        .map(|j| job(ci, j))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    &inline
-                }
+        }
+        if width == locals.width {
+            // The child sees every variable of its parent, and no two rows
+            // agree on all of them: every row is a key of its own.
+            let keys = Keys {
+                width,
+                cells: projected,
+                contexts: row_contexts,
             };
-            // Cartesian product of the children's maximal extensions. A
-            // child that is not extendable contributes nothing — maximality
-            // w.r.t. it holds vacuously.
-            let mut acc: Vec<Mapping> = vec![ctx.clone()];
-            for part in parts.iter().filter(|part| !part.is_empty()) {
-                if token.is_cancelled() {
-                    return Err(Cancelled);
-                }
-                let mut next = Vec::with_capacity(acc.len() * part.len());
-                for base in &acc {
-                    for ext in part {
-                        next.push(
-                            base.union(ext)
-                                .expect("sibling subtrees only share ancestor variables"),
-                        );
+            return (keys, (0..locals.rows as u32).collect());
+        }
+        let mut keys = Keys {
+            width,
+            cells: Vec::new(),
+            contexts: Vec::new(),
+        };
+        let mut index: HashMap<&[Const], u32> = HashMap::new();
+        let mut key_of_row = Vec::with_capacity(locals.rows);
+        for (r, &contexts) in row_contexts.iter().enumerate() {
+            let key = &projected[r * width..(r + 1) * width];
+            let k = *index.entry(key).or_insert_with(|| {
+                keys.cells.extend_from_slice(key);
+                keys.contexts.push(0);
+                (keys.contexts.len() - 1) as u32
+            });
+            keys.contexts[k as usize] += contexts;
+            key_of_row.push(k);
+        }
+        (keys, key_of_row)
+    }
+
+    /// The maximal extensions into the subtree rooted at `t` under each of
+    /// `keys`, one group per key: rows over the variables the subtree
+    /// introduces, `None` where an OPT branch was not extendable. An empty
+    /// group means "`t` itself is not extendable" under that key (the
+    /// branch fails and is dropped by the parent).
+    ///
+    /// Children are independent given their parent's valuation
+    /// (well-designedness), so each is evaluated — recursively, by this
+    /// function — under the distinct interface valuations the parent's
+    /// local homomorphisms produce, and the per-row products are assembled
+    /// here, on the calling thread. The token is polled inside the per-node
+    /// backtracking searches and once per assembled row.
+    fn subtree(&mut self, t: usize, keys: &Keys) -> Result<Grouped<Option<Const>>, Cancelled> {
+        let locals = self.local_homs(t, keys)?;
+        self.homs[t] += (0..keys.contexts.len())
+            .map(|g| keys.contexts[g] * locals.group(g).len() as u64)
+            .sum::<u64>();
+        let p = self.p;
+        let mut children = Vec::with_capacity(p.children(t).len());
+        for &c in p.children(t) {
+            let (child_keys, key_of_row) = self.child_keys(c, &locals, keys);
+            children.push((key_of_row, self.subtree(c, &child_keys)?));
+        }
+        let _span = span!("wdpt.eval.assemble");
+        let shape = &self.shapes[t];
+        let mut out = Grouped::new(shape.width);
+        for g in 0..keys.contexts.len() {
+            for r in locals.group(g) {
+                let local = locals.row(r);
+                // The cartesian product of the children's maximal
+                // extensions. A child that is not extendable contributes
+                // nothing — maximality w.r.t. it holds vacuously.
+                let extensions = |(key_of_row, table): &(Vec<u32>, Grouped<Option<Const>>)| {
+                    table.group(key_of_row[r] as usize)
+                };
+                let combinations: usize = children
+                    .iter()
+                    .map(|child| extensions(child).len().max(1))
+                    .product();
+                for combination in 0..combinations {
+                    if self.token.should_stop(&mut self.poll_steps) {
+                        return Err(Cancelled);
                     }
+                    out.cells
+                        .extend(shape.fresh.iter().map(|&slot| Some(local[slot])));
+                    let mut rest = combination;
+                    for child in &children {
+                        let ext = extensions(child);
+                        let table = &child.1;
+                        if ext.is_empty() {
+                            out.cells.extend(std::iter::repeat_n(None, table.width));
+                        } else {
+                            out.cells
+                                .extend_from_slice(table.row(ext.start + rest % ext.len()));
+                            rest /= ext.len();
+                        }
+                    }
+                    out.rows += 1;
                 }
-                acc = next;
             }
-            out.extend(acc);
+            out.close_group();
         }
         Ok(out)
     }
 }
 
-/// `job(0), …, job(n - 1)`, strided over `workers` scoped threads and
-/// returned in job order. The workers share the evaluation's cancel token,
-/// so one hitting the deadline stops the rest within one poll interval; the
-/// scope still joins everything before the error propagates.
-fn fan_out(
-    n: usize,
-    workers: usize,
-    job: impl Fn(usize) -> Result<Vec<Mapping>, Cancelled> + Sync,
-) -> Result<Vec<Vec<Mapping>>, Cancelled> {
-    let mut results: Vec<Vec<Mapping>> = vec![Vec::new(); n];
-    let mut cancelled = false;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let job = &job;
-                s.spawn(move || {
-                    let _span = span!("wdpt.parallel.worker");
-                    let mut out = Vec::new();
-                    for idx in (w..n).step_by(workers) {
-                        wdpt_model::stats::record_parallel_task();
-                        out.push((idx, job(idx)?));
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join().expect("worker thread panicked") {
-                Ok(done) => done.into_iter().for_each(|(idx, exts)| results[idx] = exts),
-                Err(Cancelled) => cancelled = true,
-            }
+/// The order of [`Mapping`]s (lexicographic over their `(variable, value)`
+/// pairs) on rows whose cells stand for ascending variables: at the first
+/// cell where the rows differ, two values compare as values; a bound cell
+/// against an unbound one comes first if the other row binds a later
+/// variable (its next pair has the larger variable), last if it binds none
+/// (it is a proper prefix).
+fn cmp_as_mappings(a: &[Option<Const>], b: &[Option<Const>]) -> Ordering {
+    for (i, cells) in a.iter().zip(b).enumerate() {
+        let binds_later = |row: &[Option<Const>]| row[i + 1..].iter().any(Option::is_some);
+        match cells {
+            (Some(x), Some(y)) if x != y => return x.cmp(y),
+            (Some(_), None) if binds_later(b) => return Ordering::Less,
+            (Some(_), None) => return Ordering::Greater,
+            (None, Some(_)) if binds_later(a) => return Ordering::Greater,
+            (None, Some(_)) => return Ordering::Less,
+            _ => {}
         }
-    });
-    if cancelled {
-        Err(Cancelled)
-    } else {
-        Ok(results)
     }
+    Ordering::Equal
 }
 
-/// The one executor: all maximal homomorphisms from `p` to `db`, canonically
-/// ordered, plus the per-node local-homomorphism counts (preorder ids) —
-/// which survive cancellation, so a deadline-killed query can still be
-/// explained. `threads` bounds the workers the root's (local homomorphism ×
-/// OPT child) jobs are spread over (`0` means
-/// [`std::thread::available_parallelism`]); with one worker no thread is
+/// The one executor: the maximal homomorphisms from `p` to `db` projected
+/// onto `onto` (all of `p`'s variables: the maximal homomorphisms
+/// themselves), deduplicated, in the canonical order — ascending as
+/// [`Mapping`]s — plus the per-node local-homomorphism counts (preorder
+/// ids), which survive cancellation, so a deadline-killed query can still
+/// be explained. Rows stay flat until the very end: they are projected,
+/// sorted and deduplicated once, and only the survivors become `Mapping`s.
+///
+/// `threads` bounds the workers each node's searches — one per distinct
+/// interface valuation — are spread over (`0` means
+/// [`std::thread::available_parallelism`]); with one worker, or at a node
+/// with too few keys to share out ([`MIN_KEYS_PER_WORKER`]), no thread is
 /// spawned. Answers are identical at every thread count and under any plan;
 /// backtracking work is identical at every thread count.
 pub(crate) fn execute(
@@ -192,41 +398,72 @@ pub(crate) fn execute(
     threads: usize,
     token: &CancelToken,
     plan: Option<&ExecPlan>,
+    onto: &BTreeSet<Var>,
 ) -> (Result<Vec<Mapping>, Cancelled>, Vec<u64>) {
     let _span = span!("wdpt.eval.execute");
-    let workers = match threads {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    };
-    let run = Run {
+    let mut run = Run {
         p,
         db,
         plan,
         token,
-        homs: (0..p.node_count()).map(|_| AtomicU64::new(0)).collect(),
+        workers: match threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        },
+        shapes: shapes(p),
+        homs: vec![0; p.node_count()],
+        poll_steps: 0,
     };
-    // BTreeSet puts the homomorphisms in canonical order.
-    let homs = run
-        .extensions(p.root(), &Mapping::empty(), workers)
-        .map(|homs| {
-            let set: BTreeSet<Mapping> = homs.into_iter().collect();
-            set.into_iter().collect()
-        });
-    (homs, run.homs.iter().map(|a| a.load(Relaxed)).collect())
-}
-
-/// Projections of `homs` onto the free variables of `p`, deduplicated.
-pub(crate) fn project_free(p: &Wdpt, homs: Vec<Mapping>) -> Vec<Mapping> {
-    let free = p.free_set();
-    let set: BTreeSet<Mapping> = homs.into_iter().map(|h| h.restrict(&free)).collect();
-    set.into_iter().collect()
+    // The root has no interface: one key, the empty valuation, one context.
+    let root_key = Keys {
+        width: 0,
+        cells: Vec::new(),
+        contexts: vec![1],
+    };
+    let answers = run.subtree(p.root(), &root_key).map(|table| {
+        let mut columns = Vec::with_capacity(table.width);
+        layout(p, &run.shapes, p.root(), &mut columns);
+        // The cells to keep, in ascending variable order.
+        let mut kept: Vec<(Var, usize)> = columns
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| onto.contains(v))
+            .map(|(cell, &v)| (v, cell))
+            .collect();
+        kept.sort_unstable();
+        if kept.is_empty() {
+            // Nothing to tell the rows apart by.
+            return Vec::from_iter((table.rows > 0).then(Mapping::empty));
+        }
+        let projected: Vec<Option<Const>> = (0..table.rows)
+            .flat_map(|r| {
+                let row = table.row(r);
+                kept.iter().map(move |&(_, cell)| row[cell])
+            })
+            .collect();
+        let mut rows: Vec<&[Option<Const>]> = projected.chunks_exact(kept.len()).collect();
+        rows.sort_unstable_by(|a, b| cmp_as_mappings(a, b));
+        rows.dedup();
+        rows.into_iter()
+            .map(|row| {
+                let mut pairs = Vec::with_capacity(row.iter().flatten().count());
+                pairs.extend(
+                    kept.iter()
+                        .zip(row)
+                        .filter_map(|(&(v, _), cell)| cell.map(|c| (v, c))),
+                );
+                Mapping::from_sorted(pairs)
+            })
+            .collect()
+    });
+    (answers, run.homs)
 }
 
 /// All maximal homomorphisms from `p` to `db` (on their various domains).
 /// Exponential in the size of the output; intended for exact small-scale
 /// semantics, tests, and the intractable baselines of the benchmarks.
 pub fn maximal_homomorphisms(p: &Wdpt, db: &Database) -> Vec<Mapping> {
-    execute(p, db, 1, CancelToken::never(), None)
+    execute(p, db, 1, CancelToken::never(), None, &p.all_variables())
         .0
         .expect("the never token cannot cancel")
 }
@@ -234,7 +471,8 @@ pub fn maximal_homomorphisms(p: &Wdpt, db: &Database) -> Vec<Mapping> {
 /// The evaluation `p(D)`: projections of the maximal homomorphisms onto the
 /// free variables, deduplicated (Definition 2).
 pub fn evaluate(p: &Wdpt, db: &Database) -> Vec<Mapping> {
-    project_free(p, maximal_homomorphisms(p, db))
+    try_evaluate_parallel_planned(p, db, 1, CancelToken::never(), None)
+        .expect("the never token cannot cancel")
 }
 
 /// The maximal-mapping semantics `p_m(D)` (Section 3.4): the ⊑-maximal
@@ -257,7 +495,7 @@ pub fn try_evaluate_parallel_planned(
     token: &CancelToken,
     plan: Option<&ExecPlan>,
 ) -> Result<Vec<Mapping>, Cancelled> {
-    Ok(project_free(p, execute(p, db, threads, token, plan).0?))
+    execute(p, db, threads, token, plan, &p.free_set()).0
 }
 
 /// All homomorphisms from `p` to `db` (not only maximal ones): full
@@ -265,14 +503,14 @@ pub fn try_evaluate_parallel_planned(
 /// used by tests and as the reference implementation for the decision
 /// procedures.
 pub fn all_homomorphisms(p: &Wdpt, db: &Database) -> Vec<Mapping> {
-    let mut out: BTreeSet<Mapping> = BTreeSet::new();
+    let mut out = Vec::new();
     p.for_each_rooted_subtree(&mut |subtree| {
         let q = p.cq_of_subtree(subtree);
-        for h in extend_all(db, q.body(), &Mapping::empty()) {
-            out.insert(h);
-        }
+        out.extend(extend_all(db, q.body(), &Mapping::empty()));
     });
-    out.into_iter().collect()
+    out.sort();
+    out.dedup();
+    out
 }
 
 /// Reference check that a mapping is a homomorphism from `p` to `db`
@@ -310,6 +548,15 @@ pub fn is_maximal_homomorphism(p: &Wdpt, db: &Database, h: &Mapping) -> bool {
 /// `p(D)` non-empty)? Equivalent to the root label having a homomorphism.
 pub fn satisfiable(p: &Wdpt, db: &Database) -> bool {
     extend_exists(db, p.atoms(p.root()), &Mapping::empty())
+}
+
+/// `wdpt.parallel_tasks` is process-wide and the harness runs this crate's
+/// tests on parallel threads: the tests that fan out at all and the tests
+/// that assert nothing was fanned out hold this lock.
+#[cfg(test)]
+pub(crate) fn fan_out_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -485,8 +732,9 @@ mod tests {
         let (p, db) = example2(&mut i);
         for threads in [0, 1, 2, 4, 16] {
             assert_eq!(eval_at(&p, &db, threads), evaluate(&p, &db));
+            let every_var = p.all_variables();
             assert_eq!(
-                execute(&p, &db, threads, CancelToken::never(), None).0,
+                execute(&p, &db, threads, CancelToken::never(), None, &every_var).0,
                 Ok(maximal_homomorphisms(&p, &db))
             );
         }
@@ -494,6 +742,7 @@ mod tests {
 
     #[test]
     fn single_node_trees_fan_nothing_out() {
+        let _fan_out = fan_out_test_lock();
         let mut i = Interner::new();
         let root = parse_atoms(&mut i, "a(?x)").unwrap();
         let p = WdptBuilder::new(root).build(vec![i.var("x")]).unwrap();
@@ -506,23 +755,104 @@ mod tests {
         assert_eq!(delta.parallel_tasks, 0);
     }
 
-    #[test]
-    fn fans_out_one_task_per_context_child_pair() {
-        let mut i = Interner::new();
-        // 3 root homomorphisms × 2 children = 6 work items.
-        let root = parse_atoms(&mut i, "a(?x)").unwrap();
+    /// `a(?x)` over `values` constants with the OPT children `b(?x,?y)` and
+    /// `c(?x,?z)`, each extendable at every third value.
+    fn two_children(i: &mut Interner, values: usize) -> (Wdpt, Database) {
+        let root = parse_atoms(i, "a(?x)").unwrap();
         let mut b = WdptBuilder::new(root);
-        b.child(0, parse_atoms(&mut i, "b(?x,?y)").unwrap());
-        b.child(0, parse_atoms(&mut i, "c(?x,?z)").unwrap());
+        b.child(0, parse_atoms(i, "b(?x,?y)").unwrap());
+        b.child(0, parse_atoms(i, "c(?x,?z)").unwrap());
         let free = ["x", "y", "z"].iter().map(|n| i.var(n)).collect();
-        let p = b.build(free).unwrap();
-        let db = parse_database(&mut i, "a(1) a(2) a(3) b(1,10) b(2,20) c(2,30) c(3,31)").unwrap();
+        let mut spec = String::new();
+        for j in 0..values {
+            spec.push_str(&format!("a({j}) "));
+            match j % 3 {
+                0 => spec.push_str(&format!("b({j},y{j}) ")),
+                1 => spec.push_str(&format!("c({j},z{j}) ")),
+                _ => {}
+            }
+        }
+        (b.build(free).unwrap(), parse_database(i, &spec).unwrap())
+    }
+
+    #[test]
+    fn fans_out_one_task_per_child_and_interface_valuation() {
+        let _fan_out = fan_out_test_lock();
+        let mut i = Interner::new();
+        // 2 children × 600 distinct values of ?x = 1200 work items, enough
+        // keys per child for two workers.
+        let (p, db) = two_children(&mut i, 600);
         let before = wdpt_model::stats::snapshot();
         let ans = eval_at(&p, &db, 4);
         let delta = wdpt_model::stats::snapshot().since(&before);
         assert_eq!(ans, evaluate(&p, &db));
-        assert_eq!(ans.len(), 3);
-        assert!(delta.parallel_tasks >= 6);
+        assert_eq!(ans.len(), 600);
+        assert!(delta.parallel_tasks >= 1200);
+    }
+
+    #[test]
+    fn a_handful_of_keys_is_searched_on_the_calling_thread() {
+        let _fan_out = fan_out_test_lock();
+        let mut i = Interner::new();
+        // One key short of two workers' worth per child.
+        let (p, db) = two_children(&mut i, 2 * MIN_KEYS_PER_WORKER - 1);
+        let before = wdpt_model::stats::snapshot();
+        let ans = eval_at(&p, &db, 4);
+        let delta = wdpt_model::stats::snapshot().since(&before);
+        assert_eq!(ans, evaluate(&p, &db));
+        assert_eq!(delta.parallel_tasks, 0);
+    }
+
+    #[test]
+    fn a_subtree_is_searched_once_per_interface_valuation() {
+        let mut i = Interner::new();
+        // 2000 root homomorphisms over two values of ?u, the child's whole
+        // interface; u0 has two extensions, u1 none.
+        let mut b = WdptBuilder::new(parse_atoms(&mut i, "a(?x,?u)").unwrap());
+        b.child(0, parse_atoms(&mut i, "b(?u,?y)").unwrap());
+        let free = ["x", "y"].iter().map(|n| i.var(n)).collect();
+        let p = b.build(free).unwrap();
+        let mut spec = String::from("b(u0,y0) b(u0,y1) ");
+        for j in 0..2000 {
+            spec.push_str(&format!("a(x{j},u{}) ", j % 2));
+        }
+        let db = parse_database(&mut i, &spec).unwrap();
+        let ((answers, homs), work) = wdpt_obs::delta_scope(|| {
+            execute(&p, &db, 1, CancelToken::never(), None, &p.free_set())
+        });
+        // 1000 contexts × 2 extensions, and 1000 contexts left as they are.
+        assert_eq!(answers.unwrap().len(), 3000);
+        // One search node for the root's atom and one per value of ?u: 3,
+        // where a search per context makes 2001. (The slack absorbs other
+        // tests of this binary recording into the process-wide counter.)
+        assert!(work.counter("cq.nodes_expanded") <= 1000);
+        // The tally still counts every context's homomorphisms.
+        assert_eq!(homs, vec![2000, 2000]);
+    }
+
+    #[test]
+    fn rows_sort_like_the_mappings_they_become() {
+        // Every row over three variables with cells in {unbound, 0, 1}.
+        let cell = |code: usize| (code > 0).then(|| wdpt_model::Const(code as u32 - 1));
+        let rows: Vec<[Option<wdpt_model::Const>; 3]> = (0..27)
+            .map(|code| [cell(code % 3), cell(code / 3 % 3), cell(code / 9)])
+            .collect();
+        let mapping = |row: &[Option<wdpt_model::Const>; 3]| {
+            Mapping::from_pairs(
+                row.iter()
+                    .enumerate()
+                    .filter_map(|(v, c)| c.map(|c| (Var(v as u32), c))),
+            )
+        };
+        for a in &rows {
+            for b in &rows {
+                assert_eq!(
+                    cmp_as_mappings(a, b),
+                    mapping(a).cmp(&mapping(b)),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!   hypergraph, substitution, and canonical (frozen) database.
 //! * [`backtrack`] — the generic backtracking join: the baseline evaluation
 //!   algorithm that exists for *all* CQs (NP-complete in general,
-//!   Chandra–Merlin). One search behind [`extend_all`], [`extend_exists`]
-//!   and the cancellable [`try_extend_all`], which also takes a planned
-//!   static atom order.
+//!   Chandra–Merlin). One search over atoms compiled to slot steps — the
+//!   reusable [`Search`] the WDPT executor drives — behind [`extend_all`],
+//!   [`extend_exists`] and the cancellable [`try_extend_all`], which also
+//!   takes a planned static atom order.
 //! * [`structured`] — decomposition-guided evaluation: bag materialization
 //!   plus Yannakakis semijoin passes over a tree decomposition (`TW(k)`,
 //!   Theorem 2) or a generalized hypertree decomposition (`HW(k)`,
@@ -33,7 +34,7 @@ pub mod quotient;
 pub mod structured;
 pub mod widths;
 
-pub use backtrack::{evaluate, extend_all, extend_exists, try_extend_all};
+pub use backtrack::{evaluate, extend_all, extend_exists, try_extend_all, Search};
 pub use containment::{contained_in, equivalent, freeze};
 pub use core_of::{core_of, try_core_of};
 pub use counting::count_homomorphisms;

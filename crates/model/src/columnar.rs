@@ -203,7 +203,11 @@ impl ColumnarRelation {
             let Some(delta) = read_uvarint(blob, &mut pos) else {
                 return;
             };
-            key = if i == 0 { delta } else { key.saturating_add(delta) };
+            key = if i == 0 {
+                delta
+            } else {
+                key.saturating_add(delta)
+            };
             let Some(len) = read_uvarint(blob, &mut pos) else {
                 return;
             };
@@ -257,7 +261,16 @@ mod tests {
 
     #[test]
     fn zigzag_round_trips() {
-        for v in [0i64, 1, -1, 63, -64, i64::from(u32::MAX), i64::MIN, i64::MAX] {
+        for v in [
+            0i64,
+            1,
+            -1,
+            63,
+            -64,
+            i64::from(u32::MAX),
+            i64::MIN,
+            i64::MAX,
+        ] {
             assert_eq!(unzigzag(zigzag(v)), v);
         }
         // Small magnitudes stay small: |v| ≤ 63 fits one varint byte.

@@ -21,44 +21,116 @@ use crate::stats;
 use crate::term::{Const, Pred};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::OnceLock;
-use wdpt_obs::histogram;
+use wdpt_obs::{histogram, LocalHistogram};
 
-/// Iterator adapter that tallies how many candidate tuples pass through it
-/// and flushes the tally as **one** batched counter update on drop. The
-/// match iterators sit on the innermost loops of every engine, so paying a
-/// relaxed `fetch_add` per tuple (as the seed did via `inspect`) is
-/// measurable; a local `u64` increment is not.
-struct CountScans<I> {
-    inner: I,
+/// The index work of one search, counted locally and added to the shared
+/// counters in one batch when the tally is dropped. Probes and candidate
+/// tuples sit on the innermost loop of every engine: a relaxed `fetch_add`
+/// per tuple and four more per probe for the posting-length histogram are
+/// measurable there, a local increment is not. Whoever runs a search owns
+/// one and lends it to every [`Relation::candidates`] call of that search;
+/// [`Relation::matching`] keeps its own.
+#[derive(Debug)]
+pub struct ProbeTally {
+    probes: u64,
     scanned: u64,
+    /// Length of the posting list each indexed probe settled on. The
+    /// distribution is only kept by a tally made while tracing is on
+    /// (profiled runs), as it was when every probe recorded into the shared
+    /// histogram directly; the others carry no buckets at all.
+    posting_lens: Option<Box<LocalHistogram>>,
 }
 
-impl<I> CountScans<I> {
-    fn new(inner: I) -> Self {
-        CountScans { inner, scanned: 0 }
+impl Default for ProbeTally {
+    fn default() -> Self {
+        ProbeTally {
+            probes: 0,
+            scanned: 0,
+            posting_lens: wdpt_obs::tracing_enabled().then(Box::default),
+        }
     }
 }
 
-impl<I: Iterator> Iterator for CountScans<I> {
-    type Item = I::Item;
+impl ProbeTally {
+    /// Counts `n` candidate tuples examined.
+    #[inline]
+    pub fn add_scanned(&mut self, n: u64) {
+        self.scanned += n;
+    }
+}
+
+impl Drop for ProbeTally {
+    fn drop(&mut self) {
+        stats::record_index_probes(self.probes);
+        stats::record_tuples_scanned(self.scanned);
+        if let Some(lens) = &self.posting_lens {
+            histogram!("db.posting_list_len").merge(lens);
+        }
+    }
+}
+
+/// The tuples one probe has to look at: the rows of the shortest posting
+/// list among its bound columns, or the whole relation when no column is
+/// bound. The caller checks the remaining columns itself.
+#[derive(Debug, Clone)]
+pub struct Candidates<'a>(CandidateRows<'a>);
+
+#[derive(Debug, Clone)]
+enum CandidateRows<'a> {
+    /// Rows named by one posting list.
+    Posted {
+        tuples: &'a [Box<[Const]>],
+        rows: std::slice::Iter<'a, u32>,
+    },
+    /// Every tuple of the relation.
+    All(std::slice::Iter<'a, Box<[Const]>>),
+}
+
+impl<'a> Iterator for Candidates<'a> {
+    type Item = &'a [Const];
 
     #[inline]
-    fn next(&mut self) -> Option<I::Item> {
-        let item = self.inner.next();
-        if item.is_some() {
-            self.scanned += 1;
+    fn next(&mut self) -> Option<&'a [Const]> {
+        match &mut self.0 {
+            CandidateRows::Posted { tuples, rows } => rows.next().map(|&r| &*tuples[r as usize]),
+            CandidateRows::All(tuples) => tuples.next().map(|t| &**t),
         }
-        item
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
+        match &self.0 {
+            CandidateRows::Posted { rows, .. } => rows.size_hint(),
+            CandidateRows::All(tuples) => tuples.size_hint(),
+        }
     }
 }
 
-impl<I> Drop for CountScans<I> {
-    fn drop(&mut self) {
-        stats::record_tuples_scanned(self.scanned);
+/// The iterator behind [`Relation::matching`]: the candidates of the probe,
+/// filtered by the pattern. Counts what it examined and reports it when
+/// dropped, exhausted or not.
+#[derive(Debug)]
+pub struct Matching<'a> {
+    candidates: Candidates<'a>,
+    pattern: &'a [Option<Const>],
+    tally: ProbeTally,
+}
+
+impl<'a> Iterator for Matching<'a> {
+    type Item = &'a [Const];
+
+    fn next(&mut self) -> Option<&'a [Const]> {
+        for t in self.candidates.by_ref() {
+            self.tally.scanned += 1;
+            let hit = self
+                .pattern
+                .iter()
+                .zip(t)
+                .all(|(p, v)| p.is_none_or(|c| c == *v));
+            if hit {
+                return Some(t);
+            }
+        }
+        None
     }
 }
 
@@ -367,87 +439,64 @@ impl Relation {
     /// column index if needed). This is the exact number of tuples with
     /// `t[col] == c`.
     pub fn posting_len(&self, col: usize, c: Const) -> usize {
-        stats::record_index_probe();
+        stats::record_index_probes(1);
         self.index_for(col).get(&c).map_or(0, Vec::len)
     }
 
-    /// Estimated number of tuples matching `pattern` for join-ordering
-    /// heuristics: exact (0/1) when fully bound, the shortest posting list
-    /// among bound columns when partially bound, and the relation size when
-    /// unbound. Never underestimates except for repeated-constant patterns,
-    /// where the true count can only be smaller.
-    pub fn estimate_matching(&self, pattern: &[Option<Const>]) -> usize {
-        debug_assert_eq!(pattern.len(), self.arity);
-        let mut best: Option<usize> = None;
-        let mut fully_bound = true;
-        for (col, p) in pattern.iter().enumerate() {
-            match p {
-                Some(c) => {
-                    let len = self.posting_len(col, *c);
-                    if best.is_none_or(|b| len < b) {
-                        best = Some(len);
-                    }
+    /// The rows with `t[col] == c`, ascending (building the column index if
+    /// needed): one hash lookup, counted in `tally` as one index probe.
+    #[inline]
+    pub fn postings(&self, col: usize, c: Const, tally: &mut ProbeTally) -> &[u32] {
+        tally.probes += 1;
+        self.index_for(col).get(&c).map_or(&[], Vec::as_slice)
+    }
+
+    /// The tuples a probe with the given `(column, value)` constraints has
+    /// to examine: the rows of the shortest posting list among them (the
+    /// first such column on a tie; one hash lookup per constraint), or the
+    /// whole relation when there is none. Tuples are *not* checked against
+    /// the constraints — the caller does that, and counts what it examined
+    /// with [`ProbeTally::add_scanned`].
+    pub fn candidates(
+        &self,
+        bound: impl Iterator<Item = (usize, Const)>,
+        tally: &mut ProbeTally,
+    ) -> Candidates<'_> {
+        let mut best: Option<&[u32]> = None;
+        for (col, c) in bound {
+            let rows = self.postings(col, c, tally);
+            if best.is_none_or(|b| rows.len() < b.len()) {
+                best = Some(rows);
+            }
+        }
+        Candidates(match best {
+            Some(rows) => {
+                if let Some(lens) = &mut tally.posting_lens {
+                    lens.record(rows.len() as u64);
                 }
-                None => fully_bound = false,
+                CandidateRows::Posted {
+                    tuples: self.tuple_vec(),
+                    rows: rows.iter(),
+                }
             }
-        }
-        match best {
-            Some(0) => 0,
-            Some(_) if fully_bound => {
-                let t: Vec<Const> = pattern.iter().map(|c| c.unwrap()).collect();
-                usize::from(self.contains(&t))
-            }
-            Some(len) => len,
-            None => self.len(),
-        }
+            None => CandidateRows::All(self.tuple_vec().iter()),
+        })
     }
 
     /// Iterates over tuples matching `pattern`: position `i` must equal
     /// `pattern[i]` when it is `Some(c)`. Uses the column index of the most
     /// selective bound position when one exists.
-    pub fn matching<'a>(
-        &'a self,
-        pattern: &'a [Option<Const>],
-    ) -> Box<dyn Iterator<Item = &'a [Const]> + 'a> {
+    pub fn matching<'a>(&'a self, pattern: &'a [Option<Const>]) -> Matching<'a> {
         debug_assert_eq!(pattern.len(), self.arity);
-        // Pick the bound column whose posting list is shortest.
-        let mut best: Option<(usize, usize)> = None; // (column, postings len)
-        for (col, p) in pattern.iter().enumerate() {
-            if let Some(c) = p {
-                let len = self.posting_len(col, *c);
-                if best.is_none_or(|(_, bl)| len < bl) {
-                    best = Some((col, len));
-                }
-            }
-        }
-        let matches = move |t: &&[Const]| {
-            pattern
-                .iter()
-                .zip(t.iter())
-                .all(|(p, v)| p.is_none_or(|c| c == *v))
-        };
-        match best {
-            Some((col, len)) => {
-                // Histogram recording costs several atomic RMWs per probe —
-                // too much for this hot path to pay unconditionally, so the
-                // distribution is only collected while tracing is on (i.e.
-                // during profiled runs).
-                if wdpt_obs::tracing_enabled() {
-                    histogram!("db.posting_list_len").record(len as u64);
-                }
-                let c = pattern[col].expect("bound column");
-                let postings = self
-                    .index_for(col)
-                    .get(&c)
-                    .map(Vec::as_slice)
-                    .unwrap_or(&[]);
-                let tuples = self.tuple_vec();
-                Box::new(
-                    CountScans::new(postings.iter().map(move |&i| &*tuples[i as usize]))
-                        .filter(matches),
-                )
-            }
-            None => Box::new(CountScans::new(self.tuples()).filter(matches)),
+        let mut tally = ProbeTally::default();
+        let bound = pattern
+            .iter()
+            .enumerate()
+            .filter_map(|(col, p)| p.map(|c| (col, c)));
+        Matching {
+            candidates: self.candidates(bound, &mut tally),
+            pattern,
+            tally,
         }
     }
 
@@ -845,33 +894,6 @@ mod tests {
             "scans = {} — queries fell back to full scans",
             delta.tuples_scanned
         );
-    }
-
-    #[test]
-    fn estimate_matching_uses_posting_lists() {
-        let mut i = Interner::new();
-        let e = i.pred("e");
-        let hub = i.constant("hub");
-        let rare = i.constant("rare");
-        let mut db = Database::new();
-        for j in 0..50 {
-            let s = i.constant(&format!("s{j}"));
-            db.insert(e, vec![s, hub]);
-        }
-        db.insert(e, vec![rare, hub]);
-        let rel = db.relation(e).unwrap();
-        // Unbound: relation size.
-        assert_eq!(rel.estimate_matching(&[None, None]), 51);
-        // Bound on a selective column: the posting list length, NOT len().
-        assert_eq!(rel.estimate_matching(&[Some(rare), None]), 1);
-        // Bound on an unselective column: its posting list length.
-        assert_eq!(rel.estimate_matching(&[None, Some(hub)]), 51);
-        // Fully bound: exact 0/1.
-        assert_eq!(rel.estimate_matching(&[Some(rare), Some(hub)]), 1);
-        assert_eq!(rel.estimate_matching(&[Some(hub), Some(rare)]), 0);
-        // Bound to an absent constant: 0.
-        let ghost = i.constant("ghost");
-        assert_eq!(rel.estimate_matching(&[Some(ghost), None]), 0);
     }
 
     #[test]

@@ -36,6 +36,18 @@ impl Mapping {
         m
     }
 
+    /// Builds a mapping from pairs already in strictly ascending variable
+    /// order — what an evaluator holding its variables sorted has in hand —
+    /// without the per-pair search of [`Mapping::from_pairs`]. Panics on
+    /// any other order: lookup, `Eq` and `Ord` all rest on it.
+    pub fn from_sorted(pairs: Vec<(Var, Const)>) -> Self {
+        assert!(
+            pairs.windows(2).all(|w| w[0].0 < w[1].0),
+            "Mapping::from_sorted: variables not strictly ascending"
+        );
+        Mapping { pairs }
+    }
+
     /// Number of variables the mapping is defined on.
     pub fn len(&self) -> usize {
         self.pairs.len()
@@ -226,6 +238,19 @@ mod tests {
         assert!(!m.insert(Var(1), Const(6)));
         assert_eq!(m.get(Var(1)), Some(Const(5)));
         assert!(m.insert(Var(1), Const(5)));
+    }
+
+    #[test]
+    fn from_sorted_equals_from_pairs() {
+        let sorted = Mapping::from_sorted(vec![vc(1, 5), vc(3, 7)]);
+        assert_eq!(sorted, Mapping::from_pairs(vec![vc(3, 7), vc(1, 5)]));
+        assert_eq!(sorted.get(Var(3)), Some(Const(7)));
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly ascending")]
+    fn from_sorted_rejects_unsorted_pairs() {
+        Mapping::from_sorted(vec![vc(3, 7), vc(1, 5)]);
     }
 
     #[test]

@@ -97,29 +97,32 @@ pub(crate) fn record_index_build() {
     counter!(INDEX_BUILDS).incr();
 }
 
+/// Records `n` posting-list lookups in one batch (see
+/// [`ProbeTally`](crate::database::ProbeTally)).
 #[inline]
-pub(crate) fn record_index_probe() {
-    counter!(INDEX_PROBES).incr();
+pub(crate) fn record_index_probes(n: u64) {
+    counter!(INDEX_PROBES).add(n);
 }
 
-/// Records `n` candidate tuples scanned in one batch. Match iterators
-/// count locally and flush once on drop rather than paying one atomic RMW
-/// per tuple.
+/// Records `n` candidate tuples scanned in one batch. Searches count
+/// locally and flush once rather than paying one atomic RMW per tuple.
 #[inline]
 pub(crate) fn record_tuples_scanned(n: u64) {
     counter!(TUPLES_SCANNED).add(n);
 }
 
-/// Records one expanded search node (called by the CQ engines).
+/// Records `n` expanded search nodes in one batch (called by the CQ
+/// engines, which count per search).
 #[inline]
-pub fn record_node_expanded() {
-    counter!(NODES_EXPANDED).incr();
+pub fn record_nodes_expanded(n: u64) {
+    counter!(NODES_EXPANDED).add(n);
 }
 
-/// Records one executed parallel work item (called by the WDPT evaluator).
+/// Records `n` executed parallel work items (called by the WDPT
+/// evaluator, once per worker).
 #[inline]
-pub fn record_parallel_task() {
-    counter!(PARALLEL_TASKS).incr();
+pub fn record_parallel_tasks(n: u64) {
+    counter!(PARALLEL_TASKS).add(n);
 }
 
 #[cfg(test)]
@@ -167,7 +170,7 @@ mod tests {
     #[test]
     fn facade_and_registry_agree() {
         let before = snapshot();
-        record_node_expanded();
+        record_nodes_expanded(1);
         record_tuples_scanned(3);
         let delta = snapshot().since(&before);
         assert!(delta.nodes_expanded >= 1);

@@ -141,6 +141,23 @@ impl RawHistogram {
         self.buckets[Self::bucket_of(v)].fetch_add(1, Relaxed);
     }
 
+    /// Adds everything `local` holds in one batch: at most one atomic per
+    /// non-empty bucket plus three for count, sum and max, however many
+    /// observations that is.
+    pub fn merge(&self, local: &LocalHistogram) {
+        if local.count == 0 {
+            return;
+        }
+        self.count.fetch_add(local.count, Relaxed);
+        self.sum.fetch_add(local.sum, Relaxed);
+        self.max.fetch_max(local.max, Relaxed);
+        for (bucket, &n) in self.buckets.iter().zip(&local.buckets) {
+            if n != 0 {
+                bucket.fetch_add(n, Relaxed);
+            }
+        }
+    }
+
     /// Number of observations so far.
     pub fn count(&self) -> u64 {
         self.count.load(Relaxed)
@@ -155,6 +172,40 @@ impl RawHistogram {
             max: self.max.load(Relaxed),
             buckets: self.buckets.iter().map(|b| b.load(Relaxed)).collect(),
         }
+    }
+}
+
+/// The same bucket layout without atomics: a hot loop records into one it
+/// owns and hands the lot to [`Histogram::merge`] when it is done, so the
+/// shared cache lines are touched once per loop instead of four times per
+/// observation.
+#[derive(Debug, Clone)]
+pub struct LocalHistogram {
+    count: u64,
+    sum: u64,
+    max: u64,
+    buckets: [u64; HISTOGRAM_BUCKETS],
+}
+
+impl Default for LocalHistogram {
+    fn default() -> Self {
+        LocalHistogram {
+            count: 0,
+            sum: 0,
+            max: 0,
+            buckets: [0; HISTOGRAM_BUCKETS],
+        }
+    }
+}
+
+impl LocalHistogram {
+    /// Records one observation.
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.count += 1;
+        self.sum += v;
+        self.max = self.max.max(v);
+        self.buckets[RawHistogram::bucket_of(v)] += 1;
     }
 }
 
@@ -177,6 +228,11 @@ impl Histogram {
     #[inline]
     pub fn record(&self, v: u64) {
         self.raw.record(v);
+    }
+
+    /// Adds a locally accumulated batch (see [`LocalHistogram`]).
+    pub fn merge(&self, local: &LocalHistogram) {
+        self.raw.merge(local);
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
@@ -533,6 +589,20 @@ mod tests {
         assert_eq!(hs.buckets[1], 1); // the 1
         assert_eq!(hs.buckets[3], 2); // the 5s ∈ [4,8)
         assert!((hs.mean() - 202.2).abs() < 1e-9);
+    }
+
+    #[test]
+    fn merging_a_local_histogram_equals_recording_each_value() {
+        let one_by_one = RawHistogram::new();
+        let merged = RawHistogram::new();
+        let mut local = LocalHistogram::default();
+        merged.merge(&local); // empty: a no-op
+        for v in [0u64, 1, 5, 5, 1000, u64::from(u32::MAX)] {
+            one_by_one.record(v);
+            local.record(v);
+        }
+        merged.merge(&local);
+        assert_eq!(merged.snapshot("h"), one_by_one.snapshot("h"));
     }
 
     #[test]

@@ -339,6 +339,7 @@ mod tests {
 
     #[test]
     fn recorder_diffs_spans_and_counters() {
+        let _flag = crate::span::tracing_test_lock();
         let mut rec = ProfileRecorder::start("test profile");
         {
             let _g = span!("test.profile.phase");
@@ -367,6 +368,7 @@ mod tests {
 
     #[test]
     fn recorder_restores_tracing_state() {
+        let _flag = crate::span::tracing_test_lock();
         let prev = crate::span::set_tracing(false);
         let rec = ProfileRecorder::start("test nested");
         assert!(crate::span::tracing_enabled());
@@ -377,6 +379,7 @@ mod tests {
 
     #[test]
     fn render_and_json_cover_all_sections() {
+        let _flag = crate::span::tracing_test_lock();
         let mut rec = ProfileRecorder::start("render test");
         {
             let _g = span!("test.render.outer");

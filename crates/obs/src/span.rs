@@ -75,6 +75,8 @@ thread_local! {
 #[derive(Debug)]
 pub struct SpanGuard {
     active: Option<(&'static SpanSite, Instant)>,
+    /// What the span adds to its site's call count when it closes.
+    calls: u64,
     _not_send: PhantomData<*const ()>,
 }
 
@@ -89,8 +91,16 @@ impl SpanGuard {
         STACK.with(|s| s.borrow_mut().push(0));
         SpanGuard {
             active: Some((site, Instant::now())),
+            calls: 1,
             _not_send: PhantomData,
         }
+    }
+
+    /// Makes the span count as `calls` calls of its site: one guard around
+    /// a batch of `calls` units of work times the batch once and still
+    /// reports how many units there were.
+    pub fn set_calls(&mut self, calls: u64) {
+        self.calls = calls;
     }
 
     /// An inert guard: records nothing, drop is free. The [`span!`] macro
@@ -100,6 +110,7 @@ impl SpanGuard {
     pub fn inactive() -> SpanGuard {
         SpanGuard {
             active: None,
+            calls: 1,
             _not_send: PhantomData,
         }
     }
@@ -119,7 +130,7 @@ impl Drop for SpanGuard {
             }
             nested
         });
-        site.calls.fetch_add(1, Relaxed);
+        site.calls.fetch_add(self.calls, Relaxed);
         site.total_ns.fetch_add(elapsed, Relaxed);
         site.child_ns.fetch_add(nested, Relaxed);
     }
@@ -225,12 +236,22 @@ pub fn with_tracing<T>(f: impl FnOnce() -> T) -> T {
     out
 }
 
+/// The tracing flag is process-wide and the harness runs a binary's tests
+/// on parallel threads: every test of this crate that sets the flag, or
+/// counts on it staying set, holds this lock meanwhile.
+#[cfg(test)]
+pub(crate) fn tracing_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn disabled_spans_record_nothing() {
+        let _flag = tracing_test_lock();
         let prev = set_tracing(false);
         register_span("test.span.disabled");
         let before = span_snapshot();
@@ -244,6 +265,7 @@ mod tests {
 
     #[test]
     fn nested_spans_attribute_child_time() {
+        let _flag = tracing_test_lock();
         with_tracing(|| {
             let before = span_snapshot();
             {
@@ -267,7 +289,22 @@ mod tests {
     }
 
     #[test]
+    fn a_batched_span_counts_its_units_and_times_once() {
+        let _flag = tracing_test_lock();
+        with_tracing(|| {
+            let before = span_snapshot();
+            {
+                let mut g = span!("test.span.batch");
+                g.set_calls(40);
+            }
+            let d = span_snapshot().since(&before);
+            assert_eq!(d.entry("test.span.batch").unwrap().calls, 40);
+        });
+    }
+
+    #[test]
     fn spans_aggregate_across_scoped_threads() {
+        let _flag = tracing_test_lock();
         with_tracing(|| {
             register_span("test.span.worker");
             let before = span_snapshot();

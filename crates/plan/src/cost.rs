@@ -10,11 +10,16 @@
 //! where `m_j` is the expected number of tuples matching atom `a_j` once
 //! the atoms before it (and the node's inherited ancestor variables) have
 //! bound its join variables. `m_j` comes from the statistics catalog under
-//! independence and uniformity assumptions: a relation of `r` rows with a
-//! bound column of `d` distinct values matches `r/d` tuples in
-//! expectation. The uniformity assumption is exactly what skewed data
-//! violates — which is why the serving layer compares these estimates
-//! against observed `nodes_expanded` and re-plans on sustained divergence.
+//! an independence assumption between columns. A *visible constant* is
+//! priced by what the catalog knows of that value: its exact posting length
+//! when it is one of the column's most common values, the mean over the
+//! other values when it is not — so a heavy hitter is neither missed nor
+//! allowed to inflate its neighbours. A column bound to a *variable* whose
+//! value is only known at run time is priced uniformly: a relation of `r`
+//! rows with `d` distinct values there matches `r/d` tuples in expectation.
+//! Independence is what correlated columns violate — which is why the
+//! serving layer compares these estimates against observed
+//! `nodes_expanded` and re-plans on sustained divergence.
 
 use crate::stats::StatsCatalog;
 use std::collections::BTreeSet;
@@ -28,18 +33,27 @@ pub fn est_matches(stats: &StatsCatalog, atom: &Atom, bound: &BTreeSet<Var>) -> 
     let Some(rs) = stats.relation(atom.pred) else {
         return 0.0;
     };
-    let mut est = rs.rows as f64;
+    if rs.rows == 0 {
+        return 0.0;
+    }
+    let rows = rs.rows as f64;
+    let mut est = rows;
     let mut seen_here: BTreeSet<Var> = BTreeSet::new();
     for (col, term) in atom.args.iter().enumerate() {
-        let constrained = match term {
-            Term::Const(_) => true,
+        let Some(cs) = rs.columns.get(col) else {
+            continue;
+        };
+        match term {
+            // `est · posting / rows`, in the order that keeps a single
+            // listed constant's estimate exactly its posting length.
+            Term::Const(c) => est = est * cs.est_posting(*c, rs.rows) / rows,
             // A repeated variable inside the atom is an equality
             // constraint on its second occurrence even when unbound.
-            Term::Var(v) => bound.contains(v) || !seen_here.insert(*v),
-        };
-        if constrained {
-            let distinct = rs.columns.get(col).map_or(1, |c| c.distinct).max(1);
-            est /= distinct as f64;
+            Term::Var(v) => {
+                if bound.contains(v) || !seen_here.insert(*v) {
+                    est /= cs.distinct.max(1) as f64;
+                }
+            }
         }
     }
     est
@@ -136,6 +150,47 @@ mod tests {
         let diagonal = parse_atoms(&mut i, "r(?x,?x)").unwrap();
         // 4 rows / 2 distinct in the second column: 2 expected.
         assert_eq!(est_matches(&stats, &diagonal[0], &BTreeSet::new()), 2.0);
+    }
+
+    #[test]
+    fn a_constant_costs_its_own_posting_list_when_listed_and_the_rest_mean_otherwise() {
+        use crate::stats::MCV_ENTRIES;
+        let mut i = Interner::new();
+        // Predicate column: `hot` on 200 rows, MCV_ENTRIES − 1 predicates
+        // on 12 rows each (they fill the list), 20 more on 3 rows each.
+        let mut spec = String::new();
+        let mut row = 0;
+        let mut emit = |pred: String, n: usize| {
+            for _ in 0..n {
+                spec.push_str(&format!("t(s{row},{pred},o{}) ", row % 7));
+                row += 1;
+            }
+        };
+        emit("hot".to_string(), 200);
+        for k in 0..MCV_ENTRIES - 1 {
+            emit(format!("mid{k}"), 12);
+        }
+        for k in 0..20 {
+            emit(format!("rare{k}"), 3);
+        }
+        let db = parse_database(&mut i, &spec).unwrap();
+        let stats = StatsCatalog::build(&db);
+        let rel = db.relation(i.pred("t")).unwrap();
+        let est = |i: &mut Interner, atom: &str| {
+            let atoms = parse_atoms(i, atom).unwrap();
+            est_matches(&stats, &atoms[0], &BTreeSet::new())
+        };
+        // Listed: exactly the posting length, heavy hitter or not.
+        for listed in ["hot", "mid0", "mid14"] {
+            let exact = rel.posting_len(1, i.constant(listed)) as f64;
+            assert_eq!(est(&mut i, &format!("t(?s,{listed},?o)")), exact);
+        }
+        // Unlisted: the mean over the unlisted values, (rows − Σ listed) /
+        // (distinct − listed) = 60 / 20 — not rows / distinct ≈ 12.2, which
+        // `hot` inflates.
+        assert_eq!(est(&mut i, "t(?s,rare7,?o)"), 3.0);
+        // A constant the data has never seen is priced like any unlisted one.
+        assert_eq!(est(&mut i, "t(?s,nowhere,?o)"), 3.0);
     }
 
     #[test]

@@ -89,10 +89,14 @@ pub struct NodeOrder {
     pub order: Vec<usize>,
     /// Which enumerator produced the order (under `Auto`, the winner).
     pub chosen: Strategy,
-    /// Estimated backtracking nodes for the order.
+    /// Estimated backtracking nodes for one execution of the order.
     pub est_nodes: f64,
-    /// Estimated result rows of the node's local join.
+    /// Estimated result rows of one execution of the node's local join.
     pub est_rows: f64,
+    /// How many times the node is expected to run: once per distinct
+    /// valuation of the variables it shares with its parent. `1` for a
+    /// node planned on its own; whoever knows the tree sets it.
+    pub est_execs: f64,
 }
 
 /// A full per-wdPT-node plan: one [`NodeOrder`] per tree node, indexed by
@@ -109,12 +113,12 @@ pub struct ExecPlan {
 }
 
 impl ExecPlan {
-    /// Total estimated backtracking nodes, summed over the tree's nodes.
-    /// Each node's estimate counts one execution; under evaluation a child
-    /// node runs once per ancestor context, so this is the one-pass lower
-    /// bound the re-planner compares observed work against.
+    /// Total estimated backtracking nodes: each tree node's estimate times
+    /// its expected executions, summed — the same quantity an evaluation's
+    /// `cq.nodes_expanded` observes, which is what the re-planner compares
+    /// it against.
     pub fn est_nodes(&self) -> f64 {
-        self.nodes.iter().map(|n| n.est_nodes).sum()
+        self.nodes.iter().map(|n| n.est_nodes * n.est_execs).sum()
     }
 }
 
@@ -131,6 +135,7 @@ fn finish(
         chosen,
         est_nodes: nodes,
         est_rows: rows,
+        est_execs: 1.0,
     }
 }
 

@@ -3,9 +3,9 @@
 //! Three pieces, composed bottom-up:
 //!
 //! 1. **Statistics** ([`stats`]): a [`StatsCatalog`] summarizes one
-//!    database version — row counts, per-column distinct counts, and a
-//!    posting-length sketch — stamped with a monotone epoch so cached
-//!    plans can detect staleness.
+//!    database version — row counts, per-column distinct counts, a
+//!    posting-length sketch and the most common values — stamped with a
+//!    monotone epoch so cached plans can detect staleness.
 //! 2. **Cost model** ([`cost`]): [`est_matches`] estimates the tuples an
 //!    atom matches given a bound-variable set, and [`order_cost`] folds
 //!    that into the expected backtracking nodes of a whole atom order —
@@ -31,4 +31,4 @@ pub use enumerate::{
     plan_bushy, plan_dp, plan_greedy, plan_node, ExecPlan, NodeOrder, Strategy, MAX_BUSHY_ATOMS,
     MAX_DP_ATOMS,
 };
-pub use stats::{ColumnStats, RelationStats, StatsCatalog, SKETCH_BUCKETS};
+pub use stats::{ColumnStats, RelationStats, StatsCatalog, MCV_ENTRIES, SKETCH_BUCKETS};

@@ -2,8 +2,8 @@
 //! the cost model estimates with.
 //!
 //! A [`StatsCatalog`] is a pure summary of one [`Database`] version: row
-//! counts, per-column distinct counts, and a log₂ posting-length sketch per
-//! column. It is built in one pass over the relations at load/reload/delta
+//! counts, per-column distinct counts, a log₂ posting-length sketch and the
+//! most common values per column. It is built in one pass over the relations at load/reload/delta
 //! time and is immutable afterwards — the serving layer pairs each
 //! `Arc<Database>` with the `Arc<StatsCatalog>` built from it and swaps
 //! both together, so a plan can never mix estimates from one data version
@@ -21,6 +21,9 @@ use wdpt_model::{Const, Database, Pred, Relation};
 /// column values whose posting list has length in `[2^b, 2^{b+1})`.
 pub const SKETCH_BUCKETS: usize = 32;
 
+/// Values a column's most-common-values list holds at most.
+pub const MCV_ENTRIES: usize = 16;
+
 /// Per-column statistics of one relation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
@@ -30,9 +33,30 @@ pub struct ColumnStats {
     pub max_posting: u64,
     /// Log₂ histogram of posting-list lengths over the distinct values.
     pub sketch: [u32; SKETCH_BUCKETS],
+    /// The (up to) [`MCV_ENTRIES`] most frequent values with their exact
+    /// posting lengths, longest first; equally long lists are ranked by
+    /// constant id, so the list does not depend on the order the relation
+    /// streamed its values in.
+    pub mcv: Vec<(Const, u64)>,
 }
 
 impl ColumnStats {
+    /// Expected posting-list length of the constant `c`: exact when `c` is
+    /// one of the most common values, otherwise the mean over the values
+    /// that are not — `(rows − Σ listed) / (distinct − listed)` — which a
+    /// heavy hitter cannot inflate. `0` when every value of the column is
+    /// listed and `c` is none of them.
+    pub fn est_posting(&self, c: Const, rows: u64) -> f64 {
+        if let Some(&(_, n)) = self.mcv.iter().find(|(v, _)| *v == c) {
+            return n as f64;
+        }
+        let listed: u64 = self.mcv.iter().map(|&(_, n)| n).sum();
+        match self.distinct - self.mcv.len() as u64 {
+            0 => 0.0,
+            unlisted => (rows - listed) as f64 / unlisted as f64,
+        }
+    }
+
     /// Mean posting-list length: `rows / distinct`. Exact when every value
     /// occurs equally often; an underestimate for hot values under skew
     /// (bounded above by [`ColumnStats::max_posting`]).
@@ -70,11 +94,20 @@ fn column_stats(rel: &Relation, col: usize) -> ColumnStats {
     let mut sketch = [0u32; SKETCH_BUCKETS];
     let mut max_posting = 0u64;
     let mut distinct = 0u64;
-    let mut tally = |n: u64| {
+    let mut mcv: Vec<(Const, u64)> = Vec::with_capacity(MCV_ENTRIES + 1);
+    let mut tally = |c: Const, n: u64| {
         distinct += 1;
         max_posting = max_posting.max(n);
         let b = (64 - n.max(1).leading_zeros() as usize - 1).min(SKETCH_BUCKETS - 1);
         sketch[b] += 1;
+        // Keep the list sorted (longest first, then by id); almost every
+        // value fails the first comparison against its current tail.
+        let ranks_before = |&(v, m): &(Const, u64)| (m, c) > (n, v);
+        if mcv.len() < MCV_ENTRIES || mcv.last().is_some_and(|last| !ranks_before(last)) {
+            let at = mcv.partition_point(ranks_before);
+            mcv.insert(at, (c, n));
+            mcv.truncate(MCV_ENTRIES);
+        }
     };
     // Posting-list lengths are exactly what the sketch summarizes, and the
     // relation can stream them without materializing anything: a built hash
@@ -82,17 +115,18 @@ fn column_stats(rel: &Relation, col: usize) -> ColumnStats {
     // serialized key directory in place. Only a plain owned relation with
     // no index yet falls back to a hash-count over the tuples — never force
     // an index build or a column decode just for statistics.
-    if !rel.scan_posting_lens(col, |_, n| tally(u64::from(n))) {
+    if !rel.scan_posting_lens(col, |c, n| tally(c, u64::from(n))) {
         let mut counts: HashMap<Const, u64> = HashMap::new();
         for t in rel.tuples() {
             *counts.entry(t[col]).or_insert(0) += 1;
         }
-        counts.into_values().for_each(tally);
+        counts.into_iter().for_each(|(c, n)| tally(c, n));
     }
     ColumnStats {
         distinct,
         max_posting,
         sketch,
+        mcv,
     }
 }
 
@@ -196,17 +230,97 @@ mod tests {
         assert!((c0.skew(6) - 2.0).abs() < 1e-9); // max 4 / mean 2
     }
 
+    /// A lazy columnar copy of `rel`, as the snapshot decoder would hand it
+    /// out: sorted cells and a key directory per column, nothing decoded.
+    fn columnar_copy(rel: &Relation) -> Relation {
+        use wdpt_model::columnar::{encode_cells, encode_key_dir};
+        use wdpt_model::{ColumnSlices, ColumnarRelation};
+        let mut tuples: Vec<&[Const]> = rel.tuples().collect();
+        tuples.sort_unstable();
+        let mut raw = Vec::new();
+        let columns = (0..rel.arity())
+            .map(|col| {
+                let start = raw.len();
+                encode_cells(&mut raw, tuples.iter().map(|t| t[col].0));
+                let cells = start..raw.len();
+                let mut counts: std::collections::BTreeMap<u32, u32> = Default::default();
+                for t in &tuples {
+                    *counts.entry(t[col].0).or_insert(0) += 1;
+                }
+                let start = raw.len();
+                encode_key_dir(&mut raw, counts.iter().map(|(&k, &n)| (k, n)));
+                ColumnSlices {
+                    cells,
+                    keys: counts.len(),
+                    key_dir: start..raw.len(),
+                }
+            })
+            .collect();
+        Relation::from_columnar(ColumnarRelation::new(
+            raw.into(),
+            rel.arity(),
+            tuples.len(),
+            columns,
+        ))
+    }
+
     #[test]
     fn matches_lazily_built_index_when_present() {
         let mut i = Interner::new();
-        let db = parse_database(&mut i, "e(a,x) e(a,y) e(b,x)").unwrap();
+        // Column 0: `hot` 5×, then 39 values in 13 groups of three whose
+        // members occur equally often — more candidates than the list
+        // holds, cut in the middle of a tie. Column 1: all distinct.
+        let mut spec = String::new();
+        for j in 0..5 {
+            spec.push_str(&format!("e(hot,x{j}) "));
+        }
+        for v in 0..39 {
+            for j in 0..1 + v % 13 % 4 {
+                spec.push_str(&format!("e(v{v},y{v}_{j}) "));
+            }
+        }
+        let db = parse_database(&mut i, &spec).unwrap();
+        let e = i.pred("e");
+        // Three sources of the same posting lengths, three streaming
+        // orders: a hash-count over the tuples of an owned relation with
+        // no index, the built hash index, a lazy relation's key directory.
         let fresh = StatsCatalog::build(&db);
-        db.relation(i.pred("e")).unwrap().build_all_indexes();
+        db.relation(e).unwrap().build_all_indexes();
         let indexed = StatsCatalog::build(&db);
-        assert_eq!(
-            fresh.relation(i.pred("e")).unwrap(),
-            indexed.relation(i.pred("e")).unwrap()
-        );
+        let lazy_rel = columnar_copy(db.relation(e).unwrap());
+        assert!(lazy_rel.is_lazy());
+        let lazy = StatsCatalog::build(&Database::from_sorted(vec![(e, lazy_rel)]));
+        let stats = fresh.relation(e).unwrap();
+        assert_eq!(stats, indexed.relation(e).unwrap());
+        assert_eq!(stats, lazy.relation(e).unwrap());
+
+        let mcv = &stats.columns[0].mcv;
+        assert_eq!(mcv.len(), MCV_ENTRIES);
+        assert_eq!(mcv[0], (i.constant("hot"), 5));
+        // Longest first, and within one length by constant id.
+        assert!(mcv.windows(2).all(|w| (w[0].1, w[1].0) > (w[1].1, w[0].0)));
+        assert_eq!(stats.columns[0].max_posting, 5);
+    }
+
+    #[test]
+    fn a_short_column_lists_every_value_and_divides_by_nothing() {
+        let mut i = Interner::new();
+        let db = parse_database(&mut i, "e(a,x) e(a,y) e(b,x)").unwrap();
+        let cat = StatsCatalog::build(&db);
+        let rs = cat.relation(i.pred("e")).unwrap();
+        let c0 = &rs.columns[0];
+        assert_eq!(c0.mcv, vec![(i.constant("a"), 2), (i.constant("b"), 1)]);
+        assert_eq!(c0.est_posting(i.constant("a"), rs.rows), 2.0);
+        // Every value is listed, so a constant that is not has no tuples —
+        // and there is no "other values" mean to take.
+        assert_eq!(c0.est_posting(i.constant("x"), rs.rows), 0.0);
+        let empty = ColumnStats {
+            distinct: 0,
+            max_posting: 0,
+            sketch: [0; SKETCH_BUCKETS],
+            mcv: Vec::new(),
+        };
+        assert_eq!(empty.est_posting(i.constant("a"), 0), 0.0);
     }
 
     #[test]

@@ -451,8 +451,10 @@ pub fn exec_plan_json(plan: &Plan) -> Json {
                     Json::Arr(n.order.iter().map(|&i| Json::int(i as u64)).collect()),
                 ),
                 ("chosen", Json::str(n.chosen.as_str())),
-                ("est_nodes", Json::num(n.est_nodes)),
+                // Over all the node's expected executions, like the total.
+                ("est_nodes", Json::num(n.est_nodes * n.est_execs)),
                 ("est_rows", Json::num(n.est_rows)),
+                ("est_execs", Json::num(n.est_execs)),
             ])
         })
         .collect();

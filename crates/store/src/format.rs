@@ -299,11 +299,7 @@ pub(crate) fn encode_dictionary_v2<'a>(
     let mut prev: Vec<u8> = Vec::new();
     for (space, name) in symbols {
         let bytes = name.as_bytes();
-        let shared = prev
-            .iter()
-            .zip(bytes)
-            .take_while(|(a, b)| a == b)
-            .count();
+        let shared = prev.iter().zip(bytes).take_while(|(a, b)| a == b).count();
         dict.push(space_code(space));
         write_uvarint(&mut dict, shared as u64);
         write_uvarint(&mut dict, (bytes.len() - shared) as u64);
@@ -926,9 +922,9 @@ fn validate_cells_streams(
                     format!("column {col} cells stream truncated at row {row}"),
                 )
             })?;
-            let v = acc[col].checked_add(unzigzag(delta)).filter(|&v| {
-                (0..=i64::from(u32::MAX)).contains(&v)
-            });
+            let v = acc[col]
+                .checked_add(unzigzag(delta))
+                .filter(|&v| (0..=i64::from(u32::MAX)).contains(&v));
             let v = v.ok_or_else(|| {
                 malformed(
                     label,
@@ -992,7 +988,8 @@ pub fn verify_database_deep(db: &Database) -> Result<(), StoreError> {
             }
             dirs.push(dir);
         }
-        rel.verify_deep().map_err(|detail| malformed(&label, detail))?;
+        rel.verify_deep()
+            .map_err(|detail| malformed(&label, detail))?;
         for (col, dir) in dirs.into_iter().enumerate() {
             // `verify_deep` derived every column index from the cells, and
             // the scan prefers a derived index over the directory.

@@ -46,7 +46,11 @@ fn v2_decode_is_lazy_and_stats_scans_stay_lazy() {
     let (_, db2) = decode_snapshot(&bytes).unwrap();
     let rel = db2.relation(e).unwrap();
     assert!(rel.is_lazy(), "fresh v2 decode must not materialize");
-    assert_eq!(rel.len() as u64, n, "len comes from the header, not a decode");
+    assert_eq!(
+        rel.len() as u64,
+        n,
+        "len comes from the header, not a decode"
+    );
 
     // The statistics path streams posting lengths from the serialized key
     // directory without decoding any column.
@@ -195,7 +199,10 @@ fn delta_length_bombs_are_rejected_without_allocation() {
         wdpt_store::delta_to_vec(wdpt_store::content_hash(&base), &i, &db, &i2, &db2).unwrap();
 
     let check = |bomb: &[u8], what: &str| {
-        expect_bomb_rejected(what, wdpt_store::decode_with_deltas(&base, &[bomb.to_vec()]));
+        expect_bomb_rejected(
+            what,
+            wdpt_store::decode_with_deltas(&base, &[bomb.to_vec()]),
+        );
     };
 
     // Delta header claims u32::MAX relation sections.
@@ -273,8 +280,8 @@ fn snapshots_stay_under_the_bytes_per_triple_budget() {
     let mut nt = Vec::new();
     wdpt_gen::write_synth_nt(&mut nt, wdpt_gen::SynthParams::sized_skewed(50_000, 3)).unwrap();
     let mut i = Interner::new();
-    let db =
-        wdpt_store::read_text_database(&mut i, &mut std::io::BufReader::new(nt.as_slice())).unwrap();
+    let db = wdpt_store::read_text_database(&mut i, &mut std::io::BufReader::new(nt.as_slice()))
+        .unwrap();
     let bytes = snapshot_to_vec_v2(&i, &db).unwrap();
     assert!(
         bytes.len() <= 7 * db.size(),

@@ -46,6 +46,7 @@ pub use wdpt_cq as cq;
 pub use wdpt_decomp as decomp;
 pub use wdpt_gen as gen;
 pub use wdpt_model as model;
+pub use wdpt_plan as plan;
 pub use wdpt_sparql as sparql;
 
 pub use wdpt_model::{Atom, Const, Database, Interner, Mapping, Pred, Term, Var};

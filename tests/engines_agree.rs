@@ -8,13 +8,15 @@
 use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard};
 use wdpt::core::{
-    eval_bounded_interface, eval_decide, max_eval_decide, partial_eval_decide, semantics,
-    try_evaluate_parallel_planned, Engine, Wdpt, WdptBuilder,
+    eval_bounded_interface, eval_decide, max_eval_decide, partial_eval_decide, plan_wdpt,
+    semantics, try_evaluate_parallel_captured_planned, try_evaluate_parallel_planned, Engine, Wdpt,
+    WdptBuilder,
 };
 use wdpt::cq::{backtrack, structured, ConjunctiveQuery};
 use wdpt::gen::Lcg;
 use wdpt::model::mapping::maximal_mappings;
-use wdpt::model::{Atom, CancelToken, Database, Interner, Mapping, Var};
+use wdpt::model::{Atom, CancelToken, Database, Interner, Mapping, Relation, Term, Var};
+use wdpt::plan::{StatsCatalog, Strategy};
 
 /// The engine counters are process-wide and the harness runs this binary's
 /// tests on parallel threads: every test holds this lock, so the
@@ -312,6 +314,342 @@ fn parallel_evaluator_agrees_with_sequential() {
             at(&projection_free(&p), &db, threads),
             semantics::maximal_homomorphisms(&p, &db),
             "case={case} threads={threads}"
+        );
+    }
+}
+
+/// A random term over the variables in `pool`: mostly a variable, now and
+/// then one of the constants `c0..c{dom}`.
+fn random_term(i: &mut Interner, r: &mut Lcg, pool: &[Var], dom: usize) -> Term {
+    if r.gen_bool(0.15) {
+        i.constant(&format!("c{}", r.gen_range(0..dom))).into()
+    } else {
+        pool[r.gen_range(0..pool.len())].into()
+    }
+}
+
+/// A random well-designed tree built to corner the executor: `nodes` ≥ 4
+/// nodes of which the first four form a chain (depth 3); every node below
+/// the root takes its interface from its parent's variables only (which is
+/// what keeps occurrences connected) and adds up to two of its own; atoms
+/// range over `e/2`, `f/2`, the ternary `t/3`, the empty relation `g/2` and
+/// the absent `missing/2`, with constants and with variables repeated
+/// inside an atom; a random half of the variables is free, so interface
+/// variables are often projected away. Variable ids are handed out in a
+/// shuffled order, so the canonical order of the answers is unrelated to
+/// the shape of the tree.
+fn adversarial_wdpt(i: &mut Interner, r: &mut Lcg, nodes: usize, dom: usize) -> Wdpt {
+    let mut names: Vec<usize> = (0..2 * nodes).collect();
+    for k in (1..names.len()).rev() {
+        names.swap(k, r.gen_range(0..k + 1));
+    }
+    for k in &names {
+        i.var(&format!("v{k}"));
+    }
+    let preds = [
+        (i.pred("e"), 2),
+        (i.pred("f"), 2),
+        (i.pred("t"), 3),
+        (i.pred("g"), 2),
+        (i.pred("missing"), 2),
+    ];
+    let mut fresh_vars = 0;
+    let mut node_vars: Vec<Vec<Var>> = Vec::new();
+    let mut builder: Option<WdptBuilder> = None;
+    for t in 0..nodes {
+        let parent = match t {
+            0 => None,
+            1..=3 => Some(t - 1),
+            _ => Some(r.gen_range(0..t)),
+        };
+        let mut pool: Vec<Var> = Vec::new();
+        if let Some(parent) = parent {
+            let from = &node_vars[parent];
+            for _ in 0..1 + r.gen_range(0..2) {
+                let v = from[r.gen_range(0..from.len())];
+                if !pool.contains(&v) {
+                    pool.push(v);
+                }
+            }
+        }
+        for _ in 0..1 + r.gen_range(0..2) {
+            pool.push(i.var(&format!("v{fresh_vars}")));
+            fresh_vars += 1;
+        }
+        let mut atoms = Vec::new();
+        for _ in 0..1 + r.gen_range(0..3) {
+            // The empty and the absent relation are rare: they kill a
+            // subtree, which is the point, but never the root.
+            let dead = t > 0 && r.gen_bool(0.1);
+            let (pred, arity) = preds[if dead {
+                3 + r.gen_range(0..2)
+            } else {
+                r.gen_range(0..3)
+            }];
+            let args = (0..arity).map(|_| random_term(i, r, &pool, dom)).collect();
+            atoms.push(Atom::new(pred, args));
+        }
+        // What the node really mentions, which is all a child may inherit.
+        let mut mentioned: Vec<Var> = atoms.iter().flat_map(Atom::vars).collect();
+        mentioned.sort_unstable();
+        mentioned.dedup();
+        if mentioned.is_empty() {
+            atoms.push(Atom::new(preds[0].0, vec![pool[0].into(), pool[0].into()]));
+            mentioned.push(pool[0]);
+        }
+        node_vars.push(mentioned);
+        match (&mut builder, parent) {
+            (None, _) => builder = Some(WdptBuilder::new(atoms)),
+            (Some(b), Some(parent)) => {
+                b.child(parent, atoms);
+            }
+            (Some(_), None) => unreachable!("only node 0 has no parent"),
+        }
+    }
+    let mut all: Vec<Var> = node_vars.into_iter().flatten().collect();
+    all.sort_unstable();
+    all.dedup();
+    let free = all.into_iter().filter(|_| r.gen_bool(0.5)).collect();
+    builder
+        .expect("nodes >= 1")
+        .build(free)
+        .expect("children only inherit variables their parent mentions")
+}
+
+/// A random database over `e/2`, `f/2`, `t/3` with constants `c0..c{dom}`
+/// holding about half of all possible tuples — dense enough that many
+/// contexts share an interface value — plus the relation `g/2` with no
+/// tuples at all.
+fn adversarial_db(i: &mut Interner, r: &mut Lcg, dom: usize) -> Database {
+    let mut db = Database::from_sorted(vec![(i.pred("g"), Relation::from_sorted(2, Vec::new()))]);
+    for (name, arity) in [("e", 2), ("f", 2), ("t", 3)] {
+        let pred = i.pred(name);
+        for code in 0..dom.pow(arity) {
+            if r.gen_bool(0.5) {
+                let tuple = (0..arity)
+                    .map(|k| i.constant(&format!("c{}", code / dom.pow(k) % dom)))
+                    .collect();
+                db.insert(pred, tuple);
+            }
+        }
+    }
+    db
+}
+
+/// What one case of the oracle comparison reached.
+struct Reached {
+    /// Some answer leaves a free variable unbound: an OPT branch dropped.
+    partial: bool,
+    /// Some node is reached by more contexts than interface valuations.
+    shared: bool,
+    /// Searches run on worker threads, summed over the threads = 4 runs.
+    fanned_out: u64,
+}
+
+/// The executor against `oracle` — `p(D)` computed some other way, in the
+/// canonical order — under no plan and under each enumerator's plan, on one
+/// thread and on four: the same mappings *in the same order*, the same
+/// per-node homomorphism tallies, and the same backtracking work on four
+/// threads as on one. A tally counts a node's local homomorphisms once per
+/// ancestor context, whether or not that context's interface valuation had
+/// been evaluated before — which is the number of homomorphisms of the
+/// root-to-node path, counted here by the CQ engine.
+fn check_executor(p: &Wdpt, db: &Database, oracle: &[Mapping], case: &str) -> Reached {
+    let never = CancelToken::never();
+    let free = p.free_set();
+    let path_homs: Vec<Vec<Mapping>> = (0..p.node_count())
+        .map(|t| {
+            let mut path: Vec<Atom> = Vec::new();
+            let mut node = Some(t);
+            while let Some(n) = node {
+                path.extend_from_slice(p.atoms(n));
+                node = p.parent(n);
+            }
+            backtrack::extend_all(db, &path, &Mapping::empty())
+        })
+        .collect();
+    let mut reached = Reached {
+        partial: oracle.iter().any(|h| h.len() < free.len()),
+        shared: (1..p.node_count()).any(|t| {
+            let contexts = &path_homs[p.parent(t).expect("not the root")];
+            let interface = p.node_vars(t);
+            let keys: BTreeSet<Mapping> = contexts.iter().map(|h| h.restrict(&interface)).collect();
+            keys.len() < contexts.len()
+        }),
+        fanned_out: 0,
+    };
+
+    let stats = StatsCatalog::build(db);
+    let plans = [Strategy::Greedy, Strategy::Dp, Strategy::Bushy]
+        .map(|strategy| plan_wdpt(p, &stats, strategy, never).expect("never cancels"));
+    for plan in std::iter::once(None).chain(plans.iter().map(Some)) {
+        let mut nodes_expanded = None;
+        for threads in [1, 4] {
+            let what = format!(
+                "case={case} plan={:?} threads={threads}",
+                plan.map(|pl| pl.strategy)
+            );
+            let (answers, profile) =
+                try_evaluate_parallel_captured_planned(p, db, threads, never, "diff", plan);
+            assert_eq!(answers.as_deref(), Ok(oracle), "{what}");
+            let tallies: Vec<u64> = profile.nodes.iter().map(|n| n.metrics[0].1).collect();
+            let expected: Vec<u64> = path_homs.iter().map(|h| h.len() as u64).collect();
+            assert_eq!(tallies, expected, "{what}");
+            let nodes = profile.counter("cq.nodes_expanded");
+            assert_eq!(*nodes_expanded.get_or_insert(nodes), nodes, "{what}");
+            let tasks = profile.counter("wdpt.parallel_tasks");
+            if threads == 1 {
+                assert_eq!(tasks, 0, "{what}");
+            }
+            reached.fanned_out += tasks;
+        }
+    }
+    reached
+}
+
+/// The executor against Definition 2 read literally — every homomorphism of
+/// every rooted subtree, those no other one properly extends, projected —
+/// on trees and databases built to reach its corners (see
+/// [`adversarial_wdpt`]). They are small — this oracle is quadratic in an
+/// exponential — so every node has a handful of keys and four threads run
+/// like one; [`fanned_out_executor_agrees_with_the_local_oracle`] is where
+/// the workers run.
+#[test]
+fn executor_agrees_with_the_naive_oracle() {
+    let _serial = serial();
+    let mut r = Lcg::new(0x7157_0007);
+    let (mut partial, mut shared) = (0, 0);
+    for case in 0..80 {
+        let mut i = Interner::new();
+        let dom = 2 + r.gen_range(0..2);
+        let db = adversarial_db(&mut i, &mut r, dom);
+        let nodes = 4 + r.gen_range(0..4);
+        let p = adversarial_wdpt(&mut i, &mut r, nodes, dom);
+        assert!((0..p.node_count()).any(|t| p.depth(t) >= 3));
+        let free = p.free_set();
+        let mut oracle: Vec<Mapping> = semantics::all_homomorphisms(&p, &db)
+            .iter()
+            .filter(|h| semantics::is_maximal_homomorphism(&p, &db, h))
+            .map(|h| h.restrict(&free))
+            .collect();
+        oracle.sort();
+        oracle.dedup();
+        let reached = check_executor(&p, &db, &oracle, &case.to_string());
+        partial += usize::from(reached.partial);
+        shared += usize::from(reached.shared);
+    }
+    // The generator reaches what it was built to reach.
+    assert!(partial >= 8, "only {partial} cases dropped an OPT branch");
+    assert!(
+        shared >= 8,
+        "only {shared} cases shared an interface valuation"
+    );
+}
+
+/// A chain of depth 3 with up to two more nodes hung at random, every node
+/// one binary atom joining a variable of its parent to a new one (either
+/// way round), or that atom and a `t/3` atom pinning the new variable next
+/// to a constant; a random half of the variables is free.
+fn wide_wdpt(i: &mut Interner, r: &mut Lcg, dom: usize) -> Wdpt {
+    let (e, f, t) = (i.pred("e"), i.pred("f"), i.pred("t"));
+    let mut node_vars = vec![vec![i.var("w0"), i.var("w1")]];
+    let root: Vec<Term> = node_vars[0].iter().map(|&v| v.into()).collect();
+    let mut builder = WdptBuilder::new(vec![Atom::new(e, root)]);
+    for node in 1..4 + r.gen_range(0..3) {
+        let parent = if node < 4 {
+            node - 1
+        } else {
+            r.gen_range(0..node)
+        };
+        let shared = node_vars[parent][r.gen_range(0..2)];
+        let fresh = i.var(&format!("w{}", node + 1));
+        let mut args: Vec<Term> = vec![shared.into(), fresh.into()];
+        if r.gen_bool(0.5) {
+            args.reverse();
+        }
+        let mut atoms = vec![Atom::new(if r.gen_bool(0.5) { e } else { f }, args)];
+        if r.gen_bool(0.25) {
+            let c = i.constant(&format!("c{}", r.gen_range(0..dom)));
+            atoms.push(Atom::new(t, vec![fresh.into(), fresh.into(), c.into()]));
+        }
+        builder.child(parent, atoms);
+        node_vars.push(vec![shared, fresh]);
+    }
+    let mut all: Vec<Var> = node_vars.into_iter().flatten().collect();
+    all.sort_unstable();
+    all.dedup();
+    let free = all.into_iter().filter(|_| r.gen_bool(0.5)).collect();
+    builder
+        .build(free)
+        .expect("each new variable hangs below its node")
+}
+
+/// `e/2` and `f/2` as sparse random graphs over `c0..c{dom}` — three edges
+/// for every two constants, so a level of the tree has hundreds of distinct
+/// interface values and the path homomorphisms stay countable — and `t/3`
+/// with `(c, c, c')` for a few hundred random pairs.
+fn wide_db(i: &mut Interner, r: &mut Lcg, dom: usize) -> Database {
+    let (e, f, t) = (i.pred("e"), i.pred("f"), i.pred("t"));
+    let mut constant = |r: &mut Lcg| i.constant(&format!("c{}", r.gen_range(0..dom)));
+    let mut db = Database::new();
+    for pred in [e, f] {
+        for _ in 0..dom * 3 / 2 {
+            db.insert(pred, vec![constant(r), constant(r)]);
+        }
+    }
+    for _ in 0..dom / 2 {
+        let (c, other) = (constant(r), constant(r));
+        db.insert(t, vec![c, c, other]);
+    }
+    db
+}
+
+/// The same comparison where the workers do run: sparse databases over a
+/// thousand constants, so that every level of the tree is evaluated under
+/// hundreds of distinct interface values and four threads share them out.
+/// Comparing every homomorphism with every other is out of reach at this
+/// size, so maximality is checked the local way: a homomorphism of the
+/// rooted subtree `T'` is maximal iff it extends into no node just below
+/// `T'` (anything properly above it is a homomorphism of a larger rooted
+/// subtree, which contains such a node).
+#[test]
+fn fanned_out_executor_agrees_with_the_local_oracle() {
+    let _serial = serial();
+    let mut r = Lcg::new(0x7157_00fa);
+    for case in 0..4 {
+        let mut i = Interner::new();
+        let dom = 1000;
+        let db = wide_db(&mut i, &mut r, dom);
+        let p = wide_wdpt(&mut i, &mut r, dom);
+        assert!((0..p.node_count()).any(|t| p.depth(t) >= 3));
+
+        let free = p.free_set();
+        let mut oracle: Vec<Mapping> = Vec::new();
+        p.for_each_rooted_subtree(&mut |subtree| {
+            let below: Vec<usize> = (1..p.node_count())
+                .filter(|c| !subtree.contains(c))
+                .filter(|&c| subtree.contains(&p.parent(c).expect("not the root")))
+                .collect();
+            let body = p.cq_of_subtree(subtree);
+            for h in backtrack::extend_all(&db, body.body(), &Mapping::empty()) {
+                if !below
+                    .iter()
+                    .any(|&c| backtrack::extend_exists(&db, p.atoms(c), &h))
+                {
+                    oracle.push(h.restrict(&free));
+                }
+            }
+        });
+        oracle.sort();
+        oracle.dedup();
+
+        let reached = check_executor(&p, &db, &oracle, &format!("wide {case}"));
+        assert!(reached.shared, "wide {case}");
+        // Under each of the four plans, at least the root's children.
+        assert!(
+            reached.fanned_out >= 4 * 512,
+            "wide {case}: {} searches on worker threads",
+            reached.fanned_out
         );
     }
 }
