@@ -200,8 +200,8 @@ impl Run<'_> {
 
     /// [`Run::search_keys`] over all of `keys`: inline when fewer than two
     /// workers would get [`MIN_KEYS_PER_WORKER`] keys each, otherwise in
-    /// contiguous chunks over scoped threads (`Database` is `Sync` — the
-    /// column indexes live in `OnceLock`s), concatenated in key order. The
+    /// contiguous chunks over scoped threads (`Database` is `Sync` — what a
+    /// relation derives lazily lives in `OnceLock`s), concatenated in key order. The
     /// workers share the evaluation's cancel token, so one hitting the
     /// deadline stops the rest within one poll interval; the scope still
     /// joins everything before the error propagates.

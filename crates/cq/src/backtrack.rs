@@ -2,8 +2,8 @@
 //!
 //! This is the textbook index-nested-loop search: repeatedly pick the most
 //! constrained unprocessed atom (most bound positions, then smallest
-//! matching-tuple estimate), scan its matching tuples through the relation's
-//! column indexes, extend the current partial mapping, and recurse. Its
+//! matching-tuple estimate), scan its matching tuples by probing the
+//! relation's sorted run, extend the current partial mapping, and recurse. Its
 //! worst case is exponential in the query size — exactly the `NP`-hardness
 //! the paper's tractable classes are designed to avoid — but it serves as
 //! (a) the general-purpose fallback and (b) the baseline the benchmark

@@ -1,10 +1,11 @@
 //! Measures interleaved load/query cost: alternating `Database::insert`
-//! with one indexed point probe per insert. With incremental index
-//! maintenance the whole loop is linear in the number of tuples; a store
-//! that discards its indexes on every insert rebuilds them on the next
-//! probe and the loop degenerates to quadratic. The numbers from this
-//! example (run against the seed revision and against HEAD) are recorded
-//! in `EXPERIMENTS.md`.
+//! with one point probe per insert. Inserts land in a relation's pending
+//! run and probes search both runs, so the whole loop is near-linear in
+//! the number of tuples; a store that rebuilt something per insert (the
+//! seed discarded its indexes on every insert and rebuilt them on the next
+//! probe) degenerates to quadratic. The numbers from this example (run
+//! against the seed revision and against HEAD) are recorded in
+//! `EXPERIMENTS.md`.
 
 use std::time::Instant;
 use wdpt_model::{Const, Database, Interner};

@@ -6,24 +6,20 @@
 //! (ascending distinct values with posting-list lengths, delta varint
 //! coded). Building one costs pointer arithmetic only — the store crate
 //! validates the streams once at load time (after CRC verification), and
-//! the decoders here run lazily on first touch, behind the `OnceLock`s of
-//! [`crate::database::Relation`].
+//! the decoders here run lazily on first touch, behind the `OnceLock` of
+//! [`crate::database::Relation`]'s run.
 //!
-//! Posting row-lists are **not** stored: for a strictly sorted tuple run
-//! they are exactly "group ascending row ids by cell value", so
-//! [`ColumnarRelation::decode_index`] derives them from the cells blob in
-//! one forward pass — the same lists an eager rebuild would produce, at a
-//! fraction of the snapshot bytes. The key directory exists so statistics
-//! (distinct counts, posting-length sketches) and the active domain can be
-//! computed by a streaming scan without materializing anything.
+//! The cells decode straight into the relation's flat row-major run
+//! ([`ColumnarRelation::decode_run`]); nothing else is derived from them
+//! here. The key directory exists so statistics (distinct counts,
+//! posting-length sketches) and the active domain can be computed by a
+//! streaming scan without decoding anything.
 //!
 //! The varint/zigzag codecs live here (rather than in the store crate) so
-//! the encoder, the load-time validator, and the lazy decoders share one
+//! the encoder, the load-time validator, and the lazy decoder share one
 //! definition.
 
-use crate::database::ColumnIndex;
 use crate::term::Const;
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -43,6 +39,7 @@ pub fn write_uvarint(out: &mut Vec<u8>, mut v: u64) {
 /// Reads one varint starting at `*pos`, advancing `*pos` past it. Returns
 /// `None` on a truncated or overlong (≥ 10 continuation bytes) encoding —
 /// never panics, never reads past `bytes`.
+#[inline]
 pub fn read_uvarint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v = 0u64;
     let mut shift = 0u32;
@@ -146,50 +143,28 @@ impl ColumnarRelation {
         self.arity
     }
 
-    /// Decodes one column run into its `rows` values. Validated streams
-    /// yield exactly `rows` in-range cells; a malformed stream (unreachable
-    /// through the store's load path) is clamped and zero-padded so callers
-    /// can never index out of bounds.
-    fn decode_cells(&self, col: usize) -> Vec<u32> {
-        let blob = &self.raw[self.columns[col].cells.clone()];
-        let mut pos = 0usize;
-        let mut prev = 0i64;
-        let mut out = Vec::with_capacity(self.rows);
-        while out.len() < self.rows {
-            let Some(d) = read_uvarint(blob, &mut pos) else {
-                break;
-            };
-            prev = prev.saturating_add(unzigzag(d));
-            out.push(prev.clamp(0, i64::from(u32::MAX)) as u32);
+    /// Decodes the relation into its flat row-major run: `rows × arity`
+    /// cells, row `r` at `[r * arity, (r + 1) * arity)` — the one
+    /// expensive step of a load, deferred until a scan or probe needs the
+    /// rows. Validated streams yield exactly `rows` in-range cells per
+    /// column; a malformed stream (unreachable through the store's load
+    /// path) is clamped and zero-padded so callers can never index out of
+    /// bounds.
+    pub fn decode_run(&self) -> Vec<Const> {
+        let mut run = vec![Const(0); self.rows * self.arity];
+        for (col, slices) in self.columns.iter().enumerate() {
+            let blob = &self.raw[slices.cells.clone()];
+            let mut pos = 0usize;
+            let mut prev = 0i64;
+            for cell in run.iter_mut().skip(col).step_by(self.arity) {
+                let Some(d) = read_uvarint(blob, &mut pos) else {
+                    break;
+                };
+                prev = prev.saturating_add(unzigzag(d));
+                *cell = Const(prev.clamp(0, i64::from(u32::MAX)) as u32);
+            }
         }
-        out.resize(self.rows, 0);
-        out
-    }
-
-    /// Materializes the row-major tuple block — the expensive step of a
-    /// load, deferred here until a scan or index probe actually needs
-    /// whole rows.
-    pub fn decode_tuples(&self) -> Vec<Box<[Const]>> {
-        if self.arity == 0 {
-            return (0..self.rows).map(|_| Box::from(&[][..])).collect();
-        }
-        let cols: Vec<Vec<u32>> = (0..self.arity).map(|c| self.decode_cells(c)).collect();
-        (0..self.rows)
-            .map(|r| cols.iter().map(|c| Const(c[r])).collect())
-            .collect()
-    }
-
-    /// Derives one column's posting index from its cells run: ascending row
-    /// ids grouped per value, identical to what an eager rebuild over the
-    /// sorted tuples would produce.
-    pub fn decode_index(&self, col: usize) -> ColumnIndex {
-        let cells = self.decode_cells(col);
-        let mut idx: ColumnIndex = HashMap::with_capacity(self.columns[col].keys.min(self.rows));
-        for (row, &c) in cells.iter().enumerate() {
-            // `rows` is bounded to the u32 id space at construction.
-            idx.entry(Const(c)).or_default().push(row as u32);
-        }
-        idx
+        run
     }
 
     /// Streams `(value, posting_len)` pairs of one column from the key
@@ -279,8 +254,9 @@ mod tests {
     }
 
     #[test]
-    fn cells_and_index_round_trip_through_blobs() {
+    fn cells_and_directory_round_trip_through_blobs() {
         let col0 = [3u32, 3, 3, 7, 9, 9];
+        let col0_expected = col0.to_vec();
         let col1 = [10u32, 2, 30, 1, 500, 4];
         let mut raw = Vec::new();
         let c0 = {
@@ -323,12 +299,11 @@ mod tests {
                 },
             ],
         );
-        let tuples = rel.decode_tuples();
-        assert_eq!(tuples.len(), 6);
-        assert_eq!(&*tuples[3], &[Const(7), Const(1)]);
-        let idx = rel.decode_index(0);
-        assert_eq!(idx[&Const(3)], vec![0, 1, 2]);
-        assert_eq!(idx[&Const(9)], vec![4, 5]);
+        let run = rel.decode_run();
+        assert_eq!(run.len(), 6 * 2);
+        assert_eq!(&run[3 * 2..4 * 2], &[Const(7), Const(1)]);
+        let col0: Vec<u32> = run.iter().step_by(2).map(|c| c.0).collect();
+        assert_eq!(col0, col0_expected);
         let mut dir = Vec::new();
         rel.scan_key_dir(0, |k, n| dir.push((k.0, n)));
         assert_eq!(dir, vec![(3, 3), (7, 1), (9, 2)]);
@@ -337,7 +312,7 @@ mod tests {
     #[test]
     fn malformed_streams_clamp_instead_of_panicking() {
         // Truncated cells blob, oversized claims: decoders must stay in
-        // bounds and produce exactly `rows` tuples regardless.
+        // bounds and produce exactly `rows` rows regardless.
         let rel = ColumnarRelation::new(
             Arc::from(vec![0x80u8].into_boxed_slice()),
             1,
@@ -348,10 +323,7 @@ mod tests {
                 key_dir: 0..1,
             }],
         );
-        let tuples = rel.decode_tuples();
-        assert_eq!(tuples.len(), 4);
-        let idx = rel.decode_index(0);
-        assert_eq!(idx.values().map(Vec::len).sum::<usize>(), 4);
+        assert_eq!(rel.decode_run().len(), 4, "zero-padded to the row count");
         let mut seen = 0;
         rel.scan_key_dir(0, |_, _| seen += 1);
         assert_eq!(seen, 0, "truncated directory stops cleanly");

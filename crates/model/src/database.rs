@@ -1,26 +1,45 @@
-//! Databases: finite sets of ground atoms with per-column indexes.
+//! Databases: finite sets of ground atoms, each relation one flat sorted run.
 //!
 //! A database `D` over schema `σ` is a set of ground relational atoms
 //! (Section 2 of the paper). [`Database`] stores one [`Relation`] per
-//! predicate; each relation keeps its tuples densely plus lazily-built
-//! per-column hash indexes that the CQ engines use for index-nested-loop
-//! matching.
+//! predicate, and a relation is its tuples and nothing else: one
+//! arity-strided, strictly sorted `Vec<Const>` — row `r` at
+//! `[r * arity, (r + 1) * arity)`, rows ascending lexicographically on the
+//! `Const` ids, no duplicates. The CQ engines probe that run in place:
 //!
-//! Indexes live behind [`OnceLock`]s, so a fully-loaded `Database` is
-//! [`Sync`] and can be shared by reference across the worker threads of the
-//! parallel WDPT evaluator; concurrent lazy index builds are safe (one
-//! thread wins, the others reuse its index). Inserting into a relation
-//! whose indexes are already built updates them **incrementally** — the
-//! seed version discarded every index on every insert, which made
-//! interleaved load/query workloads rebuild an O(n) index per insert
-//! (quadratic overall).
+//! * a probe whose bound columns form a **leading prefix** is a binary
+//!   search for the first match and a gallop to the last, and returns
+//!   exactly the matching rows — nothing is built, nothing is filtered;
+//! * any other bound column goes through a **row-id permutation** of that
+//!   column (the run's row ids sorted by the column's value, 4 bytes per
+//!   row), built by one counting or comparison sort on the first probe
+//!   that needs it and counted as `db.index_builds`;
+//! * membership is a binary search.
+//!
+//! The run sits behind an [`Arc`], so cloning a relation — and with it a
+//! [`Database`] — copies no rows, and a run decoded lazily from a snapshot
+//! is decoded once for all its clones. [`Database::insert`] lands rows in a
+//! small sorted *pending run* owned by the one relation being mutated; every
+//! probe consults both runs, and the pending run is folded into the main
+//! run (one merge, which also drops the permutations) when it outgrows a
+//! fixed share of it, so an insert costs an amortised constant number of
+//! row copies and an interleaved insert/probe workload never rebuilds a
+//! permutation per insert.
+//!
+//! Everything lazy lives behind [`OnceLock`]s, so a `Database` is [`Sync`]
+//! and can be shared by reference across the worker threads of the parallel
+//! WDPT evaluator; concurrent first probes are safe (one thread decodes or
+//! sorts, the others reuse the result).
 
 use crate::atom::Atom;
+use crate::columnar::ColumnarRelation;
 use crate::interner::Interner;
 use crate::stats;
 use crate::term::{Const, Pred};
-use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::OnceLock;
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 use wdpt_obs::{histogram, LocalHistogram};
 
 /// The index work of one search, counted locally and added to the shared
@@ -34,10 +53,10 @@ use wdpt_obs::{histogram, LocalHistogram};
 pub struct ProbeTally {
     probes: u64,
     scanned: u64,
-    /// Length of the posting list each indexed probe settled on. The
-    /// distribution is only kept by a tally made while tracing is on
-    /// (profiled runs), as it was when every probe recorded into the shared
-    /// histogram directly; the others carry no buckets at all.
+    /// Number of rows each probe settled on. The distribution is only kept
+    /// by a tally made while tracing is on (profiled runs), as it was when
+    /// every probe recorded into the shared histogram directly; the others
+    /// carry no buckets at all.
     posting_lens: Option<Box<LocalHistogram>>,
 }
 
@@ -69,21 +88,315 @@ impl Drop for ProbeTally {
     }
 }
 
-/// The tuples one probe has to look at: the rows of the shortest posting
-/// list among its bound columns, or the whole relation when no column is
-/// bound. The caller checks the remaining columns itself.
+/// The half-open range of the indices in `0..len` at which `cmp` is
+/// `Equal`, for a `cmp` that is `Less` on a prefix of the indices, then
+/// `Equal`, then `Greater`: a binary search for the first match, then —
+/// matches being few next to a run — a gallop past the last one and a
+/// bisection of the final stride.
+fn equal_range(len: usize, cmp: impl Fn(usize) -> Ordering) -> Range<usize> {
+    // Written so that each step is a conditional move, not a branch the
+    // predictor gets wrong every other time.
+    let (mut lo, mut size) = (0, len);
+    while size > 0 {
+        let half = size / 2;
+        let less = cmp(lo + half) == Ordering::Less;
+        lo = if less { lo + half + 1 } else { lo };
+        size = if less { size - half - 1 } else { half };
+    }
+    let start = lo;
+    // `[start, end)` is Equal, `[limit, len)` is Greater.
+    let (mut end, mut limit, mut step) = (start, len, 1);
+    while end < limit {
+        let probe = (end + step - 1).min(limit - 1);
+        if cmp(probe) == Ordering::Equal {
+            end = probe + 1;
+            step *= 2;
+        } else {
+            limit = probe;
+            break;
+        }
+    }
+    while end < limit {
+        let mid = end + (limit - end) / 2;
+        if cmp(mid) == Ordering::Equal {
+            end = mid + 1;
+        } else {
+            limit = mid;
+        }
+    }
+    start..end
+}
+
+/// Constant ids count as dense when the largest is within a small multiple
+/// of the number of rows holding them: then an array indexed by id replaces
+/// sorting (a triple store's ids are the dictionary positions, far fewer
+/// than its rows), and otherwise the array could dwarf the data.
+fn ids_are_dense(max_id: u32, rows: usize) -> bool {
+    (max_id as usize) < 4 * rows + 1024
+}
+
+/// A block of rows inside a flat cell slice, borrowed.
+#[derive(Debug, Clone, Copy)]
+struct Rows<'a> {
+    cells: &'a [Const],
+    arity: usize,
+    len: usize,
+}
+
+impl<'a> Rows<'a> {
+    /// `len` rows of `arity` cells each, flat in `cells`.
+    fn new(cells: &'a [Const], arity: usize, len: usize) -> Rows<'a> {
+        assert_eq!(
+            cells.len(),
+            len * arity,
+            "{} cells are not {len} rows of arity {arity}",
+            cells.len()
+        );
+        Rows { cells, arity, len }
+    }
+
+    #[inline]
+    fn row(&self, r: usize) -> &'a [Const] {
+        &self.cells[r * self.arity..(r + 1) * self.arity]
+    }
+
+    fn slice(&self, range: Range<usize>) -> Rows<'a> {
+        let (arity, len) = (self.arity, range.len());
+        let cells = &self.cells[range.start * arity..range.end * arity];
+        Rows { cells, arity, len }
+    }
+
+    /// The rows whose leading cells are `prefix`, the block being sorted.
+    /// One and two cells — a subject, a subject and a predicate — are
+    /// compared as one integer; this search is the innermost step of every
+    /// engine.
+    fn with_prefix(&self, prefix: &[Const]) -> Rows<'a> {
+        let (cells, arity) = (self.cells, self.arity);
+        let pair = |a: Const, b: Const| u64::from(a.0) << 32 | u64::from(b.0);
+        self.slice(match *prefix {
+            [] => 0..self.len,
+            [a] => equal_range(self.len, |r| cells[r * arity].cmp(&a)),
+            [a, b] => equal_range(self.len, |r| {
+                pair(cells[r * arity], cells[r * arity + 1]).cmp(&pair(a, b))
+            }),
+            _ => equal_range(self.len, |r| self.row(r)[..prefix.len()].cmp(prefix)),
+        })
+    }
+
+    fn iter(&self) -> RowIter<'a> {
+        RowIter(*self)
+    }
+
+    /// `Err(why)` unless the rows are strictly ascending.
+    fn check_sorted(&self) -> Result<(), &'static str> {
+        for r in 1..self.len {
+            match self.row(r - 1).cmp(self.row(r)) {
+                Ordering::Less => {}
+                Ordering::Equal => return Err("duplicate tuple in sorted run"),
+                Ordering::Greater => return Err("run not sorted"),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Walks a block of rows front to back. Counts rows rather than cells, so
+/// the one row a nullary relation can hold is walked like any other.
 #[derive(Debug, Clone)]
-pub struct Candidates<'a>(CandidateRows<'a>);
+struct RowIter<'a>(Rows<'a>);
+
+impl<'a> RowIter<'a> {
+    fn peek(&self) -> Option<&'a [Const]> {
+        (self.0.len > 0).then(|| &self.0.cells[..self.0.arity])
+    }
+}
+
+impl<'a> Iterator for RowIter<'a> {
+    type Item = &'a [Const];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a [Const]> {
+        if self.0.len == 0 {
+            return None;
+        }
+        let (row, rest) = self.0.cells.split_at(self.0.arity);
+        self.0.cells = rest;
+        self.0.len -= 1;
+        Some(row)
+    }
+}
+
+/// Merges the strictly sorted rows of `add` into the `run_rows` strictly
+/// sorted rows of `run`, in place and from the top down, so rows below the
+/// lowest insertion point never move — a delta of new subjects appends.
+/// `Err(j)` if row `j` of `add` is already in `run`, which is then left in
+/// an unspecified state.
+fn merge_rows(run: &mut Vec<Const>, run_rows: usize, add: Rows<'_>) -> Result<(), usize> {
+    let arity = add.arity;
+    run.resize((run_rows + add.len) * arity, Const(0));
+    // Old rows not yet moved sit at `[0, left)`; rows from `hole` up are final.
+    let (mut left, mut hole) = (run_rows, run_rows + add.len);
+    for j in (0..add.len).rev() {
+        let row = add.row(j);
+        let old = Rows::new(&run[..left * arity], arity, left);
+        // Old rows above `row` move up. Often there are none — ascending
+        // inserts, a delta of new subjects — and no search is needed.
+        let at = if left > 0 && old.row(left - 1) >= row {
+            equal_range(left, |r| old.row(r).cmp(row))
+        } else {
+            left..left
+        };
+        if !at.is_empty() {
+            return Err(j);
+        }
+        let moved = left - at.start;
+        run.copy_within(at.start * arity..left * arity, (hole - moved) * arity);
+        hole -= moved + 1;
+        left = at.start;
+        run[hole * arity..(hole + 1) * arity].copy_from_slice(row);
+    }
+    debug_assert_eq!(left, hole);
+    Ok(())
+}
+
+/// The folded part of a relation: one strictly sorted block of rows plus
+/// what is derived from it, shared by every clone of the relation. Either
+/// **owned** (the cells exist up front — bulk load, merge, fold) or
+/// **lazy** (a zero-copy [`ColumnarRelation`] view into a shared snapshot
+/// buffer, decoded into cells on first touch). The backing stays with a
+/// decoded run — it is what `scan_serialized_posting_lens` verifies — so
+/// the snapshot buffer lives until every run decoded from it has been
+/// replaced by a merge or a fold, or dropped.
+#[derive(Debug)]
+struct Run {
+    arity: usize,
+    /// Known without decoding anything, so `len()` and the planner's row
+    /// estimates never force a lazy run.
+    rows: usize,
+    backing: Option<ColumnarRelation>,
+    /// `rows × arity` cells, row-major.
+    cells: OnceLock<Vec<Const>>,
+    /// Per column, the row ids sorted by (cell, row id), built by the first
+    /// probe that binds the column without binding every column before it.
+    /// Column 0 never needs one: the run itself is sorted by it.
+    perms: Vec<OnceLock<Vec<u32>>>,
+}
+
+impl Run {
+    fn owned(arity: usize, rows: usize, cells: Vec<Const>) -> Run {
+        debug_assert_eq!(cells.len(), rows * arity);
+        // Permutations address rows by `u32`; insert and the bulk paths
+        // bound the count before they get here.
+        assert!(
+            u32::try_from(rows).is_ok(),
+            "relation of {rows} rows exceeds the u32 row-id space"
+        );
+        Run {
+            arity,
+            rows,
+            backing: None,
+            cells: OnceLock::from(cells),
+            perms: (0..arity).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    fn cells(&self) -> &[Const] {
+        self.cells.get_or_init(|| {
+            self.backing
+                .as_ref()
+                .expect("an owned run has its cells from construction")
+                .decode_run()
+        })
+    }
+
+    fn rows(&self) -> Rows<'_> {
+        Rows::new(self.cells(), self.arity, self.rows)
+    }
+
+    fn perm(&self, col: usize) -> &[u32] {
+        self.perms[col].get_or_init(|| {
+            let rows = self.rows();
+            let cell = |r: usize| rows.cells[r * rows.arity + col].0;
+            let Some(max) = (0..rows.len).map(cell).max() else {
+                return Vec::new();
+            };
+            stats::record_index_build();
+            if !ids_are_dense(max, rows.len) {
+                let mut perm: Vec<u32> = (0..rows.len as u32).collect();
+                perm.sort_unstable_by_key(|&r| (cell(r as usize), r));
+                return perm;
+            }
+            // Counting sort: `next[v]` is the slot of the next row holding `v`.
+            let mut next = vec![0u32; max as usize + 2];
+            for r in 0..rows.len {
+                next[cell(r) as usize + 1] += 1;
+            }
+            for v in 1..next.len() {
+                next[v] += next[v - 1];
+            }
+            let mut perm = vec![0u32; rows.len];
+            for r in 0..rows.len {
+                let slot = &mut next[cell(r) as usize];
+                perm[*slot as usize] = r as u32;
+                *slot += 1;
+            }
+            perm
+        })
+    }
+}
+
+/// The rows one probe has to look at, in no particular order: exactly the
+/// rows matching the constraint the probe settled on — a leading prefix or
+/// one column — or every row when nothing is bound. The caller checks the
+/// remaining columns itself.
+#[derive(Debug, Clone)]
+pub struct Candidates<'a> {
+    main: MainRows<'a>,
+    pending: PendingRows<'a>,
+}
 
 #[derive(Debug, Clone)]
-enum CandidateRows<'a> {
-    /// Rows named by one posting list.
-    Posted {
-        tuples: &'a [Box<[Const]>],
-        rows: std::slice::Iter<'a, u32>,
+enum MainRows<'a> {
+    /// Consecutive rows of the main run.
+    Block(RowIter<'a>),
+    /// Rows of the main run named by a stretch of a column permutation.
+    Picked {
+        rows: Rows<'a>,
+        ids: std::slice::Iter<'a, u32>,
     },
-    /// Every tuple of the relation.
-    All(std::slice::Iter<'a, Box<[Const]>>),
+}
+
+#[derive(Debug, Clone)]
+enum PendingRows<'a> {
+    /// Consecutive rows of the pending run.
+    Block(RowIter<'a>),
+    /// The `left` rows, among those not yet walked, whose `col` is `value`.
+    Holding {
+        rows: RowIter<'a>,
+        col: usize,
+        value: Const,
+        left: usize,
+    },
+}
+
+impl Candidates<'_> {
+    /// Number of rows left to yield.
+    pub fn len(&self) -> usize {
+        let main = match &self.main {
+            MainRows::Block(rows) => rows.0.len,
+            MainRows::Picked { ids, .. } => ids.len(),
+        };
+        let pending = match &self.pending {
+            PendingRows::Block(rows) => rows.0.len,
+            PendingRows::Holding { left, .. } => *left,
+        };
+        main + pending
+    }
+
+    /// True iff no row is left.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 impl<'a> Iterator for Candidates<'a> {
@@ -91,17 +404,29 @@ impl<'a> Iterator for Candidates<'a> {
 
     #[inline]
     fn next(&mut self) -> Option<&'a [Const]> {
-        match &mut self.0 {
-            CandidateRows::Posted { tuples, rows } => rows.next().map(|&r| &*tuples[r as usize]),
-            CandidateRows::All(tuples) => tuples.next().map(|t| &**t),
+        let main = match &mut self.main {
+            MainRows::Block(rows) => rows.next(),
+            MainRows::Picked { rows, ids } => ids.next().map(|&r| rows.row(r as usize)),
+        };
+        if main.is_some() {
+            return main;
+        }
+        match &mut self.pending {
+            PendingRows::Block(rows) => rows.next(),
+            PendingRows::Holding {
+                rows,
+                col,
+                value,
+                left,
+            } => {
+                *left = left.checked_sub(1)?;
+                rows.find(|row| row[*col] == *value)
+            }
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.0 {
-            CandidateRows::Posted { rows, .. } => rows.size_hint(),
-            CandidateRows::All(tuples) => tuples.size_hint(),
-        }
+        (self.len(), Some(self.len()))
     }
 }
 
@@ -134,11 +459,8 @@ impl<'a> Iterator for Matching<'a> {
     }
 }
 
-/// One column's posting index: constant → ascending tuple indices.
-pub type ColumnIndex = HashMap<Const, Vec<u32>>;
-
-/// A relation outgrew the `u32` row-id space: posting lists, snapshot row
-/// counts, and delta row remaps all address tuples by `u32`, so row
+/// A relation outgrew the `u32` row-id space: column permutations, snapshot
+/// row counts, and delta row counts all address tuples by `u32`, so row
 /// `u32::MAX + 1` cannot be represented. Surfaced as a typed error by
 /// [`Database::try_insert`] and the `wdpt-store` bulk paths instead of the
 /// silent `as u32` wrap-around the seed had, which would alias row ids past
@@ -162,39 +484,37 @@ impl std::fmt::Display for TooManyRows {
 impl std::error::Error for TooManyRows {}
 
 /// Checked conversion of a tuple position into the `u32` row-id space used
-/// by every posting list and snapshot field.
+/// by every column permutation and snapshot field.
 pub fn row_id(row: usize) -> Result<u32, TooManyRows> {
     u32::try_from(row).map_err(|_| TooManyRows { rows: row as u64 })
 }
 
-/// The extension of a single predicate: a set of constant tuples.
-///
-/// A relation is either **owned** (its tuple block was built eagerly — the
-/// insert, bulk-load, and delta-merge paths) or **lazy** (a zero-copy
-/// [`ColumnarRelation`] view into a shared snapshot buffer, with tuples
-/// decoded behind a `OnceLock` on first touch). The two are
-/// indistinguishable through the query API. Either way the relation is the
-/// only owner of its column indexes: each one is derived here, on the first
-/// probe of that column, and nobody hands a relation a prebuilt one.
-/// Mutation detaches the backing first (see [`Relation::force_owned`]) so
-/// incremental index maintenance can never race a stale lazy decode.
+/// Rows a pending run may hold whatever the size of the main run …
+const PENDING_FLOOR: usize = 32;
+/// … and the share of the main run, `1 / PENDING_SHARE`, it may grow to
+/// beyond that before it is folded in. A fold copies the main run once, so
+/// an insert pays for at most `PENDING_SHARE` row copies amortised, and a
+/// probe of a column that needs a permutation walks at most that share of
+/// the relation linearly.
+const PENDING_SHARE: usize = 16;
+
+/// Bound leading columns a probe searches for in one go; a longer bound
+/// prefix (arity above 8, every column bound) is searched by its first
+/// eight cells and the caller's filter does the rest.
+const PREFIX_CELLS: usize = 8;
+
+/// The extension of a single predicate: a set of constant tuples, held as
+/// a strictly sorted main run — shared with every clone of the relation,
+/// **owned** or still a **lazy** view into a snapshot buffer — plus the
+/// sorted pending run of the rows inserted since the last fold. The two are
+/// disjoint, every accessor consults both, and the difference never shows
+/// through the query API. See the module docs for how probes use them.
 #[derive(Debug, Clone)]
 pub struct Relation {
-    arity: usize,
-    /// Tuple count — known without decoding anything, so `len()` and the
-    /// planner's row estimates never force a lazy relation.
-    rows: usize,
-    /// Zero-copy columnar views, present only on lazily-decoded relations.
-    backing: Option<crate::columnar::ColumnarRelation>,
-    /// Row-major tuple block; initialized at construction for owned
-    /// relations, decoded from `backing` on first whole-row access.
-    tuples: OnceLock<Vec<Box<[Const]>>>,
-    /// Membership set, built lazily on the first `contains`/`insert` — a
-    /// bulk-loaded relation that is only ever scanned and index-probed
-    /// never pays the O(n) clone-and-hash of materializing it.
-    seen: OnceLock<HashSet<Box<[Const]>>>,
-    /// Lazily built per-column index: `column -> constant -> tuple indices`.
-    column_index: Vec<OnceLock<HashMap<Const, Vec<u32>>>>,
+    run: Arc<Run>,
+    /// `pending_rows × arity` cells, strictly sorted, none in the main run.
+    pending: Vec<Const>,
+    pending_rows: usize,
 }
 
 impl Default for Relation {
@@ -205,149 +525,234 @@ impl Default for Relation {
 
 impl Relation {
     fn new(arity: usize) -> Self {
-        Relation::owned(arity, Vec::new())
+        Relation::over(Run::owned(arity, 0, Vec::new()))
     }
 
-    /// Assembles an owned relation whose tuple block exists up front.
-    fn owned(arity: usize, tuples: Vec<Box<[Const]>>) -> Self {
-        let rows = tuples.len();
-        let lock = OnceLock::new();
-        let _ = lock.set(tuples);
+    fn over(run: Run) -> Self {
         Relation {
-            arity,
-            rows,
-            backing: None,
-            tuples: lock,
-            seen: OnceLock::new(),
-            column_index: (0..arity).map(|_| OnceLock::new()).collect(),
+            run: Arc::new(run),
+            pending: Vec::new(),
+            pending_rows: 0,
         }
     }
 
-    /// Builds a relation directly from a **strictly sorted** run of tuples
-    /// (lexicographic on the `Const` ids, no duplicates), skipping the
-    /// per-tuple insert path. This is the bulk-load constructor used by the
-    /// `wdpt-store` snapshot loader: tuples arrive pre-sorted and
-    /// pre-deduplicated from merged sorted runs, so no per-tuple work is
-    /// left at all (the membership set stays lazy until first probed).
+    /// Builds a relation directly from a **strictly sorted** flat run of
+    /// `rows` tuples (`rows × arity` cells, row-major, rows ascending
+    /// lexicographically on the `Const` ids, no duplicates), skipping the
+    /// per-tuple insert path.
     ///
     /// # Panics
-    /// Panics (in debug builds) if a tuple has the wrong arity or the run is
-    /// not strictly sorted; callers that read untrusted input must validate
-    /// first ([`wdpt-store` does, after its checksums]).
-    pub fn from_sorted(arity: usize, tuples: Vec<Box<[Const]>>) -> Relation {
-        debug_assert!(tuples.iter().all(|t| t.len() == arity));
-        debug_assert!(tuples.windows(2).all(|w| w[0] < w[1]), "run not sorted");
-        Relation::owned(arity, tuples)
+    /// Panics — in release builds too, because every probe binary-searches
+    /// the run and would silently answer wrong otherwise — if `cells` does
+    /// not hold `rows × arity` cells, if the rows are not strictly sorted,
+    /// or if `rows` exceeds the `u32` row-id space. Callers that read
+    /// untrusted input must validate first (`wdpt-store` does, after its
+    /// checksums).
+    pub fn from_sorted(arity: usize, rows: usize, cells: Vec<Const>) -> Relation {
+        if let Err(why) = Rows::new(&cells, arity, rows).check_sorted() {
+            panic!("Relation::from_sorted: {why}");
+        }
+        Relation::over(Run::owned(arity, rows, cells))
+    }
+
+    /// Builds a relation from `rows` tuples in any order, duplicates
+    /// allowed (`rows × arity` cells, row-major): sorts and deduplicates
+    /// them. The bulk loader and the id-remapping snapshot merge end here.
+    ///
+    /// # Panics
+    /// Panics if `cells` does not hold `rows × arity` cells or `rows`
+    /// exceeds the `u32` row-id space.
+    pub fn from_rows(arity: usize, rows: usize, cells: Vec<Const>) -> Relation {
+        let unsorted = Rows::new(&cells, arity, rows);
+        if unsorted.check_sorted().is_ok() {
+            return Relation::over(Run::owned(arity, rows, cells));
+        }
+        let mut order: Vec<u32> =
+            (0..row_id(rows).expect("row count bounded by the caller")).collect();
+        order.sort_unstable_by(|&a, &b| unsorted.row(a as usize).cmp(unsorted.row(b as usize)));
+        let mut sorted = Vec::with_capacity(cells.len());
+        let mut kept = 0;
+        let mut last = None;
+        for &r in &order {
+            let row = unsorted.row(r as usize);
+            if last != Some(row) {
+                sorted.extend_from_slice(row);
+                kept += 1;
+                last = Some(row);
+            }
+        }
+        Relation::over(Run::owned(arity, kept, sorted))
     }
 
     /// Builds a **lazy** relation over a zero-copy columnar backing: no
-    /// tuples are materialized and no indexes are decoded until a query
-    /// actually touches them. The caller (the `wdpt-store` decoder) must
-    /// have validated the backing's streams — strictly sorted rows, cells
-    /// in the constant namespace, row count in the `u32` id space.
-    pub fn from_columnar(backing: crate::columnar::ColumnarRelation) -> Relation {
-        Relation {
+    /// row is decoded until a query or a mutation touches the relation.
+    /// The caller (the `wdpt-store` decoder) must have validated the
+    /// backing's streams — strictly sorted rows, cells in the constant
+    /// namespace, row count in the `u32` id space.
+    pub fn from_columnar(backing: ColumnarRelation) -> Relation {
+        Relation::over(Run {
             arity: backing.arity(),
             rows: backing.rows(),
-            tuples: OnceLock::new(),
-            seen: OnceLock::new(),
-            column_index: (0..backing.arity()).map(|_| OnceLock::new()).collect(),
+            cells: OnceLock::new(),
+            perms: (0..backing.arity()).map(|_| OnceLock::new()).collect(),
             backing: Some(backing),
-        }
-    }
-
-    /// True while the relation is still a pure zero-copy view (no tuple
-    /// block materialized). Exposed so tests and cold-start accounting can
-    /// assert that loading did not secretly decode anything.
-    pub fn is_lazy(&self) -> bool {
-        self.backing.is_some() && self.tuples.get().is_none()
-    }
-
-    /// The row-major tuple block, decoding it from the columnar backing on
-    /// first use.
-    fn tuple_vec(&self) -> &Vec<Box<[Const]>> {
-        self.tuples.get_or_init(|| {
-            self.backing
-                .as_ref()
-                .expect("owned relations initialize tuples at construction")
-                .decode_tuples()
         })
     }
 
-    /// Detaches the columnar backing before a mutation, materializing the
-    /// tuple block. Column indexes that were never probed stay unbuilt and
-    /// are derived from the (by then mutated) tuple block on first use —
-    /// with the backing gone, a later lazy decode cannot resurrect the
-    /// pre-insert posting lists from the snapshot bytes.
-    fn force_owned(&mut self) {
-        let Some(backing) = self.backing.take() else {
-            return;
-        };
-        if self.tuples.get().is_none() {
-            let _ = self.tuples.set(backing.decode_tuples());
-        }
+    /// True while the relation is still a pure zero-copy view (no row
+    /// decoded). Exposed so tests and cold-start accounting can assert
+    /// that loading did not secretly decode anything.
+    pub fn is_lazy(&self) -> bool {
+        self.run.backing.is_some() && self.run.cells.get().is_none()
     }
 
-    /// Forces every column index to be built now (they are otherwise built
-    /// lazily on first probe) — a warm-up for callers that want the first
-    /// query to pay no index work.
+    fn pending(&self) -> Rows<'_> {
+        Rows::new(&self.pending, self.arity(), self.pending_rows)
+    }
+
+    /// The main run's cells as an owned vector with room for `extra` more
+    /// cells: taken out of the run when no clone shares it, copied
+    /// otherwise. Leaves `self.run` without cells — the caller replaces it.
+    fn take_cells(&mut self, extra: usize) -> Vec<Const> {
+        let mut cells = match Arc::get_mut(&mut self.run) {
+            Some(run) => {
+                run.cells();
+                run.cells.take().expect("decoded just above")
+            }
+            None => {
+                let shared = self.run.cells();
+                let mut cells = Vec::with_capacity(shared.len() + extra);
+                cells.extend_from_slice(shared);
+                cells
+            }
+        };
+        cells.reserve(extra);
+        cells
+    }
+
+    /// Replaces the main run by its merge with `add` (see [`merge_rows`]).
+    fn merge_into_run(&mut self, add: Rows<'_>) -> Result<(), usize> {
+        let rows = self.run.rows;
+        let mut cells = self.take_cells(add.cells.len());
+        let merged = merge_rows(&mut cells, rows, add);
+        // Also when the merge failed: the old run gave its cells away.
+        self.run = Arc::new(Run::owned(add.arity, rows + add.len, cells));
+        merged
+    }
+
+    /// Folds the pending run into the main run.
+    fn fold(&mut self) {
+        if self.pending_rows == 0 {
+            return;
+        }
+        let mut pending = std::mem::take(&mut self.pending);
+        let rows = std::mem::take(&mut self.pending_rows);
+        self.merge_into_run(Rows::new(&pending, self.arity(), rows))
+            .expect("a pending row is never in the main run");
+        pending.clear();
+        self.pending = pending;
+    }
+
+    /// Consumes the relation and returns it with the `rows` tuples of the
+    /// strictly sorted flat run `add` merged in — the delta-apply path: one
+    /// top-down merge that moves only the rows above the lowest insertion
+    /// point. `Err(j)` if row `j` of `add` is already in the relation.
+    ///
+    /// # Panics
+    /// As [`Relation::from_sorted`] panics on `add`.
+    pub fn merge_sorted(mut self, rows: usize, add: &[Const]) -> Result<Relation, usize> {
+        let add = Rows::new(add, self.arity(), rows);
+        if let Err(why) = add.check_sorted() {
+            panic!("Relation::merge_sorted: {why}");
+        }
+        if rows == 0 {
+            return Ok(self);
+        }
+        self.fold();
+        self.merge_into_run(add)?;
+        Ok(self)
+    }
+
+    /// Forces every column permutation to be built now (they are otherwise
+    /// built lazily on first probe) — a warm-up for callers that want the
+    /// first query to pay no index work.
     pub fn build_all_indexes(&self) {
-        for col in 0..self.arity {
-            let _ = self.index_for(col);
+        for col in 1..self.arity() {
+            self.run.perm(col);
         }
     }
 
     /// Arity of the relation.
     pub fn arity(&self) -> usize {
-        self.arity
+        self.run.arity
     }
 
     /// Number of tuples. Never forces a lazy relation — the count is part
     /// of the columnar header.
     pub fn len(&self) -> usize {
-        self.rows
+        self.run.rows + self.pending_rows
     }
 
     /// True iff the relation has no tuples.
     pub fn is_empty(&self) -> bool {
-        self.rows == 0
+        self.len() == 0
     }
 
-    /// Iterates over all tuples (materializing the tuple block of a lazy
-    /// relation on first use).
+    /// Iterates over all tuples in ascending order (decoding the run of a
+    /// lazy relation on first use).
     pub fn tuples(&self) -> impl Iterator<Item = &[Const]> + '_ {
-        self.tuple_vec().iter().map(|t| &**t)
+        let mut main = self.run.rows().iter();
+        let mut pending = self.pending().iter();
+        std::iter::from_fn(move || match (main.peek(), pending.peek()) {
+            (Some(m), Some(p)) if p < m => pending.next(),
+            (Some(_), _) => main.next(),
+            (None, _) => pending.next(),
+        })
     }
 
-    /// Streams `(value, posting_len)` pairs of one column without forcing
-    /// a tuple materialization: from the built column index when present,
-    /// else from a lazy relation's key directory. Returns `false` when
-    /// neither source exists (an owned relation whose index was never
-    /// built) — the caller falls back to scanning [`Relation::tuples`].
-    /// Pair order is unspecified.
-    pub fn scan_posting_lens(&self, col: usize, mut f: impl FnMut(Const, u32)) -> bool {
-        if let Some(idx) = self.column_index.get(col).and_then(OnceLock::get) {
-            for (c, rows) in idx {
-                f(*c, rows.len() as u32);
+    /// Streams `(value, posting_len)` pairs of one column — each distinct
+    /// value with the number of tuples holding it, ascending by value —
+    /// from the cheapest truthful source, building nothing: the serialized
+    /// key directory of a snapshot's own run (validated at load, and read
+    /// without decoding a cell, so statistics and the active domain leave a
+    /// lazy relation lazy), else [`Relation::count_posting_lens`].
+    pub fn scan_posting_lens(&self, col: usize, mut f: impl FnMut(Const, u32)) {
+        if self.pending_rows > 0 || !self.scan_serialized_posting_lens(col, &mut f) {
+            self.count_posting_lens(col, f);
+        }
+    }
+
+    /// [`Relation::scan_posting_lens`] counted over the tuples themselves,
+    /// whatever else could answer: one counting pass over the column.
+    pub fn count_posting_lens(&self, col: usize, mut f: impl FnMut(Const, u32)) {
+        let values = || self.all().map(|t| t[col]);
+        let Some(max) = values().map(|c| c.0).max() else {
+            return;
+        };
+        if ids_are_dense(max, self.len()) {
+            let mut counts = vec![0u32; max as usize + 1];
+            for c in values() {
+                counts[c.0 as usize] += 1;
             }
-            return true;
+            for (id, &n) in counts.iter().enumerate().filter(|(_, &n)| n > 0) {
+                f(Const(id as u32), n);
+            }
+        } else {
+            let mut sorted: Vec<Const> = values().collect();
+            sorted.sort_unstable();
+            for group in sorted.chunk_by(|a, b| a == b) {
+                f(group[0], group.len() as u32);
+            }
         }
-        if let Some(backing) = &self.backing {
-            backing.scan_key_dir(col, f);
-            return true;
-        }
-        false
     }
 
     /// Streams `(value, posting_len)` pairs straight from the serialized
-    /// key directory, ignoring any built index. Returns `false` for owned
-    /// relations. This is the verification hook: unlike
-    /// [`Relation::scan_posting_lens`] (which prefers the built index as
-    /// the cheapest truthful source), this always reads what the snapshot
-    /// *claims*, so a deep check can compare it against the cells even
-    /// after some column was decoded.
+    /// key directory, whatever has been decoded since. Returns `false` for
+    /// relations without one (anything but a snapshot's own run). This is
+    /// what the snapshot *claims*; a deep check compares it against
+    /// [`Relation::count_posting_lens`].
     pub fn scan_serialized_posting_lens(&self, col: usize, f: impl FnMut(Const, u32)) -> bool {
-        match &self.backing {
+        match &self.run.backing {
             Some(backing) => {
                 backing.scan_key_dir(col, f);
                 true
@@ -356,138 +761,150 @@ impl Relation {
         }
     }
 
-    /// Decomposes the relation into its arity and owned tuple block without
-    /// cloning. This is the bulk *mutation* counterpart of
-    /// [`Relation::from_sorted`]: the snapshot delta-apply and id-remap
-    /// paths take a loaded relation apart, merge or translate its tuple
-    /// run, and reassemble. Column indexes are not carried across — the
-    /// reassembled relation derives the ones its queries probe.
-    pub fn into_parts(mut self) -> (usize, Vec<Box<[Const]>>) {
-        self.force_owned();
-        (self.arity, self.tuples.take().unwrap_or_default())
+    /// Decomposes the relation into its arity, row count and flat sorted
+    /// run (pending rows folded in) — without copying when no clone shares
+    /// the run. The bulk *mutation* counterpart of
+    /// [`Relation::from_rows`]: the id-remap path takes a loaded relation
+    /// apart, translates its cells, and reassembles.
+    pub fn into_parts(mut self) -> (usize, usize, Vec<Const>) {
+        self.fold();
+        (self.arity(), self.run.rows, self.take_cells(0))
     }
 
-    /// The membership set, built on first use from the tuple list.
-    fn seen(&self) -> &HashSet<Box<[Const]>> {
-        self.seen
-            .get_or_init(|| self.tuple_vec().iter().cloned().collect())
-    }
-
-    /// Set-membership test.
+    /// Set-membership test: a binary search of each run.
     pub fn contains(&self, tuple: &[Const]) -> bool {
-        self.seen().contains(tuple)
+        tuple.len() == self.arity() && !self.with_prefix(tuple).is_empty()
     }
 
-    fn insert(&mut self, tuple: Box<[Const]>) -> Result<bool, TooManyRows> {
-        debug_assert_eq!(tuple.len(), self.arity);
-        self.force_owned();
-        self.seen();
-        let seen = self.seen.get_mut().expect("initialized just above");
-        if !seen.insert(tuple.clone()) {
+    fn insert(&mut self, tuple: &[Const]) -> Result<bool, TooManyRows> {
+        debug_assert_eq!(tuple.len(), self.arity());
+        let pending = self.pending();
+        let at = equal_range(pending.len, |r| pending.row(r).cmp(tuple));
+        if !at.is_empty() || self.run.rows().with_prefix(tuple).len > 0 {
             return Ok(false);
         }
-        let row = match row_id(self.rows) {
-            Ok(row) => row,
-            Err(e) => {
-                // Leave the relation exactly as it was: the membership set
-                // must not claim a tuple the tuple list never received.
-                seen.remove(&tuple);
-                return Err(e);
-            }
-        };
-        // Update already-built column indexes incrementally instead of
-        // discarding them: appending one posting per built column is
-        // O(arity), while a rebuild-on-next-use is O(n) per insert.
-        for (col, cell) in self.column_index.iter_mut().enumerate() {
-            if let Some(idx) = cell.get_mut() {
-                idx.entry(tuple[col]).or_default().push(row);
-            }
+        // The relation is left exactly as it was when the id space is full.
+        row_id(self.len())?;
+        let at = at.start * self.arity();
+        self.pending.splice(at..at, tuple.iter().copied());
+        self.pending_rows += 1;
+        if self.pending_rows > PENDING_FLOOR.max(self.run.rows / PENDING_SHARE) {
+            self.fold();
         }
-        self.tuples
-            .get_mut()
-            .expect("force_owned materialized the tuple block")
-            .push(tuple);
-        self.rows += 1;
         Ok(true)
     }
 
-    fn index_for(&self, col: usize) -> &HashMap<Const, Vec<u32>> {
-        self.column_index[col].get_or_init(|| {
-            // A lazy relation whose tuples are still packed derives the
-            // posting lists straight from the cells blob — cheaper than
-            // materializing rows first, and not counted as an index
-            // *build* (nothing was recomputed, only decoded).
-            if let Some(backing) = &self.backing {
-                if self.tuples.get().is_none() {
-                    return backing.decode_index(col);
-                }
-            }
-            stats::record_index_build();
-            let mut idx: HashMap<Const, Vec<u32>> = HashMap::new();
-            for (i, t) in self.tuple_vec().iter().enumerate() {
-                // Insert paths reject row ids past u32::MAX and the bulk
-                // paths check row counts before `from_sorted`, so this
-                // conversion cannot fail for a well-formed relation.
-                let row = row_id(i).expect("row count bounded on construction");
-                idx.entry(t[col]).or_default().push(row);
-            }
-            idx
-        })
+    /// Every row: the main run's, then the pending run's.
+    fn all(&self) -> Candidates<'_> {
+        Candidates {
+            main: MainRows::Block(self.run.rows().iter()),
+            pending: PendingRows::Block(self.pending().iter()),
+        }
     }
 
-    /// Length of the posting list for `c` in column `col` (building the
-    /// column index if needed). This is the exact number of tuples with
-    /// `t[col] == c`.
+    /// The rows whose leading cells are `prefix`.
+    fn with_prefix(&self, prefix: &[Const]) -> Candidates<'_> {
+        Candidates {
+            main: MainRows::Block(self.run.rows().with_prefix(prefix).iter()),
+            pending: PendingRows::Block(self.pending().with_prefix(prefix).iter()),
+        }
+    }
+
+    /// The rows with `t[col] == c`: a prefix of one cell for the leading
+    /// column, else a stretch of the column's permutation (built if needed)
+    /// plus a linear pass over the pending run.
+    fn with_cell(&self, col: usize, c: Const) -> Candidates<'_> {
+        if col == 0 {
+            return self.with_prefix(&[c]);
+        }
+        let rows = self.run.rows();
+        let perm = self.run.perm(col);
+        let cell = |i: usize| rows.cells[perm[i] as usize * rows.arity + col];
+        let ids = &perm[equal_range(perm.len(), |i| cell(i).cmp(&c))];
+        let pending = self.pending().iter();
+        Candidates {
+            main: MainRows::Picked {
+                rows,
+                ids: ids.iter(),
+            },
+            pending: PendingRows::Holding {
+                left: pending.clone().filter(|row| row[col] == c).count(),
+                rows: pending,
+                col,
+                value: c,
+            },
+        }
+    }
+
+    /// Number of tuples with `t[col] == c` (building the column's
+    /// permutation if needed).
     pub fn posting_len(&self, col: usize, c: Const) -> usize {
         stats::record_index_probes(1);
-        self.index_for(col).get(&c).map_or(0, Vec::len)
+        self.with_cell(col, c).len()
     }
 
-    /// The rows with `t[col] == c`, ascending (building the column index if
-    /// needed): one hash lookup, counted in `tally` as one index probe.
+    /// The rows with `t[col] == c` (building the column's permutation if
+    /// needed), counted in `tally` as one index probe.
     #[inline]
-    pub fn postings(&self, col: usize, c: Const, tally: &mut ProbeTally) -> &[u32] {
+    pub fn postings(&self, col: usize, c: Const, tally: &mut ProbeTally) -> Candidates<'_> {
         tally.probes += 1;
-        self.index_for(col).get(&c).map_or(&[], Vec::as_slice)
+        self.with_cell(col, c)
     }
 
     /// The tuples a probe with the given `(column, value)` constraints has
-    /// to examine: the rows of the shortest posting list among them (the
-    /// first such column on a tie; one hash lookup per constraint), or the
-    /// whole relation when there is none. Tuples are *not* checked against
-    /// the constraints — the caller does that, and counts what it examined
-    /// with [`ProbeTally::add_scanned`].
+    /// to examine. The constraints on columns `0, 1, …` — as far as `bound`
+    /// opens with them, so callers list columns in ascending order — are
+    /// one prefix search; each later constraint is one column lookup, made
+    /// only while more than one row is still in play; the shortest result
+    /// wins (the earliest on a tie), and every search or lookup is counted
+    /// in `tally` as one index probe. With no constraint it is the whole
+    /// relation. Tuples are *not* checked against the constraints that lost
+    /// — the caller does that, and counts what it examined with
+    /// [`ProbeTally::add_scanned`].
     pub fn candidates(
         &self,
-        bound: impl Iterator<Item = (usize, Const)>,
+        mut bound: impl Iterator<Item = (usize, Const)>,
         tally: &mut ProbeTally,
     ) -> Candidates<'_> {
-        let mut best: Option<&[u32]> = None;
-        for (col, c) in bound {
+        let mut prefix = [Const(0); PREFIX_CELLS];
+        let mut prefix_len = 0;
+        // The first constraint past the prefix, taken off `bound` by hand:
+        // a `Peekable` here is 1% of `paper-decide`.
+        let mut beyond = None;
+        for (col, c) in bound.by_ref() {
+            if col != prefix_len || prefix_len == PREFIX_CELLS {
+                beyond = Some((col, c));
+                break;
+            }
+            prefix[prefix_len] = c;
+            prefix_len += 1;
+        }
+        let mut best = (prefix_len > 0).then(|| {
+            tally.probes += 1;
+            self.with_prefix(&prefix[..prefix_len])
+        });
+        for (col, c) in beyond.into_iter().chain(bound) {
+            if best.as_ref().is_some_and(|b| b.len() <= 1) {
+                break;
+            }
             let rows = self.postings(col, c, tally);
-            if best.is_none_or(|b| rows.len() < b.len()) {
+            if best.as_ref().is_none_or(|b| rows.len() < b.len()) {
                 best = Some(rows);
             }
         }
-        Candidates(match best {
-            Some(rows) => {
-                if let Some(lens) = &mut tally.posting_lens {
-                    lens.record(rows.len() as u64);
-                }
-                CandidateRows::Posted {
-                    tuples: self.tuple_vec(),
-                    rows: rows.iter(),
-                }
-            }
-            None => CandidateRows::All(self.tuple_vec().iter()),
-        })
+        let Some(best) = best else {
+            return self.all();
+        };
+        if let Some(lens) = &mut tally.posting_lens {
+            lens.record(best.len() as u64);
+        }
+        best
     }
 
     /// Iterates over tuples matching `pattern`: position `i` must equal
-    /// `pattern[i]` when it is `Some(c)`. Uses the column index of the most
-    /// selective bound position when one exists.
+    /// `pattern[i]` when it is `Some(c)`.
     pub fn matching<'a>(&'a self, pattern: &'a [Option<Const>]) -> Matching<'a> {
-        debug_assert_eq!(pattern.len(), self.arity);
+        debug_assert_eq!(pattern.len(), self.arity());
         let mut tally = ProbeTally::default();
         let bound = pattern
             .iter()
@@ -500,57 +917,51 @@ impl Relation {
         }
     }
 
-    /// Forces full materialization and cross-checks every posting entry
-    /// against the tuple block: ascending in-range rows, targets whose
-    /// cell equals the key, and lists that jointly cover every row exactly
-    /// once per column. `wdpt-store verify` runs this to extend the
-    /// load-time stream validation of lazily-decoded snapshots down to the
-    /// derived posting lists.
+    /// Forces the run and every column permutation and cross-checks them:
+    /// the cell count against the header's row count, both runs strictly
+    /// sorted and disjoint, and each permutation a permutation of the row
+    /// ids in ascending (cell, row id) order. `wdpt-store verify` runs this
+    /// to extend the load-time stream validation of lazily-decoded
+    /// snapshots down to everything derived from them.
     pub fn verify_deep(&self) -> Result<(), String> {
-        let tuples = self.tuple_vec();
-        if tuples.len() != self.rows {
+        let arity = self.arity();
+        let cells = self.run.cells();
+        if cells.len() != self.run.rows * arity {
             return Err(format!(
-                "tuple block holds {} rows but the header declares {}",
-                tuples.len(),
-                self.rows
+                "run holds {} cells but the header declares {} rows of arity {arity}",
+                cells.len(),
+                self.run.rows
             ));
         }
-        if let Some(t) = tuples.iter().find(|t| t.len() != self.arity) {
-            return Err(format!(
-                "tuple of arity {} in a relation of arity {}",
-                t.len(),
-                self.arity
-            ));
+        let rows = self.run.rows();
+        rows.check_sorted().map_err(str::to_owned)?;
+        let pending = self.pending();
+        pending
+            .check_sorted()
+            .map_err(|why| format!("pending: {why}"))?;
+        if pending.iter().any(|row| rows.with_prefix(row).len > 0) {
+            return Err("a pending row is also in the main run".to_owned());
         }
-        for col in 0..self.arity {
-            let idx = self.index_for(col);
-            let mut covered = 0usize;
-            for (key, rows) in idx {
-                if rows.is_empty() {
-                    return Err(format!("column {col}: empty posting list"));
-                }
-                if !rows.windows(2).all(|w| w[0] < w[1]) {
-                    return Err(format!("column {col}: posting list not ascending"));
-                }
-                for &row in rows {
-                    let cell = tuples
-                        .get(row as usize)
-                        .ok_or_else(|| format!("column {col}: posting row {row} out of range"))?
-                        .get(col)
-                        .copied();
-                    if cell != Some(*key) {
-                        return Err(format!(
-                            "column {col}: posting row {row} does not hold the key"
-                        ));
-                    }
-                }
-                covered += rows.len();
-            }
-            if covered != self.rows {
+        for col in 1..arity {
+            let perm = self.run.perm(col);
+            if perm.len() != rows.len {
                 return Err(format!(
-                    "column {col}: posting lists cover {covered} of {} rows",
-                    self.rows
+                    "column {col}: permutation of {} ids for {} rows",
+                    perm.len(),
+                    rows.len
                 ));
+            }
+            let mut seen = vec![false; rows.len];
+            for &r in perm {
+                match seen.get_mut(r as usize) {
+                    Some(slot) if !*slot => *slot = true,
+                    Some(_) => return Err(format!("column {col}: row {r} listed twice")),
+                    None => return Err(format!("column {col}: row {r} out of range")),
+                }
+            }
+            let key = |r: u32| (rows.row(r as usize)[col], r);
+            if !perm.windows(2).all(|w| key(w[0]) < key(w[1])) {
+                return Err(format!("column {col}: permutation not sorted"));
             }
         }
         Ok(())
@@ -559,12 +970,15 @@ impl Relation {
 
 /// A database: one [`Relation`] per predicate, plus the active domain.
 ///
+/// Cloning copies no rows: every relation's run is shared with the clone
+/// until one of the two folds an insert into it.
+///
 /// The active domain is computed lazily: eagerly deriving it at
 /// construction would force every lazily-decoded relation of a zero-copy
 /// snapshot, defeating the near-constant-time load. The first
 /// [`Database::active_domain`] call pays one streaming pass over key
-/// directories (or tuple scans for unindexed owned relations); inserts
-/// afterwards maintain it incrementally, exactly as before.
+/// directories (lazy relations) or runs (the others); inserts afterwards
+/// maintain it incrementally.
 #[derive(Debug, Default, Clone)]
 pub struct Database {
     relations: HashMap<Pred, Relation>,
@@ -620,9 +1034,6 @@ impl Database {
     /// schema — a programming error in the caller).
     pub fn try_insert(&mut self, pred: Pred, tuple: Vec<Const>) -> Result<bool, TooManyRows> {
         let arity = tuple.len();
-        // Remember the cells only when the domain was already computed —
-        // the common bulk path (domain never asked for) pays no clone.
-        let cells = self.active_domain.get().map(|_| tuple.clone());
         let rel = self
             .relations
             .entry(pred)
@@ -632,15 +1043,13 @@ impl Database {
             arity,
             "predicate used with inconsistent arities"
         );
-        let inserted = rel.insert(tuple.into_boxed_slice())?;
+        let inserted = rel.insert(&tuple)?;
         if inserted {
             // Maintain the active domain only if it was already computed;
             // a never-asked-for domain is derived from scratch on first
             // access and will see this tuple then.
-            if let (Some(domain), Some(cells)) = (self.active_domain.get_mut(), cells) {
-                for c in cells {
-                    domain.insert(c);
-                }
+            if let Some(domain) = self.active_domain.get_mut() {
+                domain.extend(tuple);
             }
         }
         Ok(inserted)
@@ -674,17 +1083,14 @@ impl Database {
     }
 
     /// The active domain: all constants occurring in some tuple. Computed
-    /// on first use; when a relation has built indexes or a columnar key
-    /// directory, its distinct constants stream from those instead of a
-    /// full tuple scan, so lazy relations stay unmaterialized.
+    /// on first use from each column's distinct values
+    /// ([`Relation::scan_posting_lens`]), so lazy relations stay undecoded.
     pub fn active_domain(&self) -> &BTreeSet<Const> {
         self.active_domain.get_or_init(|| {
             let mut domain: Vec<Const> = Vec::new();
             for rel in self.relations.values() {
                 for col in 0..rel.arity() {
-                    if !rel.scan_posting_lens(col, |c, _| domain.push(c)) {
-                        domain.extend(rel.tuples().map(|t| t[col]));
-                    }
+                    rel.scan_posting_lens(col, |c, _| domain.push(c));
                 }
             }
             domain.sort_unstable();
@@ -710,11 +1116,10 @@ impl Database {
         self.relations.iter().map(|(&p, r)| (p, r))
     }
 
-    /// Consumes the database into its owned relations, in unspecified
-    /// order. Paired with [`Database::from_sorted`], this lets bulk
-    /// transformations (snapshot delta application, interner remapping)
-    /// move untouched relations — tuples, built indexes and all — into the
-    /// result instead of copying them tuple by tuple.
+    /// Consumes the database into its relations, in unspecified order.
+    /// Paired with [`Database::from_sorted`], this lets bulk transformations
+    /// (snapshot delta application, interner remapping) move untouched
+    /// relations into the result as they are, lazy ones still lazy.
     pub fn into_relations(self) -> impl Iterator<Item = (Pred, Relation)> {
         self.relations.into_iter()
     }
@@ -862,8 +1267,9 @@ mod tests {
     fn interleaved_inserts_and_queries_do_not_rebuild_indexes() {
         // Regression test for the quadratic index invalidation: the seed
         // discarded every column index on every insert, so an interleaved
-        // load/query workload rebuilt an O(n) index per insert. With
-        // incremental maintenance each column index is built exactly once.
+        // load/query workload rebuilt an O(n) index per insert. Inserts
+        // land in the pending run, which needs no index, so a column
+        // permutation is rebuilt only after a fold — once here.
         let mut i = Interner::new();
         let e = i.pred("e");
         let consts: Vec<Const> = (0..64).map(|j| i.constant(&format!("k{j}"))).collect();
@@ -877,17 +1283,17 @@ mod tests {
             assert_eq!(rel_count(&db, e, &[None, Some(consts[j + 1])]), 1);
         }
         let delta = crate::stats::snapshot().since(&before);
-        // …and the two column indexes are built at most once each (other
-        // tests run concurrently, so only *this relation's* builds — bounded
-        // by a small constant — may show up; 62 rebuilds would mean the
+        // …and column 1's permutation is built once per fold (other tests
+        // run concurrently, so only *this relation's* builds — bounded by a
+        // small constant — may show up; 62 rebuilds would mean the
         // quadratic behavior is back).
         assert!(
             delta.index_builds <= 16,
             "interleaved insert/query workload rebuilt indexes {} times",
             delta.index_builds
         );
-        // Probes happened through the index, not via full scans: each
-        // indexed query scans exactly its posting list (1 tuple here).
+        // Probes returned matches, not the relation: each query scans
+        // exactly the rows holding its constant (1 tuple here).
         assert!(delta.index_probes >= 124, "probes = {}", delta.index_probes);
         assert!(
             delta.tuples_scanned <= 2 * 62 + 16,
@@ -920,10 +1326,14 @@ mod tests {
         let (mut i, db, e) = db3();
         let a = i.constant("a");
         // Rebuild the same relation through the bulk path.
-        let mut tuples: Vec<Box<[Const]>> =
-            db.relation(e).unwrap().tuples().map(Box::from).collect();
-        tuples.sort_unstable();
-        let rel = Relation::from_sorted(2, tuples);
+        let cells: Vec<Const> = db
+            .relation(e)
+            .unwrap()
+            .tuples()
+            .flatten()
+            .copied()
+            .collect();
+        let rel = Relation::from_sorted(2, 3, cells);
         let bulk = Database::from_sorted(vec![(e, rel)]);
         assert_eq!(bulk.size(), db.size());
         assert_eq!(bulk.active_domain(), db.active_domain());
@@ -938,22 +1348,18 @@ mod tests {
     #[test]
     fn bulk_loaded_relation_stays_consistent_under_interleaved_mutation() {
         // Guards the snapshot/delta-apply path: a relation assembled via
-        // `from_sorted`, whose indexes and `seen` set are all still unbuilt,
-        // must keep `insert`, `contains`, and `posting_len` mutually
-        // consistent when loads and mutations interleave — column 0's index
-        // is derived mid-stream by the first probe, column 1's and the
-        // `seen` set only after some inserts already happened.
+        // `from_sorted` must keep `insert`, `contains`, and `posting_len`
+        // mutually consistent when loads and mutations interleave — the
+        // inserts sit in the pending run beside a main run whose column-1
+        // permutation is built mid-stream by the first probe.
         let mut i = Interner::new();
         let e = i.pred("e");
         let consts: Vec<Const> = (0..24).map(|j| i.constant(&format!("c{j}"))).collect();
-        let mut tuples: Vec<Box<[Const]>> = (0..8)
-            .map(|j| vec![consts[j], consts[j + 1]].into_boxed_slice())
-            .collect();
-        tuples.sort_unstable();
-        let mut db = Database::from_sorted(vec![(e, Relation::from_sorted(2, tuples))]);
+        let cells: Vec<Const> = (0..8).flat_map(|j| [consts[j], consts[j + 1]]).collect();
+        let mut db = Database::from_sorted(vec![(e, Relation::from_sorted(2, 8, cells))]);
 
-        // Interleave: probe (posting_len through the derived index),
-        // insert a new tuple, membership-check both old and new tuples.
+        // Interleave: probe (posting_len over both runs), insert a new
+        // tuple, membership-check both old and new tuples.
         for j in 8..16 {
             let (a, b) = (consts[j], consts[j + 1]);
             let rel = db.relation(e).unwrap();
@@ -962,7 +1368,7 @@ mod tests {
             assert!(db.insert(e, vec![a, b]));
             assert!(!db.insert(e, vec![a, b]), "re-insert must dedup");
             let rel = db.relation(e).unwrap();
-            // The derived indexes were maintained incrementally…
+            // Both columns see the pending row…
             assert_eq!(rel.posting_len(0, a), 1);
             assert_eq!(rel.posting_len(1, b), 1);
             // …and membership agrees with it, for old and new tuples alike.
@@ -972,7 +1378,7 @@ mod tests {
         }
         let rel = db.relation(e).unwrap();
         assert_eq!(rel.len(), 16);
-        // Every tuple is reachable through index, scan, and membership.
+        // Every tuple is reachable through probe, scan, and membership.
         for j in 0..16 {
             let (a, b) = (consts[j], consts[j + 1]);
             assert!(rel.contains(&[a, b]));
@@ -982,17 +1388,133 @@ mod tests {
     }
 
     #[test]
-    fn into_parts_hands_back_the_tuple_block() {
+    fn into_parts_hands_back_the_sorted_run() {
         let (_, db, e) = db3();
-        let expected: BTreeSet<Box<[Const]>> =
-            db.relation(e).unwrap().tuples().map(Box::from).collect();
+        let expected: Vec<Const> = db
+            .relation(e)
+            .unwrap()
+            .tuples()
+            .flatten()
+            .copied()
+            .collect();
         let mut rels: Vec<(Pred, Relation)> = db.into_relations().collect();
         assert_eq!(rels.len(), 1);
         let (pred, rel) = rels.pop().unwrap();
         assert_eq!(pred, e);
-        let (arity, tuples) = rel.into_parts();
-        assert_eq!(arity, 2);
-        assert_eq!(tuples.into_iter().collect::<BTreeSet<_>>(), expected);
+        // The three inserts are still pending: taking the relation apart
+        // folds them in.
+        let (arity, rows, cells) = rel.into_parts();
+        assert_eq!((arity, rows), (2, 3));
+        assert_eq!(cells, expected);
+        assert!(cells
+            .chunks(2)
+            .collect::<Vec<_>>()
+            .windows(2)
+            .all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "run not sorted")]
+    fn from_sorted_rejects_an_unsorted_run() {
+        Relation::from_sorted(2, 2, vec![Const(2), Const(0), Const(1), Const(9)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate tuple")]
+    fn from_sorted_rejects_a_repeated_row() {
+        Relation::from_sorted(2, 2, vec![Const(1), Const(2), Const(1), Const(2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not 2 rows of arity 2")]
+    fn from_sorted_rejects_cells_that_are_not_whole_rows() {
+        Relation::from_sorted(2, 2, vec![Const(1), Const(2), Const(3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate tuple")]
+    fn from_sorted_rejects_a_second_nullary_row() {
+        Relation::from_sorted(0, 2, Vec::new());
+    }
+
+    #[test]
+    fn from_rows_sorts_and_deduplicates() {
+        let c = |ids: &[u32]| ids.iter().map(|&id| Const(id)).collect::<Vec<_>>();
+        let rel = Relation::from_rows(2, 4, c(&[5, 1, 2, 9, 5, 1, 2, 3]));
+        assert_eq!(rel.len(), 3);
+        let rows: Vec<&[Const]> = rel.tuples().collect();
+        assert_eq!(rows, [&c(&[2, 3])[..], &c(&[2, 9]), &c(&[5, 1])]);
+        assert!(rel.verify_deep().is_ok());
+    }
+
+    #[test]
+    fn nullary_relations_hold_at_most_the_empty_tuple() {
+        let mut i = Interner::new();
+        let (t, f) = (i.pred("t"), i.pred("f"));
+        let mut db = Database::from_sorted(vec![(f, Relation::from_sorted(0, 0, Vec::new()))]);
+        assert!(db.insert(t, vec![]));
+        assert!(!db.insert(t, vec![]), "the empty tuple is inserted once");
+        let copy = db.clone();
+        for db in [&db, &copy] {
+            let (yes, no) = (db.relation(t).unwrap(), db.relation(f).unwrap());
+            assert_eq!((yes.len(), no.len()), (1, 0));
+            assert_eq!(yes.tuples().collect::<Vec<_>>(), [&[] as &[Const]]);
+            assert_eq!(no.tuples().count(), 0);
+            assert!(yes.contains(&[]) && !no.contains(&[]));
+            assert_eq!(
+                (yes.matching(&[]).count(), no.matching(&[]).count()),
+                (1, 0)
+            );
+            assert!(yes.verify_deep().is_ok() && no.verify_deep().is_ok());
+            assert!(db.active_domain().is_empty());
+        }
+        // Folded or pending, merged or not, it stays one row.
+        let (arity, rows, cells) = db.relation(t).unwrap().clone().into_parts();
+        assert_eq!((arity, rows, cells.len()), (0, 1, 0));
+        let merged = Relation::from_sorted(0, 0, Vec::new()).merge_sorted(1, &[]);
+        assert_eq!(merged.unwrap().len(), 1);
+        let twice = Relation::from_sorted(0, 1, Vec::new()).merge_sorted(1, &[]);
+        assert_eq!(
+            twice.unwrap_err(),
+            0,
+            "row 0 of the addition is a duplicate"
+        );
+    }
+
+    #[test]
+    fn clones_share_the_run_and_diverge_on_insert() {
+        let mut i = Interner::new();
+        let e = i.pred("e");
+        let consts: Vec<Const> = (0..200).map(|j| i.constant(&format!("c{j}"))).collect();
+        let mut db = Database::new();
+        for j in 0..100 {
+            db.insert(e, vec![consts[j], consts[j + 1]]);
+        }
+        let mut copy = db.clone();
+        // Enough inserts to fold the copy's pending run at least once.
+        for j in 100..199 {
+            assert!(copy.insert(e, vec![consts[j], consts[j + 1]]));
+        }
+        assert_eq!((db.size(), copy.size()), (100, 199));
+        let (old, new) = (db.relation(e).unwrap(), copy.relation(e).unwrap());
+        assert!(!old.contains(&[consts[150], consts[151]]));
+        assert!(new.contains(&[consts[150], consts[151]]));
+        assert_eq!(old.posting_len(1, consts[151]), 0);
+        assert_eq!(new.posting_len(1, consts[151]), 1);
+        assert!(old.verify_deep().is_ok() && new.verify_deep().is_ok());
+    }
+
+    #[test]
+    fn merge_sorted_interleaves_and_reports_the_duplicate() {
+        let c = |ids: &[u32]| ids.iter().map(|&id| Const(id)).collect::<Vec<_>>();
+        let base = || Relation::from_sorted(2, 3, c(&[1, 1, 3, 3, 5, 5]));
+        let merged = base().merge_sorted(3, &c(&[0, 9, 3, 4, 7, 7])).unwrap();
+        let rows: Vec<Const> = merged.tuples().flatten().copied().collect();
+        assert_eq!(rows, c(&[0, 9, 1, 1, 3, 3, 3, 4, 5, 5, 7, 7]));
+        assert!(merged.verify_deep().is_ok());
+        assert_eq!(merged.posting_len(0, Const(3)), 2);
+        // Row 1 of the addition is already there.
+        assert_eq!(base().merge_sorted(2, &c(&[2, 2, 3, 3])).unwrap_err(), 1);
     }
 
     #[test]

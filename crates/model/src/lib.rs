@@ -14,8 +14,8 @@
 //!   names, constant names, and predicate names.
 //! * [`Term`], [`Var`], [`Const`], [`Pred`] — terms and predicate symbols.
 //! * [`Atom`] — a relational atom `R(v̄)` over variables and constants.
-//! * [`Database`] — a set of ground atoms with per-column hash indexes and an
-//!   active-domain view.
+//! * [`Database`] — a set of ground atoms, each relation one flat sorted
+//!   run probed in place, with an active-domain view.
 //! * [`Mapping`] — a partial mapping `X → U` with the subsumption order
 //!   (`h ⊑ h'` iff `h'` extends `h`), the central comparison of the paper.
 //! * [`parse`] — a tiny text format (`edge(?x, ?y)`, `c("Swim", 2)`) used by
@@ -38,9 +38,7 @@ pub mod term;
 pub use atom::Atom;
 pub use cancel::{CancelToken, Cancelled};
 pub use columnar::{ColumnSlices, ColumnarRelation};
-pub use database::{
-    row_id, Candidates, ColumnIndex, Database, Matching, ProbeTally, Relation, TooManyRows,
-};
+pub use database::{row_id, Candidates, Database, Matching, ProbeTally, Relation, TooManyRows};
 pub use interner::{Interner, SymbolSpace};
 pub use mapping::Mapping;
 pub use stats::StatsSnapshot;

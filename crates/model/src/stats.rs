@@ -18,7 +18,7 @@ use wdpt_obs::counter;
 
 /// Registry name of the index-build counter.
 pub const INDEX_BUILDS: &str = "db.index_builds";
-/// Registry name of the posting-list probe counter.
+/// Registry name of the relation-probe counter.
 pub const INDEX_PROBES: &str = "db.index_probes";
 /// Registry name of the candidate-tuple scan counter.
 pub const TUPLES_SCANNED: &str = "db.tuples_scanned";
@@ -30,11 +30,13 @@ pub const PARALLEL_TASKS: &str = "wdpt.parallel_tasks";
 /// A point-in-time copy of the five engine counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Column indexes built from scratch (`Relation::index_for` misses).
+    /// Column permutations built: one per relation run and column, by the
+    /// first probe that binds the column without the columns before it. A
+    /// probe on a leading prefix builds nothing.
     pub index_builds: u64,
-    /// Posting-list lookups in a column index.
+    /// Searches of a relation: one per prefix search, one per column lookup.
     pub index_probes: u64,
-    /// Candidate tuples examined by `Relation::matching*` iterators.
+    /// Candidate tuples examined by the searches and `Relation::matching`.
     pub tuples_scanned: u64,
     /// Search nodes expanded by the backtracking CQ engine.
     pub nodes_expanded: u64,
@@ -97,7 +99,7 @@ pub(crate) fn record_index_build() {
     counter!(INDEX_BUILDS).incr();
 }
 
-/// Records `n` posting-list lookups in one batch (see
+/// Records `n` relation probes in one batch (see
 /// [`ProbeTally`](crate::database::ProbeTally)).
 #[inline]
 pub(crate) fn record_index_probes(n: u64) {

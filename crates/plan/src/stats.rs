@@ -110,18 +110,10 @@ fn column_stats(rel: &Relation, col: usize) -> ColumnStats {
         }
     };
     // Posting-list lengths are exactly what the sketch summarizes, and the
-    // relation can stream them without materializing anything: a built hash
-    // index iterates its lists, and a lazy columnar relation walks the
-    // serialized key directory in place. Only a plain owned relation with
-    // no index yet falls back to a hash-count over the tuples — never force
-    // an index build or a column decode just for statistics.
-    if !rel.scan_posting_lens(col, |c, n| tally(c, u64::from(n))) {
-        let mut counts: HashMap<Const, u64> = HashMap::new();
-        for t in rel.tuples() {
-            *counts.entry(t[col]).or_insert(0) += 1;
-        }
-        counts.into_iter().for_each(|(c, n)| tally(c, n));
-    }
+    // relation streams them without building anything: a snapshot's own
+    // run walks its serialized key directory in place (decoding no cell),
+    // any other is counted over.
+    rel.scan_posting_lens(col, |c, n| tally(c, u64::from(n)));
     ColumnStats {
         distinct,
         max_posting,
@@ -142,7 +134,7 @@ pub struct StatsCatalog {
 
 impl StatsCatalog {
     /// Builds the catalog in one pass over `db`'s relations. Cost is
-    /// `O(size(db))` — a hash-count per column — and is paid once per
+    /// `O(size(db))` — a counting pass per column — and is paid once per
     /// load/reload/delta-apply, off the query path.
     pub fn build(db: &Database) -> StatsCatalog {
         let _span = wdpt_obs::span!("plan.stats.build");
@@ -235,8 +227,7 @@ mod tests {
     fn columnar_copy(rel: &Relation) -> Relation {
         use wdpt_model::columnar::{encode_cells, encode_key_dir};
         use wdpt_model::{ColumnSlices, ColumnarRelation};
-        let mut tuples: Vec<&[Const]> = rel.tuples().collect();
-        tuples.sort_unstable();
+        let tuples: Vec<&[Const]> = rel.tuples().collect();
         let mut raw = Vec::new();
         let columns = (0..rel.arity())
             .map(|col| {
@@ -265,7 +256,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_lazily_built_index_when_present() {
+    fn every_source_of_posting_lengths_gives_the_same_statistics() {
         let mut i = Interner::new();
         // Column 0: `hot` 5×, then 39 values in 13 groups of three whose
         // members occur equally often — more candidates than the list
@@ -281,18 +272,32 @@ mod tests {
         }
         let db = parse_database(&mut i, &spec).unwrap();
         let e = i.pred("e");
-        // Three sources of the same posting lengths, three streaming
-        // orders: a hash-count over the tuples of an owned relation with
-        // no index, the built hash index, a lazy relation's key directory.
-        let fresh = StatsCatalog::build(&db);
-        db.relation(e).unwrap().build_all_indexes();
-        let indexed = StatsCatalog::build(&db);
-        let lazy_rel = columnar_copy(db.relation(e).unwrap());
-        assert!(lazy_rel.is_lazy());
-        let lazy = StatsCatalog::build(&Database::from_sorted(vec![(e, lazy_rel)]));
-        let stats = fresh.relation(e).unwrap();
-        assert_eq!(stats, indexed.relation(e).unwrap());
-        assert_eq!(stats, lazy.relation(e).unwrap());
+        let rel = db.relation(e).unwrap();
+        let stats_of = |rel: Relation| {
+            let catalog = StatsCatalog::build(&Database::from_sorted(vec![(e, rel)]));
+            catalog.relation(e).unwrap().clone()
+        };
+        // The same tuples five ways: built by inserts (a folded run plus
+        // pending rows), with its permutations built, as a lazy snapshot
+        // view (key directories), decoded, and merged from two runs.
+        let stats = stats_of(rel.clone());
+        rel.build_all_indexes();
+        assert_eq!(stats, stats_of(rel.clone()));
+        let lazy = columnar_copy(rel);
+        assert!(lazy.is_lazy());
+        assert_eq!(stats, stats_of(lazy.clone()));
+        assert_eq!(lazy.tuples().count(), rel.len());
+        assert!(!lazy.is_lazy());
+        assert_eq!(stats, stats_of(lazy));
+        let every_other = |odd: usize| -> Vec<Const> {
+            let rows = rel.tuples().enumerate().filter(|(r, _)| r % 2 == odd);
+            rows.flat_map(|(_, t)| t.iter().copied()).collect()
+        };
+        let (base, add) = (every_other(0), every_other(1));
+        let merged = Relation::from_sorted(2, base.len() / 2, base)
+            .merge_sorted(add.len() / 2, &add)
+            .unwrap();
+        assert_eq!(stats, stats_of(merged));
 
         let mcv = &stats.columns[0].mcv;
         assert_eq!(mcv.len(), MCV_ENTRIES);

@@ -9,9 +9,10 @@
 //! two-pass parallel interning, sorted tuple runs) with the facts format
 //! handled by `wdpt_model::parse`. Binary snapshots load via
 //! [`wdpt_store::load_snapshot`] and are merged into the server's interner
-//! by [`merge_snapshot`]. Neither path builds a posting index: every
-//! relation derives its column indexes on the first probe of each column,
-//! so a cold start (and a reload) does no index work at all.
+//! by [`merge_snapshot`]. Neither path builds anything beside the sorted
+//! runs themselves: a probe on a leading prefix searches the run in place,
+//! and any other column gets its row-id permutation on the first probe
+//! that needs one.
 
 use std::io;
 use std::path::Path;
@@ -62,9 +63,8 @@ pub fn load_database(interner: &mut Interner, path: &Path, threads: usize) -> io
 ///   name lookup per *symbol*, not per tuple cell). When the table turns
 ///   out to be the identity (the live interner extends the snapshot's), the
 ///   relations are moved wholesale, still lazy. If not, every cell is
-///   translated and each relation's run re-sorted under the new ids
-///   (`serve.store.snapshot_remapped` counts this path); the rewritten
-///   relations derive their column indexes on first probe.
+///   translated and each relation's flat run re-sorted under the new ids
+///   (`serve.store.snapshot_remapped` counts this path).
 pub fn merge_snapshot(interner: &mut Interner, snapshot: (Interner, Database)) -> Database {
     let (snap_interner, snap_db) = snapshot;
     if interner.is_empty() {
@@ -94,17 +94,14 @@ pub fn merge_snapshot(interner: &mut Interner, snapshot: (Interner, Database)) -
 
     let mut out: Vec<(Pred, Relation)> = Vec::new();
     for (pred, rel) in snap_db.into_relations() {
-        let (arity, mut tuples) = rel.into_parts();
-        for t in tuples.iter_mut() {
-            for c in t.iter_mut() {
-                *c = Const(translate[c.0 as usize]);
-            }
+        let (arity, rows, mut cells) = rel.into_parts();
+        for c in cells.iter_mut() {
+            *c = Const(translate[c.0 as usize]);
         }
         // New ids generally reorder the lexicographic tuple order.
-        tuples.sort_unstable();
         out.push((
             Pred(translate[pred.0 as usize]),
-            Relation::from_sorted(arity, tuples),
+            Relation::from_rows(arity, rows, cells),
         ));
     }
     Database::from_sorted(out)
@@ -225,7 +222,7 @@ Swim NME_rating "2"^^<http://www.w3.org/2001/XMLSchema#integer> .
         let rel = db.relation(p).unwrap();
         let rows: Vec<&[Const]> = rel.tuples().collect();
         assert!(rows.windows(2).all(|w| w[0] < w[1]), "run not re-sorted");
-        // The derived indexes answer correctly under the new ids.
+        // Probes answer correctly under the new ids.
         let (b, u, q) = (live.constant("b"), live.constant("u"), live.constant("q"));
         assert_eq!(rel.posting_len(0, b), 2);
         assert_eq!(rel.posting_len(2, u), 3);

@@ -332,11 +332,16 @@ impl ServeState {
         let entry = DbEntry::new(db);
         histogram!("serve.reload.stats_us").record(stats_start.elapsed().as_micros() as u64);
         let swap_start = Instant::now();
-        self.dbs
+        // The write guard is gone at the end of this statement; the entry
+        // it replaced outlives it, so when no query still holds the old
+        // database its teardown blocks no `db()` reader.
+        let replaced = self
+            .dbs
             .write()
             .expect("dbs lock")
             .insert(db_name.to_string(), entry);
         histogram!("serve.reload.swap_us").record(swap_start.elapsed().as_micros() as u64);
+        drop(replaced);
         tuples
     }
 
@@ -446,22 +451,19 @@ impl ServeState {
                 }
             }
         }
-        let pair = match wdpt_store::decode_with_deltas(&base_bytes, &delta_bytes) {
-            Ok(pair) => pair,
+        // Verifying the chain hashes every file once; those are the hashes
+        // the served head history wants.
+        let (pair, chain) = match wdpt_store::decode_chain(&base_bytes, &delta_bytes) {
+            Ok(loaded) => loaded,
             Err(e) => {
                 counter!("serve.store.reload_failed").add(1);
                 return Err(format!("{}: {e}", snapshot.display()));
             }
         };
-        let mut chain = vec![wdpt_store::content_hash(&base_bytes)];
         let deltas = delta_bytes
             .into_iter()
-            .map(|bytes| {
-                let base = *chain.last().expect("chain is nonempty");
-                let hash = wdpt_store::content_hash(&bytes);
-                chain.push(hash);
-                (base, hash, bytes)
-            })
+            .zip(chain.windows(2))
+            .map(|(bytes, link)| (link[0], link[1], bytes))
             .collect();
         histogram!("serve.reload.load_us").record(load_start.elapsed().as_micros() as u64);
         Ok(LoadedChain {

@@ -1,8 +1,8 @@
-//! The one rule that replaced every posting-list carry-over path: a
-//! relation derives each column index itself, on the first probe of that
-//! column. Loading a snapshot, applying a delta chain, and remapping the
-//! result into a live interner therefore do **no** index work, and the
-//! first query afterwards pays for exactly the columns it probes.
+//! A reload builds nothing, and the first point query after it builds
+//! nothing either: a relation is one sorted run, a probe that binds a
+//! leading prefix — `(s, p, ?o)` — searches the run in place, and only a
+//! probe that cannot use the prefix derives a row-id permutation, once per
+//! column. Relations a delta does not touch are not even decoded.
 //!
 //! Kept to a single `#[test]` on purpose: the index-build counter is
 //! process-wide, and a sibling test evaluating queries in this binary
@@ -14,19 +14,11 @@ use wdpt_serve::{merge_snapshot, parse_dataset};
 use wdpt_sparql::TripleStore;
 use wdpt_store::{content_hash, decode_with_deltas, delta_to_vec, snapshot_to_vec_v2};
 
-const BASE: &str = "<s1> <p> <o1> .\n<s2> <p> <o1> .\n<s2> <q> <o2> .\n<s3> <q> <o1> .\n";
-const UPDATE: &str = "<s4> <p> <o1> .\n<s1> <q> <o3> .\n";
+const BASE: &str = "triple(s1, p, o1)\ntriple(s2, p, o1)\ntriple(s2, q, o2)\n\
+                    triple(s3, q, o1)\nlabel(s1, first)\n";
+const UPDATE: &str = "triple(s4, p, o1)\ntriple(s1, q, o3)\n";
 
-/// Which columns of an owned relation hold an index right now
-/// (`scan_posting_lens` has no other source to stream from).
-fn built_columns(rel: &Relation) -> Vec<bool> {
-    assert!(!rel.is_lazy(), "only meaningful for an owned relation");
-    (0..rel.arity())
-        .map(|col| rel.scan_posting_lens(col, |_, _| {}))
-        .collect()
-}
-
-fn sorted_rows(rel: &Relation, i: &Interner) -> Vec<Vec<String>> {
+fn named_rows(rel: &Relation, i: &Interner) -> Vec<Vec<String>> {
     let mut rows: Vec<Vec<String>> = rel
         .tuples()
         .map(|t| t.iter().map(|c| i.const_name(*c).to_owned()).collect())
@@ -36,7 +28,7 @@ fn sorted_rows(rel: &Relation, i: &Interner) -> Vec<Vec<String>> {
 }
 
 #[test]
-fn delta_apply_and_remap_build_no_index_and_the_first_probe_builds_its_columns() {
+fn a_reload_and_the_first_point_query_after_it_build_nothing() {
     // Base snapshot and a delta on top of it, as files would hold them.
     let mut base_i = Interner::new();
     let base_db = parse_dataset(&mut base_i, BASE).unwrap();
@@ -57,55 +49,69 @@ fn delta_apply_and_remap_build_no_index_and_the_first_probe_builds_its_columns()
         &new_db,
     )
     .unwrap();
-
-    // A live interner that already holds some of the names under other
-    // ids, so the merge takes the translating (non-identity) path.
-    let mut live = Interner::new();
-    for name in ["o3", "s4", "unrelated", "o1"] {
-        live.constant(name);
-    }
-
-    let (db, work) = delta_scope(|| {
-        let pair = decode_with_deltas(&base_bytes, std::slice::from_ref(&delta)).unwrap();
-        merge_snapshot(&mut live, pair)
-    });
-    assert_eq!(work.counter("serve.store.snapshot_remapped"), 1);
-    assert_eq!(work.counter("store.delta.relations_merged"), 1);
-    assert_eq!(
-        work.counter("db.index_builds"),
-        0,
-        "reload path built an index"
-    );
-    let triple = TripleStore::pred(&mut live);
-    let rel = db.relation(triple).unwrap();
-    assert_eq!(
-        built_columns(rel),
-        [false; 3],
-        "reload path left an index behind"
-    );
-
-    // The first point query builds exactly the two columns it binds.
-    let (p, o1) = (live.constant("p"), live.constant("o1"));
-    let pattern = [None, Some(p), Some(o1)];
-    let (hits, work) = delta_scope(|| {
-        let mut hits: Vec<Const> = rel.matching(&pattern).map(|t| t[0]).collect();
-        hits.sort_by_key(|c| live.const_name(*c).to_owned());
-        hits
-    });
-    assert_eq!(work.counter("db.index_builds"), 2);
-    assert_eq!(built_columns(rel), [false, true, true]);
-    let names: Vec<&str> = hits.iter().map(|c| live.const_name(*c)).collect();
-    assert_eq!(names, ["s1", "s2", "s4"]);
-    // Asking again builds nothing more.
-    let (_, work) = delta_scope(|| rel.matching(&pattern).count());
-    assert_eq!(work.counter("db.index_builds"), 0);
-
-    // And the whole relation equals a from-scratch text load of base+delta.
     let mut fresh_i = Interner::new();
     let fresh = parse_dataset(&mut fresh_i, &format!("{BASE}{UPDATE}")).unwrap();
     let fresh_triple = TripleStore::pred(&mut fresh_i);
-    assert_eq!(
-        sorted_rows(rel, &live),
-        sorted_rows(fresh.relation(fresh_triple).unwrap(), &fresh_i)
-    );
+    let expected = named_rows(fresh.relation(fresh_triple).unwrap(), &fresh_i);
+
+    // Installed into an empty interner (a cold start, a follower) and into
+    // one that already holds some of the names under other ids, so the
+    // merge translates every cell and re-sorts every run.
+    let mut taken = Interner::new();
+    for name in ["o3", "s4", "unrelated", "o1"] {
+        taken.constant(name);
+    }
+    for (mut live, remapped) in [(Interner::new(), 0), (taken, 1)] {
+        let (db, work) = delta_scope(|| {
+            let pair = decode_with_deltas(&base_bytes, std::slice::from_ref(&delta)).unwrap();
+            merge_snapshot(&mut live, pair)
+        });
+        assert_eq!(work.counter("serve.store.snapshot_remapped"), remapped);
+        assert_eq!(work.counter("store.delta.relations_merged"), 1);
+        assert_eq!(
+            work.counter("db.index_builds"),
+            0,
+            "the reload built something"
+        );
+        let label = live.pred("label");
+        if remapped == 0 {
+            let untouched = db.relation(label).unwrap();
+            assert!(untouched.is_lazy(), "the delta does not name `label`");
+        }
+        let triple = TripleStore::pred(&mut live);
+        let rel = db.relation(triple).unwrap();
+
+        // The first point query: subject and predicate bound.
+        let (s2, p, o1) = (live.constant("s2"), live.constant("p"), live.constant("o1"));
+        let point = [Some(s2), Some(p), None];
+        let (hits, work) = delta_scope(|| rel.matching(&point).map(|t| t[2]).collect::<Vec<_>>());
+        assert_eq!(hits, [o1]);
+        assert_eq!(
+            work.counter("db.index_builds"),
+            0,
+            "a prefix probe built something"
+        );
+        assert_eq!(
+            work.counter("db.tuples_scanned"),
+            1,
+            "matches, not candidates"
+        );
+
+        // A probe without the leading column builds the permutations of
+        // the two columns it consults, once.
+        let pattern = [None, Some(p), Some(o1)];
+        let (hits, work) = delta_scope(|| {
+            let mut hits: Vec<Const> = rel.matching(&pattern).map(|t| t[0]).collect();
+            hits.sort_by_key(|c| live.const_name(*c).to_owned());
+            hits
+        });
+        assert_eq!(work.counter("db.index_builds"), 2);
+        let names: Vec<&str> = hits.iter().map(|c| live.const_name(*c)).collect();
+        assert_eq!(names, ["s1", "s2", "s4"]);
+        let (_, work) = delta_scope(|| rel.matching(&pattern).count());
+        assert_eq!(work.counter("db.index_builds"), 0);
+
+        // And the whole relation equals a from-scratch text load of base+delta.
+        assert_eq!(named_rows(rel, &live), expected);
+    }
 }

@@ -20,10 +20,11 @@
 //! from file bytes, with no registry. Deltas are **insert-only**: symbols
 //! are appended (existing ids never move, which is what keeps serve-side
 //! plan caches valid across a reload) and tuples are added, never
-//! removed. Applying merges each touched relation's sorted base run with
-//! the sorted insertion run in one pass; the merged relation derives its
-//! column indexes on first probe, like any other. Relations the delta does
-//! not touch are moved into the result wholesale, still lazy.
+//! removed. Insertion runs stay flat from the file to the relation: applying
+//! merges each into the touched relation's sorted run in place
+//! ([`Relation::merge_sorted`]), moving only the rows above the lowest
+//! insertion point. Relations the delta does not touch are moved into the
+//! result wholesale, still lazy.
 
 use crate::format::{
     checked_count, content_hash, decode_snapshot, expect_tag, len_u32, malformed, push_section,
@@ -31,7 +32,7 @@ use crate::format::{
     SpaceTable, StoreError, MAGIC, SECTION_FRAME_BYTES, TAG_DELTA_HEADER, TAG_DICTIONARY, TAG_END,
     TAG_HEADER, TAG_RELATION_DELTA,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::path::Path;
 use wdpt_model::{Const, Database, Interner, Pred, Relation, SymbolSpace};
 use wdpt_obs::{counter, span};
@@ -60,12 +61,14 @@ pub struct DeltaHeader {
     pub inserted: u64,
 }
 
-/// One relation's insertion run.
+/// One relation's insertion run: `rows × arity` cells, row-major, strictly
+/// sorted.
 #[derive(Debug)]
 struct RelationDelta {
     pred: Pred,
     arity: usize,
-    tuples: Vec<Box<[Const]>>,
+    rows: usize,
+    cells: Vec<Const>,
 }
 
 /// A fully parsed (but not yet applied) delta file.
@@ -135,10 +138,8 @@ pub fn delta_to_vec(
     let mut diffs: Vec<(Pred, usize, Vec<&[Const]>)> = Vec::new();
     let mut inserted: u64 = 0;
     for (pred, new_rel) in rel_order {
-        let mut new_rows: Vec<&[Const]> = new_rel.tuples().collect();
-        new_rows.sort_unstable();
         let added: Vec<&[Const]> = match base_db.relation(pred) {
-            None => new_rows,
+            None => new_rel.tuples().collect(),
             Some(base_rel) => {
                 if base_rel.arity() != new_rel.arity() {
                     return Err(malformed(
@@ -151,18 +152,17 @@ pub fn delta_to_vec(
                         ),
                     ));
                 }
-                let mut base_rows: Vec<&[Const]> = base_rel.tuples().collect();
-                base_rows.sort_unstable();
+                // Both runs stream ascending: one lockstep walk.
+                let mut base_rows = base_rel.tuples().peekable();
                 let mut added = Vec::new();
-                let mut bi = 0;
-                for row in new_rows {
-                    if bi < base_rows.len() && base_rows[bi] == row {
-                        bi += 1;
+                for row in new_rel.tuples() {
+                    if base_rows.peek() == Some(&row) {
+                        base_rows.next();
                     } else {
                         added.push(row);
                     }
                 }
-                if bi != base_rows.len() {
+                if base_rows.next().is_some() {
                     return Err(malformed(
                         "delta",
                         format!(
@@ -343,18 +343,13 @@ pub fn decode_delta(bytes: &[u8]) -> Result<Delta, StoreError> {
         }
         // Bound both counts against the remaining bytes *before* sizing
         // allocations from them (rows ≥ 1 here, so 4 bytes per column is
-        // a hard floor; each row costs 4·arity cell bytes).
+        // a hard floor; each row costs 4·arity cell bytes — none for the
+        // one row a nullary relation can hold).
         let arity = checked_count(u64::from(arity_u32), 4, pr.remaining(), label, "columns")?;
         if arity == 0 && rows_u64 > 1 {
             return Err(malformed(label, "nullary relation with more than one row"));
         }
-        let rows = checked_count(
-            rows_u64,
-            4 * (arity as u64).max(1),
-            pr.remaining(),
-            label,
-            "rows",
-        )?;
+        let rows = checked_count(rows_u64, 4 * arity as u64, pr.remaining(), label, "rows")?;
         let cells = arity
             .checked_mul(rows)
             .and_then(|c| c.checked_mul(4))
@@ -364,24 +359,23 @@ pub fn decode_delta(bytes: &[u8]) -> Result<Delta, StoreError> {
                 section: label.to_string(),
             });
         }
-        let mut columns: Vec<&[u8]> = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            columns.push(pr.take(rows * 4, label)?);
-        }
-        let mut tuples: Vec<Box<[Const]>> = Vec::with_capacity(rows);
-        for row in 0..rows {
-            let mut tuple = Vec::with_capacity(arity);
-            for c in &columns {
-                let cell = c
-                    .get(row * 4..row * 4 + 4)
-                    .and_then(le_u32)
-                    .ok_or_else(|| malformed(label, "misaligned cell bytes"))?;
-                tuple.push(Const(cell));
+        // Column-major on the wire, row-major in the run.
+        let mut run = vec![Const(0); arity * rows];
+        for col in 0..arity {
+            let column = pr.take(rows * 4, label)?;
+            for (cell, bytes) in run
+                .iter_mut()
+                .skip(col)
+                .step_by(arity)
+                .zip(column.chunks(4))
+            {
+                *cell =
+                    Const(le_u32(bytes).ok_or_else(|| malformed(label, "misaligned cell bytes"))?);
             }
-            tuples.push(tuple.into_boxed_slice());
         }
-        if let Some(w) = tuples.windows(2).find(|w| w[0] >= w[1]) {
-            let detail = if w[0] == w[1] {
+        let row = |r: usize| &run[r * arity..(r + 1) * arity];
+        if let Some(r) = (1..rows).find(|&r| row(r - 1) >= row(r)) {
+            let detail = if row(r - 1) == row(r) {
                 "duplicate tuple in sorted block"
             } else {
                 "tuple block is not sorted"
@@ -395,7 +389,8 @@ pub fn decode_delta(bytes: &[u8]) -> Result<Delta, StoreError> {
         relations.push(RelationDelta {
             pred,
             arity,
-            tuples,
+            rows,
+            cells: run,
         });
     }
     if total != header.inserted {
@@ -423,52 +418,15 @@ pub fn decode_delta(bytes: &[u8]) -> Result<Delta, StoreError> {
     })
 }
 
-/// Merges one sorted insertion run into a relation's sorted tuple run.
-fn merge_relation(
-    label: &str,
-    base: Relation,
-    add: Vec<Box<[Const]>>,
-) -> Result<Relation, StoreError> {
-    let (arity, base_tuples) = base.into_parts();
-    // Row ids are u32 everywhere; bound the merged run before building it.
-    len_u32(base_tuples.len() + add.len(), "merged row count")?;
-
-    let mut merged: Vec<Box<[Const]>> = Vec::with_capacity(base_tuples.len() + add.len());
-    let mut b = base_tuples.into_iter().peekable();
-    let mut a = add.into_iter().peekable();
-    loop {
-        let take_base = match (b.peek(), a.peek()) {
-            (Some(bt), Some(at)) => match bt.cmp(at) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Greater => false,
-                std::cmp::Ordering::Equal => {
-                    return Err(malformed(
-                        label,
-                        "delta inserts a tuple the base already holds",
-                    ))
-                }
-            },
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
-        };
-        let t = if take_base { b.next() } else { a.next() }.expect("peeked");
-        if merged.last().is_some_and(|p| **p >= *t) {
-            // The base relation's run was not sorted — possible only if
-            // the relation was mutated outside the snapshot paths.
-            return Err(malformed(label, "base relation run is not sorted"));
-        }
-        merged.push(t);
-    }
-    Ok(Relation::from_sorted(arity, merged))
-}
-
 /// Applies one parsed delta to an `(Interner, Database)` pair, consuming
 /// the database and returning the merged one. The interner is extended in
-/// place (append-only, so ids held by callers stay valid). Chain-hash
-/// verification is the caller's job ([`decode_with_deltas`] does it); this
-/// function checks everything *structural*: the symbol-count anchor, that
-/// appended symbols are genuinely new, and every cell's namespace.
+/// place (append-only, so ids held by callers stay valid) — but only once
+/// nothing can fail any more: on every `Err` it is exactly as the caller
+/// passed it. Chain-hash verification is the caller's job
+/// ([`decode_with_deltas`] does it); this function checks everything
+/// *structural*: the symbol-count anchor, that appended symbols are
+/// genuinely new, every cell's namespace, arities, and that no inserted
+/// tuple is already there.
 pub fn apply_delta(
     interner: &mut Interner,
     db: Database,
@@ -485,25 +443,26 @@ pub fn apply_delta(
             ),
         ));
     }
-    for (j, (space, name)) in delta.appended.iter().enumerate() {
-        let expected = delta.header.base_symbols as usize + j;
-        let id = match space {
-            SymbolSpace::Var => interner.var(name).0,
-            SymbolSpace::Const => interner.constant(name).0,
-            SymbolSpace::Pred => interner.pred(name).0,
-        };
-        if id as usize != expected {
-            // Roll the partial append back before erroring so the caller's
-            // interner is untouched on failure.
-            interner.truncate(delta.header.base_symbols as usize);
+    let mut appended = HashSet::with_capacity(delta.appended.len());
+    for (space, name) in &delta.appended {
+        // Interned already, or listed twice: either way the id the delta's
+        // cells use for it would name something else.
+        let known = interner.lookup_id(*space, name);
+        if known.is_some() || !appended.insert((*space, name.as_str())) {
             return Err(malformed(
                 "dictionary",
-                format!("appended symbol {name:?} is already interned (id {id})"),
+                match known {
+                    Some(id) => format!("appended symbol {name:?} is already interned (id {id})"),
+                    None => format!("appended symbol {name:?} is listed twice"),
+                },
             ));
         }
     }
-    interner.raise_fresh_counter(delta.header.fresh_counter);
-    let spaces = SpaceTable::from_interner(interner);
+    // The symbol table as it will be once the delta's symbols are in.
+    let mut spaces = SpaceTable::from_interner(interner);
+    spaces
+        .spaces
+        .extend(delta.appended.iter().map(|(space, _)| *space));
 
     let mut rels: BTreeMap<Pred, Relation> = db.into_relations().collect();
     let mut merged_count: u64 = 0;
@@ -516,18 +475,22 @@ pub fn apply_delta(
                 format!("id {} is not a predicate", rd.pred.0),
             ));
         }
-        for t in &rd.tuples {
-            for (col, cell) in t.iter().enumerate() {
-                if !spaces.is(cell.0, SymbolSpace::Const) {
-                    return Err(malformed(
-                        label,
-                        format!("column {col} holds id {}, which is not a constant", cell.0),
-                    ));
-                }
-            }
+        if let Some(at) = rd
+            .cells
+            .iter()
+            .position(|cell| !spaces.is(cell.0, SymbolSpace::Const))
+        {
+            return Err(malformed(
+                label,
+                format!(
+                    "column {} holds id {}, which is not a constant",
+                    at % rd.arity,
+                    rd.cells[at].0
+                ),
+            ));
         }
         let rel = match rels.remove(&rd.pred) {
-            None => Relation::from_sorted(rd.arity, rd.tuples),
+            None => Relation::from_sorted(rd.arity, rd.rows, rd.cells),
             Some(base_rel) => {
                 if base_rel.arity() != rd.arity {
                     return Err(malformed(
@@ -539,13 +502,27 @@ pub fn apply_delta(
                         ),
                     ));
                 }
-                merge_relation(label, base_rel, rd.tuples)?
+                // Row ids are u32 everywhere; bound the merged run before
+                // building it.
+                len_u32(base_rel.len() + rd.rows, "merged row count")?;
+                base_rel
+                    .merge_sorted(rd.rows, &rd.cells)
+                    .map_err(|_| malformed(label, "delta inserts a tuple the base already holds"))?
             }
         };
         merged_count += 1;
         rels.insert(rd.pred, rel);
     }
 
+    for (space, name) in &delta.appended {
+        match space {
+            SymbolSpace::Var => interner.var(name).0,
+            SymbolSpace::Const => interner.constant(name).0,
+            SymbolSpace::Pred => interner.pred(name).0,
+        };
+    }
+    debug_assert_eq!(interner.len() as u64, delta.header.symbols);
+    interner.raise_fresh_counter(delta.header.fresh_counter);
     counter!("store.delta.relations_merged").add(merged_count);
     counter!("store.delta.tuples_applied").add(delta.header.inserted);
     Ok(Database::from_sorted(rels.into_iter().collect()))
@@ -558,11 +535,24 @@ pub fn decode_with_deltas(
     base: &[u8],
     deltas: &[Vec<u8>],
 ) -> Result<(Interner, Database), StoreError> {
+    decode_chain(base, deltas).map(|(pair, _)| pair)
+}
+
+/// [`decode_with_deltas`] that also hands back the [`content_hash`] of
+/// every file of the chain — the base's, then each delta's — which
+/// verifying the chain computes anyway, so a caller that needs them (the
+/// server records the chain it serves) does not hash each file again.
+pub fn decode_chain(
+    base: &[u8],
+    deltas: &[Vec<u8>],
+) -> Result<((Interner, Database), Vec<u64>), StoreError> {
     let _g = span!("store.decode_with_deltas");
     let (mut interner, mut db) = decode_snapshot(base)?;
-    let mut expected = content_hash(base);
+    let mut chain = Vec::with_capacity(1 + deltas.len());
+    chain.push(content_hash(base));
     for (i, bytes) in deltas.iter().enumerate() {
         let delta = decode_delta(bytes)?;
+        let expected = chain[i];
         if delta.header.base_hash != expected {
             return Err(malformed(
                 "delta header",
@@ -574,10 +564,10 @@ pub fn decode_with_deltas(
             ));
         }
         db = apply_delta(&mut interner, db, delta)?;
-        expected = content_hash(bytes);
+        chain.push(content_hash(bytes));
         counter!("store.delta.applied").add(1);
     }
-    Ok((interner, db))
+    Ok(((interner, db), chain))
 }
 
 /// [`decode_with_deltas`] over files.
@@ -780,5 +770,113 @@ mod tests {
         let err = apply_delta(&mut wrong, Database::new(), delta).unwrap_err();
         assert!(err.to_string().contains("symbols"), "got: {err}");
         assert_eq!(wrong.len(), before, "failed apply must not grow interner");
+    }
+
+    /// A delta over [`base`] that appends symbols, raises the fresh-name
+    /// counter and inserts `edge(a, c)` and `edge(c, d)`; applied to a
+    /// target it does not fit, it must fail with `needle` in the message
+    /// and leave the target's interner exactly as it was.
+    fn assert_refused_without_a_trace(mut target: Interner, db: Database, needle: &str) {
+        let (base_bytes, i, base_db) = decoded_base();
+        let (mut ni, mut ndb) = extend(&i, &base_db);
+        ni.fresh_var("tmp");
+        let (e, a, c) = (ni.pred("edge"), ni.constant("a"), ni.constant("c"));
+        ndb.insert(e, vec![a, c]);
+        let bytes = delta_to_vec(content_hash(&base_bytes), &i, &base_db, &ni, &ndb).unwrap();
+        let delta = decode_delta(&bytes).unwrap();
+        assert!(delta.header.fresh_counter > target.fresh_counter());
+
+        let (symbols, fresh) = (target.len(), target.fresh_counter());
+        let err = apply_delta(&mut target, db, delta).unwrap_err();
+        assert!(err.to_string().contains(needle), "got: {err}");
+        assert_eq!(target.len(), symbols, "failed apply grew the interner");
+        assert_eq!(
+            target.fresh_counter(),
+            fresh,
+            "failed apply moved the counter"
+        );
+    }
+
+    #[test]
+    fn an_already_interned_symbol_is_refused_and_the_interner_untouched() {
+        // As many symbols as the base has, but "d" — which the delta
+        // appends — is already one of them.
+        let mut target = Interner::new();
+        target.pred("edge");
+        target.pred("node");
+        for name in ["a", "b", "d"] {
+            target.constant(name);
+        }
+        assert_refused_without_a_trace(target, Database::new(), "already interned");
+    }
+
+    #[test]
+    fn a_cell_outside_the_constants_is_refused_and_the_interner_untouched() {
+        // The id the base gives the constant `c` is a variable here.
+        let mut target = Interner::new();
+        target.pred("edge");
+        target.pred("node");
+        target.constant("a");
+        target.constant("b");
+        target.var("c");
+        assert_refused_without_a_trace(target, Database::new(), "not a constant");
+    }
+
+    #[test]
+    fn an_arity_mismatch_is_refused_and_the_interner_untouched() {
+        let (mut i, _) = base();
+        let (e, a) = (i.pred("edge"), i.constant("a"));
+        let mut unary = Database::new();
+        unary.insert(e, vec![a]);
+        assert_refused_without_a_trace(i, unary, "arity");
+    }
+
+    #[test]
+    fn a_tuple_the_base_holds_is_refused_and_the_interner_untouched() {
+        let (mut i, mut db) = base();
+        let (e, a, c) = (i.pred("edge"), i.constant("a"), i.constant("c"));
+        db.insert(e, vec![a, c]);
+        assert_refused_without_a_trace(i, db, "already holds");
+    }
+
+    #[test]
+    fn nullary_relations_round_trip_and_take_deltas() {
+        // `no` is the empty nullary relation, `yes` holds the empty tuple.
+        let mut i = Interner::new();
+        let (no, yes) = (i.pred("no"), i.pred("yes"));
+        let mut db = Database::from_sorted(vec![(no, Relation::from_sorted(0, 0, Vec::new()))]);
+        db.insert(yes, vec![]);
+        let base_bytes = snapshot_to_vec_v2(&i, &db).unwrap();
+        let (ri, rdb) = decode_snapshot(&base_bytes).unwrap();
+        assert_eq!(snapshot_to_vec_v2(&ri, &rdb).unwrap(), base_bytes);
+        for db in [&rdb, &rdb.clone()] {
+            let (no, yes) = (db.relation(no).unwrap(), db.relation(yes).unwrap());
+            assert_eq!((no.len(), yes.len()), (0, 1));
+            assert_eq!(yes.tuples().collect::<Vec<_>>(), [&[] as &[Const]]);
+            assert!(yes.contains(&[]) && !no.contains(&[]));
+            assert_eq!(
+                (no.matching(&[]).count(), yes.matching(&[]).count()),
+                (0, 1)
+            );
+        }
+        crate::format::verify_database_deep(&rdb).unwrap();
+
+        // A delta that fills `no` and brings a third nullary relation.
+        let (mut ni, mut ndb) = (ri.clone(), rdb.clone());
+        let third = ni.pred("third");
+        assert!(ndb.insert(no, vec![]) && ndb.insert(third, vec![]));
+        let delta = delta_to_vec(content_hash(&base_bytes), &ri, &rdb, &ni, &ndb).unwrap();
+        let (ai, adb) = decode_with_deltas(&base_bytes, std::slice::from_ref(&delta)).unwrap();
+        assert_eq!(adb.display(&ai), ndb.display(&ni));
+        assert_eq!(adb.size(), 3);
+        assert_eq!(
+            snapshot_to_vec_v2(&ai, &adb).unwrap(),
+            snapshot_to_vec_v2(&ni, &ndb).unwrap()
+        );
+        // Applied to a pair that already holds `no()`, it repeats a tuple.
+        let mut again = ai.clone();
+        again.truncate(ri.len());
+        let err = apply_delta(&mut again, adb, decode_delta(&delta).unwrap()).unwrap_err();
+        assert!(err.to_string().contains("already holds"), "got: {err}");
     }
 }

@@ -24,9 +24,9 @@
 //! Relation tuples are stored **sorted** (lexicographic on `Const` ids,
 //! deduplicated) and column-major: each column is a zigzag-delta varint
 //! cells blob plus a key directory (ascending distinct values with their
-//! posting-list lengths). Posting row-lists are *not* stored — a decoded
-//! [`Relation`] is a lazy view into the shared snapshot buffer and derives
-//! each column index itself, on the first probe of that column. The decoder
+//! posting-list lengths). Nothing else is stored — a decoded [`Relation`]
+//! is a lazy view into the shared snapshot buffer whose cells decode, on
+//! first touch, straight into the flat sorted run it is probed in. The decoder
 //! validates every structural invariant it relies on (sortedness, counts,
 //! namespace of every id) and returns a typed [`StoreError`] — never a
 //! panic — on anything off.
@@ -218,10 +218,10 @@ pub(crate) fn push_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
 /// predicate id, directory keys ascending), so snapshots can be compared
 /// and cached byte-wise. Per relation and column the
 /// payload carries a zigzag-delta varint **cells blob** and a delta-varint
-/// **key directory** (ascending distinct values + posting-list lengths);
-/// posting row-lists are derived from the cells at decode time, so they
-/// cost zero bytes. The dictionary is front-coded (shared-prefix length +
-/// suffix), which is where catalogs with systematic IRIs win the most.
+/// **key directory** (ascending distinct values + posting-list lengths),
+/// both streamed off the relation's sorted run. The dictionary is
+/// front-coded (shared-prefix length + suffix), which is where catalogs
+/// with systematic IRIs win the most.
 pub fn snapshot_to_vec_v2(interner: &Interner, db: &Database) -> Result<Vec<u8>, StoreError> {
     let _g = span!("store.encode");
     let mut rel_order: Vec<(Pred, &Relation)> = db.relations().collect();
@@ -245,30 +245,27 @@ pub fn snapshot_to_vec_v2(interner: &Interner, db: &Database) -> Result<Vec<u8>,
     );
 
     for (pred, rel) in rel_order {
-        let mut rows: Vec<&[Const]> = rel.tuples().collect();
-        rows.sort_unstable();
         let arity = rel.arity();
         // One up-front check bounds every row id to the u32 space the
         // decoder re-validates.
-        len_u32(rows.len(), "relation row count")?;
+        len_u32(rel.len(), "relation row count")?;
         let mut payload = Vec::new();
         payload.extend_from_slice(&pred.0.to_le_bytes());
         payload.extend_from_slice(&len_u32(arity, "relation arity")?.to_le_bytes());
-        payload.extend_from_slice(&(rows.len() as u64).to_le_bytes());
+        payload.extend_from_slice(&(rel.len() as u64).to_le_bytes());
         // Per-column blobs first, so the fixed-width column table can be
         // written before them.
         let mut blobs: Vec<(Vec<u8>, u64, Vec<u8>)> = Vec::with_capacity(arity);
         for col in 0..arity {
             let mut cells = Vec::new();
-            encode_cells(&mut cells, rows.iter().map(|t| t[col].0));
-            // BTreeMap keeps keys ascending → deterministic directory.
-            let mut counts: std::collections::BTreeMap<Const, u32> = Default::default();
-            for t in &rows {
-                *counts.entry(t[col]).or_insert(0) += 1;
-            }
+            encode_cells(&mut cells, rel.tuples().map(|t| t[col].0));
+            // Counted over the cells just written, ascending — not copied
+            // from the directory of a file the relation may have come from.
+            let mut pairs: Vec<(u32, u32)> = Vec::new();
+            rel.count_posting_lens(col, |k, n| pairs.push((k.0, n)));
             let mut dir = Vec::new();
-            encode_key_dir(&mut dir, counts.iter().map(|(k, &n)| (k.0, n)));
-            blobs.push((cells, counts.len() as u64, dir));
+            encode_key_dir(&mut dir, pairs.iter().copied());
+            blobs.push((cells, pairs.len() as u64, dir));
         }
         for (cells, keys, dir) in &blobs {
             payload.extend_from_slice(&(cells.len() as u64).to_le_bytes());
@@ -652,8 +649,8 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(Interner, Database), StoreError>
 /// own `Arc` clone, so the buffer outlives any `Arc<Database>` swap that
 /// drops the rest of the load context — see DESIGN.md §13 for the lifetime
 /// rules). Load cost is CRC verification plus one streaming validation pass
-/// per section; no tuple, index, or string-heavy structure is materialized
-/// here except the dictionary.
+/// per section; no row or string-heavy structure is materialized here
+/// except the dictionary.
 fn decode_shared(bytes: &Arc<[u8]>) -> Result<(Interner, Database), StoreError> {
     let _g = span!("store.decode");
     let mut r = Reader::new(bytes);
@@ -758,7 +755,7 @@ fn parse_dictionary_v2(
 /// summing to the row count); their agreement with the cells is enforced
 /// by construction for files this crate writes and cross-checked by
 /// `wdpt-store verify` — a hand-forged directory can skew statistics but
-/// never query answers, since posting lists are derived from the cells.
+/// never query answers, since probes read the cells and nothing else.
 fn parse_relation_v2(
     raw: &Arc<[u8]>,
     section: &Section<'_>,
@@ -967,36 +964,26 @@ fn validate_cells_streams(
 }
 
 /// Deep verification beyond what loading checks: forces every lazy
-/// relation, cross-checks all posting lists against the tuple block, and
-/// (for lazy relations) compares the serialized key directories against
-/// the derived indexes. `wdpt-store verify` runs this so the offline tool
-/// catches the one class of forgery the zero-copy load path admits —
-/// internally-consistent key directories that do not match the cells.
+/// relation, cross-checks its run and every column permutation, and (for
+/// relations decoded from a snapshot) compares the serialized key
+/// directories against counts over the decoded run. `wdpt-store verify`
+/// runs this so the offline tool catches the one class of forgery the
+/// zero-copy load path admits — internally-consistent key directories that
+/// do not match the cells.
 pub fn verify_database_deep(db: &Database) -> Result<(), StoreError> {
     for (pred, rel) in db.relations() {
         let label = format!("relation (pred id {})", pred.0);
-        // Capture what the snapshot *claims* — the serialized directories —
-        // before forcing anything. `scan_serialized_posting_lens` reads the
-        // raw bytes whenever columnar backing exists, even after a query
-        // already materialized tuples or decoded an index, so a forged
-        // directory cannot hide behind a prior decode.
-        let mut dirs: Vec<Vec<(Const, u32)>> = Vec::new();
-        for col in 0..rel.arity() {
-            let mut dir = Vec::new();
-            if !rel.scan_serialized_posting_lens(col, |c, n| dir.push((c, n))) {
-                break; // owned relation: nothing serialized to cross-check
-            }
-            dirs.push(dir);
-        }
         rel.verify_deep()
             .map_err(|detail| malformed(&label, detail))?;
-        for (col, dir) in dirs.into_iter().enumerate() {
-            // `verify_deep` derived every column index from the cells, and
-            // the scan prefers a derived index over the directory.
-            let mut derived = Vec::with_capacity(dir.len());
-            rel.scan_posting_lens(col, |c, n| derived.push((c, n)));
-            derived.sort_unstable();
-            if dir != derived {
+        for col in 0..rel.arity() {
+            // What the snapshot *claims*: the raw directory bytes.
+            let mut claimed: Vec<(Const, u32)> = Vec::new();
+            if !rel.scan_serialized_posting_lens(col, |c, n| claimed.push((c, n))) {
+                break; // not a snapshot's own run: nothing serialized to cross-check
+            }
+            let mut counted = Vec::with_capacity(claimed.len());
+            rel.count_posting_lens(col, |c, n| counted.push((c, n)));
+            if claimed != counted {
                 return Err(malformed(
                     &label,
                     format!("column {col} key directory disagrees with the cells"),
@@ -1088,7 +1075,7 @@ mod tests {
     }
 
     #[test]
-    fn decoded_relations_answer_probes_from_derived_indexes() {
+    fn decoded_relations_answer_probes_from_the_decoded_run() {
         let (mut i, db) = sample();
         let bytes = snapshot_to_vec_v2(&i, &db).unwrap();
         let (_, db2) = decode_snapshot(&bytes).unwrap();

@@ -10,12 +10,12 @@
 //!   per-relation sorted column-major tuple runs as delta+varint cells with
 //!   a key directory, and a CRC-32 per section so corruption surfaces as a
 //!   typed [`StoreError`] instead of garbage answers. Decoded relations are
-//!   lazy views into the file's bytes; no posting list is stored, carried
-//!   or installed anywhere — every [`wdpt_model::Relation`] derives a
-//!   column's index itself on the first probe of that column.
+//!   lazy views into the file's bytes whose cells decode, on first touch,
+//!   straight into the flat sorted run a [`wdpt_model::Relation`] is
+//!   probed in; nothing else is stored, carried or built.
 //! * [`delta`] — incremental **delta snapshots**: insert-only diffs
-//!   chained to their base by content hash, applied by merging sorted
-//!   runs, so a small update touches only the relations it names.
+//!   chained to their base by content hash, applied by merging flat sorted
+//!   runs in place, so a small update touches only the relations it names.
 //! * [`loader`] — a parallel bulk loader that streams text through scoped
 //!   parser threads (std-only) with **two-pass parallel interning**:
 //!   workers intern into per-worker local dictionaries, the union merges
@@ -44,8 +44,8 @@ pub mod text;
 
 pub use crc::{crc32, Crc32};
 pub use delta::{
-    apply_delta, decode_delta, decode_with_deltas, delta_to_vec, load_with_deltas, save_delta,
-    Delta, DeltaHeader,
+    apply_delta, decode_chain, decode_delta, decode_with_deltas, delta_to_vec, load_with_deltas,
+    save_delta, Delta, DeltaHeader,
 };
 pub use format::{
     content_hash, decode_snapshot, inspect_snapshot, load_snapshot, save_snapshot,

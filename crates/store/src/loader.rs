@@ -14,9 +14,9 @@
 //!       symbol set, never on worker count or scheduling
 //! then: parallel remap — each coded chunk is rewritten local→global ids
 //!       and grouped by predicate across M threads
-//! then: per-relation sort + dedup across M threads (column indexes are
-//!       not built here — a relation derives each on first probe, and the
-//!       snapshot encoder works from the sorted rows alone)
+//! then: per-relation sort + dedup of the flat rows across M threads
+//!       (`Relation::from_rows`; nothing else is built here — the sorted
+//!       run is all a relation is and all the snapshot encoder reads)
 //! ```
 //!
 //! Parsing and interning are both the expensive steps at catalog scale
@@ -108,8 +108,8 @@ pub struct LoadReport {
 type RawAtom = (String, Vec<String>);
 
 /// Per-predicate accumulation during collection: arity plus the (not yet
-/// sorted or deduplicated) tuple list.
-type PredTuples = HashMap<Pred, (usize, Vec<Box<[Const]>>)>;
+/// sorted or deduplicated) rows, flat.
+type PredTuples = HashMap<Pred, (usize, Vec<Const>)>;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Format {
@@ -639,13 +639,11 @@ pub fn bulk_load<R: BufRead + Send>(
                         let argc = chunk.code[at + 1] as usize;
                         let args = &chunk.code[at + 2..at + 2 + argc];
                         at += 2 + argc;
-                        let tuple: Box<[Const]> =
-                            args.iter().map(|&a| consts[a as usize]).collect();
                         local
                             .entry(pred)
                             .or_insert_with(|| (argc, Vec::new()))
                             .1
-                            .push(tuple);
+                            .extend(args.iter().map(|&a| consts[a as usize]));
                     }
                 }
                 grouped.lock().expect("loader mutex poisoned").push(local);
@@ -675,23 +673,22 @@ pub fn bulk_load<R: BufRead + Send>(
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
-                let Some((pred, arity, mut tuples)) =
+                let Some((pred, arity, cells)) =
                     queue.lock().expect("loader mutex poisoned").next()
                 else {
                     return;
                 };
-                tuples.sort_unstable();
-                tuples.dedup();
-                // Row ids are u32 everywhere (posting lists, snapshots):
+                // Nullary facts leave no cells to count; any number of them
+                // is the one empty tuple.
+                let rows = cells.len().checked_div(arity).unwrap_or(1);
+                // Row ids are u32 everywhere (permutations, snapshots):
                 // reject a >4Gi-row relation with a typed error instead of
-                // letting a later index build wrap and alias rows.
-                if let Some(last) = tuples.len().checked_sub(1) {
-                    if let Err(e) = row_id(last) {
-                        *sort_err.lock().expect("loader mutex poisoned") = Some(e.into());
-                        return;
-                    }
+                // letting a later sort wrap and alias rows.
+                if let Err(e) = row_id(rows) {
+                    *sort_err.lock().expect("loader mutex poisoned") = Some(e.into());
+                    return;
                 }
-                let rel = Relation::from_sorted(arity, tuples);
+                let rel = Relation::from_rows(arity, rows, cells);
                 built
                     .lock()
                     .expect("loader mutex poisoned")

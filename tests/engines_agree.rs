@@ -421,7 +421,8 @@ fn adversarial_wdpt(i: &mut Interner, r: &mut Lcg, nodes: usize, dom: usize) -> 
 /// contexts share an interface value — plus the relation `g/2` with no
 /// tuples at all.
 fn adversarial_db(i: &mut Interner, r: &mut Lcg, dom: usize) -> Database {
-    let mut db = Database::from_sorted(vec![(i.pred("g"), Relation::from_sorted(2, Vec::new()))]);
+    let mut db =
+        Database::from_sorted(vec![(i.pred("g"), Relation::from_sorted(2, 0, Vec::new()))]);
     for (name, arity) in [("e", 2), ("f", 2), ("t", 3)] {
         let pred = i.pred(name);
         for code in 0..dom.pow(arity) {
