@@ -15,7 +15,7 @@ use crate::cq_approx::{cq_approximations, semantically_in};
 use wdpt_core::{
     eval_decide, partial_eval_decide, variants::has_proper_extension, Engine, Wdpt, WidthKind,
 };
-use wdpt_cq::containment::{contained_in, freeze, subsumed_cq};
+use wdpt_cq::containment::{contained_in, freeze, frozen_floor, subsumed_cq};
 use wdpt_cq::core_of::core_of;
 use wdpt_cq::ConjunctiveQuery;
 use wdpt_model::{mapping::maximal_mappings, Database, Interner, Mapping};
@@ -106,12 +106,13 @@ fn is_exact_projection(p: &Wdpt, db: &Database, h: &Mapping, engine: Engine) -> 
 /// `q_{T₁}`.
 pub fn uwdpt_subsumed(phi: &Uwdpt, phi2: &Uwdpt, engine: Engine, interner: &mut Interner) -> bool {
     let _span = wdpt_obs::span!("approx.uwdpt.subsumed");
+    let floor = frozen_floor(interner);
     for p in &phi.disjuncts {
         let mut subtrees = Vec::new();
         p.for_each_rooted_subtree(&mut |t| subtrees.push(t.clone()));
         for t1 in subtrees {
             let q = p.cq_of_subtree(&t1);
-            let (db, table) = freeze(&q, interner);
+            let (db, table) = freeze(&q, floor);
             let free_vars = p.subtree_free_vars(&t1);
             let h = Mapping::from_pairs(free_vars.iter().map(|&x| (x, table[&x])));
             if !phi2.partial_eval_decide(&db, &h, engine) {

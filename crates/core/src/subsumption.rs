@@ -15,7 +15,7 @@
 use crate::engine::Engine;
 use crate::tree::Wdpt;
 use crate::variants::partial_eval_decide;
-use wdpt_cq::containment::freeze;
+use wdpt_cq::containment::{freeze, frozen_floor};
 use wdpt_model::{Interner, Mapping};
 
 /// Decides `p1 ⊑ p2`. `engine` drives the PARTIAL-EVAL checks against
@@ -28,14 +28,16 @@ pub fn subsumed(p1: &Wdpt, p2: &Wdpt, engine: Engine, interner: &mut Interner) -
     // materializing them: memory stays linear and the first refuting
     // subtree short-circuits the remaining checks.
     let mut holds = true;
-    let mut cell = Some(interner);
+    // Every constant of `p1` and `p2` lies below the floor, so one floor
+    // serves every subtree: each canonical database is dropped before the
+    // next is frozen, and the table is never touched.
+    let floor = frozen_floor(interner);
     p1.for_each_rooted_subtree(&mut |t1| {
         if !holds {
             return;
         }
-        let interner = cell.as_mut().expect("interner is threaded through");
         let q = p1.cq_of_subtree(t1);
-        let (db, table) = freeze(&q, interner);
+        let (db, table) = freeze(&q, floor);
         let free_vars = p1.subtree_free_vars(t1);
         let h = Mapping::from_pairs(free_vars.iter().map(|&x| (x, table[&x])));
         if !partial_eval_decide(p2, &db, &h, engine) {

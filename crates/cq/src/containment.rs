@@ -8,22 +8,57 @@
 //! variant [`subsumed_cq`] instead requires `head(q₁) ⊆ head(q₂)` and
 //! matching values on the smaller head — this is the CQ-level `⊑` used for
 //! unions of WDPTs (Section 6).
+//!
+//! A frozen constant only has to be *distinct*: from the other frozen
+//! constants and from every constant either query mentions. [`freeze`]
+//! therefore mints bare ids above the symbol table instead of interning
+//! names — the canonical database and its variable table are dropped when
+//! the test returns, the ids never reach an [`Interner`], and no caller's
+//! table grows.
 
 use crate::backtrack::extend_exists;
 use crate::query::ConjunctiveQuery;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use wdpt_model::{Const, Database, Interner, Mapping, Var};
 
-/// Freezes a CQ into its canonical database: each variable becomes a fresh
-/// constant. Returns the database and the variable → constant table.
-pub fn freeze(q: &ConjunctiveQuery, interner: &mut Interner) -> (Database, BTreeMap<Var, Const>) {
-    let mut table: BTreeMap<Var, Const> = BTreeMap::new();
-    for v in q.variables() {
-        let name = interner.var_name(v).to_owned();
-        let c = interner.fresh_const(&name);
-        table.insert(v, c);
-    }
-    let m = Mapping::from_pairs(table.iter().map(|(&v, &c)| (v, c)));
+/// The first id above every symbol of `interner` — the `floor` to hand
+/// [`freeze`] when the frozen query meets other queries built from the same
+/// table: all their constants lie below it.
+pub fn frozen_floor(interner: &Interner) -> u32 {
+    u32::try_from(interner.len()).expect("interner overflow")
+}
+
+/// Freezes a CQ into its canonical database: each variable becomes a
+/// constant of its own. Returns the database and the variable → constant
+/// table.
+///
+/// The constants are consecutive ids starting at `floor`, or just above the
+/// largest constant `q` itself mentions if that is higher — so they are
+/// pairwise distinct and distinct from `q`'s constants whatever `floor` is
+/// (`0` will do when no other query is involved, as in a core search), and
+/// distinct from every symbol of a table when `floor` is its
+/// [`frozen_floor`]. They name nothing — rendering one through an interner
+/// is a bug — and no procedure of this crate returns one.
+///
+/// # Panics
+/// Panics (`"interner overflow"`) if the ids would not fit `u32` — never
+/// wraps around into ids that are taken.
+pub fn freeze(q: &ConjunctiveQuery, floor: u32) -> (Database, BTreeMap<Var, Const>) {
+    let first = q
+        .body()
+        .iter()
+        .flat_map(|a| &a.args)
+        .filter_map(|t| t.as_const())
+        .map(|c| c.0.checked_add(1).expect("interner overflow"))
+        .fold(floor, u32::max);
+    let vars: BTreeSet<Var> = q.variables();
+    let table: BTreeMap<Var, Const> = vars
+        .iter()
+        .copied()
+        .zip((first..=u32::MAX).map(Const))
+        .collect();
+    assert!(table.len() == vars.len(), "interner overflow");
+    let m = Mapping::from_sorted(table.iter().map(|(&v, &c)| (v, c)).collect());
     let mut db = Database::new();
     for a in q.body() {
         db.insert_atom(&a.apply(&m));
@@ -37,7 +72,7 @@ pub fn contained_in(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery, interner: &mut
     if q1.head_set() != q2.head_set() {
         return false;
     }
-    let (db, table) = freeze(q1, interner);
+    let (db, table) = freeze(q1, frozen_floor(interner));
     let seed = Mapping::from_pairs(q2.head().iter().map(|&x| (x, table[&x])));
     extend_exists(&db, q2.body(), &seed)
 }
@@ -57,7 +92,7 @@ pub fn subsumed_cq(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery, interner: &mut 
     if !h1.is_subset(&h2) {
         return false;
     }
-    let (db, table) = freeze(q1, interner);
+    let (db, table) = freeze(q1, frozen_floor(interner));
     let seed = Mapping::from_pairs(h1.iter().map(|&x| (x, table[&x])));
     extend_exists(&db, q2.body(), &seed)
 }
@@ -147,7 +182,7 @@ mod tests {
     fn frozen_database_has_one_atom_per_body_atom() {
         let mut i = Interner::new();
         let query = q(&mut i, &[], "e(?x,?y) e(?y,?z)");
-        let (db, table) = freeze(&query, &mut i);
+        let (db, table) = freeze(&query, frozen_floor(&i));
         assert_eq!(db.size(), 2);
         assert_eq!(table.len(), 3);
     }

@@ -12,9 +12,13 @@
 //! fixing the head) whose image has fewer atoms or variables, replace `q`
 //! with the image, repeat. Worst-case exponential — cores are NP-hard to
 //! recognize — but fast for the query sizes of the paper's constructions.
+//!
+//! The search involves no query but `q` itself, so the frozen constants
+//! only have to avoid `q`'s own (see [`freeze`]): no symbol table is read or
+//! grown, and [`try_core_above`] runs without one.
 
 use crate::backtrack::try_extend_all;
-use crate::containment::freeze;
+use crate::containment::{freeze, frozen_floor};
 use crate::query::ConjunctiveQuery;
 use std::collections::{BTreeMap, BTreeSet};
 use wdpt_model::{Atom, CancelToken, Cancelled, Const, Interner, Mapping, Term, Var};
@@ -58,9 +62,20 @@ pub fn try_core_of(
     interner: &mut Interner,
     token: &CancelToken,
 ) -> Result<ConjunctiveQuery, Cancelled> {
+    try_core_above(q, frozen_floor(interner), token)
+}
+
+/// [`try_core_of`] with the frozen ids starting at `floor` instead of above
+/// a symbol table. A caller with no table at hand passes `0`: [`freeze`]
+/// stays above the constants of the query itself whatever the floor.
+pub fn try_core_above(
+    q: &ConjunctiveQuery,
+    floor: u32,
+    token: &CancelToken,
+) -> Result<ConjunctiveQuery, Cancelled> {
     let mut current = q.clone();
     loop {
-        let (db, table) = freeze(&current, interner);
+        let (db, table) = freeze(&current, floor);
         let unfreeze: BTreeMap<Const, Var> = table.iter().map(|(&v, &c)| (c, v)).collect();
         let seed = Mapping::from_pairs(current.head().iter().map(|&x| (x, table[&x])));
         let endos = try_extend_all(&db, current.body(), None, &seed, token)?;

@@ -35,8 +35,8 @@ pub mod structured;
 pub mod widths;
 
 pub use backtrack::{evaluate, extend_all, extend_exists, try_extend_all, Search};
-pub use containment::{contained_in, equivalent, freeze};
-pub use core_of::{core_of, try_core_of};
+pub use containment::{contained_in, equivalent, freeze, frozen_floor};
+pub use core_of::{core_of, try_core_above, try_core_of};
 pub use counting::count_homomorphisms;
 pub use query::ConjunctiveQuery;
 pub use structured::{boolean_eval_structured, enumerate_projections, StructuredPlan};

@@ -5,6 +5,13 @@
 //! and copying of terms are cheap (see the typed wrappers in [`crate::term`]).
 //! Each kind (variable / constant / predicate) has its own namespace: the
 //! variable `x` and the constant `x` receive independent ids.
+//!
+//! Ids are handed out densely from 0, so every id at or above
+//! [`Interner::len`] names nothing. The canonical databases of the
+//! containment and subsumption tests use exactly those ids for their frozen
+//! variables (`wdpt_cq::containment::freeze`): distinct from every interned
+//! symbol by construction, minted without touching the table, and gone
+//! when the test returns.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
@@ -209,21 +216,10 @@ impl Interner {
         crate::term::Pred(self.intern(Space::Pred, name))
     }
 
-    /// Returns a fresh constant guaranteed not to collide with any constant
-    /// interned so far. Used for "freezing" variables when building canonical
-    /// databases (Chandra–Merlin containment, subsumption tests).
-    pub fn fresh_const(&mut self, hint: &str) -> crate::term::Const {
-        loop {
-            let candidate = format!("\u{2022}{}#{}", hint, self.fresh_counter);
-            self.fresh_counter += 1;
-            if self.lookup_id(Space::Const, &candidate).is_none() {
-                return self.constant(&candidate);
-            }
-        }
-    }
-
     /// Returns a fresh variable guaranteed not to collide with any variable
-    /// interned so far.
+    /// interned so far. (There is no constant counterpart: canonical
+    /// databases freeze variables into bare ids above the table — see
+    /// `wdpt_cq::containment::freeze` — and intern nothing.)
     pub fn fresh_var(&mut self, hint: &str) -> crate::term::Var {
         loop {
             let candidate = format!("\u{2022}{}#{}", hint, self.fresh_counter);
@@ -278,7 +274,7 @@ impl Interner {
         self.names.get(id as usize).map(|(space, _)| *space)
     }
 
-    /// The fresh-name counter (see [`Interner::fresh_const`]); serialized so
+    /// The fresh-name counter (see [`Interner::fresh_var`]); serialized so
     /// that fresh names minted after a reload cannot collide with fresh
     /// names minted before the snapshot was taken.
     pub fn fresh_counter(&self) -> u64 {
@@ -376,14 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn fresh_constants_never_collide() {
-        let mut i = Interner::new();
-        let c1 = i.fresh_const("x");
-        let c2 = i.fresh_const("x");
-        assert_ne!(c1, c2);
-    }
-
-    #[test]
     fn fresh_vars_never_collide() {
         let mut i = Interner::new();
         let v1 = i.fresh_var("v");
@@ -424,7 +412,7 @@ mod tests {
         let v = i.var("x");
         let c = i.constant("x");
         let p = i.pred("edge");
-        let f = i.fresh_const("frozen");
+        let f = i.fresh_var("fresh");
         let listing: Vec<(SymbolSpace, String)> = i
             .symbols()
             .map(|(space, name)| (space, name.to_owned()))
@@ -435,7 +423,7 @@ mod tests {
         assert_eq!(back.var_name(v), "x");
         assert_eq!(back.const_name(c), "x");
         assert_eq!(back.pred_name(p), "edge");
-        assert_eq!(back.const_name(f), i.const_name(f));
+        assert_eq!(back.var_name(f), i.var_name(f));
         // Re-interning resolves to the original ids, and namespaces survive.
         let mut back = back;
         assert_eq!(back.var("x"), v);
@@ -566,10 +554,10 @@ mod tests {
     fn truncate_keeps_fresh_names_unique() {
         let mut i = Interner::new();
         let len = i.len();
-        let f1 = i.fresh_const("s");
-        let n1 = i.const_name(f1).to_string();
+        let f1 = i.fresh_var("s");
+        let n1 = i.var_name(f1).to_string();
         i.truncate(len);
-        let f2 = i.fresh_const("s");
-        assert_ne!(n1, i.const_name(f2), "fresh counter must survive rollback");
+        let f2 = i.fresh_var("s");
+        assert_ne!(n1, i.var_name(f2), "fresh counter must survive rollback");
     }
 }

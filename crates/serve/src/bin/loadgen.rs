@@ -45,9 +45,11 @@ OPTIONS:
                        mix:      valid (repeated + renamed) and invalid
                                  queries, small deadline sprinkled in
                        repeat:   one query repeated (plan-cache throughput)
-                       replan:   one *expensive-to-plan* query repeated;
-                                 run against a tiny catalog to isolate
-                                 planning cost (plan-cache ablation)
+                       replan:   a six-fold same-predicate cross product
+                                 repeated; against a tiny catalog the
+                                 request is plan-cache lookup (or, with
+                                 --no-plan-cache, a join-order build)
+                                 and little else
                        skew:     one heavy-hitter self-join repeated; on
                                  skewed gen-synth data the catalog must
                                  price the heavy hitter, so its observed
@@ -101,10 +103,15 @@ const DUPLICATE_SELECT: &str = "SELECT ?x ?x WHERE { (?x, rec_by, ?y) }";
 /// busy in flood mode.
 const HEAVY_QUERY: &str =
     "((((?a, rec_by, ?b) AND (?c, rec_by, ?d)) AND (?e, publ, ?f)) AND (?g, nme_rating, ?h))";
-/// The opposite trade-off: a 6-way cross product over ONE predicate. The
-/// core computation must enumerate 6⁶ endomorphisms, so *planning* is the
-/// dominant cost; run it against a tiny catalog (`--gen-music 2x1`) and
-/// evaluation is trivial. Repeating it isolates what the plan cache buys.
+/// The opposite trade-off: a 6-way cross product over ONE predicate, run
+/// against a tiny catalog (`--gen-music 2x1`) so evaluation is trivial.
+/// Its *core* is expensive — 6⁶ endomorphisms to enumerate — and until the
+/// per-node facts moved to `explain` that search ran on every plan build,
+/// which made planning the dominant cost of this query. A build is now the
+/// join-order enumeration over six interchangeable atoms, microseconds
+/// like any other; repeating the query still exercises the plan cache's
+/// hit / miss / coalescing paths and `--no-plan-cache` still rebuilds per
+/// request, but the two no longer differ by a core search.
 const PLAN_HEAVY_QUERY: &str = "(((((?a, rec_by, ?b) AND (?c, rec_by, ?d)) AND (?e, rec_by, ?f)) AND (?g, rec_by, ?h)) AND ((?i, rec_by, ?j) AND (?k, rec_by, ?l)))";
 /// Self-join over the synthetic catalog's heavy-hitter predicate `p0`
 /// (`wdpt-store gen-synth --skew`). A uniform `rows/distinct` estimate

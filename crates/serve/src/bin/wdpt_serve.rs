@@ -51,8 +51,8 @@ OPTIONS:
     --max-rows N              default cap on streamed rows [default: 1000]
     --max-query-atoms N       reject queries with more triple patterns
                               [default: 64]
-    --max-query-vars N        reject queries with more variables; clamped to
-                              the exact-treewidth limit [default: 26]
+    --max-query-vars N        reject queries with more variables
+                              [default: 26]
     --max-symbols N           interned-symbol budget; requests that would
                               exceed it are rejected and rolled back
                               [default: 1048576]

@@ -1,8 +1,8 @@
 //! The plan cache: canonical query keys and memoized per-query artifacts.
 //!
-//! Decompositions and cores are the expensive per-query work — they depend
-//! only on the query's *structure*, not on which database it runs against
-//! or what its variables are called. The cache therefore keys on the
+//! What a plan holds — the translated tree and its cost-based join orders —
+//! depends only on the query's *structure* (and the statistics epoch), not
+//! on what its variables are called. The cache therefore keys on the
 //! query's **canonical form**: variables α-renamed to `#0, #1, …` in order
 //! of first occurrence over a fixed pre-order traversal (triple subjects
 //! before predicates before objects, left operands before right). Two
@@ -13,12 +13,19 @@
 //! A cached [`Plan`] lives in canonical variable space; each request keeps
 //! its own first-occurrence variable list ([`CanonicalQuery::request_vars`])
 //! to translate answer bindings back to the names the client wrote.
+//!
+//! A miss costs what planning costs: [`build_plan`] is `plan_wdpt` plus one
+//! tree clone, reads no interner and takes no lock. The per-node facts no
+//! evaluation reads — core size, exact treewidth, acyclicity, each a
+//! worst-case-exponential search — are not part of a build: they are
+//! computed by the first `explain` that asks ([`Plan::node_facts`]) and
+//! memoised on the plan.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use wdpt_core::{plan_wdpt, Wdpt};
-use wdpt_cq::{try_core_of, try_in_hw, try_treewidth_of};
+use wdpt_cq::{try_core_above, try_in_hw, try_treewidth_of, EXACT_TW_VERTEX_LIMIT};
 use wdpt_model::{CancelToken, Cancelled, Interner, Term, Var};
 use wdpt_obs::{counter, Json, RawHistogram};
 use wdpt_plan::{ExecPlan, StatsCatalog, Strategy};
@@ -36,6 +43,9 @@ pub struct CanonicalQuery {
     /// The request's variable names in first-occurrence order: index `k`
     /// is the name that became canonical variable `#k`.
     pub request_vars: Vec<String>,
+    /// `canon_vars[k]` is the interned canonical variable `#k` — interned
+    /// here, under the caller's interner, so a plan build needs none.
+    pub canon_vars: Vec<Var>,
 }
 
 /// The canonical variable `#k`.
@@ -47,71 +57,72 @@ pub fn canon_var(i: &mut Interner, k: usize) -> Var {
 
 /// α-renames `q` into canonical form and renders its cache key.
 pub fn canonicalize(q: &SparqlQuery, i: &mut Interner) -> CanonicalQuery {
-    let mut numbering: HashMap<Var, usize> = HashMap::new();
-    let mut request_vars: Vec<String> = Vec::new();
-    let pattern = rename_pattern(&q.pattern, i, &mut numbering, &mut request_vars);
+    let mut renaming = Renaming::default();
+    let pattern = rename_pattern(&q.pattern, i, &mut renaming);
     let select = q.select.as_ref().map(|sel| {
         sel.iter()
             .map(|v| {
-                let k = numbering
+                let k = renaming
+                    .numbering
                     .get(v)
                     .copied()
                     .expect("parser guarantees SELECT vars occur in the pattern");
-                canon_var(i, k)
+                renaming.canon_vars[k]
             })
             .collect::<Vec<_>>()
     });
     let canon = SparqlQuery { pattern, select };
-    let key = render_key(&canon, i, &numbering);
+    let key = render_key(&canon, i);
     CanonicalQuery {
         key,
         canon,
-        request_vars,
+        request_vars: renaming.request_vars,
+        canon_vars: renaming.canon_vars,
     }
 }
 
-fn rename_pattern(
-    p: &GraphPattern,
-    i: &mut Interner,
-    numbering: &mut HashMap<Var, usize>,
-    request_vars: &mut Vec<String>,
-) -> GraphPattern {
+/// The α-renaming under construction: request variable → slot `k`, and per
+/// slot the request's spelling and the canonical variable `#k`.
+#[derive(Default)]
+struct Renaming {
+    numbering: HashMap<Var, usize>,
+    request_vars: Vec<String>,
+    canon_vars: Vec<Var>,
+}
+
+fn rename_pattern(p: &GraphPattern, i: &mut Interner, r: &mut Renaming) -> GraphPattern {
     match p {
         GraphPattern::Triple(t) => GraphPattern::Triple(TriplePattern {
-            s: rename_term(t.s, i, numbering, request_vars),
-            p: rename_term(t.p, i, numbering, request_vars),
-            o: rename_term(t.o, i, numbering, request_vars),
+            s: rename_term(t.s, i, r),
+            p: rename_term(t.p, i, r),
+            o: rename_term(t.o, i, r),
         }),
         GraphPattern::And(a, b) => GraphPattern::And(
-            Box::new(rename_pattern(a, i, numbering, request_vars)),
-            Box::new(rename_pattern(b, i, numbering, request_vars)),
+            Box::new(rename_pattern(a, i, r)),
+            Box::new(rename_pattern(b, i, r)),
         ),
         GraphPattern::Opt(a, b) => GraphPattern::Opt(
-            Box::new(rename_pattern(a, i, numbering, request_vars)),
-            Box::new(rename_pattern(b, i, numbering, request_vars)),
+            Box::new(rename_pattern(a, i, r)),
+            Box::new(rename_pattern(b, i, r)),
         ),
     }
 }
 
-fn rename_term(
-    t: Term,
-    i: &mut Interner,
-    numbering: &mut HashMap<Var, usize>,
-    request_vars: &mut Vec<String>,
-) -> Term {
+fn rename_term(t: Term, i: &mut Interner, r: &mut Renaming) -> Term {
     match t {
         Term::Const(_) => t,
         Term::Var(v) => {
-            let k = match numbering.get(&v) {
+            let k = match r.numbering.get(&v) {
                 Some(&k) => k,
                 None => {
-                    let k = request_vars.len();
-                    numbering.insert(v, k);
-                    request_vars.push(i.var_name(v).to_string());
+                    let k = r.request_vars.len();
+                    r.numbering.insert(v, k);
+                    r.request_vars.push(i.var_name(v).to_string());
+                    r.canon_vars.push(canon_var(i, k));
                     k
                 }
             };
-            Term::Var(canon_var(i, k))
+            Term::Var(r.canon_vars[k])
         }
     }
 }
@@ -119,7 +130,7 @@ fn rename_term(
 /// Structural key rendering. Variables print as `Vk`, constants as their
 /// `Debug`-escaped name (so a constant literally spelled `V0` renders as
 /// `C"V0"` and cannot collide), operators as `A[..]`/`O[..]`.
-fn render_key(q: &SparqlQuery, i: &Interner, _numbering: &HashMap<Var, usize>) -> String {
+fn render_key(q: &SparqlQuery, i: &Interner) -> String {
     fn term(t: Term, i: &Interner, out: &mut String) {
         match t {
             Term::Var(v) => {
@@ -178,16 +189,19 @@ fn render_key(q: &SparqlQuery, i: &Interner, _numbering: &HashMap<Var, usize>) -
     out
 }
 
-/// Per-tree-node metadata memoized alongside the parsed tree: core size
-/// and decomposition facts, the artifacts worth reusing across requests.
+/// Per-tree-node facts an `explain` reports: core size and decomposition
+/// facts of the node's CQ. Nothing that evaluates reads them, so they are
+/// computed on demand ([`Plan::node_facts`]), not on a plan build.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodePlan {
     /// Atoms labeling the node.
     pub atoms: usize,
     /// Atoms in the core of the node's CQ (≤ `atoms`).
     pub core_atoms: usize,
-    /// Exact treewidth of the node CQ's core.
-    pub treewidth: usize,
+    /// Exact treewidth of the node CQ's core; `None` when the core has more
+    /// variables than the exact subset DP supports
+    /// ([`EXACT_TW_VERTEX_LIMIT`]).
+    pub treewidth: Option<usize>,
     /// Whether the core is α-acyclic (hypertree width ≤ 1).
     pub acyclic: bool,
 }
@@ -277,17 +291,18 @@ impl PlanStats {
     }
 }
 
-/// A memoized evaluation plan: the WDPT in canonical variable space plus
-/// per-node decomposition/core metadata, the cost-based join orders, and
-/// accumulated runtime stats.
+/// A memoized evaluation plan: the WDPT in canonical variable space, the
+/// cost-based join orders, accumulated runtime stats, and — once an
+/// `explain` has asked — the per-node decomposition/core facts.
 #[derive(Debug)]
 pub struct Plan {
     /// The parsed tree over canonical variables.
     pub wdpt: Wdpt,
     /// `canon_vars[k]` is the interned canonical variable `#k`.
     pub canon_vars: Vec<Var>,
-    /// Per-node metadata, indexed by preorder node id.
-    pub nodes: Vec<NodePlan>,
+    /// Per-node facts by preorder node id; empty until the first
+    /// [`Plan::node_facts`] that ran to completion.
+    nodes: OnceLock<Arc<[NodePlan]>>,
     /// Runtime stats accumulated across this plan's executions.
     pub stats: PlanStats,
     /// The cost-based per-node atom orders currently in force. Swapped as
@@ -304,6 +319,44 @@ impl Plan {
     /// The exec plan currently in force.
     pub fn exec_plan(&self) -> Arc<ExecPlan> {
         Arc::clone(&self.exec.read().expect("exec lock"))
+    }
+
+    /// The per-node facts of an `explain`, computed by the first caller and
+    /// memoised. Per node this is a core search and two decomposition
+    /// searches, all worst-case exponential in the *query* size and all
+    /// polling `token`; a cancelled computation memoises nothing, so a
+    /// later caller with a longer deadline starts afresh. No lock is held:
+    /// two first callers racing both compute (the facts are a function of
+    /// the tree alone) and the first to finish fills the memo. The frozen
+    /// constants of the core search are ids above the query's own constants
+    /// (`wdpt_cq::containment::freeze`), so no interner is involved.
+    pub fn node_facts(&self, token: &CancelToken) -> Result<Arc<[NodePlan]>, Cancelled> {
+        if let Some(nodes) = self.nodes.get() {
+            return Ok(Arc::clone(nodes));
+        }
+        let _span = wdpt_obs::span!("serve.plan.facts");
+        let mut nodes = Vec::with_capacity(self.wdpt.node_count());
+        for t in 0..self.wdpt.node_count() {
+            token.check()?;
+            let q = self.wdpt.node_cq(t);
+            let core = try_core_above(&q, 0, token)?;
+            nodes.push(NodePlan {
+                atoms: q.body().len(),
+                core_atoms: core.body().len(),
+                treewidth: if core.variables().len() <= EXACT_TW_VERTEX_LIMIT {
+                    Some(try_treewidth_of(&core, token)?)
+                } else {
+                    None
+                },
+                acyclic: try_in_hw(&core, 1, token)?,
+            });
+        }
+        if self.nodes.set(nodes.into()).is_ok() {
+            counter!("serve.plan.facts_computed").add(1);
+        }
+        Ok(Arc::clone(
+            self.nodes.get().expect("set above or by a racer"),
+        ))
     }
 }
 
@@ -384,52 +437,28 @@ pub fn maybe_replan(
     Ok(true)
 }
 
-/// Builds a plan from a canonicalized query. This is the expensive path
-/// the cache exists to skip: the core computation runs a homomorphism
-/// search per node and the width computations run decomposition searches
-/// (observable as `decomp.tw_search_nodes` / `decomp.hw_search_nodes`).
-/// All of them are worst-case exponential in the *query* size, so every
-/// search loop polls the request's deadline token.
-///
-/// `wdpt` is the tree already translated in the request's front half,
-/// under the shared interner lock — so every id stored in the returned
-/// [`Plan`] is consistent with the shared interner and the loaded
-/// databases. `i` is a **scratch** interner (a clone of the shared one):
-/// the core computation freezes variables into fresh constants, and none
-/// of those may leak into shared state. Nothing interned into `i` outlives
-/// this call.
+/// Builds a plan from a canonicalized query: the cost-based join orders
+/// ([`plan_wdpt`], whose exponential enumerators are gated small and poll
+/// `token`) and one clone of the tree. No interner: `wdpt` is the tree
+/// already translated in the request's front half, and `canon` carries the
+/// canonical variables interned there — both under the shared interner
+/// lock, so every id stored in the returned [`Plan`] is consistent with the
+/// shared interner and the loaded databases.
 pub fn build_plan(
     canon: &CanonicalQuery,
     wdpt: &Wdpt,
-    i: &mut Interner,
     stats: &StatsCatalog,
     strategy: Strategy,
     token: &CancelToken,
 ) -> Result<Plan, Cancelled> {
     let _span = wdpt_obs::span!("serve.plan.build");
-    let mut nodes = Vec::with_capacity(wdpt.node_count());
-    for t in 0..wdpt.node_count() {
-        token.check()?;
-        let q = wdpt.node_cq(t);
-        let core = try_core_of(&q, i, token)?;
-        nodes.push(NodePlan {
-            atoms: q.body().len(),
-            core_atoms: core.body().len(),
-            treewidth: try_treewidth_of(&core, token)?,
-            acyclic: try_in_hw(&core, 1, token)?,
-        });
-    }
+    token.check()?;
     let exec = Arc::new(plan_wdpt(wdpt, stats, strategy, token)?);
     count_strategies(&exec);
-    // The canonical variables were interned during canonicalization, so
-    // looking them up in the scratch clone yields the shared ids.
-    let canon_vars = (0..canon.request_vars.len())
-        .map(|k| canon_var(i, k))
-        .collect();
     Ok(Plan {
         wdpt: wdpt.clone(),
-        canon_vars,
-        nodes,
+        canon_vars: canon.canon_vars.clone(),
+        nodes: OnceLock::new(),
         stats: PlanStats::default(),
         exec: RwLock::new(exec),
         divergent: AtomicU32::new(0),
@@ -471,16 +500,19 @@ pub fn exec_plan_json(plan: &Plan) -> Json {
 }
 
 /// The `explain` response object for one plan: cache disposition, per-node
-/// decomposition facts, and accumulated runtime stats.
-pub fn explain_json(plan: &Plan, cache_status: &str) -> Json {
-    let nodes = plan
-        .nodes
+/// decomposition facts (`facts`, from [`Plan::node_facts`]), the join
+/// orders in force, and accumulated runtime stats.
+pub fn explain_json(plan: &Plan, facts: &[NodePlan], cache_status: &str) -> Json {
+    let nodes = facts
         .iter()
         .map(|n| {
             Json::obj([
                 ("atoms", Json::int(n.atoms as u64)),
                 ("core_atoms", Json::int(n.core_atoms as u64)),
-                ("treewidth", Json::int(n.treewidth as u64)),
+                (
+                    "treewidth",
+                    n.treewidth.map_or(Json::Null, |tw| Json::int(tw as u64)),
+                ),
                 ("acyclic", Json::Bool(n.acyclic)),
             ])
         })
@@ -572,7 +604,10 @@ impl PlanCache {
                         _ => unreachable!("PlanStats::to_json returns an object"),
                     };
                     obj.insert("key".to_string(), Json::str(key));
-                    obj.insert("nodes".to_string(), Json::int(plan.nodes.len() as u64));
+                    obj.insert(
+                        "nodes".to_string(),
+                        Json::int(plan.wdpt.node_count() as u64),
+                    );
                     let exec = plan.exec_plan();
                     obj.insert("strategy".to_string(), Json::str(exec.strategy.as_str()));
                     obj.insert("est_nodes".to_string(), Json::num(exec.est_nodes()));
@@ -588,17 +623,16 @@ impl PlanCache {
     ///
     /// Locking discipline: the global cache mutex is held only for map
     /// lookups and insertions — never across a build. A miss claims a
-    /// per-key in-flight [`Slot`]; the build then runs against a clone of
-    /// the shared interner (taken under a brief interner lock), so a
-    /// slow-to-plan query blocks *only* concurrent identical requests,
-    /// which coalesce onto the same slot instead of duplicating the work.
-    /// A build aborted by its request's deadline is never inserted; its
-    /// waiters retry under their own tokens.
+    /// per-key in-flight [`Slot`]; the build then runs with no lock held
+    /// and no interner in reach, so a slow-to-plan query blocks *only*
+    /// concurrent identical requests, which coalesce onto the same slot
+    /// instead of duplicating the work. A build aborted by its request's
+    /// deadline is never inserted; its waiters retry under their own
+    /// tokens.
     pub fn get_or_build(
         &self,
         canon: &CanonicalQuery,
         wdpt: &Wdpt,
-        interner: &Mutex<Interner>,
         stats: &StatsCatalog,
         strategy: Strategy,
         token: &CancelToken,
@@ -607,10 +641,7 @@ impl PlanCache {
         // requested under `dp` and `bushy` holds two independent entries
         // (each with its own runtime stats and re-planning state).
         let key = format!("{}|{}", canon.key, strategy);
-        let build = || {
-            let mut scratch = interner.lock().expect("interner lock").clone();
-            build_plan(canon, wdpt, &mut scratch, stats, strategy, token).map(Arc::new)
-        };
+        let build = || build_plan(canon, wdpt, stats, strategy, token).map(Arc::new);
         if !self.enabled {
             counter!("serve.plan_cache.bypass").add(1);
             return build().map(|p| (p, "off"));

@@ -9,7 +9,8 @@
 //!   with the benchmark `--json` output via [`wdpt_obs::write_json_line`].
 //! * [`cache`] — the plan cache: queries are α-renamed to a canonical
 //!   form, so repeated and variable-renamed queries share one memoized
-//!   plan (parsed tree, per-node cores, treewidth/acyclicity facts).
+//!   plan (translated tree, cost-based join orders, and — computed by the
+//!   first `explain` that asks — per-node core/treewidth/acyclicity facts).
 //! * [`server`] — the accept loop, worker pool with a bounded queue
 //!   (backpressure answers `overloaded` instead of queueing unboundedly),
 //!   per-request deadlines as cooperative [`wdpt_model::CancelToken`]s,

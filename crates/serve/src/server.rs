@@ -6,10 +6,13 @@
 //! * The **accept loop** ([`serve`]) owns the listener (nonblocking, so it
 //!   can notice shutdown) and spawns one thread per connection.
 //! * **Connection threads** read request lines and run the query's front
-//!   half. Only its *polynomial* part (parse, size caps, canonicalize,
-//!   tree translation) holds the interner lock; the worst-case-exponential
-//!   planning (cores, decompositions) runs lock-free through the plan
-//!   cache's per-key in-flight slots, under the request's [`CancelToken`].
+//!   half. Parse, size caps, canonicalize and tree translation hold the
+//!   interner lock — once per request, and it is the only lock the plan
+//!   path takes. Join-order planning runs lock-free and interner-free
+//!   through the plan cache's per-key in-flight slots, and so do the
+//!   worst-case-exponential per-node facts (cores, decompositions) that
+//!   only an `explain: true` request computes — both under the request's
+//!   [`CancelToken`].
 //!   The evaluation job then goes onto a **bounded** queue
 //!   (`std::sync::mpsc::sync_channel`). A full queue is the backpressure
 //!   signal: the request is answered `overloaded` immediately rather than
@@ -20,9 +23,8 @@
 //!   [`Cancelled`] and an explicit `cancelled` response line.
 //!
 //! Admission control against adversarial queries: [`ServeConfig`] caps the
-//! atom and variable counts of a query (planning and evaluation are
-//! exponential in query size, and the exact-treewidth DP allocates `2ⁿ`
-//! states) and the total interned-symbol count (the shared interner never
+//! atom and variable counts of a query (evaluation is exponential in query
+//! size) and the total interned-symbol count (the shared interner never
 //! shrinks; requests that would grow it past `max_symbols` are rejected
 //! and their symbols rolled back, so server memory stays bounded under
 //! varied query streams).
@@ -32,7 +34,9 @@
 //! answer in-flight requests and close, queued jobs drain through the
 //! workers, and [`serve`] joins everything before returning.
 
-use crate::cache::{canonicalize, explain_json, maybe_replan, CanonicalQuery, Plan, PlanCache};
+use crate::cache::{
+    canonicalize, explain_json, maybe_replan, CanonicalQuery, NodePlan, Plan, PlanCache,
+};
 use crate::db::merge_snapshot;
 use crate::protocol::{
     attach_head, cancelled_line, error_line, metrics_json_line, metrics_text_line, ok_line,
@@ -48,7 +52,6 @@ use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TryRecvError, TrySendE
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant, SystemTime};
 use wdpt_core::Wdpt;
-use wdpt_cq::EXACT_TW_VERTEX_LIMIT;
 use wdpt_model::{CancelToken, Cancelled, Database, Interner, Mapping, Var};
 use wdpt_obs::trace::Stage;
 use wdpt_obs::{
@@ -91,9 +94,10 @@ pub struct ServeConfig {
     /// evaluation are worst-case exponential in query size, so unbounded
     /// client queries are rejected up front with `query_too_large`.
     pub max_query_atoms: usize,
-    /// Admission cap on a query's distinct-variable count. Clamped by
-    /// [`ServeState::new`] to the exact-treewidth DP's vertex limit
-    /// ([`EXACT_TW_VERTEX_LIMIT`]), past which planning would abort.
+    /// Admission cap on a query's distinct-variable count, honoured as
+    /// configured: no search on the request path has a vertex limit (an
+    /// `explain` of a node with more variables than the exact-treewidth DP
+    /// supports reports `treewidth: null`).
     pub max_query_vars: usize,
     /// Upper bound on the shared interner's total symbol count. The
     /// interner never shrinks, so without this cap an adversarial stream
@@ -139,7 +143,7 @@ impl Default for ServeConfig {
             max_rows: 1_000,
             retry_after_ms: 50,
             max_query_atoms: 64,
-            max_query_vars: EXACT_TW_VERTEX_LIMIT,
+            max_query_vars: 26,
             max_symbols: 1 << 20,
             slowlog_threshold_ms: 1_000,
             slowlog_capacity: 128,
@@ -245,10 +249,6 @@ impl ServeState {
         dbs: BTreeMap<String, Database>,
         default_db: impl Into<String>,
     ) -> Arc<ServeState> {
-        let mut cfg = cfg;
-        // Beyond the DP limit, exact treewidth aborts the process; a query
-        // that large must be rejected at admission instead.
-        cfg.max_query_vars = cfg.max_query_vars.min(EXACT_TW_VERTEX_LIMIT);
         let default_db = default_db.into();
         assert!(
             dbs.contains_key(&default_db),
@@ -524,8 +524,8 @@ impl ServeState {
 
     /// [`ServeState::plan_for`] under a caller-supplied cancellation
     /// token, mirroring a request's planning path exactly: the interner
-    /// lock covers only the polynomial translation, and the exponential
-    /// build runs lock-free under `token`.
+    /// lock covers only the translation, and the build runs lock-free
+    /// under `token`.
     pub fn plan_for_with(
         &self,
         src: &str,
@@ -543,14 +543,7 @@ impl ServeState {
             .map(|(_, s)| s)
             .unwrap_or_else(|| Arc::new(StatsCatalog::empty()));
         self.cache
-            .get_or_build(
-                &canon,
-                &wdpt,
-                &self.interner,
-                &stats,
-                self.cfg.plan_strategy,
-                token,
-            )
+            .get_or_build(&canon, &wdpt, &stats, self.cfg.plan_strategy, token)
             .map_err(|e| e.to_string())
     }
 }
@@ -596,8 +589,10 @@ struct Job {
     /// Run the evaluation under a profile recorder regardless of
     /// `profile`, so the reply carries an EXPLAIN for slowlog capture.
     capture: bool,
-    /// Attach the plan's facts and runtime stats to the `ok` line.
-    explain: bool,
+    /// The plan's per-node facts, present iff the request asked to
+    /// `explain`: attach them, the join orders and the runtime stats to
+    /// the `ok` line.
+    explain: Option<Arc<[NodePlan]>>,
     max_rows: usize,
     /// When the job went onto the queue; the worker derives the queue-wait
     /// stage from it.
@@ -1141,9 +1136,10 @@ fn handle_query(
         return vec![shutting_down_line(id)];
     }
 
-    // The deadline clock starts before plan building: the core and
-    // decomposition searches are worst-case exponential in the query, so
-    // an adversarial query must not outlive its budget while planning.
+    // The deadline clock starts before plan building: the join-order
+    // enumerators and (for `explain`) the core and decomposition searches
+    // are worst-case exponential in the query, so an adversarial query
+    // must not outlive its budget while planning.
     let deadline_ms = deadline_ms
         .unwrap_or(state.cfg.default_deadline_ms)
         .min(state.cfg.max_deadline_ms);
@@ -1234,18 +1230,20 @@ fn handle_query(
     };
     trace.stage_done(Stage::Admission);
 
-    // Exponential back half, no global locks: plan-cache lookup or a
-    // cancellable build coalesced with identical concurrent requests.
+    // Back half of planning, no locks and no interner: plan-cache lookup
+    // or a cancellable build coalesced with identical concurrent requests;
+    // then, only for `explain`, the plan's per-node facts — the
+    // exponential searches, memoised on the plan once they complete.
     let request_vars = canon.request_vars.clone();
-    let (plan, cache_status) = match state.cache.get_or_build(
-        &canon,
-        &wdpt,
-        &state.interner,
-        &db_stats,
-        state.cfg.plan_strategy,
-        &token,
-    ) {
-        Ok(hit) => hit,
+    let planned = state
+        .cache
+        .get_or_build(&canon, &wdpt, &db_stats, state.cfg.plan_strategy, &token)
+        .and_then(|(plan, cache_status)| {
+            let facts = explain.then(|| plan.node_facts(&token)).transpose()?;
+            Ok((plan, cache_status, facts))
+        });
+    let (plan, cache_status, explain) = match planned {
+        Ok(planned) => planned,
         Err(Cancelled) => {
             counter!("serve.requests.cancelled").add(1);
             trace.stage_done(Stage::Plan);
@@ -1544,7 +1542,8 @@ fn process(job: Job, state: &ServeState) {
                         .then(|| prof.as_ref().map(|p| p.to_json()))
                         .flatten(),
                     job.explain
-                        .then(|| explain_json(&job.plan, job.cache_status)),
+                        .as_deref()
+                        .map(|facts| explain_json(&job.plan, facts, job.cache_status)),
                 );
                 // The head the client can quote as `min_head` elsewhere.
                 attach_head(&mut okl, state.current_head());

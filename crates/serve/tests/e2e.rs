@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use wdpt_gen::music::MusicParams;
 use wdpt_model::{Database, Interner};
@@ -133,6 +133,12 @@ fn query_with(id: &str, text: &str, extra: &[(&str, Json)]) -> Json {
         pairs.push((k.to_string(), v.clone()));
     }
     Json::obj(pairs)
+}
+
+/// The first node's facts in an `explain` response.
+fn explained_root(line: &Json) -> &Json {
+    let nodes = line.get("explain").and_then(|e| e.get("nodes"));
+    &nodes.and_then(Json::as_arr).expect("explain carries nodes")[0]
 }
 
 fn status_of(line: &Json) -> &str {
@@ -291,9 +297,10 @@ fn deadline_exceeding_query_is_cancelled_promptly() {
     server.shutdown_and_join();
 }
 
-/// A directed `n`-cycle over distinct predicates: instant to parse and
-/// core (each atom only maps to itself) but the exact-treewidth DP must
-/// walk `2ⁿ` subsets, so *planning* — not evaluation — eats the deadline.
+/// A directed `n`-cycle over distinct predicates: instant to parse, plan
+/// and evaluate (no `e*` predicate is in the catalog), and its core search
+/// is trivial (each atom only maps to itself) — but the exact-treewidth DP
+/// behind `explain` must walk `2ⁿ` subsets.
 fn cycle_query(n: usize) -> String {
     let mut p = "(?v0, e0, ?v1)".to_string();
     for k in 1..n {
@@ -302,24 +309,48 @@ fn cycle_query(n: usize) -> String {
     format!("SELECT ?v0 WHERE {{ {p} }}")
 }
 
+/// Serialises the tests that `explain`: they read the process-wide
+/// `serve.plan.facts_computed` / `decomp.*` counters, which only an
+/// `explain` moves.
+static EXPLAINS: Mutex<()> = Mutex::new(());
+
 #[test]
 fn slow_planning_query_does_not_wedge_other_connections() {
+    let _guard = EXPLAINS.lock().unwrap();
     let server = start(ServeConfig::default());
-
-    // Connection 1: a query whose *planning* runs a 2²⁴-state search. It
-    // must be cancelled by its own deadline — and, critically, must not
-    // hold the interner or plan-cache lock while searching.
     let mut c1 = Client::connect(server.addr);
-    c1.send(&query_with(
-        "planner",
+
+    // A wide query is answered, not cancelled: planning is join orders,
+    // and nothing on the plan path is exponential in its 24 variables.
+    let started = Instant::now();
+    let (ok, rows) = c1.round_trip(&query_with(
+        "wide",
         &cycle_query(24),
         &[("deadline_ms", Json::int(800))],
     ));
+    assert_eq!(status_of(&ok), "ok", "got {ok}");
+    assert!(rows.is_empty());
+    assert!(
+        started.elapsed() < Duration::from_millis(400),
+        "a 24-variable cycle took {:?} to answer",
+        started.elapsed()
+    );
+
+    // Asking to `explain` it is what costs: the plan stage now runs a
+    // 2²⁴-state search. It must be cancelled by its own deadline — and,
+    // critically, must hold no lock while searching.
+    let facts_before = wdpt_obs::metrics_snapshot();
+    c1.send(&query_with(
+        "explainer",
+        &cycle_query(24),
+        &[
+            ("deadline_ms", Json::int(800)),
+            ("explain", Json::Bool(true)),
+        ],
+    ));
     std::thread::sleep(Duration::from_millis(100));
 
-    // Connection 2: a normal query while connection 1 is mid-planning.
-    // Before planning was moved out of the global locks this would block
-    // for connection 1's whole deadline.
+    // Connection 2: a normal query while connection 1 is mid-search.
     let mut c2 = Client::connect(server.addr);
     let started = Instant::now();
     let (ok, rows) = c2.round_trip(&query("fast", BASE));
@@ -328,11 +359,98 @@ fn slow_planning_query_does_not_wedge_other_connections() {
     assert_eq!(rows.len(), 120);
     assert!(
         elapsed < Duration::from_millis(500),
-        "fast query stalled {elapsed:?} behind a planning query"
+        "fast query stalled {elapsed:?} behind an explain"
     );
 
     let (line, _) = c1.response();
     assert_eq!(status_of(&line), "cancelled", "got {line}");
+    let delta = wdpt_obs::metrics_snapshot().since(&facts_before);
+    assert!(delta.counter("decomp.tw_search_nodes") > 0);
+    assert_eq!(
+        delta.counter("serve.plan.facts_computed"),
+        0,
+        "a cancelled facts computation must not be memoised"
+    );
+
+    // With time to spare the facts are computed — once per plan: the first
+    // `explain` of an 18-cycle runs the search, the second reads the memo.
+    // Neither interns a symbol beyond the request's own.
+    let explain = [
+        ("deadline_ms", Json::int(60_000)),
+        ("explain", Json::Bool(true)),
+    ];
+    let before = wdpt_obs::metrics_snapshot();
+    let (first, _) = c1.round_trip(&query_with("e1", &cycle_query(18), &explain));
+    assert_eq!(status_of(&first), "ok", "got {first}");
+    let delta = wdpt_obs::metrics_snapshot().since(&before);
+    assert!(delta.counter("decomp.tw_search_nodes") > 0);
+    assert_eq!(delta.counter("serve.plan.facts_computed"), 1);
+    let node = explained_root(&first);
+    assert_eq!(node.get("atoms").and_then(Json::as_num), Some(18.0));
+    assert_eq!(node.get("core_atoms").and_then(Json::as_num), Some(18.0));
+    assert_eq!(node.get("treewidth").and_then(Json::as_num), Some(2.0));
+    assert_eq!(node.get("acyclic"), Some(&Json::Bool(false)));
+
+    let symbols = server.state.interner_len();
+    let before = wdpt_obs::metrics_snapshot();
+    let (second, _) = c1.round_trip(&query_with("e2", &cycle_query(18), &explain));
+    assert_eq!(status_of(&second), "ok", "got {second}");
+    let delta = wdpt_obs::metrics_snapshot().since(&before);
+    assert_eq!(delta.counter("decomp.tw_search_nodes"), 0);
+    assert_eq!(delta.counter("serve.plan.facts_computed"), 0);
+    assert_eq!(
+        second.get("explain").unwrap().get("nodes"),
+        first.get("explain").unwrap().get("nodes")
+    );
+    assert_eq!(server.state.interner_len(), symbols);
+
+    server.shutdown_and_join();
+}
+
+/// `max_query_vars` is honoured as configured — no clamp to the exact
+/// treewidth DP's 26 vertices. A 30-variable chain (distinct predicates,
+/// so its core search is trivial) is answered, and its `explain` reports
+/// the one fact the DP cannot give as `null` instead of aborting.
+#[test]
+fn queries_past_the_exact_treewidth_limit_are_served_and_explained() {
+    let _guard = EXPLAINS.lock().unwrap();
+    let server = start(ServeConfig {
+        max_query_vars: 40,
+        ..ServeConfig::default()
+    });
+    let mut c = Client::connect(server.addr);
+    let mut chain = "(?v0, e0, ?v1)".to_string();
+    for k in 1..29 {
+        chain = format!("({chain} AND (?v{k}, e{k}, ?v{}))", k + 1);
+    }
+
+    let (ok, rows) = c.round_trip(&query("chain", &chain));
+    assert_eq!(status_of(&ok), "ok", "got {ok}");
+    assert!(rows.is_empty());
+
+    let (ok, _) = c.round_trip(&query_with(
+        "chain-explain",
+        &chain,
+        &[("explain", Json::Bool(true))],
+    ));
+    assert_eq!(status_of(&ok), "ok", "got {ok}");
+    let node = explained_root(&ok);
+    assert_eq!(node.get("atoms").and_then(Json::as_num), Some(29.0));
+    assert_eq!(node.get("core_atoms").and_then(Json::as_num), Some(29.0));
+    assert_eq!(node.get("treewidth"), Some(&Json::Null));
+    assert_eq!(node.get("acyclic"), Some(&Json::Bool(true)));
+
+    // One variable more than configured is still refused up front.
+    let mut wide = chain.clone();
+    for k in 29..40 {
+        wide = format!("({wide} AND (?v{k}, e{k}, ?v{}))", k + 1);
+    }
+    let (e, _) = c.round_trip(&query("too-wide", &wide));
+    assert_eq!(
+        e.get("kind").and_then(Json::as_str),
+        Some("query_too_large"),
+        "got {e}"
+    );
 
     server.shutdown_and_join();
 }

@@ -1,5 +1,6 @@
-//! Plan-cache behaviour: hits skip decomposition work, α-renamed queries
-//! share entries, capacity bounds hold.
+//! Plan-cache behaviour: neither a hit nor a miss runs decomposition work
+//! (the per-node facts are computed on demand, once per plan), α-renamed
+//! queries share entries, capacity bounds hold.
 //!
 //! These tests read the global `wdpt-obs` metrics registry, so every test
 //! takes a file-local mutex to serialize against its siblings; the file is
@@ -10,7 +11,7 @@ use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 use wdpt_gen::music::MusicParams;
 use wdpt_model::{CancelToken, Database, Interner};
-use wdpt_obs::metrics_snapshot;
+use wdpt_obs::{metrics_snapshot, span_snapshot, with_tracing};
 use wdpt_serve::{canonicalize, ServeConfig, ServeState};
 use wdpt_sparql::parse_query;
 
@@ -20,16 +21,17 @@ const BASE: &str = r#"SELECT ?x ?y ?z WHERE { (((?x, rec_by, ?y) AND (?x, publ, 
 const RENAMED: &str = r#"SELECT ?a ?b ?c WHERE { (((?a, rec_by, ?b) AND (?a, publ, "after_2010")) OPT (?a, nme_rating, ?c)) OPT (?b, formed_in, ?d) }"#;
 const OTHER: &str = "(?x, publ, ?era)";
 
+fn music_params() -> MusicParams {
+    MusicParams {
+        bands: 10,
+        records_per_band: 2,
+        ..MusicParams::default()
+    }
+}
+
 fn music_state(cfg: ServeConfig) -> Arc<ServeState> {
     let mut i = Interner::new();
-    let ts = wdpt_gen::music_triples(
-        &mut i,
-        MusicParams {
-            bands: 10,
-            records_per_band: 2,
-            ..MusicParams::default()
-        },
-    );
+    let ts = wdpt_gen::music_triples(&mut i, music_params());
     let mut dbs: BTreeMap<String, Database> = BTreeMap::new();
     dbs.insert("music".to_string(), ts.into_database());
     ServeState::new(cfg, i, dbs, "music")
@@ -40,17 +42,20 @@ fn repeated_query_skips_decomposition_entirely() {
     let _guard = LOCK.lock().unwrap();
     let state = music_state(ServeConfig::default());
 
-    // First request: a miss that runs core/treewidth/acyclicity searches.
+    // First request: a miss. Planning is join orders and nothing else —
+    // no core, treewidth or acyclicity search, and no symbol interned
+    // beyond the request's own.
     let before_first = metrics_snapshot();
     let (plan1, status1) = state.plan_for(BASE).unwrap();
     let after_first = metrics_snapshot().since(&before_first);
     assert_eq!(status1, "miss");
-    assert!(
-        after_first.counter("decomp.tw_search_nodes") > 0,
-        "plan building must run the treewidth search"
-    );
+    assert_eq!(after_first.counter("decomp.tw_search_nodes"), 0);
+    assert_eq!(after_first.counter("decomp.hw_search_nodes"), 0);
+    assert_eq!(after_first.counter("cq.nodes_expanded"), 0);
+    assert_eq!(after_first.counter("serve.plan.facts_computed"), 0);
 
-    // Second request: a hit that runs none of it.
+    // Second request: a hit that runs none of it either.
+    let symbols = state.interner_len();
     let before_second = metrics_snapshot();
     let (plan2, status2) = state.plan_for(BASE).unwrap();
     let delta = metrics_snapshot().since(&before_second);
@@ -60,6 +65,55 @@ fn repeated_query_skips_decomposition_entirely() {
     assert_eq!(delta.counter("decomp.hw_search_nodes"), 0);
     assert_eq!(delta.counter("serve.plan_cache.hit"), 1);
     assert_eq!(delta.counter("serve.plan_cache.miss"), 0);
+
+    // The facts are where the searches went: the first `node_facts` runs
+    // them (once per plan), the second reads the memo, and neither interns
+    // a symbol — the core search freezes variables into bare ids.
+    let before_facts = metrics_snapshot();
+    let facts = plan1.node_facts(CancelToken::never()).unwrap();
+    let first = metrics_snapshot().since(&before_facts);
+    assert!(first.counter("decomp.tw_search_nodes") > 0);
+    assert!(
+        first.counter("cq.nodes_expanded") > 0,
+        "the core search ran"
+    );
+    assert_eq!(first.counter("serve.plan.facts_computed"), 1);
+    let before_again = metrics_snapshot();
+    let again = plan2.node_facts(CancelToken::never()).unwrap();
+    let second = metrics_snapshot().since(&before_again);
+    assert!(Arc::ptr_eq(&facts, &again), "the memo is shared");
+    assert_eq!(second.counter("decomp.tw_search_nodes"), 0);
+    assert_eq!(second.counter("cq.nodes_expanded"), 0);
+    assert_eq!(second.counter("serve.plan.facts_computed"), 0);
+    assert_eq!(state.interner_len(), symbols);
+}
+
+/// A served plan miss grows the shared interner by the request's own
+/// symbols and nothing else: re-planning the same text after an eviction
+/// interns nothing at all.
+#[test]
+fn plan_miss_interns_only_the_requests_own_symbols() {
+    let _guard = LOCK.lock().unwrap();
+    let state = music_state(ServeConfig {
+        cache_capacity: 1,
+        ..ServeConfig::default()
+    });
+    // What the front half alone interns for BASE, on a table of its own.
+    let own = {
+        let mut i = Interner::new();
+        wdpt_gen::music_triples(&mut i, music_params());
+        let loaded = i.len();
+        let q = parse_query(&mut i, BASE).unwrap();
+        canonicalize(&q, &mut i).canon.to_wdpt(&mut i).unwrap();
+        i.len() - loaded
+    };
+    let before = state.interner_len();
+    assert_eq!(state.plan_for(BASE).unwrap().1, "miss");
+    assert_eq!(state.interner_len(), before + own);
+    assert_eq!(state.plan_for(OTHER).unwrap().1, "miss"); // evicts BASE
+    let settled = state.interner_len();
+    assert_eq!(state.plan_for(BASE).unwrap().1, "miss");
+    assert_eq!(state.interner_len(), settled);
 }
 
 #[test]
@@ -134,9 +188,9 @@ fn disabled_cache_rebuilds_every_time() {
 
 /// A directed `n`-cycle over *distinct* predicates. The core search is
 /// trivial (with distinct predicates every atom can only map to itself),
-/// so planning cost is dominated by the exact-treewidth DP, which must
-/// walk all `2ⁿ` vertex subsets — a single long-running, cancellable
-/// search with no heuristic short-circuit.
+/// so the cost of its facts is dominated by the exact-treewidth DP, which
+/// must walk all `2ⁿ` vertex subsets — a single long-running, cancellable
+/// search with no heuristic short-circuit. Planning it is instant.
 fn cycle_query(n: usize) -> String {
     let mut p = "(?v0, e0, ?v1)".to_string();
     for k in 1..n {
@@ -150,8 +204,8 @@ fn expired_deadline_cancels_planning_and_caches_nothing() {
     let _guard = LOCK.lock().unwrap();
     let state = music_state(ServeConfig::default());
 
-    // 24 variables: the DP alone would visit 2²⁴ states. An expired token
-    // must abort the build instead of grinding through it.
+    // A build is cheap now, but it still runs under the request's token:
+    // one that has already expired must cancel it, not be ignored.
     let expired = CancelToken::with_deadline(Duration::ZERO);
     let err = state
         .plan_for_with(&cycle_query(24), &expired)
@@ -170,9 +224,9 @@ fn expired_deadline_cancels_planning_and_caches_nothing() {
 fn concurrent_identical_misses_coalesce_onto_one_build() {
     let _guard = LOCK.lock().unwrap();
     let state = music_state(ServeConfig::default());
-    // Slow enough (2¹⁸ DP states) that the second request usually arrives
-    // while the first is still building; the assertions below hold either
-    // way (it then sees a plain hit).
+    // A build is microseconds, so the second request may join the
+    // in-flight slot or find the finished entry; the assertions below hold
+    // either way.
     let q = Arc::new(cycle_query(18));
 
     let before = metrics_snapshot();
@@ -215,12 +269,51 @@ fn plan_metadata_matches_the_figure1_tree() {
     let (plan, _) = state.plan_for(BASE).unwrap();
     // Figure 1 shape: a two-atom root with two single-atom children.
     assert_eq!(plan.wdpt.node_count(), 3);
-    assert_eq!(plan.nodes.len(), 3);
-    assert_eq!(plan.nodes[0].atoms, 2);
-    for n in &plan.nodes {
+    let facts = plan.node_facts(CancelToken::never()).unwrap();
+    assert_eq!(facts.len(), 3);
+    assert_eq!(facts[0].atoms, 2);
+    for n in facts.iter() {
         assert_eq!(n.core_atoms, n.atoms, "triple patterns here are cores");
         assert!(n.acyclic, "Figure 1 node CQs are acyclic");
-        assert_eq!(n.treewidth, 1);
+        assert_eq!(n.treewidth, Some(1));
     }
     assert_eq!(plan.canon_vars.len(), 4);
+}
+
+/// A facts computation cut short by its token memoises nothing: the next
+/// caller, with time to spare, computes from scratch — once.
+#[test]
+fn cancelled_facts_are_not_memoised() {
+    let _guard = LOCK.lock().unwrap();
+    let state = music_state(ServeConfig::default());
+    let (plan, _) = state.plan_for(&cycle_query(18)).unwrap();
+
+    let expired = CancelToken::with_deadline(Duration::ZERO);
+    let before = metrics_snapshot();
+    assert!(plan.node_facts(&expired).is_err());
+    assert_eq!(
+        metrics_snapshot()
+            .since(&before)
+            .counter("serve.plan.facts_computed"),
+        0
+    );
+
+    // Traced, the computation is one `serve.plan.facts` span with the
+    // decomposition searches nested inside it.
+    let before = metrics_snapshot();
+    let spans_before = span_snapshot();
+    let facts = with_tracing(|| plan.node_facts(CancelToken::never())).unwrap();
+    let delta = metrics_snapshot().since(&before);
+    let spans = span_snapshot().since(&spans_before);
+    assert!(delta.counter("decomp.tw_search_nodes") > 0);
+    assert_eq!(delta.counter("serve.plan.facts_computed"), 1);
+    assert_eq!(facts[0].treewidth, Some(2), "a cycle has treewidth 2");
+    assert!(!facts[0].acyclic);
+    let facts_span = spans.entry("serve.plan.facts").expect("span recorded");
+    let dp_span = spans.entry("decomp.treewidth.exact").expect("DP ran");
+    assert_eq!(facts_span.calls, 1);
+    assert!(
+        facts_span.child_ns >= dp_span.total_ns,
+        "the DP nests inside"
+    );
 }

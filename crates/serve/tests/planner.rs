@@ -54,7 +54,8 @@ fn explain_attaches_the_chosen_plan() {
     let state = state_with(db, i, ServeConfig::default());
     let (plan, status) = state.plan_for(FLIP_QUERY).unwrap();
 
-    let explain = explain_json(&plan, status);
+    let facts = plan.node_facts(CancelToken::never()).unwrap();
+    let explain = explain_json(&plan, &facts, status);
     let plan_obj = explain.get("plan").expect("explain carries the plan");
     assert_eq!(
         plan_obj.get("strategy").and_then(Json::as_str),
