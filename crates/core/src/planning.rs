@@ -19,9 +19,10 @@ use std::collections::BTreeSet;
 use wdpt_model::{CancelToken, Cancelled, Var};
 use wdpt_plan::{plan_node, var_domain, ExecPlan, NodeOrder, StatsCatalog, Strategy};
 
-/// Plans every node of `p` against `stats` under `strategy`, producing one
-/// [`NodeOrder`](wdpt_plan::NodeOrder) per preorder node id. Deadline-aware
-/// through `token` — the exponential enumerators poll it between subsets.
+/// Plans every node of `p` against `stats` under `strategy` (`Auto` outside
+/// tests), producing one [`NodeOrder`](wdpt_plan::NodeOrder) per preorder
+/// node id. Deadline-aware through `token` — the DP polls it between
+/// subsets.
 pub fn plan_wdpt(
     p: &Wdpt,
     stats: &StatsCatalog,
@@ -60,7 +61,6 @@ pub fn plan_wdpt(
         bound.push(b0);
     }
     Ok(ExecPlan {
-        strategy,
         nodes,
         stats_epoch: stats.epoch(),
     })
@@ -130,15 +130,10 @@ mod tests {
         let db = skewed_triples(&mut i);
         let p = star(&mut i);
         let stats = StatsCatalog::build(&db);
-        for strategy in [
-            Strategy::Auto,
-            Strategy::Greedy,
-            Strategy::Dp,
-            Strategy::Bushy,
-        ] {
+        for strategy in [Strategy::Auto, Strategy::Greedy, Strategy::Dp] {
             let plan = plan_wdpt(&p, &stats, strategy, CancelToken::never()).unwrap();
             // The text names `p0` first; its 600 rows must not lead.
-            assert_eq!(plan.nodes[0].order, vec![1, 0], "{strategy}");
+            assert_eq!(plan.nodes[0].order, vec![1, 0], "{strategy:?}");
         }
     }
 
@@ -162,8 +157,8 @@ mod tests {
         assert!(!answers.unwrap().is_empty());
         let observed = work.counter("cq.nodes_expanded") as f64;
         let ratio = plan.est_nodes() / observed;
-        // Within the re-planner's factor (248 estimated, 137 expanded; the
-        // band also absorbs other tests of this binary recording into the
+        // Within a factor of four (248 estimated, 137 expanded; the band
+        // also absorbs other tests of this binary recording into the
         // process-wide counter meanwhile).
         assert!(
             (0.25..=4.0).contains(&ratio),
@@ -190,12 +185,7 @@ mod tests {
         let stats = StatsCatalog::build(&db);
         let token = CancelToken::new();
         let expected = crate::semantics::evaluate(&p, &db);
-        for strategy in [
-            Strategy::Auto,
-            Strategy::Greedy,
-            Strategy::Dp,
-            Strategy::Bushy,
-        ] {
+        for strategy in [Strategy::Auto, Strategy::Greedy, Strategy::Dp] {
             let plan = plan_wdpt(&p, &stats, strategy, &token).unwrap();
             for threads in [1, 2] {
                 for plan in [None, Some(&plan)] {
@@ -205,7 +195,7 @@ mod tests {
                     assert_eq!(
                         planned.as_ref(),
                         Ok(&expected),
-                        "{strategy} threads={threads}"
+                        "{strategy:?} threads={threads}"
                     );
                 }
             }

@@ -17,9 +17,8 @@
 //! allowed to inflate its neighbours. A column bound to a *variable* whose
 //! value is only known at run time is priced uniformly: a relation of `r`
 //! rows with `d` distinct values there matches `r/d` tuples in expectation.
-//! Independence is what correlated columns violate — which is why the
-//! serving layer compares these estimates against observed
-//! `nodes_expanded` and re-plans on sustained divergence.
+//! Independence is what correlated columns violate — which is why
+//! `explain` prints these estimates beside the observed `nodes_expanded`.
 
 use crate::stats::StatsCatalog;
 use std::collections::BTreeSet;
@@ -95,9 +94,9 @@ pub fn order_cost(
 
 /// Expected domain size of a join variable over `atoms`: the smallest
 /// distinct count among the columns it occurs in (the tightest of its
-/// occurrences bounds the join's value universe). Used by the bushy
-/// enumerator's join-selectivity estimate. Returns `None` when the
-/// variable occurs in no catalogued column.
+/// occurrences bounds the join's value universe). `wdpt-core` caps a tree
+/// node's expected executions with it. Returns `None` when the variable
+/// occurs in no catalogued column.
 pub fn var_domain(stats: &StatsCatalog, atoms: &[Atom], v: Var) -> Option<u64> {
     let mut best: Option<u64> = None;
     for atom in atoms {

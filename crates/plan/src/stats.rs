@@ -2,8 +2,8 @@
 //! the cost model estimates with.
 //!
 //! A [`StatsCatalog`] is a pure summary of one [`Database`] version: row
-//! counts, per-column distinct counts, a log₂ posting-length sketch and the
-//! most common values per column. It is built in one pass over the relations at load/reload/delta
+//! counts, per-column distinct counts and the most common values per
+//! column. It is built in one pass over the relations at load/reload/delta
 //! time and is immutable afterwards — the serving layer pairs each
 //! `Arc<Database>` with the `Arc<StatsCatalog>` built from it and swaps
 //! both together, so a plan can never mix estimates from one data version
@@ -17,10 +17,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use wdpt_model::{Const, Database, Pred, Relation};
 
-/// Buckets of the posting-length sketch: bucket `b` counts the distinct
-/// column values whose posting list has length in `[2^b, 2^{b+1})`.
-pub const SKETCH_BUCKETS: usize = 32;
-
 /// Values a column's most-common-values list holds at most.
 pub const MCV_ENTRIES: usize = 16;
 
@@ -29,10 +25,6 @@ pub const MCV_ENTRIES: usize = 16;
 pub struct ColumnStats {
     /// Distinct values in the column.
     pub distinct: u64,
-    /// Longest posting list (occurrences of the most frequent value).
-    pub max_posting: u64,
-    /// Log₂ histogram of posting-list lengths over the distinct values.
-    pub sketch: [u32; SKETCH_BUCKETS],
     /// The (up to) [`MCV_ENTRIES`] most frequent values with their exact
     /// posting lengths, longest first; equally long lists are ranked by
     /// constant id, so the list does not depend on the order the relation
@@ -56,28 +48,6 @@ impl ColumnStats {
             unlisted => (rows - listed) as f64 / unlisted as f64,
         }
     }
-
-    /// Mean posting-list length: `rows / distinct`. Exact when every value
-    /// occurs equally often; an underestimate for hot values under skew
-    /// (bounded above by [`ColumnStats::max_posting`]).
-    pub fn mean_posting(&self, rows: u64) -> f64 {
-        if self.distinct == 0 {
-            0.0
-        } else {
-            rows as f64 / self.distinct as f64
-        }
-    }
-
-    /// Ratio of the heaviest posting list to the mean — the column's skew
-    /// factor. `1.0` on uniform columns.
-    pub fn skew(&self, rows: u64) -> f64 {
-        let mean = self.mean_posting(rows);
-        if mean <= 0.0 {
-            1.0
-        } else {
-            self.max_posting as f64 / mean
-        }
-    }
 }
 
 /// Statistics of one relation: its row count and one [`ColumnStats`] per
@@ -91,15 +61,10 @@ pub struct RelationStats {
 }
 
 fn column_stats(rel: &Relation, col: usize) -> ColumnStats {
-    let mut sketch = [0u32; SKETCH_BUCKETS];
-    let mut max_posting = 0u64;
     let mut distinct = 0u64;
     let mut mcv: Vec<(Const, u64)> = Vec::with_capacity(MCV_ENTRIES + 1);
     let mut tally = |c: Const, n: u64| {
         distinct += 1;
-        max_posting = max_posting.max(n);
-        let b = (64 - n.max(1).leading_zeros() as usize - 1).min(SKETCH_BUCKETS - 1);
-        sketch[b] += 1;
         // Keep the list sorted (longest first, then by id); almost every
         // value fails the first comparison against its current tail.
         let ranks_before = |&(v, m): &(Const, u64)| (m, c) > (n, v);
@@ -109,17 +74,12 @@ fn column_stats(rel: &Relation, col: usize) -> ColumnStats {
             mcv.truncate(MCV_ENTRIES);
         }
     };
-    // Posting-list lengths are exactly what the sketch summarizes, and the
-    // relation streams them without building anything: a snapshot's own
+    // Posting-list lengths are all the catalog needs, and the relation
+    // streams them without building anything: a snapshot's own
     // run walks its serialized key directory in place (decoding no cell),
     // any other is counted over.
     rel.scan_posting_lens(col, |c, n| tally(c, u64::from(n)));
-    ColumnStats {
-        distinct,
-        max_posting,
-        sketch,
-        mcv,
-    }
+    ColumnStats { distinct, mcv }
 }
 
 /// Process-wide epoch source; every built catalog gets the next value.
@@ -196,30 +156,14 @@ mod tests {
     use wdpt_model::Interner;
 
     #[test]
-    fn counts_rows_distinct_and_max_posting() {
+    fn counts_rows_and_distinct() {
         let mut i = Interner::new();
         let db = parse_database(&mut i, "e(a,x) e(a,y) e(a,z) e(b,x)").unwrap();
         let cat = StatsCatalog::build(&db);
         let rs = cat.relation(i.pred("e")).unwrap();
         assert_eq!(rs.rows, 4);
         assert_eq!(rs.columns[0].distinct, 2); // a, b
-        assert_eq!(rs.columns[0].max_posting, 3); // a occurs 3×
         assert_eq!(rs.columns[1].distinct, 3); // x, y, z
-        assert_eq!(rs.columns[1].max_posting, 2); // x occurs 2×
-        assert!((rs.columns[0].mean_posting(rs.rows) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sketch_buckets_by_log2_posting_length() {
-        let mut i = Interner::new();
-        // Column 0: one value with 4 postings (bucket 2), two with 1
-        // (bucket 0).
-        let db = parse_database(&mut i, "r(h,1) r(h,2) r(h,3) r(h,4) r(u,5) r(v,6)").unwrap();
-        let cat = StatsCatalog::build(&db);
-        let c0 = &cat.relation(i.pred("r")).unwrap().columns[0];
-        assert_eq!(c0.sketch[0], 2);
-        assert_eq!(c0.sketch[2], 1);
-        assert!((c0.skew(6) - 2.0).abs() < 1e-9); // max 4 / mean 2
     }
 
     /// A lazy columnar copy of `rel`, as the snapshot decoder would hand it
@@ -304,7 +248,6 @@ mod tests {
         assert_eq!(mcv[0], (i.constant("hot"), 5));
         // Longest first, and within one length by constant id.
         assert!(mcv.windows(2).all(|w| (w[0].1, w[1].0) > (w[1].1, w[0].0)));
-        assert_eq!(stats.columns[0].max_posting, 5);
     }
 
     #[test]
@@ -321,8 +264,6 @@ mod tests {
         assert_eq!(c0.est_posting(i.constant("x"), rs.rows), 0.0);
         let empty = ColumnStats {
             distinct: 0,
-            max_posting: 0,
-            sketch: [0; SKETCH_BUCKETS],
             mcv: Vec::new(),
         };
         assert_eq!(empty.est_posting(i.constant("a"), 0), 0.0);

@@ -2,31 +2,13 @@
 //! relations: exact on duplicate-free and uniform columns, and bounded by
 //! the observed posting-length extremes under skew.
 
+mod common;
+
+use common::Lcg;
 use std::collections::BTreeSet;
 use wdpt_model::parse::{parse_atoms, parse_database};
 use wdpt_model::{Interner, Term};
 use wdpt_plan::{est_matches, StatsCatalog};
-
-/// Knuth's MMIX linear congruential generator — deterministic, std-only.
-struct Lcg(u64);
-
-impl Lcg {
-    fn new(seed: u64) -> Lcg {
-        Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1))
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        self.0
-    }
-
-    fn gen_range(&mut self, n: u64) -> u64 {
-        self.next_u64() % n.max(1)
-    }
-}
 
 #[test]
 fn exact_on_duplicate_free_columns() {
@@ -114,13 +96,13 @@ fn bounded_by_posting_extremes_under_skew() {
         let bound: BTreeSet<_> = [i.var("x")].into();
         let est = est_matches(&stats, &atoms[0], &bound);
         // The mean-posting estimate can never leave the min/max envelope,
-        // and the catalog's own max_posting agrees with ground truth.
+        // and the catalog's heaviest listed value agrees with ground truth.
         assert!(
             est >= min_posting as f64 && est <= max_posting as f64,
             "seed {seed}: est {est} outside [{min_posting}, {max_posting}]"
         );
         let cs = &stats.relation(i.pred("r")).unwrap().columns[0];
-        assert_eq!(cs.max_posting, max_posting);
+        assert_eq!(cs.mcv[0].1, max_posting);
         assert_eq!(cs.distinct, counts.len() as u64);
         // Constant lookups agree with per-value ground truth on average:
         // summing the estimate over the universe recovers the row count.

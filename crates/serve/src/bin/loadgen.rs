@@ -40,21 +40,15 @@ OPTIONS:
                        --addr value]
     --clients N        concurrent connections [default: 8]
     --requests N       requests per connection [default: 50]
-    --mode MODE        mix | repeat | replan | skew | flood | deadline
+    --mode MODE        mix | repeat | skew | flood | deadline
                        [default: mix]
                        mix:      valid (repeated + renamed) and invalid
                                  queries, small deadline sprinkled in
                        repeat:   one query repeated (plan-cache throughput)
-                       replan:   a six-fold same-predicate cross product
-                                 repeated; against a tiny catalog the
-                                 request is plan-cache lookup (or, with
-                                 --no-plan-cache, a join-order build)
-                                 and little else
                        skew:     one heavy-hitter self-join repeated; on
                                  skewed gen-synth data the catalog must
                                  price the heavy hitter, so its observed
-                                 cost matches the estimate and nothing
-                                 re-plans
+                                 cost matches the estimate
                        flood:    heavy queries, expects >=1 overloaded
                        deadline: heavy queries under a tight deadline,
                                  expects cancelled responses
@@ -103,24 +97,13 @@ const DUPLICATE_SELECT: &str = "SELECT ?x ?x WHERE { (?x, rec_by, ?y) }";
 /// busy in flood mode.
 const HEAVY_QUERY: &str =
     "((((?a, rec_by, ?b) AND (?c, rec_by, ?d)) AND (?e, publ, ?f)) AND (?g, nme_rating, ?h))";
-/// The opposite trade-off: a 6-way cross product over ONE predicate, run
-/// against a tiny catalog (`--gen-music 2x1`) so evaluation is trivial.
-/// Its *core* is expensive — 6⁶ endomorphisms to enumerate — and until the
-/// per-node facts moved to `explain` that search ran on every plan build,
-/// which made planning the dominant cost of this query. A build is now the
-/// join-order enumeration over six interchangeable atoms, microseconds
-/// like any other; repeating the query still exercises the plan cache's
-/// hit / miss / coalescing paths and `--no-plan-cache` still rebuilds per
-/// request, but the two no longer differ by a core search.
-const PLAN_HEAVY_QUERY: &str = "(((((?a, rec_by, ?b) AND (?c, rec_by, ?d)) AND (?e, rec_by, ?f)) AND (?g, rec_by, ?h)) AND ((?i, rec_by, ?j) AND (?k, rec_by, ?l)))";
 /// Self-join over the synthetic catalog's heavy-hitter predicate `p0`
 /// (`wdpt-store gen-synth --skew`). A uniform `rows/distinct` estimate
 /// undercounts the `p0` posting list by the skew factor; the statistics
 /// catalog lists `p0` among the column's most common values, so the plan
 /// is costed with its exact length and the observed `nodes_expanded`
 /// matches the estimate run after run — the CI `plan_smoke` job asserts
-/// that nothing re-plans (`serve.plan.replans == 0`) and that the
-/// explained estimate is within 4× of the last observed run.
+/// that the explained estimate is within 4× of the last observed run.
 const SKEW_QUERY: &str = "SELECT ?x ?y ?z WHERE { ((?x, p0, ?y) AND (?y, p0, ?z)) }";
 
 #[derive(Clone)]
@@ -190,7 +173,7 @@ fn parse_args() -> Result<Args, String> {
                 args.mode = value("--mode")?;
                 if !matches!(
                     args.mode.as_str(),
-                    "mix" | "repeat" | "replan" | "skew" | "flood" | "deadline"
+                    "mix" | "repeat" | "skew" | "flood" | "deadline"
                 ) {
                     return Err(format!("unknown mode {:?}", args.mode));
                 }
@@ -402,7 +385,6 @@ fn run_client(client: usize, args: &Args, tally: &Tally, ryw: &Ryw) -> Result<()
         let quoted_head = if strict { ryw.latest() } else { None };
         let (req, expect) = match args.mode.as_str() {
             "repeat" => (query(&id, BASE_QUERY, None, quoted_head), "ok"),
-            "replan" => (query(&id, PLAN_HEAVY_QUERY, None, quoted_head), "ok"),
             "skew" => (query(&id, SKEW_QUERY, None, quoted_head), "ok"),
             "flood" => (query(&id, HEAVY_QUERY, Some(args.deadline_ms), None), "any"),
             "deadline" => (
@@ -618,37 +600,14 @@ fn send_reload(args: &Args, tally: &Tally, ryw: &Ryw) {
     }
 }
 
-/// Builds the `--json` planner section from the server's counter
-/// registry (the `stats` op exposes the same counters the Prometheus
-/// exposition carries): the strategy mix of installed plans, how often
-/// adaptive re-planning fired, and how often a stats-epoch refresh
-/// rebuilt a cached plan.
-fn planner_section(stats: Option<&Json>) -> Json {
-    let counter = |name: &str| -> u64 {
-        stats
-            .and_then(|s| s.get("counters"))
-            .and_then(|c| c.get(name))
-            .and_then(Json::as_num)
-            .unwrap_or(0.0) as u64
-    };
-    Json::obj([
-        (
-            "replans".to_string(),
-            Json::int(counter("serve.plan.replans")),
-        ),
-        (
-            "stats_refreshes".to_string(),
-            Json::int(counter("serve.plan.stats_refresh")),
-        ),
-        (
-            "strategy_mix".to_string(),
-            Json::obj([
-                ("greedy", Json::int(counter("serve.plan.strategy.greedy"))),
-                ("dp", Json::int(counter("serve.plan.strategy.dp"))),
-                ("bushy", Json::int(counter("serve.plan.strategy.bushy"))),
-            ]),
-        ),
-    ])
+/// One counter of the server's registry, as the `stats` op reported it
+/// (the same counters the Prometheus exposition carries).
+fn server_counter(stats: Option<&Json>, name: &str) -> u64 {
+    stats
+        .and_then(|s| s.get("counters"))
+        .and_then(|c| c.get(name))
+        .and_then(Json::as_num)
+        .unwrap_or(0.0) as u64
 }
 
 /// Reads the server's cache-hit counter via a `stats` op.
@@ -886,12 +845,9 @@ fn main() -> ExitCode {
         percentile_ms(&sorted_us, 0.90),
         percentile_ms(&sorted_us, 0.99),
     );
-    let server_hits = stats
-        .as_ref()
-        .and_then(|s| s.get("counters"))
-        .and_then(|c| c.get("serve.plan_cache.hit"))
-        .and_then(Json::as_num)
-        .unwrap_or(0.0) as u64;
+    let server_hits = server_counter(stats.as_ref(), "serve.plan_cache.hit");
+    // How often a statistics-epoch change rebuilt a cached plan's orders.
+    let stats_refreshes = server_counter(stats.as_ref(), "serve.plan.stats_refresh");
     let endpoint_summaries: Vec<Json> = args
         .endpoints
         .iter()
@@ -979,7 +935,10 @@ fn main() -> ExitCode {
                 "ryw_stale_replica".to_string(),
                 Json::int(tally.ryw_stale_replica.load(Ordering::Relaxed)),
             ),
-            ("planner".to_string(), planner_section(stats.as_ref())),
+            (
+                "planner".to_string(),
+                Json::obj([("stats_refreshes", Json::int(stats_refreshes))]),
+            ),
             ("endpoints".to_string(), Json::Arr(endpoint_summaries)),
             (
                 "failures".to_string(),
@@ -1007,20 +966,7 @@ fn main() -> ExitCode {
             fmt_ms(p99_ms),
             tally.max_latency_us.load(Ordering::Relaxed) as f64 / 1_000.0,
         );
-        let planner = planner_section(stats.as_ref());
-        let pcount = |section: &Json, name: &str| {
-            section.get(name).and_then(Json::as_num).unwrap_or(0.0) as u64
-        };
-        let mix = planner.get("strategy_mix").cloned().unwrap_or(Json::Null);
-        println!(
-            "loadgen:   planner: replans {}, stats refreshes {}, \
-             strategy mix greedy {} dp {} bushy {}",
-            pcount(&planner, "replans"),
-            pcount(&planner, "stats_refreshes"),
-            pcount(&mix, "greedy"),
-            pcount(&mix, "dp"),
-            pcount(&mix, "bushy"),
-        );
+        println!("loadgen:   planner: stats refreshes {stats_refreshes}");
         if args.endpoints.len() > 1 {
             for ep in &endpoint_summaries {
                 println!(

@@ -56,16 +56,7 @@ OPTIONS:
     --max-symbols N           interned-symbol budget; requests that would
                               exceed it are rejected and rolled back
                               [default: 1048576]
-    --no-plan-cache           disable the plan cache (ablation)
     --cache-capacity N        plan-cache entries [default: 256]
-    --plan-strategy S         join-order enumeration strategy: auto picks the
-                              cheapest of greedy/dp/bushy per node; greedy,
-                              dp, and bushy force one [default: auto]
-    --replan-factor K         re-plan a cached query when its observed
-                              nodes-expanded exceeds the estimate by K x on
-                              consecutive runs [default: 4]
-    --replan-runs N           consecutive divergent runs before a re-plan;
-                              0 disables adaptive re-planning [default: 3]
     --slowlog-threshold-ms MS capture queries slower than MS (and every
                               deadline-exceeded query) in the slow-query
                               log; 0 disables capture [default: 1000]
@@ -164,17 +155,6 @@ fn parse_args() -> Result<Args, String> {
                 args.cfg.max_query_vars = num(&flag, &value("--max-query-vars")?)?
             }
             "--max-symbols" => args.cfg.max_symbols = num(&flag, &value("--max-symbols")?)?,
-            "--no-plan-cache" => args.cfg.plan_cache = false,
-            "--plan-strategy" => {
-                let spec = value("--plan-strategy")?;
-                args.cfg.plan_strategy = wdpt_plan::Strategy::parse(&spec).ok_or_else(|| {
-                    format!("bad --plan-strategy {spec:?} (auto|greedy|dp|bushy)")
-                })?;
-            }
-            "--replan-factor" => {
-                args.cfg.replan_factor = num(&flag, &value("--replan-factor")?)? as u64
-            }
-            "--replan-runs" => args.cfg.replan_runs = num(&flag, &value("--replan-runs")?)? as u32,
             "--cache-capacity" => {
                 args.cfg.cache_capacity = num(&flag, &value("--cache-capacity")?)?
             }
@@ -401,12 +381,10 @@ fn main() -> ExitCode {
     };
     // Line-buffered so harnesses waiting for readiness see it immediately.
     println!(
-        "wdpt-serve listening on {} ({} workers, queue {}, plan cache {}, plan strategy {}{mode})",
+        "wdpt-serve listening on {} ({} workers, queue {}{mode})",
         local.as_deref().unwrap_or(&args.addr),
         state.cfg.workers,
         state.cfg.queue_capacity,
-        if state.cfg.plan_cache { "on" } else { "off" },
-        state.cfg.plan_strategy,
     );
     let served = serve(listener, state);
     if let Some(h) = follower {

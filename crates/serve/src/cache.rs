@@ -8,7 +8,10 @@
 //! before predicates before objects, left operands before right). Two
 //! queries that differ only by variable names — or by constant spelling,
 //! since `after_2010` and `"after_2010"` intern to the same constant — map
-//! to the same key and share one [`Plan`].
+//! to the same key and share one [`Plan`]. The map key is
+//! [`CanonicalQuery::key`] itself: every plan is built by the same rule
+//! (`Strategy::Auto`), and the only thing that ever replaces a cached plan's
+//! orders is [`refresh_if_stale`], on a statistics-epoch change.
 //!
 //! A cached [`Plan`] lives in canonical variable space; each request keeps
 //! its own first-occurrence variable list ([`CanonicalQuery::request_vars`])
@@ -22,7 +25,7 @@
 //! memoised on the plan.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use wdpt_core::{plan_wdpt, Wdpt};
 use wdpt_cq::{try_core_above, try_in_hw, try_treewidth_of, EXACT_TW_VERTEX_LIMIT};
@@ -213,10 +216,9 @@ pub struct NodePlan {
 /// [`RawHistogram`] rather than a registered one, so evicted plans don't
 /// leak `&'static` registry entries.
 ///
-/// This is the per-plan signal the ROADMAP's adaptive re-planner will read:
-/// a plan whose observed `nodes_expanded` diverges from its estimate is a
-/// re-planning candidate. Surfaced through the `metrics` admin op and the
-/// per-query `explain` response field.
+/// Nothing in the server acts on these: they are surfaced through the
+/// `metrics` admin op and the per-query `explain` response field, where a
+/// plan whose observed `nodes_expanded` diverges from its estimate shows.
 #[derive(Debug, Default)]
 pub struct PlanStats {
     executions: AtomicU64,
@@ -306,13 +308,10 @@ pub struct Plan {
     /// Runtime stats accumulated across this plan's executions.
     pub stats: PlanStats,
     /// The cost-based per-node atom orders currently in force. Swapped as
-    /// a whole on statistics refresh and adaptive re-plan, so executing
-    /// requests keep the `Arc` they read — a re-plan never tears an order
-    /// out from under a running evaluation.
-    pub exec: RwLock<Arc<ExecPlan>>,
-    /// Consecutive executions whose observed work diverged ≥ the
-    /// configured factor from the estimate (the re-plan trigger streak).
-    divergent: AtomicU32,
+    /// a whole by [`refresh_if_stale`] — the only thing that replaces them
+    /// — so executing requests keep the `Arc` they read: a refresh never
+    /// tears an order out from under a running evaluation.
+    exec: RwLock<Arc<ExecPlan>>,
 }
 
 impl Plan {
@@ -360,86 +359,27 @@ impl Plan {
     }
 }
 
-/// Bumps the per-strategy counters for the enumerators that produced
-/// `exec`'s node orders — one increment per planned node, so the metrics
-/// reflect the strategy mix actually installed, not merely requested.
-fn count_strategies(exec: &ExecPlan) {
-    for n in &exec.nodes {
-        match n.chosen {
-            Strategy::Greedy => counter!("serve.plan.strategy.greedy").add(1),
-            Strategy::Dp => counter!("serve.plan.strategy.dp").add(1),
-            Strategy::Bushy => counter!("serve.plan.strategy.bushy").add(1),
-            Strategy::Auto => {}
-        }
-    }
-}
-
 /// Re-plans `plan` against `stats` if its exec plan was costed under a
-/// different statistics epoch (hot reload, delta apply). The rebuild keeps
-/// the strategy currently in force and swaps atomically; concurrent
-/// executions finish on the `Arc` they already hold.
+/// different statistics epoch (hot reload, delta apply) — the one trigger
+/// that ever replaces a cached plan's orders. The swap is atomic;
+/// concurrent executions finish on the `Arc` they already hold.
 pub fn refresh_if_stale(
     plan: &Plan,
     stats: &StatsCatalog,
     token: &CancelToken,
 ) -> Result<bool, Cancelled> {
-    let strategy = {
-        let exec = plan.exec.read().expect("exec lock");
-        if exec.stats_epoch == stats.epoch() {
-            return Ok(false);
-        }
-        exec.strategy
-    };
-    let exec = Arc::new(plan_wdpt(&plan.wdpt, stats, strategy, token)?);
-    count_strategies(&exec);
+    if plan.exec.read().expect("exec lock").stats_epoch == stats.epoch() {
+        return Ok(false);
+    }
+    let exec = Arc::new(plan_wdpt(&plan.wdpt, stats, Strategy::Auto, token)?);
     counter!("serve.plan.stats_refresh").add(1);
     *plan.exec.write().expect("exec lock") = exec;
     Ok(true)
 }
 
-/// The adaptive re-planning check, run after each recorded execution:
-/// when the observed `cq.nodes_expanded` of the last run is at least
-/// `factor`× the exec plan's estimate for `runs` consecutive executions,
-/// the entry is rebuilt with the next strategy in the rotation
-/// (`greedy → dp → bushy → greedy`) and `serve.plan.replans` increments.
-/// Sustained divergence — not a single outlier — is the trigger, so one
-/// unlucky ancestor context doesn't discard a good plan. Returns whether a
-/// re-plan happened.
-pub fn maybe_replan(
-    plan: &Plan,
-    stats: &StatsCatalog,
-    factor: u64,
-    runs: u32,
-    token: &CancelToken,
-) -> Result<bool, Cancelled> {
-    if runs == 0 {
-        return Ok(false); // re-planning disabled
-    }
-    let observed = plan.stats.nodes_expanded_last();
-    let (est, strategy) = {
-        let exec = plan.exec.read().expect("exec lock");
-        (exec.est_nodes().max(1.0), exec.strategy)
-    };
-    if (observed as f64) < factor as f64 * est {
-        plan.divergent.store(0, Relaxed);
-        return Ok(false);
-    }
-    let streak = plan.divergent.fetch_add(1, Relaxed) + 1;
-    if streak < runs {
-        return Ok(false);
-    }
-    plan.divergent.store(0, Relaxed);
-    let next = strategy.rotate();
-    let exec = Arc::new(plan_wdpt(&plan.wdpt, stats, next, token)?);
-    count_strategies(&exec);
-    counter!("serve.plan.replans").add(1);
-    *plan.exec.write().expect("exec lock") = exec;
-    Ok(true)
-}
-
 /// Builds a plan from a canonicalized query: the cost-based join orders
-/// ([`plan_wdpt`], whose exponential enumerators are gated small and poll
-/// `token`) and one clone of the tree. No interner: `wdpt` is the tree
+/// ([`plan_wdpt`], whose exponential DP is gated small and polls `token`)
+/// and one clone of the tree. No interner: `wdpt` is the tree
 /// already translated in the request's front half, and `canon` carries the
 /// canonical variables interned there — both under the shared interner
 /// lock, so every id stored in the returned [`Plan`] is consistent with the
@@ -448,26 +388,23 @@ pub fn build_plan(
     canon: &CanonicalQuery,
     wdpt: &Wdpt,
     stats: &StatsCatalog,
-    strategy: Strategy,
     token: &CancelToken,
 ) -> Result<Plan, Cancelled> {
     let _span = wdpt_obs::span!("serve.plan.build");
     token.check()?;
-    let exec = Arc::new(plan_wdpt(wdpt, stats, strategy, token)?);
-    count_strategies(&exec);
+    let exec = Arc::new(plan_wdpt(wdpt, stats, Strategy::Auto, token)?);
     Ok(Plan {
         wdpt: wdpt.clone(),
         canon_vars: canon.canon_vars.clone(),
         nodes: OnceLock::new(),
         stats: PlanStats::default(),
         exec: RwLock::new(exec),
-        divergent: AtomicU32::new(0),
     })
 }
 
 /// The `explain`/slowlog object describing the join orders in force:
-/// strategy, per-node atom order with the enumerator that chose it, and
-/// estimated vs last-observed cost.
+/// per-node atom order with the enumerator that chose it, and estimated vs
+/// last-observed cost.
 pub fn exec_plan_json(plan: &Plan) -> Json {
     let exec = plan.exec_plan();
     let nodes = exec
@@ -488,7 +425,6 @@ pub fn exec_plan_json(plan: &Plan) -> Json {
         })
         .collect();
     Json::obj([
-        ("strategy", Json::str(exec.strategy.as_str())),
         ("nodes", Json::Arr(nodes)),
         ("est_nodes", Json::num(exec.est_nodes())),
         (
@@ -540,19 +476,16 @@ struct CacheInner {
 }
 
 /// A bounded, thread-shared map from canonical key to [`Plan`], with
-/// FIFO eviction and hit/miss/bypass counters in the `wdpt-obs` registry.
+/// FIFO eviction and hit/miss/coalesced counters in the `wdpt-obs` registry.
 pub struct PlanCache {
-    enabled: bool,
     capacity: usize,
     inner: Mutex<CacheInner>,
 }
 
 impl PlanCache {
-    /// `enabled = false` builds every plan fresh (the `--no-plan-cache`
-    /// ablation); `capacity` bounds the number of retained plans.
-    pub fn new(enabled: bool, capacity: usize) -> PlanCache {
+    /// `capacity` bounds the number of retained plans.
+    pub fn new(capacity: usize) -> PlanCache {
         PlanCache {
-            enabled,
             capacity: capacity.max(1),
             inner: Mutex::new(CacheInner {
                 map: HashMap::new(),
@@ -575,11 +508,6 @@ impl PlanCache {
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Whether caching is enabled.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Runtime stats of every cached plan as a JSON array (insertion
@@ -608,9 +536,10 @@ impl PlanCache {
                         "nodes".to_string(),
                         Json::int(plan.wdpt.node_count() as u64),
                     );
-                    let exec = plan.exec_plan();
-                    obj.insert("strategy".to_string(), Json::str(exec.strategy.as_str()));
-                    obj.insert("est_nodes".to_string(), Json::num(exec.est_nodes()));
+                    obj.insert(
+                        "est_nodes".to_string(),
+                        Json::num(plan.exec_plan().est_nodes()),
+                    );
                     Json::Obj(obj)
                 })
                 .collect(),
@@ -618,8 +547,8 @@ impl PlanCache {
     }
 
     /// Looks up the canonical key, building (and inserting) the plan on a
-    /// miss. Returns the plan and `"hit"`, `"miss"`, or `"off"` for the
-    /// response's cache field.
+    /// miss. Returns the plan and `"hit"` or `"miss"` for the response's
+    /// cache field.
     ///
     /// Locking discipline: the global cache mutex is held only for map
     /// lookups and insertions — never across a build. A miss claims a
@@ -634,22 +563,14 @@ impl PlanCache {
         canon: &CanonicalQuery,
         wdpt: &Wdpt,
         stats: &StatsCatalog,
-        strategy: Strategy,
         token: &CancelToken,
     ) -> Result<(Arc<Plan>, &'static str), Cancelled> {
-        // Strategy is part of the identity: the same α-renamed query
-        // requested under `dp` and `bushy` holds two independent entries
-        // (each with its own runtime stats and re-planning state).
-        let key = format!("{}|{}", canon.key, strategy);
-        let build = || build_plan(canon, wdpt, stats, strategy, token).map(Arc::new);
-        if !self.enabled {
-            counter!("serve.plan_cache.bypass").add(1);
-            return build().map(|p| (p, "off"));
-        }
+        let key = &canon.key;
+        let build = || build_plan(canon, wdpt, stats, token).map(Arc::new);
         loop {
             let (slot, claimed) = {
                 let mut inner = self.inner.lock().expect("cache lock");
-                if let Some(plan) = inner.map.get(&key) {
+                if let Some(plan) = inner.map.get(key) {
                     counter!("serve.plan_cache.hit").add(1);
                     let plan = Arc::clone(plan);
                     drop(inner);
@@ -659,7 +580,7 @@ impl PlanCache {
                     refresh_if_stale(&plan, stats, token)?;
                     return Ok((plan, "hit"));
                 }
-                match inner.building.get(&key) {
+                match inner.building.get(key) {
                     Some(slot) => (Arc::clone(slot), false),
                     None => {
                         let slot: Arc<Slot> = Arc::new(OnceLock::new());
@@ -683,10 +604,10 @@ impl PlanCache {
                 let mut inner = self.inner.lock().expect("cache lock");
                 let current = inner
                     .building
-                    .get(&key)
+                    .get(key)
                     .is_some_and(|s| Arc::ptr_eq(s, &slot));
                 if current {
-                    inner.building.remove(&key);
+                    inner.building.remove(key);
                     if let Ok(plan) = &result {
                         inner.map.insert(key.clone(), Arc::clone(plan));
                         inner.order.push_back(key.clone());

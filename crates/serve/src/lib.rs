@@ -35,8 +35,8 @@ pub mod protocol;
 pub mod server;
 
 pub use cache::{
-    build_plan, canonicalize, exec_plan_json, maybe_replan, refresh_if_stale, CanonicalQuery,
-    NodePlan, Plan, PlanCache,
+    build_plan, canonicalize, exec_plan_json, refresh_if_stale, CanonicalQuery, NodePlan, Plan,
+    PlanCache,
 };
 pub use db::{load_database, looks_like_snapshot, merge_snapshot, parse_dataset, parse_nt};
 pub use protocol::Request;

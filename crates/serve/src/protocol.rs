@@ -367,7 +367,7 @@ pub fn row_line(id: Option<&str>, bindings: Vec<(String, String)>) -> Json {
     )
 }
 
-/// Terminal success line. `cache` is `"hit"`, `"miss"`, or `"off"`;
+/// Terminal success line. `cache` is `"hit"` or `"miss"`;
 /// `rows` is how many row lines were streamed (≤ `answers` under
 /// `max_rows` truncation).
 pub fn ok_line(

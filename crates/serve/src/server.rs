@@ -34,9 +34,7 @@
 //! answer in-flight requests and close, queued jobs drain through the
 //! workers, and [`serve`] joins everything before returning.
 
-use crate::cache::{
-    canonicalize, explain_json, maybe_replan, CanonicalQuery, NodePlan, Plan, PlanCache,
-};
+use crate::cache::{canonicalize, explain_json, CanonicalQuery, NodePlan, Plan, PlanCache};
 use crate::db::merge_snapshot;
 use crate::protocol::{
     attach_head, cancelled_line, error_line, metrics_json_line, metrics_text_line, ok_line,
@@ -58,7 +56,7 @@ use wdpt_obs::{
     counter, gauge, gauge_scope, histogram, metrics_snapshot, render_prometheus, snapshot_to_json,
     Json, RequestTrace,
 };
-use wdpt_plan::{StatsCatalog, Strategy};
+use wdpt_plan::StatsCatalog;
 use wdpt_repl::frames::{delta_frame, snapshot_frame, subscribed_line};
 use wdpt_repl::{Primary, ReplApply, ReplHead, SubscribeStart};
 use wdpt_sparql::algebra::SparqlError;
@@ -79,8 +77,6 @@ pub struct ServeConfig {
     pub default_deadline_ms: u64,
     /// Upper clamp on requested deadlines, in milliseconds.
     pub max_deadline_ms: u64,
-    /// Whether the plan cache is enabled (`--no-plan-cache` ablation).
-    pub plan_cache: bool,
     /// Plan-cache capacity (entries).
     pub cache_capacity: usize,
     /// Default cap on streamed rows per query.
@@ -117,17 +113,6 @@ pub struct ServeConfig {
     /// `false` (the `--no-telemetry` ablation) keeps only the lifetime
     /// counters and gauges the serving path always maintained.
     pub telemetry: bool,
-    /// Join-order enumeration strategy for cost-based plans
-    /// (`--plan-strategy {auto,greedy,dp,bushy}`).
-    pub plan_strategy: Strategy,
-    /// Adaptive re-planning divergence factor `K`: a cached plan whose
-    /// observed `cq.nodes_expanded` is ≥ `K`× its estimate counts as a
-    /// divergent run (`--replan-factor`).
-    pub replan_factor: u64,
-    /// Consecutive divergent runs before the entry is re-planned with the
-    /// next strategy in the rotation; `0` disables re-planning
-    /// (`--replan-runs`).
-    pub replan_runs: u32,
 }
 
 impl Default for ServeConfig {
@@ -138,7 +123,6 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             default_deadline_ms: 10_000,
             max_deadline_ms: 60_000,
-            plan_cache: true,
             cache_capacity: 256,
             max_rows: 1_000,
             retry_after_ms: 50,
@@ -148,9 +132,6 @@ impl Default for ServeConfig {
             slowlog_threshold_ms: 1_000,
             slowlog_capacity: 128,
             telemetry: true,
-            plan_strategy: Strategy::Auto,
-            replan_factor: 4,
-            replan_runs: 3,
         }
     }
 }
@@ -254,7 +235,7 @@ impl ServeState {
             dbs.contains_key(&default_db),
             "default database {default_db:?} not loaded"
         );
-        let cache = PlanCache::new(cfg.plan_cache, cfg.cache_capacity);
+        let cache = PlanCache::new(cfg.cache_capacity);
         let dbs = dbs
             .into_iter()
             .map(|(n, db)| (n, DbEntry::new(db)))
@@ -516,36 +497,95 @@ impl ServeState {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Front-half of a query without the network: parse, canonicalize,
-    /// and consult the plan cache. Used by the plan-cache tests.
+    /// A query's planning path without the network: the request's own
+    /// front half, then the plan cache. Used by the plan-cache tests and the
+    /// benchmark's probes.
     pub fn plan_for(&self, src: &str) -> Result<(Arc<Plan>, &'static str), String> {
         self.plan_for_with(src, CancelToken::never())
     }
 
     /// [`ServeState::plan_for`] under a caller-supplied cancellation
-    /// token, mirroring a request's planning path exactly: the interner
-    /// lock covers only the translation, and the build runs lock-free
-    /// under `token`.
+    /// token: the interner lock covers only the front half, and the build
+    /// runs lock-free under `token`.
     pub fn plan_for_with(
         &self,
         src: &str,
         token: &CancelToken,
     ) -> Result<(Arc<Plan>, &'static str), String> {
-        let (canon, wdpt) = {
-            let mut i = self.interner.lock().expect("interner lock");
-            let q = parse_query(&mut i, src).map_err(|e| e.message)?;
-            let canon = canonicalize(&q, &mut i);
-            let wdpt = canon.canon.to_wdpt(&mut i).map_err(|e| e.to_string())?;
-            (canon, wdpt)
-        };
+        let (canon, wdpt) = self.front_half(src).map_err(|r| r.message)?;
         let stats = self
             .db_with_stats(&self.default_db)
             .map(|(_, s)| s)
             .unwrap_or_else(|| Arc::new(StatsCatalog::empty()));
         self.cache
-            .get_or_build(&canon, &wdpt, &stats, self.cfg.plan_strategy, token)
+            .get_or_build(&canon, &wdpt, &stats, token)
             .map_err(|e| e.to_string())
     }
+
+    /// The polynomial front half of every query, under one brief interner
+    /// lock: parse, admission caps, canonicalize, translate to a tree. A
+    /// query turned away rolls the interner back, so its symbols do not
+    /// accumulate.
+    fn front_half(&self, src: &str) -> Result<(CanonicalQuery, Wdpt), Rejection> {
+        let mut i = self.interner.lock().expect("interner lock");
+        let len0 = i.len();
+        let admitted = (|| {
+            let parsed = parse_query(&mut i, src).map_err(|e| Rejection {
+                kind: "parse_error",
+                message: e.message,
+                at: Some(e.at),
+                malformed: true,
+            })?;
+            let (atoms, vars) = pattern_size(&parsed.pattern);
+            if atoms > self.cfg.max_query_atoms || vars > self.cfg.max_query_vars {
+                return Err(Rejection {
+                    kind: "query_too_large",
+                    message: format!(
+                        "query has {atoms} triple patterns and {vars} variables; this server accepts at most {} and {}",
+                        self.cfg.max_query_atoms, self.cfg.max_query_vars
+                    ),
+                    at: None,
+                    malformed: false,
+                });
+            }
+            let canon = canonicalize(&parsed, &mut i);
+            let wdpt = match canon.canon.to_wdpt(&mut i) {
+                Ok(w) => w,
+                Err(e) => {
+                    let (kind, message) = sparql_error_parts(&e, &i, &canon);
+                    return Err(Rejection {
+                        kind,
+                        message,
+                        at: None,
+                        malformed: true,
+                    });
+                }
+            };
+            if i.len() > self.cfg.max_symbols {
+                return Err(Rejection {
+                    kind: "symbol_limit",
+                    message: "the server's interned-symbol budget is exhausted; only queries over already-seen identifiers are accepted".to_string(),
+                    at: None,
+                    malformed: false,
+                });
+            }
+            Ok((canon, wdpt))
+        })();
+        if admitted.is_err() {
+            i.truncate(len0);
+        }
+        admitted
+    }
+}
+
+/// A query the front half turned away: the wire error `kind` and message,
+/// the byte offset of a parse error, and whether the query was malformed
+/// (counted under `serve.requests.error`) or over a cap (`…rejected`).
+struct Rejection {
+    kind: &'static str,
+    message: String,
+    at: Option<usize>,
+    malformed: bool,
 }
 
 /// A snapshot + delta chain read and verified off-lock by
@@ -578,9 +618,6 @@ struct Job {
     plan: Arc<Plan>,
     cache_status: &'static str,
     db: Arc<Database>,
-    /// Statistics catalog of the resolved database version; the worker's
-    /// adaptive re-plan check rebuilds against these, never a newer swap.
-    stats: Arc<StatsCatalog>,
     request_vars: Vec<String>,
     token: CancelToken,
     deadline_ms: u64,
@@ -1107,8 +1144,8 @@ fn slowlog_entry(
         ("wall_us", Json::int(trace.total_ns() / 1_000)),
         ("trace", trace.to_json()),
         ("profile", profile.unwrap_or(Json::Null)),
-        // The chosen join plan: strategy, per-node atom order, estimated
-        // vs last observed cost — so a slow query's log entry shows *what
+        // The chosen join plan: per-node atom order, estimated vs last
+        // observed cost — so a slow query's log entry shows *what
         // order it ran*, not just how long it took.
         ("plan", plan.unwrap_or(Json::Null)),
     ])
@@ -1178,55 +1215,16 @@ fn handle_query(
     let token = CancelToken::with_deadline(Duration::from_millis(deadline_ms));
     let start = Instant::now();
 
-    // Polynomial front half, under a brief interner lock: parse, admission
-    // caps, canonicalize, translate to a tree. A rejected request rolls the
-    // interner back so its symbols do not accumulate.
-    let (canon, wdpt): (CanonicalQuery, Wdpt) = {
-        let mut i = state.interner.lock().expect("interner lock");
-        let len0 = i.len();
-        let parsed = match parse_query(&mut i, query) {
-            Ok(q) => q,
-            Err(e) => {
-                i.truncate(len0);
+    let (canon, wdpt) = match state.front_half(query) {
+        Ok(admitted) => admitted,
+        Err(r) => {
+            if r.malformed {
                 counter!("serve.requests.error").add(1);
-                return vec![error_line(id, "parse_error", &e.message, Some(e.at))];
+            } else {
+                counter!("serve.requests.rejected").add(1);
             }
-        };
-        let (atoms, vars) = pattern_size(&parsed.pattern);
-        if atoms > state.cfg.max_query_atoms || vars > state.cfg.max_query_vars {
-            i.truncate(len0);
-            counter!("serve.requests.rejected").add(1);
-            return vec![error_line(
-                id,
-                "query_too_large",
-                &format!(
-                    "query has {atoms} triple patterns and {vars} variables; this server accepts at most {} and {}",
-                    state.cfg.max_query_atoms, state.cfg.max_query_vars
-                ),
-                None,
-            )];
+            return vec![error_line(id, r.kind, &r.message, r.at)];
         }
-        let canon = canonicalize(&parsed, &mut i);
-        let wdpt = match canon.canon.to_wdpt(&mut i) {
-            Ok(w) => w,
-            Err(e) => {
-                counter!("serve.requests.error").add(1);
-                let (kind, message) = sparql_error_parts(&e, &i, &canon);
-                i.truncate(len0);
-                return vec![error_line(id, kind, &message, None)];
-            }
-        };
-        if i.len() > state.cfg.max_symbols {
-            i.truncate(len0);
-            counter!("serve.requests.rejected").add(1);
-            return vec![error_line(
-                id,
-                "symbol_limit",
-                "the server's interned-symbol budget is exhausted; only queries over already-seen identifiers are accepted",
-                None,
-            )];
-        }
-        (canon, wdpt)
     };
     trace.stage_done(Stage::Admission);
 
@@ -1237,7 +1235,7 @@ fn handle_query(
     let request_vars = canon.request_vars.clone();
     let planned = state
         .cache
-        .get_or_build(&canon, &wdpt, &db_stats, state.cfg.plan_strategy, &token)
+        .get_or_build(&canon, &wdpt, &db_stats, &token)
         .and_then(|(plan, cache_status)| {
             let facts = explain.then(|| plan.node_facts(&token)).transpose()?;
             Ok((plan, cache_status, facts))
@@ -1274,16 +1272,13 @@ fn handle_query(
 
     let (resp_tx, resp_rx) = mpsc::channel();
     let token_handle = token.clone();
-    // Pinned for the slowlog: the worker consumes the Job (and may even
-    // re-plan the entry), so the entry logged below reflects the plan as
-    // of admission.
+    // Pinned for the slowlog: the worker consumes the Job.
     let plan_for_log = Arc::clone(&plan);
     let job = Job {
         id: id.map(str::to_string),
         plan,
         cache_status,
         db,
-        stats: db_stats,
         request_vars,
         token,
         deadline_ms,
@@ -1473,14 +1468,14 @@ fn process(job: Job, state: &ServeState) {
         }
     } else {
         let threads = state.cfg.eval_threads.max(1);
-        // Pin the exec plan for the whole evaluation: a concurrent re-plan
-        // swaps the slot, not the orders this run is following.
+        // Pin the exec plan for the whole evaluation: a concurrent
+        // statistics refresh swaps the slot, not the orders this run is
+        // following.
         let exec = job.plan.exec_plan();
         // The captured evaluator keeps its profile even on cancellation —
         // deadline-blown queries are the slowlog's whole reason to exist.
-        // With telemetry off there is no recorder (and therefore no
-        // `nodes_expanded` signal for the re-planner — the ablation
-        // disables adaptivity too).
+        // With telemetry off there is no recorder, and the plan's
+        // `nodes_expanded` stats stay at zero.
         let (result, prof) = if job.profile || job.capture {
             let (result, prof) = wdpt_core::try_evaluate_parallel_captured_planned(
                 &job.plan.wdpt,
@@ -1510,19 +1505,6 @@ fn process(job: Job, state: &ServeState) {
                 job.plan
                     .stats
                     .record_execution(eval_ns / 1_000, nodes_expanded);
-                // Adaptive re-planning: sustained estimate/observation
-                // divergence rotates the entry to the next strategy. Runs
-                // under a never-token — the rebuild is gated small, and a
-                // nearly-expired request must not be able to veto it.
-                if nodes_expanded.is_some() {
-                    let _ = maybe_replan(
-                        &job.plan,
-                        &job.stats,
-                        state.cfg.replan_factor,
-                        state.cfg.replan_runs,
-                        CancelToken::never(),
-                    );
-                }
                 let wall_us = start.elapsed().as_micros() as u64;
                 let i = state.interner.lock().expect("interner lock");
                 let mut lines: Vec<Json> = answers

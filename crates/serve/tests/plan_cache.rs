@@ -172,17 +172,34 @@ fn capacity_bounds_the_cache_with_fifo_eviction() {
     assert_eq!(state.cache().len(), 1);
 }
 
+/// `plan_for` runs the request's own front half: what a served query would
+/// be turned away for, it is turned away for here — and the symbols the
+/// attempt interned are rolled back.
 #[test]
-fn disabled_cache_rebuilds_every_time() {
+fn plan_for_applies_the_caps_and_rolls_the_interner_back() {
     let _guard = LOCK.lock().unwrap();
-    let state = music_state(ServeConfig {
-        plan_cache: false,
-        ..ServeConfig::default()
-    });
-    let (plan1, status1) = state.plan_for(BASE).unwrap();
-    let (plan2, status2) = state.plan_for(BASE).unwrap();
-    assert_eq!((status1, status2), ("off", "off"));
-    assert!(!Arc::ptr_eq(&plan1, &plan2));
+    let state = music_state(ServeConfig::default());
+    let mut chain = "(?v0, fresh_e0, ?v1)".to_string();
+    for k in 1..65 {
+        chain = format!(
+            "({chain} AND (?v{}, fresh_e{k}, ?v{}))",
+            k % 20,
+            (k + 1) % 20
+        );
+    }
+    let turned_away = [
+        ("malformed", "SELECT ?x WHERE { (?x, fresh_p) }".to_string()),
+        ("65 atoms", chain),
+        (
+            "not well-designed",
+            "(((?x, fresh_a, ?y) OPT (?y, fresh_b, ?z)) AND (?z, fresh_c, ?w))".to_string(),
+        ),
+    ];
+    let symbols = state.interner_len();
+    for (what, query) in &turned_away {
+        assert!(state.plan_for(query).is_err(), "{what}");
+        assert_eq!(state.interner_len(), symbols, "{what}");
+    }
     assert!(state.cache().is_empty());
 }
 

@@ -445,17 +445,20 @@ struct Reached {
     shared: bool,
     /// Searches run on worker threads, summed over the threads = 4 runs.
     fanned_out: u64,
+    /// The shuffled plan is neither enumerator's.
+    reordered: bool,
 }
 
 /// The executor against `oracle` — `p(D)` computed some other way, in the
-/// canonical order — under no plan and under each enumerator's plan, on one
-/// thread and on four: the same mappings *in the same order*, the same
-/// per-node homomorphism tallies, and the same backtracking work on four
-/// threads as on one. A tally counts a node's local homomorphisms once per
+/// canonical order — under no plan, under each enumerator's plan and under
+/// a plan whose every node order is a permutation shuffled from `seed` (no
+/// enumerator's taste narrows what is checked), on one thread and on four:
+/// the same mappings *in the same order*, the same per-node homomorphism
+/// tallies, and the same backtracking work on four threads as on one. A tally counts a node's local homomorphisms once per
 /// ancestor context, whether or not that context's interface valuation had
 /// been evaluated before — which is the number of homomorphisms of the
 /// root-to-node path, counted here by the CQ engine.
-fn check_executor(p: &Wdpt, db: &Database, oracle: &[Mapping], case: &str) -> Reached {
+fn check_executor(p: &Wdpt, db: &Database, oracle: &[Mapping], case: &str, seed: u64) -> Reached {
     let never = CancelToken::never();
     let free = p.free_set();
     let path_homs: Vec<Vec<Mapping>> = (0..p.node_count())
@@ -478,18 +481,31 @@ fn check_executor(p: &Wdpt, db: &Database, oracle: &[Mapping], case: &str) -> Re
             keys.len() < contexts.len()
         }),
         fanned_out: 0,
+        reordered: false,
     };
 
     let stats = StatsCatalog::build(db);
-    let plans = [Strategy::Greedy, Strategy::Dp, Strategy::Bushy]
+    let [greedy, dp] = [Strategy::Greedy, Strategy::Dp]
         .map(|strategy| plan_wdpt(p, &stats, strategy, never).expect("never cancels"));
-    for plan in std::iter::once(None).chain(plans.iter().map(Some)) {
+    let mut shuffled = greedy.clone();
+    let mut r = Lcg::new(seed);
+    for node in &mut shuffled.nodes {
+        // Fisher–Yates.
+        for k in (1..node.order.len()).rev() {
+            node.order.swap(k, r.gen_range(0..k + 1));
+        }
+    }
+    reached.reordered = shuffled != greedy && shuffled != dp;
+    let plans = [
+        ("none", None),
+        ("greedy", Some(&greedy)),
+        ("dp", Some(&dp)),
+        ("shuffled", Some(&shuffled)),
+    ];
+    for (name, plan) in plans {
         let mut nodes_expanded = None;
         for threads in [1, 4] {
-            let what = format!(
-                "case={case} plan={:?} threads={threads}",
-                plan.map(|pl| pl.strategy)
-            );
+            let what = format!("case={case} plan={name} threads={threads}");
             let (answers, profile) =
                 try_evaluate_parallel_captured_planned(p, db, threads, never, "diff", plan);
             assert_eq!(answers.as_deref(), Ok(oracle), "{what}");
@@ -519,7 +535,7 @@ fn check_executor(p: &Wdpt, db: &Database, oracle: &[Mapping], case: &str) -> Re
 fn executor_agrees_with_the_naive_oracle() {
     let _serial = serial();
     let mut r = Lcg::new(0x7157_0007);
-    let (mut partial, mut shared) = (0, 0);
+    let (mut partial, mut shared, mut reordered) = (0, 0, 0);
     for case in 0..80 {
         let mut i = Interner::new();
         let dom = 2 + r.gen_range(0..2);
@@ -535,9 +551,10 @@ fn executor_agrees_with_the_naive_oracle() {
             .collect();
         oracle.sort();
         oracle.dedup();
-        let reached = check_executor(&p, &db, &oracle, &case.to_string());
+        let reached = check_executor(&p, &db, &oracle, &case.to_string(), case as u64);
         partial += usize::from(reached.partial);
         shared += usize::from(reached.shared);
+        reordered += usize::from(reached.reordered);
     }
     // The generator reaches what it was built to reach.
     assert!(partial >= 8, "only {partial} cases dropped an OPT branch");
@@ -545,6 +562,7 @@ fn executor_agrees_with_the_naive_oracle() {
         shared >= 8,
         "only {shared} cases shared an interface valuation"
     );
+    assert!(reordered >= 40, "only {reordered} shuffled plans were new");
 }
 
 /// A chain of depth 3 with up to two more nodes hung at random, every node
@@ -644,7 +662,7 @@ fn fanned_out_executor_agrees_with_the_local_oracle() {
         oracle.sort();
         oracle.dedup();
 
-        let reached = check_executor(&p, &db, &oracle, &format!("wide {case}"));
+        let reached = check_executor(&p, &db, &oracle, &format!("wide {case}"), case as u64);
         assert!(reached.shared, "wide {case}");
         // Under each of the four plans, at least the root's children.
         assert!(
