@@ -9,10 +9,12 @@
 //! * [`semantics`] — maximal homomorphisms, `p(D)`, `p_m(D)`: one executor
 //!   (local homomorphisms × independent OPT children, each subtree
 //!   evaluated once per distinct interface valuation, inline or fanned out
-//!   over threads) behind [`evaluate`], [`evaluate_max`],
-//!   [`try_evaluate_parallel_planned`] (threads, cancel token, planned atom
-//!   orders) and [`try_evaluate_parallel_captured_planned`] (the same, plus
-//!   a profile).
+//!   over threads) whose product is one sorted row table, [`Answers`].
+//!   [`evaluate_rows`] (threads, cancel token, planned atom orders) and
+//!   [`try_evaluate_parallel_captured_planned`] (the same, plus a profile)
+//!   return the table; [`evaluate`], [`evaluate_max`],
+//!   [`maximal_homomorphisms`] and [`try_evaluate_parallel_planned`] view
+//!   it as [`wdpt_model::Mapping`]s.
 //! * [`classes`] — local tractability `ℓ-C(k)`, bounded interface `BI(c)`,
 //!   global tractability `g-C(k)`, the well-behaved classes `WB(k)`
 //!   (Sections 3 and 5).
@@ -55,7 +57,10 @@ pub use optimize::normalize;
 pub use planning::plan_wdpt;
 pub use profile::try_evaluate_parallel_captured_planned;
 pub use projection_free::eval_projection_free;
-pub use semantics::{evaluate, evaluate_max, maximal_homomorphisms, try_evaluate_parallel_planned};
+pub use semantics::{
+    evaluate, evaluate_max, evaluate_rows, maximal_homomorphisms, try_evaluate_parallel_planned,
+    Answers,
+};
 pub use subsumption::{max_equivalent, subsumed, subsumption_equivalent};
 pub use text::{parse_wdpt, to_text};
 pub use tree::{NodeId, Subtree, Wdpt, WdptBuilder, WdptError};

@@ -1,16 +1,20 @@
 //! Profiled WDPT evaluation: the `EXPLAIN ANALYZE` entry point.
 //!
 //! [`try_evaluate_parallel_captured_planned`] runs the same executor as
-//! every other entry point in [`crate::semantics`] but brackets it with a
-//! [`wdpt_obs::ProfileRecorder`] (enabling span tracing for the duration)
-//! and reports the executor's per-tree-node homomorphism counts. Those are
-//! local to the evaluation — not a process-wide counter — so they are
-//! deterministic: the same at every thread count, which the
-//! observability-parity test relies on.
+//! every other entry point in [`crate::semantics`] and hands back the same
+//! product — the [`Answers`] table, as [`crate::evaluate_rows`] does — but
+//! brackets the run with a [`wdpt_obs::ProfileRecorder`] (enabling span
+//! tracing for the duration) and reports the executor's per-tree-node
+//! homomorphism counts. Those are local to the evaluation — not a
+//! process-wide counter — so they are deterministic: the same at every
+//! thread count, which the observability-parity test relies on. The
+//! profile comes back as recorded; rendering it ([`QueryProfile::to_json`],
+//! [`QueryProfile::render`]) is the caller's to do if and when someone
+//! reads it.
 
-use crate::semantics::execute;
+use crate::semantics::{execute, Answers};
 use crate::tree::Wdpt;
-use wdpt_model::{CancelToken, Cancelled, Database, Mapping};
+use wdpt_model::{CancelToken, Cancelled, Database};
 use wdpt_obs::{NodeEntry, ProfileRecorder, QueryProfile};
 
 /// Builds the per-node profile entries from the executor's counts: preorder
@@ -32,8 +36,8 @@ fn node_entries(p: &Wdpt, hom_counts: &[u64]) -> Vec<NodeEntry> {
         .collect()
 }
 
-/// [`crate::try_evaluate_parallel_planned`] plus a [`QueryProfile`] of the
-/// run, which *survives* cancellation: whatever phases, counters, and
+/// [`crate::evaluate_rows`] plus a [`QueryProfile`] of the run, which
+/// *survives* cancellation: whatever phases, counters, and
 /// per-node tallies accumulated up to the deadline come back alongside the
 /// `Err`. This is what a serving layer's slow-query log needs — the queries
 /// most worth explaining are exactly the ones that blew their deadline, and
@@ -52,7 +56,7 @@ pub fn try_evaluate_parallel_captured_planned(
     token: &CancelToken,
     label: &str,
     plan: Option<&wdpt_plan::ExecPlan>,
-) -> (Result<Vec<Mapping>, Cancelled>, QueryProfile) {
+) -> (Result<Answers, Cancelled>, QueryProfile) {
     let mut rec = ProfileRecorder::start(label);
     let (answers, hom_counts) = execute(p, db, threads, token, plan, &p.free_set());
     rec.set_nodes(node_entries(p, &hom_counts));
@@ -66,7 +70,7 @@ mod tests {
     use crate::semantics::evaluate;
     use crate::tree::WdptBuilder;
     use wdpt_model::parse::{parse_atoms, parse_database};
-    use wdpt_model::Interner;
+    use wdpt_model::{Interner, Mapping};
 
     fn fixture() -> (Interner, Wdpt, Database) {
         fixture_with("")
@@ -99,7 +103,7 @@ mod tests {
             "test",
             None,
         );
-        (answers.unwrap(), profile)
+        (answers.unwrap().into_mappings(), profile)
     }
 
     #[test]

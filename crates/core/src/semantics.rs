@@ -19,10 +19,15 @@
 //! *distinct* interface valuation its contexts produce, not once per
 //! context.
 //!
-//! There is one executor ([`execute`] over [`Run::subtree`]); the public
+//! There is one executor ([`execute`] over [`Run::subtree`]) and it has one
+//! product: the [`Answers`] table — a header of ascending variables over
+//! flat rows of `Option<Const>` cells, sorted and distinct. The public
 //! functions differ only in what they pass it (threads, cancel token, plan,
-//! the variables to project onto) and what they do with the mappings it
-//! returns.
+//! the variables to project onto) and in whether they hand the table on as
+//! it is ([`evaluate_rows`], which a server encodes responses from) or view
+//! it as [`Mapping`]s ([`Answers::into_mappings`]: [`evaluate`],
+//! [`evaluate_max`], [`maximal_homomorphisms`],
+//! [`try_evaluate_parallel_planned`]).
 
 use crate::tree::Wdpt;
 use std::cmp::Ordering;
@@ -378,13 +383,68 @@ fn cmp_as_mappings(a: &[Option<Const>], b: &[Option<Const>]) -> Ordering {
     Ordering::Equal
 }
 
+/// A set of partial mappings over one header of variables, as the executor
+/// produces it: row-major cells, `None` where a row's mapping is undefined
+/// (an OPT branch that was not extendable). Rows are strictly ascending in
+/// the order of the [`Mapping`]s they stand for — sorted and distinct — so
+/// the first `n` rows are the first `n` mappings of
+/// [`Answers::into_mappings`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Answers {
+    /// Ascending; cell `k` of every row belongs to `vars[k]`.
+    vars: Vec<Var>,
+    cells: Vec<Option<Const>>,
+    /// Kept beside the cells because a row of no variables has none: the
+    /// table over an empty header has one row (the empty mapping) or none.
+    rows: usize,
+}
+
+// No `is_empty`: the table's surface is these four and nothing else.
+#[allow(clippy::len_without_is_empty)]
+impl Answers {
+    /// The number of rows: `|p(D)|` for a table projected onto the free
+    /// variables.
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// The header: the variables some row may bind, ascending.
+    pub fn vars(&self) -> &[Var] {
+        &self.vars
+    }
+
+    /// Row `r` (`r < len()`), one cell per variable of [`Answers::vars`].
+    pub fn row(&self, r: usize) -> &[Option<Const>] {
+        assert!(r < self.rows, "row {r} of a {}-row table", self.rows);
+        &self.cells[r * self.vars.len()..(r + 1) * self.vars.len()]
+    }
+
+    /// The rows as mappings, in the same (ascending) order.
+    pub fn into_mappings(self) -> Vec<Mapping> {
+        (0..self.rows)
+            .map(|r| {
+                let row = self.row(r);
+                let mut pairs = Vec::with_capacity(row.iter().flatten().count());
+                pairs.extend(
+                    self.vars
+                        .iter()
+                        .zip(row)
+                        .filter_map(|(&v, cell)| cell.map(|c| (v, c))),
+                );
+                Mapping::from_sorted(pairs)
+            })
+            .collect()
+    }
+}
+
 /// The one executor: the maximal homomorphisms from `p` to `db` projected
 /// onto `onto` (all of `p`'s variables: the maximal homomorphisms
 /// themselves), deduplicated, in the canonical order — ascending as
 /// [`Mapping`]s — plus the per-node local-homomorphism counts (preorder
 /// ids), which survive cancellation, so a deadline-killed query can still
-/// be explained. Rows stay flat until the very end: they are projected,
-/// sorted and deduplicated once, and only the survivors become `Mapping`s.
+/// be explained. Rows stay flat from the first search to the table handed
+/// back: they are projected, sorted and deduplicated once, and the executor
+/// builds no `Mapping`.
 ///
 /// `threads` bounds the workers each node's searches — one per distinct
 /// interface valuation — are spread over (`0` means
@@ -399,7 +459,7 @@ pub(crate) fn execute(
     token: &CancelToken,
     plan: Option<&ExecPlan>,
     onto: &BTreeSet<Var>,
-) -> (Result<Vec<Mapping>, Cancelled>, Vec<u64>) {
+) -> (Result<Answers, Cancelled>, Vec<u64>) {
     let _span = span!("wdpt.eval.execute");
     let mut run = Run {
         p,
@@ -431,9 +491,14 @@ pub(crate) fn execute(
             .map(|(cell, &v)| (v, cell))
             .collect();
         kept.sort_unstable();
-        if kept.is_empty() {
+        let vars: Vec<Var> = kept.iter().map(|&(v, _)| v).collect();
+        if vars.is_empty() {
             // Nothing to tell the rows apart by.
-            return Vec::from_iter((table.rows > 0).then(Mapping::empty));
+            return Answers {
+                vars,
+                cells: Vec::new(),
+                rows: usize::from(table.rows > 0),
+            };
         }
         let projected: Vec<Option<Const>> = (0..table.rows)
             .flat_map(|r| {
@@ -441,22 +506,35 @@ pub(crate) fn execute(
                 kept.iter().map(move |&(_, cell)| row[cell])
             })
             .collect();
-        let mut rows: Vec<&[Option<Const>]> = projected.chunks_exact(kept.len()).collect();
+        let mut rows: Vec<&[Option<Const>]> = projected.chunks_exact(vars.len()).collect();
         rows.sort_unstable_by(|a, b| cmp_as_mappings(a, b));
         rows.dedup();
-        rows.into_iter()
-            .map(|row| {
-                let mut pairs = Vec::with_capacity(row.iter().flatten().count());
-                pairs.extend(
-                    kept.iter()
-                        .zip(row)
-                        .filter_map(|(&(v, _), cell)| cell.map(|c| (v, c))),
-                );
-                Mapping::from_sorted(pairs)
-            })
-            .collect()
+        Answers {
+            cells: rows.concat(),
+            rows: rows.len(),
+            vars,
+        }
     });
     (answers, run.homs)
+}
+
+/// The evaluation `p(D)` (Definition 2) as the executor's table: the
+/// projections of the maximal homomorphisms onto the free variables, one row
+/// each, over a header of the free variables. Runs on up to `threads` worker
+/// threads (`0` means [`std::thread::available_parallelism`]), under a
+/// cancel token — `Err(Cancelled)` if it fires or its deadline passes
+/// mid-evaluation — executing an optional cost-based [`ExecPlan`]; see
+/// [`try_evaluate_parallel_captured_planned`](crate::profile::try_evaluate_parallel_captured_planned)
+/// for the plan contract. The table is the same whatever the thread count or
+/// plan. Every other evaluation function of this module is a view of it.
+pub fn evaluate_rows(
+    p: &Wdpt,
+    db: &Database,
+    threads: usize,
+    token: &CancelToken,
+    plan: Option<&ExecPlan>,
+) -> Result<Answers, Cancelled> {
+    execute(p, db, threads, token, plan, &p.free_set()).0
 }
 
 /// All maximal homomorphisms from `p` to `db` (on their various domains).
@@ -466,6 +544,7 @@ pub fn maximal_homomorphisms(p: &Wdpt, db: &Database) -> Vec<Mapping> {
     execute(p, db, 1, CancelToken::never(), None, &p.all_variables())
         .0
         .expect("the never token cannot cancel")
+        .into_mappings()
 }
 
 /// The evaluation `p(D)`: projections of the maximal homomorphisms onto the
@@ -481,13 +560,8 @@ pub fn evaluate_max(p: &Wdpt, db: &Database) -> Vec<Mapping> {
     maximal_mappings(evaluate(p, db))
 }
 
-/// [`evaluate`] on up to `threads` worker threads (`0` means
-/// [`std::thread::available_parallelism`]), under a cancel token —
-/// `Err(Cancelled)` if it fires or its deadline passes mid-evaluation — and
-/// executing an optional cost-based [`ExecPlan`]; see
-/// [`try_evaluate_parallel_captured_planned`](crate::profile::try_evaluate_parallel_captured_planned)
-/// for the plan contract. Answers are identical to [`evaluate`]'s, in the
-/// same canonical order, whatever the thread count or plan.
+/// [`evaluate_rows`] as mappings: the answers of [`evaluate`], in the same
+/// canonical order, whatever the thread count or plan.
 pub fn try_evaluate_parallel_planned(
     p: &Wdpt,
     db: &Database,
@@ -495,7 +569,7 @@ pub fn try_evaluate_parallel_planned(
     token: &CancelToken,
     plan: Option<&ExecPlan>,
 ) -> Result<Vec<Mapping>, Cancelled> {
-    execute(p, db, threads, token, plan, &p.free_set()).0
+    evaluate_rows(p, db, threads, token, plan).map(Answers::into_mappings)
 }
 
 /// All homomorphisms from `p` to `db` (not only maximal ones): full
@@ -734,7 +808,9 @@ mod tests {
             assert_eq!(eval_at(&p, &db, threads), evaluate(&p, &db));
             let every_var = p.all_variables();
             assert_eq!(
-                execute(&p, &db, threads, CancelToken::never(), None, &every_var).0,
+                execute(&p, &db, threads, CancelToken::never(), None, &every_var)
+                    .0
+                    .map(Answers::into_mappings),
                 Ok(maximal_homomorphisms(&p, &db))
             );
         }
@@ -853,6 +929,53 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_table_of_no_variables_has_one_row_or_none() {
+        let mut i = Interner::new();
+        let (p0, db) = example2(&mut i);
+        // A Boolean query: nothing is free.
+        let p = rebuild_with_free(&p0, Vec::new());
+        let table = evaluate_rows(&p, &db, 1, CancelToken::never(), None).unwrap();
+        assert!(table.vars().is_empty());
+        assert_eq!(table.len(), 1);
+        assert!(table.row(0).is_empty());
+        assert_eq!(table.into_mappings(), vec![Mapping::empty()]);
+        // Unsatisfiable: the root has no homomorphism into an empty database.
+        let table = evaluate_rows(&p, &Database::new(), 1, CancelToken::never(), None).unwrap();
+        assert!(table.vars().is_empty());
+        assert_eq!(table.len(), 0);
+        assert_eq!(table.into_mappings(), Vec::new());
+    }
+
+    #[test]
+    fn the_table_lists_the_free_variables_and_leaves_unextended_cells_unbound() {
+        let mut i = Interner::new();
+        let (p, db) = example2(&mut i);
+        let table = evaluate_rows(&p, &db, 1, CancelToken::never(), None).unwrap();
+        let mut free: Vec<Var> = p.free_vars().to_vec();
+        free.sort();
+        assert_eq!(table.vars(), free);
+        assert_eq!(table.len(), 2);
+        // ?z2 is free and occurs in the tree, but no answer binds it.
+        let z2 = table.vars().iter().position(|&v| v == i.var("z2")).unwrap();
+        assert!((0..table.len()).all(|r| table.row(r)[z2].is_none()));
+        assert_eq!(table.into_mappings(), evaluate(&p, &db));
+    }
+
+    #[test]
+    fn a_cancelled_run_hands_back_no_table_but_keeps_its_tallies() {
+        let mut i = Interner::new();
+        let (p, db) = example2(&mut i);
+        let token = CancelToken::new();
+        let (done, homs) = execute(&p, &db, 1, &token, None, &p.free_set());
+        assert_eq!(done.map(|t| t.len()), Ok(2));
+        assert_eq!(homs, vec![2, 1, 0]);
+        token.cancel();
+        let (cancelled, homs) = execute(&p, &db, 1, &token, None, &p.free_set());
+        assert_eq!(cancelled, Err(Cancelled));
+        assert_eq!(homs.len(), p.node_count());
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! [`write_json_line`] / [`read_json_line`] are the one line = one document
 //! framing shared by every JSON surface in the workspace: the `--json` mode
 //! of the bench binaries, `json_check`, and the query-service protocol.
+//!
+//! There is one definition of how a string is written — which bytes are
+//! escaped and how, everything else copied through in runs — used by
+//! [`Json`]'s `Display` and, as [`push_escaped`], by writers that append to
+//! a byte buffer without building a [`Json`] (the server's row lines).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -96,20 +101,58 @@ impl Json {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// The wire's string syntax, defined once: `s` as a quoted JSON string,
+/// handed to `emit` piece by piece. Only `"`, `\` and the bytes below 0x20
+/// are escaped (`\n`, `\r`, `\t` by name, the rest as `\u00xx`); everything
+/// between two of them — non-ASCII included, which is written raw — goes out
+/// as one run. All three kinds are single ASCII bytes, so a run always ends
+/// on a character boundary.
+fn escape_with<E>(s: &str, mut emit: impl FnMut(&str) -> Result<(), E>) -> Result<(), E> {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    emit("\"")?;
+    let mut run_start = 0;
+    for (at, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        emit(&s[run_start..at])?;
+        run_start = at + 1;
+        match b {
+            b'"' => emit("\\\"")?,
+            b'\\' => emit("\\\\")?,
+            b'\n' => emit("\\n")?,
+            b'\r' => emit("\\r")?,
+            b'\t' => emit("\\t")?,
+            _ => {
+                let code = [
+                    b'\\',
+                    b'u',
+                    b'0',
+                    b'0',
+                    HEX[usize::from(b >> 4)],
+                    HEX[usize::from(b & 0xf)],
+                ];
+                emit(std::str::from_utf8(&code).expect("six ASCII bytes"))?;
+            }
         }
     }
-    f.write_str("\"")
+    emit(&s[run_start..])?;
+    emit("\"")
+}
+
+fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    escape_with(s, |piece| f.write_str(piece))
+}
+
+/// Appends `s` to `out` as a quoted JSON string — byte for byte what
+/// [`Json::Str`] displays as, for writers that build a response line without
+/// building a [`Json`] first.
+pub fn push_escaped(out: &mut Vec<u8>, s: &str) {
+    let done: Result<(), std::convert::Infallible> = escape_with(s, |piece| {
+        out.extend_from_slice(piece.as_bytes());
+        Ok(())
+    });
+    let Ok(()) = done;
 }
 
 impl fmt::Display for Json {
@@ -414,6 +457,57 @@ mod tests {
             assert_eq!(read_json_line(&mut r).unwrap().as_ref(), Some(d));
         }
         assert_eq!(read_json_line(&mut r).unwrap(), None);
+    }
+
+    /// The escaper as it was before it copied runs: one `char` at a time.
+    /// Kept as the reference the run-copying one is compared with.
+    fn escaped_charwise(s: &str) -> String {
+        use std::fmt::Write;
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn run_copying_escaper_matches_the_charwise_reference() {
+        // Every char below U+0080 (U+007F among them), a line separator JSON
+        // leaves alone, and a 4-byte scalar.
+        let mut alphabet: Vec<char> = (0u8..0x80).map(char::from).collect();
+        alphabet.extend(['\u{2028}', '\u{1F3B6}']);
+        let mut cases: Vec<String> = alphabet.iter().map(char::to_string).collect();
+        cases.push(String::new());
+        // 1000 LCG strings of 0–23 chars mixing all of them.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % bound
+        };
+        for _ in 0..1000 {
+            let len = next(24);
+            cases.push((0..len).map(|_| alphabet[next(alphabet.len())]).collect());
+        }
+        for s in &cases {
+            let want = escaped_charwise(s);
+            let shown = Json::str(s.as_str()).to_string();
+            assert_eq!(shown, want, "Display of {s:?}");
+            let mut pushed = b"kept".to_vec();
+            push_escaped(&mut pushed, s);
+            assert_eq!(pushed, [b"kept", want.as_bytes()].concat(), "{s:?}");
+            assert_eq!(Json::parse(&shown), Ok(Json::str(s.as_str())), "{s:?}");
+        }
     }
 
     #[test]

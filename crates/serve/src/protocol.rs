@@ -7,6 +7,16 @@
 //! — the same one-line-one-document discipline as the `--json` benchmark
 //! output, so `json_check` validates server transcripts too.
 //!
+//! A response is one byte buffer, written to the socket in one piece. Its
+//! terminal line is a [`Json`] built by one of the `*_line` functions below
+//! and encoded into the buffer; its row lines are never `Json` values: the
+//! worker keeps the first `max_rows` rows of the executor's
+//! [`Answers`](wdpt_core::Answers) table and [`RowWriter`] appends each as
+//! bytes, straight from the row's cells. [`row_line`] says what those bytes
+//! must be — the two share one string escaper
+//! ([`wdpt_obs::json::push_escaped`]), and the writer is tested against
+//! `write_json_line(row_line(..))` on random rows.
+//!
 //! Request operations:
 //!
 //! * `{"op":"query","query":"SELECT … WHERE { … }", …}` — evaluate a
@@ -45,6 +55,8 @@
 //! that position by the deadline answers with a typed `stale_replica`
 //! error instead of stale data.
 
+use wdpt_model::{Const, Interner, Var};
+use wdpt_obs::json::push_escaped;
 use wdpt_obs::Json;
 
 /// A parsed client request.
@@ -354,6 +366,12 @@ fn with_id(mut pairs: Vec<(String, Json)>, id: Option<&str>) -> Json {
 }
 
 /// One streamed answer: `{"kind":"row","bindings":{var: const, …}}`.
+///
+/// The server does not build this value per row — [`RowWriter`] writes the
+/// same bytes from the executor's cells — so this function is the
+/// specification of a row line: the writer is property-tested against it,
+/// and clients that re-encode rows (the benchmark's checker) compile
+/// against it.
 pub fn row_line(id: Option<&str>, bindings: Vec<(String, String)>) -> Json {
     with_id(
         vec![
@@ -365,6 +383,77 @@ pub fn row_line(id: Option<&str>, bindings: Vec<(String, String)>) -> Json {
         ],
         id,
     )
+}
+
+/// Writes the `row` lines of one response straight from the cells of an
+/// [`Answers`](wdpt_core::Answers) table: per row no `Mapping`, no `String`
+/// and no [`Json`], only bytes appended to the response buffer. What it
+/// writes for a row is what [`wdpt_obs::write_json_line`] writes for
+/// [`row_line`] of the row's bound cells.
+///
+/// Everything that does not depend on the row is resolved once, here: an
+/// object prints its keys in the byte order of `Json::obj`'s `BTreeMap`, so
+/// the columns are sorted by the request's variable names, each name is
+/// escaped once as `"name":`, and `"bindings"` < `"id"` < `"kind"` fixes
+/// where the echoed id goes.
+pub struct RowWriter {
+    /// Per variable a row may bind, in printing order: `"name":` and the
+    /// variable's cell in a row.
+    columns: Vec<(Vec<u8>, usize)>,
+    /// Everything after the bindings object, newline included.
+    tail: Vec<u8>,
+}
+
+impl RowWriter {
+    /// `names[k]` is what the request calls `canon_vars[k]`; `header` is the
+    /// [`vars`](wdpt_core::Answers::vars) of the table the rows come from. A
+    /// variable outside the header (projected away) is never printed.
+    pub fn new(
+        id: Option<&str>,
+        names: &[String],
+        canon_vars: &[Var],
+        header: &[Var],
+    ) -> RowWriter {
+        let mut named: Vec<(&str, usize)> = names
+            .iter()
+            .zip(canon_vars)
+            .filter_map(|(name, v)| Some((name.as_str(), header.binary_search(v).ok()?)))
+            .collect();
+        named.sort_unstable();
+        let columns = named
+            .into_iter()
+            .map(|(name, cell)| {
+                let mut key = Vec::with_capacity(name.len() + 3);
+                push_escaped(&mut key, name);
+                key.push(b':');
+                (key, cell)
+            })
+            .collect();
+        let mut tail = b"}".to_vec();
+        if let Some(id) = id {
+            tail.extend_from_slice(b",\"id\":");
+            push_escaped(&mut tail, id);
+        }
+        tail.extend_from_slice(b",\"kind\":\"row\"}\n");
+        RowWriter { columns, tail }
+    }
+
+    /// Appends `row` to `out` as one newline-terminated `row` line, its
+    /// constants named by `interner`.
+    pub fn write(&self, out: &mut Vec<u8>, row: &[Option<Const>], interner: &Interner) {
+        out.extend_from_slice(b"{\"bindings\":{");
+        let mut first = true;
+        for (key, cell) in &self.columns {
+            let Some(c) = row[*cell] else { continue };
+            if !first {
+                out.push(b',');
+            }
+            first = false;
+            out.extend_from_slice(key);
+            push_escaped(out, interner.const_name(c));
+        }
+        out.extend_from_slice(&self.tail);
+    }
 }
 
 /// Terminal success line. `cache` is `"hit"` or `"miss"`;
@@ -634,6 +723,98 @@ mod tests {
             let v = Json::parse(text).unwrap();
             assert!(Request::from_json(&v).is_err(), "accepted {text}");
         }
+    }
+
+    /// Rows over 1–6 variables written by [`RowWriter`] against the same
+    /// rows through [`row_line`] and the `Json` encoder — the path the
+    /// server took before it wrote rows from cells.
+    #[test]
+    fn row_writer_matches_row_line() {
+        let mut r = wdpt_gen::rng::Lcg::new(22);
+        // Every escape class, a non-ASCII and a 4-byte scalar, and plain text.
+        let alphabet = [
+            "\"", "\\", "\n", "\r", "\t", "\u{0}", "\u{1f}", "\u{7f}", "é", "🎶", "a", "b", "Z",
+            "_", "0", " ", ":", ",", "{", "}",
+        ];
+        let word = |r: &mut wdpt_gen::rng::Lcg| -> String {
+            (0..r.gen_range(0..6))
+                .map(|_| alphabet[r.gen_range(0..alphabet.len())])
+                .collect()
+        };
+        let mut interner = Interner::new();
+        let constants: Vec<Const> = (0..24)
+            .map(|k| {
+                let name = format!("{}{k}", word(&mut r));
+                interner.constant(&name)
+            })
+            .collect();
+        let ids = [
+            None,
+            Some("q7".to_string()),
+            Some("\"q\\\n\u{1}é\"".to_string()),
+        ];
+        let mut all_unbound_rows = 0;
+        for case in 0..400 {
+            let n = r.gen_range(1..7);
+            // Canonical variables in request order: `?b` may come before
+            // `?a`, and canonical order is not name order either.
+            let mut canon_vars: Vec<Var> = (0..n as u32).map(|k| Var(100 + 3 * k)).collect();
+            for k in (1..n).rev() {
+                canon_vars.swap(k, r.gen_range(0..k + 1));
+            }
+            // Distinct by their suffix, whatever the random part is.
+            let names: Vec<String> = (0..n)
+                .map(|k| format!("{}{}", word(&mut r), n - k))
+                .collect();
+            // Some variables are projected away.
+            let mut header: Vec<Var> = canon_vars
+                .iter()
+                .copied()
+                .filter(|_| r.gen_bool(0.75))
+                .collect();
+            header.sort_unstable();
+            let id = ids[case % ids.len()].as_deref();
+            let writer = RowWriter::new(id, &names, &canon_vars, &header);
+            let mut rows: Vec<Vec<Option<Const>>> = (0..r.gen_range(1..5))
+                .map(|_| {
+                    (0..header.len())
+                        .map(|_| {
+                            r.gen_bool(0.67)
+                                .then(|| constants[r.gen_range(0..constants.len())])
+                        })
+                        .collect()
+                })
+                .collect();
+            rows.push(vec![None; header.len()]);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for row in &rows {
+                writer.write(&mut got, row, &interner);
+                let bindings: Vec<(String, String)> = names
+                    .iter()
+                    .zip(&canon_vars)
+                    .filter_map(|(name, v)| {
+                        let cell = row[header.binary_search(v).ok()?]?;
+                        Some((name.clone(), interner.const_name(cell).to_string()))
+                    })
+                    .collect();
+                all_unbound_rows += usize::from(bindings.is_empty());
+                wdpt_obs::write_json_line(&mut want, &row_line(id, bindings)).unwrap();
+            }
+            assert_eq!(
+                String::from_utf8(got).unwrap(),
+                String::from_utf8(want).unwrap(),
+                "case {case}: names {names:?}, id {id:?}"
+            );
+        }
+        assert!(all_unbound_rows >= 400);
+        // The all-unbound row without an id, spelled out.
+        let mut out = Vec::new();
+        RowWriter::new(None, &["x".to_string()], &[Var(1)], &[Var(1)]).write(
+            &mut out,
+            &[None],
+            &interner,
+        );
+        assert_eq!(out, b"{\"bindings\":{},\"kind\":\"row\"}\n");
     }
 
     #[test]

@@ -20,7 +20,13 @@
 //! * **Worker threads** pull jobs off the shared queue and run the actual
 //!   WDPT evaluation with the request's [`CancelToken`] threaded through
 //!   the `wdpt-core`/`wdpt-cq` loops. Deadline expiry surfaces as a typed
-//!   [`Cancelled`] and an explicit `cancelled` response line.
+//!   [`Cancelled`] and an explicit `cancelled` response line. The worker
+//!   also encodes the response: it keeps the first `max_rows` rows of the
+//!   executor's table, writes them as row lines into one buffer straight
+//!   from their cells — the second and last place a request takes the
+//!   interner lock, held for that loop only and never across evaluation —
+//!   and appends the terminal line. The connection thread writes the
+//!   buffer to the socket in one piece.
 //!
 //! Admission control against adversarial queries: [`ServeConfig`] caps the
 //! atom and variable counts of a query (evaluation is exponential in query
@@ -38,8 +44,8 @@ use crate::cache::{canonicalize, explain_json, CanonicalQuery, NodePlan, Plan, P
 use crate::db::merge_snapshot;
 use crate::protocol::{
     attach_head, cancelled_line, error_line, metrics_json_line, metrics_text_line, ok_line,
-    overloaded_line, reload_line, row_line, shutting_down_line, slowlog_line, stale_replica_line,
-    Request,
+    overloaded_line, reload_line, shutting_down_line, slowlog_line, stale_replica_line, Request,
+    RowWriter,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -50,11 +56,11 @@ use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TryRecvError, TrySendE
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant, SystemTime};
 use wdpt_core::Wdpt;
-use wdpt_model::{CancelToken, Cancelled, Database, Interner, Mapping, Var};
+use wdpt_model::{CancelToken, Cancelled, Database, Interner, Var};
 use wdpt_obs::trace::Stage;
 use wdpt_obs::{
     counter, gauge, gauge_scope, histogram, metrics_snapshot, render_prometheus, snapshot_to_json,
-    Json, RequestTrace,
+    Json, QueryProfile, RequestTrace,
 };
 use wdpt_plan::StatsCatalog;
 use wdpt_repl::frames::{delta_frame, snapshot_frame, subscribed_line};
@@ -637,17 +643,31 @@ struct Job {
     resp: mpsc::Sender<WorkerReply>,
 }
 
-/// What a worker sends back to the connection thread: the response lines
-/// plus the telemetry only the worker can measure — the queue-wait and
-/// eval durations (folded into the request's [`RequestTrace`]) and the
-/// captured profile (attached to a slowlog entry if the request turns out
-/// slow or cancelled).
+/// What a worker sends back to the connection thread: the response — row
+/// lines, then the terminal line, encoded — plus the telemetry only the
+/// worker can measure: the queue-wait and eval durations (folded into the
+/// request's [`RequestTrace`]) and the captured profile, as recorded; it is
+/// rendered only if the request turns out slow or cancelled and gets a
+/// slowlog entry.
 struct WorkerReply {
-    lines: Vec<Json>,
+    response: Vec<u8>,
     queue_ns: u64,
     eval_ns: u64,
     cancelled: bool,
-    profile: Option<Json>,
+    profile: Option<QueryProfile>,
+}
+
+/// Appends one response line to a response buffer.
+fn push_line(out: &mut Vec<u8>, line: &Json) {
+    wdpt_obs::write_json_line(out, line).expect("writing to a Vec cannot fail");
+}
+
+/// A response of one line: every response is bytes in one buffer by the
+/// time it reaches the connection's writer.
+fn encoded(line: &Json) -> Vec<u8> {
+    let mut out = Vec::new();
+    push_line(&mut out, line);
+    out
 }
 
 /// Runs the server on `listener` until shutdown is requested, then drains
@@ -732,7 +752,7 @@ fn handle_connection(
                     return Ok(());
                 }
                 let bytes = std::mem::take(&mut buf);
-                let (lines, trace) = match std::str::from_utf8(&bytes) {
+                let (response, trace) = match std::str::from_utf8(&bytes) {
                     // A `subscribe` op inverts the connection into a push
                     // stream and never returns to the request loop.
                     Ok(line) if parse_subscribe(line.trim()).is_some() => {
@@ -749,22 +769,20 @@ fn handle_connection(
                     Err(_) => {
                         counter!("serve.requests.error").add(1);
                         (
-                            vec![error_line(
+                            encoded(&error_line(
                                 None,
                                 "bad_request",
                                 "request line is not valid UTF-8",
                                 None,
-                            )],
+                            )),
                             None,
                         )
                     }
                 };
-                for l in &lines {
-                    wdpt_obs::write_json_line(&mut writer, l)?;
-                }
+                writer.write_all(&response)?;
                 writer.flush()?;
                 // The respond stage closes only after the flush, so the
-                // recorded trace covers serialization and the socket write.
+                // recorded trace covers the socket write.
                 if let Some(mut t) = trace {
                     t.stage_done(Stage::Respond);
                     t.record();
@@ -917,15 +935,15 @@ fn run_subscription(
     }
 }
 
-/// Handles one request line, returning the response lines to write plus,
-/// for telemetry-traced queries, the request's stage-timed trace. The
-/// caller finishes the trace (respond stage) after flushing the lines and
+/// Handles one request line, returning the encoded response plus, for
+/// telemetry-traced queries, the request's stage-timed trace. The caller
+/// finishes the trace (respond stage) after flushing the response and
 /// records it into the `serve.request.*` histograms.
 fn handle_line(
     line: &str,
     state: &ServeState,
     tx: &SyncSender<Job>,
-) -> (Vec<Json>, Option<RequestTrace>) {
+) -> (Vec<u8>, Option<RequestTrace>) {
     if line.is_empty() {
         return (Vec::new(), None);
     }
@@ -936,12 +954,12 @@ fn handle_line(
         Err(e) => {
             counter!("serve.requests.error").add(1);
             return (
-                vec![error_line(
+                encoded(&error_line(
                     None,
                     "bad_request",
                     &format!("invalid JSON: {e}"),
                     None,
-                )],
+                )),
                 None,
             );
         }
@@ -952,15 +970,12 @@ fn handle_line(
         Ok(r) => r,
         Err(e) => {
             counter!("serve.requests.error").add(1);
-            return (vec![error_line(id, "bad_request", &e, None)], None);
+            return (encoded(&error_line(id, "bad_request", &e, None)), None);
         }
     };
-    let lines = match request {
-        Request::Ping => vec![Json::obj([
-            ("status", Json::str("ok")),
-            ("kind", Json::str("pong")),
-        ])],
-        Request::Stats => vec![stats_line(state)],
+    let line = match request {
+        Request::Ping => Json::obj([("status", Json::str("ok")), ("kind", Json::str("pong"))]),
+        Request::Stats => stats_line(state),
         Request::Metrics { id: _, text } => {
             let snap = metrics_snapshot();
             let mut line = if text {
@@ -969,18 +984,15 @@ fn handle_line(
                 metrics_json_line(id, snapshot_to_json(&snap), state.cache.stats_json())
             };
             attach_head(&mut line, state.current_head());
-            vec![line]
+            line
         }
         Request::Slowlog { id: _, keep } => {
             let (entries, dropped) = state.slowlog_drain(keep);
-            vec![slowlog_line(id, entries, dropped)]
+            slowlog_line(id, entries, dropped)
         }
         Request::Shutdown => {
             state.begin_shutdown();
-            vec![Json::obj([
-                ("status", Json::str("ok")),
-                ("kind", Json::str("shutdown")),
-            ])]
+            Json::obj([("status", Json::str("ok")), ("kind", Json::str("shutdown"))])
         }
         Request::Query {
             id: _,
@@ -995,7 +1007,7 @@ fn handle_line(
             // The line is decoded and recognized as a query: the read
             // stage closes here, the admission stage opens.
             trace.stage_done(Stage::Read);
-            let lines = handle_query(
+            let response = handle_query(
                 QueryParams {
                     id,
                     query: &query,
@@ -1011,18 +1023,18 @@ fn handle_line(
                 &mut trace,
             );
             let trace = state.cfg.telemetry.then_some(trace);
-            return (lines, trace);
+            return (response, trace);
         }
         // Well-formed subscribes are intercepted in `handle_connection`;
         // reaching here means the stream inversion was impossible.
         Request::Subscribe { .. } => {
             counter!("serve.requests.error").add(1);
-            vec![error_line(
+            error_line(
                 id,
                 "bad_request",
                 "subscribe must be the connection's first and only request",
                 None,
-            )]
+            )
         }
         Request::Reload {
             id: _,
@@ -1032,7 +1044,7 @@ fn handle_line(
         } => {
             if state.is_shutting_down() {
                 counter!("serve.requests.rejected").add(1);
-                return (vec![shutting_down_line(id)], None);
+                return (encoded(&shutting_down_line(id)), None);
             }
             let db_name = db.as_deref().unwrap_or(&state.default_db);
             let start = Instant::now();
@@ -1074,22 +1086,22 @@ fn handle_line(
                                 start.elapsed().as_micros() as u64,
                             );
                             attach_head(&mut line, state.current_head());
-                            vec![line]
+                            line
                         }
                         Err(_racing_shutdown) => {
                             counter!("serve.requests.rejected").add(1);
-                            vec![shutting_down_line(id)]
+                            shutting_down_line(id)
                         }
                     }
                 }
                 Err(e) => {
                     counter!("serve.requests.error").add(1);
-                    vec![error_line(id, "reload_failed", &e, None)]
+                    error_line(id, "reload_failed", &e, None)
                 }
             }
         }
     };
-    (lines, None)
+    (encoded(&line), None)
 }
 
 /// Bundled arguments of one `query` request.
@@ -1110,7 +1122,8 @@ const SLOWLOG_QUERY_BYTES: usize = 2048;
 
 /// One slow-query ring entry: when, what, why it qualified (`"slow"` or
 /// `"cancelled"`), where it got to (`phase`), its stage-timed trace so far,
-/// and the captured EXPLAIN profile when the evaluation ran profiled.
+/// and the captured EXPLAIN profile when the evaluation ran profiled —
+/// rendered here, for the entries that exist, not on every request.
 #[allow(clippy::too_many_arguments)]
 fn slowlog_entry(
     id: Option<&str>,
@@ -1121,7 +1134,7 @@ fn slowlog_entry(
     deadline_ms: u64,
     cache: Option<&str>,
     trace: &RequestTrace,
-    profile: Option<Json>,
+    profile: Option<&QueryProfile>,
     plan: Option<Json>,
 ) -> Json {
     let ts = SystemTime::now()
@@ -1143,7 +1156,7 @@ fn slowlog_entry(
         ("cache", cache.map_or(Json::Null, Json::str)),
         ("wall_us", Json::int(trace.total_ns() / 1_000)),
         ("trace", trace.to_json()),
-        ("profile", profile.unwrap_or(Json::Null)),
+        ("profile", profile.map_or(Json::Null, QueryProfile::to_json)),
         // The chosen join plan: per-node atom order, estimated vs last
         // observed cost — so a slow query's log entry shows *what
         // order it ran*, not just how long it took.
@@ -1156,7 +1169,7 @@ fn handle_query(
     state: &ServeState,
     tx: &SyncSender<Job>,
     trace: &mut RequestTrace,
-) -> Vec<Json> {
+) -> Vec<u8> {
     let QueryParams {
         id,
         query,
@@ -1170,7 +1183,7 @@ fn handle_query(
     let _in_flight = gauge_scope!("serve.requests.in_flight");
     if state.is_shutting_down() {
         counter!("serve.requests.rejected").add(1);
-        return vec![shutting_down_line(id)];
+        return encoded(&shutting_down_line(id));
     }
 
     // The deadline clock starts before plan building: the join-order
@@ -1192,7 +1205,7 @@ fn handle_query(
             let wait_deadline = Instant::now() + Duration::from_millis(deadline_ms);
             if !state.repl_head.wait_contains(min_head, wait_deadline) {
                 counter!("serve.requests.stale_replica").add(1);
-                return vec![stale_replica_line(id, min_head, state.current_head())];
+                return encoded(&stale_replica_line(id, min_head, state.current_head()));
             }
         }
     }
@@ -1204,12 +1217,12 @@ fn handle_query(
     // plan is costed against exactly the version it will execute on.
     let Some((db, db_stats)) = state.db_with_stats(db_name) else {
         counter!("serve.requests.error").add(1);
-        return vec![error_line(
+        return encoded(&error_line(
             id,
             "unknown_db",
             &format!("no database named {db_name:?}"),
             None,
-        )];
+        ));
     };
 
     let token = CancelToken::with_deadline(Duration::from_millis(deadline_ms));
@@ -1223,7 +1236,7 @@ fn handle_query(
             } else {
                 counter!("serve.requests.rejected").add(1);
             }
-            return vec![error_line(id, r.kind, &r.message, r.at)];
+            return encoded(&error_line(id, r.kind, &r.message, r.at));
         }
     };
     trace.stage_done(Stage::Admission);
@@ -1232,7 +1245,6 @@ fn handle_query(
     // or a cancellable build coalesced with identical concurrent requests;
     // then, only for `explain`, the plan's per-node facts — the
     // exponential searches, memoised on the plan once they complete.
-    let request_vars = canon.request_vars.clone();
     let planned = state
         .cache
         .get_or_build(&canon, &wdpt, &db_stats, &token)
@@ -1261,11 +1273,11 @@ fn handle_query(
                     None,
                 ));
             }
-            return vec![cancelled_line(
+            return encoded(&cancelled_line(
                 id,
                 deadline_ms,
                 start.elapsed().as_micros() as u64,
-            )];
+            ));
         }
     };
     trace.stage_done(Stage::Plan);
@@ -1279,7 +1291,7 @@ fn handle_query(
         plan,
         cache_status,
         db,
-        request_vars,
+        request_vars: canon.request_vars,
         token,
         deadline_ms,
         profile,
@@ -1297,11 +1309,14 @@ fn handle_query(
         Err(TrySendError::Full(_)) => {
             counter!("serve.requests.rejected").add(1);
             let depth = state.queue_depth.load(Ordering::Relaxed);
-            return vec![overloaded_line(id, retry_after_hint(&state.cfg, depth, id))];
+            return encoded(&overloaded_line(
+                id,
+                retry_after_hint(&state.cfg, depth, id),
+            ));
         }
         Err(TrySendError::Disconnected(_)) => {
             counter!("serve.requests.rejected").add(1);
-            return vec![shutting_down_line(id)];
+            return encoded(&shutting_down_line(id));
         }
     }
     let reply = await_worker(&resp_rx, id, &token_handle, deadline_ms, start);
@@ -1325,12 +1340,12 @@ fn handle_query(
                 deadline_ms,
                 Some(cache_status),
                 trace,
-                reply.profile,
+                reply.profile.as_ref(),
                 Some(crate::cache::exec_plan_json(&plan_for_log)),
             ));
         }
     }
-    reply.lines
+    reply.response
 }
 
 /// Extra wait past the request deadline before a connection gives up on
@@ -1338,7 +1353,7 @@ fn handle_query(
 /// polling granularity.
 const WORKER_GRACE_MS: u64 = 250;
 
-/// Waits for the worker's response lines, but never past the request
+/// Waits for the worker's response, but never past the request
 /// deadline plus [`WORKER_GRACE_MS`].
 ///
 /// The old unbounded `recv()` here meant a worker that never responded
@@ -1363,11 +1378,11 @@ fn await_worker(
             counter!("serve.requests.cancelled").add(1);
             counter!("serve.worker.unresponsive").add(1);
             WorkerReply {
-                lines: vec![cancelled_line(
+                response: encoded(&cancelled_line(
                     id,
                     deadline_ms,
                     start.elapsed().as_micros() as u64,
-                )],
+                )),
                 queue_ns: 0,
                 eval_ns: 0,
                 cancelled: true,
@@ -1375,12 +1390,12 @@ fn await_worker(
             }
         }
         Err(RecvTimeoutError::Disconnected) => WorkerReply {
-            lines: vec![error_line(
+            response: encoded(&error_line(
                 id,
                 "internal",
                 "worker dropped the request",
                 None,
-            )],
+            )),
             queue_ns: 0,
             eval_ns: 0,
             cancelled: false,
@@ -1436,7 +1451,7 @@ fn sparql_error_parts(
     }
 }
 
-/// Worker half: evaluate with the request token and build response lines.
+/// Worker half: evaluate with the request token and encode the response.
 ///
 /// Besides the response, the worker ships the connection thread the two
 /// timings only it can measure — how long the job sat queued and how long
@@ -1456,11 +1471,11 @@ fn process(job: Job, state: &ServeState) {
         counter!("serve.requests.cancelled").add(1);
         job.plan.stats.record_cancelled();
         WorkerReply {
-            lines: vec![cancelled_line(
+            response: encoded(&cancelled_line(
                 id,
                 job.deadline_ms,
                 start.elapsed().as_micros() as u64,
-            )],
+            )),
             queue_ns,
             eval_ns: 0,
             cancelled: true,
@@ -1488,31 +1503,31 @@ fn process(job: Job, state: &ServeState) {
             (result, Some(prof))
         } else {
             (
-                wdpt_core::try_evaluate_parallel_planned(
-                    &job.plan.wdpt,
-                    db,
-                    threads,
-                    &job.token,
-                    Some(&exec),
-                ),
+                wdpt_core::evaluate_rows(&job.plan.wdpt, db, threads, &job.token, Some(&exec)),
                 None,
             )
         };
         let eval_ns = start.elapsed().as_nanos() as u64;
         let nodes_expanded = prof.as_ref().map(|p| p.counter("cq.nodes_expanded"));
-        match result {
+        let response = match &result {
             Ok(answers) => {
                 job.plan
                     .stats
                     .record_execution(eval_ns / 1_000, nodes_expanded);
                 let wall_us = start.elapsed().as_micros() as u64;
-                let i = state.interner.lock().expect("interner lock");
-                let mut lines: Vec<Json> = answers
-                    .iter()
-                    .take(job.max_rows)
-                    .map(|m| row_line(id, render_bindings(m, &job, &i)))
-                    .collect();
-                let rows = lines.len();
+                // Truncate first: nothing is built for a row nobody reads.
+                let rows = answers.len().min(job.max_rows);
+                let writer =
+                    RowWriter::new(id, &job.request_vars, &job.plan.canon_vars, answers.vars());
+                let mut response = Vec::new();
+                {
+                    // Held for naming the constants of the rows sent, and
+                    // for nothing else.
+                    let i = state.interner.lock().expect("interner lock");
+                    for r in 0..rows {
+                        writer.write(&mut response, answers.row(r), &i);
+                    }
+                }
                 counter!("serve.requests.ok").add(1);
                 let mut okl = ok_line(
                     id,
@@ -1521,7 +1536,7 @@ fn process(job: Job, state: &ServeState) {
                     job.cache_status,
                     wall_us,
                     job.profile
-                        .then(|| prof.as_ref().map(|p| p.to_json()))
+                        .then(|| prof.as_ref().map(QueryProfile::to_json))
                         .flatten(),
                     job.explain
                         .as_deref()
@@ -1529,47 +1544,29 @@ fn process(job: Job, state: &ServeState) {
                 );
                 // The head the client can quote as `min_head` elsewhere.
                 attach_head(&mut okl, state.current_head());
-                lines.push(okl);
-                WorkerReply {
-                    lines,
-                    queue_ns,
-                    eval_ns,
-                    cancelled: false,
-                    profile: job.capture.then(|| prof.map(|p| p.to_json())).flatten(),
-                }
+                push_line(&mut response, &okl);
+                response
             }
-            Err(_cancelled) => {
+            Err(Cancelled) => {
                 counter!("serve.requests.cancelled").add(1);
                 job.plan.stats.record_cancelled();
-                WorkerReply {
-                    lines: vec![cancelled_line(
-                        id,
-                        job.deadline_ms,
-                        start.elapsed().as_micros() as u64,
-                    )],
-                    queue_ns,
-                    eval_ns,
-                    cancelled: true,
-                    profile: job.capture.then(|| prof.map(|p| p.to_json())).flatten(),
-                }
+                encoded(&cancelled_line(
+                    id,
+                    job.deadline_ms,
+                    start.elapsed().as_micros() as u64,
+                ))
             }
+        };
+        WorkerReply {
+            response,
+            queue_ns,
+            eval_ns,
+            cancelled: result.is_err(),
+            profile: prof.filter(|_| job.capture),
         }
     };
     // The connection may have vanished; a dead channel is fine.
     let _ = job.resp.send(reply);
-}
-
-/// Renders one answer mapping in the request's variable names.
-fn render_bindings(m: &Mapping, job: &Job, i: &Interner) -> Vec<(String, String)> {
-    job.plan
-        .canon_vars
-        .iter()
-        .zip(&job.request_vars)
-        .filter_map(|(&cv, name)| {
-            m.get(cv)
-                .map(|c| (name.clone(), i.const_name(c).to_string()))
-        })
-        .collect()
 }
 
 /// Implements [`ReplApply`] over the serving state: the follower side of
@@ -1733,6 +1730,15 @@ mod tests {
     use super::*;
     use wdpt_model::Const;
 
+    /// The `status` of a reply whose response is one line.
+    fn status_of(reply: &WorkerReply) -> String {
+        let text = std::str::from_utf8(&reply.response).unwrap();
+        let line = text.strip_suffix('\n').expect("newline-terminated");
+        assert!(!line.contains('\n'), "one line, got {text:?}");
+        let status = Json::parse(line).unwrap().get("status").cloned();
+        status.and_then(|s| s.as_str().map(str::to_string)).unwrap()
+    }
+
     /// Regression: the connection-side wait for a worker response used an
     /// unbounded `recv()`, so a worker that never answered (wedged, or its
     /// job lost) parked the connection thread forever. The bounded wait
@@ -1752,11 +1758,7 @@ mod tests {
             waited < Duration::from_secs(5),
             "connection stayed parked for {waited:?}"
         );
-        assert_eq!(reply.lines.len(), 1);
-        assert_eq!(
-            reply.lines[0].get("status").and_then(Json::as_str),
-            Some("cancelled")
-        );
+        assert_eq!(status_of(&reply), "cancelled");
         assert!(reply.cancelled, "a timed-out wait is a cancelled request");
         assert!(
             token.is_cancelled(),
@@ -1768,7 +1770,7 @@ mod tests {
     fn worker_response_within_deadline_passes_through() {
         let (tx, rx) = mpsc::channel::<WorkerReply>();
         tx.send(WorkerReply {
-            lines: vec![ok_line(Some("q"), 1, 1, "hit", 10, None, None)],
+            response: encoded(&ok_line(Some("q"), 1, 1, "hit", 10, None, None)),
             queue_ns: 1_000,
             eval_ns: 9_000,
             cancelled: false,
@@ -1777,10 +1779,7 @@ mod tests {
         .unwrap();
         let token = CancelToken::new();
         let reply = await_worker(&rx, Some("q"), &token, 10_000, Instant::now());
-        assert_eq!(
-            reply.lines[0].get("status").and_then(Json::as_str),
-            Some("ok")
-        );
+        assert_eq!(status_of(&reply), "ok");
         assert_eq!(reply.queue_ns, 1_000);
         assert_eq!(reply.eval_ns, 9_000);
         assert!(!token.is_cancelled());

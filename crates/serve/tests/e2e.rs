@@ -37,8 +37,13 @@ fn start(cfg: ServeConfig) -> Server {
             ..MusicParams::default()
         },
     );
+    start_with(cfg, i, ts.into_database())
+}
+
+/// A server over `db` (interned by `i`) as its one database, `music`.
+fn start_with(cfg: ServeConfig, i: Interner, db: Database) -> Server {
     let mut dbs: BTreeMap<String, Database> = BTreeMap::new();
-    dbs.insert("music".to_string(), ts.into_database());
+    dbs.insert("music".to_string(), db);
     let state = ServeState::new(cfg, i, dbs, "music");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().unwrap();
@@ -207,6 +212,105 @@ fn query_rows_and_cache_hits_over_the_wire() {
         .unwrap_or(0.0);
     assert!(hits >= 2.0, "expected >= 2 cache hits, stats: {stats}");
 
+    server.shutdown_and_join();
+}
+
+/// Whole responses, byte for byte (`wall_us` aside): the rows the server
+/// writes from the executor's cells are the lines the `Json` encoder wrote
+/// — key order, escapes, the echoed id, the order of rows, and the `rows` /
+/// `answers` counts under every kind of `max_rows`.
+#[test]
+fn response_bytes_are_pinned() {
+    let mut i = Interner::new();
+    let mut store = wdpt_sparql::TripleStore::new();
+    for (s, p, o) in [
+        ("ann", "knows", "bob"),
+        ("ann", "knows", "cy"),
+        ("bob", "knows", "cy"),
+        ("cy", "knows", "dee"),
+        ("dee", "knows", "ann"),
+        ("bob", "age", "30"),
+        ("cy", "age", "4\"1\\\n"),
+        ("dee", "age", "né 🎶"),
+        ("ann", "likes", "tea"),
+        ("bob", "likes", "tea"),
+    ] {
+        assert!(store.insert_str(&mut i, s, p, o));
+    }
+    let server = start_with(ServeConfig::default(), i, store.into_database());
+    let stream = TcpStream::connect(server.addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    // One request line in, the response's bytes out, up to and including
+    // the terminal line, with the digits of `wall_us` cut.
+    let mut exchange = |request: String| -> String {
+        use std::io::BufRead;
+        writeln!(writer, "{request}").unwrap();
+        let mut response = String::new();
+        loop {
+            let mut line = String::new();
+            assert!(reader.read_line(&mut line).unwrap() > 0, "closed early");
+            if !line.contains("\"status\":") {
+                response.push_str(&line);
+                continue;
+            }
+            let (head, rest) = line.split_once("\"wall_us\":").expect("an ok line");
+            let digits = rest.chars().take_while(char::is_ascii_digit).count();
+            assert!(digits > 0);
+            response.push_str(&format!("{head}\"wall_us\":{}", &rest[digits..]));
+            return response;
+        }
+    };
+
+    // Projection-free, no id; `?friend` < `?n` < `?who` on the wire although
+    // the query (and the canonical numbering) meets `?who` first.
+    let free = "((?who, knows, ?friend) OPT (?friend, age, ?n))";
+    let free_rows = [
+        r#"{"bindings":{"friend":"bob","n":"30","who":"ann"},"kind":"row"}"#,
+        r#"{"bindings":{"friend":"cy","n":"4\"1\\\n","who":"ann"},"kind":"row"}"#,
+        r#"{"bindings":{"friend":"cy","n":"4\"1\\\n","who":"bob"},"kind":"row"}"#,
+        r#"{"bindings":{"friend":"dee","n":"né 🎶","who":"cy"},"kind":"row"}"#,
+        r#"{"bindings":{"friend":"ann","who":"dee"},"kind":"row"}"#,
+    ]
+    .map(|line| format!("{line}\n"));
+    // Projected with an id that needs escaping: `?who` goes, and the two
+    // rows that end in `cy` collapse into one.
+    let projected = "SELECT ?friend ?n WHERE { ((?who, knows, ?friend) OPT (?friend, age, ?n)) }";
+    let projected_rows = [
+        r#"{"bindings":{"friend":"ann"},"id":"p\"1","kind":"row"}"#,
+        r#"{"bindings":{"friend":"bob","n":"30"},"id":"p\"1","kind":"row"}"#,
+        r#"{"bindings":{"friend":"cy","n":"4\"1\\\n"},"id":"p\"1","kind":"row"}"#,
+        r#"{"bindings":{"friend":"dee","n":"né 🎶"},"id":"p\"1","kind":"row"}"#,
+    ]
+    .map(|line| format!("{line}\n"));
+    let mut cache = "miss";
+    for max_rows in [free_rows.len(), 0, 1, free_rows.len() + 1] {
+        let sent = max_rows.min(free_rows.len());
+        let got = exchange(format!(
+            r#"{{"op":"query","query":"{free}","max_rows":{max_rows}}}"#
+        ));
+        let want = format!(
+            "{}{{\"answers\":{},\"cache\":\"{cache}\",\"rows\":{sent},\"status\":\"ok\",\"wall_us\":}}\n",
+            free_rows[..sent].concat(),
+            free_rows.len(),
+        );
+        assert_eq!(got, want, "max_rows {max_rows}");
+        cache = "hit";
+    }
+    let mut cache = "miss";
+    for max_rows in [projected_rows.len(), 0, 1, projected_rows.len() + 1] {
+        let sent = max_rows.min(projected_rows.len());
+        let got = exchange(format!(
+            r#"{{"op":"query","id":"p\"1","query":"{projected}","max_rows":{max_rows}}}"#
+        ));
+        let want = format!(
+            "{}{{\"answers\":{},\"cache\":\"{cache}\",\"id\":\"p\\\"1\",\"rows\":{sent},\"status\":\"ok\",\"wall_us\":}}\n",
+            projected_rows[..sent].concat(),
+            projected_rows.len(),
+        );
+        assert_eq!(got, want, "max_rows {max_rows}");
+        cache = "hit";
+    }
     server.shutdown_and_join();
 }
 

@@ -330,6 +330,44 @@ fn slowlog_captures_slow_and_deadline_exceeded_queries() {
     server.shutdown_and_join();
 }
 
+/// The worker hands the connection thread the profile as recorded and an
+/// entry renders it when one is pushed: a request under the threshold
+/// leaves the log empty (nothing was rendered for it), and an entry's
+/// `profile` is the object the same request's `ok` line carries on demand.
+#[test]
+fn slowlog_renders_a_profile_only_for_the_entries_it_pushes() {
+    // Slowlog on at the default one-second threshold: every evaluation runs
+    // captured, none of these is slow.
+    let server = start(ServeConfig::default());
+    assert!(server.state.slowlog_enabled());
+    let mut c = Client::connect(server.addr);
+    for n in 0..3 {
+        let (ok, _) = c.round_trip(&query(&format!("fast{n}"), BASE));
+        assert_eq!(status_of(&ok), "ok", "got {ok}");
+    }
+    assert_eq!(server.state.slowlog_len(), 0);
+    server.shutdown_and_join();
+
+    let server = start(ServeConfig {
+        slowlog_threshold_ms: 1,
+        ..ServeConfig::default()
+    });
+    let mut c = Client::connect(server.addr);
+    let (ok, _) = c.round_trip(&query_with(
+        "slow",
+        CROSS2,
+        &[("max_rows", Json::int(5)), ("profile", Json::Bool(true))],
+    ));
+    assert_eq!(status_of(&ok), "ok", "got {ok}");
+    let returned = ok.get("profile").expect("profile on request");
+    assert!(returned.get("nodes").and_then(Json::as_arr).is_some());
+    let (log, _) = c.round_trip(&Json::obj([("op", Json::str("slowlog"))]));
+    let entries = slowlog_entries(&log);
+    assert_eq!(entries.len(), 1, "got {log}");
+    assert_eq!(entries[0].get("profile"), Some(returned));
+    server.shutdown_and_join();
+}
+
 #[test]
 fn slowlog_ring_evicts_oldest_and_counts_dropped() {
     let server = start(ServeConfig {

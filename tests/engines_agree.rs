@@ -508,7 +508,22 @@ fn check_executor(p: &Wdpt, db: &Database, oracle: &[Mapping], case: &str, seed:
             let what = format!("case={case} plan={name} threads={threads}");
             let (answers, profile) =
                 try_evaluate_parallel_captured_planned(p, db, threads, never, "diff", plan);
-            assert_eq!(answers.as_deref(), Ok(oracle), "{what}");
+            // The table's own invariants, before it is viewed as mappings:
+            // the header is the free variables (each occurs in the tree),
+            // ascending, and the rows are strictly ascending as the mappings
+            // they stand for — sorted and distinct.
+            let table = answers.expect("never cancels");
+            assert!(table.vars().windows(2).all(|w| w[0] < w[1]), "{what}");
+            assert!(table.vars().iter().eq(free.iter()), "{what}");
+            assert_eq!(table.len(), oracle.len(), "{what}");
+            let view = |r: usize| {
+                let cells = table.vars().iter().zip(table.row(r));
+                Mapping::from_pairs(cells.filter_map(|(&v, cell)| cell.map(|c| (v, c))))
+            };
+            for r in 1..table.len() {
+                assert!(view(r - 1) < view(r), "{what}: rows {} and {r}", r - 1);
+            }
+            assert_eq!(table.into_mappings(), oracle, "{what}");
             let tallies: Vec<u64> = profile.nodes.iter().map(|n| n.metrics[0].1).collect();
             let expected: Vec<u64> = path_homs.iter().map(|h| h.len() as u64).collect();
             assert_eq!(tallies, expected, "{what}");
