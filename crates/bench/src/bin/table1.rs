@@ -12,16 +12,17 @@
 //!
 //! The `parallel` row compares one worker with the `std::thread::scope`
 //! fan-out (`--threads 0` auto-detects), prints the engine-counter deltas
-//! alongside wall-clock, and finishes with an EXPLAIN-style
-//! [`wdpt_core::try_evaluate_parallel_captured_planned`] profile of one
-//! representative run. With `--json`, all prose is suppressed and every row
-//! becomes one machine-readable JSON object on stdout.
+//! alongside wall-clock, and finishes with an EXPLAIN-style profile of one
+//! representative run, bracketed here by a [`wdpt_obs::ProfileRecorder`]
+//! (nothing else runs in this process, so its deltas are exact). With
+//! `--json`, all prose is suppressed and every row becomes one
+//! machine-readable JSON object on stdout.
 
 use wdpt_bench::{measure, Report, Series};
 use wdpt_core::{
-    eval_bounded_interface, eval_decide, has_bounded_interface, interface_width, is_globally_in,
-    is_locally_in, max_eval_decide, partial_eval_decide, subsumed,
-    try_evaluate_parallel_captured_planned, try_evaluate_parallel_planned, Engine, WidthKind,
+    eval_bounded_interface, eval_decide, evaluate_rows, has_bounded_interface, interface_width,
+    is_globally_in, is_locally_in, max_eval_decide, node_entries, partial_eval_decide, subsumed,
+    try_evaluate_parallel_planned, Engine, WidthKind,
 };
 use wdpt_gen::db::{random_graph_db, random_undirected_graph, rng};
 use wdpt_gen::music::{music_catalog, MusicParams};
@@ -413,15 +414,12 @@ fn row_parallel(cfg: &Config) {
         },
     );
     let p = wdpt_gen::music::figure1_wdpt(&mut i);
-    let (_, profile) = try_evaluate_parallel_captured_planned(
-        &p,
-        &db,
-        threads,
-        CancelToken::never(),
-        &format!("figure1 ({largest} bands, {threads} threads)"),
-        None,
-    );
-    r.profile(&profile);
+    let mut rec =
+        wdpt_obs::ProfileRecorder::start(format!("figure1 ({largest} bands, {threads} threads)"));
+    let (answers, tally) = evaluate_rows(&p, &db, threads, CancelToken::never(), None);
+    rec.set_nodes(node_entries(&p, &tally.homs));
+    let answers = answers.expect("the never token cannot cancel");
+    r.profile(&rec.finish(answers.len() as u64));
 }
 
 /// Row "classes" (E10): Proposition 2's inclusions verified empirically.

@@ -9,12 +9,12 @@
 //! * [`semantics`] — maximal homomorphisms, `p(D)`, `p_m(D)`: one executor
 //!   (local homomorphisms × independent OPT children, each subtree
 //!   evaluated once per distinct interface valuation, inline or fanned out
-//!   over threads) whose product is one sorted row table, [`Answers`].
-//!   [`evaluate_rows`] (threads, cancel token, planned atom orders) and
-//!   [`try_evaluate_parallel_captured_planned`] (the same, plus a profile)
-//!   return the table; [`evaluate`], [`evaluate_max`],
-//!   [`maximal_homomorphisms`] and [`try_evaluate_parallel_planned`] view
-//!   it as [`wdpt_model::Mapping`]s.
+//!   over threads) whose product is one sorted row table, [`Answers`], and
+//!   one account of its own work, [`EvalTally`]. [`evaluate_rows`]
+//!   (threads, cancel token, planned atom orders) returns both;
+//!   [`evaluate`], [`evaluate_max`], [`maximal_homomorphisms`] and
+//!   [`try_evaluate_parallel_planned`] view the table as
+//!   [`wdpt_model::Mapping`]s.
 //! * [`classes`] — local tractability `ℓ-C(k)`, bounded interface `BI(c)`,
 //!   global tractability `g-C(k)`, the well-behaved classes `WB(k)`
 //!   (Sections 3 and 5).
@@ -23,9 +23,9 @@
 //! * [`eval`] — the general EVAL decision procedure (Σ₂ᵖ, Theorem 1).
 //! * [`eval_bi`] — the Theorem 6 polynomial algorithm for
 //!   `ℓ-C(k) ∩ BI(c)`.
-//! * [`profile`] — the profiled entry point, returning a
-//!   [`wdpt_obs::QueryProfile`] (per-node homomorphism tallies, time per
-//!   phase) alongside the answers.
+//! * [`profile`] — an evaluation's tally as a [`wdpt_obs::QueryProfile`]
+//!   (per-node homomorphism counts, the run's own work counters), and the
+//!   node entries a caller bracketing a run with a recorder attaches.
 //! * [`projection_free`] — the Theorem 4 polynomial algorithm for
 //!   projection-free locally tractable trees.
 //! * [`variants`] — PARTIAL-EVAL (Theorem 8) and MAX-EVAL (Theorem 9),
@@ -55,11 +55,11 @@ pub use eval::eval_decide;
 pub use eval_bi::eval_bounded_interface;
 pub use optimize::normalize;
 pub use planning::plan_wdpt;
-pub use profile::try_evaluate_parallel_captured_planned;
+pub use profile::node_entries;
 pub use projection_free::eval_projection_free;
 pub use semantics::{
     evaluate, evaluate_max, evaluate_rows, maximal_homomorphisms, try_evaluate_parallel_planned,
-    Answers,
+    Answers, EvalTally,
 };
 pub use subsumption::{max_equivalent, subsumed, subsumption_equivalent};
 pub use text::{parse_wdpt, to_text};

@@ -1,26 +1,27 @@
-//! Profiled WDPT evaluation: the `EXPLAIN ANALYZE` entry point.
+//! An evaluation's counts as a [`QueryProfile`]: the `EXPLAIN ANALYZE` form.
 //!
-//! [`try_evaluate_parallel_captured_planned`] runs the same executor as
-//! every other entry point in [`crate::semantics`] and hands back the same
-//! product — the [`Answers`] table, as [`crate::evaluate_rows`] does — but
-//! brackets the run with a [`wdpt_obs::ProfileRecorder`] (enabling span
-//! tracing for the duration) and reports the executor's per-tree-node
-//! homomorphism counts. Those are local to the evaluation — not a
-//! process-wide counter — so they are deterministic: the same at every
-//! thread count, which the observability-parity test relies on. The
-//! profile comes back as recorded; rendering it ([`QueryProfile::to_json`],
-//! [`QueryProfile::render`]) is the caller's to do if and when someone
-//! reads it.
+//! Every evaluation hands back an [`EvalTally`] — per-tree-node
+//! homomorphism counts and the searches' work counts, its own and exact.
+//! [`EvalTally::profile`] renders that, and nothing process-wide, as a
+//! [`QueryProfile`]: what a serving layer logs for a slow or deadline-killed
+//! request.
+//!
+//! Time per phase and histograms come from the process-wide span and metric
+//! registries, so a caller that wants them brackets
+//! [`evaluate_rows`](crate::evaluate_rows) with a
+//! [`wdpt_obs::ProfileRecorder`] itself and attaches [`node_entries`] — and
+//! reads deltas that are exact only if nothing else ran meanwhile: a CLI
+//! binary, a bench, a test holding a lock, the one request that asked for a
+//! profile.
 
-use crate::semantics::{execute, Answers};
+use crate::semantics::EvalTally;
 use crate::tree::Wdpt;
-use wdpt_model::{CancelToken, Cancelled, Database};
-use wdpt_obs::{NodeEntry, ProfileRecorder, QueryProfile};
+use wdpt_obs::{NodeEntry, QueryProfile};
 
-/// Builds the per-node profile entries from the executor's counts: preorder
-/// ids, parent/depth for indentation, a label summarizing the node's
-/// pattern, and the homomorphism count.
-fn node_entries(p: &Wdpt, hom_counts: &[u64]) -> Vec<NodeEntry> {
+/// The per-node profile entries for the executor's homomorphism counts
+/// ([`EvalTally::homs`]): preorder ids, parent/depth for indentation, a
+/// label summarizing the node's pattern, and the count.
+pub fn node_entries(p: &Wdpt, hom_counts: &[u64]) -> Vec<NodeEntry> {
     (0..p.node_count())
         .map(|t| NodeEntry {
             id: t,
@@ -36,41 +37,44 @@ fn node_entries(p: &Wdpt, hom_counts: &[u64]) -> Vec<NodeEntry> {
         .collect()
 }
 
-/// [`crate::evaluate_rows`] plus a [`QueryProfile`] of the run, which
-/// *survives* cancellation: whatever phases, counters, and
-/// per-node tallies accumulated up to the deadline come back alongside the
-/// `Err`. This is what a serving layer's slow-query log needs — the queries
-/// most worth explaining are exactly the ones that blew their deadline, and
-/// a discarded profile would leave their EXPLAIN empty. With more than one
-/// thread the span and counter sections additionally show the fan-out
-/// (`wdpt.parallel.worker` spans, `wdpt.parallel_tasks` counter).
-///
-/// The plan contract: nodes with a planned atom order run it statically; a
-/// `None` plan (or a plan built for a different tree shape) falls back to
-/// the dynamic most-constrained heuristic per node. Answers are identical
-/// either way — a plan only changes the order work is discovered in.
-pub fn try_evaluate_parallel_captured_planned(
-    p: &Wdpt,
-    db: &Database,
-    threads: usize,
-    token: &CancelToken,
-    label: &str,
-    plan: Option<&wdpt_plan::ExecPlan>,
-) -> (Result<Answers, Cancelled>, QueryProfile) {
-    let mut rec = ProfileRecorder::start(label);
-    let (answers, hom_counts) = execute(p, db, threads, token, plan, &p.free_set());
-    rec.set_nodes(node_entries(p, &hom_counts));
-    let profile = rec.finish(answers.as_ref().map_or(0, |a| a.len() as u64));
-    (answers, profile)
+impl EvalTally {
+    /// The tally of an evaluation of `p` that took `wall_ns` and produced
+    /// `answers` rows, as a profile: `nodes` are the per-node counts,
+    /// `counters` the run's own three under the names of the process-wide
+    /// counters they were also added to (zero ones left out, as a recorder
+    /// does), `phases` and `histograms` empty.
+    pub fn profile(&self, p: &Wdpt, label: &str, wall_ns: u64, answers: u64) -> QueryProfile {
+        use wdpt_model::stats::{INDEX_PROBES, NODES_EXPANDED, TUPLES_SCANNED};
+        // Sorted by name, like a recorder's.
+        let counters = [
+            (NODES_EXPANDED, self.nodes_expanded),
+            (INDEX_PROBES, self.index_probes),
+            (TUPLES_SCANNED, self.tuples_scanned),
+        ];
+        QueryProfile {
+            label: label.to_string(),
+            wall_ns,
+            answers,
+            phases: Vec::new(),
+            counters: counters
+                .into_iter()
+                .filter(|&(_, n)| n > 0)
+                .map(|(name, n)| (name.to_string(), n))
+                .collect(),
+            histograms: Vec::new(),
+            nodes: node_entries(p, &self.homs),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::semantics::evaluate;
+    use crate::semantics::{evaluate, evaluate_rows};
     use crate::tree::WdptBuilder;
     use wdpt_model::parse::{parse_atoms, parse_database};
-    use wdpt_model::{Interner, Mapping};
+    use wdpt_model::{CancelToken, Cancelled, Database, Interner, Mapping};
+    use wdpt_obs::ProfileRecorder;
 
     fn fixture() -> (Interner, Wdpt, Database) {
         fixture_with("")
@@ -94,23 +98,26 @@ mod tests {
         (i, p, db)
     }
 
-    fn profiled(p: &Wdpt, db: &Database, threads: usize) -> (Vec<Mapping>, QueryProfile) {
-        let (answers, profile) = try_evaluate_parallel_captured_planned(
-            p,
-            db,
-            threads,
-            CancelToken::never(),
-            "test",
-            None,
-        );
-        (answers.unwrap().into_mappings(), profile)
+    /// The evaluation bracketed by a recorder, as a caller that wants a
+    /// span profile does it.
+    fn profiled(
+        p: &Wdpt,
+        db: &Database,
+        threads: usize,
+    ) -> (Vec<Mapping>, EvalTally, QueryProfile) {
+        let mut rec = ProfileRecorder::start("test");
+        let (answers, tally) = evaluate_rows(p, db, threads, CancelToken::never(), None);
+        let answers = answers.unwrap().into_mappings();
+        rec.set_nodes(node_entries(p, &tally.homs));
+        let profile = rec.finish(answers.len() as u64);
+        (answers, tally, profile)
     }
 
     #[test]
     fn profiled_answers_match_unprofiled() {
         let _fan_out = crate::semantics::fan_out_test_lock();
         let (_i, p, db) = fixture();
-        let (answers, profile) = profiled(&p, &db, 1);
+        let (answers, tally, profile) = profiled(&p, &db, 1);
         assert_eq!(answers, evaluate(&p, &db));
         assert_eq!(profile.answers, answers.len() as u64);
         assert_eq!(profile.nodes.len(), p.node_count());
@@ -121,6 +128,13 @@ mod tests {
         assert!(profile.phase("wdpt.eval.execute").is_some());
         assert!(profile.phase("cq.backtrack.extend_all").is_some());
         assert!(profile.phase("wdpt.parallel.worker").is_none());
+        // The tally's own profile holds the same nodes and no phases.
+        let own = tally.profile(&p, "test", profile.wall_ns, profile.answers);
+        assert_eq!(own.nodes, profile.nodes);
+        assert_eq!(own.counter("cq.nodes_expanded"), tally.nodes_expanded);
+        assert_eq!(own.counter("db.index_probes"), tally.index_probes);
+        assert_eq!(own.counter("db.tuples_scanned"), tally.tuples_scanned);
+        assert!(own.phases.is_empty() && own.histograms.is_empty());
     }
 
     #[test]
@@ -136,13 +150,13 @@ mod tests {
             }
         }
         let (_i, p, db) = fixture_with(&more);
-        let (seq_answers, seq_profile) = profiled(&p, &db, 1);
+        let (seq_answers, seq_tally, _) = profiled(&p, &db, 1);
         for threads in [2, 4, 8] {
-            let (par_answers, par_profile) = profiled(&p, &db, threads);
+            let (par_answers, par_tally, par_profile) = profiled(&p, &db, threads);
             assert_eq!(par_answers, seq_answers);
-            // Observability parity: identical per-node homomorphism tallies,
-            // merged across the scoped workers.
-            assert_eq!(par_profile.nodes, seq_profile.nodes);
+            // Observability parity: identical per-node homomorphism tallies
+            // and work counts, merged across the scoped workers.
+            assert_eq!(par_tally, seq_tally);
             // And the parallel run is visibly parallel.
             assert!(par_profile.counter("wdpt.parallel_tasks") >= 3000);
             let worker = par_profile.phase("wdpt.parallel.worker").unwrap();
@@ -155,9 +169,9 @@ mod tests {
         let (_i, p, db) = fixture();
         let token = CancelToken::new();
         token.cancel();
-        let (answers, profile) =
-            try_evaluate_parallel_captured_planned(&p, &db, 4, &token, "late", None);
+        let (answers, tally) = evaluate_rows(&p, &db, 4, &token, None);
         assert_eq!(answers, Err(Cancelled));
+        let profile = tally.profile(&p, "late", 0, 0);
         assert_eq!(profile.answers, 0);
         assert_eq!(profile.nodes.len(), p.node_count());
     }
@@ -165,7 +179,7 @@ mod tests {
     #[test]
     fn profile_serializes_and_renders() {
         let (_i, p, db) = fixture();
-        let (_, profile) = profiled(&p, &db, 4);
+        let (_, _, profile) = profiled(&p, &db, 4);
         let text = profile.render();
         assert!(text.contains("wdpt.eval.execute"));
         assert!(text.contains("homomorphisms="));

@@ -21,11 +21,17 @@
 //!
 //! There is one executor ([`execute`] over [`Run::subtree`]) and it has one
 //! product: the [`Answers`] table — a header of ascending variables over
-//! flat rows of `Option<Const>` cells, sorted and distinct. The public
-//! functions differ only in what they pass it (threads, cancel token, plan,
-//! the variables to project onto) and in whether they hand the table on as
-//! it is ([`evaluate_rows`], which a server encodes responses from) or view
-//! it as [`Mapping`]s ([`Answers::into_mappings`]: [`evaluate`],
+//! flat rows of `Option<Const>` cells, sorted and distinct — and beside it
+//! one account of the work that took, the [`EvalTally`]: local
+//! homomorphisms per tree node and the backtracking searches' own counts,
+//! summed from each search before it is dropped. The tally belongs to the
+//! run — it is no diff of process-wide counters — so it is exact whatever
+//! else evaluates concurrently, the same at every thread count, and it
+//! survives cancellation. The public functions differ only in what they
+//! pass the executor (threads, cancel token, plan, the variables to project
+//! onto) and in whether they hand the table on as it is, with the tally
+//! ([`evaluate_rows`], which a server encodes responses from), or view it
+//! as [`Mapping`]s ([`Answers::into_mappings`]: [`evaluate`],
 //! [`evaluate_max`], [`maximal_homomorphisms`],
 //! [`try_evaluate_parallel_planned`]).
 
@@ -33,6 +39,7 @@ use crate::tree::Wdpt;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use wdpt_cq::backtrack::{extend_all, extend_exists, Search};
 use wdpt_model::{
     mapping::maximal_mappings, CancelToken, Cancelled, Const, Database, Mapping, Var,
@@ -155,13 +162,14 @@ struct Run<'a> {
     token: &'a CancelToken,
     workers: usize,
     shapes: Vec<Shape>,
-    /// Local homomorphisms found per node (preorder id), summed over every
-    /// ancestor context the node was evaluated under — a context whose
-    /// interface valuation was already evaluated counts what that
-    /// evaluation found. Local to this evaluation — unlike the process-wide
-    /// metrics registry — so the counts are exact whatever else runs
-    /// concurrently.
+    /// [`EvalTally::homs`] in the making.
     homs: Vec<u64>,
+    /// [`EvalTally::nodes_expanded`], [`EvalTally::index_probes`] and
+    /// [`EvalTally::tuples_scanned`] in the making: each search adds its
+    /// counts once, when it ends. Atomics because searches run on scoped
+    /// worker threads; relaxed because they are tallies, read only after
+    /// every worker is joined.
+    work: [AtomicU64; 3],
     /// Amortizes the token's deadline checks over the assembly loops.
     poll_steps: u32,
 }
@@ -188,7 +196,7 @@ impl Run<'_> {
             |v| shape.iface.iter().any(|&(slot, _)| shape.vars[slot] == v),
         );
         let mut locals = Grouped::new(shape.vars.len());
-        for g in range {
+        let searched = range.into_iter().try_for_each(|g| {
             let key = &keys.cells[g * keys.width..(g + 1) * keys.width];
             for (&(slot, _), &value) in shape.iface.iter().zip(key) {
                 search.set(slot, value);
@@ -199,8 +207,18 @@ impl Run<'_> {
                 *rows += 1;
             })?;
             locals.close_group();
+            Ok(())
+        });
+        // Cancelled or not: what the search did, it did.
+        let counts = [
+            search.nodes_expanded(),
+            search.tally().probes(),
+            search.tally().scanned(),
+        ];
+        for (total, n) in self.work.iter().zip(counts) {
+            total.fetch_add(n, Relaxed);
         }
-        Ok(locals)
+        searched.map(|()| locals)
     }
 
     /// [`Run::search_keys`] over all of `keys`: inline when fewer than two
@@ -437,14 +455,33 @@ impl Answers {
     }
 }
 
+/// The work of one evaluation, counted by the evaluation itself: exact
+/// whatever else runs concurrently, identical at every thread count, and
+/// handed back on cancellation too — a deadline-killed query can still be
+/// explained. The three work counts are what the run added to the
+/// process-wide `cq.nodes_expanded`, `db.index_probes` and
+/// `db.tuples_scanned` counters.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EvalTally {
+    /// Local homomorphisms found per tree node (preorder id), summed over
+    /// every ancestor context the node was evaluated under — a context
+    /// whose interface valuation was already evaluated counts what that
+    /// evaluation found.
+    pub homs: Vec<u64>,
+    /// Search nodes expanded by the per-node backtracking searches.
+    pub nodes_expanded: u64,
+    /// Relation probes those searches made.
+    pub index_probes: u64,
+    /// Candidate tuples they examined.
+    pub tuples_scanned: u64,
+}
+
 /// The one executor: the maximal homomorphisms from `p` to `db` projected
 /// onto `onto` (all of `p`'s variables: the maximal homomorphisms
 /// themselves), deduplicated, in the canonical order — ascending as
-/// [`Mapping`]s — plus the per-node local-homomorphism counts (preorder
-/// ids), which survive cancellation, so a deadline-killed query can still
-/// be explained. Rows stay flat from the first search to the table handed
-/// back: they are projected, sorted and deduplicated once, and the executor
-/// builds no `Mapping`.
+/// [`Mapping`]s — plus the run's [`EvalTally`]. Rows stay flat from the
+/// first search to the table handed back: they are projected, sorted and
+/// deduplicated once, and the executor builds no `Mapping`.
 ///
 /// `threads` bounds the workers each node's searches — one per distinct
 /// interface valuation — are spread over (`0` means
@@ -459,7 +496,7 @@ pub(crate) fn execute(
     token: &CancelToken,
     plan: Option<&ExecPlan>,
     onto: &BTreeSet<Var>,
-) -> (Result<Answers, Cancelled>, Vec<u64>) {
+) -> (Result<Answers, Cancelled>, EvalTally) {
     let _span = span!("wdpt.eval.execute");
     let mut run = Run {
         p,
@@ -472,6 +509,7 @@ pub(crate) fn execute(
         },
         shapes: shapes(p),
         homs: vec![0; p.node_count()],
+        work: Default::default(),
         poll_steps: 0,
     };
     // The root has no interface: one key, the empty valuation, one context.
@@ -515,26 +553,43 @@ pub(crate) fn execute(
             vars,
         }
     });
-    (answers, run.homs)
+    let [nodes_expanded, index_probes, tuples_scanned] = run.work.map(AtomicU64::into_inner);
+    let tally = EvalTally {
+        homs: run.homs,
+        nodes_expanded,
+        index_probes,
+        tuples_scanned,
+    };
+    (answers, tally)
 }
 
 /// The evaluation `p(D)` (Definition 2) as the executor's table: the
 /// projections of the maximal homomorphisms onto the free variables, one row
-/// each, over a header of the free variables. Runs on up to `threads` worker
-/// threads (`0` means [`std::thread::available_parallelism`]), under a
-/// cancel token — `Err(Cancelled)` if it fires or its deadline passes
-/// mid-evaluation — executing an optional cost-based [`ExecPlan`]; see
-/// [`try_evaluate_parallel_captured_planned`](crate::profile::try_evaluate_parallel_captured_planned)
-/// for the plan contract. The table is the same whatever the thread count or
-/// plan. Every other evaluation function of this module is a view of it.
+/// each, over a header of the free variables — and, beside it, the run's
+/// [`EvalTally`]. Runs on up to `threads` worker threads (`0` means
+/// [`std::thread::available_parallelism`]), under a cancel token —
+/// `Err(Cancelled)` if it fires or its deadline passes mid-evaluation, with
+/// the tally of the work done until then — executing an optional cost-based
+/// [`ExecPlan`]. The table is the same whatever the thread count or plan.
+/// Every other evaluation function of this module is a view of it.
+///
+/// The plan contract: nodes with a planned atom order run it statically; a
+/// `None` plan (or a plan built for a different tree shape) falls back to
+/// the dynamic most-constrained heuristic per node. Answers are identical
+/// either way — a plan only changes the order work is discovered in.
+///
+/// A caller that wants time per phase brackets the call with a
+/// [`wdpt_obs::ProfileRecorder`] (see [`crate::profile`]); with more than
+/// one thread its span and counter sections additionally show the fan-out
+/// (`wdpt.parallel.worker` spans, `wdpt.parallel_tasks` counter).
 pub fn evaluate_rows(
     p: &Wdpt,
     db: &Database,
     threads: usize,
     token: &CancelToken,
     plan: Option<&ExecPlan>,
-) -> Result<Answers, Cancelled> {
-    execute(p, db, threads, token, plan, &p.free_set()).0
+) -> (Result<Answers, Cancelled>, EvalTally) {
+    execute(p, db, threads, token, plan, &p.free_set())
 }
 
 /// All maximal homomorphisms from `p` to `db` (on their various domains).
@@ -569,7 +624,9 @@ pub fn try_evaluate_parallel_planned(
     token: &CancelToken,
     plan: Option<&ExecPlan>,
 ) -> Result<Vec<Mapping>, Cancelled> {
-    evaluate_rows(p, db, threads, token, plan).map(Answers::into_mappings)
+    evaluate_rows(p, db, threads, token, plan)
+        .0
+        .map(Answers::into_mappings)
 }
 
 /// All homomorphisms from `p` to `db` (not only maximal ones): full
@@ -893,17 +950,14 @@ mod tests {
             spec.push_str(&format!("a(x{j},u{}) ", j % 2));
         }
         let db = parse_database(&mut i, &spec).unwrap();
-        let ((answers, homs), work) = wdpt_obs::delta_scope(|| {
-            execute(&p, &db, 1, CancelToken::never(), None, &p.free_set())
-        });
+        let (answers, tally) = evaluate_rows(&p, &db, 1, CancelToken::never(), None);
         // 1000 contexts × 2 extensions, and 1000 contexts left as they are.
         assert_eq!(answers.unwrap().len(), 3000);
         // One search node for the root's atom and one per value of ?u: 3,
-        // where a search per context makes 2001. (The slack absorbs other
-        // tests of this binary recording into the process-wide counter.)
-        assert!(work.counter("cq.nodes_expanded") <= 1000);
+        // where a search per context makes 2001.
+        assert_eq!(tally.nodes_expanded, 3);
         // The tally still counts every context's homomorphisms.
-        assert_eq!(homs, vec![2000, 2000]);
+        assert_eq!(tally.homs, vec![2000, 2000]);
     }
 
     #[test]
@@ -937,13 +991,17 @@ mod tests {
         let (p0, db) = example2(&mut i);
         // A Boolean query: nothing is free.
         let p = rebuild_with_free(&p0, Vec::new());
-        let table = evaluate_rows(&p, &db, 1, CancelToken::never(), None).unwrap();
+        let rows = |p: &Wdpt, db: &Database| {
+            let (table, _tally) = evaluate_rows(p, db, 1, CancelToken::never(), None);
+            table.unwrap()
+        };
+        let table = rows(&p, &db);
         assert!(table.vars().is_empty());
         assert_eq!(table.len(), 1);
         assert!(table.row(0).is_empty());
         assert_eq!(table.into_mappings(), vec![Mapping::empty()]);
         // Unsatisfiable: the root has no homomorphism into an empty database.
-        let table = evaluate_rows(&p, &Database::new(), 1, CancelToken::never(), None).unwrap();
+        let table = rows(&p, &Database::new());
         assert!(table.vars().is_empty());
         assert_eq!(table.len(), 0);
         assert_eq!(table.into_mappings(), Vec::new());
@@ -953,7 +1011,8 @@ mod tests {
     fn the_table_lists_the_free_variables_and_leaves_unextended_cells_unbound() {
         let mut i = Interner::new();
         let (p, db) = example2(&mut i);
-        let table = evaluate_rows(&p, &db, 1, CancelToken::never(), None).unwrap();
+        let (table, _) = evaluate_rows(&p, &db, 1, CancelToken::never(), None);
+        let table = table.unwrap();
         let mut free: Vec<Var> = p.free_vars().to_vec();
         free.sort();
         assert_eq!(table.vars(), free);
@@ -969,13 +1028,44 @@ mod tests {
         let mut i = Interner::new();
         let (p, db) = example2(&mut i);
         let token = CancelToken::new();
-        let (done, homs) = execute(&p, &db, 1, &token, None, &p.free_set());
+        let (done, tally) = evaluate_rows(&p, &db, 1, &token, None);
         assert_eq!(done.map(|t| t.len()), Ok(2));
-        assert_eq!(homs, vec![2, 1, 0]);
+        assert_eq!(tally.homs, vec![2, 1, 0]);
+        assert!(tally.nodes_expanded > 0 && tally.index_probes > 0 && tally.tuples_scanned > 0);
         token.cancel();
-        let (cancelled, homs) = execute(&p, &db, 1, &token, None, &p.free_set());
+        let (cancelled, tally) = evaluate_rows(&p, &db, 1, &token, None);
         assert_eq!(cancelled, Err(Cancelled));
-        assert_eq!(homs.len(), p.node_count());
+        // Cancelled before the first search step: nothing was done.
+        assert_eq!(tally.homs, vec![0; p.node_count()]);
+        assert_eq!(tally.nodes_expanded, 0);
+
+        // Cancelled mid-search: an expired deadline nobody has latched is
+        // noticed at the search's 1024th step, whatever the clock reads.
+        // The 1023 steps before it are counted, beside the `Err`, and they
+        // are what the search flushes to the process-wide counters — which
+        // other tests of this binary feed too, hence `<=` here; the
+        // equality is `tests/engines_agree.rs`'s, where runs are serial.
+        let atoms = parse_atoms(&mut i, "a(?x) a(?y)").unwrap();
+        let wide = WdptBuilder::new(atoms)
+            .build(vec![i.var("x"), i.var("y")])
+            .unwrap();
+        let spec: String = (0..40).map(|j| format!("a({j}) ")).collect();
+        let db = parse_database(&mut i, &spec).unwrap();
+        let ((cancelled, tally), global) = wdpt_obs::delta_scope(|| {
+            let expired = CancelToken::with_deadline(std::time::Duration::ZERO);
+            evaluate_rows(&wide, &db, 1, &expired, None)
+        });
+        assert_eq!(cancelled, Err(Cancelled));
+        // Of the 1023 steps, one expanded the root's first atom, 25 the
+        // second under a value of ?x, and 997 were complete homomorphisms,
+        // which expand nothing; each of the 1024 steps but the first
+        // followed a tuple.
+        assert_eq!(tally.nodes_expanded, 1 + 25);
+        assert_eq!(tally.tuples_scanned, 1023);
+        // Nothing is ever bound to probe by: whole-relation scans.
+        assert_eq!(tally.index_probes, 0);
+        assert!(tally.nodes_expanded <= global.counter("cq.nodes_expanded"));
+        assert!(tally.tuples_scanned <= global.counter("db.tuples_scanned"));
     }
 
     #[test]

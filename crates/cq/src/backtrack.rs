@@ -93,7 +93,8 @@ fn valid_order(order: &[usize], n: usize) -> bool {
 /// and the search treats them as bound from the start.
 ///
 /// The counts of a search — nodes expanded, index probes, tuples scanned,
-/// posting lengths — are kept in the `Search` and added to the shared
+/// posting lengths — are kept in the `Search`, where its owner can read them
+/// ([`Search::nodes_expanded`], [`Search::tally`]), and added to the shared
 /// counters once, when it is dropped.
 #[derive(Debug)]
 pub struct Search<'a> {
@@ -190,6 +191,17 @@ impl<'a> Search<'a> {
     /// Supplies the value of a seeded slot for the searches that follow.
     pub fn set(&mut self, slot: usize, value: Const) {
         self.frame[slot] = value;
+    }
+
+    /// Search nodes expanded by every run of this search so far: what
+    /// dropping it adds to `cq.nodes_expanded`.
+    pub fn nodes_expanded(&self) -> u64 {
+        self.nodes
+    }
+
+    /// The index work of every run of this search so far.
+    pub fn tally(&self) -> &ProbeTally {
+        &self.tally
     }
 
     /// Hands `on_hom` the frame of every homomorphism: every total

@@ -9,7 +9,8 @@
 //! * [`backtrack`] — the generic backtracking join: the baseline evaluation
 //!   algorithm that exists for *all* CQs (NP-complete in general,
 //!   Chandra–Merlin). One search over atoms compiled to slot steps — the
-//!   reusable [`Search`] the WDPT executor drives — behind [`extend_all`],
+//!   reusable [`Search`] the WDPT executor drives, and reads the work
+//!   counts of before dropping it — behind [`extend_all`],
 //!   [`extend_exists`] and the cancellable [`try_extend_all`], which also
 //!   takes a planned static atom order.
 //! * [`structured`] — decomposition-guided evaluation: bag materialization
@@ -28,7 +29,6 @@
 pub mod backtrack;
 pub mod containment;
 pub mod core_of;
-pub mod counting;
 pub mod query;
 pub mod quotient;
 pub mod structured;
@@ -37,7 +37,6 @@ pub mod widths;
 pub use backtrack::{evaluate, extend_all, extend_exists, try_extend_all, Search};
 pub use containment::{contained_in, equivalent, freeze, frozen_floor};
 pub use core_of::{core_of, try_core_above, try_core_of};
-pub use counting::count_homomorphisms;
 pub use query::ConjunctiveQuery;
 pub use structured::{boolean_eval_structured, enumerate_projections, StructuredPlan};
 pub use wdpt_decomp::EXACT_TW_VERTEX_LIMIT;

@@ -22,16 +22,6 @@ use wdpt_decomp::{
 use wdpt_model::{Atom, Const, Database, Mapping, Term, Var};
 use wdpt_obs::{counter, histogram, span};
 
-/// Fully materialized plan state: `(bags, bag relations, parent per node
-/// — `usize::MAX` for roots — and a root-first order)`. Produced by
-/// `StructuredPlan::materialize_all` for the counting DP.
-pub(crate) type MaterializedPlan = (
-    Vec<BTreeSet<Var>>,
-    Vec<Vec<Mapping>>,
-    Vec<usize>,
-    Vec<usize>,
-);
-
 /// A join-tree evaluation plan over variable bags.
 #[derive(Debug, Clone)]
 pub struct StructuredPlan {
@@ -89,62 +79,6 @@ impl StructuredPlan {
     /// The bag width (`max |bag|`), for diagnostics.
     pub fn max_bag_size(&self) -> usize {
         self.bags.iter().map(BTreeSet::len).max().unwrap_or(0)
-    }
-
-    /// Materializes every bag relation (no seed, no semijoin filtering) and
-    /// roots the decomposition forest. Returns
-    /// `(bags, relations, parent, root-first order)`; `parent[t]` is
-    /// `usize::MAX` for roots. `None` if the plan does not cover some atom
-    /// (mismatched plan/query). Used by [`crate::counting`].
-    pub(crate) fn materialize_all(
-        &self,
-        q: &ConjunctiveQuery,
-        db: &Database,
-    ) -> Option<MaterializedPlan> {
-        let atoms = q.body().to_vec();
-        let bags = self.bags.clone();
-        let mut contained: Vec<Vec<usize>> = vec![Vec::new(); bags.len()];
-        for (i, a) in atoms.iter().enumerate() {
-            let avars = a.var_set();
-            let b = (0..bags.len()).find(|&b| avars.is_subset(&bags[b]))?;
-            contained[b].push(i);
-        }
-        let mut relations: Vec<Vec<Mapping>> = Vec::with_capacity(bags.len());
-        for (b, bag) in bags.iter().enumerate() {
-            let cover = self.covers.as_ref().map(|c| c[b].as_slice());
-            let tuples = materialize_bag(db, &atoms, bag, &contained[b], cover);
-            if wdpt_obs::tracing_enabled() {
-                histogram!("cq.structured.bag_size").record(tuples.len() as u64);
-            }
-            relations.push(tuples);
-        }
-        let n = bags.len();
-        let mut adj = vec![Vec::new(); n];
-        for &(a, b) in &self.tree_edges {
-            adj[a].push(b);
-            adj[b].push(a);
-        }
-        let mut parent = vec![usize::MAX; n];
-        let mut order = Vec::with_capacity(n);
-        let mut seen = vec![false; n];
-        for root in 0..n {
-            if seen[root] {
-                continue;
-            }
-            seen[root] = true;
-            let mut stack = vec![root];
-            while let Some(v) = stack.pop() {
-                order.push(v);
-                for &w in &adj[v] {
-                    if !seen[w] {
-                        seen[w] = true;
-                        parent[w] = v;
-                        stack.push(w);
-                    }
-                }
-            }
-        }
-        Some((bags, relations, parent, order))
     }
 }
 

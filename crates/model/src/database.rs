@@ -42,8 +42,9 @@ use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use wdpt_obs::{histogram, LocalHistogram};
 
-/// The index work of one search, counted locally and added to the shared
-/// counters in one batch when the tally is dropped. Probes and candidate
+/// The index work of one search, counted locally — readable by whoever runs
+/// the search — and added to the shared counters in one batch when the tally
+/// is dropped. Probes and candidate
 /// tuples sit on the innermost loop of every engine: a relaxed `fetch_add`
 /// per tuple and four more per probe for the posting-length histogram are
 /// measurable there, a local increment is not. Whoever runs a search owns
@@ -75,6 +76,18 @@ impl ProbeTally {
     #[inline]
     pub fn add_scanned(&mut self, n: u64) {
         self.scanned += n;
+    }
+
+    /// Index probes counted so far: what dropping the tally adds to
+    /// `db.index_probes`.
+    pub fn probes(&self) -> u64 {
+        self.probes
+    }
+
+    /// Candidate tuples counted so far: what dropping the tally adds to
+    /// `db.tuples_scanned`.
+    pub fn scanned(&self) -> u64 {
+        self.scanned
     }
 }
 

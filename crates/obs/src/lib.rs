@@ -11,19 +11,21 @@
 //!   thread-local span stacks. Aggregation is per-site into process-wide
 //!   relaxed atomics, so the worker threads of the WDPT executor
 //!   contribute to the same aggregates and a snapshot taken around joined
-//!   work is exact. Tracing is off by default; a disabled [`span!`] costs
-//!   one relaxed atomic load (measured < 2% on the retired `wdpt_eval` bench, see
-//!   `EXPERIMENTS.md`).
+//!   work is exact. Tracing is off unless a tracing scope is open
+//!   ([`with_tracing`], a live [`ProfileRecorder`]) — the flag counts open
+//!   scopes, so overlapping ones on different threads compose; a disabled
+//!   [`span!`] costs one relaxed atomic load (measured < 2% on the retired
+//!   `wdpt_eval` bench, see `EXPERIMENTS.md`).
 //! * [`metrics`] — a registry of named counters ([`counter!`]) and
 //!   log₂-bucketed histograms ([`histogram!`]) generalizing the five
 //!   hard-coded atomics that used to live in `wdpt_model::stats` (that
 //!   module remains as a compatibility facade over this registry).
 //! * [`profile`] — [`QueryProfile`], a per-query report attached to
-//!   WDPT/CQ evaluation results: per-tree-node homomorphism counts,
-//!   semijoin reduction factors, decomposition width found and search nodes
-//!   visited, and time per phase. Renderable as an indented plain-text
-//!   `EXPLAIN ANALYZE` and serializable to JSON via the in-tree [`json`]
-//!   writer.
+//!   WDPT/CQ evaluation results: per-tree-node homomorphism counts, work
+//!   counters, and — when a [`ProfileRecorder`] bracketed the run, which is
+//!   exact only while nothing else runs in the process — time per phase and
+//!   histograms. Renderable as an indented plain-text `EXPLAIN ANALYZE` and
+//!   serializable to JSON via the in-tree [`json`] writer.
 //!
 //! Two serving-oriented pieces sit on top: [`expo`] renders a metrics
 //! snapshot as Prometheus-style text exposition or JSON (with derived
@@ -43,8 +45,6 @@ pub use metrics::{
     delta_scope, metrics_snapshot, Counter, CounterDelta, Gauge, HistogramDelta, HistogramSnapshot,
     LocalHistogram, MetricsSnapshot, RawHistogram,
 };
-pub use profile::{DecompInfo, NodeEntry, PhaseEntry, ProfileRecorder, QueryProfile};
-pub use span::{
-    set_tracing, span_snapshot, tracing_enabled, with_tracing, SpanGuard, SpanSnapshot,
-};
+pub use profile::{NodeEntry, PhaseEntry, ProfileRecorder, QueryProfile};
+pub use span::{span_snapshot, tracing_enabled, with_tracing, SpanGuard, SpanSnapshot};
 pub use trace::{GaugeGuard, RequestTrace, Stage};

@@ -2,20 +2,23 @@
 //!
 //! A [`QueryProfile`] is the observability artifact attached to a WDPT/CQ
 //! evaluation result: time per phase (from span deltas), event counters and
-//! histograms (from metrics deltas), per-tree-node homomorphism tallies, and
-//! the decomposition the planner settled on. It renders as an indented
-//! plain-text `EXPLAIN ANALYZE` ([`QueryProfile::render`]) and serializes to
-//! JSON ([`QueryProfile::to_json`]).
+//! histograms (from metrics deltas) and per-tree-node homomorphism tallies.
+//! It renders as an indented plain-text `EXPLAIN ANALYZE`
+//! ([`QueryProfile::render`]) and serializes to JSON
+//! ([`QueryProfile::to_json`]).
 //!
 //! The [`ProfileRecorder`] brackets a query: `start` snapshots the span and
-//! metric registries and force-enables tracing; `finish` restores the
-//! previous tracing state and diffs the snapshots. Because the underlying
-//! aggregates are process-wide, deltas are exact only when nothing else runs
-//! concurrently — fine for the CLI binaries and benches this is built for.
+//! metric registries and opens a tracing scope; `finish` closes the scope
+//! and diffs the snapshots. Because the underlying aggregates are
+//! process-wide, deltas are exact only when nothing else runs concurrently —
+//! fine for the CLI binaries, benches and the one request that asks for a
+//! profile this is built for. An evaluation's *own* counts need no recorder:
+//! the executor hands them back (`wdpt_core::EvalTally`), and a profile
+//! holding only those is built without one.
 
 use crate::json::Json;
 use crate::metrics::{metrics_snapshot, HistogramSnapshot, MetricsSnapshot};
-use crate::span::{set_tracing, span_snapshot, SpanSnapshot};
+use crate::span::{span_snapshot, SpanSnapshot, TracingScope};
 use std::time::Instant;
 
 /// One instrumented phase: the delta of one span site over the query.
@@ -45,17 +48,6 @@ pub struct NodeEntry {
     pub metrics: Vec<(&'static str, u64)>,
 }
 
-/// The decomposition the planner found for a query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecompInfo {
-    /// `"treewidth"` or `"hypertree"` (or `"backtrack"` for no plan).
-    pub kind: String,
-    /// Width of the decomposition found.
-    pub width: usize,
-    /// Search nodes visited while finding it.
-    pub search_nodes: u64,
-}
-
 /// A per-query evaluation report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryProfile {
@@ -73,8 +65,6 @@ pub struct QueryProfile {
     pub histograms: Vec<HistogramSnapshot>,
     /// Per-tree-node tallies in preorder (empty for CQ-only profiles).
     pub nodes: Vec<NodeEntry>,
-    /// Decomposition found by the planner, when one was searched for.
-    pub decomposition: Option<DecompInfo>,
 }
 
 /// Brackets one query evaluation; see module docs.
@@ -82,28 +72,26 @@ pub struct QueryProfile {
 pub struct ProfileRecorder {
     label: String,
     started: Instant,
-    prev_tracing: bool,
+    /// Tracing is on while the recorder lives.
+    tracing: TracingScope,
     spans_before: SpanSnapshot,
     metrics_before: MetricsSnapshot,
     nodes: Vec<NodeEntry>,
-    decomposition: Option<DecompInfo>,
 }
 
 impl ProfileRecorder {
-    /// Starts recording: snapshots the registries and enables tracing
-    /// (restored by [`finish`](Self::finish)).
+    /// Starts recording: snapshots the registries and opens a tracing scope
+    /// (closed by [`finish`](Self::finish), or by dropping the recorder).
     pub fn start(label: impl Into<String>) -> ProfileRecorder {
         let spans_before = span_snapshot();
         let metrics_before = metrics_snapshot();
-        let prev_tracing = set_tracing(true);
         ProfileRecorder {
             label: label.into(),
+            tracing: TracingScope::open(),
             started: Instant::now(),
-            prev_tracing,
             spans_before,
             metrics_before,
             nodes: Vec::new(),
-            decomposition: None,
         }
     }
 
@@ -112,16 +100,11 @@ impl ProfileRecorder {
         self.nodes = nodes;
     }
 
-    /// Records the decomposition the planner found.
-    pub fn set_decomposition(&mut self, info: DecompInfo) {
-        self.decomposition = Some(info);
-    }
-
-    /// Stops recording, restores the previous tracing state, and builds the
-    /// profile from the snapshot deltas.
+    /// Stops recording, closes the tracing scope, and builds the profile
+    /// from the snapshot deltas.
     pub fn finish(self, answers: u64) -> QueryProfile {
         let wall_ns = self.started.elapsed().as_nanos() as u64;
-        set_tracing(self.prev_tracing);
+        drop(self.tracing);
         let span_delta = span_snapshot().since(&self.spans_before);
         let metrics_delta = metrics_snapshot().since(&self.metrics_before);
         let phases = span_delta
@@ -153,7 +136,6 @@ impl ProfileRecorder {
             counters,
             histograms,
             nodes: self.nodes,
-            decomposition: self.decomposition,
         }
     }
 }
@@ -189,13 +171,6 @@ impl QueryProfile {
             human_ns(self.wall_ns),
             self.answers
         );
-        if let Some(d) = &self.decomposition {
-            let _ = writeln!(
-                out,
-                "  decomposition: {} width={} search_nodes={}",
-                d.kind, d.width, d.search_nodes
-            );
-        }
         if !self.phases.is_empty() {
             let _ = writeln!(out, "  phases:");
             for p in &self.phases {
@@ -296,7 +271,7 @@ impl QueryProfile {
                 ])
             })
             .collect();
-        let mut obj = vec![
+        Json::obj([
             ("label", Json::str(&self.label)),
             ("wall_ns", Json::int(self.wall_ns)),
             ("answers", Json::int(self.answers)),
@@ -304,18 +279,7 @@ impl QueryProfile {
             ("counters", Json::Arr(counters)),
             ("histograms", Json::Arr(histograms)),
             ("nodes", Json::Arr(nodes)),
-        ];
-        if let Some(d) = &self.decomposition {
-            obj.push((
-                "decomposition",
-                Json::obj([
-                    ("kind", Json::str(&d.kind)),
-                    ("width", Json::int(d.width as u64)),
-                    ("search_nodes", Json::int(d.search_nodes)),
-                ]),
-            ));
-        }
-        Json::obj(obj)
+        ])
     }
 
     /// The value of counter `name` in this profile (0 when absent).
@@ -352,29 +316,25 @@ mod tests {
             label: "root".into(),
             metrics: vec![("homomorphisms", 3)],
         }]);
-        rec.set_decomposition(DecompInfo {
-            kind: "treewidth".into(),
-            width: 2,
-            search_nodes: 7,
-        });
         let profile = rec.finish(3);
         assert_eq!(profile.answers, 3);
         assert_eq!(profile.counter("test.profile.events"), 5);
         let phase = profile.phase("test.profile.phase").unwrap();
         assert_eq!(phase.calls, 1);
         assert!(profile.wall_ns >= phase.total_ns);
-        assert_eq!(profile.decomposition.as_ref().unwrap().width, 2);
     }
 
     #[test]
     fn recorder_restores_tracing_state() {
         let _flag = crate::span::tracing_test_lock();
-        let prev = crate::span::set_tracing(false);
+        assert!(!crate::span::tracing_enabled());
         let rec = ProfileRecorder::start("test nested");
         assert!(crate::span::tracing_enabled());
         let _ = rec.finish(0);
         assert!(!crate::span::tracing_enabled());
-        crate::span::set_tracing(prev);
+        // A recorder abandoned without `finish` closes its scope too.
+        drop(ProfileRecorder::start("test abandoned"));
+        assert!(!crate::span::tracing_enabled());
     }
 
     #[test]

@@ -11,26 +11,45 @@
 //!
 //! Tracing is **off by default**: a disabled [`span!`] reads one relaxed
 //! atomic and returns an inert guard — no `OnceLock`, no `Instant::now`,
-//! no thread-local traffic. `wdpt_core::profile` flips the flag for the
-//! duration of a profiled evaluation.
+//! no thread-local traffic. It is on while at least one *tracing scope* is
+//! open — a [`with_tracing`] call or a live
+//! [`ProfileRecorder`](crate::ProfileRecorder) — and the flag is the count
+//! of open scopes, not a bool each scope swaps and restores: scopes on
+//! different threads may overlap and close in any order, and tracing goes
+//! off exactly when the last one closes.
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Open tracing scopes. Relaxed throughout: the count gates timers and
+/// publishes no other data.
+static OPEN_SCOPES: AtomicUsize = AtomicUsize::new(0);
 
-/// Globally enables or disables span timing. Returns the previous value.
-pub fn set_tracing(on: bool) -> bool {
-    ENABLED.swap(on, Relaxed)
-}
-
-/// True iff span timing is currently enabled.
+/// True iff span timing is currently enabled: some tracing scope is open.
 #[inline]
 pub fn tracing_enabled() -> bool {
-    ENABLED.load(Relaxed)
+    OPEN_SCOPES.load(Relaxed) > 0
+}
+
+/// One open tracing scope: tracing stays on at least until this is dropped
+/// (by a panic's unwinding too).
+#[derive(Debug)]
+pub(crate) struct TracingScope(());
+
+impl TracingScope {
+    pub(crate) fn open() -> TracingScope {
+        OPEN_SCOPES.fetch_add(1, Relaxed);
+        TracingScope(())
+    }
+}
+
+impl Drop for TracingScope {
+    fn drop(&mut self) {
+        OPEN_SCOPES.fetch_sub(1, Relaxed);
+    }
 }
 
 /// One instrumented scope: a static name plus its process-wide aggregates.
@@ -227,18 +246,16 @@ pub fn span_snapshot() -> SpanSnapshot {
     SpanSnapshot { entries }
 }
 
-/// Runs `f` with tracing forced on, restoring the previous state after.
-/// Used by tests and the profile recorder.
+/// Runs `f` inside a tracing scope: tracing is on for its duration, and
+/// stays on afterwards only if another scope is still open.
 pub fn with_tracing<T>(f: impl FnOnce() -> T) -> T {
-    let prev = set_tracing(true);
-    let out = f();
-    set_tracing(prev);
-    out
+    let _scope = TracingScope::open();
+    f()
 }
 
 /// The tracing flag is process-wide and the harness runs a binary's tests
-/// on parallel threads: every test of this crate that sets the flag, or
-/// counts on it staying set, holds this lock meanwhile.
+/// on parallel threads: every test of this crate that opens a scope, or
+/// counts on none being open, holds this lock meanwhile.
 #[cfg(test)]
 pub(crate) fn tracing_test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -248,11 +265,12 @@ pub(crate) fn tracing_test_lock() -> std::sync::MutexGuard<'static, ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     #[test]
     fn disabled_spans_record_nothing() {
         let _flag = tracing_test_lock();
-        let prev = set_tracing(false);
+        assert!(!tracing_enabled(), "no scope is open under the lock");
         register_span("test.span.disabled");
         let before = span_snapshot();
         {
@@ -260,7 +278,68 @@ mod tests {
         }
         let delta = span_snapshot().since(&before);
         assert_eq!(delta.entry("test.span.disabled").unwrap().calls, 0);
-        set_tracing(prev);
+    }
+
+    /// One of two threads that open overlapping scopes, in lockstep with the
+    /// other through `step`: what `tracing_enabled()` read while both scopes
+    /// were open and — for the thread that closes second — after the other
+    /// closed. Nothing is asserted here: a panic would strand the other
+    /// thread at the barrier.
+    fn overlapping_scope(step: &Barrier, opens_first: bool, closes_first: bool) -> Vec<bool> {
+        let mut saw = Vec::new();
+        if !opens_first {
+            step.wait(); // the other scope is open
+        }
+        with_tracing(|| {
+            if opens_first {
+                step.wait();
+            }
+            step.wait(); // both are open
+            saw.push(tracing_enabled());
+            if !closes_first {
+                step.wait(); // the other has closed
+                saw.push(tracing_enabled());
+            }
+        });
+        if closes_first {
+            step.wait();
+        }
+        saw
+    }
+
+    /// Two scopes on two threads, overlapping, closed in either order. With
+    /// a bool that each scope swapped and restored, the scope opened second
+    /// remembered "on" and restored it for ever, and the one opened first
+    /// switched tracing off under the other.
+    #[test]
+    fn overlapping_scopes_keep_tracing_on_until_the_last_one_closes() {
+        let _flag = tracing_test_lock();
+        for first_closes_first in [true, false] {
+            assert!(!tracing_enabled());
+            let step = Barrier::new(2);
+            let saw = std::thread::scope(|s| {
+                let first = s.spawn(|| overlapping_scope(&step, true, first_closes_first));
+                let second = s.spawn(|| overlapping_scope(&step, false, !first_closes_first));
+                let mut saw = first.join().expect("first scope thread");
+                saw.extend(second.join().expect("second scope thread"));
+                saw
+            });
+            assert_eq!(saw, [true; 3], "off while a scope was open");
+            assert!(!tracing_enabled(), "left on after both scopes closed");
+        }
+    }
+
+    #[test]
+    fn a_panic_inside_a_scope_still_closes_it() {
+        let _flag = tracing_test_lock();
+        let unwound = std::panic::catch_unwind(|| {
+            with_tracing(|| {
+                assert!(tracing_enabled());
+                panic!("inside the scope");
+            })
+        });
+        assert!(unwound.is_err());
+        assert!(!tracing_enabled());
     }
 
     #[test]

@@ -57,9 +57,9 @@ OPTIONS:
                               exceed it are rejected and rolled back
                               [default: 1048576]
     --cache-capacity N        plan-cache entries [default: 256]
-    --slowlog-threshold-ms MS capture queries slower than MS (and every
+    --slowlog-threshold-ms MS log queries slower than MS (and every
                               deadline-exceeded query) in the slow-query
-                              log; 0 disables capture [default: 1000]
+                              log; 0 disables the log [default: 1000]
     --slowlog-capacity N      slow-query ring-buffer entries; the oldest
                               entry is evicted when full [default: 128]
     --no-telemetry            disable request traces, latency histograms,

@@ -210,8 +210,9 @@ pub struct NodePlan {
 }
 
 /// Runtime statistics accumulated by one cached plan across the requests
-/// that executed it: execution tallies, `cq.nodes_expanded` work (total and
-/// last run), and a log₂ latency histogram of eval times. All relaxed
+/// that executed it: execution tallies, search nodes expanded (total and
+/// last run — each run's own count, so concurrent requests do not bleed
+/// into one another), and a log₂ latency histogram of eval times. All relaxed
 /// atomics — workers update them lock-free after each evaluation — and a
 /// [`RawHistogram`] rather than a registered one, so evicted plans don't
 /// leak `&'static` registry entries.
@@ -229,15 +230,13 @@ pub struct PlanStats {
 }
 
 impl PlanStats {
-    /// Records one completed evaluation: its eval wall time and, when the
-    /// run was profiled, its `cq.nodes_expanded` count.
-    pub fn record_execution(&self, eval_us: u64, nodes_expanded: Option<u64>) {
+    /// Records one completed evaluation: its eval wall time and the search
+    /// nodes it expanded (the run's own count, `EvalTally::nodes_expanded`).
+    pub fn record_execution(&self, eval_us: u64, nodes_expanded: u64) {
         self.executions.fetch_add(1, Relaxed);
         self.latency_us.record(eval_us);
-        if let Some(n) = nodes_expanded {
-            self.nodes_expanded_total.fetch_add(n, Relaxed);
-            self.nodes_expanded_last.store(n, Relaxed);
-        }
+        self.nodes_expanded_total.fetch_add(nodes_expanded, Relaxed);
+        self.nodes_expanded_last.store(nodes_expanded, Relaxed);
     }
 
     /// Records an evaluation that hit its deadline.
@@ -255,12 +254,12 @@ impl PlanStats {
         self.cancelled.load(Relaxed)
     }
 
-    /// `cq.nodes_expanded` summed over profiled executions.
+    /// Search nodes expanded, summed over completed executions.
     pub fn nodes_expanded_total(&self) -> u64 {
         self.nodes_expanded_total.load(Relaxed)
     }
 
-    /// `cq.nodes_expanded` of the most recent profiled execution.
+    /// Search nodes expanded by the most recent completed execution.
     pub fn nodes_expanded_last(&self) -> u64 {
         self.nodes_expanded_last.load(Relaxed)
     }

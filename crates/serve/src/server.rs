@@ -55,12 +55,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant, SystemTime};
-use wdpt_core::Wdpt;
+use wdpt_core::{EvalTally, Wdpt};
 use wdpt_model::{CancelToken, Cancelled, Database, Interner, Var};
 use wdpt_obs::trace::Stage;
 use wdpt_obs::{
     counter, gauge, gauge_scope, histogram, metrics_snapshot, render_prometheus, snapshot_to_json,
-    Json, QueryProfile, RequestTrace,
+    Json, ProfileRecorder, QueryProfile, RequestTrace,
 };
 use wdpt_plan::StatsCatalog;
 use wdpt_repl::frames::{delta_frame, snapshot_frame, subscribed_line};
@@ -107,17 +107,19 @@ pub struct ServeConfig {
     /// bound; requests that would exceed it are rejected with
     /// `symbol_limit` and their new symbols rolled back.
     pub max_symbols: usize,
-    /// Wall-time threshold above which a completed query is captured in
-    /// the slow-query ring, in milliseconds. `0` disables the slowlog
-    /// (and the per-query profile capture that feeds it).
+    /// Wall-time threshold above which a completed query is logged in the
+    /// slow-query ring, in milliseconds. `0` disables the slowlog. The
+    /// threshold costs the requests under it nothing: an entry is built,
+    /// from the counts every evaluation hands back, only when one is pushed.
     pub slowlog_threshold_ms: u64,
     /// Bounded capacity of the slow-query ring; the oldest entry is
     /// dropped (and tallied) when a new one arrives at capacity.
     pub slowlog_capacity: usize,
     /// Master switch for request-level telemetry: stage-timed traces into
-    /// the `serve.request.*` histograms and the slowlog's profile capture.
-    /// `false` (the `--no-telemetry` ablation) keeps only the lifetime
-    /// counters and gauges the serving path always maintained.
+    /// the `serve.request.*` histograms and the slowlog. `false` (the
+    /// `--no-telemetry` ablation) keeps the lifetime counters and gauges
+    /// the serving path always maintained and the per-plan runtime stats,
+    /// which every evaluation feeds from its own tally.
     pub telemetry: bool,
 }
 
@@ -143,7 +145,7 @@ impl Default for ServeConfig {
 }
 
 /// The bounded slow-query ring: entries are full JSON documents (query,
-/// stage-timed trace, captured EXPLAIN profile) appended by connection
+/// stage-timed trace, EXPLAIN profile) appended by connection
 /// threads and drained by the `slowlog` admin op. At capacity the oldest
 /// entry is dropped and tallied, so a flood of slow queries costs bounded
 /// memory and the drain reports what it missed.
@@ -332,11 +334,11 @@ impl ServeState {
         tuples
     }
 
-    /// Whether slow/cancelled queries are being captured: telemetry on and
-    /// a nonzero threshold. When true, every evaluation runs under a
-    /// profile recorder so a query discovered *afterwards* to be slow (or
-    /// killed by its deadline) still has an EXPLAIN to log — a profile
-    /// cannot be reconstructed retroactively.
+    /// Whether slow/cancelled queries are being logged: telemetry on and a
+    /// nonzero threshold. It changes nothing about how a query is
+    /// evaluated — every evaluation hands back its own tally, so a query
+    /// discovered *afterwards* to be slow (or killed by its deadline) has
+    /// an EXPLAIN to log either way.
     pub fn slowlog_enabled(&self) -> bool {
         self.cfg.telemetry && self.cfg.slowlog_threshold_ms > 0
     }
@@ -627,11 +629,9 @@ struct Job {
     request_vars: Vec<String>,
     token: CancelToken,
     deadline_ms: u64,
-    /// Attach the evaluation profile to the `ok` line.
+    /// Bracket the evaluation with a profile recorder and attach the
+    /// profile to the `ok` line.
     profile: bool,
-    /// Run the evaluation under a profile recorder regardless of
-    /// `profile`, so the reply carries an EXPLAIN for slowlog capture.
-    capture: bool,
     /// The plan's per-node facts, present iff the request asked to
     /// `explain`: attach them, the join orders and the runtime stats to
     /// the `ok` line.
@@ -646,16 +646,52 @@ struct Job {
 /// What a worker sends back to the connection thread: the response — row
 /// lines, then the terminal line, encoded — plus the telemetry only the
 /// worker can measure: the queue-wait and eval durations (folded into the
-/// request's [`RequestTrace`]) and the captured profile, as recorded; it is
-/// rendered only if the request turns out slow or cancelled and gets a
-/// slowlog entry.
+/// request's [`RequestTrace`]) and what the evaluation counted, as counted;
+/// it is rendered only if the request turns out slow or cancelled and gets
+/// a slowlog entry.
 struct WorkerReply {
     response: Vec<u8>,
     queue_ns: u64,
     eval_ns: u64,
     cancelled: bool,
+    /// Rows in the evaluation's table (0 if it was cancelled).
+    answers: u64,
+    /// The evaluation's own counts; `None` if none ran (the deadline passed
+    /// in the queue, or the worker never answered).
+    tally: Option<EvalTally>,
+    /// The recorder's profile of a request that asked `profile: true`.
     profile: Option<QueryProfile>,
 }
+
+impl WorkerReply {
+    /// The reply for a request no evaluation ran for.
+    fn unevaluated(response: Vec<u8>, queue_ns: u64, cancelled: bool) -> WorkerReply {
+        WorkerReply {
+            response,
+            queue_ns,
+            eval_ns: 0,
+            cancelled,
+            answers: 0,
+            tally: None,
+            profile: None,
+        }
+    }
+
+    /// The EXPLAIN profile a slowlog entry for this request carries: the
+    /// recorder's if the request asked for one (the object on its `ok`
+    /// line), otherwise the evaluation's tally rendered now.
+    fn slowlog_profile(&self, wdpt: &Wdpt) -> Option<Json> {
+        let profile = match (&self.profile, &self.tally) {
+            (Some(recorded), _) => return Some(recorded.to_json()),
+            (None, Some(tally)) => tally.profile(wdpt, PROFILE_LABEL, self.eval_ns, self.answers),
+            (None, None) => return None,
+        };
+        Some(profile.to_json())
+    }
+}
+
+/// The `label` of every profile the server produces.
+const PROFILE_LABEL: &str = "serve.query";
 
 /// Appends one response line to a response buffer.
 fn push_line(out: &mut Vec<u8>, line: &Json) {
@@ -1122,8 +1158,9 @@ const SLOWLOG_QUERY_BYTES: usize = 2048;
 
 /// One slow-query ring entry: when, what, why it qualified (`"slow"` or
 /// `"cancelled"`), where it got to (`phase`), its stage-timed trace so far,
-/// and the captured EXPLAIN profile when the evaluation ran profiled —
-/// rendered here, for the entries that exist, not on every request.
+/// and the EXPLAIN profile of its evaluation when one ran — rendered by the
+/// caller ([`WorkerReply::slowlog_profile`]) for the entries that exist,
+/// not on every request.
 #[allow(clippy::too_many_arguments)]
 fn slowlog_entry(
     id: Option<&str>,
@@ -1134,7 +1171,7 @@ fn slowlog_entry(
     deadline_ms: u64,
     cache: Option<&str>,
     trace: &RequestTrace,
-    profile: Option<&QueryProfile>,
+    profile: Option<Json>,
     plan: Option<Json>,
 ) -> Json {
     let ts = SystemTime::now()
@@ -1156,7 +1193,7 @@ fn slowlog_entry(
         ("cache", cache.map_or(Json::Null, Json::str)),
         ("wall_us", Json::int(trace.total_ns() / 1_000)),
         ("trace", trace.to_json()),
-        ("profile", profile.map_or(Json::Null, QueryProfile::to_json)),
+        ("profile", profile.unwrap_or(Json::Null)),
         // The chosen join plan: per-node atom order, estimated vs last
         // observed cost — so a slow query's log entry shows *what
         // order it ran*, not just how long it took.
@@ -1295,7 +1332,6 @@ fn handle_query(
         token,
         deadline_ms,
         profile,
-        capture: state.slowlog_enabled(),
         explain,
         max_rows: max_rows.unwrap_or(state.cfg.max_rows),
         enqueued: Instant::now(),
@@ -1340,7 +1376,7 @@ fn handle_query(
                 deadline_ms,
                 Some(cache_status),
                 trace,
-                reply.profile.as_ref(),
+                reply.slowlog_profile(&plan_for_log.wdpt),
                 Some(crate::cache::exec_plan_json(&plan_for_log)),
             ));
         }
@@ -1377,30 +1413,13 @@ fn await_worker(
             token.cancel();
             counter!("serve.requests.cancelled").add(1);
             counter!("serve.worker.unresponsive").add(1);
-            WorkerReply {
-                response: encoded(&cancelled_line(
-                    id,
-                    deadline_ms,
-                    start.elapsed().as_micros() as u64,
-                )),
-                queue_ns: 0,
-                eval_ns: 0,
-                cancelled: true,
-                profile: None,
-            }
+            let line = cancelled_line(id, deadline_ms, start.elapsed().as_micros() as u64);
+            WorkerReply::unevaluated(encoded(&line), 0, true)
         }
-        Err(RecvTimeoutError::Disconnected) => WorkerReply {
-            response: encoded(&error_line(
-                id,
-                "internal",
-                "worker dropped the request",
-                None,
-            )),
-            queue_ns: 0,
-            eval_ns: 0,
-            cancelled: false,
-            profile: None,
-        },
+        Err(RecvTimeoutError::Disconnected) => {
+            let line = error_line(id, "internal", "worker dropped the request", None);
+            WorkerReply::unevaluated(encoded(&line), 0, false)
+        }
     }
 }
 
@@ -1455,9 +1474,8 @@ fn sparql_error_parts(
 ///
 /// Besides the response, the worker ships the connection thread the two
 /// timings only it can measure — how long the job sat queued and how long
-/// the evaluation ran — plus the captured profile when the slowlog wants
-/// one, so slow-query entries can be assembled with full context on the
-/// connection side.
+/// the evaluation ran — plus the evaluation's tally, so slow-query entries
+/// can be assembled with full context on the connection side.
 fn process(job: Job, state: &ServeState) {
     state.queue_depth.fetch_sub(1, Ordering::Relaxed);
     gauge!("serve.queue.depth").decr();
@@ -1470,50 +1488,32 @@ fn process(job: Job, state: &ServeState) {
         // Expired while queued — never start the evaluation.
         counter!("serve.requests.cancelled").add(1);
         job.plan.stats.record_cancelled();
-        WorkerReply {
-            response: encoded(&cancelled_line(
-                id,
-                job.deadline_ms,
-                start.elapsed().as_micros() as u64,
-            )),
-            queue_ns,
-            eval_ns: 0,
-            cancelled: true,
-            profile: None,
-        }
+        let line = cancelled_line(id, job.deadline_ms, start.elapsed().as_micros() as u64);
+        WorkerReply::unevaluated(encoded(&line), queue_ns, true)
     } else {
         let threads = state.cfg.eval_threads.max(1);
         // Pin the exec plan for the whole evaluation: a concurrent
         // statistics refresh swaps the slot, not the orders this run is
         // following.
         let exec = job.plan.exec_plan();
-        // The captured evaluator keeps its profile even on cancellation —
-        // deadline-blown queries are the slowlog's whole reason to exist.
-        // With telemetry off there is no recorder, and the plan's
-        // `nodes_expanded` stats stay at zero.
-        let (result, prof) = if job.profile || job.capture {
-            let (result, prof) = wdpt_core::try_evaluate_parallel_captured_planned(
-                &job.plan.wdpt,
-                db,
-                threads,
-                &job.token,
-                "serve.query",
-                Some(&exec),
-            );
-            (result, Some(prof))
-        } else {
-            (
-                wdpt_core::evaluate_rows(&job.plan.wdpt, db, threads, &job.token, Some(&exec)),
-                None,
-            )
-        };
+        // The tally comes back on cancellation too — deadline-blown queries
+        // are the slowlog's whole reason to exist. The recorder diffs the
+        // process-wide registries and switches tracing on for everybody
+        // meanwhile: only a request that asked for a profile pays for it.
+        let recorder = job.profile.then(|| ProfileRecorder::start(PROFILE_LABEL));
+        let (result, tally) =
+            wdpt_core::evaluate_rows(&job.plan.wdpt, db, threads, &job.token, Some(&exec));
+        let answer_count = result.as_ref().map_or(0, |a| a.len() as u64);
+        let profile = recorder.map(|mut rec| {
+            rec.set_nodes(wdpt_core::node_entries(&job.plan.wdpt, &tally.homs));
+            rec.finish(answer_count)
+        });
         let eval_ns = start.elapsed().as_nanos() as u64;
-        let nodes_expanded = prof.as_ref().map(|p| p.counter("cq.nodes_expanded"));
         let response = match &result {
             Ok(answers) => {
                 job.plan
                     .stats
-                    .record_execution(eval_ns / 1_000, nodes_expanded);
+                    .record_execution(eval_ns / 1_000, tally.nodes_expanded);
                 let wall_us = start.elapsed().as_micros() as u64;
                 // Truncate first: nothing is built for a row nobody reads.
                 let rows = answers.len().min(job.max_rows);
@@ -1535,9 +1535,7 @@ fn process(job: Job, state: &ServeState) {
                     rows,
                     job.cache_status,
                     wall_us,
-                    job.profile
-                        .then(|| prof.as_ref().map(QueryProfile::to_json))
-                        .flatten(),
+                    profile.as_ref().map(QueryProfile::to_json),
                     job.explain
                         .as_deref()
                         .map(|facts| explain_json(&job.plan, facts, job.cache_status)),
@@ -1562,7 +1560,9 @@ fn process(job: Job, state: &ServeState) {
             queue_ns,
             eval_ns,
             cancelled: result.is_err(),
-            profile: prof.filter(|_| job.capture),
+            answers: answer_count,
+            tally: Some(tally),
+            profile,
         }
     };
     // The connection may have vanished; a dead channel is fine.
@@ -1774,6 +1774,8 @@ mod tests {
             queue_ns: 1_000,
             eval_ns: 9_000,
             cancelled: false,
+            answers: 1,
+            tally: None,
             profile: None,
         })
         .unwrap();

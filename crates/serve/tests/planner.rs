@@ -2,17 +2,20 @@
 //! across hot reload (the one re-plan trigger), heavy hitters priced from
 //! the catalog, and correlated columns visible as estimate against observed.
 //!
-//! These tests read the global `wdpt-obs` metrics registry, so every test
-//! takes a file-local mutex to serialize against its siblings; the file is
-//! its own process, so other test binaries cannot interfere.
+//! These tests read the global `wdpt-obs` metrics registry and the
+//! process-wide tracing flag, so every test takes a file-local mutex to
+//! serialize against its siblings; the file is its own process, so other
+//! test binaries cannot interfere.
 
 use std::collections::BTreeMap;
+use std::io::{BufReader, BufWriter, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use wdpt_model::parse::parse_database;
 use wdpt_model::{CancelToken, Database, Interner};
-use wdpt_obs::{metrics_snapshot, Json};
+use wdpt_obs::{metrics_snapshot, read_json_line, write_json_line, Json};
 use wdpt_serve::cache::{exec_plan_json, explain_json};
-use wdpt_serve::{Plan, ServeConfig, ServeState};
+use wdpt_serve::{serve, Plan, ServeConfig, ServeState};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -136,25 +139,17 @@ fn synth(i: &mut Interner, triples: u64, skew: u64) -> Database {
 }
 
 /// What a worker does with one request of `query`, in-process: evaluate
-/// the cached plan profiled and record the run. Returns the plan and the
-/// `cq.nodes_expanded` of the run.
+/// the cached plan and record the run. Returns the plan and the search
+/// nodes the run expanded, by its own tally.
 fn serve_once(state: &ServeState, query: &str) -> (Arc<Plan>, u64) {
     let (plan, _) = state.plan_for(query).unwrap();
     let db = state.db("main").unwrap();
-    let never = CancelToken::never();
     let exec = plan.exec_plan();
-    let (answers, profile) = wdpt_core::try_evaluate_parallel_captured_planned(
-        &plan.wdpt,
-        &db,
-        1,
-        never,
-        "test",
-        Some(&exec),
-    );
+    let (answers, tally) =
+        wdpt_core::evaluate_rows(&plan.wdpt, &db, 1, CancelToken::never(), Some(&exec));
     answers.expect("never cancels");
-    let nodes = profile.counter("cq.nodes_expanded");
-    plan.stats.record_execution(10, Some(nodes));
-    (plan, nodes)
+    plan.stats.record_execution(10, tally.nodes_expanded);
+    (plan, tally.nodes_expanded)
 }
 
 /// Heavy hitters are in the catalog, so they are priced, not discovered:
@@ -223,4 +218,81 @@ fn correlated_columns_show_as_estimate_against_observed() {
         shown.get("actual_nodes_last").and_then(Json::as_num),
         Some(nodes as f64)
     );
+}
+
+/// Per-plan `nodes_expanded` figures are each run's own count. Two
+/// connections drive two different queries through four workers, 200
+/// requests each, every fifth one asking for a recorder-bracketed
+/// `profile`; afterwards each plan has expanded exactly executions × what
+/// one run of its query expands, and tracing — on while some recorder was
+/// live — is off. When every request ran under a recorder, a plan was
+/// charged whatever the *process* expanded meanwhile, and two overlapping
+/// recorders restoring each other's flag left tracing on for good.
+#[test]
+fn concurrent_requests_count_their_own_work() {
+    let _guard = LOCK.lock().unwrap();
+    const OTHER_QUERY: &str = "SELECT ?x ?y WHERE { (?x, p1, ?y) }";
+    const REQUESTS: usize = 200;
+    let mut i = Interner::new();
+    let db = catalog(&mut i, 200, 20, 2);
+    let cfg = ServeConfig {
+        workers: 4,
+        ..ServeConfig::default()
+    };
+    let state = state_with(db, i, cfg);
+    let solo = [FLIP_QUERY, OTHER_QUERY].map(|q| serve_once(&state, q).1);
+    assert!(solo[0] > 0 && solo[1] > 0 && solo[0] != solo[1], "{solo:?}");
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().unwrap();
+    let server = {
+        let state = Arc::clone(&state);
+        std::thread::spawn(move || serve(listener, state))
+    };
+    std::thread::scope(|s| {
+        for query in [FLIP_QUERY, OTHER_QUERY] {
+            s.spawn(move || {
+                let stream = TcpStream::connect(addr).expect("connect");
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut writer = BufWriter::new(stream);
+                for n in 0..REQUESTS {
+                    let request = Json::obj([
+                        ("op", Json::str("query")),
+                        ("query", Json::str(query)),
+                        ("max_rows", Json::int(1)),
+                        ("profile", Json::Bool(n % 5 == 0)),
+                    ]);
+                    write_json_line(&mut writer, &request).unwrap();
+                    writer.flush().unwrap();
+                    let terminal = loop {
+                        let line = read_json_line(&mut reader).unwrap().expect("a response");
+                        if line.get("kind").and_then(Json::as_str) != Some("row") {
+                            break line;
+                        }
+                    };
+                    assert_eq!(
+                        terminal.get("status").and_then(Json::as_str),
+                        Some("ok"),
+                        "{terminal}"
+                    );
+                }
+            });
+        }
+    });
+    state.begin_shutdown();
+    server.join().expect("server thread").expect("clean drain");
+
+    for (query, solo) in [FLIP_QUERY, OTHER_QUERY].into_iter().zip(solo) {
+        let (plan, status) = state.plan_for(query).unwrap();
+        assert_eq!(status, "hit");
+        // The solo run recorded itself too.
+        assert_eq!(plan.stats.executions(), REQUESTS as u64 + 1);
+        assert_eq!(
+            plan.stats.nodes_expanded_total(),
+            plan.stats.executions() * solo,
+            "{query}"
+        );
+        assert_eq!(plan.stats.nodes_expanded_last(), solo);
+    }
+    assert!(!wdpt_obs::tracing_enabled(), "tracing left on");
 }

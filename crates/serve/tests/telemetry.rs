@@ -156,7 +156,7 @@ fn metrics_op_exposes_request_histograms_and_plan_stats() {
             .and_then(Json::as_num)
             .unwrap()
             > 0.0,
-        "captured evaluation must tally nodes_expanded: {stats}"
+        "every evaluation tallies its nodes_expanded: {stats}"
     );
     let lat = stats.get("latency_us").expect("per-plan latency histogram");
     assert!(lat.get("count").and_then(Json::as_num).unwrap() >= 3.0);
@@ -313,6 +313,15 @@ fn slowlog_captures_slow_and_deadline_exceeded_queries() {
     );
     let profile = slow.get("profile").expect("EXPLAIN profile");
     assert!(profile.get("nodes").and_then(Json::as_arr).is_some());
+    // The work counters are the request's own.
+    let counted = |profile: &Json, name: &str| {
+        let counters = profile.get("counters").and_then(Json::as_arr).unwrap();
+        counters
+            .iter()
+            .find(|c| c.get("name").and_then(Json::as_str) == Some(name))
+            .and_then(|c| c.get("value").and_then(Json::as_num))
+    };
+    assert!(counted(profile, "cq.nodes_expanded").unwrap() > 0.0);
 
     let dead = by_id("dead1");
     assert_eq!(dead.get("status").and_then(Json::as_str), Some("cancelled"));
@@ -320,6 +329,7 @@ fn slowlog_captures_slow_and_deadline_exceeded_queries() {
         .get("profile")
         .expect("deadline-exceeded query keeps its partial profile");
     assert!(dead_profile.get("nodes").and_then(Json::as_arr).is_some());
+    assert!(counted(dead_profile, "cq.nodes_expanded").unwrap() > 0.0);
     let text = slow.get("query").and_then(Json::as_str).unwrap();
     assert!(text.contains("rec_by"));
 
@@ -330,14 +340,14 @@ fn slowlog_captures_slow_and_deadline_exceeded_queries() {
     server.shutdown_and_join();
 }
 
-/// The worker hands the connection thread the profile as recorded and an
-/// entry renders it when one is pushed: a request under the threshold
-/// leaves the log empty (nothing was rendered for it), and an entry's
-/// `profile` is the object the same request's `ok` line carries on demand.
+/// The worker hands the connection thread what the evaluation counted and
+/// an entry renders it when one is pushed: a request under the threshold
+/// leaves the log empty (nothing was rendered for it), and the entry of a
+/// request that asked for a `profile` carries the object on its `ok` line.
 #[test]
 fn slowlog_renders_a_profile_only_for_the_entries_it_pushes() {
-    // Slowlog on at the default one-second threshold: every evaluation runs
-    // captured, none of these is slow.
+    // Slowlog on at the default one-second threshold: none of these is
+    // slow.
     let server = start(ServeConfig::default());
     assert!(server.state.slowlog_enabled());
     let mut c = Client::connect(server.addr);
@@ -409,17 +419,31 @@ fn no_telemetry_disables_slowlog_but_keeps_metrics_op() {
     let (cancelled, _) = c.round_trip(&query_with("t2", HEAVY, &[("deadline_ms", Json::int(200))]));
     assert_eq!(status_of(&cancelled), "cancelled");
 
-    // Nothing captured: the slowlog is inert.
+    // Nothing logged: the slowlog is inert.
     let (log, _) = c.round_trip(&Json::obj([("op", Json::str("slowlog"))]));
     assert_eq!(status_of(&log), "ok");
     assert!(slowlog_entries(&log).is_empty(), "got {log}");
     assert_eq!(log.get("dropped").and_then(Json::as_num), Some(0.0));
+
+    // The per-plan runtime stats are fed all the same: an evaluation hands
+    // its counts back whether or not anything traces the request.
+    let (ok, _) = c.round_trip(&query_with(
+        "t3",
+        CROSS2,
+        &[("max_rows", Json::int(1)), ("explain", Json::Bool(true))],
+    ));
+    let shown = ok.get("explain").and_then(|e| e.get("plan"));
+    let last = shown.and_then(|p| p.get("actual_nodes_last"));
+    assert!(last.and_then(Json::as_num).unwrap() > 0.0, "got {ok}");
 
     // The metrics op itself still answers (the registry just stops
     // receiving request traces from this server).
     let (m, _) = c.round_trip(&Json::obj([("op", Json::str("metrics"))]));
     assert_eq!(status_of(&m), "ok");
     assert_eq!(m.get("kind").and_then(Json::as_str), Some("metrics"));
+    let plans = m.get("plans").and_then(Json::as_arr).expect("plans table");
+    let total = |p: &Json| p.get("nodes_expanded_total").and_then(Json::as_num);
+    assert!(plans.iter().any(|p| total(p).unwrap() > 0.0), "got {m}");
 
     server.shutdown_and_join();
 }

@@ -6,16 +6,15 @@
 //! property-testing framework.
 
 use std::collections::BTreeSet;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Barrier, Mutex, MutexGuard};
 use wdpt::core::{
-    eval_bounded_interface, eval_decide, max_eval_decide, partial_eval_decide, plan_wdpt,
-    semantics, try_evaluate_parallel_captured_planned, try_evaluate_parallel_planned, Engine, Wdpt,
-    WdptBuilder,
+    eval_bounded_interface, eval_decide, evaluate_rows, max_eval_decide, partial_eval_decide,
+    plan_wdpt, semantics, try_evaluate_parallel_planned, Engine, EvalTally, Wdpt, WdptBuilder,
 };
 use wdpt::cq::{backtrack, structured, ConjunctiveQuery};
 use wdpt::gen::Lcg;
 use wdpt::model::mapping::maximal_mappings;
-use wdpt::model::{Atom, CancelToken, Database, Interner, Mapping, Relation, Term, Var};
+use wdpt::model::{Atom, CancelToken, Cancelled, Database, Interner, Mapping, Relation, Term, Var};
 use wdpt::plan::{StatsCatalog, Strategy};
 
 /// The engine counters are process-wide and the harness runs this binary's
@@ -437,6 +436,22 @@ fn adversarial_db(i: &mut Interner, r: &mut Lcg, dom: usize) -> Database {
     db
 }
 
+/// A run's three work counts are what it added to the process-wide
+/// counters — `global` being the `delta_scope` of that run alone, which
+/// [`serial`] makes it.
+fn assert_counted_globally(tally: &EvalTally, global: &wdpt_obs::MetricsSnapshot, what: &str) {
+    assert_eq!(
+        [
+            tally.nodes_expanded,
+            tally.index_probes,
+            tally.tuples_scanned
+        ],
+        ["cq.nodes_expanded", "db.index_probes", "db.tuples_scanned"]
+            .map(|name| global.counter(name)),
+        "{what}"
+    );
+}
+
 /// What one case of the oracle comparison reached.
 struct Reached {
     /// Some answer leaves a free variable unbound: an OPT branch dropped.
@@ -453,11 +468,14 @@ struct Reached {
 /// canonical order — under no plan, under each enumerator's plan and under
 /// a plan whose every node order is a permutation shuffled from `seed` (no
 /// enumerator's taste narrows what is checked), on one thread and on four:
-/// the same mappings *in the same order*, the same per-node homomorphism
-/// tallies, and the same backtracking work on four threads as on one. A tally counts a node's local homomorphisms once per
-/// ancestor context, whether or not that context's interface valuation had
-/// been evaluated before — which is the number of homomorphisms of the
-/// root-to-node path, counted here by the CQ engine.
+/// the same mappings *in the same order*, and the same [`EvalTally`] on four
+/// threads as on one. The tally counts a node's local homomorphisms once
+/// per ancestor context, whether or not that context's interface valuation
+/// had been evaluated before — which is the number of homomorphisms of the
+/// root-to-node path, counted here by the CQ engine — and its three work
+/// counts are what the run added to the process-wide counters (every test
+/// of this binary holds [`serial`], so the deltas are the run's alone): the
+/// local and the global count cannot drift apart.
 fn check_executor(p: &Wdpt, db: &Database, oracle: &[Mapping], case: &str, seed: u64) -> Reached {
     let never = CancelToken::never();
     let free = p.free_set();
@@ -503,11 +521,11 @@ fn check_executor(p: &Wdpt, db: &Database, oracle: &[Mapping], case: &str, seed:
         ("shuffled", Some(&shuffled)),
     ];
     for (name, plan) in plans {
-        let mut nodes_expanded = None;
+        let mut on_one_thread: Option<EvalTally> = None;
         for threads in [1, 4] {
             let what = format!("case={case} plan={name} threads={threads}");
-            let (answers, profile) =
-                try_evaluate_parallel_captured_planned(p, db, threads, never, "diff", plan);
+            let ((answers, tally), global) =
+                wdpt_obs::delta_scope(|| evaluate_rows(p, db, threads, never, plan));
             // The table's own invariants, before it is viewed as mappings:
             // the header is the free variables (each occurs in the tree),
             // ascending, and the rows are strictly ascending as the mappings
@@ -524,16 +542,15 @@ fn check_executor(p: &Wdpt, db: &Database, oracle: &[Mapping], case: &str, seed:
                 assert!(view(r - 1) < view(r), "{what}: rows {} and {r}", r - 1);
             }
             assert_eq!(table.into_mappings(), oracle, "{what}");
-            let tallies: Vec<u64> = profile.nodes.iter().map(|n| n.metrics[0].1).collect();
             let expected: Vec<u64> = path_homs.iter().map(|h| h.len() as u64).collect();
-            assert_eq!(tallies, expected, "{what}");
-            let nodes = profile.counter("cq.nodes_expanded");
-            assert_eq!(*nodes_expanded.get_or_insert(nodes), nodes, "{what}");
-            let tasks = profile.counter("wdpt.parallel_tasks");
+            assert_eq!(tally.homs, expected, "{what}");
+            assert_counted_globally(&tally, &global, &what);
+            let tasks = global.counter("wdpt.parallel_tasks");
             if threads == 1 {
                 assert_eq!(tasks, 0, "{what}");
             }
             reached.fanned_out += tasks;
+            assert_eq!(*on_one_thread.get_or_insert(tally.clone()), tally, "{what}");
         }
     }
     reached
@@ -685,5 +702,76 @@ fn fanned_out_executor_agrees_with_the_local_oracle() {
             "wide {case}: {} searches on worker threads",
             reached.fanned_out
         );
+    }
+}
+
+/// A tally belongs to its run. Eight threads evaluate eight different wide
+/// cases at once (half of them fanning out over workers of their own),
+/// three rounds, released together by a barrier; every tally equals the one
+/// the case produces alone. Read through a recorder's before/after diff of
+/// the process-wide counters — what a served request's `nodes_expanded` was
+/// until this test was written — two overlapping evaluations of Figure 1
+/// got the wrong count in 14 to 100 of 100 runs, as the scheduler let them
+/// overlap (EXPERIMENTS.md, "A request counts its own work").
+#[test]
+fn tallies_are_exact_under_concurrency() {
+    let _serial = serial();
+    let mut r = Lcg::new(0x7157_00cc);
+    let cases: Vec<(Wdpt, Database, usize)> = (0..8)
+        .map(|k| {
+            let mut i = Interner::new();
+            let db = wide_db(&mut i, &mut r, 400);
+            (wide_wdpt(&mut i, &mut r, 400), db, [1, 4][k % 2])
+        })
+        .collect();
+    let tally_of = |(p, db, threads): &(Wdpt, Database, usize)| {
+        let (answers, tally) = evaluate_rows(p, db, *threads, CancelToken::never(), None);
+        answers.expect("never cancels");
+        tally
+    };
+    let alone: Vec<EvalTally> = cases.iter().map(tally_of).collect();
+    assert!(alone.iter().all(|t| t.nodes_expanded > 0));
+    for round in 0..3 {
+        let start = Barrier::new(cases.len());
+        let together: Vec<EvalTally> = std::thread::scope(|s| {
+            let running: Vec<_> = cases
+                .iter()
+                .map(|case| {
+                    s.spawn(|| {
+                        start.wait();
+                        tally_of(case)
+                    })
+                })
+                .collect();
+            running
+                .into_iter()
+                .map(|h| h.join().expect("evaluation thread"))
+                .collect()
+        });
+        assert_eq!(together, alone, "round {round}");
+    }
+}
+
+/// What a cancelled run hands back beside its `Err` is what it did: the
+/// three work counts equal what the partial run added to the process-wide
+/// counters. An expired deadline nobody has latched is noticed at a
+/// search's 1024th step, whatever the clock reads — inside the root's
+/// search, which has 1500 tuples to go through.
+#[test]
+fn a_cancelled_run_counts_the_work_it_did() {
+    let _serial = serial();
+    let mut r = Lcg::new(0x7157_00ca);
+    let mut i = Interner::new();
+    let db = wide_db(&mut i, &mut r, 1000);
+    let p = wide_wdpt(&mut i, &mut r, 1000);
+    for threads in [1, 4] {
+        let ((answers, tally), global) = wdpt_obs::delta_scope(|| {
+            let expired = CancelToken::with_deadline(std::time::Duration::ZERO);
+            evaluate_rows(&p, &db, threads, &expired, None)
+        });
+        assert_eq!(answers.err(), Some(Cancelled), "threads={threads}");
+        assert_eq!(tally.homs.len(), p.node_count());
+        assert!(tally.nodes_expanded > 0 && tally.tuples_scanned > 0);
+        assert_counted_globally(&tally, &global, &format!("threads={threads}"));
     }
 }
