@@ -17,8 +17,7 @@
 //! * membership is a binary search.
 //!
 //! The run sits behind an [`Arc`], so cloning a relation — and with it a
-//! [`Database`] — copies no rows, and a run decoded lazily from a snapshot
-//! is decoded once for all its clones. [`Database::insert`] lands rows in a
+//! [`Database`] — copies no rows. [`Database::insert`] lands rows in a
 //! small sorted *pending run* owned by the one relation being mutated; every
 //! probe consults both runs, and the pending run is folded into the main
 //! run (one merge, which also drops the permutations) when it outgrows a
@@ -26,13 +25,13 @@
 //! row copies and an interleaved insert/probe workload never rebuilds a
 //! permutation per insert.
 //!
-//! Everything lazy lives behind [`OnceLock`]s, so a `Database` is [`Sync`]
-//! and can be shared by reference across the worker threads of the parallel
-//! WDPT evaluator; concurrent first probes are safe (one thread decodes or
-//! sorts, the others reuse the result).
+//! What is built on demand — the column permutations, the active domain —
+//! lives behind [`OnceLock`]s, so a `Database` is [`Sync`] and can be shared
+//! by reference across the worker threads of the parallel WDPT evaluator;
+//! concurrent first probes are safe (one thread sorts, the others reuse the
+//! result).
 
 use crate::atom::Atom;
-use crate::columnar::ColumnarRelation;
 use crate::interner::Interner;
 use crate::stats;
 use crate::term::{Const, Pred};
@@ -273,22 +272,13 @@ fn merge_rows(run: &mut Vec<Const>, run_rows: usize, add: Rows<'_>) -> Result<()
 }
 
 /// The folded part of a relation: one strictly sorted block of rows plus
-/// what is derived from it, shared by every clone of the relation. Either
-/// **owned** (the cells exist up front — bulk load, merge, fold) or
-/// **lazy** (a zero-copy [`ColumnarRelation`] view into a shared snapshot
-/// buffer, decoded into cells on first touch). The backing stays with a
-/// decoded run — it is what `scan_serialized_posting_lens` verifies — so
-/// the snapshot buffer lives until every run decoded from it has been
-/// replaced by a merge or a fold, or dropped.
+/// what is derived from it, shared by every clone of the relation.
 #[derive(Debug)]
 struct Run {
     arity: usize,
-    /// Known without decoding anything, so `len()` and the planner's row
-    /// estimates never force a lazy run.
     rows: usize,
-    backing: Option<ColumnarRelation>,
     /// `rows × arity` cells, row-major.
-    cells: OnceLock<Vec<Const>>,
+    cells: Vec<Const>,
     /// Per column, the row ids sorted by (cell, row id), built by the first
     /// probe that binds the column without binding every column before it.
     /// Column 0 never needs one: the run itself is sorted by it.
@@ -296,7 +286,7 @@ struct Run {
 }
 
 impl Run {
-    fn owned(arity: usize, rows: usize, cells: Vec<Const>) -> Run {
+    fn new(arity: usize, rows: usize, cells: Vec<Const>) -> Run {
         debug_assert_eq!(cells.len(), rows * arity);
         // Permutations address rows by `u32`; insert and the bulk paths
         // bound the count before they get here.
@@ -307,23 +297,13 @@ impl Run {
         Run {
             arity,
             rows,
-            backing: None,
-            cells: OnceLock::from(cells),
+            cells,
             perms: (0..arity).map(|_| OnceLock::new()).collect(),
         }
     }
 
-    fn cells(&self) -> &[Const] {
-        self.cells.get_or_init(|| {
-            self.backing
-                .as_ref()
-                .expect("an owned run has its cells from construction")
-                .decode_run()
-        })
-    }
-
     fn rows(&self) -> Rows<'_> {
-        Rows::new(self.cells(), self.arity, self.rows)
+        Rows::new(&self.cells, self.arity, self.rows)
     }
 
     fn perm(&self, col: usize) -> &[u32] {
@@ -517,11 +497,11 @@ const PENDING_SHARE: usize = 16;
 const PREFIX_CELLS: usize = 8;
 
 /// The extension of a single predicate: a set of constant tuples, held as
-/// a strictly sorted main run — shared with every clone of the relation,
-/// **owned** or still a **lazy** view into a snapshot buffer — plus the
-/// sorted pending run of the rows inserted since the last fold. The two are
-/// disjoint, every accessor consults both, and the difference never shows
-/// through the query API. See the module docs for how probes use them.
+/// a strictly sorted main run — shared with every clone of the relation —
+/// plus the sorted pending run of the rows inserted since the last fold.
+/// The two are disjoint, every accessor consults both, and the difference
+/// never shows through the query API. See the module docs for how probes
+/// use them.
 #[derive(Debug, Clone)]
 pub struct Relation {
     run: Arc<Run>,
@@ -538,7 +518,7 @@ impl Default for Relation {
 
 impl Relation {
     fn new(arity: usize) -> Self {
-        Relation::over(Run::owned(arity, 0, Vec::new()))
+        Relation::over(Run::new(arity, 0, Vec::new()))
     }
 
     fn over(run: Run) -> Self {
@@ -565,7 +545,7 @@ impl Relation {
         if let Err(why) = Rows::new(&cells, arity, rows).check_sorted() {
             panic!("Relation::from_sorted: {why}");
         }
-        Relation::over(Run::owned(arity, rows, cells))
+        Relation::over(Run::new(arity, rows, cells))
     }
 
     /// Builds a relation from `rows` tuples in any order, duplicates
@@ -578,7 +558,7 @@ impl Relation {
     pub fn from_rows(arity: usize, rows: usize, cells: Vec<Const>) -> Relation {
         let unsorted = Rows::new(&cells, arity, rows);
         if unsorted.check_sorted().is_ok() {
-            return Relation::over(Run::owned(arity, rows, cells));
+            return Relation::over(Run::new(arity, rows, cells));
         }
         let mut order: Vec<u32> =
             (0..row_id(rows).expect("row count bounded by the caller")).collect();
@@ -594,29 +574,7 @@ impl Relation {
                 last = Some(row);
             }
         }
-        Relation::over(Run::owned(arity, kept, sorted))
-    }
-
-    /// Builds a **lazy** relation over a zero-copy columnar backing: no
-    /// row is decoded until a query or a mutation touches the relation.
-    /// The caller (the `wdpt-store` decoder) must have validated the
-    /// backing's streams — strictly sorted rows, cells in the constant
-    /// namespace, row count in the `u32` id space.
-    pub fn from_columnar(backing: ColumnarRelation) -> Relation {
-        Relation::over(Run {
-            arity: backing.arity(),
-            rows: backing.rows(),
-            cells: OnceLock::new(),
-            perms: (0..backing.arity()).map(|_| OnceLock::new()).collect(),
-            backing: Some(backing),
-        })
-    }
-
-    /// True while the relation is still a pure zero-copy view (no row
-    /// decoded). Exposed so tests and cold-start accounting can assert
-    /// that loading did not secretly decode anything.
-    pub fn is_lazy(&self) -> bool {
-        self.run.backing.is_some() && self.run.cells.get().is_none()
+        Relation::over(Run::new(arity, kept, sorted))
     }
 
     fn pending(&self) -> Rows<'_> {
@@ -628,14 +586,10 @@ impl Relation {
     /// otherwise. Leaves `self.run` without cells — the caller replaces it.
     fn take_cells(&mut self, extra: usize) -> Vec<Const> {
         let mut cells = match Arc::get_mut(&mut self.run) {
-            Some(run) => {
-                run.cells();
-                run.cells.take().expect("decoded just above")
-            }
+            Some(run) => std::mem::take(&mut run.cells),
             None => {
-                let shared = self.run.cells();
-                let mut cells = Vec::with_capacity(shared.len() + extra);
-                cells.extend_from_slice(shared);
+                let mut cells = Vec::with_capacity(self.run.cells.len() + extra);
+                cells.extend_from_slice(&self.run.cells);
                 cells
             }
         };
@@ -649,7 +603,7 @@ impl Relation {
         let mut cells = self.take_cells(add.cells.len());
         let merged = merge_rows(&mut cells, rows, add);
         // Also when the merge failed: the old run gave its cells away.
-        self.run = Arc::new(Run::owned(add.arity, rows + add.len, cells));
+        self.run = Arc::new(Run::new(add.arity, rows + add.len, cells));
         merged
     }
 
@@ -700,8 +654,7 @@ impl Relation {
         self.run.arity
     }
 
-    /// Number of tuples. Never forces a lazy relation — the count is part
-    /// of the columnar header.
+    /// Number of tuples.
     pub fn len(&self) -> usize {
         self.run.rows + self.pending_rows
     }
@@ -711,8 +664,7 @@ impl Relation {
         self.len() == 0
     }
 
-    /// Iterates over all tuples in ascending order (decoding the run of a
-    /// lazy relation on first use).
+    /// Iterates over all tuples in ascending order.
     pub fn tuples(&self) -> impl Iterator<Item = &[Const]> + '_ {
         let mut main = self.run.rows().iter();
         let mut pending = self.pending().iter();
@@ -725,18 +677,8 @@ impl Relation {
 
     /// Streams `(value, posting_len)` pairs of one column — each distinct
     /// value with the number of tuples holding it, ascending by value —
-    /// from the cheapest truthful source, building nothing: the serialized
-    /// key directory of a snapshot's own run (validated at load, and read
-    /// without decoding a cell, so statistics and the active domain leave a
-    /// lazy relation lazy), else [`Relation::count_posting_lens`].
-    pub fn scan_posting_lens(&self, col: usize, mut f: impl FnMut(Const, u32)) {
-        if self.pending_rows > 0 || !self.scan_serialized_posting_lens(col, &mut f) {
-            self.count_posting_lens(col, f);
-        }
-    }
-
-    /// [`Relation::scan_posting_lens`] counted over the tuples themselves,
-    /// whatever else could answer: one counting pass over the column.
+    /// building nothing: one counting pass over the column. Statistics and
+    /// the active domain read this.
     pub fn count_posting_lens(&self, col: usize, mut f: impl FnMut(Const, u32)) {
         let values = || self.all().map(|t| t[col]);
         let Some(max) = values().map(|c| c.0).max() else {
@@ -756,21 +698,6 @@ impl Relation {
             for group in sorted.chunk_by(|a, b| a == b) {
                 f(group[0], group.len() as u32);
             }
-        }
-    }
-
-    /// Streams `(value, posting_len)` pairs straight from the serialized
-    /// key directory, whatever has been decoded since. Returns `false` for
-    /// relations without one (anything but a snapshot's own run). This is
-    /// what the snapshot *claims*; a deep check compares it against
-    /// [`Relation::count_posting_lens`].
-    pub fn scan_serialized_posting_lens(&self, col: usize, f: impl FnMut(Const, u32)) -> bool {
-        match &self.run.backing {
-            Some(backing) => {
-                backing.scan_key_dir(col, f);
-                true
-            }
-            None => false,
         }
     }
 
@@ -930,18 +857,18 @@ impl Relation {
         }
     }
 
-    /// Forces the run and every column permutation and cross-checks them:
-    /// the cell count against the header's row count, both runs strictly
-    /// sorted and disjoint, and each permutation a permutation of the row
-    /// ids in ascending (cell, row id) order. `wdpt-store verify` runs this
-    /// to extend the load-time stream validation of lazily-decoded
-    /// snapshots down to everything derived from them.
+    /// Forces every column permutation and cross-checks the relation: the
+    /// cell count against the row count, both runs strictly sorted and
+    /// disjoint, and each permutation a permutation of the row ids in
+    /// ascending (cell, row id) order. `wdpt-store verify` runs this to
+    /// extend the load-time validation of a file's runs to everything
+    /// derived from them.
     pub fn verify_deep(&self) -> Result<(), String> {
         let arity = self.arity();
-        let cells = self.run.cells();
+        let cells = &self.run.cells;
         if cells.len() != self.run.rows * arity {
             return Err(format!(
-                "run holds {} cells but the header declares {} rows of arity {arity}",
+                "run holds {} cells, which is not {} rows of arity {arity}",
                 cells.len(),
                 self.run.rows
             ));
@@ -986,12 +913,10 @@ impl Relation {
 /// Cloning copies no rows: every relation's run is shared with the clone
 /// until one of the two folds an insert into it.
 ///
-/// The active domain is computed lazily: eagerly deriving it at
-/// construction would force every lazily-decoded relation of a zero-copy
-/// snapshot, defeating the near-constant-time load. The first
-/// [`Database::active_domain`] call pays one streaming pass over key
-/// directories (lazy relations) or runs (the others); inserts afterwards
-/// maintain it incrementally.
+/// The active domain is computed on first use: most databases are loaded,
+/// served and replaced without anyone asking for it. The first
+/// [`Database::active_domain`] call pays one counting pass per column;
+/// inserts afterwards maintain it incrementally.
 #[derive(Debug, Default, Clone)]
 pub struct Database {
     relations: HashMap<Pred, Relation>,
@@ -1005,8 +930,8 @@ impl Database {
     }
 
     /// Assembles a database from bulk-constructed relations (see
-    /// [`Relation::from_sorted`] and [`Relation::from_columnar`]). The
-    /// active domain stays lazy — see the type-level docs.
+    /// [`Relation::from_sorted`] and [`Relation::from_rows`]). The active
+    /// domain is left uncomputed — see the type-level docs.
     ///
     /// # Panics
     /// Panics if the same predicate appears twice.
@@ -1097,13 +1022,13 @@ impl Database {
 
     /// The active domain: all constants occurring in some tuple. Computed
     /// on first use from each column's distinct values
-    /// ([`Relation::scan_posting_lens`]), so lazy relations stay undecoded.
+    /// ([`Relation::count_posting_lens`]).
     pub fn active_domain(&self) -> &BTreeSet<Const> {
         self.active_domain.get_or_init(|| {
             let mut domain: Vec<Const> = Vec::new();
             for rel in self.relations.values() {
                 for col in 0..rel.arity() {
-                    rel.scan_posting_lens(col, |c, _| domain.push(c));
+                    rel.count_posting_lens(col, |c, _| domain.push(c));
                 }
             }
             domain.sort_unstable();
@@ -1132,7 +1057,7 @@ impl Database {
     /// Consumes the database into its relations, in unspecified order.
     /// Paired with [`Database::from_sorted`], this lets bulk transformations
     /// (snapshot delta application, interner remapping) move untouched
-    /// relations into the result as they are, lazy ones still lazy.
+    /// relations into the result as they are.
     pub fn into_relations(self) -> impl Iterator<Item = (Pred, Relation)> {
         self.relations.into_iter()
     }

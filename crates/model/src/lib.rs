@@ -27,7 +27,6 @@
 
 pub mod atom;
 pub mod cancel;
-pub mod columnar;
 pub mod database;
 pub mod interner;
 pub mod mapping;
@@ -37,7 +36,6 @@ pub mod term;
 
 pub use atom::Atom;
 pub use cancel::{CancelToken, Cancelled};
-pub use columnar::{ColumnSlices, ColumnarRelation};
 pub use database::{row_id, Candidates, Database, Matching, ProbeTally, Relation, TooManyRows};
 pub use interner::{Interner, SymbolSpace};
 pub use mapping::Mapping;

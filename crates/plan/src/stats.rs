@@ -75,10 +75,8 @@ fn column_stats(rel: &Relation, col: usize) -> ColumnStats {
         }
     };
     // Posting-list lengths are all the catalog needs, and the relation
-    // streams them without building anything: a snapshot's own
-    // run walks its serialized key directory in place (decoding no cell),
-    // any other is counted over.
-    rel.scan_posting_lens(col, |c, n| tally(c, u64::from(n)));
+    // streams them without building anything: one counting pass.
+    rel.count_posting_lens(col, |c, n| tally(c, u64::from(n)));
     ColumnStats { distinct, mcv }
 }
 
@@ -166,39 +164,6 @@ mod tests {
         assert_eq!(rs.columns[1].distinct, 3); // x, y, z
     }
 
-    /// A lazy columnar copy of `rel`, as the snapshot decoder would hand it
-    /// out: sorted cells and a key directory per column, nothing decoded.
-    fn columnar_copy(rel: &Relation) -> Relation {
-        use wdpt_model::columnar::{encode_cells, encode_key_dir};
-        use wdpt_model::{ColumnSlices, ColumnarRelation};
-        let tuples: Vec<&[Const]> = rel.tuples().collect();
-        let mut raw = Vec::new();
-        let columns = (0..rel.arity())
-            .map(|col| {
-                let start = raw.len();
-                encode_cells(&mut raw, tuples.iter().map(|t| t[col].0));
-                let cells = start..raw.len();
-                let mut counts: std::collections::BTreeMap<u32, u32> = Default::default();
-                for t in &tuples {
-                    *counts.entry(t[col].0).or_insert(0) += 1;
-                }
-                let start = raw.len();
-                encode_key_dir(&mut raw, counts.iter().map(|(&k, &n)| (k, n)));
-                ColumnSlices {
-                    cells,
-                    keys: counts.len(),
-                    key_dir: start..raw.len(),
-                }
-            })
-            .collect();
-        Relation::from_columnar(ColumnarRelation::new(
-            raw.into(),
-            rel.arity(),
-            tuples.len(),
-            columns,
-        ))
-    }
-
     #[test]
     fn every_source_of_posting_lengths_gives_the_same_statistics() {
         let mut i = Interner::new();
@@ -216,32 +181,38 @@ mod tests {
         }
         let db = parse_database(&mut i, &spec).unwrap();
         let e = i.pred("e");
-        let rel = db.relation(e).unwrap();
+        let rows: Vec<Vec<Const>> = db
+            .relation(e)
+            .unwrap()
+            .tuples()
+            .map(<[_]>::to_vec)
+            .collect();
         let stats_of = |rel: Relation| {
             let catalog = StatsCatalog::build(&Database::from_sorted(vec![(e, rel)]));
             catalog.relation(e).unwrap().clone()
         };
-        // The same tuples five ways: built by inserts (a folded run plus
-        // pending rows), with its permutations built, as a lazy snapshot
-        // view (key directories), decoded, and merged from two runs.
-        let stats = stats_of(rel.clone());
-        rel.build_all_indexes();
-        assert_eq!(stats, stats_of(rel.clone()));
-        let lazy = columnar_copy(rel);
-        assert!(lazy.is_lazy());
-        assert_eq!(stats, stats_of(lazy.clone()));
-        assert_eq!(lazy.tuples().count(), rel.len());
-        assert!(!lazy.is_lazy());
-        assert_eq!(stats, stats_of(lazy));
-        let every_other = |odd: usize| -> Vec<Const> {
-            let rows = rel.tuples().enumerate().filter(|(r, _)| r % 2 == odd);
-            rows.flat_map(|(_, t)| t.iter().copied()).collect()
-        };
-        let (base, add) = (every_other(0), every_other(1));
-        let merged = Relation::from_sorted(2, base.len() / 2, base)
-            .merge_sorted(add.len() / 2, &add)
-            .unwrap();
-        assert_eq!(stats, stats_of(merged));
+        // The same tuples four ways. Built in bulk:
+        let bulk = Relation::from_sorted(2, rows.len(), rows.concat());
+        let stats = stats_of(bulk.clone());
+        bulk.build_all_indexes();
+        assert_eq!(stats, stats_of(bulk), "permutations change nothing");
+        // Arriving through inserts, the last few still in the pending run
+        // (three rows are below any fold threshold) …
+        let (early, late) = rows.split_at(rows.len() - 3);
+        let early = Relation::from_sorted(2, early.len(), early.concat());
+        let mut inserted = Database::from_sorted(vec![(e, early)]);
+        for row in late {
+            assert!(inserted.insert(e, row.clone()));
+        }
+        let pending = inserted.relation(e).unwrap().clone();
+        assert_eq!(stats, stats_of(pending.clone()));
+        // … and after the fold.
+        let (arity, len, cells) = pending.into_parts();
+        assert_eq!(stats, stats_of(Relation::from_sorted(arity, len, cells)));
+        // Decoded from a snapshot file.
+        let bytes = wdpt_store::snapshot_to_vec_v2(&i, &db).unwrap();
+        let (_, decoded) = wdpt_store::decode_snapshot(&bytes).unwrap();
+        assert_eq!(stats, stats_of(decoded.relation(e).unwrap().clone()));
 
         let mcv = &stats.columns[0].mcv;
         assert_eq!(mcv.len(), MCV_ENTRIES);

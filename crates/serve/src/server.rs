@@ -444,9 +444,14 @@ impl ServeState {
         // the served head history wants.
         let (pair, chain) = match wdpt_store::decode_chain(&base_bytes, &delta_bytes) {
             Ok(loaded) => loaded,
-            Err(e) => {
+            Err((link, e)) => {
                 counter!("serve.store.reload_failed").add(1);
-                return Err(format!("{}: {e}", snapshot.display()));
+                // Name the file that failed, not the chain's first one.
+                let file = match link.checked_sub(1) {
+                    None => snapshot,
+                    Some(i) => deltas[i].as_ref(),
+                };
+                return Err(format!("{}: {e}", file.display()));
             }
         };
         let deltas = delta_bytes
@@ -788,32 +793,26 @@ fn handle_connection(
                     return Ok(());
                 }
                 let bytes = std::mem::take(&mut buf);
-                let (response, trace) = match std::str::from_utf8(&bytes) {
+                // The line is parsed and decoded once, here; the trace opens
+                // before that, so the read stage covers it.
+                let trace = RequestTrace::start();
+                let (response, trace) = match decode_line(&bytes) {
+                    Ok(None) => (Vec::new(), None),
                     // A `subscribe` op inverts the connection into a push
                     // stream and never returns to the request loop.
-                    Ok(line) if parse_subscribe(line.trim()).is_some() => {
-                        let (sub_id, base) = parse_subscribe(line.trim()).expect("just matched");
+                    Ok(Some((_, Request::Subscribe { id, base }))) => {
                         return run_subscription(
-                            sub_id.as_deref(),
+                            id.as_deref(),
                             base,
                             &state,
                             &mut reader,
                             &mut writer,
                         );
                     }
-                    Ok(line) => handle_line(line.trim(), &state, &tx),
-                    Err(_) => {
-                        counter!("serve.requests.error").add(1);
-                        (
-                            encoded(&error_line(
-                                None,
-                                "bad_request",
-                                "request line is not valid UTF-8",
-                                None,
-                            )),
-                            None,
-                        )
+                    Ok(Some((id, request))) => {
+                        handle_request(id.as_deref(), request, trace, &state, &tx)
                     }
+                    Err(bad_request) => (bad_request, None),
                 };
                 writer.write_all(&response)?;
                 writer.flush()?;
@@ -856,17 +855,27 @@ fn handle_connection(
     }
 }
 
-/// Recognizes a well-formed `subscribe` request, returning its `(id,
-/// base)`. Malformed subscribes (bad base hex) return `None` and fall
-/// through to [`handle_line`], which answers `bad_request`.
-fn parse_subscribe(line: &str) -> Option<(Option<String>, Option<u64>)> {
-    let value = Json::parse(line).ok()?;
-    if value.get("op").and_then(Json::as_str) != Some("subscribe") {
-        return None;
+/// Parses and decodes one request line into its `id` and [`Request`] —
+/// `None` for an empty line, the encoded `bad_request` response for a line
+/// that is not UTF-8, not JSON or not a request (a malformed `subscribe`
+/// included).
+fn decode_line(line: &[u8]) -> Result<Option<(Option<String>, Request)>, Vec<u8>> {
+    let bad_request = |id: Option<&str>, message: &str| {
+        counter!("serve.requests.error").add(1);
+        encoded(&error_line(id, "bad_request", message, None))
+    };
+    let line = std::str::from_utf8(line)
+        .map_err(|_| bad_request(None, "request line is not valid UTF-8"))?
+        .trim();
+    if line.is_empty() {
+        return Ok(None);
     }
+    counter!("serve.requests.received").add(1);
+    let value = Json::parse(line).map_err(|e| bad_request(None, &format!("invalid JSON: {e}")))?;
+    let id = value.get("id").and_then(Json::as_str).map(str::to_string);
     match Request::from_json(&value) {
-        Ok(Request::Subscribe { id, base }) => Some((id, base)),
-        _ => None,
+        Ok(request) => Ok(Some((id, request))),
+        Err(e) => Err(bad_request(id.as_deref(), &e)),
     }
 }
 
@@ -881,7 +890,6 @@ fn run_subscription(
     reader: &mut BufReader<TcpStream>,
     writer: &mut BufWriter<TcpStream>,
 ) -> io::Result<()> {
-    counter!("serve.requests.received").add(1);
     let send = |w: &mut BufWriter<TcpStream>, line: &Json| -> io::Result<()> {
         wdpt_obs::write_json_line(w, line)
     };
@@ -971,44 +979,18 @@ fn run_subscription(
     }
 }
 
-/// Handles one request line, returning the encoded response plus, for
-/// telemetry-traced queries, the request's stage-timed trace. The caller
-/// finishes the trace (respond stage) after flushing the response and
-/// records it into the `serve.request.*` histograms.
-fn handle_line(
-    line: &str,
+/// Handles one decoded request, returning the encoded response plus, for
+/// telemetry-traced queries, the request's stage-timed trace (`trace`,
+/// opened by the caller before it decoded the line). The caller finishes
+/// the trace (respond stage) after flushing the response and records it
+/// into the `serve.request.*` histograms.
+fn handle_request(
+    id: Option<&str>,
+    request: Request,
+    mut trace: RequestTrace,
     state: &ServeState,
     tx: &SyncSender<Job>,
 ) -> (Vec<u8>, Option<RequestTrace>) {
-    if line.is_empty() {
-        return (Vec::new(), None);
-    }
-    let mut trace = RequestTrace::start();
-    counter!("serve.requests.received").add(1);
-    let value = match Json::parse(line) {
-        Ok(v) => v,
-        Err(e) => {
-            counter!("serve.requests.error").add(1);
-            return (
-                encoded(&error_line(
-                    None,
-                    "bad_request",
-                    &format!("invalid JSON: {e}"),
-                    None,
-                )),
-                None,
-            );
-        }
-    };
-    let id_owned = value.get("id").and_then(Json::as_str).map(str::to_string);
-    let id = id_owned.as_deref();
-    let request = match Request::from_json(&value) {
-        Ok(r) => r,
-        Err(e) => {
-            counter!("serve.requests.error").add(1);
-            return (encoded(&error_line(id, "bad_request", &e, None)), None);
-        }
-    };
     let line = match request {
         Request::Ping => Json::obj([("status", Json::str("ok")), ("kind", Json::str("pong"))]),
         Request::Stats => stats_line(state),
@@ -1061,16 +1043,11 @@ fn handle_line(
             let trace = state.cfg.telemetry.then_some(trace);
             return (response, trace);
         }
-        // Well-formed subscribes are intercepted in `handle_connection`;
-        // reaching here means the stream inversion was impossible.
+        // `handle_connection` turns the connection over to the subscriber
+        // instead of calling here.
         Request::Subscribe { .. } => {
             counter!("serve.requests.error").add(1);
-            error_line(
-                id,
-                "bad_request",
-                "subscribe must be the connection's first and only request",
-                None,
-            )
+            error_line(id, "bad_request", "subscribe inverts a connection", None)
         }
         Request::Reload {
             id: _,

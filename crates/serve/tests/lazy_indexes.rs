@@ -2,7 +2,7 @@
 //! nothing either: a relation is one sorted run, a probe that binds a
 //! leading prefix — `(s, p, ?o)` — searches the run in place, and only a
 //! probe that cannot use the prefix derives a row-id permutation, once per
-//! column. Relations a delta does not touch are not even decoded.
+//! column.
 //!
 //! Kept to a single `#[test]` on purpose: the index-build counter is
 //! process-wide, and a sibling test evaluating queries in this binary
@@ -73,11 +73,6 @@ fn a_reload_and_the_first_point_query_after_it_build_nothing() {
             0,
             "the reload built something"
         );
-        let label = live.pred("label");
-        if remapped == 0 {
-            let untouched = db.relation(label).unwrap();
-            assert!(untouched.is_lazy(), "the delta does not name `label`");
-        }
         let triple = TripleStore::pred(&mut live);
         let rel = db.relation(triple).unwrap();
 

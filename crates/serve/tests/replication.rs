@@ -357,6 +357,140 @@ fn follower_bootstraps_streams_and_serves_read_your_writes() {
 /// The primary's replication log survives a restart: reopening the same
 /// log directory replays the recorded deltas, so a new primary process
 /// resumes at the old chain head.
+/// The request line is parsed once and dispatched on the decoded request,
+/// not on how its text spells the op: an escaped `subscribe` inverts the
+/// connection like any other, and a malformed one is an ordinary
+/// `bad_request` on a connection that goes on answering.
+#[test]
+fn an_escaped_subscribe_op_still_inverts_the_connection() {
+    let (dir, base_path, _) = build_chain("escaped");
+    let primary = start(primary_state(&base_path, &dir.join("repl")));
+
+    let mut sub = Client::connect(primary.addr);
+    writeln!(sub.writer, r#"{{"op":"\u0073ubscribe","id":"s1"}}"#).unwrap();
+    sub.writer.flush().unwrap();
+    let first = read_json_line(&mut sub.reader).unwrap().unwrap();
+    assert_eq!(
+        first.get("kind").and_then(Json::as_str),
+        Some("subscribed"),
+        "got {first}"
+    );
+    assert_eq!(first.get("id").and_then(Json::as_str), Some("s1"));
+    let snap = read_json_line(&mut sub.reader).unwrap().unwrap();
+    assert_eq!(snap.get("status").and_then(Json::as_str), Some("snapshot"));
+
+    let mut c = Client::connect(primary.addr);
+    let (bad, _) = c.round_trip(&Json::obj([
+        ("op", Json::str("subscribe")),
+        ("id", Json::str("s2")),
+        ("base", Json::str("not a head")),
+    ]));
+    assert_eq!(status_of(&bad), "error", "got {bad}");
+    assert_eq!(bad.get("kind").and_then(Json::as_str), Some("bad_request"));
+    assert_eq!(bad.get("id").and_then(Json::as_str), Some("s2"));
+    let (pong, _) = c.round_trip(&Json::obj([("op", Json::str("ping"))]));
+    assert_eq!(pong.get("kind").and_then(Json::as_str), Some("pong"));
+
+    primary.shutdown_and_join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A reload that fails inside the chain says which file failed.
+#[test]
+fn a_failed_reload_names_the_delta_that_failed() {
+    let (dir, base_path, deltas) = build_chain("named");
+    let mut bytes = std::fs::read(&deltas[1]).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x01; // the end section's checksum
+    std::fs::write(&deltas[1], bytes).unwrap();
+
+    let server = start(primary_state(&base_path, &dir.join("repl")));
+    let (symbols, head) = (server.state.interner_len(), server.state.current_head());
+    let mut c = Client::connect(server.addr);
+    let paths = deltas.iter().map(|d| Json::str(d.to_str().unwrap()));
+    let (err, _) = c.round_trip(&Json::obj([
+        ("op", Json::str("reload")),
+        ("id", Json::str("r1")),
+        ("snapshot", Json::str(base_path.to_str().unwrap())),
+        ("deltas", Json::Arr(paths.collect())),
+    ]));
+    assert_eq!(status_of(&err), "error", "got {err}");
+    assert_eq!(
+        err.get("kind").and_then(Json::as_str),
+        Some("reload_failed")
+    );
+    let message = err.get("message").and_then(Json::as_str).unwrap();
+    assert!(
+        message.contains("d2.delta"),
+        "the culprit is not named: {message}"
+    );
+    assert!(
+        !message.contains("base.snap"),
+        "the base is blamed: {message}"
+    );
+    assert!(
+        !message.contains("d1.delta"),
+        "the good delta is blamed: {message}"
+    );
+    assert!(message.contains("checksum"), "got: {message}");
+
+    // Nothing of the half-applied chain stuck.
+    assert_eq!(server.state.interner_len(), symbols);
+    assert_eq!(server.state.current_head(), head);
+    let (ok, rows) = c.round_trip(&Json::obj([
+        ("op", Json::str("query")),
+        ("id", Json::str("q1")),
+        ("query", Json::str(Q)),
+    ]));
+    assert_eq!(status_of(&ok), "ok", "got {ok}");
+    assert_eq!(subjects(&rows), ["swim"]);
+
+    server.shutdown_and_join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A primary on another format version: its frames are refused by their
+/// version field at apply, typed, and the follower goes on serving the head
+/// it has (DESIGN.md §11, failure matrix).
+#[test]
+fn frames_of_another_format_version_are_refused_at_apply() {
+    use wdpt_repl::ReplApply;
+    let (dir, base_path, deltas) = build_chain("versions");
+    let base = std::fs::read(&base_path).unwrap();
+    let delta = std::fs::read(&deltas[0]).unwrap();
+    let with_version = |bytes: &[u8], version: u32| {
+        let mut other = bytes.to_vec();
+        other[8..12].copy_from_slice(&version.to_le_bytes());
+        other
+    };
+    let (base_head, delta_head) = (
+        wdpt_store::content_hash(&base),
+        wdpt_store::content_hash(&delta),
+    );
+
+    let state = follower_state();
+    let apply = FollowerApply::new(Arc::clone(&state), "music");
+    let err = apply
+        .apply_snapshot(base_head, &with_version(&base, 2))
+        .unwrap_err();
+    assert!(err.contains("unsupported format version 2"), "got: {err}");
+    assert_eq!(state.current_head(), None);
+
+    apply.apply_snapshot(base_head, &base).unwrap();
+    let symbols = state.interner_len();
+    let err = apply
+        .apply_delta(delta_head, base_head, &with_version(&delta, 1))
+        .unwrap_err();
+    assert!(err.contains("unsupported format version 1"), "got: {err}");
+    assert_eq!(state.current_head(), Some(base_head));
+    assert_eq!(state.interner_len(), symbols);
+    // The pristine pair was put back: today's frame still applies.
+    apply.apply_delta(delta_head, base_head, &delta).unwrap();
+    assert_eq!(state.current_head(), Some(delta_head));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn primary_log_replays_after_restart() {
     let (dir, base_path, deltas) = build_chain("replay");

@@ -25,12 +25,12 @@ use wdpt_store::{LoadOptions, StoreError};
 const USAGE: &str = "usage:
   wdpt-store build INPUT SNAPSHOT [--threads N] [--chunk-lines N]
       parse a text dataset (N-Triples or facts) in parallel and write a
-      snapshot (compressed columnar encoding: delta+varint cells,
-      front-coded dictionary, zero-copy load)
+      snapshot (one sorted run per relation as delta+varint columns,
+      front-coded dictionary, a checksum per section)
   wdpt-store verify SNAPSHOT [--delta DELTA]...
       fully decode a snapshot (applying any delta chain), checking every
-      checksum, chain hash, and invariant, then cross-check each relation's
-      key directory against the indexes derived from its cells
+      checksum, chain hash, and invariant, then build each relation's
+      column permutations and cross-check them against its run
   wdpt-store verify --chain DIR
       order every WDPTSNAP file in DIR into a delta chain by base-hash
       linkage (the layout a replication log keeps), verify it end to end,
@@ -167,9 +167,8 @@ fn cmd_verify(mut args: Vec<String>) -> ExitCode {
     };
     match loaded {
         Ok((interner, db)) => {
-            // Checksums guarantee the bytes are the ones written; the deep
-            // check guarantees the posting directories actually describe
-            // the tuples (a forged-but-CRC-valid directory fails here).
+            // Loading validated the runs themselves; the deep check
+            // extends that to what is derived from them.
             if let Err(e) = wdpt_store::verify_database_deep(&db) {
                 return data_err(&e);
             }

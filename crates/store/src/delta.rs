@@ -10,9 +10,13 @@
 //! | tag  | section        | payload                                                        |
 //! |------|----------------|----------------------------------------------------------------|
 //! | 0x04 | delta header   | base_hash u64 · base_symbols u64 · symbols u64 · fresh u64 · relations u32 · inserted u64 |
-//! | 0x02 | dictionary     | the `symbols − base_symbols` **appended** symbols, id order: space u8 · len u32 · UTF-8 bytes |
-//! | 0x05 | relation delta | pred u32 · arity u32 · rows u64 · column-major cells (sorted)  |
+//! | 0x07 | dictionary     | one dictionary block: the `symbols − base_symbols` **appended** symbols, id order |
+//! | 0x05 | relation delta | one relation block: the insertion run of one predicate         |
 //! | 0xFF | end            | empty                                                          |
+//!
+//! The dictionary and relation blocks are the snapshot's own
+//! (`crate::format::encode_dictionary`, `crate::format::encode_relation`
+//! and their decoders): a delta is a small snapshot of what was added.
 //!
 //! `base_hash` is the FNV-1a-64 [`content_hash`] of the immediate
 //! predecessor *file* — the base snapshot for the first delta, the
@@ -24,13 +28,14 @@
 //! merges each into the touched relation's sorted run in place
 //! ([`Relation::merge_sorted`]), moving only the rows above the lowest
 //! insertion point. Relations the delta does not touch are moved into the
-//! result wholesale, still lazy.
+//! result as they are.
 
 use crate::format::{
-    checked_count, content_hash, decode_snapshot, expect_tag, len_u32, malformed, push_section,
-    read_magic_version, read_section, space_code, space_from_code, write_atomic, Reader,
-    SpaceTable, StoreError, MAGIC, SECTION_FRAME_BYTES, TAG_DELTA_HEADER, TAG_DICTIONARY, TAG_END,
-    TAG_HEADER, TAG_RELATION_DELTA,
+    checked_count, content_hash, decode_relation, decode_snapshot, encode_dictionary,
+    encode_relation, expect_tag, len_u32, malformed, parse_dictionary, push_section, read_end,
+    read_magic_version, read_section, write_atomic, Reader, RelationBlock, SpaceTable, StoreError,
+    MAGIC, SECTION_FRAME_BYTES, TAG_DELTA_HEADER, TAG_DICTIONARY, TAG_END, TAG_HEADER,
+    TAG_RELATION_DELTA,
 };
 use std::collections::{BTreeMap, HashSet};
 use std::path::Path;
@@ -38,9 +43,9 @@ use wdpt_model::{Const, Database, Interner, Pred, Relation, SymbolSpace};
 use wdpt_obs::{counter, span};
 
 /// The version field of a delta file. Deltas share the snapshot container
-/// but are versioned on their own: the delta sections have not changed
-/// since they were introduced.
-const DELTA_VERSION: u32 = 1;
+/// and its block codecs but are versioned on their own; version `1` held a
+/// length-prefixed dictionary and fixed-width cells.
+pub(crate) const DELTA_VERSION: u32 = 2;
 
 /// The parsed delta-header section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,16 +66,6 @@ pub struct DeltaHeader {
     pub inserted: u64,
 }
 
-/// One relation's insertion run: `rows × arity` cells, row-major, strictly
-/// sorted.
-#[derive(Debug)]
-struct RelationDelta {
-    pred: Pred,
-    arity: usize,
-    rows: usize,
-    cells: Vec<Const>,
-}
-
 /// A fully parsed (but not yet applied) delta file.
 #[derive(Debug)]
 pub struct Delta {
@@ -79,7 +74,7 @@ pub struct Delta {
     /// Appended symbols, in id order starting at `header.base_symbols`.
     appended: Vec<(SymbolSpace, String)>,
     /// Per-relation insertion runs, predicates strictly ascending.
-    relations: Vec<RelationDelta>,
+    relations: Vec<RelationBlock>,
 }
 
 impl Delta {
@@ -196,73 +191,18 @@ pub fn delta_to_vec(
     push_section(
         &mut out,
         TAG_DICTIONARY,
-        &encode_dictionary(new_interner.symbols().skip(base_interner.len()))?,
+        &encode_dictionary(new_interner.symbols().skip(base_interner.len())),
     );
 
     for (pred, arity, rows) in diffs {
-        let mut payload = Vec::with_capacity(16 + rows.len() * arity * 4);
-        payload.extend_from_slice(&pred.0.to_le_bytes());
-        payload.extend_from_slice(&len_u32(arity, "relation arity")?.to_le_bytes());
-        payload.extend_from_slice(&(rows.len() as u64).to_le_bytes());
-        for col in 0..arity {
-            for t in &rows {
-                payload.extend_from_slice(&t[col].0.to_le_bytes());
-            }
-        }
-        push_section(&mut out, TAG_RELATION_DELTA, &payload);
+        let block = encode_relation(pred, arity, rows.len(), || rows.iter().copied())?;
+        push_section(&mut out, TAG_RELATION_DELTA, &block);
     }
 
     push_section(&mut out, TAG_END, &[]);
     counter!("store.delta.bytes_encoded").add(out.len() as u64);
     counter!("store.delta.encodes").add(1);
     Ok(out)
-}
-
-/// Encodes the appended-symbols dictionary: `space u8 · len u32 · bytes`
-/// per entry.
-fn encode_dictionary<'a>(
-    symbols: impl Iterator<Item = (SymbolSpace, &'a str)>,
-) -> Result<Vec<u8>, StoreError> {
-    let mut dict = Vec::new();
-    for (space, name) in symbols {
-        dict.push(space_code(space));
-        dict.extend_from_slice(&len_u32(name.len(), "symbol name length")?.to_le_bytes());
-        dict.extend_from_slice(name.as_bytes());
-    }
-    Ok(dict)
-}
-
-/// Parses exactly `count` dictionary entries from `payload` (inverse of
-/// [`encode_dictionary`]).
-fn parse_dictionary_entries(
-    payload: &[u8],
-    count: usize,
-) -> Result<Vec<(SymbolSpace, String)>, StoreError> {
-    // Every entry is at least 5 bytes (space u8 · len u32 · 0+ name
-    // bytes); a declared count the payload cannot possibly hold is a
-    // typed error before anything is sized from it.
-    checked_count(count as u64, 5, payload.len(), "dictionary", "symbols")?;
-    let mut r = Reader::new(payload);
-    let mut symbols = Vec::with_capacity(count);
-    for i in 0..count {
-        let space = space_from_code(r.u8("dictionary")?)
-            .ok_or_else(|| malformed("dictionary", format!("bad namespace code for symbol {i}")))?;
-        let len = r.u32("dictionary")? as usize;
-        let bytes = r.take(len, "dictionary")?;
-        let name = std::str::from_utf8(bytes)
-            .map_err(|_| malformed("dictionary", format!("symbol {i} is not UTF-8")))?;
-        symbols.push((space, name.to_string()));
-    }
-    if r.remaining() != 0 {
-        return Err(malformed("dictionary", "trailing bytes"));
-    }
-    Ok(symbols)
-}
-
-/// Infallible-by-inspection little-endian u32 read: `None` instead of a
-/// `try_into().unwrap()` panic on the decode path.
-fn le_u32(bytes: &[u8]) -> Option<u32> {
-    Some(u32::from_le_bytes(<[u8; 4]>::try_from(bytes).ok()?))
 }
 
 /// Parses a delta file, verifying magic, version, every CRC, and all
@@ -311,7 +251,7 @@ pub fn decode_delta(bytes: &[u8]) -> Result<Delta, StoreError> {
 
     let section = read_section(&mut r, "dictionary")?;
     expect_tag(&section, TAG_DICTIONARY, "dictionary")?;
-    let appended = parse_dictionary_entries(section.payload, appended_count)?;
+    let appended = parse_dictionary(section.payload, appended_count)?;
 
     // Each relation-delta section costs at least its framing; bound the
     // declared count against the bytes present before sizing anything.
@@ -322,76 +262,22 @@ pub fn decode_delta(bytes: &[u8]) -> Result<Delta, StoreError> {
         "delta header",
         "relation sections",
     )?;
-    let mut relations: Vec<RelationDelta> = Vec::with_capacity(rel_count);
+    let mut relations: Vec<RelationBlock> = Vec::with_capacity(rel_count);
     let mut total: u64 = 0;
     for idx in 0..rel_count {
         let label = format!("relation delta[{idx}]");
         let label = label.as_str();
         let section = read_section(&mut r, label)?;
         expect_tag(&section, TAG_RELATION_DELTA, label)?;
-        let mut pr = Reader::new(section.payload);
-        let pred = Pred(pr.u32(label)?);
-        if let Some(prev) = relations.last() {
-            if prev.pred >= pred {
-                return Err(malformed(label, "predicates not strictly ascending"));
-            }
+        let block = decode_relation(section.payload, label)?;
+        if relations.last().is_some_and(|prev| prev.pred >= block.pred) {
+            return Err(malformed(label, "predicates not strictly ascending"));
         }
-        let arity_u32 = pr.u32(label)?;
-        let rows_u64 = pr.u64(label)?;
-        if rows_u64 == 0 {
+        if block.rows == 0 {
             return Err(malformed(label, "empty relation delta"));
         }
-        // Bound both counts against the remaining bytes *before* sizing
-        // allocations from them (rows ≥ 1 here, so 4 bytes per column is
-        // a hard floor; each row costs 4·arity cell bytes — none for the
-        // one row a nullary relation can hold).
-        let arity = checked_count(u64::from(arity_u32), 4, pr.remaining(), label, "columns")?;
-        if arity == 0 && rows_u64 > 1 {
-            return Err(malformed(label, "nullary relation with more than one row"));
-        }
-        let rows = checked_count(rows_u64, 4 * arity as u64, pr.remaining(), label, "rows")?;
-        let cells = arity
-            .checked_mul(rows)
-            .and_then(|c| c.checked_mul(4))
-            .ok_or_else(|| malformed(label, "cell count overflow"))?;
-        if pr.remaining() < cells {
-            return Err(StoreError::Truncated {
-                section: label.to_string(),
-            });
-        }
-        // Column-major on the wire, row-major in the run.
-        let mut run = vec![Const(0); arity * rows];
-        for col in 0..arity {
-            let column = pr.take(rows * 4, label)?;
-            for (cell, bytes) in run
-                .iter_mut()
-                .skip(col)
-                .step_by(arity)
-                .zip(column.chunks(4))
-            {
-                *cell =
-                    Const(le_u32(bytes).ok_or_else(|| malformed(label, "misaligned cell bytes"))?);
-            }
-        }
-        let row = |r: usize| &run[r * arity..(r + 1) * arity];
-        if let Some(r) = (1..rows).find(|&r| row(r - 1) >= row(r)) {
-            let detail = if row(r - 1) == row(r) {
-                "duplicate tuple in sorted block"
-            } else {
-                "tuple block is not sorted"
-            };
-            return Err(malformed(label, detail));
-        }
-        if pr.remaining() != 0 {
-            return Err(malformed(label, "trailing bytes"));
-        }
-        total += rows_u64;
-        relations.push(RelationDelta {
-            pred,
-            arity,
-            rows,
-            cells: run,
-        });
+        total += block.rows as u64;
+        relations.push(block);
     }
     if total != header.inserted {
         return Err(malformed(
@@ -402,15 +288,7 @@ pub fn decode_delta(bytes: &[u8]) -> Result<Delta, StoreError> {
             ),
         ));
     }
-
-    let section = read_section(&mut r, "end")?;
-    expect_tag(&section, TAG_END, "end")?;
-    if !section.payload.is_empty() {
-        return Err(malformed("end", "non-empty end section"));
-    }
-    if r.remaining() != 0 {
-        return Err(malformed("end", "trailing bytes after end section"));
-    }
+    read_end(&mut r)?;
     Ok(Delta {
         header,
         appended,
@@ -459,38 +337,22 @@ pub fn apply_delta(
         }
     }
     // The symbol table as it will be once the delta's symbols are in.
-    let mut spaces = SpaceTable::from_interner(interner);
-    spaces
-        .spaces
-        .extend(delta.appended.iter().map(|(space, _)| *space));
+    let spaces = SpaceTable::new(
+        interner
+            .symbols()
+            .map(|(space, _)| space)
+            .chain(delta.appended.iter().map(|(space, _)| *space)),
+    );
 
     let mut rels: BTreeMap<Pred, Relation> = db.into_relations().collect();
     let mut merged_count: u64 = 0;
     for (idx, rd) in delta.relations.into_iter().enumerate() {
         let label = format!("relation delta[{idx}]");
         let label = label.as_str();
-        if !spaces.is(rd.pred.0, SymbolSpace::Pred) {
-            return Err(malformed(
-                label,
-                format!("id {} is not a predicate", rd.pred.0),
-            ));
-        }
-        if let Some(at) = rd
-            .cells
-            .iter()
-            .position(|cell| !spaces.is(cell.0, SymbolSpace::Const))
-        {
-            return Err(malformed(
-                label,
-                format!(
-                    "column {} holds id {}, which is not a constant",
-                    at % rd.arity,
-                    rd.cells[at].0
-                ),
-            ));
-        }
-        let rel = match rels.remove(&rd.pred) {
-            None => Relation::from_sorted(rd.arity, rd.rows, rd.cells),
+        spaces.check_relation(&rd, label)?;
+        let pred = rd.pred;
+        let rel = match rels.remove(&pred) {
+            None => rd.into_relation(),
             Some(base_rel) => {
                 if base_rel.arity() != rd.arity {
                     return Err(malformed(
@@ -511,7 +373,7 @@ pub fn apply_delta(
             }
         };
         merged_count += 1;
-        rels.insert(rd.pred, rel);
+        rels.insert(pred, rel);
     }
 
     for (space, name) in &delta.appended {
@@ -535,35 +397,42 @@ pub fn decode_with_deltas(
     base: &[u8],
     deltas: &[Vec<u8>],
 ) -> Result<(Interner, Database), StoreError> {
-    decode_chain(base, deltas).map(|(pair, _)| pair)
+    match decode_chain(base, deltas) {
+        Ok((pair, _)) => Ok(pair),
+        Err((_, e)) => Err(e),
+    }
 }
 
 /// [`decode_with_deltas`] that also hands back the [`content_hash`] of
 /// every file of the chain — the base's, then each delta's — which
 /// verifying the chain computes anyway, so a caller that needs them (the
-/// server records the chain it serves) does not hash each file again.
+/// server records the chain it serves) does not hash each file again. An
+/// error comes with the chain position of the file that failed — `0` for
+/// the base, `i + 1` for `deltas[i]` — so the caller can name it.
+#[allow(clippy::type_complexity)]
 pub fn decode_chain(
     base: &[u8],
     deltas: &[Vec<u8>],
-) -> Result<((Interner, Database), Vec<u64>), StoreError> {
+) -> Result<((Interner, Database), Vec<u64>), (usize, StoreError)> {
     let _g = span!("store.decode_with_deltas");
-    let (mut interner, mut db) = decode_snapshot(base)?;
+    let (mut interner, mut db) = decode_snapshot(base).map_err(|e| (0, e))?;
     let mut chain = Vec::with_capacity(1 + deltas.len());
     chain.push(content_hash(base));
     for (i, bytes) in deltas.iter().enumerate() {
-        let delta = decode_delta(bytes)?;
+        let at = |e: StoreError| (i + 1, e);
+        let delta = decode_delta(bytes).map_err(at)?;
         let expected = chain[i];
         if delta.header.base_hash != expected {
-            return Err(malformed(
+            return Err(at(malformed(
                 "delta header",
                 format!(
                     "delta {i} was built against a different predecessor \
                      (expects hash {:016x}, chain has {:016x})",
                     delta.header.base_hash, expected
                 ),
-            ));
+            )));
         }
-        db = apply_delta(&mut interner, db, delta)?;
+        db = apply_delta(&mut interner, db, delta).map_err(at)?;
         chain.push(content_hash(bytes));
         counter!("store.delta.applied").add(1);
     }
@@ -611,7 +480,7 @@ mod tests {
     }
 
     /// Decode the base through the snapshot round trip so relations arrive
-    /// sorted and lazy, exactly as the serve reload path sees them.
+    /// as decoded runs, exactly as the serve reload path sees them.
     fn decoded_base() -> (Vec<u8>, Interner, Database) {
         let (i, db) = base();
         let bytes = snapshot_to_vec_v2(&i, &db).unwrap();
@@ -679,9 +548,6 @@ mod tests {
         let delta = delta_to_vec(content_hash(&base_bytes), &i, &db, &ni, &ndb).unwrap();
         let (_, rdb) = decode_with_deltas(&base_bytes, &[delta]).unwrap();
 
-        // Only `edge` was touched by the delta; `node` stays a lazy view.
-        let n = i.pred("node");
-        assert!(rdb.relation(n).unwrap().is_lazy());
         let e = i.pred("edge");
         let rel = rdb.relation(e).unwrap();
         let c = i.constant("c");
@@ -733,13 +599,13 @@ mod tests {
         let (ni, ndb) = extend(&i, &db);
         let good = delta_to_vec(content_hash(&base_bytes), &i, &db, &ni, &ndb).unwrap();
 
-        // Flip a payload byte: CRC catches it.
+        // Flip a payload byte (the first of the delta header's, behind
+        // magic, version, tag and length): CRC catches it.
         let mut bad = good.clone();
-        let mid = bad.len() / 2;
-        bad[mid] ^= 0xFF;
+        bad[8 + 4 + 1 + 8] ^= 0xFF;
         assert!(matches!(
             decode_delta(&bad),
-            Err(StoreError::ChecksumMismatch { .. }) | Err(StoreError::Malformed { .. })
+            Err(StoreError::ChecksumMismatch { .. })
         ));
 
         // Truncation is typed too.

@@ -1,11 +1,12 @@
-//! The binary snapshot format for an `(Interner, Database)` pair.
+//! The binary snapshot format for an `(Interner, Database)` pair, and the
+//! two block codecs every file of this crate is made of.
 //!
 //! Layout (all integers little-endian; see `DESIGN.md` §8 for the rationale
 //! and versioning rules):
 //!
 //! ```text
 //! magic    b"WDPTSNAP"                                       8 bytes
-//! version  u32                                               = 2
+//! version  u32                                               = 3
 //! section* tag u8 · len u64 · payload · crc32 u32
 //! ```
 //!
@@ -17,49 +18,46 @@
 //! | tag  | section    | payload                                          |
 //! |------|------------|--------------------------------------------------|
 //! | 0x01 | header     | symbols u64 · fresh u64 · relations u32 · tuples u64 |
-//! | 0x07 | dictionary | per symbol: space u8 · shared-prefix varint · suffix-len varint · suffix bytes |
-//! | 0x06 | relation   | pred u32 · arity u32 · rows u64 · per column (cells bytes u64 · keys u64 · dir bytes u64) · per column (cells blob · key directory) |
+//! | 0x07 | dictionary | one **dictionary block**: per symbol, space u8 · shared-prefix varint · suffix-len varint · suffix bytes |
+//! | 0x06 | relation   | one **relation block**: pred u32 · arity u32 · rows u64 · per column (cells bytes u64) · per column (cells blob) |
 //! | 0xFF | end        | empty                                            |
 //!
-//! Relation tuples are stored **sorted** (lexicographic on `Const` ids,
-//! deduplicated) and column-major: each column is a zigzag-delta varint
-//! cells blob plus a key directory (ascending distinct values with their
-//! posting-list lengths). Nothing else is stored — a decoded [`Relation`]
-//! is a lazy view into the shared snapshot buffer whose cells decode, on
-//! first touch, straight into the flat sorted run it is probed in. The decoder
-//! validates every structural invariant it relies on (sortedness, counts,
-//! namespace of every id) and returns a typed [`StoreError`] — never a
-//! panic — on anything off.
+//! A relation block holds one **sorted run** (rows lexicographic on `Const`
+//! ids, deduplicated), column-major, each column the zigzag-delta varints
+//! of its cells (`crate::varint`) — and nothing derived from it. Loading
+//! a block *is* decoding it: `decode_relation` walks every varint once,
+//! validating as it goes, and hands back the flat row-major run a
+//! [`Relation`] is probed in. Every structural invariant the rest of the
+//! system relies on (sortedness, counts, namespace of every id) is checked
+//! on the way, and anything off is a typed [`StoreError`] — never a panic.
 //!
-//! Tags `0x02`, `0x04` and `0x05` belong to delta files ([`crate::delta`]),
-//! which share this container but carry their own version number. Tag
-//! `0x03` and version `1` were the retired row-major format: such a file is
-//! refused with [`StoreError::UnsupportedVersion`] and must be rebuilt from
-//! its text source.
+//! Delta files ([`crate::delta`]) share the container and both block codecs
+//! (tags `0x04`, `0x05`) but carry their own version number. Retired and
+//! never reused: tag `0x03` and version `1` (the row-major format), tag
+//! `0x02` (the deltas' length-prefixed dictionary) and version `2` (per
+//! column key directories beside the cells). Such a file is refused with
+//! [`StoreError::UnsupportedVersion`] and must be rebuilt from its text
+//! source.
 
 use crate::crc::{crc32, Crc32};
+use crate::varint::{encode_cells, read_uvarint, unzigzag, write_uvarint};
 use std::fmt;
 use std::io::{self, Write};
 use std::path::Path;
-use std::sync::Arc;
-use wdpt_model::columnar::{
-    encode_cells, encode_key_dir, read_uvarint, unzigzag, ColumnSlices, ColumnarRelation,
-};
 use wdpt_model::{Const, Database, Interner, Pred, Relation, SymbolSpace};
 use wdpt_obs::{counter, span};
 
 /// The eight magic bytes opening every snapshot.
 pub const MAGIC: [u8; 8] = *b"WDPTSNAP";
-/// The one snapshot format version this build reads and writes
-/// (zero-copy columnar, varint-compressed; `DESIGN.md` §8 and §13).
-pub const VERSION: u32 = 2;
+/// The one snapshot format version this build reads and writes (sorted
+/// runs as varint-compressed columns; `DESIGN.md` §8 and §13).
+pub const VERSION: u32 = 3;
 
 pub(crate) const TAG_HEADER: u8 = 0x01;
-pub(crate) const TAG_DICTIONARY: u8 = 0x02;
 pub(crate) const TAG_DELTA_HEADER: u8 = 0x04;
 pub(crate) const TAG_RELATION_DELTA: u8 = 0x05;
-pub(crate) const TAG_RELATION_V2: u8 = 0x06;
-pub(crate) const TAG_DICTIONARY_V2: u8 = 0x07;
+pub(crate) const TAG_RELATION: u8 = 0x06;
+pub(crate) const TAG_DICTIONARY: u8 = 0x07;
 pub(crate) const TAG_END: u8 = 0xFF;
 
 /// Framing overhead of one section: tag + length + CRC. Used to bound
@@ -126,7 +124,9 @@ impl fmt::Display for StoreError {
                 write!(
                     f,
                     "unsupported format version {v}: this build reads version-{VERSION} \
-                     snapshots only; rebuild the file from its text source (wdpt-store build)"
+                     snapshots and version-{} deltas only; rebuild the file from its text \
+                     source (wdpt-store build / delta)",
+                    crate::delta::DELTA_VERSION
                 )
             }
             StoreError::Truncated { section } => {
@@ -215,13 +215,9 @@ pub(crate) fn push_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
 
 /// Serializes a snapshot to bytes. Deterministic: the same `(Interner,
 /// Database)` pair always yields identical bytes (relations ordered by
-/// predicate id, directory keys ascending), so snapshots can be compared
-/// and cached byte-wise. Per relation and column the
-/// payload carries a zigzag-delta varint **cells blob** and a delta-varint
-/// **key directory** (ascending distinct values + posting-list lengths),
-/// both streamed off the relation's sorted run. The dictionary is
-/// front-coded (shared-prefix length + suffix), which is where catalogs
-/// with systematic IRIs win the most.
+/// predicate id, each one `encode_relation` block streamed off its sorted
+/// run), so snapshots can be compared and cached byte-wise. The dictionary
+/// is one `encode_dictionary` block.
 pub fn snapshot_to_vec_v2(interner: &Interner, db: &Database) -> Result<Vec<u8>, StoreError> {
     let _g = span!("store.encode");
     let mut rel_order: Vec<(Pred, &Relation)> = db.relations().collect();
@@ -240,43 +236,13 @@ pub fn snapshot_to_vec_v2(interner: &Interner, db: &Database) -> Result<Vec<u8>,
 
     push_section(
         &mut out,
-        TAG_DICTIONARY_V2,
-        &encode_dictionary_v2(interner.symbols()),
+        TAG_DICTIONARY,
+        &encode_dictionary(interner.symbols()),
     );
 
     for (pred, rel) in rel_order {
-        let arity = rel.arity();
-        // One up-front check bounds every row id to the u32 space the
-        // decoder re-validates.
-        len_u32(rel.len(), "relation row count")?;
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&pred.0.to_le_bytes());
-        payload.extend_from_slice(&len_u32(arity, "relation arity")?.to_le_bytes());
-        payload.extend_from_slice(&(rel.len() as u64).to_le_bytes());
-        // Per-column blobs first, so the fixed-width column table can be
-        // written before them.
-        let mut blobs: Vec<(Vec<u8>, u64, Vec<u8>)> = Vec::with_capacity(arity);
-        for col in 0..arity {
-            let mut cells = Vec::new();
-            encode_cells(&mut cells, rel.tuples().map(|t| t[col].0));
-            // Counted over the cells just written, ascending — not copied
-            // from the directory of a file the relation may have come from.
-            let mut pairs: Vec<(u32, u32)> = Vec::new();
-            rel.count_posting_lens(col, |k, n| pairs.push((k.0, n)));
-            let mut dir = Vec::new();
-            encode_key_dir(&mut dir, pairs.iter().copied());
-            blobs.push((cells, pairs.len() as u64, dir));
-        }
-        for (cells, keys, dir) in &blobs {
-            payload.extend_from_slice(&(cells.len() as u64).to_le_bytes());
-            payload.extend_from_slice(&keys.to_le_bytes());
-            payload.extend_from_slice(&(dir.len() as u64).to_le_bytes());
-        }
-        for (cells, _, dir) in &blobs {
-            payload.extend_from_slice(cells);
-            payload.extend_from_slice(dir);
-        }
-        push_section(&mut out, TAG_RELATION_V2, &payload);
+        let block = encode_relation(pred, rel.arity(), rel.len(), || rel.tuples())?;
+        push_section(&mut out, TAG_RELATION, &block);
     }
 
     push_section(&mut out, TAG_END, &[]);
@@ -284,16 +250,17 @@ pub fn snapshot_to_vec_v2(interner: &Interner, db: &Database) -> Result<Vec<u8>,
     Ok(out)
 }
 
-/// Front-codes the dictionary: per symbol, `space u8 · shared-prefix-len
-/// varint · suffix-len varint · suffix bytes`, where the prefix is shared
-/// with the *previous* entry's name (byte-wise — reassembly restores the
-/// exact original, so UTF-8 validation of the whole name still applies).
-pub(crate) fn encode_dictionary_v2<'a>(
+/// Encodes a **dictionary block**, front-coded: per symbol, `space u8 ·
+/// shared-prefix-len varint · suffix-len varint · suffix bytes`, where the
+/// prefix is shared with the *previous* entry's name (byte-wise —
+/// reassembly restores the exact original, so UTF-8 validation of the whole
+/// name still applies). A snapshot stores its whole dictionary as one, a
+/// delta its appended symbols; catalogs with systematic IRIs win the most.
+pub(crate) fn encode_dictionary<'a>(
     symbols: impl Iterator<Item = (SymbolSpace, &'a str)>,
 ) -> Vec<u8> {
-    use wdpt_model::columnar::write_uvarint;
     let mut dict = Vec::new();
-    let mut prev: Vec<u8> = Vec::new();
+    let mut prev: &[u8] = &[];
     for (space, name) in symbols {
         let bytes = name.as_bytes();
         let shared = prev.iter().zip(bytes).take_while(|(a, b)| a == b).count();
@@ -301,10 +268,43 @@ pub(crate) fn encode_dictionary_v2<'a>(
         write_uvarint(&mut dict, shared as u64);
         write_uvarint(&mut dict, (bytes.len() - shared) as u64);
         dict.extend_from_slice(&bytes[shared..]);
-        prev.clear();
-        prev.extend_from_slice(bytes);
+        prev = bytes;
     }
     dict
+}
+
+/// Encodes a **relation block**: `pred u32 · arity u32 · rows u64 · per
+/// column (cells bytes u64) · per column (cells blob)`, each blob the
+/// column's [`encode_cells`] stream. `tuples` is called once per column and
+/// must yield the same `rows` strictly ascending rows each time — a
+/// snapshot passes a relation's whole run, a delta an insertion run.
+pub(crate) fn encode_relation<'a, I>(
+    pred: Pred,
+    arity: usize,
+    rows: usize,
+    tuples: impl Fn() -> I,
+) -> Result<Vec<u8>, StoreError>
+where
+    I: Iterator<Item = &'a [Const]>,
+{
+    // One up-front check bounds every row id to the u32 space the decoder
+    // re-validates.
+    len_u32(rows, "relation row count")?;
+    let mut block = Vec::new();
+    block.extend_from_slice(&pred.0.to_le_bytes());
+    block.extend_from_slice(&len_u32(arity, "relation arity")?.to_le_bytes());
+    block.extend_from_slice(&(rows as u64).to_le_bytes());
+    // The column table is fixed-width: leave room for it, then fill in each
+    // blob's length once the blob is written.
+    let table = block.len();
+    block.resize(table + 8 * arity, 0);
+    for col in 0..arity {
+        let start = block.len();
+        encode_cells(&mut block, tuples().map(|t| t[col].0));
+        let len = (block.len() - start) as u64;
+        block[table + 8 * col..table + 8 * (col + 1)].copy_from_slice(&len.to_le_bytes());
+    }
+    Ok(block)
 }
 
 /// Writes `bytes` to `path` atomically and durably: a temp file beside the
@@ -441,10 +441,6 @@ pub(crate) fn checked_count(
 pub(crate) struct Section<'a> {
     pub(crate) tag: u8,
     pub(crate) payload: &'a [u8],
-    /// Byte offset of the payload within the whole file — the zero-copy v2
-    /// decoder turns intra-payload positions into absolute ranges of the
-    /// shared `Arc<[u8]>` with this.
-    pub(crate) offset: usize,
 }
 
 /// Reads the next section, verifying its CRC. `label` names the section we
@@ -454,7 +450,6 @@ pub(crate) fn read_section<'a>(r: &mut Reader<'a>, label: &str) -> Result<Sectio
     let tag = r.u8(label)?;
     let len = r.u64(label)?;
     let len = usize::try_from(len).map_err(|_| malformed(label, "section length overflow"))?;
-    let offset = r.pos;
     let payload = r.take(len, label)?;
     let stored_crc = r.u32(label)?;
     // CRC covers tag + len + payload — i.e. everything since `start` except
@@ -465,11 +460,7 @@ pub(crate) fn read_section<'a>(r: &mut Reader<'a>, label: &str) -> Result<Sectio
             section: label.to_string(),
         });
     }
-    Ok(Section {
-        tag,
-        payload,
-        offset,
-    })
+    Ok(Section { tag, payload })
 }
 
 /// The parsed header section.
@@ -555,21 +546,54 @@ pub(crate) fn expect_tag(section: &Section<'_>, tag: u8, label: &str) -> Result<
 }
 
 /// Per-symbol namespace lookup table for cell validation (dense, so the
-/// per-cell check in relation decoding is an array index, not a hash probe).
+/// per-cell check is an array index, not a hash probe).
 pub(crate) struct SpaceTable {
-    pub(crate) spaces: Vec<SymbolSpace>,
+    spaces: Vec<SymbolSpace>,
 }
 
 impl SpaceTable {
-    /// Builds the table from an interner's id-ordered symbol listing.
-    pub(crate) fn from_interner(interner: &Interner) -> SpaceTable {
+    /// The table of the symbols with ids `0, 1, …` in that order.
+    pub(crate) fn new(spaces: impl Iterator<Item = SymbolSpace>) -> SpaceTable {
         SpaceTable {
-            spaces: interner.symbols().map(|(s, _)| s).collect(),
+            spaces: spaces.collect(),
         }
     }
 
-    pub(crate) fn is(&self, id: u32, space: SymbolSpace) -> bool {
+    fn is(&self, id: u32, space: SymbolSpace) -> bool {
         self.spaces.get(id as usize) == Some(&space)
+    }
+
+    /// `Err` unless `block` is keyed by a predicate and every cell of its
+    /// run is a constant. A block decodes without a symbol table; this is
+    /// the check that needs one — run at decode for a snapshot, which
+    /// carries its table, and at apply for a delta, whose ids mean nothing
+    /// before the base's table is there.
+    pub(crate) fn check_relation(
+        &self,
+        block: &RelationBlock,
+        label: &str,
+    ) -> Result<(), StoreError> {
+        if !self.is(block.pred.0, SymbolSpace::Pred) {
+            return Err(malformed(
+                label,
+                format!("id {} is not a predicate", block.pred.0),
+            ));
+        }
+        match block
+            .cells
+            .iter()
+            .position(|cell| !self.is(cell.0, SymbolSpace::Const))
+        {
+            None => Ok(()),
+            Some(at) => Err(malformed(
+                label,
+                format!(
+                    "column {} holds id {}, which is not a constant",
+                    at % block.arity,
+                    block.cells[at].0
+                ),
+            )),
+        }
     }
 }
 
@@ -601,12 +625,12 @@ fn read_preamble(r: &mut Reader<'_>) -> Result<Preamble, StoreError> {
     let header = parse_header(section.payload)?;
 
     let section = read_section(r, "dictionary")?;
-    expect_tag(&section, TAG_DICTIONARY_V2, "dictionary")?;
+    expect_tag(&section, TAG_DICTIONARY, "dictionary")?;
     let count = usize::try_from(header.symbols)
         .ok()
         .filter(|&n| u32::try_from(n).is_ok())
         .ok_or_else(|| malformed("dictionary", "symbol count exceeds u32 id space"))?;
-    let symbols = parse_dictionary_v2(section.payload, count)?;
+    let symbols = parse_dictionary(section.payload, count)?;
 
     let rel_count = checked_count(
         u64::from(header.relations),
@@ -624,7 +648,7 @@ fn read_preamble(r: &mut Reader<'_>) -> Result<Preamble, StoreError> {
 }
 
 /// Reads the closing end section and insists nothing follows it.
-fn read_end(r: &mut Reader<'_>) -> Result<(), StoreError> {
+pub(crate) fn read_end(r: &mut Reader<'_>) -> Result<(), StoreError> {
     let section = read_section(r, "end")?;
     expect_tag(&section, TAG_END, "end")?;
     if !section.payload.is_empty() {
@@ -636,22 +660,10 @@ fn read_end(r: &mut Reader<'_>) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Decodes a snapshot from bytes into a fresh `(Interner, Database)` pair.
-/// The bytes are copied into a shared buffer once and decoded zero-copy;
-/// [`load_snapshot`] reads a file straight into that buffer and skips even
-/// the copy.
+/// Decodes a snapshot from bytes into a fresh `(Interner, Database)` pair
+/// that borrows nothing from `bytes`. Load cost is CRC verification plus one
+/// validate-and-decode pass per section (`decode_relation`).
 pub fn decode_snapshot(bytes: &[u8]) -> Result<(Interner, Database), StoreError> {
-    decode_shared(&Arc::from(bytes))
-}
-
-/// Decodes a snapshot held in a shared buffer. Relations come out **lazy**,
-/// their cells and key directories borrowing from `bytes` (each keeps its
-/// own `Arc` clone, so the buffer outlives any `Arc<Database>` swap that
-/// drops the rest of the load context — see DESIGN.md §13 for the lifetime
-/// rules). Load cost is CRC verification plus one streaming validation pass
-/// per section; no row or string-heavy structure is materialized here
-/// except the dictionary.
-fn decode_shared(bytes: &Arc<[u8]>) -> Result<(Interner, Database), StoreError> {
     let _g = span!("store.decode");
     let mut r = Reader::new(bytes);
     let Preamble {
@@ -660,9 +672,7 @@ fn decode_shared(bytes: &Arc<[u8]>) -> Result<(Interner, Database), StoreError> 
         rel_count,
         ..
     } = read_preamble(&mut r)?;
-    let spaces = SpaceTable {
-        spaces: symbols.iter().map(|(s, _)| *s).collect(),
-    };
+    let spaces = SpaceTable::new(symbols.iter().map(|(s, _)| *s));
     let interner = Interner::from_symbols(symbols, header.fresh_counter)
         .ok_or_else(|| malformed("dictionary", "duplicate symbol entry"))?;
 
@@ -672,13 +682,14 @@ fn decode_shared(bytes: &Arc<[u8]>) -> Result<(Interner, Database), StoreError> 
     for idx in 0..rel_count {
         let label = format!("relation[{idx}]");
         let section = read_section(&mut r, &label)?;
-        expect_tag(&section, TAG_RELATION_V2, &label)?;
-        let (pred, relation) = parse_relation_v2(bytes, &section, idx, &spaces)?;
-        if !seen_preds.insert(pred) {
+        expect_tag(&section, TAG_RELATION, &label)?;
+        let block = decode_relation(section.payload, &label)?;
+        spaces.check_relation(&block, &label)?;
+        if !seen_preds.insert(block.pred) {
             return Err(malformed(&label, "predicate appears in two relations"));
         }
-        total_tuples += relation.len() as u64;
-        relations.push((pred, relation));
+        total_tuples += block.rows as u64;
+        relations.push((block.pred, block.into_relation()));
     }
     if total_tuples != header.tuples {
         return Err(malformed(
@@ -696,9 +707,9 @@ fn decode_shared(bytes: &Arc<[u8]>) -> Result<(Interner, Database), StoreError> 
     Ok((interner, Database::from_sorted(relations)))
 }
 
-/// Decodes the front-coded v2 dictionary (inverse of
-/// [`encode_dictionary_v2`]).
-fn parse_dictionary_v2(
+/// Parses a dictionary block of `count` symbols (inverse of
+/// [`encode_dictionary`]).
+pub(crate) fn parse_dictionary(
     payload: &[u8],
     count: usize,
 ) -> Result<Vec<(SymbolSpace, String)>, StoreError> {
@@ -747,260 +758,127 @@ fn parse_dictionary_v2(
     Ok(symbols)
 }
 
-/// Parses one v2 relation section into a lazy [`Relation`]: reads the
-/// column table, slices the blobs out of the shared buffer, and runs one
-/// **allocation-free** validation pass over every stream so the lazy
-/// decoders can never observe a malformed byte later. Key directories are
-/// checked for internal consistency (ascending in-namespace keys, lengths
-/// summing to the row count); their agreement with the cells is enforced
-/// by construction for files this crate writes and cross-checked by
-/// `wdpt-store verify` — a hand-forged directory can skew statistics but
-/// never query answers, since probes read the cells and nothing else.
-fn parse_relation_v2(
-    raw: &Arc<[u8]>,
-    section: &Section<'_>,
-    idx: usize,
-    spaces: &SpaceTable,
-) -> Result<(Pred, Relation), StoreError> {
-    let label = format!("relation[{idx}]");
-    let label = label.as_str();
-    let mut r = Reader::new(section.payload);
-    let pred_id = r.u32(label)?;
-    if !spaces.is(pred_id, SymbolSpace::Pred) {
-        return Err(malformed(label, format!("id {pred_id} is not a predicate")));
+/// One decoded relation block: the predicate it belongs to and a strictly
+/// sorted flat run — `rows × arity` cells, row-major. The ids are *not* yet
+/// known to name a predicate and constants ([`SpaceTable::check_relation`]).
+#[derive(Debug)]
+pub(crate) struct RelationBlock {
+    pub(crate) pred: Pred,
+    pub(crate) arity: usize,
+    pub(crate) rows: usize,
+    pub(crate) cells: Vec<Const>,
+}
+
+impl RelationBlock {
+    /// The run as a relation of its own.
+    pub(crate) fn into_relation(self) -> Relation {
+        // The one caller-checked constructor there is; its panics are
+        // unreachable behind `decode_relation`'s own order check.
+        Relation::from_sorted(self.arity, self.rows, self.cells)
     }
+}
+
+/// Decodes one relation block (inverse of [`encode_relation`]), validating
+/// while it decodes: every varint is walked exactly once, straight into the
+/// run. Checked on the way — length fields against the bytes present,
+/// varint well-formedness, every cell within `u32`, each blob consumed
+/// exactly, and strictly ascending rows. The run is allocated only once it
+/// is bounded: every cell takes at least one byte, so a column of `rows`
+/// cells cannot sit in a shorter blob, and `rows × arity` cannot exceed the
+/// payload's length.
+pub(crate) fn decode_relation(payload: &[u8], label: &str) -> Result<RelationBlock, StoreError> {
+    let mut r = Reader::new(payload);
+    let pred = Pred(r.u32(label)?);
     let arity_u32 = r.u32(label)?;
     let rows_u64 = r.u64(label)?;
     if rows_u64 > u64::from(u32::MAX) {
         return Err(malformed(label, "row count exceeds the u32 id space"));
     }
-    // Each column owes a 24-byte table entry; bound `arity` on that before
+    let rows = rows_u64 as usize;
+    // Each column owes an 8-byte table entry; bound `arity` on that before
     // sizing anything from it.
-    let arity = checked_count(u64::from(arity_u32), 24, r.remaining(), label, "columns")?;
-    if arity == 0 && rows_u64 > 1 {
+    let arity = checked_count(u64::from(arity_u32), 8, r.remaining(), label, "columns")?;
+    if arity == 0 && rows > 1 {
         return Err(malformed(label, "nullary relation with more than one row"));
     }
-    let rows = rows_u64 as usize;
-    let mut table: Vec<(u64, u64, u64)> = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        let cells_bytes = r.u64(label)?;
-        let keys = r.u64(label)?;
-        let dir_bytes = r.u64(label)?;
-        table.push((cells_bytes, keys, dir_bytes));
-    }
-
-    let base = section.offset;
-    let mut columns: Vec<ColumnSlices> = Vec::with_capacity(arity);
-    for (col, &(cells_bytes, keys_u64, dir_bytes)) in table.iter().enumerate() {
-        let cells_bytes = checked_count(cells_bytes, 1, r.remaining(), label, "cells bytes")?;
-        if rows > cells_bytes {
+    let mut table = Reader::new(r.take(8 * arity, label)?);
+    let mut blobs: Vec<&[u8]> = Vec::with_capacity(arity);
+    for col in 0..arity {
+        let bytes = checked_count(table.u64(label)?, 1, r.remaining(), label, "cells bytes")?;
+        if rows > bytes {
             return Err(malformed(
                 label,
-                format!("column {col} declares {rows} rows in {cells_bytes} cells bytes"),
+                format!("column {col} declares {rows} rows in {bytes} cells bytes"),
             ));
         }
-        let cells_start = base + r.pos;
-        r.take(cells_bytes, label)?;
-        let dir_bytes = checked_count(dir_bytes, 1, r.remaining(), label, "directory bytes")?;
-        // Each directory entry is at least two varint bytes.
-        let keys = checked_count(keys_u64, 2, dir_bytes, label, "keys")?;
-        if keys > rows {
-            return Err(malformed(
-                label,
-                format!("column {col} claims {keys} keys for {rows} rows"),
-            ));
-        }
-        let dir_start = base + r.pos;
-        let dir_blob = r.take(dir_bytes, label)?;
-        validate_key_dir(dir_blob, keys, rows_u64, spaces, label, col)?;
-        columns.push(ColumnSlices {
-            cells: cells_start..cells_start + cells_bytes,
-            keys,
-            key_dir: dir_start..dir_start + dir_bytes,
-        });
+        blobs.push(r.take(bytes, label)?);
     }
     if r.remaining() != 0 {
         return Err(malformed(label, "trailing bytes"));
     }
-    validate_cells_streams(raw, &columns, rows, spaces, label)?;
 
-    let backing = ColumnarRelation::new(raw.clone(), arity, rows, columns);
-    Ok((Pred(pred_id), Relation::from_columnar(backing)))
-}
-
-/// Validates one column's key directory: well-formed varints consumed
-/// exactly, strictly ascending in-namespace keys, non-empty posting
-/// lengths summing to the row count.
-fn validate_key_dir(
-    blob: &[u8],
-    keys: usize,
-    rows: u64,
-    spaces: &SpaceTable,
-    label: &str,
-    col: usize,
-) -> Result<(), StoreError> {
-    let mut pos = 0usize;
-    let mut key = 0u64;
-    let mut covered = 0u64;
-    for i in 0..keys {
-        let delta = read_uvarint(blob, &mut pos)
-            .ok_or_else(|| malformed(label, format!("column {col} directory truncated")))?;
-        if i > 0 && delta == 0 {
-            return Err(malformed(label, format!("column {col} keys not ascending")));
-        }
-        key = if i == 0 {
-            delta
-        } else {
-            key.checked_add(delta)
-                .ok_or_else(|| malformed(label, format!("column {col} key overflow")))?
-        };
-        if key > u64::from(u32::MAX) || !spaces.is(key as u32, SymbolSpace::Const) {
-            return Err(malformed(
-                label,
-                format!("column {col} posting key {key} is not a constant"),
-            ));
-        }
-        let len = read_uvarint(blob, &mut pos)
-            .ok_or_else(|| malformed(label, format!("column {col} directory truncated")))?;
-        if len == 0 {
-            return Err(malformed(label, format!("column {col} empty posting list")));
-        }
-        covered = covered
-            .checked_add(len)
-            .filter(|&c| c <= rows)
-            .ok_or_else(|| {
-                malformed(
-                    label,
-                    format!("column {col} postings cover more than {rows} rows"),
-                )
-            })?;
-    }
-    if covered != rows {
-        return Err(malformed(
-            label,
-            format!("column {col} postings cover {covered} rows, expected {rows}"),
-        ));
-    }
-    if pos != blob.len() {
-        return Err(malformed(
-            label,
-            format!("column {col} trailing directory bytes"),
-        ));
-    }
-    Ok(())
-}
-
-/// Walks all cells blobs of a relation in lockstep, row by row, verifying
-/// varint well-formedness, exact stream consumption, the constant
-/// namespace of every cell, and strict lexicographic row order — without
-/// allocating more than two `arity`-sized scratch rows. After this pass
-/// the lazy decoders in `wdpt_model::columnar` are total.
-fn validate_cells_streams(
-    raw: &[u8],
-    columns: &[ColumnSlices],
-    rows: usize,
-    spaces: &SpaceTable,
-    label: &str,
-) -> Result<(), StoreError> {
-    let arity = columns.len();
-    if arity == 0 {
-        return Ok(());
-    }
-    let blobs: Vec<&[u8]> = columns.iter().map(|c| &raw[c.cells.clone()]).collect();
-    let mut cursors = vec![0usize; arity];
-    let mut acc = vec![0i64; arity];
-    let mut prev_row: Vec<u32> = Vec::with_capacity(arity);
-    let mut cur = vec![0u32; arity];
-    for row in 0..rows {
-        for col in 0..arity {
-            let delta = read_uvarint(blobs[col], &mut cursors[col]).ok_or_else(|| {
+    let mut cells = vec![Const(0); rows * arity];
+    for (col, blob) in blobs.into_iter().enumerate() {
+        let mut pos = 0usize;
+        let mut prev = 0i64;
+        for (row, cell) in cells.iter_mut().skip(col).step_by(arity).enumerate() {
+            let delta = read_uvarint(blob, &mut pos).ok_or_else(|| {
                 malformed(
                     label,
                     format!("column {col} cells stream truncated at row {row}"),
                 )
             })?;
-            let v = acc[col]
+            prev = prev
                 .checked_add(unzigzag(delta))
-                .filter(|&v| (0..=i64::from(u32::MAX)).contains(&v));
-            let v = v.ok_or_else(|| {
-                malformed(
-                    label,
-                    format!("column {col} cell out of the u32 id space at row {row}"),
-                )
-            })?;
-            let id = v as u32;
-            if !spaces.is(id, SymbolSpace::Const) {
-                return Err(malformed(
-                    label,
-                    format!("column {col} holds id {id}, which is not a constant"),
-                ));
-            }
-            acc[col] = v;
-            cur[col] = id;
+                .filter(|v| (0..=i64::from(u32::MAX)).contains(v))
+                .ok_or_else(|| {
+                    malformed(
+                        label,
+                        format!("column {col} cell out of the u32 id space at row {row}"),
+                    )
+                })?;
+            *cell = Const(prev as u32);
         }
-        if row > 0 {
-            match prev_row.as_slice().cmp(cur.as_slice()) {
-                std::cmp::Ordering::Less => {}
-                std::cmp::Ordering::Equal => {
-                    return Err(malformed(label, "duplicate tuple in sorted block"))
-                }
-                std::cmp::Ordering::Greater => {
-                    return Err(malformed(label, "tuple block is not sorted"))
-                }
-            }
-        }
-        prev_row.clear();
-        prev_row.extend_from_slice(&cur);
-    }
-    for (col, cursor) in cursors.iter().enumerate() {
-        if *cursor != blobs[col].len() {
+        if pos != blob.len() {
             return Err(malformed(
                 label,
                 format!("column {col} trailing bytes in cells blob"),
             ));
         }
     }
-    Ok(())
+    let row = |r: usize| &cells[r * arity..(r + 1) * arity];
+    if let Some(r) = (1..rows).find(|&r| row(r - 1) >= row(r)) {
+        let detail = if row(r - 1) == row(r) {
+            "duplicate tuple in sorted block"
+        } else {
+            "tuple block is not sorted"
+        };
+        return Err(malformed(label, detail));
+    }
+    Ok(RelationBlock {
+        pred,
+        arity,
+        rows,
+        cells,
+    })
 }
 
-/// Deep verification beyond what loading checks: forces every lazy
-/// relation, cross-checks its run and every column permutation, and (for
-/// relations decoded from a snapshot) compares the serialized key
-/// directories against counts over the decoded run. `wdpt-store verify`
-/// runs this so the offline tool catches the one class of forgery the
-/// zero-copy load path admits — internally-consistent key directories that
-/// do not match the cells.
+/// Deep verification beyond what loading checks: builds every column
+/// permutation of every relation and cross-checks it against the run
+/// ([`Relation::verify_deep`]). `wdpt-store verify` runs this.
 pub fn verify_database_deep(db: &Database) -> Result<(), StoreError> {
     for (pred, rel) in db.relations() {
-        let label = format!("relation (pred id {})", pred.0);
         rel.verify_deep()
-            .map_err(|detail| malformed(&label, detail))?;
-        for col in 0..rel.arity() {
-            // What the snapshot *claims*: the raw directory bytes.
-            let mut claimed: Vec<(Const, u32)> = Vec::new();
-            if !rel.scan_serialized_posting_lens(col, |c, n| claimed.push((c, n))) {
-                break; // not a snapshot's own run: nothing serialized to cross-check
-            }
-            let mut counted = Vec::with_capacity(claimed.len());
-            rel.count_posting_lens(col, |c, n| counted.push((c, n)));
-            if claimed != counted {
-                return Err(malformed(
-                    &label,
-                    format!("column {col} key directory disagrees with the cells"),
-                ));
-            }
-        }
+            .map_err(|detail| malformed(&format!("relation (pred id {})", pred.0), detail))?;
     }
     Ok(())
 }
 
-/// Loads a snapshot file: one `File::read` of the whole file into a shared
-/// buffer that the decoded relations keep borrowing — the zero-copy
-/// cold-start path.
+/// Loads a snapshot file: one read of the whole file, one
+/// [`decode_snapshot`]; the file's bytes are released on return.
 pub fn load_snapshot(path: &Path) -> Result<(Interner, Database), StoreError> {
     let _g = span!("store.load_snapshot");
-    let bytes: Arc<[u8]> = std::fs::read(path)?.into();
-    decode_shared(&bytes)
+    decode_snapshot(&std::fs::read(path)?)
 }
 
 /// Walks a snapshot's sections — verifying magic, version, and every CRC —
@@ -1019,7 +897,7 @@ pub fn inspect_snapshot(bytes: &[u8]) -> Result<SnapshotSummary, StoreError> {
     for idx in 0..rel_count {
         let label = format!("relation[{idx}]");
         let section = read_section(&mut r, &label)?;
-        expect_tag(&section, TAG_RELATION_V2, &label)?;
+        expect_tag(&section, TAG_RELATION, &label)?;
         let mut pr = Reader::new(section.payload);
         let pred = pr.u32(&label)?;
         let arity = pr.u32(&label)?;
@@ -1048,6 +926,7 @@ pub fn inspect_snapshot(bytes: &[u8]) -> Result<SnapshotSummary, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::varint::zigzag;
 
     fn sample() -> (Interner, Database) {
         let mut i = Interner::new();
@@ -1081,7 +960,6 @@ mod tests {
         let (_, db2) = decode_snapshot(&bytes).unwrap();
         let e = i.pred("edge");
         let rel = db2.relation(e).unwrap();
-        assert!(rel.is_lazy(), "decode must not materialize anything");
         let a = i.constant("a");
         assert_eq!(rel.posting_len(0, a), 1);
         assert_eq!(rel.matching(&[Some(a), None]).count(), 1);
@@ -1158,6 +1036,129 @@ mod tests {
             decode_snapshot(&bytes),
             Err(StoreError::UnsupportedVersion(0xFE))
         ));
+    }
+
+    /// A relation block assembled from raw column blobs.
+    fn raw_block(pred: u32, arity: u32, rows: u64, blobs: &[&[u8]]) -> Vec<u8> {
+        let mut block = Vec::new();
+        block.extend_from_slice(&pred.to_le_bytes());
+        block.extend_from_slice(&arity.to_le_bytes());
+        block.extend_from_slice(&rows.to_le_bytes());
+        for blob in blobs {
+            block.extend_from_slice(&(blob.len() as u64).to_le_bytes());
+        }
+        blobs.iter().for_each(|blob| block.extend_from_slice(blob));
+        block
+    }
+
+    #[test]
+    fn relation_blocks_round_trip_and_every_check_refuses_typed() {
+        let c = |ids: &[u32]| ids.iter().map(|&id| Const(id)).collect::<Vec<_>>();
+        let rows = [c(&[1, 9]), c(&[1, 300]), c(&[70_000, 2])];
+        let block = encode_relation(Pred(5), 2, 3, || rows.iter().map(Vec::as_slice)).unwrap();
+        let decoded = decode_relation(&block, "r").unwrap();
+        assert_eq!((decoded.pred, decoded.arity, decoded.rows), (Pred(5), 2, 3));
+        assert_eq!(decoded.cells, rows.concat());
+        // The same bytes by hand: zigzag deltas 1, 0, +69 999 and 9, +291, −298.
+        let (col0, col1) = ([2u8, 0, 0xDE, 0xC5, 0x08], [18u8, 0xC6, 0x04, 0xD3, 0x04]);
+        assert_eq!(block, raw_block(5, 2, 3, &[&col0, &col1]));
+
+        let refused = |block: Vec<u8>, needle: &str| match decode_relation(&block, "r") {
+            Err(StoreError::Malformed { detail, .. }) => {
+                assert!(detail.contains(needle), "{needle:?} not in {detail:?}")
+            }
+            other => panic!("{needle}: expected Malformed, got {other:?}"),
+        };
+        // Order, the two ways it fails told apart.
+        let twice = [c(&[1, 9]), c(&[1, 9])];
+        let block = encode_relation(Pred(5), 2, 2, || twice.iter().map(Vec::as_slice));
+        refused(block.unwrap(), "duplicate tuple");
+        let swapped = [c(&[1, 300]), c(&[1, 9])];
+        let block = encode_relation(Pred(5), 2, 2, || swapped.iter().map(Vec::as_slice));
+        refused(block.unwrap(), "not sorted");
+        // Varints: cut short, overlong, one too many, one too few.
+        refused(raw_block(5, 1, 2, &[&[2, 0x80]]), "truncated at row 1");
+        let overlong = [0x80u8; 11];
+        refused(raw_block(5, 1, 2, &[&overlong]), "truncated at row 0");
+        refused(
+            raw_block(5, 1, 2, &[&[2, 2, 2]]),
+            "trailing bytes in cells blob",
+        );
+        refused(raw_block(5, 2, 2, &[&[2, 2], &[2, 0x80]]), "column 1");
+        // Cells outside u32: below zero, above the top, and an i64 overflow.
+        refused(raw_block(5, 1, 1, &[&[1]]), "out of the u32 id space");
+        let above = [0x80, 0x80, 0x80, 0x80, 0x20]; // zigzag(1 << 32)
+        refused(raw_block(5, 1, 1, &[&above]), "out of the u32 id space");
+        let mut huge = vec![2u8]; // 1, then + i64::MAX
+        write_uvarint(&mut huge, zigzag(i64::MAX));
+        refused(raw_block(5, 1, 2, &[&huge]), "at row 1");
+        // Shape: payload bytes nobody declared, a second nullary row.
+        let mut extra = raw_block(5, 1, 1, &[&[2]]);
+        extra.push(0);
+        refused(extra, "trailing bytes");
+        refused(raw_block(5, 0, 2, &[]), "nullary");
+        assert_eq!(
+            decode_relation(&raw_block(5, 0, 1, &[]), "r").unwrap().rows,
+            1
+        );
+        // A payload that ends inside the fixed fields is a truncation.
+        assert!(matches!(
+            decode_relation(&raw_block(5, 1, 1, &[&[2]])[..10], "r"),
+            Err(StoreError::Truncated { .. })
+        ));
+    }
+
+    #[test]
+    fn ids_outside_their_namespace_are_refused_where_the_table_is() {
+        // Symbols 0 `edge` and 1 `node` are predicates, 2–4 constants, 5 a
+        // variable.
+        let (i, _) = sample();
+        let spaces = SpaceTable::new(i.symbols().map(|(space, _)| space));
+        let check = |pred: u32, cell: u32| {
+            let block = decode_relation(&raw_block(pred, 1, 1, &[&[2 * cell as u8]]), "r");
+            spaces.check_relation(&block.unwrap(), "r")
+        };
+        assert!(check(1, 3).is_ok());
+        for (pred, cell, needle) in [
+            (2, 3, "id 2 is not a predicate"),
+            (9, 3, "id 9 is not a predicate"),
+            (1, 0, "holds id 0, which is not a constant"),
+            (1, 5, "holds id 5, which is not a constant"),
+            (1, 6, "holds id 6, which is not a constant"),
+        ] {
+            let err = check(pred, cell).unwrap_err().to_string();
+            assert!(err.contains(needle), "{needle:?} not in {err:?}");
+        }
+    }
+
+    #[test]
+    fn snapshot_level_counts_are_checked_against_the_sections() {
+        let (i, db) = sample();
+        let bytes = snapshot_to_vec_v2(&i, &db).unwrap();
+        // Rebuilds the file with the relation sections replaced.
+        let with_relations = |tuples: u64, blocks: &[Vec<u8>]| {
+            let mut out = bytes[..12].to_vec();
+            let mut header = Vec::new();
+            header.extend_from_slice(&(i.len() as u64).to_le_bytes());
+            header.extend_from_slice(&i.fresh_counter().to_le_bytes());
+            header.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
+            header.extend_from_slice(&tuples.to_le_bytes());
+            push_section(&mut out, TAG_HEADER, &header);
+            push_section(&mut out, TAG_DICTIONARY, &encode_dictionary(i.symbols()));
+            for block in blocks {
+                push_section(&mut out, TAG_RELATION, block);
+            }
+            push_section(&mut out, TAG_END, &[]);
+            decode_snapshot(&out).map(|(_, db)| db.size())
+        };
+        let node = |cell: u8| raw_block(1, 1, 1, &[&[2 * cell]]);
+        assert_eq!(with_relations(1, &[node(2)]).unwrap(), 1);
+        let err = with_relations(2, &[node(2)]).unwrap_err().to_string();
+        assert!(err.contains("header claims 2 tuples"), "{err}");
+        let err = with_relations(2, &[node(2), node(3)]).unwrap_err();
+        assert!(err.to_string().contains("two relations"), "{err}");
+        let err = with_relations(1, &[node(5)]).unwrap_err();
+        assert!(err.to_string().contains("not a constant"), "{err}");
     }
 
     #[test]

@@ -6,16 +6,17 @@
 //! `(Interner, Database)` pair so a server restart is a sequential read +
 //! validation pass instead of a re-parse:
 //!
-//! * [`format`] — the one on-disk layout: front-coded term dictionary,
-//!   per-relation sorted column-major tuple runs as delta+varint cells with
-//!   a key directory, and a CRC-32 per section so corruption surfaces as a
-//!   typed [`StoreError`] instead of garbage answers. Decoded relations are
-//!   lazy views into the file's bytes whose cells decode, on first touch,
-//!   straight into the flat sorted run a [`wdpt_model::Relation`] is
-//!   probed in; nothing else is stored, carried or built.
+//! * [`format`] — the one on-disk layout and its two block codecs: a
+//!   front-coded **dictionary block** and, per relation, a **relation
+//!   block** — one sorted run, column-major, delta+varint cells — each in a
+//!   section with its own CRC-32, so corruption surfaces as a typed
+//!   [`StoreError`] instead of garbage answers. A file holds sorted runs
+//!   and nothing derived from them; loading one is decoding it, in one
+//!   validating pass, into the flat run a [`wdpt_model::Relation`] is
+//!   probed in.
 //! * [`delta`] — incremental **delta snapshots**: insert-only diffs
-//!   chained to their base by content hash, applied by merging flat sorted
-//!   runs in place, so a small update touches only the relations it names.
+//!   chained to their base by content hash, made of the same two blocks,
+//!   applied by merging flat sorted runs in place.
 //! * [`loader`] — a parallel bulk loader that streams text through scoped
 //!   parser threads (std-only) with **two-pass parallel interning**:
 //!   workers intern into per-worker local dictionaries, the union merges
@@ -41,6 +42,7 @@ pub mod format;
 pub mod loader;
 pub mod replog;
 pub mod text;
+mod varint;
 
 pub use crc::{crc32, Crc32};
 pub use delta::{

@@ -4,7 +4,10 @@
 //! live in `v2_format.rs`.)
 
 use wdpt_model::{Database, Interner};
-use wdpt_store::{decode_snapshot, inspect_snapshot, snapshot_to_vec_v2, StoreError, MAGIC};
+use wdpt_store::{
+    content_hash, decode_delta, decode_snapshot, decode_with_deltas, delta_to_vec,
+    inspect_snapshot, snapshot_to_vec_v2, StoreError, MAGIC,
+};
 
 fn sample_snapshot() -> Vec<u8> {
     let mut i = Interner::new();
@@ -113,4 +116,43 @@ fn a_version_1_file_is_refused_by_version_not_by_accident() {
             }
         }
     }
+}
+
+#[test]
+fn a_version_2_snapshot_and_a_version_1_delta_are_refused_by_version() {
+    // The formats with key directories (snapshot 2) and fixed-width cells
+    // (delta 1): the version field alone refuses them, whatever follows —
+    // their sections are never parsed as today's.
+    let base = sample_snapshot();
+    let (i, db) = decode_snapshot(&base).unwrap();
+    let delta = delta_to_vec(content_hash(&base), &i, &db, &i, &db).unwrap();
+
+    let mut v2 = base.clone();
+    v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+    for result in [
+        decode_snapshot(&v2).map(|_| ()),
+        inspect_snapshot(&v2).map(|_| ()),
+        decode_with_deltas(&v2, &[]).map(|_| ()),
+    ] {
+        match result {
+            Err(e @ StoreError::UnsupportedVersion(2)) => {
+                assert!(e.to_string().contains("rebuild"), "no hint in: {e}")
+            }
+            other => panic!("expected UnsupportedVersion(2), got {other:?}"),
+        }
+    }
+
+    let mut v1 = delta.clone();
+    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    for result in [
+        decode_delta(&v1).map(|_| ()),
+        decode_with_deltas(&base, &[v1.clone()]).map(|_| ()),
+    ] {
+        assert!(
+            matches!(result, Err(StoreError::UnsupportedVersion(1))),
+            "expected UnsupportedVersion(1), got {result:?}"
+        );
+    }
+    // Today's delta still applies: only the version field was in the way.
+    assert!(decode_with_deltas(&base, &[delta]).is_ok());
 }

@@ -1,11 +1,15 @@
 //! Property test: a random `(Interner, Database)` pair survives a snapshot
 //! round trip losslessly — relations, tuples, posting lengths, active
 //! domain, fresh counter, and every term name — and the decoded pair passes
-//! the deep verification `wdpt-store verify` runs.
+//! the deep verification `wdpt-store verify` runs. So does one that reaches
+//! the decoder as a base snapshot plus a chain of deltas.
 
 use wdpt_gen::Lcg;
 use wdpt_model::{Database, Interner, SymbolSpace};
-use wdpt_store::{decode_snapshot, snapshot_to_vec_v2, verify_database_deep};
+use wdpt_store::{
+    content_hash, decode_snapshot, decode_with_deltas, delta_to_vec, snapshot_to_vec_v2,
+    verify_database_deep,
+};
 
 /// Builds a random database: a few relations of mixed arity (1–4), tuples
 /// drawn from a bounded constant pool (so duplicates and shared constants
@@ -55,6 +59,30 @@ fn random_instance(seed: u64) -> (Interner, Database) {
         interner.fresh_var("f");
     }
     (interner, db)
+}
+
+/// Grows the pair by one random insert-only step: a few new constants,
+/// sometimes a new relation, rows into old and new relations alike (some of
+/// them repeats, which `insert` drops).
+fn grow(rng: &mut Lcg, step: usize, interner: &mut Interner, db: &mut Database) {
+    let mut consts: Vec<_> = db.active_domain().iter().copied().collect();
+    for k in 0..1 + rng.gen_range(0..6) {
+        consts.push(interner.constant(&format!("new{step}_{k}")));
+    }
+    let mut targets: Vec<_> = db.relations().map(|(p, r)| (p, r.arity())).collect();
+    targets.sort_unstable();
+    if targets.is_empty() || rng.gen_bool(0.3) {
+        let pred = interner.pred(&format!("grown{step}"));
+        targets.push((pred, 1 + rng.gen_range(0..3)));
+    }
+    for _ in 0..1 + rng.gen_range(0..40) {
+        let (pred, arity) = targets[rng.gen_range(0..targets.len())];
+        let tuple = (0..arity).map(|_| consts[rng.gen_range(0..consts.len())]);
+        db.insert(pred, tuple.collect());
+    }
+    if rng.gen_bool(0.5) {
+        interner.fresh_var("g");
+    }
 }
 
 fn assert_equal(seed: u64, a_int: &Interner, a_db: &Database, b_int: &Interner, b_db: &Database) {
@@ -118,6 +146,31 @@ fn random_databases_round_trip_losslessly() {
             bytes,
             snapshot_to_vec_v2(&i2, &db2).unwrap(),
             "seed {seed}: re-encode differs"
+        );
+
+        // The chain axis: the same pair grown by one to three random
+        // insert-only steps, each step a delta file. The chain decodes to
+        // the directly built database, tuple for tuple, and re-encodes to
+        // the bytes a snapshot of the direct build has.
+        let mut rng = Lcg::new(seed ^ 0xC4A1);
+        let (mut head_i, mut head_db, mut head_hash) = (i2, db2, content_hash(&bytes));
+        let mut deltas: Vec<Vec<u8>> = Vec::new();
+        for step in 0..1 + rng.gen_range(0..3) {
+            let (mut next_i, mut next_db) = (head_i.clone(), head_db.clone());
+            grow(&mut rng, step, &mut next_i, &mut next_db);
+            let delta = delta_to_vec(head_hash, &head_i, &head_db, &next_i, &next_db)
+                .unwrap_or_else(|e| panic!("seed {seed}: delta {step}: {e}"));
+            (head_i, head_db, head_hash) = (next_i, next_db, content_hash(&delta));
+            deltas.push(delta);
+        }
+        let (chain_i, chain_db) = decode_with_deltas(&bytes, &deltas)
+            .unwrap_or_else(|e| panic!("seed {seed}: chain of {}: {e}", deltas.len()));
+        assert_equal(seed, &head_i, &head_db, &chain_i, &chain_db);
+        verify_database_deep(&chain_db).unwrap_or_else(|e| panic!("seed {seed}: chain: {e}"));
+        assert_eq!(
+            snapshot_to_vec_v2(&chain_i, &chain_db).unwrap(),
+            snapshot_to_vec_v2(&head_i, &head_db).unwrap(),
+            "seed {seed}: the applied chain re-encodes differently from the direct build"
         );
     }
 }

@@ -1,13 +1,12 @@
-//! Snapshot format tests: lazy decode behavior, corruption and length-bomb
-//! resistance, the size guarantee the columnar encoding exists for, and the
-//! deep-verify net under forged-but-CRC-valid key directories. (Lossless
-//! round trips live in `roundtrip.rs`, the remaining corruption sweeps in
-//! `corruption.rs`.)
+//! File format tests, snapshots and deltas alike: truncation, bit-flip and
+//! length-bomb resistance of the two block codecs, and the size guarantee
+//! the column encoding exists for. (Lossless round trips live in
+//! `roundtrip.rs`, the remaining corruption sweeps in `corruption.rs`.)
 
-use wdpt_gen::Lcg;
 use wdpt_model::{Database, Interner};
 use wdpt_store::{
-    crc32, decode_snapshot, snapshot_to_vec_v2, verify_database_deep, StoreError, VERSION,
+    content_hash, crc32, decode_delta, decode_snapshot, decode_with_deltas, delta_to_vec,
+    snapshot_to_vec_v2, StoreError, VERSION,
 };
 
 fn sample_snapshot_v2() -> Vec<u8> {
@@ -25,51 +24,19 @@ fn sample_snapshot_v2() -> Vec<u8> {
     snapshot_to_vec_v2(&i, &db).unwrap()
 }
 
-#[test]
-fn v2_decode_is_lazy_and_stats_scans_stay_lazy() {
-    let mut i = Interner::new();
-    let e = i.pred("e");
-    let consts: Vec<_> = (0..20).map(|k| i.constant(&format!("c{k}"))).collect();
-    let mut db = Database::new();
-    let mut rng = Lcg::new(9);
-    for _ in 0..200 {
-        db.insert(
-            e,
-            vec![
-                consts[rng.gen_range(0..consts.len())],
-                consts[rng.gen_range(0..consts.len())],
-            ],
-        );
-    }
-    let n = db.size() as u64; // inserts drop duplicates
-    let bytes = snapshot_to_vec_v2(&i, &db).unwrap();
-    let (_, db2) = decode_snapshot(&bytes).unwrap();
-    let rel = db2.relation(e).unwrap();
-    assert!(rel.is_lazy(), "fresh v2 decode must not materialize");
-    assert_eq!(
-        rel.len() as u64,
-        n,
-        "len comes from the header, not a decode"
-    );
-
-    // The statistics path streams posting lengths from the serialized key
-    // directory without decoding any column.
-    let mut streamed = 0u64;
-    rel.scan_posting_lens(0, |_, n| streamed += u64::from(n));
-    assert_eq!(streamed, n);
-    assert!(rel.is_lazy(), "directory scan must keep the relation lazy");
-
-    // The active domain likewise comes from the directories alone.
-    assert_eq!(db2.active_domain(), db.active_domain());
-    assert!(db2.relation(e).unwrap().is_lazy());
-
-    // A real probe decodes on demand and answers correctly.
-    let probe = vec![Some(consts[0]), None];
-    let mut a: Vec<_> = db.relation(e).unwrap().matching(&probe).collect();
-    let mut b: Vec<_> = db2.relation(e).unwrap().matching(&probe).collect();
-    a.sort_unstable();
-    b.sort_unstable();
-    assert_eq!(a, b);
+/// The sample's pair, a delta on top of it (new symbols, rows for an old
+/// and a new relation), and the base file the delta chains to.
+fn sample_delta() -> (Vec<u8>, Vec<u8>) {
+    let base = sample_snapshot_v2();
+    let (i, db) = decode_snapshot(&base).unwrap();
+    let (mut ni, mut ndb) = (i.clone(), db.clone());
+    let (e, l) = (ni.pred("edge"), ni.pred("label"));
+    let (a, d, z) = (ni.constant("a"), ni.constant("d"), ni.constant("zz"));
+    ndb.insert(e, vec![d, a]);
+    ndb.insert(e, vec![a, z]);
+    ndb.insert(l, vec![z]);
+    let delta = delta_to_vec(content_hash(&base), &i, &db, &ni, &ndb).unwrap();
+    (base, delta)
 }
 
 #[test]
@@ -113,6 +80,55 @@ fn every_v2_single_byte_flip_is_a_typed_error() {
     assert_eq!(mutated, bytes, "mutation loop must restore the input");
 }
 
+#[test]
+fn every_delta_truncation_is_a_typed_error() {
+    let (base, delta) = sample_delta();
+    assert_eq!(
+        decode_with_deltas(&base, std::slice::from_ref(&delta))
+            .unwrap()
+            .1
+            .size(),
+        8
+    );
+    for len in 0..delta.len() {
+        match decode_delta(&delta[..len]) {
+            Ok(_) => panic!("decode of {len}-byte prefix succeeded"),
+            Err(
+                StoreError::Truncated { .. }
+                | StoreError::BadMagic
+                | StoreError::ChecksumMismatch { .. }
+                | StoreError::Malformed { .. },
+            ) => {}
+            Err(other) => panic!("prefix of {len} bytes gave unexpected error: {other}"),
+        }
+    }
+}
+
+#[test]
+fn every_delta_single_byte_flip_is_a_typed_error() {
+    let (base, delta) = sample_delta();
+    let mut mutated = delta.clone();
+    for i in 0..delta.len() {
+        for bit in [0x01u8, 0x80u8] {
+            mutated[i] ^= bit;
+            // The whole way: parse, chain check, apply.
+            match decode_with_deltas(&base, std::slice::from_ref(&mutated)) {
+                Err(
+                    StoreError::BadMagic
+                    | StoreError::UnsupportedVersion(_)
+                    | StoreError::Truncated { .. }
+                    | StoreError::ChecksumMismatch { .. }
+                    | StoreError::Malformed { .. },
+                ) => {}
+                Err(other) => panic!("flip at byte {i}: unexpected error {other}"),
+                Ok(_) => panic!("flip at byte {i} went undetected"),
+            }
+            mutated[i] ^= bit;
+        }
+    }
+    assert_eq!(mutated, delta, "mutation loop must restore the input");
+}
+
 // ---------------------------------------------------------------------------
 // Section surgery helpers: locate a section in a serialized snapshot/delta,
 // patch its payload, and re-stamp the CRC so only the *semantic* check under
@@ -150,125 +166,85 @@ fn expect_bomb_rejected(what: &str, result: Result<(Interner, Database), StoreEr
     }
 }
 
+/// Offsets inside a relation block: `pred u32 · arity u32 · rows u64`, then
+/// one `cells bytes u64` per column.
+const ARITY_AT: usize = 4;
+const ROWS_AT: usize = 8;
+const TABLE_AT: usize = 16;
+
+/// `bytes` with `value` written over the field at `at` of the first section
+/// tagged `tag`, the CRC re-stamped.
+fn patched(bytes: &[u8], tag: u8, at: usize, value: &[u8]) -> Vec<u8> {
+    let mut bomb = bytes.to_vec();
+    let (start, len) = find_section(&bomb, tag);
+    bomb[start + at..start + at + value.len()].copy_from_slice(value);
+    restamp_crc(&mut bomb, start, len);
+    bomb
+}
+
+/// The relation-block bombs, against either file kind: each must be refused
+/// on the declared sizes alone, before a run is allocated from them.
+fn relation_block_bombs(
+    file: &[u8],
+    tag: u8,
+    decode: impl Fn(Vec<u8>) -> Result<(Interner, Database), StoreError>,
+) {
+    // Rows at the u32 ceiling over blobs of a few bytes: every cell takes
+    // at least one byte, so the blobs cannot hold them.
+    let bomb = patched(file, tag, ROWS_AT, &u64::from(u32::MAX).to_le_bytes());
+    expect_bomb_rejected("row-count bomb", decode(bomb));
+    // … and past it.
+    let bomb = patched(file, tag, ROWS_AT, &(u64::MAX / 2).to_le_bytes());
+    expect_bomb_rejected("row-count overflow", decode(bomb));
+    // An arity the payload cannot hold: each column owes an 8-byte entry.
+    let bomb = patched(file, tag, ARITY_AT, &u32::MAX.to_le_bytes());
+    expect_bomb_rejected("arity bomb", decode(bomb));
+    // A cells blob longer than the payload.
+    let bomb = patched(file, tag, TABLE_AT, &(u64::MAX / 2).to_le_bytes());
+    expect_bomb_rejected("cells-bytes bomb", decode(bomb));
+    // A cells blob shorter than its row count (and the next one that much
+    // longer, so the payload still adds up).
+    let (start, _) = find_section(file, tag);
+    let field =
+        |at: usize| u64::from_le_bytes(file[start + at..start + at + 8].try_into().unwrap());
+    let (rows, cells0, cells1) = (field(ROWS_AT), field(TABLE_AT), field(TABLE_AT + 8));
+    assert!(rows >= 2 && cells0 == rows, "one-byte cells expected");
+    let mut table = (cells0 - 1).to_le_bytes().to_vec();
+    table.extend_from_slice(&(cells1 + 1).to_le_bytes());
+    let bomb = patched(file, tag, TABLE_AT, &table);
+    match decode(bomb) {
+        Err(StoreError::Malformed { detail, .. }) => {
+            assert!(detail.contains("cells bytes"), "refused late: {detail}")
+        }
+        other => panic!(
+            "short cells blob: expected Malformed, got {:?}",
+            other.err()
+        ),
+    }
+}
+
 #[test]
 fn v2_length_bombs_are_rejected_without_allocation() {
     let bytes = sample_snapshot_v2();
-
-    // Rows inflated to the u32 ceiling: caught against the cells byte count.
-    let mut bomb = bytes.clone();
-    let (rs, rl) = find_section(&bomb, 0x06);
-    bomb[rs + 8..rs + 16].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
-    restamp_crc(&mut bomb, rs, rl);
-    expect_bomb_rejected("v2 row-count bomb", decode_snapshot(&bomb));
-
-    // Arity inflated: each column owes a 24-byte table entry.
-    let mut bomb = bytes.clone();
-    let (rs, rl) = find_section(&bomb, 0x06);
-    bomb[rs + 4..rs + 8].copy_from_slice(&u32::MAX.to_le_bytes());
-    restamp_crc(&mut bomb, rs, rl);
-    expect_bomb_rejected("v2 arity bomb", decode_snapshot(&bomb));
-
-    // Key count inflated past what the directory bytes can hold.
-    let mut bomb = bytes.clone();
-    let (rs, rl) = find_section(&bomb, 0x06);
-    bomb[rs + 24..rs + 32].copy_from_slice(&(u64::MAX / 2).to_le_bytes()); // col 0 keys
-    restamp_crc(&mut bomb, rs, rl);
-    expect_bomb_rejected("v2 key-count bomb", decode_snapshot(&bomb));
+    relation_block_bombs(&bytes, 0x06, |bomb| decode_snapshot(&bomb));
 
     // Dictionary claims far more symbols than the payload encodes.
-    let mut bomb = bytes;
-    let (hs, hl) = find_section(&bomb, 0x01);
-    bomb[hs..hs + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-    restamp_crc(&mut bomb, hs, hl);
+    let bomb = patched(&bytes, 0x01, 0, &u64::MAX.to_le_bytes());
     expect_bomb_rejected("v2 symbol-count bomb", decode_snapshot(&bomb));
 }
 
 #[test]
 fn delta_length_bombs_are_rejected_without_allocation() {
-    let mut i = Interner::new();
-    let e = i.pred("e");
-    let (a, b) = (i.constant("a"), i.constant("b"));
-    let mut db = Database::new();
-    db.insert(e, vec![a, a]);
-    let base = snapshot_to_vec_v2(&i, &db).unwrap();
-    let mut i2 = i.clone();
-    let mut db2 = db.clone();
-    let c = i2.constant("c");
-    db2.insert(e, vec![b, c]);
-    let delta =
-        wdpt_store::delta_to_vec(wdpt_store::content_hash(&base), &i, &db, &i2, &db2).unwrap();
-
-    let check = |bomb: &[u8], what: &str| {
-        expect_bomb_rejected(
-            what,
-            wdpt_store::decode_with_deltas(&base, &[bomb.to_vec()]),
-        );
-    };
+    let (base, delta) = sample_delta();
+    let decode = |bomb: Vec<u8>| decode_with_deltas(&base, &[bomb]);
+    relation_block_bombs(&delta, 0x05, decode);
 
     // Delta header claims u32::MAX relation sections.
-    let mut bomb = delta.clone();
-    let (hs, hl) = find_section(&bomb, 0x04);
-    bomb[hs + 32..hs + 36].copy_from_slice(&u32::MAX.to_le_bytes());
-    restamp_crc(&mut bomb, hs, hl);
-    check(&bomb, "delta relation-count bomb");
-
-    // Relation delta claims ~u64::MAX rows in a few cell bytes.
-    let mut bomb = delta.clone();
-    let (rs, rl) = find_section(&bomb, 0x05);
-    bomb[rs + 8..rs + 16].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
-    restamp_crc(&mut bomb, rs, rl);
-    check(&bomb, "delta row-count bomb");
-
-    // Relation delta claims u32::MAX columns.
-    let mut bomb = delta;
-    let (rs, rl) = find_section(&bomb, 0x05);
-    bomb[rs + 4..rs + 8].copy_from_slice(&u32::MAX.to_le_bytes());
-    restamp_crc(&mut bomb, rs, rl);
-    check(&bomb, "delta arity bomb");
-}
-
-#[test]
-fn forged_key_directory_passes_decode_but_fails_deep_verify() {
-    // Column cells and the key directory are independently CRC-protected,
-    // so a *writer* bug (or a deliberate forgery that re-stamps the CRC)
-    // could ship a directory that is internally consistent — ascending
-    // in-namespace keys, lengths summing to the row count — yet disagrees
-    // with the cells. Decode accepts it (queries never read the directory,
-    // so answers stay correct); `verify_database_deep` must reject it.
-    let mut i = Interner::new();
-    let e = i.pred("e");
-    let a = i.constant("a");
-    let b = i.constant("b");
-    let c = i.constant("c"); // interned but unused: the forged key
-    let x = i.constant("x");
-    let mut db = Database::new();
-    db.insert(e, vec![a, x]);
-    db.insert(e, vec![b, x]);
-    let mut bytes = snapshot_to_vec_v2(&i, &db).unwrap();
-
-    let (rs, rl) = find_section(&bytes, 0x06);
-    let arity = u32::from_le_bytes(bytes[rs + 4..rs + 8].try_into().unwrap()) as usize;
-    assert_eq!(arity, 2);
-    let cells0 = u64::from_le_bytes(bytes[rs + 16..rs + 24].try_into().unwrap()) as usize;
-    let dir0_bytes = u64::from_le_bytes(bytes[rs + 32..rs + 40].try_into().unwrap()) as usize;
-    // Column 0 directory is [(a,1), (b,1)] = 4 single-byte varints:
-    // key a, len 1, delta b-a, len 1.
-    let dir0 = rs + 16 + arity * 24 + cells0;
-    assert_eq!(dir0_bytes, 4);
-    assert_eq!(bytes[dir0], a.0 as u8);
-    assert_eq!(bytes[dir0 + 2], (b.0 - a.0) as u8);
-    // Forge the second key from b to c (same byte length, still ascending,
-    // still a constant, lengths still sum to the 2 rows).
-    bytes[dir0 + 2] = (c.0 - a.0) as u8;
-    restamp_crc(&mut bytes, rs, rl);
-
-    let (_, forged) = decode_snapshot(&bytes).expect("forged directory is CRC- and shape-valid");
-    // Queries still answer from the cells, correctly.
-    let probe = vec![Some(b), None];
-    assert_eq!(forged.relation(e).unwrap().matching(&probe).count(), 1);
-    // But the deep check cross-references the directory against the cells.
-    let err = verify_database_deep(&forged).expect_err("forged directory must fail deep verify");
-    assert!(matches!(err, StoreError::Malformed { .. }), "{err}");
+    let bomb = patched(&delta, 0x04, 32, &u32::MAX.to_le_bytes());
+    expect_bomb_rejected("delta relation-count bomb", decode(bomb));
+    // … or far more appended symbols than the dictionary block encodes.
+    let bomb = patched(&delta, 0x04, 16, &u64::from(u32::MAX).to_le_bytes());
+    expect_bomb_rejected("delta symbol-count bomb", decode(bomb));
 }
 
 #[test]

@@ -1,9 +1,9 @@
-//! End-to-end parity between the two relation representations: a database
-//! loaded from a snapshot (every relation a **lazy** columnar view) must be
-//! **observationally identical** to the in-memory, insert-built (**owned**)
-//! database it was encoded from — identical WDPT answer sets *and*
-//! identical `nodes_expanded` work counts — at every thread count. The
-//! engine cannot tell the representations apart.
+//! End-to-end parity between the two ways a database comes to be: one
+//! loaded from a snapshot (every relation one decoded run) must be
+//! **observationally identical** to the in-memory, insert-built database
+//! (folded runs plus pending rows) it was encoded from — identical WDPT
+//! answer sets *and* identical `nodes_expanded` work counts — at every
+//! thread count. The engine cannot tell them apart.
 //!
 //! Kept to a single `#[test]` on purpose: the engine counters are
 //! process-wide, so a second concurrently-running test in this binary
@@ -49,34 +49,26 @@ fn run(p: &wdpt_core::Wdpt, db: &Database, threads: usize) -> (Vec<Mapping>, u64
 }
 
 #[test]
-fn lazy_and_owned_relations_answer_identically_with_identical_work() {
+fn loaded_and_insert_built_databases_answer_identically_with_identical_work() {
     for seed in 0..12u64 {
         let mut interner = Interner::new();
-        let owned = random_ef_db(&mut interner, seed ^ 0xD1FF);
+        let built = random_ef_db(&mut interner, seed ^ 0xD1FF);
         let mut rng = Lcg::new(seed.wrapping_mul(0x9E37_79B9).wrapping_add(7));
         let p = random_wdpt(&mut interner, 2 + (seed as usize % 5), &mut rng);
 
-        let bytes = snapshot_to_vec_v2(&interner, &owned).unwrap();
-        let (_, lazy) = decode_snapshot(&bytes).unwrap();
-        assert!(
-            lazy.relations().all(|(_, r)| r.is_lazy()),
-            "seed {seed}: a snapshot load must start lazy"
-        );
-        assert!(
-            owned.relations().all(|(_, r)| !r.is_lazy()),
-            "seed {seed}: the insert-built database is the owned side"
-        );
+        let bytes = snapshot_to_vec_v2(&interner, &built).unwrap();
+        let (_, loaded) = decode_snapshot(&bytes).unwrap();
 
         for threads in [1usize, 8] {
-            let (a_owned, n_owned) = run(&p, &owned, threads);
-            let (a_lazy, n_lazy) = run(&p, &lazy, threads);
+            let (a_built, n_built) = run(&p, &built, threads);
+            let (a_loaded, n_loaded) = run(&p, &loaded, threads);
             assert_eq!(
-                a_owned, a_lazy,
-                "seed {seed}, {threads} threads: answer sets differ between owned and lazy"
+                a_built, a_loaded,
+                "seed {seed}, {threads} threads: answer sets differ between built and loaded"
             );
             assert_eq!(
-                n_owned, n_lazy,
-                "seed {seed}, {threads} threads: nodes_expanded differs between owned and lazy"
+                n_built, n_loaded,
+                "seed {seed}, {threads} threads: nodes_expanded differs between built and loaded"
             );
         }
     }
