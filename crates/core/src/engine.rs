@@ -7,14 +7,13 @@
 //! treewidth bounds, or the `HW(k)` engine under hypertreewidth bounds.
 //! [`Engine`] makes that choice explicit, so benchmarks can compare the
 //! columns of Table 1 like-for-like.
+//!
+//! A procedure has the engine prepare each CQ it asks about once — derive
+//! its decomposition, or none for backtracking — and compiles it into one
+//! [`wdpt_cq::Oracle`] that it decides under as many seeds as it needs.
 
-use std::collections::BTreeSet;
-use wdpt_cq::{
-    backtrack,
-    structured::{boolean_eval_structured, enumerate_projections, StructuredPlan},
-    ConjunctiveQuery,
-};
-use wdpt_model::{Database, Mapping, Var};
+use wdpt_cq::{ConjunctiveQuery, Oracle, StructuredPlan};
+use wdpt_model::{Atom, Database, Mapping, Var};
 
 /// The CQ evaluation strategy used inside WDPT procedures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +33,7 @@ impl Engine {
     /// falls back to backtracking — always applicable, same verdict, no
     /// polynomial bound — counted in `core.engine.class_fallback` so a
     /// measurement can tell it did not time the structured engine.
-    fn plan(self, q: &ConjunctiveQuery) -> Option<StructuredPlan> {
+    pub(crate) fn plan(self, q: &ConjunctiveQuery) -> Option<StructuredPlan> {
         let plan = match self {
             Engine::Backtrack => return None,
             Engine::Tw(k) => StructuredPlan::for_query_tw(q, k),
@@ -48,34 +47,27 @@ impl Engine {
 
     /// Does a homomorphism from `q`'s body into `db` extending `seed` exist?
     pub fn hom_exists(self, q: &ConjunctiveQuery, db: &Database, seed: &Mapping) -> bool {
-        match self.plan(q) {
-            None => backtrack::extend_exists(db, q.body(), seed),
-            Some(plan) => boolean_eval_structured(q, db, &plan, seed),
-        }
+        seeded(db, q.body(), self.plan(q).as_ref(), seed, |_| false).exists()
     }
+}
 
-    /// Projections onto `targets` of the homomorphisms from `q`'s body into
-    /// `db` extending `seed`. With a structured engine this enumerates the
-    /// candidate product of `targets` and Boolean-checks each — polynomial
-    /// for bounded `|targets|` (the Theorem 6 pattern).
-    pub fn project(
-        self,
-        q: &ConjunctiveQuery,
-        db: &Database,
-        targets: &BTreeSet<Var>,
-        seed: &Mapping,
-    ) -> Vec<Mapping> {
-        match self.plan(q) {
-            None => {
-                let mut out: BTreeSet<Mapping> = BTreeSet::new();
-                for h in backtrack::extend_all(db, q.body(), seed) {
-                    out.insert(h.restrict(targets));
-                }
-                out.into_iter().collect()
-            }
-            Some(plan) => enumerate_projections(q, db, &plan, targets, seed),
+/// `atoms` compiled over `plan` with the variables `seed` defines — their
+/// values written, a `Mapping` converted once — and those the caller will
+/// write (`also`) as the seeded slots.
+pub(crate) fn seeded<'a>(
+    db: &'a Database,
+    atoms: &'a [Atom],
+    plan: Option<&StructuredPlan>,
+    seed: &Mapping,
+    also: impl Fn(Var) -> bool,
+) -> Oracle<'a> {
+    let mut oracle = Oracle::new(db, atoms, plan, |v| seed.defines(v) || also(v));
+    for slot in 0..oracle.vars().len() {
+        if let Some(c) = seed.get(oracle.vars()[slot]) {
+            oracle.set(slot, c);
         }
     }
+    oracle
 }
 
 #[cfg(test)]
@@ -121,15 +113,17 @@ mod tests {
         let db = parse_database(&mut i, "e(a,b) e(b,c) e(c,d)").unwrap();
         let q = ConjunctiveQuery::boolean(parse_atoms(&mut i, "e(?x,?y) e(?y,?z)").unwrap());
         let y = i.var("y");
-        let targets: BTreeSet<Var> = [y].into_iter().collect();
-        let mut a = Engine::Backtrack.project(&q, &db, &targets, &Mapping::empty());
-        let mut b = Engine::Tw(1).project(&q, &db, &targets, &Mapping::empty());
-        let mut c = Engine::Hw(1).project(&q, &db, &targets, &Mapping::empty());
-        a.sort();
-        b.sort();
-        c.sort();
-        assert_eq!(a, b);
-        assert_eq!(b, c);
+        let projections = |engine: Engine| {
+            let plan = engine.plan(&q);
+            let mut oracle = Oracle::new(&db, q.body(), plan.as_ref(), |v| v == y);
+            let slot = oracle.vars().binary_search(&y).unwrap();
+            let mut rows = Vec::new();
+            oracle.project(&[slot], |row| rows.push(row.to_vec()));
+            rows
+        };
+        let a = projections(Engine::Backtrack);
+        assert_eq!(a, projections(Engine::Tw(1)));
+        assert_eq!(a, projections(Engine::Hw(1)));
         assert_eq!(a.len(), 2); // y ∈ {b, c}
     }
 }

@@ -6,85 +6,138 @@
 //! defines according to `h`, (ii) be *forced* into every child that is
 //! extendable at all (maximality), and (iii) end up covering exactly
 //! `dom(h)` among the free variables. The recursion tracks, per subtree, the
-//! set of achievable "coverage" sets of `dom(h)`; `h ∈ p(D)` iff some
-//! root-level derivation covers all of `dom(h)`.
+//! family of achievable "coverage" sets of `dom(h)`, each a bitset over
+//! `dom(h)`; `h ∈ p(D)` iff some root-level derivation covers all of
+//! `dom(h)`. Each node's atoms are compiled once per decision into
+//! backtracking [`Search`]es, whose frames are the local homomorphisms and
+//! whose seeded slots take the parent's.
 //!
 //! Tractable special cases live in [`crate::eval_bi`] (Theorem 6: local
 //! tractability + bounded interface).
 
 use crate::tree::Wdpt;
-use std::collections::BTreeSet;
-use wdpt_cq::backtrack::{extend_all, extend_exists};
-use wdpt_model::{Database, Mapping, Var};
+use wdpt_cq::Search;
+use wdpt_model::{CancelToken, Const, Database, Mapping, Var};
+
+/// A set of variables of `dom(h)`: bit `i` stands for the `i`-th.
+type Cover = Vec<u64>;
+
+/// One node of the tree, compiled for one decision.
+struct Node<'a> {
+    /// The node's free variables, or `None` when one lies outside `dom(h)`:
+    /// then the node cannot be entered consistently.
+    cover: Option<Cover>,
+    /// The local homomorphisms: the node's atoms, seeded with the variables
+    /// shared with the parent and with the free variables (from `h`).
+    entered: Search<'a>,
+    /// Raw extendability: the same atoms, seeded with the shared variables
+    /// only.
+    raw: Search<'a>,
+    /// `(slot here, slot in the parent)` per variable shared with the parent.
+    shared: Vec<(usize, usize)>,
+}
 
 /// Decides `h ∈ p(D)` for an arbitrary WDPT (general, worst-case
 /// exponential — the paper's Σ₂ᵖ upper bound).
 pub fn eval_decide(p: &Wdpt, db: &Database, h: &Mapping) -> bool {
     let _span = wdpt_obs::span!("wdpt.eval.decide");
     let free = p.free_set();
-    let dom = h.domain();
-    if !dom.is_subset(&free) {
+    let dom: Vec<Var> = h.iter().map(|(v, _)| v).collect();
+    if !dom.iter().all(|v| free.contains(v)) {
         return false;
     }
-    match coverages(p, db, h, &dom, p.root(), &Mapping::empty()) {
-        None => false,
-        Some(list) => list.into_iter().any(|cov| cov == dom),
+    let words = dom.len() / 64 + 1;
+    let mut nodes: Vec<Node> = Vec::with_capacity(p.node_count());
+    for t in 0..p.node_count() {
+        // Node ids are preorder: the parent is compiled already.
+        let parent_vars = p.parent(t).map_or(&[][..], |q| nodes[q].entered.vars());
+        let in_parent = |v: Var| parent_vars.binary_search(&v).is_ok();
+        let mut entered =
+            Search::compile(db, p.atoms(t), None, |v| in_parent(v) || free.contains(&v));
+        let raw = Search::compile(db, p.atoms(t), None, in_parent);
+        let mut cover = Some(vec![0u64; words]);
+        let mut shared = Vec::new();
+        for (slot, v) in entered.vars().to_vec().into_iter().enumerate() {
+            if let Ok(from) = parent_vars.binary_search(&v) {
+                shared.push((slot, from));
+            }
+            if free.contains(&v) {
+                match (dom.binary_search(&v), &mut cover) {
+                    (Ok(i), Some(bits)) => {
+                        bits[i / 64] |= 1 << (i % 64);
+                        entered.set(slot, h.get(v).expect("v is in dom(h)"));
+                    }
+                    _ => cover = None,
+                }
+            }
+        }
+        nodes.push(Node {
+            cover,
+            entered,
+            raw,
+            shared,
+        });
     }
+    // A cover is all of dom(h) iff it has as many bits.
+    let bits = |cover: &Cover| cover.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+    coverages(p, &mut nodes, p.root(), &[]).is_some_and(|f| f.iter().any(|c| bits(c) == dom.len()))
 }
 
 /// Coverage sets achievable by consistent maximal extensions into the
-/// subtree rooted at `t`. `None` means `t` cannot be included consistently
+/// subtree rooted at `t`, below the parent's local homomorphism `context`,
+/// ascending and distinct. `None` means `t` cannot be included consistently
 /// (it introduces a free variable outside `dom(h)`).
-fn coverages(
-    p: &Wdpt,
-    db: &Database,
-    h: &Mapping,
-    dom: &BTreeSet<Var>,
-    t: usize,
-    inherited: &Mapping,
-) -> Option<Vec<BTreeSet<Var>>> {
-    let free = p.free_set();
-    let node_free: BTreeSet<Var> = p.node_vars(t).intersection(&free).copied().collect();
-    if !node_free.is_subset(dom) {
-        return None;
+fn coverages(p: &Wdpt, nodes: &mut [Node<'_>], t: usize, context: &[Const]) -> Option<Vec<Cover>> {
+    let never = CancelToken::never();
+    let node = &mut nodes[t];
+    let cover = node.cover.clone()?;
+    for &(slot, from) in &node.shared {
+        node.entered.set(slot, context[from]);
     }
-    let seed = inherited
-        .union(&h.restrict(&node_free))
-        .expect("free-variable bindings always come from h");
-    let locals = extend_all(db, p.atoms(t), &seed);
-    let mut result: BTreeSet<BTreeSet<Var>> = BTreeSet::new();
-    'locals: for g in locals {
-        let ctx = seed
-            .union(&g)
-            .expect("local homomorphism extends its own seed");
+    let width = node.entered.vars().len();
+    let (mut locals, mut rows) = (Vec::new(), 0);
+    (node.entered)
+        .for_each(never, |local| {
+            locals.extend_from_slice(local);
+            rows += 1;
+        })
+        .expect("never cancels");
+    let mut result = Vec::new();
+    'locals: for r in 0..rows {
+        let local = &locals[r * width..(r + 1) * width];
         // Combine children choices; start with this node's coverage.
-        let mut combos: BTreeSet<BTreeSet<Var>> = [node_free.clone()].into_iter().collect();
+        let mut combos = vec![cover.clone()];
         for &c in p.children(t) {
             // Raw extendability: ANY extension (free variables of c are
             // unconstrained here) forces inclusion of c by maximality.
-            let raw = extend_exists(db, p.atoms(c), &ctx);
-            if !raw {
+            let child = &mut nodes[c];
+            for &(slot, from) in &child.shared {
+                child.raw.set(slot, local[from]);
+            }
+            if !child.raw.exists(never).expect("never cancels") {
                 continue; // child excluded; coverage unchanged
             }
-            let sub = match coverages(p, db, h, dom, c, &ctx) {
+            match coverages(p, nodes, c, local) {
+                Some(sub) if !sub.is_empty() => {
+                    let unions = combos.iter().flat_map(|a| {
+                        sub.iter()
+                            .map(move |b| a.iter().zip(b).map(|(x, y)| x | y).collect())
+                    });
+                    combos = unions.collect();
+                    combos.sort_unstable();
+                    combos.dedup();
+                }
                 // Forced into a child that defines a free var outside
                 // dom(h), or no consistent way to enter: this local
                 // valuation cannot yield projection h.
-                None => continue 'locals,
-                Some(list) if list.is_empty() => continue 'locals,
-                Some(list) => list,
-            };
-            let mut next: BTreeSet<BTreeSet<Var>> = BTreeSet::new();
-            for base in &combos {
-                for choice in &sub {
-                    next.insert(base.union(choice).copied().collect());
-                }
+                _ => continue 'locals,
             }
-            combos = next;
         }
         result.extend(combos);
     }
-    Some(result.into_iter().collect())
+    result.sort_unstable();
+    result.dedup();
+    Some(result)
 }
 
 #[cfg(test)]

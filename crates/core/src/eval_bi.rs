@@ -24,10 +24,12 @@
 //! polynomial for fixed `k` and `c` (and in LogCFL with the structured
 //! engines, Theorem 7).
 
-use crate::engine::Engine;
+use crate::engine::{self, Engine};
 use crate::tree::{NodeId, Wdpt};
-use std::collections::{BTreeMap, BTreeSet};
-use wdpt_model::{Database, Mapping, Var};
+use std::cmp::Reverse;
+use std::collections::BTreeSet;
+use wdpt_cq::Oracle;
+use wdpt_model::{Const, Database, Mapping, Relation, Var};
 
 /// Decides `h ∈ p(D)` with the Theorem 6 algorithm. Correct for every
 /// WDPT; polynomial when `p` is locally tractable w.r.t. `engine`'s class
@@ -50,87 +52,106 @@ pub fn eval_bounded_interface(p: &Wdpt, db: &Database, h: &Mapping, engine: Engi
     let tsecond = p.maximal_subtree_with_free_vars_in(&dom);
     debug_assert!(tprime.is_subset(&tsecond));
 
-    // Interface variables per node of T''.
-    let iface: BTreeMap<NodeId, BTreeSet<Var>> = tsecond
-        .iter()
-        .map(|&t| (t, interface_vars(p, t, &free)))
+    // The node CQs the procedure asks about — every node of T'' and every
+    // child of one — each prepared once.
+    let plans: Vec<_> = (0..p.node_count())
+        .map(|t| {
+            let asked = tsecond.contains(&t) || p.parent(t).is_some_and(|q| tsecond.contains(&q));
+            asked.then(|| engine.plan(&p.node_cq(t))).flatten()
+        })
+        .collect();
+    let iface: Vec<Vec<Var>> = (0..p.node_count())
+        .map(|t| interface_vars(p, t, &free))
         .collect();
 
-    // Interface relations R_t (step 2).
-    let mut relations: BTreeMap<NodeId, Vec<Mapping>> = BTreeMap::new();
-    for &t in &tsecond {
-        let r = engine.project(&p.node_cq(t), db, &iface[&t], h);
-        relations.insert(t, r);
-    }
-
-    // Bottom-up filtering (step 3), fused with the acyclic join over T'
-    // (step 4): process deepest nodes first.
+    // Deepest nodes first: the interface relation R_t (step 2), each row
+    // kept only if the children admit it (step 3, fused with the acyclic
+    // join over T' of step 4).
     let mut order: Vec<NodeId> = tsecond.iter().copied().collect();
-    order.sort_by_key(|&t| std::cmp::Reverse(p.depth(t)));
-    let mut surviving: BTreeMap<NodeId, Vec<Mapping>> = BTreeMap::new();
+    order.sort_by_key(|&t| Reverse(p.depth(t)));
+    let mut relations = vec![Relation::default(); p.node_count()];
     for &t in &order {
-        let vars_t = p.node_vars(t);
-        let h_t = h.restrict(&vars_t);
-        let mut kept = Vec::new();
-        'tuples: for g in &relations[&t] {
-            let anchored = h_t
-                .union(g)
-                .expect("interface variables are existential, disjoint from h");
-            for &c in p.children(t) {
-                if tprime.contains(&c) {
-                    // Handled by the acyclic join below.
-                    continue;
-                }
-                // Raw extendability: an extension with arbitrary values
-                // forces inclusion of c by maximality.
-                let raw = engine.hom_exists(&p.node_cq(c), db, &anchored);
-                if !raw {
-                    continue;
-                }
-                if !tsecond.contains(&c) {
-                    // Forced into a node introducing a new free variable:
-                    // the projection could not be exactly h.
-                    continue 'tuples;
-                }
-                // Must enter c consistently with a surviving assignment.
-                let ok = surviving[&c].iter().any(|gc| gc.compatible(&anchored));
-                if !ok {
-                    continue 'tuples;
-                }
+        // `(position, column of g)` per variable of `vars` in the interface.
+        let columns = |vars: &[Var]| -> Vec<(usize, usize)> {
+            (vars.iter().enumerate())
+                .filter_map(|(k, v)| Some((k, iface[t].binary_search(v).ok()?)))
+                .collect()
+        };
+        // The atoms of `t` or of a child, seeded with `h` and the interface.
+        let compile = |n: NodeId| {
+            let in_iface = |v: Var| iface[t].binary_search(&v).is_ok();
+            let oracle = engine::seeded(db, p.atoms(n), plans[n].as_ref(), h, in_iface);
+            let from_g = columns(oracle.vars());
+            (oracle, from_g)
+        };
+        let mut children: Vec<Child> = (p.children(t).iter())
+            .map(|&c| Child {
+                node: c,
+                // Every variable a child outside T' shares with `t` is in
+                // dom(h) or in the interface.
+                raw: (!tprime.contains(&c)).then(|| compile(c)),
+                shared: columns(&iface[c]),
+            })
+            .collect();
+        let (mut oracle, from_g) = compile(t);
+        let targets: Vec<usize> = from_g.iter().map(|&(slot, _)| slot).collect();
+        let (mut kept, mut len) = (Vec::new(), 0);
+        oracle.project(&targets, |g| {
+            if (children.iter_mut()).all(|child| child.admits(g, &tsecond, &relations)) {
+                kept.extend_from_slice(g);
+                len += 1;
             }
-            if tprime.contains(&t) {
-                // The acyclic join: all T'-children must offer a compatible
-                // surviving tuple.
-                for &c in p.children(t) {
-                    if !tprime.contains(&c) {
-                        continue;
-                    }
-                    let ok = surviving[&c].iter().any(|gc| gc.compatible(&anchored));
-                    if !ok {
-                        continue 'tuples;
-                    }
-                }
-            }
-            kept.push(g.clone());
-        }
-        surviving.insert(t, kept);
+        });
+        relations[t] = Relation::from_sorted(iface[t].len(), len, kept);
     }
-    !surviving[&p.root()].is_empty()
+    !relations[p.root()].is_empty()
 }
 
-/// The interface variables of node `t`: existential variables shared with
-/// the parent or with any child (in the full tree). Under `BI(c)` there are
-/// at most `2c` of them.
-fn interface_vars(p: &Wdpt, t: NodeId, free: &BTreeSet<Var>) -> BTreeSet<Var> {
-    let vars_t = p.node_vars(t);
-    let mut shared = BTreeSet::new();
-    if let Some(parent) = p.parent(t) {
-        let pv = p.node_vars(parent);
-        shared.extend(vars_t.intersection(&pv).copied());
+/// What a valuation `g` of a node's interface must satisfy for one child.
+struct Child<'a> {
+    node: NodeId,
+    /// A child outside T': its atoms, seeded with the variables it shares
+    /// with the node — whether they extend under `g` is whether maximality
+    /// forces the child in — and `(slot, column of g)` per interface one.
+    raw: Option<(Oracle<'a>, Vec<(usize, usize)>)>,
+    /// `(column of the child's interface, column of g)` per variable the
+    /// two interfaces share.
+    shared: Vec<(usize, usize)>,
+}
+
+impl Child<'_> {
+    /// Does `g` let this child be what maximality and the join ask of it?
+    fn admits(&mut self, g: &[Const], tsecond: &BTreeSet<NodeId>, relations: &[Relation]) -> bool {
+        if let Some((oracle, from_g)) = &mut self.raw {
+            for &(slot, col) in from_g.iter() {
+                oracle.set(slot, g[col]);
+            }
+            // Raw extendability: an extension with arbitrary values forces
+            // inclusion of the child by maximality.
+            if !oracle.exists() {
+                return true;
+            }
+            if !tsecond.contains(&self.node) {
+                // Forced into a node introducing a new free variable: the
+                // projection could not be exactly h.
+                return false;
+            }
+        }
+        // Must enter the child consistently with a surviving assignment —
+        // for a child in T', the acyclic join.
+        (relations[self.node].tuples()).any(|gc| self.shared.iter().all(|&(a, b)| gc[a] == g[b]))
     }
-    for &c in p.children(t) {
-        let cv = p.node_vars(c);
-        shared.extend(vars_t.intersection(&cv).copied());
+}
+
+/// The interface variables of node `t`, ascending: existential variables
+/// shared with the parent or with any child (in the full tree). Under
+/// `BI(c)` there are at most `2c` of them.
+fn interface_vars(p: &Wdpt, t: NodeId, free: &BTreeSet<Var>) -> Vec<Var> {
+    let vars_t = p.node_vars(t);
+    let neighbours = p.parent(t).into_iter().chain(p.children(t).iter().copied());
+    let mut shared = BTreeSet::new();
+    for n in neighbours {
+        shared.extend(vars_t.intersection(&p.node_vars(n)).copied());
     }
     shared.into_iter().filter(|v| !free.contains(v)).collect()
 }
@@ -283,6 +304,88 @@ mod tests {
         assert!(!eval_bounded_interface(&p, &db2, &empty, Engine::Backtrack));
         assert!(eval_decide(&p, &db1, &empty));
         assert!(!eval_decide(&p, &db2, &empty));
+    }
+
+    /// Interface width 0: projection-free 3-chains, where `h` fixes the
+    /// whole homomorphism (the instances of Theorem 4).
+    #[test]
+    fn agrees_with_general_eval_on_projection_free_chains() {
+        let mut state = 0x77aa_11bbu64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        for case in 0..40 {
+            let mut i = Interner::new();
+            let e = i.pred("e");
+            let f = i.pred("f");
+            let mut db = Database::new();
+            for _ in 0..(4 + next() % 8) {
+                let a = i.constant(&format!("c{}", next() % 4));
+                let b = i.constant(&format!("c{}", next() % 4));
+                db.insert(e, vec![a, b]);
+                if next() % 2 == 0 {
+                    db.insert(f, vec![b, a]);
+                }
+            }
+            let x = i.var("x");
+            let y = i.var("y");
+            let z = i.var("z");
+            let w = i.var("w");
+            let mut b = WdptBuilder::new(vec![wdpt_model::Atom::new(e, vec![x.into(), y.into()])]);
+            let c1 = b.child(
+                0,
+                vec![wdpt_model::Atom::new(
+                    if next() % 2 == 0 { e } else { f },
+                    vec![y.into(), z.into()],
+                )],
+            );
+            b.child(
+                c1,
+                vec![wdpt_model::Atom::new(
+                    if next() % 2 == 0 { e } else { f },
+                    vec![z.into(), w.into()],
+                )],
+            );
+            let p = b.build(vec![x, y, z, w]).unwrap();
+            for h in evaluate(&p, &db) {
+                assert!(
+                    eval_bounded_interface(&p, &db, &h, Engine::Tw(1)),
+                    "case {case}: answer {h} rejected"
+                );
+            }
+            for _ in 0..6 {
+                let mut probe = Mapping::empty();
+                probe.insert(x, i.constant(&format!("c{}", next() % 4)));
+                probe.insert(y, i.constant(&format!("c{}", next() % 4)));
+                if next() % 2 == 0 {
+                    probe.insert(z, i.constant(&format!("c{}", next() % 4)));
+                }
+                let expected = eval_decide(&p, &db, &probe);
+                for engine in [Engine::Backtrack, Engine::Tw(1)] {
+                    assert_eq!(
+                        eval_bounded_interface(&p, &db, &probe, engine),
+                        expected,
+                        "case {case}: probe {probe} disagreed under {engine:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_variable_free_root_answers_the_empty_mapping_iff_it_holds() {
+        let mut i = Interner::new();
+        let atoms = parse_atoms(&mut i, "marker(on)").unwrap();
+        let p = WdptBuilder::new(atoms).build(vec![]).unwrap();
+        let on = parse_database(&mut i, "marker(on)").unwrap();
+        let off = parse_database(&mut i, "marker(off)").unwrap();
+        for engine in [Engine::Backtrack, Engine::Tw(1), Engine::Hw(1)] {
+            assert!(eval_bounded_interface(&p, &on, &Mapping::empty(), engine));
+            assert!(!eval_bounded_interface(&p, &off, &Mapping::empty(), engine));
+        }
     }
 
     #[test]

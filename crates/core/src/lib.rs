@@ -26,8 +26,6 @@
 //! * [`profile`] — an evaluation's tally as a [`wdpt_obs::QueryProfile`]
 //!   (per-node homomorphism counts, the run's own work counters), and the
 //!   node entries a caller bracketing a run with a recorder attaches.
-//! * [`projection_free`] — the Theorem 4 polynomial algorithm for
-//!   projection-free locally tractable trees.
 //! * [`variants`] — PARTIAL-EVAL (Theorem 8) and MAX-EVAL (Theorem 9),
 //!   polynomial under global tractability.
 //! * [`subsumption`] — `⊑`, `≡ₛ`, and MAXEQUIVALENCE (Section 4,
@@ -40,7 +38,6 @@ pub mod eval_bi;
 pub mod optimize;
 pub mod planning;
 pub mod profile;
-pub mod projection_free;
 pub mod semantics;
 pub mod subsumption;
 pub mod text;
@@ -56,7 +53,6 @@ pub use eval_bi::eval_bounded_interface;
 pub use optimize::normalize;
 pub use planning::plan_wdpt;
 pub use profile::node_entries;
-pub use projection_free::eval_projection_free;
 pub use semantics::{
     evaluate, evaluate_max, evaluate_rows, maximal_homomorphisms, try_evaluate_parallel_planned,
     Answers, EvalTally,

@@ -14,7 +14,8 @@
 
 use crate::engine::Engine;
 use crate::tree::Wdpt;
-use crate::variants::partial_eval_decide;
+use crate::variants::partial_eval;
+use std::collections::BTreeMap;
 use wdpt_cq::containment::{freeze, frozen_floor};
 use wdpt_model::{Interner, Mapping};
 
@@ -32,6 +33,8 @@ pub fn subsumed(p1: &Wdpt, p2: &Wdpt, engine: Engine, interner: &mut Interner) -
     // serves every subtree: each canonical database is dropped before the
     // next is frozen, and the table is never touched.
     let floor = frozen_floor(interner);
+    // Each subtree CQ of `p2` the checks ask about is prepared once.
+    let mut prepared = BTreeMap::new();
     p1.for_each_rooted_subtree(&mut |t1| {
         if !holds {
             return;
@@ -40,7 +43,7 @@ pub fn subsumed(p1: &Wdpt, p2: &Wdpt, engine: Engine, interner: &mut Interner) -
         let (db, table) = freeze(&q, floor);
         let free_vars = p1.subtree_free_vars(t1);
         let h = Mapping::from_pairs(free_vars.iter().map(|&x| (x, table[&x])));
-        if !partial_eval_decide(p2, &db, &h, engine) {
+        if !partial_eval(p2, &db, &h, engine, &mut prepared) {
             holds = false;
         }
     });

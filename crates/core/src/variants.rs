@@ -12,12 +12,26 @@
 //!   homomorphism — and (ii) no free variable outside `dom(h)` can be
 //!   additionally bound. Both are hom-existence checks on subtree CQs.
 
-use crate::engine::Engine;
-use crate::tree::Wdpt;
+use crate::engine::{self, Engine};
+use crate::tree::{Subtree, Wdpt};
+use std::collections::{BTreeMap, BTreeSet};
+use wdpt_cq::{ConjunctiveQuery, StructuredPlan};
 use wdpt_model::{Database, Mapping};
 
 /// PARTIAL-EVAL: is there `h' ∈ p(D)` with `h ⊑ h'`?
 pub fn partial_eval_decide(p: &Wdpt, db: &Database, h: &Mapping, engine: Engine) -> bool {
+    partial_eval(p, db, h, engine, &mut BTreeMap::new())
+}
+
+/// [`partial_eval_decide`], the CQ of each minimal covering subtree
+/// prepared once in `prepared` for every call that shares it.
+pub(crate) fn partial_eval(
+    p: &Wdpt,
+    db: &Database,
+    h: &Mapping,
+    engine: Engine,
+    prepared: &mut BTreeMap<Subtree, (ConjunctiveQuery, Option<StructuredPlan>)>,
+) -> bool {
     let dom = h.domain();
     if !dom.is_subset(&p.free_set()) {
         return false;
@@ -25,7 +39,12 @@ pub fn partial_eval_decide(p: &Wdpt, db: &Database, h: &Mapping, engine: Engine)
     let Some(t1) = p.minimal_subtree_covering(&dom) else {
         return false;
     };
-    engine.hom_exists(&p.cq_of_subtree(&t1), db, h)
+    let (q, plan) = prepared.entry(t1).or_insert_with_key(|t1| {
+        let q = p.cq_of_subtree(t1);
+        let plan = engine.plan(&q);
+        (q, plan)
+    });
+    engine::seeded(db, q.body(), plan.as_ref(), h, |_| false).exists()
 }
 
 /// MAX-EVAL: is `h ∈ p_m(D)` (an answer maximal under ⊑)?
@@ -60,17 +79,16 @@ pub fn has_proper_extension(p: &Wdpt, db: &Database, h: &Mapping, engine: Engine
     if !dom.is_subset(&free) {
         return false;
     }
-    for &x in free.difference(&dom) {
-        let mut extended = dom.clone();
-        extended.insert(x);
-        let Some(t1x) = p.minimal_subtree_covering(&extended) else {
-            continue;
-        };
-        if engine.hom_exists(&p.cq_of_subtree(&t1x), db, h) {
-            return true;
-        }
-    }
-    false
+    // Free variables of one node share their minimal covering subtree: its
+    // CQ is asked about once.
+    let subtrees: BTreeSet<Subtree> = (free.difference(&dom))
+        .filter_map(|&x| {
+            let mut extended = dom.clone();
+            extended.insert(x);
+            p.minimal_subtree_covering(&extended)
+        })
+        .collect();
+    (subtrees.iter()).any(|t1x| engine.hom_exists(&p.cq_of_subtree(t1x), db, h))
 }
 
 #[cfg(test)]

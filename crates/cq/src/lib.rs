@@ -13,10 +13,12 @@
 //!   counts of before dropping it — behind [`extend_all`],
 //!   [`extend_exists`] and the cancellable [`try_extend_all`], which also
 //!   takes a planned static atom order.
-//! * [`structured`] — decomposition-guided evaluation: bag materialization
-//!   plus Yannakakis semijoin passes over a tree decomposition (`TW(k)`,
-//!   Theorem 2) or a generalized hypertree decomposition (`HW(k)`,
-//!   Theorem 3). Polynomial for fixed width.
+//! * [`structured`] — decomposition-guided evaluation: a [`StructuredPlan`]
+//!   over a tree decomposition (`TW(k)`, Theorem 2) or a generalized
+//!   hypertree decomposition (`HW(k)`, Theorem 3), and the [`Oracle`] that
+//!   decides a CQ over it — bags filled as flat sorted runs by a [`Search`],
+//!   then Yannakakis semijoins; polynomial for fixed width — or, without
+//!   one, by backtracking.
 //! * [`widths`] — the classes `TW(k)`, `HW(k)`, `HW'(k)` as predicates on
 //!   CQs (Section 3.1 and Section 5).
 //! * [`containment`] — Chandra–Merlin containment and equivalence via
@@ -38,7 +40,7 @@ pub use backtrack::{evaluate, extend_all, extend_exists, try_extend_all, Search}
 pub use containment::{contained_in, equivalent, freeze, frozen_floor};
 pub use core_of::{core_of, try_core_above, try_core_of};
 pub use query::ConjunctiveQuery;
-pub use structured::{boolean_eval_structured, enumerate_projections, StructuredPlan};
+pub use structured::{Oracle, StructuredPlan};
 pub use wdpt_decomp::EXACT_TW_VERTEX_LIMIT;
 pub use widths::{
     hypertreewidth_at_most_cq, in_hw, in_hw_prime, in_tw, treewidth_of, try_in_hw, try_treewidth_of,

@@ -1,419 +1,419 @@
-//! Decomposition-guided CQ evaluation (Theorems 2 and 3 of the paper).
+//! Decomposition-guided CQ evaluation (Theorems 2 and 3 of the paper): the
+//! one oracle the paper's procedures ask their CQ questions of.
 //!
-//! A [`StructuredPlan`] is a join tree whose nodes are variable bags taken
-//! from a tree decomposition (`TW(k)` mode) or a generalized hypertree
-//! decomposition (`HW(k)` mode, bags carrying an edge cover). Evaluation
-//! materializes one relation per bag — at cost `|adom|^{k+1}` (TW) or
-//! `|D|^k` (HW) — and then runs the Yannakakis upward semijoin pass, giving
-//! a polynomial-time Boolean evaluation procedure for fixed `k`.
-//!
-//! [`enumerate_projections`] lifts the Boolean procedure to the enumeration
-//! of answer projections onto a bounded variable set: it enumerates the
-//! candidate-value product of the target variables and Boolean-checks each,
-//! which stays polynomial when the target set has bounded size. This is the
-//! building block for the bounded-interface evaluation algorithm of
-//! Theorem 6 (`wdpt-core`).
+//! A [`StructuredPlan`] is a join tree over the bags of a tree decomposition
+//! (`TW(k)`) or of a generalized hypertree decomposition (`HW(k)`, each bag
+//! with an edge cover). An [`Oracle`] compiles a CQ against a database over
+//! a plan — or over one bag of all its atoms, which is backtracking — and
+//! decides whether a homomorphism agrees with its *seeded* slots: each bag's
+//! relation is a flat sorted run ([`Relation`]) filled by the bag's own
+//! [`Search`] — over its cover and contained atoms (`HW`, `|D|^k` rows), or
+//! its contained atoms with its other variables ranging over their candidate
+//! values (`TW`, `|adom|^{k+1}` rows) — and the Yannakakis upward pass
+//! semijoins each bag into its parent by lookups on their shared columns.
+//! [`Oracle::project`] decides every combination of the candidate values of
+//! boundedly many target slots: the pattern behind Theorem 6 (`wdpt-core`).
 
+use crate::backtrack::Search;
 use crate::query::ConjunctiveQuery;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
-use wdpt_decomp::{
-    hypertree_width_at_most, treewidth_at_most, HypertreeDecomposition, TreeDecomposition,
-};
-use wdpt_model::{Atom, Const, Database, Mapping, Term, Var};
-use wdpt_obs::{counter, histogram, span};
+use std::collections::BTreeSet;
+use wdpt_decomp::{hypertree_width_at_most, treewidth_at_most};
+use wdpt_model::{Atom, CancelToken, Const, Database, Relation, Term, Var};
+use wdpt_obs::span;
 
-/// A join-tree evaluation plan over variable bags.
+/// A join tree over variable bags: the decomposition an [`Oracle`]
+/// evaluates a CQ over.
 #[derive(Debug, Clone)]
 pub struct StructuredPlan {
-    bags: Vec<BTreeSet<Var>>,
-    tree_edges: Vec<(usize, usize)>,
-    /// `HW` mode: covering atom indices per bag; `None` selects `TW`-style
-    /// candidate-set materialization.
-    covers: Option<Vec<Vec<usize>>>,
+    /// Each bag's variables, ascending.
+    bags: Vec<Vec<Var>>,
+    /// Each bag's parent in the join tree (`None` for a root).
+    parent: Vec<Option<usize>>,
+    /// The bags, every one after its parent.
+    preorder: Vec<usize>,
+    /// Per bag, the body atoms its relation is searched over: its cover and
+    /// the atoms it contains (`HW`), the atoms it contains (`TW`).
+    atoms: Vec<Vec<usize>>,
 }
 
 impl StructuredPlan {
-    /// Builds a plan from a tree decomposition of the query's hypergraph.
-    /// `vertex_vars` is the vertex → variable table from
-    /// [`ConjunctiveQuery::hypergraph`].
-    pub fn from_tree_decomposition(td: &TreeDecomposition, vertex_vars: &[Var]) -> Self {
-        StructuredPlan {
-            bags: td
-                .bags
-                .iter()
-                .map(|b| b.iter().map(|&v| vertex_vars[v]).collect())
-                .collect(),
-            tree_edges: td.tree_edges.clone(),
-            covers: None,
-        }
-    }
-
-    /// Builds a plan from a generalized hypertree decomposition (edge `i` of
-    /// the hypergraph is body atom `i`).
-    pub fn from_hypertree_decomposition(htd: &HypertreeDecomposition, vertex_vars: &[Var]) -> Self {
-        StructuredPlan {
-            bags: htd
-                .nodes
-                .iter()
-                .map(|(b, _)| b.iter().map(|&v| vertex_vars[v]).collect())
-                .collect(),
-            tree_edges: htd.tree_edges.clone(),
-            covers: Some(htd.nodes.iter().map(|(_, c)| c.clone()).collect()),
-        }
-    }
-
-    /// Convenience: a `TW` plan for `q` if `q ∈ TW(k)`.
+    /// A `TW` plan for `q` if `q ∈ TW(k)`: the bags of a tree decomposition
+    /// of its hypergraph.
     pub fn for_query_tw(q: &ConjunctiveQuery, k: usize) -> Option<Self> {
         let (h, vars) = q.hypergraph();
         let td = treewidth_at_most(&h, k)?;
-        Some(Self::from_tree_decomposition(&td, &vars))
+        let bags = td.bags.iter().map(|bag| (bag, &[][..]));
+        Some(Self::new(q, &vars, bags, &td.tree_edges))
     }
 
-    /// Convenience: an `HW` plan for `q` if `q ∈ HW(k)`.
+    /// An `HW` plan for `q` if `q ∈ HW(k)`: the bags of a generalized
+    /// hypertree decomposition, each with its cover (edge `i` of the
+    /// hypergraph is body atom `i`).
     pub fn for_query_hw(q: &ConjunctiveQuery, k: usize) -> Option<Self> {
         let (h, vars) = q.hypergraph();
         let htd = hypertree_width_at_most(&h, k)?;
-        Some(Self::from_hypertree_decomposition(&htd, &vars))
+        let bags = htd.nodes.iter().map(|(bag, cover)| (bag, &cover[..]));
+        Some(Self::new(q, &vars, bags, &htd.tree_edges))
     }
 
-    /// The bag width (`max |bag|`), for diagnostics.
-    pub fn max_bag_size(&self) -> usize {
-        self.bags.iter().map(BTreeSet::len).max().unwrap_or(0)
-    }
-}
-
-/// Candidate values of `v`: the intersection, over atoms containing `v`, of
-/// the values `v` can take in tuples matching the atom's constant pattern.
-/// A superset of the values any homomorphism assigns to `v`.
-fn candidate_values(db: &Database, atoms: &[Atom], v: Var) -> BTreeSet<Const> {
-    let mut cand: Option<BTreeSet<Const>> = None;
-    for atom in atoms {
-        if !atom.vars().any(|w| w == v) {
-            continue;
+    /// The plan of a decomposition of `q`'s hypergraph, whose vertex `v` is
+    /// the variable `vertex_vars[v]`: its bags with their covers, and its
+    /// tree edges.
+    fn new<'d>(
+        q: &ConjunctiveQuery,
+        vertex_vars: &[Var],
+        decomposition: impl Iterator<Item = (&'d BTreeSet<usize>, &'d [usize])>,
+        edges: &[(usize, usize)],
+    ) -> Self {
+        let (mut bags, mut atoms) = (Vec::new(), Vec::new());
+        for (bag, cover) in decomposition {
+            bags.push(bag.iter().map(|&v| vertex_vars[v]).collect::<Vec<Var>>());
+            atoms.push(cover.to_vec());
         }
-        let pat: Vec<Option<Const>> = atom
-            .args
-            .iter()
-            .map(|t| match t {
-                Term::Const(c) => Some(*c),
-                Term::Var(_) => None,
-            })
-            .collect();
-        let positions: Vec<usize> = atom
-            .args
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| (t.as_var() == Some(v)).then_some(i))
-            .collect();
-        let mut values = BTreeSet::new();
-        if let Some(rel) = db.relation(atom.pred) {
-            'tuples: for t in rel.matching(&pat) {
-                // Repeated occurrences of v must agree within the tuple.
-                let first = t[positions[0]];
-                for &p in &positions[1..] {
-                    if t[p] != first {
-                        continue 'tuples;
-                    }
-                }
-                values.insert(first);
+        if bags.is_empty() {
+            // A query without variables decomposes into no bag at all; its
+            // atoms are checked in one empty bag.
+            bags.push(Vec::new());
+            atoms.push(Vec::new());
+        }
+        for (i, atom) in q.body().iter().enumerate() {
+            let home = (bags.iter())
+                .position(|bag| atom.vars().all(|v| bag.binary_search(&v).is_ok()))
+                .expect("a decomposition covers every atom");
+            if !atoms[home].contains(&i) {
+                atoms[home].push(i);
             }
         }
-        cand = Some(match cand {
-            None => values,
-            Some(prev) => prev.intersection(&values).copied().collect(),
-        });
-    }
-    cand.unwrap_or_default()
-}
-
-/// Materializes the relation of one bag: all assignments of the bag's
-/// variables that satisfy every atom fully contained in the bag.
-fn materialize_bag(
-    db: &Database,
-    atoms: &[Atom],
-    bag: &BTreeSet<Var>,
-    contained_atoms: &[usize],
-    cover: Option<&[usize]>,
-) -> Vec<Mapping> {
-    let _span = span!("cq.structured.materialize");
-    match cover {
-        Some(cover_atoms) => {
-            // HW mode: join the ≤ k cover atoms, project to the bag, filter
-            // by the contained atoms.
-            let cover_set: Vec<Atom> = cover_atoms.iter().map(|&i| atoms[i].clone()).collect();
-            let homs = crate::backtrack::extend_all(db, &cover_set, &Mapping::empty());
-            let mut seen: BTreeSet<Mapping> = BTreeSet::new();
-            for h in homs {
-                let proj = h.restrict(bag);
-                if seen.contains(&proj) {
+        let mut adjacent = vec![Vec::new(); bags.len()];
+        for &(a, b) in edges {
+            adjacent[a].push(b);
+            adjacent[b].push(a);
+        }
+        let mut parent = vec![None; bags.len()];
+        let mut seen = vec![false; bags.len()];
+        let mut preorder = Vec::with_capacity(bags.len());
+        for root in 0..bags.len() {
+            let mut stack = vec![root];
+            while let Some(b) = stack.pop() {
+                if std::mem::replace(&mut seen[b], true) {
                     continue;
                 }
-                let ok = contained_atoms
-                    .iter()
-                    .all(|&i| db.contains_atom(&atoms[i].apply(&proj)));
-                if ok {
-                    seen.insert(proj);
+                preorder.push(b);
+                for &c in &adjacent[b] {
+                    if !seen[c] {
+                        parent[c] = Some(b);
+                        stack.push(c);
+                    }
                 }
             }
-            seen.into_iter().collect()
         }
-        None => {
-            // TW mode: backtrack over the bag variables through their
-            // candidate sets, pruning with contained atoms as soon as they
-            // become fully bound.
-            let bag_vars: Vec<Var> = bag.iter().copied().collect();
-            let cands: Vec<Vec<Const>> = bag_vars
-                .iter()
-                .map(|&v| candidate_values(db, atoms, v).into_iter().collect())
-                .collect();
-            // For pruning: atom i can be checked after the last of its vars
-            // (w.r.t. bag_vars order) is bound.
-            let check_after: Vec<Vec<usize>> = {
-                let mut table = vec![Vec::new(); bag_vars.len()];
-                for &ai in contained_atoms {
-                    let avars = atoms[ai].var_set();
-                    if let Some(last) = bag_vars
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, v)| avars.contains(v))
-                        .map(|(i, _)| i)
-                        .max()
-                    {
-                        table[last].push(ai);
-                    } else {
-                        // Variable-free (ground) atom: check once up front.
-                        if !db.contains_atom(&atoms[ai]) {
-                            return Vec::new();
-                        }
-                    }
-                }
-                table
-            };
-            let mut out = Vec::new();
-            let mut h = Mapping::empty();
-            #[allow(clippy::too_many_arguments)]
-            fn rec(
-                db: &Database,
-                atoms: &[Atom],
-                bag_vars: &[Var],
-                cands: &[Vec<Const>],
-                check_after: &[Vec<usize>],
-                depth: usize,
-                h: &mut Mapping,
-                out: &mut Vec<Mapping>,
-            ) {
-                if depth == bag_vars.len() {
-                    out.push(h.clone());
-                    return;
-                }
-                for &c in &cands[depth] {
-                    h.insert(bag_vars[depth], c);
-                    let ok = check_after[depth]
-                        .iter()
-                        .all(|&ai| db.contains_atom(&atoms[ai].apply(h)));
-                    if ok {
-                        rec(db, atoms, bag_vars, cands, check_after, depth + 1, h, out);
-                    }
-                    h.remove(bag_vars[depth]);
-                }
-            }
-            rec(
-                db,
-                atoms,
-                &bag_vars,
-                &cands,
-                &check_after,
-                0,
-                &mut h,
-                &mut out,
-            );
-            out
+        StructuredPlan {
+            bags,
+            parent,
+            preorder,
+            atoms,
         }
     }
 }
 
-/// Boolean structured evaluation: does a homomorphism from `q` to `db`
-/// extending `seed` exist? Runs bag materialization plus the Yannakakis
-/// upward semijoin pass over `plan`. Polynomial for fixed bag width / cover
-/// size.
-pub fn boolean_eval_structured(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    plan: &StructuredPlan,
-    seed: &Mapping,
-) -> bool {
-    let _span = span!("cq.structured.eval");
-    // Substitute the seed so bound variables become constants.
-    let atoms: Vec<Atom> = q.body().iter().map(|a| a.apply(seed)).collect();
-    let bags: Vec<BTreeSet<Var>> = plan
-        .bags
-        .iter()
-        .map(|b| b.iter().copied().filter(|&v| !seed.defines(v)).collect())
-        .collect();
-    if atoms.is_empty() {
-        return true;
-    }
-    // Assign each atom to one bag that contains all its variables.
-    let mut contained: Vec<Vec<usize>> = vec![Vec::new(); bags.len()];
-    for (i, a) in atoms.iter().enumerate() {
-        let avars = a.var_set();
-        match (0..bags.len()).find(|&b| avars.is_subset(&bags[b])) {
-            Some(b) => contained[b].push(i),
-            // A valid decomposition covers every atom; a seed never breaks
-            // coverage (it only removes variables).
-            None => unreachable!("decomposition does not cover an atom"),
-        }
-    }
-    // Materialize bags.
-    let mut relations: Vec<Vec<Mapping>> = Vec::with_capacity(bags.len());
-    for (b, bag) in bags.iter().enumerate() {
-        let cover = plan.covers.as_ref().map(|c| c[b].as_slice());
-        let tuples = materialize_bag(db, &atoms, bag, &contained[b], cover);
-        if wdpt_obs::tracing_enabled() {
-            histogram!("cq.structured.bag_size").record(tuples.len() as u64);
-        }
-        // An empty bag relation means failure unless the bag is trivial
-        // (no variables and no atoms to satisfy).
-        if tuples.is_empty() && (!bag.is_empty() || !contained[b].is_empty()) {
-            return false;
-        }
-        relations.push(tuples);
-    }
-    // Root the tree at node 0 and compute a bottom-up order.
-    let n = bags.len();
-    let mut adj = vec![Vec::new(); n];
-    for &(a, b) in &plan.tree_edges {
-        adj[a].push(b);
-        adj[b].push(a);
-    }
-    let mut parent = vec![usize::MAX; n];
-    let mut order = Vec::with_capacity(n);
-    let mut seen = vec![false; n];
-    for root in 0..n {
-        if seen[root] {
-            continue;
-        }
-        seen[root] = true;
-        let mut stack = vec![root];
-        while let Some(v) = stack.pop() {
-            order.push(v);
-            for &w in &adj[v] {
-                if !seen[w] {
-                    seen[w] = true;
-                    parent[w] = v;
-                    stack.push(w);
-                }
+/// A CQ compiled against a database to decide, again and again, whether a
+/// homomorphism from its atoms into the database agrees with the values
+/// written into its *seeded* slots: the one oracle the paper's decision
+/// procedures ask their CQ questions of, compiled once per CQ they ask.
+///
+/// Like a [`Search`], an oracle numbers the variables of its atoms `0..n` in
+/// ascending [`Var`] order ([`Oracle::vars`]), and the caller writes every
+/// seeded slot with [`Oracle::set`] before deciding.
+pub struct Oracle<'a> {
+    db: &'a Database,
+    atoms: &'a [Atom],
+    vars: Vec<Var>,
+    seeded: Vec<bool>,
+    /// The seeded slots' values.
+    frame: Vec<Const>,
+    bags: Vec<Bag<'a>>,
+    /// The bags, every one after its parent.
+    preorder: Vec<usize>,
+}
+
+/// One bag of a plan, compiled.
+struct Bag<'a> {
+    /// Over the bag's atoms, seeded where the oracle is.
+    search: Search<'a>,
+    /// `(search slot, oracle slot)` per seeded variable of the search.
+    seeds: Vec<(usize, usize)>,
+    /// The relation's columns: the bag's unseeded variables, ascending.
+    cols: Vec<Col>,
+    /// The oracle slots of the [`Col::Loose`] columns, in column order.
+    loose: Vec<usize>,
+    parent: Option<usize>,
+    /// `(column here, column in the parent's relation)` per variable the two
+    /// relations share.
+    shared: Vec<(usize, usize)>,
+}
+
+/// Where a bag column takes its values from.
+#[derive(Debug, Clone, Copy)]
+enum Col {
+    /// A slot of the bag's search.
+    Bound(usize),
+    /// The candidate values of the `k`-th loose variable — in `TW` mode, a
+    /// bag variable no atom of the bag's search mentions.
+    Loose(usize),
+}
+
+impl<'a> Oracle<'a> {
+    /// Compiles `atoms` against `db`, over `plan` — derived from a query
+    /// whose body is `atoms` — or, without one, as a single bag for
+    /// backtracking. `seeded` says which of the atoms' variables the caller
+    /// will supply.
+    pub fn new(
+        db: &'a Database,
+        atoms: &'a [Atom],
+        plan: Option<&StructuredPlan>,
+        seeded: impl Fn(Var) -> bool,
+    ) -> Self {
+        let mut vars: Vec<Var> = atoms.iter().flat_map(Atom::vars).collect();
+        vars.sort_unstable();
+        vars.dedup();
+        let single;
+        let plan = match plan {
+            Some(plan) => plan,
+            None => {
+                single = StructuredPlan {
+                    bags: vec![vars.clone()],
+                    parent: vec![None],
+                    preorder: vec![0],
+                    atoms: vec![(0..atoms.len()).collect()],
+                };
+                &single
             }
+        };
+        let seeded: Vec<bool> = vars.iter().map(|&v| seeded(v)).collect();
+        let slot = |v: Var| vars.binary_search(&v).expect("a variable of the atoms");
+        let is_seeded = |v: Var| seeded[slot(v)];
+        let columns: Vec<Vec<Var>> = (plan.bags.iter())
+            .map(|bag| bag.iter().copied().filter(|&v| !is_seeded(v)).collect())
+            .collect();
+        let bags = (0..plan.bags.len())
+            .map(|b| {
+                let bag_atoms: Vec<Atom> =
+                    plan.atoms[b].iter().map(|&i| atoms[i].clone()).collect();
+                let search = Search::compile(db, &bag_atoms, None, is_seeded);
+                let seeds = (search.vars().iter().enumerate())
+                    .filter(|&(_, &v)| is_seeded(v))
+                    .map(|(s, &v)| (s, slot(v)))
+                    .collect();
+                let mut loose = Vec::new();
+                let cols = (columns[b].iter())
+                    .map(|&v| match search.vars().binary_search(&v) {
+                        Ok(s) => Col::Bound(s),
+                        Err(_) => {
+                            loose.push(slot(v));
+                            Col::Loose(loose.len() - 1)
+                        }
+                    })
+                    .collect();
+                let parent = plan.parent[b];
+                let shared = parent.map_or_else(Vec::new, |p| {
+                    (columns[b].iter().enumerate())
+                        .filter_map(|(c, v)| Some((c, columns[p].binary_search(v).ok()?)))
+                        .collect()
+                });
+                Bag {
+                    search,
+                    seeds,
+                    cols,
+                    loose,
+                    parent,
+                    shared,
+                }
+            })
+            .collect();
+        Oracle {
+            db,
+            atoms,
+            frame: vec![Const(0); vars.len()],
+            vars,
+            seeded,
+            bags,
+            preorder: plan.preorder.clone(),
         }
     }
-    // Upward semijoins: children filter parents.
-    let _semijoin_span = span!("cq.structured.semijoin");
-    for &t in order.iter().rev() {
-        let p = parent[t];
-        if p == usize::MAX {
-            if relations[t].is_empty() && (!bags[t].is_empty() || !contained[t].is_empty()) {
+
+    /// The variables of the atoms, ascending: slot `k` holds `vars()[k]`.
+    pub fn vars(&self) -> &[Var] {
+        &self.vars
+    }
+
+    /// Supplies the value of a seeded slot for the decisions that follow.
+    pub fn set(&mut self, slot: usize, value: Const) {
+        self.frame[slot] = value;
+    }
+
+    /// True iff some homomorphism from the atoms into the database agrees
+    /// with every seeded slot.
+    pub fn exists(&mut self) -> bool {
+        let _span = span!("cq.structured.eval");
+        if let [bag] = &mut self.bags[..] {
+            // One bag holds every atom and variable: its search decides.
+            bag.seed(&self.frame);
+            return (bag.search.exists(CancelToken::never())).expect("never cancels");
+        }
+        let mut relations = Vec::with_capacity(self.bags.len());
+        for b in 0..self.bags.len() {
+            let loose = &self.bags[b].loose;
+            let lists: Vec<Vec<Const>> = (loose.iter())
+                .map(|&s| self.candidates(s, |t| self.seeded[t]))
+                .collect();
+            let relation = self.bags[b].fill(&self.frame, &lists);
+            if relation.is_empty() {
                 return false;
             }
-            continue;
+            relations.push(relation);
         }
-        let shared: BTreeSet<Var> = bags[t].intersection(&bags[p]).copied().collect();
-        let child_keys: HashSet<Mapping> =
-            relations[t].iter().map(|m| m.restrict(&shared)).collect();
-        if child_keys.is_empty() {
-            return false;
-        }
-        let before = relations[p].len() as u64;
-        relations[p].retain(|m| child_keys.contains(&m.restrict(&shared)));
-        let kept = relations[p].len() as u64;
-        counter!("cq.structured.semijoin_kept").add(kept);
-        counter!("cq.structured.semijoin_dropped").add(before - kept);
-        if relations[p].is_empty() {
-            return false;
-        }
-    }
-    true
-}
-
-/// Enumerates the projections onto `targets` of homomorphisms from `q` to
-/// `db` extending `seed`: for each combination of candidate values of the
-/// target variables, one Boolean structured check. Polynomial when
-/// `|targets|` is bounded — the enumeration pattern behind Theorem 6.
-pub fn enumerate_projections(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    plan: &StructuredPlan,
-    targets: &BTreeSet<Var>,
-    seed: &Mapping,
-) -> Vec<Mapping> {
-    let _span = span!("cq.structured.enumerate");
-    let atoms: Vec<Atom> = q.body().iter().map(|a| a.apply(seed)).collect();
-    let target_list: Vec<Var> = targets
-        .iter()
-        .copied()
-        .filter(|&v| !seed.defines(v))
-        .collect();
-    let cands: Vec<Vec<Const>> = target_list
-        .iter()
-        .map(|&v| candidate_values(db, &atoms, v).into_iter().collect())
-        .collect();
-    let mut out = Vec::new();
-    let mut assignment = Mapping::empty();
-    #[allow(clippy::too_many_arguments)]
-    fn rec(
-        q: &ConjunctiveQuery,
-        db: &Database,
-        plan: &StructuredPlan,
-        seed: &Mapping,
-        targets: &[Var],
-        cands: &[Vec<Const>],
-        depth: usize,
-        assignment: &mut Mapping,
-        out: &mut Vec<Mapping>,
-    ) {
-        if depth == targets.len() {
-            let full = seed.union(assignment).expect("disjoint domains");
-            if boolean_eval_structured(q, db, plan, &full) {
-                out.push(assignment.clone());
-            }
-            return;
-        }
-        for &c in &cands[depth] {
-            assignment.insert(targets[depth], c);
-            rec(
-                q,
-                db,
-                plan,
-                seed,
-                targets,
-                cands,
-                depth + 1,
-                assignment,
-                out,
+        // Upward semijoins in reverse preorder: a bag reduces its parent
+        // once all its children have reduced it.
+        let _semijoin = span!("cq.structured.semijoin");
+        let mut key = Vec::new();
+        for &b in self.preorder.iter().rev() {
+            let Bag { parent, shared, .. } = &self.bags[b];
+            let Some(p) = *parent else { continue };
+            let keys = rows(
+                shared.len(),
+                (relations[b].tuples()).map(|row| shared.iter().map(|&(here, _)| row[here])),
             );
-            assignment.remove(targets[depth]);
+            let kept = (relations[p].tuples()).filter(|row| {
+                key.clear();
+                key.extend(shared.iter().map(|&(_, there)| row[there]));
+                keys.contains(&key)
+            });
+            relations[p] = rows(relations[p].arity(), kept.map(|row| row.iter().copied()));
+            if relations[p].is_empty() {
+                return false;
+            }
         }
+        true
     }
-    rec(
-        q,
-        db,
-        plan,
-        seed,
-        &target_list,
-        &cands,
-        0,
-        &mut assignment,
-        &mut out,
-    );
-    out
+
+    /// Hands `on_row` the values the `targets` — seeded slots, ascending —
+    /// take in the homomorphisms that agree with the other seeded slots,
+    /// each combination once and in ascending order: every combination of
+    /// the targets' candidate values, written into their slots and decided.
+    pub fn project(&mut self, targets: &[usize], mut on_row: impl FnMut(&[Const])) {
+        debug_assert!(targets.iter().all(|&t| self.seeded[t]));
+        let _span = span!("cq.structured.enumerate");
+        let pinned = |s: usize| self.seeded[s] && !targets.contains(&s);
+        let lists: Vec<Vec<Const>> = (targets.iter())
+            .map(|&t| self.candidates(t, pinned))
+            .collect();
+        for_each_combination(&lists, |combo| {
+            for (&t, &c) in targets.iter().zip(combo) {
+                self.set(t, c);
+            }
+            if self.exists() {
+                on_row(combo);
+            }
+        });
+    }
+
+    /// The values slot `slot` can take: the intersection, over the atoms
+    /// mentioning it, of its values in the tuples that match the atom's
+    /// constants and the values of its `pinned` slots — a superset of the
+    /// values any homomorphism agreeing with the pinned slots gives it.
+    fn candidates(&self, slot: usize, pinned: impl Fn(usize) -> bool) -> Vec<Const> {
+        let v = self.vars[slot];
+        let mut cand: Option<Vec<Const>> = None;
+        for atom in self.atoms.iter().filter(|a| a.vars().any(|w| w == v)) {
+            let pattern: Vec<Option<Const>> = (atom.args.iter())
+                .map(|t| match *t {
+                    Term::Const(c) => Some(c),
+                    Term::Var(w) => (self.vars.binary_search(&w).ok())
+                        .filter(|&s| pinned(s))
+                        .map(|s| self.frame[s]),
+                })
+                .collect();
+            let at: Vec<usize> = (0..atom.arity())
+                .filter(|&k| atom.args[k].as_var() == Some(v))
+                .collect();
+            let relation = (self.db.relation(atom.pred)).filter(|rel| rel.arity() == atom.arity());
+            // Repeated occurrences of the variable agree within a tuple.
+            let mut values: Vec<Const> = (relation.iter())
+                .flat_map(|rel| rel.matching(&pattern))
+                .filter(|t| at.iter().all(|&k| t[k] == t[at[0]]))
+                .map(|t| t[at[0]])
+                .collect();
+            values.sort_unstable();
+            values.dedup();
+            if let Some(prev) = &cand {
+                values.retain(|c| prev.binary_search(c).is_ok());
+            }
+            cand = Some(values);
+        }
+        cand.unwrap_or_default()
+    }
 }
 
-/// Builds a `BTreeMap` index keyed by variable for quick diagnostics in
-/// tests (candidate set sizes per variable).
-pub fn candidate_profile(db: &Database, q: &ConjunctiveQuery) -> BTreeMap<Var, usize> {
-    q.variables()
-        .into_iter()
-        .map(|v| (v, candidate_values(db, q.body(), v).len()))
-        .collect()
+impl Bag<'_> {
+    /// Writes the oracle's seeded values into the bag's search.
+    fn seed(&mut self, frame: &[Const]) {
+        for &(s, o) in &self.seeds {
+            self.search.set(s, frame[o]);
+        }
+    }
+
+    /// The bag's relation under the seeded values `frame`: every row of the
+    /// bag's search, times every combination of one value from each list of
+    /// the loose variables' candidates.
+    fn fill(&mut self, frame: &[Const], lists: &[Vec<Const>]) -> Relation {
+        let _span = span!("cq.structured.materialize");
+        self.seed(frame);
+        let mut combos = Vec::new();
+        for_each_combination(lists, |combo| combos.push(combo.to_vec()));
+        let (mut cells, mut len) = (Vec::new(), 0);
+        (self.search)
+            .for_each(CancelToken::never(), |frame| {
+                for combo in &combos {
+                    cells.extend(self.cols.iter().map(|&col| match col {
+                        Col::Bound(s) => frame[s],
+                        Col::Loose(k) => combo[k],
+                    }));
+                    len += 1;
+                }
+            })
+            .expect("never cancels");
+        Relation::from_rows(self.cols.len(), len, cells)
+    }
+}
+
+/// The relation of the `width`-cell rows `rows`, sorted and distinct.
+fn rows<R: IntoIterator<Item = Const>>(
+    width: usize,
+    rows: impl IntoIterator<Item = R>,
+) -> Relation {
+    let (mut cells, mut len) = (Vec::new(), 0);
+    for row in rows {
+        cells.extend(row);
+        len += 1;
+    }
+    Relation::from_rows(width, len, cells)
+}
+
+/// Calls `f` with every combination of one value from each list, the last
+/// list varying fastest — in ascending order when the lists are — and once
+/// with no values when there is no list.
+fn for_each_combination(lists: &[Vec<Const>], mut f: impl FnMut(&[Const])) {
+    fn extend(lists: &[Vec<Const>], combo: &mut Vec<Const>, f: &mut impl FnMut(&[Const])) {
+        let Some((list, rest)) = lists.split_first() else {
+            return f(combo);
+        };
+        for &c in list {
+            combo.push(c);
+            extend(rest, combo, f);
+            combo.pop();
+        }
+    }
+    extend(lists, &mut Vec::with_capacity(lists.len()), &mut f);
 }
 
 #[cfg(test)]
@@ -421,7 +421,7 @@ mod tests {
     use super::*;
     use crate::backtrack;
     use wdpt_model::parse::{parse_atoms, parse_database, parse_mapping};
-    use wdpt_model::Interner;
+    use wdpt_model::{Interner, Mapping};
 
     fn path_db(n: usize) -> (Interner, Database) {
         let mut i = Interner::new();
@@ -441,13 +441,60 @@ mod tests {
         ConjunctiveQuery::new(head, atoms)
     }
 
+    /// Does a homomorphism of `query` over `plan` extend `seed`?
+    fn decide(
+        query: &ConjunctiveQuery,
+        db: &Database,
+        plan: &StructuredPlan,
+        seed: &Mapping,
+    ) -> bool {
+        let mut oracle = Oracle::new(db, query.body(), Some(plan), |v| seed.defines(v));
+        for slot in 0..oracle.vars().len() {
+            if let Some(c) = seed.get(oracle.vars()[slot]) {
+                oracle.set(slot, c);
+            }
+        }
+        oracle.exists()
+    }
+
+    /// The projections onto `targets` of the homomorphisms of `query`
+    /// extending `seed`, as mappings.
+    fn project(
+        query: &ConjunctiveQuery,
+        db: &Database,
+        plan: Option<&StructuredPlan>,
+        targets: &[Var],
+        seed: &Mapping,
+    ) -> Vec<Mapping> {
+        let mut oracle = Oracle::new(db, query.body(), plan, |v| {
+            seed.defines(v) || targets.contains(&v)
+        });
+        let vars = oracle.vars().to_vec();
+        for (slot, &v) in vars.iter().enumerate() {
+            if let Some(c) = seed.get(v) {
+                oracle.set(slot, c);
+            }
+        }
+        let slots: Vec<usize> = targets
+            .iter()
+            .map(|v| vars.binary_search(v).unwrap())
+            .collect();
+        let mut out = Vec::new();
+        oracle.project(&slots, |row| {
+            out.push(Mapping::from_pairs(
+                targets.iter().copied().zip(row.iter().copied()),
+            ));
+        });
+        out
+    }
+
     #[test]
     fn tw_plan_matches_backtracking_boolean() {
         let (mut i, db) = path_db(6);
         let query = q(&mut i, &[], "e(?a,?b) e(?b,?c) e(?c,?d)");
         let plan = StructuredPlan::for_query_tw(&query, 1).expect("path is TW(1)");
         assert_eq!(
-            boolean_eval_structured(&query, &db, &plan, &Mapping::empty()),
+            decide(&query, &db, &plan, &Mapping::empty()),
             backtrack::extend_exists(&db, query.body(), &Mapping::empty())
         );
     }
@@ -458,12 +505,7 @@ mod tests {
         // A cycle query on a path database: unsatisfiable.
         let query = q(&mut i, &[], "e(?a,?b) e(?b,?a)");
         let plan = StructuredPlan::for_query_tw(&query, 2).unwrap();
-        assert!(!boolean_eval_structured(
-            &query,
-            &db,
-            &plan,
-            &Mapping::empty()
-        ));
+        assert!(!decide(&query, &db, &plan, &Mapping::empty()));
     }
 
     #[test]
@@ -472,20 +514,10 @@ mod tests {
         let db = parse_database(&mut i, "e(1,2) e(2,3) e(3,1)").unwrap();
         let query = q(&mut i, &[], "e(?x,?y) e(?y,?z) e(?z,?x)");
         let plan = StructuredPlan::for_query_hw(&query, 2).expect("triangle is HW(2)");
-        assert!(boolean_eval_structured(
-            &query,
-            &db,
-            &plan,
-            &Mapping::empty()
-        ));
+        assert!(decide(&query, &db, &plan, &Mapping::empty()));
         // Remove an edge: no triangle.
         let db2 = parse_database(&mut i, "e(1,2) e(2,3)").unwrap();
-        assert!(!boolean_eval_structured(
-            &query,
-            &db2,
-            &plan,
-            &Mapping::empty()
-        ));
+        assert!(!decide(&query, &db2, &plan, &Mapping::empty()));
     }
 
     #[test]
@@ -495,8 +527,22 @@ mod tests {
         let plan = StructuredPlan::for_query_tw(&query, 1).unwrap();
         let good = parse_mapping(&mut i, "?a -> n0").unwrap();
         let bad = parse_mapping(&mut i, "?a -> n3").unwrap();
-        assert!(boolean_eval_structured(&query, &db, &plan, &good));
-        assert!(!boolean_eval_structured(&query, &db, &plan, &bad));
+        assert!(decide(&query, &db, &plan, &good));
+        assert!(!decide(&query, &db, &plan, &bad));
+    }
+
+    #[test]
+    fn a_query_without_variables_is_checked_in_one_empty_bag() {
+        let mut i = Interner::new();
+        let query = q(&mut i, &[], "marker(on)");
+        let on = parse_database(&mut i, "marker(on)").unwrap();
+        let off = parse_database(&mut i, "marker(off)").unwrap();
+        let tw = StructuredPlan::for_query_tw(&query, 1).unwrap();
+        let hw = StructuredPlan::for_query_hw(&query, 1).unwrap();
+        for plan in [&tw, &hw] {
+            assert!(decide(&query, &on, plan, &Mapping::empty()));
+            assert!(!decide(&query, &off, plan, &Mapping::empty()));
+        }
     }
 
     #[test]
@@ -505,12 +551,13 @@ mod tests {
         let query = q(&mut i, &["a"], "e(?a,?b) e(?b,?c)");
         let plan = StructuredPlan::for_query_tw(&query, 1).unwrap();
         let a = i.var("a");
-        let targets: BTreeSet<Var> = [a].into_iter().collect();
-        let mut structured = enumerate_projections(&query, &db, &plan, &targets, &Mapping::empty());
-        structured.sort();
-        let mut reference: Vec<Mapping> = backtrack::evaluate(&query, &db);
-        reference.sort();
+        let structured = project(&query, &db, Some(&plan), &[a], &Mapping::empty());
+        let reference: Vec<Mapping> = backtrack::evaluate(&query, &db);
         assert_eq!(structured, reference);
+        assert_eq!(
+            project(&query, &db, None, &[a], &Mapping::empty()),
+            reference
+        );
     }
 
     #[test]
@@ -519,9 +566,8 @@ mod tests {
         let query = q(&mut i, &["a", "b"], "e(?a,?b) e(?b,?c)");
         let plan = StructuredPlan::for_query_tw(&query, 1).unwrap();
         let b = i.var("b");
-        let targets: BTreeSet<Var> = [b].into_iter().collect();
         let seed = parse_mapping(&mut i, "?a -> n1").unwrap();
-        let proj = enumerate_projections(&query, &db, &plan, &targets, &seed);
+        let proj = project(&query, &db, Some(&plan), &[b], &seed);
         assert_eq!(proj.len(), 1);
         assert_eq!(proj[0].get(b), Some(i.constant("n2")));
     }
@@ -557,18 +603,8 @@ mod tests {
             let query = ConjunctiveQuery::boolean(atoms);
             let expected = backtrack::extend_exists(&db, query.body(), &Mapping::empty());
             let plan = StructuredPlan::for_query_tw(&query, 3).expect("tiny query");
-            let got = boolean_eval_structured(&query, &db, &plan, &Mapping::empty());
+            let got = decide(&query, &db, &plan, &Mapping::empty());
             assert_eq!(got, expected, "case {case} disagreed");
         }
-    }
-
-    #[test]
-    fn candidate_profile_reflects_filtering() {
-        let (mut i, db) = path_db(4);
-        // n4 has no outgoing edge, n0 no incoming: ?b excludes both ends.
-        let query = q(&mut i, &[], "e(?a,?b) e(?b,?c)");
-        let profile = candidate_profile(&db, &query);
-        let b = i.var("b");
-        assert_eq!(profile[&b], 3); // n1, n2, n3
     }
 }

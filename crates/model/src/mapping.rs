@@ -145,31 +145,6 @@ impl Mapping {
         self.len() < other.len() && self.subsumed_by(other)
     }
 
-    /// True iff the two mappings agree on every variable bound by both.
-    pub fn compatible(&self, other: &Mapping) -> bool {
-        let (small, large) = if self.len() <= other.len() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        small
-            .pairs
-            .iter()
-            .all(|&(v, c)| large.get(v).is_none_or(|oc| oc == c))
-    }
-
-    /// The union `self ∪ other` if the mappings are compatible, else `None`.
-    pub fn union(&self, other: &Mapping) -> Option<Mapping> {
-        if !self.compatible(other) {
-            return None;
-        }
-        let mut out = self.clone();
-        for &(v, c) in &other.pairs {
-            out.insert(v, c);
-        }
-        Some(out)
-    }
-
     /// Renders the mapping, e.g. `{?x ↦ Swim, ?y ↦ Caribou}`.
     pub fn display(&self, interner: &Interner) -> String {
         let body = crate::interner::join_display(&self.pairs, |(v, c)| {
@@ -273,16 +248,6 @@ mod tests {
         assert!(e.subsumed_by(&m));
         assert!(e.subsumed_by(&e));
         assert!(!m.subsumed_by(&e));
-    }
-
-    #[test]
-    fn union_compatible() {
-        let a = Mapping::from_pairs(vec![vc(1, 5)]);
-        let b = Mapping::from_pairs(vec![vc(2, 6), vc(1, 5)]);
-        let u = a.union(&b).unwrap();
-        assert_eq!(u.len(), 2);
-        let conflicting = Mapping::from_pairs(vec![vc(1, 9)]);
-        assert!(a.union(&conflicting).is_none());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! `wdpt` — command-line front end for the WDPT library.
 //!
 //! ```text
-//! wdpt eval      --db DB.facts (--tree TREE.wdpt | --sparql QUERY)   evaluate p(D)
+//! wdpt eval      --db DB.facts (--tree TREE.wdpt | --sparql QUERY) [--mode eval|max]
+//!                                                                   p(D), or p_m(D)
 //! wdpt check     --db DB.facts (--tree|--sparql) --mapping M [--mode eval|partial|max]
 //! wdpt classify  (--tree|--sparql)                                  class membership
 //! wdpt subsume   --left TREE --right TREE                           decide p1 ⊑ p2
@@ -97,23 +98,33 @@ fn load_db(args: &Args, i: &mut Interner) -> Result<Database, String> {
 }
 
 fn engine(args: &Args) -> Result<Engine, String> {
-    match args.get("engine") {
-        None | Some("backtrack") => Ok(Engine::Backtrack),
-        Some(s) => {
-            if let Some(k) = s.strip_prefix("tw:") {
-                k.parse()
-                    .map(Engine::Tw)
-                    .map_err(|_| format!("--engine tw:K needs a positive integer, got '{k}'"))
-            } else if let Some(k) = s.strip_prefix("hw:") {
-                k.parse()
-                    .map(Engine::Hw)
-                    .map_err(|_| format!("--engine hw:K needs a positive integer, got '{k}'"))
-            } else {
-                Err(format!(
-                    "unknown engine '{s}' (expected backtrack, tw:K, or hw:K)"
-                ))
-            }
-        }
+    let spec = args.get("engine").unwrap_or("backtrack");
+    if spec == "backtrack" {
+        return Ok(Engine::Backtrack);
+    }
+    let (kind, k) = (spec.split_once(':'))
+        .filter(|(kind, _)| matches!(*kind, "tw" | "hw"))
+        .ok_or_else(|| format!("unknown engine '{spec}' (expected backtrack, tw:K, or hw:K)"))?;
+    let k = (k.parse().ok())
+        .filter(|&k: &usize| k > 0)
+        .ok_or_else(|| format!("--engine {kind}:K needs a positive integer, got '{k}'"))?;
+    Ok(if kind == "tw" {
+        Engine::Tw(k)
+    } else {
+        Engine::Hw(k)
+    })
+}
+
+/// The `--mode` value, `eval` when absent, if it is one of `modes`.
+fn mode<'a>(args: &'a Args, modes: &[&str]) -> Result<&'a str, String> {
+    let mode = args.get("mode").unwrap_or("eval");
+    if modes.contains(&mode) {
+        Ok(mode)
+    } else {
+        Err(format!(
+            "unknown mode '{mode}' (expected {})",
+            modes.join(", ")
+        ))
     }
 }
 
@@ -125,10 +136,9 @@ fn run() -> Result<(), String> {
         "eval" => {
             let p = load_tree(&args, &mut i)?;
             let db = load_db(&args, &mut i)?;
-            let answers = if args.get("max").is_some() {
-                evaluate_max(&p, &db)
-            } else {
-                evaluate(&p, &db)
+            let answers = match mode(&args, &["eval", "max"])? {
+                "max" => evaluate_max(&p, &db),
+                _ => evaluate(&p, &db),
             };
             println!("{} answer(s):", answers.len());
             for a in &answers {
@@ -144,11 +154,10 @@ fn run() -> Result<(), String> {
                 .ok_or_else(|| "need --mapping".to_owned())?;
             let h = parse_mapping(&mut i, &m).map_err(|e| e.to_string())?;
             let eng = engine(&args)?;
-            let verdict = match args.get("mode").unwrap_or("eval") {
-                "eval" => eval_bounded_interface(&p, &db, &h, eng),
+            let verdict = match mode(&args, &["eval", "partial", "max"])? {
                 "partial" => partial_eval_decide(&p, &db, &h, eng),
                 "max" => max_eval_decide(&p, &db, &h, eng),
-                other => return Err(format!("unknown mode '{other}'")),
+                _ => eval_bounded_interface(&p, &db, &h, eng),
             };
             println!("{verdict}");
             Ok(())
@@ -209,5 +218,48 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         other => Err(format!("unknown command '{other}'\n{}", usage())),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(argv: &[&str]) -> Args {
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        parse_args(&argv).expect("well-formed").1
+    }
+
+    #[test]
+    fn engine_widths_are_positive() {
+        for spec in ["tw:0", "hw:0", "tw:zero", "hw:-1", "tw:"] {
+            let err = engine(&args(&["check", "--engine", spec])).unwrap_err();
+            assert!(err.contains("positive integer"), "{spec}: {err}");
+        }
+        assert_eq!(
+            engine(&args(&["check", "--engine", "tw:1"])),
+            Ok(Engine::Tw(1))
+        );
+        assert_eq!(
+            engine(&args(&["check", "--engine", "hw:2"])),
+            Ok(Engine::Hw(2))
+        );
+        assert_eq!(engine(&args(&["check"])), Ok(Engine::Backtrack));
+        assert!(engine(&args(&["check", "--engine", "gw:1"])).is_err());
+    }
+
+    #[test]
+    fn eval_reads_the_mode_check_reads() {
+        const EVAL: &[&str] = &["eval", "max"];
+        assert_eq!(mode(&args(&["eval"]), EVAL), Ok("eval"));
+        assert_eq!(mode(&args(&["eval", "--mode", "max"]), EVAL), Ok("max"));
+        assert!(mode(&args(&["eval", "--mode", "partial"]), EVAL).is_err());
+        // Every flag takes a value: a bare switch is an error, not `max`.
+        let bare: Vec<String> = ["eval", "--max"].map(String::from).to_vec();
+        assert_eq!(
+            parse_args(&bare).err().as_deref(),
+            Some("--max needs a value")
+        );
+        assert!(usage().contains("--mode eval|partial|max"));
     }
 }

@@ -8,13 +8,16 @@
 use std::collections::BTreeSet;
 use std::sync::{Barrier, Mutex, MutexGuard};
 use wdpt::core::{
-    eval_bounded_interface, eval_decide, evaluate_rows, max_eval_decide, partial_eval_decide,
-    plan_wdpt, semantics, try_evaluate_parallel_planned, Engine, EvalTally, Wdpt, WdptBuilder,
+    eval_bounded_interface, eval_decide, evaluate_rows, is_globally_in, is_locally_in,
+    max_eval_decide, partial_eval_decide, plan_wdpt, semantics, try_evaluate_parallel_planned,
+    Engine, EvalTally, Wdpt, WdptBuilder, WidthKind,
 };
-use wdpt::cq::{backtrack, structured, ConjunctiveQuery};
+use wdpt::cq::{backtrack, in_hw, in_tw, structured, ConjunctiveQuery, Oracle};
 use wdpt::gen::Lcg;
 use wdpt::model::mapping::maximal_mappings;
-use wdpt::model::{Atom, CancelToken, Cancelled, Database, Interner, Mapping, Relation, Term, Var};
+use wdpt::model::{
+    Atom, CancelToken, Cancelled, Const, Database, Interner, Mapping, Relation, Term, Var,
+};
 use wdpt::plan::{StatsCatalog, Strategy};
 
 /// The engine counters are process-wide and the harness runs this binary's
@@ -92,7 +95,7 @@ fn structured_tw_matches_backtracking() {
         let q = ConjunctiveQuery::boolean(build_body(&mut i, &body));
         let reference = backtrack::extend_exists(&db, q.body(), &Mapping::empty());
         let plan = structured::StructuredPlan::for_query_tw(&q, 4).expect("≤4 vars");
-        let got = structured::boolean_eval_structured(&q, &db, &plan, &Mapping::empty());
+        let got = Oracle::new(&db, q.body(), Some(&plan), |_| false).exists();
         assert_eq!(got, reference, "facts={facts:?} body={body:?}");
     }
 }
@@ -110,7 +113,7 @@ fn structured_hw_matches_backtracking() {
         let q = ConjunctiveQuery::boolean(build_body(&mut i, &body));
         let reference = backtrack::extend_exists(&db, q.body(), &Mapping::empty());
         let plan = structured::StructuredPlan::for_query_hw(&q, 4).expect("≤4 atoms");
-        let got = structured::boolean_eval_structured(&q, &db, &plan, &Mapping::empty());
+        let got = Oracle::new(&db, q.body(), Some(&plan), |_| false).exists();
         assert_eq!(got, reference, "facts={facts:?} body={body:?}");
     }
 }
@@ -774,4 +777,207 @@ fn a_cancelled_run_counts_the_work_it_did() {
         assert!(tally.nodes_expanded > 0 && tally.tuples_scanned > 0);
         assert_counted_globally(&tally, &global, &format!("threads={threads}"));
     }
+}
+
+/// `p(D)` by Definition 2 read literally — every homomorphism of every
+/// rooted subtree, those no other one properly extends, projected — in the
+/// canonical order.
+fn naive_answers(p: &Wdpt, db: &Database) -> Vec<Mapping> {
+    let free = p.free_set();
+    let mut answers: Vec<Mapping> = semantics::all_homomorphisms(p, db)
+        .iter()
+        .filter(|h| semantics::is_maximal_homomorphism(p, db, h))
+        .map(|h| h.restrict(&free))
+        .collect();
+    answers.sort();
+    answers.dedup();
+    answers
+}
+
+/// A mapping of a random half of the `vars` that `keep` accepts, each to a
+/// random one of `constants`.
+fn random_mapping(
+    r: &mut Lcg,
+    vars: impl IntoIterator<Item = Var>,
+    constants: &[Const],
+    keep: impl Fn(Var) -> bool,
+) -> Mapping {
+    let mut pairs = Vec::new();
+    for v in vars {
+        if keep(v) && r.gen_bool(0.5) {
+            pairs.push((v, constants[r.gen_range(0..constants.len())]));
+        }
+    }
+    Mapping::from_pairs(pairs)
+}
+
+/// The projections onto `targets` of the homomorphisms of `q` extending
+/// `seed`, as `engine` computes them, in ascending order.
+fn projections(
+    engine: Engine,
+    q: &ConjunctiveQuery,
+    db: &Database,
+    targets: &BTreeSet<Var>,
+    seed: &Mapping,
+) -> Vec<Mapping> {
+    let plan = match engine {
+        Engine::Backtrack => None,
+        Engine::Tw(k) => structured::StructuredPlan::for_query_tw(q, k),
+        Engine::Hw(k) => structured::StructuredPlan::for_query_hw(q, k),
+    };
+    let seeded = |v: Var| seed.defines(v) || targets.contains(&v);
+    let mut oracle = Oracle::new(db, q.body(), plan.as_ref(), seeded);
+    let vars = oracle.vars().to_vec();
+    for (slot, &v) in vars.iter().enumerate() {
+        if let Some(c) = seed.get(v) {
+            oracle.set(slot, c);
+        }
+    }
+    let slots: Vec<usize> = (0..vars.len())
+        .filter(|&s| targets.contains(&vars[s]))
+        .collect();
+    let mut out = Vec::new();
+    oracle.project(&slots, |row| {
+        out.push(Mapping::from_pairs(
+            slots.iter().map(|&s| vars[s]).zip(row.iter().copied()),
+        ));
+    });
+    out
+}
+
+/// The paper's decision procedures sideways, across engines: on random
+/// trees and databases built to reach the executor's corners
+/// ([`adversarial_wdpt`]), Theorem 6 under every engine whose class holds
+/// every node label (`ℓ-TW(1)`, `ℓ-HW(1)`) and PARTIAL-EVAL / MAX-EVAL
+/// (Theorems 8, 9) under every engine whose class holds every rooted subtree
+/// (`g-TW(1)`, `g-HW(1)`) agree with the naive oracle on every answer and on
+/// random mappings, without an in-class engine ever falling back to
+/// backtracking; and every engine whose class holds a node label projects
+/// it onto the variables it shares with its neighbours exactly as
+/// backtracking does.
+#[test]
+fn decision_procedures_agree_with_the_naive_oracle_under_every_engine() {
+    let _serial = serial();
+    let mut r = Lcg::new(0x7157_0008);
+    let classes = [
+        (WidthKind::Tw, Engine::Tw(1)),
+        (WidthKind::Hw, Engine::Hw(1)),
+    ];
+    // Trees in ℓ-TW(1), ℓ-HW(1), g-TW(1), g-HW(1).
+    let mut in_class = [0usize; 4];
+    // Node labels projected under a structured engine.
+    let mut projected = 0;
+    for case in 0..100 {
+        let mut i = Interner::new();
+        let dom = 2 + r.gen_range(0..2);
+        let db = adversarial_db(&mut i, &mut r, dom);
+        let nodes = 2 + r.gen_range(0..3);
+        let p = adversarial_wdpt(&mut i, &mut r, nodes, dom);
+        let constants: Vec<_> = (0..dom).map(|k| i.constant(&format!("c{k}"))).collect();
+        let answers = naive_answers(&p, &db);
+        let maximal = maximal_mappings(answers.clone());
+        let mut local = vec![Engine::Backtrack];
+        let mut global = vec![Engine::Backtrack];
+        for (k, &(kind, engine)) in classes.iter().enumerate() {
+            if is_locally_in(&p, kind, 1) {
+                local.push(engine);
+                in_class[k] += 1;
+            }
+            if is_globally_in(&p, kind, 1) {
+                global.push(engine);
+                in_class[2 + k] += 1;
+            }
+        }
+        let mut probes = answers.clone();
+        for _ in 0..answers.len().max(4) {
+            probes.push(random_mapping(&mut r, p.free_set(), &constants, |_| true));
+        }
+        let ((), work) = wdpt_obs::delta_scope(|| {
+            for h in &probes {
+                let what = format!("case={case} h={h}");
+                let answer = answers.binary_search(h).is_ok();
+                for &engine in &local {
+                    let got = eval_bounded_interface(&p, &db, h, engine);
+                    assert_eq!(got, answer, "{what} {engine:?}");
+                }
+                let partial = answers.iter().any(|a| h.subsumed_by(a));
+                let max = maximal.contains(h);
+                for &engine in &global {
+                    let got = partial_eval_decide(&p, &db, h, engine);
+                    assert_eq!(got, partial, "{what} {engine:?}");
+                    assert_eq!(
+                        max_eval_decide(&p, &db, h, engine),
+                        max,
+                        "{what} {engine:?}"
+                    );
+                }
+            }
+        });
+        assert_eq!(work.counter("core.engine.class_fallback"), 0, "case={case}");
+
+        for t in 0..p.node_count() {
+            let q = p.node_cq(t);
+            let vars = p.node_vars(t);
+            let neighbours: Vec<usize> = p.children(t).iter().copied().chain(p.parent(t)).collect();
+            let targets: BTreeSet<Var> = (vars.iter().copied())
+                .filter(|v| neighbours.iter().any(|&n| p.node_vars(n).contains(v)))
+                .collect();
+            let seed = random_mapping(&mut r, vars, &constants, |v| !targets.contains(&v));
+            let reference = projections(Engine::Backtrack, &q, &db, &targets, &seed);
+            for (member, engine) in [(in_tw(&q, 1), Engine::Tw(1)), (in_hw(&q, 1), Engine::Hw(1))] {
+                if member {
+                    let got = projections(engine, &q, &db, &targets, &seed);
+                    assert_eq!(got, reference, "case={case} node={t} {engine:?}");
+                    projected += 1;
+                }
+            }
+        }
+    }
+    // The generator reaches the classes the engines are for.
+    assert!(
+        in_class.iter().all(|&n| n >= 80),
+        "in-class trees: {in_class:?}"
+    );
+    assert!(projected >= 400, "only {projected} node labels projected");
+}
+
+/// Decompositions `f` derives, traced: calls of the treewidth and the
+/// hypertree-width search.
+fn decompositions_derived(f: impl FnOnce() -> bool) -> (bool, u64) {
+    let before = wdpt_obs::span_snapshot();
+    let verdict = wdpt_obs::with_tracing(f);
+    let spans = wdpt_obs::span_snapshot().since(&before);
+    let calls = ["decomp.treewidth.at_most", "decomp.hypertree.at_most"]
+        .map(|name| spans.entry(name).map_or(0, |e| e.calls));
+    (verdict, calls.iter().sum())
+}
+
+/// A procedure derives each decomposition once: at most one per distinct CQ
+/// it asks about, however many interface tuples or free variables ask it.
+/// The root `a(?u)` has three values of its interface `?u`, each of which
+/// Theorem 6 checks the optional child `b(?u, ?y, ?z)` under; MAX-EVAL asks
+/// the CQ of the whole tree once for `?y` and once for `?z`.
+#[test]
+fn each_decomposition_is_derived_once_per_call() {
+    let _serial = serial();
+    let mut i = Interner::new();
+    let root = wdpt::model::parse::parse_atoms(&mut i, "a(?u)").unwrap();
+    let mut b = WdptBuilder::new(root);
+    b.child(
+        0,
+        wdpt::model::parse::parse_atoms(&mut i, "b(?u,?y,?z)").unwrap(),
+    );
+    let p = b.build(vec![i.var("y"), i.var("z")]).unwrap();
+    let db = wdpt::model::parse::parse_database(&mut i, "a(1) a(2) a(3) b(4,5,6)").unwrap();
+    let empty = Mapping::empty();
+    // Theorem 6 asks about the root's label and the child's.
+    let (answer, derived) =
+        decompositions_derived(|| eval_bounded_interface(&p, &db, &empty, Engine::Tw(1)));
+    assert!(answer);
+    assert!(derived <= 2, "eval_bounded_interface derived {derived}");
+    // MAX-EVAL asks about the root's subtree and the whole tree.
+    let (maximal, derived) =
+        decompositions_derived(|| max_eval_decide(&p, &db, &empty, Engine::Tw(1)));
+    assert!(maximal);
+    assert!(derived <= 2, "max_eval_decide derived {derived}");
 }
