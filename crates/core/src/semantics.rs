@@ -37,7 +37,7 @@
 
 use crate::tree::Wdpt;
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use wdpt_cq::backtrack::{extend_all, extend_exists, Search};
@@ -265,8 +265,12 @@ impl Run<'_> {
     }
 
     /// The distinct interface valuations of child `c` among the rows of its
-    /// parent's local homomorphisms (found under `parent_keys`), in order of
-    /// first occurrence, and the key each row maps to.
+    /// parent's local homomorphisms (found under `parent_keys`), ascending —
+    /// so the child's searches probe in key order ([`Search`]) — and the key
+    /// each row maps to. The rows' projections are usually ascending
+    /// already (each parent search walks its run in order); one pass checks
+    /// that, and only otherwise are the row ids sorted by key. Equal keys
+    /// are then adjacent and merge into one, in place.
     fn child_keys(
         &self,
         c: usize,
@@ -284,33 +288,42 @@ impl Run<'_> {
                 row_contexts.push(contexts);
             }
         }
-        if width == locals.width {
-            // The child sees every variable of its parent, and no two rows
-            // agree on all of them: every row is a key of its own.
-            let keys = Keys {
-                width,
-                cells: projected,
-                contexts: row_contexts,
-            };
-            return (keys, (0..locals.rows as u32).collect());
-        }
-        let mut keys = Keys {
-            width,
-            cells: Vec::new(),
-            contexts: Vec::new(),
+        let key = |r: usize| &projected[r * width..(r + 1) * width];
+        // The rows in key order (`None`: as they are), with their keys and
+        // contexts in that order.
+        let (order, mut cells, mut contexts) = if (1..locals.rows).all(|r| key(r - 1) <= key(r)) {
+            (None, projected, row_contexts)
+        } else {
+            let mut order: Vec<usize> = (0..locals.rows).collect();
+            order.sort_unstable_by_key(|&r| key(r));
+            let cells = order.iter().flat_map(|&r| key(r)).copied().collect();
+            let contexts = order.iter().map(|&r| row_contexts[r]).collect();
+            (Some(order), cells, contexts)
         };
-        let mut index: HashMap<&[Const], u32> = HashMap::new();
-        let mut key_of_row = Vec::with_capacity(locals.rows);
-        for (r, &contexts) in row_contexts.iter().enumerate() {
-            let key = &projected[r * width..(r + 1) * width];
-            let k = *index.entry(key).or_insert_with(|| {
-                keys.cells.extend_from_slice(key);
-                keys.contexts.push(0);
-                (keys.contexts.len() - 1) as u32
-            });
-            keys.contexts[k as usize] += contexts;
-            key_of_row.push(k);
+        // Equal keys are adjacent: the first of each run moves to the front
+        // and takes the contexts of the rest.
+        let mut kept = 0;
+        let mut key_of_row = vec![0; locals.rows];
+        for i in 0..locals.rows {
+            if kept == 0
+                || cells[(kept - 1) * width..kept * width] != cells[i * width..(i + 1) * width]
+            {
+                cells.copy_within(i * width..(i + 1) * width, kept * width);
+                contexts[kept] = contexts[i];
+                kept += 1;
+            } else {
+                // Contexts multiply down the tree and can outgrow a `u64`.
+                contexts[kept - 1] = contexts[kept - 1].saturating_add(contexts[i]);
+            }
+            key_of_row[order.as_ref().map_or(i, |o| o[i])] = (kept - 1) as u32;
         }
+        cells.truncate(kept * width);
+        contexts.truncate(kept);
+        let keys = Keys {
+            width,
+            cells,
+            contexts,
+        };
         (keys, key_of_row)
     }
 
@@ -328,9 +341,10 @@ impl Run<'_> {
     /// backtracking searches and once per assembled row.
     fn subtree(&mut self, t: usize, keys: &Keys) -> Result<Grouped<Option<Const>>, Cancelled> {
         let locals = self.local_homs(t, keys)?;
-        self.homs[t] += (0..keys.contexts.len())
-            .map(|g| keys.contexts[g] * locals.group(g).len() as u64)
-            .sum::<u64>();
+        // Saturating: contexts multiply down the tree.
+        self.homs[t] = (0..keys.contexts.len())
+            .map(|g| keys.contexts[g].saturating_mul(locals.group(g).len() as u64))
+            .fold(self.homs[t], u64::saturating_add);
         let p = self.p;
         let mut children = Vec::with_capacity(p.children(t).len());
         for &c in p.children(t) {
@@ -466,7 +480,8 @@ pub struct EvalTally {
     /// Local homomorphisms found per tree node (preorder id), summed over
     /// every ancestor context the node was evaluated under — a context
     /// whose interface valuation was already evaluated counts what that
-    /// evaluation found.
+    /// evaluation found. Contexts multiply at every level, so a count past
+    /// `u64::MAX` reads `u64::MAX`.
     pub homs: Vec<u64>,
     /// Search nodes expanded by the per-node backtracking searches.
     pub nodes_expanded: u64,
@@ -936,28 +951,112 @@ mod tests {
         assert_eq!(delta.parallel_tasks, 0);
     }
 
-    #[test]
-    fn a_subtree_is_searched_once_per_interface_valuation() {
+    /// 2000 root homomorphisms `a(x_j, u_{u_of(j)})` over two values of
+    /// `?u`, the child's whole interface, 1000 rows each; u0 has two
+    /// extensions `b(u0, ?y)`, u1 none. Evaluated, checked against the
+    /// answers that description implies, and the tally handed back.
+    fn once_per_valuation(u_of: impl Fn(usize) -> usize) -> EvalTally {
         let mut i = Interner::new();
-        // 2000 root homomorphisms over two values of ?u, the child's whole
-        // interface; u0 has two extensions, u1 none.
         let mut b = WdptBuilder::new(parse_atoms(&mut i, "a(?x,?u)").unwrap());
         b.child(0, parse_atoms(&mut i, "b(?u,?y)").unwrap());
         let free = ["x", "y"].iter().map(|n| i.var(n)).collect();
         let p = b.build(free).unwrap();
         let mut spec = String::from("b(u0,y0) b(u0,y1) ");
         for j in 0..2000 {
-            spec.push_str(&format!("a(x{j},u{}) ", j % 2));
+            spec.push_str(&format!("a(x{j},u{}) ", u_of(j)));
         }
         let db = parse_database(&mut i, &spec).unwrap();
+        let mut expected = Vec::new();
+        for j in 0..2000 {
+            let x = format!("?x -> x{j}");
+            match u_of(j) {
+                0 => expected.extend([format!("{x}, ?y -> y0"), format!("{x}, ?y -> y1")]),
+                _ => expected.push(x),
+            }
+        }
+        let mut expected: Vec<Mapping> = (expected.iter())
+            .map(|m| parse_mapping(&mut i, m).unwrap())
+            .collect();
+        expected.sort();
         let (answers, tally) = evaluate_rows(&p, &db, 1, CancelToken::never(), None);
         // 1000 contexts × 2 extensions, and 1000 contexts left as they are.
-        assert_eq!(answers.unwrap().len(), 3000);
+        let answers = answers.unwrap().into_mappings();
+        assert_eq!(answers.len(), 3000);
+        assert_eq!(answers, expected);
+        assert_eq!(answers, evaluate(&p, &db));
+        tally
+    }
+
+    #[test]
+    fn a_subtree_is_searched_once_per_interface_valuation() {
+        // The root's rows come out ascending on ?u: u0's, then u1's.
+        let tally = once_per_valuation(|j| j / 1000);
         // One search node for the root's atom and one per value of ?u: 3,
         // where a search per context makes 2001.
         assert_eq!(tally.nodes_expanded, 3);
         // The tally still counts every context's homomorphisms.
         assert_eq!(tally.homs, vec![2000, 2000]);
+    }
+
+    #[test]
+    fn a_subtree_is_searched_once_per_interface_valuation_in_any_row_order() {
+        // The root's rows come out in a shuffled order of ?u, so the keys
+        // are sorted before the child is searched: the counts are the same.
+        let mut u: Vec<usize> = (0..2000).map(|j| j % 2).collect();
+        let mut state = 3u64;
+        for k in (1..u.len()).rev() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            u.swap(k, (state >> 33) as usize % (k + 1));
+        }
+        assert!(u.windows(2).any(|w| w[0] > w[1]));
+        let tally = once_per_valuation(|j| u[j]);
+        assert_eq!(tally.nodes_expanded, 3);
+        assert_eq!(tally.homs, vec![2000, 2000]);
+    }
+
+    #[test]
+    fn context_counts_saturate_where_they_outgrow_a_u64() {
+        // A 12-level chain: node k is `e(?u_k,?m_k) e(?m_k,?u_{k+1})`, the
+        // root's ?u_0 the hub `h`, over 100 middle values `e(h,m_j)
+        // e(m_j,h)`. Every node has the one key h and 100 local
+        // homomorphisms under it, so node k is reached by 100^k contexts and
+        // counts 100^(k+1) — past u64::MAX from node 9 on.
+        let mut i = Interner::new();
+        let spec: String = (0..100).map(|j| format!("e(h,m{j}) e(m{j},h) ")).collect();
+        let db = parse_database(&mut i, &spec).unwrap();
+        let node = |i: &mut Interner, k: usize| {
+            let u = if k == 0 {
+                "h".to_owned()
+            } else {
+                format!("?u{k}")
+            };
+            parse_atoms(i, &format!("e({u},?m{k}) e(?m{k},?u{})", k + 1)).unwrap()
+        };
+        let mut b = WdptBuilder::new(node(&mut i, 0));
+        for k in 1..12 {
+            b.child(k - 1, node(&mut i, k));
+        }
+        let p = b.build(vec![i.var("m0")]).unwrap();
+        // An expired deadline nobody has latched is noticed at a loop's
+        // 1024th poll (`DEADLINE_POLL_MASK` in `wdpt-model`). Each node's
+        // search polls 201 times, so every node is searched and counted;
+        // the assembly of the 100^12 rows, which comes after, notices it —
+        // a 500 ms deadline would first fill 100+ MB.
+        let expired = CancelToken::with_deadline(std::time::Duration::ZERO);
+        let (answers, tally) = evaluate_rows(&p, &db, 1, &expired, None);
+        assert_eq!(answers, Err(Cancelled));
+        assert_eq!(
+            tally.nodes_expanded,
+            12 * 101,
+            "the deadline cut a search short: is a search's 201 polls \
+             still below the deadline's poll interval?"
+        );
+        let expected: Vec<u64> = (1..=12)
+            .map(|k| 100u64.checked_pow(k).unwrap_or(u64::MAX))
+            .collect();
+        assert_eq!(tally.homs, expected);
     }
 
     #[test]

@@ -16,7 +16,12 @@
 //! bound in the same atom. Binding overwrites the frame cell, so there is
 //! nothing to undo on backtracking and nothing to allocate per probe. A
 //! `Search` is reusable: the WDPT executor compiles one per tree node and
-//! runs it once per interface valuation.
+//! runs it once per interface valuation, in ascending order. Each step
+//! keeps one probe cursor across those runs ([`Relation::candidates`]), so
+//! a step probed in ascending key order gallops forward from where its last
+//! probe matched instead of bisecting the run from the top, and over all
+//! the runs walks its run once, front to back. A stale cursor changes where
+//! a search starts, never what it finds.
 //!
 //! Every entry point — [`extend_all`], [`extend_exists`], [`try_extend_all`],
 //! [`evaluate`] — is that one search with a different "on homomorphism"
@@ -54,12 +59,18 @@ impl Col {
 }
 
 /// One atom of a compiled search: its relation (if the database has one of
-/// the atom's arity) and where its columns sit in [`Search::cols`].
+/// the atom's arity), where its columns sit in [`Search::cols`], and the
+/// cursor of its prefix probes.
 #[derive(Debug, Clone, Copy)]
 struct Step<'a> {
     rel: Option<&'a Relation>,
     start: usize,
     arity: usize,
+    /// Where the step's last prefix probe matched ([`Relation::candidates`]),
+    /// kept across every run of the search. So under ascending seeds — or
+    /// ascending values bound by the steps before it — the step's probes
+    /// walk its run once, front to back, after a first probe that bisects.
+    cursor: usize,
 }
 
 /// How a search proceeds after a homomorphism, or why it unwinds.
@@ -150,6 +161,7 @@ impl<'a> Search<'a> {
                     .filter(|rel| rel.arity() == atom.arity()),
                 start: cols.len(),
                 arity: atom.arity(),
+                cursor: Relation::FRESH_CURSOR,
             });
             cols.extend(atom.args.iter().map(|t| match t {
                 Term::Const(c) => Col::Const(*c),
@@ -278,7 +290,9 @@ impl<'a> Search<'a> {
     /// underestimate except for repeated variables, where the true count
     /// can only be smaller.
     fn rank(&mut self, i: usize) -> (usize, usize) {
-        let Step { rel, start, arity } = self.steps[i];
+        let Step {
+            rel, start, arity, ..
+        } = self.steps[i];
         let mut pinned = 0;
         let mut shortest: Option<usize> = None;
         for k in start..start + arity {
@@ -344,7 +358,9 @@ impl<'a> Search<'a> {
             };
         };
         self.nodes += 1;
-        let Step { rel, start, arity } = self.steps[i];
+        let Step {
+            rel, start, arity, ..
+        } = self.steps[i];
         let Some(rel) = rel else {
             return Found::Continue; // no such relation: no match, backtrack
         };
@@ -363,7 +379,7 @@ impl<'a> Search<'a> {
                     Col::Bound(s) => Some((col, frame[s as usize])),
                     Col::Bind(_) | Col::Eq(_) => None,
                 });
-            rel.candidates(pinned, &mut self.tally)
+            rel.candidates(pinned, &mut self.steps[i].cursor, &mut self.tally)
         };
         let mut scanned = 0u64;
         let mut found = Found::Continue;

@@ -33,6 +33,11 @@ impl std::error::Error for Cancelled {}
 /// as a mask). At typical backtrack rates this bounds deadline overshoot
 /// to well under a millisecond while keeping `Instant::now` off the hot
 /// path.
+///
+/// A test depends on the value: `context_counts_saturate_where_they_outgrow_a_u64`
+/// in `wdpt-core` lets an expired deadline through 201-poll searches and
+/// stops in the assembly after them. A mask below 201 cancels those
+/// searches first.
 const DEADLINE_POLL_MASK: u32 = 1023;
 
 #[derive(Debug)]

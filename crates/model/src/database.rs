@@ -7,9 +7,17 @@
 //! `[r * arity, (r + 1) * arity)`, rows ascending lexicographically on the
 //! `Const` ids, no duplicates. The CQ engines probe that run in place:
 //!
-//! * a probe whose bound columns form a **leading prefix** is a binary
-//!   search for the first match and a gallop to the last, and returns
-//!   exactly the matching rows — nothing is built, nothing is filtered;
+//! * a probe whose bound columns form a **leading prefix** is a search for
+//!   the first match and a gallop to the last, and returns exactly the
+//!   matching rows — nothing is built, nothing is filtered. The search
+//!   starts from a caller-held *cursor*, a row of the main run: where the
+//!   row there sorts below the key it gallops forward from it; where the
+//!   row there does not but the one before it does, the match starts right
+//!   there (a key following a missed one); otherwise it bisects the rows
+//!   before the cursor. Either way the probe writes back where its match
+//!   starts. So a sequence of probes in ascending key order — a search step
+//!   under ascending interface valuations — walks the run once, front to
+//!   back, and a stale cursor costs a bisection, never an answer;
 //! * any other bound column goes through a **row-id permutation** of that
 //!   column (the run's row ids sorted by the column's value, 4 bytes per
 //!   row), built by one counting or comparison sort on the first probe
@@ -102,13 +110,40 @@ impl Drop for ProbeTally {
 
 /// The half-open range of the indices in `0..len` at which `cmp` is
 /// `Equal`, for a `cmp` that is `Less` on a prefix of the indices, then
-/// `Equal`, then `Greater`: a binary search for the first match, then —
-/// matches being few next to a run — a gallop past the last one and a
-/// bisection of the final stride.
-fn equal_range(len: usize, cmp: impl Fn(usize) -> Ordering) -> Range<usize> {
+/// `Equal`, then `Greater`. The search for the first match starts at
+/// `from`:
+///
+/// * if `cmp` is `Less` there, it gallops forward from `from` with doubling
+///   strides and bisects the last stride;
+/// * otherwise the first match is at or before `from`: at `from` itself if
+///   `cmp` is `Less` just before it — the case of a key following a missed
+///   one — and else it bisects the indices before `from`;
+/// * `from` past the end bisects all of `0..len`.
+///
+/// Then, matches being few next to a run, it gallops past the last match
+/// and bisects the final stride. Where the search starts changes what it
+/// costs, never what it finds.
+fn equal_range(len: usize, from: usize, cmp: impl Fn(usize) -> Ordering) -> Range<usize> {
+    // The first index that is not `Less` is in `lo..=lo + size`.
+    let (mut lo, mut size) = (0, len);
+    if from < len {
+        if cmp(from) == Ordering::Less {
+            let mut step = 1;
+            while from + step < len && cmp(from + step) == Ordering::Less {
+                step *= 2;
+            }
+            // `from + step / 2` is `Less`; `from + step` is not, or is past
+            // the end.
+            lo = from + step / 2 + 1;
+            size = (from + step).min(len) - lo;
+        } else if from == 0 || cmp(from - 1) == Ordering::Less {
+            (lo, size) = (from, 0);
+        } else {
+            size = from - 1;
+        }
+    }
     // Written so that each step is a conditional move, not a branch the
     // predictor gets wrong every other time.
-    let (mut lo, mut size) = (0, len);
     while size > 0 {
         let half = size / 2;
         let less = cmp(lo + half) == Ordering::Less;
@@ -178,21 +213,22 @@ impl<'a> Rows<'a> {
         Rows { cells, arity, len }
     }
 
-    /// The rows whose leading cells are `prefix`, the block being sorted.
+    /// The range of the rows whose leading cells are `prefix`, the block
+    /// being sorted, searched for from row `from` (see [`equal_range`]).
     /// One and two cells — a subject, a subject and a predicate — are
     /// compared as one integer; this search is the innermost step of every
     /// engine.
-    fn with_prefix(&self, prefix: &[Const]) -> Rows<'a> {
-        let (cells, arity) = (self.cells, self.arity);
+    fn with_prefix(&self, prefix: &[Const], from: usize) -> Range<usize> {
+        let (cells, arity, len) = (self.cells, self.arity, self.len);
         let pair = |a: Const, b: Const| u64::from(a.0) << 32 | u64::from(b.0);
-        self.slice(match *prefix {
-            [] => 0..self.len,
-            [a] => equal_range(self.len, |r| cells[r * arity].cmp(&a)),
-            [a, b] => equal_range(self.len, |r| {
+        match *prefix {
+            [] => 0..len,
+            [a] => equal_range(len, from, |r| cells[r * arity].cmp(&a)),
+            [a, b] => equal_range(len, from, |r| {
                 pair(cells[r * arity], cells[r * arity + 1]).cmp(&pair(a, b))
             }),
-            _ => equal_range(self.len, |r| self.row(r)[..prefix.len()].cmp(prefix)),
-        })
+            _ => equal_range(len, from, |r| self.row(r)[..prefix.len()].cmp(prefix)),
+        }
     }
 
     fn iter(&self) -> RowIter<'a> {
@@ -254,7 +290,7 @@ fn merge_rows(run: &mut Vec<Const>, run_rows: usize, add: Rows<'_>) -> Result<()
         // Old rows above `row` move up. Often there are none — ascending
         // inserts, a delta of new subjects — and no search is needed.
         let at = if left > 0 && old.row(left - 1) >= row {
-            equal_range(left, |r| old.row(r).cmp(row))
+            equal_range(left, Relation::FRESH_CURSOR, |r| old.row(r).cmp(row))
         } else {
             left..left
         };
@@ -517,6 +553,11 @@ impl Default for Relation {
 }
 
 impl Relation {
+    /// A probe cursor that has seen no probe ([`Relation::candidates`]):
+    /// past the end of every run, so a search from it bisects the whole
+    /// run — as a one-off probe should.
+    pub const FRESH_CURSOR: usize = usize::MAX;
+
     fn new(arity: usize) -> Self {
         Relation::over(Run::new(arity, 0, Vec::new()))
     }
@@ -713,14 +754,14 @@ impl Relation {
 
     /// Set-membership test: a binary search of each run.
     pub fn contains(&self, tuple: &[Const]) -> bool {
-        tuple.len() == self.arity() && !self.with_prefix(tuple).is_empty()
+        tuple.len() == self.arity() && !self.with_prefix(tuple, Self::FRESH_CURSOR).1.is_empty()
     }
 
     fn insert(&mut self, tuple: &[Const]) -> Result<bool, TooManyRows> {
         debug_assert_eq!(tuple.len(), self.arity());
-        let pending = self.pending();
-        let at = equal_range(pending.len, |r| pending.row(r).cmp(tuple));
-        if !at.is_empty() || self.run.rows().with_prefix(tuple).len > 0 {
+        let (pending, fresh) = (self.pending(), Self::FRESH_CURSOR);
+        let at = equal_range(pending.len, fresh, |r| pending.row(r).cmp(tuple));
+        if !at.is_empty() || !self.run.rows().with_prefix(tuple, fresh).is_empty() {
             return Ok(false);
         }
         // The relation is left exactly as it was when the id space is full.
@@ -742,12 +783,18 @@ impl Relation {
         }
     }
 
-    /// The rows whose leading cells are `prefix`.
-    fn with_prefix(&self, prefix: &[Const]) -> Candidates<'_> {
-        Candidates {
-            main: MainRows::Block(self.run.rows().with_prefix(prefix).iter()),
-            pending: PendingRows::Block(self.pending().with_prefix(prefix).iter()),
-        }
+    /// The rows whose leading cells are `prefix` — the main run searched
+    /// from row `from`, the pending run bisected — and the main-run row
+    /// where the match starts.
+    fn with_prefix(&self, prefix: &[Const], from: usize) -> (usize, Candidates<'_>) {
+        let (main, pending) = (self.run.rows(), self.pending());
+        let found = main.with_prefix(prefix, from);
+        let pending_found = pending.with_prefix(prefix, Self::FRESH_CURSOR);
+        let rows = Candidates {
+            main: MainRows::Block(main.slice(found.clone()).iter()),
+            pending: PendingRows::Block(pending.slice(pending_found).iter()),
+        };
+        (found.start, rows)
     }
 
     /// The rows with `t[col] == c`: a prefix of one cell for the leading
@@ -755,12 +802,12 @@ impl Relation {
     /// plus a linear pass over the pending run.
     fn with_cell(&self, col: usize, c: Const) -> Candidates<'_> {
         if col == 0 {
-            return self.with_prefix(&[c]);
+            return self.with_prefix(&[c], Self::FRESH_CURSOR).1;
         }
         let rows = self.run.rows();
         let perm = self.run.perm(col);
         let cell = |i: usize| rows.cells[perm[i] as usize * rows.arity + col];
-        let ids = &perm[equal_range(perm.len(), |i| cell(i).cmp(&c))];
+        let ids = &perm[equal_range(perm.len(), Self::FRESH_CURSOR, |i| cell(i).cmp(&c))];
         let pending = self.pending().iter();
         Candidates {
             main: MainRows::Picked {
@@ -801,9 +848,19 @@ impl Relation {
     /// relation. Tuples are *not* checked against the constraints that lost
     /// — the caller does that, and counts what it examined with
     /// [`ProbeTally::add_scanned`].
+    ///
+    /// `cursor` is a row of the main run for the prefix search to start
+    /// from (see the module docs), and is left where the prefix's match
+    /// starts — untouched when the constraints do not open with column 0. A
+    /// caller that probes in ascending key order keeps one cursor per probe
+    /// site, and each probe then gallops forward from where the last one
+    /// stopped instead of bisecting the run; its first probe, from
+    /// [`Relation::FRESH_CURSOR`], bisects. Any value finds the same rows.
+    /// Column lookups and the pending run are searched as without it.
     pub fn candidates(
         &self,
         mut bound: impl Iterator<Item = (usize, Const)>,
+        cursor: &mut usize,
         tally: &mut ProbeTally,
     ) -> Candidates<'_> {
         let mut prefix = [Const(0); PREFIX_CELLS];
@@ -821,7 +878,9 @@ impl Relation {
         }
         let mut best = (prefix_len > 0).then(|| {
             tally.probes += 1;
-            self.with_prefix(&prefix[..prefix_len])
+            let (start, rows) = self.with_prefix(&prefix[..prefix_len], *cursor);
+            *cursor = start;
+            rows
         });
         for (col, c) in beyond.into_iter().chain(bound) {
             if best.as_ref().is_some_and(|b| b.len() <= 1) {
@@ -846,12 +905,13 @@ impl Relation {
     pub fn matching<'a>(&'a self, pattern: &'a [Option<Const>]) -> Matching<'a> {
         debug_assert_eq!(pattern.len(), self.arity());
         let mut tally = ProbeTally::default();
+        let mut cursor = Self::FRESH_CURSOR;
         let bound = pattern
             .iter()
             .enumerate()
             .filter_map(|(col, p)| p.map(|c| (col, c)));
         Matching {
-            candidates: self.candidates(bound, &mut tally),
+            candidates: self.candidates(bound, &mut cursor, &mut tally),
             pattern,
             tally,
         }
@@ -879,7 +939,10 @@ impl Relation {
         pending
             .check_sorted()
             .map_err(|why| format!("pending: {why}"))?;
-        if pending.iter().any(|row| rows.with_prefix(row).len > 0) {
+        if pending
+            .iter()
+            .any(|row| !rows.with_prefix(row, Self::FRESH_CURSOR).is_empty())
+        {
             return Err("a pending row is also in the main run".to_owned());
         }
         for col in 1..arity {
@@ -1092,6 +1155,88 @@ mod tests {
         db.insert(e, vec![b, c]);
         db.insert(e, vec![a, c]);
         (i, db, e)
+    }
+
+    /// The next of the workspace's seeded draws (Knuth's MMIX constants),
+    /// below `n`.
+    fn draw(state: &mut u64, n: u32) -> u32 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((*state >> 33) % u64::from(n)) as u32
+    }
+
+    #[test]
+    fn a_prefix_search_from_any_start_row_finds_what_a_scan_finds() {
+        let mut state = 11;
+        for rows in [0, 1, 2, 9, 60, 300] {
+            // Cells in 1..=4, so keys over 0..=5 fall below, between and
+            // above the rows as well as on them.
+            let cells: Vec<Const> = (0..rows * 4)
+                .map(|_| Const(draw(&mut state, 4) + 1))
+                .collect();
+            let (_, rows, cells) = Relation::from_rows(4, rows, cells).into_parts();
+            let run = Rows::new(&cells, 4, rows);
+            // One- and two-cell keys take the integer paths, longer ones the
+            // slice path.
+            for width in 1..=4 {
+                for code in 0..6u32.pow(width as u32) {
+                    let key: Vec<Const> = (0..width as u32)
+                        .map(|i| Const(code / 6u32.pow(i) % 6))
+                        .collect();
+                    let first = |hit: fn(Ordering) -> bool| {
+                        (0..rows)
+                            .position(|r| hit(run.row(r)[..width].cmp(&key)))
+                            .unwrap_or(rows)
+                    };
+                    let expected =
+                        first(|o| o != Ordering::Less)..first(|o| o == Ordering::Greater);
+                    for from in (0..=rows + 1).chain([Relation::FRESH_CURSOR]) {
+                        assert_eq!(
+                            run.with_prefix(&key, from),
+                            expected,
+                            "{key:?} from row {from} of {rows}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn probes_in_key_order_cost_the_logarithm_of_their_spacing() {
+        let mut state = 7;
+        let len = 1 << 14;
+        // Values drawn from four times as many as there are rows: most keys
+        // match one row or none, a few match several.
+        let mut values: Vec<u32> = (0..len).map(|_| draw(&mut state, 4 * len)).collect();
+        values.sort_unstable();
+        for probes in [1, 2, 16, 100, 1000, len / 2, len] {
+            let mut keys: Vec<u32> = (0..probes).map(|_| draw(&mut state, 4 * len + 8)).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            let compared = std::cell::Cell::new(0);
+            let mut cursor = 0;
+            for &key in &keys {
+                let found = equal_range(values.len(), cursor, |r| {
+                    compared.set(compared.get() + 1);
+                    values[r].cmp(&key)
+                });
+                assert_eq!(
+                    found,
+                    values.partition_point(|&v| v < key)..values.partition_point(|&v| v <= key)
+                );
+                cursor = found.start;
+            }
+            let n = keys.len() as f64;
+            let bound = 4.0 * n * ((f64::from(len) / n).log2() + 2.0);
+            assert!(
+                f64::from(compared.get()) <= bound,
+                "{} probes over {len} rows made {} comparisons, bound {bound}",
+                keys.len(),
+                compared.get()
+            );
+        }
     }
 
     #[test]

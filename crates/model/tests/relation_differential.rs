@@ -2,7 +2,8 @@
 //! (with duplicates), clones that then diverge and sorted-run merges, at
 //! arities 0–4 and sizes that fold the pending run dozens of times, checked
 //! step by step against a `BTreeSet<Vec<Const>>` — equal answer sets, equal
-//! counts, and `verify_deep()` after every step.
+//! counts, and `verify_deep()` after every step — including prefix probes
+//! through one cursor in ascending, descending and shuffled key order.
 
 use std::collections::{BTreeMap, BTreeSet};
 use wdpt_model::{Const, Database, Pred, ProbeTally, Relation};
@@ -81,6 +82,7 @@ fn assert_agree(rel: &Relation, model: &Model, probes: &[Vec<Const>], absent: Co
             }
         }
     }
+    assert_cursor_probes_agree(rel, model, absent);
     for col in 0..arity {
         let mut expected: BTreeMap<Const, u32> = BTreeMap::new();
         for t in model {
@@ -92,6 +94,47 @@ fn assert_agree(rel: &Relation, model: &Model, probes: &[Vec<Const>], absent: Co
             counted.into_iter().eq(expected),
             "column {col} counts differ"
         );
+    }
+}
+
+/// Sequences of prefix probes through one cursor each — ascending,
+/// descending and shuffled — find exactly the model's tuples under each
+/// prefix: where a probe starts never changes what it finds. The keys are
+/// prefixes of every few tuples, hits, and the same with the last cell
+/// swapped for `absent`, misses.
+fn assert_cursor_probes_agree(rel: &Relation, model: &Model, absent: Const) {
+    for cells in 1..=rel.arity() {
+        let mut keys: Vec<Vec<Const>> = Vec::new();
+        for t in model.iter().step_by(7) {
+            let mut miss = t[..cells].to_vec();
+            miss[cells - 1] = absent;
+            keys.extend([t[..cells].to_vec(), miss]);
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        let mut shuffled = keys.clone();
+        let mut rng = Lcg(keys.len() as u64);
+        for k in (1..shuffled.len()).rev() {
+            shuffled.swap(k, rng.below(k + 1));
+        }
+        let descending: Vec<Vec<Const>> = keys.iter().rev().cloned().collect();
+        for sequence in [&keys, &descending, &shuffled] {
+            let mut cursor = 0;
+            for key in sequence {
+                let bound = key.iter().copied().enumerate();
+                let mut tally = ProbeTally::default();
+                let mut got: Vec<&[Const]> =
+                    rel.candidates(bound, &mut cursor, &mut tally).collect();
+                got.sort_unstable();
+                let expected = model
+                    .range(key.clone()..)
+                    .take_while(|t| t.starts_with(key));
+                assert!(
+                    got.into_iter().eq(expected.map(|t| &t[..])),
+                    "prefix {key:?} from the cursor differs from the model"
+                );
+            }
+        }
     }
 }
 
