@@ -416,7 +416,7 @@ fn row_parallel(cfg: &Config) {
     let p = wdpt_gen::music::figure1_wdpt(&mut i);
     let mut rec =
         wdpt_obs::ProfileRecorder::start(format!("figure1 ({largest} bands, {threads} threads)"));
-    let (answers, tally) = evaluate_rows(&p, &db, threads, CancelToken::never(), None);
+    let (answers, tally) = evaluate_rows(&p, &db, threads, CancelToken::never(), None, usize::MAX);
     rec.set_nodes(node_entries(&p, &tally.homs));
     let answers = answers.expect("the never token cannot cancel");
     r.profile(&rec.finish(answers.len() as u64));

@@ -9,9 +9,10 @@
 //! * [`semantics`] — maximal homomorphisms, `p(D)`, `p_m(D)`: one executor
 //!   (local homomorphisms × independent OPT children, each subtree
 //!   evaluated once per distinct interface valuation, inline or fanned out
-//!   over threads) whose product is one sorted row table, [`Answers`], and
-//!   one account of its own work, [`EvalTally`]. [`evaluate_rows`]
-//!   (threads, cancel token, planned atom orders) returns both;
+//!   over threads) whose product is one sorted row table, [`Answers`] —
+//!   an exact answer count and the first rows asked for — and one account
+//!   of its own work, [`EvalTally`]. [`evaluate_rows`] (threads, cancel
+//!   token, planned atom orders, how many rows) returns both;
 //!   [`evaluate`], [`evaluate_max`], [`maximal_homomorphisms`] and
 //!   [`try_evaluate_parallel_planned`] view the table as
 //!   [`wdpt_model::Mapping`]s.

@@ -106,7 +106,8 @@ mod tests {
         threads: usize,
     ) -> (Vec<Mapping>, EvalTally, QueryProfile) {
         let mut rec = ProfileRecorder::start("test");
-        let (answers, tally) = evaluate_rows(p, db, threads, CancelToken::never(), None);
+        let (answers, tally) =
+            evaluate_rows(p, db, threads, CancelToken::never(), None, usize::MAX);
         let answers = answers.unwrap().into_mappings();
         rec.set_nodes(node_entries(p, &tally.homs));
         let profile = rec.finish(answers.len() as u64);
@@ -169,7 +170,7 @@ mod tests {
         let (_i, p, db) = fixture();
         let token = CancelToken::new();
         token.cancel();
-        let (answers, tally) = evaluate_rows(&p, &db, 4, &token, None);
+        let (answers, tally) = evaluate_rows(&p, &db, 4, &token, None, usize::MAX);
         assert_eq!(answers, Err(Cancelled));
         let profile = tally.profile(&p, "late", 0, 0);
         assert_eq!(profile.answers, 0);

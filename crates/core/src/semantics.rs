@@ -19,20 +19,25 @@
 //! *distinct* interface valuation its contexts produce, not once per
 //! context.
 //!
-//! There is one executor ([`execute`] over [`Run::subtree`]) and it has one
-//! product: the [`Answers`] table — a header of ascending variables over
-//! flat rows of `Option<Const>` cells, sorted and distinct — and beside it
-//! one account of the work that took, the [`EvalTally`]: local
-//! homomorphisms per tree node and the backtracking searches' own counts,
-//! summed from each search before it is dropped. The tally belongs to the
-//! run — it is no diff of process-wide counters — so it is exact whatever
-//! else evaluates concurrently, the same at every thread count, and it
-//! survives cancellation. The public functions differ only in what they
+//! There is one executor ([`execute`] over [`Run::subtree`]). Its search
+//! leaves a factorised result — per tree node its local homomorphisms, per
+//! child the key each of them maps to, per key an exact count of the
+//! maximal extensions under it — so `|p(D)|` is a sum of products, known
+//! before any row exists. Its product is the [`Answers`] table: that count,
+//! and a header of ascending variables over flat rows of `Option<Const>`
+//! cells, sorted and distinct, of which it builds only the first `limit`
+//! when the order allows (see [`execute`]). Beside the table it keeps one
+//! account of the work that took, the [`EvalTally`]: local homomorphisms
+//! per tree node and the backtracking searches' own counts, summed from
+//! each search before it is dropped. The tally belongs to the run — it is
+//! no diff of process-wide counters — so it is exact whatever else
+//! evaluates concurrently, the same at every thread count and every
+//! `limit`, and it survives cancellation. The public functions differ only in what they
 //! pass the executor (threads, cancel token, plan, the variables to project
-//! onto) and in whether they hand the table on as it is, with the tally
-//! ([`evaluate_rows`], which a server encodes responses from), or view it
-//! as [`Mapping`]s ([`Answers::into_mappings`]: [`evaluate`],
-//! [`evaluate_max`], [`maximal_homomorphisms`],
+//! onto, how many rows to build) and in whether they hand the table on as
+//! it is, with the tally ([`evaluate_rows`], which a server encodes
+//! responses from), or view it as [`Mapping`]s ([`Answers::into_mappings`]:
+//! [`evaluate`], [`evaluate_max`], [`maximal_homomorphisms`],
 //! [`try_evaluate_parallel_planned`]).
 
 use crate::tree::Wdpt;
@@ -49,15 +54,15 @@ use wdpt_plan::ExecPlan;
 
 /// Rows of `width` cells, stored flat, in consecutive groups — one group
 /// per interface valuation a node was evaluated under.
-struct Grouped<T> {
+struct Grouped {
     width: usize,
-    cells: Vec<T>,
+    cells: Vec<Const>,
     rows: usize,
     /// `ends[g]` is one past the last row of group `g`.
     ends: Vec<usize>,
 }
 
-impl<T> Grouped<T> {
+impl Grouped {
     fn new(width: usize) -> Self {
         Grouped {
             width,
@@ -77,7 +82,7 @@ impl<T> Grouped<T> {
         start..self.ends[g]
     }
 
-    fn row(&self, r: usize) -> &[T] {
+    fn row(&self, r: usize) -> &[Const] {
         &self.cells[r * self.width..(r + 1) * self.width]
     }
 }
@@ -102,9 +107,6 @@ struct Shape {
     iface: Vec<(usize, usize)>,
     /// Slots of the variables no ancestor mentions.
     fresh: Vec<usize>,
-    /// Cells in a row of the subtree's table: the fresh variables of the
-    /// node, then one segment per child, recursively.
-    width: usize,
 }
 
 fn shapes(p: &Wdpt) -> Vec<Shape> {
@@ -120,21 +122,13 @@ fn shapes(p: &Wdpt) -> Vec<Shape> {
                 Err(_) => fresh.push(slot),
             }
         }
-        shapes.push(Shape {
-            width: fresh.len(),
-            vars,
-            iface,
-            fresh,
-        });
-    }
-    for t in (1..p.node_count()).rev() {
-        let parent = p.parent(t).expect("only the root has no parent");
-        shapes[parent].width += shapes[t].width;
+        shapes.push(Shape { vars, iface, fresh });
     }
     shapes
 }
 
-/// The variable behind each cell of a row of `t`'s subtree table.
+/// The variable behind each cell of a row built from `t`'s subtree: the
+/// fresh variables of `t`, then one segment per child, recursively.
 fn layout(p: &Wdpt, shapes: &[Shape], t: usize, out: &mut Vec<Var>) {
     out.extend(shapes[t].fresh.iter().map(|&slot| shapes[t].vars[slot]));
     for &c in p.children(t) {
@@ -170,7 +164,7 @@ struct Run<'a> {
     /// worker threads; relaxed because they are tallies, read only after
     /// every worker is joined.
     work: [AtomicU64; 3],
-    /// Amortizes the token's deadline checks over the assembly loops.
+    /// Amortizes the token's deadline checks over the row-building loop.
     poll_steps: u32,
 }
 
@@ -182,7 +176,7 @@ impl Run<'_> {
         t: usize,
         keys: &Keys,
         range: Range<usize>,
-    ) -> Result<Grouped<Const>, Cancelled> {
+    ) -> Result<Grouped, Cancelled> {
         // One span per node (and worker), not one per key: the phase keeps
         // the name of the CQ entry point it times, with the keys as calls.
         let mut span = span!("cq.backtrack.extend_all");
@@ -228,7 +222,7 @@ impl Run<'_> {
     /// workers share the evaluation's cancel token, so one hitting the
     /// deadline stops the rest within one poll interval; the scope still
     /// joins everything before the error propagates.
-    fn local_homs(&self, t: usize, keys: &Keys) -> Result<Grouped<Const>, Cancelled> {
+    fn local_homs(&self, t: usize, keys: &Keys) -> Result<Grouped, Cancelled> {
         let n = keys.contexts.len();
         let workers = self.workers.min(n / MIN_KEYS_PER_WORKER);
         if workers < 2 {
@@ -271,12 +265,7 @@ impl Run<'_> {
     /// already (each parent search walks its run in order); one pass checks
     /// that, and only otherwise are the row ids sorted by key. Equal keys
     /// are then adjacent and merge into one, in place.
-    fn child_keys(
-        &self,
-        c: usize,
-        locals: &Grouped<Const>,
-        parent_keys: &Keys,
-    ) -> (Keys, Vec<u32>) {
+    fn child_keys(&self, c: usize, locals: &Grouped, parent_keys: &Keys) -> (Keys, Vec<u32>) {
         let iface = &self.shapes[c].iface;
         let width = iface.len();
         let mut projected = Vec::with_capacity(locals.rows * width);
@@ -328,18 +317,26 @@ impl Run<'_> {
     }
 
     /// The maximal extensions into the subtree rooted at `t` under each of
-    /// `keys`, one group per key: rows over the variables the subtree
-    /// introduces, `None` where an OPT branch was not extendable. An empty
-    /// group means "`t` itself is not extendable" under that key (the
-    /// branch fails and is dropped by the parent).
+    /// `keys`, factorised: the node's local homomorphisms, one group per
+    /// key, beside each child's own factorised result and the number of
+    /// maximal extensions under each key. An empty group means "`t` itself
+    /// is not extendable" under that key (the branch fails and is dropped by
+    /// the parent). `key_of_row` is what the parent computed for `t`
+    /// ([`Run::child_keys`]); it is kept with the result.
     ///
     /// Children are independent given their parent's valuation
     /// (well-designedness), so each is evaluated — recursively, by this
     /// function — under the distinct interface valuations the parent's
-    /// local homomorphisms produce, and the per-row products are assembled
-    /// here, on the calling thread. The token is polled inside the per-node
-    /// backtracking searches and once per assembled row.
-    fn subtree(&mut self, t: usize, keys: &Keys) -> Result<Grouped<Option<Const>>, Cancelled> {
+    /// local homomorphisms produce, and a local row's count is the product
+    /// over the children of what the child has under that row's key
+    /// ([`Factor::count`]). No row of the subtree is built here;
+    /// [`Run::build`] does that once, at the root.
+    fn subtree(
+        &mut self,
+        t: usize,
+        keys: &Keys,
+        key_of_row: Vec<u32>,
+    ) -> Result<Factor, Cancelled> {
         let locals = self.local_homs(t, keys)?;
         // Saturating: contexts multiply down the tree.
         self.homs[t] = (0..keys.contexts.len())
@@ -349,48 +346,229 @@ impl Run<'_> {
         let mut children = Vec::with_capacity(p.children(t).len());
         for &c in p.children(t) {
             let (child_keys, key_of_row) = self.child_keys(c, &locals, keys);
-            children.push((key_of_row, self.subtree(c, &child_keys)?));
+            children.push(self.subtree(c, &child_keys, key_of_row)?);
         }
+        let mut factor = Factor {
+            locals,
+            key_of_row,
+            children,
+            totals: None,
+        };
+        factor.totals = factor.sum_counts();
+        Ok(factor)
+    }
+
+    /// Appends to `out` the rows the maximal homomorphisms that extend the
+    /// root's local rows `roots` stand for, each projected onto `kept`
+    /// (cells of a row in [`layout`] order). The extensions of one root row
+    /// are a mixed-radix product: one [`Digit`] per tree node in layout
+    /// order (a preorder), ranging over the node's local rows under its
+    /// parent's digit — or over nothing, when the node or an ancestor is not
+    /// extendable and its cells stay unbound. The last digit turns fastest;
+    /// a digit that turns resets every digit after it. The token is polled
+    /// once per row.
+    fn build(
+        &mut self,
+        root: &Factor,
+        roots: impl Iterator<Item = usize>,
+        kept: &[(Var, usize)],
+        out: &mut Vec<Option<Const>>,
+    ) -> Result<(), Cancelled> {
         let _span = span!("wdpt.eval.assemble");
-        let shape = &self.shapes[t];
-        let mut out = Grouped::new(shape.width);
-        for g in 0..keys.contexts.len() {
-            for r in locals.group(g) {
-                let local = locals.row(r);
-                // The cartesian product of the children's maximal
-                // extensions. A child that is not extendable contributes
-                // nothing — maximality w.r.t. it holds vacuously.
-                let extensions = |(key_of_row, table): &(Vec<u32>, Grouped<Option<Const>>)| {
-                    table.group(key_of_row[r] as usize)
+        let mut digits = Vec::with_capacity(self.shapes.len());
+        Digit::push(self.p, &self.shapes, root, self.p.root(), 0, &mut digits);
+        let reset = |digits: &mut [Digit], from: usize| {
+            for d in from..digits.len() {
+                let (factor, parent) = (digits[d].factor, &digits[digits[d].parent]);
+                digits[d].range = if parent.range.is_empty() {
+                    0..0
+                } else {
+                    factor.locals.group(factor.key_of_row[parent.at] as usize)
                 };
-                let combinations: usize = children
-                    .iter()
-                    .map(|child| extensions(child).len().max(1))
-                    .product();
-                for combination in 0..combinations {
-                    if self.token.should_stop(&mut self.poll_steps) {
-                        return Err(Cancelled);
-                    }
-                    out.cells
-                        .extend(shape.fresh.iter().map(|&slot| Some(local[slot])));
-                    let mut rest = combination;
-                    for child in &children {
-                        let ext = extensions(child);
-                        let table = &child.1;
-                        if ext.is_empty() {
-                            out.cells.extend(std::iter::repeat_n(None, table.width));
-                        } else {
-                            out.cells
-                                .extend_from_slice(table.row(ext.start + rest % ext.len()));
-                            rest /= ext.len();
-                        }
-                    }
-                    out.rows += 1;
-                }
+                digits[d].at = digits[d].range.start;
             }
-            out.close_group();
+        };
+        let mut row: Vec<Option<Const>> = Vec::new();
+        for r in roots {
+            (digits[0].range, digits[0].at) = (r..r + 1, r);
+            reset(&mut digits, 1);
+            loop {
+                if self.token.should_stop(&mut self.poll_steps) {
+                    return Err(Cancelled);
+                }
+                row.clear();
+                for digit in &digits {
+                    if digit.range.is_empty() {
+                        row.extend(std::iter::repeat_n(None, digit.fresh.len()));
+                    } else {
+                        let local = digit.factor.locals.row(digit.at);
+                        row.extend(digit.fresh.iter().map(|&slot| Some(local[slot])));
+                    }
+                }
+                out.extend(kept.iter().map(|&(_, cell)| row[cell]));
+                let Some(d) = (1..digits.len())
+                    .rev()
+                    .find(|&d| digits[d].at + 1 < digits[d].range.end)
+                else {
+                    break;
+                };
+                digits[d].at += 1;
+                reset(&mut digits, d + 1);
+            }
         }
-        Ok(out)
+        Ok(())
+    }
+
+    /// The table of the maximal homomorphisms `root` factorises, projected
+    /// onto `onto`, holding its first `limit` rows ([`execute`]).
+    fn table(
+        &mut self,
+        root: &Factor,
+        onto: &BTreeSet<Var>,
+        limit: usize,
+    ) -> Result<Answers, Cancelled> {
+        let mut columns = Vec::new();
+        layout(self.p, &self.shapes, self.p.root(), &mut columns);
+        // The cells to keep, in ascending variable order.
+        let mut kept: Vec<(Var, usize)> = columns
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| onto.contains(v))
+            .map(|(cell, &v)| (v, cell))
+            .collect();
+        kept.sort_unstable();
+        let vars: Vec<Var> = kept.iter().map(|&(v, _)| v).collect();
+        if vars.is_empty() {
+            // Nothing to tell the rows apart by: one row if the root
+            // has any, and no row needs building.
+            let len = usize::from(root.locals.rows > 0);
+            return Ok(Answers {
+                vars,
+                cells: Vec::new(),
+                rows: len.min(limit),
+                len,
+            });
+        }
+        // The root is evaluated under one key, the empty valuation.
+        let total = root.totals.as_ref().map(|totals| totals[0]);
+        let root_vars = &self.shapes[self.p.root()].vars;
+        let early = match (total, root_vars.binary_search(&vars[0])) {
+            (Some(total), Ok(v0)) if kept.len() == columns.len() && limit < total => {
+                Some((total, v0))
+            }
+            _ => None,
+        };
+        let mut cells = Vec::new();
+        match early {
+            None => self.build(root, 0..root.locals.rows, &kept, &mut cells)?,
+            Some((_, v0)) => {
+                let value = |r: usize| root.locals.row(r)[v0];
+                let mut order: Vec<usize> = (0..root.locals.rows).collect();
+                if !(1..order.len()).all(|r| value(r - 1) <= value(r)) {
+                    order.sort_unstable_by_key(|&r| value(r));
+                }
+                // Up to the end of the `v0` group in which the running
+                // sum of counts reaches `limit`.
+                let (mut end, mut sum) = (0, 0);
+                while end < order.len()
+                    && (sum < limit || (end > 0 && value(order[end - 1]) == value(order[end])))
+                {
+                    sum += root.count(order[end]).expect("no more than the total");
+                    end += 1;
+                }
+                self.build(root, order[..end].iter().copied(), &kept, &mut cells)?
+            }
+        }
+        let mut rows: Vec<&[Option<Const>]> = cells.chunks_exact(vars.len()).collect();
+        rows.sort_unstable_by(|a, b| cmp_as_mappings(a, b));
+        rows.dedup();
+        let len = early.map_or(rows.len(), |(total, _)| total);
+        rows.truncate(limit);
+        Ok(Answers {
+            cells: rows.concat(),
+            rows: rows.len(),
+            vars,
+            len,
+        })
+    }
+}
+
+/// The maximal extensions into one subtree, factorised ([`Run::subtree`]):
+/// nothing in it is a row of the answer yet.
+struct Factor {
+    /// The node's local homomorphisms as full frames of its variables, one
+    /// group per key it was evaluated under.
+    locals: Grouped,
+    /// Per local row of the parent, the group of `locals` its interface
+    /// valuation is; empty at the root.
+    key_of_row: Vec<u32>,
+    /// One per child of the node, in the tree's order.
+    children: Vec<Factor>,
+    /// Per key, the number of maximal extensions into the subtree under it
+    /// (`0`: the node is not extendable) — exact, or `None` if some count
+    /// of the subtree outgrew a `usize`.
+    totals: Option<Vec<usize>>,
+}
+
+impl Factor {
+    /// The number of maximal extensions of local row `r` into the subtree:
+    /// the product over the children of what each has under `r`'s key, at
+    /// least 1 — a child that is not extendable leaves the row as it is.
+    fn count(&self, r: usize) -> Option<usize> {
+        self.children.iter().try_fold(1usize, |n, child| {
+            n.checked_mul(child.totals.as_ref()?[child.key_of_row[r] as usize].max(1))
+        })
+    }
+
+    /// Per key, the sum of its rows' [`Factor::count`]s.
+    fn sum_counts(&self) -> Option<Vec<usize>> {
+        let mut totals = Vec::with_capacity(self.locals.ends.len());
+        let mut start = 0;
+        for &end in &self.locals.ends {
+            totals.push((start..end).try_fold(0usize, |n, r| n.checked_add(self.count(r)?))?);
+            start = end;
+        }
+        Some(totals)
+    }
+}
+
+/// One digit of [`Run::build`]'s mixed-radix counter: a tree node's share
+/// of the row being built.
+struct Digit<'f> {
+    factor: &'f Factor,
+    /// The slots of the node's frames the row takes, in [`layout`] order.
+    fresh: &'f [usize],
+    /// The digit of the node's parent (the root: its own).
+    parent: usize,
+    /// The local rows the digit ranges over — none when the node is not
+    /// extendable under its parent's row — and the one it is at.
+    range: Range<usize>,
+    at: usize,
+}
+
+impl<'f> Digit<'f> {
+    /// Pushes the digits of the subtree rooted at `t`, in layout order:
+    /// `factor` is the subtree's factorised result, `parent` the digit of
+    /// `t`'s parent.
+    fn push(
+        p: &Wdpt,
+        shapes: &'f [Shape],
+        factor: &'f Factor,
+        t: usize,
+        parent: usize,
+        out: &mut Vec<Self>,
+    ) {
+        let at = out.len();
+        out.push(Digit {
+            factor,
+            fresh: &shapes[t].fresh,
+            parent,
+            range: 0..0,
+            at: 0,
+        });
+        for (child, &c) in factor.children.iter().zip(p.children(t)) {
+            Digit::push(p, shapes, child, c, at, out);
+        }
     }
 }
 
@@ -416,28 +594,32 @@ fn cmp_as_mappings(a: &[Option<Const>], b: &[Option<Const>]) -> Ordering {
 }
 
 /// A set of partial mappings over one header of variables, as the executor
-/// produces it: row-major cells, `None` where a row's mapping is undefined
-/// (an OPT branch that was not extendable). Rows are strictly ascending in
-/// the order of the [`Mapping`]s they stand for — sorted and distinct — so
-/// the first `n` rows are the first `n` mappings of
-/// [`Answers::into_mappings`].
+/// produces it: its size, and its first rows — row-major cells, `None` where
+/// a row's mapping is undefined (an OPT branch that was not extendable).
+/// The rows held are the first `min(len, limit)` of the whole set in the
+/// order of the [`Mapping`]s they stand for, strictly ascending, where
+/// `limit` is what the evaluation was asked to build; so they are the first
+/// mappings of [`Answers::into_mappings`] too.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Answers {
     /// Ascending; cell `k` of every row belongs to `vars[k]`.
     vars: Vec<Var>,
     cells: Vec<Option<Const>>,
-    /// Kept beside the cells because a row of no variables has none: the
-    /// table over an empty header has one row (the empty mapping) or none.
+    /// The rows held. Kept beside the cells because a row of no variables
+    /// has none: the table over an empty header has one row (the empty
+    /// mapping) or none.
     rows: usize,
+    /// The size of the whole set.
+    len: usize,
 }
 
 // No `is_empty`: the table's surface is these four and nothing else.
 #[allow(clippy::len_without_is_empty)]
 impl Answers {
-    /// The number of rows: `|p(D)|` for a table projected onto the free
-    /// variables.
+    /// The number of mappings in the set, held or not: `|p(D)|` for a table
+    /// projected onto the free variables.
     pub fn len(&self) -> usize {
-        self.rows
+        self.len
     }
 
     /// The header: the variables some row may bind, ascending.
@@ -445,13 +627,14 @@ impl Answers {
         &self.vars
     }
 
-    /// Row `r` (`r < len()`), one cell per variable of [`Answers::vars`].
+    /// Row `r` (`r < min(len(), limit)`), one cell per variable of
+    /// [`Answers::vars`].
     pub fn row(&self, r: usize) -> &[Option<Const>] {
         assert!(r < self.rows, "row {r} of a {}-row table", self.rows);
         &self.cells[r * self.vars.len()..(r + 1) * self.vars.len()]
     }
 
-    /// The rows as mappings, in the same (ascending) order.
+    /// The rows held as mappings, in the same (ascending) order.
     pub fn into_mappings(self) -> Vec<Mapping> {
         (0..self.rows)
             .map(|r| {
@@ -493,17 +676,27 @@ pub struct EvalTally {
 
 /// The one executor: the maximal homomorphisms from `p` to `db` projected
 /// onto `onto` (all of `p`'s variables: the maximal homomorphisms
-/// themselves), deduplicated, in the canonical order — ascending as
-/// [`Mapping`]s — plus the run's [`EvalTally`]. Rows stay flat from the
-/// first search to the table handed back: they are projected, sorted and
+/// themselves), deduplicated, as an [`Answers`] table holding the first
+/// `limit` of them in the canonical order — ascending as [`Mapping`]s —
+/// plus the run's [`EvalTally`]. The search leaves a factorised result
+/// ([`Run::subtree`]); rows are built from it flat, projected, sorted and
 /// deduplicated once, and the executor builds no `Mapping`.
+///
+/// Which rows are built: all of them, unless the table is projection-free
+/// (its rows are then distinct by construction), its smallest variable
+/// `v0` belongs to the root (every row binds it, and rows order by it
+/// first), no count overflowed and `limit` is below the exact total. Then
+/// the root's local rows are put in `v0` order and only the extensions of
+/// those up to the end of the `v0` group in which the counts reach `limit`
+/// are built: that prefix holds the first `limit` rows. Either way
+/// [`Answers::len`] is exact.
 ///
 /// `threads` bounds the workers each node's searches — one per distinct
 /// interface valuation — are spread over (`0` means
 /// [`std::thread::available_parallelism`]); with one worker, or at a node
 /// with too few keys to share out ([`MIN_KEYS_PER_WORKER`]), no thread is
 /// spawned. Answers are identical at every thread count and under any plan;
-/// backtracking work is identical at every thread count.
+/// backtracking work is identical at every thread count and every `limit`.
 pub(crate) fn execute(
     p: &Wdpt,
     db: &Database,
@@ -511,6 +704,7 @@ pub(crate) fn execute(
     token: &CancelToken,
     plan: Option<&ExecPlan>,
     onto: &BTreeSet<Var>,
+    limit: usize,
 ) -> (Result<Answers, Cancelled>, EvalTally) {
     let _span = span!("wdpt.eval.execute");
     let mut run = Run {
@@ -533,41 +727,9 @@ pub(crate) fn execute(
         cells: Vec::new(),
         contexts: vec![1],
     };
-    let answers = run.subtree(p.root(), &root_key).map(|table| {
-        let mut columns = Vec::with_capacity(table.width);
-        layout(p, &run.shapes, p.root(), &mut columns);
-        // The cells to keep, in ascending variable order.
-        let mut kept: Vec<(Var, usize)> = columns
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| onto.contains(v))
-            .map(|(cell, &v)| (v, cell))
-            .collect();
-        kept.sort_unstable();
-        let vars: Vec<Var> = kept.iter().map(|&(v, _)| v).collect();
-        if vars.is_empty() {
-            // Nothing to tell the rows apart by.
-            return Answers {
-                vars,
-                cells: Vec::new(),
-                rows: usize::from(table.rows > 0),
-            };
-        }
-        let projected: Vec<Option<Const>> = (0..table.rows)
-            .flat_map(|r| {
-                let row = table.row(r);
-                kept.iter().map(move |&(_, cell)| row[cell])
-            })
-            .collect();
-        let mut rows: Vec<&[Option<Const>]> = projected.chunks_exact(vars.len()).collect();
-        rows.sort_unstable_by(|a, b| cmp_as_mappings(a, b));
-        rows.dedup();
-        Answers {
-            cells: rows.concat(),
-            rows: rows.len(),
-            vars,
-        }
-    });
+    let answers = run
+        .subtree(p.root(), &root_key, Vec::new())
+        .and_then(|root| run.table(&root, onto, limit));
     let [nodes_expanded, index_probes, tuples_scanned] = run.work.map(AtomicU64::into_inner);
     let tally = EvalTally {
         homs: run.homs,
@@ -585,8 +747,10 @@ pub(crate) fn execute(
 /// [`std::thread::available_parallelism`]), under a cancel token —
 /// `Err(Cancelled)` if it fires or its deadline passes mid-evaluation, with
 /// the tally of the work done until then — executing an optional cost-based
-/// [`ExecPlan`]. The table is the same whatever the thread count or plan.
-/// Every other evaluation function of this module is a view of it.
+/// [`ExecPlan`]. The table counts every answer ([`Answers::len`]) and holds
+/// the first `limit` of them (`usize::MAX`: all); it is the same whatever
+/// the thread count or plan. Every other evaluation function of this module
+/// is a view of it.
 ///
 /// The plan contract: nodes with a planned atom order run it statically; a
 /// `None` plan (or a plan built for a different tree shape) falls back to
@@ -603,18 +767,27 @@ pub fn evaluate_rows(
     threads: usize,
     token: &CancelToken,
     plan: Option<&ExecPlan>,
+    limit: usize,
 ) -> (Result<Answers, Cancelled>, EvalTally) {
-    execute(p, db, threads, token, plan, &p.free_set())
+    execute(p, db, threads, token, plan, &p.free_set(), limit)
 }
 
 /// All maximal homomorphisms from `p` to `db` (on their various domains).
 /// Exponential in the size of the output; intended for exact small-scale
 /// semantics, tests, and the intractable baselines of the benchmarks.
 pub fn maximal_homomorphisms(p: &Wdpt, db: &Database) -> Vec<Mapping> {
-    execute(p, db, 1, CancelToken::never(), None, &p.all_variables())
-        .0
-        .expect("the never token cannot cancel")
-        .into_mappings()
+    execute(
+        p,
+        db,
+        1,
+        CancelToken::never(),
+        None,
+        &p.all_variables(),
+        usize::MAX,
+    )
+    .0
+    .expect("the never token cannot cancel")
+    .into_mappings()
 }
 
 /// The evaluation `p(D)`: projections of the maximal homomorphisms onto the
@@ -639,7 +812,7 @@ pub fn try_evaluate_parallel_planned(
     token: &CancelToken,
     plan: Option<&ExecPlan>,
 ) -> Result<Vec<Mapping>, Cancelled> {
-    evaluate_rows(p, db, threads, token, plan)
+    evaluate_rows(p, db, threads, token, plan, usize::MAX)
         .0
         .map(Answers::into_mappings)
 }
@@ -880,9 +1053,17 @@ mod tests {
             assert_eq!(eval_at(&p, &db, threads), evaluate(&p, &db));
             let every_var = p.all_variables();
             assert_eq!(
-                execute(&p, &db, threads, CancelToken::never(), None, &every_var)
-                    .0
-                    .map(Answers::into_mappings),
+                execute(
+                    &p,
+                    &db,
+                    threads,
+                    CancelToken::never(),
+                    None,
+                    &every_var,
+                    usize::MAX
+                )
+                .0
+                .map(Answers::into_mappings),
                 Ok(maximal_homomorphisms(&p, &db))
             );
         }
@@ -978,7 +1159,7 @@ mod tests {
             .map(|m| parse_mapping(&mut i, m).unwrap())
             .collect();
         expected.sort();
-        let (answers, tally) = evaluate_rows(&p, &db, 1, CancelToken::never(), None);
+        let (answers, tally) = evaluate_rows(&p, &db, 1, CancelToken::never(), None, usize::MAX);
         // 1000 contexts × 2 extensions, and 1000 contexts left as they are.
         let answers = answers.unwrap().into_mappings();
         assert_eq!(answers.len(), 3000);
@@ -1016,15 +1197,17 @@ mod tests {
         assert_eq!(tally.homs, vec![2000, 2000]);
     }
 
-    #[test]
-    fn context_counts_saturate_where_they_outgrow_a_u64() {
-        // A 12-level chain: node k is `e(?u_k,?m_k) e(?m_k,?u_{k+1})`, the
-        // root's ?u_0 the hub `h`, over 100 middle values `e(h,m_j)
-        // e(m_j,h)`. Every node has the one key h and 100 local
-        // homomorphisms under it, so node k is reached by 100^k contexts and
-        // counts 100^(k+1) — past u64::MAX from node 9 on.
+    /// A 12-level chain: node k is `e(?u_k,?m_k) e(?m_k,?u_{k+1})`, the
+    /// root's ?u_0 the hub `h`, over 100 middle values `e(h,m_j) e(m_j,h)`.
+    /// Every node has the one key h and 100 local homomorphisms under it,
+    /// so node k is reached by 100^k contexts and counts 100^(k+1) — past
+    /// u64::MAX from node 9 on. Free: `?m0` alone, or every variable. With
+    /// `dead_end`, the root has one more row, `?m0 ↦ a` (the smallest value
+    /// of ?m0) and `?u1 ↦ d`, which no child extends: one answer.
+    fn hub_chain(every_var_free: bool, dead_end: bool) -> (Wdpt, Database) {
         let mut i = Interner::new();
-        let spec: String = (0..100).map(|j| format!("e(h,m{j}) e(m{j},h) ")).collect();
+        let mut spec = String::from(if dead_end { "e(h,a) e(a,d) " } else { "" });
+        spec.extend((0..100).map(|j| format!("e(h,m{j}) e(m{j},h) ")));
         let db = parse_database(&mut i, &spec).unwrap();
         let node = |i: &mut Interner, k: usize| {
             let u = if k == 0 {
@@ -1038,15 +1221,39 @@ mod tests {
         for k in 1..12 {
             b.child(k - 1, node(&mut i, k));
         }
-        let p = b.build(vec![i.var("m0")]).unwrap();
+        let free = if every_var_free {
+            (0..12)
+                .flat_map(|k| [format!("m{k}"), format!("u{}", k + 1)])
+                .map(|name| i.var(&name))
+                .collect()
+        } else {
+            vec![i.var("m0")]
+        };
+        (b.build(free).unwrap(), db)
+    }
+
+    /// [`hub_chain`] under an expired deadline, asked for its first
+    /// `limit` rows: cancelled.
+    fn hub_chain_under_an_expired_deadline(
+        every_var_free: bool,
+        dead_end: bool,
+        limit: usize,
+    ) -> EvalTally {
+        let (p, db) = hub_chain(every_var_free, dead_end);
+        let expired = CancelToken::with_deadline(std::time::Duration::ZERO);
+        let (answers, tally) = evaluate_rows(&p, &db, 1, &expired, None, limit);
+        assert_eq!(answers, Err(Cancelled));
+        tally
+    }
+
+    #[test]
+    fn context_counts_saturate_where_they_outgrow_a_u64() {
+        let tally = hub_chain_under_an_expired_deadline(false, false, usize::MAX);
         // An expired deadline nobody has latched is noticed at a loop's
         // 1024th poll (`DEADLINE_POLL_MASK` in `wdpt-model`). Each node's
         // search polls 201 times, so every node is searched and counted;
-        // the assembly of the 100^12 rows, which comes after, notices it —
-        // a 500 ms deadline would first fill 100+ MB.
-        let expired = CancelToken::with_deadline(std::time::Duration::ZERO);
-        let (answers, tally) = evaluate_rows(&p, &db, 1, &expired, None);
-        assert_eq!(answers, Err(Cancelled));
+        // building the 100^12 rows, which comes after, notices it — a
+        // 500 ms deadline would first fill 100+ MB.
         assert_eq!(
             tally.nodes_expanded,
             12 * 101,
@@ -1057,6 +1264,66 @@ mod tests {
             .map(|k| 100u64.checked_pow(k).unwrap_or(u64::MAX))
             .collect();
         assert_eq!(tally.homs, expected);
+    }
+
+    #[test]
+    fn an_answer_count_past_a_usize_builds_every_row_and_meets_the_deadline() {
+        // Projection-free, `v0` = ?m0 at the root, and the limit 1 is
+        // reached by the dead end's one answer, first in `v0` order: a
+        // count saturated instead of overflowed would stop there and report
+        // `usize::MAX` answers. An overflowed count is no count: every row
+        // is to be built, and the deadline stops that as it stops the
+        // projected sibling, after the same work.
+        for dead_end in [false, true] {
+            assert_eq!(
+                hub_chain_under_an_expired_deadline(true, dead_end, 1),
+                hub_chain_under_an_expired_deadline(false, dead_end, usize::MAX),
+                "dead_end={dead_end}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_limit_inside_a_v0_group_holds_the_smallest_rows() {
+        // One root row, ?x ↦ 0, and two OPT children with two extensions
+        // each. ?z is numbered before ?y, so mappings order by ?z before
+        // ?y — while the product turns its last child, ?z's, fastest.
+        let mut i = Interner::new();
+        let [x, z, y] = ["x", "z", "y"].map(|n| i.var(n));
+        let mut b = WdptBuilder::new(parse_atoms(&mut i, "a(?x)").unwrap());
+        b.child(0, parse_atoms(&mut i, "b(?x,?y)").unwrap());
+        b.child(0, parse_atoms(&mut i, "c(?x,?z)").unwrap());
+        let p = b.build(vec![x, y, z]).unwrap();
+        let db = parse_database(&mut i, "a(0) b(0,y0) b(0,y1) c(0,z0) c(0,z1)").unwrap();
+        let first = |limit: usize| {
+            let (answers, _) = evaluate_rows(&p, &db, 1, CancelToken::never(), None, limit);
+            let answers = answers.unwrap();
+            assert_eq!(answers.len(), 4);
+            answers.into_mappings()
+        };
+        let expected: Vec<Mapping> = ["y0", "y1"]
+            .map(|y| parse_mapping(&mut i, &format!("?x -> 0, ?z -> z0, ?y -> {y}")).unwrap())
+            .into();
+        assert_eq!(first(2), expected);
+        assert_eq!(first(usize::MAX)[..2], expected);
+    }
+
+    #[test]
+    fn root_rows_are_put_in_v0_order_before_the_stop() {
+        // The root `a(?u,?x)` is searched in ?u order, which puts ?x = 10
+        // first; 20 was named first, so ?x = 20 is the smaller value and
+        // its row the first answer.
+        let mut i = Interner::new();
+        let [x, u] = ["x", "u"].map(|n| i.var(n));
+        let p = WdptBuilder::new(parse_atoms(&mut i, "a(?u,?x)").unwrap())
+            .build(vec![u, x])
+            .unwrap();
+        let db = parse_database(&mut i, "k(20) k(10) a(1,10) a(2,20)").unwrap();
+        let (answers, _) = evaluate_rows(&p, &db, 1, CancelToken::never(), None, 1);
+        let answers = answers.unwrap();
+        assert_eq!(answers.len(), 2);
+        let expected = parse_mapping(&mut i, "?u -> 2, ?x -> 20").unwrap();
+        assert_eq!(answers.into_mappings(), vec![expected]);
     }
 
     #[test]
@@ -1091,7 +1358,7 @@ mod tests {
         // A Boolean query: nothing is free.
         let p = rebuild_with_free(&p0, Vec::new());
         let rows = |p: &Wdpt, db: &Database| {
-            let (table, _tally) = evaluate_rows(p, db, 1, CancelToken::never(), None);
+            let (table, _tally) = evaluate_rows(p, db, 1, CancelToken::never(), None, usize::MAX);
             table.unwrap()
         };
         let table = rows(&p, &db);
@@ -1110,7 +1377,7 @@ mod tests {
     fn the_table_lists_the_free_variables_and_leaves_unextended_cells_unbound() {
         let mut i = Interner::new();
         let (p, db) = example2(&mut i);
-        let (table, _) = evaluate_rows(&p, &db, 1, CancelToken::never(), None);
+        let (table, _) = evaluate_rows(&p, &db, 1, CancelToken::never(), None, usize::MAX);
         let table = table.unwrap();
         let mut free: Vec<Var> = p.free_vars().to_vec();
         free.sort();
@@ -1127,12 +1394,12 @@ mod tests {
         let mut i = Interner::new();
         let (p, db) = example2(&mut i);
         let token = CancelToken::new();
-        let (done, tally) = evaluate_rows(&p, &db, 1, &token, None);
+        let (done, tally) = evaluate_rows(&p, &db, 1, &token, None, usize::MAX);
         assert_eq!(done.map(|t| t.len()), Ok(2));
         assert_eq!(tally.homs, vec![2, 1, 0]);
         assert!(tally.nodes_expanded > 0 && tally.index_probes > 0 && tally.tuples_scanned > 0);
         token.cancel();
-        let (cancelled, tally) = evaluate_rows(&p, &db, 1, &token, None);
+        let (cancelled, tally) = evaluate_rows(&p, &db, 1, &token, None, usize::MAX);
         assert_eq!(cancelled, Err(Cancelled));
         // Cancelled before the first search step: nothing was done.
         assert_eq!(tally.homs, vec![0; p.node_count()]);
@@ -1152,7 +1419,7 @@ mod tests {
         let db = parse_database(&mut i, &spec).unwrap();
         let ((cancelled, tally), global) = wdpt_obs::delta_scope(|| {
             let expired = CancelToken::with_deadline(std::time::Duration::ZERO);
-            evaluate_rows(&wide, &db, 1, &expired, None)
+            evaluate_rows(&wide, &db, 1, &expired, None, usize::MAX)
         });
         assert_eq!(cancelled, Err(Cancelled));
         // Of the 1023 steps, one expanded the root's first atom, 25 the

@@ -21,8 +21,10 @@
 //!   WDPT evaluation with the request's [`CancelToken`] threaded through
 //!   the `wdpt-core`/`wdpt-cq` loops. Deadline expiry surfaces as a typed
 //!   [`Cancelled`] and an explicit `cancelled` response line. The worker
-//!   also encodes the response: it keeps the first `max_rows` rows of the
-//!   executor's table, writes them as row lines into one buffer straight
+//!   also encodes the response: it asks the executor for its first
+//!   `max_rows` rows — the count of all answers comes with them, exact,
+//!   and rows nobody is sent are built only where the answer order needs
+//!   them — writes them as row lines into one buffer straight
 //!   from their cells — the second and last place a request takes the
 //!   interner lock, held for that loop only and never across evaluation —
 //!   and appends the terminal line. The connection thread writes the
@@ -1478,8 +1480,14 @@ fn process(job: Job, state: &ServeState) {
         // process-wide registries and switches tracing on for everybody
         // meanwhile: only a request that asked for a profile pays for it.
         let recorder = job.profile.then(|| ProfileRecorder::start(PROFILE_LABEL));
-        let (result, tally) =
-            wdpt_core::evaluate_rows(&job.plan.wdpt, db, threads, &job.token, Some(&exec));
+        let (result, tally) = wdpt_core::evaluate_rows(
+            &job.plan.wdpt,
+            db,
+            threads,
+            &job.token,
+            Some(&exec),
+            job.max_rows,
+        );
         let answer_count = result.as_ref().map_or(0, |a| a.len() as u64);
         let profile = recorder.map(|mut rec| {
             rec.set_nodes(wdpt_core::node_entries(&job.plan.wdpt, &tally.homs));
@@ -1492,7 +1500,7 @@ fn process(job: Job, state: &ServeState) {
                     .stats
                     .record_execution(eval_ns / 1_000, tally.nodes_expanded);
                 let wall_us = start.elapsed().as_micros() as u64;
-                // Truncate first: nothing is built for a row nobody reads.
+                // The rows the executor was asked for: it holds these.
                 let rows = answers.len().min(job.max_rows);
                 let writer =
                     RowWriter::new(id, &job.request_vars, &job.plan.canon_vars, answers.vars());

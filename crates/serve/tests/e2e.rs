@@ -311,6 +311,21 @@ fn response_bytes_are_pinned() {
         assert_eq!(got, want, "max_rows {max_rows}");
         cache = "hit";
     }
+    // Projection-free, and `max_rows` cuts through the four rows with
+    // `?who` = ann: the two sent are the first two of the seven in order.
+    let pairs = "((?who, knows, ?friend) OPT (?who, knows, ?other))";
+    let got = exchange(format!(
+        r#"{{"op":"query","query":"{pairs}","max_rows":2}}"#
+    ));
+    let want = concat!(
+        r#"{"bindings":{"friend":"bob","other":"bob","who":"ann"},"kind":"row"}"#,
+        "\n",
+        r#"{"bindings":{"friend":"bob","other":"cy","who":"ann"},"kind":"row"}"#,
+        "\n",
+        r#"{"answers":7,"cache":"miss","rows":2,"status":"ok","wall_us":}"#,
+        "\n",
+    );
+    assert_eq!(got, want);
     server.shutdown_and_join();
 }
 

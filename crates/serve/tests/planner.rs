@@ -145,8 +145,14 @@ fn serve_once(state: &ServeState, query: &str) -> (Arc<Plan>, u64) {
     let (plan, _) = state.plan_for(query).unwrap();
     let db = state.db("main").unwrap();
     let exec = plan.exec_plan();
-    let (answers, tally) =
-        wdpt_core::evaluate_rows(&plan.wdpt, &db, 1, CancelToken::never(), Some(&exec));
+    let (answers, tally) = wdpt_core::evaluate_rows(
+        &plan.wdpt,
+        &db,
+        1,
+        CancelToken::never(),
+        Some(&exec),
+        usize::MAX,
+    );
     answers.expect("never cancels");
     plan.stats.record_execution(10, tally.nodes_expanded);
     (plan, tally.nodes_expanded)

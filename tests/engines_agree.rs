@@ -465,6 +465,21 @@ struct Reached {
     fanned_out: u64,
     /// The shuffled plan is neither enumerator's.
     reordered: bool,
+    /// Which rows a limit below the answer count leaves the executor to
+    /// build.
+    built: Built,
+}
+
+/// The three cases of the executor's `limit`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Built {
+    /// Projection-free, the smallest variable at the root: the extensions
+    /// of the root rows up to the `v0` group the limit falls in.
+    Prefix,
+    /// Projection-free, the smallest variable below the root: every row.
+    BelowRoot,
+    /// Some variable projected away: every row.
+    Projected,
 }
 
 /// The executor against `oracle` — `p(D)` computed some other way, in the
@@ -478,7 +493,10 @@ struct Reached {
 /// root-to-node path, counted here by the CQ engine — and its three work
 /// counts are what the run added to the process-wide counters (every test
 /// of this binary holds [`serial`], so the deltas are the run's alone): the
-/// local and the global count cannot drift apart.
+/// local and the global count cannot drift apart. Asked to build only the
+/// first `limit` rows, at every `limit` around the answer count, each run
+/// still counts every answer, holds the first `min(len, limit)` rows of
+/// the whole table and does the same work.
 fn check_executor(p: &Wdpt, db: &Database, oracle: &[Mapping], case: &str, seed: u64) -> Reached {
     let never = CancelToken::never();
     let free = p.free_set();
@@ -503,6 +521,16 @@ fn check_executor(p: &Wdpt, db: &Database, oracle: &[Mapping], case: &str, seed:
         }),
         fanned_out: 0,
         reordered: false,
+        built: match p.all_variables() {
+            every if !free.is_superset(&every) => Built::Projected,
+            every
+                if p.node_vars(p.root())
+                    .contains(every.first().expect("no tree is bare")) =>
+            {
+                Built::Prefix
+            }
+            _ => Built::BelowRoot,
+        },
     };
 
     let stats = StatsCatalog::build(db);
@@ -528,7 +556,7 @@ fn check_executor(p: &Wdpt, db: &Database, oracle: &[Mapping], case: &str, seed:
         for threads in [1, 4] {
             let what = format!("case={case} plan={name} threads={threads}");
             let ((answers, tally), global) =
-                wdpt_obs::delta_scope(|| evaluate_rows(p, db, threads, never, plan));
+                wdpt_obs::delta_scope(|| evaluate_rows(p, db, threads, never, plan, usize::MAX));
             // The table's own invariants, before it is viewed as mappings:
             // the header is the free variables (each occurs in the tree),
             // ascending, and the rows are strictly ascending as the mappings
@@ -543,6 +571,18 @@ fn check_executor(p: &Wdpt, db: &Database, oracle: &[Mapping], case: &str, seed:
             };
             for r in 1..table.len() {
                 assert!(view(r - 1) < view(r), "{what}: rows {} and {r}", r - 1);
+            }
+            let len = table.len();
+            for limit in [0, 1, 2, len.saturating_sub(1), len, len + 1, usize::MAX] {
+                let (first, first_tally) = evaluate_rows(p, db, threads, never, plan, limit);
+                let first = first.expect("never cancels");
+                let what = format!("{what} limit={limit}");
+                assert_eq!(first.vars(), table.vars(), "{what}");
+                assert_eq!(first.len(), len, "{what}");
+                let held = len.min(limit);
+                assert!((0..held).all(|r| first.row(r) == table.row(r)), "{what}");
+                assert_eq!(first.into_mappings().len(), held, "{what}");
+                assert_eq!(first_tally, tally, "{what}");
             }
             assert_eq!(table.into_mappings(), oracle, "{what}");
             let expected: Vec<u64> = path_homs.iter().map(|h| h.len() as u64).collect();
@@ -571,6 +611,7 @@ fn executor_agrees_with_the_naive_oracle() {
     let _serial = serial();
     let mut r = Lcg::new(0x7157_0007);
     let (mut partial, mut shared, mut reordered) = (0, 0, 0);
+    let mut built = Vec::new();
     for case in 0..80 {
         let mut i = Interner::new();
         let dom = 2 + r.gen_range(0..2);
@@ -579,17 +620,23 @@ fn executor_agrees_with_the_naive_oracle() {
         let p = adversarial_wdpt(&mut i, &mut r, nodes, dom);
         assert!((0..p.node_count()).any(|t| p.depth(t) >= 3));
         let free = p.free_set();
-        let mut oracle: Vec<Mapping> = semantics::all_homomorphisms(&p, &db)
-            .iter()
+        let maximal: Vec<Mapping> = semantics::all_homomorphisms(&p, &db)
+            .into_iter()
             .filter(|h| semantics::is_maximal_homomorphism(&p, &db, h))
-            .map(|h| h.restrict(&free))
             .collect();
+        let mut oracle: Vec<Mapping> = maximal.iter().map(|h| h.restrict(&free)).collect();
         oracle.sort();
         oracle.dedup();
         let reached = check_executor(&p, &db, &oracle, &case.to_string(), case as u64);
         partial += usize::from(reached.partial);
         shared += usize::from(reached.shared);
         reordered += usize::from(reached.reordered);
+        built.push(reached.built);
+        // Every variable free: the answers are the maximal homomorphisms
+        // (ascending, as `all_homomorphisms` lists them).
+        let free_case = format!("{case} projection-free");
+        let reached = check_executor(&projection_free(&p), &db, &maximal, &free_case, case as u64);
+        built.push(reached.built);
     }
     // The generator reaches what it was built to reach.
     assert!(partial >= 8, "only {partial} cases dropped an OPT branch");
@@ -598,6 +645,10 @@ fn executor_agrees_with_the_naive_oracle() {
         "only {shared} cases shared an interface valuation"
     );
     assert!(reordered >= 40, "only {reordered} shuffled plans were new");
+    for case in [Built::Prefix, Built::BelowRoot, Built::Projected] {
+        let n = built.iter().filter(|&&b| b == case).count();
+        assert!(n >= 8, "only {n} trees of case {case:?}");
+    }
 }
 
 /// A chain of depth 3 with up to two more nodes hung at random, every node
@@ -728,7 +779,8 @@ fn tallies_are_exact_under_concurrency() {
         })
         .collect();
     let tally_of = |(p, db, threads): &(Wdpt, Database, usize)| {
-        let (answers, tally) = evaluate_rows(p, db, *threads, CancelToken::never(), None);
+        let (answers, tally) =
+            evaluate_rows(p, db, *threads, CancelToken::never(), None, usize::MAX);
         answers.expect("never cancels");
         tally
     };
@@ -770,7 +822,7 @@ fn a_cancelled_run_counts_the_work_it_did() {
     for threads in [1, 4] {
         let ((answers, tally), global) = wdpt_obs::delta_scope(|| {
             let expired = CancelToken::with_deadline(std::time::Duration::ZERO);
-            evaluate_rows(&p, &db, threads, &expired, None)
+            evaluate_rows(&p, &db, threads, &expired, None, usize::MAX)
         });
         assert_eq!(answers.err(), Some(Cancelled), "threads={threads}");
         assert_eq!(tally.homs.len(), p.node_count());
