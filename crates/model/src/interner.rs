@@ -201,6 +201,13 @@ impl Interner {
         }
     }
 
+    /// Interns a symbol of any namespace and returns its id: the untyped
+    /// counterpart of [`Interner::var`], [`Interner::constant`] and
+    /// [`Interner::pred`], for callers that copy symbols between interners.
+    pub fn intern_symbol(&mut self, space: SymbolSpace, name: &str) -> u32 {
+        self.intern(space, name)
+    }
+
     /// Interns a variable name and returns its [`crate::term::Var`] id.
     pub fn var(&mut self, name: &str) -> crate::term::Var {
         crate::term::Var(self.intern(Space::Var, name))

@@ -235,7 +235,7 @@ fn main() -> ExitCode {
             .collect();
         match wdpt_store::load_with_deltas(Path::new(&path), &delta_paths) {
             Ok(pair) => {
-                let db = wdpt_serve::merge_snapshot(&mut interner, pair);
+                let (db, _) = wdpt_serve::merge_snapshot(&mut interner, pair);
                 eprintln!(
                     "primary {name:?}: {} facts from {path} + {} logged delta(s), head {}",
                     db.size(),
@@ -265,7 +265,7 @@ fn main() -> ExitCode {
         let t0 = Instant::now();
         match wdpt_store::load_snapshot(Path::new(path)) {
             Ok(pair) => {
-                let db = wdpt_serve::merge_snapshot(&mut interner, pair);
+                let (db, _) = wdpt_serve::merge_snapshot(&mut interner, pair);
                 counter!("serve.store.snapshot_loaded").add(1);
                 eprintln!(
                     "loaded snapshot {name:?}: {} facts from {path} in {:.1}ms",

@@ -53,42 +53,49 @@ pub fn load_database(interner: &mut Interner, path: &Path, threads: usize) -> io
     }
 }
 
-/// Folds a decoded snapshot into the server's interner.
+/// Folds a decoded snapshot into the server's interner. Returns the
+/// database in the live ids and how many of the snapshot's ids, from id 0
+/// on, name the same symbol there — all of them when adopted. A reload
+/// keeps a base whose own symbols are all among them
+/// (`ServeState::reload`).
 ///
 /// * If the live interner is still empty (the common case — snapshots load
 ///   before any text dataset), the snapshot's interner is **adopted**
 ///   wholesale and its database returned as-is: zero re-interning.
-/// * Otherwise an old-id→new-id **translation table** is built once (one
-///   name lookup per *symbol*, not per tuple cell). When the table turns
-///   out to be the identity (the live interner extends the snapshot's), the
-///   relations are moved wholesale. If not, every cell is
-///   translated and each relation's flat run re-sorted under the new ids
-///   (`serve.store.snapshot_remapped` counts this path).
-pub fn merge_snapshot(interner: &mut Interner, snapshot: (Interner, Database)) -> Database {
+/// * Otherwise an old-id→new-id **translation table** is built once: one
+///   lookup, under the caller's interner lock, per snapshot *symbol* —
+///   all of them, base and appended alike. When the table turns out to be
+///   the identity (the live interner extends the snapshot's), the
+///   relations are moved wholesale. If not, every cell is translated and
+///   each relation's flat run re-sorted under the new ids
+///   (`serve.store.snapshot_remapped` counts this path and the identity
+///   one; `serve.store.snapshot_adopted` the first).
+pub fn merge_snapshot(
+    interner: &mut Interner,
+    snapshot: (Interner, Database),
+) -> (Database, usize) {
     let (snap_interner, snap_db) = snapshot;
     if interner.is_empty() {
+        let shared = snap_interner.len();
         *interner = snap_interner;
         counter!("serve.store.snapshot_adopted").add(1);
-        return snap_db;
+        return (snap_db, shared);
     }
     counter!("serve.store.snapshot_remapped").add(1);
     let translate: Vec<u32> = snap_interner
         .symbols()
-        .map(|(space, name)| match space {
-            wdpt_model::SymbolSpace::Var => interner.var(name).0,
-            wdpt_model::SymbolSpace::Const => interner.constant(name).0,
-            wdpt_model::SymbolSpace::Pred => interner.pred(name).0,
-        })
+        .map(|(space, name)| interner.intern_symbol(space, name))
         .collect();
     interner.raise_fresh_counter(snap_interner.fresh_counter());
-    if translate
+    let shared = translate
         .iter()
         .enumerate()
-        .all(|(old, &new)| old as u32 == new)
-    {
+        .take_while(|&(old, &new)| old as u32 == new)
+        .count();
+    if shared == translate.len() {
         // The live interner already assigns every snapshot symbol the same
         // id (it extends the snapshot's interner): nothing to rewrite.
-        return snap_db;
+        return (snap_db, shared);
     }
 
     let mut out: Vec<(Pred, Relation)> = Vec::new();
@@ -103,7 +110,7 @@ pub fn merge_snapshot(interner: &mut Interner, snapshot: (Interner, Database)) -
             Relation::from_rows(arity, rows, cells),
         ));
     }
-    Database::from_sorted(out)
+    (Database::from_sorted(out), shared)
 }
 
 /// True iff the bytes at `path` start with the snapshot magic — a cheap
@@ -169,7 +176,7 @@ Swim NME_rating "2"^^<http://www.w3.org/2001/XMLSchema#integer> .
         let symbols = snap_i.len();
 
         let mut live = Interner::new();
-        let db = merge_snapshot(&mut live, (snap_i, snap_db));
+        let (db, _) = merge_snapshot(&mut live, (snap_i, snap_db));
         assert_eq!(db.size(), 1);
         // Adopted wholesale: the snapshot's ids are the live ids.
         assert_eq!(live.len(), symbols);
@@ -190,7 +197,7 @@ Swim NME_rating "2"^^<http://www.w3.org/2001/XMLSchema#integer> .
         let mut live = Interner::new();
         live.constant("unrelated");
         live.constant("z");
-        let db = merge_snapshot(&mut live, (snap_i, snap_db));
+        let (db, _) = merge_snapshot(&mut live, (snap_i, snap_db));
         assert_eq!(db.size(), 1);
         let p = TripleStore::pred(&mut live);
         let (x, z) = (live.constant("x"), live.constant("z"));
@@ -215,7 +222,7 @@ Swim NME_rating "2"^^<http://www.w3.org/2001/XMLSchema#integer> .
         live.constant("c");
         live.constant("b");
         live.constant("a");
-        let db = merge_snapshot(&mut live, (snap_i, snap_db));
+        let (db, _) = merge_snapshot(&mut live, (snap_i, snap_db));
         assert_eq!(db.size(), 4);
         let p = TripleStore::pred(&mut live);
         let rel = db.relation(p).unwrap();
@@ -239,7 +246,7 @@ Swim NME_rating "2"^^<http://www.w3.org/2001/XMLSchema#integer> .
         // The live interner extends the snapshot's: identity translation.
         let mut live = snap_i.clone();
         live.constant("extra-live-symbol");
-        let db = merge_snapshot(&mut live, (snap_i, snap_db));
+        let (db, _) = merge_snapshot(&mut live, (snap_i, snap_db));
         let p = TripleStore::pred(&mut live);
         assert_eq!(db.size(), 1);
         assert_eq!(db.relation(p).unwrap().tuples().count(), 1);

@@ -69,6 +69,7 @@ use wdpt_repl::frames::{delta_frame, snapshot_frame, subscribed_line};
 use wdpt_repl::{Primary, ReplApply, ReplHead, SubscribeStart};
 use wdpt_sparql::algebra::SparqlError;
 use wdpt_sparql::{parse_query, GraphPattern};
+use wdpt_store::ChainSymbols;
 
 /// Server tunables. [`Default`] gives the values the `wdpt-serve` binary
 /// advertises in `--help`.
@@ -230,6 +231,26 @@ pub struct ServeState {
     repl_head: ReplHead,
     /// The replication hub, present only on a primary (`--repl-log`).
     primary: Mutex<Option<Arc<Primary>>>,
+    /// Per database name, the base the last full reload of it decoded, if
+    /// its fold kept the base's ids; see [`ServeState::reload`]. Empty
+    /// until a reload fills it.
+    kept: Mutex<BTreeMap<String, Arc<KeptBase>>>,
+}
+
+/// A verified base snapshot in served ids: what a reload of a byte-equal
+/// base file reuses instead of decoding it again. It costs one base
+/// database (its runs, shared with what is served while no delta is
+/// applied) plus the file's bytes.
+struct KeptBase {
+    /// The base file's bytes; reuse is byte equality with them.
+    bytes: Vec<u8>,
+    /// Their [`wdpt_store::content_hash`]: the chain's first link.
+    hash: u64,
+    /// The base's symbol count. Its ids are the live interner's first
+    /// `symbols`, and stay so: ids are append-only.
+    symbols: usize,
+    /// The base's database, in those ids.
+    db: Database,
 }
 
 impl ServeState {
@@ -266,6 +287,7 @@ impl ServeState {
             slowlog,
             repl_head: ReplHead::new(),
             primary: Mutex::new(None),
+            kept: Mutex::new(BTreeMap::new()),
         })
     }
 
@@ -304,18 +326,29 @@ impl ServeState {
     }
 
     /// Folds a decoded `(Interner, Database)` pair into the live interner
-    /// and swaps it in as `db_name` — together with a freshly built
-    /// statistics catalog, so cached plans see the new epoch the moment
-    /// they can see the new data. This is the single install point for
-    /// reloads *and* the follower's replicated snapshot/delta applies.
+    /// and swaps it in as `db_name` ([`ServeState::install`]): the
+    /// follower's install point for replicated snapshots and deltas.
     /// Returns the tuple count now served.
     fn install_pair(&self, db_name: &str, pair: (Interner, Database)) -> usize {
+        let (db, _) = self.fold(|i| merge_snapshot(i, pair));
+        self.install(db_name, db)
+    }
+
+    /// Runs `f` on the live interner under its lock, timed as the reload's
+    /// merge.
+    fn fold<R>(&self, f: impl FnOnce(&mut Interner) -> R) -> R {
         let merge_start = Instant::now();
-        let db = {
-            let mut i = self.interner.lock().expect("interner lock");
-            merge_snapshot(&mut i, pair)
-        };
+        let folded = f(&mut self.interner.lock().expect("interner lock"));
         histogram!("serve.reload.merge_us").record(merge_start.elapsed().as_micros() as u64);
+        folded
+    }
+
+    /// Swaps `db`, already in served ids, in as `db_name` — together with a
+    /// freshly built statistics catalog, so cached plans see the new epoch
+    /// the moment they can see the new data. This is the single install
+    /// point for reloads *and* the follower's replicated applies. Returns
+    /// the tuple count now served.
+    fn install(&self, db_name: &str, db: Database) -> usize {
         let tuples = db.size();
         // Catalog build runs off-lock (one counting pass over the data);
         // only the entry swap holds the write lock.
@@ -387,14 +420,27 @@ impl ServeState {
     /// delta chain, creating the name if it is new.
     ///
     /// The load + verification (CRC sections, delta hash chain, sorted-run
-    /// merges) runs with **no server locks held**, so queries keep flowing.
-    /// Then the snapshot is folded into the live interner (brief lock; one
-    /// name lookup per snapshot *symbol*) and the served `Arc<Database>` is
-    /// swapped under the write lock: in-flight jobs finish against the old
-    /// database, requests admitted after the swap see the new one.
+    /// merges) runs with **no server locks held**, so queries keep flowing;
+    /// the interner lock is taken only briefly, as below. Then the served
+    /// `Arc<Database>` is swapped under the write lock: in-flight jobs
+    /// finish against the old database, requests admitted after the swap
+    /// see the new one.
+    ///
+    /// A reload decodes in full a base file it has not seen: the chain is
+    /// applied in the snapshot's own ids, then folded into the live
+    /// interner (one name lookup per symbol of the whole chain, under the
+    /// lock; see [`merge_snapshot`]). When the fold keeps every base id,
+    /// the server keeps that base — its bytes, hash, symbol count and
+    /// database — under `db_name`, replacing what it kept there; otherwise
+    /// it drops it. A later reload whose base file is byte-equal to a kept
+    /// one decodes only the deltas and applies them to the kept base in
+    /// served ids: the interner lock is held to resolve each delta's
+    /// appended symbols and check its cells (O(delta)), and once more to
+    /// intern the new symbols at the swap. Every check of the full path
+    /// runs on this one as well.
     ///
     /// The plan cache is **kept**: cached plans depend only on query
-    /// structure and interner ids, never on data, and the merge only
+    /// structure and interner ids, never on data, and a reload only
     /// appends symbols (existing ids are stable), so every entry stays
     /// valid — `serve.store.reload_cache_kept` counts the entries
     /// preserved, `serve.store.reload_ok` / `serve.store.reload_failed`
@@ -412,10 +458,12 @@ impl ServeState {
     }
 
     /// The off-lock half of a reload: reads and fully verifies the
-    /// snapshot + delta chain while queries keep flowing. The returned
-    /// [`LoadedChain`] carries the decoded pair, the chain's content
-    /// hashes, and the raw delta bytes (so a primary can publish them to
-    /// its followers after the swap).
+    /// snapshot + delta chain while queries keep flowing, applying the
+    /// deltas to a kept base when the base file is one (see
+    /// [`ServeState::reload`]). The returned [`LoadedChain`] carries the
+    /// result, the chain's content hashes, and the raw delta bytes (so a
+    /// primary can publish them to its followers after the swap). It
+    /// leaves the interner and the kept bases as they were.
     pub fn load_stage(
         &self,
         snapshot: &Path,
@@ -442,9 +490,26 @@ impl ServeState {
                 }
             }
         }
+        let kept = self
+            .kept
+            .lock()
+            .expect("kept lock")
+            .values()
+            .find(|kept| kept.bytes == base_bytes)
+            .cloned();
         // Verifying the chain hashes every file once; those are the hashes
         // the served head history wants.
-        let (pair, chain) = match wdpt_store::decode_chain(&base_bytes, &delta_bytes) {
+        let loaded = match kept {
+            Some(kept) => {
+                let mut symbols = ChainSymbols::new(kept.symbols, self.interner_len());
+                let interner = || self.interner.lock().expect("interner lock");
+                let base = kept.db.clone();
+                wdpt_store::apply_chain(interner, &mut symbols, kept.hash, base, &delta_bytes)
+                    .map(|(db, chain)| (Fold::Served { db, symbols }, chain))
+            }
+            None => decode_in_full(base_bytes, &delta_bytes),
+        };
+        let (fold, chain) = match loaded {
             Ok(loaded) => loaded,
             Err((link, e)) => {
                 counter!("serve.store.reload_failed").add(1);
@@ -463,17 +528,18 @@ impl ServeState {
             .collect();
         histogram!("serve.reload.load_us").record(load_start.elapsed().as_micros() as u64);
         Ok(LoadedChain {
-            pair,
+            fold,
             chain,
             deltas,
         })
     }
 
-    /// The swap half of a reload: folds the loaded pair into the live
-    /// interner and swaps the served database. Fails **typed** (without
-    /// touching the interner) if shutdown began after the load stage — a
-    /// reload racing the drain either completes its swap or reports
-    /// `shutting down`, never a half-merged interner.
+    /// The swap half of a reload: brings the loaded chain into the live
+    /// interner, keeps or drops the base a full decode read, and swaps the
+    /// served database. Fails **typed** (without touching the interner or
+    /// the kept bases) if shutdown began after the load stage — a reload
+    /// racing the drain either completes its swap or reports `shutting
+    /// down`, never a half-merged interner.
     pub fn install_stage(
         &self,
         db_name: &str,
@@ -483,12 +549,35 @@ impl ServeState {
             counter!("serve.store.reload_rejected_shutdown").add(1);
             return Err("server is shutting down; reload rejected before the swap".to_string());
         }
-        let tuples = self.install_pair(db_name, loaded.pair);
+        let db = match loaded.fold {
+            Fold::Decoded { pair, base } => {
+                let (db, shared) = self.fold(|i| merge_snapshot(i, pair));
+                let replaced = {
+                    let mut kept = self.kept.lock().expect("kept lock");
+                    if shared >= base.symbols {
+                        kept.insert(db_name.to_string(), Arc::new(base))
+                    } else {
+                        kept.remove(db_name)
+                    }
+                };
+                drop(replaced);
+                db
+            }
+            Fold::Served { db, symbols } => self.fold(|i| symbols.commit(i, db)),
+        };
+        let tuples = self.install(db_name, db);
         self.repl_head.install_chain(&loaded.chain);
         gauge!("repl.head").set(self.repl_head.head().unwrap_or(0) as i64);
         counter!("serve.store.reload_ok").add(1);
         counter!("serve.store.reload_cache_kept").add(self.cache.len() as u64);
         Ok((tuples, loaded.deltas.len()))
+    }
+
+    /// The content hash of the base kept for `db_name`, if any (see
+    /// [`ServeState::reload`]).
+    pub fn kept_base_hash(&self, db_name: &str) -> Option<u64> {
+        let kept = self.kept.lock().expect("kept lock");
+        kept.get(db_name).map(|kept| kept.hash)
     }
 
     /// The plan cache (for tests and stats).
@@ -500,6 +589,12 @@ impl ServeState {
     /// requests must leave this unchanged.
     pub fn interner_len(&self) -> usize {
         self.interner.lock().expect("interner lock").len()
+    }
+
+    /// Runs `f` on the live interner under its lock: how a caller outside
+    /// the server renders the ids of what it serves.
+    pub fn with_interner<R>(&self, f: impl FnOnce(&Interner) -> R) -> R {
+        f(&self.interner.lock().expect("interner lock"))
     }
 
     /// Requests graceful shutdown, as the `shutdown` op does.
@@ -606,11 +701,54 @@ struct Rejection {
 /// A snapshot + delta chain read and verified off-lock by
 /// [`ServeState::load_stage`], awaiting its swap.
 pub struct LoadedChain {
-    pair: (Interner, Database),
+    fold: Fold,
     /// Content hashes of the chain: base snapshot first, then each delta.
     pub chain: Vec<u64>,
     /// `(base_hash, hash, file bytes)` per delta, in chain order.
     pub deltas: Vec<(u64, u64, Vec<u8>)>,
+}
+
+/// How a loaded chain enters the live interner at the swap.
+enum Fold {
+    /// A base decoded in full: the chain's pair in the snapshot's own ids,
+    /// for [`merge_snapshot`], and the base to keep if the fold keeps its
+    /// ids.
+    Decoded {
+        pair: (Interner, Database),
+        base: KeptBase,
+    },
+    /// Deltas applied to a kept base, in served ids; their new symbols
+    /// wait to be interned.
+    Served { db: Database, symbols: ChainSymbols },
+}
+
+/// The full-decode half of [`ServeState::load_stage`]: the base file
+/// decoded, and the deltas applied to it in its own ids. An error names
+/// the chain position of the file that failed, as
+/// [`wdpt_store::decode_chain`] does.
+fn decode_in_full(
+    bytes: Vec<u8>,
+    deltas: &[Vec<u8>],
+) -> Result<(Fold, Vec<u64>), (usize, wdpt_store::StoreError)> {
+    let (mut interner, base) = wdpt_store::decode_snapshot(&bytes).map_err(|e| (0, e))?;
+    let (hash, symbols) = (wdpt_store::content_hash(&bytes), interner.len());
+    let mut chain_symbols = ChainSymbols::new(symbols, symbols);
+    let (db, chain) =
+        wdpt_store::apply_chain(|| &interner, &mut chain_symbols, hash, base.clone(), deltas)?;
+    let db = chain_symbols.commit(&mut interner, db);
+    let base = KeptBase {
+        bytes,
+        hash,
+        symbols,
+        db: base,
+    };
+    Ok((
+        Fold::Decoded {
+            pair: (interner, db),
+            base,
+        },
+        chain,
+    ))
 }
 
 /// `(triple patterns, distinct variables)` of a parsed pattern — the
@@ -1643,8 +1781,10 @@ impl ReplApply for FollowerApply {
             }
         };
         let mut interner = interner;
-        match wdpt_store::apply_delta(&mut interner, db, delta) {
+        let mut symbols = wdpt_store::ChainSymbols::new(interner.len(), interner.len());
+        match wdpt_store::apply_delta(|| &interner, &mut symbols, db, delta) {
             Ok(new_db) => {
+                let new_db = symbols.commit(&mut interner, new_db);
                 let clone = (interner.clone(), new_db.clone());
                 *pristine = Some((interner, new_db));
                 drop(pristine);
@@ -1656,8 +1796,8 @@ impl ReplApply for FollowerApply {
                 histogram!("repl.follower.apply_us").record(start.elapsed().as_micros() as u64);
                 Ok(())
             }
-            // The pristine pair may be half-mutated; drop it so the next
-            // frame forces a clean bootstrap instead of compounding.
+            // The failed apply consumed the pristine database; with the
+            // pair gone the next frame forces a clean bootstrap.
             Err(e) => Err(format!("delta apply failed: {e}")),
         }
     }

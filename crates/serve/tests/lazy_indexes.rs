@@ -12,7 +12,7 @@ use wdpt_model::{Const, Interner, Relation};
 use wdpt_obs::delta_scope;
 use wdpt_serve::{merge_snapshot, parse_dataset};
 use wdpt_sparql::TripleStore;
-use wdpt_store::{content_hash, decode_with_deltas, delta_to_vec, snapshot_to_vec_v2};
+use wdpt_store::{content_hash, decode_chain, delta_to_vec, snapshot_to_vec_v2};
 
 const BASE: &str = "triple(s1, p, o1)\ntriple(s2, p, o1)\ntriple(s2, q, o2)\n\
                     triple(s3, q, o1)\nlabel(s1, first)\n";
@@ -54,19 +54,29 @@ fn a_reload_and_the_first_point_query_after_it_build_nothing() {
     let fresh_triple = TripleStore::pred(&mut fresh_i);
     let expected = named_rows(fresh.relation(fresh_triple).unwrap(), &fresh_i);
 
-    // Installed into an empty interner (a cold start, a follower) and into
+    // Installed into an empty interner (a cold start, a follower); into
     // one that already holds some of the names under other ids, so the
-    // merge translates every cell and re-sorts every run.
+    // merge translates every cell and re-sorts every run; and into one
+    // that extends the base's interner but holds a name of its own where
+    // the delta's symbols would go, so only the base keeps its ids.
     let mut taken = Interner::new();
     for name in ["o3", "s4", "unrelated", "o1"] {
         taken.constant(name);
     }
-    for (mut live, remapped) in [(Interner::new(), 0), (taken, 1)] {
-        let (db, work) = delta_scope(|| {
-            let pair = decode_with_deltas(&base_bytes, std::slice::from_ref(&delta)).unwrap();
+    let mut past_base = base_i.clone();
+    past_base.constant("unrelated");
+    let (base_len, chain_len) = (base_i.len(), new_i.len());
+    for (mut live, remapped, shared_ids) in [
+        (Interner::new(), 0, chain_len),
+        (taken, 1, 0),
+        (past_base, 1, base_len),
+    ] {
+        let ((db, shared), work) = delta_scope(|| {
+            let (pair, _) = decode_chain(&base_bytes, std::slice::from_ref(&delta)).unwrap();
             merge_snapshot(&mut live, pair)
         });
         assert_eq!(work.counter("serve.store.snapshot_remapped"), remapped);
+        assert_eq!(shared, shared_ids, "ids the live interner shares");
         assert_eq!(work.counter("store.delta.relations_merged"), 1);
         assert_eq!(
             work.counter("db.index_builds"),

@@ -534,19 +534,34 @@ fn primary_log_replays_after_restart() {
 /// The reload/shutdown drain race, made deterministic by the two-stage
 /// reload: thread A finishes `load_stage`, *then* thread B completes
 /// `begin_shutdown`, then A attempts `install_stage`. The swap must be
-/// refused with a typed error before touching the interner — never a
-/// half-merged symbol table.
+/// refused with a typed error before touching the interner or the kept
+/// base — never a half-merged symbol table. Both kinds of load race: one
+/// applying new symbols to the kept base, one decoding another base that
+/// would replace it.
 #[test]
 fn reload_racing_shutdown_fails_typed_with_interner_intact() {
     let (dir, base_path, deltas) = build_chain("race");
+    let other_path = dir.join("other.snap");
+    {
+        let mut i = Interner::new();
+        let mut ts = wdpt_sparql::TripleStore::new();
+        ts.insert_str(&mut i, "one_more_time", "rec_by", "daft_punk");
+        wdpt_store::save_snapshot(&other_path, &i, ts.database()).unwrap();
+    }
 
     let state = follower_state();
+    state.reload("music", &base_path, &deltas[..1]).unwrap();
+    let kept = state.kept_base_hash("music");
+    assert!(kept.is_some(), "a full reload keeps its base");
     let symbols_before = state.interner_len();
 
     // Interleaving A: shutdown lands strictly between load and install.
-    let loaded = state
-        .load_stage(&base_path, &deltas)
-        .expect("load_stage is lock-free and must succeed");
+    let no_deltas: &[PathBuf] = &[];
+    let loads = [
+        state.load_stage(&base_path, &deltas),
+        state.load_stage(&other_path, no_deltas),
+    ]
+    .map(|loaded| loaded.expect("load_stage is lock-free and must succeed"));
     let after_load = Arc::new(Barrier::new(2));
     let after_shutdown = Arc::new(Barrier::new(2));
     let shutter = {
@@ -561,18 +576,25 @@ fn reload_racing_shutdown_fails_typed_with_interner_intact() {
     };
     after_load.wait();
     after_shutdown.wait();
-    let err = state
-        .install_stage("music", loaded)
-        .expect_err("a swap after shutdown began must be refused");
-    assert!(
-        err.contains("shutting down"),
-        "error must be typed as a shutdown refusal, got {err:?}"
-    );
-    assert_eq!(
-        state.interner_len(),
-        symbols_before,
-        "a refused swap must leave the interner untouched"
-    );
+    for loaded in loads {
+        let err = state
+            .install_stage("music", loaded)
+            .expect_err("a swap after shutdown began must be refused");
+        assert!(
+            err.contains("shutting down"),
+            "error must be typed as a shutdown refusal, got {err:?}"
+        );
+        assert_eq!(
+            state.interner_len(),
+            symbols_before,
+            "a refused swap must leave the interner untouched"
+        );
+        assert_eq!(
+            state.kept_base_hash("music"),
+            kept,
+            "a refused swap must leave the kept base untouched"
+        );
+    }
     shutter.join().unwrap();
 
     // Interleaving B: the install completes first; shutdown then drains a

@@ -262,11 +262,11 @@ fn cmd_delta(mut args: Vec<String>) -> ExitCode {
             Err(e) => return data_err(&StoreError::Io(e)),
         }
     }
-    let (interner, db) = match wdpt_store::decode_with_deltas(&base_bytes, &prior_bytes) {
-        Ok(pair) => pair,
-        Err(e) => return data_err(&e),
+    let ((interner, db), chain) = match wdpt_store::decode_chain(&base_bytes, &prior_bytes) {
+        Ok(loaded) => loaded,
+        Err((_, e)) => return data_err(&e),
     };
-    let tip_hash = wdpt_store::content_hash(prior_bytes.last().unwrap_or(&base_bytes));
+    let tip_hash = *chain.last().expect("a chain holds its base");
     let load_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     // Parse the update on top of a copy of the chain-tip interner so new

@@ -31,13 +31,15 @@
 //! result as they are.
 
 use crate::format::{
-    checked_count, content_hash, decode_relation, decode_snapshot, encode_dictionary,
-    encode_relation, expect_tag, len_u32, malformed, parse_dictionary, push_section, read_end,
-    read_magic_version, read_section, write_atomic, Reader, RelationBlock, SpaceTable, StoreError,
-    MAGIC, SECTION_FRAME_BYTES, TAG_DELTA_HEADER, TAG_DICTIONARY, TAG_END, TAG_HEADER,
+    check_relation, checked_count, content_hash, decode_relation, decode_snapshot,
+    encode_dictionary, encode_relation, expect_tag, len_u32, malformed, parse_dictionary,
+    push_section, read_end, read_magic_version, read_section, write_atomic, Reader, RelationBlock,
+    StoreError, MAGIC, SECTION_FRAME_BYTES, TAG_DELTA_HEADER, TAG_DICTIONARY, TAG_END, TAG_HEADER,
     TAG_RELATION_DELTA,
 };
-use std::collections::{BTreeMap, HashSet};
+use std::collections::hash_map::{Entry, HashMap};
+use std::collections::BTreeMap;
+use std::ops::Deref;
 use std::path::Path;
 use wdpt_model::{Const, Database, Interner, Pred, Relation, SymbolSpace};
 use wdpt_obs::{counter, span};
@@ -296,63 +298,238 @@ pub fn decode_delta(bytes: &[u8]) -> Result<Delta, StoreError> {
     })
 }
 
-/// Applies one parsed delta to an `(Interner, Database)` pair, consuming
-/// the database and returning the merged one. The interner is extended in
-/// place (append-only, so ids held by callers stay valid) — but only once
-/// nothing can fail any more: on every `Err` it is exactly as the caller
-/// passed it. Chain-hash verification is the caller's job
-/// ([`decode_with_deltas`] does it); this function checks everything
-/// *structural*: the symbol-count anchor, that appended symbols are
-/// genuinely new, every cell's namespace, arities, and that no inserted
-/// tuple is already there.
-pub fn apply_delta(
-    interner: &mut Interner,
+/// Where the ids of a delta chain's files land in the interner the chain
+/// is applied to (the *target*), and the symbols the chain adds to it.
+///
+/// File ids below the base's symbol count are the target's own: the base's
+/// symbols hold the same ids there. Each delta appends the file ids from
+/// there on. An appended symbol the target already holds at or above the
+/// count keeps that id; a new one gets a provisional id from the target's
+/// length when the chain began, in order. Nothing enters the target until
+/// [`ChainSymbols::commit`], which a caller reaches only once every delta
+/// of the chain has applied — so on any `Err` the target is exactly as it
+/// was.
+///
+/// Applying to the pair a base file decodes to, the count is the pair's
+/// interner length and every id maps to itself. A server applying to a
+/// base it keeps in its served ids passes the base's count and its live
+/// interner, which may have grown since.
+#[derive(Debug)]
+pub struct ChainSymbols {
+    /// The base's symbol count: file ids below it are target ids.
+    base: u32,
+    /// The target's length when the chain began: the first provisional id.
+    start: u32,
+    /// Namespace and target id of file id `base + k`.
+    appended: Vec<(SymbolSpace, u32)>,
+    /// Every appended symbol, with its file id, so a chain lists each once.
+    listed: HashMap<(SymbolSpace, String), u32>,
+    /// The symbols to intern at commit, holding provisional ids `start..`.
+    fresh: Vec<(SymbolSpace, String)>,
+    /// The largest fresh-name counter a delta of the chain carried.
+    fresh_counter: u64,
+    /// Target predicate ids of the relations the chain merged into.
+    touched: Vec<Pred>,
+}
+
+impl ChainSymbols {
+    /// A chain over a base of `base_symbols` symbols, applied to a target
+    /// interner now holding `target_len` (at least the base's).
+    pub fn new(base_symbols: usize, target_len: usize) -> ChainSymbols {
+        debug_assert!(base_symbols <= target_len);
+        let id = |n: usize| u32::try_from(n).expect("interner ids fit u32");
+        ChainSymbols {
+            base: id(base_symbols),
+            start: id(target_len),
+            appended: Vec::new(),
+            listed: HashMap::new(),
+            fresh: Vec::new(),
+            fresh_counter: 0,
+            touched: Vec::new(),
+        }
+    }
+
+    /// The chain's symbol count in file ids: the base's plus every
+    /// appended one — the next delta's `base_symbols` anchor.
+    fn file_len(&self) -> u64 {
+        u64::from(self.base) + self.appended.len() as u64
+    }
+
+    /// Target id of a file id.
+    fn target(&self, id: u32) -> u32 {
+        match id.checked_sub(self.base) {
+            None => id,
+            Some(k) => self.appended[k as usize].1,
+        }
+    }
+
+    /// True when every file id is its own target id, so a delta's runs
+    /// apply untranslated.
+    fn is_identity(&self) -> bool {
+        self.start == self.base && self.fresh.len() == self.appended.len()
+    }
+
+    /// Resolves one appended symbol, which `delta_base` (the appending
+    /// delta's anchor) says has file id `self.file_len()`.
+    fn append(
+        &mut self,
+        target: &Interner,
+        delta_base: u64,
+        space: SymbolSpace,
+        name: String,
+    ) -> Result<(), StoreError> {
+        let file_id = u32::try_from(self.file_len()).expect("bounded by the delta header");
+        let id = match target.lookup_id(space, &name) {
+            // A base symbol: the id the delta's cells use for it would
+            // name something else.
+            Some(id) if id < self.base => {
+                return Err(malformed(
+                    "dictionary",
+                    format!("appended symbol {name:?} is already interned (id {id})"),
+                ))
+            }
+            Some(id) if id < self.start => id,
+            // New to the target, or interned there since the chain began
+            // (then `commit` finds it at another id).
+            _ => u32::try_from(self.fresh.len())
+                .ok()
+                .and_then(|k| self.start.checked_add(k))
+                .ok_or_else(|| malformed("dictionary", "symbol count exceeds u32 id space"))?,
+        };
+        match self.listed.entry((space, name)) {
+            Entry::Occupied(seen) => {
+                let (name, earlier) = (&seen.key().1, *seen.get());
+                return Err(malformed(
+                    "dictionary",
+                    if u64::from(earlier) < delta_base {
+                        format!("appended symbol {name:?} is already interned (id {earlier})")
+                    } else {
+                        format!("appended symbol {name:?} is listed twice")
+                    },
+                ));
+            }
+            Entry::Vacant(slot) => {
+                if id >= self.start {
+                    self.fresh.push(slot.key().clone());
+                }
+                slot.insert(file_id);
+            }
+        }
+        self.appended.push((space, id));
+        Ok(())
+    }
+
+    /// The namespace of a file id, the base's read from `target`.
+    fn space(&self, target: &Interner, id: u32) -> Option<SymbolSpace> {
+        match id.checked_sub(self.base) {
+            None => target.symbol_space(id),
+            Some(k) => self.appended.get(k as usize).map(|&(space, _)| space),
+        }
+    }
+
+    /// Interns the chain's new symbols into `target` and raises its
+    /// fresh-name counter, returning `db` — the chain's result — in the
+    /// ids they got. Those are their provisional ids unless `target` gained
+    /// symbols since the chain began; then the relations the chain merged
+    /// into are rewritten and re-sorted under the final ids.
+    pub fn commit(self, target: &mut Interner, db: Database) -> Database {
+        let ids: Vec<u32> = self
+            .fresh
+            .iter()
+            .map(|(space, name)| target.intern_symbol(*space, name))
+            .collect();
+        target.raise_fresh_counter(self.fresh_counter);
+        let provisional = |k: usize| self.start + k as u32;
+        if ids.iter().enumerate().all(|(k, &id)| id == provisional(k)) {
+            return db;
+        }
+        // Provisional ids are the only ids at or above `start` in `db`.
+        let remap = |id: u32| match id.checked_sub(self.start) {
+            None => id,
+            Some(k) => ids[k as usize],
+        };
+        let relations = db
+            .into_relations()
+            .map(|(pred, rel)| {
+                if !self.touched.contains(&pred) {
+                    return (pred, rel);
+                }
+                let (arity, rows, mut cells) = rel.into_parts();
+                for cell in &mut cells {
+                    cell.0 = remap(cell.0);
+                }
+                (Pred(remap(pred.0)), Relation::from_rows(arity, rows, cells))
+            })
+            .collect();
+        Database::from_sorted(relations)
+    }
+}
+
+/// Applies one parsed delta of a chain to `db`, consuming it and returning
+/// the merged database in the ids `symbols` maps the chain's files to.
+///
+/// `interner` hands out the target interner; it is called once, and what
+/// it returns is held only while the delta's appended symbols are resolved
+/// and its cells' namespaces checked — O(delta), never the base. The
+/// delta's runs are then translated, sorted and merged without it. The
+/// target is never modified: the new symbols wait in `symbols` for
+/// [`ChainSymbols::commit`]. After an `Err`, drop `symbols`.
+///
+/// Chain-hash verification is the caller's job ([`apply_chain`] does it);
+/// this function checks everything *structural*: the symbol-count anchor,
+/// that appended symbols are new to the base and listed once, every cell's
+/// namespace, arities, and that no inserted tuple is already there.
+pub fn apply_delta<G: Deref<Target = Interner>>(
+    interner: impl FnOnce() -> G,
+    symbols: &mut ChainSymbols,
     db: Database,
     delta: Delta,
 ) -> Result<Database, StoreError> {
     let _g = span!("store.delta.apply");
-    if interner.len() as u64 != delta.header.base_symbols {
+    let Delta {
+        header,
+        appended,
+        relations,
+    } = delta;
+    if symbols.file_len() != header.base_symbols {
         return Err(malformed(
             "delta header",
             format!(
                 "delta expects a base interner with {} symbols, found {}",
-                delta.header.base_symbols,
-                interner.len()
+                header.base_symbols,
+                symbols.file_len()
             ),
         ));
     }
-    let mut appended = HashSet::with_capacity(delta.appended.len());
-    for (space, name) in &delta.appended {
-        // Interned already, or listed twice: either way the id the delta's
-        // cells use for it would name something else.
-        let known = interner.lookup_id(*space, name);
-        if known.is_some() || !appended.insert((*space, name.as_str())) {
-            return Err(malformed(
-                "dictionary",
-                match known {
-                    Some(id) => format!("appended symbol {name:?} is already interned (id {id})"),
-                    None => format!("appended symbol {name:?} is listed twice"),
-                },
-            ));
+    {
+        let target = interner();
+        for (space, name) in appended {
+            symbols.append(&target, header.base_symbols, space, name)?;
+        }
+        for (idx, rd) in relations.iter().enumerate() {
+            check_relation(rd, &format!("relation delta[{idx}]"), |id| {
+                symbols.space(&target, id)
+            })?;
         }
     }
-    // The symbol table as it will be once the delta's symbols are in.
-    let spaces = SpaceTable::new(
-        interner
-            .symbols()
-            .map(|(space, _)| space)
-            .chain(delta.appended.iter().map(|(space, _)| *space)),
-    );
+    symbols.fresh_counter = symbols.fresh_counter.max(header.fresh_counter);
 
     let mut rels: BTreeMap<Pred, Relation> = db.into_relations().collect();
-    let mut merged_count: u64 = 0;
-    for (idx, rd) in delta.relations.into_iter().enumerate() {
+    for (idx, mut rd) in relations.into_iter().enumerate() {
         let label = format!("relation delta[{idx}]");
         let label = label.as_str();
-        spaces.check_relation(&rd, label)?;
+        if !symbols.is_identity() {
+            rd.pred = Pred(symbols.target(rd.pred.0));
+            for cell in &mut rd.cells {
+                cell.0 = symbols.target(cell.0);
+            }
+        }
         let pred = rd.pred;
+        // Translation is injective, so the run stays free of duplicates;
+        // it is re-sorted only if the new ids moved a row.
+        let added = Relation::from_rows(rd.arity, rd.rows, rd.cells);
         let rel = match rels.remove(&pred) {
-            None => rd.into_relation(),
+            None => added,
             Some(base_rel) => {
                 if base_rel.arity() != rd.arity {
                     return Err(malformed(
@@ -367,57 +544,35 @@ pub fn apply_delta(
                 // Row ids are u32 everywhere; bound the merged run before
                 // building it.
                 len_u32(base_rel.len() + rd.rows, "merged row count")?;
+                let (_, rows, cells) = added.into_parts();
                 base_rel
-                    .merge_sorted(rd.rows, &rd.cells)
+                    .merge_sorted(rows, &cells)
                     .map_err(|_| malformed(label, "delta inserts a tuple the base already holds"))?
             }
         };
-        merged_count += 1;
+        symbols.touched.push(pred);
         rels.insert(pred, rel);
     }
-
-    for (space, name) in &delta.appended {
-        match space {
-            SymbolSpace::Var => interner.var(name).0,
-            SymbolSpace::Const => interner.constant(name).0,
-            SymbolSpace::Pred => interner.pred(name).0,
-        };
-    }
-    debug_assert_eq!(interner.len() as u64, delta.header.symbols);
-    interner.raise_fresh_counter(delta.header.fresh_counter);
-    counter!("store.delta.relations_merged").add(merged_count);
-    counter!("store.delta.tuples_applied").add(delta.header.inserted);
+    counter!("store.delta.relations_merged").add(header.relations.into());
+    counter!("store.delta.tuples_applied").add(header.inserted);
     Ok(Database::from_sorted(rels.into_iter().collect()))
 }
 
-/// Decodes a base snapshot and applies a chain of deltas to it, verifying
-/// that each delta's `base_hash` matches the [`content_hash`] of the file
-/// immediately before it in the chain.
-pub fn decode_with_deltas(
-    base: &[u8],
+/// Applies a chain of delta files to `db`, the database of the file whose
+/// [`content_hash`] is `base_hash`, verifying that each delta's
+/// `base_hash` is the hash of the file immediately before it. Returns the
+/// result in `symbols`' ids — uncommitted, see [`ChainSymbols`] — and the
+/// hash of every file of the chain, `base_hash` first. An error comes with
+/// the chain position of the file that failed: `i + 1` for `deltas[i]`.
+pub fn apply_chain<G: Deref<Target = Interner>>(
+    interner: impl Fn() -> G,
+    symbols: &mut ChainSymbols,
+    base_hash: u64,
+    mut db: Database,
     deltas: &[Vec<u8>],
-) -> Result<(Interner, Database), StoreError> {
-    match decode_chain(base, deltas) {
-        Ok((pair, _)) => Ok(pair),
-        Err((_, e)) => Err(e),
-    }
-}
-
-/// [`decode_with_deltas`] that also hands back the [`content_hash`] of
-/// every file of the chain — the base's, then each delta's — which
-/// verifying the chain computes anyway, so a caller that needs them (the
-/// server records the chain it serves) does not hash each file again. An
-/// error comes with the chain position of the file that failed — `0` for
-/// the base, `i + 1` for `deltas[i]` — so the caller can name it.
-#[allow(clippy::type_complexity)]
-pub fn decode_chain(
-    base: &[u8],
-    deltas: &[Vec<u8>],
-) -> Result<((Interner, Database), Vec<u64>), (usize, StoreError)> {
-    let _g = span!("store.decode_with_deltas");
-    let (mut interner, mut db) = decode_snapshot(base).map_err(|e| (0, e))?;
+) -> Result<(Database, Vec<u64>), (usize, StoreError)> {
     let mut chain = Vec::with_capacity(1 + deltas.len());
-    chain.push(content_hash(base));
+    chain.push(base_hash);
     for (i, bytes) in deltas.iter().enumerate() {
         let at = |e: StoreError| (i + 1, e);
         let delta = decode_delta(bytes).map_err(at)?;
@@ -432,14 +587,44 @@ pub fn decode_chain(
                 ),
             )));
         }
-        db = apply_delta(&mut interner, db, delta).map_err(at)?;
+        db = apply_delta(&interner, symbols, db, delta).map_err(at)?;
         chain.push(content_hash(bytes));
         counter!("store.delta.applied").add(1);
     }
+    Ok((db, chain))
+}
+
+/// [`decode_chain`] without the chain's hashes or the failing position.
+pub fn decode_with_deltas(
+    base: &[u8],
+    deltas: &[Vec<u8>],
+) -> Result<(Interner, Database), StoreError> {
+    match decode_chain(base, deltas) {
+        Ok((pair, _)) => Ok(pair),
+        Err((_, e)) => Err(e),
+    }
+}
+
+/// Decodes a base snapshot and applies a chain of deltas to it
+/// ([`apply_chain`] in the snapshot's own ids), handing back the
+/// [`content_hash`] of every file of the chain — the base's, then each
+/// delta's — which verifying the chain computes anyway. An error comes
+/// with the chain position of the file that failed — `0` for the base,
+/// `i + 1` for `deltas[i]` — so the caller can name it.
+#[allow(clippy::type_complexity)]
+pub fn decode_chain(
+    base: &[u8],
+    deltas: &[Vec<u8>],
+) -> Result<((Interner, Database), Vec<u64>), (usize, StoreError)> {
+    let _g = span!("store.decode_with_deltas");
+    let (mut interner, db) = decode_snapshot(base).map_err(|e| (0, e))?;
+    let mut symbols = ChainSymbols::new(interner.len(), interner.len());
+    let (db, chain) = apply_chain(|| &interner, &mut symbols, content_hash(base), db, deltas)?;
+    let db = symbols.commit(&mut interner, db);
     Ok(((interner, db), chain))
 }
 
-/// [`decode_with_deltas`] over files.
+/// [`decode_chain`] over files.
 pub fn load_with_deltas<P: AsRef<Path>>(
     base: &Path,
     deltas: &[P],
@@ -466,6 +651,14 @@ pub fn save_delta(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
 mod tests {
     use super::*;
     use crate::format::snapshot_to_vec_v2;
+
+    /// Applies one delta to a pair in the pair's own ids, committing its
+    /// symbols only on success — the follower's and the CLI's use.
+    fn apply_to(target: &mut Interner, db: Database, delta: Delta) -> Result<Database, StoreError> {
+        let mut symbols = ChainSymbols::new(target.len(), target.len());
+        let db = apply_delta(|| &*target, &mut symbols, db, delta)?;
+        Ok(symbols.commit(target, db))
+    }
 
     fn base() -> (Interner, Database) {
         let mut i = Interner::new();
@@ -633,7 +826,7 @@ mod tests {
         let mut wrong = Interner::new();
         wrong.constant("only");
         let before = wrong.len();
-        let err = apply_delta(&mut wrong, Database::new(), delta).unwrap_err();
+        let err = apply_to(&mut wrong, Database::new(), delta).unwrap_err();
         assert!(err.to_string().contains("symbols"), "got: {err}");
         assert_eq!(wrong.len(), before, "failed apply must not grow interner");
     }
@@ -653,7 +846,7 @@ mod tests {
         assert!(delta.header.fresh_counter > target.fresh_counter());
 
         let (symbols, fresh) = (target.len(), target.fresh_counter());
-        let err = apply_delta(&mut target, db, delta).unwrap_err();
+        let err = apply_to(&mut target, db, delta).unwrap_err();
         assert!(err.to_string().contains(needle), "got: {err}");
         assert_eq!(target.len(), symbols, "failed apply grew the interner");
         assert_eq!(
@@ -742,7 +935,51 @@ mod tests {
         // Applied to a pair that already holds `no()`, it repeats a tuple.
         let mut again = ai.clone();
         again.truncate(ri.len());
-        let err = apply_delta(&mut again, adb, decode_delta(&delta).unwrap()).unwrap_err();
+        let err = apply_to(&mut again, adb, decode_delta(&delta).unwrap()).unwrap_err();
         assert!(err.to_string().contains("already holds"), "got: {err}");
+    }
+
+    /// Base + [`extend`]'s delta, applied in the ids of a live interner
+    /// that holds the base's symbols, then `held` (a name of its own and
+    /// the delta's constant `d`), then, if `grow`, symbols interned between
+    /// the apply and the commit — the label predicate the delta appends
+    /// among them. The result must equal the delta's own by name, `d` keep
+    /// the id the live interner gave it, and the runs stay sorted.
+    fn apply_in_live_ids(grow: &[&str]) {
+        let (base_bytes, i, db) = decoded_base();
+        let (ni, ndb) = extend(&i, &db);
+        let bytes = delta_to_vec(content_hash(&base_bytes), &i, &db, &ni, &ndb).unwrap();
+        let mut live = i.clone();
+        let held = [live.constant("held"), live.constant("d")];
+        let mut symbols = ChainSymbols::new(i.len(), live.len());
+        let (applied, chain) = apply_chain(
+            || &live,
+            &mut symbols,
+            content_hash(&base_bytes),
+            db,
+            &[bytes],
+        )
+        .unwrap();
+        assert_eq!(chain.len(), 2);
+        for name in grow {
+            live.pred(name);
+        }
+        let grown = live.len();
+        let applied = symbols.commit(&mut live, applied);
+        assert_eq!(applied.display(&live), ndb.display(&ni));
+        assert_eq!(live.constant("d"), held[1], "a held symbol got a new id");
+        assert_eq!(live.len(), grown + usize::from(!grow.contains(&"label")));
+        crate::format::verify_database_deep(&applied).unwrap();
+    }
+
+    #[test]
+    fn a_delta_applies_in_the_ids_of_an_interner_that_grew_past_the_base() {
+        apply_in_live_ids(&[]);
+    }
+
+    #[test]
+    fn a_commit_after_the_interner_grew_again_remaps_the_new_symbols() {
+        apply_in_live_ids(&["elsewhere"]);
+        apply_in_live_ids(&["elsewhere", "label"]);
     }
 }

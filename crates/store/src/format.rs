@@ -545,55 +545,37 @@ pub(crate) fn expect_tag(section: &Section<'_>, tag: u8, label: &str) -> Result<
     Ok(())
 }
 
-/// Per-symbol namespace lookup table for cell validation (dense, so the
-/// per-cell check is an array index, not a hash probe).
-pub(crate) struct SpaceTable {
-    spaces: Vec<SymbolSpace>,
-}
-
-impl SpaceTable {
-    /// The table of the symbols with ids `0, 1, …` in that order.
-    pub(crate) fn new(spaces: impl Iterator<Item = SymbolSpace>) -> SpaceTable {
-        SpaceTable {
-            spaces: spaces.collect(),
-        }
+/// `Err` unless `block` is keyed by a predicate and every cell of its run
+/// is a constant, reading each id's namespace from `space_of` (`None` for
+/// an id that names nothing). A block decodes without a symbol table; this
+/// is the check that needs one — run at decode for a snapshot, which
+/// carries its table, and at apply for a delta, whose ids mean nothing
+/// before the base's table is there.
+pub(crate) fn check_relation(
+    block: &RelationBlock,
+    label: &str,
+    space_of: impl Fn(u32) -> Option<SymbolSpace>,
+) -> Result<(), StoreError> {
+    if space_of(block.pred.0) != Some(SymbolSpace::Pred) {
+        return Err(malformed(
+            label,
+            format!("id {} is not a predicate", block.pred.0),
+        ));
     }
-
-    fn is(&self, id: u32, space: SymbolSpace) -> bool {
-        self.spaces.get(id as usize) == Some(&space)
-    }
-
-    /// `Err` unless `block` is keyed by a predicate and every cell of its
-    /// run is a constant. A block decodes without a symbol table; this is
-    /// the check that needs one — run at decode for a snapshot, which
-    /// carries its table, and at apply for a delta, whose ids mean nothing
-    /// before the base's table is there.
-    pub(crate) fn check_relation(
-        &self,
-        block: &RelationBlock,
-        label: &str,
-    ) -> Result<(), StoreError> {
-        if !self.is(block.pred.0, SymbolSpace::Pred) {
-            return Err(malformed(
-                label,
-                format!("id {} is not a predicate", block.pred.0),
-            ));
-        }
-        match block
-            .cells
-            .iter()
-            .position(|cell| !self.is(cell.0, SymbolSpace::Const))
-        {
-            None => Ok(()),
-            Some(at) => Err(malformed(
-                label,
-                format!(
-                    "column {} holds id {}, which is not a constant",
-                    at % block.arity,
-                    block.cells[at].0
-                ),
-            )),
-        }
+    match block
+        .cells
+        .iter()
+        .position(|cell| space_of(cell.0) != Some(SymbolSpace::Const))
+    {
+        None => Ok(()),
+        Some(at) => Err(malformed(
+            label,
+            format!(
+                "column {} holds id {}, which is not a constant",
+                at % block.arity,
+                block.cells[at].0
+            ),
+        )),
     }
 }
 
@@ -672,7 +654,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(Interner, Database), StoreError>
         rel_count,
         ..
     } = read_preamble(&mut r)?;
-    let spaces = SpaceTable::new(symbols.iter().map(|(s, _)| *s));
     let interner = Interner::from_symbols(symbols, header.fresh_counter)
         .ok_or_else(|| malformed("dictionary", "duplicate symbol entry"))?;
 
@@ -684,7 +665,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(Interner, Database), StoreError>
         let section = read_section(&mut r, &label)?;
         expect_tag(&section, TAG_RELATION, &label)?;
         let block = decode_relation(section.payload, &label)?;
-        spaces.check_relation(&block, &label)?;
+        check_relation(&block, &label, |id| interner.symbol_space(id))?;
         if !seen_preds.insert(block.pred) {
             return Err(malformed(&label, "predicate appears in two relations"));
         }
@@ -760,7 +741,7 @@ pub(crate) fn parse_dictionary(
 
 /// One decoded relation block: the predicate it belongs to and a strictly
 /// sorted flat run — `rows × arity` cells, row-major. The ids are *not* yet
-/// known to name a predicate and constants ([`SpaceTable::check_relation`]).
+/// known to name a predicate and constants ([`check_relation`]).
 #[derive(Debug)]
 pub(crate) struct RelationBlock {
     pub(crate) pred: Pred,
@@ -1113,10 +1094,9 @@ mod tests {
         // Symbols 0 `edge` and 1 `node` are predicates, 2–4 constants, 5 a
         // variable.
         let (i, _) = sample();
-        let spaces = SpaceTable::new(i.symbols().map(|(space, _)| space));
         let check = |pred: u32, cell: u32| {
             let block = decode_relation(&raw_block(pred, 1, 1, &[&[2 * cell as u8]]), "r");
-            spaces.check_relation(&block.unwrap(), "r")
+            check_relation(&block.unwrap(), "r", |id| i.symbol_space(id))
         };
         assert!(check(1, 3).is_ok());
         for (pred, cell, needle) in [

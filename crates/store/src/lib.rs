@@ -16,7 +16,8 @@
 //!   probed in.
 //! * [`delta`] — incremental **delta snapshots**: insert-only diffs
 //!   chained to their base by content hash, made of the same two blocks,
-//!   applied by merging flat sorted runs in place.
+//!   applied by merging flat sorted runs — in the snapshot's own ids, or
+//!   straight into a live interner's ([`ChainSymbols`]).
 //! * [`loader`] — a parallel bulk loader that streams text through scoped
 //!   parser threads (std-only) with **two-pass parallel interning**:
 //!   workers intern into per-worker local dictionaries, the union merges
@@ -46,8 +47,8 @@ mod varint;
 
 pub use crc::{crc32, Crc32};
 pub use delta::{
-    apply_delta, decode_chain, decode_delta, decode_with_deltas, delta_to_vec, load_with_deltas,
-    save_delta, Delta, DeltaHeader,
+    apply_chain, apply_delta, decode_chain, decode_delta, decode_with_deltas, delta_to_vec,
+    load_with_deltas, save_delta, ChainSymbols, Delta, DeltaHeader,
 };
 pub use format::{
     content_hash, decode_snapshot, inspect_snapshot, load_snapshot, save_snapshot,

@@ -5,8 +5,8 @@
 
 use wdpt_model::{Database, Interner};
 use wdpt_store::{
-    content_hash, decode_delta, decode_snapshot, decode_with_deltas, delta_to_vec,
-    inspect_snapshot, snapshot_to_vec_v2, StoreError, MAGIC,
+    content_hash, decode_chain, decode_delta, decode_snapshot, delta_to_vec, inspect_snapshot,
+    snapshot_to_vec_v2, StoreError, MAGIC,
 };
 
 fn sample_snapshot() -> Vec<u8> {
@@ -132,7 +132,7 @@ fn a_version_2_snapshot_and_a_version_1_delta_are_refused_by_version() {
     for result in [
         decode_snapshot(&v2).map(|_| ()),
         inspect_snapshot(&v2).map(|_| ()),
-        decode_with_deltas(&v2, &[]).map(|_| ()),
+        decode_chain(&v2, &[]).map(|_| ()).map_err(|(_, e)| e),
     ] {
         match result {
             Err(e @ StoreError::UnsupportedVersion(2)) => {
@@ -146,7 +146,9 @@ fn a_version_2_snapshot_and_a_version_1_delta_are_refused_by_version() {
     v1[8..12].copy_from_slice(&1u32.to_le_bytes());
     for result in [
         decode_delta(&v1).map(|_| ()),
-        decode_with_deltas(&base, &[v1.clone()]).map(|_| ()),
+        decode_chain(&base, &[v1.clone()])
+            .map(|_| ())
+            .map_err(|(_, e)| e),
     ] {
         assert!(
             matches!(result, Err(StoreError::UnsupportedVersion(1))),
@@ -154,5 +156,5 @@ fn a_version_2_snapshot_and_a_version_1_delta_are_refused_by_version() {
         );
     }
     // Today's delta still applies: only the version field was in the way.
-    assert!(decode_with_deltas(&base, &[delta]).is_ok());
+    assert!(decode_chain(&base, &[delta]).is_ok());
 }

@@ -7,7 +7,7 @@
 use wdpt_gen::Lcg;
 use wdpt_model::{Database, Interner, SymbolSpace};
 use wdpt_store::{
-    content_hash, decode_snapshot, decode_with_deltas, delta_to_vec, snapshot_to_vec_v2,
+    content_hash, decode_chain, decode_snapshot, delta_to_vec, snapshot_to_vec_v2,
     verify_database_deep,
 };
 
@@ -163,8 +163,8 @@ fn random_databases_round_trip_losslessly() {
             (head_i, head_db, head_hash) = (next_i, next_db, content_hash(&delta));
             deltas.push(delta);
         }
-        let (chain_i, chain_db) = decode_with_deltas(&bytes, &deltas)
-            .unwrap_or_else(|e| panic!("seed {seed}: chain of {}: {e}", deltas.len()));
+        let ((chain_i, chain_db), _) = decode_chain(&bytes, &deltas)
+            .unwrap_or_else(|(_, e)| panic!("seed {seed}: chain of {}: {e}", deltas.len()));
         assert_equal(seed, &head_i, &head_db, &chain_i, &chain_db);
         verify_database_deep(&chain_db).unwrap_or_else(|e| panic!("seed {seed}: chain: {e}"));
         assert_eq!(

@@ -5,7 +5,7 @@
 
 use wdpt_model::{Database, Interner};
 use wdpt_store::{
-    content_hash, crc32, decode_delta, decode_snapshot, decode_with_deltas, delta_to_vec,
+    content_hash, crc32, decode_chain, decode_delta, decode_snapshot, delta_to_vec,
     snapshot_to_vec_v2, StoreError, VERSION,
 };
 
@@ -84,9 +84,10 @@ fn every_v2_single_byte_flip_is_a_typed_error() {
 fn every_delta_truncation_is_a_typed_error() {
     let (base, delta) = sample_delta();
     assert_eq!(
-        decode_with_deltas(&base, std::slice::from_ref(&delta))
+        decode_chain(&base, std::slice::from_ref(&delta))
             .unwrap()
-            .1
+            .0
+             .1
             .size(),
         8
     );
@@ -112,7 +113,7 @@ fn every_delta_single_byte_flip_is_a_typed_error() {
         for bit in [0x01u8, 0x80u8] {
             mutated[i] ^= bit;
             // The whole way: parse, chain check, apply.
-            match decode_with_deltas(&base, std::slice::from_ref(&mutated)) {
+            match decode_chain(&base, std::slice::from_ref(&mutated)).map_err(|(_, e)| e) {
                 Err(
                     StoreError::BadMagic
                     | StoreError::UnsupportedVersion(_)
@@ -236,7 +237,11 @@ fn v2_length_bombs_are_rejected_without_allocation() {
 #[test]
 fn delta_length_bombs_are_rejected_without_allocation() {
     let (base, delta) = sample_delta();
-    let decode = |bomb: Vec<u8>| decode_with_deltas(&base, &[bomb]);
+    let decode = |bomb: Vec<u8>| {
+        decode_chain(&base, &[bomb])
+            .map(|(pair, _)| pair)
+            .map_err(|(_, e)| e)
+    };
     relation_block_bombs(&delta, 0x05, decode);
 
     // Delta header claims u32::MAX relation sections.
