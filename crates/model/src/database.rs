@@ -182,6 +182,41 @@ fn ids_are_dense(max_id: u32, rows: usize) -> bool {
     (max_id as usize) < 4 * rows + 1024
 }
 
+/// The posting lengths of one column ([`Relation::posting_counts`]): how
+/// many tuples hold each value there.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PostingCounts {
+    /// Indexed by constant id; `0` for a value the column does not hold.
+    Dense(Vec<u32>),
+    /// Every value the column holds with its count, ascending by value.
+    Sparse(Vec<(Const, u32)>),
+}
+
+impl PostingCounts {
+    /// The number of tuples holding `c`.
+    pub fn get(&self, c: Const) -> u32 {
+        match self {
+            PostingCounts::Dense(counts) => counts.get(c.0 as usize).copied().unwrap_or(0),
+            PostingCounts::Sparse(pairs) => pairs
+                .binary_search_by_key(&c, |&(v, _)| v)
+                .map_or(0, |at| pairs[at].1),
+        }
+    }
+
+    /// Calls `f` on each value the column holds with its count, ascending
+    /// by value.
+    pub fn for_each(&self, mut f: impl FnMut(Const, u32)) {
+        match self {
+            PostingCounts::Dense(counts) => {
+                for (id, &n) in counts.iter().enumerate().filter(|(_, &n)| n > 0) {
+                    f(Const(id as u32), n);
+                }
+            }
+            PostingCounts::Sparse(pairs) => pairs.iter().for_each(|&(c, n)| f(c, n)),
+        }
+    }
+}
+
 /// A block of rows inside a flat cell slice, borrowed.
 #[derive(Debug, Clone, Copy)]
 struct Rows<'a> {
@@ -661,23 +696,27 @@ impl Relation {
         self.pending = pending;
     }
 
-    /// Consumes the relation and returns it with the `rows` tuples of the
-    /// strictly sorted flat run `add` merged in — the delta-apply path: one
-    /// top-down merge that moves only the rows above the lowest insertion
-    /// point. `Err(j)` if row `j` of `add` is already in the relation.
+    /// Consumes the relation and returns it with the tuples of `add` merged
+    /// in — the delta-apply path: one top-down merge that moves only the
+    /// rows above the lowest insertion point. `add` is left as it is, its
+    /// run shared rather than copied. `Err(j)` if the `j`-th tuple of `add`
+    /// ([`Relation::tuples`]) is already in the relation.
     ///
     /// # Panics
-    /// As [`Relation::from_sorted`] panics on `add`.
-    pub fn merge_sorted(mut self, rows: usize, add: &[Const]) -> Result<Relation, usize> {
-        let add = Rows::new(add, self.arity(), rows);
-        if let Err(why) = add.check_sorted() {
-            panic!("Relation::merge_sorted: {why}");
-        }
-        if rows == 0 {
+    /// Panics if the two arities differ.
+    pub fn merge_sorted(mut self, add: &Relation) -> Result<Relation, usize> {
+        assert_eq!(
+            self.arity(),
+            add.arity(),
+            "Relation::merge_sorted: arities differ"
+        );
+        if add.is_empty() {
             return Ok(self);
         }
+        let mut add = add.clone();
+        add.fold();
         self.fold();
-        self.merge_into_run(add)?;
+        self.merge_into_run(add.run.rows())?;
         Ok(self)
     }
 
@@ -716,29 +755,31 @@ impl Relation {
         })
     }
 
-    /// Streams `(value, posting_len)` pairs of one column — each distinct
-    /// value with the number of tuples holding it, ascending by value —
-    /// building nothing: one counting pass over the column. Statistics and
-    /// the active domain read this.
-    pub fn count_posting_lens(&self, col: usize, mut f: impl FnMut(Const, u32)) {
+    /// The posting lengths of one column — each distinct value with the
+    /// number of tuples holding it — counted in one pass and kept: an
+    /// array indexed by id when the column's ids are dense, sorted pairs
+    /// otherwise. Statistics and the active domain read this.
+    pub fn posting_counts(&self, col: usize) -> PostingCounts {
         let values = || self.all().map(|t| t[col]);
         let Some(max) = values().map(|c| c.0).max() else {
-            return;
+            return PostingCounts::Sparse(Vec::new());
         };
         if ids_are_dense(max, self.len()) {
             let mut counts = vec![0u32; max as usize + 1];
             for c in values() {
                 counts[c.0 as usize] += 1;
             }
-            for (id, &n) in counts.iter().enumerate().filter(|(_, &n)| n > 0) {
-                f(Const(id as u32), n);
-            }
+            PostingCounts::Dense(counts)
         } else {
-            let mut sorted: Vec<Const> = values().collect();
-            sorted.sort_unstable();
-            for group in sorted.chunk_by(|a, b| a == b) {
-                f(group[0], group.len() as u32);
-            }
+            // Sorted and then summed in place: one buffer.
+            let mut pairs: Vec<(Const, u32)> = values().map(|c| (c, 1)).collect();
+            pairs.sort_unstable_by_key(|&(c, _)| c);
+            pairs.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                kept.1 += u32::from(same);
+                same
+            });
+            PostingCounts::Sparse(pairs)
         }
     }
 
@@ -1085,13 +1126,13 @@ impl Database {
 
     /// The active domain: all constants occurring in some tuple. Computed
     /// on first use from each column's distinct values
-    /// ([`Relation::count_posting_lens`]).
+    /// ([`Relation::posting_counts`]).
     pub fn active_domain(&self) -> &BTreeSet<Const> {
         self.active_domain.get_or_init(|| {
             let mut domain: Vec<Const> = Vec::new();
             for rel in self.relations.values() {
                 for col in 0..rel.arity() {
-                    rel.count_posting_lens(col, |c, _| domain.push(c));
+                    rel.posting_counts(col).for_each(|c, _| domain.push(c));
                 }
             }
             domain.sort_unstable();
@@ -1554,9 +1595,10 @@ mod tests {
         // Folded or pending, merged or not, it stays one row.
         let (arity, rows, cells) = db.relation(t).unwrap().clone().into_parts();
         assert_eq!((arity, rows, cells.len()), (0, 1, 0));
-        let merged = Relation::from_sorted(0, 0, Vec::new()).merge_sorted(1, &[]);
+        let one = Relation::from_sorted(0, 1, Vec::new());
+        let merged = Relation::from_sorted(0, 0, Vec::new()).merge_sorted(&one);
         assert_eq!(merged.unwrap().len(), 1);
-        let twice = Relation::from_sorted(0, 1, Vec::new()).merge_sorted(1, &[]);
+        let twice = one.clone().merge_sorted(&one);
         assert_eq!(
             twice.unwrap_err(),
             0,
@@ -1591,13 +1633,16 @@ mod tests {
     fn merge_sorted_interleaves_and_reports_the_duplicate() {
         let c = |ids: &[u32]| ids.iter().map(|&id| Const(id)).collect::<Vec<_>>();
         let base = || Relation::from_sorted(2, 3, c(&[1, 1, 3, 3, 5, 5]));
-        let merged = base().merge_sorted(3, &c(&[0, 9, 3, 4, 7, 7])).unwrap();
+        let add = Relation::from_sorted(2, 3, c(&[0, 9, 3, 4, 7, 7]));
+        let merged = base().merge_sorted(&add).unwrap();
         let rows: Vec<Const> = merged.tuples().flatten().copied().collect();
         assert_eq!(rows, c(&[0, 9, 1, 1, 3, 3, 3, 4, 5, 5, 7, 7]));
         assert!(merged.verify_deep().is_ok());
         assert_eq!(merged.posting_len(0, Const(3)), 2);
+        assert_eq!(add.len(), 3, "the addition is left as it was");
         // Row 1 of the addition is already there.
-        assert_eq!(base().merge_sorted(2, &c(&[2, 2, 3, 3])).unwrap_err(), 1);
+        let add = Relation::from_sorted(2, 2, c(&[2, 2, 3, 3]));
+        assert_eq!(base().merge_sorted(&add).unwrap_err(), 1);
     }
 
     #[test]

@@ -36,7 +36,9 @@ pub mod term;
 
 pub use atom::Atom;
 pub use cancel::{CancelToken, Cancelled};
-pub use database::{row_id, Candidates, Database, Matching, ProbeTally, Relation, TooManyRows};
+pub use database::{
+    row_id, Candidates, Database, Matching, PostingCounts, ProbeTally, Relation, TooManyRows,
+};
 pub use interner::{Interner, SymbolSpace};
 pub use mapping::Mapping;
 pub use stats::StatsSnapshot;

@@ -89,7 +89,8 @@ fn assert_agree(rel: &Relation, model: &Model, probes: &[Vec<Const>], absent: Co
             *expected.entry(t[col]).or_default() += 1;
         }
         let mut counted = Vec::new();
-        rel.count_posting_lens(col, |c, n| counted.push((c, n)));
+        rel.posting_counts(col)
+            .for_each(|c, n| counted.push((c, n)));
         assert!(
             counted.into_iter().eq(expected),
             "column {col} counts differ"
@@ -159,7 +160,8 @@ fn run(seed: u64, arity: usize, domain: usize, stride: u32, steps: usize) {
                 let batch: Model = (0..1 + rng.below(40)).map(|_| tuple(&mut rng)).collect();
                 let fresh: Vec<Vec<Const>> = batch.difference(&model).cloned().collect();
                 let cells: Vec<Const> = fresh.iter().flatten().copied().collect();
-                let merged = relation(&db, arity).merge_sorted(fresh.len(), &cells);
+                let add = Relation::from_sorted(arity, fresh.len(), cells);
+                let merged = relation(&db, arity).merge_sorted(&add);
                 model.extend(fresh);
                 db = Database::from_sorted(vec![(PRED, merged.unwrap())]);
             }
@@ -168,7 +170,8 @@ fn run(seed: u64, arity: usize, domain: usize, stride: u32, steps: usize) {
                 let mut batch: Model = (0..rng.below(5)).map(|_| tuple(&mut rng)).collect();
                 batch.insert(model.iter().nth(rng.below(model.len())).unwrap().clone());
                 let cells: Vec<Const> = batch.iter().flatten().copied().collect();
-                let refused = relation(&db, arity).merge_sorted(batch.len(), &cells);
+                let add = Relation::from_sorted(arity, batch.len(), cells);
+                let refused = relation(&db, arity).merge_sorted(&add);
                 let row = batch.iter().nth(refused.unwrap_err()).unwrap();
                 assert!(model.contains(row), "the reported row is not a duplicate");
             }

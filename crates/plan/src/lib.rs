@@ -28,4 +28,4 @@ pub mod stats;
 
 pub use cost::{est_matches, order_cost, var_domain, OrderCost};
 pub use enumerate::{plan_node, ExecPlan, NodeOrder, Strategy, MAX_DP_ATOMS};
-pub use stats::{ColumnStats, RelationStats, StatsCatalog, MCV_ENTRIES};
+pub use stats::{ColumnStats, CountedCatalog, RelationStats, StatsCatalog, MCV_ENTRIES};

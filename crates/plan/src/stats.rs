@@ -3,11 +3,20 @@
 //!
 //! A [`StatsCatalog`] is a pure summary of one [`Database`] version: row
 //! counts, per-column distinct counts and the most common values per
-//! column. It is built in one pass over the relations at load/reload/delta
-//! time and is immutable afterwards — the serving layer pairs each
-//! `Arc<Database>` with the `Arc<StatsCatalog>` built from it and swaps
-//! both together, so a plan can never mix estimates from one data version
-//! with execution against another.
+//! column. It is immutable once made, and made one of two ways:
+//!
+//! * **built** ([`StatsCatalog::build`]): one counting pass over every
+//!   column of the database — at startup and wherever no earlier counts
+//!   exist;
+//! * **derived** ([`CountedCatalog::derive`]): from the kept posting
+//!   lengths of a base database plus the rows a delta chain inserted into
+//!   it, in time proportional to the inserted rows. A reload of a base the
+//!   server kept takes this path; the result equals a build of the merged
+//!   database field for field.
+//!
+//! The serving layer pairs each `Arc<Database>` with the `Arc<StatsCatalog>`
+//! made from it and swaps both together, so a plan can never mix estimates
+//! from one data version with execution against another.
 //!
 //! Every catalog carries a process-unique **epoch**. Cached plans remember
 //! the epoch they were costed under; a lookup that observes a newer epoch
@@ -15,7 +24,8 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use wdpt_model::{Const, Database, Pred, Relation};
+use wdpt_model::{Const, Database, PostingCounts, Pred, Relation};
+use wdpt_obs::counter;
 
 /// Values a column's most-common-values list holds at most.
 pub const MCV_ENTRIES: usize = 16;
@@ -48,6 +58,88 @@ impl ColumnStats {
             unlisted => (rows - listed) as f64 / unlisted as f64,
         }
     }
+
+    /// Ranks one column's posting lengths into its statistics.
+    fn ranked(counts: &PostingCounts) -> ColumnStats {
+        let mut stats = ColumnStats {
+            distinct: 0,
+            mcv: Vec::with_capacity(MCV_ENTRIES + 1),
+        };
+        counts.for_each(|c, n| {
+            stats.distinct += 1;
+            stats.offer(c, u64::from(n));
+        });
+        stats
+    }
+
+    /// The statistics of this column, whose posting lengths are `counts`,
+    /// once values counted `added` more times are inserted into it (see
+    /// [`CountedCatalog::derive`]).
+    fn with_added(&self, counts: &PostingCounts, added: &PostingCounts) -> ColumnStats {
+        let mut stats = ColumnStats {
+            distinct: self.distinct,
+            mcv: Vec::with_capacity(MCV_ENTRIES + 1),
+        };
+        added.for_each(|c, n| {
+            let was = counts.get(c);
+            stats.distinct += u64::from(was == 0);
+            stats.offer(c, u64::from(was) + u64::from(n));
+        });
+        for &(c, n) in &self.mcv {
+            if added.get(c) == 0 {
+                stats.offer(c, n);
+            }
+        }
+        stats
+    }
+
+    /// Offers the value `c`, held by `n` tuples, to the most-common-values
+    /// list: the one ranking rule, longest first and then by id, that a
+    /// build and a derivation share. The list comes out the same whatever
+    /// order distinct values are offered in.
+    fn offer(&mut self, c: Const, n: u64) {
+        // Almost every value fails the first comparison against the tail.
+        let ranks_before = |&(v, m): &(Const, u64)| (m, c) > (n, v);
+        let mcv = &mut self.mcv;
+        if mcv.len() < MCV_ENTRIES || mcv.last().is_some_and(|last| !ranks_before(last)) {
+            let at = mcv.partition_point(ranks_before);
+            mcv.insert(at, (c, n));
+            mcv.truncate(MCV_ENTRIES);
+        }
+    }
+
+    /// Checks what every exact column statistics satisfies: the list holds
+    /// `min(distinct, MCV_ENTRIES)` values of positive count, strictly in
+    /// ranking order, whose counts sum to at most `rows`, and `distinct ≤
+    /// rows`. A violation would make [`ColumnStats::est_posting`] divide
+    /// garbage or wrap.
+    fn check(&self, rows: u64) -> Result<(), String> {
+        let listed: u64 = self.mcv.iter().map(|&(_, n)| n).sum();
+        if self.mcv.len() as u64 != self.distinct.min(MCV_ENTRIES as u64) {
+            return Err(format!(
+                "{} values listed of {} distinct",
+                self.mcv.len(),
+                self.distinct
+            ));
+        }
+        if self.distinct > rows || listed > rows {
+            return Err(format!(
+                "{} distinct and {listed} listed tuples exceed {rows} rows",
+                self.distinct
+            ));
+        }
+        if self.mcv.iter().any(|&(_, n)| n == 0) {
+            return Err("a listed value holds no tuple".to_string());
+        }
+        if !self
+            .mcv
+            .windows(2)
+            .all(|w| (w[0].1, w[1].0) > (w[1].1, w[0].0))
+        {
+            return Err(format!("list out of ranking order: {:?}", self.mcv));
+        }
+        Ok(())
+    }
 }
 
 /// Statistics of one relation: its row count and one [`ColumnStats`] per
@@ -60,28 +152,18 @@ pub struct RelationStats {
     pub columns: Vec<ColumnStats>,
 }
 
-fn column_stats(rel: &Relation, col: usize) -> ColumnStats {
-    let mut distinct = 0u64;
-    let mut mcv: Vec<(Const, u64)> = Vec::with_capacity(MCV_ENTRIES + 1);
-    let mut tally = |c: Const, n: u64| {
-        distinct += 1;
-        // Keep the list sorted (longest first, then by id); almost every
-        // value fails the first comparison against its current tail.
-        let ranks_before = |&(v, m): &(Const, u64)| (m, c) > (n, v);
-        if mcv.len() < MCV_ENTRIES || mcv.last().is_some_and(|last| !ranks_before(last)) {
-            let at = mcv.partition_point(ranks_before);
-            mcv.insert(at, (c, n));
-            mcv.truncate(MCV_ENTRIES);
-        }
-    };
-    // Posting-list lengths are all the catalog needs, and the relation
-    // streams them without building anything: one counting pass.
-    rel.count_posting_lens(col, |c, n| tally(c, u64::from(n)));
-    ColumnStats { distinct, mcv }
+/// Counts one column of `rel` in full — the work a derivation saves.
+fn count_column(rel: &Relation, col: usize) -> PostingCounts {
+    counter!("plan.stats.columns_counted").incr();
+    rel.posting_counts(col)
 }
 
-/// Process-wide epoch source; every built catalog gets the next value.
+/// Process-wide epoch source; every catalog made gets the next value.
 static EPOCH: AtomicU64 = AtomicU64::new(0);
+
+fn next_epoch() -> u64 {
+    EPOCH.fetch_add(1, Relaxed) + 1
+}
 
 /// An immutable statistics snapshot of one database version.
 #[derive(Debug)]
@@ -92,14 +174,28 @@ pub struct StatsCatalog {
 
 impl StatsCatalog {
     /// Builds the catalog in one pass over `db`'s relations. Cost is
-    /// `O(size(db))` — a counting pass per column — and is paid once per
-    /// load/reload/delta-apply, off the query path.
+    /// `O(size(db))` — a counting pass per column — and is paid off the
+    /// query path.
     pub fn build(db: &Database) -> StatsCatalog {
         let _span = wdpt_obs::span!("plan.stats.build");
+        StatsCatalog::count(db, |_, _| {})
+    }
+
+    /// The counting pass every full catalog is made by: counts each column
+    /// of `db` once, ranks it and hands its counts to `keep`, column by
+    /// column in order.
+    fn count(db: &Database, mut keep: impl FnMut(Pred, PostingCounts)) -> StatsCatalog {
         let relations = db
             .relations()
             .map(|(pred, rel)| {
-                let columns = (0..rel.arity()).map(|c| column_stats(rel, c)).collect();
+                let columns = (0..rel.arity())
+                    .map(|col| {
+                        let counts = count_column(rel, col);
+                        let stats = ColumnStats::ranked(&counts);
+                        keep(pred, counts);
+                        stats
+                    })
+                    .collect();
                 (
                     pred,
                     RelationStats {
@@ -110,7 +206,7 @@ impl StatsCatalog {
             })
             .collect();
         StatsCatalog {
-            epoch: EPOCH.fetch_add(1, Relaxed) + 1,
+            epoch: next_epoch(),
             relations,
         }
     }
@@ -119,7 +215,7 @@ impl StatsCatalog {
     /// come out zero. Useful as a placeholder where no database exists.
     pub fn empty() -> StatsCatalog {
         StatsCatalog {
-            epoch: EPOCH.fetch_add(1, Relaxed) + 1,
+            epoch: next_epoch(),
             relations: HashMap::new(),
         }
     }
@@ -136,6 +232,11 @@ impl StatsCatalog {
         self.relations.get(&pred)
     }
 
+    /// Every summarized relation with its stats, in unspecified order.
+    pub fn relations(&self) -> impl Iterator<Item = (Pred, &RelationStats)> + '_ {
+        self.relations.iter().map(|(&p, s)| (p, s))
+    }
+
     /// Number of relations summarized.
     pub fn len(&self) -> usize {
         self.relations.len()
@@ -144,6 +245,92 @@ impl StatsCatalog {
     /// True iff no relation is summarized.
     pub fn is_empty(&self) -> bool {
         self.relations.is_empty()
+    }
+
+    /// Checks every column against the invariants exact statistics
+    /// satisfy (see [`ColumnStats`]); names the first column that fails.
+    pub fn check(&self) -> Result<(), String> {
+        for (pred, rel) in &self.relations {
+            for (col, stats) in rel.columns.iter().enumerate() {
+                stats
+                    .check(rel.rows)
+                    .map_err(|e| format!("predicate {} column {col}: {e}", pred.0))?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A catalog together with the posting lengths it was ranked from: what a
+/// later catalog — the same database plus inserted rows — is derived from
+/// instead of recounted. It costs one [`PostingCounts`] per column: a `u32`
+/// per id for a column of dense ids.
+#[derive(Debug)]
+pub struct CountedCatalog {
+    catalog: StatsCatalog,
+    counts: HashMap<Pred, Vec<PostingCounts>>,
+}
+
+impl CountedCatalog {
+    /// Counts every column of `db` in full — the pass
+    /// [`StatsCatalog::build`] makes — keeping the counts.
+    pub fn count(db: &Database) -> CountedCatalog {
+        let _span = wdpt_obs::span!("plan.stats.count");
+        let mut counts: HashMap<Pred, Vec<PostingCounts>> = HashMap::new();
+        let catalog = StatsCatalog::count(db, |pred, column| {
+            counts.entry(pred).or_default().push(column)
+        });
+        CountedCatalog { catalog, counts }
+    }
+
+    /// The catalog of the counted database.
+    pub fn catalog(&self) -> &StatsCatalog {
+        &self.catalog
+    }
+
+    /// The catalog of the counted database with the rows of `added`
+    /// inserted — rows it does not hold, per relation, at the relation's
+    /// arity — under a fresh epoch. It equals [`StatsCatalog::build`] of
+    /// the merged database and costs a counting pass over `added` only:
+    ///
+    /// * `rows` grows by the added rows;
+    /// * `distinct` grows by the added values the base does not hold;
+    /// * the list is ranked from the added values at their new counts and
+    ///   the base list's untouched entries. No other value can enter it: an
+    ///   untouched value outside a cut base list ranks below all of that
+    ///   list's entries, whose counts only grew.
+    ///
+    /// Relations `added` does not name keep their stats.
+    pub fn derive(&self, added: &Database) -> StatsCatalog {
+        let _span = wdpt_obs::span!("plan.stats.derive");
+        let mut relations = HashMap::with_capacity(self.catalog.len() + added.predicate_count());
+        for (&pred, stats) in &self.catalog.relations {
+            if added.relation(pred).is_none() {
+                relations.insert(pred, stats.clone());
+            }
+        }
+        for (pred, rel) in added.relations() {
+            let base = self.catalog.relations.get(&pred);
+            let columns = (0..rel.arity())
+                .map(|col| {
+                    let added = rel.posting_counts(col);
+                    match base {
+                        Some(stats) => {
+                            stats.columns[col].with_added(&self.counts[&pred][col], &added)
+                        }
+                        None => ColumnStats::ranked(&added),
+                    }
+                })
+                .collect();
+            let rows = base.map_or(0, |stats| stats.rows) + rel.len() as u64;
+            relations.insert(pred, RelationStats { rows, columns });
+        }
+        let derived = StatsCatalog {
+            epoch: next_epoch(),
+            relations,
+        };
+        debug_assert_eq!(derived.check(), Ok(()));
+        derived
     }
 }
 
@@ -238,6 +425,27 @@ mod tests {
             mcv: Vec::new(),
         };
         assert_eq!(empty.est_posting(i.constant("a"), 0), 0.0);
+    }
+
+    #[test]
+    fn the_invariant_check_refuses_what_no_exact_catalog_holds() {
+        let (a, b) = (Const(1), Const(2));
+        let column = |distinct, mcv: &[(Const, u64)]| ColumnStats {
+            distinct,
+            mcv: mcv.to_vec(),
+        };
+        assert_eq!(column(2, &[(a, 3), (b, 1)]).check(4), Ok(()));
+        assert_eq!(column(2, &[(a, 2), (b, 2)]).check(4), Ok(()));
+        for (bad, rows) in [
+            (column(2, &[(b, 2), (a, 2)]), 4), // a tie out of id order
+            (column(2, &[(b, 1), (a, 3)]), 4), // shorter first
+            (column(3, &[(a, 3), (b, 1)]), 4), // a value missing from the list
+            (column(2, &[(a, 3), (b, 2)]), 4), // more listed than rows
+            (column(2, &[(a, 1), (b, 0)]), 4), // a listed value holds nothing
+            (column(5, &[(a, 1)]), 4),         // more distinct than rows
+        ] {
+            assert!(bad.check(rows).is_err(), "{bad:?} over {rows} rows");
+        }
     }
 
     #[test]

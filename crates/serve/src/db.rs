@@ -75,11 +75,23 @@ pub fn merge_snapshot(
     snapshot: (Interner, Database),
 ) -> (Database, usize) {
     let (snap_interner, snap_db) = snapshot;
+    let (translate, shared) = merge_symbols(interner, snap_interner);
+    (translate_database(snap_db, translate.as_deref()), shared)
+}
+
+/// The interner half of [`merge_snapshot`]: folds a snapshot's symbols
+/// into the live interner. Returns the live id of each snapshot id —
+/// `None` when every one names the same symbol live, so nothing needs
+/// rewriting — and how many ids from 0 on are shared.
+pub(crate) fn merge_symbols(
+    interner: &mut Interner,
+    snap_interner: Interner,
+) -> (Option<Vec<u32>>, usize) {
     if interner.is_empty() {
         let shared = snap_interner.len();
         *interner = snap_interner;
         counter!("serve.store.snapshot_adopted").add(1);
-        return (snap_db, shared);
+        return (None, shared);
     }
     counter!("serve.store.snapshot_remapped").add(1);
     let translate: Vec<u32> = snap_interner
@@ -92,14 +104,20 @@ pub fn merge_snapshot(
         .enumerate()
         .take_while(|&(old, &new)| old as u32 == new)
         .count();
-    if shared == translate.len() {
-        // The live interner already assigns every snapshot symbol the same
-        // id (it extends the snapshot's interner): nothing to rewrite.
-        return (snap_db, shared);
-    }
+    // When the live interner already assigns every snapshot symbol the
+    // same id (it extends the snapshot's interner), nothing is rewritten.
+    (Some(translate).filter(|t| shared < t.len()), shared)
+}
 
+/// The database half of [`merge_snapshot`]: `db` rewritten from snapshot
+/// ids into live ids by `translate` ([`merge_symbols`]), or moved as it
+/// is when there is nothing to rewrite.
+pub(crate) fn translate_database(db: Database, translate: Option<&[u32]>) -> Database {
+    let Some(translate) = translate else {
+        return db;
+    };
     let mut out: Vec<(Pred, Relation)> = Vec::new();
-    for (pred, rel) in snap_db.into_relations() {
+    for (pred, rel) in db.into_relations() {
         let (arity, rows, mut cells) = rel.into_parts();
         for c in cells.iter_mut() {
             *c = Const(translate[c.0 as usize]);
@@ -110,7 +128,7 @@ pub fn merge_snapshot(
             Relation::from_rows(arity, rows, cells),
         ));
     }
-    (Database::from_sorted(out), shared)
+    Database::from_sorted(out)
 }
 
 /// True iff the bytes at `path` start with the snapshot magic — a cheap

@@ -43,7 +43,7 @@
 //! workers, and [`serve`] joins everything before returning.
 
 use crate::cache::{canonicalize, explain_json, CanonicalQuery, NodePlan, Plan, PlanCache};
-use crate::db::merge_snapshot;
+use crate::db::{merge_snapshot, merge_symbols, translate_database};
 use crate::protocol::{
     attach_head, cancelled_line, error_line, metrics_json_line, metrics_text_line, ok_line,
     overloaded_line, reload_line, shutting_down_line, slowlog_line, stale_replica_line, Request,
@@ -64,7 +64,7 @@ use wdpt_obs::{
     counter, gauge, gauge_scope, histogram, metrics_snapshot, render_prometheus, snapshot_to_json,
     Json, ProfileRecorder, QueryProfile, RequestTrace,
 };
-use wdpt_plan::StatsCatalog;
+use wdpt_plan::{CountedCatalog, StatsCatalog};
 use wdpt_repl::frames::{delta_frame, snapshot_frame, subscribed_line};
 use wdpt_repl::{Primary, ReplApply, ReplHead, SubscribeStart};
 use wdpt_sparql::algebra::SparqlError;
@@ -240,14 +240,23 @@ pub struct ServeState {
 /// A verified base snapshot in served ids: what a reload of a byte-equal
 /// base file reuses instead of decoding it again. It costs one base
 /// database (its runs, shared with what is served while no delta is
-/// applied) plus the file's bytes.
+/// applied), the file's bytes and the base's posting counts.
 struct KeptBase {
-    /// The base file's bytes; reuse is byte equality with them.
+    file: BaseFile,
+    /// The base's statistics with the posting lengths they were ranked
+    /// from: a reload derives the served catalog from them and the
+    /// chain's rows.
+    stats: CountedCatalog,
+}
+
+/// A base snapshot decoded in full.
+struct BaseFile {
+    /// The file's bytes; reuse is byte equality with them.
     bytes: Vec<u8>,
     /// Their [`wdpt_store::content_hash`]: the chain's first link.
     hash: u64,
-    /// The base's symbol count. Its ids are the live interner's first
-    /// `symbols`, and stay so: ids are append-only.
+    /// The base's symbol count. Once kept, its ids are the live interner's
+    /// first `symbols`, and stay so: ids are append-only.
     symbols: usize,
     /// The base's database, in those ids.
     db: Database,
@@ -331,7 +340,8 @@ impl ServeState {
     /// Returns the tuple count now served.
     fn install_pair(&self, db_name: &str, pair: (Interner, Database)) -> usize {
         let (db, _) = self.fold(|i| merge_snapshot(i, pair));
-        self.install(db_name, db)
+        let stats = timed_stats(|| StatsCatalog::build(&db));
+        self.install(db_name, db, stats)
     }
 
     /// Runs `f` on the live interner under its lock, timed as the reload's
@@ -343,18 +353,18 @@ impl ServeState {
         folded
     }
 
-    /// Swaps `db`, already in served ids, in as `db_name` — together with a
-    /// freshly built statistics catalog, so cached plans see the new epoch
-    /// the moment they can see the new data. This is the single install
-    /// point for reloads *and* the follower's replicated applies. Returns
-    /// the tuple count now served.
-    fn install(&self, db_name: &str, db: Database) -> usize {
+    /// Swaps `db`, already in served ids, in as `db_name` — together with
+    /// its statistics catalog, built or derived off-lock by the caller, so
+    /// cached plans see the new epoch the moment they can see the new data.
+    /// This is the single install point for reloads *and* the follower's
+    /// replicated applies. Returns the tuple count now served.
+    fn install(&self, db_name: &str, db: Database, stats: StatsCatalog) -> usize {
         let tuples = db.size();
-        // Catalog build runs off-lock (one counting pass over the data);
-        // only the entry swap holds the write lock.
-        let stats_start = Instant::now();
-        let entry = DbEntry::new(db);
-        histogram!("serve.reload.stats_us").record(stats_start.elapsed().as_micros() as u64);
+        // Only the entry swap holds the write lock.
+        let entry = DbEntry {
+            db: Arc::new(db),
+            stats: Arc::new(stats),
+        };
         let swap_start = Instant::now();
         // The write guard is gone at the end of this statement; the entry
         // it replaced outlives it, so when no query still holds the old
@@ -430,14 +440,20 @@ impl ServeState {
     /// applied in the snapshot's own ids, then folded into the live
     /// interner (one name lookup per symbol of the whole chain, under the
     /// lock; see [`merge_snapshot`]). When the fold keeps every base id,
-    /// the server keeps that base — its bytes, hash, symbol count and
-    /// database — under `db_name`, replacing what it kept there; otherwise
-    /// it drops it. A later reload whose base file is byte-equal to a kept
-    /// one decodes only the deltas and applies them to the kept base in
-    /// served ids: the interner lock is held to resolve each delta's
-    /// appended symbols and check its cells (O(delta)), and once more to
-    /// intern the new symbols at the swap. Every check of the full path
-    /// runs on this one as well.
+    /// the server keeps that base — its bytes, hash, symbol count,
+    /// database and posting counts — under `db_name`, replacing what it
+    /// kept there; otherwise it drops it. A later reload whose base file is
+    /// byte-equal to a kept one decodes only the deltas and applies them to
+    /// the kept base in served ids: the interner lock is held to resolve
+    /// each delta's appended symbols and check its cells (O(delta)), and
+    /// once more to intern the new symbols at the swap. Every check of the
+    /// full path runs on this one as well.
+    ///
+    /// The served statistics catalog is counted once per full decode —
+    /// the kept base's columns, or the served database's when nothing is
+    /// kept — and a reload of a kept base derives it from the base's
+    /// counts and the rows the chain inserted
+    /// ([`CountedCatalog::derive`]), counting no column in full.
     ///
     /// The plan cache is **kept**: cached plans depend only on query
     /// structure and interner ids, never on data, and a reload only
@@ -495,17 +511,18 @@ impl ServeState {
             .lock()
             .expect("kept lock")
             .values()
-            .find(|kept| kept.bytes == base_bytes)
+            .find(|kept| kept.file.bytes == base_bytes)
             .cloned();
         // Verifying the chain hashes every file once; those are the hashes
         // the served head history wants.
         let loaded = match kept {
             Some(kept) => {
-                let mut symbols = ChainSymbols::new(kept.symbols, self.interner_len());
+                let file = &kept.file;
+                let mut symbols = ChainSymbols::new(file.symbols, self.interner_len());
                 let interner = || self.interner.lock().expect("interner lock");
-                let base = kept.db.clone();
-                wdpt_store::apply_chain(interner, &mut symbols, kept.hash, base, &delta_bytes)
-                    .map(|(db, chain)| (Fold::Served { db, symbols }, chain))
+                let base = file.db.clone();
+                wdpt_store::apply_chain(interner, &mut symbols, file.hash, base, &delta_bytes)
+                    .map(|(db, chain)| (Fold::Served { db, symbols, kept }, chain))
             }
             None => decode_in_full(base_bytes, &delta_bytes),
         };
@@ -549,23 +566,46 @@ impl ServeState {
             counter!("serve.store.reload_rejected_shutdown").add(1);
             return Err("server is shutting down; reload rejected before the swap".to_string());
         }
-        let db = match loaded.fold {
-            Fold::Decoded { pair, base } => {
-                let (db, shared) = self.fold(|i| merge_snapshot(i, pair));
+        let (db, stats) = match loaded.fold {
+            Fold::Decoded {
+                pair: (interner, db),
+                added,
+                base,
+            } => {
+                let (translate, shared) = self.fold(|i| merge_symbols(i, interner));
+                let to_served = |db| translate_database(db, translate.as_deref());
+                let db = to_served(db);
+                // One counting pass either way: a base the fold keeps is
+                // counted and the served catalog derived from its counts;
+                // any other catalog is built from the served database.
+                let (kept, stats) = timed_stats(|| {
+                    if shared < base.symbols {
+                        return (None, StatsCatalog::build(&db));
+                    }
+                    let counted = CountedCatalog::count(&base.db);
+                    let stats = counted.derive(&to_served(added));
+                    let kept = KeptBase {
+                        file: base,
+                        stats: counted,
+                    };
+                    (Some(kept), stats)
+                });
                 let replaced = {
-                    let mut kept = self.kept.lock().expect("kept lock");
-                    if shared >= base.symbols {
-                        kept.insert(db_name.to_string(), Arc::new(base))
-                    } else {
-                        kept.remove(db_name)
+                    let mut map = self.kept.lock().expect("kept lock");
+                    match kept {
+                        Some(kept) => map.insert(db_name.to_string(), Arc::new(kept)),
+                        None => map.remove(db_name),
                     }
                 };
                 drop(replaced);
-                db
+                (db, stats)
             }
-            Fold::Served { db, symbols } => self.fold(|i| symbols.commit(i, db)),
+            Fold::Served { db, symbols, kept } => {
+                let (db, added) = self.fold(|i| symbols.commit(i, db));
+                (db, timed_stats(|| kept.stats.derive(&added)))
+            }
         };
-        let tuples = self.install(db_name, db);
+        let tuples = self.install(db_name, db, stats);
         self.repl_head.install_chain(&loaded.chain);
         gauge!("repl.head").set(self.repl_head.head().unwrap_or(0) as i64);
         counter!("serve.store.reload_ok").add(1);
@@ -577,7 +617,7 @@ impl ServeState {
     /// [`ServeState::reload`]).
     pub fn kept_base_hash(&self, db_name: &str) -> Option<u64> {
         let kept = self.kept.lock().expect("kept lock");
-        kept.get(db_name).map(|kept| kept.hash)
+        kept.get(db_name).map(|kept| kept.file.hash)
     }
 
     /// The plan cache (for tests and stats).
@@ -711,15 +751,21 @@ pub struct LoadedChain {
 /// How a loaded chain enters the live interner at the swap.
 enum Fold {
     /// A base decoded in full: the chain's pair in the snapshot's own ids,
-    /// for [`merge_snapshot`], and the base to keep if the fold keeps its
-    /// ids.
+    /// for [`merge_snapshot`], the rows its deltas inserted, in the same
+    /// ids, and the base to keep if the fold keeps its ids.
     Decoded {
         pair: (Interner, Database),
-        base: KeptBase,
+        added: Database,
+        base: BaseFile,
     },
     /// Deltas applied to a kept base, in served ids; their new symbols
-    /// wait to be interned.
-    Served { db: Database, symbols: ChainSymbols },
+    /// wait to be interned, and the served catalog is derived from the
+    /// base's.
+    Served {
+        db: Database,
+        symbols: ChainSymbols,
+        kept: Arc<KeptBase>,
+    },
 }
 
 /// The full-decode half of [`ServeState::load_stage`]: the base file
@@ -735,8 +781,8 @@ fn decode_in_full(
     let mut chain_symbols = ChainSymbols::new(symbols, symbols);
     let (db, chain) =
         wdpt_store::apply_chain(|| &interner, &mut chain_symbols, hash, base.clone(), deltas)?;
-    let db = chain_symbols.commit(&mut interner, db);
-    let base = KeptBase {
+    let (db, added) = chain_symbols.commit(&mut interner, db);
+    let base = BaseFile {
         bytes,
         hash,
         symbols,
@@ -745,10 +791,19 @@ fn decode_in_full(
     Ok((
         Fold::Decoded {
             pair: (interner, db),
+            added,
             base,
         },
         chain,
     ))
+}
+
+/// Runs `make`, timed as the reload's statistics stage.
+fn timed_stats<T>(make: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let made = make();
+    histogram!("serve.reload.stats_us").record(start.elapsed().as_micros() as u64);
+    made
 }
 
 /// `(triple patterns, distinct variables)` of a parsed pattern — the
@@ -1784,7 +1839,7 @@ impl ReplApply for FollowerApply {
         let mut symbols = wdpt_store::ChainSymbols::new(interner.len(), interner.len());
         match wdpt_store::apply_delta(|| &interner, &mut symbols, db, delta) {
             Ok(new_db) => {
-                let new_db = symbols.commit(&mut interner, new_db);
+                let (new_db, _) = symbols.commit(&mut interner, new_db);
                 let clone = (interner.clone(), new_db.clone());
                 *pristine = Some((interner, new_db));
                 drop(pristine);

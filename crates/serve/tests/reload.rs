@@ -1,18 +1,21 @@
 //! A reload of a base file the server already decoded applies only the
-//! deltas, to the base it kept, in served ids. These tests hold that path
-//! to the full decode: after every reload the served rows, statistics,
-//! chain hashes and head equal those of a fresh server that reloaded the
-//! same files, and a changed base file is never masked by the kept one.
+//! deltas, to the base it kept, in served ids, and derives the served
+//! statistics from the base's counts and the chain's rows. These tests hold
+//! that path to the full decode: after every reload the served rows,
+//! statistics, chain hashes and head equal those of a fresh server that
+//! reloaded the same files, the statistics equal a build of the served
+//! database, and a changed base file is never masked by the kept one.
 //!
-//! Every reload here runs inside `delta_scope`, so the fold counters it
-//! reads are its own even with the tests of this binary running in
-//! parallel.
+//! Every reload, server start and catalog build here runs inside
+//! `delta_scope`, so the counters a reload reads are its own even with the
+//! tests of this binary running in parallel.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use wdpt_model::{Database, Interner, Pred, SymbolSpace};
 use wdpt_obs::delta_scope;
+use wdpt_plan::StatsCatalog;
 use wdpt_serve::{ServeConfig, ServeState};
 use wdpt_sparql::TripleStore;
 use wdpt_store::{content_hash, decode_snapshot, delta_to_vec, save_delta, snapshot_to_vec_v2};
@@ -59,32 +62,56 @@ fn files(tag: &str) -> Files {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
 
-    // Every column stays under `MCV_ENTRIES` distinct values, so each
-    // most-common-values list is complete and compares by name exactly.
+    // Every column holds more than `MCV_ENTRIES` distinct values (20
+    // subjects, 18 predicates, 19 objects), so every most-common-values
+    // list is cut. Subjects `s0`..`s14` hold three triples each and
+    // `s15`..`s19` two: the subject list is `s0`..`s14`, then `s15` of
+    // five tied at two, by id.
     let (mut i, mut ts) = (Interner::new(), TripleStore::new());
-    for k in 0..8 {
-        let (s, p, o) = (
-            format!("s{k}"),
-            format!("p{}", k % 2),
-            format!("o{}", k % 4),
-        );
-        ts.insert_str(&mut i, &s, &p, &o);
-        if k < 4 {
-            ts.insert_str(&mut i, &s, "p1", "o0");
+    for k in 0..20 {
+        for j in 0..if k < 15 { 3 } else { 2 } {
+            let (s, p, o) = (
+                format!("s{k}"),
+                format!("p{}", (k + j) % 18),
+                format!("o{}", (2 * k + j) % 19),
+            );
+            ts.insert_str(&mut i, &s, &p, &o);
         }
     }
     let base_bytes = snapshot_to_vec_v2(&i, ts.database()).unwrap();
     let base = dir.join("base.snap");
     std::fs::write(&base, &base_bytes).unwrap();
 
+    // `d0` promotes the unlisted `s19` to the top (four triples) and
+    // brings a subject and an object new to their columns.
     let d0 = dir.join("d0.delta");
-    let d0_triples = [("n0a", "p0", "o0"), ("s1", "p0", "n0b"), ("s2", "p1", "o3")];
+    let d0_triples = [
+        ("s19", "p5", "n0b"),
+        ("s19", "p6", "o0"),
+        ("n0a", "p0", "o0"),
+    ];
     delta(&base_bytes, (&i, &ts), &d0_triples, &d0);
+    // `d1` lifts `s17` and `s18` to three: seventeen subjects tie at
+    // three for sixteen places, and id keeps `s17` and cuts `s18`. The new
+    // object `n1b` tops its column, and a new subject `n1a` enters at two.
     let d1 = dir.join("d1.delta");
-    let d1_triples = [("n1a", "p1", "o1"), ("s3", "p2", "n1b")];
+    let d1_triples = [
+        ("n1a", "p1", "o3"),
+        ("n1a", "p9", "n1b"),
+        ("n1c", "p9", "n1b"),
+        ("n1d", "p9", "n1b"),
+        ("s17", "p9", "n1b"),
+        ("s18", "p9", "n1b"),
+    ];
     let (d1_bytes, i1, ts1) = delta(&base_bytes, (&i, &ts), &d1_triples, &d1);
+    // `d2`, after `d1`: `s16` jumps to four, which pushes `s17` out on the
+    // tie at rank sixteen; `n1a` ties at three and is cut by id.
     let d2 = dir.join("d2.delta");
-    let d2_triples = [("n1a", "p0", "n2a"), ("s5", "p2", "o2")];
+    let d2_triples = [
+        ("n1a", "p0", "n2a"),
+        ("s16", "p9", "o2"),
+        ("s16", "p10", "o2"),
+    ];
     delta(&d1_bytes, (&i1, &ts1), &d2_triples, &d2);
 
     // The same symbols, other tuples: a base whose fold keeps its ids.
@@ -112,12 +139,20 @@ fn files(tag: &str) -> Files {
 fn start(base: &Path) -> Arc<ServeState> {
     let (interner, db) = decode_snapshot(&std::fs::read(base).unwrap()).unwrap();
     let dbs: BTreeMap<String, Database> = [(DB.to_string(), db)].into();
-    ServeState::new(ServeConfig::default(), interner, dbs, DB)
+    delta_scope(|| ServeState::new(ServeConfig::default(), interner, dbs, DB)).0
 }
 
-/// One reload through its two stages: the chain's hashes and how many
-/// snapshots were folded in full, or the error.
-fn reload(state: &ServeState, base: &Path, deltas: &[&Path]) -> Result<(Vec<u64>, u64), String> {
+/// What one reload did: the chain's hashes, how many snapshots were folded
+/// in full, and how many columns were counted in full for the statistics.
+#[derive(Debug)]
+struct Reloaded {
+    chain: Vec<u64>,
+    folds: u64,
+    counted: u64,
+}
+
+/// One reload through its two stages, or the error.
+fn reload(state: &ServeState, base: &Path, deltas: &[&Path]) -> Result<Reloaded, String> {
     let (out, work) = delta_scope(|| {
         let loaded = state.load_stage(base, deltas)?;
         let chain = loaded.chain.clone();
@@ -125,11 +160,16 @@ fn reload(state: &ServeState, base: &Path, deltas: &[&Path]) -> Result<(Vec<u64>
     });
     let folds = work.counter("serve.store.snapshot_adopted")
         + work.counter("serve.store.snapshot_remapped");
-    out.map(|chain| (chain, folds))
+    let counted = work.counter("plan.stats.columns_counted");
+    out.map(|chain| Reloaded {
+        chain,
+        folds,
+        counted,
+    })
 }
 
 /// Statistics of one column by name: distinct count and every
-/// most-common value with its count.
+/// most-common value with its count, in rank order.
 type Column = (u64, Vec<(String, u64)>);
 
 /// What a server serves, by name.
@@ -141,8 +181,17 @@ struct Served {
     head: Option<u64>,
 }
 
+/// What `state` serves, by name, once its catalog is checked against a
+/// build of the served database in the same ids: every relation, row
+/// count, distinct count and most-common-values list, in rank order.
 fn served(state: &ServeState) -> Served {
     let (db, stats) = state.db_with_stats(DB).unwrap();
+    stats.check().unwrap();
+    let (built, _) = delta_scope(|| StatsCatalog::build(&db));
+    assert_eq!(stats.len(), built.len());
+    for (pred, rel) in built.relations() {
+        assert_eq!(stats.relation(pred), Some(rel), "predicate {}", pred.0);
+    }
     state.with_interner(|i| {
         let name = |id: u32| i.name(id).to_owned();
         let triple = Pred(i.lookup_id(SymbolSpace::Pred, "triple").unwrap());
@@ -158,10 +207,7 @@ fn served(state: &ServeState) -> Served {
             .columns
             .iter()
             .map(|col| {
-                assert!(col.mcv.len() < wdpt_plan::stats::MCV_ENTRIES);
-                let mut mcv: Vec<(String, u64)> =
-                    col.mcv.iter().map(|&(c, n)| (name(c.0), n)).collect();
-                mcv.sort();
+                let mcv = col.mcv.iter().map(|&(c, n)| (name(c.0), n)).collect();
                 (col.distinct, mcv)
             })
             .collect();
@@ -207,15 +253,26 @@ fn every_reload_serves_what_a_fresh_server_reloading_the_same_files_serves() {
     for pass in 0..2 {
         for (step, (base, deltas, first, second, keeps)) in steps.iter().enumerate() {
             let at = format!("pass {pass}, step {step}");
-            let (chain, folds) = reload(&state, base, deltas).unwrap();
+            let Reloaded {
+                chain,
+                folds,
+                counted,
+            } = reload(&state, base, deltas).unwrap();
             assert_eq!(folds, [*first, *second][pass], "{at}: full base folds");
+            // One relation of three columns, counted once per full decode;
+            // a reload of the kept base counts none.
+            assert_eq!(counted, 3 * folds, "{at}: columns counted");
             let kept = keeps.then(|| content_hash(&std::fs::read(base).unwrap()));
             assert_eq!(state.kept_base_hash(DB), kept, "{at}: kept base");
 
             let fresh = start(&f.base);
-            let (fresh_chain, fresh_folds) = reload(&fresh, base, deltas).unwrap();
-            assert_eq!(fresh_folds, 1, "{at}: a fresh server decodes in full");
-            assert_eq!(chain, fresh_chain, "{at}: chain hashes");
+            let fresh_reload = reload(&fresh, base, deltas).unwrap();
+            assert_eq!(
+                fresh_reload.folds, 1,
+                "{at}: a fresh server decodes in full"
+            );
+            assert_eq!(fresh_reload.counted, 3, "{at}: a fresh server counts");
+            assert_eq!(chain, fresh_reload.chain, "{at}: chain hashes");
             assert_eq!(served(&state), served(&fresh), "{at}: served state");
 
             // Cached plans survive every reload.
@@ -264,7 +321,7 @@ fn the_kept_base_masks_no_change_to_the_base_file() {
 
     // A different valid base: decoded in full, and kept in place of the old.
     std::fs::write(&f.base, &f.other_base).unwrap();
-    let (_, folds) = reload(&state, &f.base, &[] as &[&Path]).unwrap();
+    let folds = reload(&state, &f.base, &[] as &[&Path]).unwrap().folds;
     assert_eq!(folds, 1, "the new base was not decoded");
     assert_eq!(state.kept_base_hash(DB), Some(content_hash(&f.other_base)));
     let other = served(&state);
@@ -278,5 +335,79 @@ fn the_kept_base_masks_no_change_to_the_base_file() {
     assert!(err.contains("different predecessor"), "got: {err}");
     assert_eq!(served(&state), other);
     assert_eq!(state.interner_len(), symbols);
+    std::fs::remove_dir_all(&f.dir).ok();
+}
+
+/// The distinct count of a column and its most common values by name, in
+/// rank order.
+type Ranked = (u64, Vec<String>);
+
+/// The subject column served, [`Ranked`]; every list is cut.
+fn subjects(state: &ServeState) -> Ranked {
+    let columns = served(state).columns;
+    for (_, mcv) in &columns {
+        assert_eq!(mcv.len(), wdpt_plan::MCV_ENTRIES, "a list is not cut");
+    }
+    let (distinct, mcv) = columns[0].clone();
+    (distinct, mcv.into_iter().map(|(name, _)| name).collect())
+}
+
+#[test]
+fn cut_lists_take_promoted_tied_and_new_values_as_a_build_does() {
+    let f = files("cut");
+    let state = start(&f.base);
+    let s = |k: usize| format!("s{k}");
+    let listed = |head: Option<usize>, tail: Option<usize>| -> Vec<String> {
+        head.into_iter().chain(0..15).chain(tail).map(s).collect()
+    };
+    assert_eq!(subjects(&state), (20, listed(None, Some(15))));
+
+    // A full decode; then every reload derives from the kept base.
+    let full = reload(&state, &f.base, &[&f.d0]).unwrap();
+    assert_eq!((full.folds, full.counted), (1, 3));
+    let promoted = (21, listed(Some(19), None));
+    assert_eq!(subjects(&state), promoted, "s19 promoted, s15 out");
+    let steps: [(Vec<&Path>, Ranked); 3] = [
+        (vec![&f.d1], (23, listed(None, Some(17)))),
+        (vec![&f.d1, &f.d2], (23, listed(Some(16), None))),
+        (vec![&f.d0], promoted),
+    ];
+    for (deltas, expected) in steps {
+        let derived = reload(&state, &f.base, &deltas).unwrap();
+        assert_eq!((derived.folds, derived.counted), (0, 0), "{deltas:?}");
+        assert_eq!(subjects(&state), expected, "{deltas:?}");
+    }
+    // The object new with `d1` tops its column.
+    reload(&state, &f.base, &[&f.d1]).unwrap();
+    assert_eq!(served(&state).columns[2].1[0], ("n1b".to_string(), 5));
+    std::fs::remove_dir_all(&f.dir).ok();
+}
+
+#[test]
+fn a_symbol_interned_between_the_stages_remaps_the_chains_rows() {
+    let f = files("remap");
+    let state = start(&f.base);
+    reload(&state, &f.base, &[&f.d0]).unwrap();
+    let ((), work) = delta_scope(|| {
+        let loaded = state.load_stage(&f.base, &[&f.d1]).unwrap();
+        // Interned now, the query's symbols take the ids `d1`'s new symbols
+        // hold provisionally, so the commit remaps the chain.
+        state
+            .plan_for("SELECT ?s WHERE { (?s, p0, between) }")
+            .unwrap();
+        state.install_stage(DB, loaded).unwrap();
+    });
+    assert_eq!(work.counter("plan.stats.columns_counted"), 0);
+    let id = |name: &str| state.with_interner(|i| i.lookup_id(SymbolSpace::Const, name).unwrap());
+    assert!(
+        id("between") < id("n1a"),
+        "the chain's symbols kept their ids"
+    );
+
+    let fresh = start(&f.base);
+    reload(&fresh, &f.base, &[&f.d1]).unwrap();
+    let remapped = served(&state);
+    assert_eq!(remapped.columns[2].1[0], ("n1b".to_string(), 5));
+    assert_eq!(remapped, served(&fresh));
     std::fs::remove_dir_all(&f.dir).ok();
 }

@@ -328,8 +328,9 @@ pub struct ChainSymbols {
     fresh: Vec<(SymbolSpace, String)>,
     /// The largest fresh-name counter a delta of the chain carried.
     fresh_counter: u64,
-    /// Target predicate ids of the relations the chain merged into.
-    touched: Vec<Pred>,
+    /// The rows the chain inserted, per target predicate id: one sorted run
+    /// per relation it merged into.
+    added: BTreeMap<Pred, Relation>,
 }
 
 impl ChainSymbols {
@@ -345,7 +346,7 @@ impl ChainSymbols {
             listed: HashMap::new(),
             fresh: Vec::new(),
             fresh_counter: 0,
-            touched: Vec::new(),
+            added: BTreeMap::new(),
         }
     }
 
@@ -427,12 +428,25 @@ impl ChainSymbols {
         }
     }
 
+    /// Adds the rows `run` a delta inserted into `pred` to the chain's
+    /// inserted rows.
+    fn record(&mut self, pred: Pred, run: Relation) {
+        let run = match self.added.remove(&pred) {
+            None => run,
+            Some(earlier) => earlier
+                .merge_sorted(&run)
+                .expect("the chain's runs are disjoint: each merged into the database first"),
+        };
+        self.added.insert(pred, run);
+    }
+
     /// Interns the chain's new symbols into `target` and raises its
-    /// fresh-name counter, returning `db` — the chain's result — in the
-    /// ids they got. Those are their provisional ids unless `target` gained
-    /// symbols since the chain began; then the relations the chain merged
-    /// into are rewritten and re-sorted under the final ids.
-    pub fn commit(self, target: &mut Interner, db: Database) -> Database {
+    /// fresh-name counter, returning `db` — the chain's result — and the
+    /// rows the chain inserted into it, both in the ids they got. Those are
+    /// their provisional ids unless `target` gained symbols since the chain
+    /// began; then the relations the chain merged into, and its inserted
+    /// rows, are rewritten and re-sorted under the final ids.
+    pub fn commit(self, target: &mut Interner, db: Database) -> (Database, Database) {
         let ids: Vec<u32> = self
             .fresh
             .iter()
@@ -441,27 +455,35 @@ impl ChainSymbols {
         target.raise_fresh_counter(self.fresh_counter);
         let provisional = |k: usize| self.start + k as u32;
         if ids.iter().enumerate().all(|(k, &id)| id == provisional(k)) {
-            return db;
+            return (db, Database::from_sorted(self.added.into_iter().collect()));
         }
         // Provisional ids are the only ids at or above `start` in `db`.
         let remap = |id: u32| match id.checked_sub(self.start) {
             None => id,
             Some(k) => ids[k as usize],
         };
+        let rewrite = |(pred, rel): (Pred, Relation)| {
+            let (arity, rows, mut cells) = rel.into_parts();
+            for cell in &mut cells {
+                cell.0 = remap(cell.0);
+            }
+            (Pred(remap(pred.0)), Relation::from_rows(arity, rows, cells))
+        };
         let relations = db
             .into_relations()
             .map(|(pred, rel)| {
-                if !self.touched.contains(&pred) {
-                    return (pred, rel);
+                if self.added.contains_key(&pred) {
+                    rewrite((pred, rel))
+                } else {
+                    (pred, rel)
                 }
-                let (arity, rows, mut cells) = rel.into_parts();
-                for cell in &mut cells {
-                    cell.0 = remap(cell.0);
-                }
-                (Pred(remap(pred.0)), Relation::from_rows(arity, rows, cells))
             })
             .collect();
-        Database::from_sorted(relations)
+        let added = self.added.into_iter().map(rewrite).collect();
+        (
+            Database::from_sorted(relations),
+            Database::from_sorted(added),
+        )
     }
 }
 
@@ -473,7 +495,8 @@ impl ChainSymbols {
 /// and its cells' namespaces checked — O(delta), never the base. The
 /// delta's runs are then translated, sorted and merged without it. The
 /// target is never modified: the new symbols wait in `symbols` for
-/// [`ChainSymbols::commit`]. After an `Err`, drop `symbols`.
+/// [`ChainSymbols::commit`], beside the rows the delta inserted. After an
+/// `Err`, drop `symbols`.
 ///
 /// Chain-hash verification is the caller's job ([`apply_chain`] does it);
 /// this function checks everything *structural*: the symbol-count anchor,
@@ -529,7 +552,7 @@ pub fn apply_delta<G: Deref<Target = Interner>>(
         // it is re-sorted only if the new ids moved a row.
         let added = Relation::from_rows(rd.arity, rd.rows, rd.cells);
         let rel = match rels.remove(&pred) {
-            None => added,
+            None => added.clone(),
             Some(base_rel) => {
                 if base_rel.arity() != rd.arity {
                     return Err(malformed(
@@ -544,13 +567,12 @@ pub fn apply_delta<G: Deref<Target = Interner>>(
                 // Row ids are u32 everywhere; bound the merged run before
                 // building it.
                 len_u32(base_rel.len() + rd.rows, "merged row count")?;
-                let (_, rows, cells) = added.into_parts();
                 base_rel
-                    .merge_sorted(rows, &cells)
+                    .merge_sorted(&added)
                     .map_err(|_| malformed(label, "delta inserts a tuple the base already holds"))?
             }
         };
-        symbols.touched.push(pred);
+        symbols.record(pred, added);
         rels.insert(pred, rel);
     }
     counter!("store.delta.relations_merged").add(header.relations.into());
@@ -620,7 +642,7 @@ pub fn decode_chain(
     let (mut interner, db) = decode_snapshot(base).map_err(|e| (0, e))?;
     let mut symbols = ChainSymbols::new(interner.len(), interner.len());
     let (db, chain) = apply_chain(|| &interner, &mut symbols, content_hash(base), db, deltas)?;
-    let db = symbols.commit(&mut interner, db);
+    let (db, _) = symbols.commit(&mut interner, db);
     Ok(((interner, db), chain))
 }
 
@@ -657,7 +679,7 @@ mod tests {
     fn apply_to(target: &mut Interner, db: Database, delta: Delta) -> Result<Database, StoreError> {
         let mut symbols = ChainSymbols::new(target.len(), target.len());
         let db = apply_delta(|| &*target, &mut symbols, db, delta)?;
-        Ok(symbols.commit(target, db))
+        Ok(symbols.commit(target, db).0)
     }
 
     fn base() -> (Interner, Database) {
@@ -965,7 +987,7 @@ mod tests {
             live.pred(name);
         }
         let grown = live.len();
-        let applied = symbols.commit(&mut live, applied);
+        let (applied, _) = symbols.commit(&mut live, applied);
         assert_eq!(applied.display(&live), ndb.display(&ni));
         assert_eq!(live.constant("d"), held[1], "a held symbol got a new id");
         assert_eq!(live.len(), grown + usize::from(!grow.contains(&"label")));
