@@ -148,13 +148,13 @@ mod tests {
         assert!(!approxs.is_empty());
         for a in &approxs {
             assert!(widths::in_tw(a, 1));
-            assert!(contained_in(a, &tri, &mut i));
+            assert!(contained_in(a, &tri, &i));
         }
         // The classical TW(1)-approximation of the triangle is the
         // self-loop e(x,x): the only 3-colorable... rather, the quotient
         // merging all three variables. It is the unique maximal one.
         let loopq = q(&mut i, &[], "e(?s,?s)");
-        assert!(approxs.iter().any(|a| equivalent(a, &loopq, &mut i)));
+        assert!(approxs.iter().any(|a| equivalent(a, &loopq, &i)));
     }
 
     #[test]
@@ -163,7 +163,7 @@ mod tests {
         let path = q(&mut i, &["a"], "e(?a,?b) e(?b,?c)");
         let approxs = cq_approximations(&path, WidthKind::Tw, 1, &mut i);
         assert_eq!(approxs.len(), 1);
-        assert!(equivalent(&approxs[0], &path, &mut i));
+        assert!(equivalent(&approxs[0], &path, &i));
     }
 
     #[test]
@@ -180,7 +180,7 @@ mod tests {
             .enumerate()
             .flat_map(|(ia, a)| approxs[ia + 1..].iter().map(move |b| (a, b)))
         {
-            assert!(!contained_in(a, b, &mut i) || !contained_in(b, a, &mut i));
+            assert!(!contained_in(a, b, &i) || !contained_in(b, a, &i));
         }
     }
 

@@ -45,7 +45,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use wdpt_cq::backtrack::{extend_all, extend_exists, Search};
+use wdpt_cq::backtrack::{extend_all, Search};
 use wdpt_model::{
     mapping::maximal_mappings, CancelToken, Cancelled, Const, Database, Mapping, Var,
 };
@@ -863,12 +863,6 @@ pub fn is_maximal_homomorphism(p: &Wdpt, db: &Database, h: &Mapping) -> bool {
         .all(|other| !h.strictly_subsumed_by(other))
 }
 
-/// Convenience used by tests: is the tree satisfiable at all (i.e. is
-/// `p(D)` non-empty)? Equivalent to the root label having a homomorphism.
-pub fn satisfiable(p: &Wdpt, db: &Database) -> bool {
-    extend_exists(db, p.atoms(p.root()), &Mapping::empty())
-}
-
 /// `wdpt.parallel_tasks` is process-wide and the harness runs this crate's
 /// tests on parallel threads: the tests that fan out at all and the tests
 /// that assert nothing was fanned out hold this lock.
@@ -987,7 +981,6 @@ mod tests {
         let p = WdptBuilder::new(root).build(vec![i.var("x")]).unwrap();
         let db = parse_database(&mut i, "b(1)").unwrap();
         assert!(evaluate(&p, &db).is_empty());
-        assert!(!satisfiable(&p, &db));
     }
 
     #[test]

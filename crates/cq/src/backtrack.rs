@@ -23,12 +23,14 @@
 //! the runs walks its run once, front to back. A stale cursor changes where
 //! a search starts, never what it finds.
 //!
-//! Every entry point — [`extend_all`], [`extend_exists`], [`try_extend_all`],
-//! [`evaluate`] — is that one search with a different "on homomorphism"
-//! action; a cost-based plan replaces the ordering heuristic by a static
-//! permutation through [`try_extend_all`]'s `order`.
+//! Every homomorphism question of the toolkit is that one search: the
+//! executor's nodes, the structured oracle's bags, and containment and
+//! cores over a frozen canonical database each compile a `Search`, seed its
+//! slots and read its frames; a cost-based plan replaces the ordering
+//! heuristic by a static permutation through [`Search::compile`]'s `order`.
+//! [`extend_all`] is the one function that turns frames into [`Mapping`]s —
+//! the specification the tests check the procedures against.
 
-use crate::query::ConjunctiveQuery;
 use wdpt_model::{
     Atom, CancelToken, Cancelled, Const, Database, Mapping, ProbeTally, Relation, Term, Var,
 };
@@ -418,88 +420,31 @@ impl Drop for Search<'_> {
     }
 }
 
-/// The search behind the `Mapping`-based entry points: `atoms` compiled
-/// with the variables `seed` defines as its seeded slots, their values
-/// written. `seed` bindings outside the atoms' variables play no part, so
-/// the homomorphisms have exactly the atoms' variables as domain.
-fn seeded_search<'a>(
-    db: &'a Database,
-    atoms: &[Atom],
-    order: Option<&[usize]>,
-    seed: &Mapping,
-) -> Search<'a> {
-    let mut search = Search::compile(db, atoms, order, |v| seed.defines(v));
-    for slot in 0..search.vars.len() {
-        if let Some(c) = seed.get(search.vars[slot]) {
-            search.set(slot, c);
-        }
-    }
-    search
-}
-
 /// All homomorphisms from the atom set into `db` that extend `seed`,
 /// i.e. total assignments of the atoms' variables consistent with `seed`
 /// under which every atom is in `db`. The returned mappings include the
-/// seed bindings for variables that occur in the atoms.
+/// seed bindings for variables that occur in the atoms, and no others.
+///
+/// The executable specification: the one function that hands back
+/// homomorphisms as [`Mapping`]s, for the tests' reference checks and
+/// `semantics::all_homomorphisms`. Every procedure of the toolkit compiles
+/// a [`Search`] and reads its frames instead.
 pub fn extend_all(db: &Database, atoms: &[Atom], seed: &Mapping) -> Vec<Mapping> {
-    try_extend_all(db, atoms, None, seed, CancelToken::never())
-        .expect("the never token cannot cancel")
-}
-
-/// [`extend_all`] under a cancel token — `Err(Cancelled)` if it fires
-/// mid-search, discarding partial results — and an optional planned static
-/// atom order (`None`: the dynamic most-constrained heuristic; an `order`
-/// that is not a permutation of the atoms degrades to it).
-pub fn try_extend_all(
-    db: &Database,
-    atoms: &[Atom],
-    order: Option<&[usize]>,
-    seed: &Mapping,
-    token: &CancelToken,
-) -> Result<Vec<Mapping>, Cancelled> {
-    let _span = wdpt_obs::span!("cq.backtrack.extend_all");
-    let mut search = seeded_search(db, atoms, order, seed);
+    let mut search = Search::compile(db, atoms, None, |v| seed.defines(v));
     let vars = search.vars().to_vec();
+    for (slot, &v) in vars.iter().enumerate() {
+        if let Some(c) = seed.get(v) {
+            search.set(slot, c);
+        }
+    }
     let mut out = Vec::new();
-    search.for_each(token, |frame| {
-        let pairs = vars.iter().copied().zip(frame.iter().copied()).collect();
-        out.push(Mapping::from_sorted(pairs));
-    })?;
-    Ok(out)
-}
-
-/// True iff at least one homomorphism extending `seed` exists.
-pub fn extend_exists(db: &Database, atoms: &[Atom], seed: &Mapping) -> bool {
-    let _span = wdpt_obs::span!("cq.backtrack.extend_exists");
-    seeded_search(db, atoms, None, seed)
-        .exists(CancelToken::never())
-        .expect("the never token cannot cancel")
-}
-
-/// The paper's `q(D)`: the set of restrictions `h_x̄` of homomorphisms from
-/// `q` to `db`, as deduplicated mappings on the head variables, ascending.
-pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Vec<Mapping> {
-    let _span = wdpt_obs::span!("cq.backtrack.evaluate");
-    let mut search = seeded_search(db, q.body(), None, &Mapping::empty());
-    let head = q.head_set();
-    let head_slots: Vec<(usize, Var)> = search
-        .vars()
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| head.contains(v))
-        .map(|(slot, &v)| (slot, v))
-        .collect();
-    // Pair lists in ascending variable order are what a `Mapping` holds and
-    // compares by, so sorting them is sorting the mappings.
-    let mut rows: Vec<Vec<(Var, Const)>> = Vec::new();
     search
         .for_each(CancelToken::never(), |frame| {
-            rows.push(head_slots.iter().map(|&(s, v)| (v, frame[s])).collect());
+            let pairs = vars.iter().copied().zip(frame.iter().copied()).collect();
+            out.push(Mapping::from_sorted(pairs));
         })
         .expect("the never token cannot cancel");
-    rows.sort_unstable();
-    rows.dedup();
-    rows.into_iter().map(Mapping::from_sorted).collect()
+    out
 }
 
 #[cfg(test)]
@@ -512,6 +457,38 @@ mod tests {
         let mut i = Interner::new();
         let db = parse_database(&mut i, "e(a,b) e(b,c) e(c,d) e(a,c)").unwrap();
         (i, db)
+    }
+
+    fn exists(db: &Database, atoms: &[Atom]) -> bool {
+        Search::compile(db, atoms, None, |_| false)
+            .exists(CancelToken::never())
+            .unwrap()
+    }
+
+    /// Every homomorphism's frame, ascending, and the nodes the search
+    /// expanded to find them.
+    fn frames(
+        db: &Database,
+        atoms: &[Atom],
+        order: Option<&[usize]>,
+        token: &CancelToken,
+    ) -> Result<(Vec<Vec<Const>>, u64), Cancelled> {
+        let mut search = Search::compile(db, atoms, order, |_| false);
+        let mut out = Vec::new();
+        search.for_each(token, |frame| out.push(frame.to_vec()))?;
+        out.sort();
+        Ok((out, search.nodes_expanded()))
+    }
+
+    /// `atoms` compiled with the variables of `seed` as seeded slots, their
+    /// values written.
+    fn seeded<'a>(db: &'a Database, atoms: &[Atom], seed: &[(Var, Const)]) -> Search<'a> {
+        let mut search = Search::compile(db, atoms, None, |v| seed.iter().any(|&(w, _)| w == v));
+        for &(v, c) in seed {
+            let slot = search.vars().binary_search(&v).unwrap();
+            search.set(slot, c);
+        }
+        search
     }
 
     #[test]
@@ -539,9 +516,9 @@ mod tests {
     fn exists_short_circuits() {
         let (mut i, db) = setup();
         let atoms = parse_atoms(&mut i, "e(?x,?y), e(?y,?x)").unwrap();
-        assert!(!extend_exists(&db, &atoms, &Mapping::empty()));
+        assert!(!exists(&db, &atoms));
         let atoms2 = parse_atoms(&mut i, "e(?x,?y)").unwrap();
-        assert!(extend_exists(&db, &atoms2, &Mapping::empty()));
+        assert!(exists(&db, &atoms2));
     }
 
     #[test]
@@ -562,16 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_projects_and_dedups() {
-        let (mut i, db) = setup();
-        let atoms = parse_atoms(&mut i, "e(?x,?y)").unwrap();
-        let q = ConjunctiveQuery::new(vec![i.var("x")], atoms);
-        let ans = evaluate(&q, &db);
-        // Sources: a (twice, deduped), b, c.
-        assert_eq!(ans.len(), 3);
-    }
-
-    #[test]
     fn empty_body_yields_empty_mapping() {
         let (_, db) = setup();
         let homs = extend_all(&db, &[], &Mapping::empty());
@@ -583,7 +550,7 @@ mod tests {
         let (mut i, db) = setup();
         let atoms = parse_atoms(&mut i, "unknown(?x)").unwrap();
         assert!(extend_all(&db, &atoms, &Mapping::empty()).is_empty());
-        assert!(!extend_exists(&db, &atoms, &Mapping::empty()));
+        assert!(!exists(&db, &atoms));
     }
 
     #[test]
@@ -609,16 +576,16 @@ mod tests {
         }
         let db = parse_database(&mut i, &spec).unwrap();
         let atoms = parse_atoms(&mut i, "big(?x,?y), small(?z,?w)").unwrap();
-        let seed = parse_mapping(&mut i, "?y -> t7").unwrap();
+        let seed = [(i.var("y"), i.constant("t7"))];
         // Bound on ?y, the big atom has a 1-element posting list; the seed
         // implementation returned rel.len() = 60 and ranked it *behind* the
         // unbound small atom (10).
-        let mut seeded = seeded_search(&db, &atoms, None, &seed);
-        assert_eq!(seeded.rank(0), (1, 1));
-        assert_eq!(seeded.rank(1), (0, 10));
+        let mut bound = seeded(&db, &atoms, &seed);
+        assert_eq!(bound.rank(0), (1, 1));
+        assert_eq!(bound.rank(1), (0, 10));
         // Unbound, the big atom estimates its full size.
-        let mut unseeded = seeded_search(&db, &atoms, None, &Mapping::empty());
-        assert_eq!(unseeded.rank(0), (0, 60));
+        let mut unbound = seeded(&db, &atoms, &[]);
+        assert_eq!(unbound.rank(0), (0, 60));
     }
 
     #[test]
@@ -632,7 +599,7 @@ mod tests {
         let db = parse_database(&mut i, &spec).unwrap();
         let rank_of = |i: &mut Interner, atom: &str| {
             let atoms = parse_atoms(i, atom).unwrap();
-            seeded_search(&db, &atoms, None, &Mapping::empty()).rank(0)
+            seeded(&db, &atoms, &[]).rank(0)
         };
         // Nothing pinned: the relation size.
         assert_eq!(rank_of(&mut i, "e(?x,?y)"), (0, 51));
@@ -647,10 +614,10 @@ mod tests {
         assert_eq!(rank_of(&mut i, "e(ghost,?y)"), (1, 0));
         // The same through seeded slots instead of visible constants.
         let atoms = parse_atoms(&mut i, "e(?x,?y)").unwrap();
-        let present = parse_mapping(&mut i, "?x -> rare, ?y -> hub").unwrap();
-        assert_eq!(seeded_search(&db, &atoms, None, &present).rank(0), (2, 1));
-        let absent = parse_mapping(&mut i, "?x -> hub, ?y -> rare").unwrap();
-        assert_eq!(seeded_search(&db, &atoms, None, &absent).rank(0), (2, 0));
+        let (x, y) = (i.var("x"), i.var("y"));
+        let (rare, hub) = (i.constant("rare"), i.constant("hub"));
+        assert_eq!(seeded(&db, &atoms, &[(x, rare), (y, hub)]).rank(0), (2, 1));
+        assert_eq!(seeded(&db, &atoms, &[(x, hub), (y, rare)]).rank(0), (2, 0));
     }
 
     #[test]
@@ -693,15 +660,18 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         for order in [None, Some(&[1usize, 0][..])] {
-            assert_eq!(
-                try_extend_all(&db, &atoms, order, &Mapping::empty(), &token),
-                Err(Cancelled)
-            );
+            assert_eq!(frames(&db, &atoms, order, &token), Err(Cancelled));
+            let mut search = Search::compile(&db, &atoms, order, |_| false);
+            assert_eq!(search.exists(&token), Err(Cancelled));
         }
-        // A live token behaves exactly like the plain entry points.
+        // A live token behaves exactly like the never token.
         let live = CancelToken::new();
-        let homs = try_extend_all(&db, &atoms, None, &Mapping::empty(), &live).unwrap();
-        assert_eq!(homs, extend_all(&db, &atoms, &Mapping::empty()));
+        let (homs, _) = frames(&db, &atoms, None, &live).unwrap();
+        assert_eq!(homs.len(), 3);
+        assert_eq!(
+            homs,
+            frames(&db, &atoms, None, CancelToken::never()).unwrap().0
+        );
     }
 
     #[test]
@@ -710,10 +680,7 @@ mod tests {
         let atoms = parse_atoms(&mut i, "e(?x,?y), e(?y,?z)").unwrap();
         let token = CancelToken::with_deadline(std::time::Duration::ZERO);
         token.poll_deadline(); // latch the expiry
-        assert_eq!(
-            try_extend_all(&db, &atoms, None, &Mapping::empty(), &token),
-            Err(Cancelled)
-        );
+        assert_eq!(frames(&db, &atoms, None, &token), Err(Cancelled));
     }
 
     #[test]
@@ -730,20 +697,11 @@ mod tests {
         let atoms = parse_atoms(&mut i, "small(?x), fan(?x,?y), filter(?y)").unwrap();
         let token = CancelToken::new();
         // Bad order: small → fan explodes the frontier before filter prunes.
-        let before = wdpt_model::stats::snapshot();
-        let bad = try_extend_all(&db, &atoms, Some(&[0, 1, 2]), &Mapping::empty(), &token).unwrap();
-        let bad_nodes = wdpt_model::stats::snapshot().since(&before).nodes_expanded;
+        let (bad, bad_nodes) = frames(&db, &atoms, Some(&[0, 1, 2]), &token).unwrap();
         // Good order: filter first keeps the frontier at 1.
-        let before = wdpt_model::stats::snapshot();
-        let good =
-            try_extend_all(&db, &atoms, Some(&[2, 1, 0]), &Mapping::empty(), &token).unwrap();
-        let good_nodes = wdpt_model::stats::snapshot().since(&before).nodes_expanded;
+        let (good, good_nodes) = frames(&db, &atoms, Some(&[2, 1, 0]), &token).unwrap();
         // Same answers either way; radically different work.
-        let mut b = bad.clone();
-        let mut g = good.clone();
-        b.sort();
-        g.sort();
-        assert_eq!(b, g);
+        assert_eq!(bad, good);
         assert_eq!(good.len(), 2);
         assert!(
             good_nodes * 10 <= bad_nodes,
@@ -758,7 +716,7 @@ mod tests {
         let token = CancelToken::new();
         // Wrong length and duplicate entries both fall back cleanly.
         for order in [&[0usize][..], &[0, 0][..], &[1, 2][..]] {
-            let homs = try_extend_all(&db, &atoms, Some(order), &Mapping::empty(), &token).unwrap();
+            let (homs, _) = frames(&db, &atoms, Some(order), &token).unwrap();
             assert_eq!(homs.len(), 3, "order {order:?}");
         }
     }
@@ -768,7 +726,7 @@ mod tests {
         let mut i = Interner::new();
         let db = parse_database(&mut i, "e(1,2) e(2,3) e(3,1)").unwrap();
         let atoms = parse_atoms(&mut i, "e(?x,?y) e(?y,?z) e(?z,?x)").unwrap();
-        assert!(extend_exists(&db, &atoms, &Mapping::empty()));
+        assert!(exists(&db, &atoms));
         let homs = extend_all(&db, &atoms, &Mapping::empty());
         assert_eq!(homs.len(), 3); // three rotations
     }

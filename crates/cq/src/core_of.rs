@@ -17,39 +17,15 @@
 //! only have to avoid `q`'s own (see [`freeze`]): no symbol table is read or
 //! grown, and [`try_core_above`] runs without one.
 
-use crate::backtrack::try_extend_all;
+use crate::backtrack::Search;
 use crate::containment::{freeze, frozen_floor};
 use crate::query::ConjunctiveQuery;
 use std::collections::{BTreeMap, BTreeSet};
-use wdpt_model::{Atom, CancelToken, Cancelled, Const, Interner, Mapping, Term, Var};
-
-/// Applies an endomorphism (expressed as variable → frozen-constant mapping
-/// plus the unfreeze table) to the body, yielding the image subquery.
-fn image_of(body: &[Atom], hom: &Mapping, unfreeze: &BTreeMap<Const, Var>) -> Vec<Atom> {
-    let mut out: BTreeSet<Atom> = BTreeSet::new();
-    for atom in body {
-        let args = atom
-            .args
-            .iter()
-            .map(|t| match t {
-                Term::Const(c) => Term::Const(*c),
-                Term::Var(v) => {
-                    let c = hom.get(*v).expect("endomorphism is total on variables");
-                    match unfreeze.get(&c) {
-                        Some(&w) => Term::Var(w),
-                        None => Term::Const(c), // maps onto an original constant
-                    }
-                }
-            })
-            .collect();
-        out.insert(Atom::new(atom.pred, args));
-    }
-    out.into_iter().collect()
-}
+use wdpt_model::{Atom, CancelToken, Cancelled, Const, Interner, Term, Var};
 
 /// Computes the core of `q` (head variables are fixed pointwise). The result
 /// is equivalent to `q` and has no proper retract.
-pub fn core_of(q: &ConjunctiveQuery, interner: &mut Interner) -> ConjunctiveQuery {
+pub fn core_of(q: &ConjunctiveQuery, interner: &Interner) -> ConjunctiveQuery {
     try_core_of(q, interner, CancelToken::never()).expect("the never token cannot cancel")
 }
 
@@ -59,7 +35,7 @@ pub fn core_of(q: &ConjunctiveQuery, interner: &mut Interner) -> ConjunctiveQuer
 /// untrusted queries under a deadline thread their token through here too.
 pub fn try_core_of(
     q: &ConjunctiveQuery,
-    interner: &mut Interner,
+    interner: &Interner,
     token: &CancelToken,
 ) -> Result<ConjunctiveQuery, Cancelled> {
     try_core_above(q, frozen_floor(interner), token)
@@ -68,6 +44,12 @@ pub fn try_core_of(
 /// [`try_core_of`] with the frozen ids starting at `floor` instead of above
 /// a symbol table. A caller with no table at hand passes `0`: [`freeze`]
 /// stays above the constants of the query itself whatever the floor.
+///
+/// Each round streams the endomorphisms of the current query — the frames
+/// of one [`Search`] over its canonical database, head slots seeded with
+/// their own frozen constants — and keeps only the smallest image so far,
+/// by `(atoms, variables)`, replacing it only on a strictly smaller one: the
+/// first minimum in enumeration order.
 pub fn try_core_above(
     q: &ConjunctiveQuery,
     floor: u32,
@@ -77,23 +59,42 @@ pub fn try_core_above(
     loop {
         let (db, table) = freeze(&current, floor);
         let unfreeze: BTreeMap<Const, Var> = table.iter().map(|(&v, &c)| (c, v)).collect();
-        let seed = Mapping::from_pairs(current.head().iter().map(|&x| (x, table[&x])));
-        let endos = try_extend_all(&db, current.body(), None, &seed, token)?;
-        let n_atoms = current.body().len();
-        let n_vars = current.variables().len();
-        // Pick the endomorphism with the smallest image, if any shrinks it.
-        let best = endos
-            .iter()
-            .map(|h| {
-                let img = image_of(current.body(), h, &unfreeze);
-                let vars: BTreeSet<Var> = img.iter().flat_map(|a| a.vars()).collect();
-                (img.len(), vars.len(), img)
-            })
-            .filter(|(na, nv, _)| *na < n_atoms || *nv < n_vars)
-            .min_by_key(|(na, nv, _)| (*na, *nv));
+        let head = current.head();
+        let mut search = Search::compile(&db, current.body(), None, |v| head.contains(&v));
+        let vars = search.vars().to_vec();
+        for (slot, v) in vars.iter().enumerate() {
+            if head.contains(v) {
+                search.set(slot, table[v]);
+            }
+        }
+        let size = (current.body().len(), vars.len());
+        // An image term: a variable's frozen value unfrozen, or the original
+        // constant it maps onto; a constant stays itself.
+        let image_of = |t: &Term, frame: &[Const]| match *t {
+            Term::Const(_) => *t,
+            Term::Var(v) => {
+                let c = frame[vars.binary_search(&v).expect("a body variable")];
+                unfreeze.get(&c).map_or(Term::Const(c), |&w| Term::Var(w))
+            }
+        };
+        let mut best: Option<((usize, usize), BTreeSet<Atom>)> = None;
+        search.for_each(token, |frame| {
+            let image: BTreeSet<Atom> = current
+                .body()
+                .iter()
+                .map(|a| Atom::new(a.pred, a.args.iter().map(|t| image_of(t, frame)).collect()))
+                .collect();
+            let image_vars: BTreeSet<Var> = image.iter().flat_map(Atom::vars).collect();
+            let got = (image.len(), image_vars.len());
+            let shrinks = got.0 < size.0 || got.1 < size.1;
+            if shrinks && best.as_ref().is_none_or(|(b, _)| got < *b) {
+                best = Some((got, image));
+            }
+        })?;
         match best {
-            Some((_, _, img)) => {
-                current = ConjunctiveQuery::new(current.head().to_vec(), img);
+            Some((_, image)) => {
+                current =
+                    ConjunctiveQuery::new(current.head().to_vec(), image.into_iter().collect());
             }
             None => return Ok(current),
         }
@@ -117,16 +118,16 @@ mod tests {
         let mut i = Interner::new();
         // e(x,y) ∧ e(x,y') folds to e(x,y).
         let query = q(&mut i, &["x"], "e(?x,?y) e(?x,?y2)");
-        let core = core_of(&query, &mut i);
+        let core = core_of(&query, &i);
         assert_eq!(core.body().len(), 1);
-        assert!(equivalent(&query, &core, &mut i));
+        assert!(equivalent(&query, &core, &i));
     }
 
     #[test]
     fn triangle_is_its_own_core() {
         let mut i = Interner::new();
         let query = q(&mut i, &[], "e(?x,?y) e(?y,?z) e(?z,?x)");
-        let core = core_of(&query, &mut i);
+        let core = core_of(&query, &i);
         assert_eq!(core.body().len(), 3);
     }
 
@@ -137,7 +138,7 @@ mod tests {
         // retracts onto an edge only if some vertex can double, i.e. map
         // a↦b? That needs e(b,b). Not present: the 2-path IS a core.
         let query = q(&mut i, &[], "e(?a,?b) e(?b,?c)");
-        let core = core_of(&query, &mut i);
+        let core = core_of(&query, &i);
         assert_eq!(core.body().len(), 2);
     }
 
@@ -154,7 +155,7 @@ mod tests {
         // e(z,w),e(w,x): the fold needs e(y,x) which is absent, so C4
         // (directed) is a core.
         let query = q(&mut i, &[], "e(?x,?y) e(?y,?z) e(?z,?w) e(?w,?x)");
-        let core = core_of(&query, &mut i);
+        let core = core_of(&query, &i);
         assert_eq!(core.body().len(), 4);
     }
 
@@ -168,19 +169,19 @@ mod tests {
             &[],
             "e(?x,?y) e(?y,?x) e(?y,?z) e(?z,?y) e(?z,?w) e(?w,?z) e(?w,?x) e(?x,?w)",
         );
-        let core = core_of(&query, &mut i);
+        let core = core_of(&query, &i);
         assert_eq!(core.body().len(), 2);
-        assert!(equivalent(&query, &core, &mut i));
+        assert!(equivalent(&query, &core, &i));
     }
 
     #[test]
     fn head_variables_are_never_folded() {
         let mut i = Interner::new();
         let query = q(&mut i, &["x", "y2"], "e(?x,?y) e(?x,?y2)");
-        let core = core_of(&query, &mut i);
+        let core = core_of(&query, &i);
         // y2 is free, so the two atoms cannot be merged unless y folds onto
         // y2 — which is allowed (y is existential) giving e(x,y2) only.
-        assert!(equivalent(&query, &core, &mut i));
+        assert!(equivalent(&query, &core, &i));
         let y2 = i.var("y2");
         assert!(core.head().contains(&y2));
     }
@@ -189,7 +190,7 @@ mod tests {
     fn constants_are_fixed_points() {
         let mut i = Interner::new();
         let query = q(&mut i, &[], "e(?x, a) e(?y, a)");
-        let core = core_of(&query, &mut i);
+        let core = core_of(&query, &i);
         assert_eq!(core.body().len(), 1);
     }
 
@@ -199,15 +200,15 @@ mod tests {
         let query = q(&mut i, &[], "e(?a,?b) e(?c,?d) e(?x,?y)");
         let token = CancelToken::new();
         token.cancel();
-        assert_eq!(try_core_of(&query, &mut i, &token), Err(Cancelled));
+        assert_eq!(try_core_of(&query, &i, &token), Err(Cancelled));
     }
 
     #[test]
     fn core_is_idempotent() {
         let mut i = Interner::new();
         let query = q(&mut i, &[], "e(?a,?b) e(?b,?c) e(?a2,?b) e(?b,?c2)");
-        let once = core_of(&query, &mut i);
-        let twice = core_of(&once, &mut i);
+        let once = core_of(&query, &i);
+        let twice = core_of(&once, &i);
         assert_eq!(once, twice);
     }
 }

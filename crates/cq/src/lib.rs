@@ -8,11 +8,12 @@
 //!   hypergraph, substitution, and canonical (frozen) database.
 //! * [`backtrack`] — the generic backtracking join: the baseline evaluation
 //!   algorithm that exists for *all* CQs (NP-complete in general,
-//!   Chandra–Merlin). One search over atoms compiled to slot steps — the
-//!   reusable [`Search`] the WDPT executor drives, and reads the work
-//!   counts of before dropping it — behind [`extend_all`],
-//!   [`extend_exists`] and the cancellable [`try_extend_all`], which also
-//!   takes a planned static atom order.
+//!   Chandra–Merlin). One search over atoms compiled to slot steps, the
+//!   reusable [`Search`]: the WDPT executor, the structured oracle,
+//!   containment and cores all compile one, seed its slots, read its
+//!   frames and its work counts. [`extend_all`], which hands back every
+//!   homomorphism as a `Mapping`, is the specification the tests check
+//!   them against.
 //! * [`structured`] — decomposition-guided evaluation: a [`StructuredPlan`]
 //!   over a tree decomposition (`TW(k)`, Theorem 2) or a generalized
 //!   hypertree decomposition (`HW(k)`, Theorem 3), and the [`Oracle`] that
@@ -36,7 +37,7 @@ pub mod quotient;
 pub mod structured;
 pub mod widths;
 
-pub use backtrack::{evaluate, extend_all, extend_exists, try_extend_all, Search};
+pub use backtrack::{extend_all, Search};
 pub use containment::{contained_in, equivalent, freeze, frozen_floor};
 pub use core_of::{core_of, try_core_above, try_core_of};
 pub use query::ConjunctiveQuery;

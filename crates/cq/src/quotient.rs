@@ -138,7 +138,7 @@ mod tests {
         let query = q(&mut i, &["a"], "e(?a,?b) e(?b,?c) e(?c,?d)");
         for quot in quotients(&query) {
             assert!(
-                contained_in(&quot, &query, &mut i),
+                contained_in(&quot, &query, &i),
                 "quotient must be contained in the original"
             );
         }

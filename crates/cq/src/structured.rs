@@ -495,7 +495,7 @@ mod tests {
         let plan = StructuredPlan::for_query_tw(&query, 1).expect("path is TW(1)");
         assert_eq!(
             decide(&query, &db, &plan, &Mapping::empty()),
-            backtrack::extend_exists(&db, query.body(), &Mapping::empty())
+            !backtrack::extend_all(&db, query.body(), &Mapping::empty()).is_empty()
         );
     }
 
@@ -552,7 +552,14 @@ mod tests {
         let plan = StructuredPlan::for_query_tw(&query, 1).unwrap();
         let a = i.var("a");
         let structured = project(&query, &db, Some(&plan), &[a], &Mapping::empty());
-        let reference: Vec<Mapping> = backtrack::evaluate(&query, &db);
+        let head = query.head_set();
+        let mut reference: Vec<Mapping> =
+            backtrack::extend_all(&db, query.body(), &Mapping::empty())
+                .iter()
+                .map(|h| h.restrict(&head))
+                .collect();
+        reference.sort();
+        reference.dedup();
         assert_eq!(structured, reference);
         assert_eq!(
             project(&query, &db, None, &[a], &Mapping::empty()),
@@ -601,7 +608,7 @@ mod tests {
                 atoms.push(wdpt_model::Atom::new(e, vec![x.into(), y.into()]));
             }
             let query = ConjunctiveQuery::boolean(atoms);
-            let expected = backtrack::extend_exists(&db, query.body(), &Mapping::empty());
+            let expected = !backtrack::extend_all(&db, query.body(), &Mapping::empty()).is_empty();
             let plan = StructuredPlan::for_query_tw(&query, 3).expect("tiny query");
             let got = decide(&query, &db, &plan, &Mapping::empty());
             assert_eq!(got, expected, "case {case} disagreed");

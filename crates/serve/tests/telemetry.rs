@@ -14,9 +14,21 @@ use wdpt_obs::{read_json_line, write_json_line, Json};
 use wdpt_serve::{serve, ServeConfig, ServeState};
 
 const BASE: &str = r#"SELECT ?x ?y ?z WHERE { (((?x, rec_by, ?y) AND (?x, publ, "after_2010")) OPT (?x, nme_rating, ?z)) OPT (?y, formed_in, ?w) }"#;
-/// A bounded two-way cross product: reliably slower than a 1 ms slowlog
-/// threshold (120 × 120 joined rows) but finishes well inside any deadline.
+/// A bounded two-way cross product: 120 × 120 answers, well inside any
+/// deadline.
 const CROSS2: &str = "((?a, rec_by, ?b) AND (?c, publ, ?d))";
+/// Every answer of [`CROSS2`]. The executor counts answers without
+/// building them and builds only the rows it sends, so a request is slower
+/// than a 1 ms slowlog threshold by construction — in any build profile —
+/// only if it asks for many rows.
+const CROSS2_ROWS: u64 = 120 * 120;
+
+/// [`CROSS2`] with every row built and sent: over a 1 ms threshold.
+fn slow_query(id: &str, extra: &[(&str, Json)]) -> Json {
+    let mut extra = extra.to_vec();
+    extra.push(("max_rows", Json::int(CROSS2_ROWS)));
+    query_with(id, CROSS2, &extra)
+}
 /// The unbounded four-way cross product from `e2e.rs`: trivially planned,
 /// but evaluation reliably outlives the deadlines used here.
 const HEAVY: &str =
@@ -266,8 +278,9 @@ fn slowlog_captures_slow_and_deadline_exceeded_queries() {
     let mut c = Client::connect(server.addr);
 
     // Over-threshold but successful.
-    let (ok, _) = c.round_trip(&query_with("slow1", CROSS2, &[("max_rows", Json::int(5))]));
+    let (ok, rows) = c.round_trip(&slow_query("slow1", &[]));
     assert_eq!(status_of(&ok), "ok", "got {ok}");
+    assert_eq!(rows.len() as u64, CROSS2_ROWS);
 
     // Deadline-exceeded: must land in the slowlog *with* its partial
     // EXPLAIN profile — that is the log's reason to exist.
@@ -363,11 +376,7 @@ fn slowlog_renders_a_profile_only_for_the_entries_it_pushes() {
         ..ServeConfig::default()
     });
     let mut c = Client::connect(server.addr);
-    let (ok, _) = c.round_trip(&query_with(
-        "slow",
-        CROSS2,
-        &[("max_rows", Json::int(5)), ("profile", Json::Bool(true))],
-    ));
+    let (ok, _) = c.round_trip(&slow_query("slow", &[("profile", Json::Bool(true))]));
     assert_eq!(status_of(&ok), "ok", "got {ok}");
     let returned = ok.get("profile").expect("profile on request");
     assert!(returned.get("nodes").and_then(Json::as_arr).is_some());
@@ -388,7 +397,7 @@ fn slowlog_ring_evicts_oldest_and_counts_dropped() {
     let mut c = Client::connect(server.addr);
 
     for id in ["r1", "r2", "r3", "r4"] {
-        let (ok, _) = c.round_trip(&query_with(id, CROSS2, &[("max_rows", Json::int(1))]));
+        let (ok, _) = c.round_trip(&slow_query(id, &[]));
         assert_eq!(status_of(&ok), "ok", "got {ok}");
     }
 

@@ -10,8 +10,8 @@
 //!
 //! Run with: `cargo run --example incomplete_hr`
 
-use wdpt::core::{evaluate, evaluate_max, partial_eval_decide, Engine, WdptBuilder};
-use wdpt::cq::{evaluate as cq_evaluate, ConjunctiveQuery};
+use wdpt::core::{evaluate, evaluate_max, partial_eval_decide, Engine, Wdpt, WdptBuilder};
+use wdpt::cq::ConjunctiveQuery;
 use wdpt::model::parse::{parse_atoms, parse_database};
 use wdpt::{Interner, Mapping};
 
@@ -45,7 +45,7 @@ fn main() {
         )
         .unwrap(),
     );
-    let rigid = cq_evaluate(&cq, &db);
+    let rigid = evaluate(&Wdpt::from_cq(&cq), &db);
     println!(
         "rigid CQ (join all four relations): {} answers — everyone with a gap is lost",
         rigid.len()

@@ -48,9 +48,9 @@ fn core_properties() {
         let spec = random_spec(&mut r, 5, 5);
         let mut i = Interner::new();
         let q = build_cq(&mut i, &spec, 5);
-        let core = core_of(&q, &mut i);
-        assert!(equivalent(&q, &core, &mut i), "spec={spec:?}");
-        let twice = core_of(&core, &mut i);
+        let core = core_of(&q, &i);
+        assert!(equivalent(&q, &core, &i), "spec={spec:?}");
+        let twice = core_of(&core, &i);
         assert_eq!(&core, &twice, "spec={spec:?}");
         assert!(core.body().len() <= q.body().len());
     }
@@ -64,7 +64,7 @@ fn semantic_membership_via_core() {
         let spec = random_spec(&mut r, 4, 5);
         let mut i = Interner::new();
         let q = build_cq(&mut i, &spec, 4);
-        let via_core = in_tw(&core_of(&q, &mut i), 1);
+        let via_core = in_tw(&core_of(&q, &i), 1);
         assert_eq!(
             semantically_in(&q, WidthKind::Tw, 1, &mut i),
             via_core,
@@ -86,12 +86,12 @@ fn cq_approximations_are_sound_and_incomparable() {
         assert!(!approxs.is_empty());
         for a in &approxs {
             assert!(in_tw(a, 1));
-            assert!(contained_in(a, &q, &mut i), "spec={spec:?}");
+            assert!(contained_in(a, &q, &i), "spec={spec:?}");
         }
         for (idx, a) in approxs.iter().enumerate() {
             for b in &approxs[idx + 1..] {
                 assert!(
-                    !contained_in(a, b, &mut i) || !contained_in(b, a, &mut i),
+                    !contained_in(a, b, &i) || !contained_in(b, a, &i),
                     "two returned approximations are strictly comparable: spec={spec:?}"
                 );
             }
@@ -99,7 +99,7 @@ fn cq_approximations_are_sound_and_incomparable() {
         // If q is semantically in TW(1), its approximation is equivalent
         // to q itself.
         if semantically_in(&q, WidthKind::Tw, 1, &mut i) {
-            assert!(approxs.iter().any(|a| equivalent(a, &q, &mut i)));
+            assert!(approxs.iter().any(|a| equivalent(a, &q, &i)));
         }
     }
 }

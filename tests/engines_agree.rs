@@ -93,7 +93,7 @@ fn structured_tw_matches_backtracking() {
         let mut i = Interner::new();
         let db = build_db(&mut i, &facts);
         let q = ConjunctiveQuery::boolean(build_body(&mut i, &body));
-        let reference = backtrack::extend_exists(&db, q.body(), &Mapping::empty());
+        let reference = !backtrack::extend_all(&db, q.body(), &Mapping::empty()).is_empty();
         let plan = structured::StructuredPlan::for_query_tw(&q, 4).expect("≤4 vars");
         let got = Oracle::new(&db, q.body(), Some(&plan), |_| false).exists();
         assert_eq!(got, reference, "facts={facts:?} body={body:?}");
@@ -111,7 +111,7 @@ fn structured_hw_matches_backtracking() {
         let mut i = Interner::new();
         let db = build_db(&mut i, &facts);
         let q = ConjunctiveQuery::boolean(build_body(&mut i, &body));
-        let reference = backtrack::extend_exists(&db, q.body(), &Mapping::empty());
+        let reference = !backtrack::extend_all(&db, q.body(), &Mapping::empty()).is_empty();
         let plan = structured::StructuredPlan::for_query_hw(&q, 4).expect("≤4 atoms");
         let got = Oracle::new(&db, q.body(), Some(&plan), |_| false).exists();
         assert_eq!(got, reference, "facts={facts:?} body={body:?}");
@@ -739,7 +739,7 @@ fn fanned_out_executor_agrees_with_the_local_oracle() {
             for h in backtrack::extend_all(&db, body.body(), &Mapping::empty()) {
                 if !below
                     .iter()
-                    .any(|&c| backtrack::extend_exists(&db, p.atoms(c), &h))
+                    .any(|&c| !backtrack::extend_all(&db, p.atoms(c), &h).is_empty())
                 {
                     oracle.push(h.restrict(&free));
                 }
