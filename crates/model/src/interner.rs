@@ -11,7 +11,8 @@
 //! containment and subsumption tests use exactly those ids for their frozen
 //! variables (`wdpt_cq::containment::freeze`): distinct from every interned
 //! symbol by construction, minted without touching the table, and gone
-//! when the test returns.
+//! when the test returns. Ids `≥ len` also name request-local symbols: the
+//! names a query mentions and the table lacks ([`RequestScope`]).
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
@@ -85,8 +86,7 @@ use SymbolSpace as Space;
 /// Typical usage keeps one `Interner` per test / example / benchmark run.
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
-    /// `(namespace, name)` per id — the namespace is kept so
-    /// [`Interner::truncate`] can remove the matching lookup entries.
+    /// `(namespace, name)` per id.
     names: Vec<(Space, String)>,
     /// `sym_hash → id`, verified against `names` on every probe (the map
     /// never owns a second copy of a name, which is what makes rebuilding
@@ -141,6 +141,14 @@ impl Interner {
         id
     }
 
+    /// A read-only [`RequestScope`] over this table.
+    pub fn scope<'s>(&self) -> RequestScope<'_, 's> {
+        RequestScope {
+            dictionary: self,
+            local: Vec::new(),
+        }
+    }
+
     /// Looks up the id of an already-interned symbol without interning it.
     /// This is the read-only probe the `wdpt-store` bulk loader uses when
     /// building its local-to-global remap tables.
@@ -175,37 +183,6 @@ impl Interner {
             }
         }
         appended
-    }
-
-    /// Rolls the interner back to its first `len` symbols, forgetting every
-    /// id allocated since (`fresh_counter` is left alone, so fresh names
-    /// stay unique across a rollback). Intended for rejecting a request
-    /// whose symbols should not be retained: the caller must ensure no id
-    /// `≥ len` outlives the call — typically by holding the interner lock
-    /// across intern-check-rollback and discarding the parsed structures.
-    pub fn truncate(&mut self, len: usize) {
-        while self.names.len() > len {
-            let id = u32::try_from(self.names.len() - 1).expect("ids fit u32");
-            let (space, name) = self.names.pop().expect("len checked");
-            let hash = sym_hash(space, &name);
-            if let Some(pos) = self.overflow.iter().position(|&e| e == (hash, id)) {
-                self.overflow.swap_remove(pos);
-            } else {
-                self.lookup.remove(&hash);
-                // Promote a colliding survivor (if any) into the map slot.
-                if let Some(pos) = self.overflow.iter().position(|&(h, _)| h == hash) {
-                    let (_, survivor) = self.overflow.swap_remove(pos);
-                    self.lookup.insert(hash, survivor);
-                }
-            }
-        }
-    }
-
-    /// Interns a symbol of any namespace and returns its id: the untyped
-    /// counterpart of [`Interner::var`], [`Interner::constant`] and
-    /// [`Interner::pred`], for callers that copy symbols between interners.
-    pub fn intern_symbol(&mut self, space: SymbolSpace, name: &str) -> u32 {
-        self.intern(space, name)
     }
 
     /// Interns a variable name and returns its [`crate::term::Var`] id.
@@ -333,6 +310,67 @@ impl Interner {
     }
 }
 
+/// How names become ids and back. An [`Interner`] interns the names it
+/// lacks (its `id` also copies symbols between interners); a
+/// [`RequestScope`] only reads.
+pub trait Resolve<'s> {
+    /// The id of `name` in namespace `space`.
+    fn id(&mut self, space: SymbolSpace, name: &'s str) -> u32;
+    /// The name of an id this resolver handed out.
+    fn name(&self, id: u32) -> &str;
+    /// The id of the variable `name`.
+    fn var(&mut self, name: &'s str) -> crate::term::Var {
+        crate::term::Var(self.id(Space::Var, name))
+    }
+    /// The id of the constant `name`.
+    fn constant(&mut self, name: &'s str) -> crate::term::Const {
+        crate::term::Const(self.id(Space::Const, name))
+    }
+    /// The id of the predicate `name`.
+    fn pred(&mut self, name: &'s str) -> crate::term::Pred {
+        crate::term::Pred(self.id(Space::Pred, name))
+    }
+}
+
+impl<'s> Resolve<'s> for Interner {
+    fn id(&mut self, space: SymbolSpace, name: &'s str) -> u32 {
+        self.intern(space, name)
+    }
+    fn name(&self, id: u32) -> &str {
+        Interner::name(self, id)
+    }
+}
+
+/// One request's read-only view of a dictionary. A name the dictionary
+/// holds resolves to its id; any other gets a request-local id `len, len +
+/// 1, …`, borrowed from the request text and gone with the scope. A
+/// database in the dictionary's ids holds none of them, so an atom with a
+/// request-local constant or predicate matches nothing.
+pub struct RequestScope<'i, 's> {
+    dictionary: &'i Interner,
+    local: Vec<(Space, &'s str)>,
+}
+
+impl<'s> Resolve<'s> for RequestScope<'_, 's> {
+    fn id(&mut self, space: SymbolSpace, name: &'s str) -> u32 {
+        if let Some(id) = self.dictionary.lookup_id(space, name) {
+            return id;
+        }
+        let k = self.local.iter().position(|&e| e == (space, name));
+        let k = k.unwrap_or_else(|| {
+            self.local.push((space, name));
+            self.local.len() - 1
+        });
+        u32::try_from(self.dictionary.len() + k).expect("interner overflow")
+    }
+    fn name(&self, id: u32) -> &str {
+        match (id as usize).checked_sub(self.dictionary.len()) {
+            None => self.dictionary.name(id),
+            Some(k) => self.local[k].1,
+        }
+    }
+}
+
 /// Helper joining interned display of a list of items.
 pub(crate) fn join_display<T, F: Fn(&T) -> String>(items: &[T], f: F) -> String {
     let mut out = String::new();
@@ -389,28 +427,23 @@ mod tests {
     }
 
     #[test]
-    fn truncate_rolls_back_ids_and_lookups() {
+    fn request_scope_resolves_known_names_and_writes_nothing() {
         let mut i = Interner::new();
-        let v = i.var("x");
+        let c = i.constant("known");
+        let p = i.pred("edge");
         let len = i.len();
-        let c = i.constant("rolled");
-        let p = i.pred("back");
-        assert_eq!(i.len(), len + 2);
-
-        i.truncate(len);
+        let mut scope = i.scope();
+        assert_eq!(Resolve::constant(&mut scope, "known"), c);
+        assert_eq!(Resolve::pred(&mut scope, "edge"), p);
+        // Unknown names get ids from `len` on, once per (namespace, name).
+        let x = Resolve::var(&mut scope, "x");
+        let u = Resolve::constant(&mut scope, "unknown");
+        assert_eq!((x.0, u.0), (len as u32, len as u32 + 1));
+        assert_eq!(Resolve::var(&mut scope, "x"), x);
+        assert_eq!(Resolve::constant(&mut scope, "x").0, len as u32 + 2);
+        assert_eq!(scope.name(u.0), "unknown");
+        assert_eq!(scope.name(c.0), "known");
         assert_eq!(i.len(), len);
-        // Surviving ids are untouched.
-        assert_eq!(i.var_name(v), "x");
-        assert_eq!(i.var("x"), v);
-        // Rolled-back names re-intern from scratch, reusing the freed id
-        // range — and in a different namespace order, so stale ids from
-        // before the rollback must not be used (they are not).
-        let p2 = i.pred("back");
-        let c2 = i.constant("rolled");
-        assert_eq!(p2.0, c.0);
-        assert_eq!(c2.0, p.0);
-        assert_eq!(i.pred_name(p2), "back");
-        assert_eq!(i.const_name(c2), "rolled");
     }
 
     #[test]
@@ -555,16 +588,5 @@ mod tests {
             let b: Vec<_> = merged.symbols().collect();
             assert_eq!(a, b, "round {round}: partitioning changed the ids");
         }
-    }
-
-    #[test]
-    fn truncate_keeps_fresh_names_unique() {
-        let mut i = Interner::new();
-        let len = i.len();
-        let f1 = i.fresh_var("s");
-        let n1 = i.var_name(f1).to_string();
-        i.truncate(len);
-        let f2 = i.fresh_var("s");
-        assert_ne!(n1, i.var_name(f2), "fresh counter must survive rollback");
     }
 }

@@ -39,7 +39,7 @@ pub use cancel::{CancelToken, Cancelled};
 pub use database::{
     row_id, Candidates, Database, Matching, PostingCounts, ProbeTally, Relation, TooManyRows,
 };
-pub use interner::{Interner, SymbolSpace};
+pub use interner::{Interner, RequestScope, Resolve, SymbolSpace};
 pub use mapping::Mapping;
 pub use stats::StatsSnapshot;
 pub use term::{Const, Pred, Term, Var};

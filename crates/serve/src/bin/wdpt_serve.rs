@@ -53,9 +53,6 @@ OPTIONS:
                               [default: 64]
     --max-query-vars N        reject queries with more variables
                               [default: 26]
-    --max-symbols N           interned-symbol budget; requests that would
-                              exceed it are rejected and rolled back
-                              [default: 1048576]
     --cache-capacity N        plan-cache entries [default: 256]
     --slowlog-threshold-ms MS log queries slower than MS (and every
                               deadline-exceeded query) in the slow-query
@@ -154,7 +151,6 @@ fn parse_args() -> Result<Args, String> {
             "--max-query-vars" => {
                 args.cfg.max_query_vars = num(&flag, &value("--max-query-vars")?)?
             }
-            "--max-symbols" => args.cfg.max_symbols = num(&flag, &value("--max-symbols")?)?,
             "--cache-capacity" => {
                 args.cfg.cache_capacity = num(&flag, &value("--cache-capacity")?)?
             }

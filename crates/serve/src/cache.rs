@@ -7,7 +7,7 @@
 //! of first occurrence over a fixed pre-order traversal (triple subjects
 //! before predicates before objects, left operands before right). Two
 //! queries that differ only by variable names — or by constant spelling,
-//! since `after_2010` and `"after_2010"` intern to the same constant — map
+//! since `after_2010` and `"after_2010"` resolve to the same constant — map
 //! to the same key and share one [`Plan`]. The map key is
 //! [`CanonicalQuery::key`] itself: every plan is built by the same rule
 //! (`Strategy::Auto`), and the only thing that ever replaces a cached plan's
@@ -15,7 +15,8 @@
 //!
 //! A cached [`Plan`] lives in canonical variable space; each request keeps
 //! its own first-occurrence variable list ([`CanonicalQuery::request_vars`])
-//! to translate answer bindings back to the names the client wrote.
+//! to translate answer bindings back to the names the client wrote, and its
+//! own tree to evaluate under the plan's orders ([`build_plan`]).
 //!
 //! A miss costs what planning costs: [`build_plan`] is `plan_wdpt` plus one
 //! tree clone, reads no interner and takes no lock. The per-node facts no
@@ -25,11 +26,12 @@
 //! memoised on the plan.
 
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use wdpt_core::{plan_wdpt, Wdpt};
 use wdpt_cq::{try_core_above, try_in_hw, try_treewidth_of, EXACT_TW_VERTEX_LIMIT};
-use wdpt_model::{CancelToken, Cancelled, Interner, Term, Var};
+use wdpt_model::{CancelToken, Cancelled, Resolve, Term, Var};
 use wdpt_obs::{counter, Json, RawHistogram};
 use wdpt_plan::{ExecPlan, StatsCatalog, Strategy};
 use wdpt_sparql::{GraphPattern, SparqlQuery, TriplePattern};
@@ -44,110 +46,74 @@ pub struct CanonicalQuery {
     /// The query with variables α-renamed to `#0, #1, …`.
     pub canon: SparqlQuery,
     /// The request's variable names in first-occurrence order: index `k`
-    /// is the name that became canonical variable `#k`.
+    /// is the name that became canonical variable `#k`, which is the bare
+    /// id `Var(k)`. It names nothing: no interner renders it, as none
+    /// renders `wdpt_cq::containment::freeze`'s frozen constants.
     pub request_vars: Vec<String>,
-    /// `canon_vars[k]` is the interned canonical variable `#k` — interned
-    /// here, under the caller's interner, so a plan build needs none.
-    pub canon_vars: Vec<Var>,
 }
 
-/// The canonical variable `#k`.
-pub fn canon_var(i: &mut Interner, k: usize) -> Var {
-    // '#' cannot appear in a parsed identifier, so canonical names can
-    // never collide with request variables.
-    i.var(&format!("#{k}"))
-}
-
-/// α-renames `q` into canonical form and renders its cache key.
-pub fn canonicalize(q: &SparqlQuery, i: &mut Interner) -> CanonicalQuery {
-    let mut renaming = Renaming::default();
-    let pattern = rename_pattern(&q.pattern, i, &mut renaming);
+/// α-renames `q` into canonical form and renders its cache key; `i` names
+/// the ids `q` was resolved to.
+pub fn canonicalize<'s>(q: &SparqlQuery, i: &mut impl Resolve<'s>) -> CanonicalQuery {
+    let mut order = Vec::new();
+    let pattern = rename_pattern(&q.pattern, &mut order);
     let select = q.select.as_ref().map(|sel| {
         sel.iter()
-            .map(|v| {
-                let k = renaming
-                    .numbering
-                    .get(v)
-                    .copied()
-                    .expect("parser guarantees SELECT vars occur in the pattern");
-                renaming.canon_vars[k]
-            })
+            .map(|&v| canonical(v, &mut order))
             .collect::<Vec<_>>()
     });
     let canon = SparqlQuery { pattern, select };
-    let key = render_key(&canon, i);
     CanonicalQuery {
-        key,
+        key: render_key(&canon, &*i),
         canon,
-        request_vars: renaming.request_vars,
-        canon_vars: renaming.canon_vars,
+        request_vars: order.iter().map(|v| i.name(v.0).to_string()).collect(),
     }
 }
 
-/// The α-renaming under construction: request variable → slot `k`, and per
-/// slot the request's spelling and the canonical variable `#k`.
-#[derive(Default)]
-struct Renaming {
-    numbering: HashMap<Var, usize>,
-    request_vars: Vec<String>,
-    canon_vars: Vec<Var>,
+/// The canonical variable `#k` of request variable `v`: `v` is the `k`-th
+/// distinct variable in `order`, where it is appended if new.
+fn canonical(v: Var, order: &mut Vec<Var>) -> Var {
+    let k = order.iter().position(|&u| u == v).unwrap_or_else(|| {
+        order.push(v);
+        order.len() - 1
+    });
+    Var(k as u32)
 }
 
-fn rename_pattern(p: &GraphPattern, i: &mut Interner, r: &mut Renaming) -> GraphPattern {
+fn rename_pattern(p: &GraphPattern, order: &mut Vec<Var>) -> GraphPattern {
+    let term = |t: Term, order: &mut Vec<Var>| match t {
+        Term::Const(_) => t,
+        Term::Var(v) => Term::Var(canonical(v, order)),
+    };
     match p {
         GraphPattern::Triple(t) => GraphPattern::Triple(TriplePattern {
-            s: rename_term(t.s, i, r),
-            p: rename_term(t.p, i, r),
-            o: rename_term(t.o, i, r),
+            s: term(t.s, order),
+            p: term(t.p, order),
+            o: term(t.o, order),
         }),
         GraphPattern::And(a, b) => GraphPattern::And(
-            Box::new(rename_pattern(a, i, r)),
-            Box::new(rename_pattern(b, i, r)),
+            Box::new(rename_pattern(a, order)),
+            Box::new(rename_pattern(b, order)),
         ),
         GraphPattern::Opt(a, b) => GraphPattern::Opt(
-            Box::new(rename_pattern(a, i, r)),
-            Box::new(rename_pattern(b, i, r)),
+            Box::new(rename_pattern(a, order)),
+            Box::new(rename_pattern(b, order)),
         ),
-    }
-}
-
-fn rename_term(t: Term, i: &mut Interner, r: &mut Renaming) -> Term {
-    match t {
-        Term::Const(_) => t,
-        Term::Var(v) => {
-            let k = match r.numbering.get(&v) {
-                Some(&k) => k,
-                None => {
-                    let k = r.request_vars.len();
-                    r.numbering.insert(v, k);
-                    r.request_vars.push(i.var_name(v).to_string());
-                    r.canon_vars.push(canon_var(i, k));
-                    k
-                }
-            };
-            Term::Var(r.canon_vars[k])
-        }
     }
 }
 
 /// Structural key rendering. Variables print as `Vk`, constants as their
 /// `Debug`-escaped name (so a constant literally spelled `V0` renders as
-/// `C"V0"` and cannot collide), operators as `A[..]`/`O[..]`.
-fn render_key(q: &SparqlQuery, i: &Interner) -> String {
-    fn term(t: Term, i: &Interner, out: &mut String) {
-        match t {
-            Term::Var(v) => {
-                // Canonical names are "#k"; strip the marker for the key.
-                out.push('V');
-                out.push_str(&i.var_name(v)[1..]);
-            }
-            Term::Const(c) => {
-                out.push('C');
-                out.push_str(&format!("{:?}", i.const_name(c)));
-            }
-        }
+/// `C"V0"` and cannot collide), operators as `A[..]`/`O[..]`. A constant
+/// the dictionary lacks is keyed by its spelling, like any other.
+fn render_key<'s>(q: &SparqlQuery, i: &impl Resolve<'s>) -> String {
+    fn term<'s>(t: Term, i: &impl Resolve<'s>, out: &mut String) {
+        let _ = match t {
+            Term::Var(v) => write!(out, "V{}", v.0),
+            Term::Const(c) => write!(out, "C{:?}", i.name(c.0)),
+        };
     }
-    fn pat(p: &GraphPattern, i: &Interner, out: &mut String) {
+    fn pat<'s>(p: &GraphPattern, i: &impl Resolve<'s>, out: &mut String) {
         match p {
             GraphPattern::Triple(t) => {
                 out.push('(');
@@ -181,8 +147,7 @@ fn render_key(q: &SparqlQuery, i: &Interner) -> String {
                 if j > 0 {
                     out.push(' ');
                 }
-                out.push('V');
-                out.push_str(&i.var_name(*v)[1..]);
+                let _ = write!(out, "V{}", v.0);
             }
             out.push(']');
         }
@@ -297,9 +262,11 @@ impl PlanStats {
 /// `explain` has asked — the per-node decomposition/core facts.
 #[derive(Debug)]
 pub struct Plan {
-    /// The parsed tree over canonical variables.
+    /// The tree of the request that built the plan, over canonical
+    /// variables: what `explain` and [`Plan::node_facts`] read. Requests
+    /// evaluate their own tree ([`build_plan`]).
     pub wdpt: Wdpt,
-    /// `canon_vars[k]` is the interned canonical variable `#k`.
+    /// `canon_vars[k]` is the canonical variable `#k`, `Var(k)`.
     pub canon_vars: Vec<Var>,
     /// Per-node facts by preorder node id; empty until the first
     /// [`Plan::node_facts`] that ran to completion.
@@ -362,15 +329,17 @@ impl Plan {
 /// different statistics epoch (hot reload, delta apply) — the one trigger
 /// that ever replaces a cached plan's orders. The swap is atomic;
 /// concurrent executions finish on the `Arc` they already hold.
+/// `wdpt` is the requester's own tree, never `plan.wdpt` ([`build_plan`]).
 pub fn refresh_if_stale(
     plan: &Plan,
+    wdpt: &Wdpt,
     stats: &StatsCatalog,
     token: &CancelToken,
 ) -> Result<bool, Cancelled> {
     if plan.exec.read().expect("exec lock").stats_epoch == stats.epoch() {
         return Ok(false);
     }
-    let exec = Arc::new(plan_wdpt(&plan.wdpt, stats, Strategy::Auto, token)?);
+    let exec = Arc::new(plan_wdpt(wdpt, stats, Strategy::Auto, token)?);
     counter!("serve.plan.stats_refresh").add(1);
     *plan.exec.write().expect("exec lock") = exec;
     Ok(true)
@@ -378,11 +347,15 @@ pub fn refresh_if_stale(
 
 /// Builds a plan from a canonicalized query: the cost-based join orders
 /// ([`plan_wdpt`], whose exponential DP is gated small and polls `token`)
-/// and one clone of the tree. No interner: `wdpt` is the tree
-/// already translated in the request's front half, and `canon` carries the
-/// canonical variables interned there — both under the shared interner
-/// lock, so every id stored in the returned [`Plan`] is consistent with the
-/// shared interner and the loaded databases.
+/// and one clone of the tree. No interner: `wdpt` is the tree the
+/// request's front half translated.
+///
+/// The clone is a record of the plan's shape, never evaluated. A constant
+/// the dictionary lacked has a request-local id in it, and a later reload
+/// may intern a data constant at that very id; a request of the same key
+/// would then match that constant. So each request evaluates its own tree
+/// under the plan's orders — equal keys mean equal shapes — and a stale
+/// plan is re-costed on the requester's tree ([`refresh_if_stale`]).
 pub fn build_plan(
     canon: &CanonicalQuery,
     wdpt: &Wdpt,
@@ -394,7 +367,7 @@ pub fn build_plan(
     let exec = Arc::new(plan_wdpt(wdpt, stats, Strategy::Auto, token)?);
     Ok(Plan {
         wdpt: wdpt.clone(),
-        canon_vars: canon.canon_vars.clone(),
+        canon_vars: (0..canon.request_vars.len() as u32).map(Var).collect(),
         nodes: OnceLock::new(),
         stats: PlanStats::default(),
         exec: RwLock::new(exec),
@@ -576,7 +549,7 @@ impl PlanCache {
                     // A reload/delta since this entry was planned leaves
                     // its orders costed against dead statistics — rebuild
                     // them (not the whole entry) before reuse.
-                    refresh_if_stale(&plan, stats, token)?;
+                    refresh_if_stale(&plan, wdpt, stats, token)?;
                     return Ok((plan, "hit"));
                 }
                 match inner.building.get(key) {

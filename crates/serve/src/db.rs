@@ -16,7 +16,7 @@
 
 use std::io;
 use std::path::Path;
-use wdpt_model::{Const, Database, Interner, Pred, Relation};
+use wdpt_model::{Const, Database, Interner, Pred, Relation, Resolve};
 use wdpt_obs::counter;
 
 pub use wdpt_sparql::parse_nt;
@@ -63,8 +63,8 @@ pub fn load_database(interner: &mut Interner, path: &Path, threads: usize) -> io
 ///   before any text dataset), the snapshot's interner is **adopted**
 ///   wholesale and its database returned as-is: zero re-interning.
 /// * Otherwise an old-id→new-id **translation table** is built once: one
-///   lookup, under the caller's interner lock, per snapshot *symbol* —
-///   all of them, base and appended alike. When the table turns out to be
+///   lookup, under the interner's one write lock (`ServeState::fold`), per
+///   snapshot *symbol* — base and appended alike. When the table is
 ///   the identity (the live interner extends the snapshot's), the
 ///   relations are moved wholesale. If not, every cell is translated and
 ///   each relation's flat run re-sorted under the new ids
@@ -96,7 +96,7 @@ pub(crate) fn merge_symbols(
     counter!("serve.store.snapshot_remapped").add(1);
     let translate: Vec<u32> = snap_interner
         .symbols()
-        .map(|(space, name)| interner.intern_symbol(space, name))
+        .map(|(space, name)| interner.id(space, name))
         .collect();
     interner.raise_fresh_counter(snap_interner.fresh_counter());
     let shared = translate

@@ -6,13 +6,14 @@
 //! * The **accept loop** ([`serve`]) owns the listener (nonblocking, so it
 //!   can notice shutdown) and spawns one thread per connection.
 //! * **Connection threads** read request lines and run the query's front
-//!   half. Parse, size caps, canonicalize and tree translation hold the
-//!   interner lock — once per request, and it is the only lock the plan
-//!   path takes. Join-order planning runs lock-free and interner-free
-//!   through the plan cache's per-key in-flight slots, and so do the
-//!   worst-case-exponential per-node facts (cores, decompositions) that
-//!   only an `explain: true` request computes — both under the request's
-//!   [`CancelToken`].
+//!   half: parse, size caps, canonicalize and tree translation. It
+//!   resolves names against the served dictionary under the interner's
+//!   read lock and writes nothing: a name the dictionary lacks gets a
+//!   request-local id ([`wdpt_model::RequestScope`]). Join-order planning
+//!   runs lock-free and interner-free through the plan cache's per-key
+//!   in-flight slots, and so do the worst-case-exponential per-node facts
+//!   (cores, decompositions) that only an `explain: true` request computes
+//!   — both under the request's [`CancelToken`].
 //!   The evaluation job then goes onto a **bounded** queue
 //!   (`std::sync::mpsc::sync_channel`). A full queue is the backpressure
 //!   signal: the request is answered `overloaded` immediately rather than
@@ -25,17 +26,18 @@
 //!   `max_rows` rows — the count of all answers comes with them, exact,
 //!   and rows nobody is sent are built only where the answer order needs
 //!   them — writes them as row lines into one buffer straight
-//!   from their cells — the second and last place a request takes the
-//!   interner lock, held for that loop only and never across evaluation —
-//!   and appends the terminal line. The connection thread writes the
-//!   buffer to the socket in one piece.
+//!   from their cells, naming their constants under the interner's read
+//!   lock (held for that loop only, never across evaluation), and appends
+//!   the terminal line. The connection thread writes the buffer to the
+//!   socket in one piece.
+//!
+//! The interner has one writer, a reload's or replicated apply's fold
+//! ([`ServeState::fold`]): front halves and row-naming loops only read it,
+//! so they never wait on one another, and no query stream can grow it.
 //!
 //! Admission control against adversarial queries: [`ServeConfig`] caps the
 //! atom and variable counts of a query (evaluation is exponential in query
-//! size) and the total interned-symbol count (the shared interner never
-//! shrinks; requests that would grow it past `max_symbols` are rejected
-//! and their symbols rolled back, so server memory stays bounded under
-//! varied query streams).
+//! size).
 //!
 //! Graceful shutdown: the `shutdown` op (or [`ServeState::begin_shutdown`])
 //! flips one flag. The accept loop stops accepting, connection threads
@@ -55,7 +57,7 @@ use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant, SystemTime};
 use wdpt_core::{EvalTally, Wdpt};
 use wdpt_model::{CancelToken, Cancelled, Database, Interner, Var};
@@ -104,12 +106,6 @@ pub struct ServeConfig {
     /// `explain` of a node with more variables than the exact-treewidth DP
     /// supports reports `treewidth: null`).
     pub max_query_vars: usize,
-    /// Upper bound on the shared interner's total symbol count. The
-    /// interner never shrinks, so without this cap an adversarial stream
-    /// of queries with fresh identifiers grows server memory without
-    /// bound; requests that would exceed it are rejected with
-    /// `symbol_limit` and their new symbols rolled back.
-    pub max_symbols: usize,
     /// Wall-time threshold above which a completed query is logged in the
     /// slow-query ring, in milliseconds. `0` disables the slowlog. The
     /// threshold costs the requests under it nothing: an entry is built,
@@ -139,7 +135,6 @@ impl Default for ServeConfig {
             retry_after_ms: 50,
             max_query_atoms: 64,
             max_query_vars: 26,
-            max_symbols: 1 << 20,
             slowlog_threshold_ms: 1_000,
             slowlog_capacity: 128,
             telemetry: true,
@@ -216,7 +211,8 @@ impl DbEntry {
 pub struct ServeState {
     /// The configuration the server was started with.
     pub cfg: ServeConfig,
-    interner: Mutex<Interner>,
+    /// The served dictionary. [`ServeState::fold`] is its only writer.
+    interner: RwLock<Interner>,
     dbs: RwLock<BTreeMap<String, DbEntry>>,
     default_db: String,
     cache: PlanCache,
@@ -287,7 +283,7 @@ impl ServeState {
         });
         Arc::new(ServeState {
             cfg,
-            interner: Mutex::new(interner),
+            interner: RwLock::new(interner),
             dbs: RwLock::new(dbs),
             default_db,
             cache,
@@ -344,11 +340,11 @@ impl ServeState {
         self.install(db_name, db, stats)
     }
 
-    /// Runs `f` on the live interner under its lock, timed as the reload's
-    /// merge.
+    /// Runs `f` on the live interner under its write lock, timed as the
+    /// reload's merge: the one place the served dictionary is written.
     fn fold<R>(&self, f: impl FnOnce(&mut Interner) -> R) -> R {
         let merge_start = Instant::now();
-        let folded = f(&mut self.interner.lock().expect("interner lock"));
+        let folded = f(&mut self.interner.write().expect("interner lock"));
         histogram!("serve.reload.merge_us").record(merge_start.elapsed().as_micros() as u64);
         folded
     }
@@ -519,7 +515,7 @@ impl ServeState {
             Some(kept) => {
                 let file = &kept.file;
                 let mut symbols = ChainSymbols::new(file.symbols, self.interner_len());
-                let interner = || self.interner.lock().expect("interner lock");
+                let interner = || self.dictionary();
                 let base = file.db.clone();
                 wdpt_store::apply_chain(interner, &mut symbols, file.hash, base, &delta_bytes)
                     .map(|(db, chain)| (Fold::Served { db, symbols, kept }, chain))
@@ -625,16 +621,21 @@ impl ServeState {
         &self.cache
     }
 
-    /// Current interned-symbol count (for tests and stats): rejected
-    /// requests must leave this unchanged.
+    /// Current interned-symbol count (for tests and stats): requests
+    /// leave it unchanged.
     pub fn interner_len(&self) -> usize {
-        self.interner.lock().expect("interner lock").len()
+        self.dictionary().len()
     }
 
-    /// Runs `f` on the live interner under its lock: how a caller outside
-    /// the server renders the ids of what it serves.
+    /// Runs `f` on the live interner under its read lock: how a caller
+    /// outside the server renders the ids of what it serves.
     pub fn with_interner<R>(&self, f: impl FnOnce(&Interner) -> R) -> R {
-        f(&self.interner.lock().expect("interner lock"))
+        f(&self.dictionary())
+    }
+
+    /// The served dictionary, read-locked.
+    fn dictionary(&self) -> RwLockReadGuard<'_, Interner> {
+        self.interner.read().expect("interner lock")
     }
 
     /// Requests graceful shutdown, as the `shutdown` op does.
@@ -655,76 +656,62 @@ impl ServeState {
     }
 
     /// [`ServeState::plan_for`] under a caller-supplied cancellation
-    /// token: the interner lock covers only the front half, and the build
-    /// runs lock-free under `token`.
+    /// token: the interner's read lock covers only the front half, and the
+    /// build runs lock-free under `token`.
     pub fn plan_for_with(
         &self,
         src: &str,
         token: &CancelToken,
     ) -> Result<(Arc<Plan>, &'static str), String> {
-        let (canon, wdpt) = self.front_half(src).map_err(|r| r.message)?;
+        // Statistics first, then names, as `handle_query` pins its database.
         let stats = self
             .db_with_stats(&self.default_db)
             .map(|(_, s)| s)
             .unwrap_or_else(|| Arc::new(StatsCatalog::empty()));
+        let (canon, wdpt) = self.front_half(src).map_err(|r| r.message)?;
         self.cache
             .get_or_build(&canon, &wdpt, &stats, token)
             .map_err(|e| e.to_string())
     }
 
-    /// The polynomial front half of every query, under one brief interner
-    /// lock: parse, admission caps, canonicalize, translate to a tree. A
-    /// query turned away rolls the interner back, so its symbols do not
-    /// accumulate.
+    /// The polynomial front half of every query, under the interner's read
+    /// lock: parse, admission caps, canonicalize, translate to a tree.
+    /// Names resolve through a [`wdpt_model::RequestScope`], so a query,
+    /// admitted or turned away, leaves the dictionary as it found it.
     fn front_half(&self, src: &str) -> Result<(CanonicalQuery, Wdpt), Rejection> {
-        let mut i = self.interner.lock().expect("interner lock");
-        let len0 = i.len();
-        let admitted = (|| {
-            let parsed = parse_query(&mut i, src).map_err(|e| Rejection {
-                kind: "parse_error",
-                message: e.message,
-                at: Some(e.at),
-                malformed: true,
-            })?;
-            let (atoms, vars) = pattern_size(&parsed.pattern);
-            if atoms > self.cfg.max_query_atoms || vars > self.cfg.max_query_vars {
-                return Err(Rejection {
-                    kind: "query_too_large",
-                    message: format!(
-                        "query has {atoms} triple patterns and {vars} variables; this server accepts at most {} and {}",
-                        self.cfg.max_query_atoms, self.cfg.max_query_vars
-                    ),
-                    at: None,
-                    malformed: false,
-                });
-            }
-            let canon = canonicalize(&parsed, &mut i);
-            let wdpt = match canon.canon.to_wdpt(&mut i) {
-                Ok(w) => w,
-                Err(e) => {
-                    let (kind, message) = sparql_error_parts(&e, &i, &canon);
-                    return Err(Rejection {
-                        kind,
-                        message,
-                        at: None,
-                        malformed: true,
-                    });
-                }
-            };
-            if i.len() > self.cfg.max_symbols {
-                return Err(Rejection {
-                    kind: "symbol_limit",
-                    message: "the server's interned-symbol budget is exhausted; only queries over already-seen identifiers are accepted".to_string(),
-                    at: None,
-                    malformed: false,
-                });
-            }
-            Ok((canon, wdpt))
-        })();
-        if admitted.is_err() {
-            i.truncate(len0);
+        let dictionary = self.dictionary();
+        let mut scope = dictionary.scope();
+        let parsed = parse_query(&mut scope, src).map_err(|e| Rejection {
+            kind: "parse_error",
+            message: e.message,
+            at: Some(e.at),
+            malformed: true,
+        })?;
+        let (atoms, vars) = pattern_size(&parsed.pattern);
+        if atoms > self.cfg.max_query_atoms || vars > self.cfg.max_query_vars {
+            return Err(Rejection {
+                kind: "query_too_large",
+                message: format!(
+                    "query has {atoms} triple patterns and {vars} variables; this server accepts at most {} and {}",
+                    self.cfg.max_query_atoms, self.cfg.max_query_vars
+                ),
+                at: None,
+                malformed: false,
+            });
         }
-        admitted
+        let canon = canonicalize(&parsed, &mut scope);
+        match canon.canon.to_wdpt(&mut scope) {
+            Ok(wdpt) => Ok((canon, wdpt)),
+            Err(e) => {
+                let (kind, message) = sparql_error_parts(&e, &canon);
+                Err(Rejection {
+                    kind,
+                    message,
+                    at: None,
+                    malformed: true,
+                })
+            }
+        }
     }
 }
 
@@ -823,6 +810,8 @@ fn pattern_size(p: &GraphPattern) -> (usize, usize) {
 /// the served map does not change what this job evaluates against.
 struct Job {
     id: Option<String>,
+    /// The request's tree, never the plan's ([`crate::cache::build_plan`]).
+    wdpt: Wdpt,
     plan: Arc<Plan>,
     cache_status: &'static str,
     db: Arc<Database>,
@@ -1424,6 +1413,9 @@ fn handle_query(
     // `Arc` even if a `reload` swaps the served map while it is queued.
     // The statistics catalog rides along from the same map read, so the
     // plan is costed against exactly the version it will execute on.
+    // Pin the database, then resolve names: a served database's ids were all
+    // interned before it was installed, so the request-local ids handed out
+    // below are above them and match nothing in it.
     let Some((db, db_stats)) = state.db_with_stats(db_name) else {
         counter!("serve.requests.error").add(1);
         return encoded(&error_line(
@@ -1497,6 +1489,7 @@ fn handle_query(
     let plan_for_log = Arc::clone(&plan);
     let job = Job {
         id: id.map(str::to_string),
+        wdpt,
         plan,
         cache_status,
         db,
@@ -1612,20 +1605,11 @@ fn retry_after_hint(cfg: &ServeConfig, queue_depth: usize, id: Option<&str>) -> 
     scaled + jitter
 }
 
-/// Maps a [`SparqlError`] from plan building to a response `(kind,
-/// message)`, translating canonical variable names back to the request's.
-fn sparql_error_parts(
-    e: &SparqlError,
-    i: &Interner,
-    canon: &CanonicalQuery,
-) -> (&'static str, String) {
-    let name = |v: Var| -> String {
-        let n = i.var_name(v);
-        n.strip_prefix('#')
-            .and_then(|k| k.parse::<usize>().ok())
-            .and_then(|k| canon.request_vars.get(k).cloned())
-            .unwrap_or_else(|| n.to_string())
-    };
+/// Maps a [`SparqlError`] from translating the canonical query to a
+/// response `(kind, message)`, naming canonical variable `#k` as the
+/// request spelled it.
+fn sparql_error_parts(e: &SparqlError, canon: &CanonicalQuery) -> (&'static str, String) {
+    let name = |v: Var| &canon.request_vars[v.0 as usize];
     match e {
         SparqlError::NotWellDesigned(v) => (
             "not_well_designed",
@@ -1674,7 +1658,7 @@ fn process(job: Job, state: &ServeState) {
         // meanwhile: only a request that asked for a profile pays for it.
         let recorder = job.profile.then(|| ProfileRecorder::start(PROFILE_LABEL));
         let (result, tally) = wdpt_core::evaluate_rows(
-            &job.plan.wdpt,
+            &job.wdpt,
             db,
             threads,
             &job.token,
@@ -1683,7 +1667,7 @@ fn process(job: Job, state: &ServeState) {
         );
         let answer_count = result.as_ref().map_or(0, |a| a.len() as u64);
         let profile = recorder.map(|mut rec| {
-            rec.set_nodes(wdpt_core::node_entries(&job.plan.wdpt, &tally.homs));
+            rec.set_nodes(wdpt_core::node_entries(&job.wdpt, &tally.homs));
             rec.finish(answer_count)
         });
         let eval_ns = start.elapsed().as_nanos() as u64;
@@ -1698,14 +1682,12 @@ fn process(job: Job, state: &ServeState) {
                 let writer =
                     RowWriter::new(id, &job.request_vars, &job.plan.canon_vars, answers.vars());
                 let mut response = Vec::new();
-                {
-                    // Held for naming the constants of the rows sent, and
-                    // for nothing else.
-                    let i = state.interner.lock().expect("interner lock");
+                // Read-locked for naming the constants of the rows sent.
+                state.with_interner(|i| {
                     for r in 0..rows {
-                        writer.write(&mut response, answers.row(r), &i);
+                        writer.write(&mut response, answers.row(r), i);
                     }
-                }
+                });
                 counter!("serve.requests.ok").add(1);
                 let mut okl = ok_line(
                     id,
@@ -1753,8 +1735,9 @@ fn process(job: Job, state: &ServeState) {
 /// `Arc<Database>`).
 ///
 /// The decoded chain tip is kept as a **pristine** `(Interner, Database)`
-/// pair separate from the served state: the live interner accretes query
-/// symbols, which would break the next delta's `base_symbols` anchor.
+/// pair separate from the served state: the live interner also holds other
+/// databases' symbols, which would break the next delta's `base_symbols`
+/// anchor.
 /// Each delta applies to the pristine pair in place; a clone of the result
 /// is then merged into the live interner and swapped in.
 pub struct FollowerApply {
@@ -1965,6 +1948,24 @@ mod tests {
         assert_eq!(reply.queue_ns, 1_000);
         assert_eq!(reply.eval_ns, 9_000);
         assert!(!token.is_cancelled());
+    }
+
+    /// Translation errors name canonical variable `#k` as the request
+    /// spelled it; `UnknownSelectVar` cannot reach the wire (the parser
+    /// turns such a query away first), so it is pinned here.
+    #[test]
+    fn translation_errors_use_the_clients_spelling() {
+        let mut i = Interner::new();
+        let q = parse_query(&mut i, "SELECT ?who WHERE { (?x, p, ?who) }").unwrap();
+        let canon = canonicalize(&q, &mut i);
+        let cases = [
+            (SparqlError::UnknownSelectVar(Var(1)), "?who "),
+            (SparqlError::NotWellDesigned(Var(0)), "?x "),
+        ];
+        for (e, var) in cases {
+            let (_, message) = sparql_error_parts(&e, &canon);
+            assert!(message.contains(var) && !message.contains('#'), "{message}");
+        }
     }
 
     #[test]

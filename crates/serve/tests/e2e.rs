@@ -7,9 +7,10 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use wdpt_gen::music::MusicParams;
-use wdpt_model::{Database, Interner};
+use wdpt_model::{Database, Interner, SymbolSpace};
 use wdpt_obs::{read_json_line, write_json_line, Json};
 use wdpt_serve::{serve, ServeConfig, ServeState};
+use wdpt_sparql::parse_query;
 
 const BASE: &str = r#"SELECT ?x ?y ?z WHERE { (((?x, rec_by, ?y) AND (?x, publ, "after_2010")) OPT (?x, nme_rating, ?z)) OPT (?y, formed_in, ?w) }"#;
 const RENAMED: &str = r#"SELECT ?a ?b ?c WHERE { (((?a, rec_by, ?b) AND (?a, publ, "after_2010")) OPT (?a, nme_rating, ?c)) OPT (?b, formed_in, ?d) }"#;
@@ -372,12 +373,19 @@ fn invalid_requests_get_typed_errors() {
         Some("not_well_designed"),
         "got {e6}"
     );
-    // The message names the client's variable, not a canonical one.
-    assert!(e6
-        .get("message")
-        .and_then(Json::as_str)
-        .unwrap()
-        .contains("?z"));
+    // A SELECT variable the pattern lacks is turned away by the parser,
+    // before translation could report it as `unknown_select_var`.
+    let (e7, _) = c.round_trip(&query("e7", "SELECT ?nope WHERE { (?x, rec_by, ?y) }"));
+    assert_eq!(
+        e7.get("kind").and_then(Json::as_str),
+        Some("parse_error"),
+        "got {e7}"
+    );
+    // Both messages name the client's variable, not a canonical one.
+    for (e, var) in [(&e6, "?z"), (&e7, "?nope")] {
+        let message = e.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains(var) && !message.contains('#'), "got {e}");
+    }
 
     // The connection survives all of it.
     let (ok, _) = c.round_trip(&query("ok", BASE));
@@ -605,24 +613,124 @@ fn oversized_queries_are_rejected_without_retaining_symbols() {
     server.shutdown_and_join();
 }
 
+/// Every symbol of the served dictionary, in id order.
+fn dictionary(state: &ServeState) -> Vec<(SymbolSpace, String)> {
+    state.with_interner(|i| i.symbols().map(|(s, n)| (s, n.to_owned())).collect())
+}
+
+/// Requests never write the dictionary. An LCG stream of 240 requests —
+/// known and unknown constants and predicates, fresh variable names, every
+/// front-half rejection, 1 ms deadlines and `explain` — leaves the served
+/// symbols as they were, and every `ok` answer count and row set equals
+/// `wdpt_core::evaluate` of the same text over a private copy of the
+/// start-up interner and database.
 #[test]
-fn exhausted_symbol_budget_rejects_queries_but_not_ops() {
-    let server = start(ServeConfig {
-        max_symbols: 0,
-        ..ServeConfig::default()
-    });
+fn requests_never_write_the_dictionary() {
+    let (mut i, params) = (Interner::new(), MusicParams::default());
+    let db = wdpt_gen::music_triples(
+        &mut i,
+        MusicParams {
+            bands: 20,
+            ..params
+        },
+    )
+    .into_database();
+    let (oracle_i, oracle_db) = (i.clone(), db.clone());
+    let server = start_with(ServeConfig::default(), i, db);
+    let before = dictionary(&server.state);
     let mut c = Client::connect(server.addr);
-    let symbols_before = server.state.interner_len();
-
-    let (e, _) = c.round_trip(&query("q", BASE));
-    assert_eq!(status_of(&e), "error");
-    assert_eq!(e.get("kind").and_then(Json::as_str), Some("symbol_limit"));
-    assert_eq!(server.state.interner_len(), symbols_before);
-
-    // Non-query ops are unaffected.
-    let (pong, _) = c.round_trip(&Json::obj([("op", Json::str("ping"))]));
-    assert_eq!(pong.get("kind").and_then(Json::as_str), Some("pong"));
-
+    let mut rng = 0x2545_f491_4f6c_dd1du64;
+    let mut next = |n: u64| {
+        rng = rng
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (rng >> 33) % n
+    };
+    let mut seen: BTreeMap<String, usize> = BTreeMap::new();
+    for n in 0..240 {
+        // Fresh variable names every request; constants from the data or
+        // spelled like them but absent (bands 20.. do not exist).
+        let (a, b, z) = (format!("a{n}"), format!("b{}", next(3)), format!("z{n}"));
+        let band = format!("band{}", next(40));
+        let pred = ["rec_by", "publ", "nme_rating", "formed_in", "unseen_p"][next(5) as usize];
+        let text = match next(9) {
+            0 => format!(
+                "SELECT ?{a} WHERE {{ (?{a}, rec_by, {band}) OPT (?{a}, nme_rating, ?{z}) }}"
+            ),
+            1 => format!("(?{a}, {pred}, ?{b})"),
+            2 => format!(
+                r#"((?{a}, rec_by, ?{b}) AND (?{a}, publ, "after_2010")) OPT (?{b}, formed_in, ?{z})"#
+            ),
+            3 => format!(r#"(?{a}, {pred}, "nope{n}")"#),
+            4 => format!("SELECT ?{a} WHERE {{ (?{a}, rec_by) }}"),
+            5 => (0..65).fold(format!("(?{a}, fresh{n}, ?{b})"), |q, k| {
+                format!("({q} AND (?{a}, fresh{n}_{k}, ?{b}))")
+            }),
+            6 => format!("(((?{a}, p{n}, ?{b}) OPT (?{a}, q{n}, ?{z})) AND (?{z}, r{n}, ?w{n}))"),
+            7 => format!("SELECT ?nope{n} WHERE {{ (?{a}, rec_by, ?{b}) }}"),
+            _ => HEAVY.to_string(),
+        };
+        let mut extra = vec![("max_rows", Json::int(100_000))];
+        if next(4) == 0 || text == HEAVY {
+            extra.push(("deadline_ms", Json::int(1)));
+        }
+        if next(3) == 0 {
+            extra.push(("explain", Json::Bool(true)));
+        }
+        let (line, rows) = c.round_trip(&query_with(&format!("r{n}"), &text, &extra));
+        let outcome = match status_of(&line) {
+            "error" => line.get("kind").and_then(Json::as_str).unwrap().to_string(),
+            status => status.to_string(),
+        };
+        *seen.entry(outcome.clone()).or_default() += 1;
+        if text == HEAVY {
+            assert_eq!(outcome, "cancelled", "{text}: {line}");
+        }
+        if outcome != "ok" {
+            assert!(rows.is_empty(), "{text}: {line}");
+            continue;
+        }
+        let mut oi = oracle_i.clone();
+        let tree = parse_query(&mut oi, &text)
+            .unwrap()
+            .to_wdpt(&mut oi)
+            .unwrap();
+        let mut want: Vec<BTreeMap<String, String>> = wdpt_core::evaluate(&tree, &oracle_db)
+            .iter()
+            .map(|m| {
+                m.iter()
+                    .map(|(v, c)| (oi.var_name(v).to_string(), oi.const_name(c).to_string()))
+                    .collect()
+            })
+            .collect();
+        let mut got: Vec<BTreeMap<String, String>> = rows
+            .iter()
+            .map(|row| match row.get("bindings") {
+                Some(Json::Obj(b)) => b
+                    .iter()
+                    .map(|(k, v)| (k.clone(), v.as_str().unwrap().to_string()))
+                    .collect(),
+                _ => panic!("a row without bindings: {row}"),
+            })
+            .collect();
+        want.sort();
+        got.sort();
+        let answers = line.get("answers").and_then(Json::as_num).unwrap() as usize;
+        assert_eq!((answers, &got), (want.len(), &want), "{text}");
+    }
+    for outcome in [
+        "ok",
+        "cancelled",
+        "parse_error",
+        "query_too_large",
+        "not_well_designed",
+    ] {
+        assert!(
+            seen.get(outcome).is_some_and(|&k| k > 0),
+            "no {outcome}: {seen:?}"
+        );
+    }
+    assert_eq!(dictionary(&server.state), before);
     server.shutdown_and_join();
 }
 

@@ -11,10 +11,12 @@
 //! tests of this binary running in parallel.
 
 use std::collections::BTreeMap;
+use std::io::{BufReader, BufWriter, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use wdpt_model::{Database, Interner, Pred, SymbolSpace};
-use wdpt_obs::delta_scope;
+use wdpt_model::{Const, Database, Interner, Pred, SymbolSpace, Term};
+use wdpt_obs::{delta_scope, read_json_line, write_json_line, Json};
 use wdpt_plan::StatsCatalog;
 use wdpt_serve::{ServeConfig, ServeState};
 use wdpt_sparql::TripleStore;
@@ -388,16 +390,19 @@ fn a_symbol_interned_between_the_stages_remaps_the_chains_rows() {
     let f = files("remap");
     let state = start(&f.base);
     reload(&state, &f.base, &[&f.d0]).unwrap();
-    let ((), work) = delta_scope(|| {
-        let loaded = state.load_stage(&f.base, &[&f.d1]).unwrap();
-        // Interned now, the query's symbols take the ids `d1`'s new symbols
-        // hold provisionally, so the commit remaps the chain.
-        state
-            .plan_for("SELECT ?s WHERE { (?s, p0, between) }")
-            .unwrap();
-        state.install_stage(DB, loaded).unwrap();
-    });
-    assert_eq!(work.counter("plan.stats.columns_counted"), 0);
+    // A base of another database, with a symbol of its own.
+    let side = f.dir.join("side.snap");
+    let (mut si, mut sts) = (Interner::new(), TripleStore::new());
+    insert(&mut si, &mut sts, &[("between", "p0", "o0")]);
+    std::fs::write(&side, snapshot_to_vec_v2(&si, sts.database()).unwrap()).unwrap();
+    let (loaded, load) = delta_scope(|| state.load_stage(&f.base, &[&f.d1]).unwrap());
+    // Interned now by a reload of the other database, `between` takes the
+    // id `d1`'s first new symbol holds provisionally, so the commit remaps
+    // the chain.
+    delta_scope(|| state.reload("side", &side, &[] as &[&Path]).unwrap());
+    let (_, install) = delta_scope(|| state.install_stage(DB, loaded).unwrap());
+    let counted = |work: &wdpt_obs::MetricsSnapshot| work.counter("plan.stats.columns_counted");
+    assert_eq!(counted(&load) + counted(&install), 0);
     let id = |name: &str| state.with_interner(|i| i.lookup_id(SymbolSpace::Const, name).unwrap());
     assert!(
         id("between") < id("n1a"),
@@ -410,4 +415,92 @@ fn a_symbol_interned_between_the_stages_remaps_the_chains_rows() {
     assert_eq!(remapped.columns[2].1[0], ("n1b".to_string(), 5));
     assert_eq!(remapped, served(&fresh));
     std::fs::remove_dir_all(&f.dir).ok();
+}
+
+/// `query` sent over `c`: the terminal line and the rows.
+fn ask(c: &mut (BufReader<TcpStream>, BufWriter<TcpStream>), query: &str) -> (Json, Vec<Json>) {
+    let request = Json::obj([("op", Json::str("query")), ("query", Json::str(query))]);
+    write_json_line(&mut c.1, &request).unwrap();
+    c.1.flush().unwrap();
+    let mut rows = Vec::new();
+    loop {
+        let line = read_json_line(&mut c.0).unwrap().expect("a response");
+        if line.get("kind").and_then(Json::as_str) != Some("row") {
+            return (line, rows);
+        }
+        rows.push(line);
+    }
+}
+
+/// `(status, answers, cache)` of a terminal line.
+fn outcome(line: &Json) -> (&str, u64, &str) {
+    let field = |k: &str| line.get(k).and_then(Json::as_str).unwrap_or("?");
+    let answers = line.get("answers").and_then(Json::as_num).unwrap_or(-1.0);
+    (field("status"), answers as u64, field("cache"))
+}
+
+/// A cached plan's tree is never evaluated. A constant the dictionary lacks
+/// has a request-local id in the tree a plan keeps, and a reload may intern
+/// a data constant at that id: a later request of the same key must still
+/// match nothing, because it evaluates its own tree.
+#[test]
+fn a_cached_plans_ids_never_reach_evaluation() {
+    let dir = std::env::temp_dir().join(format!("wdpt-reload-stale-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    // The query's variable names are in the dictionary, so its one unknown
+    // name, the constant, takes the first request-local id.
+    let (mut i, mut ts) = (Interner::new(), TripleStore::new());
+    i.var("s");
+    i.var("p");
+    insert(&mut i, &mut ts, &[("a", "knows", "b")]);
+    let base_bytes = snapshot_to_vec_v2(&i, ts.database()).unwrap();
+    let base = dir.join("base.snap");
+    std::fs::write(&base, &base_bytes).unwrap();
+    let d = dir.join("d.delta");
+    delta(&base_bytes, (&i, &ts), &[("a", "knows", "o_new")], &d);
+
+    let state = start(&base);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn({
+        let state = Arc::clone(&state);
+        move || wdpt_serve::serve(listener, state)
+    });
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut c = (
+        BufReader::new(stream.try_clone().unwrap()),
+        BufWriter::new(stream),
+    );
+
+    let nope = r#"(?s, ?p, "nope")"#;
+    let local = state.interner_len() as u32;
+    assert_eq!(outcome(&ask(&mut c, nope).0), ("ok", 0, "miss"));
+    assert_eq!(outcome(&ask(&mut c, nope).0), ("ok", 0, "hit"));
+    let (plan, _) = state.plan_for(nope).unwrap();
+    assert_eq!(plan.wdpt.atoms(0)[0].args[2], Term::Const(Const(local)));
+
+    reload(&state, &base, &[&d]).unwrap();
+    let o_new = state.with_interner(|i| i.lookup_id(SymbolSpace::Const, "o_new"));
+    assert_eq!(
+        o_new,
+        Some(local),
+        "the delta's constant took the plan's id"
+    );
+    let (line, rows) = ask(&mut c, nope);
+    assert_eq!(
+        (outcome(&line), rows.len()),
+        (("ok", 0, "hit"), 0),
+        "{line}"
+    );
+    let (line, rows) = ask(&mut c, r#"(?s, ?p, "o_new")"#);
+    assert_eq!(
+        (outcome(&line), rows.len()),
+        (("ok", 1, "miss"), 1),
+        "{line}"
+    );
+
+    state.begin_shutdown();
+    server.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }

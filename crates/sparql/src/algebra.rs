@@ -12,10 +12,10 @@
 //! ([`GraphPattern::from_wdpt`]) connect this front end to the relational
 //! WDPT machinery of `wdpt-core`.
 
-use crate::triples::TripleStore;
+use crate::triples::{TripleStore, TRIPLE_PRED};
 use std::collections::BTreeSet;
 use wdpt_core::{Wdpt, WdptBuilder};
-use wdpt_model::{Atom, Database, Interner, Mapping, Term, Var};
+use wdpt_model::{Atom, Database, Interner, Mapping, Resolve, Term, Var};
 
 /// A SPARQL triple pattern `(s, p, o)` over variables and constants.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,8 +30,8 @@ pub struct TriplePattern {
 
 impl TriplePattern {
     /// The relational atom `triple(s, p, o)`.
-    pub fn to_atom(&self, interner: &mut Interner) -> Atom {
-        Atom::new(TripleStore::pred(interner), vec![self.s, self.p, self.o])
+    pub fn to_atom<'s>(&self, interner: &mut impl Resolve<'s>) -> Atom {
+        Atom::new(interner.pred(TRIPLE_PRED), vec![self.s, self.p, self.o])
     }
 
     /// Recovers a triple pattern from a `triple/3` atom.
@@ -195,10 +195,10 @@ impl GraphPattern {
 
     /// Translates a well-designed pattern into a WDPT with the given free
     /// variables (`None` = projection-free, all variables free).
-    pub fn to_wdpt(
+    pub fn to_wdpt<'s>(
         &self,
         select: Option<&[Var]>,
-        interner: &mut Interner,
+        interner: &mut impl Resolve<'s>,
     ) -> Result<Wdpt, SparqlError> {
         if let Some(v) = self.well_designedness_violation() {
             return Err(SparqlError::NotWellDesigned(v));
@@ -221,7 +221,7 @@ impl GraphPattern {
             atoms: Vec<Atom>,
             children: Vec<Node>,
         }
-        fn collect(p: &GraphPattern, interner: &mut Interner) -> Node {
+        fn collect<'s>(p: &GraphPattern, interner: &mut impl Resolve<'s>) -> Node {
             match p {
                 GraphPattern::Triple(t) => Node {
                     atoms: vec![t.to_atom(interner)],
@@ -342,7 +342,7 @@ pub struct SparqlQuery {
 
 impl SparqlQuery {
     /// Translates to a WDPT.
-    pub fn to_wdpt(&self, interner: &mut Interner) -> Result<Wdpt, SparqlError> {
+    pub fn to_wdpt<'s>(&self, interner: &mut impl Resolve<'s>) -> Result<Wdpt, SparqlError> {
         self.pattern.to_wdpt(self.select.as_deref(), interner)
     }
 

@@ -16,7 +16,7 @@
 //! ```
 
 use crate::algebra::{GraphPattern, SparqlQuery, TriplePattern};
-use wdpt_model::{Interner, Term, Var};
+use wdpt_model::{Interner, Resolve, Term, Var};
 
 /// Parse error with byte offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,7 +105,7 @@ impl<'a> P<'a> {
         false
     }
 
-    fn term(&mut self, i: &mut Interner) -> Result<Term, SparqlParseError> {
+    fn term(&mut self, i: &mut impl Resolve<'a>) -> Result<Term, SparqlParseError> {
         match self.peek() {
             Some('?') => {
                 self.bump();
@@ -129,7 +129,7 @@ impl<'a> P<'a> {
         }
     }
 
-    fn unit(&mut self, i: &mut Interner) -> Result<GraphPattern, SparqlParseError> {
+    fn unit(&mut self, i: &mut impl Resolve<'a>) -> Result<GraphPattern, SparqlParseError> {
         self.expect('(')?;
         // Try a triple first: term ',' term ',' term ')'.
         let save = self.pos;
@@ -150,7 +150,7 @@ impl<'a> P<'a> {
         Ok(inner)
     }
 
-    fn pattern(&mut self, i: &mut Interner) -> Result<GraphPattern, SparqlParseError> {
+    fn pattern(&mut self, i: &mut impl Resolve<'a>) -> Result<GraphPattern, SparqlParseError> {
         let mut acc = self.unit(i)?;
         loop {
             if self.keyword("AND") {
@@ -165,7 +165,7 @@ impl<'a> P<'a> {
         }
     }
 
-    fn union(&mut self, i: &mut Interner) -> Result<Vec<GraphPattern>, SparqlParseError> {
+    fn union(&mut self, i: &mut impl Resolve<'a>) -> Result<Vec<GraphPattern>, SparqlParseError> {
         let mut branches = vec![self.pattern(i)?];
         while self.keyword("UNION") {
             branches.push(self.pattern(i)?);
@@ -179,7 +179,7 @@ impl<'a> P<'a> {
     /// projection errors against the source text.
     fn select_list(
         &mut self,
-        i: &mut Interner,
+        i: &mut impl Resolve<'a>,
     ) -> Result<Vec<(Var, usize, &'a str)>, SparqlParseError> {
         let mut select: Vec<(Var, usize, &'a str)> = Vec::new();
         while self.peek() == Some('?') {
@@ -198,7 +198,7 @@ impl<'a> P<'a> {
         Ok(select)
     }
 
-    fn query(&mut self, i: &mut Interner) -> Result<SparqlQuery, SparqlParseError> {
+    fn query(&mut self, i: &mut impl Resolve<'a>) -> Result<SparqlQuery, SparqlParseError> {
         if self.keyword("SELECT") {
             let select = self.select_list(i)?;
             if !self.keyword("WHERE") {
@@ -233,7 +233,10 @@ impl<'a> P<'a> {
 }
 
 /// Parses a query in the algebraic notation (with optional `SELECT`).
-pub fn parse_query(interner: &mut Interner, src: &str) -> Result<SparqlQuery, SparqlParseError> {
+pub fn parse_query<'s>(
+    interner: &mut impl Resolve<'s>,
+    src: &'s str,
+) -> Result<SparqlQuery, SparqlParseError> {
     let mut p = P { src, pos: 0 };
     let q = p.query(interner)?;
     p.skip_ws();

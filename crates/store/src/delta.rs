@@ -41,7 +41,7 @@ use std::collections::hash_map::{Entry, HashMap};
 use std::collections::BTreeMap;
 use std::ops::Deref;
 use std::path::Path;
-use wdpt_model::{Const, Database, Interner, Pred, Relation, SymbolSpace};
+use wdpt_model::{Const, Database, Interner, Pred, Relation, Resolve, SymbolSpace};
 use wdpt_obs::{counter, span};
 
 /// The version field of a delta file. Deltas share the snapshot container
@@ -450,7 +450,7 @@ impl ChainSymbols {
         let ids: Vec<u32> = self
             .fresh
             .iter()
-            .map(|(space, name)| target.intern_symbol(*space, name))
+            .map(|(space, name)| target.id(*space, name))
             .collect();
         target.raise_fresh_counter(self.fresh_counter);
         let provisional = |k: usize| self.start + k as u32;
@@ -955,8 +955,7 @@ mod tests {
             snapshot_to_vec_v2(&ni, &ndb).unwrap()
         );
         // Applied to a pair that already holds `no()`, it repeats a tuple.
-        let mut again = ai.clone();
-        again.truncate(ri.len());
+        let mut again = ri.clone();
         let err = apply_to(&mut again, adb, decode_delta(&delta).unwrap()).unwrap_err();
         assert!(err.to_string().contains("already holds"), "got: {err}");
     }
