@@ -1,15 +1,19 @@
 //! A derived statistics catalog equals a build of the merged database,
 //! field for field: LCG-random bases and chains of one to three deltas,
-//! applied as a reload applies them (`wdpt_store::apply_chain`), over ids
-//! dense and sparse so that both ways of counting a column run.
+//! applied as a reload applies them (`wdpt_store::ChainSymbols::for_base`,
+//! then `wdpt_store::apply_chain`), over ids dense and sparse so that both
+//! ways of counting a column run, and into three kinds of target: the
+//! base's own dictionary, one whose ids translate the base's, and an empty
+//! one that adopts it. The chain's result, by name, is `decode_chain`'s.
 
 mod common;
 
 use common::Lcg;
-use wdpt_model::{Database, Interner, PostingCounts};
+use wdpt_model::{Database, Interner, PostingCounts, Resolve};
 use wdpt_plan::{CountedCatalog, StatsCatalog, MCV_ENTRIES};
 use wdpt_store::{
-    apply_chain, content_hash, decode_snapshot, delta_to_vec, snapshot_to_vec_v2, ChainSymbols,
+    apply_chain, content_hash, decode_chain, decode_snapshot, delta_to_vec, snapshot_to_vec_v2,
+    ChainSymbols,
 };
 
 /// The relations a random database draws from, with their arities. `d`
@@ -47,8 +51,41 @@ fn insert_random(
     }
 }
 
-/// One random base and chain — sparse ids for odd seeds — and the derived
-/// and the built catalog of the chain's result.
+/// The interner a chain is applied to.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Target {
+    /// The base's own dictionary: every id is its own.
+    Base,
+    /// Foreign names, every other one followed by one of the base's, last
+    /// first: the base's ids translate, and runs re-sort.
+    Foreign,
+    /// No symbol at all: the base's dictionary is adopted whole.
+    Empty,
+}
+
+impl Target {
+    fn interner(self, base: &Interner) -> Interner {
+        match self {
+            Target::Base => base.clone(),
+            Target::Empty => Interner::new(),
+            Target::Foreign => {
+                let mut live = Interner::new();
+                let names: Vec<_> = base.symbols().collect();
+                for (k, &(space, name)) in names.iter().rev().enumerate() {
+                    live.constant(&format!("foreign{k}"));
+                    if k % 2 == 1 {
+                        live.id(space, name);
+                    }
+                }
+                live
+            }
+        }
+    }
+}
+
+/// One random base and chain — sparse ids for odd seeds, each kind of
+/// [`Target`] in turn — and the derived and the built catalog of the
+/// chain's result.
 fn derive_and_build(seed: u64) -> (StatsCatalog, StatsCatalog) {
     let mut rng = Lcg::new(seed);
     let sparse = seed % 2 == 1;
@@ -75,9 +112,11 @@ fn derive_and_build(seed: u64) -> (StatsCatalog, StatsCatalog) {
         deltas.push(bytes);
     }
 
-    // The base as a reload decodes it, counted once; the chain applied in
-    // the ids of a live interner that, every third seed, grows between the
-    // apply and the commit, so the commit remaps the chain's rows.
+    // The base as a reload decodes it, resolved against the target and
+    // counted once in its ids; the chain applied in them, with a target
+    // that, every third seed, grows between the apply and the commit, so
+    // the commit remaps the chain's rows — and, where the base's names were
+    // new to it, the base's.
     let (base_i, base_db) = decode_snapshot(&base_bytes).unwrap();
     for (_, rel) in base_db.relations().filter(|(_, rel)| rel.arity() > 0) {
         let counts = rel.posting_counts(0);
@@ -87,17 +126,37 @@ fn derive_and_build(seed: u64) -> (StatsCatalog, StatsCatalog) {
             "seed {seed}"
         );
     }
-    let counted = CountedCatalog::count(&base_db);
-    let mut live = base_i.clone();
-    let mut symbols = ChainSymbols::new(base_i.len(), live.len());
+    let kind = [Target::Base, Target::Foreign, Target::Empty][(seed / 6 % 3) as usize];
+    let at = format!("seed {seed}, {kind:?}");
+    let mut live = kind.interner(&base_i);
+    let (mut symbols, base) = ChainSymbols::for_base(|| &live, (base_i, base_db)).unwrap();
     let hash = content_hash(&base_bytes);
-    let (merged, _) = apply_chain(|| &live, &mut symbols, hash, base_db, &deltas).unwrap();
-    if seed.is_multiple_of(3) {
+    let (merged, _) = apply_chain(|| &live, &mut symbols, hash, base, &deltas).unwrap();
+    let grew = seed.is_multiple_of(3);
+    if grew {
         live.constant("interned-meanwhile");
     }
-    let (merged, added) = symbols.commit(&mut live, merged);
-    assert_eq!(merged.size(), prev.2.size(), "seed {seed}");
-    (counted.derive(&added), StatsCatalog::build(&merged))
+    let committed = symbols.commit(&mut live, merged);
+    let (_, base) = committed.base.expect("a base decoded in full");
+    let counted = CountedCatalog::count(&base);
+    let merged = committed.db;
+    assert_eq!(merged.size(), prev.2.size(), "{at}");
+
+    let ((chain_i, chain_db), _) = decode_chain(&base_bytes, &deltas).unwrap();
+    assert_eq!(merged.display(&live), chain_db.display(&chain_i), "{at}");
+    assert_eq!(
+        committed.map.is_identity(),
+        kind != Target::Foreign && !grew,
+        "{at}"
+    );
+    if kind == Target::Empty && !grew {
+        // Adopted: the file's dictionary in its own order, nothing added.
+        assert!(live.symbols().eq(chain_i.symbols()), "{at}");
+    }
+    (
+        counted.derive(&committed.added),
+        StatsCatalog::build(&merged),
+    )
 }
 
 #[test]

@@ -170,6 +170,25 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// Decodes a base snapshot and its deltas into `interner`'s ids, as a
+/// reload does: the snapshot's dictionary is adopted whole into an empty
+/// interner — the usual single-snapshot start, which re-interns nothing —
+/// and resolved name by name into any other.
+fn fold_chain(
+    interner: &mut Interner,
+    base: &[u8],
+    deltas: &[Vec<u8>],
+) -> Result<Database, wdpt_store::StoreError> {
+    let adopted = interner.is_empty();
+    let (db, _) = wdpt_store::decode_chain_into(interner, base, deltas).map_err(|(_, e)| e)?;
+    if adopted {
+        counter!("serve.store.snapshot_adopted").add(1);
+    } else {
+        counter!("serve.store.snapshot_remapped").add(1);
+    }
+    Ok(db)
+}
+
 fn num(flag: &str, text: &str) -> Result<usize, String> {
     text.parse()
         .map_err(|_| format!("{flag} expects a number, got {text:?}"))
@@ -224,18 +243,20 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let delta_paths: Vec<std::path::PathBuf> = log
+        let deltas: Result<Vec<Vec<u8>>, _> = log
             .entries()
             .iter()
-            .map(|e| Path::new(dir).join(&e.file))
+            .map(|e| std::fs::read(Path::new(dir).join(&e.file)))
             .collect();
-        match wdpt_store::load_with_deltas(Path::new(&path), &delta_paths) {
-            Ok(pair) => {
-                let (db, _) = wdpt_serve::merge_snapshot(&mut interner, pair);
+        let loaded = deltas
+            .map_err(wdpt_store::StoreError::from)
+            .and_then(|deltas| fold_chain(&mut interner, &base_bytes, &deltas));
+        match loaded {
+            Ok(db) => {
                 eprintln!(
                     "primary {name:?}: {} facts from {path} + {} logged delta(s), head {}",
                     db.size(),
-                    delta_paths.len(),
+                    log.entries().len(),
                     wdpt_store::head_hex(log.head()),
                 );
                 default_db = name.clone();
@@ -250,8 +271,8 @@ fn main() -> ExitCode {
     }
 
     // Snapshots load first (so the usual single-snapshot start adopts the
-    // snapshot's interner wholesale, keeping its prebuilt indexes). A
-    // corrupt snapshot is not fatal when a same-name --db can fall back.
+    // snapshot's interner wholesale). A corrupt snapshot is not fatal when
+    // a same-name --db can fall back.
     let mut failed_snapshots: Vec<String> = Vec::new();
     for (name, path) in &args.snapshots {
         if dbs.contains_key(name) {
@@ -259,9 +280,11 @@ fn main() -> ExitCode {
         }
         let _g = span!("serve.snapshot_load");
         let t0 = Instant::now();
-        match wdpt_store::load_snapshot(Path::new(path)) {
-            Ok(pair) => {
-                let (db, _) = wdpt_serve::merge_snapshot(&mut interner, pair);
+        let loaded = std::fs::read(Path::new(path))
+            .map_err(wdpt_store::StoreError::from)
+            .and_then(|bytes| fold_chain(&mut interner, &bytes, &[]));
+        match loaded {
+            Ok(db) => {
                 counter!("serve.store.snapshot_loaded").add(1);
                 eprintln!(
                     "loaded snapshot {name:?}: {} facts from {path} in {:.1}ms",

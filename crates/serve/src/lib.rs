@@ -22,9 +22,10 @@
 //! `--repl-log DIR` is a **primary** — it records every accepted reload
 //! delta in an append-only log and streams them to followers that connect
 //! with the `subscribe` op. A server started with `--follow ADDR` is a
-//! **follower** — [`server::FollowerApply`] drives the replicated deltas
-//! through the same hot-reload path the `reload` op uses. The chain-head
-//! hash doubles as a consistency token (`min_head` on queries).
+//! **follower** — [`server::FollowerApply`] drives the replicated
+//! snapshots and deltas through the loader and install the `reload` op
+//! uses: a snapshot chain enters the server one way. The chain-head hash
+//! doubles as a consistency token (`min_head` on queries).
 //!
 //! Binaries: `wdpt-serve` (the server) and `loadgen` (a concurrent load
 //! generator used by the CI smoke test and the EXPERIMENTS runs).
@@ -38,6 +39,6 @@ pub use cache::{
     build_plan, canonicalize, exec_plan_json, refresh_if_stale, CanonicalQuery, NodePlan, Plan,
     PlanCache,
 };
-pub use db::{load_database, looks_like_snapshot, merge_snapshot, parse_dataset, parse_nt};
+pub use db::{load_database, looks_like_snapshot, parse_dataset, parse_nt};
 pub use protocol::Request;
 pub use server::{serve, FollowerApply, LoadedChain, ServeConfig, ServeState};

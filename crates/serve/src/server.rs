@@ -45,7 +45,6 @@
 //! workers, and [`serve`] joins everything before returning.
 
 use crate::cache::{canonicalize, explain_json, CanonicalQuery, NodePlan, Plan, PlanCache};
-use crate::db::{merge_snapshot, merge_symbols, translate_database};
 use crate::protocol::{
     attach_head, cancelled_line, error_line, metrics_json_line, metrics_text_line, ok_line,
     overloaded_line, reload_line, shutting_down_line, slowlog_line, stale_replica_line, Request,
@@ -71,7 +70,7 @@ use wdpt_repl::frames::{delta_frame, snapshot_frame, subscribed_line};
 use wdpt_repl::{Primary, ReplApply, ReplHead, SubscribeStart};
 use wdpt_sparql::algebra::SparqlError;
 use wdpt_sparql::{parse_query, GraphPattern};
-use wdpt_store::ChainSymbols;
+use wdpt_store::{ChainSymbols, SymbolMap};
 
 /// Server tunables. [`Default`] gives the values the `wdpt-serve` binary
 /// advertises in `--help`.
@@ -179,23 +178,19 @@ impl SlowLog {
     }
 }
 
-/// Shared server state: configuration, the interner, the named databases,
-/// the plan cache, and the shutdown flag.
-///
-/// Each database sits behind an [`Arc`] inside an [`RwLock`]'d map so the
-/// admin `reload` op can swap in a freshly loaded snapshot atomically:
-/// requests resolve their `Arc<Database>` once at admission, so in-flight
-/// evaluations keep the database they started with while new requests see
-/// the replacement.
 /// One served database version paired with the statistics catalog built
 /// from it. The two always travel together: every install point swaps a
 /// whole `DbEntry` under the map's write lock, so no request can observe a
 /// new database with the old version's statistics (or vice versa) — the
-/// staleness bug a separate catalog map would invite.
+/// staleness bug a separate catalog map would invite. The chain the
+/// version was installed from travels with them for the same reason.
 #[derive(Clone)]
 struct DbEntry {
     db: Arc<Database>,
     stats: Arc<StatsCatalog>,
+    /// The base and tip of the chain `db` is the result of; `None` for a
+    /// database the server was started with.
+    chain: Option<Arc<KeptChain>>,
 }
 
 impl DbEntry {
@@ -204,10 +199,19 @@ impl DbEntry {
         DbEntry {
             db: Arc::new(db),
             stats,
+            chain: None,
         }
     }
 }
 
+/// Shared server state: configuration, the interner, the named databases,
+/// the plan cache, and the shutdown flag.
+///
+/// Each database sits behind an [`Arc`] inside an [`RwLock`]'d map so the
+/// admin `reload` op can swap in a freshly loaded snapshot atomically:
+/// requests resolve their `Arc<Database>` once at admission, so in-flight
+/// evaluations keep the database they started with while new requests see
+/// the replacement.
 pub struct ServeState {
     /// The configuration the server was started with.
     pub cfg: ServeConfig,
@@ -227,35 +231,36 @@ pub struct ServeState {
     repl_head: ReplHead,
     /// The replication hub, present only on a primary (`--repl-log`).
     primary: Mutex<Option<Arc<Primary>>>,
-    /// Per database name, the base the last full reload of it decoded, if
-    /// its fold kept the base's ids; see [`ServeState::reload`]. Empty
-    /// until a reload fills it.
-    kept: Mutex<BTreeMap<String, Arc<KeptBase>>>,
+}
+
+/// What an install keeps with the database it serves: the base the chain
+/// applied to, and the chain's tip — where its files' ids landed and the
+/// rows it inserted since the base. A replicated delta resumes from it.
+struct KeptChain {
+    base: Arc<KeptBase>,
+    map: SymbolMap,
+    added: Database,
 }
 
 /// A verified base snapshot in served ids: what a reload of a byte-equal
-/// base file reuses instead of decoding it again. It costs one base
-/// database (its runs, shared with what is served while no delta is
-/// applied), the file's bytes and the base's posting counts.
+/// base file, and every replicated delta after it, applies to instead of
+/// decoding it again. It costs one base database (its runs, shared with
+/// what is served while no delta is applied), the file's bytes, the map of
+/// its ids and the base's posting counts.
 struct KeptBase {
-    file: BaseFile,
-    /// The base's statistics with the posting lengths they were ranked
-    /// from: a reload derives the served catalog from them and the
-    /// chain's rows.
-    stats: CountedCatalog,
-}
-
-/// A base snapshot decoded in full.
-struct BaseFile {
     /// The file's bytes; reuse is byte equality with them.
     bytes: Vec<u8>,
     /// Their [`wdpt_store::content_hash`]: the chain's first link.
     hash: u64,
-    /// The base's symbol count. Once kept, its ids are the live interner's
-    /// first `symbols`, and stay so: ids are append-only.
-    symbols: usize,
-    /// The base's database, in those ids.
+    /// Where the base's file ids land in the served dictionary. Ids are
+    /// append-only, so it stays valid.
+    map: SymbolMap,
+    /// The base's database, in served ids.
     db: Database,
+    /// The base's statistics with the posting lengths they were ranked
+    /// from: an install derives the served catalog from them and the
+    /// chain's rows.
+    stats: CountedCatalog,
 }
 
 impl ServeState {
@@ -292,7 +297,6 @@ impl ServeState {
             slowlog,
             repl_head: ReplHead::new(),
             primary: Mutex::new(None),
-            kept: Mutex::new(BTreeMap::new()),
         })
     }
 
@@ -330,16 +334,6 @@ impl ServeState {
         &self.shutdown
     }
 
-    /// Folds a decoded `(Interner, Database)` pair into the live interner
-    /// and swaps it in as `db_name` ([`ServeState::install`]): the
-    /// follower's install point for replicated snapshots and deltas.
-    /// Returns the tuple count now served.
-    fn install_pair(&self, db_name: &str, pair: (Interner, Database)) -> usize {
-        let (db, _) = self.fold(|i| merge_snapshot(i, pair));
-        let stats = timed_stats(|| StatsCatalog::build(&db));
-        self.install(db_name, db, stats)
-    }
-
     /// Runs `f` on the live interner under its write lock, timed as the
     /// reload's merge: the one place the served dictionary is written.
     fn fold<R>(&self, f: impl FnOnce(&mut Interner) -> R) -> R {
@@ -349,17 +343,53 @@ impl ServeState {
         folded
     }
 
-    /// Swaps `db`, already in served ids, in as `db_name` — together with
-    /// its statistics catalog, built or derived off-lock by the caller, so
-    /// cached plans see the new epoch the moment they can see the new data.
-    /// This is the single install point for reloads *and* the follower's
-    /// replicated applies. Returns the tuple count now served.
-    fn install(&self, db_name: &str, db: Database, stats: StatsCatalog) -> usize {
+    /// Brings a loaded chain into the live interner and swaps its result
+    /// in as `db_name`, with its statistics and the chain it came from:
+    /// the single install point for reloads *and* the follower's
+    /// replicated frames. The fold commits the chain's symbols; a base
+    /// decoded in full is then counted once, and kept. The served catalog
+    /// is derived from the base's counts and the rows the chain inserted
+    /// since the base ([`CountedCatalog::derive`]), so cached plans see
+    /// the new epoch the moment they can see the new data. Returns the
+    /// tuple count now served.
+    fn install(&self, db_name: &str, loaded: LoadedChain) -> usize {
+        let LoadedChain {
+            base, symbols, db, ..
+        } = loaded;
+        let (adopted, committed) = self.fold(|i| (i.is_empty(), symbols.commit(i, db)));
+        let stats_start = Instant::now();
+        let base = match base {
+            ChainBase::Kept(kept) => kept,
+            ChainBase::Decoded { bytes, hash } => {
+                let fold = if adopted {
+                    counter!("serve.store.snapshot_adopted")
+                } else {
+                    counter!("serve.store.snapshot_remapped")
+                };
+                fold.add(1);
+                let base = committed
+                    .base
+                    .expect("a base decoded in full commits with its chain");
+                let (map, db) = base;
+                let stats = CountedCatalog::count(&db);
+                Arc::new(KeptBase {
+                    bytes,
+                    hash,
+                    map,
+                    db,
+                    stats,
+                })
+            }
+        };
+        let stats = base.stats.derive(&committed.added);
+        histogram!("serve.reload.stats_us").record(stats_start.elapsed().as_micros() as u64);
+        let (db, map, added) = (committed.db, committed.map, committed.added);
         let tuples = db.size();
         // Only the entry swap holds the write lock.
         let entry = DbEntry {
             db: Arc::new(db),
             stats: Arc::new(stats),
+            chain: Some(Arc::new(KeptChain { base, map, added })),
         };
         let swap_start = Instant::now();
         // The write guard is gone at the end of this statement; the entry
@@ -427,29 +457,26 @@ impl ServeState {
     ///
     /// The load + verification (CRC sections, delta hash chain, sorted-run
     /// merges) runs with **no server locks held**, so queries keep flowing;
-    /// the interner lock is taken only briefly, as below. Then the served
+    /// the interner's read lock is taken only briefly, to resolve names.
+    /// Then the chain's new symbols are interned (the fold) and the served
     /// `Arc<Database>` is swapped under the write lock: in-flight jobs
     /// finish against the old database, requests admitted after the swap
     /// see the new one.
     ///
-    /// A reload decodes in full a base file it has not seen: the chain is
-    /// applied in the snapshot's own ids, then folded into the live
-    /// interner (one name lookup per symbol of the whole chain, under the
-    /// lock; see [`merge_snapshot`]). When the fold keeps every base id,
-    /// the server keeps that base — its bytes, hash, symbol count,
-    /// database and posting counts — under `db_name`, replacing what it
-    /// kept there; otherwise it drops it. A later reload whose base file is
-    /// byte-equal to a kept one decodes only the deltas and applies them to
-    /// the kept base in served ids: the interner lock is held to resolve
-    /// each delta's appended symbols and check its cells (O(delta)), and
-    /// once more to intern the new symbols at the swap. Every check of the
-    /// full path runs on this one as well.
+    /// There is one path. The chain applies to a base in served ids: the
+    /// base the server kept when the base file is byte-equal to it, or
+    /// else the base file decoded in full and its dictionary resolved
+    /// against the live interner (adopted whole into an empty one; see
+    /// [`ChainSymbols::for_base`]). Each delta's appended symbols and
+    /// cells are resolved under the read lock, O(delta). Every install
+    /// keeps the base it applied to — its bytes, hash, id map, database
+    /// and posting counts — with the database it serves, replacing what
+    /// was kept there.
     ///
-    /// The served statistics catalog is counted once per full decode —
-    /// the kept base's columns, or the served database's when nothing is
-    /// kept — and a reload of a kept base derives it from the base's
-    /// counts and the rows the chain inserted
-    /// ([`CountedCatalog::derive`]), counting no column in full.
+    /// The served statistics catalog is counted once per base decoded in
+    /// full — the base's columns — and derived from the base's counts and
+    /// the rows the chain inserted ([`CountedCatalog::derive`]), counting
+    /// no column of a kept base again.
     ///
     /// The plan cache is **kept**: cached plans depend only on query
     /// structure and interner ids, never on data, and a reload only
@@ -469,13 +496,14 @@ impl ServeState {
         self.install_stage(db_name, loaded)
     }
 
-    /// The off-lock half of a reload: reads and fully verifies the
-    /// snapshot + delta chain while queries keep flowing, applying the
-    /// deltas to a kept base when the base file is one (see
-    /// [`ServeState::reload`]). The returned [`LoadedChain`] carries the
-    /// result, the chain's content hashes, and the raw delta bytes (so a
-    /// primary can publish them to its followers after the swap). It
-    /// leaves the interner and the kept bases as they were.
+    /// The off-lock half of a reload: reads the snapshot + delta files and
+    /// hands their bytes to the one loader, which verifies the chain and
+    /// applies it to a kept base or the base decoded in full (see
+    /// [`ServeState::reload`]) while queries keep flowing. The returned
+    /// [`LoadedChain`] carries the result, the chain's content hashes, and
+    /// the raw delta bytes (so a primary can publish them to its followers
+    /// after the swap). It leaves the interner and the kept bases as they
+    /// were.
     pub fn load_stage(
         &self,
         snapshot: &Path,
@@ -485,135 +513,122 @@ impl ServeState {
         let read = |p: &Path| -> Result<Vec<u8>, String> {
             std::fs::read(p).map_err(|e| format!("{}: {e}", p.display()))
         };
-        let base_bytes = match read(snapshot) {
-            Ok(b) => b,
-            Err(e) => {
-                counter!("serve.store.reload_failed").add(1);
-                return Err(e);
-            }
-        };
-        let mut delta_bytes = Vec::with_capacity(deltas.len());
-        for d in deltas {
-            match read(d.as_ref()) {
-                Ok(b) => delta_bytes.push(b),
-                Err(e) => {
-                    counter!("serve.store.reload_failed").add(1);
-                    return Err(e);
-                }
-            }
-        }
-        let kept = self
-            .kept
-            .lock()
-            .expect("kept lock")
-            .values()
-            .find(|kept| kept.file.bytes == base_bytes)
-            .cloned();
-        // Verifying the chain hashes every file once; those are the hashes
-        // the served head history wants.
-        let loaded = match kept {
-            Some(kept) => {
-                let file = &kept.file;
-                let mut symbols = ChainSymbols::new(file.symbols, self.interner_len());
-                let interner = || self.dictionary();
-                let base = file.db.clone();
-                wdpt_store::apply_chain(interner, &mut symbols, file.hash, base, &delta_bytes)
-                    .map(|(db, chain)| (Fold::Served { db, symbols, kept }, chain))
-            }
-            None => decode_in_full(base_bytes, &delta_bytes),
-        };
-        let (fold, chain) = match loaded {
-            Ok(loaded) => loaded,
-            Err((link, e)) => {
-                counter!("serve.store.reload_failed").add(1);
+        let files = std::iter::once(snapshot).chain(deltas.iter().map(AsRef::as_ref));
+        let bytes = files.map(read).collect::<Result<Vec<_>, _>>();
+        let loaded = bytes.and_then(|mut bytes| {
+            let base = bytes.remove(0);
+            self.load(base, bytes).map_err(|(link, e)| {
                 // Name the file that failed, not the chain's first one.
                 let file = match link.checked_sub(1) {
                     None => snapshot,
                     Some(i) => deltas[i].as_ref(),
                 };
-                return Err(format!("{}: {e}", file.display()));
+                format!("{}: {e}", file.display())
+            })
+        });
+        match &loaded {
+            Ok(_) => {
+                histogram!("serve.reload.load_us").record(load_start.elapsed().as_micros() as u64)
+            }
+            Err(_) => counter!("serve.store.reload_failed").add(1),
+        }
+        loaded
+    }
+
+    /// The one loader, for reloads and replicated snapshots: a base file's
+    /// bytes and its deltas', verified and applied off-lock. A kept base
+    /// byte-equal to `bytes`, under any name, resumes from its id map; any
+    /// other base is
+    /// decoded and resolved against the live interner. An error names the
+    /// chain position of the file that failed, as
+    /// [`wdpt_store::decode_chain`] does.
+    fn load(
+        &self,
+        bytes: Vec<u8>,
+        deltas: Vec<Vec<u8>>,
+    ) -> Result<LoadedChain, (usize, wdpt_store::StoreError)> {
+        let kept = {
+            let dbs = self.dbs.read().expect("dbs lock");
+            let mut chains = dbs.values().filter_map(|entry| entry.chain.as_ref());
+            let chain = chains.find(|chain| chain.base.bytes == bytes);
+            chain.map(|chain| Arc::clone(&chain.base))
+        };
+        let (base, symbols, db) = match kept {
+            Some(kept) => {
+                let none = Database::new();
+                let symbols = ChainSymbols::resume(&kept.map, &none, self.interner_len());
+                let db = (kept.db.clone(), kept.hash);
+                (ChainBase::Kept(kept), symbols, db)
+            }
+            None => {
+                let at_base = |e| (0, e);
+                let pair = wdpt_store::decode_snapshot(&bytes).map_err(at_base)?;
+                let (symbols, db) =
+                    ChainSymbols::for_base(|| self.dictionary(), pair).map_err(at_base)?;
+                let hash = wdpt_store::content_hash(&bytes);
+                (ChainBase::Decoded { bytes, hash }, symbols, (db, hash))
             }
         };
-        let deltas = delta_bytes
+        self.apply(base, symbols, db, deltas)
+    }
+
+    /// Applies the delta files `deltas` to `db`, the result so far of a
+    /// chain over `base` in `symbols`' ids, whose last file hashes to
+    /// `head`: the loaded chain, awaiting its install.
+    fn apply(
+        &self,
+        base: ChainBase,
+        mut symbols: ChainSymbols,
+        (db, head): (Database, u64),
+        deltas: Vec<Vec<u8>>,
+    ) -> Result<LoadedChain, (usize, wdpt_store::StoreError)> {
+        let interner = || self.dictionary();
+        let (db, chain) = wdpt_store::apply_chain(interner, &mut symbols, head, db, &deltas)?;
+        let deltas = deltas
             .into_iter()
             .zip(chain.windows(2))
             .map(|(bytes, link)| (link[0], link[1], bytes))
             .collect();
-        histogram!("serve.reload.load_us").record(load_start.elapsed().as_micros() as u64);
         Ok(LoadedChain {
-            fold,
+            base,
+            symbols,
+            db,
             chain,
             deltas,
         })
     }
 
-    /// The swap half of a reload: brings the loaded chain into the live
-    /// interner, keeps or drops the base a full decode read, and swaps the
-    /// served database. Fails **typed** (without touching the interner or
-    /// the kept bases) if shutdown began after the load stage — a reload
-    /// racing the drain either completes its swap or reports `shutting
-    /// down`, never a half-merged interner.
+    /// The swap half of a reload: the one install — the fold, the base
+    /// counted if it was decoded in full and kept either way, the served
+    /// database swapped — then the chain's hashes as the served head
+    /// history. Fails **typed** (without touching the interner or the kept
+    /// bases) if shutdown began after the load stage — a reload racing the
+    /// drain either completes its swap or reports `shutting down`, never a
+    /// half-merged interner.
     pub fn install_stage(
         &self,
         db_name: &str,
-        loaded: LoadedChain,
+        mut loaded: LoadedChain,
     ) -> Result<(usize, usize), String> {
         if self.is_shutting_down() {
             counter!("serve.store.reload_rejected_shutdown").add(1);
             return Err("server is shutting down; reload rejected before the swap".to_string());
         }
-        let (db, stats) = match loaded.fold {
-            Fold::Decoded {
-                pair: (interner, db),
-                added,
-                base,
-            } => {
-                let (translate, shared) = self.fold(|i| merge_symbols(i, interner));
-                let to_served = |db| translate_database(db, translate.as_deref());
-                let db = to_served(db);
-                // One counting pass either way: a base the fold keeps is
-                // counted and the served catalog derived from its counts;
-                // any other catalog is built from the served database.
-                let (kept, stats) = timed_stats(|| {
-                    if shared < base.symbols {
-                        return (None, StatsCatalog::build(&db));
-                    }
-                    let counted = CountedCatalog::count(&base.db);
-                    let stats = counted.derive(&to_served(added));
-                    let kept = KeptBase {
-                        file: base,
-                        stats: counted,
-                    };
-                    (Some(kept), stats)
-                });
-                let replaced = {
-                    let mut map = self.kept.lock().expect("kept lock");
-                    match kept {
-                        Some(kept) => map.insert(db_name.to_string(), Arc::new(kept)),
-                        None => map.remove(db_name),
-                    }
-                };
-                drop(replaced);
-                (db, stats)
-            }
-            Fold::Served { db, symbols, kept } => {
-                let (db, added) = self.fold(|i| symbols.commit(i, db));
-                (db, timed_stats(|| kept.stats.derive(&added)))
-            }
-        };
-        let tuples = self.install(db_name, db, stats);
-        self.repl_head.install_chain(&loaded.chain);
+        let (chain, applied) = (std::mem::take(&mut loaded.chain), loaded.deltas.len());
+        let tuples = self.install(db_name, loaded);
+        self.repl_head.install_chain(&chain);
         gauge!("repl.head").set(self.repl_head.head().unwrap_or(0) as i64);
         counter!("serve.store.reload_ok").add(1);
         counter!("serve.store.reload_cache_kept").add(self.cache.len() as u64);
-        Ok((tuples, loaded.deltas.len()))
+        Ok((tuples, applied))
     }
 
     /// The content hash of the base kept for `db_name`, if any (see
     /// [`ServeState::reload`]).
     pub fn kept_base_hash(&self, db_name: &str) -> Option<u64> {
-        let kept = self.kept.lock().expect("kept lock");
-        kept.get(db_name).map(|kept| kept.file.hash)
+        let dbs = self.dbs.read().expect("dbs lock");
+        let chain = dbs.get(db_name)?.chain.as_ref()?;
+        Some(chain.base.hash)
     }
 
     /// The plan cache (for tests and stats).
@@ -728,69 +743,24 @@ struct Rejection {
 /// A snapshot + delta chain read and verified off-lock by
 /// [`ServeState::load_stage`], awaiting its swap.
 pub struct LoadedChain {
-    fold: Fold,
+    base: ChainBase,
+    /// The chain's symbols, resolved read-only: the fold commits them.
+    symbols: ChainSymbols,
+    /// The chain's result, in `symbols`' ids.
+    db: Database,
     /// Content hashes of the chain: base snapshot first, then each delta.
     pub chain: Vec<u64>,
     /// `(base_hash, hash, file bytes)` per delta, in chain order.
     pub deltas: Vec<(u64, u64, Vec<u8>)>,
 }
 
-/// How a loaded chain enters the live interner at the swap.
-enum Fold {
-    /// A base decoded in full: the chain's pair in the snapshot's own ids,
-    /// for [`merge_snapshot`], the rows its deltas inserted, in the same
-    /// ids, and the base to keep if the fold keeps its ids.
-    Decoded {
-        pair: (Interner, Database),
-        added: Database,
-        base: BaseFile,
-    },
-    /// Deltas applied to a kept base, in served ids; their new symbols
-    /// wait to be interned, and the served catalog is derived from the
-    /// base's.
-    Served {
-        db: Database,
-        symbols: ChainSymbols,
-        kept: Arc<KeptBase>,
-    },
-}
-
-/// The full-decode half of [`ServeState::load_stage`]: the base file
-/// decoded, and the deltas applied to it in its own ids. An error names
-/// the chain position of the file that failed, as
-/// [`wdpt_store::decode_chain`] does.
-fn decode_in_full(
-    bytes: Vec<u8>,
-    deltas: &[Vec<u8>],
-) -> Result<(Fold, Vec<u64>), (usize, wdpt_store::StoreError)> {
-    let (mut interner, base) = wdpt_store::decode_snapshot(&bytes).map_err(|e| (0, e))?;
-    let (hash, symbols) = (wdpt_store::content_hash(&bytes), interner.len());
-    let mut chain_symbols = ChainSymbols::new(symbols, symbols);
-    let (db, chain) =
-        wdpt_store::apply_chain(|| &interner, &mut chain_symbols, hash, base.clone(), deltas)?;
-    let (db, added) = chain_symbols.commit(&mut interner, db);
-    let base = BaseFile {
-        bytes,
-        hash,
-        symbols,
-        db: base,
-    };
-    Ok((
-        Fold::Decoded {
-            pair: (interner, db),
-            added,
-            base,
-        },
-        chain,
-    ))
-}
-
-/// Runs `make`, timed as the reload's statistics stage.
-fn timed_stats<T>(make: impl FnOnce() -> T) -> T {
-    let start = Instant::now();
-    let made = make();
-    histogram!("serve.reload.stats_us").record(start.elapsed().as_micros() as u64);
-    made
+/// The base a loaded chain applies to.
+enum ChainBase {
+    /// A base an install kept, in served ids and counted.
+    Kept(Arc<KeptBase>),
+    /// A base file decoded in full, its bytes and their hash: the install
+    /// counts it and keeps it.
+    Decoded { bytes: Vec<u8>, hash: u64 },
 }
 
 /// `(triple patterns, distinct variables)` of a parsed pattern — the
@@ -1730,20 +1700,21 @@ fn process(job: Job, state: &ServeState) {
 }
 
 /// Implements [`ReplApply`] over the serving state: the follower side of
-/// replication, driving frames through the same hot-reload path the
+/// replication, driving frames through the same loader and install the
 /// `reload` op uses (plan cache kept, in-flight queries pinned to their
 /// `Arc<Database>`).
 ///
-/// The decoded chain tip is kept as a **pristine** `(Interner, Database)`
-/// pair separate from the served state: the live interner also holds other
-/// databases' symbols, which would break the next delta's `base_symbols`
-/// anchor.
-/// Each delta applies to the pristine pair in place; a clone of the result
-/// is then merged into the live interner and swapped in.
+/// The follower's state is what an install keeps with the database served
+/// as `db_name`: the base and the chain's tip. A snapshot frame is loaded
+/// as a base file with no deltas. A delta frame resumes the chain's
+/// symbols from the tip — the live interner also holds other databases'
+/// symbols, so the tip's map, not the interner, anchors the delta's file
+/// ids — applies that one delta to the served database and installs the
+/// result. A frame that fails leaves the tip, the head and the interner as
+/// they were, so the next good frame applies.
 pub struct FollowerApply {
     state: Arc<ServeState>,
     db_name: String,
-    pristine: Mutex<Option<(Interner, Database)>>,
 }
 
 impl FollowerApply {
@@ -1752,21 +1723,22 @@ impl FollowerApply {
         FollowerApply {
             state,
             db_name: db_name.into(),
-            pristine: Mutex::new(None),
         }
+    }
+
+    /// True once a chain is installed under the name.
+    fn has_chain(&self) -> bool {
+        self.state.kept_base_hash(&self.db_name).is_some()
     }
 }
 
 impl ReplApply for FollowerApply {
-    // Both predicates report "nothing applied" while the pristine pair is
-    // absent (fresh follower, or dropped after a failed apply): the next
-    // subscribe then sends no base — a full bootstrap — and none of its
-    // frames are skipped as duplicates.
+    // Both predicates report "nothing applied" while no chain is installed
+    // under the name (a fresh follower): the next subscribe then sends no
+    // base — a full bootstrap — and none of its frames are skipped as
+    // duplicates.
     fn current_head(&self) -> Option<u64> {
-        self.pristine
-            .lock()
-            .expect("pristine lock")
-            .is_some()
+        self.has_chain()
             .then(|| self.state.current_head())
             .flatten()
     }
@@ -1775,17 +1747,14 @@ impl ReplApply for FollowerApply {
     // history still holds hashes ahead of the freshly installed chain, and
     // the replay for those must be applied, not skipped as duplicates.
     fn known(&self, head: u64) -> bool {
-        self.pristine.lock().expect("pristine lock").is_some()
-            && self.state.repl_head.on_chain(head)
+        self.has_chain() && self.state.repl_head.on_chain(head)
     }
 
     fn apply_snapshot(&self, head: u64, bytes: &[u8]) -> Result<(), String> {
         let start = Instant::now();
-        let pair = wdpt_store::decode_snapshot(bytes).map_err(|e| e.to_string())?;
-        let mut pristine = self.pristine.lock().expect("pristine lock");
-        let clone = pair.clone();
-        *pristine = Some(pair);
-        self.state.install_pair(&self.db_name, clone);
+        let loaded = self.state.load(bytes.to_vec(), Vec::new());
+        let loaded = loaded.map_err(|(_, e)| e.to_string())?;
+        self.state.install(&self.db_name, loaded);
         self.state.repl_head.install_chain(&[head]);
         gauge!("repl.head").set(head as i64);
         counter!("repl.follower.snapshots_applied").add(1);
@@ -1796,48 +1765,36 @@ impl ReplApply for FollowerApply {
 
     fn apply_delta(&self, head: u64, base: u64, bytes: &[u8]) -> Result<(), String> {
         let start = Instant::now();
-        let mut pristine = self.pristine.lock().expect("pristine lock");
-        let Some((interner, db)) = pristine.take() else {
-            return Err("no snapshot applied yet; delta has no base".to_string());
+        let (db, chain) = {
+            let dbs = self.state.dbs.read().expect("dbs lock");
+            let entry = dbs.get(&self.db_name);
+            match entry.and_then(|entry| Some((Arc::clone(&entry.db), entry.chain.clone()?))) {
+                Some(served) => served,
+                None => return Err("no snapshot applied yet; delta has no base".to_string()),
+            }
         };
-        // NB: read the state's head directly — `self.current_head()` locks
-        // `pristine`, which this thread already holds.
         let served = self.state.current_head();
         if served != Some(base) {
-            *pristine = Some((interner, db));
             return Err(format!(
                 "delta extends {} but the served head is {}",
                 wdpt_store::head_hex(base),
                 served.map_or_else(|| "unset".to_string(), wdpt_store::head_hex),
             ));
         }
-        let delta = match wdpt_store::decode_delta(bytes) {
-            Ok(d) => d,
-            Err(e) => {
-                *pristine = Some((interner, db));
-                return Err(e.to_string());
-            }
-        };
-        let mut interner = interner;
-        let mut symbols = wdpt_store::ChainSymbols::new(interner.len(), interner.len());
-        match wdpt_store::apply_delta(|| &interner, &mut symbols, db, delta) {
-            Ok(new_db) => {
-                let (new_db, _) = symbols.commit(&mut interner, new_db);
-                let clone = (interner.clone(), new_db.clone());
-                *pristine = Some((interner, new_db));
-                drop(pristine);
-                self.state.install_pair(&self.db_name, clone);
-                self.state.repl_head.advance(head);
-                gauge!("repl.head").set(head as i64);
-                counter!("repl.follower.deltas_applied").add(1);
-                counter!("repl.follower.bytes_applied").add(bytes.len() as u64);
-                histogram!("repl.follower.apply_us").record(start.elapsed().as_micros() as u64);
-                Ok(())
-            }
-            // The failed apply consumed the pristine database; with the
-            // pair gone the next frame forces a clean bootstrap.
-            Err(e) => Err(format!("delta apply failed: {e}")),
-        }
+        let len = self.state.interner_len();
+        let symbols = ChainSymbols::resume(&chain.map, &chain.added, len);
+        let kept = ChainBase::Kept(Arc::clone(&chain.base));
+        let loaded = self
+            .state
+            .apply(kept, symbols, ((*db).clone(), base), vec![bytes.to_vec()])
+            .map_err(|(_, e)| format!("delta apply failed: {e}"))?;
+        self.state.install(&self.db_name, loaded);
+        self.state.repl_head.advance(head);
+        gauge!("repl.head").set(head as i64);
+        counter!("repl.follower.deltas_applied").add(1);
+        counter!("repl.follower.bytes_applied").add(bytes.len() as u64);
+        histogram!("repl.follower.apply_us").record(start.elapsed().as_micros() as u64);
+        Ok(())
     }
 }
 

@@ -10,9 +10,11 @@
 
 use wdpt_model::{Const, Interner, Relation};
 use wdpt_obs::delta_scope;
-use wdpt_serve::{merge_snapshot, parse_dataset};
+use wdpt_serve::parse_dataset;
 use wdpt_sparql::TripleStore;
-use wdpt_store::{content_hash, decode_chain, delta_to_vec, snapshot_to_vec_v2};
+use wdpt_store::{
+    apply_chain, content_hash, decode_snapshot, delta_to_vec, snapshot_to_vec_v2, ChainSymbols,
+};
 
 const BASE: &str = "triple(s1, p, o1)\ntriple(s2, p, o1)\ntriple(s2, q, o2)\n\
                     triple(s3, q, o1)\nlabel(s1, first)\n";
@@ -54,35 +56,41 @@ fn a_reload_and_the_first_point_query_after_it_build_nothing() {
     let fresh_triple = TripleStore::pred(&mut fresh_i);
     let expected = named_rows(fresh.relation(fresh_triple).unwrap(), &fresh_i);
 
-    // Installed into an empty interner (a cold start, a follower); into
-    // one that already holds some of the names under other ids, so the
-    // merge translates every cell and re-sorts every run; and into one
-    // that extends the base's interner but holds a name of its own where
-    // the delta's symbols would go, so only the base keeps its ids.
+    // Installed into an empty interner (a cold start, a follower), which
+    // adopts the file's dictionary; into one that already holds some of
+    // the names under other ids, so the base's every cell is translated and
+    // every run re-sorted; and into one that extends the base's interner
+    // but holds a name of its own where the delta's symbols would go, so
+    // only the base keeps its ids.
     let mut taken = Interner::new();
     for name in ["o3", "s4", "unrelated", "o1"] {
         taken.constant(name);
     }
     let mut past_base = base_i.clone();
     past_base.constant("unrelated");
-    let (base_len, chain_len) = (base_i.len(), new_i.len());
-    for (mut live, remapped, shared_ids) in [
-        (Interner::new(), 0, chain_len),
-        (taken, 1, 0),
-        (past_base, 1, base_len),
+    for (mut live, base_kept, chain_kept) in [
+        (Interner::new(), true, true),
+        (taken, false, false),
+        (past_base, true, false),
     ] {
-        let ((db, shared), work) = delta_scope(|| {
-            let (pair, _) = decode_chain(&base_bytes, std::slice::from_ref(&delta)).unwrap();
-            merge_snapshot(&mut live, pair)
+        let (committed, work) = delta_scope(|| {
+            let pair = decode_snapshot(&base_bytes).unwrap();
+            let (mut symbols, db) = ChainSymbols::for_base(|| &live, pair).unwrap();
+            let hash = content_hash(&base_bytes);
+            let deltas = std::slice::from_ref(&delta);
+            let (db, _) = apply_chain(|| &live, &mut symbols, hash, db, deltas).unwrap();
+            symbols.commit(&mut live, db)
         });
-        assert_eq!(work.counter("serve.store.snapshot_remapped"), remapped);
-        assert_eq!(shared, shared_ids, "ids the live interner shares");
+        let (base_map, _) = committed.base.as_ref().expect("a base decoded in full");
+        assert_eq!(base_map.is_identity(), base_kept, "base ids kept");
+        assert_eq!(committed.map.is_identity(), chain_kept, "chain ids kept");
         assert_eq!(work.counter("store.delta.relations_merged"), 1);
         assert_eq!(
             work.counter("db.index_builds"),
             0,
             "the reload built something"
         );
+        let db = committed.db;
         let triple = TripleStore::pred(&mut live);
         let rel = db.relation(triple).unwrap();
 

@@ -26,14 +26,16 @@ const DB: &str = "main";
 const Q: &str = "SELECT ?s ?o WHERE { (?s, p0, ?o) }";
 
 /// The files of the tests: a base snapshot, deltas `d0` and `d1` built
-/// against it, `d2` built against base + `d1`, and a second base over the
-/// first one's symbols.
+/// against it, `d2` built against base + `d1`, a delta `bad` that also
+/// follows `d1` but inserts a tuple the base holds, and a second base over
+/// the first one's symbols.
 struct Files {
     dir: PathBuf,
     base: PathBuf,
     d0: PathBuf,
     d1: PathBuf,
     d2: PathBuf,
+    bad: Vec<u8>,
     other_base: Vec<u8>,
 }
 
@@ -115,6 +117,17 @@ fn files(tag: &str) -> Files {
         ("s16", "p10", "o2"),
     ];
     delta(&d1_bytes, (&i1, &ts1), &d2_triples, &d2);
+    // `bad`: base + `d1` written as if it lacked the base's (s0, p0, o0).
+    let held = ts1.database();
+    let triple = Pred(i1.lookup_id(SymbolSpace::Pred, "triple").unwrap());
+    let s0 = |name: &str| Const(i1.lookup_id(SymbolSpace::Const, name).unwrap());
+    let (s0p0o0, mut without) = ([s0("s0"), s0("p0"), s0("o0")], Database::new());
+    for row in held.relation(triple).unwrap().tuples() {
+        if row != s0p0o0 {
+            without.insert(triple, row.to_vec());
+        }
+    }
+    let bad = delta_to_vec(content_hash(&d1_bytes), &i1, &without, &i1, held).unwrap();
 
     // The same symbols, other tuples: a base whose fold keeps its ids.
     let mut other = TripleStore::new();
@@ -132,6 +145,7 @@ fn files(tag: &str) -> Files {
         d0,
         d1,
         d2,
+        bad,
         other_base,
     }
 }
@@ -153,12 +167,22 @@ struct Reloaded {
     counted: u64,
 }
 
-/// One reload through its two stages, or the error.
+/// One reload of [`DB`] through its two stages, or the error.
 fn reload(state: &ServeState, base: &Path, deltas: &[&Path]) -> Result<Reloaded, String> {
+    reload_into(state, DB, base, deltas)
+}
+
+/// One reload of `name` through its two stages, or the error.
+fn reload_into(
+    state: &ServeState,
+    name: &str,
+    base: &Path,
+    deltas: &[&Path],
+) -> Result<Reloaded, String> {
     let (out, work) = delta_scope(|| {
         let loaded = state.load_stage(base, deltas)?;
         let chain = loaded.chain.clone();
-        state.install_stage(DB, loaded).map(|_| chain)
+        state.install_stage(name, loaded).map(|_| chain)
     });
     let folds = work.counter("serve.store.snapshot_adopted")
         + work.counter("serve.store.snapshot_remapped");
@@ -183,11 +207,17 @@ struct Served {
     head: Option<u64>,
 }
 
-/// What `state` serves, by name, once its catalog is checked against a
-/// build of the served database in the same ids: every relation, row
-/// count, distinct count and most-common-values list, in rank order.
+/// What `state` serves as [`DB`]; see [`served_as`].
 fn served(state: &ServeState) -> Served {
-    let (db, stats) = state.db_with_stats(DB).unwrap();
+    served_as(state, DB)
+}
+
+/// What `state` serves as `db_name`, by name, once its catalog is checked
+/// against a build of the served database in the same ids: every
+/// relation, row count, distinct count and most-common-values list, in
+/// rank order.
+fn served_as(state: &ServeState, db_name: &str) -> Served {
+    let (db, stats) = state.db_with_stats(db_name).unwrap();
     stats.check().unwrap();
     let (built, _) = delta_scope(|| StatsCatalog::build(&db));
     assert_eq!(stats.len(), built.len());
@@ -227,7 +257,8 @@ fn every_reload_serves_what_a_fresh_server_reloading_the_same_files_serves() {
     let f = files("differential");
     let other = f.dir.join("other.snap");
     std::fs::write(&other, &f.other_base).unwrap();
-    // A base over symbols of its own: its fold cannot keep its ids.
+    // A base over symbols of its own: its ids translate, and it is kept
+    // all the same.
     let foreign = f.dir.join("foreign.snap");
     {
         let (mut i, mut ts) = (Interner::new(), TripleStore::new());
@@ -235,17 +266,16 @@ fn every_reload_serves_what_a_fresh_server_reloading_the_same_files_serves() {
         wdpt_store::save_snapshot(&foreign, &i, ts.database()).unwrap();
     }
     let base_hash = content_hash(&std::fs::read(&f.base).unwrap());
-    // (base, deltas, full folds on the first pass, then on the second,
-    // whether the base is kept).
-    let steps: [(&Path, Vec<&Path>, u64, u64, bool); 8] = [
-        (&f.base, vec![&f.d0], 1, 0, true),
-        (&f.base, vec![&f.d1], 0, 0, true),
-        (&f.base, vec![&f.d0], 0, 0, true),
-        (&f.base, vec![&f.d1, &f.d2], 0, 0, true),
-        (&other, vec![], 1, 1, true),
-        (&foreign, vec![], 1, 1, false),
-        (&foreign, vec![], 1, 1, false),
-        (&f.base, vec![&f.d0], 1, 1, true),
+    // (base, deltas, full folds on the first pass, then on the second).
+    let steps: [(&Path, Vec<&Path>, u64, u64); 8] = [
+        (&f.base, vec![&f.d0], 1, 0),
+        (&f.base, vec![&f.d1], 0, 0),
+        (&f.base, vec![&f.d0], 0, 0),
+        (&f.base, vec![&f.d1, &f.d2], 0, 0),
+        (&other, vec![], 1, 1),
+        (&foreign, vec![], 1, 1),
+        (&foreign, vec![], 0, 0),
+        (&f.base, vec![&f.d0], 1, 1),
     ];
 
     let state = start(&f.base);
@@ -253,7 +283,7 @@ fn every_reload_serves_what_a_fresh_server_reloading_the_same_files_serves() {
     assert_eq!(status, "miss");
     let mut settled = None;
     for pass in 0..2 {
-        for (step, (base, deltas, first, second, keeps)) in steps.iter().enumerate() {
+        for (step, (base, deltas, first, second)) in steps.iter().enumerate() {
             let at = format!("pass {pass}, step {step}");
             let Reloaded {
                 chain,
@@ -264,8 +294,9 @@ fn every_reload_serves_what_a_fresh_server_reloading_the_same_files_serves() {
             // One relation of three columns, counted once per full decode;
             // a reload of the kept base counts none.
             assert_eq!(counted, 3 * folds, "{at}: columns counted");
-            let kept = keeps.then(|| content_hash(&std::fs::read(base).unwrap()));
-            assert_eq!(state.kept_base_hash(DB), kept, "{at}: kept base");
+            // Every base is kept.
+            let kept = content_hash(&std::fs::read(base).unwrap());
+            assert_eq!(state.kept_base_hash(DB), Some(kept), "{at}: kept base");
 
             let fresh = start(&f.base);
             let fresh_reload = reload(&fresh, base, deltas).unwrap();
@@ -503,4 +534,163 @@ fn a_cached_plans_ids_never_reach_evaluation() {
     state.begin_shutdown();
     server.join().unwrap().unwrap();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A base whose symbols sit at other ids in a server started from the
+/// fixture's base — names of its own among the fixture's — saved as
+/// `aux.snap`, and a delta `aux_d0.delta` after it. Returns both paths.
+fn translated_base(f: &Files) -> (PathBuf, PathBuf) {
+    let (mut i, mut ts) = (Interner::new(), TripleStore::new());
+    let triples = [
+        ("aux0", "p3", "o5"),
+        ("s19", "p2", "aux1"),
+        ("s3", "p0", "o0"),
+        ("aux0", "p17", "s0"),
+    ];
+    insert(&mut i, &mut ts, &triples);
+    let bytes = snapshot_to_vec_v2(&i, ts.database()).unwrap();
+    let base = f.dir.join("aux.snap");
+    std::fs::write(&base, &bytes).unwrap();
+    let d0 = f.dir.join("aux_d0.delta");
+    let d0_triples = [("aux2", "p3", "o5"), ("s3", "p1", "aux1")];
+    delta(&bytes, (&i, &ts), &d0_triples, &d0);
+    (base, d0)
+}
+
+/// Every install keeps its base, also one whose ids the fold translates:
+/// reloading it with a delta decodes and counts nothing again, and serves
+/// what a fresh server reloading the same files serves.
+#[test]
+fn a_translated_base_is_kept_and_counted_once() {
+    let f = files("translated");
+    let (aux, aux_d0) = translated_base(&f);
+    let state = start(&f.base);
+    let first = reload_into(&state, "aux", &aux, &[]).unwrap();
+    assert_eq!((first.folds, first.counted), (1, 3));
+    let aux_bytes = std::fs::read(&aux).unwrap();
+    assert_eq!(state.kept_base_hash("aux"), Some(content_hash(&aux_bytes)));
+    let (file, _) = decode_snapshot(&aux_bytes).unwrap();
+    let s19 = |i: &Interner| i.lookup_id(SymbolSpace::Const, "s19");
+    assert_ne!(
+        s19(&file),
+        state.with_interner(s19),
+        "the fold is the identity"
+    );
+
+    let again = reload_into(&state, "aux", &aux, &[&aux_d0]).unwrap();
+    assert_eq!(
+        (again.folds, again.counted),
+        (0, 0),
+        "the kept base was redone"
+    );
+    let fresh = start(&f.base);
+    let cold = reload_into(&fresh, "aux", &aux, &[&aux_d0]).unwrap();
+    assert_eq!((cold.folds, cold.counted), (1, 3));
+    assert_eq!(again.chain, cold.chain);
+    assert_eq!(served_as(&state, "aux"), served_as(&fresh, "aux"));
+    assert_eq!(served(&state), served(&fresh), "main moved");
+    std::fs::remove_dir_all(&f.dir).ok();
+}
+
+/// The full-decode twin of
+/// `a_symbol_interned_between_the_stages_remaps_the_chains_rows`: a symbol
+/// interned between the stages takes the id a name new with the base
+/// holds provisionally, so the commit remaps the base's rows too — the
+/// served ones and the kept ones.
+#[test]
+fn a_symbol_interned_between_the_stages_remaps_a_decoded_bases_rows() {
+    let f = files("remap-base");
+    let (aux, aux_d0) = translated_base(&f);
+    let state = start(&f.base);
+    let side = f.dir.join("side.snap");
+    let (mut si, mut sts) = (Interner::new(), TripleStore::new());
+    insert(&mut si, &mut sts, &[("between", "p0", "o0")]);
+    std::fs::write(&side, snapshot_to_vec_v2(&si, sts.database()).unwrap()).unwrap();
+    let (loaded, load) = delta_scope(|| state.load_stage(&aux, &[&aux_d0]).unwrap());
+    delta_scope(|| state.reload("side", &side, &[] as &[&Path]).unwrap());
+    let (_, install) = delta_scope(|| state.install_stage("aux", loaded).unwrap());
+    let counted = |work: &wdpt_obs::MetricsSnapshot| work.counter("plan.stats.columns_counted");
+    assert_eq!(
+        counted(&load) + counted(&install),
+        3,
+        "the base is counted once"
+    );
+    let id = |name: &str| state.with_interner(|i| i.lookup_id(SymbolSpace::Const, name).unwrap());
+    assert!(
+        id("between") < id("aux0"),
+        "the base's names kept their ids"
+    );
+
+    let fresh = start(&f.base);
+    reload_into(&fresh, "aux", &aux, &[&aux_d0]).unwrap();
+    assert_eq!(served_as(&state, "aux"), served_as(&fresh, "aux"));
+    // The kept base is in the settled ids too.
+    for deltas in [vec![], vec![aux_d0.as_path()]] {
+        let again = reload_into(&state, "aux", &aux, &deltas).unwrap();
+        assert_eq!((again.folds, again.counted), (0, 0), "{deltas:?}");
+        reload_into(&fresh, "aux", &aux, &deltas).unwrap();
+        assert_eq!(
+            served_as(&state, "aux"),
+            served_as(&fresh, "aux"),
+            "{deltas:?}"
+        );
+    }
+    std::fs::remove_dir_all(&f.dir).ok();
+}
+
+/// A follower whose dictionary holds a generated catalog, driven frame by
+/// frame, serves after every frame what a fresh server reloading the same
+/// files serves, with the same head and chain length; a delta frame counts
+/// no column. A structurally bad delta is refused and changes nothing, and
+/// the next good frame applies.
+#[test]
+fn a_follower_serves_what_a_fresh_server_reloading_the_same_files_serves() {
+    use wdpt_repl::ReplApply;
+    let f = files("follower");
+    let read = |p: &Path| std::fs::read(p).unwrap();
+    let (base, d1, d2) = (read(&f.base), read(&f.d1), read(&f.d2));
+    let mut interner = Interner::new();
+    let params = wdpt_gen::music::MusicParams::default();
+    let catalog = wdpt_gen::music_triples(&mut interner, params).into_database();
+    let dbs: BTreeMap<String, Database> = [(DB.to_string(), catalog)].into();
+    let state = delta_scope(|| ServeState::new(ServeConfig::default(), interner, dbs, DB)).0;
+    let apply = wdpt_serve::FollowerApply::new(Arc::clone(&state), DB);
+    let same_as_fresh = |deltas: &[&Path]| {
+        let fresh = start(&f.base);
+        reload(&fresh, &f.base, deltas).unwrap();
+        assert_eq!(served(&state), served(&fresh), "{deltas:?}");
+        let chain_len = |s: &ServeState| s.repl_head().chain_len();
+        assert_eq!(chain_len(&state), chain_len(&fresh), "{deltas:?}");
+    };
+    let h = |bytes: &[u8]| content_hash(bytes);
+
+    delta_scope(|| apply.apply_snapshot(h(&base), &base))
+        .0
+        .unwrap();
+    same_as_fresh(&[]);
+    let (out, work) = delta_scope(|| apply.apply_delta(h(&d1), h(&base), &d1));
+    out.unwrap();
+    assert_eq!(work.counter("plan.stats.columns_counted"), 0, "d1");
+    same_as_fresh(&[&f.d1]);
+
+    let (before, symbols) = (served(&state), state.interner_len());
+    let (out, _) = delta_scope(|| apply.apply_delta(h(&f.bad), h(&d1), &f.bad));
+    let err = out.unwrap_err();
+    assert!(err.contains("already holds"), "got: {err}");
+    assert_eq!(
+        served(&state),
+        before,
+        "the refused frame moved the rows or head"
+    );
+    assert_eq!(
+        state.interner_len(),
+        symbols,
+        "the refused frame grew the interner"
+    );
+
+    let (out, work) = delta_scope(|| apply.apply_delta(h(&d2), h(&d1), &d2));
+    out.unwrap();
+    assert_eq!(work.counter("plan.stats.columns_counted"), 0, "d2");
+    same_as_fresh(&[&f.d1, &f.d2]);
+    std::fs::remove_dir_all(&f.dir).ok();
 }

@@ -307,10 +307,10 @@ fn follower_bootstraps_streams_and_serves_read_your_writes() {
 
     // Catch-up after restart: stop the follower loop, publish the second
     // delta while it is disconnected, then restart. `spawn_follower`
-    // builds a fresh `FollowerApply` (pristine=None), so like a real
-    // process restart this re-bootstraps from the primary's base and
-    // replays the full log — including d1, which the follower's history
-    // already knows but its freshly installed chain does not.
+    // builds a fresh `FollowerApply` over the same state, which keeps the
+    // chain it installed — base and tip — so it resubscribes from its head
+    // and is sent the suffix it missed, d2. (A restarted process starts
+    // from an empty state and bootstraps.)
     stop.store(true, Ordering::SeqCst);
     follower_thread.join().unwrap();
     let (rl2, _) = pc.round_trip(&Json::obj([
@@ -484,7 +484,7 @@ fn frames_of_another_format_version_are_refused_at_apply() {
     assert!(err.contains("unsupported format version 1"), "got: {err}");
     assert_eq!(state.current_head(), Some(base_head));
     assert_eq!(state.interner_len(), symbols);
-    // The pristine pair was put back: today's frame still applies.
+    // The refused frame left the tip as it was: today's frame applies.
     apply.apply_delta(delta_head, base_head, &delta).unwrap();
     assert_eq!(state.current_head(), Some(delta_head));
 

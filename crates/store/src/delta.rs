@@ -298,76 +298,195 @@ pub fn decode_delta(bytes: &[u8]) -> Result<Delta, StoreError> {
     })
 }
 
+/// Where the file ids of a chain land in the interner it is applied to
+/// (the *target*): the ids below `own` to themselves — the common map, a
+/// target that extends the base's dictionary or adopted it, is only that —
+/// and each from there on to a target id in a table, with its inverse.
+#[derive(Debug, Clone)]
+pub struct SymbolMap {
+    own: u32,
+    /// The target id of file id `own + k`.
+    table: Vec<u32>,
+    /// The file id of target id `own + k`, `u32::MAX` where none maps: the
+    /// table's targets are at least `own`, ids below it being taken.
+    inverse: Vec<u32>,
+}
+
+/// An id for `n`, which an interner or a delta header bounds.
+fn id_of(n: usize) -> u32 {
+    u32::try_from(n).expect("interner ids fit u32")
+}
+
+impl SymbolMap {
+    pub(crate) fn identity(len: usize) -> SymbolMap {
+        SymbolMap::new(id_of(len), Vec::new())
+    }
+
+    /// The map taking file id `own + k` to `table[k]`, and those below
+    /// `own` to themselves.
+    fn new(mut own: u32, mut table: Vec<u32>) -> SymbolMap {
+        let mine = table.iter().zip(own..).take_while(|&(&id, k)| id == k);
+        let mine = mine.count();
+        table.drain(..mine);
+        own += id_of(mine);
+        let mut inverse =
+            vec![u32::MAX; table.iter().max().map_or(0, |&id| (id - own) as usize + 1)];
+        for (k, &id) in table.iter().enumerate() {
+            inverse[(id - own) as usize] = own + id_of(k);
+        }
+        SymbolMap {
+            own,
+            table,
+            inverse,
+        }
+    }
+
+    fn len(&self) -> u32 {
+        self.own + id_of(self.table.len())
+    }
+
+    /// True if every file id is its own target id.
+    pub fn is_identity(&self) -> bool {
+        self.table.is_empty()
+    }
+
+    /// The map of file ids `0..len` alone.
+    fn prefix(&self, len: u32) -> SymbolMap {
+        match len.checked_sub(self.own) {
+            None => SymbolMap::identity(len as usize),
+            Some(k) => SymbolMap::new(self.own, self.table[..k as usize].to_vec()),
+        }
+    }
+
+    /// The target id of file id `id < len()`.
+    fn target(&self, id: u32) -> u32 {
+        id.checked_sub(self.own)
+            .map_or(id, |k| self.table[k as usize])
+    }
+
+    /// Whether a file id maps to target id `id`.
+    fn maps_to(&self, id: u32) -> bool {
+        match id.checked_sub(self.own) {
+            None => true,
+            Some(k) => self
+                .inverse
+                .get(k as usize)
+                .is_some_and(|&file| file != u32::MAX),
+        }
+    }
+}
+
 /// Where the ids of a delta chain's files land in the interner the chain
 /// is applied to (the *target*), and the symbols the chain adds to it.
 ///
-/// File ids below the base's symbol count are the target's own: the base's
-/// symbols hold the same ids there. Each delta appends the file ids from
-/// there on. An appended symbol the target already holds at or above the
-/// count keeps that id; a new one gets a provisional id from the target's
-/// length when the chain began, in order. Nothing enters the target until
-/// [`ChainSymbols::commit`], which a caller reaches only once every delta
-/// of the chain has applied — so on any `Err` the target is exactly as it
-/// was.
-///
-/// Applying to the pair a base file decodes to, the count is the pair's
-/// interner length and every id maps to itself. A server applying to a
-/// base it keeps in its served ids passes the base's count and its live
-/// interner, which may have grown since.
+/// The chain starts from the [`SymbolMap`] of a base: one decoded in full
+/// ([`ChainSymbols::for_base`]), or one a commit returned
+/// ([`ChainSymbols::resume`]). Each delta appends file ids past it. A name
+/// the target holds keeps its id there; a new one gets a provisional id
+/// from the target's length when the chain began, in order. Nothing enters
+/// the target until [`ChainSymbols::commit`], which a caller reaches only
+/// once every delta of the chain has applied — so on any `Err` the target
+/// is exactly as it was.
 #[derive(Debug)]
 pub struct ChainSymbols {
-    /// The base's symbol count: file ids below it are target ids.
-    base: u32,
+    /// Where the file ids below its length land.
+    base: SymbolMap,
+    /// The database of a base decoded in full, in the chain's ids.
+    base_db: Option<Database>,
     /// The target's length when the chain began: the first provisional id.
     start: u32,
-    /// Namespace and target id of file id `base + k`.
+    /// The names to intern at commit: local id `k` holds provisional id
+    /// `start + k`. Into an empty target, the base's own dictionary.
+    fresh: Interner,
+    /// How many of `fresh` are the base's.
+    base_fresh: u32,
+    /// Namespace and target id of file id `base.len + k`.
     appended: Vec<(SymbolSpace, u32)>,
+    /// True while every file id is its own target id, so a delta's runs
+    /// apply untranslated.
+    identity: bool,
     /// Every appended symbol, with its file id, so a chain lists each once.
     listed: HashMap<(SymbolSpace, String), u32>,
-    /// The symbols to intern at commit, holding provisional ids `start..`.
-    fresh: Vec<(SymbolSpace, String)>,
-    /// The largest fresh-name counter a delta of the chain carried.
+    /// The largest fresh-name counter the base or a delta carried.
     fresh_counter: u64,
-    /// The rows the chain inserted, per target predicate id: one sorted run
-    /// per relation it merged into.
+    /// The rows inserted since the base, per target predicate id: one
+    /// sorted run per relation merged into.
     added: BTreeMap<Pred, Relation>,
 }
 
 impl ChainSymbols {
-    /// A chain over a base of `base_symbols` symbols, applied to a target
-    /// interner now holding `target_len` (at least the base's).
-    pub fn new(base_symbols: usize, target_len: usize) -> ChainSymbols {
-        debug_assert!(base_symbols <= target_len);
-        let id = |n: usize| u32::try_from(n).expect("interner ids fit u32");
+    /// A chain resuming from the file ids `map` maps — a kept base's, or a
+    /// committed chain's, with the rows `added` since its base — applied to
+    /// a target now holding `target_len` symbols.
+    pub fn resume(map: &SymbolMap, added: &Database, target_len: usize) -> ChainSymbols {
         ChainSymbols {
-            base: id(base_symbols),
-            start: id(target_len),
+            identity: map.is_identity(),
+            base: map.clone(),
+            base_db: None,
+            start: id_of(target_len),
+            fresh: Interner::new(),
+            base_fresh: 0,
             appended: Vec::new(),
             listed: HashMap::new(),
-            fresh: Vec::new(),
             fresh_counter: 0,
-            added: BTreeMap::new(),
+            added: added.relations().map(|(p, rel)| (p, rel.clone())).collect(),
         }
+    }
+
+    /// A chain over a base decoded in full, resolved against the target
+    /// `interner` hands out (held only while the base's names are looked
+    /// up), and the base's database in the chain's ids. Into an empty
+    /// target the base's dictionary is adopted at commit; otherwise a known
+    /// name keeps its id and a new one gets a provisional id, and unless
+    /// every id is its own the database is translated, a relation
+    /// re-sorted only if a row moved.
+    pub fn for_base<G: Deref<Target = Interner>>(
+        interner: impl FnOnce() -> G,
+        (dictionary, db): (Interner, Database),
+    ) -> Result<(ChainSymbols, Database), StoreError> {
+        let fresh_counter = dictionary.fresh_counter();
+        let target = interner();
+        let (map, fresh) = if target.is_empty() {
+            (SymbolMap::identity(dictionary.len()), dictionary)
+        } else {
+            let start = id_of(target.len());
+            let mut fresh = Interner::new();
+            let mut ids = Vec::with_capacity(dictionary.len());
+            for (space, name) in dictionary.symbols() {
+                let id = match target.lookup_id(space, name) {
+                    Some(id) => Some(id),
+                    None => start.checked_add(fresh.id(space, name)),
+                };
+                ids.push(
+                    id.ok_or_else(|| malformed("dictionary", "symbol count exceeds u32 id space"))?,
+                );
+            }
+            (SymbolMap::new(0, ids), fresh)
+        };
+        let mut symbols = ChainSymbols::resume(&map, &Database::new(), target.len());
+        drop(target);
+        let db = match map.is_identity() {
+            true => db,
+            false => translate(db, |id| map.target(id)),
+        };
+        symbols.base_db = Some(db.clone());
+        symbols.base_fresh = id_of(fresh.len());
+        (symbols.fresh, symbols.fresh_counter) = (fresh, fresh_counter);
+        Ok((symbols, db))
     }
 
     /// The chain's symbol count in file ids: the base's plus every
     /// appended one — the next delta's `base_symbols` anchor.
     fn file_len(&self) -> u64 {
-        u64::from(self.base) + self.appended.len() as u64
+        u64::from(self.base.len()) + self.appended.len() as u64
     }
 
     /// Target id of a file id.
     fn target(&self, id: u32) -> u32 {
-        match id.checked_sub(self.base) {
-            None => id,
+        match id.checked_sub(self.base.len()) {
+            None => self.base.target(id),
             Some(k) => self.appended[k as usize].1,
         }
-    }
-
-    /// True when every file id is its own target id, so a delta's runs
-    /// apply untranslated.
-    fn is_identity(&self) -> bool {
-        self.start == self.base && self.fresh.len() == self.appended.len()
     }
 
     /// Resolves one appended symbol, which `delta_base` (the appending
@@ -380,22 +499,33 @@ impl ChainSymbols {
         name: String,
     ) -> Result<(), StoreError> {
         let file_id = u32::try_from(self.file_len()).expect("bounded by the delta header");
+        let already = |id: u32| {
+            malformed(
+                "dictionary",
+                format!("appended symbol {name:?} is already interned (id {id})"),
+            )
+        };
+        // A base symbol, known to the target or new with the base, is
+        // refused: the id the delta's cells use for it would name
+        // something else.
         let id = match target.lookup_id(space, &name) {
-            // A base symbol: the id the delta's cells use for it would
-            // name something else.
-            Some(id) if id < self.base => {
-                return Err(malformed(
-                    "dictionary",
-                    format!("appended symbol {name:?} is already interned (id {id})"),
-                ))
-            }
+            Some(id) if id < self.start && self.base.maps_to(id) => return Err(already(id)),
             Some(id) if id < self.start => id,
             // New to the target, or interned there since the chain began
             // (then `commit` finds it at another id).
-            _ => u32::try_from(self.fresh.len())
-                .ok()
-                .and_then(|k| self.start.checked_add(k))
-                .ok_or_else(|| malformed("dictionary", "symbol count exceeds u32 id space"))?,
+            _ => match self.fresh.lookup_id(space, &name) {
+                Some(k) if k < self.base_fresh => return Err(already(self.start + k)),
+                // Appended before in the chain: refused below.
+                Some(k) => self.start + k,
+                None => {
+                    let id = self.start.checked_add(id_of(self.fresh.len()));
+                    let id = id.ok_or_else(|| {
+                        malformed("dictionary", "symbol count exceeds u32 id space")
+                    })?;
+                    self.fresh.id(space, &name);
+                    id
+                }
+            },
         };
         match self.listed.entry((space, name)) {
             Entry::Occupied(seen) => {
@@ -410,21 +540,23 @@ impl ChainSymbols {
                 ));
             }
             Entry::Vacant(slot) => {
-                if id >= self.start {
-                    self.fresh.push(slot.key().clone());
-                }
                 slot.insert(file_id);
             }
         }
+        self.identity &= id == file_id;
         self.appended.push((space, id));
         Ok(())
     }
 
-    /// The namespace of a file id, the base's read from `target`.
+    /// The namespace of a file id, a known name's read from `target`.
     fn space(&self, target: &Interner, id: u32) -> Option<SymbolSpace> {
-        match id.checked_sub(self.base) {
+        let id = match id.checked_sub(self.base.len()) {
+            None => self.base.target(id),
+            Some(k) => return self.appended.get(k as usize).map(|&(space, _)| space),
+        };
+        match id.checked_sub(self.start) {
             None => target.symbol_space(id),
-            Some(k) => self.appended.get(k as usize).map(|&(space, _)| space),
+            Some(k) => self.fresh.symbol_space(k),
         }
     }
 
@@ -440,51 +572,88 @@ impl ChainSymbols {
         self.added.insert(pred, run);
     }
 
-    /// Interns the chain's new symbols into `target` and raises its
-    /// fresh-name counter, returning `db` — the chain's result — and the
-    /// rows the chain inserted into it, both in the ids they got. Those are
-    /// their provisional ids unless `target` gained symbols since the chain
-    /// began; then the relations the chain merged into, and its inserted
-    /// rows, are rewritten and re-sorted under the final ids.
-    pub fn commit(self, target: &mut Interner, db: Database) -> (Database, Database) {
-        let ids: Vec<u32> = self
-            .fresh
-            .iter()
-            .map(|(space, name)| target.id(*space, name))
-            .collect();
+    /// Interns the chain's new symbols into `target` — adopting them whole
+    /// into an empty one — and raises its fresh-name counter. Returns the
+    /// chain's result `db`, its tip and a base decoded in full, in the ids
+    /// the symbols got: their provisional ids unless `target` gained
+    /// symbols since the chain began; then the ids that moved are
+    /// rewritten, and a rewritten run re-sorted.
+    pub fn commit(self, target: &mut Interner, mut db: Database) -> Committed {
+        let start = self.start;
+        let ids: Vec<u32> = if target.is_empty() {
+            *target = self.fresh;
+            Vec::new()
+        } else {
+            let fresh = self.fresh.symbols();
+            fresh.map(|(space, name)| target.id(space, name)).collect()
+        };
         target.raise_fresh_counter(self.fresh_counter);
-        let provisional = |k: usize| self.start + k as u32;
-        if ids.iter().enumerate().all(|(k, &id)| id == provisional(k)) {
-            return (db, Database::from_sorted(self.added.into_iter().collect()));
-        }
-        // Provisional ids are the only ids at or above `start` in `db`.
-        let remap = |id: u32| match id.checked_sub(self.start) {
-            None => id,
-            Some(k) => ids[k as usize],
+        let moved = ids
+            .iter()
+            .enumerate()
+            .any(|(k, &id)| id != start + id_of(k));
+        let settle = |id: u32| match id.checked_sub(start) {
+            Some(k) if moved => ids[k as usize],
+            _ => id,
         };
-        let rewrite = |(pred, rel): (Pred, Relation)| {
-            let (arity, rows, mut cells) = rel.into_parts();
-            for cell in &mut cells {
-                cell.0 = remap(cell.0);
+        let (base, appended) = (&self.base, self.appended.iter().map(|&(_, id)| id));
+        let map = match moved {
+            // Ids the base maps to themselves may be provisional.
+            true => {
+                let base = (0..base.len()).map(|id| base.target(id));
+                SymbolMap::new(0, base.chain(appended).map(settle).collect())
             }
-            (Pred(remap(pred.0)), Relation::from_rows(arity, rows, cells))
+            false => SymbolMap::new(
+                base.own,
+                base.table.iter().copied().chain(appended).collect(),
+            ),
         };
-        let relations = db
-            .into_relations()
-            .map(|(pred, rel)| {
-                if self.added.contains_key(&pred) {
-                    rewrite((pred, rel))
-                } else {
-                    (pred, rel)
-                }
-            })
-            .collect();
-        let added = self.added.into_iter().map(rewrite).collect();
-        (
-            Database::from_sorted(relations),
-            Database::from_sorted(added),
-        )
+        let mut added = Database::from_sorted(self.added.into_iter().collect());
+        let mut base_db = self.base_db;
+        if moved {
+            // Provisional ids are the only ids at or above `start`; a base
+            // holds some only if it had names new to the target.
+            db = translate(db, settle);
+            added = translate(added, settle);
+            if self.base_fresh > 0 {
+                base_db = base_db.map(|base| translate(base, settle));
+            }
+        }
+        Committed {
+            base: base_db.map(|db| (map.prefix(self.base.len()), db)),
+            db,
+            map,
+            added,
+        }
     }
+}
+
+/// A chain committed into its target ([`ChainSymbols::commit`]).
+#[derive(Debug)]
+pub struct Committed {
+    /// The chain's result.
+    pub db: Database,
+    /// Where each file id of the chain landed: a later delta of the chain
+    /// resumes from it ([`ChainSymbols::resume`]).
+    pub map: SymbolMap,
+    /// The rows inserted since the base, one sorted run per relation.
+    pub added: Database,
+    /// A base decoded in full ([`ChainSymbols::for_base`]): the map of its
+    /// file ids and its database.
+    pub base: Option<(SymbolMap, Database)>,
+}
+
+/// `db` with every id rewritten by the injective `to`: a run stays free of
+/// duplicates, and is re-sorted only if the new ids moved a row.
+fn translate(db: Database, to: impl Fn(u32) -> u32) -> Database {
+    let relations = db.into_relations().map(|(pred, rel)| {
+        let (arity, rows, mut cells) = rel.into_parts();
+        for cell in &mut cells {
+            cell.0 = to(cell.0);
+        }
+        (Pred(to(pred.0)), Relation::from_rows(arity, rows, cells))
+    });
+    Database::from_sorted(relations.collect())
 }
 
 /// Applies one parsed delta of a chain to `db`, consuming it and returning
@@ -541,7 +710,7 @@ pub fn apply_delta<G: Deref<Target = Interner>>(
     for (idx, mut rd) in relations.into_iter().enumerate() {
         let label = format!("relation delta[{idx}]");
         let label = label.as_str();
-        if !symbols.is_identity() {
+        if !symbols.identity {
             rd.pred = Pred(symbols.target(rd.pred.0));
             for cell in &mut rd.cells {
                 cell.0 = symbols.target(cell.0);
@@ -627,23 +796,40 @@ pub fn decode_with_deltas(
     }
 }
 
-/// Decodes a base snapshot and applies a chain of deltas to it
-/// ([`apply_chain`] in the snapshot's own ids), handing back the
-/// [`content_hash`] of every file of the chain — the base's, then each
-/// delta's — which verifying the chain computes anyway. An error comes
-/// with the chain position of the file that failed — `0` for the base,
-/// `i + 1` for `deltas[i]` — so the caller can name it.
+/// Decodes a base snapshot and applies a chain of deltas to it, in the
+/// snapshot's own ids ([`decode_chain_into`] an empty interner, which
+/// adopts the snapshot's dictionary), handing back the [`content_hash`]
+/// of every file of the chain — the base's, then each delta's — which
+/// verifying the chain computes anyway. An error comes with the chain
+/// position of the file that failed — `0` for the base, `i + 1` for
+/// `deltas[i]` — so the caller can name it.
 #[allow(clippy::type_complexity)]
 pub fn decode_chain(
     base: &[u8],
     deltas: &[Vec<u8>],
 ) -> Result<((Interner, Database), Vec<u64>), (usize, StoreError)> {
     let _g = span!("store.decode_with_deltas");
-    let (mut interner, db) = decode_snapshot(base).map_err(|e| (0, e))?;
-    let mut symbols = ChainSymbols::new(interner.len(), interner.len());
-    let (db, chain) = apply_chain(|| &interner, &mut symbols, content_hash(base), db, deltas)?;
-    let (db, _) = symbols.commit(&mut interner, db);
+    let mut interner = Interner::new();
+    let (db, chain) = decode_chain_into(&mut interner, base, deltas)?;
     Ok(((interner, db), chain))
+}
+
+/// Decodes a base snapshot and applies a chain of deltas to it in
+/// `target`'s ids: the base resolved by [`ChainSymbols::for_base`], the
+/// deltas applied by [`apply_chain`], and the chain committed into
+/// `target` — adopted whole when `target` is empty. Returns the result
+/// and the chain's hashes; an error, with its chain position as
+/// [`decode_chain`] gives it, leaves `target` as it was.
+pub fn decode_chain_into(
+    target: &mut Interner,
+    base: &[u8],
+    deltas: &[Vec<u8>],
+) -> Result<(Database, Vec<u64>), (usize, StoreError)> {
+    let at_base = |e| (0, e);
+    let pair = decode_snapshot(base).map_err(at_base)?;
+    let (mut symbols, db) = ChainSymbols::for_base(|| &*target, pair).map_err(at_base)?;
+    let (db, chain) = apply_chain(|| &*target, &mut symbols, content_hash(base), db, deltas)?;
+    Ok((symbols.commit(target, db).db, chain))
 }
 
 /// [`decode_chain`] over files.
@@ -675,11 +861,12 @@ mod tests {
     use crate::format::snapshot_to_vec_v2;
 
     /// Applies one delta to a pair in the pair's own ids, committing its
-    /// symbols only on success — the follower's and the CLI's use.
+    /// symbols only on success.
     fn apply_to(target: &mut Interner, db: Database, delta: Delta) -> Result<Database, StoreError> {
-        let mut symbols = ChainSymbols::new(target.len(), target.len());
+        let map = SymbolMap::identity(target.len());
+        let mut symbols = ChainSymbols::resume(&map, &Database::new(), target.len());
         let db = apply_delta(|| &*target, &mut symbols, db, delta)?;
-        Ok(symbols.commit(target, db).0)
+        Ok(symbols.commit(target, db).db)
     }
 
     fn base() -> (Interner, Database) {
@@ -972,7 +1159,8 @@ mod tests {
         let bytes = delta_to_vec(content_hash(&base_bytes), &i, &db, &ni, &ndb).unwrap();
         let mut live = i.clone();
         let held = [live.constant("held"), live.constant("d")];
-        let mut symbols = ChainSymbols::new(i.len(), live.len());
+        let map = SymbolMap::identity(i.len());
+        let mut symbols = ChainSymbols::resume(&map, &Database::new(), live.len());
         let (applied, chain) = apply_chain(
             || &live,
             &mut symbols,
@@ -986,7 +1174,7 @@ mod tests {
             live.pred(name);
         }
         let grown = live.len();
-        let (applied, _) = symbols.commit(&mut live, applied);
+        let applied = symbols.commit(&mut live, applied).db;
         assert_eq!(applied.display(&live), ndb.display(&ni));
         assert_eq!(live.constant("d"), held[1], "a held symbol got a new id");
         assert_eq!(live.len(), grown + usize::from(!grow.contains(&"label")));
@@ -1002,5 +1190,135 @@ mod tests {
     fn a_commit_after_the_interner_grew_again_remaps_the_new_symbols() {
         apply_in_live_ids(&["elsewhere"]);
         apply_in_live_ids(&["elsewhere", "label"]);
+    }
+
+    /// A snapshot of one binary relation `p` over `rows`, its symbols
+    /// interned in the order the rows name them.
+    fn snapshot_of(rows: &[(&str, &str)]) -> Vec<u8> {
+        let mut i = Interner::new();
+        let p = i.pred("p");
+        let mut db = Database::new();
+        for (a, b) in rows {
+            let row = vec![i.constant(a), i.constant(b)];
+            db.insert(p, row);
+        }
+        snapshot_to_vec_v2(&i, &db).unwrap()
+    }
+
+    #[test]
+    fn a_base_is_adopted_whole_into_an_empty_target() {
+        let bytes = snapshot_of(&[("a", "b")]);
+        let (file, _) = decode_snapshot(&bytes).unwrap();
+        let mut live = Interner::new();
+        let (db, chain) = decode_chain_into(&mut live, &bytes, &[]).unwrap();
+        assert_eq!(chain, [content_hash(&bytes)]);
+        // The file's ids are the live ids, in the file's order.
+        assert!(live.symbols().eq(file.symbols()));
+        let (p, a) = (live.pred("p"), live.constant("a"));
+        assert_eq!(
+            live.len(),
+            file.len(),
+            "lookups must not intern anything new"
+        );
+        assert_eq!(db.relation(p).unwrap().posting_len(0, a), 1);
+    }
+
+    #[test]
+    fn a_base_translates_into_a_target_holding_its_names_elsewhere() {
+        let bytes = snapshot_of(&[("x", "z")]);
+        let mut live = Interner::new();
+        live.constant("unrelated");
+        live.constant("z");
+        let (db, _) = decode_chain_into(&mut live, &bytes, &[]).unwrap();
+        assert_eq!(db.size(), 1);
+        let (p, x, z) = (live.pred("p"), live.constant("x"), live.constant("z"));
+        assert_eq!(z.0, 1, "a known name keeps its id");
+        assert_eq!(
+            db.relation(p).unwrap().tuples().collect::<Vec<_>>(),
+            [&[x, z]]
+        );
+    }
+
+    #[test]
+    fn a_translated_base_is_re_sorted_under_the_new_ids() {
+        // Rows whose relative order changes under the new ids.
+        let rows = [("a", "u"), ("b", "u"), ("b", "v"), ("c", "u")];
+        let bytes = snapshot_of(&rows);
+        let mut live = Interner::new();
+        for name in ["c", "b", "a"] {
+            live.constant(name);
+        }
+        let (db, _) = decode_chain_into(&mut live, &bytes, &[]).unwrap();
+        let p = live.pred("p");
+        let rel = db.relation(p).unwrap();
+        let run: Vec<&[Const]> = rel.tuples().collect();
+        assert!(run.windows(2).all(|w| w[0] < w[1]), "run not re-sorted");
+        let (b, u, v) = (live.constant("b"), live.constant("u"), live.constant("v"));
+        assert_eq!(rel.posting_len(0, b), 2);
+        assert_eq!(rel.posting_len(1, u), 3);
+        assert_eq!(rel.matching(&[Some(b), Some(v)]).count(), 1);
+        crate::format::verify_database_deep(&db).unwrap();
+    }
+
+    #[test]
+    fn a_base_keeps_its_ids_in_a_target_extending_its_dictionary() {
+        let bytes = snapshot_of(&[("a", "u")]);
+        let (file, db) = decode_snapshot(&bytes).unwrap();
+        let mut live = file.clone();
+        live.constant("extra-live-symbol");
+        let p = live.pred("p");
+        let run = db.relation(p).unwrap().tuples().next().unwrap().as_ptr();
+        let (symbols, db) = ChainSymbols::for_base(|| &live, (file, db)).unwrap();
+        // The identity: the relations move as they are.
+        assert_eq!(
+            db.relation(p).unwrap().tuples().next().unwrap().as_ptr(),
+            run
+        );
+        let committed = symbols.commit(&mut live, db);
+        assert!(committed.map.is_identity());
+        assert_eq!(committed.db.size(), 1);
+    }
+
+    /// A delta chained to [`base`]'s file but written against a base
+    /// dictionary that holds `x` where the file holds `c`, so the delta
+    /// appends `c` — a base symbol — and inserts `edge(c, a)`.
+    fn a_delta_appending_a_base_symbol() -> (Vec<u8>, Vec<u8>) {
+        let (base_bytes, _, _) = decoded_base();
+        let (i, db) = base();
+        let mut other = Interner::new();
+        for (space, name) in i.symbols() {
+            other.id(space, if name == "c" { "x" } else { name });
+        }
+        let (mut ni, mut ndb) = (other.clone(), db.clone());
+        let (e, c, a) = (ni.pred("edge"), ni.constant("c"), ni.constant("a"));
+        ndb.insert(e, vec![c, a]);
+        let delta = delta_to_vec(content_hash(&base_bytes), &other, &db, &ni, &ndb).unwrap();
+        (base_bytes, delta)
+    }
+
+    #[test]
+    fn an_appended_base_symbol_is_refused_under_a_table_map() {
+        let (base_bytes, delta) = a_delta_appending_a_base_symbol();
+        // The base's names at other ids, `c` known to the target or new to
+        // it; and, for contrast, the identity.
+        let known: &[&str] = &["foreign", "c", "b", "a"];
+        let new: &[&str] = &["foreign", "b", "a"];
+        for names in [known, new, &[]] {
+            let mut live = Interner::new();
+            for name in names {
+                live.constant(name);
+            }
+            let pair = decode_snapshot(&base_bytes).unwrap();
+            let (mut symbols, db) = ChainSymbols::for_base(|| &live, pair).unwrap();
+            let hash = content_hash(&base_bytes);
+            let deltas = std::slice::from_ref(&delta);
+            let (link, err) = apply_chain(|| &live, &mut symbols, hash, db, deltas).unwrap_err();
+            assert_eq!(link, 1);
+            assert!(
+                err.to_string().contains("already interned"),
+                "{names:?}: {err}"
+            );
+            assert_eq!(live.len(), names.len(), "{names:?}: the target grew");
+        }
     }
 }
