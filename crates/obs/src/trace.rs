@@ -2,14 +2,13 @@
 //!
 //! A [`RequestTrace`] rides along with one served request and attributes its
 //! wall time to pipeline stages: socket **read** → **admission** checks →
-//! **plan** (cache lookup or build) → worker **queue** wait → **eval** →
-//! response **respond** write. The connection thread owns the trace and
-//! marks stages with [`RequestTrace::stage_done`]; the queue/eval split is
-//! measured on the worker side and folded back in with
-//! [`RequestTrace::absorb_worker`], clamped so the invariant *sum of stage
-//! times ≤ total wall time* holds by construction. [`RequestTrace::record`]
-//! publishes the stage times into the `serve.request.*_us` histograms that
-//! the `metrics` admin op exposes.
+//! **plan** (cache lookup or build) → **queue** (the wait for an evaluation
+//! permit) → **eval** → **respond** (encoding and writing the response).
+//! The one thread that serves the request marks each stage's end with
+//! [`RequestTrace::stage_done`]; the stages are consecutive intervals of
+//! its wall time, so *sum of stage times ≤ total wall time* holds by
+//! construction. [`RequestTrace::record`] publishes the stage times into
+//! the `serve.request.*_us` histograms that the `metrics` admin op exposes.
 
 use crate::histogram;
 use crate::json::Json;
@@ -24,11 +23,11 @@ pub enum Stage {
     Admission,
     /// Plan-cache lookup, or the (cancellable) plan build on a miss.
     Plan,
-    /// Waiting in the bounded worker queue.
+    /// Waiting for an evaluation permit.
     Queue,
     /// Evaluation proper (backtracking / parallel enumeration).
     Eval,
-    /// Serializing and writing the response lines.
+    /// Encoding the response lines and writing them to the socket.
     Respond,
 }
 
@@ -117,22 +116,6 @@ impl RequestTrace {
         self.stage_ns[stage.index()] += ns;
         self.mark = now;
         ns
-    }
-
-    /// Folds worker-measured queue-wait and eval durations into the trace.
-    /// Both were sub-intervals of the span since the last mark (the
-    /// connection thread marked just before enqueueing), so they are clamped
-    /// to that span — preserving `sum of stages ≤ total` even under clock
-    /// skew — and the mark advances past the whole span; dispatch overhead
-    /// (span − queue − eval) stays unattributed.
-    pub fn absorb_worker(&mut self, queue_ns: u64, eval_ns: u64) {
-        let now = Instant::now();
-        let span = now.duration_since(self.mark).as_nanos() as u64;
-        let eval = eval_ns.min(span);
-        let queue = queue_ns.min(span - eval);
-        self.stage_ns[Stage::Queue.index()] += queue;
-        self.stage_ns[Stage::Eval.index()] += eval;
-        self.mark = now;
     }
 
     /// Nanoseconds attributed to `stage` so far.
@@ -229,25 +212,17 @@ mod tests {
         std::thread::sleep(Duration::from_millis(1));
         t.stage_done(Stage::Plan);
         std::thread::sleep(Duration::from_millis(1));
-        t.absorb_worker(300_000, 500_000); // 0.3ms queue + 0.5ms eval ≤ 1ms span
+        let queue = t.stage_done(Stage::Queue);
+        std::thread::sleep(Duration::from_millis(1));
+        let eval = t.stage_done(Stage::Eval);
         t.stage_done(Stage::Respond);
         assert!(t.stage_ns(Stage::Read) >= 2_000_000);
-        assert_eq!(t.stage_ns(Stage::Queue), 300_000);
-        assert_eq!(t.stage_ns(Stage::Eval), 500_000);
-        assert!(t.stage_ns(Stage::Queue) <= t.total_ns());
+        assert!(queue >= 1_000_000 && eval >= 1_000_000);
+        assert_eq!(t.stage_ns(Stage::Queue), queue);
+        assert_eq!(t.stage_ns(Stage::Eval), eval);
         assert!(t.sum_ns() <= t.total_ns(), "stage sum must not exceed wall");
-        // ... and ≈ wall: the only unattributed time is dispatch overhead.
+        // ... and ≈ wall: the stages are consecutive, nothing falls between.
         assert!(t.sum_ns() >= t.total_ns() / 2);
-    }
-
-    #[test]
-    fn absorb_worker_clamps_to_the_elapsed_span() {
-        let mut t = RequestTrace::start();
-        std::thread::sleep(Duration::from_millis(1));
-        // Worker claims 10s of queue+eval inside a ~1ms span: clamped.
-        t.absorb_worker(5_000_000_000, 5_000_000_000);
-        assert!(t.sum_ns() <= t.total_ns());
-        assert!(t.stage_ns(Stage::Eval) <= t.total_ns());
     }
 
     #[test]
@@ -256,7 +231,8 @@ mod tests {
             let mut t = RequestTrace::start();
             std::thread::sleep(Duration::from_millis(1));
             t.stage_done(Stage::Read);
-            t.absorb_worker(200_000, 400_000);
+            t.stage_done(Stage::Queue);
+            t.stage_done(Stage::Eval);
             t.stage_done(Stage::Respond);
             t.record();
         });

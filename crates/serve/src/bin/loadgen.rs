@@ -93,8 +93,8 @@ const INVALID_QUERY: &str = "SELECT ?x WHERE { (?x, rec_by) }";
 const DUPLICATE_SELECT: &str = "SELECT ?x ?x WHERE { (?x, rec_by, ?y) }";
 /// A 4-way cross product over distinct predicates: trivial to plan (each
 /// atom has a unique predicate, so the core's endomorphism search is
-/// instant) but big enough to outlive tight deadlines and keep workers
-/// busy in flood mode.
+/// instant) but big enough to outlive tight deadlines and hold every
+/// evaluation permit in flood mode.
 const HEAVY_QUERY: &str =
     "((((?a, rec_by, ?b) AND (?c, rec_by, ?d)) AND (?e, publ, ?f)) AND (?g, nme_rating, ?h))";
 /// Self-join over the synthetic catalog's heavy-hitter predicate `p0`

@@ -41,9 +41,10 @@ OPTIONS:
     --gen-music BANDSxRECORDS generate the music catalog instead of loading
                               a file (used when no --db is given)
                               [default when no --db: 100x4]
-    --threads N               evaluation worker threads [default: 4]
+    --threads N               concurrent evaluations [default: 4]
     --eval-threads N          threads inside one evaluation [default: 2]
-    --queue N                 bounded queue depth (backpressure threshold)
+    --queue N                 requests that may wait for one, beyond which
+                              a request is answered overloaded
                               [default: 64]
     --default-deadline-ms MS  deadline when the request names none
                               [default: 10000]
@@ -400,7 +401,7 @@ fn main() -> ExitCode {
     };
     // Line-buffered so harnesses waiting for readiness see it immediately.
     println!(
-        "wdpt-serve listening on {} ({} workers, queue {}{mode})",
+        "wdpt-serve listening on {} ({} concurrent evaluations, queue {}{mode})",
         local.as_deref().unwrap_or(&args.addr),
         state.cfg.workers,
         state.cfg.queue_capacity,

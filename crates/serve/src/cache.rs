@@ -178,7 +178,7 @@ pub struct NodePlan {
 /// that executed it: execution tallies, search nodes expanded (total and
 /// last run — each run's own count, so concurrent requests do not bleed
 /// into one another), and a log₂ latency histogram of eval times. All relaxed
-/// atomics — workers update them lock-free after each evaluation — and a
+/// atomics — each evaluation updates them lock-free when it ends — and a
 /// [`RawHistogram`] rather than a registered one, so evicted plans don't
 /// leak `&'static` registry entries.
 ///

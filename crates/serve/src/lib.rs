@@ -11,10 +11,11 @@
 //!   form, so repeated and variable-renamed queries share one memoized
 //!   plan (translated tree, cost-based join orders, and — computed by the
 //!   first `explain` that asks — per-node core/treewidth/acyclicity facts).
-//! * [`server`] — the accept loop, worker pool with a bounded queue
-//!   (backpressure answers `overloaded` instead of queueing unboundedly),
-//!   per-request deadlines as cooperative [`wdpt_model::CancelToken`]s,
-//!   and graceful drain on shutdown.
+//! * [`server`] — the accept loop and one thread per connection, on which
+//!   each request is evaluated under a counting permit with a bounded
+//!   waiting line (backpressure answers `overloaded` instead of queueing
+//!   unboundedly), per-request deadlines as cooperative
+//!   [`wdpt_model::CancelToken`]s, and graceful drain on shutdown.
 //! * [`db`] — dataset loading: lenient N-Triples and the workspace
 //!   `facts` format.
 //!

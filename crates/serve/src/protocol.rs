@@ -10,7 +10,7 @@
 //! A response is one byte buffer, written to the socket in one piece. Its
 //! terminal line is a [`Json`] built by one of the `*_line` functions below
 //! and encoded into the buffer; its row lines are never `Json` values: the
-//! worker keeps the first `max_rows` rows of the executor's
+//! evaluation keeps the first `max_rows` rows of the executor's
 //! [`Answers`](wdpt_core::Answers) table and [`RowWriter`] appends each as
 //! bytes, straight from the row's cells. [`row_line`] says what those bytes
 //! must be — the two share one string escaper
@@ -39,7 +39,7 @@
 //!   work completes, new queries get `shutting_down`.
 //! * `{"op":"reload","snapshot":"base.snap","deltas":["d1.delta"],"db":"name"}`
 //!   — load + verify a snapshot (and optional delta chain) without blocking
-//!   workers, then atomically swap the named database (default database if
+//!   queries, then atomically swap the named database (default database if
 //!   `db` is omitted). In-flight queries finish against the old database;
 //!   requests admitted after the swap see the new one.
 //! * `{"op":"subscribe","base":"<head hex>"}` — turn the connection into a
@@ -557,7 +557,8 @@ pub fn cancelled_line(id: Option<&str>, deadline_ms: u64, wall_us: u64) -> Json 
     )
 }
 
-/// Backpressure line: the bounded queue is full. The client should wait
+/// Backpressure line: every evaluation permit is taken and the line of
+/// requests waiting for one is full. The client should wait
 /// `retry_after_ms` before resubmitting.
 pub fn overloaded_line(id: Option<&str>, retry_after_ms: u64) -> Json {
     with_id(

@@ -1,35 +1,38 @@
-//! The concurrent query server: accept loop, worker pool, backpressure,
-//! deadlines, graceful shutdown.
+//! The concurrent query server: accept loop, evaluation permits,
+//! backpressure, deadlines, graceful shutdown.
 //!
-//! Threading model:
+//! Threading model — a request is evaluated on the thread that read it:
 //!
 //! * The **accept loop** ([`serve`]) owns the listener (nonblocking, so it
-//!   can notice shutdown) and spawns one thread per connection.
-//! * **Connection threads** read request lines and run the query's front
-//!   half: parse, size caps, canonicalize and tree translation. It
-//!   resolves names against the served dictionary under the interner's
-//!   read lock and writes nothing: a name the dictionary lacks gets a
-//!   request-local id ([`wdpt_model::RequestScope`]). Join-order planning
-//!   runs lock-free and interner-free through the plan cache's per-key
-//!   in-flight slots, and so do the worst-case-exponential per-node facts
-//!   (cores, decompositions) that only an `explain: true` request computes
-//!   — both under the request's [`CancelToken`].
-//!   The evaluation job then goes onto a **bounded** queue
-//!   (`std::sync::mpsc::sync_channel`). A full queue is the backpressure
-//!   signal: the request is answered `overloaded` immediately rather than
-//!   waiting — the client decides whether to retry.
-//! * **Worker threads** pull jobs off the shared queue and run the actual
-//!   WDPT evaluation with the request's [`CancelToken`] threaded through
-//!   the `wdpt-core`/`wdpt-cq` loops. Deadline expiry surfaces as a typed
-//!   [`Cancelled`] and an explicit `cancelled` response line. The worker
-//!   also encodes the response: it asks the executor for its first
-//!   `max_rows` rows — the count of all answers comes with them, exact,
-//!   and rows nobody is sent are built only where the answer order needs
-//!   them — writes them as row lines into one buffer straight
-//!   from their cells, naming their constants under the interner's read
-//!   lock (held for that loop only, never across evaluation), and appends
-//!   the terminal line. The connection thread writes the buffer to the
-//!   socket in one piece.
+//!   can notice shutdown) and spawns one thread per connection. It spawns
+//!   no other thread.
+//! * A **connection thread** reads request lines and runs each query
+//!   through every stage. The front half — parse, size caps, canonicalize
+//!   and tree translation — resolves names against the served dictionary
+//!   under the interner's read lock and writes nothing: a name the
+//!   dictionary lacks gets a request-local id
+//!   ([`wdpt_model::RequestScope`]). Join-order planning runs lock-free
+//!   and interner-free through the plan cache's per-key in-flight slots,
+//!   and so do the worst-case-exponential per-node facts (cores,
+//!   decompositions) that only an `explain: true` request computes — both
+//!   under the request's [`CancelToken`].
+//! * The evaluation then takes one of [`ServeConfig::workers`] **permits**
+//!   (`Permits`). When all are taken, at most
+//!   [`ServeConfig::queue_capacity`] requests wait for one, each until a
+//!   permit frees or its deadline passes; a request that finds the line
+//!   full is answered `overloaded` at once — the backpressure signal; the
+//!   client decides whether to retry. Under the permit the thread runs the
+//!   WDPT evaluation with the request's token threaded through the
+//!   `wdpt-core`/`wdpt-cq` loops (deadline expiry surfaces as a typed
+//!   [`Cancelled`] and an explicit `cancelled` line) and encodes the
+//!   response: it asks the executor for its first `max_rows` rows — the
+//!   count of all answers comes with them, exact, and rows nobody is sent
+//!   are built only where the answer order needs them — writes them as
+//!   row lines into one buffer straight from their cells, naming their
+//!   constants under the interner's read lock (held for that loop only,
+//!   never across evaluation), and appends the terminal line. A panic in
+//!   either is answered `internal` and returns the permit. The buffer goes
+//!   to the socket in one piece, after the permit is returned.
 //!
 //! The interner has one writer, a reload's or replicated apply's fold
 //! ([`ServeState::fold`]): front halves and row-naming loops only read it,
@@ -41,10 +44,10 @@
 //!
 //! Graceful shutdown: the `shutdown` op (or [`ServeState::begin_shutdown`])
 //! flips one flag. The accept loop stops accepting, connection threads
-//! answer in-flight requests and close, queued jobs drain through the
-//! workers, and [`serve`] joins everything before returning.
+//! answer in-flight requests — waiters evaluate as permits free — and
+//! close, and [`serve`] joins them before returning.
 
-use crate::cache::{canonicalize, explain_json, CanonicalQuery, NodePlan, Plan, PlanCache};
+use crate::cache::{canonicalize, explain_json, CanonicalQuery, Plan, PlanCache};
 use crate::protocol::{
     attach_head, cancelled_line, error_line, metrics_json_line, metrics_text_line, ok_line,
     overloaded_line, reload_line, shutting_down_line, slowlog_line, stale_replica_line, Request,
@@ -53,14 +56,15 @@ use crate::protocol::{
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::TryRecvError;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant, SystemTime};
-use wdpt_core::{EvalTally, Wdpt};
+use wdpt_core::Wdpt;
 use wdpt_model::{CancelToken, Cancelled, Database, Interner, Var};
-use wdpt_obs::trace::Stage;
+use wdpt_obs::trace::{GaugeGuard, Stage};
 use wdpt_obs::{
     counter, gauge, gauge_scope, histogram, metrics_snapshot, render_prometheus, snapshot_to_json,
     Json, ProfileRecorder, QueryProfile, RequestTrace,
@@ -76,11 +80,11 @@ use wdpt_store::{ChainSymbols, SymbolMap};
 /// advertises in `--help`.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Evaluation worker threads.
+    /// Concurrent evaluations: the number of evaluation permits.
     pub workers: usize,
     /// Threads *inside* one evaluation (the executor's root fan-out).
     pub eval_threads: usize,
-    /// Bounded queue depth between connections and workers; the
+    /// Requests that may wait for a permit when all are taken; the
     /// backpressure threshold.
     pub queue_capacity: usize,
     /// Deadline applied when a request names none, in milliseconds.
@@ -92,7 +96,7 @@ pub struct ServeConfig {
     /// Default cap on streamed rows per query.
     pub max_rows: usize,
     /// *Base* client backoff on `overloaded`, in milliseconds. The hint a
-    /// client actually receives scales with the current queue depth and
+    /// client actually receives scales with the requests waiting and
     /// carries a deterministic per-request jitter so a flood of rejected
     /// clients does not retry in lockstep — see [`retry_after_hint`].
     pub retry_after_ms: u64,
@@ -178,6 +182,93 @@ impl SlowLog {
     }
 }
 
+/// The evaluation permits: at most `permits` queries evaluate at once, and
+/// at most `capacity` more wait for a permit, each on its own connection
+/// thread.
+struct Permits {
+    /// `(holding a permit, waiting for one)`.
+    counts: Mutex<(usize, usize)>,
+    /// Signalled each time a permit is returned.
+    freed: Condvar,
+    permits: usize,
+    capacity: usize,
+}
+
+/// Why a request got no permit.
+#[derive(Debug)]
+enum Refused {
+    /// Every permit is taken and `waiting` requests already wait.
+    Full { waiting: usize },
+    /// The request's deadline passed while it waited.
+    Expired,
+}
+
+/// A held evaluation permit; dropping it — on unwind too — returns it.
+struct Permit<'a> {
+    permits: &'a Permits,
+    _busy: GaugeGuard,
+}
+
+impl Permits {
+    fn new(cfg: &ServeConfig) -> Permits {
+        Permits {
+            counts: Mutex::new((0, 0)),
+            freed: Condvar::new(),
+            permits: cfg.workers.max(1),
+            capacity: cfg.queue_capacity,
+        }
+    }
+
+    fn counts(&self) -> MutexGuard<'_, (usize, usize)> {
+        // Cannot fire: nothing that can panic runs under this lock.
+        self.counts.lock().expect("permits lock")
+    }
+
+    /// Takes a permit: at once if one is free, else after waiting — if the
+    /// line has room — until one frees or `token`'s deadline passes.
+    fn acquire(&self, token: &CancelToken) -> Result<Permit<'_>, Refused> {
+        let mut counts = self.counts();
+        if counts.0 >= self.permits {
+            if counts.1 >= self.capacity {
+                return Err(Refused::Full { waiting: counts.1 });
+            }
+            counts.1 += 1;
+            let _waiting = gauge_scope!("serve.queue.depth");
+            let deadline = token.deadline();
+            while counts.0 >= self.permits {
+                let left = deadline.map_or(Duration::MAX, |d| {
+                    d.saturating_duration_since(Instant::now())
+                });
+                if left.is_zero() {
+                    break;
+                }
+                (counts, _) = self.freed.wait_timeout(counts, left).expect("permits lock");
+            }
+            counts.1 -= 1;
+            if counts.0 >= self.permits {
+                return Err(Refused::Expired);
+            }
+        }
+        counts.0 += 1;
+        Ok(Permit {
+            permits: self,
+            _busy: gauge_scope!("serve.workers.busy"),
+        })
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut counts = self.permits.counts();
+        counts.0 -= 1;
+        // A waiter counts itself under the lock before it waits: with none
+        // counted, nobody needs waking.
+        if counts.1 > 0 {
+            self.permits.freed.notify_one();
+        }
+    }
+}
+
 /// One served database version paired with the statistics catalog built
 /// from it. The two always travel together: every install point swaps a
 /// whole `DbEntry` under the map's write lock, so no request can observe a
@@ -221,9 +312,7 @@ pub struct ServeState {
     default_db: String,
     cache: PlanCache,
     shutdown: AtomicBool,
-    /// Jobs currently on (or just popped off) the worker queue; feeds the
-    /// depth-scaled `retry_after_ms` hint on `overloaded`.
-    queue_depth: AtomicUsize,
+    permits: Permits,
     slowlog: Mutex<SlowLog>,
     /// Chain position of the served data, when the server has a chain
     /// identity (primary with a replication log, or follower). Feeds the
@@ -286,6 +375,7 @@ impl ServeState {
             capacity: cfg.slowlog_capacity,
             dropped: 0,
         });
+        let permits = Permits::new(&cfg);
         Arc::new(ServeState {
             cfg,
             interner: RwLock::new(interner),
@@ -293,7 +383,7 @@ impl ServeState {
             default_db,
             cache,
             shutdown: AtomicBool::new(false),
-            queue_depth: AtomicUsize::new(0),
+            permits,
             slowlog,
             repl_head: ReplHead::new(),
             primary: Mutex::new(None),
@@ -459,7 +549,7 @@ impl ServeState {
     /// merges) runs with **no server locks held**, so queries keep flowing;
     /// the interner's read lock is taken only briefly, to resolve names.
     /// Then the chain's new symbols are interned (the fold) and the served
-    /// `Arc<Database>` is swapped under the write lock: in-flight jobs
+    /// `Arc<Database>` is swapped under the write lock: in-flight queries
     /// finish against the old database, requests admitted after the swap
     /// see the new one.
     ///
@@ -775,80 +865,6 @@ fn pattern_size(p: &GraphPattern) -> (usize, usize) {
     (atoms(p), p.variables().len())
 }
 
-/// One evaluation job on the bounded queue. Carries its own
-/// `Arc<Database>`, resolved at admission: a concurrent `reload` swapping
-/// the served map does not change what this job evaluates against.
-struct Job {
-    id: Option<String>,
-    /// The request's tree, never the plan's ([`crate::cache::build_plan`]).
-    wdpt: Wdpt,
-    plan: Arc<Plan>,
-    cache_status: &'static str,
-    db: Arc<Database>,
-    request_vars: Vec<String>,
-    token: CancelToken,
-    deadline_ms: u64,
-    /// Bracket the evaluation with a profile recorder and attach the
-    /// profile to the `ok` line.
-    profile: bool,
-    /// The plan's per-node facts, present iff the request asked to
-    /// `explain`: attach them, the join orders and the runtime stats to
-    /// the `ok` line.
-    explain: Option<Arc<[NodePlan]>>,
-    max_rows: usize,
-    /// When the job went onto the queue; the worker derives the queue-wait
-    /// stage from it.
-    enqueued: Instant,
-    resp: mpsc::Sender<WorkerReply>,
-}
-
-/// What a worker sends back to the connection thread: the response — row
-/// lines, then the terminal line, encoded — plus the telemetry only the
-/// worker can measure: the queue-wait and eval durations (folded into the
-/// request's [`RequestTrace`]) and what the evaluation counted, as counted;
-/// it is rendered only if the request turns out slow or cancelled and gets
-/// a slowlog entry.
-struct WorkerReply {
-    response: Vec<u8>,
-    queue_ns: u64,
-    eval_ns: u64,
-    cancelled: bool,
-    /// Rows in the evaluation's table (0 if it was cancelled).
-    answers: u64,
-    /// The evaluation's own counts; `None` if none ran (the deadline passed
-    /// in the queue, or the worker never answered).
-    tally: Option<EvalTally>,
-    /// The recorder's profile of a request that asked `profile: true`.
-    profile: Option<QueryProfile>,
-}
-
-impl WorkerReply {
-    /// The reply for a request no evaluation ran for.
-    fn unevaluated(response: Vec<u8>, queue_ns: u64, cancelled: bool) -> WorkerReply {
-        WorkerReply {
-            response,
-            queue_ns,
-            eval_ns: 0,
-            cancelled,
-            answers: 0,
-            tally: None,
-            profile: None,
-        }
-    }
-
-    /// The EXPLAIN profile a slowlog entry for this request carries: the
-    /// recorder's if the request asked for one (the object on its `ok`
-    /// line), otherwise the evaluation's tally rendered now.
-    fn slowlog_profile(&self, wdpt: &Wdpt) -> Option<Json> {
-        let profile = match (&self.profile, &self.tally) {
-            (Some(recorded), _) => return Some(recorded.to_json()),
-            (None, Some(tally)) => tally.profile(wdpt, PROFILE_LABEL, self.eval_ns, self.answers),
-            (None, None) => return None,
-        };
-        Some(profile.to_json())
-    }
-}
-
 /// The `label` of every profile the server produces.
 const PROFILE_LABEL: &str = "serve.query";
 
@@ -866,35 +882,17 @@ fn encoded(line: &Json) -> Vec<u8> {
 }
 
 /// Runs the server on `listener` until shutdown is requested, then drains
-/// queued and in-flight work and returns. The listener is switched to
-/// nonblocking mode so the loop can observe the shutdown flag.
+/// in-flight work and returns. The listener is switched to nonblocking mode
+/// so the loop can observe the shutdown flag.
 pub fn serve(listener: TcpListener, state: Arc<ServeState>) -> io::Result<()> {
     listener.set_nonblocking(true)?;
-    let (tx, rx) = mpsc::sync_channel::<Job>(state.cfg.queue_capacity);
-    let rx = Arc::new(Mutex::new(rx));
-
-    let workers: Vec<_> = (0..state.cfg.workers.max(1))
-        .map(|_| {
-            let rx = Arc::clone(&rx);
-            let state = Arc::clone(&state);
-            std::thread::spawn(move || loop {
-                let job = match rx.lock().expect("job queue lock").recv() {
-                    Ok(job) => job,
-                    Err(_) => return, // queue closed and drained
-                };
-                process(job, &state);
-            })
-        })
-        .collect();
-
     let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while !state.is_shutting_down() {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let state = Arc::clone(&state);
-                let tx = tx.clone();
                 conns.push(std::thread::spawn(move || {
-                    let _ = handle_connection(stream, state, tx);
+                    let _ = handle_connection(stream, state);
                 }));
                 conns.retain(|h| !h.is_finished());
             }
@@ -905,14 +903,10 @@ pub fn serve(listener: TcpListener, state: Arc<ServeState>) -> io::Result<()> {
             Err(e) => return Err(e),
         }
     }
-    // Drain: connections finish their in-flight request and exit on the
-    // next read-timeout tick; closing the queue stops workers once empty.
+    // Drain: connections finish their in-flight request — a waiter when a
+    // permit frees — and exit on the next read-timeout tick.
     for h in conns {
         let _ = h.join();
-    }
-    drop(tx);
-    for w in workers {
-        let _ = w.join();
     }
     Ok(())
 }
@@ -922,11 +916,7 @@ pub fn serve(listener: TcpListener, state: Arc<ServeState>) -> io::Result<()> {
 /// line cannot be re-synchronised reliably).
 const MAX_LINE_BYTES: usize = 1 << 20;
 
-fn handle_connection(
-    stream: TcpStream,
-    state: Arc<ServeState>,
-    tx: SyncSender<Job>,
-) -> io::Result<()> {
+fn handle_connection(stream: TcpStream, state: Arc<ServeState>) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(200)))?;
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone()?);
@@ -964,14 +954,15 @@ fn handle_connection(
                         );
                     }
                     Ok(Some((id, request))) => {
-                        handle_request(id.as_deref(), request, trace, &state, &tx)
+                        handle_request(id.as_deref(), request, trace, &state)
                     }
                     Err(bad_request) => (bad_request, None),
                 };
                 writer.write_all(&response)?;
                 writer.flush()?;
-                // The respond stage closes only after the flush, so the
-                // recorded trace covers the socket write.
+                // The respond stage opened when the evaluation ended and
+                // closes only after the flush, so it covers the encoding
+                // and the socket write.
                 if let Some(mut t) = trace {
                     t.stage_done(Stage::Respond);
                     t.record();
@@ -1143,7 +1134,6 @@ fn handle_request(
     request: Request,
     mut trace: RequestTrace,
     state: &ServeState,
-    tx: &SyncSender<Job>,
 ) -> (Vec<u8>, Option<RequestTrace>) {
     let line = match request {
         Request::Ping => Json::obj([("status", Json::str("ok")), ("kind", Json::str("pong"))]),
@@ -1191,7 +1181,6 @@ fn handle_request(
                     min_head,
                 },
                 state,
-                tx,
                 &mut trace,
             );
             let trace = state.cfg.telemetry.then_some(trace);
@@ -1290,8 +1279,7 @@ const SLOWLOG_QUERY_BYTES: usize = 2048;
 /// One slow-query ring entry: when, what, why it qualified (`"slow"` or
 /// `"cancelled"`), where it got to (`phase`), its stage-timed trace so far,
 /// and the EXPLAIN profile of its evaluation when one ran — rendered by the
-/// caller ([`WorkerReply::slowlog_profile`]) for the entries that exist,
-/// not on every request.
+/// caller for the entries that exist, not on every request.
 #[allow(clippy::too_many_arguments)]
 fn slowlog_entry(
     id: Option<&str>,
@@ -1332,12 +1320,7 @@ fn slowlog_entry(
     ])
 }
 
-fn handle_query(
-    req: QueryParams<'_>,
-    state: &ServeState,
-    tx: &SyncSender<Job>,
-    trace: &mut RequestTrace,
-) -> Vec<u8> {
+fn handle_query(req: QueryParams<'_>, state: &ServeState, trace: &mut RequestTrace) -> Vec<u8> {
     let QueryParams {
         id,
         query,
@@ -1379,8 +1362,8 @@ fn handle_query(
     }
 
     let db_name = db.unwrap_or(&state.default_db);
-    // Resolve the database *version* now: the job evaluates against this
-    // `Arc` even if a `reload` swaps the served map while it is queued.
+    // Resolve the database *version* now: the request evaluates against
+    // this `Arc` even if a `reload` swaps the served map while it waits.
     // The statistics catalog rides along from the same map read, so the
     // plan is costed against exactly the version it will execute on.
     // Pin the database, then resolve names: a served database's ids were all
@@ -1453,124 +1436,160 @@ fn handle_query(
     };
     trace.stage_done(Stage::Plan);
 
-    let (resp_tx, resp_rx) = mpsc::channel();
-    let token_handle = token.clone();
-    // Pinned for the slowlog: the worker consumes the Job.
-    let plan_for_log = Arc::clone(&plan);
-    let job = Job {
-        id: id.map(str::to_string),
-        wdpt,
-        plan,
-        cache_status,
-        db,
-        request_vars: canon.request_vars,
-        token,
-        deadline_ms,
-        profile,
-        explain,
-        max_rows: max_rows.unwrap_or(state.cfg.max_rows),
-        enqueued: Instant::now(),
-        resp: resp_tx,
-    };
-    match tx.try_send(job) {
-        Ok(()) => {
-            state.queue_depth.fetch_add(1, Ordering::Relaxed);
-            gauge!("serve.queue.depth").incr();
-        }
-        Err(TrySendError::Full(_)) => {
-            counter!("serve.requests.rejected").add(1);
-            let depth = state.queue_depth.load(Ordering::Relaxed);
-            return encoded(&overloaded_line(
-                id,
-                retry_after_hint(&state.cfg, depth, id),
-            ));
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            counter!("serve.requests.rejected").add(1);
-            return encoded(&shutting_down_line(id));
-        }
-    }
-    let reply = await_worker(&resp_rx, id, &token_handle, deadline_ms, start);
-    trace.absorb_worker(reply.queue_ns, reply.eval_ns);
-    if state.slowlog_enabled() {
-        let threshold_ns = state.cfg.slowlog_threshold_ms.saturating_mul(1_000_000);
-        let status = if reply.cancelled {
-            Some("cancelled")
-        } else if trace.total_ns() >= threshold_ns {
-            Some("slow")
-        } else {
-            None
+    let max_rows = max_rows.unwrap_or(state.cfg.max_rows);
+    let threads = state.cfg.eval_threads.max(1);
+    // A slowlog entry's status and profile, set when the request is
+    // cancelled or turns out slow: the profile is rendered only then.
+    let mut logged: Option<(&str, Option<Json>)> = None;
+    let admitted = admitted(state, id, &token, trace, |trace| {
+        // Pin the exec plan for the whole evaluation: a concurrent
+        // statistics refresh swaps the slot, not the orders this run is
+        // following.
+        let exec = plan.exec_plan();
+        // The tally comes back on cancellation too — deadline-blown queries
+        // are the slowlog's whole reason to exist. The recorder diffs the
+        // process-wide registries and switches tracing on for everybody
+        // meanwhile: only a request that asked for a profile pays for it.
+        let recorder = profile.then(|| ProfileRecorder::start(PROFILE_LABEL));
+        // The request's tree, never the plan's ([`crate::cache::build_plan`]).
+        let (result, tally) =
+            wdpt_core::evaluate_rows(&wdpt, &db, threads, &token, Some(&exec), max_rows);
+        let answers = result.as_ref().map_or(0, |a| a.len() as u64);
+        let recorded = recorder.map(|mut rec| {
+            rec.set_nodes(wdpt_core::node_entries(&wdpt, &tally.homs));
+            rec.finish(answers)
+        });
+        let eval_ns = trace.stage_done(Stage::Eval);
+        let response = match &result {
+            Ok(table) => {
+                plan.stats
+                    .record_execution(eval_ns / 1_000, tally.nodes_expanded);
+                // The rows the executor was asked for: it holds these.
+                let rows = table.len().min(max_rows);
+                let writer =
+                    RowWriter::new(id, &canon.request_vars, &plan.canon_vars, table.vars());
+                let mut response = Vec::new();
+                // Read-locked for naming the constants of the rows sent.
+                state.with_interner(|i| {
+                    for r in 0..rows {
+                        writer.write(&mut response, table.row(r), i);
+                    }
+                });
+                counter!("serve.requests.ok").add(1);
+                let mut okl = ok_line(
+                    id,
+                    table.len(),
+                    rows,
+                    cache_status,
+                    eval_ns / 1_000,
+                    recorded.as_ref().map(QueryProfile::to_json),
+                    explain
+                        .as_deref()
+                        .map(|facts| explain_json(&plan, facts, cache_status)),
+                );
+                // The head the client can quote as `min_head` elsewhere.
+                attach_head(&mut okl, state.current_head());
+                push_line(&mut response, &okl);
+                response
+            }
+            Err(Cancelled) => {
+                counter!("serve.requests.cancelled").add(1);
+                plan.stats.record_cancelled();
+                encoded(&cancelled_line(id, deadline_ms, eval_ns / 1_000))
+            }
         };
-        if let Some(status) = status {
-            state.slowlog_push(slowlog_entry(
-                id,
-                db_name,
-                query,
-                status,
-                "eval",
-                deadline_ms,
-                Some(cache_status),
-                trace,
-                reply.slowlog_profile(&plan_for_log.wdpt),
-                Some(crate::cache::exec_plan_json(&plan_for_log)),
-            ));
+        if state.slowlog_enabled() {
+            let threshold_ns = state.cfg.slowlog_threshold_ms.saturating_mul(1_000_000);
+            let status = if result.is_err() {
+                Some("cancelled")
+            } else {
+                (trace.total_ns() >= threshold_ns).then_some("slow")
+            };
+            logged = status.map(|status| {
+                // The recorder's profile if the request asked for one (the
+                // object on its `ok` line), else the tally's, rendered now.
+                let profile = recorded.as_ref().map_or_else(
+                    || {
+                        let profile = tally.profile(&plan.wdpt, PROFILE_LABEL, eval_ns, answers);
+                        profile.to_json()
+                    },
+                    QueryProfile::to_json,
+                );
+                (status, Some(profile))
+            });
         }
+        response
+    });
+    let response = match admitted {
+        Ok(response) => response,
+        Err(Refused::Full { waiting }) => {
+            counter!("serve.requests.rejected").add(1);
+            let retry_after_ms = retry_after_hint(&state.cfg, waiting, id);
+            return encoded(&overloaded_line(id, retry_after_ms));
+        }
+        Err(Refused::Expired) => {
+            // Expired while waiting — the evaluation never started.
+            counter!("serve.requests.cancelled").add(1);
+            plan.stats.record_cancelled();
+            logged = Some(("cancelled", None));
+            let wall_us = start.elapsed().as_micros() as u64;
+            encoded(&cancelled_line(id, deadline_ms, wall_us))
+        }
+    };
+    if let Some((status, profile)) = logged.filter(|_| state.slowlog_enabled()) {
+        state.slowlog_push(slowlog_entry(
+            id,
+            db_name,
+            query,
+            status,
+            "eval",
+            deadline_ms,
+            Some(cache_status),
+            trace,
+            profile,
+            Some(crate::cache::exec_plan_json(&plan)),
+        ));
     }
-    reply.response
+    response
 }
 
-/// Extra wait past the request deadline before a connection gives up on
-/// its worker: covers queue latency plus the worker's own cancellation
-/// polling granularity.
-const WORKER_GRACE_MS: u64 = 250;
-
-/// Waits for the worker's response, but never past the request
-/// deadline plus [`WORKER_GRACE_MS`].
-///
-/// The old unbounded `recv()` here meant a worker that never responded
-/// (wedged, or its job lost) parked the connection thread forever and the
-/// client hung with no terminal line. Now the wait is bounded: on timeout
-/// the job's token is cancelled (so a still-running evaluation stops at
-/// its next cooperative check instead of burning a worker), a `cancelled`
-/// line goes to the client, and the connection is free for its next
-/// request. A late response is dropped harmlessly with the channel.
-fn await_worker(
-    resp_rx: &mpsc::Receiver<WorkerReply>,
+/// Runs `evaluate` on this thread under an evaluation permit, taken as
+/// [`Permits::acquire`] takes it; the wait is the trace's queue stage. A
+/// panic in `evaluate` is answered with an `internal` error line and
+/// counted under `serve.requests.error` and `serve.eval.panicked`; the
+/// permit is returned either way.
+fn admitted(
+    state: &ServeState,
     id: Option<&str>,
     token: &CancelToken,
-    deadline_ms: u64,
-    start: Instant,
-) -> WorkerReply {
-    let wait = Duration::from_millis(deadline_ms.saturating_add(WORKER_GRACE_MS));
-    match resp_rx.recv_timeout(wait) {
-        Ok(reply) => reply,
-        Err(RecvTimeoutError::Timeout) => {
-            token.cancel();
-            counter!("serve.requests.cancelled").add(1);
-            counter!("serve.worker.unresponsive").add(1);
-            let line = cancelled_line(id, deadline_ms, start.elapsed().as_micros() as u64);
-            WorkerReply::unevaluated(encoded(&line), 0, true)
-        }
-        Err(RecvTimeoutError::Disconnected) => {
-            let line = error_line(id, "internal", "worker dropped the request", None);
-            WorkerReply::unevaluated(encoded(&line), 0, false)
-        }
-    }
+    trace: &mut RequestTrace,
+    evaluate: impl FnOnce(&mut RequestTrace) -> Vec<u8>,
+) -> Result<Vec<u8>, Refused> {
+    let permit = state.permits.acquire(token);
+    trace.stage_done(Stage::Queue);
+    let _permit = permit?;
+    Ok(
+        panic::catch_unwind(AssertUnwindSafe(|| evaluate(trace))).unwrap_or_else(|_| {
+            counter!("serve.requests.error").add(1);
+            counter!("serve.eval.panicked").add(1);
+            encoded(&error_line(id, "internal", "the evaluation panicked", None))
+        }),
+    )
 }
 
 /// The backoff hint sent with `overloaded`: the configured base, scaled up
-/// linearly with how full the worker queue is, plus a deterministic
+/// linearly with how many requests wait for a permit, plus a deterministic
 /// per-request jitter (a hash of the request id, modulo the base).
 ///
 /// A fixed hint makes every rejected client of a flood sleep the same
 /// interval and stampede back in lockstep, re-creating the overload on the
 /// retry; the jitter spreads the retries across a window that widens as
-/// the queue deepens. Hashing the id keeps the hint reproducible for a
+/// the line lengthens. Hashing the id keeps the hint reproducible for a
 /// given request, so tests and clients see stable values.
-fn retry_after_hint(cfg: &ServeConfig, queue_depth: usize, id: Option<&str>) -> u64 {
+fn retry_after_hint(cfg: &ServeConfig, waiting: usize, id: Option<&str>) -> u64 {
     let base = cfg.retry_after_ms.max(1);
     let capacity = cfg.queue_capacity.max(1) as u64;
-    let scaled = base + base * (queue_depth as u64).min(capacity) / capacity;
+    let scaled = base + base * (waiting as u64).min(capacity) / capacity;
     let jitter = wdpt_store::content_hash(id.unwrap_or("").as_bytes()) % base;
     scaled + jitter
 }
@@ -1594,109 +1613,6 @@ fn sparql_error_parts(e: &SparqlError, canon: &CanonicalQuery) -> (&'static str,
         ),
         SparqlError::NotAnRdfTree => ("internal", e.to_string()),
     }
-}
-
-/// Worker half: evaluate with the request token and encode the response.
-///
-/// Besides the response, the worker ships the connection thread the two
-/// timings only it can measure — how long the job sat queued and how long
-/// the evaluation ran — plus the evaluation's tally, so slow-query entries
-/// can be assembled with full context on the connection side.
-fn process(job: Job, state: &ServeState) {
-    state.queue_depth.fetch_sub(1, Ordering::Relaxed);
-    gauge!("serve.queue.depth").decr();
-    let _busy = gauge_scope!("serve.workers.busy");
-    let queue_ns = job.enqueued.elapsed().as_nanos() as u64;
-    let start = Instant::now();
-    let db = &*job.db;
-    let id = job.id.as_deref();
-    let reply = if job.token.poll_deadline() {
-        // Expired while queued — never start the evaluation.
-        counter!("serve.requests.cancelled").add(1);
-        job.plan.stats.record_cancelled();
-        let line = cancelled_line(id, job.deadline_ms, start.elapsed().as_micros() as u64);
-        WorkerReply::unevaluated(encoded(&line), queue_ns, true)
-    } else {
-        let threads = state.cfg.eval_threads.max(1);
-        // Pin the exec plan for the whole evaluation: a concurrent
-        // statistics refresh swaps the slot, not the orders this run is
-        // following.
-        let exec = job.plan.exec_plan();
-        // The tally comes back on cancellation too — deadline-blown queries
-        // are the slowlog's whole reason to exist. The recorder diffs the
-        // process-wide registries and switches tracing on for everybody
-        // meanwhile: only a request that asked for a profile pays for it.
-        let recorder = job.profile.then(|| ProfileRecorder::start(PROFILE_LABEL));
-        let (result, tally) = wdpt_core::evaluate_rows(
-            &job.wdpt,
-            db,
-            threads,
-            &job.token,
-            Some(&exec),
-            job.max_rows,
-        );
-        let answer_count = result.as_ref().map_or(0, |a| a.len() as u64);
-        let profile = recorder.map(|mut rec| {
-            rec.set_nodes(wdpt_core::node_entries(&job.wdpt, &tally.homs));
-            rec.finish(answer_count)
-        });
-        let eval_ns = start.elapsed().as_nanos() as u64;
-        let response = match &result {
-            Ok(answers) => {
-                job.plan
-                    .stats
-                    .record_execution(eval_ns / 1_000, tally.nodes_expanded);
-                let wall_us = start.elapsed().as_micros() as u64;
-                // The rows the executor was asked for: it holds these.
-                let rows = answers.len().min(job.max_rows);
-                let writer =
-                    RowWriter::new(id, &job.request_vars, &job.plan.canon_vars, answers.vars());
-                let mut response = Vec::new();
-                // Read-locked for naming the constants of the rows sent.
-                state.with_interner(|i| {
-                    for r in 0..rows {
-                        writer.write(&mut response, answers.row(r), i);
-                    }
-                });
-                counter!("serve.requests.ok").add(1);
-                let mut okl = ok_line(
-                    id,
-                    answers.len(),
-                    rows,
-                    job.cache_status,
-                    wall_us,
-                    profile.as_ref().map(QueryProfile::to_json),
-                    job.explain
-                        .as_deref()
-                        .map(|facts| explain_json(&job.plan, facts, job.cache_status)),
-                );
-                // The head the client can quote as `min_head` elsewhere.
-                attach_head(&mut okl, state.current_head());
-                push_line(&mut response, &okl);
-                response
-            }
-            Err(Cancelled) => {
-                counter!("serve.requests.cancelled").add(1);
-                job.plan.stats.record_cancelled();
-                encoded(&cancelled_line(
-                    id,
-                    job.deadline_ms,
-                    start.elapsed().as_micros() as u64,
-                ))
-            }
-        };
-        WorkerReply {
-            response,
-            queue_ns,
-            eval_ns,
-            cancelled: result.is_err(),
-            answers: answer_count,
-            tally: Some(tally),
-            profile,
-        }
-    };
-    // The connection may have vanished; a dead channel is fine.
-    let _ = job.resp.send(reply);
 }
 
 /// Implements [`ReplApply`] over the serving state: the follower side of
@@ -1824,7 +1740,7 @@ fn stats_line(state: &ServeState) -> Json {
         ),
         (
             "queue_depth".to_string(),
-            Json::int(state.queue_depth.load(Ordering::Relaxed) as u64),
+            Json::int(state.permits.counts().1 as u64),
         ),
         (
             "counters".to_string(),
@@ -1850,61 +1766,46 @@ mod tests {
     use super::*;
     use wdpt_model::Const;
 
-    /// The `status` of a reply whose response is one line.
-    fn status_of(reply: &WorkerReply) -> String {
-        let text = std::str::from_utf8(&reply.response).unwrap();
+    /// The `(status, kind)` of a response of one line.
+    fn status_of(response: &[u8]) -> (String, Option<String>) {
+        let text = std::str::from_utf8(response).unwrap();
         let line = text.strip_suffix('\n').expect("newline-terminated");
         assert!(!line.contains('\n'), "one line, got {text:?}");
-        let status = Json::parse(line).unwrap().get("status").cloned();
-        status.and_then(|s| s.as_str().map(str::to_string)).unwrap()
+        let line = Json::parse(line).unwrap();
+        let field = |name: &str| line.get(name).and_then(Json::as_str).map(str::to_string);
+        (field("status").unwrap(), field("kind"))
     }
 
-    /// Regression: the connection-side wait for a worker response used an
-    /// unbounded `recv()`, so a worker that never answered (wedged, or its
-    /// job lost) parked the connection thread forever. The bounded wait
-    /// must return a `cancelled` line shortly after deadline + grace and
-    /// cancel the job's token.
+    /// A panic in an evaluation is answered, counted, and gives its permit
+    /// back: with one permit and no waiting, a second admission is refused
+    /// unless it gets the permit at once.
     #[test]
-    fn unresponsive_worker_frees_the_connection() {
-        let (tx, rx) = mpsc::channel::<WorkerReply>();
-        let token = CancelToken::new();
-        let start = Instant::now();
-        let reply = await_worker(&rx, Some("stuck-1"), &token, 50, start);
-        // Keep the sender alive for the whole wait: dropping it early
-        // would exercise the Disconnected arm, not the timeout.
-        drop(tx);
-        let waited = start.elapsed();
-        assert!(
-            waited < Duration::from_secs(5),
-            "connection stayed parked for {waited:?}"
+    fn a_panicking_evaluation_answers_and_returns_its_permit() {
+        let state = tiny_state(ServeConfig {
+            workers: 1,
+            queue_capacity: 0,
+            ..ServeConfig::default()
+        });
+        let token = CancelToken::with_deadline(Duration::from_secs(10));
+        let mut trace = RequestTrace::start();
+        let ((panicked, second), delta) = wdpt_obs::delta_scope(|| {
+            let panicked = admitted(&state, Some("p"), &token, &mut trace, |_| {
+                panic!("an evaluation bug")
+            });
+            let second = admitted(&state, Some("q"), &token, &mut trace, |_| {
+                b"done\n".to_vec()
+            });
+            (panicked, second)
+        });
+        let (status, kind) = status_of(&panicked.expect("admitted"));
+        assert_eq!(
+            (status.as_str(), kind.as_deref()),
+            ("error", Some("internal"))
         );
-        assert_eq!(status_of(&reply), "cancelled");
-        assert!(reply.cancelled, "a timed-out wait is a cancelled request");
-        assert!(
-            token.is_cancelled(),
-            "the abandoned job's token must be cancelled so the worker stops"
-        );
-    }
-
-    #[test]
-    fn worker_response_within_deadline_passes_through() {
-        let (tx, rx) = mpsc::channel::<WorkerReply>();
-        tx.send(WorkerReply {
-            response: encoded(&ok_line(Some("q"), 1, 1, "hit", 10, None, None)),
-            queue_ns: 1_000,
-            eval_ns: 9_000,
-            cancelled: false,
-            answers: 1,
-            tally: None,
-            profile: None,
-        })
-        .unwrap();
-        let token = CancelToken::new();
-        let reply = await_worker(&rx, Some("q"), &token, 10_000, Instant::now());
-        assert_eq!(status_of(&reply), "ok");
-        assert_eq!(reply.queue_ns, 1_000);
-        assert_eq!(reply.eval_ns, 9_000);
-        assert!(!token.is_cancelled());
+        assert_eq!(second.expect("the permit came back"), b"done\n");
+        assert_eq!(delta.counter("serve.eval.panicked"), 1);
+        assert_eq!(delta.counter("serve.requests.error"), 1);
+        assert_eq!(state.permits.counts().0, 0);
     }
 
     /// Translation errors name canonical variable `#k` as the request
@@ -1931,8 +1832,8 @@ mod tests {
         let empty = retry_after_hint(&cfg, 0, Some("x"));
         let full = retry_after_hint(&cfg, cfg.queue_capacity, Some("x"));
         assert_eq!(full - empty, cfg.retry_after_ms);
-        // Depth beyond capacity (races between load and rejection) clamps
-        // rather than growing without bound.
+        // More waiters than capacity clamps rather than growing without
+        // bound.
         assert_eq!(
             retry_after_hint(&cfg, cfg.queue_capacity * 10, Some("x")),
             full
@@ -1963,7 +1864,7 @@ mod tests {
         );
     }
 
-    fn tiny_state() -> Arc<ServeState> {
+    fn tiny_state(cfg: ServeConfig) -> Arc<ServeState> {
         let mut i = Interner::new();
         let mut db = Database::new();
         let p = i.pred("edge");
@@ -1971,7 +1872,7 @@ mod tests {
         db.insert(p, vec![Const(a.0), Const(b.0)]);
         let mut dbs = BTreeMap::new();
         dbs.insert("main".to_string(), db);
-        ServeState::new(ServeConfig::default(), i, dbs, "main")
+        ServeState::new(cfg, i, dbs, "main")
     }
 
     #[test]
@@ -1991,7 +1892,7 @@ mod tests {
         let snap_path = dir.join("base.wdpt");
         wdpt_store::save_snapshot(&snap_path, &si, &sdb).unwrap();
 
-        let state = tiny_state();
+        let state = tiny_state(ServeConfig::default());
         let before = state.db("main").expect("default db");
         assert_eq!(before.size(), 1);
 

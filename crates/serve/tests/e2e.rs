@@ -417,7 +417,7 @@ fn deadline_exceeding_query_is_cancelled_promptly() {
         "cancelled response took {elapsed:?}"
     );
 
-    // The worker is free again: a normal query still succeeds.
+    // The permit is free again: a normal query still succeeds.
     let (ok, _) = c.round_trip(&query("after", BASE));
     assert_eq!(status_of(&ok), "ok");
 
@@ -781,7 +781,7 @@ fn invalid_utf8_line_gets_bad_request_and_connection_survives() {
 
 #[test]
 fn full_queue_answers_overloaded_not_hanging() {
-    // One worker, queue depth one: the third concurrent query must be
+    // One permit, one waiting slot: the third concurrent query must be
     // rejected with backpressure, immediately.
     let server = start(ServeConfig {
         workers: 1,
@@ -791,7 +791,7 @@ fn full_queue_answers_overloaded_not_hanging() {
 
     let heavy = |id: &str| query_with(id, HEAVY, &[("deadline_ms", Json::int(1_000))]);
 
-    // Occupy the worker, then the queue slot.
+    // Occupy the permit, then the waiting slot.
     let mut c1 = Client::connect(server.addr);
     c1.send(&heavy("h1"));
     std::thread::sleep(Duration::from_millis(150));
@@ -799,7 +799,7 @@ fn full_queue_answers_overloaded_not_hanging() {
     c2.send(&heavy("h2"));
     std::thread::sleep(Duration::from_millis(150));
 
-    // Now the queue is full: this must come back overloaded, fast.
+    // Now the line is full: this must come back overloaded, fast.
     let mut c3 = Client::connect(server.addr);
     let started = Instant::now();
     let (line, _) = c3.round_trip(&heavy("h3"));
@@ -931,7 +931,7 @@ fn shutdown_drains_and_rejects_new_work() {
     let (ack, _) = c.round_trip(&Json::obj([("op", Json::str("shutdown"))]));
     assert_eq!(ack.get("kind").and_then(Json::as_str), Some("shutdown"));
 
-    // serve() returns once connections and workers have drained.
+    // serve() returns once connections have drained.
     let joined = server.handle.join().expect("server thread must not panic");
     joined.expect("serve() must drain cleanly");
 

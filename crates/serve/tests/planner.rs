@@ -138,7 +138,7 @@ fn synth(i: &mut Interner, triples: u64, skew: u64) -> Database {
     wdpt_serve::parse_dataset(i, std::str::from_utf8(&nt).unwrap()).unwrap()
 }
 
-/// What a worker does with one request of `query`, in-process: evaluate
+/// What the server does with one request of `query`, in-process: evaluate
 /// the cached plan and record the run. Returns the plan and the search
 /// nodes the run expanded, by its own tally.
 fn serve_once(state: &ServeState, query: &str) -> (Arc<Plan>, u64) {
@@ -227,7 +227,7 @@ fn correlated_columns_show_as_estimate_against_observed() {
 }
 
 /// Per-plan `nodes_expanded` figures are each run's own count. Two
-/// connections drive two different queries through four workers, 200
+/// connections drive two different queries through four permits, 200
 /// requests each, every fifth one asking for a recorder-bracketed
 /// `profile`; afterwards each plan has expanded exactly executions × what
 /// one run of its query expands, and tracing — on while some recorder was

@@ -6,11 +6,11 @@
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 use wdpt_gen::music::MusicParams;
 use wdpt_model::{Database, Interner};
-use wdpt_obs::{read_json_line, write_json_line, Json};
+use wdpt_obs::{delta_scope, read_json_line, write_json_line, Json};
 use wdpt_serve::{serve, ServeConfig, ServeState};
 
 const BASE: &str = r#"SELECT ?x ?y ?z WHERE { (((?x, rec_by, ?y) AND (?x, publ, "after_2010")) OPT (?x, nme_rating, ?z)) OPT (?y, formed_in, ?w) }"#;
@@ -33,6 +33,16 @@ fn slow_query(id: &str, extra: &[(&str, Json)]) -> Json {
 /// but evaluation reliably outlives the deadlines used here.
 const HEAVY: &str =
     "((((?a, rec_by, ?b) AND (?c, rec_by, ?d)) AND (?e, publ, ?f)) AND (?g, nme_rating, ?h))";
+
+/// Serialises the tests that let a deadline pass: they move the
+/// process-wide `serve.requests.cancelled`, which
+/// `a_request_cancelled_while_it_waits_is_answered_by_its_deadline_and_counted_once`
+/// counts.
+static CANCELS: Mutex<()> = Mutex::new(());
+
+fn cancels() -> std::sync::MutexGuard<'static, ()> {
+    CANCELS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 struct Server {
     addr: SocketAddr,
@@ -271,6 +281,7 @@ fn prometheus_text_exposition_is_parseable_and_cumulative() {
 
 #[test]
 fn slowlog_captures_slow_and_deadline_exceeded_queries() {
+    let _cancels = cancels();
     let server = start(ServeConfig {
         slowlog_threshold_ms: 1,
         ..ServeConfig::default()
@@ -353,10 +364,74 @@ fn slowlog_captures_slow_and_deadline_exceeded_queries() {
     server.shutdown_and_join();
 }
 
-/// The worker hands the connection thread what the evaluation counted and
-/// an entry renders it when one is pushed: a request under the threshold
-/// leaves the log empty (nothing was rendered for it), and the entry of a
-/// request that asked for a `profile` carries the object on its `ok` line.
+/// A request waiting for the only permit is answered `cancelled` by its own
+/// deadline, long before the permit frees, and counted once — not again
+/// when the permit it no longer wants comes free.
+#[test]
+fn a_request_cancelled_while_it_waits_is_answered_by_its_deadline_and_counted_once() {
+    let _cancels = cancels();
+    // Scheduling slack on top of the waiter's deadline.
+    const SLACK: Duration = Duration::from_millis(150);
+    let (cancelled_lines, delta) = delta_scope(|| {
+        let server = start(ServeConfig {
+            workers: 1,
+            queue_capacity: 1,
+            ..ServeConfig::default()
+        });
+        let mut holder = Client::connect(server.addr);
+        holder.send(&query_with(
+            "holder",
+            HEAVY,
+            &[("deadline_ms", Json::int(2_000))],
+        ));
+        std::thread::sleep(Duration::from_millis(150));
+
+        let mut waiter = Client::connect(server.addr);
+        let sent = Instant::now();
+        waiter.send(&query_with(
+            "waiter",
+            BASE,
+            &[("deadline_ms", Json::int(200))],
+        ));
+        std::thread::sleep(Duration::from_millis(100));
+        let mut admin = Client::connect(server.addr);
+        let (stats, _) = admin.round_trip(&Json::obj([("op", Json::str("stats"))]));
+        assert_eq!(
+            stats.get("queue_depth").and_then(Json::as_num),
+            Some(1.0),
+            "got {stats}"
+        );
+
+        let (waited, rows) = waiter.response();
+        let answered = sent.elapsed();
+        assert_eq!(status_of(&waited), "cancelled", "got {waited}");
+        assert!(rows.is_empty());
+        assert!(
+            answered < Duration::from_millis(200) + SLACK,
+            "a 200 ms deadline was answered after {answered:?}"
+        );
+        let (held, _) = holder.response();
+        assert_eq!(status_of(&held), "cancelled", "got {held}");
+        assert!(sent.elapsed() > answered + Duration::from_millis(1_000));
+
+        // Through the permit once more, after anything the waiter left
+        // behind it.
+        let (ok, _) = admin.round_trip(&query("after", BASE));
+        assert_eq!(status_of(&ok), "ok", "got {ok}");
+        server.shutdown_and_join();
+        let terminal = [waited, held, ok];
+        terminal
+            .iter()
+            .filter(|l| status_of(l) == "cancelled")
+            .count() as u64
+    });
+    assert_eq!(delta.counter("serve.requests.cancelled"), cancelled_lines);
+}
+
+/// An evaluation hands back what it counted and an entry renders it when
+/// one is pushed: a request under the threshold leaves the log empty
+/// (nothing was rendered for it), and the entry of a request that asked
+/// for a `profile` carries the object on its `ok` line.
 #[test]
 fn slowlog_renders_a_profile_only_for_the_entries_it_pushes() {
     // Slowlog on at the default one-second threshold: none of these is
@@ -416,6 +491,7 @@ fn slowlog_ring_evicts_oldest_and_counts_dropped() {
 
 #[test]
 fn no_telemetry_disables_slowlog_but_keeps_metrics_op() {
+    let _cancels = cancels();
     let server = start(ServeConfig {
         telemetry: false,
         slowlog_threshold_ms: 1,
