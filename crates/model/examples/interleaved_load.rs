@@ -1,5 +1,5 @@
 //! Measures interleaved load/query cost: alternating `Database::insert`
-//! with one point probe per insert. Inserts land in a relation's pending
+//! with one point probe per insert, on the leading column and on column 1. Inserts land in a relation's pending
 //! run and probes search both runs, so the whole loop is near-linear in
 //! the number of tuples; a store that rebuilt something per insert (the
 //! seed discarded its indexes on every insert and rebuilt them on the next
@@ -25,6 +25,20 @@ fn main() {
         }
         println!(
             "n={n:>6}  interleaved insert+probe: {:>12.1?}  ({hits} probe hits)",
+            start.elapsed()
+        );
+        // The same with each probe on column 1, which goes through a
+        // column permutation of each run.
+        let mut db = Database::new();
+        let start = Instant::now();
+        let mut hits = 0usize;
+        for j in 0..n {
+            db.insert(e, vec![consts[j], consts[j * 7 % n]]);
+            let pat = [None, Some(consts[j / 2 * 7 % n])];
+            hits += db.relation(e).unwrap().matching(&pat).count();
+        }
+        println!(
+            "n={n:>6}  interleaved insert+column-1 probe: {:>12.1?}  ({hits} probe hits)",
             start.elapsed()
         );
     }

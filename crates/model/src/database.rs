@@ -25,13 +25,18 @@
 //! * membership is a binary search.
 //!
 //! The run sits behind an [`Arc`], so cloning a relation — and with it a
-//! [`Database`] — copies no rows. [`Database::insert`] lands rows in a
-//! small sorted *pending run* owned by the one relation being mutated; every
-//! probe consults both runs, and the pending run is folded into the main
-//! run (one merge, which also drops the permutations) when it outgrows a
-//! fixed share of it, so an insert costs an amortised constant number of
-//! row copies and an interleaved insert/probe workload never rebuilds a
-//! permutation per insert.
+//! [`Database`] — copies no row of it. [`Database::insert`] and
+//! [`Relation::merge_sorted`] (a delta) land rows in a small sorted
+//! *pending run* owned by the one relation being mutated; every probe
+//! consults both runs, and the pending run is folded into the main run (one
+//! merge, which also drops the permutations) when it outgrows a fixed share
+//! of it, so a row costs an amortised constant number of row copies, an
+//! interleaved insert/probe workload never rebuilds a permutation per
+//! insert, and a delta merged into a shared base copies none of the base.
+//! A column probe walks a pending run of a few rows; a longer one has its
+//! own column permutations, built by the first probe that needs them
+//! (not counted as `db.index_builds`), kept up to date by each insert and
+//! dropped by a merge, so such a probe is a search in each run.
 //!
 //! What is built on demand — the column permutations, the active domain —
 //! lives behind [`OnceLock`]s, so a `Database` is [`Sync`] and can be shared
@@ -309,12 +314,11 @@ impl<'a> Iterator for RowIter<'a> {
     }
 }
 
-/// Merges the strictly sorted rows of `add` into the `run_rows` strictly
-/// sorted rows of `run`, in place and from the top down, so rows below the
-/// lowest insertion point never move — a delta of new subjects appends.
-/// `Err(j)` if row `j` of `add` is already in `run`, which is then left in
-/// an unspecified state.
-fn merge_rows(run: &mut Vec<Const>, run_rows: usize, add: Rows<'_>) -> Result<(), usize> {
+/// Merges the strictly sorted rows of `add`, none of them in `run`, into
+/// the `run_rows` strictly sorted rows of `run`, in place and from the top
+/// down, so rows below the lowest insertion point never move. A fold is the
+/// one caller.
+fn merge_rows(run: &mut Vec<Const>, run_rows: usize, add: Rows<'_>) {
     let arity = add.arity;
     run.resize((run_rows + add.len) * arity, Const(0));
     // Old rows not yet moved sit at `[0, left)`; rows from `hole` up are final.
@@ -329,9 +333,7 @@ fn merge_rows(run: &mut Vec<Const>, run_rows: usize, add: Rows<'_>) -> Result<()
         } else {
             left..left
         };
-        if !at.is_empty() {
-            return Err(j);
-        }
+        assert!(at.is_empty(), "a pending row is never in the main run");
         let moved = left - at.start;
         run.copy_within(at.start * arity..left * arity, (hole - moved) * arity);
         hole -= moved + 1;
@@ -339,7 +341,6 @@ fn merge_rows(run: &mut Vec<Const>, run_rows: usize, add: Rows<'_>) -> Result<()
         run[hole * arity..(hole + 1) * arity].copy_from_slice(row);
     }
     debug_assert_eq!(left, hole);
-    Ok(())
 }
 
 /// The folded part of a relation: one strictly sorted block of rows plus
@@ -377,36 +378,70 @@ impl Run {
         Rows::new(&self.cells, self.arity, self.rows)
     }
 
+    /// Column `col`'s permutation, built by the first probe that needs it
+    /// and counted as one `db.index_builds`.
     fn perm(&self, col: usize) -> &[u32] {
         self.perms[col].get_or_init(|| {
-            let rows = self.rows();
-            let cell = |r: usize| rows.cells[r * rows.arity + col].0;
-            let Some(max) = (0..rows.len).map(cell).max() else {
-                return Vec::new();
-            };
-            stats::record_index_build();
-            if !ids_are_dense(max, rows.len) {
-                let mut perm: Vec<u32> = (0..rows.len as u32).collect();
-                perm.sort_unstable_by_key(|&r| (cell(r as usize), r));
-                return perm;
+            if self.rows > 0 {
+                stats::record_index_build();
             }
-            // Counting sort: `next[v]` is the slot of the next row holding `v`.
-            let mut next = vec![0u32; max as usize + 2];
-            for r in 0..rows.len {
-                next[cell(r) as usize + 1] += 1;
-            }
-            for v in 1..next.len() {
-                next[v] += next[v - 1];
-            }
-            let mut perm = vec![0u32; rows.len];
-            for r in 0..rows.len {
-                let slot = &mut next[cell(r) as usize];
-                perm[*slot as usize] = r as u32;
-                *slot += 1;
-            }
-            perm
+            column_order(self.rows(), col)
         })
     }
+}
+
+/// The row ids of `rows` sorted by (column `col`'s cell, row id): one
+/// counting sort where the ids are dense, one comparison sort otherwise.
+fn column_order(rows: Rows<'_>, col: usize) -> Vec<u32> {
+    let cell = |r: usize| rows.cells[r * rows.arity + col].0;
+    let Some(max) = (0..rows.len).map(cell).max() else {
+        return Vec::new();
+    };
+    if !ids_are_dense(max, rows.len) {
+        let mut perm: Vec<u32> = (0..rows.len as u32).collect();
+        perm.sort_unstable_by_key(|&r| (cell(r as usize), r));
+        return perm;
+    }
+    // Counting sort: `next[v]` is the slot of the next row holding `v`.
+    let mut next = vec![0u32; max as usize + 2];
+    for r in 0..rows.len {
+        next[cell(r) as usize + 1] += 1;
+    }
+    for v in 1..next.len() {
+        next[v] += next[v - 1];
+    }
+    let mut perm = vec![0u32; rows.len];
+    for r in 0..rows.len {
+        let slot = &mut next[cell(r) as usize];
+        perm[*slot as usize] = r as u32;
+        *slot += 1;
+    }
+    perm
+}
+
+/// `Err(why)` unless `perm` lists every row id of `rows` once, ascending by
+/// (column `col`'s cell, row id).
+fn check_order(rows: Rows<'_>, perm: &[u32], col: usize) -> Result<(), String> {
+    if perm.len() != rows.len {
+        return Err(format!(
+            "column {col}: permutation of {} ids for {} rows",
+            perm.len(),
+            rows.len
+        ));
+    }
+    let mut seen = vec![false; rows.len];
+    for &r in perm {
+        match seen.get_mut(r as usize) {
+            Some(slot) if !*slot => *slot = true,
+            Some(_) => return Err(format!("column {col}: row {r} listed twice")),
+            None => return Err(format!("column {col}: row {r} out of range")),
+        }
+    }
+    let key = |r: u32| (rows.row(r as usize)[col], r);
+    if !perm.windows(2).all(|w| key(w[0]) < key(w[1])) {
+        return Err(format!("column {col}: permutation not sorted"));
+    }
+    Ok(())
 }
 
 /// The rows one probe has to look at, in no particular order: exactly the
@@ -415,25 +450,29 @@ impl Run {
 /// remaining columns itself.
 #[derive(Debug, Clone)]
 pub struct Candidates<'a> {
-    main: MainRows<'a>,
+    main: RunRows<'a>,
     pending: PendingRows<'a>,
 }
 
+/// The rows of one run a probe has to look at.
 #[derive(Debug, Clone)]
-enum MainRows<'a> {
-    /// Consecutive rows of the main run.
+enum RunRows<'a> {
+    /// Consecutive rows of the run.
     Block(RowIter<'a>),
-    /// Rows of the main run named by a stretch of a column permutation.
+    /// Rows of the run named by a stretch of a column permutation.
     Picked {
         rows: Rows<'a>,
         ids: std::slice::Iter<'a, u32>,
     },
 }
 
+/// The rows of the pending run a probe has to look at: as a run's, or,
+/// in a pending run too short to have permutations, found by walking it.
+/// Kept apart from [`RunRows`] so that the main run's rows, the ones every
+/// probe walks, are two cases, not three.
 #[derive(Debug, Clone)]
 enum PendingRows<'a> {
-    /// Consecutive rows of the pending run.
-    Block(RowIter<'a>),
+    Run(RunRows<'a>),
     /// The `left` rows, among those not yet walked, whose `col` is `value`.
     Holding {
         rows: RowIter<'a>,
@@ -443,18 +482,73 @@ enum PendingRows<'a> {
     },
 }
 
+impl<'a> RunRows<'a> {
+    /// The rows of `rows` holding `c` in column `col`: the stretch of
+    /// `perm`, the column's permutation, that names them.
+    fn picked(rows: Rows<'a>, perm: &'a [u32], col: usize, c: Const) -> RunRows<'a> {
+        let cell = |i: usize| rows.cells[perm[i] as usize * rows.arity + col];
+        let at = equal_range(perm.len(), Relation::FRESH_CURSOR, |i| cell(i).cmp(&c));
+        RunRows::Picked {
+            rows,
+            ids: perm[at].iter(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            RunRows::Block(rows) => rows.0.len,
+            RunRows::Picked { ids, .. } => ids.len(),
+        }
+    }
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a [Const]> {
+        match self {
+            RunRows::Block(rows) => rows.next(),
+            RunRows::Picked { rows, ids } => ids.next().map(|&r| rows.row(r as usize)),
+        }
+    }
+}
+
+impl<'a> PendingRows<'a> {
+    /// The rows of `rows` holding `c` in column `col`, found by walking
+    /// them.
+    fn holding(rows: Rows<'a>, col: usize, c: Const) -> PendingRows<'a> {
+        PendingRows::Holding {
+            left: rows.iter().filter(|row| row[col] == c).count(),
+            rows: rows.iter(),
+            col,
+            value: c,
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            PendingRows::Run(rows) => rows.len(),
+            PendingRows::Holding { left, .. } => *left,
+        }
+    }
+
+    fn next(&mut self) -> Option<&'a [Const]> {
+        match self {
+            PendingRows::Run(rows) => rows.next(),
+            PendingRows::Holding {
+                rows,
+                col,
+                value,
+                left,
+            } => {
+                *left = left.checked_sub(1)?;
+                rows.find(|row| row[*col] == *value)
+            }
+        }
+    }
+}
+
 impl Candidates<'_> {
     /// Number of rows left to yield.
     pub fn len(&self) -> usize {
-        let main = match &self.main {
-            MainRows::Block(rows) => rows.0.len,
-            MainRows::Picked { ids, .. } => ids.len(),
-        };
-        let pending = match &self.pending {
-            PendingRows::Block(rows) => rows.0.len,
-            PendingRows::Holding { left, .. } => *left,
-        };
-        main + pending
+        self.main.len() + self.pending.len()
     }
 
     /// True iff no row is left.
@@ -468,25 +562,7 @@ impl<'a> Iterator for Candidates<'a> {
 
     #[inline]
     fn next(&mut self) -> Option<&'a [Const]> {
-        let main = match &mut self.main {
-            MainRows::Block(rows) => rows.next(),
-            MainRows::Picked { rows, ids } => ids.next().map(|&r| rows.row(r as usize)),
-        };
-        if main.is_some() {
-            return main;
-        }
-        match &mut self.pending {
-            PendingRows::Block(rows) => rows.next(),
-            PendingRows::Holding {
-                rows,
-                col,
-                value,
-                left,
-            } => {
-                *left = left.checked_sub(1)?;
-                rows.find(|row| row[*col] == *value)
-            }
-        }
+        self.main.next().or_else(|| self.pending.next())
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -553,13 +629,12 @@ pub fn row_id(row: usize) -> Result<u32, TooManyRows> {
     u32::try_from(row).map_err(|_| TooManyRows { rows: row as u64 })
 }
 
-/// Rows a pending run may hold whatever the size of the main run …
+/// Rows a pending run may hold whatever the size of the main run — few
+/// enough that a column probe walks them rather than build a permutation …
 const PENDING_FLOOR: usize = 32;
 /// … and the share of the main run, `1 / PENDING_SHARE`, it may grow to
 /// beyond that before it is folded in. A fold copies the main run once, so
-/// an insert pays for at most `PENDING_SHARE` row copies amortised, and a
-/// probe of a column that needs a permutation walks at most that share of
-/// the relation linearly.
+/// a pending row pays for at most `PENDING_SHARE` row copies amortised.
 const PENDING_SHARE: usize = 16;
 
 /// Bound leading columns a probe searches for in one go; a longer bound
@@ -569,16 +644,21 @@ const PREFIX_CELLS: usize = 8;
 
 /// The extension of a single predicate: a set of constant tuples, held as
 /// a strictly sorted main run — shared with every clone of the relation —
-/// plus the sorted pending run of the rows inserted since the last fold.
-/// The two are disjoint, every accessor consults both, and the difference
-/// never shows through the query API. See the module docs for how probes
-/// use them.
+/// plus the sorted pending run of the rows inserted or merged since the
+/// last fold. The two are disjoint, every accessor consults both, and the
+/// difference never shows through the query API. See the module docs for
+/// how probes use them.
 #[derive(Debug, Clone)]
 pub struct Relation {
     run: Arc<Run>,
     /// `pending_rows × arity` cells, strictly sorted, none in the main run.
     pending: Vec<Const>,
     pending_rows: usize,
+    /// The pending run's permutations of columns `1..arity`, as
+    /// [`Run::perm`]'s but not counted: built together by the first probe
+    /// that needs one, then kept up to date by [`Relation::insert`] and a
+    /// fold, and dropped by a merge.
+    pending_perms: OnceLock<Box<[Vec<u32>]>>,
 }
 
 impl Default for Relation {
@@ -602,6 +682,7 @@ impl Relation {
             run: Arc::new(run),
             pending: Vec::new(),
             pending_rows: 0,
+            pending_perms: OnceLock::new(),
         }
     }
 
@@ -657,6 +738,17 @@ impl Relation {
         Rows::new(&self.pending, self.arity(), self.pending_rows)
     }
 
+    /// The pending run's permutation of column `col`, past the first.
+    fn pending_perm(&self, col: usize) -> &[u32] {
+        let perms = self.pending_perms.get_or_init(|| {
+            let pending = self.pending();
+            (1..pending.arity)
+                .map(|col| column_order(pending, col))
+                .collect()
+        });
+        &perms[col - 1]
+    }
+
     /// The main run's cells as an owned vector with room for `extra` more
     /// cells: taken out of the run when no clone shares it, copied
     /// otherwise. Leaves `self.run` without cells — the caller replaces it.
@@ -673,34 +765,46 @@ impl Relation {
         cells
     }
 
-    /// Replaces the main run by its merge with `add` (see [`merge_rows`]).
-    fn merge_into_run(&mut self, add: Rows<'_>) -> Result<(), usize> {
-        let rows = self.run.rows;
-        let mut cells = self.take_cells(add.cells.len());
-        let merged = merge_rows(&mut cells, rows, add);
-        // Also when the merge failed: the old run gave its cells away.
-        self.run = Arc::new(Run::new(add.arity, rows + add.len, cells));
-        merged
-    }
-
-    /// Folds the pending run into the main run.
+    /// Folds the pending run into the main run: one top-down merge into a
+    /// new main run, which starts with no permutations.
     fn fold(&mut self) {
         if self.pending_rows == 0 {
             return;
         }
+        let (arity, rows) = (self.arity(), self.run.rows);
         let mut pending = std::mem::take(&mut self.pending);
-        let rows = std::mem::take(&mut self.pending_rows);
-        self.merge_into_run(Rows::new(&pending, self.arity(), rows))
-            .expect("a pending row is never in the main run");
+        let added = std::mem::take(&mut self.pending_rows);
+        let mut cells = self.take_cells(pending.len());
+        merge_rows(&mut cells, rows, Rows::new(&pending, arity, added));
+        self.run = Arc::new(Run::new(arity, rows + added, cells));
         pending.clear();
         self.pending = pending;
+        // The permutations of an empty run are empty: built, they stay so.
+        if let Some(perms) = self.pending_perms.get_mut() {
+            perms.iter_mut().for_each(Vec::clear);
+        }
+    }
+
+    /// Folds the pending run in once it holds more than
+    /// `max(PENDING_FLOOR, main / PENDING_SHARE)` rows: the one rule under
+    /// which both [`Database::insert`] and [`Relation::merge_sorted`] land
+    /// rows.
+    fn fold_if_outgrown(&mut self) {
+        if self.pending_rows > PENDING_FLOOR.max(self.run.rows / PENDING_SHARE) {
+            self.fold();
+        }
     }
 
     /// Consumes the relation and returns it with the tuples of `add` merged
-    /// in — the delta-apply path: one top-down merge that moves only the
-    /// rows above the lowest insertion point. `add` is left as it is, its
-    /// run shared rather than copied. `Err(j)` if the `j`-th tuple of `add`
-    /// ([`Relation::tuples`]) is already in the relation.
+    /// in — the delta-apply path. The tuples land in the pending run, which
+    /// is folded in only past its share of the main run, as after an
+    /// insert: the main run stays shared with every clone, no row of it is
+    /// copied, and the permutations built on it are kept; the pending
+    /// run's own are dropped, to be rebuilt over it alone. Each tuple of
+    /// `add` is checked against the main run by a search galloping forward
+    /// from the last one's. `add` is left as it is. `Err(j)` for the first
+    /// `j` whose tuple of `add` ([`Relation::tuples`]) is already in the
+    /// relation.
     ///
     /// # Panics
     /// Panics if the two arities differ.
@@ -710,22 +814,38 @@ impl Relation {
             add.arity(),
             "Relation::merge_sorted: arities differ"
         );
-        if add.is_empty() {
-            return Ok(self);
+        let (main, pending) = (self.run.rows(), self.pending());
+        let mut merged = Vec::with_capacity(pending.cells.len() + add.len() * add.arity());
+        let (mut pending, mut cursor) = (pending.iter(), Self::FRESH_CURSOR);
+        for (j, row) in add.tuples().enumerate() {
+            let in_main = main.with_prefix(row, cursor);
+            cursor = in_main.start;
+            while let Some(below) = pending.peek().filter(|&p| p < row) {
+                merged.extend_from_slice(below);
+                pending.next();
+            }
+            if !in_main.is_empty() || pending.peek() == Some(row) {
+                return Err(j);
+            }
+            merged.extend_from_slice(row);
         }
-        let mut add = add.clone();
-        add.fold();
-        self.fold();
-        self.merge_into_run(add.run.rows())?;
+        pending.for_each(|row| merged.extend_from_slice(row));
+        self.pending = merged;
+        self.pending_rows += add.len();
+        self.pending_perms.take();
+        self.fold_if_outgrown();
         Ok(self)
     }
 
-    /// Forces every column permutation to be built now (they are otherwise
-    /// built lazily on first probe) — a warm-up for callers that want the
-    /// first query to pay no index work.
+    /// Forces every column permutation a probe can use to be built now
+    /// (they are otherwise built lazily on first probe) — a warm-up for
+    /// callers that want the first query to pay no index work.
     pub fn build_all_indexes(&self) {
         for col in 1..self.arity() {
             self.run.perm(col);
+            if self.pending_rows > PENDING_FLOOR {
+                self.pending_perm(col);
+            }
         }
     }
 
@@ -807,59 +927,70 @@ impl Relation {
         }
         // The relation is left exactly as it was when the id space is full.
         row_id(self.len())?;
-        let at = at.start * self.arity();
-        self.pending.splice(at..at, tuple.iter().copied());
+        let (arity, at) = (self.arity(), at.start);
+        self.pending
+            .splice(at * arity..at * arity, tuple.iter().copied());
         self.pending_rows += 1;
-        if self.pending_rows > PENDING_FLOOR.max(self.run.rows / PENDING_SHARE) {
-            self.fold();
+        // Built permutations shift the ids from `at` up and take `at` in, a
+        // pass over the run like the splice's.
+        let (cells, id) = (&self.pending, at as u32);
+        let perms = self
+            .pending_perms
+            .get_mut()
+            .map_or(&mut [][..], |p| &mut p[..]);
+        for (col, perm) in (1..).zip(perms) {
+            perm.iter_mut().for_each(|r| *r += u32::from(*r >= id));
+            let key = (tuple[col], id);
+            let slot = perm.partition_point(|&r| (cells[r as usize * arity + col], r) < key);
+            perm.insert(slot, id);
         }
+        self.fold_if_outgrown();
         Ok(true)
     }
 
     /// Every row: the main run's, then the pending run's.
     fn all(&self) -> Candidates<'_> {
         Candidates {
-            main: MainRows::Block(self.run.rows().iter()),
-            pending: PendingRows::Block(self.pending().iter()),
+            main: RunRows::Block(self.run.rows().iter()),
+            pending: PendingRows::Run(RunRows::Block(self.pending().iter())),
         }
     }
 
     /// The rows whose leading cells are `prefix` — the main run searched
-    /// from row `from`, the pending run bisected — and the main-run row
-    /// where the match starts.
+    /// from row `from`, the pending run bisected, or searched from its first
+    /// row when the probe holds a cursor — and the main-run row where the
+    /// match starts.
     fn with_prefix(&self, prefix: &[Const], from: usize) -> (usize, Candidates<'_>) {
         let (main, pending) = (self.run.rows(), self.pending());
         let found = main.with_prefix(prefix, from);
-        let pending_found = pending.with_prefix(prefix, Self::FRESH_CURSOR);
+        // A probe site holding a cursor probes keys in ascending order, and
+        // new symbols get new, larger ids: a delta's rows mostly sort above
+        // the keys of a join over the rest, and from the first row such a
+        // key is two comparisons, not a bisection.
+        let pending_from = if from == Self::FRESH_CURSOR { from } else { 0 };
+        let pending_found = pending.with_prefix(prefix, pending_from);
         let rows = Candidates {
-            main: MainRows::Block(main.slice(found.clone()).iter()),
-            pending: PendingRows::Block(pending.slice(pending_found).iter()),
+            main: RunRows::Block(main.slice(found.clone()).iter()),
+            pending: PendingRows::Run(RunRows::Block(pending.slice(pending_found).iter())),
         };
         (found.start, rows)
     }
 
     /// The rows with `t[col] == c`: a prefix of one cell for the leading
-    /// column, else a stretch of the column's permutation (built if needed)
-    /// plus a linear pass over the pending run.
+    /// column, else a stretch of the column's permutation of the main run
+    /// (built if needed) and, past `PENDING_FLOOR` rows, of the pending run;
+    /// a pending run no longer than that is walked.
     fn with_cell(&self, col: usize, c: Const) -> Candidates<'_> {
         if col == 0 {
             return self.with_prefix(&[c], Self::FRESH_CURSOR).1;
         }
-        let rows = self.run.rows();
-        let perm = self.run.perm(col);
-        let cell = |i: usize| rows.cells[perm[i] as usize * rows.arity + col];
-        let ids = &perm[equal_range(perm.len(), Self::FRESH_CURSOR, |i| cell(i).cmp(&c))];
-        let pending = self.pending().iter();
+        let pending = self.pending();
         Candidates {
-            main: MainRows::Picked {
-                rows,
-                ids: ids.iter(),
-            },
-            pending: PendingRows::Holding {
-                left: pending.clone().filter(|row| row[col] == c).count(),
-                rows: pending,
-                col,
-                value: c,
+            main: RunRows::picked(self.run.rows(), self.run.perm(col), col, c),
+            pending: if pending.len <= PENDING_FLOOR {
+                PendingRows::holding(pending, col, c)
+            } else {
+                PendingRows::Run(RunRows::picked(pending, self.pending_perm(col), col, c))
             },
         }
     }
@@ -958,12 +1089,12 @@ impl Relation {
         }
     }
 
-    /// Forces every column permutation and cross-checks the relation: the
-    /// cell count against the row count, both runs strictly sorted and
-    /// disjoint, and each permutation a permutation of the row ids in
-    /// ascending (cell, row id) order. `wdpt-store verify` runs this to
-    /// extend the load-time validation of a file's runs to everything
-    /// derived from them.
+    /// Forces every column permutation, of both runs, and cross-checks the
+    /// relation: the cell count against the row count, both runs strictly
+    /// sorted and disjoint, and each permutation a permutation of its run's
+    /// row ids in ascending (cell, row id) order. `wdpt-store verify` runs
+    /// this to extend the load-time validation of a file's runs to
+    /// everything derived from them.
     pub fn verify_deep(&self) -> Result<(), String> {
         let arity = self.arity();
         let cells = &self.run.cells;
@@ -987,26 +1118,9 @@ impl Relation {
             return Err("a pending row is also in the main run".to_owned());
         }
         for col in 1..arity {
-            let perm = self.run.perm(col);
-            if perm.len() != rows.len {
-                return Err(format!(
-                    "column {col}: permutation of {} ids for {} rows",
-                    perm.len(),
-                    rows.len
-                ));
-            }
-            let mut seen = vec![false; rows.len];
-            for &r in perm {
-                match seen.get_mut(r as usize) {
-                    Some(slot) if !*slot => *slot = true,
-                    Some(_) => return Err(format!("column {col}: row {r} listed twice")),
-                    None => return Err(format!("column {col}: row {r} out of range")),
-                }
-            }
-            let key = |r: u32| (rows.row(r as usize)[col], r);
-            if !perm.windows(2).all(|w| key(w[0]) < key(w[1])) {
-                return Err(format!("column {col}: permutation not sorted"));
-            }
+            check_order(rows, self.run.perm(col), col)?;
+            check_order(pending, self.pending_perm(col), col)
+                .map_err(|why| format!("pending: {why}"))?;
         }
         Ok(())
     }
@@ -1392,8 +1506,9 @@ mod tests {
         // Regression test for the quadratic index invalidation: the seed
         // discarded every column index on every insert, so an interleaved
         // load/query workload rebuilt an O(n) index per insert. Inserts
-        // land in the pending run, which needs no index, so a column
-        // permutation is rebuilt only after a fold — once here.
+        // land in the pending run, which is walked or keeps its own
+        // permutations up to date, so a column permutation of the main
+        // run is rebuilt only after a fold — once here.
         let mut i = Interner::new();
         let e = i.pred("e");
         let consts: Vec<Const> = (0..64).map(|j| i.constant(&format!("k{j}"))).collect();

@@ -185,9 +185,14 @@ fn run(seed: u64, arity: usize, domain: usize, stride: u32, steps: usize) {
                 assert_eq!(db.insert(PRED, t.clone()), model.insert(t));
             }
         }
+        // Checked in place, so the permutations this builds on the pending
+        // run are the ones the following inserts have to keep up to date.
+        db.relation(PRED)
+            .map(Relation::verify_deep)
+            .transpose()
+            .unwrap();
         let rel = relation(&db, arity);
         assert_eq!(rel.len(), model.len());
-        rel.verify_deep().unwrap();
         if step % 16 == 0 || step + 1 == steps {
             let mut probes = vec![tuple(&mut rng)];
             probes.extend(model.iter().nth(rng.below(model.len().max(1))).cloned());
@@ -214,5 +219,130 @@ fn relations_agree_with_a_naive_set_at_every_arity() {
 fn nullary_relations_agree_with_a_naive_set() {
     for seed in 0..4 {
         run(seed, 0, 1, 1, 40);
+    }
+}
+
+/// A relation of `main` folded into its main run and `pending` inserted
+/// after it, which lands them in the pending run while they stay within
+/// its share.
+fn held(arity: usize, main: &[Vec<Const>], pending: &[Vec<Const>]) -> Relation {
+    let cells = main.iter().flatten().copied().collect();
+    let rel = Relation::from_rows(arity, main.len(), cells);
+    let mut db = Database::from_sorted(vec![(PRED, rel)]);
+    for t in pending {
+        assert!(db.insert(PRED, t.clone()));
+    }
+    relation(&db, arity)
+}
+
+fn rows(rel: &Relation) -> Vec<Vec<Const>> {
+    rel.tuples().map(<[Const]>::to_vec).collect()
+}
+
+/// `merge_sorted` is a set union, or names the first row of the addition
+/// the relation already holds. Each case builds a relation as a main run
+/// and a pending run, merges an earlier delta into it and then the delta
+/// under test, at arities 0–3. The run sizes straddle the fold line
+/// `max(32, main / 16)`: a merge lands exactly on it, one row past it, or
+/// anywhere up to twice it. A planted duplicate comes from the main run,
+/// the pending run or the earlier delta. The source relations, their
+/// clones and the additions are left as they were.
+#[test]
+fn merge_sorted_is_the_set_union_or_names_the_first_held_row() {
+    let mut rng = Lcg(35);
+    let line = |main: usize| 32.max(main / 16);
+    for case in 0..240 {
+        let arity = case % 4;
+        let domain = [1, 3000, 60, 16][arity];
+        let stride = if case % 8 < 4 { 1 } else { 100_003 };
+        let sizes = [0, 20, 300, 700, 1100];
+        let main_size = if arity == 0 {
+            rng.below(2)
+        } else {
+            sizes[rng.below(5)]
+        };
+        // Distinct tuples in draw order; an arity-0 relation has one.
+        let mut pool = Vec::new();
+        let mut seen = Model::new();
+        for _ in 0..20 * (main_size + 200) {
+            let t: Vec<Const> = (0..arity)
+                .map(|_| Const(rng.below(domain) as u32 * stride + 1))
+                .collect();
+            if seen.insert(t.clone()) {
+                pool.push(t);
+            }
+        }
+        let mut take = |n: usize| -> Vec<Vec<Const>> { pool.drain(..n.min(pool.len())).collect() };
+        let main = take(main_size);
+        let pending = take(rng.below(line(main.len()) + 1));
+        // Lands on the fold line, one row past it, or anywhere near it.
+        let straddle = |rng: &mut Lcg, main: usize, held: usize| match rng.below(3) {
+            0 => line(main).saturating_sub(held),
+            1 => line(main) + 1 - held.min(line(main)),
+            _ => rng.below(2 * line(main) + 1),
+        };
+        let earlier = take(straddle(&mut rng, main.len(), pending.len()));
+        let held_rows = pending.len() + earlier.len();
+        let (main_after, pending_after) = match held_rows > line(main.len()) {
+            true => (main.len() + held_rows, 0),
+            false => (main.len(), held_rows),
+        };
+        let mut add: Model = take(straddle(&mut rng, main_after, pending_after))
+            .into_iter()
+            .collect();
+        for _ in 0..rng.below(3) {
+            let from = [&main, &pending, &earlier][rng.below(3)];
+            if !from.is_empty() {
+                add.insert(from[rng.below(from.len())].clone());
+            }
+        }
+
+        let source = held(arity, &main, &pending);
+        let source_clone = source.clone();
+        let mut model: Model = main.iter().chain(&pending).cloned().collect();
+        let source_rows = rows(&source);
+        let first = held(arity, &earlier, &[]);
+        let chained = source.clone().merge_sorted(&first).unwrap();
+        assert_eq!(rows(&source), source_rows, "case {case}: source moved");
+        assert_eq!(rows(&source_clone), source_rows, "case {case}: clone moved");
+        model.extend(earlier.iter().cloned());
+        chained.verify_deep().unwrap();
+        assert!(rows(&chained).iter().eq(model.iter()), "case {case}");
+
+        // The addition keeps every eighth row in its own pending run.
+        let (add_pending, add_main): (Vec<_>, Vec<_>) = add
+            .iter()
+            .cloned()
+            .enumerate()
+            .partition(|(k, _)| k % 8 == 3);
+        let strip = |rows: Vec<(usize, Vec<Const>)>| -> Vec<Vec<Const>> {
+            rows.into_iter().map(|(_, t)| t).collect()
+        };
+        let addition = held(arity, &strip(add_main), &strip(add_pending));
+        let (chained_clone, chained_model) = (chained.clone(), model.clone());
+        let first_held = add.iter().position(|t| model.contains(t));
+        match (chained.clone().merge_sorted(&addition), first_held) {
+            (Err(j), Some(k)) => assert_eq!(j, k, "case {case}: reported row"),
+            (Ok(merged), None) => {
+                model.extend(add.iter().cloned());
+                let probes: Vec<Vec<Const>> = model.iter().step_by(97).cloned().collect();
+                assert_agree(&merged, &model, &probes, Const(0));
+            }
+            (got, want) => panic!(
+                "case {case}: {:?} for held row {want:?}",
+                got.map(|r| r.len())
+            ),
+        }
+        for rel in [&chained, &chained_clone] {
+            assert!(
+                rows(rel).iter().eq(chained_model.iter()),
+                "case {case}: moved"
+            );
+        }
+        assert!(
+            rows(&addition).iter().eq(add.iter()),
+            "case {case}: addition moved"
+        );
+        assert_eq!(rows(&source), source_rows, "case {case}: source moved");
     }
 }

@@ -6,9 +6,9 @@
 //! reloaded the same files, the statistics equal a build of the served
 //! database, and a changed base file is never masked by the kept one.
 //!
-//! Every reload, server start and catalog build here runs inside
-//! `delta_scope`, so the counters a reload reads are its own even with the
-//! tests of this binary running in parallel.
+//! Every reload, server start, catalog build, plan and query here runs
+//! inside `delta_scope`, so the counters a reload or a query reads are its
+//! own even with the tests of this binary running in parallel.
 
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter, Write};
@@ -24,6 +24,9 @@ use wdpt_store::{content_hash, decode_snapshot, delta_to_vec, save_delta, snapsh
 
 const DB: &str = "main";
 const Q: &str = "SELECT ?s ?o WHERE { (?s, p0, ?o) }";
+/// A query whose one bound column is the object: it probes through that
+/// column's row-id permutation.
+const BY_OBJECT: &str = "SELECT ?s ?p WHERE { (?s, ?p, o0) }";
 
 /// The files of the tests: a base snapshot, deltas `d0` and `d1` built
 /// against it, `d2` built against base + `d1`, a delta `bad` that also
@@ -159,12 +162,14 @@ fn start(base: &Path) -> Arc<ServeState> {
 }
 
 /// What one reload did: the chain's hashes, how many snapshots were folded
-/// in full, and how many columns were counted in full for the statistics.
+/// in full, how many columns were counted in full for the statistics, and
+/// how many indexes it built.
 #[derive(Debug)]
 struct Reloaded {
     chain: Vec<u64>,
     folds: u64,
     counted: u64,
+    builds: u64,
 }
 
 /// One reload of [`DB`] through its two stages, or the error.
@@ -187,10 +192,12 @@ fn reload_into(
     let folds = work.counter("serve.store.snapshot_adopted")
         + work.counter("serve.store.snapshot_remapped");
     let counted = work.counter("plan.stats.columns_counted");
+    let builds = work.counter("db.index_builds");
     out.map(|chain| Reloaded {
         chain,
         folds,
         counted,
+        builds,
     })
 }
 
@@ -252,6 +259,22 @@ fn served_as(state: &ServeState, db_name: &str) -> Served {
     })
 }
 
+/// The answers of [`BY_OBJECT`] on what `state` serves as [`DB`], by name
+/// and sorted, and the index builds evaluating it took (planning aside).
+fn by_object(state: &ServeState) -> (Vec<Vec<String>>, u64) {
+    let (plan, _) = delta_scope(|| state.plan_for(BY_OBJECT).unwrap()).0;
+    let db = state.db(DB).unwrap();
+    let (answers, work) = delta_scope(|| wdpt_core::evaluate(&plan.wdpt, &db));
+    let mut named: Vec<Vec<String>> = state.with_interner(|i| {
+        let name = |m: &wdpt_model::Mapping| -> Vec<String> {
+            m.iter().map(|(_, c)| i.const_name(c).to_owned()).collect()
+        };
+        answers.iter().map(name).collect()
+    });
+    named.sort();
+    (named, work.counter("db.index_builds"))
+}
+
 #[test]
 fn every_reload_serves_what_a_fresh_server_reloading_the_same_files_serves() {
     let f = files("differential");
@@ -279,8 +302,8 @@ fn every_reload_serves_what_a_fresh_server_reloading_the_same_files_serves() {
     ];
 
     let state = start(&f.base);
-    let (_, status) = state.plan_for(Q).unwrap();
-    assert_eq!(status, "miss");
+    let plan = |state: &ServeState| delta_scope(|| state.plan_for(Q).unwrap().1).0;
+    assert_eq!(plan(&state), "miss");
     let mut settled = None;
     for pass in 0..2 {
         for (step, (base, deltas, first, second)) in steps.iter().enumerate() {
@@ -289,6 +312,7 @@ fn every_reload_serves_what_a_fresh_server_reloading_the_same_files_serves() {
                 chain,
                 folds,
                 counted,
+                ..
             } = reload(&state, base, deltas).unwrap();
             assert_eq!(folds, [*first, *second][pass], "{at}: full base folds");
             // One relation of three columns, counted once per full decode;
@@ -310,7 +334,7 @@ fn every_reload_serves_what_a_fresh_server_reloading_the_same_files_serves() {
 
             // Cached plans survive every reload.
             assert_eq!(state.cache().len(), 1, "{at}: plan cache");
-            assert_eq!(state.plan_for(Q).unwrap().1, "hit", "{at}: plan cache");
+            assert_eq!(plan(&state), "hit", "{at}: plan cache");
             if pass == 1 {
                 assert_eq!(Some(state.interner_len()), settled, "{at}: interner grew");
             }
@@ -318,6 +342,37 @@ fn every_reload_serves_what_a_fresh_server_reloading_the_same_files_serves() {
         settled = Some(state.interner_len());
     }
     assert_eq!(state.kept_base_hash(DB), Some(base_hash));
+    std::fs::remove_dir_all(&f.dir).ok();
+}
+
+/// A delta lands in the served relation's pending run and the relation
+/// keeps sharing the kept base's run, so the object column's permutation,
+/// built by the first query that needs it, serves every later reload of
+/// that base: no reload and no later query builds an index.
+#[test]
+fn permutations_survive_a_reload_of_the_kept_base() {
+    let f = files("perms");
+    let state = start(&f.base);
+    let fresh = |deltas: &[&Path]| {
+        let fresh = start(&f.base);
+        reload(&fresh, &f.base, deltas).unwrap();
+        by_object(&fresh).0
+    };
+    // Decoded in full: the base is kept from here on.
+    assert_eq!(reload(&state, &f.base, &[&f.d0]).unwrap().folds, 1);
+    let (answers, builds) = by_object(&state);
+    assert_eq!(builds, 1, "the object column's permutation");
+    assert_eq!(answers, fresh(&[&f.d0]));
+    assert!(!answers.is_empty());
+    let chains: [Vec<&Path>; 3] = [vec![&f.d1], vec![&f.d0], vec![&f.d1, &f.d2]];
+    for deltas in chains {
+        let reloaded = reload(&state, &f.base, &deltas).unwrap();
+        assert_eq!(reloaded.folds, 0, "{deltas:?}: the kept base was redone");
+        assert_eq!(reloaded.builds, 0, "{deltas:?}: the reload built an index");
+        let (answers, builds) = by_object(&state);
+        assert_eq!(builds, 0, "{deltas:?}: a permutation was rebuilt");
+        assert_eq!(answers, fresh(&deltas), "{deltas:?}");
+    }
     std::fs::remove_dir_all(&f.dir).ok();
 }
 
@@ -504,11 +559,13 @@ fn a_cached_plans_ids_never_reach_evaluation() {
         BufWriter::new(stream),
     );
 
+    // Each request is answered inside the scope it is sent from.
+    let mut ask = |query: &str| delta_scope(|| ask(&mut c, query)).0;
     let nope = r#"(?s, ?p, "nope")"#;
     let local = state.interner_len() as u32;
-    assert_eq!(outcome(&ask(&mut c, nope).0), ("ok", 0, "miss"));
-    assert_eq!(outcome(&ask(&mut c, nope).0), ("ok", 0, "hit"));
-    let (plan, _) = state.plan_for(nope).unwrap();
+    assert_eq!(outcome(&ask(nope).0), ("ok", 0, "miss"));
+    assert_eq!(outcome(&ask(nope).0), ("ok", 0, "hit"));
+    let (plan, _) = delta_scope(|| state.plan_for(nope).unwrap()).0;
     assert_eq!(plan.wdpt.atoms(0)[0].args[2], Term::Const(Const(local)));
 
     reload(&state, &base, &[&d]).unwrap();
@@ -518,13 +575,13 @@ fn a_cached_plans_ids_never_reach_evaluation() {
         Some(local),
         "the delta's constant took the plan's id"
     );
-    let (line, rows) = ask(&mut c, nope);
+    let (line, rows) = ask(nope);
     assert_eq!(
         (outcome(&line), rows.len()),
         (("ok", 0, "hit"), 0),
         "{line}"
     );
-    let (line, rows) = ask(&mut c, r#"(?s, ?p, "o_new")"#);
+    let (line, rows) = ask(r#"(?s, ?p, "o_new")"#);
     assert_eq!(
         (outcome(&line), rows.len()),
         (("ok", 1, "miss"), 1),
@@ -641,8 +698,9 @@ fn a_symbol_interned_between_the_stages_remaps_a_decoded_bases_rows() {
 /// A follower whose dictionary holds a generated catalog, driven frame by
 /// frame, serves after every frame what a fresh server reloading the same
 /// files serves, with the same head and chain length; a delta frame counts
-/// no column. A structurally bad delta is refused and changes nothing, and
-/// the next good frame applies.
+/// no column and keeps the permutations built before it. A structurally
+/// bad delta is refused and changes nothing, and the next good frame
+/// applies.
 #[test]
 fn a_follower_serves_what_a_fresh_server_reloading_the_same_files_serves() {
     use wdpt_repl::ReplApply;
@@ -661,6 +719,9 @@ fn a_follower_serves_what_a_fresh_server_reloading_the_same_files_serves() {
         assert_eq!(served(&state), served(&fresh), "{deltas:?}");
         let chain_len = |s: &ServeState| s.repl_head().chain_len();
         assert_eq!(chain_len(&state), chain_len(&fresh), "{deltas:?}");
+        let (answers, builds) = by_object(&state);
+        assert_eq!(answers, by_object(&fresh).0, "{deltas:?}");
+        builds
     };
     let h = |bytes: &[u8]| content_hash(bytes);
 
@@ -671,7 +732,11 @@ fn a_follower_serves_what_a_fresh_server_reloading_the_same_files_serves() {
     let (out, work) = delta_scope(|| apply.apply_delta(h(&d1), h(&base), &d1));
     out.unwrap();
     assert_eq!(work.counter("plan.stats.columns_counted"), 0, "d1");
-    same_as_fresh(&[&f.d1]);
+    assert_eq!(
+        same_as_fresh(&[&f.d1]),
+        0,
+        "the base's permutation was rebuilt"
+    );
 
     let (before, symbols) = (served(&state), state.interner_len());
     let (out, _) = delta_scope(|| apply.apply_delta(h(&f.bad), h(&d1), &f.bad));
@@ -691,6 +756,11 @@ fn a_follower_serves_what_a_fresh_server_reloading_the_same_files_serves() {
     let (out, work) = delta_scope(|| apply.apply_delta(h(&d2), h(&d1), &d2));
     out.unwrap();
     assert_eq!(work.counter("plan.stats.columns_counted"), 0, "d2");
-    same_as_fresh(&[&f.d1, &f.d2]);
+    assert_eq!(work.counter("db.index_builds"), 0, "d2");
+    assert_eq!(
+        same_as_fresh(&[&f.d1, &f.d2]),
+        0,
+        "a permutation was rebuilt"
+    );
     std::fs::remove_dir_all(&f.dir).ok();
 }

@@ -25,10 +25,10 @@
 //! are appended (existing ids never move, which is what keeps serve-side
 //! plan caches valid across a reload) and tuples are added, never
 //! removed. Insertion runs stay flat from the file to the relation: applying
-//! merges each into the touched relation's sorted run in place
-//! ([`Relation::merge_sorted`]), moving only the rows above the lowest
-//! insertion point. Relations the delta does not touch are moved into the
-//! result as they are.
+//! merges each into the touched relation's sorted pending run
+//! ([`Relation::merge_sorted`]), so no row of the base's main run moves and
+//! the permutations built on it are kept. Relations the delta does not
+//! touch are moved into the result as they are.
 
 use crate::format::{
     check_relation, checked_count, content_hash, decode_relation, decode_snapshot,
@@ -695,6 +695,8 @@ pub fn apply_delta<G: Deref<Target = Interner>>(
     }
     {
         let target = interner();
+        symbols.listed.reserve(appended.len());
+        symbols.appended.reserve(appended.len());
         for (space, name) in appended {
             symbols.append(&target, header.base_symbols, space, name)?;
         }
