@@ -17,13 +17,18 @@
 //! `c(1, 1) c(2, 2) c(3, 3)`.
 //!
 //! This format exists so that tests, examples, and generators can state
-//! queries and databases at the same granularity the paper does.
+//! queries and databases at the same granularity the paper does. It is the
+//! one facts grammar: the bulk loader in `wdpt-store` reads facts files
+//! through [`parse_ground_atoms`], which parses ground atoms to strings on
+//! worker threads without an interner, and [`parse_database`] interns the
+//! same parse.
 
 use crate::atom::Atom;
 use crate::database::Database;
 use crate::interner::Interner;
 use crate::mapping::Mapping;
 use crate::term::Term;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Error produced by the parser, with a byte offset into the input.
@@ -48,13 +53,9 @@ impl std::error::Error for ParseError {}
 /// N-Triples dialect accepts in literals). `raw` is the text between the
 /// quotes with escapes intact; escape-free input borrows instead of
 /// allocating. Error offsets are byte positions relative to `raw`.
-///
-/// Shared by [`Cursor::quoted`] here and by the string-level facts parser
-/// in `wdpt-store`'s bulk loader, so the serial and parallel loading paths
-/// cannot drift on what an escape means.
-pub fn unescape(raw: &str) -> Result<std::borrow::Cow<'_, str>, ParseError> {
+fn unescape(raw: &str) -> Result<Cow<'_, str>, ParseError> {
     if !raw.contains('\\') {
-        return Ok(std::borrow::Cow::Borrowed(raw));
+        return Ok(Cow::Borrowed(raw));
     }
     let err = |at: usize, message: String| ParseError { at, message };
     let mut out = String::with_capacity(raw.len());
@@ -95,7 +96,7 @@ pub fn unescape(raw: &str) -> Result<std::borrow::Cow<'_, str>, ParseError> {
             other => return Err(err(at, format!("unknown escape '\\{other}'"))),
         }
     }
-    Ok(std::borrow::Cow::Owned(out))
+    Ok(Cow::Owned(out))
 }
 
 struct Cursor<'a> {
@@ -164,7 +165,7 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn quoted(&mut self) -> Result<std::borrow::Cow<'a, str>, ParseError> {
+    fn quoted(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect('"')?;
         let start = self.pos;
         let mut escaped = false;
@@ -195,25 +196,35 @@ impl<'a> Cursor<'a> {
         Err(self.error("unterminated string literal"))
     }
 
-    fn term(&mut self, interner: &mut Interner) -> Result<Term, ParseError> {
+    /// A constant, bare or quoted, decoded. A `?variable` is an error at
+    /// its `?`.
+    fn constant(&mut self) -> Result<Cow<'a, str>, ParseError> {
         match self.peek() {
-            Some('?') => {
-                self.bump();
-                Ok(Term::Var(interner.var(self.ident()?)))
-            }
-            Some('"') => Ok(Term::Const(interner.constant(&self.quoted()?))),
-            Some(_) => Ok(Term::Const(interner.constant(self.ident()?))),
+            Some('?') => Err(self.error("expected a ground term, found a variable")),
+            Some('"') => self.quoted(),
+            Some(_) => Ok(Cow::Borrowed(self.ident()?)),
             None => Err(self.error("expected term")),
         }
     }
 
-    fn atom(&mut self, interner: &mut Interner) -> Result<Atom, ParseError> {
-        let pred = interner.pred(self.ident()?);
+    fn term(&mut self, interner: &mut Interner) -> Result<Term, ParseError> {
+        if self.peek() == Some('?') {
+            self.bump();
+            return Ok(Term::Var(interner.var(self.ident()?)));
+        }
+        Ok(Term::Const(interner.constant(&self.constant()?)))
+    }
+
+    /// A parenthesized argument list, each argument read by `arg`.
+    fn args<T>(
+        &mut self,
+        mut arg: impl FnMut(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<Vec<T>, ParseError> {
         self.expect('(')?;
         let mut args = Vec::new();
         if self.peek() != Some(')') {
             loop {
-                args.push(self.term(interner)?);
+                args.push(arg(self)?);
                 match self.peek() {
                     Some(',') => {
                         self.bump();
@@ -224,7 +235,36 @@ impl<'a> Cursor<'a> {
             }
         }
         self.expect(')')?;
+        Ok(args)
+    }
+
+    fn atom(&mut self, interner: &mut Interner) -> Result<Atom, ParseError> {
+        let pred = interner.pred(self.ident()?);
+        let args = self.args(|c| c.term(interner))?;
         Ok(Atom::new(pred, args))
+    }
+
+    /// The string-level entry point: a ground atom's predicate name and
+    /// decoded arguments, interning nothing.
+    fn ground_atom(&mut self) -> Result<GroundAtom<'a>, ParseError> {
+        let pred = self.ident()?;
+        Ok((pred, self.args(Cursor::constant)?))
+    }
+
+    /// Items read by `item` up to the end of input, each optionally
+    /// followed by a comma.
+    fn sequence<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<Vec<T>, ParseError> {
+        let mut items = Vec::new();
+        while !self.eof() {
+            items.push(item(self)?);
+            if self.peek() == Some(',') {
+                self.bump();
+            }
+        }
+        Ok(items)
     }
 }
 
@@ -240,29 +280,27 @@ pub fn parse_atom(interner: &mut Interner, src: &str) -> Result<Atom, ParseError
 
 /// Parses a whitespace/comma-separated sequence of atoms.
 pub fn parse_atoms(interner: &mut Interner, src: &str) -> Result<Vec<Atom>, ParseError> {
-    let mut c = Cursor::new(src);
-    let mut atoms = Vec::new();
-    while !c.eof() {
-        atoms.push(c.atom(interner)?);
-        if c.peek() == Some(',') {
-            c.bump();
-        }
-    }
-    Ok(atoms)
+    Cursor::new(src).sequence(|c| c.atom(interner))
+}
+
+/// A ground atom as written: its predicate name and its decoded argument
+/// strings.
+pub type GroundAtom<'a> = (&'a str, Vec<Cow<'a, str>>);
+
+/// Parses a whitespace/comma-separated sequence of *ground* atoms without
+/// interning anything. A variable is an error at its `?`; error offsets are
+/// bytes into `src`.
+pub fn parse_ground_atoms(src: &str) -> Result<Vec<GroundAtom<'_>>, ParseError> {
+    Cursor::new(src).sequence(Cursor::ground_atom)
 }
 
 /// Parses a sequence of *ground* atoms into a [`Database`].
 pub fn parse_database(interner: &mut Interner, src: &str) -> Result<Database, ParseError> {
-    let atoms = parse_atoms(interner, src)?;
     let mut db = Database::new();
-    for a in &atoms {
-        if !a.is_ground() {
-            return Err(ParseError {
-                at: 0,
-                message: format!("database atom contains a variable: {}", a.display(interner)),
-            });
-        }
-        db.insert_atom(a);
+    for (pred, args) in parse_ground_atoms(src)? {
+        let pred = interner.pred(pred);
+        let tuple = args.iter().map(|a| interner.constant(a)).collect();
+        db.insert(pred, tuple);
     }
     Ok(db)
 }
@@ -270,12 +308,10 @@ pub fn parse_database(interner: &mut Interner, src: &str) -> Result<Database, Pa
 /// Parses a mapping like `?x -> Swim, ?y -> Caribou` (also accepts `↦` and
 /// `=` as the arrow). The empty string yields the empty mapping.
 pub fn parse_mapping(interner: &mut Interner, src: &str) -> Result<Mapping, ParseError> {
-    let mut c = Cursor::new(src);
     let mut m = Mapping::empty();
-    while !c.eof() {
+    Cursor::new(src).sequence(|c| {
         c.expect('?')?;
         let v = interner.var(c.ident()?);
-        c.skip_ws();
         // Accept "->", "↦", or "=".
         match c.peek() {
             Some('-') => {
@@ -287,18 +323,12 @@ pub fn parse_mapping(interner: &mut Interner, src: &str) -> Result<Mapping, Pars
             }
             _ => return Err(c.error("expected '->', '↦', or '='")),
         }
-        let value = match c.peek() {
-            Some('"') => c.quoted()?,
-            _ => std::borrow::Cow::Borrowed(c.ident()?),
-        };
-        let cst = interner.constant(&value);
+        let cst = interner.constant(&c.constant()?);
         if !m.insert(v, cst) {
             return Err(c.error("conflicting binding in mapping"));
         }
-        if c.peek() == Some(',') {
-            c.bump();
-        }
-    }
+        Ok(())
+    })?;
     Ok(m)
 }
 
@@ -357,6 +387,22 @@ mod tests {
             std::borrow::Cow::Borrowed(_)
         ));
         assert_eq!(unescape(r#"a\\bA"#).unwrap(), "a\\bA");
+    }
+
+    #[test]
+    fn ground_atoms_parse_to_strings_and_reject_variables_at_their_mark() {
+        let atoms = parse_ground_atoms("e(a,\u{00A0}\"q\\\"x\")\u{3000}p(), n(\"par(\")").unwrap();
+        assert_eq!(
+            atoms,
+            vec![
+                ("e", vec![Cow::from("a"), Cow::from("q\"x")]),
+                ("p", vec![]),
+                ("n", vec![Cow::from("par(")]),
+            ]
+        );
+        let err = parse_ground_atoms("e(a, b) e(a, ?x)").unwrap_err();
+        assert_eq!(err.at, 13, "offset should point at the '?'");
+        assert!(err.message.contains("ground"), "{err}");
     }
 
     #[test]

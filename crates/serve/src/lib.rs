@@ -40,6 +40,6 @@ pub use cache::{
     build_plan, canonicalize, exec_plan_json, refresh_if_stale, CanonicalQuery, NodePlan, Plan,
     PlanCache,
 };
-pub use db::{load_database, looks_like_snapshot, parse_dataset, parse_nt};
+pub use db::{load_database, looks_like_snapshot};
 pub use protocol::Request;
 pub use server::{serve, FollowerApply, LoadedChain, ServeConfig, ServeState};

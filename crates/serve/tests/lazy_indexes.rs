@@ -8,17 +8,23 @@
 //! process-wide, and a sibling test evaluating queries in this binary
 //! would leak builds into the window measured here.
 
-use wdpt_model::{Const, Interner, Relation};
+use std::io::Cursor;
+use wdpt_model::{Const, Database, Interner, Relation};
 use wdpt_obs::delta_scope;
-use wdpt_serve::parse_dataset;
 use wdpt_sparql::TripleStore;
 use wdpt_store::{
-    apply_chain, content_hash, decode_snapshot, delta_to_vec, snapshot_to_vec_v2, ChainSymbols,
+    apply_chain, bulk_load, content_hash, decode_snapshot, delta_to_vec, snapshot_to_vec_v2,
+    ChainSymbols, LoadOptions,
 };
 
 const BASE: &str = "triple(s1, p, o1)\ntriple(s2, p, o1)\ntriple(s2, q, o2)\n\
                     triple(s3, q, o1)\nlabel(s1, first)\n";
 const UPDATE: &str = "triple(s4, p, o1)\ntriple(s1, q, o3)\n";
+
+fn load(i: &mut Interner, text: &str) -> Database {
+    let (db, _) = bulk_load(i, &mut Cursor::new(text), LoadOptions::default()).unwrap();
+    db
+}
 
 fn named_rows(rel: &Relation, i: &Interner) -> Vec<Vec<String>> {
     let mut rows: Vec<Vec<String>> = rel
@@ -33,11 +39,11 @@ fn named_rows(rel: &Relation, i: &Interner) -> Vec<Vec<String>> {
 fn a_reload_and_the_first_point_query_after_it_build_nothing() {
     // Base snapshot and a delta on top of it, as files would hold them.
     let mut base_i = Interner::new();
-    let base_db = parse_dataset(&mut base_i, BASE).unwrap();
+    let base_db = load(&mut base_i, BASE);
     let base_bytes = snapshot_to_vec_v2(&base_i, &base_db).unwrap();
     let mut new_i = base_i.clone();
     let mut new_db = base_db.clone();
-    let add = parse_dataset(&mut new_i, UPDATE).unwrap();
+    let add = load(&mut new_i, UPDATE);
     for (pred, rel) in add.relations() {
         for t in rel.tuples() {
             new_db.insert(pred, t.to_vec());
@@ -52,7 +58,7 @@ fn a_reload_and_the_first_point_query_after_it_build_nothing() {
     )
     .unwrap();
     let mut fresh_i = Interner::new();
-    let fresh = parse_dataset(&mut fresh_i, &format!("{BASE}{UPDATE}")).unwrap();
+    let fresh = load(&mut fresh_i, &format!("{BASE}{UPDATE}"));
     let fresh_triple = TripleStore::pred(&mut fresh_i);
     let expected = named_rows(fresh.relation(fresh_triple).unwrap(), &fresh_i);
 

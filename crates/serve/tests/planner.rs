@@ -135,7 +135,10 @@ fn synth(i: &mut Interner, triples: u64, skew: u64) -> Database {
         ..wdpt_gen::SynthParams::sized_skewed(triples, skew)
     };
     wdpt_gen::write_synth_nt(&mut nt, params).unwrap();
-    wdpt_serve::parse_dataset(i, std::str::from_utf8(&nt).unwrap()).unwrap()
+    let opts = wdpt_store::LoadOptions::default();
+    wdpt_store::bulk_load(i, &mut std::io::Cursor::new(nt), opts)
+        .unwrap()
+        .0
 }
 
 /// What the server does with one request of `query`, in-process: evaluate

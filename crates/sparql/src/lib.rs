@@ -21,6 +21,6 @@ pub mod parser;
 pub mod triples;
 
 pub use algebra::{GraphPattern, SparqlQuery, TriplePattern, UnionQuery};
-pub use nt::{parse_nt, parse_nt_line};
+pub use nt::parse_nt_line;
 pub use parser::{parse_query, parse_union_query};
 pub use triples::{TripleStore, TRIPLE_PRED};

@@ -2,9 +2,10 @@
 //!
 //! One triple per line: `<s> <p> <o> .` — IRIs in angle brackets, literals
 //! in double quotes, bare tokens also tolerated (the workspace generators
-//! emit bare tokens). Shared by the `wdpt-serve` text-loading fallback and
-//! the `wdpt-store` parallel bulk loader, so both layers accept exactly the
-//! same dialect. Deliberate deviations from strict W3C N-Triples:
+//! emit bare tokens). This is the one N-Triples line grammar: the
+//! `wdpt-store` bulk loader, the only way a text file becomes a database,
+//! calls it on its worker threads. Deliberate deviations from strict W3C
+//! N-Triples:
 //!
 //! * Bare (unquoted, unbracketed) tokens are accepted as terms.
 //! * Datatype (`^^<...>`) and language (`@xx`) suffixes after a literal are
@@ -15,10 +16,7 @@
 //!   literals, alongside the usual `\n \t \r \" \\` in literals.
 //!
 //! The parser is pure string → string so it can run on worker threads
-//! without touching an [`crate::TripleStore`]'s interner; [`parse_nt`]
-//! wires it to a store for callers that hold the interner anyway.
-
-use wdpt_model::Interner;
+//! without touching an interner.
 
 /// Decodes a `\uXXXX` (4 hex digits) or `\UXXXXXXXX` (8 hex digits) escape
 /// starting at `bytes[pos]` (the `u`/`U` byte, after the backslash). Returns
@@ -177,54 +175,15 @@ pub fn parse_nt_line(line: &str) -> Result<Option<(String, String, String)>, Str
     Ok(Some((s, p, o)))
 }
 
-/// Parses N-Triples text into a store. Fails on the first malformed line,
-/// reporting its 1-based number.
-pub fn parse_nt(interner: &mut Interner, text: &str) -> Result<crate::TripleStore, String> {
-    let mut ts = crate::TripleStore::new();
-    for (n, line) in text.lines().enumerate() {
-        match parse_nt_line(line) {
-            Ok(None) => {}
-            Ok(Some((s, p, o))) => {
-                ts.insert_str(interner, &s, &p, &o);
-            }
-            Err(e) => return Err(format!("line {}: {e}", n + 1)),
-        }
-    }
-    Ok(ts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TripleStore;
-
-    #[test]
-    fn parses_nt_with_iris_literals_and_bare_tokens() {
-        let mut i = Interner::new();
-        let text = r#"
-# the Example 2 catalog
-<Swim> <recorded_by> <Caribou> .
-<Swim> <published> "after_2010" .
-Swim NME_rating "2"^^<http://www.w3.org/2001/XMLSchema#integer> .
-<Our_love> <title> "Our \"Love\"@en"@en .
-"#;
-        let ts = parse_nt(&mut i, text).unwrap();
-        assert_eq!(ts.len(), 4);
-        let db = ts.database();
-        assert_eq!(db.size(), 4);
-        // IRIs and bare tokens intern to the same constant space.
-        let swim = i.constant("Swim");
-        let p = TripleStore::pred(&mut i);
-        let rel = db.relation(p).unwrap();
-        assert!(rel.tuples().any(|t| t[0] == swim));
-    }
 
     #[test]
     fn rejects_short_and_trailing_garbage_lines() {
-        let mut i = Interner::new();
-        assert!(parse_nt(&mut i, "<a> <b> .").is_err());
-        assert!(parse_nt(&mut i, "<a> <b> <c> <d> .").is_err());
-        assert!(parse_nt(&mut i, "<a> <b <c> .").is_err());
+        assert!(parse_nt_line("<a> <b> .").is_err());
+        assert!(parse_nt_line("<a> <b> <c> <d> .").is_err());
+        assert!(parse_nt_line("<a> <b <c> .").is_err());
     }
 
     #[test]
@@ -257,36 +216,20 @@ Swim NME_rating "2"^^<http://www.w3.org/2001/XMLSchema#integer> .
     }
 
     #[test]
-    fn handles_crlf_terminated_files() {
-        let mut i = Interner::new();
-        let text = "<a> <b> <c> .\r\n# comment\r\n\r\n<d> <e> \"f\" .\r\n";
-        let ts = parse_nt(&mut i, text).unwrap();
-        assert_eq!(ts.len(), 2);
-        // The literal must not have absorbed the \r.
-        assert!(i.symbols().all(|(_, name)| !name.contains('\r')));
-        // A raw line with its terminator still attached parses too (the
-        // BufReader-based loaders hand lines over with `\r\n` intact).
-        let parsed = parse_nt_line("<x> <y> <z> .\r\n").unwrap().unwrap();
+    fn handles_crlf_terminators_and_comment_lines() {
+        // A raw line with its terminator still attached parses, and the
+        // literal does not absorb the \r.
+        let parsed = parse_nt_line("<x> <y> \"z\" .\r\n").unwrap().unwrap();
         assert_eq!(parsed, ("x".into(), "y".into(), "z".into()));
-    }
-
-    #[test]
-    fn comment_and_blank_edge_cases() {
-        // Whitespace-only lines, comments with leading whitespace, a
-        // comment as the last line without a terminator, and a `#` inside
-        // a literal (which is data, not a comment).
-        let mut i = Interner::new();
-        let text = "   \n\t\n  # indented comment\n<a> <b> \"#not a comment\" .\n#tail";
-        let ts = parse_nt(&mut i, text).unwrap();
-        assert_eq!(ts.len(), 1);
-        let c = i.constant("#not a comment");
-        let p = TripleStore::pred(&mut i);
-        assert!(ts
-            .database()
-            .relation(p)
+        // Blank, whitespace-only and (indented) comment lines are no triple;
+        // a `#` inside a literal is data.
+        for line in ["", "   \r\n", "\t", "  # indented comment", "#tail"] {
+            assert_eq!(parse_nt_line(line), Ok(None), "{line:?}");
+        }
+        let (_, _, o) = parse_nt_line("<a> <b> \"#not a comment\" .")
             .unwrap()
-            .tuples()
-            .any(|t| t[2] == c));
+            .unwrap();
+        assert_eq!(o, "#not a comment");
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The `wdpt-store` CLI: build, verify, and inspect database snapshots.
 //!
 //! ```text
-//! wdpt-store build INPUT SNAPSHOT [--threads N] [--chunk-lines N]
+//! wdpt-store build INPUT SNAPSHOT [--threads N]
 //! wdpt-store verify SNAPSHOT [--delta DELTA]...
 //! wdpt-store verify --chain DIR
 //! wdpt-store inspect SNAPSHOT_OR_DELTA [--json]
-//! wdpt-store delta BASE INPUT DELTA_OUT [--delta PRIOR]... [--threads N] [--chunk-lines N]
+//! wdpt-store delta BASE INPUT DELTA_OUT [--delta PRIOR]... [--threads N]
 //! wdpt-store apply BASE SNAPSHOT_OUT [--delta DELTA]...
 //! wdpt-store gen-music BANDSxRECORDS OUTPUT.nt [--seed S]
 //! wdpt-store gen-synth TRIPLES OUTPUT.nt [--seed S] [--skew K]
@@ -23,7 +23,7 @@ use wdpt_obs::Json;
 use wdpt_store::{LoadOptions, StoreError};
 
 const USAGE: &str = "usage:
-  wdpt-store build INPUT SNAPSHOT [--threads N] [--chunk-lines N]
+  wdpt-store build INPUT SNAPSHOT [--threads N]
       parse a text dataset (N-Triples or facts) in parallel and write a
       snapshot (one sorted run per relation as delta+varint columns,
       front-coded dictionary, a checksum per section)
@@ -39,7 +39,7 @@ const USAGE: &str = "usage:
       print the header and per-relation summary (checksums only, no full
       decode); --json emits one machine-readable JSON document instead.
       A delta file gets its delta header summarized
-  wdpt-store delta BASE INPUT DELTA_OUT [--delta PRIOR]... [--threads N] [--chunk-lines N]
+  wdpt-store delta BASE INPUT DELTA_OUT [--delta PRIOR]... [--threads N]
       parse INPUT and write the new tuples/symbols as a delta chained onto
       BASE (after any PRIOR deltas, in order)
   wdpt-store apply BASE SNAPSHOT_OUT [--delta DELTA]...
@@ -99,16 +99,12 @@ fn cmd_build(mut args: Vec<String>) -> ExitCode {
         Ok(v) => v.unwrap_or(0),
         Err(e) => return usage_err(&e),
     };
-    let chunk_lines = match take_flag(&mut args, "--chunk-lines") {
-        Ok(v) => v.unwrap_or(LoadOptions::default().chunk_lines),
-        Err(e) => return usage_err(&e),
-    };
     let [input, output] = args.as_slice() else {
         return usage_err("build takes INPUT and SNAPSHOT paths");
     };
     let opts = LoadOptions {
         threads,
-        chunk_lines,
+        ..LoadOptions::default()
     };
     let mut interner = Interner::new();
     let t0 = Instant::now();
@@ -240,10 +236,6 @@ fn cmd_delta(mut args: Vec<String>) -> ExitCode {
         Ok(v) => v.unwrap_or(0),
         Err(e) => return usage_err(&e),
     };
-    let chunk_lines = match take_flag(&mut args, "--chunk-lines") {
-        Ok(v) => v.unwrap_or(LoadOptions::default().chunk_lines),
-        Err(e) => return usage_err(&e),
-    };
     let [base, input, output] = args.as_slice() else {
         return usage_err("delta takes BASE, INPUT, and DELTA_OUT paths");
     };
@@ -275,7 +267,7 @@ fn cmd_delta(mut args: Vec<String>) -> ExitCode {
     let mut new_interner = interner.clone();
     let opts = LoadOptions {
         threads,
-        chunk_lines,
+        ..LoadOptions::default()
     };
     let (add_db, report) =
         match wdpt_store::bulk_load_path(&mut new_interner, Path::new(input), opts) {

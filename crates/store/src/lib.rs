@@ -18,7 +18,7 @@
 //!   chained to their base by content hash, made of the same two blocks,
 //!   applied by merging flat sorted runs — in the snapshot's own ids, or
 //!   straight into a live interner's ([`ChainSymbols`]).
-//! * [`loader`] — a parallel bulk loader that streams text through scoped
+//! * [`loader`] — the one text loader: it streams text through scoped
 //!   parser threads (std-only) with **two-pass parallel interning**:
 //!   workers intern into per-worker local dictionaries, the union merges
 //!   into the global interner in canonical `(namespace, name)` order, and
@@ -27,8 +27,6 @@
 //!   delta chain: crash-safe two-step appends (delta file before index
 //!   record), hash-keyed suffix extraction for subscribing followers, and
 //!   the chain-directory scanner behind `verify --chain`.
-//! * [`text`] — the serial streaming text loader (same dialects, one
-//!   thread, used as the fallback path and as the loader's test oracle).
 //! * `wdpt-store` (binary) — `build` / `verify` / `inspect` / `delta` /
 //!   `apply` / `gen-music` / `gen-synth`.
 //!
@@ -42,7 +40,6 @@ pub mod delta;
 pub mod format;
 pub mod loader;
 pub mod replog;
-pub mod text;
 mod varint;
 
 pub use crc::{crc32, Crc32};
@@ -58,4 +55,3 @@ pub use format::{
 };
 pub use loader::{bulk_load, bulk_load_path, LoadOptions, LoadReport};
 pub use replog::{head_hex, parse_head_hex, scan_chain_dir, ChainScan, LogEntry, ReplLog};
-pub use text::{load_text_database, read_text_database};

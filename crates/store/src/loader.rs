@@ -24,8 +24,6 @@
 //! and both fan out here: a worker's local dictionary absorbs the per-cell
 //! hash traffic (each distinct symbol is hashed once per worker), and the
 //! serial section shrinks to merging the per-worker *distinct* symbol sets.
-//! The seed pipeline instead interned every cell on one thread in chunk
-//! order, which pinned bulk load at ~1.2× regardless of worker count.
 //!
 //! Determinism: snapshot bytes are a pure function of `(Interner,
 //! Database)`, the canonical merge makes global ids a pure function of the
@@ -34,11 +32,14 @@
 //! `--threads 8` write byte-identical snapshots (enforced by tests and the
 //! CI `store_smoke` job).
 //!
-//! Formats match [`crate::text`]: lenient N-Triples (one triple per line —
-//! chunks cut anywhere) and the facts format (atoms may span lines — chunks
+//! This is the one way text becomes a [`Database`] (in memory, read it from
+//! an `io::Cursor`). Two formats, sniffed from the first data line:
+//! lenient N-Triples, parsed by [`wdpt_sparql::parse_nt_line`] (one triple
+//! per line — chunks cut anywhere), and the facts format, parsed by
+//! [`wdpt_model::parse::parse_ground_atoms`] (atoms may span lines — chunks
 //! cut only where all parentheses outside quoted constants are balanced,
 //! tracked escape-aware so `\"` inside a quoted constant cannot fake a
-//! boundary).
+//! boundary). Errors carry 1-based line numbers as [`StoreError::Parse`].
 //!
 //! Input is streamed line by line (bounded `read_until`, no slurping) and
 //! the buffered coded form is flat `u32`s — 4 bytes per tuple cell plus two
@@ -46,7 +47,6 @@
 //! not to the input text.
 
 use crate::format::StoreError;
-use crate::text::FactsBalance;
 use std::collections::HashMap;
 use std::io::BufRead;
 use std::path::Path;
@@ -103,9 +103,6 @@ pub struct LoadReport {
     /// Symbols appended to the interner by the canonical merge.
     pub symbols_appended: u64,
 }
-
-/// A predicate name with its argument strings, before interning.
-type RawAtom = (String, Vec<String>);
 
 /// Per-predicate accumulation during collection: arity plus the (not yet
 /// sorted or deduplicated) rows, flat.
@@ -186,110 +183,6 @@ struct CodedChunk {
     facts: u64,
 }
 
-/// String-level parser for the facts grammar (`wdpt_model::parse` accepts
-/// the same language, but its cursor interns as it goes — this one runs on
-/// worker threads against a local dictionary). Ground atoms only: a `?var`
-/// argument is an error. Returns byte offsets for errors; the caller maps
-/// them to line numbers. Quoted constants decode the same escapes as the
-/// serial path (via [`wdpt_model::parse::unescape`]), and the closing-quote
-/// scan is escape-aware to match [`FactsBalance`].
-fn parse_facts_text(text: &str) -> Result<Vec<RawAtom>, (usize, String)> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let is_ident = |c: char| c.is_alphanumeric() || "_.'-".contains(c);
-    let skip_ws = |pos: &mut usize| {
-        while *pos < bytes.len() && (bytes[*pos] as char).is_whitespace() {
-            *pos += 1;
-        }
-    };
-    let ident_len = |from: usize| -> usize {
-        text[from..]
-            .chars()
-            .take_while(|&c| is_ident(c))
-            .map(char::len_utf8)
-            .sum()
-    };
-    let mut atoms = Vec::new();
-    loop {
-        skip_ws(&mut pos);
-        if pos >= bytes.len() {
-            return Ok(atoms);
-        }
-        let start = pos;
-        pos += ident_len(pos);
-        if pos == start {
-            return Err((pos, "expected identifier".into()));
-        }
-        let pred = text[start..pos].to_string();
-        skip_ws(&mut pos);
-        if bytes.get(pos) != Some(&b'(') {
-            return Err((pos, "expected '('".into()));
-        }
-        pos += 1;
-        let mut args = Vec::new();
-        skip_ws(&mut pos);
-        if bytes.get(pos) == Some(&b')') {
-            pos += 1;
-        } else {
-            loop {
-                skip_ws(&mut pos);
-                match bytes.get(pos) {
-                    Some(b'?') => return Err((pos, "database atoms must be ground".into())),
-                    Some(b'"') => {
-                        pos += 1;
-                        let start = pos;
-                        let mut escaped = false;
-                        loop {
-                            match bytes.get(pos) {
-                                None => return Err((start, "unterminated string literal".into())),
-                                Some(_) if escaped => {
-                                    escaped = false;
-                                    pos += 1;
-                                }
-                                Some(b'\\') => {
-                                    escaped = true;
-                                    pos += 1;
-                                }
-                                Some(b'"') => break,
-                                Some(_) => pos += 1,
-                            }
-                        }
-                        match wdpt_model::parse::unescape(&text[start..pos]) {
-                            Ok(s) => args.push(s.into_owned()),
-                            Err(e) => return Err((start + e.at, e.message)),
-                        }
-                        pos += 1;
-                    }
-                    Some(_) => {
-                        let start = pos;
-                        pos += ident_len(pos);
-                        if pos == start {
-                            return Err((pos, "expected term".into()));
-                        }
-                        args.push(text[start..pos].to_string());
-                    }
-                    None => return Err((pos, "expected term".into())),
-                }
-                skip_ws(&mut pos);
-                match bytes.get(pos) {
-                    Some(b',') => pos += 1,
-                    Some(b')') => {
-                        pos += 1;
-                        break;
-                    }
-                    _ => return Err((pos, "expected ',' or ')'".into())),
-                }
-            }
-        }
-        atoms.push((pred, args));
-        // Optional comma between atoms.
-        skip_ws(&mut pos);
-        if bytes.get(pos) == Some(&b',') {
-            pos += 1;
-        }
-    }
-}
-
 /// Pass 1 per worker: parse a chunk at the string level, then code every
 /// fact against the worker's local dictionary.
 fn code_chunk(
@@ -319,25 +212,24 @@ fn code_chunk(
                 }
             }
         }
-        Format::Facts => match parse_facts_text(&chunk.text) {
+        Format::Facts => match wdpt_model::parse::parse_ground_atoms(&chunk.text) {
             Ok(atoms) => {
                 for (p, args) in atoms {
                     let arity = u32::try_from(args.len()).expect("arity fits u32");
                     let pred = dict
-                        .pred(p, arity)
+                        .pred(p.to_owned(), arity)
                         .map_err(|m| parse_err(chunk.start_line, m))?;
                     code.push(pred);
                     code.push(arity);
                     for a in args {
-                        code.push(dict.constant(a));
+                        code.push(dict.constant(a.into_owned()));
                     }
                     facts += 1;
                 }
             }
-            Err((at, message)) => {
-                let line =
-                    chunk.start_line + chunk.text[..at.min(chunk.text.len())].matches('\n').count();
-                return Err(parse_err(line, message));
+            Err(e) => {
+                let line = chunk.start_line + chunk.text[..e.at].matches('\n').count();
+                return Err(parse_err(line, e.message));
             }
         },
     }
@@ -351,6 +243,53 @@ fn code_chunk(
 fn looks_like_facts(data_line: &str) -> bool {
     let first = data_line.split_whitespace().next().unwrap_or("");
     !first.starts_with('<') && !first.starts_with('"') && first.contains('(')
+}
+
+/// Tracks paren balance across lines of facts text, ignoring parentheses
+/// inside quoted constants, so the [`Chunker`] cuts facts chunks only at
+/// atom boundaries.
+///
+/// The scan is escape-aware: inside a quote, a backslash consumes the next
+/// character, so `\"` does not close the string and `\\` does not arm an
+/// escape for the character after it. Without this, a fact like
+/// `p("a\")", q)` looked balanced at the `)` inside the quotes, and a chunk
+/// cut there handed both halves to the parser mis-framed.
+struct FactsBalance {
+    depth: i64,
+    in_quote: bool,
+    /// A backslash inside a quote was seen and its escaped character has
+    /// not arrived yet (it may be on the next line fed).
+    escaped: bool,
+}
+
+impl FactsBalance {
+    fn new() -> FactsBalance {
+        FactsBalance {
+            depth: 0,
+            in_quote: false,
+            escaped: false,
+        }
+    }
+
+    fn feed(&mut self, line: &str) {
+        for c in line.chars() {
+            if self.escaped {
+                self.escaped = false;
+                continue;
+            }
+            match c {
+                '\\' if self.in_quote => self.escaped = true,
+                '"' => self.in_quote = !self.in_quote,
+                '(' if !self.in_quote => self.depth += 1,
+                ')' if !self.in_quote => self.depth -= 1,
+                _ => {}
+            }
+        }
+    }
+
+    fn balanced(&self) -> bool {
+        self.depth == 0 && !self.in_quote && !self.escaped
+    }
 }
 
 /// Accumulates lines into line-bounded chunks (cut only at balanced
@@ -732,6 +671,7 @@ pub fn bulk_load_path(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use std::io::Cursor;
 
     fn load(text: &str, opts: LoadOptions) -> Result<(Interner, Database, LoadReport), StoreError> {
@@ -747,25 +687,88 @@ mod tests {
         }
     }
 
+    type NamedFacts = BTreeSet<(String, Vec<String>)>;
+
+    /// A database's facts by name, to compare against literal expectations.
+    fn named_facts(i: &Interner, db: &Database) -> NamedFacts {
+        db.relations()
+            .flat_map(|(p, rel)| {
+                rel.tuples().map(move |t| {
+                    let args = t.iter().map(|c| i.const_name(*c).to_owned());
+                    (i.pred_name(p).to_owned(), args.collect())
+                })
+            })
+            .collect()
+    }
+
+    fn fact(pred: &str, args: &[&str]) -> (String, Vec<String>) {
+        (pred.into(), args.iter().map(|&a| a.into()).collect())
+    }
+
+    fn parse_error(text: &[u8]) -> (usize, String) {
+        let mut i = Interner::new();
+        match bulk_load(&mut i, &mut Cursor::new(text), tiny_chunks()) {
+            Err(StoreError::Parse { line, message }) => (line, message),
+            other => panic!("expected Parse, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn bulk_load_matches_serial_text_load_on_nt() {
+    fn bulk_loads_nt_and_reports_what_it_did() {
         let mut text = String::new();
+        let mut expected = NamedFacts::new();
         for i in 0..200 {
-            text.push_str(&format!("<s{i}> <p{}> <o{}> .\n", i % 7, i % 13));
+            let (s, p, o) = (
+                format!("s{i}"),
+                format!("p{}", i % 7),
+                format!("o{}", i % 13),
+            );
+            text.push_str(&format!("<{s}> <{p}> <{o}> .\n"));
+            expected.insert(fact("triple", &[&s, &p, &o]));
         }
         text.push_str("<s0> <p0> <o0> .\n"); // duplicate
-        let (i1, db1, report) = load(&text, tiny_chunks()).unwrap();
+        let (i, db, report) = load(&text, tiny_chunks()).unwrap();
         assert_eq!(report.parsed, 201);
         assert_eq!(report.tuples, 200);
         assert_eq!(report.duplicates, 1);
         assert_eq!(report.lines, 201);
         assert!(report.symbols_appended > 0);
+        assert_eq!(named_facts(&i, &db), expected);
+    }
 
-        let mut i2 = Interner::new();
-        let db2 =
-            crate::text::read_text_database(&mut i2, &mut Cursor::new(text.as_bytes())).unwrap();
-        assert_eq!(db1.size(), db2.size());
-        assert_eq!(db1.display(&i1), db2.display(&i2));
+    #[test]
+    fn bulk_loads_nt_with_iris_literals_and_bare_tokens() {
+        let text = r#"
+# the Example 2 catalog
+<Swim> <recorded_by> <Caribou> .
+<Swim> <published> "after_2010" .
+Swim NME_rating "2"^^<http://www.w3.org/2001/XMLSchema#integer> .
+<Our_love> <title> "Our \"Love\"@en"@en .
+"#;
+        let (i, db, _) = load(text, tiny_chunks()).unwrap();
+        // IRIs and bare tokens intern to the same constant.
+        let expected = NamedFacts::from([
+            fact("triple", &["Swim", "recorded_by", "Caribou"]),
+            fact("triple", &["Swim", "published", "after_2010"]),
+            fact("triple", &["Swim", "NME_rating", "2"]),
+            fact("triple", &["Our_love", "title", "Our \"Love\"@en"]),
+        ]);
+        assert_eq!(named_facts(&i, &db), expected);
+    }
+
+    #[test]
+    fn nt_comments_blanks_and_crlf_are_skipped() {
+        // Whitespace-only lines, indented comments, a `#` inside a literal
+        // (data, not a comment), CRLF terminators, and a comment as the
+        // last line without a terminator.
+        let text =
+            "   \r\n\t\n  # indented\r\n<a> <b> \"#not a comment\" .\r\n<d> <e> <f>\r\n#tail";
+        let (i, db, _) = load(text, tiny_chunks()).unwrap();
+        let expected = NamedFacts::from([
+            fact("triple", &["a", "b", "#not a comment"]),
+            fact("triple", &["d", "e", "f"]),
+        ]);
+        assert_eq!(named_facts(&i, &db), expected);
     }
 
     #[test]
@@ -832,15 +835,40 @@ mod tests {
 
     #[test]
     fn bulk_loads_facts_with_multi_line_atoms() {
-        let text = "edge(a,\n b)\nedge(b, c),\nnode(\"x (\")\nedge(a, b)\n";
-        let (mut i, db, report) = load(text, tiny_chunks()).unwrap();
+        let text = "edge(a,\n b)\n# interlude\nedge(b, c),\nnode(\"x (\")\nedge(a, b)\n";
+        let (i, db, report) = load(text, tiny_chunks()).unwrap();
         assert_eq!(report.tuples, 3);
         assert_eq!(report.duplicates, 1);
-        let e = i.pred("edge");
-        assert_eq!(db.relation(e).unwrap().len(), 2);
-        let n = i.pred("node");
-        let c = i.constant("x (");
-        assert!(db.relation(n).unwrap().tuples().any(|t| t[0] == c));
+        let expected = NamedFacts::from([
+            fact("edge", &["a", "b"]),
+            fact("edge", &["b", "c"]),
+            fact("node", &["x ("]),
+        ]);
+        assert_eq!(named_facts(&i, &db), expected);
+    }
+
+    #[test]
+    fn facts_are_sniffed_after_leading_comments() {
+        // The first data line, past comments and blanks, has the facts
+        // shape: `triple(swim,` is one token holding a `(`.
+        let text = "# catalog\n\n  # more\ntriple(swim, recorded_by, caribou)\ntriple(swim, published, after_2010)\n";
+        let (i, db, _) = load(text, tiny_chunks()).unwrap();
+        let expected = NamedFacts::from([
+            fact("triple", &["swim", "recorded_by", "caribou"]),
+            fact("triple", &["swim", "published", "after_2010"]),
+        ]);
+        assert_eq!(named_facts(&i, &db), expected);
+    }
+
+    #[test]
+    fn unicode_whitespace_separates_facts_as_parse_database_does() {
+        let text = "edge(a,\u{00A0}b)\u{3000}edge(b, c)\n";
+        let (i, db, _) = load(text, tiny_chunks()).unwrap();
+        let mut i2 = Interner::new();
+        let db2 = wdpt_model::parse::parse_database(&mut i2, text).unwrap();
+        assert_eq!(named_facts(&i, &db), named_facts(&i2, &db2));
+        let expected = NamedFacts::from([fact("edge", &["a", "b"]), fact("edge", &["b", "c"])]);
+        assert_eq!(named_facts(&i, &db), expected);
     }
 
     #[test]
@@ -861,36 +889,37 @@ mod tests {
             threads: 3,
             chunk_lines: 1,
         };
-        let (i1, db1, report) = load(text, opts).unwrap();
+        let (i, db, report) = load(text, opts).unwrap();
         assert_eq!(report.tuples, 4);
+        let expected = NamedFacts::from([
+            fact("edge", &["a", "x\")\n", "b"]),
+            fact("edge", &["\\", "c", "d"]),
+            fact("node", &["("]),
+            fact("node", &["()"]),
+        ]);
+        assert_eq!(named_facts(&i, &db), expected);
+    }
 
-        // Serial oracle: identical database, symbol for symbol.
-        let mut i2 = Interner::new();
-        let db2 =
-            crate::text::read_text_database(&mut i2, &mut Cursor::new(text.as_bytes())).unwrap();
-        assert_eq!(db1.display(&i1), db2.display(&i2));
+    #[test]
+    fn rejects_non_ground_facts() {
+        let (line, message) = parse_error(b"edge(a, b)\nedge(?x, b)\n");
+        assert_eq!(line, 2);
+        assert!(message.contains("ground"), "{message}");
+    }
 
-        let mut i1 = i1;
-        let e = i1.pred("edge");
-        let c = i1.constant("x\")\n");
-        assert!(db1.relation(e).unwrap().tuples().any(|t| t[1] == c));
-        let bs = i1.constant("\\");
-        assert!(db1.relation(e).unwrap().tuples().any(|t| t[0] == bs));
-        let n = i1.pred("node");
-        let par = i1.constant("(");
-        let both = i1.constant("()");
-        let tuples: Vec<_> = db1.relation(n).unwrap().tuples().map(|t| t[0]).collect();
-        assert!(tuples.contains(&par) && tuples.contains(&both));
+    #[test]
+    fn invalid_utf8_is_a_parse_error_not_a_panic() {
+        let (line, message) = parse_error(b"<a> <b> <c> .\n<a> \xFF <c> .\n");
+        assert_eq!(line, 2);
+        assert!(message.contains("utf-8"), "{message}");
     }
 
     #[test]
     fn reports_parse_errors_with_line_numbers() {
-        let text = "<a> <b> <c> .\n<a> <b> <c> .\n<a> <b .\n";
-        let err = load(text, tiny_chunks()).unwrap_err();
-        match err {
-            StoreError::Parse { line, .. } => assert_eq!(line, 3),
-            other => panic!("expected Parse, got {other:?}"),
-        }
+        let (line, _) = parse_error(b"<a> <b> <c> .\n<a> <b> <c> .\n<a> <b .\n");
+        assert_eq!(line, 3);
+        // An atom left open at end of input is reported, not dropped.
+        parse_error(b"edge(a, b)\nedge(a,\n");
     }
 
     #[test]
@@ -931,9 +960,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_input_yields_empty_database() {
-        let (_, db, report) = load("", LoadOptions::default()).unwrap();
-        assert_eq!(db.size(), 0);
-        assert_eq!(report.tuples, 0);
+    fn empty_and_comment_only_inputs_give_empty_databases() {
+        for text in ["", "# only\n\n  \n"] {
+            let (_, db, report) = load(text, LoadOptions::default()).unwrap();
+            assert_eq!(db.size(), 0);
+            assert_eq!(report.tuples, 0);
+        }
     }
 }

@@ -139,15 +139,7 @@ fn gen_synth_streams_deterministic_nt_and_builds_identical_snapshots() {
     let snap1 = dir.path("t1.snap");
     let snap8 = dir.path("t8.snap");
     run_ok(&["build", s(&a), s(&snap1), "--threads", "1"]);
-    run_ok(&[
-        "build",
-        s(&a),
-        s(&snap8),
-        "--threads",
-        "8",
-        "--chunk-lines",
-        "256",
-    ]);
+    run_ok(&["build", s(&a), s(&snap8), "--threads", "8"]);
     assert_eq!(
         std::fs::read(&snap1).unwrap(),
         std::fs::read(&snap8).unwrap(),

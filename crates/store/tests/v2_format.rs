@@ -261,8 +261,8 @@ fn snapshots_stay_under_the_bytes_per_triple_budget() {
     let mut nt = Vec::new();
     wdpt_gen::write_synth_nt(&mut nt, wdpt_gen::SynthParams::sized_skewed(50_000, 3)).unwrap();
     let mut i = Interner::new();
-    let db = wdpt_store::read_text_database(&mut i, &mut std::io::BufReader::new(nt.as_slice()))
-        .unwrap();
+    let opts = wdpt_store::LoadOptions::default();
+    let (db, _) = wdpt_store::bulk_load(&mut i, &mut nt.as_slice(), opts).unwrap();
     let bytes = snapshot_to_vec_v2(&i, &db).unwrap();
     assert!(
         bytes.len() <= 7 * db.size(),
