@@ -10,7 +10,8 @@
 //!
 //! A procedure has the engine prepare each CQ it asks about once — derive
 //! its decomposition, or none for backtracking — and compiles it into one
-//! [`wdpt_cq::Oracle`] that it decides under as many seeds as it needs.
+//! [`wdpt_cq::Oracle`] that it decides under as many seeds as it needs,
+//! then records the oracles' work once, before it returns.
 
 use wdpt_cq::{ConjunctiveQuery, Oracle, StructuredPlan};
 use wdpt_model::{Atom, Database, Mapping, Var};
@@ -47,8 +48,16 @@ impl Engine {
 
     /// Does a homomorphism from `q`'s body into `db` extending `seed` exist?
     pub fn hom_exists(self, q: &ConjunctiveQuery, db: &Database, seed: &Mapping) -> bool {
-        seeded(db, q.body(), self.plan(q).as_ref(), seed, |_| false).exists()
+        decide(seeded(db, q.body(), self.plan(q).as_ref(), seed, |_| false))
     }
+}
+
+/// The one decision of a procedure that asks `oracle` one question, its
+/// work recorded.
+pub(crate) fn decide(mut oracle: Oracle<'_>) -> bool {
+    let found = oracle.exists();
+    wdpt_model::stats::record(&oracle.into_tally());
+    found
 }
 
 /// `atoms` compiled over `plan` with the variables `seed` defines — their

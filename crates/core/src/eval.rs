@@ -17,7 +17,7 @@
 
 use crate::tree::Wdpt;
 use wdpt_cq::Search;
-use wdpt_model::{CancelToken, Const, Database, Mapping, Var};
+use wdpt_model::{CancelToken, Const, Database, Mapping, ProbeTally, Var};
 
 /// A set of variables of `dom(h)`: bit `i` stands for the `i`-th.
 type Cover = Vec<u64>;
@@ -38,7 +38,7 @@ struct Node<'a> {
 }
 
 /// Decides `h ∈ p(D)` for an arbitrary WDPT (general, worst-case
-/// exponential — the paper's Σ₂ᵖ upper bound).
+/// exponential — the paper's Σ₂ᵖ upper bound). Records its searches' work.
 pub fn eval_decide(p: &Wdpt, db: &Database, h: &Mapping) -> bool {
     let _span = wdpt_obs::span!("wdpt.eval.decide");
     let free = p.free_set();
@@ -80,7 +80,14 @@ pub fn eval_decide(p: &Wdpt, db: &Database, h: &Mapping) -> bool {
     }
     // A cover is all of dom(h) iff it has as many bits.
     let bits = |cover: &Cover| cover.iter().map(|w| w.count_ones() as usize).sum::<usize>();
-    coverages(p, &mut nodes, p.root(), &[]).is_some_and(|f| f.iter().any(|c| bits(c) == dom.len()))
+    let covers = coverages(p, &mut nodes, p.root(), &[]);
+    let mut work = ProbeTally::default();
+    for node in nodes {
+        work.add(node.entered.into_tally());
+        work.add(node.raw.into_tally());
+    }
+    wdpt_model::stats::record(&work);
+    covers.is_some_and(|f| f.iter().any(|c| bits(c) == dom.len()))
 }
 
 /// Coverage sets achievable by consistent maximal extensions into the

@@ -29,11 +29,11 @@ use crate::tree::{NodeId, Wdpt};
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
 use wdpt_cq::Oracle;
-use wdpt_model::{Const, Database, Mapping, Relation, Var};
+use wdpt_model::{Const, Database, Mapping, ProbeTally, Relation, Var};
 
 /// Decides `h ∈ p(D)` with the Theorem 6 algorithm. Correct for every
 /// WDPT; polynomial when `p` is locally tractable w.r.t. `engine`'s class
-/// and has bounded interface.
+/// and has bounded interface. Records its oracles' work.
 pub fn eval_bounded_interface(p: &Wdpt, db: &Database, h: &Mapping, engine: Engine) -> bool {
     let _span = wdpt_obs::span!("wdpt.eval.bounded_interface");
     let free = p.free_set();
@@ -70,6 +70,7 @@ pub fn eval_bounded_interface(p: &Wdpt, db: &Database, h: &Mapping, engine: Engi
     let mut order: Vec<NodeId> = tsecond.iter().copied().collect();
     order.sort_by_key(|&t| Reverse(p.depth(t)));
     let mut relations = vec![Relation::default(); p.node_count()];
+    let mut work = ProbeTally::default();
     for &t in &order {
         // `(position, column of g)` per variable of `vars` in the interface.
         let columns = |vars: &[Var]| -> Vec<(usize, usize)> {
@@ -103,7 +104,12 @@ pub fn eval_bounded_interface(p: &Wdpt, db: &Database, h: &Mapping, engine: Engi
             }
         });
         relations[t] = Relation::from_sorted(iface[t].len(), len, kept);
+        work.add(oracle.into_tally());
+        for (oracle, _) in children.into_iter().filter_map(|child| child.raw) {
+            work.add(oracle.into_tally());
+        }
     }
+    wdpt_model::stats::record(&work);
     !relations[p.root()].is_empty()
 }
 

@@ -40,16 +40,20 @@ pub fn node_entries(p: &Wdpt, hom_counts: &[u64]) -> Vec<NodeEntry> {
 impl EvalTally {
     /// The tally of an evaluation of `p` that took `wall_ns` and produced
     /// `answers` rows, as a profile: `nodes` are the per-node counts,
-    /// `counters` the run's own three under the names of the process-wide
-    /// counters they were also added to (zero ones left out, as a recorder
+    /// `counters` the run's own under the names of the process-wide
+    /// counters it recorded them in (zero ones left out, as a recorder
     /// does), `phases` and `histograms` empty.
     pub fn profile(&self, p: &Wdpt, label: &str, wall_ns: u64, answers: u64) -> QueryProfile {
-        use wdpt_model::stats::{INDEX_PROBES, NODES_EXPANDED, TUPLES_SCANNED};
+        use wdpt_model::stats::{
+            INDEX_BUILDS, INDEX_PROBES, NODES_EXPANDED, PARALLEL_TASKS, TUPLES_SCANNED,
+        };
         // Sorted by name, like a recorder's.
         let counters = [
-            (NODES_EXPANDED, self.nodes_expanded),
-            (INDEX_PROBES, self.index_probes),
-            (TUPLES_SCANNED, self.tuples_scanned),
+            (NODES_EXPANDED, self.work.nodes_expanded),
+            (INDEX_BUILDS, self.work.index_builds),
+            (INDEX_PROBES, self.work.index_probes),
+            (TUPLES_SCANNED, self.work.tuples_scanned),
+            (PARALLEL_TASKS, self.parallel_tasks),
         ];
         QueryProfile {
             label: label.to_string(),
@@ -116,7 +120,6 @@ mod tests {
 
     #[test]
     fn profiled_answers_match_unprofiled() {
-        let _fan_out = crate::semantics::fan_out_test_lock();
         let (_i, p, db) = fixture();
         let (answers, tally, profile) = profiled(&p, &db, 1);
         assert_eq!(answers, evaluate(&p, &db));
@@ -128,19 +131,18 @@ mod tests {
         // worker, nothing was fanned out.
         assert!(profile.phase("wdpt.eval.execute").is_some());
         assert!(profile.phase("cq.backtrack.extend_all").is_some());
-        assert!(profile.phase("wdpt.parallel.worker").is_none());
+        assert_eq!(tally.parallel_tasks, 0);
         // The tally's own profile holds the same nodes and no phases.
         let own = tally.profile(&p, "test", profile.wall_ns, profile.answers);
         assert_eq!(own.nodes, profile.nodes);
-        assert_eq!(own.counter("cq.nodes_expanded"), tally.nodes_expanded);
-        assert_eq!(own.counter("db.index_probes"), tally.index_probes);
-        assert_eq!(own.counter("db.tuples_scanned"), tally.tuples_scanned);
+        assert_eq!(own.counter("cq.nodes_expanded"), tally.work.nodes_expanded);
+        assert_eq!(own.counter("db.index_probes"), tally.work.index_probes);
+        assert_eq!(own.counter("db.tuples_scanned"), tally.work.tuples_scanned);
         assert!(own.phases.is_empty() && own.histograms.is_empty());
     }
 
     #[test]
     fn profile_has_exact_node_parity_across_thread_counts() {
-        let _fan_out = crate::semantics::fan_out_test_lock();
         // Wide enough for every level to be worth sharing out: 1500 more
         // values of ?x, each with a ?y of its own, every other one a ?w.
         let mut more = String::new();
@@ -157,9 +159,12 @@ mod tests {
             assert_eq!(par_answers, seq_answers);
             // Observability parity: identical per-node homomorphism tallies
             // and work counts, merged across the scoped workers.
-            assert_eq!(par_tally, seq_tally);
+            assert_eq!(par_tally.homs, seq_tally.homs);
+            assert_eq!(par_tally.work, seq_tally.work);
             // And the parallel run is visibly parallel.
-            assert!(par_profile.counter("wdpt.parallel_tasks") >= 3000);
+            assert!(par_tally.parallel_tasks >= 3000);
+            let own = par_tally.profile(&p, "par", 0, 0);
+            assert_eq!(own.counter("wdpt.parallel_tasks"), par_tally.parallel_tasks);
             let worker = par_profile.phase("wdpt.parallel.worker").unwrap();
             assert!(worker.calls >= 2, "expected ≥2 worker spans");
         }

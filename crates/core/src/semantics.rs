@@ -28,15 +28,17 @@
 //! cells, sorted and distinct, of which it builds only the first `limit`
 //! when the order allows (see [`execute`]). Beside the table it keeps one
 //! account of the work that took, the [`EvalTally`]: local homomorphisms
-//! per tree node and the backtracking searches' own counts, summed from
-//! each search before it is dropped. The tally belongs to the run — it is
+//! per tree node, the backtracking searches' own tallies summed, and the
+//! keys fanned out to worker threads. The tally belongs to the run — it is
 //! no diff of process-wide counters — so it is exact whatever else
 //! evaluates concurrently, the same at every thread count and every
-//! `limit`, and it survives cancellation. The public functions differ only in what they
-//! pass the executor (threads, cancel token, plan, the variables to project
-//! onto, how many rows to build) and in whether they hand the table on as
-//! it is, with the tally ([`evaluate_rows`], which a server encodes
-//! responses from), or view it as [`Mapping`]s ([`Answers::into_mappings`]:
+//! `limit`, and it survives cancellation; [`execute`] records it in the
+//! process-wide registry once, on return. The public functions differ only
+//! in what they pass the executor (threads, cancel token, plan, the
+//! variables to project onto, how many rows to build) and in whether they
+//! hand the table on as it is, with the tally ([`evaluate_rows`], which a
+//! server encodes responses from), or view it as [`Mapping`]s
+//! ([`Answers::into_mappings`]:
 //! [`evaluate`], [`evaluate_max`], [`maximal_homomorphisms`],
 //! [`try_evaluate_parallel_planned`]).
 
@@ -44,10 +46,10 @@ use crate::tree::Wdpt;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use wdpt_cq::backtrack::{extend_all, Search};
 use wdpt_model::{
-    mapping::maximal_mappings, CancelToken, Cancelled, Const, Database, Mapping, Var,
+    mapping::maximal_mappings, stats, CancelToken, Cancelled, Const, Database, Mapping, ProbeTally,
+    Var,
 };
 use wdpt_obs::span;
 use wdpt_plan::ExecPlan;
@@ -158,25 +160,25 @@ struct Run<'a> {
     shapes: Vec<Shape>,
     /// [`EvalTally::homs`] in the making.
     homs: Vec<u64>,
-    /// [`EvalTally::nodes_expanded`], [`EvalTally::index_probes`] and
-    /// [`EvalTally::tuples_scanned`] in the making: each search adds its
-    /// counts once, when it ends. Atomics because searches run on scoped
-    /// worker threads; relaxed because they are tallies, read only after
-    /// every worker is joined.
-    work: [AtomicU64; 3],
+    /// [`EvalTally::work`] in the making: each search's tally is added once,
+    /// when it ends, on the calling thread.
+    work: ProbeTally,
+    /// [`EvalTally::parallel_tasks`] in the making.
+    parallel_tasks: u64,
     /// Amortizes the token's deadline checks over the row-building loop.
     poll_steps: u32,
 }
 
 impl Run<'_> {
     /// The local homomorphisms of node `t` under `keys[range]`, one group
-    /// per key, as full frames of the node's variables.
+    /// per key, as full frames of the node's variables, and the search's
+    /// work — cancelled or not: what the search did, it did.
     fn search_keys(
         &self,
         t: usize,
         keys: &Keys,
         range: Range<usize>,
-    ) -> Result<Grouped, Cancelled> {
+    ) -> (Result<Grouped, Cancelled>, ProbeTally) {
         // One span per node (and worker), not one per key: the phase keeps
         // the name of the CQ entry point it times, with the keys as calls.
         let mut span = span!("cq.backtrack.extend_all");
@@ -203,16 +205,7 @@ impl Run<'_> {
             locals.close_group();
             Ok(())
         });
-        // Cancelled or not: what the search did, it did.
-        let counts = [
-            search.nodes_expanded(),
-            search.tally().probes(),
-            search.tally().scanned(),
-        ];
-        for (total, n) in self.work.iter().zip(counts) {
-            total.fetch_add(n, Relaxed);
-        }
-        searched.map(|()| locals)
+        (searched.map(|()| locals), search.into_tally())
     }
 
     /// [`Run::search_keys`] over all of `keys`: inline when fewer than two
@@ -221,23 +214,25 @@ impl Run<'_> {
     /// relation derives lazily lives in `OnceLock`s), concatenated in key order. The
     /// workers share the evaluation's cancel token, so one hitting the
     /// deadline stops the rest within one poll interval; the scope still
-    /// joins everything before the error propagates.
-    fn local_homs(&self, t: usize, keys: &Keys) -> Result<Grouped, Cancelled> {
+    /// joins everything, and adds every worker's work, before the error
+    /// propagates.
+    fn local_homs(&mut self, t: usize, keys: &Keys) -> Result<Grouped, Cancelled> {
         let n = keys.contexts.len();
         let workers = self.workers.min(n / MIN_KEYS_PER_WORKER);
         if workers < 2 {
-            return self.search_keys(t, keys, 0..n);
+            let (locals, work) = self.search_keys(t, keys, 0..n);
+            self.work.add(work);
+            return locals;
         }
         let chunk = n.div_ceil(workers);
+        let run = &*self;
         let chunks = std::thread::scope(|s| {
             let handles: Vec<_> = (0..n)
                 .step_by(chunk)
                 .map(|start| {
                     s.spawn(move || {
                         let _span = span!("wdpt.parallel.worker");
-                        let range = start..(start + chunk).min(n);
-                        wdpt_model::stats::record_parallel_tasks(range.len() as u64);
-                        self.search_keys(t, keys, range)
+                        run.search_keys(t, keys, start..(start + chunk).min(n))
                     })
                 })
                 .collect();
@@ -246,8 +241,11 @@ impl Run<'_> {
                 .map(|h| h.join().expect("worker thread panicked"))
                 .collect::<Vec<_>>()
         });
+        self.parallel_tasks += n as u64;
+        let (parts, works): (Vec<_>, Vec<_>) = chunks.into_iter().unzip();
+        works.into_iter().for_each(|work| self.work.add(work));
         let mut locals = Grouped::new(self.shapes[t].vars.len());
-        for part in chunks {
+        for part in parts {
             let part = part?;
             locals.cells.extend_from_slice(&part.cells);
             locals
@@ -653,11 +651,12 @@ impl Answers {
 }
 
 /// The work of one evaluation, counted by the evaluation itself: exact
-/// whatever else runs concurrently, identical at every thread count, and
-/// handed back on cancellation too — a deadline-killed query can still be
-/// explained. The three work counts are what the run added to the
-/// process-wide `cq.nodes_expanded`, `db.index_probes` and
-/// `db.tuples_scanned` counters.
+/// whatever else runs concurrently, identical at every thread count
+/// (`parallel_tasks` aside), and handed back on cancellation too — a
+/// deadline-killed query can still be explained. [`execute`] records it in
+/// the process-wide registry once, before it returns: `work` under the
+/// names of [`wdpt_model::stats`], `parallel_tasks` as
+/// `wdpt.parallel_tasks`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EvalTally {
     /// Local homomorphisms found per tree node (preorder id), summed over
@@ -666,12 +665,12 @@ pub struct EvalTally {
     /// evaluation found. Contexts multiply at every level, so a count past
     /// `u64::MAX` reads `u64::MAX`.
     pub homs: Vec<u64>,
-    /// Search nodes expanded by the per-node backtracking searches.
-    pub nodes_expanded: u64,
-    /// Relation probes those searches made.
-    pub index_probes: u64,
-    /// Candidate tuples they examined.
-    pub tuples_scanned: u64,
+    /// The per-node backtracking searches' work: nodes expanded, index
+    /// probes and builds, tuples scanned.
+    pub work: ProbeTally,
+    /// Interface valuations searched on worker threads rather than the
+    /// calling one.
+    pub parallel_tasks: u64,
 }
 
 /// The one executor: the maximal homomorphisms from `p` to `db` projected
@@ -718,7 +717,8 @@ pub(crate) fn execute(
         },
         shapes: shapes(p),
         homs: vec![0; p.node_count()],
-        work: Default::default(),
+        work: ProbeTally::default(),
+        parallel_tasks: 0,
         poll_steps: 0,
     };
     // The root has no interface: one key, the empty valuation, one context.
@@ -730,12 +730,12 @@ pub(crate) fn execute(
     let answers = run
         .subtree(p.root(), &root_key, Vec::new())
         .and_then(|root| run.table(&root, onto, limit));
-    let [nodes_expanded, index_probes, tuples_scanned] = run.work.map(AtomicU64::into_inner);
+    stats::record(&run.work);
+    wdpt_obs::counter!(stats::PARALLEL_TASKS).add(run.parallel_tasks);
     let tally = EvalTally {
         homs: run.homs,
-        nodes_expanded,
-        index_probes,
-        tuples_scanned,
+        work: run.work,
+        parallel_tasks: run.parallel_tasks,
     };
     (answers, tally)
 }
@@ -861,15 +861,6 @@ pub fn is_maximal_homomorphism(p: &Wdpt, db: &Database, h: &Mapping) -> bool {
     all_homomorphisms(p, db)
         .iter()
         .all(|other| !h.strictly_subsumed_by(other))
-}
-
-/// `wdpt.parallel_tasks` is process-wide and the harness runs this crate's
-/// tests on parallel threads: the tests that fan out at all and the tests
-/// that assert nothing was fanned out hold this lock.
-#[cfg(test)]
-pub(crate) fn fan_out_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -1038,6 +1029,13 @@ mod tests {
         try_evaluate_parallel_planned(p, db, threads, CancelToken::never(), None).unwrap()
     }
 
+    /// `p(D)` at `threads` workers, and the keys searched on worker threads.
+    fn fanned_out(p: &Wdpt, db: &Database, threads: usize) -> (Vec<Mapping>, u64) {
+        let (answers, tally) =
+            evaluate_rows(p, db, threads, CancelToken::never(), None, usize::MAX);
+        (answers.unwrap().into_mappings(), tally.parallel_tasks)
+    }
+
     #[test]
     fn every_thread_count_matches_evaluate_on_paper_examples() {
         let mut i = Interner::new();
@@ -1064,17 +1062,14 @@ mod tests {
 
     #[test]
     fn single_node_trees_fan_nothing_out() {
-        let _fan_out = fan_out_test_lock();
         let mut i = Interner::new();
         let root = parse_atoms(&mut i, "a(?x)").unwrap();
         let p = WdptBuilder::new(root).build(vec![i.var("x")]).unwrap();
         let db = parse_database(&mut i, "a(1) a(2)").unwrap();
-        let before = wdpt_model::stats::snapshot();
-        let ans = eval_at(&p, &db, 8);
-        let delta = wdpt_model::stats::snapshot().since(&before);
+        let (ans, parallel_tasks) = fanned_out(&p, &db, 8);
         assert_eq!(ans, evaluate(&p, &db));
         // No children means no work items, so nothing is fanned out.
-        assert_eq!(delta.parallel_tasks, 0);
+        assert_eq!(parallel_tasks, 0);
     }
 
     /// `a(?x)` over `values` constants with the OPT children `b(?x,?y)` and
@@ -1099,30 +1094,24 @@ mod tests {
 
     #[test]
     fn fans_out_one_task_per_child_and_interface_valuation() {
-        let _fan_out = fan_out_test_lock();
         let mut i = Interner::new();
         // 2 children × 600 distinct values of ?x = 1200 work items, enough
         // keys per child for two workers.
         let (p, db) = two_children(&mut i, 600);
-        let before = wdpt_model::stats::snapshot();
-        let ans = eval_at(&p, &db, 4);
-        let delta = wdpt_model::stats::snapshot().since(&before);
+        let (ans, parallel_tasks) = fanned_out(&p, &db, 4);
         assert_eq!(ans, evaluate(&p, &db));
         assert_eq!(ans.len(), 600);
-        assert!(delta.parallel_tasks >= 1200);
+        assert_eq!(parallel_tasks, 1200);
     }
 
     #[test]
     fn a_handful_of_keys_is_searched_on_the_calling_thread() {
-        let _fan_out = fan_out_test_lock();
         let mut i = Interner::new();
         // One key short of two workers' worth per child.
         let (p, db) = two_children(&mut i, 2 * MIN_KEYS_PER_WORKER - 1);
-        let before = wdpt_model::stats::snapshot();
-        let ans = eval_at(&p, &db, 4);
-        let delta = wdpt_model::stats::snapshot().since(&before);
+        let (ans, parallel_tasks) = fanned_out(&p, &db, 4);
         assert_eq!(ans, evaluate(&p, &db));
-        assert_eq!(delta.parallel_tasks, 0);
+        assert_eq!(parallel_tasks, 0);
     }
 
     /// 2000 root homomorphisms `a(x_j, u_{u_of(j)})` over two values of
@@ -1167,7 +1156,7 @@ mod tests {
         let tally = once_per_valuation(|j| j / 1000);
         // One search node for the root's atom and one per value of ?u: 3,
         // where a search per context makes 2001.
-        assert_eq!(tally.nodes_expanded, 3);
+        assert_eq!(tally.work.nodes_expanded, 3);
         // The tally still counts every context's homomorphisms.
         assert_eq!(tally.homs, vec![2000, 2000]);
     }
@@ -1186,7 +1175,7 @@ mod tests {
         }
         assert!(u.windows(2).any(|w| w[0] > w[1]));
         let tally = once_per_valuation(|j| u[j]);
-        assert_eq!(tally.nodes_expanded, 3);
+        assert_eq!(tally.work.nodes_expanded, 3);
         assert_eq!(tally.homs, vec![2000, 2000]);
     }
 
@@ -1248,7 +1237,7 @@ mod tests {
         // building the 100^12 rows, which comes after, notices it — a
         // 500 ms deadline would first fill 100+ MB.
         assert_eq!(
-            tally.nodes_expanded,
+            tally.work.nodes_expanded,
             12 * 101,
             "the deadline cut a search short: is a search's 201 polls \
              still below the deadline's poll interval?"
@@ -1390,41 +1379,37 @@ mod tests {
         let (done, tally) = evaluate_rows(&p, &db, 1, &token, None, usize::MAX);
         assert_eq!(done.map(|t| t.len()), Ok(2));
         assert_eq!(tally.homs, vec![2, 1, 0]);
-        assert!(tally.nodes_expanded > 0 && tally.index_probes > 0 && tally.tuples_scanned > 0);
+        let work = &tally.work;
+        assert!(work.nodes_expanded > 0 && work.index_probes > 0 && work.tuples_scanned > 0);
         token.cancel();
         let (cancelled, tally) = evaluate_rows(&p, &db, 1, &token, None, usize::MAX);
         assert_eq!(cancelled, Err(Cancelled));
         // Cancelled before the first search step: nothing was done.
         assert_eq!(tally.homs, vec![0; p.node_count()]);
-        assert_eq!(tally.nodes_expanded, 0);
+        assert_eq!(tally.work.nodes_expanded, 0);
 
         // Cancelled mid-search: an expired deadline nobody has latched is
         // noticed at the search's 1024th step, whatever the clock reads.
-        // The 1023 steps before it are counted, beside the `Err`, and they
-        // are what the search flushes to the process-wide counters — which
-        // other tests of this binary feed too, hence `<=` here; the
-        // equality is `tests/engines_agree.rs`'s, where runs are serial.
+        // The 1023 steps before it are counted, beside the `Err`; that the
+        // run records them in the registry too is
+        // `tests/engines_agree.rs`'s.
         let atoms = parse_atoms(&mut i, "a(?x) a(?y)").unwrap();
         let wide = WdptBuilder::new(atoms)
             .build(vec![i.var("x"), i.var("y")])
             .unwrap();
         let spec: String = (0..40).map(|j| format!("a({j}) ")).collect();
         let db = parse_database(&mut i, &spec).unwrap();
-        let ((cancelled, tally), global) = wdpt_obs::delta_scope(|| {
-            let expired = CancelToken::with_deadline(std::time::Duration::ZERO);
-            evaluate_rows(&wide, &db, 1, &expired, None, usize::MAX)
-        });
+        let expired = CancelToken::with_deadline(std::time::Duration::ZERO);
+        let (cancelled, tally) = evaluate_rows(&wide, &db, 1, &expired, None, usize::MAX);
         assert_eq!(cancelled, Err(Cancelled));
         // Of the 1023 steps, one expanded the root's first atom, 25 the
         // second under a value of ?x, and 997 were complete homomorphisms,
         // which expand nothing; each of the 1024 steps but the first
         // followed a tuple.
-        assert_eq!(tally.nodes_expanded, 1 + 25);
-        assert_eq!(tally.tuples_scanned, 1023);
+        assert_eq!(tally.work.nodes_expanded, 1 + 25);
+        assert_eq!(tally.work.tuples_scanned, 1023);
         // Nothing is ever bound to probe by: whole-relation scans.
-        assert_eq!(tally.index_probes, 0);
-        assert!(tally.nodes_expanded <= global.counter("cq.nodes_expanded"));
-        assert!(tally.tuples_scanned <= global.counter("db.tuples_scanned"));
+        assert_eq!(tally.work.index_probes, 0);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub(crate) fn partial_eval(
         let plan = engine.plan(&q);
         (q, plan)
     });
-    engine::seeded(db, q.body(), plan.as_ref(), h, |_| false).exists()
+    engine::decide(engine::seeded(db, q.body(), plan.as_ref(), h, |_| false))
 }
 
 /// MAX-EVAL: is `h ∈ p_m(D)` (an answer maximal under ⊑)?

@@ -105,10 +105,11 @@ fn valid_order(order: &[usize], n: usize) -> bool {
 /// [`Search::set`] before each [`Search::for_each`] or [`Search::exists`],
 /// and the search treats them as bound from the start.
 ///
-/// The counts of a search — nodes expanded, index probes, tuples scanned,
-/// posting lengths — are kept in the `Search`, where its owner can read them
-/// ([`Search::nodes_expanded`], [`Search::tally`]), and added to the shared
-/// counters once, when it is dropped.
+/// The counts of a search — nodes expanded, index probes and builds,
+/// tuples scanned, posting lengths — are kept in the `Search`'s tally, where
+/// its owner reads them ([`Search::tally`]) and, being the entry point or
+/// working for one, adds them to the entry point's tally; the entry point
+/// records the sum ([`wdpt_model::stats::record`]).
 #[derive(Debug)]
 pub struct Search<'a> {
     vars: Vec<Var>,
@@ -128,7 +129,6 @@ pub struct Search<'a> {
     done: Vec<bool>,
     /// Scratch for the membership test of a fully bound atom's estimate.
     tuple: Vec<Const>,
-    nodes: u64,
     /// Amortizes the token's deadline checks over all runs of this search.
     poll_steps: u32,
     tally: ProbeTally,
@@ -183,7 +183,6 @@ impl<'a> Search<'a> {
             steps,
             cols,
             tuple: Vec::new(),
-            nodes: 0,
             poll_steps: 0,
             tally: ProbeTally::default(),
         };
@@ -207,15 +206,14 @@ impl<'a> Search<'a> {
         self.frame[slot] = value;
     }
 
-    /// Search nodes expanded by every run of this search so far: what
-    /// dropping it adds to `cq.nodes_expanded`.
-    pub fn nodes_expanded(&self) -> u64 {
-        self.nodes
-    }
-
-    /// The index work of every run of this search so far.
+    /// The work of every run of this search so far.
     pub fn tally(&self) -> &ProbeTally {
         &self.tally
+    }
+
+    /// [`Search::tally`], for adding to an entry point's.
+    pub fn into_tally(self) -> ProbeTally {
+        self.tally
     }
 
     /// Hands `on_hom` the frame of every homomorphism: every total
@@ -359,7 +357,7 @@ impl<'a> Search<'a> {
                 Found::Stop
             };
         };
-        self.nodes += 1;
+        self.tally.nodes_expanded += 1;
         let Step {
             rel, start, arity, ..
         } = self.steps[i];
@@ -405,18 +403,12 @@ impl<'a> Search<'a> {
                 }
             }
         }
-        self.tally.add_scanned(scanned);
+        self.tally.tuples_scanned += scanned;
         if self.dynamic {
             self.done[i] = false;
             self.mark(i, false);
         }
         found
-    }
-}
-
-impl Drop for Search<'_> {
-    fn drop(&mut self) {
-        wdpt_model::stats::record_nodes_expanded(self.nodes);
     }
 }
 
@@ -428,7 +420,7 @@ impl Drop for Search<'_> {
 /// The executable specification: the one function that hands back
 /// homomorphisms as [`Mapping`]s, for the tests' reference checks and
 /// `semantics::all_homomorphisms`. Every procedure of the toolkit compiles
-/// a [`Search`] and reads its frames instead.
+/// a [`Search`] and reads its frames instead. Records the search's work.
 pub fn extend_all(db: &Database, atoms: &[Atom], seed: &Mapping) -> Vec<Mapping> {
     let mut search = Search::compile(db, atoms, None, |v| seed.defines(v));
     let vars = search.vars().to_vec();
@@ -444,6 +436,7 @@ pub fn extend_all(db: &Database, atoms: &[Atom], seed: &Mapping) -> Vec<Mapping>
             out.push(Mapping::from_sorted(pairs));
         })
         .expect("the never token cannot cancel");
+    wdpt_model::stats::record(search.tally());
     out
 }
 
@@ -477,7 +470,7 @@ mod tests {
         let mut out = Vec::new();
         search.for_each(token, |frame| out.push(frame.to_vec()))?;
         out.sort();
-        Ok((out, search.nodes_expanded()))
+        Ok((out, search.tally().nodes_expanded))
     }
 
     /// `atoms` compiled with the variables of `seed` as seeded slots, their
@@ -638,18 +631,18 @@ mod tests {
         }
         let db = parse_database(&mut i, &spec).unwrap();
         let atoms = parse_atoms(&mut i, "a(?x,?u), b(?x,?v)").unwrap();
-        let seed = parse_mapping(&mut i, "?x -> c0").unwrap();
-        let before = wdpt_model::stats::snapshot();
-        let homs = extend_all(&db, &atoms, &seed);
-        let delta = wdpt_model::stats::snapshot().since(&before);
-        assert_eq!(homs.len(), 1000);
+        let (x, c0) = (i.var("x"), i.constant("c0"));
+        let mut search = seeded(&db, &atoms, &[(x, c0)]);
+        let mut homs = 0;
+        search
+            .for_each(CancelToken::never(), |_| homs += 1)
+            .unwrap();
+        assert_eq!(homs, 1000);
         // The mis-ranked order expands 1001 nodes; the fixed one expands 2.
-        // The slack absorbs other tests running concurrently (the counters
-        // are process-wide).
-        assert!(
-            delta.nodes_expanded <= 500,
-            "selective atom was not processed first: {} nodes",
-            delta.nodes_expanded
+        assert_eq!(
+            search.tally().nodes_expanded,
+            2,
+            "selective atom was not processed first"
         );
     }
 

@@ -77,7 +77,7 @@ pub fn freeze(q: &ConjunctiveQuery, floor: u32) -> (Database, BTreeMap<Var, Cons
 /// True iff `q2` has a homomorphism into the canonical database of `q1`
 /// that sends every variable of `fixed` to its own frozen constant — the
 /// Chandra–Merlin witness. `fixed` is a head of `q1`, so each of its
-/// variables occurs in `q1`'s body.
+/// variables occurs in `q1`'s body. Records the search's work.
 fn maps_onto_frozen(
     q1: &ConjunctiveQuery,
     q2: &ConjunctiveQuery,
@@ -92,9 +92,9 @@ fn maps_onto_frozen(
             search.set(slot, table[&v]);
         }
     }
-    search
-        .exists(CancelToken::never())
-        .expect("the never token cannot cancel")
+    let found = (search.exists(CancelToken::never())).expect("the never token cannot cancel");
+    wdpt_model::stats::record(search.tally());
+    found
 }
 
 /// Classical containment `q1 ⊆ q2`. Requires equal head variable *sets*

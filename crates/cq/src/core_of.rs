@@ -21,7 +21,7 @@ use crate::backtrack::Search;
 use crate::containment::{freeze, frozen_floor};
 use crate::query::ConjunctiveQuery;
 use std::collections::{BTreeMap, BTreeSet};
-use wdpt_model::{Atom, CancelToken, Cancelled, Const, Interner, Term, Var};
+use wdpt_model::{Atom, CancelToken, Cancelled, Const, Interner, ProbeTally, Term, Var};
 
 /// Computes the core of `q` (head variables are fixed pointwise). The result
 /// is equivalent to `q` and has no proper retract.
@@ -49,14 +49,16 @@ pub fn try_core_of(
 /// of one [`Search`] over its canonical database, head slots seeded with
 /// their own frozen constants — and keeps only the smallest image so far,
 /// by `(atoms, variables)`, replacing it only on a strictly smaller one: the
-/// first minimum in enumeration order.
+/// first minimum in enumeration order. The rounds' work is recorded once,
+/// cancelled or not.
 pub fn try_core_above(
     q: &ConjunctiveQuery,
     floor: u32,
     token: &CancelToken,
 ) -> Result<ConjunctiveQuery, Cancelled> {
+    let mut work = ProbeTally::default();
     let mut current = q.clone();
-    loop {
+    let core = loop {
         let (db, table) = freeze(&current, floor);
         let unfreeze: BTreeMap<Const, Var> = table.iter().map(|(&v, &c)| (c, v)).collect();
         let head = current.head();
@@ -78,7 +80,7 @@ pub fn try_core_above(
             }
         };
         let mut best: Option<((usize, usize), BTreeSet<Atom>)> = None;
-        search.for_each(token, |frame| {
+        let searched = search.for_each(token, |frame| {
             let image: BTreeSet<Atom> = current
                 .body()
                 .iter()
@@ -90,15 +92,21 @@ pub fn try_core_above(
             if shrinks && best.as_ref().is_none_or(|(b, _)| got < *b) {
                 best = Some((got, image));
             }
-        })?;
+        });
+        work.add(search.into_tally());
+        if let Err(cancelled) = searched {
+            break Err(cancelled);
+        }
         match best {
             Some((_, image)) => {
                 current =
                     ConjunctiveQuery::new(current.head().to_vec(), image.into_iter().collect());
             }
-            None => return Ok(current),
+            None => break Ok(current),
         }
-    }
+    };
+    wdpt_model::stats::record(&work);
+    core
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use crate::backtrack::Search;
 use crate::query::ConjunctiveQuery;
 use std::collections::BTreeSet;
 use wdpt_decomp::{hypertree_width_at_most, treewidth_at_most};
-use wdpt_model::{Atom, CancelToken, Const, Database, Relation, Term, Var};
+use wdpt_model::{Atom, CancelToken, Const, Database, ProbeTally, Relation, Term, Var};
 use wdpt_obs::span;
 
 /// A join tree over variable bags: the decomposition an [`Oracle`]
@@ -123,7 +123,9 @@ impl StructuredPlan {
 ///
 /// Like a [`Search`], an oracle numbers the variables of its atoms `0..n` in
 /// ascending [`Var`] order ([`Oracle::vars`]), and the caller writes every
-/// seeded slot with [`Oracle::set`] before deciding.
+/// seeded slot with [`Oracle::set`] before deciding. It counts the work of
+/// every decision; the procedure asking takes it ([`Oracle::into_tally`])
+/// and records it.
 pub struct Oracle<'a> {
     db: &'a Database,
     atoms: &'a [Atom],
@@ -134,6 +136,8 @@ pub struct Oracle<'a> {
     bags: Vec<Bag<'a>>,
     /// The bags, every one after its parent.
     preorder: Vec<usize>,
+    /// The probes of the candidate lists; the bags' searches count their own.
+    tally: ProbeTally,
 }
 
 /// One bag of a plan, compiled.
@@ -238,6 +242,7 @@ impl<'a> Oracle<'a> {
             seeded,
             bags,
             preorder: plan.preorder.clone(),
+            tally: ProbeTally::default(),
         }
     }
 
@@ -251,6 +256,15 @@ impl<'a> Oracle<'a> {
         self.frame[slot] = value;
     }
 
+    /// The work of every decision made, for the asking procedure to record.
+    pub fn into_tally(self) -> ProbeTally {
+        let mut sum = self.tally;
+        for bag in self.bags {
+            sum.add(bag.search.into_tally());
+        }
+        sum
+    }
+
     /// True iff some homomorphism from the atoms into the database agrees
     /// with every seeded slot.
     pub fn exists(&mut self) -> bool {
@@ -262,9 +276,8 @@ impl<'a> Oracle<'a> {
         }
         let mut relations = Vec::with_capacity(self.bags.len());
         for b in 0..self.bags.len() {
-            let loose = &self.bags[b].loose;
-            let lists: Vec<Vec<Const>> = (loose.iter())
-                .map(|&s| self.candidates(s, |t| self.seeded[t]))
+            let lists: Vec<Vec<Const>> = (0..self.bags[b].loose.len())
+                .map(|k| self.candidates(self.bags[b].loose[k], &[]))
                 .collect();
             let relation = self.bags[b].fill(&self.frame, &lists);
             if relation.is_empty() {
@@ -303,9 +316,8 @@ impl<'a> Oracle<'a> {
     pub fn project(&mut self, targets: &[usize], mut on_row: impl FnMut(&[Const])) {
         debug_assert!(targets.iter().all(|&t| self.seeded[t]));
         let _span = span!("cq.structured.enumerate");
-        let pinned = |s: usize| self.seeded[s] && !targets.contains(&s);
         let lists: Vec<Vec<Const>> = (targets.iter())
-            .map(|&t| self.candidates(t, pinned))
+            .map(|&t| self.candidates(t, targets))
             .collect();
         for_each_combination(&lists, |combo| {
             for (&t, &c) in targets.iter().zip(combo) {
@@ -319,10 +331,12 @@ impl<'a> Oracle<'a> {
 
     /// The values slot `slot` can take: the intersection, over the atoms
     /// mentioning it, of its values in the tuples that match the atom's
-    /// constants and the values of its `pinned` slots — a superset of the
-    /// values any homomorphism agreeing with the pinned slots gives it.
-    fn candidates(&self, slot: usize, pinned: impl Fn(usize) -> bool) -> Vec<Const> {
+    /// constants and the values of its pinned slots — the seeded ones but
+    /// `unpinned` — a superset of the values any homomorphism agreeing with
+    /// the pinned slots gives it.
+    fn candidates(&mut self, slot: usize, unpinned: &[usize]) -> Vec<Const> {
         let v = self.vars[slot];
+        let pinned = |s: usize| self.seeded[s] && !unpinned.contains(&s);
         let mut cand: Option<Vec<Const>> = None;
         for atom in self.atoms.iter().filter(|a| a.vars().any(|w| w == v)) {
             let pattern: Vec<Option<Const>> = (atom.args.iter())
@@ -338,11 +352,12 @@ impl<'a> Oracle<'a> {
                 .collect();
             let relation = (self.db.relation(atom.pred)).filter(|rel| rel.arity() == atom.arity());
             // Repeated occurrences of the variable agree within a tuple.
-            let mut values: Vec<Const> = (relation.iter())
-                .flat_map(|rel| rel.matching(&pattern))
-                .filter(|t| at.iter().all(|&k| t[k] == t[at[0]]))
-                .map(|t| t[at[0]])
-                .collect();
+            let mut values: Vec<Const> = relation.map_or_else(Vec::new, |rel| {
+                (rel.matching(&pattern, &mut self.tally))
+                    .filter(|t| at.iter().all(|&k| t[k] == t[at[0]]))
+                    .map(|t| t[at[0]])
+                    .collect()
+            });
             values.sort_unstable();
             values.dedup();
             if let Some(prev) = &cand {

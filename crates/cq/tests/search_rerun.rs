@@ -44,7 +44,10 @@ fn a_search_rerun_in_any_seed_order_finds_what_fresh_searches_find() {
         (search.for_each(CancelToken::never(), |frame| frames.push(frame.to_vec()))).unwrap();
         frames
     };
-    let work = |s: &Search| (s.nodes_expanded(), s.tally().probes(), s.tally().scanned());
+    let work = |s: &Search| {
+        let t = s.tally();
+        (t.nodes_expanded, t.index_probes, t.tuples_scanned)
+    };
     // Dynamic, and both static orders: the second probes `(x, y)` under
     // values of `y` the first step found.
     for order in [None, Some(&[0, 1][..]), Some(&[1, 0][..])] {

@@ -8,7 +8,7 @@
 //! `EXPERIMENTS.md`.
 
 use std::time::Instant;
-use wdpt_model::{Const, Database, Interner};
+use wdpt_model::{Const, Database, Interner, ProbeTally};
 
 fn main() {
     let mut i = Interner::new();
@@ -17,11 +17,11 @@ fn main() {
         let consts: Vec<Const> = (0..n).map(|j| i.constant(&format!("c{j}"))).collect();
         let mut db = Database::new();
         let start = Instant::now();
-        let mut hits = 0usize;
+        let (mut hits, mut work) = (0usize, ProbeTally::default());
         for j in 0..n {
             db.insert(e, vec![consts[j], consts[j * 7 % n]]);
             let pat = [Some(consts[j / 2]), None];
-            hits += db.relation(e).unwrap().matching(&pat).count();
+            hits += db.relation(e).unwrap().matching(&pat, &mut work).count();
         }
         println!(
             "n={n:>6}  interleaved insert+probe: {:>12.1?}  ({hits} probe hits)",
@@ -31,11 +31,11 @@ fn main() {
         // column permutation of each run.
         let mut db = Database::new();
         let start = Instant::now();
-        let mut hits = 0usize;
+        let (mut hits, mut work) = (0usize, ProbeTally::default());
         for j in 0..n {
             db.insert(e, vec![consts[j], consts[j * 7 % n]]);
             let pat = [None, Some(consts[j / 2 * 7 % n])];
-            hits += db.relation(e).unwrap().matching(&pat).count();
+            hits += db.relation(e).unwrap().matching(&pat, &mut work).count();
         }
         println!(
             "n={n:>6}  interleaved insert+column-1 probe: {:>12.1?}  ({hits} probe hits)",

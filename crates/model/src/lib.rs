@@ -20,8 +20,9 @@
 //!   (`h ⊑ h'` iff `h'` extends `h`), the central comparison of the paper.
 //! * [`parse`] — a tiny text format (`edge(?x, ?y)`, `c("Swim", 2)`) used by
 //!   tests, examples and generators.
-//! * [`stats`] — process-wide engine counters (index builds/probes, tuples
-//!   scanned, nodes expanded) that make the hot path observable.
+//! * [`stats`] — the one tally of engine work (nodes expanded, index
+//!   probes and builds, tuples scanned), counted by whoever does the work
+//!   and recorded in the process-wide registry once per entry point.
 //! * [`cancel`] — cooperative cancellation tokens with optional deadlines,
 //!   polled by the evaluation loops (one relaxed load per backtrack step).
 
@@ -36,10 +37,8 @@ pub mod term;
 
 pub use atom::Atom;
 pub use cancel::{CancelToken, Cancelled};
-pub use database::{
-    row_id, Candidates, Database, Matching, PostingCounts, ProbeTally, Relation, TooManyRows,
-};
+pub use database::{row_id, Candidates, Database, Matching, PostingCounts, Relation, TooManyRows};
 pub use interner::{Interner, RequestScope, Resolve, SymbolSpace};
 pub use mapping::Mapping;
-pub use stats::StatsSnapshot;
+pub use stats::ProbeTally;
 pub use term::{Const, Pred, Term, Var};

@@ -1,20 +1,16 @@
-//! Lightweight engine counters — compatibility facade over [`wdpt_obs`].
+//! The engine's work: one tally type, and the registry it is recorded in.
 //!
-//! The seed version of this module owned five hard-coded process-wide
-//! atomics. Those now live in the `wdpt-obs` metrics registry as named
-//! counters (so they show up in [`QueryProfile`](wdpt_obs::QueryProfile)s
-//! and machine-readable benchmark output alongside everything else), and
-//! this module keeps the original API — [`StatsSnapshot`], [`snapshot`],
-//! [`reset`], the `record_*` helpers — on top of it. Existing tests and
-//! benches keep working unchanged.
-//!
-//! The counters remain relaxed monotone event tallies with no
-//! synchronizing role: increments stay cheap enough for the hot path and
-//! aggregate correctly across the worker threads of the parallel
-//! evaluator. Snapshots taken while other threads are mid-run are
-//! approximate; take them around joined work for exact counts.
+//! Whoever does the work counts it in a [`ProbeTally`] it owns — a search,
+//! an evaluation, a relation probe lent the caller's tally — and reads it
+//! back as its own account, exact whatever else runs concurrently. Each
+//! public entry point that does such work adds its summed tally to the
+//! process-wide `wdpt-obs` registry once, through [`record`], before it
+//! returns: the executor, the decision procedures, containment and cores,
+//! `extend_all`, and the relation warm-up and check. The registry names
+//! below are what [`QueryProfile`](wdpt_obs::QueryProfile)s and benchmark
+//! output read; [`snapshot`] reads them back as a tally.
 
-use wdpt_obs::counter;
+use wdpt_obs::{counter, histogram, LocalHistogram};
 
 /// Registry name of the index-build counter.
 pub const INDEX_BUILDS: &str = "db.index_builds";
@@ -27,104 +23,107 @@ pub const NODES_EXPANDED: &str = "cq.nodes_expanded";
 /// Registry name of the parallel work-item counter.
 pub const PARALLEL_TASKS: &str = "wdpt.parallel_tasks";
 
-/// A point-in-time copy of the five engine counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Column permutations built: one per relation run and column, by the
-    /// first probe that binds the column without the columns before it. A
-    /// probe on a leading prefix builds nothing.
-    pub index_builds: u64,
+/// The work of one search, evaluation or probe sequence, counted locally by
+/// whoever does it. Probes and candidate tuples sit on the innermost loop of
+/// every engine: a relaxed `fetch_add` per tuple and four more per probe for
+/// the posting-length histogram are measurable there, a local increment is
+/// not. Whoever runs a search owns one and lends it to every
+/// [`Relation::candidates`](crate::Relation::candidates) call of that
+/// search; an entry point sums its searches' tallies and [`record`]s the
+/// sum once.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProbeTally {
+    /// Search nodes expanded by the backtracking CQ engine.
+    pub nodes_expanded: u64,
     /// Searches of a relation: one per prefix search, one per column lookup.
     pub index_probes: u64,
     /// Candidate tuples examined by the searches and `Relation::matching`.
     pub tuples_scanned: u64,
-    /// Search nodes expanded by the backtracking CQ engine.
-    pub nodes_expanded: u64,
-    /// Work items executed by the parallel WDPT evaluator.
-    pub parallel_tasks: u64,
+    /// Column permutations built: one per relation run and column, by the
+    /// first probe that binds the column without the columns before it. A
+    /// probe on a leading prefix builds nothing.
+    pub index_builds: u64,
+    /// Number of rows each probe settled on. The distribution is only kept
+    /// by a tally made while tracing is on (profiled runs), as it was when
+    /// every probe recorded into the shared histogram directly, and its
+    /// buckets are allocated by the first probe it keeps.
+    posting_lens: Option<Box<LocalHistogram>>,
+    traced: bool,
 }
 
-impl StatsSnapshot {
-    /// Counter-wise difference since an earlier snapshot (saturating, so a
-    /// concurrent `reset` cannot produce wrap-around nonsense).
-    pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            index_builds: self.index_builds.saturating_sub(earlier.index_builds),
-            index_probes: self.index_probes.saturating_sub(earlier.index_probes),
-            tuples_scanned: self.tuples_scanned.saturating_sub(earlier.tuples_scanned),
-            nodes_expanded: self.nodes_expanded.saturating_sub(earlier.nodes_expanded),
-            parallel_tasks: self.parallel_tasks.saturating_sub(earlier.parallel_tasks),
+impl Default for ProbeTally {
+    fn default() -> Self {
+        ProbeTally {
+            nodes_expanded: 0,
+            index_probes: 0,
+            tuples_scanned: 0,
+            index_builds: 0,
+            posting_lens: None,
+            traced: wdpt_obs::tracing_enabled(),
         }
     }
 }
 
-impl std::fmt::Display for StatsSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "index_builds={} index_probes={} tuples_scanned={} nodes_expanded={} parallel_tasks={}",
-            self.index_builds,
-            self.index_probes,
-            self.tuples_scanned,
-            self.nodes_expanded,
-            self.parallel_tasks
-        )
+impl ProbeTally {
+    /// Adds `other`'s counts, and its posting lengths, to this tally.
+    pub fn add(&mut self, other: ProbeTally) {
+        self.nodes_expanded += other.nodes_expanded;
+        self.index_probes += other.index_probes;
+        self.tuples_scanned += other.tuples_scanned;
+        self.index_builds += other.index_builds;
+        match (&mut self.posting_lens, other.posting_lens) {
+            (Some(mine), Some(theirs)) => mine.add(&theirs),
+            (mine @ None, theirs) => *mine = theirs,
+            (Some(_), None) => {}
+        }
+    }
+
+    /// Counts the number of rows a probe settled on, if this tally keeps
+    /// the distribution.
+    #[inline]
+    pub(crate) fn record_posting_len(&mut self, len: usize) {
+        if self.traced {
+            (self.posting_lens.get_or_insert_with(Box::default)).record(len as u64);
+        }
+    }
+
+    /// Counter-wise difference since an earlier [`snapshot`] (saturating).
+    pub fn since(&self, earlier: &ProbeTally) -> ProbeTally {
+        ProbeTally {
+            nodes_expanded: self.nodes_expanded.saturating_sub(earlier.nodes_expanded),
+            index_probes: self.index_probes.saturating_sub(earlier.index_probes),
+            tuples_scanned: self.tuples_scanned.saturating_sub(earlier.tuples_scanned),
+            index_builds: self.index_builds.saturating_sub(earlier.index_builds),
+            ..ProbeTally::default()
+        }
     }
 }
 
-/// Copies the five engine counters out of the `wdpt-obs` registry.
-pub fn snapshot() -> StatsSnapshot {
-    StatsSnapshot {
-        index_builds: counter!(INDEX_BUILDS).get(),
-        index_probes: counter!(INDEX_PROBES).get(),
-        tuples_scanned: counter!(TUPLES_SCANNED).get(),
-        nodes_expanded: counter!(NODES_EXPANDED).get(),
-        parallel_tasks: counter!(PARALLEL_TASKS).get(),
+/// Adds an entry point's summed tally to the process-wide registry: the
+/// one writer of `cq.nodes_expanded`, `db.index_probes`,
+/// `db.tuples_scanned`, `db.index_builds` and `db.posting_list_len`.
+pub fn record(tally: &ProbeTally) {
+    counter!(NODES_EXPANDED).add(tally.nodes_expanded);
+    counter!(INDEX_PROBES).add(tally.index_probes);
+    counter!(TUPLES_SCANNED).add(tally.tuples_scanned);
+    counter!(INDEX_BUILDS).add(tally.index_builds);
+    if let Some(lens) = &tally.posting_lens {
+        histogram!("db.posting_list_len").merge(lens);
     }
 }
 
-/// Zeroes the five engine counters. Tests that assert on absolute counts
-/// should prefer [`StatsSnapshot::since`] — the counters are process-wide
-/// and the test harness runs tests concurrently.
-pub fn reset() {
-    counter!(INDEX_BUILDS).reset();
-    counter!(INDEX_PROBES).reset();
-    counter!(TUPLES_SCANNED).reset();
-    counter!(NODES_EXPANDED).reset();
-    counter!(PARALLEL_TASKS).reset();
-}
-
-#[inline]
-pub(crate) fn record_index_build() {
-    counter!(INDEX_BUILDS).incr();
-}
-
-/// Records `n` relation probes in one batch (see
-/// [`ProbeTally`](crate::database::ProbeTally)).
-#[inline]
-pub(crate) fn record_index_probes(n: u64) {
-    counter!(INDEX_PROBES).add(n);
-}
-
-/// Records `n` candidate tuples scanned in one batch. Searches count
-/// locally and flush once rather than paying one atomic RMW per tuple.
-#[inline]
-pub(crate) fn record_tuples_scanned(n: u64) {
-    counter!(TUPLES_SCANNED).add(n);
-}
-
-/// Records `n` expanded search nodes in one batch (called by the CQ
-/// engines, which count per search).
-#[inline]
-pub fn record_nodes_expanded(n: u64) {
-    counter!(NODES_EXPANDED).add(n);
-}
-
-/// Records `n` executed parallel work items (called by the WDPT
-/// evaluator, once per worker).
-#[inline]
-pub fn record_parallel_tasks(n: u64) {
-    counter!(PARALLEL_TASKS).add(n);
+/// The registry's totals of the four work counters, as a tally. Totals
+/// read while other threads are mid-run are approximate; read them around
+/// joined work.
+pub fn snapshot() -> ProbeTally {
+    let registry = wdpt_obs::metrics_snapshot();
+    ProbeTally {
+        nodes_expanded: registry.counter(NODES_EXPANDED),
+        index_probes: registry.counter(INDEX_PROBES),
+        tuples_scanned: registry.counter(TUPLES_SCANNED),
+        index_builds: registry.counter(INDEX_BUILDS),
+        ..ProbeTally::default()
+    }
 }
 
 #[cfg(test)]
@@ -132,54 +131,40 @@ mod tests {
     use super::*;
 
     #[test]
-    fn since_is_monotone_and_saturating() {
-        let a = StatsSnapshot {
-            index_builds: 5,
-            index_probes: 10,
-            tuples_scanned: 2,
+    fn since_subtracts_and_saturates() {
+        let count = |n: [u64; 4]| ProbeTally {
+            nodes_expanded: n[0],
+            index_probes: n[1],
+            tuples_scanned: n[2],
+            index_builds: n[3],
+            ..ProbeTally::default()
+        };
+        let d = count([4, 10, 1, 7]).since(&count([1, 10, 2, 5]));
+        let counts = (d.nodes_expanded, d.index_probes, d.tuples_scanned);
+        assert_eq!((counts, d.index_builds), ((3, 0, 0), 2));
+    }
+
+    #[test]
+    fn tallies_add_counts_and_posting_lengths() {
+        let mut a = ProbeTally {
             nodes_expanded: 1,
-            parallel_tasks: 0,
+            traced: true,
+            ..ProbeTally::default()
         };
-        let b = StatsSnapshot {
-            index_builds: 7,
-            index_probes: 10,
-            tuples_scanned: 1,
-            nodes_expanded: 4,
-            parallel_tasks: 2,
+        a.record_posting_len(3);
+        let mut b = ProbeTally {
+            index_builds: 2,
+            traced: true,
+            ..ProbeTally::default()
         };
-        let d = b.since(&a);
-        assert_eq!(d.index_builds, 2);
-        assert_eq!(d.index_probes, 0);
-        assert_eq!(d.tuples_scanned, 0); // saturates instead of wrapping
-        assert_eq!(d.nodes_expanded, 3);
-        assert_eq!(d.parallel_tasks, 2);
-    }
-
-    #[test]
-    fn display_names_every_counter() {
-        let s = snapshot().to_string();
-        for key in [
-            "index_builds",
-            "index_probes",
-            "tuples_scanned",
-            "nodes_expanded",
-            "parallel_tasks",
-        ] {
-            assert!(s.contains(key), "missing {key} in {s}");
-        }
-    }
-
-    #[test]
-    fn facade_and_registry_agree() {
-        let before = snapshot();
-        record_nodes_expanded(1);
-        record_tuples_scanned(3);
-        let delta = snapshot().since(&before);
-        assert!(delta.nodes_expanded >= 1);
-        assert!(delta.tuples_scanned >= 3);
-        // The same events are visible under their registry names.
-        let m = wdpt_obs::metrics_snapshot();
-        assert!(m.counter(NODES_EXPANDED) >= delta.nodes_expanded);
-        assert!(m.counter(TUPLES_SCANNED) >= delta.tuples_scanned);
+        b.record_posting_len(3);
+        let mut sum = ProbeTally::default();
+        sum.add(a);
+        sum.add(b);
+        assert_eq!((sum.nodes_expanded, sum.index_builds), (1, 2));
+        let mut both = LocalHistogram::default();
+        both.record(3);
+        both.record(3);
+        assert_eq!(sum.posting_lens.as_deref(), Some(&both));
     }
 }

@@ -63,7 +63,8 @@ fn assert_agree(rel: &Relation, model: &Model, probes: &[Vec<Const>], absent: Co
                     .iter()
                     .filter(|t| bound.iter().all(|&col| t[col] == values[col]))
                     .collect();
-                let mut got: Vec<&[Const]> = rel.matching(&pattern).collect();
+                let mut tally = ProbeTally::default();
+                let mut got: Vec<&[Const]> = rel.matching(&pattern, &mut tally).collect();
                 got.sort_unstable();
                 assert!(
                     got.into_iter().eq(expected.into_iter().map(|t| &t[..])),
@@ -74,7 +75,6 @@ fn assert_agree(rel: &Relation, model: &Model, probes: &[Vec<Const>], absent: Co
         for (col, &c) in probe.iter().enumerate() {
             for c in [c, absent] {
                 let expected = model.iter().filter(|t| t[col] == c).count();
-                assert_eq!(rel.posting_len(col, c), expected);
                 assert_eq!(
                     rel.postings(col, c, &mut ProbeTally::default()).len(),
                     expected

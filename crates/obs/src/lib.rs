@@ -17,9 +17,9 @@
 //!   [`span!`] costs one relaxed atomic load (measured < 2% on the retired
 //!   `wdpt_eval` bench, see `EXPERIMENTS.md`).
 //! * [`metrics`] — a registry of named counters ([`counter!`]) and
-//!   log₂-bucketed histograms ([`histogram!`]) generalizing the five
-//!   hard-coded atomics that used to live in `wdpt_model::stats` (that
-//!   module remains as a compatibility facade over this registry).
+//!   log₂-bucketed histograms ([`histogram!`]). The engine's work counters
+//!   are written here once per entry point, from the tally the work was
+//!   counted in (`wdpt_model::stats::record`).
 //! * [`profile`] — [`QueryProfile`], a per-query report attached to
 //!   WDPT/CQ evaluation results: per-tree-node homomorphism counts, work
 //!   counters, and — when a [`ProfileRecorder`] bracketed the run, which is

@@ -1,7 +1,6 @@
 //! Named counters, gauges, and log-scale histograms.
 //!
-//! A process-wide registry generalizing the original five hard-coded
-//! atomics of `wdpt_model::stats`. Call sites use the [`counter!`] /
+//! A process-wide registry. Call sites use the [`counter!`] /
 //! [`gauge!`] / [`histogram!`] macros, which resolve the metric once into a
 //! static `OnceLock` and thereafter pay a single relaxed `fetch_add` per
 //! event — cheap enough for hot paths, and correct across the worker
@@ -45,12 +44,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Relaxed)
-    }
-
-    /// Zeroes the counter (compatibility with `stats::reset`; tests should
-    /// prefer snapshot deltas — the registry is process-wide).
-    pub fn reset(&self) {
-        self.value.store(0, Relaxed);
     }
 }
 
@@ -179,7 +172,7 @@ impl RawHistogram {
 /// owns and hands the lot to [`Histogram::merge`] when it is done, so the
 /// shared cache lines are touched once per loop instead of four times per
 /// observation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocalHistogram {
     count: u64,
     sum: u64,
@@ -206,6 +199,16 @@ impl LocalHistogram {
         self.sum += v;
         self.max = self.max.max(v);
         self.buckets[RawHistogram::bucket_of(v)] += 1;
+    }
+
+    /// Adds another local batch.
+    pub fn add(&mut self, other: &LocalHistogram) {
+        self.count += other.count;
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
+        for (bucket, &n) in self.buckets.iter_mut().zip(&other.buckets) {
+            *bucket += n;
+        }
     }
 }
 
@@ -522,16 +525,16 @@ pub fn metrics_snapshot() -> MetricsSnapshot {
 }
 
 /// Runs `f` and returns its result together with the metric deltas it
-/// produced, holding a process-wide lock for the duration.
+/// produced, holding a process-wide lock for the duration: for tests of
+/// the registry itself — what an entry point recorded, what a server
+/// exports.
 ///
 /// The registry is process-global, so two tests that each "snapshot,
-/// mutate, diff" can interleave and see each other's events — historically
-/// forcing counter-delta assertions into their own integration-test
-/// *processes* (`thread_matrix` and friends). Routing every such section
-/// through `delta_scope` serializes them instead: within one process, two
-/// scoped sections never overlap, so each delta reflects exactly the work
-/// of its own closure (plus any *un*-scoped concurrent recording, which
-/// tests sharing a binary should avoid for the counters they assert on).
+/// mutate, diff" can interleave and see each other's events. Within one
+/// process two scoped sections never overlap, so each delta reflects
+/// exactly the work of its own closure plus any *un*-scoped concurrent
+/// recording. A test of the engine's work reads the tally the work was
+/// counted in instead (`wdpt_model::ProbeTally`), which needs no window.
 pub fn delta_scope<T>(f: impl FnOnce() -> T) -> (T, MetricsSnapshot) {
     static SCOPE: Mutex<()> = Mutex::new(());
     // A panic inside an earlier scope poisons the mutex but leaves the

@@ -117,7 +117,7 @@ pub fn var_domain(stats: &StatsCatalog, atoms: &[Atom], v: Var) -> Option<u64> {
 mod tests {
     use super::*;
     use wdpt_model::parse::{parse_atoms, parse_database};
-    use wdpt_model::Interner;
+    use wdpt_model::{Interner, ProbeTally};
 
     #[test]
     fn unbound_atom_estimates_relation_size() {
@@ -181,7 +181,8 @@ mod tests {
         };
         // Listed: exactly the posting length, heavy hitter or not.
         for listed in ["hot", "mid0", "mid14"] {
-            let exact = rel.posting_len(1, i.constant(listed)) as f64;
+            let mut tally = ProbeTally::default();
+            let exact = rel.postings(1, i.constant(listed), &mut tally).len() as f64;
             assert_eq!(est(&mut i, &format!("t(?s,{listed},?o)")), exact);
         }
         // Unlisted: the mean over the unlisted values, (rows − Σ listed) /

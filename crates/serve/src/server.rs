@@ -60,7 +60,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::TryRecvError;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant, SystemTime};
 use wdpt_core::Wdpt;
 use wdpt_model::{CancelToken, Cancelled, Database, Interner, Var};
@@ -426,9 +426,14 @@ impl ServeState {
 
     /// Runs `f` on the live interner under its write lock, timed as the
     /// reload's merge: the one place the served dictionary is written.
+    ///
+    /// A panic in `f` (an install's commit) poisons the lock; it is
+    /// recovered, here and in [`ServeState::dictionary`], because the
+    /// dictionary stays whole: interning checks before it writes, then
+    /// pushes and inserts, and neither unwinds.
     fn fold<R>(&self, f: impl FnOnce(&mut Interner) -> R) -> R {
         let merge_start = Instant::now();
-        let folded = f(&mut self.interner.write().expect("interner lock"));
+        let folded = f(&mut (self.interner.write()).unwrap_or_else(PoisonError::into_inner));
         histogram!("serve.reload.merge_us").record(merge_start.elapsed().as_micros() as u64);
         folded
     }
@@ -740,7 +745,7 @@ impl ServeState {
 
     /// The served dictionary, read-locked.
     fn dictionary(&self) -> RwLockReadGuard<'_, Interner> {
-        self.interner.read().expect("interner lock")
+        self.interner.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Requests graceful shutdown, as the `shutdown` op does.
@@ -1463,7 +1468,7 @@ fn handle_query(req: QueryParams<'_>, state: &ServeState, trace: &mut RequestTra
         let response = match &result {
             Ok(table) => {
                 plan.stats
-                    .record_execution(eval_ns / 1_000, tally.nodes_expanded);
+                    .record_execution(eval_ns / 1_000, tally.work.nodes_expanded);
                 // The rows the executor was asked for: it holds these.
                 let rows = table.len().min(max_rows);
                 let writer =
@@ -1862,6 +1867,31 @@ mod tests {
             "64 request ids produced only {} distinct backoff hints",
             distinct.len()
         );
+    }
+
+    /// A panic under the dictionary's write lock — an install whose commit
+    /// failed — poisons it; the dictionary is recovered, whole, and the
+    /// server answers the next query and installs the next reload.
+    #[test]
+    fn a_poisoned_dictionary_lock_does_not_take_the_server_down() {
+        let state = tiny_state(ServeConfig::default());
+        let failed = panic::catch_unwind(AssertUnwindSafe(|| {
+            state.fold(|i| {
+                i.constant("orphan");
+                panic!("a commit bug")
+            })
+        }));
+        assert!(failed.is_err() && state.interner.is_poisoned());
+        let line = br#"{"op":"query","id":"q","query":"SELECT ?s WHERE { (?s, p, o) }"}"#;
+        let (id, request) = decode_line(line).unwrap().unwrap();
+        let (response, _) = handle_request(id.as_deref(), request, RequestTrace::start(), &state);
+        assert_eq!(status_of(&response), ("ok".to_string(), None));
+        assert!(state.with_interner(|i| i
+            .lookup_id(wdpt_model::SymbolSpace::Const, "orphan")
+            .is_some()));
+        let before = state.interner_len();
+        state.fold(|i| i.constant("next"));
+        assert_eq!(state.interner_len(), before + 1);
     }
 
     fn tiny_state(cfg: ServeConfig) -> Arc<ServeState> {

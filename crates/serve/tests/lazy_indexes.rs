@@ -2,14 +2,11 @@
 //! nothing either: a relation is one sorted run, a probe that binds a
 //! leading prefix — `(s, p, ?o)` — searches the run in place, and only a
 //! probe that cannot use the prefix derives a row-id permutation, once per
-//! column.
-//!
-//! Kept to a single `#[test]` on purpose: the index-build counter is
-//! process-wide, and a sibling test evaluating queries in this binary
-//! would leak builds into the window measured here.
+//! column. A probe's builds are counted in the tally it is lent; what a
+//! reload records in the registry is read in a window of its own.
 
 use std::io::Cursor;
-use wdpt_model::{Const, Database, Interner, Relation};
+use wdpt_model::{Const, Database, Interner, ProbeTally, Relation};
 use wdpt_obs::delta_scope;
 use wdpt_sparql::TripleStore;
 use wdpt_store::{
@@ -103,32 +100,24 @@ fn a_reload_and_the_first_point_query_after_it_build_nothing() {
         // The first point query: subject and predicate bound.
         let (s2, p, o1) = (live.constant("s2"), live.constant("p"), live.constant("o1"));
         let point = [Some(s2), Some(p), None];
-        let (hits, work) = delta_scope(|| rel.matching(&point).map(|t| t[2]).collect::<Vec<_>>());
+        let mut work = ProbeTally::default();
+        let hits: Vec<Const> = rel.matching(&point, &mut work).map(|t| t[2]).collect();
         assert_eq!(hits, [o1]);
-        assert_eq!(
-            work.counter("db.index_builds"),
-            0,
-            "a prefix probe built something"
-        );
-        assert_eq!(
-            work.counter("db.tuples_scanned"),
-            1,
-            "matches, not candidates"
-        );
+        assert_eq!(work.index_builds, 0, "a prefix probe built something");
+        assert_eq!(work.tuples_scanned, 1, "matches, not candidates");
 
         // A probe without the leading column builds the permutations of
         // the two columns it consults, once.
         let pattern = [None, Some(p), Some(o1)];
-        let (hits, work) = delta_scope(|| {
-            let mut hits: Vec<Const> = rel.matching(&pattern).map(|t| t[0]).collect();
-            hits.sort_by_key(|c| live.const_name(*c).to_owned());
-            hits
-        });
-        assert_eq!(work.counter("db.index_builds"), 2);
+        let mut work = ProbeTally::default();
+        let mut hits: Vec<Const> = rel.matching(&pattern, &mut work).map(|t| t[0]).collect();
+        hits.sort_by_key(|c| live.const_name(*c).to_owned());
+        assert_eq!(work.index_builds, 2);
         let names: Vec<&str> = hits.iter().map(|c| live.const_name(*c)).collect();
         assert_eq!(names, ["s1", "s2", "s4"]);
-        let (_, work) = delta_scope(|| rel.matching(&pattern).count());
-        assert_eq!(work.counter("db.index_builds"), 0);
+        let mut again = ProbeTally::default();
+        rel.matching(&pattern, &mut again).count();
+        assert_eq!(again.index_builds, 0);
 
         // And the whole relation equals a from-scratch text load of base+delta.
         assert_eq!(named_rows(rel, &live), expected);

@@ -157,8 +157,8 @@ fn serve_once(state: &ServeState, query: &str) -> (Arc<Plan>, u64) {
         usize::MAX,
     );
     answers.expect("never cancels");
-    plan.stats.record_execution(10, tally.nodes_expanded);
-    (plan, tally.nodes_expanded)
+    plan.stats.record_execution(10, tally.work.nodes_expanded);
+    (plan, tally.work.nodes_expanded)
 }
 
 /// Heavy hitters are in the catalog, so they are priced, not discovered:

@@ -861,6 +861,7 @@ pub fn save_delta(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
 mod tests {
     use super::*;
     use crate::format::snapshot_to_vec_v2;
+    use wdpt_model::ProbeTally;
 
     /// Applies one delta to a pair in the pair's own ids, committing its
     /// symbols only on success.
@@ -955,9 +956,21 @@ mod tests {
         let e = i.pred("edge");
         let rel = rdb.relation(e).unwrap();
         let c = i.constant("c");
-        assert_eq!(rel.posting_len(0, c), 1, "new tuple not indexed");
-        assert_eq!(rel.posting_len(1, c), 1, "old tuple lost from index");
-        assert_eq!(rel.matching(&[Some(c), None]).count(), 1);
+        assert_eq!(
+            rel.postings(0, c, &mut ProbeTally::default()).len(),
+            1,
+            "new tuple not indexed"
+        );
+        assert_eq!(
+            rel.postings(1, c, &mut ProbeTally::default()).len(),
+            1,
+            "old tuple lost from index"
+        );
+        assert_eq!(
+            rel.matching(&[Some(c), None], &mut ProbeTally::default())
+                .count(),
+            1
+        );
         assert_eq!(rel.len(), 3);
     }
 
@@ -1125,7 +1138,10 @@ mod tests {
             assert_eq!(yes.tuples().collect::<Vec<_>>(), [&[] as &[Const]]);
             assert!(yes.contains(&[]) && !no.contains(&[]));
             assert_eq!(
-                (no.matching(&[]).count(), yes.matching(&[]).count()),
+                (
+                    no.matching(&[], &mut ProbeTally::default()).count(),
+                    yes.matching(&[], &mut ProbeTally::default()).count()
+                ),
                 (0, 1)
             );
         }
@@ -1222,7 +1238,13 @@ mod tests {
             file.len(),
             "lookups must not intern anything new"
         );
-        assert_eq!(db.relation(p).unwrap().posting_len(0, a), 1);
+        assert_eq!(
+            db.relation(p)
+                .unwrap()
+                .postings(0, a, &mut ProbeTally::default())
+                .len(),
+            1
+        );
     }
 
     #[test]
@@ -1256,9 +1278,13 @@ mod tests {
         let run: Vec<&[Const]> = rel.tuples().collect();
         assert!(run.windows(2).all(|w| w[0] < w[1]), "run not re-sorted");
         let (b, u, v) = (live.constant("b"), live.constant("u"), live.constant("v"));
-        assert_eq!(rel.posting_len(0, b), 2);
-        assert_eq!(rel.posting_len(1, u), 3);
-        assert_eq!(rel.matching(&[Some(b), Some(v)]).count(), 1);
+        assert_eq!(rel.postings(0, b, &mut ProbeTally::default()).len(), 2);
+        assert_eq!(rel.postings(1, u, &mut ProbeTally::default()).len(), 3);
+        assert_eq!(
+            rel.matching(&[Some(b), Some(v)], &mut ProbeTally::default())
+                .count(),
+            1
+        );
         crate::format::verify_database_deep(&db).unwrap();
     }
 

@@ -908,6 +908,7 @@ pub fn inspect_snapshot(bytes: &[u8]) -> Result<SnapshotSummary, StoreError> {
 mod tests {
     use super::*;
     use crate::varint::zigzag;
+    use wdpt_model::ProbeTally;
 
     fn sample() -> (Interner, Database) {
         let mut i = Interner::new();
@@ -942,8 +943,12 @@ mod tests {
         let e = i.pred("edge");
         let rel = db2.relation(e).unwrap();
         let a = i.constant("a");
-        assert_eq!(rel.posting_len(0, a), 1);
-        assert_eq!(rel.matching(&[Some(a), None]).count(), 1);
+        assert_eq!(rel.postings(0, a, &mut ProbeTally::default()).len(), 1);
+        assert_eq!(
+            rel.matching(&[Some(a), None], &mut ProbeTally::default())
+                .count(),
+            1
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! the decoder as a base snapshot plus a chain of deltas.
 
 use wdpt_gen::Lcg;
-use wdpt_model::{Database, Interner, SymbolSpace};
+use wdpt_model::{Database, Interner, ProbeTally, SymbolSpace};
 use wdpt_store::{
     content_hash, decode_chain, decode_snapshot, delta_to_vec, snapshot_to_vec_v2,
     verify_database_deep,
@@ -120,9 +120,10 @@ fn assert_equal(seed: u64, a_int: &Interner, a_db: &Database, b_int: &Interner, 
         // Postings answer identically to a fresh build.
         for col in 0..rel.arity() {
             for c in a_db.active_domain() {
+                let mut tally = ProbeTally::default();
                 assert_eq!(
-                    rel.posting_len(col, *c),
-                    brel.posting_len(col, *c),
+                    rel.postings(col, *c, &mut tally).len(),
+                    brel.postings(col, *c, &mut tally).len(),
                     "seed {seed}: posting length col {col}"
                 );
             }
@@ -189,8 +190,9 @@ fn queries_answer_identically_after_reload() {
             for col in 0..rel.arity() {
                 let mut probe = vec![None; rel.arity()];
                 probe[col] = Some(*c);
-                let mut a: Vec<_> = rel.matching(&probe).collect();
-                let mut b: Vec<_> = rel2.matching(&probe).collect();
+                let mut tally = ProbeTally::default();
+                let mut a: Vec<_> = rel.matching(&probe, &mut tally).collect();
+                let mut b: Vec<_> = rel2.matching(&probe, &mut tally).collect();
                 a.sort_unstable();
                 b.sort_unstable();
                 assert_eq!(a, b, "probe col {col}");

@@ -3,14 +3,11 @@
 //! **observationally identical** to the in-memory, insert-built database
 //! (folded runs plus pending rows) it was encoded from — identical WDPT
 //! answer sets *and* identical `nodes_expanded` work counts — at every
-//! thread count. The engine cannot tell them apart.
-//!
-//! Kept to a single `#[test]` on purpose: the engine counters are
-//! process-wide, so a second concurrently-running test in this binary
-//! would corrupt the `nodes_expanded` comparison.
+//! thread count. The engine cannot tell them apart. The work counts are
+//! each run's own tally.
 
 use wdpt_gen::{random_wdpt, Lcg};
-use wdpt_model::{stats, CancelToken, Database, Interner, Mapping};
+use wdpt_model::{CancelToken, Database, Interner, Mapping};
 use wdpt_store::{decode_snapshot, snapshot_to_vec_v2};
 
 /// A random database over the binary predicates `e` and `f` that
@@ -39,13 +36,13 @@ fn random_ef_db(interner: &mut Interner, seed: u64) -> Database {
 }
 
 fn run(p: &wdpt_core::Wdpt, db: &Database, threads: usize) -> (Vec<Mapping>, u64) {
-    let before = stats::snapshot();
-    let mut answers =
-        wdpt_core::try_evaluate_parallel_planned(p, db, threads, CancelToken::never(), None)
-            .expect("the never token cannot cancel");
-    let expanded = stats::snapshot().since(&before).nodes_expanded;
+    let (answers, tally) =
+        wdpt_core::evaluate_rows(p, db, threads, CancelToken::never(), None, usize::MAX);
+    let mut answers = answers
+        .expect("the never token cannot cancel")
+        .into_mappings();
     answers.sort_unstable();
-    (answers, expanded)
+    (answers, tally.work.nodes_expanded)
 }
 
 #[test]

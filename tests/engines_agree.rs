@@ -20,10 +20,9 @@ use wdpt::model::{
 };
 use wdpt::plan::{StatsCatalog, Strategy};
 
-/// The engine counters are process-wide and the harness runs this binary's
-/// tests on parallel threads: every test holds this lock, so the
-/// `cq.nodes_expanded` deltas `parallel_evaluator_agrees_with_sequential`
-/// compares contain its own work only.
+/// The registry is process-wide and the harness runs this binary's tests on
+/// parallel threads: every test holds this lock, so the deltas the registry
+/// tests ([`assert_counted_globally`]) read contain their own work only.
 fn serial() -> MutexGuard<'static, ()> {
     static SERIAL: Mutex<()> = Mutex::new(());
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
@@ -279,6 +278,11 @@ fn parallel_evaluator_agrees_with_sequential() {
         try_evaluate_parallel_planned(p, db, threads, CancelToken::never(), None)
             .expect("the never token cannot cancel")
     };
+    let work_at = |p: &Wdpt, db: &Database, threads: usize| {
+        evaluate_rows(p, db, threads, CancelToken::never(), None, usize::MAX)
+            .1
+            .work
+    };
     let mut r = Lcg::new(0x7157_0006);
     for case in 0..40 {
         let mut i = Interner::new();
@@ -298,13 +302,12 @@ fn parallel_evaluator_agrees_with_sequential() {
         }
         let p = wdpt::gen::random_wdpt(&mut i, 1 + r.gen_range(0..7), &mut r);
         let threads = r.gen_range(0..6);
-        let (sequential, seq_work) = wdpt_obs::delta_scope(|| semantics::evaluate(&p, &db));
-        let (parallel, par_work) = wdpt_obs::delta_scope(|| at(&p, &db, threads));
+        let (sequential, parallel) = (semantics::evaluate(&p, &db), at(&p, &db, threads));
         assert_eq!(parallel, sequential, "case={case} threads={threads}");
         // The root's local homomorphisms are computed once on every path.
         assert_eq!(
-            par_work.counter("cq.nodes_expanded"),
-            seq_work.counter("cq.nodes_expanded"),
+            work_at(&p, &db, threads).nodes_expanded,
+            work_at(&p, &db, 1).nodes_expanded,
             "case={case} threads={threads}"
         );
         assert_eq!(
@@ -439,20 +442,30 @@ fn adversarial_db(i: &mut Interner, r: &mut Lcg, dom: usize) -> Database {
     db
 }
 
-/// A run's three work counts are what it added to the process-wide
-/// counters — `global` being the `delta_scope` of that run alone, which
-/// [`serial`] makes it.
-fn assert_counted_globally(tally: &EvalTally, global: &wdpt_obs::MetricsSnapshot, what: &str) {
-    assert_eq!(
-        [
-            tally.nodes_expanded,
-            tally.index_probes,
-            tally.tuples_scanned
-        ],
-        ["cq.nodes_expanded", "db.index_probes", "db.tuples_scanned"]
-            .map(|name| global.counter(name)),
-        "{what}"
-    );
+/// The runs' work counts, summed, are what they recorded in the
+/// process-wide registry — `global` being the `delta_scope` of those runs
+/// alone, which [`serial`] makes it: the one test of the registry itself.
+fn assert_counted_globally(tallies: &[EvalTally], global: &wdpt_obs::MetricsSnapshot, what: &str) {
+    let mut summed = [0; 5];
+    for tally in tallies {
+        let work = &tally.work;
+        let counts = [
+            work.nodes_expanded,
+            work.index_probes,
+            work.tuples_scanned,
+            work.index_builds,
+            tally.parallel_tasks,
+        ];
+        summed.iter_mut().zip(counts).for_each(|(sum, n)| *sum += n);
+    }
+    let names = [
+        "cq.nodes_expanded",
+        "db.index_probes",
+        "db.tuples_scanned",
+        "db.index_builds",
+        "wdpt.parallel_tasks",
+    ];
+    assert_eq!(summed, names.map(|name| global.counter(name)), "{what}");
 }
 
 /// What one case of the oracle comparison reached.
@@ -487,13 +500,11 @@ enum Built {
 /// a plan whose every node order is a permutation shuffled from `seed` (no
 /// enumerator's taste narrows what is checked), on one thread and on four:
 /// the same mappings *in the same order*, and the same [`EvalTally`] on four
-/// threads as on one. The tally counts a node's local homomorphisms once
-/// per ancestor context, whether or not that context's interface valuation
-/// had been evaluated before — which is the number of homomorphisms of the
-/// root-to-node path, counted here by the CQ engine — and its three work
-/// counts are what the run added to the process-wide counters (every test
-/// of this binary holds [`serial`], so the deltas are the run's alone): the
-/// local and the global count cannot drift apart. Asked to build only the
+/// threads as on one (`parallel_tasks` aside). The tally counts a node's
+/// local homomorphisms once per ancestor context, whether or not that
+/// context's interface valuation had been evaluated before — which is the
+/// number of homomorphisms of the root-to-node path, counted here by the
+/// CQ engine. Asked to build only the
 /// first `limit` rows, at every `limit` around the answer count, each run
 /// still counts every answer, holds the first `min(len, limit)` rows of
 /// the whole table and does the same work.
@@ -555,8 +566,7 @@ fn check_executor(p: &Wdpt, db: &Database, oracle: &[Mapping], case: &str, seed:
         let mut on_one_thread: Option<EvalTally> = None;
         for threads in [1, 4] {
             let what = format!("case={case} plan={name} threads={threads}");
-            let ((answers, tally), global) =
-                wdpt_obs::delta_scope(|| evaluate_rows(p, db, threads, never, plan, usize::MAX));
+            let (answers, tally) = evaluate_rows(p, db, threads, never, plan, usize::MAX);
             // The table's own invariants, before it is viewed as mappings:
             // the header is the free variables (each occurs in the tree),
             // ascending, and the rows are strictly ascending as the mappings
@@ -587,13 +597,16 @@ fn check_executor(p: &Wdpt, db: &Database, oracle: &[Mapping], case: &str, seed:
             assert_eq!(table.into_mappings(), oracle, "{what}");
             let expected: Vec<u64> = path_homs.iter().map(|h| h.len() as u64).collect();
             assert_eq!(tally.homs, expected, "{what}");
-            assert_counted_globally(&tally, &global, &what);
-            let tasks = global.counter("wdpt.parallel_tasks");
             if threads == 1 {
-                assert_eq!(tasks, 0, "{what}");
+                assert_eq!(tally.parallel_tasks, 0, "{what}");
             }
-            reached.fanned_out += tasks;
-            assert_eq!(*on_one_thread.get_or_insert(tally.clone()), tally, "{what}");
+            reached.fanned_out += tally.parallel_tasks;
+            let alone = on_one_thread.get_or_insert(tally.clone());
+            assert_eq!(
+                (&alone.homs, &alone.work),
+                (&tally.homs, &tally.work),
+                "{what}"
+            );
         }
     }
     reached
@@ -784,8 +797,11 @@ fn tallies_are_exact_under_concurrency() {
         answers.expect("never cancels");
         tally
     };
+    // A first run builds the column permutations its probes need: the runs
+    // compared find them built.
+    cases.iter().for_each(|case| drop(tally_of(case)));
     let alone: Vec<EvalTally> = cases.iter().map(tally_of).collect();
-    assert!(alone.iter().all(|t| t.nodes_expanded > 0));
+    assert!(alone.iter().all(|t| t.work.nodes_expanded > 0));
     for round in 0..3 {
         let start = Barrier::new(cases.len());
         let together: Vec<EvalTally> = std::thread::scope(|s| {
@@ -807,9 +823,9 @@ fn tallies_are_exact_under_concurrency() {
     }
 }
 
-/// What a cancelled run hands back beside its `Err` is what it did: the
-/// three work counts equal what the partial run added to the process-wide
-/// counters. An expired deadline nobody has latched is noticed at a
+/// What a cancelled run hands back beside its `Err` is what it did: its
+/// work counts equal what the partial run recorded in the process-wide
+/// registry. An expired deadline nobody has latched is noticed at a
 /// search's 1024th step, whatever the clock reads — inside the root's
 /// search, which has 1500 tuples to go through.
 #[test]
@@ -826,8 +842,59 @@ fn a_cancelled_run_counts_the_work_it_did() {
         });
         assert_eq!(answers.err(), Some(Cancelled), "threads={threads}");
         assert_eq!(tally.homs.len(), p.node_count());
-        assert!(tally.nodes_expanded > 0 && tally.tuples_scanned > 0);
-        assert_counted_globally(&tally, &global, &format!("threads={threads}"));
+        assert!(tally.work.nodes_expanded > 0 && tally.work.tuples_scanned > 0);
+        assert_counted_globally(&[tally], &global, &format!("threads={threads}"));
+    }
+}
+
+/// Two runs that probe the same non-leading column of one shared, freshly
+/// loaded database race for its permutation: the one whose probe builds it
+/// counts the build, the other reuses it, so their tallies hold exactly one
+/// build between them — and the registry gets exactly what they hold.
+#[test]
+fn a_permutation_two_runs_race_for_is_counted_once_by_its_builder() {
+    let _serial = serial();
+    let mut i = Interner::new();
+    let e = i.pred("e");
+    let rows = 3000;
+    let cells: Vec<Const> = (0..rows)
+        .flat_map(|j| [format!("s{j}"), format!("o{}", j % 7)])
+        .map(|name| i.constant(&name))
+        .collect();
+    // Both queries bind only the object, column 1.
+    let queries: Vec<Wdpt> = ["e(?s, o3)", "e(?s, o5)"]
+        .iter()
+        .map(|atom| {
+            let atoms = wdpt::model::parse::parse_atoms(&mut i, atom).unwrap();
+            WdptBuilder::new(atoms).build(vec![i.var("s")]).unwrap()
+        })
+        .collect();
+    for round in 0..20 {
+        let relation = Relation::from_rows(2, rows, cells.clone());
+        let db = Database::from_sorted(vec![(e, relation)]);
+        let start = Barrier::new(queries.len());
+        let (tallies, global) = wdpt_obs::delta_scope(|| {
+            std::thread::scope(|s| {
+                let running: Vec<_> = (queries.iter())
+                    .map(|p| {
+                        let (db, start) = (&db, &start);
+                        s.spawn(move || {
+                            start.wait();
+                            let (answers, tally) =
+                                evaluate_rows(p, db, 1, CancelToken::never(), None, usize::MAX);
+                            assert!(answers.expect("never cancels").len() > 400);
+                            tally
+                        })
+                    })
+                    .collect();
+                (running.into_iter())
+                    .map(|h| h.join().expect("evaluation thread"))
+                    .collect::<Vec<EvalTally>>()
+            })
+        });
+        let builds: u64 = tallies.iter().map(|t| t.work.index_builds).sum();
+        assert_eq!(builds, 1, "round {round}");
+        assert_counted_globally(&tallies, &global, &format!("round {round}"));
     }
 }
 
