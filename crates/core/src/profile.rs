@@ -40,20 +40,16 @@ pub fn node_entries(p: &Wdpt, hom_counts: &[u64]) -> Vec<NodeEntry> {
 impl EvalTally {
     /// The tally of an evaluation of `p` that took `wall_ns` and produced
     /// `answers` rows, as a profile: `nodes` are the per-node counts,
-    /// `counters` the run's own under the names of the process-wide
+    /// `counters` the run's own three under the names of the process-wide
     /// counters it recorded them in (zero ones left out, as a recorder
     /// does), `phases` and `histograms` empty.
     pub fn profile(&self, p: &Wdpt, label: &str, wall_ns: u64, answers: u64) -> QueryProfile {
-        use wdpt_model::stats::{
-            INDEX_BUILDS, INDEX_PROBES, NODES_EXPANDED, PARALLEL_TASKS, TUPLES_SCANNED,
-        };
+        use wdpt_model::stats::{INDEX_PROBES, NODES_EXPANDED, TUPLES_SCANNED};
         // Sorted by name, like a recorder's.
         let counters = [
             (NODES_EXPANDED, self.work.nodes_expanded),
-            (INDEX_BUILDS, self.work.index_builds),
             (INDEX_PROBES, self.work.index_probes),
             (TUPLES_SCANNED, self.work.tuples_scanned),
-            (PARALLEL_TASKS, self.parallel_tasks),
         ];
         QueryProfile {
             label: label.to_string(),
@@ -163,8 +159,6 @@ mod tests {
             assert_eq!(par_tally.work, seq_tally.work);
             // And the parallel run is visibly parallel.
             assert!(par_tally.parallel_tasks >= 3000);
-            let own = par_tally.profile(&p, "par", 0, 0);
-            assert_eq!(own.counter("wdpt.parallel_tasks"), par_tally.parallel_tasks);
             let worker = par_profile.phase("wdpt.parallel.worker").unwrap();
             assert!(worker.calls >= 2, "expected ≥2 worker spans");
         }

@@ -653,7 +653,10 @@ impl Answers {
 /// The work of one evaluation, counted by the evaluation itself: exact
 /// whatever else runs concurrently, identical at every thread count
 /// (`parallel_tasks` aside), and handed back on cancellation too — a
-/// deadline-killed query can still be explained. [`execute`] records it in
+/// deadline-killed query can still be explained. The one exception is
+/// `work.index_builds`: a column permutation is built once per relation
+/// run, and counted by whichever run built it, so a run that finds it
+/// already built — by an earlier or a concurrent run — counts nothing. [`execute`] records it in
 /// the process-wide registry once, before it returns: `work` under the
 /// names of [`wdpt_model::stats`], `parallel_tasks` as
 /// `wdpt.parallel_tasks`.

@@ -45,10 +45,9 @@ pub struct ProbeTally {
     pub index_builds: u64,
     /// Number of rows each probe settled on. The distribution is only kept
     /// by a tally made while tracing is on (profiled runs), as it was when
-    /// every probe recorded into the shared histogram directly, and its
-    /// buckets are allocated by the first probe it keeps.
+    /// every probe recorded into the shared histogram directly; the others
+    /// carry no buckets at all.
     posting_lens: Option<Box<LocalHistogram>>,
-    traced: bool,
 }
 
 impl Default for ProbeTally {
@@ -58,8 +57,7 @@ impl Default for ProbeTally {
             index_probes: 0,
             tuples_scanned: 0,
             index_builds: 0,
-            posting_lens: None,
-            traced: wdpt_obs::tracing_enabled(),
+            posting_lens: wdpt_obs::tracing_enabled().then(Box::default),
         }
     }
 }
@@ -82,8 +80,8 @@ impl ProbeTally {
     /// the distribution.
     #[inline]
     pub(crate) fn record_posting_len(&mut self, len: usize) {
-        if self.traced {
-            (self.posting_lens.get_or_insert_with(Box::default)).record(len as u64);
+        if let Some(lens) = &mut self.posting_lens {
+            lens.record(len as u64);
         }
     }
 
@@ -148,13 +146,13 @@ mod tests {
     fn tallies_add_counts_and_posting_lengths() {
         let mut a = ProbeTally {
             nodes_expanded: 1,
-            traced: true,
+            posting_lens: Some(Box::default()),
             ..ProbeTally::default()
         };
         a.record_posting_len(3);
         let mut b = ProbeTally {
             index_builds: 2,
-            traced: true,
+            posting_lens: Some(Box::default()),
             ..ProbeTally::default()
         };
         b.record_posting_len(3);

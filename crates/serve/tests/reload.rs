@@ -6,10 +6,11 @@
 //! reloaded the same files, the statistics equal a build of the served
 //! database, and a changed base file is never masked by the kept one.
 //!
-//! Every reload, server start and catalog build here runs inside
-//! `delta_scope`, so the install counters a reload reads are its own even
-//! with the tests of this binary running in parallel. The index builds a
-//! query made are read from its own tally.
+//! Every reload, server start, catalog build, plan and query here runs
+//! inside `delta_scope`, so the counters a reload reads are its own even
+//! with the tests of this binary running in parallel: no other test's index
+//! builds land in a reload's window. The index builds a query made are read
+//! from its own tally.
 
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter, Write};
@@ -163,12 +164,14 @@ fn start(base: &Path) -> Arc<ServeState> {
 }
 
 /// What one reload did: the chain's hashes, how many snapshots were folded
-/// in full, and how many columns were counted in full for the statistics.
+/// in full, how many columns were counted in full for the statistics, and
+/// how many indexes it built.
 #[derive(Debug)]
 struct Reloaded {
     chain: Vec<u64>,
     folds: u64,
     counted: u64,
+    builds: u64,
 }
 
 /// One reload of [`DB`] through its two stages, or the error.
@@ -191,10 +194,12 @@ fn reload_into(
     let folds = work.counter("serve.store.snapshot_adopted")
         + work.counter("serve.store.snapshot_remapped");
     let counted = work.counter("plan.stats.columns_counted");
+    let builds = work.counter("db.index_builds");
     out.map(|chain| Reloaded {
         chain,
         folds,
         counted,
+        builds,
     })
 }
 
@@ -259,10 +264,11 @@ fn served_as(state: &ServeState, db_name: &str) -> Served {
 /// The answers of [`BY_OBJECT`] on what `state` serves as [`DB`], by name
 /// and sorted, and the index builds evaluating it took (planning aside).
 fn by_object(state: &ServeState) -> (Vec<Vec<String>>, u64) {
-    let (plan, _) = state.plan_for(BY_OBJECT).unwrap();
+    let (plan, _) = delta_scope(|| state.plan_for(BY_OBJECT).unwrap()).0;
     let db = state.db(DB).unwrap();
     let never = wdpt_model::CancelToken::never();
-    let (answers, tally) = wdpt_core::evaluate_rows(&plan.wdpt, &db, 1, never, None, usize::MAX);
+    let (answers, tally) =
+        delta_scope(|| wdpt_core::evaluate_rows(&plan.wdpt, &db, 1, never, None, usize::MAX)).0;
     let answers = answers.unwrap().into_mappings();
     let mut named: Vec<Vec<String>> = state.with_interner(|i| {
         let name = |m: &wdpt_model::Mapping| -> Vec<String> {
@@ -301,7 +307,7 @@ fn every_reload_serves_what_a_fresh_server_reloading_the_same_files_serves() {
     ];
 
     let state = start(&f.base);
-    let plan = |state: &ServeState| state.plan_for(Q).unwrap().1;
+    let plan = |state: &ServeState| delta_scope(|| state.plan_for(Q).unwrap().1).0;
     assert_eq!(plan(&state), "miss");
     let mut settled = None;
     for pass in 0..2 {
@@ -347,7 +353,7 @@ fn every_reload_serves_what_a_fresh_server_reloading_the_same_files_serves() {
 /// A delta lands in the served relation's pending run and the relation
 /// keeps sharing the kept base's run, so the object column's permutation,
 /// built by the first query that needs it, serves every later reload of
-/// that base: no later query builds an index.
+/// that base: no reload and no later query builds an index.
 #[test]
 fn permutations_survive_a_reload_of_the_kept_base() {
     let f = files("perms");
@@ -367,6 +373,7 @@ fn permutations_survive_a_reload_of_the_kept_base() {
     for deltas in chains {
         let reloaded = reload(&state, &f.base, &deltas).unwrap();
         assert_eq!(reloaded.folds, 0, "{deltas:?}: the kept base was redone");
+        assert_eq!(reloaded.builds, 0, "{deltas:?}: the reload built an index");
         let (answers, builds) = by_object(&state);
         assert_eq!(builds, 0, "{deltas:?}: a permutation was rebuilt");
         assert_eq!(answers, fresh(&deltas), "{deltas:?}");
@@ -557,12 +564,13 @@ fn a_cached_plans_ids_never_reach_evaluation() {
         BufWriter::new(stream),
     );
 
-    let mut ask = |query: &str| ask(&mut c, query);
+    // Each request is answered inside the scope it is sent from.
+    let mut ask = |query: &str| delta_scope(|| ask(&mut c, query)).0;
     let nope = r#"(?s, ?p, "nope")"#;
     let local = state.interner_len() as u32;
     assert_eq!(outcome(&ask(nope).0), ("ok", 0, "miss"));
     assert_eq!(outcome(&ask(nope).0), ("ok", 0, "hit"));
-    let (plan, _) = state.plan_for(nope).unwrap();
+    let (plan, _) = delta_scope(|| state.plan_for(nope).unwrap()).0;
     assert_eq!(plan.wdpt.atoms(0)[0].args[2], Term::Const(Const(local)));
 
     reload(&state, &base, &[&d]).unwrap();
@@ -753,6 +761,7 @@ fn a_follower_serves_what_a_fresh_server_reloading_the_same_files_serves() {
     let (out, work) = delta_scope(|| apply.apply_delta(h(&d2), h(&d1), &d2));
     out.unwrap();
     assert_eq!(work.counter("plan.stats.columns_counted"), 0, "d2");
+    assert_eq!(work.counter("db.index_builds"), 0, "d2");
     assert_eq!(
         same_as_fresh(&[&f.d1, &f.d2]),
         0,
