@@ -20,7 +20,7 @@
 //!   straight into a live interner's ([`ChainSymbols`]).
 //! * [`loader`] — the one text loader: it streams text through scoped
 //!   parser threads (std-only) with **two-pass parallel interning**:
-//!   workers intern into per-worker local dictionaries, the union merges
+//!   workers intern into an `Interner` each, the union merges
 //!   into the global interner in canonical `(namespace, name)` order, and
 //!   a second parallel pass remaps tuples to global ids.
 //! * [`replog`] — the primary's append-only **replication log** over a

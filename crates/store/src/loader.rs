@@ -4,14 +4,16 @@
 //!
 //! ```text
 //! reader thread ──chunks──▶ N parse workers ──coded chunks──▶ main thread
-//!   (BufRead,               (string-level parse +             (collects)
-//!    line-bounded            per-worker LOCAL dictionary,
-//!    chunking)               tuples coded as local u32 ids)
+//!   (BufRead,               (string-level parse, names           (collects)
+//!    line-bounded            interned into the worker's own
+//!    chunking)               `Interner`, facts coded as runs
+//!                            of its u32 ids)
 //!
-//! then: canonical merge — the union of the local dictionaries is folded
+//! then: canonical merge — the union of the workers' symbols is folded
 //!       into the global interner in (namespace, name) order
 //!       (`Interner::extend_canonical`), so global ids depend only on the
-//!       symbol set, never on worker count or scheduling
+//!       symbol set, never on worker count or scheduling; each worker's
+//!       interner becomes a local→global table and is dropped
 //! then: parallel remap — each coded chunk is rewritten local→global ids
 //!       and grouped by predicate across M threads
 //! then: per-relation sort + dedup of the flat rows across M threads
@@ -20,9 +22,9 @@
 //! ```
 //!
 //! Parsing and interning are both the expensive steps at catalog scale
-//! (escape decoding, tokenizing, one hash insert per symbol *occurrence*),
-//! and both fan out here: a worker's local dictionary absorbs the per-cell
-//! hash traffic (each distinct symbol is hashed once per worker), and the
+//! (escape decoding, tokenizing, one hash probe per symbol *occurrence*),
+//! and both fan out here: a worker's interner absorbs the per-cell hash
+//! traffic (each distinct symbol is stored once per worker), and the
 //! serial section shrinks to merging the per-worker *distinct* symbol sets.
 //!
 //! Determinism: snapshot bytes are a pure function of `(Interner,
@@ -39,22 +41,28 @@
 //! [`wdpt_model::parse::parse_ground_atoms`] (atoms may span lines — chunks
 //! cut only where all parentheses outside quoted constants are balanced,
 //! tracked escape-aware so `\"` inside a quoted constant cannot fake a
-//! boundary). Errors carry 1-based line numbers as [`StoreError::Parse`].
+//! boundary). Errors carry 1-based line numbers as [`StoreError::Parse`];
+//! an arity conflict names the line of the fact that breaks it.
 //!
-//! Input is streamed line by line (bounded `read_until`, no slurping) and
-//! the buffered coded form is flat `u32`s — 4 bytes per tuple cell plus two
-//! per fact — so peak memory stays proportional to the *output* database,
-//! not to the input text.
+//! Memory. Input is streamed line by line (bounded `read_until`, no
+//! slurping). A worker's interner holds each name once, and a coded chunk
+//! is runs `[pred, argc, n, args × n]` in an exact-size allocation, about
+//! 3 `u32`s per triple. The peak is set by the canonical merge, where the
+//! coded chunks, the worker interners, the global interner and the merge's
+//! sort buffer are live together; the worker interners are dropped before
+//! the remap. Measured with a counting allocator on 400k skewed triples
+//! (`gen-synth --skew 3`) at 2 threads, the peak is 2.5× the result: 27.7
+//! MiB for an 11.1 MiB database and interner (1.75× at 1 thread).
 
 use crate::format::StoreError;
 use std::collections::HashMap;
 use std::io::BufRead;
 use std::path::Path;
 use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Mutex};
-use wdpt_model::{row_id, Const, Database, Interner, Pred, Relation, SymbolSpace};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use wdpt_model::{row_id, Const, Database, Interner, Pred, Relation};
 use wdpt_obs::{counter, span};
-use wdpt_sparql::parse_nt_line;
+use wdpt_sparql::{parse_nt_line, TRIPLE_PRED};
 
 /// Tuning knobs for [`bulk_load`].
 #[derive(Debug, Clone, Copy)]
@@ -127,117 +135,116 @@ fn parse_err(line: usize, message: impl Into<String>) -> StoreError {
     }
 }
 
-/// One worker's local dictionary: distinct predicate and constant names in
-/// first-seen order, each mapped to a dense *local* `u32` id. Local ids are
-/// meaningless across workers; the canonical-merge phase translates them to
-/// global interner ids. Predicates also carry the arity of their first use
-/// so inconsistent arities fail fast at parse time.
-#[derive(Default)]
-struct LocalDict {
-    preds: Vec<String>,
-    pred_ids: HashMap<String, u32>,
-    pred_arity: Vec<u32>,
-    consts: Vec<String>,
-    const_ids: HashMap<String, u32>,
+fn arity_err(line: usize, pred: &str, first: u32, then: u32) -> StoreError {
+    let message = format!("predicate {pred} used with arities {first} and {then}");
+    parse_err(line, message)
 }
 
-impl LocalDict {
-    fn intern(names: &mut Vec<String>, ids: &mut HashMap<String, u32>, name: String) -> u32 {
-        use std::collections::hash_map::Entry;
-        match ids.entry(name) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let id = u32::try_from(names.len()).expect("local dictionary overflow");
-                names.push(e.key().clone());
-                e.insert(id);
-                id
-            }
-        }
-    }
-
-    fn pred(&mut self, name: String, arity: u32) -> Result<u32, String> {
-        let id = Self::intern(&mut self.preds, &mut self.pred_ids, name);
-        if id as usize == self.pred_arity.len() {
-            self.pred_arity.push(arity);
-        } else if self.pred_arity[id as usize] != arity {
-            return Err(format!(
-                "predicate {} used with arities {} and {}",
-                self.preds[id as usize], self.pred_arity[id as usize], arity
-            ));
-        }
-        Ok(id)
-    }
-
-    fn constant(&mut self, name: String) -> u32 {
-        Self::intern(&mut self.consts, &mut self.const_ids, name)
-    }
+/// Locks a loader mutex. Each critical section is a channel `recv`, an
+/// iterator `next` or a store into a `Vec` or `Option`, none of which
+/// unwinds (allocation failure aborts), so no lock is ever poisoned — and
+/// a poisoned one would still guard a whole value.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A chunk's facts coded against one worker's local dictionary, flattened
-/// as `[pred, argc, args...]` per fact: 4 bytes per cell plus 8 per fact,
-/// in one allocation per chunk — an order of magnitude smaller than the
-/// parsed-string form it replaces in the buffered stage.
+/// A chunk's facts coded against one worker's [`Interner`] as runs
+/// `[pred, argc, n, args × n]` of consecutive facts sharing predicate and
+/// arity, in one exact-size allocation. An N-Triples chunk is one run,
+/// about 3 `u32`s per triple.
 struct CodedChunk {
     worker: usize,
-    code: Vec<u32>,
+    code: Box<[u32]>,
     facts: u64,
 }
 
-/// Pass 1 per worker: parse a chunk at the string level, then code every
-/// fact against the worker's local dictionary.
-fn code_chunk(
-    chunk: &Chunk,
-    worker: usize,
-    dict: &mut LocalDict,
-) -> Result<CodedChunk, StoreError> {
-    let mut code = Vec::new();
-    let mut facts = 0u64;
-    match chunk.format {
-        Format::Nt => {
-            for (off, line) in chunk.text.lines().enumerate() {
-                match parse_nt_line(line) {
-                    Ok(None) => {}
-                    Ok(Some((s, p, o))) => {
-                        let pred = dict
-                            .pred(wdpt_sparql::TRIPLE_PRED.to_owned(), 3)
-                            .map_err(|m| parse_err(chunk.start_line + off, m))?;
-                        code.push(pred);
-                        code.push(3);
-                        code.push(dict.constant(s));
-                        code.push(dict.constant(p));
-                        code.push(dict.constant(o));
-                        facts += 1;
-                    }
-                    Err(e) => return Err(parse_err(chunk.start_line + off, e)),
+/// What a parse worker keeps across its chunks: its own interner, whose
+/// ids are the local ids; the arity and 1-based line of each predicate's
+/// first use, by local id (chunks reach a worker in input order, so this
+/// is its earliest use); and the buffer chunks are coded in.
+#[derive(Default)]
+struct Worker {
+    names: Interner,
+    first_use: HashMap<u32, (u32, usize)>,
+    code: Vec<u32>,
+}
+
+impl Worker {
+    /// Codes a fact's head: one more fact in the run whose header sits at
+    /// `run` if predicate and arity match it, else a new run `[pred, argc,
+    /// 1]`, whose arity must agree with the predicate's first use.
+    fn head(
+        &mut self,
+        run: &mut usize,
+        name: &str,
+        argc: u32,
+        line: usize,
+    ) -> Result<(), StoreError> {
+        let pred = self.names.pred(name).0;
+        match self.code.get(*run..*run + 3) {
+            Some(&[p, a, n]) if p == pred && a == argc && n < u32::MAX => self.code[*run + 2] += 1,
+            _ => {
+                let (first, _) = *self.first_use.entry(pred).or_insert((argc, line));
+                if first != argc {
+                    return Err(arity_err(line, name, first, argc));
                 }
+                *run = self.code.len();
+                self.code.extend([pred, argc, 1]);
             }
         }
-        Format::Facts => match wdpt_model::parse::parse_ground_atoms(&chunk.text) {
-            Ok(atoms) => {
-                for (p, args) in atoms {
-                    let arity = u32::try_from(args.len()).expect("arity fits u32");
-                    let pred = dict
-                        .pred(p.to_owned(), arity)
-                        .map_err(|m| parse_err(chunk.start_line, m))?;
-                    code.push(pred);
-                    code.push(arity);
-                    for a in args {
-                        code.push(dict.constant(a.into_owned()));
-                    }
+        Ok(())
+    }
+
+    /// Pass 1: parses a chunk at the string level and codes its facts as
+    /// runs against this worker's interner.
+    fn code_chunk(&mut self, chunk: &Chunk, worker: usize) -> Result<CodedChunk, StoreError> {
+        self.code.clear();
+        let mut run = 0;
+        let mut facts = 0u64;
+        match chunk.format {
+            Format::Nt => {
+                for (off, text) in chunk.text.lines().enumerate() {
+                    let line = chunk.start_line + off;
+                    let Some(spo) = parse_nt_line(text).map_err(|e| parse_err(line, e))? else {
+                        continue;
+                    };
+                    self.head(&mut run, TRIPLE_PRED, 3, line)?;
+                    let spo = [&spo.0, &spo.1, &spo.2].map(|c| self.names.constant(c).0);
+                    self.code.extend(spo);
                     facts += 1;
                 }
             }
-            Err(e) => {
-                let line = chunk.start_line + chunk.text[..e.at].matches('\n').count();
-                return Err(parse_err(line, e.message));
+            Format::Facts => {
+                // Offsets arrive in increasing order: lines are counted in
+                // one scan of the text.
+                let mut seen = (0, chunk.start_line);
+                let mut line_at = |off: usize| {
+                    seen.1 += chunk.text[seen.0..off].matches('\n').count();
+                    seen.0 = off;
+                    seen.1
+                };
+                let atoms = wdpt_model::parse::parse_ground_atoms(&chunk.text)
+                    .map_err(|e| parse_err(line_at(e.at), e.message))?;
+                for (p, args) in atoms {
+                    // A predicate name is a slice of the chunk text.
+                    let line = line_at(p.as_ptr() as usize - chunk.text.as_ptr() as usize);
+                    let argc = u32::try_from(args.len()).map_err(|_| StoreError::TooLarge {
+                        what: format!("arguments of the fact on line {line}"),
+                        value: args.len() as u64,
+                    })?;
+                    self.head(&mut run, p, argc, line)?;
+                    self.code
+                        .extend(args.iter().map(|a| self.names.constant(a).0));
+                    facts += 1;
+                }
             }
-        },
+        }
+        Ok(CodedChunk {
+            worker,
+            code: self.code.as_slice().into(),
+            facts,
+        })
     }
-    Ok(CodedChunk {
-        worker,
-        code,
-        facts,
-    })
 }
 
 fn looks_like_facts(data_line: &str) -> bool {
@@ -326,6 +333,11 @@ impl<'a> Chunker<'a> {
         let skippable = t.is_empty() || t.starts_with('#');
         let at_boundary = self.format == Format::Nt || self.balance.balanced();
         if skippable && at_boundary {
+            // A blank inside a chunk stays a blank, so that offsets into
+            // the chunk still count input lines.
+            if !self.chunk.is_empty() {
+                self.chunk.push('\n');
+            }
             return;
         }
         if self.chunk.is_empty() {
@@ -410,9 +422,9 @@ fn read_chunks<R: BufRead>(
 }
 
 /// Bulk-loads a text dataset from a reader: parallel parse into per-worker
-/// local dictionaries, deterministic canonical merge into `interner`,
-/// parallel remap, then parallel sort/dedup. See the module docs for the
-/// pipeline and the determinism argument.
+/// interners, deterministic canonical merge into `interner`, parallel
+/// remap, then parallel sort/dedup. See the module docs for the pipeline
+/// and the determinism argument.
 pub fn bulk_load<R: BufRead + Send>(
     interner: &mut Interner,
     r: &mut R,
@@ -431,10 +443,9 @@ pub fn bulk_load<R: BufRead + Send>(
     let mut chunks: Vec<CodedChunk> = Vec::new();
     let mut parsed_count = 0u64;
     let mut first_error: Option<StoreError> = None;
-    let mut dicts: Vec<LocalDict> = Vec::new();
 
     // Pass 1: parallel parse + local coding.
-    std::thread::scope(|scope| {
+    let workers: Vec<Worker> = std::thread::scope(|scope| {
         {
             // Move the sender and mutable captures into the reader thread so
             // the channel hangs up when it finishes (or when every worker
@@ -453,19 +464,18 @@ pub fn bulk_load<R: BufRead + Send>(
             let chunk_rx = Arc::clone(&chunk_rx);
             let coded_tx = coded_tx.clone();
             handles.push(scope.spawn(move || {
-                let mut dict = LocalDict::default();
+                let mut state = Worker::default();
                 loop {
-                    let chunk = match chunk_rx.lock().expect("loader mutex poisoned").recv() {
-                        Ok(c) => c,
-                        Err(_) => break,
+                    let Ok(chunk) = lock(&chunk_rx).recv() else {
+                        break;
                     };
-                    let result = code_chunk(&chunk, worker, &mut dict);
+                    let result = state.code_chunk(&chunk, worker);
                     let failed = result.is_err();
                     if coded_tx.send(result).is_err() || failed {
                         break;
                     }
                 }
-                dict
+                state
             }));
         }
         // Drop the main thread's handles: the workers' receiver clones and
@@ -475,8 +485,7 @@ pub fn bulk_load<R: BufRead + Send>(
 
         // Collect coded chunks in arrival order — order does not matter,
         // because determinism comes from the canonical merge below, not
-        // from consumption order (the seed's serial reorder buffer and its
-        // chunk-order interning are gone entirely).
+        // from consumption order.
         for result in coded_rx.iter() {
             match result {
                 Ok(c) => {
@@ -501,10 +510,12 @@ pub fn bulk_load<R: BufRead + Send>(
                 }
             }
         }
-        dicts = handles
+        // A worker panics only on a bug or when its interner runs out of
+        // `u32` ids; the caller gets that panic as it was raised.
+        handles
             .into_iter()
-            .map(|h| h.join().expect("parse worker panicked"))
-            .collect();
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
 
     reader_result?;
@@ -512,50 +523,44 @@ pub fn bulk_load<R: BufRead + Send>(
         return Err(e);
     }
 
-    // Canonical merge: fold the union of the local dictionaries into the
+    // Canonical merge: fold the union of the workers' symbols into the
     // global interner in (namespace, name) order. Ids depend only on the
     // symbol *set* plus the interner's prior contents — not on thread
     // count, chunking, or scheduling — which is what keeps snapshot bytes
     // identical across `--threads` settings.
-    let appended = interner.extend_canonical(dicts.iter().flat_map(|d| {
-        d.preds
-            .iter()
-            .map(|n| (SymbolSpace::Pred, n.as_str()))
-            .chain(d.consts.iter().map(|n| (SymbolSpace::Const, n.as_str())))
-    }));
+    let appended = interner.extend_canonical(workers.iter().flat_map(|w| w.names.symbols()));
     counter!("store.intern.appended").add(appended as u64);
 
-    // Per-worker translation tables (local id → global typed id), plus the
-    // cross-worker arity consistency check the per-worker parse cannot see.
-    let pred_maps: Vec<Vec<Pred>> = dicts
+    // Per-worker translation tables, local id → global id. The lookup
+    // cannot miss: `extend_canonical` has just interned every worker symbol.
+    let maps: Vec<Vec<u32>> = workers
         .iter()
-        .map(|d| d.preds.iter().map(|n| interner.pred(n)).collect())
+        .map(|w| {
+            let global = |(space, name)| interner.lookup_id(space, name).expect("merged above");
+            w.names.symbols().map(global).collect()
+        })
         .collect();
-    let const_maps: Vec<Vec<Const>> = dicts
+    // The arity check the workers cannot make: a predicate's first uses in
+    // different workers, in line order, so a conflict is reported at the
+    // later of the two.
+    let mut uses: Vec<(usize, u32, u32)> = workers
         .iter()
-        .map(|d| d.consts.iter().map(|n| interner.constant(n)).collect())
+        .zip(&maps)
+        .flat_map(|(w, map)| {
+            w.first_use
+                .iter()
+                .map(|(&local, &(arity, line))| (line, map[local as usize], arity))
+        })
         .collect();
-    let mut arity_of: HashMap<Pred, u32> = HashMap::new();
-    for (w, d) in dicts.iter().enumerate() {
-        for (local, name) in d.preds.iter().enumerate() {
-            let pred = pred_maps[w][local];
-            let arity = d.pred_arity[local];
-            match arity_of.insert(pred, arity) {
-                Some(prev) if prev != arity => {
-                    return Err(parse_err(
-                        0,
-                        format!(
-                            "predicate {name} used with arities {} and {}",
-                            prev.min(arity),
-                            prev.max(arity)
-                        ),
-                    ));
-                }
-                _ => {}
-            }
+    drop(workers);
+    uses.sort_unstable();
+    let mut arity_of: HashMap<u32, u32> = HashMap::new();
+    for (line, pred, arity) in uses {
+        let first = *arity_of.entry(pred).or_insert(arity);
+        if first != arity {
+            return Err(arity_err(line, interner.name(pred), first, arity));
         }
     }
-    drop(arity_of);
 
     // Pass 2: parallel remap local→global ids, grouping tuples by
     // predicate. Each thread accumulates its own groups; the groups merge
@@ -568,30 +573,27 @@ pub fn bulk_load<R: BufRead + Send>(
             scope.spawn(|| {
                 let mut local: PredTuples = HashMap::new();
                 loop {
-                    let next = queue.lock().expect("loader mutex poisoned").next();
-                    let Some(chunk) = next else { break };
-                    let preds = &pred_maps[chunk.worker];
-                    let consts = &const_maps[chunk.worker];
-                    let mut at = 0usize;
-                    while at < chunk.code.len() {
-                        let pred = preds[chunk.code[at] as usize];
-                        let argc = chunk.code[at + 1] as usize;
-                        let args = &chunk.code[at + 2..at + 2 + argc];
-                        at += 2 + argc;
+                    let Some(chunk) = lock(&queue).next() else {
+                        break;
+                    };
+                    let map = &maps[chunk.worker];
+                    let mut rest = &chunk.code[..];
+                    while let [pred, argc, n, tail @ ..] = rest {
+                        let (argc, cells) = (*argc as usize, *argc as usize * *n as usize);
                         local
-                            .entry(pred)
+                            .entry(Pred(map[*pred as usize]))
                             .or_insert_with(|| (argc, Vec::new()))
                             .1
-                            .extend(args.iter().map(|&a| consts[a as usize]));
+                            .extend(tail[..cells].iter().map(|&c| Const(map[c as usize])));
+                        rest = &tail[cells..];
                     }
                 }
-                grouped.lock().expect("loader mutex poisoned").push(local);
+                lock(&grouped).push(local);
             });
         }
     });
-    drop(dicts);
     let mut tuples_by_pred: PredTuples = HashMap::new();
-    for local in grouped.into_inner().expect("loader mutex poisoned") {
+    for local in grouped.into_inner().unwrap_or_else(PoisonError::into_inner) {
         for (pred, (arity, mut tuples)) in local {
             tuples_by_pred
                 .entry(pred)
@@ -612,9 +614,7 @@ pub fn bulk_load<R: BufRead + Send>(
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
-                let Some((pred, arity, cells)) =
-                    queue.lock().expect("loader mutex poisoned").next()
-                else {
+                let Some((pred, arity, cells)) = lock(&queue).next() else {
                     return;
                 };
                 // Nullary facts leave no cells to count; any number of them
@@ -624,21 +624,21 @@ pub fn bulk_load<R: BufRead + Send>(
                 // reject a >4Gi-row relation with a typed error instead of
                 // letting a later sort wrap and alias rows.
                 if let Err(e) = row_id(rows) {
-                    *sort_err.lock().expect("loader mutex poisoned") = Some(e.into());
+                    *lock(&sort_err) = Some(e.into());
                     return;
                 }
                 let rel = Relation::from_rows(arity, rows, cells);
-                built
-                    .lock()
-                    .expect("loader mutex poisoned")
-                    .push((pred, rel));
+                lock(&built).push((pred, rel));
             });
         }
     });
-    if let Some(e) = sort_err.into_inner().expect("loader mutex poisoned") {
+    if let Some(e) = sort_err
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
         return Err(e);
     }
-    let relations = built.into_inner().expect("loader mutex poisoned");
+    let relations = built.into_inner().unwrap_or_else(PoisonError::into_inner);
 
     let db = Database::from_sorted(relations);
     let tuples = db.size() as u64;
@@ -673,6 +673,7 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
     use std::io::Cursor;
+    use wdpt_model::SymbolSpace;
 
     fn load(text: &str, opts: LoadOptions) -> Result<(Interner, Database, LoadReport), StoreError> {
         let mut i = Interner::new();
@@ -950,13 +951,32 @@ Swim NME_rating "2"^^<http://www.w3.org/2001/XMLSchema#integer> .
 
     #[test]
     fn rejects_inconsistent_arity() {
-        let text = "edge(a, b)\nedge(a, b, c)\n";
-        let err = load(text, tiny_chunks()).unwrap_err();
-        assert!(matches!(err, StoreError::Parse { .. }), "{err:?}");
-        // Same outcome when the conflicting uses land on different workers.
-        let text = "edge(a, b)\n\n\n\n\n\n\n\nedge(a, b, c)\n";
-        let err = load(text, tiny_chunks()).unwrap_err();
-        assert!(matches!(err, StoreError::Parse { .. }), "{err:?}");
+        // One chunk at the default chunking: the conflict is named at its
+        // own line, not at the chunk's first.
+        let text = format!("{}edge(a, b, c)\n", "edge(a, b)\n".repeat(10));
+        let err = load(&text, LoadOptions::default()).unwrap_err();
+        match err {
+            StoreError::Parse { line, message } => {
+                assert_eq!(line, 11, "{message}");
+                assert!(message.contains("arities 2 and 3"), "{message}");
+            }
+            other => panic!("expected Parse, got {other:?}"),
+        }
+        // Blank lines inside the chunk still count.
+        let (line, message) = parse_error(b"edge(a, b)\n\n\n\n\n\n\n\nedge(a, b, c)\n");
+        assert_eq!(line, 9, "{message}");
+        // The conflicting uses in different chunks, so on one worker or on
+        // two: either way the later use is reported.
+        for threads in [1, 3] {
+            let opts = LoadOptions {
+                threads,
+                chunk_lines: 1,
+            };
+            match load("edge(a, b)\nnode(a)\n\nedge(c, d, e)\n", opts).unwrap_err() {
+                StoreError::Parse { line, .. } => assert_eq!(line, 4),
+                other => panic!("expected Parse, got {other:?}"),
+            }
+        }
     }
 
     #[test]
