@@ -9,9 +9,9 @@
 //! instantiated by **all** `2ⁿ` tuples over `{α₀, α₁}` in `p₂` — the
 //! exponential blow-up.
 //!
-//! These constructors are consumed by the `figure2` experiment binary and
-//! by integration tests that verify `p₂ ⊑ p₁`, `p₂ ∈ g-TW(k)`, and the
-//! measured `Ω(2ⁿ)` vs `O(n²)` size gap.
+//! The tests below are the experiment: they pin the `O(n²)` vs `Ω(2ⁿ)`
+//! atom counts up to `n = 12` and verify all four premises of the theorem —
+//! `p₂ ⊑ p₁`, `p₁ ⋢ p₂`, `p₂ ∈ g-TW(k)`, `p₁ ∉ g-TW(k)` — for `n = 1..4`.
 
 use wdpt_core::{Wdpt, WdptBuilder};
 use wdpt_model::{Atom, Interner, Term, Var};
@@ -166,42 +166,52 @@ mod tests {
     #[test]
     fn sizes_grow_as_claimed() {
         let mut i = Interner::new();
-        for n in 1..=6 {
-            let k = 2;
+        let pinned = [(1, 25, 19), (4, 70, 45), (8, 158, 301), (12, 278, 4157)];
+        let k = 2;
+        for n in 1..=12 {
             let p1 = figure2_p1(&mut i, n, k);
             let p2 = figure2_p2(&mut i, n, k);
             // |p1| = O(n²), |p2| ≥ 2^n.
             assert!(atom_count(&p1) <= 4 * (n + k + 2) * (n + k + 2));
             assert!(atom_count(&p2) >= 1 << n);
+            if let Some(&(_, a1, a2)) = pinned.iter().find(|pin| pin.0 == n) {
+                assert_eq!((atom_count(&p1), atom_count(&p2)), (a1, a2), "n = {n}");
+            }
         }
     }
 
     #[test]
     fn p2_is_subsumed_by_p1() {
-        let mut i = Interner::new();
-        let (n, k) = (3, 2);
-        let p1 = figure2_p1(&mut i, n, k);
-        let p2 = figure2_p2(&mut i, n, k);
-        assert!(subsumed(&p2, &p1, Engine::Backtrack, &mut i));
+        let k = 2;
+        for n in 1..=4 {
+            let mut i = Interner::new();
+            let p1 = figure2_p1(&mut i, n, k);
+            let p2 = figure2_p2(&mut i, n, k);
+            assert!(subsumed(&p2, &p1, Engine::Backtrack, &mut i), "n = {n}");
+        }
     }
 
     #[test]
     fn p1_is_not_subsumed_by_p2() {
-        let mut i = Interner::new();
-        let (n, k) = (3, 2);
-        let p1 = figure2_p1(&mut i, n, k);
-        let p2 = figure2_p2(&mut i, n, k);
-        assert!(!subsumed(&p1, &p2, Engine::Backtrack, &mut i));
+        let k = 2;
+        for n in 1..=4 {
+            let mut i = Interner::new();
+            let p1 = figure2_p1(&mut i, n, k);
+            let p2 = figure2_p2(&mut i, n, k);
+            assert!(!subsumed(&p1, &p2, Engine::Backtrack, &mut i), "n = {n}");
+        }
     }
 
     #[test]
     fn p2_is_globally_tractable_p1_is_not() {
-        let mut i = Interner::new();
-        let (n, k) = (3, 2);
-        let p1 = figure2_p1(&mut i, n, k);
-        let p2 = figure2_p2(&mut i, n, k);
-        assert!(is_globally_in(&p2, WidthKind::Tw, k));
-        assert!(!is_globally_in(&p1, WidthKind::Tw, k));
+        let k = 2;
+        for n in 1..=4 {
+            let mut i = Interner::new();
+            let p1 = figure2_p1(&mut i, n, k);
+            let p2 = figure2_p2(&mut i, n, k);
+            assert!(is_globally_in(&p2, WidthKind::Tw, k), "n = {n}");
+            assert!(!is_globally_in(&p1, WidthKind::Tw, k), "n = {n}");
+        }
     }
 
     #[test]

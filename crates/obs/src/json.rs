@@ -1,12 +1,14 @@
 //! A minimal in-tree JSON value: writer for profile / benchmark output and
-//! a recursive-descent parser for the `json_check` smoke-test binary and
-//! the `wdpt-serve` wire protocol. No external dependencies; covers exactly
-//! the JSON this workspace emits (objects, arrays, strings, finite numbers,
-//! booleans, null).
+//! a recursive-descent parser for the `wdpt-serve` wire protocol and the
+//! replication frames a follower reads from its peer. No external
+//! dependencies; covers exactly the JSON this workspace emits (objects,
+//! arrays, strings, finite numbers, booleans, null). The parser's input
+//! comes from the network, so its recursion is bounded: nesting deeper than
+//! `MAX_DEPTH` is an error, never a stack overflow.
 //!
 //! [`write_json_line`] / [`read_json_line`] are the one line = one document
-//! framing shared by every JSON surface in the workspace: the `--json` mode
-//! of the bench binaries, `json_check`, and the query-service protocol.
+//! framing shared by every JSON surface in the workspace: the query-service
+//! protocol, the replication stream, and the benchmark's `--json` report.
 //!
 //! There is one definition of how a string is written — which bytes are
 //! escaped and how, everything else copied through in runs — used by
@@ -90,7 +92,11 @@ impl Json {
     /// Parses one JSON document, requiring it to span the whole input.
     pub fn parse(input: &str) -> Result<Json, String> {
         let bytes = input.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -219,9 +225,18 @@ pub fn read_json_line<R: BufRead>(r: &mut R) -> io::Result<Option<Json>> {
     }
 }
 
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level, and its input comes from peers and clients: a line of nested
+/// `[` far shorter than any line limit would otherwise overflow the
+/// reading thread's stack and abort the process. The workspace's own
+/// documents nest a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -259,8 +274,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nested deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -530,5 +559,18 @@ mod tests {
         assert!(Json::parse("{\"a\":1} extra").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("nul").is_err());
+        // Nesting past the bound is an error, not a stack overflow.
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+        // On a thread with the default stack, as a connection's reader has.
+        let deep = std::thread::spawn(move || Json::parse(&nested(100_000)).is_err());
+        assert!(deep.join().expect("the parse returns"));
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
     }
 }

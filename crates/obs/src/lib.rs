@@ -24,8 +24,7 @@
 //!   WDPT/CQ evaluation results: per-tree-node homomorphism counts, work
 //!   counters, and — when a [`ProfileRecorder`] bracketed the run, which is
 //!   exact only while nothing else runs in the process — time per phase and
-//!   histograms. Renderable as an indented plain-text `EXPLAIN ANALYZE` and
-//!   serializable to JSON via the in-tree [`json`] writer.
+//!   histograms. Serializable to JSON via the in-tree [`json`] writer.
 //!
 //! Two serving-oriented pieces sit on top: [`expo`] renders a metrics
 //! snapshot as Prometheus-style text exposition or JSON (with derived

@@ -3,18 +3,17 @@
 //! A [`QueryProfile`] is the observability artifact attached to a WDPT/CQ
 //! evaluation result: time per phase (from span deltas), event counters and
 //! histograms (from metrics deltas) and per-tree-node homomorphism tallies.
-//! It renders as an indented plain-text `EXPLAIN ANALYZE`
-//! ([`QueryProfile::render`]) and serializes to JSON
-//! ([`QueryProfile::to_json`]).
+//! It serializes to JSON ([`QueryProfile::to_json`]), the form the server's
+//! `profile: true` responses carry.
 //!
 //! The [`ProfileRecorder`] brackets a query: `start` snapshots the span and
 //! metric registries and opens a tracing scope; `finish` closes the scope
 //! and diffs the snapshots. Because the underlying aggregates are
 //! process-wide, deltas are exact only when nothing else runs concurrently —
-//! fine for the CLI binaries, benches and the one request that asks for a
-//! profile this is built for. An evaluation's *own* counts need no recorder:
-//! the executor hands them back (`wdpt_core::EvalTally`), and a profile
-//! holding only those is built without one.
+//! fine for the one request that asks for a profile this is built for. An
+//! evaluation's *own* counts need no recorder: the executor hands them back
+//! (`wdpt_core::EvalTally`), and a profile holding only those is built
+//! without one.
 
 use crate::json::Json;
 use crate::metrics::{metrics_snapshot, HistogramSnapshot, MetricsSnapshot};
@@ -40,7 +39,7 @@ pub struct NodeEntry {
     pub id: usize,
     /// Parent's preorder id; `None` for the root.
     pub parent: Option<usize>,
-    /// Depth below the root (root = 0). Drives render indentation.
+    /// Depth below the root (root = 0).
     pub depth: usize,
     /// Short description of the node, e.g. its atoms or exported variables.
     pub label: String,
@@ -140,85 +139,7 @@ impl ProfileRecorder {
     }
 }
 
-/// `1234567` ns → `"1.23ms"`; picks ns/µs/ms/s to keep 3 significant digits.
-fn human_ns(ns: u64) -> String {
-    let t = ns as f64;
-    if t < 1e3 {
-        format!("{ns}ns")
-    } else if t < 1e6 {
-        format!("{:.2}µs", t / 1e3)
-    } else if t < 1e9 {
-        format!("{:.2}ms", t / 1e6)
-    } else {
-        format!("{:.2}s", t / 1e9)
-    }
-}
-
 impl QueryProfile {
-    /// Number of dots in a span name = nesting depth for rendering.
-    fn phase_depth(name: &str) -> usize {
-        name.matches('.').count()
-    }
-
-    /// Renders an indented plain-text `EXPLAIN ANALYZE`-style report.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "profile: {}  (wall {}, {} answers)",
-            self.label,
-            human_ns(self.wall_ns),
-            self.answers
-        );
-        if !self.phases.is_empty() {
-            let _ = writeln!(out, "  phases:");
-            for p in &self.phases {
-                let indent = "  ".repeat(Self::phase_depth(&p.name));
-                let _ = writeln!(
-                    out,
-                    "    {indent}{}  calls={} total={} self={}",
-                    p.name,
-                    p.calls,
-                    human_ns(p.total_ns),
-                    human_ns(p.self_ns)
-                );
-            }
-        }
-        if !self.nodes.is_empty() {
-            let _ = writeln!(out, "  tree:");
-            for n in &self.nodes {
-                let indent = "  ".repeat(n.depth);
-                let mut line = format!("    {indent}[{}] {}", n.id, n.label);
-                for (k, v) in &n.metrics {
-                    line.push_str(&format!("  {k}={v}"));
-                }
-                let _ = writeln!(out, "{line}");
-            }
-        }
-        if !self.counters.is_empty() {
-            let _ = writeln!(out, "  counters:");
-            for (name, v) in &self.counters {
-                let _ = writeln!(out, "    {name} = {v}");
-            }
-        }
-        if !self.histograms.is_empty() {
-            let _ = writeln!(out, "  histograms:");
-            for h in &self.histograms {
-                let _ = writeln!(
-                    out,
-                    "    {}  count={} mean={:.1} p50<={} max={}",
-                    h.name,
-                    h.count,
-                    h.mean(),
-                    h.quantile_bound(0.5),
-                    h.max
-                );
-            }
-        }
-        out
-    }
-
     /// Serializes the full profile as a JSON object.
     pub fn to_json(&self) -> Json {
         let phases = self
@@ -338,13 +259,13 @@ mod tests {
     }
 
     #[test]
-    fn render_and_json_cover_all_sections() {
+    fn json_covers_all_sections() {
         let _flag = crate::span::tracing_test_lock();
-        let mut rec = ProfileRecorder::start("render test");
+        let mut rec = ProfileRecorder::start("json test");
         {
-            let _g = span!("test.render.outer");
-            let _h = span!("test.render.outer.inner");
-            crate::histogram!("test.render.sizes").record(9);
+            let _g = span!("test.json.outer");
+            let _h = span!("test.json.outer.inner");
+            crate::histogram!("test.json.sizes").record(9);
         }
         rec.set_nodes(vec![
             NodeEntry {
@@ -363,15 +284,17 @@ mod tests {
             },
         ]);
         let profile = rec.finish(4);
-        let text = profile.render();
-        assert!(text.contains("render test"));
-        assert!(text.contains("test.render.outer"));
-        assert!(text.contains("[1] opt {y}  homomorphisms=2"));
-        assert!(text.contains("test.render.sizes"));
-
         let json = profile.to_json();
         let parsed = Json::parse(&json.to_string()).expect("profile JSON parses");
+        assert_eq!(parsed.get("label").unwrap().as_str(), Some("json test"));
         assert_eq!(parsed.get("answers").unwrap().as_num(), Some(4.0));
+        let named = |section: &str| -> Vec<String> {
+            let entries = parsed.get(section).unwrap().as_arr().unwrap();
+            let name = |e: &Json| e.get("name").unwrap().as_str().unwrap().to_owned();
+            entries.iter().map(name).collect()
+        };
+        assert!(named("phases").contains(&"test.json.outer.inner".to_owned()));
+        assert!(named("histograms").contains(&"test.json.sizes".to_owned()));
         let nodes = parsed.get("nodes").unwrap().as_arr().unwrap();
         assert_eq!(nodes.len(), 2);
         assert_eq!(

@@ -4,8 +4,9 @@
 //! zero or more `row` lines followed by exactly one terminal status line
 //! (`ok`, `error`, `cancelled`, `overloaded`, or `shutting_down`). The
 //! framing is [`wdpt_obs::write_json_line`] / [`wdpt_obs::read_json_line`]
-//! — the same one-line-one-document discipline as the `--json` benchmark
-//! output, so `json_check` validates server transcripts too.
+//! — the same one-line-one-document discipline as the replication frames.
+//! A request line that does not parse, nesting deeper than the parser's
+//! bound included, is answered `bad_request` and the connection reads on.
 //!
 //! A response is one byte buffer, written to the socket in one piece. Its
 //! terminal line is a [`Json`] built by one of the `*_line` functions below

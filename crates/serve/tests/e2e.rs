@@ -359,6 +359,12 @@ fn invalid_requests_get_typed_errors() {
     c.send_raw("this is not json");
     let (e4, _) = c.response();
     assert_eq!(e4.get("kind").and_then(Json::as_str), Some("bad_request"));
+    // 40 kB of nesting, far under the line limit: parsed by unbounded
+    // recursion, it would overflow this connection thread's stack and
+    // abort the whole server.
+    c.send_raw(&"[".repeat(20_000));
+    let (deep, _) = c.response();
+    assert_eq!(deep.get("kind").and_then(Json::as_str), Some("bad_request"));
 
     // Unknown op.
     let (e5, _) = c.round_trip(&Json::obj([("op", Json::str("explode"))]));
@@ -387,9 +393,12 @@ fn invalid_requests_get_typed_errors() {
         assert!(message.contains(var) && !message.contains('#'), "got {e}");
     }
 
-    // The connection survives all of it.
+    // The connection survives all of it, and so does the server.
     let (ok, _) = c.round_trip(&query("ok", BASE));
     assert_eq!(status_of(&ok), "ok");
+    let mut fresh = Client::connect(server.addr);
+    let (pong, _) = fresh.round_trip(&Json::obj([("op", Json::str("ping"))]));
+    assert_eq!(pong.get("kind").and_then(Json::as_str), Some("pong"));
 
     server.shutdown_and_join();
 }
