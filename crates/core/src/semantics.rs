@@ -257,12 +257,11 @@ impl Run<'_> {
     }
 
     /// The distinct interface valuations of child `c` among the rows of its
-    /// parent's local homomorphisms (found under `parent_keys`), ascending —
-    /// so the child's searches probe in key order ([`Search`]) — and the key
-    /// each row maps to. The rows' projections are usually ascending
-    /// already (each parent search walks its run in order); one pass checks
-    /// that, and only otherwise are the row ids sorted by key. Equal keys
-    /// are then adjacent and merge into one, in place.
+    /// parent's local homomorphisms (found under `parent_keys`), ascending,
+    /// and the key each row maps to. The rows' projections are usually
+    /// ascending already (each parent search walks its run in order); one
+    /// pass checks that, and only otherwise are the row ids sorted by key.
+    /// Equal keys are then adjacent and merge into one, in place.
     fn child_keys(&self, c: usize, locals: &Grouped, parent_keys: &Keys) -> (Keys, Vec<u32>) {
         let iface = &self.shapes[c].iface;
         let width = iface.len();

@@ -16,12 +16,11 @@
 //! bound in the same atom. Binding overwrites the frame cell, so there is
 //! nothing to undo on backtracking and nothing to allocate per probe. A
 //! `Search` is reusable: the WDPT executor compiles one per tree node and
-//! runs it once per interface valuation, in ascending order. Each step
-//! keeps one probe cursor across those runs ([`Relation::candidates`]), so
-//! a step probed in ascending key order gallops forward from where its last
-//! probe matched instead of bisecting the run from the top, and over all
-//! the runs walks its run once, front to back. A stale cursor changes where
-//! a search starts, never what it finds.
+//! runs it once per interface valuation. Each run is a probe per step
+//! ([`Relation::candidates`]), and a probe whose bound columns lead the
+//! relation reads its leading cell's block off the run's directory in O(1)
+//! and searches only that block, so a node costs its keys times a constant,
+//! in whatever order the keys come.
 //!
 //! Every homomorphism question of the toolkit is that one search: the
 //! executor's nodes, the structured oracle's bags, and containment and
@@ -61,18 +60,12 @@ impl Col {
 }
 
 /// One atom of a compiled search: its relation (if the database has one of
-/// the atom's arity), where its columns sit in [`Search::cols`], and the
-/// cursor of its prefix probes.
+/// the atom's arity) and where its columns sit in [`Search::cols`].
 #[derive(Debug, Clone, Copy)]
 struct Step<'a> {
     rel: Option<&'a Relation>,
     start: usize,
     arity: usize,
-    /// Where the step's last prefix probe matched ([`Relation::candidates`]),
-    /// kept across every run of the search. So under ascending seeds — or
-    /// ascending values bound by the steps before it — the step's probes
-    /// walk its run once, front to back, after a first probe that bisects.
-    cursor: usize,
 }
 
 /// How a search proceeds after a homomorphism, or why it unwinds.
@@ -103,7 +96,10 @@ fn valid_order(order: &[usize], n: usize) -> bool {
 /// frame `&[Const]` of their values, indexed by slot. Slots declared
 /// *seeded* at compile time are inputs: the caller writes them with
 /// [`Search::set`] before each [`Search::for_each`] or [`Search::exists`],
-/// and the search treats them as bound from the start.
+/// and the search treats them as bound from the start. No run depends on
+/// the one before: a step's prefix probe ([`Relation::candidates`]) reads
+/// its leading cell's block off the relation's directory, so seeds may
+/// come in any order at the same cost.
 ///
 /// The counts of a search — nodes expanded, index probes and builds,
 /// tuples scanned, posting lengths — are kept in the `Search`'s tally, where
@@ -163,7 +159,6 @@ impl<'a> Search<'a> {
                     .filter(|rel| rel.arity() == atom.arity()),
                 start: cols.len(),
                 arity: atom.arity(),
-                cursor: Relation::FRESH_CURSOR,
             });
             cols.extend(atom.args.iter().map(|t| match t {
                 Term::Const(c) => Col::Const(*c),
@@ -290,9 +285,7 @@ impl<'a> Search<'a> {
     /// underestimate except for repeated variables, where the true count
     /// can only be smaller.
     fn rank(&mut self, i: usize) -> (usize, usize) {
-        let Step {
-            rel, start, arity, ..
-        } = self.steps[i];
+        let Step { rel, start, arity } = self.steps[i];
         let mut pinned = 0;
         let mut shortest: Option<usize> = None;
         for k in start..start + arity {
@@ -358,9 +351,7 @@ impl<'a> Search<'a> {
             };
         };
         self.tally.nodes_expanded += 1;
-        let Step {
-            rel, start, arity, ..
-        } = self.steps[i];
+        let Step { rel, start, arity } = self.steps[i];
         let Some(rel) = rel else {
             return Found::Continue; // no such relation: no match, backtrack
         };
@@ -379,7 +370,7 @@ impl<'a> Search<'a> {
                     Col::Bound(s) => Some((col, frame[s as usize])),
                     Col::Bind(_) | Col::Eq(_) => None,
                 });
-            rel.candidates(pinned, &mut self.steps[i].cursor, &mut self.tally)
+            rel.candidates(pinned, &mut self.tally)
         };
         let mut scanned = 0u64;
         let mut found = Found::Continue;

@@ -1,11 +1,7 @@
-//! A `Search` re-run under many seeds keeps one probe cursor per step across
-//! the runs. The cursor only moves where a probe starts, so the runs must
-//! find, and count, exactly what a fresh search per seed does — whatever
-//! order the seeds come in.
-//!
-//! Its own test binary: every search it runs adds to the process-wide work
-//! counters when dropped, and the unit tests of `backtrack` measure single
-//! calls through those counters.
+//! A `Search` is compiled once and re-run under many seeds, as the WDPT
+//! executor runs one per tree node under each interface valuation. The
+//! runs must find, and count, exactly what a fresh search per seed does —
+//! whatever order the seeds come in.
 
 use std::collections::BTreeMap;
 use wdpt_cq::Search;

@@ -7,22 +7,22 @@
 //! `[r * arity, (r + 1) * arity)`, rows ascending lexicographically on the
 //! `Const` ids, no duplicates. The CQ engines probe that run in place:
 //!
-//! * a probe whose bound columns form a **leading prefix** is a search for
-//!   the first match and a gallop to the last, and returns exactly the
-//!   matching rows — nothing is built, nothing is filtered. The search
-//!   starts from a caller-held *cursor*, a row of the main run: where the
-//!   row there sorts below the key it gallops forward from it; where the
-//!   row there does not but the one before it does, the match starts right
-//!   there (a key following a missed one); otherwise it bisects the rows
-//!   before the cursor. Either way the probe writes back where its match
-//!   starts. So a sequence of probes in ascending key order — a search step
-//!   under ascending interface valuations — walks the run once, front to
-//!   back, and a stale cursor costs a bisection, never an answer;
+//! * a probe whose bound columns form a **leading prefix** returns exactly
+//!   the matching rows — nothing is built, nothing is filtered. A main run
+//!   of at least 64 rows whose leading ids are dense keeps a *directory*,
+//!   built with the run: one `u32` first-row offset per leading id from its
+//!   least to its greatest, 4 bytes per id in that range (~200 kB for a
+//!   400k-triple store). A probe reads the block of its leading cell off
+//!   the directory in O(1) and searches only the rest of its prefix inside
+//!   that block: it scans a short block and bisects a long one (a hub). A
+//!   run without a directory, and the pending run, are bisected, and a
+//!   gallop finds the last match. A run never changes once built (a fold
+//!   builds a new one), so its directory cannot go stale;
 //! * any other bound column goes through a **row-id permutation** of that
 //!   column (the run's row ids sorted by the column's value, 4 bytes per
 //!   row), built by one counting or comparison sort on the first probe
 //!   that needs it and counted as an index build in that probe's tally;
-//! * membership is a binary search.
+//! * membership is a prefix probe binding every column.
 //!
 //! The run sits behind an [`Arc`], so cloning a relation — and with it a
 //! [`Database`] — copies no row of it. [`Database::insert`] and
@@ -55,40 +55,21 @@ use std::sync::{Arc, OnceLock};
 
 /// The half-open range of the indices in `0..len` at which `cmp` is
 /// `Equal`, for a `cmp` that is `Less` on a prefix of the indices, then
-/// `Equal`, then `Greater`. The search for the first match starts at
-/// `from`:
-///
-/// * if `cmp` is `Less` there, it gallops forward from `from` with doubling
-///   strides and bisects the last stride;
-/// * otherwise the first match is at or before `from`: at `from` itself if
-///   `cmp` is `Less` just before it — the case of a key following a missed
-///   one — and else it bisects the indices before `from`;
-/// * `from` past the end bisects all of `0..len`.
-///
-/// Then, matches being few next to a run, it gallops past the last match
-/// and bisects the final stride. Where the search starts changes what it
-/// costs, never what it finds.
-fn equal_range(len: usize, from: usize, cmp: impl Fn(usize) -> Ordering) -> Range<usize> {
-    // The first index that is not `Less` is in `lo..=lo + size`.
-    let (mut lo, mut size) = (0, len);
-    if from < len {
-        if cmp(from) == Ordering::Less {
-            let mut step = 1;
-            while from + step < len && cmp(from + step) == Ordering::Less {
-                step *= 2;
-            }
-            // `from + step / 2` is `Less`; `from + step` is not, or is past
-            // the end.
-            lo = from + step / 2 + 1;
-            size = (from + step).min(len) - lo;
-        } else if from == 0 || cmp(from - 1) == Ordering::Less {
-            (lo, size) = (from, 0);
-        } else {
-            size = from - 1;
-        }
+/// `Equal`, then `Greater`. Up to [`SCAN_ROWS`] indices are scanned front
+/// to back; more are bisected for the first match, and then, matches being
+/// few next to a run, a gallop passes the last one and bisects the final
+/// stride.
+fn equal_range(len: usize, cmp: impl Fn(usize) -> Ordering) -> Range<usize> {
+    if len <= SCAN_ROWS {
+        let start = (0..len).find(|&r| cmp(r) != Ordering::Less).unwrap_or(len);
+        let end = (start..len)
+            .find(|&r| cmp(r) != Ordering::Equal)
+            .unwrap_or(len);
+        return start..end;
     }
     // Written so that each step is a conditional move, not a branch the
     // predictor gets wrong every other time.
+    let (mut lo, mut size) = (0, len);
     while size > 0 {
         let half = size / 2;
         let less = cmp(lo + half) == Ordering::Less;
@@ -118,6 +99,10 @@ fn equal_range(len: usize, from: usize, cmp: impl Fn(usize) -> Ordering) -> Rang
     }
     start..end
 }
+
+/// Rows a search scans rather than bisects: a subject's block of triples,
+/// most often, which spans a cache line or two.
+const SCAN_ROWS: usize = 16;
 
 /// Constant ids count as dense when the largest is within a small multiple
 /// of the number of rows holding them: then an array indexed by id replaces
@@ -194,20 +179,19 @@ impl<'a> Rows<'a> {
     }
 
     /// The range of the rows whose leading cells are `prefix`, the block
-    /// being sorted, searched for from row `from` (see [`equal_range`]).
-    /// One and two cells — a subject, a subject and a predicate — are
-    /// compared as one integer; this search is the innermost step of every
-    /// engine.
-    fn with_prefix(&self, prefix: &[Const], from: usize) -> Range<usize> {
+    /// being sorted (see [`equal_range`]). One and two cells — a subject, a
+    /// subject and a predicate — are compared as one integer; this search is
+    /// the innermost step of every engine.
+    fn with_prefix(&self, prefix: &[Const]) -> Range<usize> {
         let (cells, arity, len) = (self.cells, self.arity, self.len);
         let pair = |a: Const, b: Const| u64::from(a.0) << 32 | u64::from(b.0);
         match *prefix {
             [] => 0..len,
-            [a] => equal_range(len, from, |r| cells[r * arity].cmp(&a)),
-            [a, b] => equal_range(len, from, |r| {
+            [a] => equal_range(len, |r| cells[r * arity].cmp(&a)),
+            [a, b] => equal_range(len, |r| {
                 pair(cells[r * arity], cells[r * arity + 1]).cmp(&pair(a, b))
             }),
-            _ => equal_range(len, from, |r| self.row(r)[..prefix.len()].cmp(prefix)),
+            _ => equal_range(len, |r| self.row(r)[..prefix.len()].cmp(prefix)),
         }
     }
 
@@ -269,7 +253,7 @@ fn merge_rows(run: &mut Vec<Const>, run_rows: usize, add: Rows<'_>) {
         // Old rows above `row` move up. Often there are none — ascending
         // inserts, a delta of new subjects — and no search is needed.
         let at = if left > 0 && old.row(left - 1) >= row {
-            equal_range(left, Relation::FRESH_CURSOR, |r| old.row(r).cmp(row))
+            equal_range(left, |r| old.row(r).cmp(row))
         } else {
             left..left
         };
@@ -291,10 +275,80 @@ struct Run {
     rows: usize,
     /// `rows × arity` cells, row-major.
     cells: Vec<Const>,
+    /// Where each leading id's rows start, built with the run when it has
+    /// at least [`DIRECTORY_FLOOR`] rows and dense leading ids.
+    directory: Option<Directory>,
     /// Per column, the row ids sorted by (cell, row id), built by the first
     /// probe that binds the column without binding every column before it.
     /// Column 0 never needs one: the run itself is sorted by it.
     perms: Vec<OnceLock<Vec<u32>>>,
+}
+
+/// Rows a run needs before it keeps a [`Directory`]: a bisection of fewer
+/// is a handful of comparisons within a few cache lines.
+const DIRECTORY_FLOOR: usize = 64;
+
+/// The first row of each leading id of a run, for the ids from the run's
+/// least leading id to its greatest: `starts[id - min]`, then one entry
+/// past the last, the row count. Id `c`'s rows are
+/// `starts[c - min]..starts[c - min + 1]`, an empty range for an id the
+/// run does not lead with. 4 bytes per id in the range.
+#[derive(Debug)]
+struct Directory {
+    min: u32,
+    starts: Vec<u32>,
+}
+
+impl Directory {
+    /// The directory of `rows`, if they are at least [`DIRECTORY_FLOOR`]
+    /// and their leading ids are dense ([`ids_are_dense`], over the range
+    /// they span).
+    fn build(rows: Rows<'_>) -> Option<Directory> {
+        if rows.arity == 0 || rows.len < DIRECTORY_FLOOR {
+            return None;
+        }
+        let lead = |r: usize| rows.cells[r * rows.arity].0;
+        let (min, max) = (lead(0), lead(rows.len - 1));
+        if !ids_are_dense(max - min, rows.len) {
+            return None;
+        }
+        let mut starts = Vec::with_capacity((max - min) as usize + 2);
+        for (r, row) in rows.iter().enumerate() {
+            let slot = (row[0].0 - min) as usize;
+            // Ids in a gap below this one start where it does.
+            starts.resize(starts.len().max(slot + 1), r as u32);
+        }
+        starts.push(rows.len as u32);
+        Some(Directory { min, starts })
+    }
+
+    /// The rows leading with `c`.
+    #[inline]
+    fn block(&self, c: Const) -> Range<usize> {
+        // An id below `min` wraps to past the end.
+        let slot = c.0.wrapping_sub(self.min) as usize;
+        match self.starts.get(slot..slot + 2) {
+            Some(&[start, end]) => start as usize..end as usize,
+            _ => 0..0,
+        }
+    }
+
+    /// `Err(why)` unless the directory names, for each leading id in its
+    /// range, exactly the rows of `rows` that lead with it.
+    fn check(&self, rows: Rows<'_>) -> Result<(), String> {
+        let (first, last) = (self.starts.first(), self.starts.last());
+        if first != Some(&0) || last != Some(&(rows.len as u32)) {
+            return Err("directory does not span the run".to_owned());
+        }
+        for (slot, bounds) in self.starts.windows(2).enumerate() {
+            let id = Const(self.min + slot as u32);
+            let block = bounds[0] as usize..bounds[1] as usize;
+            if block.start > block.end || block.clone().any(|r| rows.row(r)[0] != id) {
+                return Err(format!("directory block of {id:?} is not its rows"));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Run {
@@ -309,6 +363,7 @@ impl Run {
         Run {
             arity,
             rows,
+            directory: Directory::build(Rows::new(&cells, arity, rows)),
             cells,
             perms: (0..arity).map(|_| OnceLock::new()).collect(),
         }
@@ -316,6 +371,21 @@ impl Run {
 
     fn rows(&self) -> Rows<'_> {
         Rows::new(&self.cells, self.arity, self.rows)
+    }
+
+    /// The range of the rows whose leading cells are `prefix`: the block of
+    /// its leading cell read off the directory and searched for the rest of
+    /// the prefix, or, without a directory, the whole run searched.
+    fn with_prefix(&self, prefix: &[Const]) -> Range<usize> {
+        let (Some(directory), Some(&lead)) = (&self.directory, prefix.first()) else {
+            return self.rows().with_prefix(prefix);
+        };
+        let block = directory.block(lead);
+        if prefix.len() == 1 || block.is_empty() {
+            return block;
+        }
+        let found = self.rows().slice(block.clone()).with_prefix(prefix);
+        block.start + found.start..block.start + found.end
     }
 
     /// Column `col`'s permutation, built by the first probe that needs it
@@ -427,7 +497,7 @@ impl<'a> RunRows<'a> {
     /// `perm`, the column's permutation, that names them.
     fn picked(rows: Rows<'a>, perm: &'a [u32], col: usize, c: Const) -> RunRows<'a> {
         let cell = |i: usize| rows.cells[perm[i] as usize * rows.arity + col];
-        let at = equal_range(perm.len(), Relation::FRESH_CURSOR, |i| cell(i).cmp(&c));
+        let at = equal_range(perm.len(), |i| cell(i).cmp(&c));
         RunRows::Picked {
             rows,
             ids: perm[at].iter(),
@@ -608,11 +678,6 @@ impl Default for Relation {
 }
 
 impl Relation {
-    /// A probe cursor that has seen no probe ([`Relation::candidates`]):
-    /// past the end of every run, so a search from it bisects the whole
-    /// run — as a one-off probe should.
-    pub const FRESH_CURSOR: usize = usize::MAX;
-
     fn new(arity: usize) -> Self {
         Relation::over(Run::new(arity, 0, Vec::new()))
     }
@@ -741,10 +806,9 @@ impl Relation {
     /// insert: the main run stays shared with every clone, no row of it is
     /// copied, and the permutations built on it are kept; the pending
     /// run's own are dropped, to be rebuilt over it alone. Each tuple of
-    /// `add` is checked against the main run by a search galloping forward
-    /// from the last one's. `add` is left as it is. `Err(j)` for the first
-    /// `j` whose tuple of `add` ([`Relation::tuples`]) is already in the
-    /// relation.
+    /// `add` is checked against the main run by a prefix probe. `add` is
+    /// left as it is. `Err(j)` for the first `j` whose tuple of `add`
+    /// ([`Relation::tuples`]) is already in the relation.
     ///
     /// # Panics
     /// Panics if the two arities differ.
@@ -754,12 +818,11 @@ impl Relation {
             add.arity(),
             "Relation::merge_sorted: arities differ"
         );
-        let (main, pending) = (self.run.rows(), self.pending());
+        let pending = self.pending();
         let mut merged = Vec::with_capacity(pending.cells.len() + add.len() * add.arity());
-        let (mut pending, mut cursor) = (pending.iter(), Self::FRESH_CURSOR);
+        let mut pending = pending.iter();
         for (j, row) in add.tuples().enumerate() {
-            let in_main = main.with_prefix(row, cursor);
-            cursor = in_main.start;
+            let in_main = self.run.with_prefix(row);
             while let Some(below) = pending.peek().filter(|&p| p < row) {
                 merged.extend_from_slice(below);
                 pending.next();
@@ -856,16 +919,16 @@ impl Relation {
         (self.arity(), self.run.rows, self.take_cells(0))
     }
 
-    /// Set-membership test: a binary search of each run.
+    /// Set-membership test: a prefix probe of each run.
     pub fn contains(&self, tuple: &[Const]) -> bool {
-        tuple.len() == self.arity() && !self.with_prefix(tuple, Self::FRESH_CURSOR).1.is_empty()
+        tuple.len() == self.arity() && !self.with_prefix(tuple).is_empty()
     }
 
     fn insert(&mut self, tuple: &[Const]) -> Result<bool, TooManyRows> {
         debug_assert_eq!(tuple.len(), self.arity());
-        let (pending, fresh) = (self.pending(), Self::FRESH_CURSOR);
-        let at = equal_range(pending.len, fresh, |r| pending.row(r).cmp(tuple));
-        if !at.is_empty() || !self.run.rows().with_prefix(tuple, fresh).is_empty() {
+        let pending = self.pending();
+        let at = equal_range(pending.len, |r| pending.row(r).cmp(tuple));
+        if !at.is_empty() || !self.run.with_prefix(tuple).is_empty() {
             return Ok(false);
         }
         // The relation is left exactly as it was when the id space is full.
@@ -899,24 +962,20 @@ impl Relation {
         }
     }
 
-    /// The rows whose leading cells are `prefix` — the main run searched
-    /// from row `from`, the pending run bisected, or searched from its first
-    /// row when the probe holds a cursor — and the main-run row where the
-    /// match starts.
-    fn with_prefix(&self, prefix: &[Const], from: usize) -> (usize, Candidates<'_>) {
+    /// The rows whose leading cells are `prefix`: the main run probed
+    /// ([`Run::with_prefix`]) and the pending run bisected, or skipped when
+    /// it is empty.
+    fn with_prefix(&self, prefix: &[Const]) -> Candidates<'_> {
         let (main, pending) = (self.run.rows(), self.pending());
-        let found = main.with_prefix(prefix, from);
-        // A probe site holding a cursor probes keys in ascending order, and
-        // new symbols get new, larger ids: a delta's rows mostly sort above
-        // the keys of a join over the rest, and from the first row such a
-        // key is two comparisons, not a bisection.
-        let pending_from = if from == Self::FRESH_CURSOR { from } else { 0 };
-        let pending_found = pending.with_prefix(prefix, pending_from);
-        let rows = Candidates {
-            main: RunRows::Block(main.slice(found.clone()).iter()),
-            pending: PendingRows::Run(RunRows::Block(pending.slice(pending_found).iter())),
+        let found = self.run.with_prefix(prefix);
+        let pending_found = match pending.len {
+            0 => 0..0,
+            _ => pending.with_prefix(prefix),
         };
-        (found.start, rows)
+        Candidates {
+            main: RunRows::Block(main.slice(found).iter()),
+            pending: PendingRows::Run(RunRows::Block(pending.slice(pending_found).iter())),
+        }
     }
 
     /// The rows with `t[col] == c`: a prefix of one cell for the leading
@@ -926,7 +985,7 @@ impl Relation {
     /// `tally`.
     fn with_cell(&self, col: usize, c: Const, tally: &mut ProbeTally) -> Candidates<'_> {
         if col == 0 {
-            return self.with_prefix(&[c], Self::FRESH_CURSOR).1;
+            return self.with_prefix(&[c]);
         }
         let pending = self.pending();
         Candidates {
@@ -957,19 +1016,9 @@ impl Relation {
     /// relation. Tuples are *not* checked against the constraints that lost
     /// — the caller does that, and counts what it examined in the tally's
     /// [`ProbeTally::tuples_scanned`].
-    ///
-    /// `cursor` is a row of the main run for the prefix search to start
-    /// from (see the module docs), and is left where the prefix's match
-    /// starts — untouched when the constraints do not open with column 0. A
-    /// caller that probes in ascending key order keeps one cursor per probe
-    /// site, and each probe then gallops forward from where the last one
-    /// stopped instead of bisecting the run; its first probe, from
-    /// [`Relation::FRESH_CURSOR`], bisects. Any value finds the same rows.
-    /// Column lookups and the pending run are searched as without it.
     pub fn candidates(
         &self,
         mut bound: impl Iterator<Item = (usize, Const)>,
-        cursor: &mut usize,
         tally: &mut ProbeTally,
     ) -> Candidates<'_> {
         let mut prefix = [Const(0); PREFIX_CELLS];
@@ -987,9 +1036,7 @@ impl Relation {
         }
         let mut best = (prefix_len > 0).then(|| {
             tally.index_probes += 1;
-            let (start, rows) = self.with_prefix(&prefix[..prefix_len], *cursor);
-            *cursor = start;
-            rows
+            self.with_prefix(&prefix[..prefix_len])
         });
         for (col, c) in beyond.into_iter().chain(bound) {
             if best.as_ref().is_some_and(|b| b.len() <= 1) {
@@ -1016,13 +1063,12 @@ impl Relation {
         tally: &'t mut ProbeTally,
     ) -> Matching<'a, 't> {
         debug_assert_eq!(pattern.len(), self.arity());
-        let mut cursor = Self::FRESH_CURSOR;
         let bound = pattern
             .iter()
             .enumerate()
             .filter_map(|(col, p)| p.map(|c| (col, c)));
         Matching {
-            candidates: self.candidates(bound, &mut cursor, tally),
+            candidates: self.candidates(bound, tally),
             pattern,
             tally,
         }
@@ -1030,8 +1076,9 @@ impl Relation {
 
     /// Forces every column permutation, of both runs, and cross-checks the
     /// relation: the cell count against the row count, both runs strictly
-    /// sorted and disjoint, and each permutation a permutation of its run's
-    /// row ids in ascending (cell, row id) order. `wdpt-store verify` runs
+    /// sorted and disjoint, the main run's directory naming each leading
+    /// id's rows, and each permutation a permutation of its run's row ids
+    /// in ascending (cell, row id) order. `wdpt-store verify` runs
     /// this to extend the load-time validation of a file's runs to
     /// everything derived from them. Records the permutations it built.
     pub fn verify_deep(&self) -> Result<(), String> {
@@ -1053,13 +1100,16 @@ impl Relation {
         }
         let rows = self.run.rows();
         rows.check_sorted().map_err(str::to_owned)?;
+        if let Some(directory) = &self.run.directory {
+            directory.check(rows)?;
+        }
         let pending = self.pending();
         pending
             .check_sorted()
             .map_err(|why| format!("pending: {why}"))?;
         if pending
             .iter()
-            .any(|row| !rows.with_prefix(row, Self::FRESH_CURSOR).is_empty())
+            .any(|row| !self.run.with_prefix(row).is_empty())
         {
             return Err("a pending row is also in the main run".to_owned());
         }
@@ -1268,35 +1318,46 @@ mod tests {
     }
 
     #[test]
-    fn a_prefix_search_from_any_start_row_finds_what_a_scan_finds() {
+    fn a_prefix_probe_finds_what_a_scan_finds() {
         let mut state = 11;
-        for rows in [0, 1, 2, 9, 60, 300] {
-            // Cells in 1..=4, so keys over 0..=5 fall below, between and
-            // above the rows as well as on them.
-            let cells: Vec<Const> = (0..rows * 4)
-                .map(|_| Const(draw(&mut state, 4) + 1))
-                .collect();
-            let (_, rows, cells) = Relation::from_rows(4, rows, cells).into_parts();
-            let run = Rows::new(&cells, 4, rows);
-            // One- and two-cell keys take the integer paths, longer ones the
-            // slice path.
-            for width in 1..=4 {
-                for code in 0..6u32.pow(width as u32) {
-                    let key: Vec<Const> = (0..width as u32)
-                        .map(|i| Const(code / 6u32.pow(i) % 6))
-                        .collect();
-                    let first = |hit: fn(Ordering) -> bool| {
-                        (0..rows)
-                            .position(|r| hit(run.row(r)[..width].cmp(&key)))
-                            .unwrap_or(rows)
-                    };
-                    let expected =
-                        first(|o| o != Ordering::Less)..first(|o| o == Ordering::Greater);
-                    for from in (0..=rows + 1).chain([Relation::FRESH_CURSOR]) {
-                        assert_eq!(
-                            run.with_prefix(&key, from),
-                            expected,
-                            "{key:?} from row {from} of {rows}"
+        // Around the directory's floor, and with leading ids dense or spread
+        // too thin for one.
+        for rows in [0, 1, 2, 9, 17, 60, 63, 64, 65, 300] {
+            for stride in [1, 100_003] {
+                // Cells in 1..=4, so keys over 0..=5 fall below, between and
+                // above the rows as well as on them.
+                let cells: Vec<Const> = (0..rows * 4)
+                    .map(|_| Const((draw(&mut state, 4) + 1) * stride))
+                    .collect();
+                let (_, rows, cells) = Relation::from_rows(4, rows, cells).into_parts();
+                let run = Run::new(4, rows, cells);
+                let spread = stride > 1 && rows > 1;
+                assert_eq!(
+                    run.directory.is_some(),
+                    rows >= DIRECTORY_FLOOR && !spread,
+                    "{rows} rows, stride {stride}"
+                );
+                if let Some(directory) = &run.directory {
+                    directory.check(run.rows()).unwrap();
+                }
+                // One- and two-cell keys take the integer paths, longer ones
+                // the slice path.
+                for width in 1..=4 {
+                    for code in 0..6u32.pow(width as u32) {
+                        let key: Vec<Const> = (0..width as u32)
+                            .map(|i| Const(code / 6u32.pow(i) % 6 * stride))
+                            .collect();
+                        let first = |hit: fn(Ordering) -> bool| {
+                            (0..rows)
+                                .position(|r| hit(run.rows().row(r)[..width].cmp(&key)))
+                                .unwrap_or(rows)
+                        };
+                        let expected =
+                            first(|o| o != Ordering::Less)..first(|o| o == Ordering::Greater);
+                        let found = run.with_prefix(&key);
+                        assert!(
+                            found == expected || found.is_empty() && expected.is_empty(),
+                            "{key:?} in {rows} rows: {found:?}, not {expected:?}"
                         );
                     }
                 }
@@ -1305,21 +1366,12 @@ mod tests {
     }
 
     #[test]
-    fn probes_in_key_order_cost_the_logarithm_of_their_spacing() {
-        let mut state = 7;
-        let len = 1 << 14;
-        // Values drawn from four times as many as there are rows: most keys
-        // match one row or none, a few match several.
-        let mut values: Vec<u32> = (0..len).map(|_| draw(&mut state, 4 * len)).collect();
-        values.sort_unstable();
-        for probes in [1, 2, 16, 100, 1000, len / 2, len] {
-            let mut keys: Vec<u32> = (0..probes).map(|_| draw(&mut state, 4 * len + 8)).collect();
-            keys.sort_unstable();
-            keys.dedup();
-            let compared = std::cell::Cell::new(0);
-            let mut cursor = 0;
-            for &key in &keys {
-                let found = equal_range(values.len(), cursor, |r| {
+    fn a_search_scans_a_short_range_and_bisects_a_long_one() {
+        for len in [0, 1, SCAN_ROWS, SCAN_ROWS + 1, 1000] {
+            let values: Vec<u32> = (0..len as u32).map(|v| v / 3).collect();
+            for key in 0..=len as u32 / 3 + 1 {
+                let compared = std::cell::Cell::new(0);
+                let found = equal_range(len, |r| {
                     compared.set(compared.get() + 1);
                     values[r].cmp(&key)
                 });
@@ -1327,16 +1379,9 @@ mod tests {
                     found,
                     values.partition_point(|&v| v < key)..values.partition_point(|&v| v <= key)
                 );
-                cursor = found.start;
+                let bound = if len <= SCAN_ROWS { len + 1 } else { 3 * 11 };
+                assert!(compared.get() <= bound, "{len} rows, key {key}");
             }
-            let n = keys.len() as f64;
-            let bound = 4.0 * n * ((f64::from(len) / n).log2() + 2.0);
-            assert!(
-                f64::from(compared.get()) <= bound,
-                "{} probes over {len} rows made {} comparisons, bound {bound}",
-                keys.len(),
-                compared.get()
-            );
         }
     }
 

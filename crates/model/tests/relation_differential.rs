@@ -3,7 +3,11 @@
 //! arities 0–4 and sizes that fold the pending run dozens of times, checked
 //! step by step against a `BTreeSet<Vec<Const>>` — equal answer sets, equal
 //! counts, and `verify_deep()` after every step — including prefix probes
-//! through one cursor in ascending, descending and shuffled key order.
+//! in ascending, descending and shuffled key order. Hand-built runs then
+//! take the prefix probe through each of its paths: a main run with a
+//! leading-id directory or without one, short and hub blocks, keys below,
+//! between and above the leading ids, and a pending run that is empty,
+//! short or past its floor.
 
 use std::collections::{BTreeMap, BTreeSet};
 use wdpt_model::{Const, Database, Pred, ProbeTally, Relation};
@@ -82,7 +86,7 @@ fn assert_agree(rel: &Relation, model: &Model, probes: &[Vec<Const>], absent: Co
             }
         }
     }
-    assert_cursor_probes_agree(rel, model, absent);
+    assert_prefix_probes_agree(rel, model, &[absent]);
     for col in 0..arity {
         let mut expected: BTreeMap<Const, u32> = BTreeMap::new();
         for t in model {
@@ -98,18 +102,24 @@ fn assert_agree(rel: &Relation, model: &Model, probes: &[Vec<Const>], absent: Co
     }
 }
 
-/// Sequences of prefix probes through one cursor each — ascending,
-/// descending and shuffled — find exactly the model's tuples under each
-/// prefix: where a probe starts never changes what it finds. The keys are
-/// prefixes of every few tuples, hits, and the same with the last cell
-/// swapped for `absent`, misses.
-fn assert_cursor_probes_agree(rel: &Relation, model: &Model, absent: Const) {
+/// Prefix probes of every length, in ascending, descending and shuffled
+/// key order, find exactly the model's tuples under each prefix: no probe
+/// depends on the one before it. The keys are prefixes of every few
+/// tuples, hits; the same with the last cell moved one id up, hits or
+/// misses in a gap; and with the last cell swapped for each of `misses`.
+fn assert_prefix_probes_agree(rel: &Relation, model: &Model, misses: &[Const]) {
     for cells in 1..=rel.arity() {
         let mut keys: Vec<Vec<Const>> = Vec::new();
         for t in model.iter().step_by(7) {
-            let mut miss = t[..cells].to_vec();
-            miss[cells - 1] = absent;
-            keys.extend([t[..cells].to_vec(), miss]);
+            let key = t[..cells].to_vec();
+            let mut next = key.clone();
+            next[cells - 1].0 += 1;
+            keys.extend([key.clone(), next]);
+            keys.extend(misses.iter().map(|&miss| {
+                let mut key = key.clone();
+                key[cells - 1] = miss;
+                key
+            }));
         }
         keys.sort_unstable();
         keys.dedup();
@@ -120,20 +130,19 @@ fn assert_cursor_probes_agree(rel: &Relation, model: &Model, absent: Const) {
         }
         let descending: Vec<Vec<Const>> = keys.iter().rev().cloned().collect();
         for sequence in [&keys, &descending, &shuffled] {
-            let mut cursor = 0;
             for key in sequence {
                 let bound = key.iter().copied().enumerate();
                 let mut tally = ProbeTally::default();
-                let mut got: Vec<&[Const]> =
-                    rel.candidates(bound, &mut cursor, &mut tally).collect();
+                let mut got: Vec<&[Const]> = rel.candidates(bound, &mut tally).collect();
                 got.sort_unstable();
                 let expected = model
                     .range(key.clone()..)
                     .take_while(|t| t.starts_with(key));
                 assert!(
                     got.into_iter().eq(expected.map(|t| &t[..])),
-                    "prefix {key:?} from the cursor differs from the model"
+                    "prefix {key:?} differs from the model"
                 );
+                assert_eq!(tally.index_probes, 1, "one probe for {key:?}");
             }
         }
     }
@@ -345,4 +354,120 @@ fn merge_sorted_is_the_set_union_or_names_the_first_held_row() {
         );
         assert_eq!(rows(&source), source_rows, "case {case}: source moved");
     }
+}
+
+/// The rows of one hand-built main run of `rows` tuples. Leading ids are
+/// `stride` apart from 1 on — at stride 2 the even ids between them are
+/// gaps — and each leads one to three rows, except the `hub`-th, which
+/// leads `hub_rows`. The other cells are drawn from a few values.
+fn main_rows(
+    rng: &mut Lcg,
+    arity: usize,
+    rows: usize,
+    stride: u32,
+    hub: usize,
+    hub_rows: usize,
+) -> Model {
+    let domain = if arity == 2 { 64 } else { 8 };
+    let mut model = Model::new();
+    for lead in 0.. {
+        if model.len() == rows {
+            break;
+        }
+        let want = match lead {
+            _ if arity == 1 => 1,
+            _ if lead == hub => hub_rows,
+            _ => 1 + rng.below(3),
+        };
+        let want = want.min(rows - model.len());
+        let mut block = Model::new();
+        while block.len() < want {
+            let mut t = vec![Const(1 + lead as u32 * stride)];
+            t.extend((1..arity).map(|_| Const(1 + rng.below(domain) as u32)));
+            block.insert(t);
+        }
+        model.extend(block);
+    }
+    model
+}
+
+/// `n` tuples the model does not hold: under leading ids the main run has,
+/// in its gaps and above its greatest.
+fn fresh_rows(rng: &mut Lcg, arity: usize, model: &Model, n: usize) -> Vec<Vec<Const>> {
+    let max = model.last().map_or(1, |t| t[0].0);
+    let mut fresh = Model::new();
+    while fresh.len() < n {
+        let lead = match (rng.below(3), model.len()) {
+            (0, len) if len > 0 => model.iter().nth(rng.below(len)).unwrap()[0].0,
+            (1, _) => 2 * rng.below(max as usize / 2 + 1) as u32,
+            _ => max + 1 + rng.below(50) as u32,
+        };
+        let mut t = vec![Const(lead.max(1))];
+        t.extend((1..arity).map(|_| Const(1 + rng.below(100) as u32)));
+        if !model.contains(&t) {
+            fresh.insert(t);
+        }
+    }
+    fresh.into_iter().collect()
+}
+
+/// A prefix probe finds the model's rows on every path it can take: main
+/// runs just below and above the directory's floor of 64 rows and well
+/// above it, with dense leading ids (gaps between them) or ids spread too
+/// thin for a directory, with and without a hub block longer than a scan;
+/// keys below the least leading id, in the gaps and above the greatest; a
+/// pending run that is empty, short, or past its floor of 32 rows — or
+/// folded in by the inserts that would take it past its share — and then
+/// folded in by more inserts before the last probes. Every prefix length
+/// at arities 1–4.
+#[test]
+fn prefix_probes_agree_on_every_path_of_the_probe() {
+    let mut rng = Lcg(41);
+    for arity in 1..=4 {
+        for rows in [63, 64, 65, 700] {
+            for (stride, hub_rows) in [(2, 0), (2, 40), (100_003, 0), (100_003, 40)] {
+                for pending in [0, 5, 40] {
+                    probe_every_path(&mut rng, arity, rows, stride, hub_rows, pending);
+                }
+            }
+        }
+    }
+}
+
+/// One case of [`prefix_probes_agree_on_every_path_of_the_probe`].
+fn probe_every_path(
+    rng: &mut Lcg,
+    arity: usize,
+    rows: usize,
+    stride: u32,
+    hub_rows: usize,
+    pending: usize,
+) {
+    let what = format!("arity {arity}, {rows} rows, stride {stride}, hub {hub_rows}");
+    let misses = [Const(0), Const(1 << 30)];
+    let hub = if hub_rows > 0 {
+        rng.below(8)
+    } else {
+        usize::MAX
+    };
+    let main = main_rows(rng, arity, rows, stride, hub, hub_rows);
+    let added = fresh_rows(rng, arity, &main, pending);
+    let main: Vec<Vec<Const>> = main.into_iter().collect();
+    let rel = held(arity, &main, &added);
+    let mut model: Model = main.iter().chain(&added).cloned().collect();
+    let probes: Vec<Vec<Const>> = model.iter().step_by(31).cloned().collect();
+    assert_agree(&rel, &model, &probes, misses[0]);
+    assert_prefix_probes_agree(&rel, &model, &misses);
+
+    // Enough inserts to fold whatever is pending.
+    let more = fresh_rows(rng, arity, &model, 33.max(model.len() / 16));
+    let mut db = Database::from_sorted(vec![(PRED, rel)]);
+    for t in &more {
+        assert!(db.insert(PRED, t.clone()), "{what}");
+    }
+    model.extend(more);
+    let rel = relation(&db, arity);
+    rel.verify_deep()
+        .unwrap_or_else(|why| panic!("{what}, {pending} pending: {why}"));
+    assert_prefix_probes_agree(&rel, &model, &misses);
 }

@@ -791,11 +791,26 @@ impl ServeState {
     fn front_half(&self, src: &str) -> Result<(CanonicalQuery, Wdpt), Rejection> {
         let dictionary = self.dictionary();
         let mut scope = dictionary.scope();
-        let parsed = parse_query(&mut scope, src).map_err(|e| Rejection {
-            kind: "parse_error",
-            message: e.message,
-            at: Some(e.at),
-            malformed: true,
+        let parsed = parse_query(&mut scope, src).map_err(|e| {
+            if e.too_large {
+                // The parser stopped reading: there is no count to report.
+                Rejection {
+                    kind: "query_too_large",
+                    message: format!(
+                        "query has {}; this server accepts at most {} triple patterns",
+                        e.message, self.cfg.max_query_atoms
+                    ),
+                    at: None,
+                    malformed: false,
+                }
+            } else {
+                Rejection {
+                    kind: "parse_error",
+                    message: e.message,
+                    at: Some(e.at),
+                    malformed: true,
+                }
+            }
         })?;
         let (atoms, vars) = pattern_size(&parsed.pattern);
         if atoms > self.cfg.max_query_atoms || vars > self.cfg.max_query_vars {
@@ -930,10 +945,15 @@ fn handle_connection(stream: TcpStream, state: Arc<ServeState>) -> io::Result<()
     // `String` data: `read_line` would error (and drop the partial read) if
     // a timeout fired in the middle of a multibyte UTF-8 character, whereas
     // `read_until` keeps whatever prefix arrived and resumes on the next
-    // packet. UTF-8 validation happens once per complete line.
+    // packet. UTF-8 validation happens once per complete line. A read stops
+    // one byte past the longest line and its newline, so an oversized line
+    // is turned away however fast it arrives, and never held in full.
     let mut buf: Vec<u8> = Vec::new();
+    let oversized = |buf: &[u8]| buf.len() - usize::from(buf.ends_with(b"\n")) > MAX_LINE_BYTES;
     loop {
-        match reader.read_until(b'\n', &mut buf) {
+        let room = (MAX_LINE_BYTES + 2).saturating_sub(buf.len()) as u64;
+        match io::Read::take(&mut reader, room).read_until(b'\n', &mut buf) {
+            Ok(_) if oversized(&buf) => break,
             // `Ok` means a newline was found or EOF was reached; a partial
             // final line without trailing newline is still processed.
             Ok(n) => {
@@ -990,19 +1010,16 @@ fn handle_connection(stream: TcpStream, state: Arc<ServeState>) -> io::Result<()
             }
             Err(e) => return Err(e),
         }
-        if buf.len() > MAX_LINE_BYTES {
-            counter!("serve.requests.error").add(1);
-            let l = error_line(
-                None,
-                "bad_request",
-                &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-                None,
-            );
-            wdpt_obs::write_json_line(&mut writer, &l)?;
-            writer.flush()?;
-            return Ok(());
-        }
     }
+    counter!("serve.requests.error").add(1);
+    let l = error_line(
+        None,
+        "bad_request",
+        &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+        None,
+    );
+    wdpt_obs::write_json_line(&mut writer, &l)?;
+    writer.flush()
 }
 
 /// Parses and decodes one request line into its `id` and [`Request`] —

@@ -403,6 +403,51 @@ fn invalid_requests_get_typed_errors() {
     server.shutdown_and_join();
 }
 
+/// Query lines built to exhaust a connection thread's stack: 10 000
+/// nested parentheses (20 kB), and a flat `AND` chain of 45 000 triple
+/// patterns (945 kB, under the line cap) whose tree every walk recurses
+/// through. Each is answered, and so is a line past the cap, and a `ping`
+/// on a fresh connection.
+#[test]
+fn hostile_query_lines_are_answered_and_the_server_lives() {
+    let server = start(ServeConfig::default());
+    let mut c = Client::connect(server.addr);
+    let deep = format!("{}(?a, p, ?b){}", "(".repeat(10_000), ")".repeat(10_000));
+    let (e, _) = c.round_trip(&query("deep", &deep));
+    assert_eq!(
+        e.get("kind").and_then(Json::as_str),
+        Some("parse_error"),
+        "got {e}"
+    );
+
+    let chain: Vec<String> = (0..45_000).map(|k| format!("(?a, p{k}, ?b)")).collect();
+    let chain = chain.join(" AND ");
+    assert!((900_000..1 << 20).contains(&chain.len()));
+    let (e, _) = c.round_trip(&query("chain", &chain));
+    assert_eq!(
+        e.get("kind").and_then(Json::as_str),
+        Some("query_too_large"),
+        "got {e}"
+    );
+
+    // Past the 1 MiB line cap: 2 bytes more and no newline, as much of a
+    // line as the server reads before it stops, so it answers and closes
+    // with nothing left unread.
+    let mut c = Client::connect(server.addr);
+    c.send_bytes(" ".repeat((1 << 20) + 2).as_bytes());
+    let (e, _) = c.response();
+    assert_eq!(
+        e.get("kind").and_then(Json::as_str),
+        Some("bad_request"),
+        "got {e}"
+    );
+
+    let mut fresh = Client::connect(server.addr);
+    let (pong, _) = fresh.round_trip(&Json::obj([("op", Json::str("ping"))]));
+    assert_eq!(pong.get("kind").and_then(Json::as_str), Some("pong"));
+    server.shutdown_and_join();
+}
+
 #[test]
 fn deadline_exceeding_query_is_cancelled_promptly() {
     let server = start(ServeConfig::default());

@@ -14,9 +14,26 @@
 //! (((?x, recorded_by, ?y) AND (?x, published, "after_2010"))
 //!    OPT (?x, NME_rating, ?z)) OPT (?y, formed_in, ?z2)
 //! ```
+//!
+//! Query text comes from clients, and the parser and everything that walks
+//! the tree it builds recurse, so both are bounded as the text is read: a
+//! pattern nested deeper than [`MAX_NESTING`] parentheses is a parse error,
+//! and the parser stops at the first triple pattern past
+//! [`MAX_TRIPLE_PATTERNS`] with an error marked `too_large`. No tree
+//! deeper than that is ever built.
 
 use crate::algebra::{GraphPattern, SparqlQuery, TriplePattern};
 use wdpt_model::{Interner, Resolve, Term, Var};
+
+/// How deep parenthesised patterns may nest: the parser recurses once per
+/// level. As deep as the JSON requests that carry queries may nest.
+pub const MAX_NESTING: usize = 128;
+
+/// Triple patterns a query may hold. A left-deep `AND` chain is as deep as
+/// it is long, and the tree's walks and its `Drop` recurse once per level:
+/// this keeps them far from a thread's stack limit, and far above any
+/// admission cap a server sets on a query's size.
+pub const MAX_TRIPLE_PATTERNS: usize = 1024;
 
 /// Parse error with byte offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,6 +42,9 @@ pub struct SparqlParseError {
     pub at: usize,
     /// Description.
     pub message: String,
+    /// The query holds more than [`MAX_TRIPLE_PATTERNS`] triple patterns:
+    /// well formed as far as it was read, but too large to read on.
+    pub too_large: bool,
 }
 
 impl std::fmt::Display for SparqlParseError {
@@ -42,6 +62,10 @@ impl std::error::Error for SparqlParseError {}
 struct P<'a> {
     src: &'a str,
     pos: usize,
+    /// Parenthesised patterns open around the current position.
+    depth: usize,
+    /// Triple patterns read so far.
+    patterns: usize,
 }
 
 impl<'a> P<'a> {
@@ -61,10 +85,20 @@ impl<'a> P<'a> {
         Some(c)
     }
 
+    fn new(src: &'a str) -> P<'a> {
+        P {
+            src,
+            pos: 0,
+            depth: 0,
+            patterns: 0,
+        }
+    }
+
     fn err(&self, m: impl Into<String>) -> SparqlParseError {
         SparqlParseError {
             at: self.pos,
             message: m.into(),
+            too_large: false,
         }
     }
 
@@ -140,12 +174,24 @@ impl<'a> P<'a> {
                 self.expect(',')?;
                 let o = self.term(i)?;
                 self.expect(')')?;
+                self.patterns += 1;
+                if self.patterns > MAX_TRIPLE_PATTERNS {
+                    return Err(SparqlParseError {
+                        too_large: true,
+                        ..self.err(format!("more than {MAX_TRIPLE_PATTERNS} triple patterns"))
+                    });
+                }
                 return Ok(GraphPattern::Triple(TriplePattern { s, p, o }));
             }
         }
         // Not a triple: parenthesized pattern.
         self.pos = save;
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("patterns nested deeper than {MAX_NESTING}")));
+        }
+        self.depth += 1;
         let inner = self.pattern(i)?;
+        self.depth -= 1;
         self.expect(')')?;
         Ok(inner)
     }
@@ -190,7 +236,7 @@ impl<'a> P<'a> {
             if select.iter().any(|&(u, _, _)| u == v) {
                 return Err(SparqlParseError {
                     at,
-                    message: format!("duplicate SELECT variable ?{name}"),
+                    ..self.err(format!("duplicate SELECT variable ?{name}"))
                 });
             }
             select.push((v, at, name));
@@ -215,7 +261,9 @@ impl<'a> P<'a> {
                 if !vars.contains(&v) {
                     return Err(SparqlParseError {
                         at,
-                        message: format!("SELECT variable ?{name} does not occur in the pattern"),
+                        ..self.err(format!(
+                            "SELECT variable ?{name} does not occur in the pattern"
+                        ))
                     });
                 }
             }
@@ -237,7 +285,7 @@ pub fn parse_query<'s>(
     interner: &mut impl Resolve<'s>,
     src: &'s str,
 ) -> Result<SparqlQuery, SparqlParseError> {
-    let mut p = P { src, pos: 0 };
+    let mut p = P::new(src);
     let q = p.query(interner)?;
     p.skip_ws();
     if p.pos != src.len() {
@@ -252,7 +300,7 @@ pub fn parse_union_query(
     interner: &mut Interner,
     src: &str,
 ) -> Result<crate::algebra::UnionQuery, SparqlParseError> {
-    let mut p = P { src, pos: 0 };
+    let mut p = P::new(src);
     let q = if p.keyword("SELECT") {
         let select = p.select_list(interner)?;
         if !p.keyword("WHERE") {
@@ -272,7 +320,7 @@ pub fn parse_union_query(
             if !vars.contains(&v) {
                 return Err(SparqlParseError {
                     at,
-                    message: format!("SELECT variable ?{name} occurs in no UNION branch"),
+                    ..p.err(format!("SELECT variable ?{name} occurs in no UNION branch"))
                 });
             }
         }
@@ -349,6 +397,53 @@ mod tests {
         let p = q.to_wdpt(&mut i).unwrap();
         assert_eq!(p.node_count(), 1);
         assert_eq!(p.atoms(0).len(), 3);
+    }
+
+    /// 10 000 parentheses around one triple, and a flat `AND` chain of
+    /// 45 000 triple patterns (945 kB): parsed without bounds, the first
+    /// overflows a default thread stack in the parser and the second in
+    /// the recursive walks of the tree, `Drop` included.
+    fn hostile_lines() -> [String; 2] {
+        let deep = format!("{}(?a, p, ?b){}", "(".repeat(10_000), ")".repeat(10_000));
+        let chain = vec!["(?a, p, ?b)"; 45_000].join(" AND ");
+        [deep, chain]
+    }
+
+    #[test]
+    fn hostile_lines_are_errors_on_a_default_stack() {
+        let [deep, chain] = hostile_lines();
+        let parse = |src: String| {
+            std::thread::spawn(move || {
+                let mut i = Interner::new();
+                let single = parse_query(&mut i, &src).map(|_| ()).unwrap_err();
+                let union = parse_union_query(&mut i, &src).map(|_| ()).unwrap_err();
+                assert_eq!(single, union);
+                single
+            })
+            .join()
+            .expect("the parse ran to an error")
+        };
+        let nested = parse(deep);
+        assert!(!nested.too_large, "{nested}");
+        assert!(
+            nested.message.contains("nested deeper than 128"),
+            "{nested}"
+        );
+        let long = parse(chain);
+        assert!(long.too_large, "{long}");
+        // Stopped at the first pattern past the bound.
+        assert_eq!(long.at, (MAX_TRIPLE_PATTERNS + 1) * 16 - 5);
+    }
+
+    #[test]
+    fn queries_at_the_bounds_parse() {
+        let mut i = Interner::new();
+        let deep = |n: usize| format!("{}(?a, p, ?b){}", "(".repeat(n), ")".repeat(n));
+        assert!(parse_query(&mut i, &deep(MAX_NESTING)).is_ok());
+        assert!(parse_query(&mut i, &deep(MAX_NESTING + 1)).is_err());
+        let chain = |n: usize| vec!["(?a, p, ?b)"; n].join(" AND ");
+        assert!(parse_query(&mut i, &chain(MAX_TRIPLE_PATTERNS)).is_ok());
+        assert!(parse_query(&mut i, &chain(MAX_TRIPLE_PATTERNS + 1)).is_err());
     }
 
     #[test]

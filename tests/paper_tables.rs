@@ -259,6 +259,46 @@ fn partial_eval_on_global_tw1_is_linear_in_the_depth() {
     Series::of("P-EVAL g-TW(1), chains (depth)", &windows, TUPLES).ceiling(1.8);
 }
 
+/// Table 1's `HW(k)` columns: a node whose hypertreewidth is 1 while its
+/// treewidth grows — one wide atom covering a clique of binary atoms
+/// ([`covered_clique_wdpt`]). `Engine::Hw(1)` decomposes every such node
+/// and stays polynomial in the node's size; `Engine::Tw(1)` cannot, and
+/// falls back to backtracking, with the same verdict.
+#[test]
+fn partial_eval_on_global_hw1_is_polynomial_where_treewidth_grows() {
+    let sizes = [3, 4, 5, 6, 7, 8];
+    let mut verdicts = Vec::new();
+    let mut run = |engine: Engine| {
+        sweep(&sizes, |m| {
+            let mut i = Interner::new();
+            let p = covered_clique_wdpt(&mut i, m);
+            let db = covered_clique_db(&mut i, m, 40);
+            let h = Mapping::from_pairs(vec![(i.var("x0"), i.constant("c0"))]);
+            verdicts.push((m, partial_eval_decide(&p, &db, &h, engine)));
+        })
+    };
+    let hw = run(Engine::Hw(1));
+    let tw = run(Engine::Tw(1));
+    for (x, w) in &hw {
+        assert_eq!(w.counter(FALLBACK), 0, "Hw(1) fell back at clique size {x}");
+    }
+    for (x, w) in &tw {
+        assert!(w.counter(FALLBACK) > 0, "Tw(1) kept a clique of size {x}");
+    }
+    let (by_hw, by_tw) = verdicts.split_at(sizes.len());
+    assert_eq!(by_hw, by_tw);
+    // Swept by the node's atom count, `1 + m(m − 1)/2`.
+    let by_atoms = |name: &str| {
+        let points = hw
+            .iter()
+            .map(|(m, w)| (1 + m * (m - 1) / 2, w.counter(name)));
+        let label = format!("P-EVAL g-HW(1), covered cliques (atoms) · {name}");
+        Series::new(&label, points.collect())
+    };
+    by_atoms(NODES).ceiling(1.5);
+    by_atoms(TUPLES).ceiling(2.0);
+}
+
 // ---------------------------------------------------------------------------
 // Table 1, row MAX-EVAL: DP-hard on ℓ-TW(1) alone (Proposition 4), LogCFL
 // on g-TW(1) (Theorem 9).
@@ -545,4 +585,42 @@ fn union_of_triangles(i: &mut Interner, u: usize) -> Uwdpt {
         })
         .collect();
     Uwdpt::new(disjuncts)
+}
+
+/// One node and one free variable `?x0`: the wide atom
+/// `w(?x0, …, ?x{m-1})` and the clique `e(?xa, ?xb)`, `a < b`, beside it.
+/// Its hypertreewidth is 1 (`w` covers every variable) and its treewidth
+/// `m − 1`.
+fn covered_clique_wdpt(i: &mut Interner, m: usize) -> Wdpt {
+    let (w, e) = (i.pred("w"), i.pred("e"));
+    let xs: Vec<_> = (0..m).map(|j| i.var(&format!("x{j}"))).collect();
+    let mut atoms = vec![Atom::new(w, xs.iter().map(|&x| x.into()).collect())];
+    for a in 0..m {
+        for b in a + 1..m {
+            atoms.push(Atom::new(e, vec![xs[a].into(), xs[b].into()]));
+        }
+    }
+    WdptBuilder::new(atoms)
+        .build(vec![xs[0]])
+        .expect("one node is well-designed")
+}
+
+/// `rows` tuples of `w/m` over `c0…c15`, row `r` stepping through them
+/// from `c{r mod 16}` by an odd stride, so its `m` constants are distinct,
+/// and `e` holding every pair of distinct constants: every tuple is an
+/// answer, and a search ends only when it has seen them all.
+fn covered_clique_db(i: &mut Interner, m: usize, rows: usize) -> Database {
+    let (w, e) = (i.pred("w"), i.pred("e"));
+    let consts: Vec<_> = (0..16).map(|j| i.constant(&format!("c{j}"))).collect();
+    let mut db = Database::new();
+    for a in 0..16 {
+        for b in (0..16).filter(|&b| b != a) {
+            db.insert(e, vec![consts[a], consts[b]]);
+        }
+    }
+    for r in 0..rows {
+        let stride = 1 + 2 * (r / 16);
+        db.insert(w, (0..m).map(|j| consts[(r + j * stride) % 16]).collect());
+    }
+    db
 }
