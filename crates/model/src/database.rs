@@ -312,13 +312,14 @@ impl Directory {
         if !ids_are_dense(max - min, rows.len) {
             return None;
         }
-        let mut starts = Vec::with_capacity((max - min) as usize + 2);
-        for (r, row) in rows.iter().enumerate() {
-            let slot = (row[0].0 - min) as usize;
-            // Ids in a gap below this one start where it does.
-            starts.resize(starts.len().max(slot + 1), r as u32);
+        // Rows per id, shifted one up, then summed: where each id starts.
+        let mut starts = vec![0u32; (max - min) as usize + 2];
+        for lead in rows.cells.iter().step_by(rows.arity) {
+            starts[(lead.0 - min) as usize + 1] += 1;
         }
-        starts.push(rows.len as u32);
+        for slot in 1..starts.len() {
+            starts[slot] += starts[slot - 1];
+        }
         Some(Directory { min, starts })
     }
 
