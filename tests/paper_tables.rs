@@ -608,7 +608,7 @@ fn covered_clique_wdpt(i: &mut Interner, m: usize) -> Wdpt {
 /// `rows` tuples of `w/m` over `c0…c15`, row `r` stepping through them
 /// from `c{r mod 16}` by an odd stride, so its `m` constants are distinct,
 /// and `e` holding every pair of distinct constants: every tuple is an
-/// answer, and a search ends only when it has seen them all.
+/// answer, so no step of a search comes up empty early.
 fn covered_clique_db(i: &mut Interner, m: usize, rows: usize) -> Database {
     let (w, e) = (i.pred("w"), i.pred("e"));
     let consts: Vec<_> = (0..16).map(|j| i.constant(&format!("c{j}"))).collect();
