@@ -9,14 +9,14 @@
 //!
 //! * a probe whose bound columns form a **leading prefix** returns exactly
 //!   the matching rows — nothing is built, nothing is filtered. A main run
-//!   of at least 64 rows whose leading ids are dense keeps a *directory*,
-//!   built with the run: one `u32` first-row offset per leading id from its
-//!   least to its greatest, 4 bytes per id in that range (~200 kB for a
-//!   400k-triple store). A probe reads the block of its leading cell off
-//!   the directory in O(1) and searches only the rest of its prefix inside
-//!   that block: it scans a short block and bisects a long one (a hub). A
-//!   run without a directory, and the pending run, are bisected, and a
-//!   gallop finds the last match. A run never changes once built (a fold
+//!   of at least 64 rows whose leading ids span fewer than four ids a row
+//!   keeps a *directory*, built with the run: one `u32` first-row offset
+//!   per leading id from its least to its greatest, 4 bytes per id in that
+//!   range (~200 kB for a 400k-triple store, never more than 16 bytes a
+//!   row). A probe reads the block of its leading cell off the directory in
+//!   O(1) and bisects only that block for the rest of its prefix. A run
+//!   without a directory, and the pending run, are bisected whole; a gallop
+//!   then finds the last match. A run never changes once built (a fold
 //!   builds a new one), so its directory cannot go stale;
 //! * any other bound column goes through a **row-id permutation** of that
 //!   column (the run's row ids sorted by the column's value, 4 bytes per
@@ -55,18 +55,10 @@ use std::sync::{Arc, OnceLock};
 
 /// The half-open range of the indices in `0..len` at which `cmp` is
 /// `Equal`, for a `cmp` that is `Less` on a prefix of the indices, then
-/// `Equal`, then `Greater`. Up to [`SCAN_ROWS`] indices are scanned front
-/// to back; more are bisected for the first match, and then, matches being
-/// few next to a run, a gallop passes the last one and bisects the final
-/// stride.
+/// `Equal`, then `Greater`: a bisection for the first match, and then,
+/// matches being few next to a run, a gallop past the last one and a
+/// bisection of the final stride.
 fn equal_range(len: usize, cmp: impl Fn(usize) -> Ordering) -> Range<usize> {
-    if len <= SCAN_ROWS {
-        let start = (0..len).find(|&r| cmp(r) != Ordering::Less).unwrap_or(len);
-        let end = (start..len)
-            .find(|&r| cmp(r) != Ordering::Equal)
-            .unwrap_or(len);
-        return start..end;
-    }
     // Written so that each step is a conditional move, not a branch the
     // predictor gets wrong every other time.
     let (mut lo, mut size) = (0, len);
@@ -99,10 +91,6 @@ fn equal_range(len: usize, cmp: impl Fn(usize) -> Ordering) -> Range<usize> {
     }
     start..end
 }
-
-/// Rows a search scans rather than bisects: a subject's block of triples,
-/// most often, which spans a cache line or two.
-const SCAN_ROWS: usize = 16;
 
 /// Constant ids count as dense when the largest is within a small multiple
 /// of the number of rows holding them: then an array indexed by id replaces
@@ -276,7 +264,8 @@ struct Run {
     /// `rows × arity` cells, row-major.
     cells: Vec<Const>,
     /// Where each leading id's rows start, built with the run when it has
-    /// at least [`DIRECTORY_FLOOR`] rows and dense leading ids.
+    /// at least [`DIRECTORY_FLOOR`] rows and dense leading ids
+    /// ([`Directory::build`]).
     directory: Option<Directory>,
     /// Per column, the row ids sorted by (cell, row id), built by the first
     /// probe that binds the column without binding every column before it.
@@ -285,7 +274,9 @@ struct Run {
 }
 
 /// Rows a run needs before it keeps a [`Directory`]: a bisection of fewer
-/// is a handful of comparisons within a few cache lines.
+/// is a handful of comparisons within a few cache lines, and a directory
+/// one more allocation. Only floors below 4 change what the benchmark's
+/// workloads allocate (no floor: 0.17% more on `paper-decide`).
 const DIRECTORY_FLOOR: usize = 64;
 
 /// The first row of each leading id of a run, for the ids from the run's
@@ -301,15 +292,15 @@ struct Directory {
 
 impl Directory {
     /// The directory of `rows`, if they are at least [`DIRECTORY_FLOOR`]
-    /// and their leading ids are dense ([`ids_are_dense`], over the range
-    /// they span).
+    /// and their leading ids span fewer than four ids per row: the
+    /// directory then takes at most 16 bytes a row, as much as four cells.
     fn build(rows: Rows<'_>) -> Option<Directory> {
         if rows.arity == 0 || rows.len < DIRECTORY_FLOOR {
             return None;
         }
         let lead = |r: usize| rows.cells[r * rows.arity].0;
         let (min, max) = (lead(0), lead(rows.len - 1));
-        if !ids_are_dense(max - min, rows.len) {
+        if (max - min) as usize >= 4 * rows.len {
             return None;
         }
         // Rows per id, shifted one up, then summed: where each id starts.
@@ -382,7 +373,7 @@ impl Run {
             return self.rows().with_prefix(prefix);
         };
         let block = directory.block(lead);
-        if prefix.len() == 1 || block.is_empty() {
+        if prefix.len() == 1 {
             return block;
         }
         let found = self.rows().slice(block.clone()).with_prefix(prefix);
@@ -964,15 +955,11 @@ impl Relation {
     }
 
     /// The rows whose leading cells are `prefix`: the main run probed
-    /// ([`Run::with_prefix`]) and the pending run bisected, or skipped when
-    /// it is empty.
+    /// ([`Run::with_prefix`]) and the pending run bisected.
     fn with_prefix(&self, prefix: &[Const]) -> Candidates<'_> {
         let (main, pending) = (self.run.rows(), self.pending());
         let found = self.run.with_prefix(prefix);
-        let pending_found = match pending.len {
-            0 => 0..0,
-            _ => pending.with_prefix(prefix),
-        };
+        let pending_found = pending.with_prefix(prefix);
         Candidates {
             main: RunRows::Block(main.slice(found).iter()),
             pending: PendingRows::Run(RunRows::Block(pending.slice(pending_found).iter())),
@@ -1367,8 +1354,22 @@ mod tests {
     }
 
     #[test]
-    fn a_search_scans_a_short_range_and_bisects_a_long_one() {
-        for len in [0, 1, SCAN_ROWS, SCAN_ROWS + 1, 1000] {
+    fn a_directory_takes_at_most_sixteen_bytes_a_row() {
+        // 64 single-cell rows, leading ids `stride` apart: spans of 252 and
+        // 315 ids, against the 256 that four ids a row allow.
+        for (stride, kept) in [(4, true), (5, false)] {
+            let cells: Vec<Const> = (0..64).map(|r| Const(r * stride)).collect();
+            let run = Run::new(1, 64, cells);
+            assert_eq!(run.directory.is_some(), kept, "stride {stride}");
+            if let Some(directory) = &run.directory {
+                assert!(directory.starts.len() * 4 <= 16 * 64 + 8);
+            }
+        }
+    }
+
+    #[test]
+    fn a_search_finds_its_range_in_logarithmic_comparisons() {
+        for len in [0, 1, 2, 16, 17, 1000] {
             let values: Vec<u32> = (0..len as u32).map(|v| v / 3).collect();
             for key in 0..=len as u32 / 3 + 1 {
                 let compared = std::cell::Cell::new(0);
@@ -1380,7 +1381,8 @@ mod tests {
                     found,
                     values.partition_point(|&v| v < key)..values.partition_point(|&v| v <= key)
                 );
-                let bound = if len <= SCAN_ROWS { len + 1 } else { 3 * 11 };
+                // A bisection and a gallop over a run of three equal rows.
+                let bound = 2 * (usize::BITS - len.leading_zeros()) as usize + 3;
                 assert!(compared.get() <= bound, "{len} rows, key {key}");
             }
         }

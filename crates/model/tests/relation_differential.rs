@@ -414,7 +414,7 @@ fn fresh_rows(rng: &mut Lcg, arity: usize, model: &Model, n: usize) -> Vec<Vec<C
 /// A prefix probe finds the model's rows on every path it can take: main
 /// runs just below and above the directory's floor of 64 rows and well
 /// above it, with dense leading ids (gaps between them) or ids spread too
-/// thin for a directory, with and without a hub block longer than a scan;
+/// thin for a directory, with and without a hub block of 40 rows;
 /// keys below the least leading id, in the gaps and above the greatest; a
 /// pending run that is empty, short, or past its floor of 32 rows — or
 /// folded in by the inserts that would take it past its share — and then

@@ -19,6 +19,7 @@ use wdpt_gen::music::MusicParams;
 use wdpt_model::{Database, Interner};
 use wdpt_obs::{counter, span};
 use wdpt_serve::{load_database, serve, ServeConfig, ServeState};
+use wdpt_sparql::parser::MAX_TRIPLE_PATTERNS;
 
 const USAGE: &str = "\
 wdpt-serve: serve SPARQL {AND, OPT} queries over TCP (newline-delimited JSON)
@@ -50,7 +51,8 @@ OPTIONS:
                               [default: 10000]
     --max-deadline-ms MS      clamp on requested deadlines [default: 60000]
     --max-rows N              default cap on streamed rows [default: 1000]
-    --max-query-atoms N       reject queries with more triple patterns
+    --max-query-atoms N       reject queries with more triple patterns;
+                              at most 1024, as many as the parser reads
                               [default: 64]
     --max-query-vars N        reject queries with more variables
                               [default: 26]
@@ -99,7 +101,7 @@ fn name_and_path(spec: String) -> (String, String) {
     }
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:7878".to_string(),
         dbs: Vec::new(),
@@ -111,7 +113,7 @@ fn parse_args() -> Result<Args, String> {
         follow: None,
         cfg: ServeConfig::default(),
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match flag.as_str() {
@@ -147,7 +149,12 @@ fn parse_args() -> Result<Args, String> {
             }
             "--max-rows" => args.cfg.max_rows = num(&flag, &value("--max-rows")?)?,
             "--max-query-atoms" => {
-                args.cfg.max_query_atoms = num(&flag, &value("--max-query-atoms")?)?
+                args.cfg.max_query_atoms = num(&flag, &value("--max-query-atoms")?)?;
+                if args.cfg.max_query_atoms > MAX_TRIPLE_PATTERNS {
+                    return Err(format!(
+                        "--max-query-atoms is at most {MAX_TRIPLE_PATTERNS}, the triple patterns the parser reads"
+                    ));
+                }
             }
             "--max-query-vars" => {
                 args.cfg.max_query_vars = num(&flag, &value("--max-query-vars")?)?
@@ -196,7 +203,7 @@ fn num(flag: &str, text: &str) -> Result<usize, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(msg) if msg.is_empty() => {
             print!("{USAGE}");
@@ -419,5 +426,24 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(flags: &[&str]) -> Result<Args, String> {
+        parse_args(flags.iter().map(|f| f.to_string()))
+    }
+
+    #[test]
+    fn the_atom_cap_is_at_most_what_the_parser_reads() {
+        let cap = MAX_TRIPLE_PATTERNS.to_string();
+        let args = parse(&["--max-query-atoms", &cap]).unwrap();
+        assert_eq!(args.cfg.max_query_atoms, MAX_TRIPLE_PATTERNS);
+        let past = (MAX_TRIPLE_PATTERNS + 1).to_string();
+        let why = parse(&["--max-query-atoms", &past]).err().unwrap();
+        assert!(why.contains("at most 1024"), "{why}");
     }
 }

@@ -73,6 +73,7 @@ use wdpt_plan::{CountedCatalog, StatsCatalog};
 use wdpt_repl::frames::{delta_frame, snapshot_frame, subscribed_line};
 use wdpt_repl::{Primary, ReplApply, ReplHead, SubscribeStart};
 use wdpt_sparql::algebra::SparqlError;
+use wdpt_sparql::parser::MAX_TRIPLE_PATTERNS;
 use wdpt_sparql::{parse_query, GraphPattern};
 use wdpt_store::{ChainSymbols, SymbolMap};
 
@@ -102,7 +103,9 @@ pub struct ServeConfig {
     pub retry_after_ms: u64,
     /// Admission cap on a query's triple-pattern count: planning and
     /// evaluation are worst-case exponential in query size, so unbounded
-    /// client queries are rejected up front with `query_too_large`.
+    /// client queries are rejected up front with `query_too_large`. The
+    /// parser reads no query past [`MAX_TRIPLE_PATTERNS`], so a cap above
+    /// that admits no more (`wdpt-serve` refuses one).
     pub max_query_atoms: usize,
     /// Admission cap on a query's distinct-variable count, honoured as
     /// configured: no search on the request path has a vertex limit (an
@@ -798,7 +801,8 @@ impl ServeState {
                     kind: "query_too_large",
                     message: format!(
                         "query has {}; this server accepts at most {} triple patterns",
-                        e.message, self.cfg.max_query_atoms
+                        e.message,
+                        self.cfg.max_query_atoms.min(MAX_TRIPLE_PATTERNS)
                     ),
                     at: None,
                     malformed: false,

@@ -448,6 +448,30 @@ fn hostile_query_lines_are_answered_and_the_server_lives() {
     server.shutdown_and_join();
 }
 
+/// A configured atom cap above the parser's bound admits nothing the
+/// parser does not read, and the rejection names the bound that applied.
+#[test]
+fn an_atom_cap_past_the_parsers_bound_reports_the_bound() {
+    let server = start(ServeConfig {
+        max_query_atoms: 2_000,
+        ..ServeConfig::default()
+    });
+    let mut c = Client::connect(server.addr);
+    let chain: Vec<String> = (0..1_025).map(|k| format!("(?a, p{k}, ?b)")).collect();
+    let (e, _) = c.round_trip(&query("chain", &chain.join(" AND ")));
+    assert_eq!(
+        e.get("kind").and_then(Json::as_str),
+        Some("query_too_large"),
+        "got {e}"
+    );
+    let message = e.get("message").and_then(Json::as_str).unwrap_or("");
+    assert!(
+        message.ends_with("at most 1024 triple patterns"),
+        "got {message}"
+    );
+    server.shutdown_and_join();
+}
+
 #[test]
 fn deadline_exceeding_query_is_cancelled_promptly() {
     let server = start(ServeConfig::default());
