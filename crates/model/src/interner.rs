@@ -13,49 +13,36 @@
 //! symbol by construction, minted without touching the table, and gone
 //! when the test returns. Ids `≥ len` also name request-local symbols: the
 //! names a query mentions and the table lacks ([`RequestScope`]).
+//!
+//! Memory. Every name lives in one `String`, back to back in id order; an
+//! id owns a `u32` end offset into it and a namespace byte. Names are found
+//! through an open-addressed table of ids — a power of two in size, at most
+//! half full, probed linearly from an FNV-1a hash of `(namespace, name)` —
+//! whose slots hold nothing but the id: a probe compares the candidate's
+//! bytes in the arena. So a symbol costs its name's bytes plus 13–21 bytes,
+//! with no heap block of its own, and a clone is four `memcpy`s.
 
-use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
-/// FNV-1a, the interner's lookup hash. Symbol names are short (tens of
-/// bytes) and the map is rebuilt wholesale on every snapshot decode, where
-/// SipHash's per-byte cost was the single largest line item of a v2 cold
-/// start. FNV is deterministic, which also keeps decode timing stable; the
-/// interner is not exposed to adversarial key sets large enough for
-/// collision flooding to matter (ids cap at `u32`).
-#[derive(Default)]
-pub struct Fnv1a(u64);
-
-impl Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 {
-            0xcbf2_9ce4_8422_2325
-        } else {
-            self.0
-        };
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
-    }
+/// FNV-1a over a symbol's namespace tag and name bytes, folded so that the
+/// table's slot (the low bits) depends on the well-mixed high half too:
+/// FNV's low `k` bits depend only on the low `k` bits of each input byte.
+/// Symbol names are short (tens of bytes) and a snapshot decode hashes
+/// every one of them, where SipHash's per-byte cost was once the single
+/// largest line item of a cold start. FNV is deterministic, which also
+/// keeps decode timing stable; the interner is not exposed to adversarial
+/// key sets large enough for collision flooding to matter (ids cap at
+/// `u32`).
+fn sym_hash(space: Space, name: &str) -> usize {
+    let step = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    let h = name
+        .bytes()
+        .fold(step(0xcbf2_9ce4_8422_2325, space as u8), step);
+    (h ^ (h >> 32)) as usize
 }
 
-type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<Fnv1a>>;
-
-/// FNV-1a over a symbol's namespace tag and name bytes — the key the
-/// interner's lookup table is organized around.
-fn sym_hash(space: Space, name: &str) -> u64 {
-    let mut h = Fnv1a::default();
-    h.write(&[space as u8]);
-    h.write(name.as_bytes());
-    h.finish()
-}
+/// A table slot no id occupies. Ids stop one short of it.
+const EMPTY: u32 = u32::MAX;
 
 /// The three disjoint namespaces managed by an [`Interner`].
 ///
@@ -84,19 +71,20 @@ use SymbolSpace as Space;
 /// Structures from `wdpt-model` and the crates above it only store ids; an
 /// `Interner` is needed to create them from names and to render them back.
 /// Typical usage keeps one `Interner` per test / example / benchmark run.
+///
+/// The names sit back to back in one arena; id `k`'s name is
+/// `arena[ends[k - 1]..ends[k]]` (from 0 for `k = 0`). `table` is empty
+/// until the first symbol, then a power of two at least twice `len`.
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
-    /// `(namespace, name)` per id.
-    names: Vec<(Space, String)>,
-    /// `sym_hash → id`, verified against `names` on every probe (the map
-    /// never owns a second copy of a name, which is what makes rebuilding
-    /// it from a 100k-symbol snapshot dictionary cheap). A hash shared by
-    /// two *different* symbols parks the later ids in `overflow`.
-    lookup: FnvMap<u64, u32>,
-    /// Ids displaced by a 64-bit hash collision, scanned linearly. In
-    /// practice empty; it exists so correctness never rests on FNV being
-    /// collision-free.
-    overflow: Vec<(u64, u32)>,
+    /// Every name, in id order.
+    arena: String,
+    /// The end of each id's name in `arena`.
+    ends: Vec<u32>,
+    /// The namespace of each id.
+    spaces: Vec<Space>,
+    /// Open-addressed by [`sym_hash`], linear probing; [`EMPTY`] or an id.
+    table: Vec<u32>,
     fresh_counter: u64,
 }
 
@@ -106,39 +94,95 @@ impl Interner {
         Self::default()
     }
 
-    /// True iff `id` names exactly `(space, name)`.
-    fn is_entry(&self, id: u32, space: Space, name: &str) -> bool {
-        let (s, n) = &self.names[id as usize];
-        *s == space && n == name
+    /// An empty interner with room for `symbols` symbols whose names take
+    /// `name_bytes` bytes: its table is sized once, for all of them. A
+    /// decoder that knows the count up front fills it with
+    /// [`Interner::push_new`].
+    pub fn with_capacity(symbols: usize, name_bytes: usize) -> Interner {
+        Interner {
+            arena: String::with_capacity(name_bytes),
+            ends: Vec::with_capacity(symbols),
+            spaces: Vec::with_capacity(symbols),
+            table: vec![EMPTY; table_size(symbols)],
+            fresh_counter: 0,
+        }
     }
 
-    fn probe(&self, hash: u64, space: Space, name: &str) -> Option<u32> {
-        match self.lookup.get(&hash) {
-            Some(&id) if self.is_entry(id, space, name) => Some(id),
-            // A populated slot that names something else (or a probe miss
-            // entirely) can still match through the collision overflow.
-            _ => self
-                .overflow
-                .iter()
-                .find(|&&(h, id)| h == hash && self.is_entry(id, space, name))
-                .map(|&(_, id)| id),
+    /// Where `(space, name)` sits in the table: `Ok(id)` if interned,
+    /// else `Err(slot)`, the empty slot it would take. The table must not
+    /// be empty.
+    fn find(&self, space: Space, name: &str) -> Result<u32, usize> {
+        let mask = self.table.len() - 1;
+        let mut slot = sym_hash(space, name) & mask;
+        loop {
+            match self.table[slot] {
+                EMPTY => return Err(slot),
+                id if self.spaces[id as usize] == space && self.name(id) == name => return Ok(id),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Appends `(space, name)`, known to be absent, to the arena, and
+    /// returns its id; the table is not touched.
+    fn append(&mut self, space: Space, name: &str) -> Option<u32> {
+        let id = u32::try_from(self.ends.len())
+            .ok()
+            .filter(|&id| id != EMPTY)?;
+        let end = u32::try_from(self.arena.len() + name.len()).ok()?;
+        self.arena.push_str(name);
+        self.ends.push(end);
+        self.spaces.push(space);
+        Some(id)
+    }
+
+    /// Doubles the table if one more symbol would fill more than half of
+    /// it, re-placing every id from its name in the arena.
+    fn reserve_one(&mut self) {
+        let size = table_size(self.ends.len() + 1);
+        if size <= self.table.len() {
+            return;
+        }
+        self.table.clear();
+        self.table.resize(size, EMPTY);
+        let mask = size - 1;
+        for id in 0..self.ends.len() as u32 {
+            let mut slot = sym_hash(self.spaces[id as usize], self.name(id)) & mask;
+            while self.table[slot] != EMPTY {
+                slot = (slot + 1) & mask;
+            }
+            self.table[slot] = id;
+        }
+    }
+
+    /// Interns `(space, name)` if it is new and returns its id, or
+    /// `Err(id)` of the symbol already there. `None` if the ids or the
+    /// arena's `u32` offsets are exhausted. The table makes room first, so
+    /// a hit may bring forward the doubling the next new symbol needs.
+    fn insert(&mut self, space: Space, name: &str) -> Option<Result<u32, u32>> {
+        self.reserve_one();
+        match self.find(space, name) {
+            Ok(id) => Some(Err(id)),
+            Err(slot) => {
+                let id = self.append(space, name)?;
+                self.table[slot] = id;
+                Some(Ok(id))
+            }
         }
     }
 
     fn intern(&mut self, space: Space, name: &str) -> u32 {
-        let hash = sym_hash(space, name);
-        if let Some(id) = self.probe(hash, space, name) {
-            return id;
+        match self.insert(space, name).expect("interner overflow") {
+            Ok(id) | Err(id) => id,
         }
-        let id = u32::try_from(self.names.len()).expect("interner overflow");
-        self.names.push((space, name.to_owned()));
-        if let Some(&displaced) = self.lookup.get(&hash) {
-            debug_assert_ne!(displaced, id);
-            self.overflow.push((hash, id));
-        } else {
-            self.lookup.insert(hash, id);
-        }
-        id
+    }
+
+    /// Appends a symbol that must be new: its id, the next one, or `None`
+    /// if `(space, name)` is already interned or the interner is full
+    /// (`u32` ids and name offsets). The table grows if it must; sized by
+    /// [`Interner::with_capacity`], it never does.
+    pub fn push_new(&mut self, space: SymbolSpace, name: &str) -> Option<u32> {
+        self.insert(space, name)?.ok()
     }
 
     /// A read-only [`RequestScope`] over this table.
@@ -153,7 +197,10 @@ impl Interner {
     /// This is the read-only probe the `wdpt-store` bulk loader uses when
     /// building its local-to-global remap tables.
     pub fn lookup_id(&self, space: SymbolSpace, name: &str) -> Option<u32> {
-        self.probe(sym_hash(space, name), space, name)
+        match self.table.is_empty() {
+            true => None,
+            false => self.find(space, name).ok(),
+        }
     }
 
     /// Extends the interner with every candidate symbol that is not interned
@@ -177,8 +224,7 @@ impl Interner {
         fresh.dedup();
         let mut appended = 0usize;
         for (space, name) in fresh {
-            if self.lookup_id(space, name).is_none() {
-                self.intern(space, name);
+            if self.insert(space, name).expect("interner overflow").is_ok() {
                 appended += 1;
             }
         }
@@ -216,7 +262,12 @@ impl Interner {
 
     /// Resolves any interned id back to its name.
     pub fn name(&self, id: u32) -> &str {
-        &self.names[id as usize].1
+        let i = id as usize;
+        let start = match i {
+            0 => 0,
+            _ => self.ends[i - 1] as usize,
+        };
+        &self.arena[start..self.ends[i] as usize]
     }
 
     /// Renders a variable.
@@ -236,26 +287,26 @@ impl Interner {
 
     /// Number of interned symbols across all namespaces.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
     }
 
     /// True if nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.ends.is_empty()
     }
 
     /// Iterates over every interned symbol in **id order**: the symbol with
     /// id `k` is the `k`-th item. This is the serialization hook used by the
     /// `wdpt-store` snapshot dictionary.
     pub fn symbols(&self) -> impl Iterator<Item = (SymbolSpace, &str)> + '_ {
-        self.names.iter().map(|(space, name)| (*space, &**name))
+        (0..self.ends.len() as u32).map(|id| (self.spaces[id as usize], self.name(id)))
     }
 
     /// The namespace of an interned id, or `None` for an id that was never
     /// allocated. Lets deserializers validate that a stored id really names
     /// a constant / predicate before wrapping it in a typed term.
     pub fn symbol_space(&self, id: u32) -> Option<SymbolSpace> {
-        self.names.get(id as usize).map(|(space, _)| *space)
+        self.spaces.get(id as usize).copied()
     }
 
     /// The fresh-name counter (see [`Interner::fresh_var`]); serialized so
@@ -278,35 +329,31 @@ impl Interner {
     /// [`Interner::symbols`]) and a fresh-name counter: the `k`-th listed
     /// symbol receives id `k`, exactly reversing serialization. Returns
     /// `None` if a `(namespace, name)` pair repeats — a malformed listing
-    /// that could not have come from a real interner.
-    pub fn from_symbols<I>(symbols: I, fresh_counter: u64) -> Option<Interner>
+    /// that could not have come from a real interner — or if the names
+    /// overflow the `u32` ids and offsets.
+    pub fn from_symbols<I, S>(symbols: I, fresh_counter: u64) -> Option<Interner>
     where
-        I: IntoIterator<Item = (SymbolSpace, String)>,
+        I: IntoIterator<Item = (SymbolSpace, S)>,
+        S: AsRef<str>,
     {
         let symbols = symbols.into_iter();
-        let mut out = Interner::new();
-        // Pre-size both sides: snapshot decode hands over the full symbol
-        // listing at once, and incremental rehashing of a 100k-entry map
-        // would otherwise dominate the cold-start cost.
-        let n = symbols.size_hint().0;
-        out.names.reserve(n);
-        out.lookup.reserve(n);
+        // Size the table once: rehashing it as it grows would otherwise
+        // dominate a cold start's dictionary.
+        let mut out = Interner::with_capacity(symbols.size_hint().0, 0);
         for (space, name) in symbols {
-            let id = u32::try_from(out.names.len()).ok()?;
-            let hash = sym_hash(space, &name);
-            if out.probe(hash, space, &name).is_some() {
-                return None;
-            }
-            out.names.push((space, name));
-            match out.lookup.entry(hash) {
-                Entry::Occupied(_) => out.overflow.push((hash, id)),
-                Entry::Vacant(slot) => {
-                    slot.insert(id);
-                }
-            }
+            out.push_new(space, name.as_ref())?;
         }
         out.fresh_counter = fresh_counter;
         Some(out)
+    }
+}
+
+/// The table size for `symbols` symbols: a power of two at least twice as
+/// large, none for none.
+fn table_size(symbols: usize) -> usize {
+    match symbols {
+        0 => 0,
+        n => (2 * n).next_power_of_two().max(8),
     }
 }
 
@@ -385,7 +432,7 @@ pub(crate) fn join_display<T, F: Fn(&T) -> String>(items: &[T], f: F) -> String 
 
 impl fmt::Display for Interner {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Interner({} symbols)", self.names.len())
+        write!(f, "Interner({} symbols)", self.len())
     }
 }
 
@@ -588,5 +635,224 @@ mod tests {
             let b: Vec<_> = merged.symbols().collect();
             assert_eq!(a, b, "round {round}: partitioning changed the ids");
         }
+    }
+
+    /// A deterministic LCG for the randomized tests.
+    fn lcg(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        }
+    }
+
+    /// The interner's heap bytes beyond its names' own, read off the
+    /// capacities of its four buffers.
+    fn overhead(i: &Interner) -> usize {
+        let names: usize = i.symbols().map(|(_, n)| n.len()).sum();
+        (i.arena.capacity() - names)
+            + 4 * i.ends.capacity()
+            + std::mem::size_of::<Space>() * i.spaces.capacity()
+            + 4 * i.table.capacity()
+    }
+
+    /// The reference an interner is checked against: `(namespace, name) →
+    /// id`, and the listing in id order.
+    #[derive(Clone, Default)]
+    struct Model {
+        ids: std::collections::BTreeMap<(Space, String), u32>,
+        listing: Vec<(Space, String)>,
+    }
+
+    impl Model {
+        fn intern(&mut self, space: Space, name: &str) -> u32 {
+            let next = self.listing.len() as u32;
+            let id = *self.ids.entry((space, name.to_owned())).or_insert(next);
+            if id == next {
+                self.listing.push((space, name.to_owned()));
+            }
+            id
+        }
+
+        fn lookup(&self, space: Space, name: &str) -> Option<u32> {
+            self.ids.get(&(space, name.to_owned())).copied()
+        }
+
+        /// Everything an interner must agree on, lookups of every name
+        /// in every namespace included.
+        fn check(&self, i: &Interner, pool: &[String], at: &str) {
+            assert_eq!(i.len(), self.listing.len(), "{at}");
+            let listing: Vec<_> = self.listing.iter().map(|(s, n)| (*s, n.as_str())).collect();
+            assert!(i.symbols().eq(listing.iter().copied()), "{at}: listing");
+            for (id, (space, name)) in listing.iter().enumerate() {
+                assert_eq!(i.name(id as u32), *name, "{at}");
+                assert_eq!(i.symbol_space(id as u32), Some(*space), "{at}");
+            }
+            assert_eq!(i.symbol_space(i.len() as u32), None, "{at}");
+            for name in pool {
+                for space in [Space::Var, Space::Const, Space::Pred] {
+                    assert_eq!(
+                        i.lookup_id(space, name),
+                        self.lookup(space, name),
+                        "{at}: {name:?}"
+                    );
+                }
+            }
+            // The table: a power of two, at most half full, every id once.
+            let t = &i.table;
+            assert!(t.is_empty() || t.len().is_power_of_two(), "{at}");
+            assert!(2 * i.len() <= t.len(), "{at}: more than half full");
+            assert_eq!(t.iter().filter(|&&id| id != EMPTY).count(), i.len(), "{at}");
+        }
+    }
+
+    /// Names for the model test: a cluster whose hashes agree in their
+    /// low 12 bits — one slot in every table up to 4 096 — the empty name,
+    /// multi-byte UTF-8, names that prefix one another, and plain ones.
+    fn name_pool() -> Vec<String> {
+        let mut by_slot: std::collections::HashMap<usize, Vec<String>> = Default::default();
+        for k in 0..60_000 {
+            let name = format!("c{k}");
+            by_slot
+                .entry(sym_hash(Space::Const, &name) & 0xfff)
+                .or_default()
+                .push(name);
+        }
+        let cluster = by_slot.into_values().max_by_key(|v| v.len()).unwrap();
+        assert!(cluster.len() >= 20, "a cluster of {}", cluster.len());
+        let mut pool: Vec<String> = cluster.into_iter().take(20).collect();
+        let odd = [
+            "",
+            "é",
+            "e\u{301}",
+            "日本",
+            "日本語",
+            "🦀",
+            "a",
+            "ab",
+            "abc",
+            "a\u{0}b",
+        ];
+        pool.extend(odd.iter().map(|s| s.to_string()));
+        pool.extend((0..300).map(|k| format!("n{k}")));
+        pool
+    }
+
+    #[test]
+    fn the_interner_agrees_with_a_model_under_random_interleavings() {
+        let pool = name_pool();
+        for seed in 0..6u64 {
+            let mut next = lcg(0xA11CE + seed);
+            // Diverging copies: each interner beside its own model.
+            let mut pairs = vec![(Interner::new(), Model::default())];
+            for step in 0..4_000 {
+                let at = format!("seed {seed} step {step}");
+                let k = (next() as usize) % pairs.len();
+                let name = &pool[(next() as usize) % pool.len()];
+                let space = [Space::Var, Space::Const, Space::Pred][(next() % 3) as usize];
+                let room = pairs.len() < 4;
+                let (i, model) = &mut pairs[k];
+                match next() % 100 {
+                    0..=59 => {
+                        let id = match space {
+                            Space::Var => i.var(name).0,
+                            Space::Const => i.constant(name).0,
+                            Space::Pred => i.pred(name).0,
+                        };
+                        assert_eq!(id, model.intern(space, name), "{at}: {name:?}");
+                        // Around each doubling, every lookup.
+                        let len = i.len();
+                        if [len - 1, len, len + 1].iter().any(|n| n.is_power_of_two()) {
+                            model.check(i, &pool, &at);
+                        }
+                    }
+                    60..=89 => {
+                        assert_eq!(i.lookup_id(space, name), model.lookup(space, name), "{at}")
+                    }
+                    90..=94 if room => {
+                        let copy = (i.clone(), model.clone());
+                        copy.1.check(&copy.0, &pool, &at);
+                        pairs.push(copy);
+                    }
+                    _ => {
+                        let listing: Vec<(Space, &str)> = i.symbols().collect();
+                        let back = Interner::from_symbols(listing, i.fresh_counter()).unwrap();
+                        model.check(&back, &pool, &at);
+                        *i = back;
+                    }
+                }
+            }
+            for (i, model) in &pairs {
+                model.check(i, &pool, &format!("seed {seed} end"));
+            }
+            // The copies diverged from their originals.
+            let lens: std::collections::BTreeSet<usize> =
+                pairs.iter().map(|(i, _)| i.len()).collect();
+            assert!(
+                pairs.len() == 1 || lens.len() > 1,
+                "seed {seed}: copies never diverged"
+            );
+        }
+    }
+
+    #[test]
+    fn one_name_in_all_three_namespaces_is_three_symbols() {
+        let mut i = Interner::new();
+        for name in ["", "x", "日本"] {
+            let v = i.var(name).0;
+            let c = i.constant(name).0;
+            let p = i.pred(name).0;
+            assert_eq!((c, p), (v + 1, v + 2));
+            assert_eq!(i.lookup_id(Space::Const, name), Some(c));
+            assert_eq!([i.name(v), i.name(c), i.name(p)], [name; 3]);
+        }
+        assert_eq!(i.len(), 9);
+    }
+
+    #[test]
+    fn a_symbol_costs_its_name_and_at_most_21_bytes() {
+        let mut next = lcg(7);
+        let mut grown = Interner::new();
+        for n in 1..=5_000usize {
+            let name = format!("u{}_{}", next() % 100_000, n);
+            grown.constant(&name);
+            // Grown by pushes: the table's 4–16 bytes a symbol, a `u32`
+            // and a byte a symbol twice over at worst, and the arena's
+            // slack up to its names again.
+            let names: usize = grown.symbols().map(|(_, n)| n.len()).sum();
+            assert!(overhead(&grown) <= 26 * n + names + 64, "{n} grown");
+            if n % 97 == 0 || n.is_power_of_two() || (n + 1).is_power_of_two() {
+                // A clone, and a decoder's interner, are sized exactly.
+                let clone = grown.clone();
+                assert!(
+                    overhead(&clone) <= 21 * n + 32,
+                    "{n} cloned: {}",
+                    overhead(&clone)
+                );
+                let listing: Vec<(Space, &str)> = grown.symbols().collect();
+                let mut sized = Interner::with_capacity(n, names);
+                for (space, name) in listing {
+                    sized.push_new(space, name).unwrap();
+                }
+                assert!(
+                    overhead(&sized) <= 21 * n + 32,
+                    "{n} sized: {}",
+                    overhead(&sized)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn push_new_refuses_a_symbol_already_there() {
+        let mut i = Interner::with_capacity(2, 2);
+        assert_eq!(i.push_new(Space::Const, "a"), Some(0));
+        assert_eq!(i.push_new(Space::Const, "a"), None);
+        assert_eq!(i.push_new(Space::Pred, "a"), Some(1));
+        // Past its capacity it grows, like any interner.
+        assert_eq!(i.push_new(Space::Var, "a"), Some(2));
+        assert_eq!(i.len(), 3);
     }
 }

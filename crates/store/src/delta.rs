@@ -73,8 +73,8 @@ pub struct DeltaHeader {
 pub struct Delta {
     /// The delta header.
     pub header: DeltaHeader,
-    /// Appended symbols, in id order starting at `header.base_symbols`.
-    appended: Vec<(SymbolSpace, String)>,
+    /// Appended symbols: local id `k` is file id `header.base_symbols + k`.
+    appended: Interner,
     /// Per-relation insertion runs, predicates strictly ascending.
     relations: Vec<RelationBlock>,
 }
@@ -253,7 +253,9 @@ pub fn decode_delta(bytes: &[u8]) -> Result<Delta, StoreError> {
 
     let section = read_section(&mut r, "dictionary")?;
     expect_tag(&section, TAG_DICTIONARY, "dictionary")?;
-    let appended = parse_dictionary(section.payload, appended_count)?;
+    let appended = parse_dictionary(section.payload, appended_count, |name| {
+        format!("appended symbol {name:?} is listed twice")
+    })?;
 
     // Each relation-delta section costs at least its framing; bound the
     // declared count against the bytes present before sizing anything.
@@ -405,8 +407,9 @@ pub struct ChainSymbols {
     /// True while every file id is its own target id, so a delta's runs
     /// apply untranslated.
     identity: bool,
-    /// Every appended symbol, with its file id, so a chain lists each once.
-    listed: HashMap<(SymbolSpace, String), u32>,
+    /// The file id of every appended symbol, by its target id, so a chain
+    /// lists each once: one name always resolves to one target id.
+    listed: HashMap<u32, u32>,
     /// The largest fresh-name counter the base or a delta carried.
     fresh_counter: u64,
     /// The rows inserted since the base, per target predicate id: one
@@ -489,14 +492,14 @@ impl ChainSymbols {
         }
     }
 
-    /// Resolves one appended symbol, which `delta_base` (the appending
-    /// delta's anchor) says has file id `self.file_len()`.
+    /// Resolves one appended symbol, file id `self.file_len()`. A name
+    /// listed twice in one delta never gets here: its dictionary refuses
+    /// it ([`decode_delta`]).
     fn append(
         &mut self,
         target: &Interner,
-        delta_base: u64,
         space: SymbolSpace,
-        name: String,
+        name: &str,
     ) -> Result<(), StoreError> {
         let file_id = u32::try_from(self.file_len()).expect("bounded by the delta header");
         let already = |id: u32| {
@@ -508,12 +511,12 @@ impl ChainSymbols {
         // A base symbol, known to the target or new with the base, is
         // refused: the id the delta's cells use for it would name
         // something else.
-        let id = match target.lookup_id(space, &name) {
+        let id = match target.lookup_id(space, name) {
             Some(id) if id < self.start && self.base.maps_to(id) => return Err(already(id)),
             Some(id) if id < self.start => id,
             // New to the target, or interned there since the chain began
             // (then `commit` finds it at another id).
-            _ => match self.fresh.lookup_id(space, &name) {
+            _ => match self.fresh.lookup_id(space, name) {
                 Some(k) if k < self.base_fresh => return Err(already(self.start + k)),
                 // Appended before in the chain: refused below.
                 Some(k) => self.start + k,
@@ -522,23 +525,13 @@ impl ChainSymbols {
                     let id = id.ok_or_else(|| {
                         malformed("dictionary", "symbol count exceeds u32 id space")
                     })?;
-                    self.fresh.id(space, &name);
+                    self.fresh.id(space, name);
                     id
                 }
             },
         };
-        match self.listed.entry((space, name)) {
-            Entry::Occupied(seen) => {
-                let (name, earlier) = (&seen.key().1, *seen.get());
-                return Err(malformed(
-                    "dictionary",
-                    if u64::from(earlier) < delta_base {
-                        format!("appended symbol {name:?} is already interned (id {earlier})")
-                    } else {
-                        format!("appended symbol {name:?} is listed twice")
-                    },
-                ));
-            }
+        match self.listed.entry(id) {
+            Entry::Occupied(earlier) => return Err(already(*earlier.get())),
             Entry::Vacant(slot) => {
                 slot.insert(file_id);
             }
@@ -697,8 +690,8 @@ pub fn apply_delta<G: Deref<Target = Interner>>(
         let target = interner();
         symbols.listed.reserve(appended.len());
         symbols.appended.reserve(appended.len());
-        for (space, name) in appended {
-            symbols.append(&target, header.base_symbols, space, name)?;
+        for (space, name) in appended.symbols() {
+            symbols.append(&target, space, name)?;
         }
         for (idx, rd) in relations.iter().enumerate() {
             check_relation(rd, &format!("relation delta[{idx}]"), |id| {

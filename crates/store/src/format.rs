@@ -256,18 +256,32 @@ pub fn snapshot_to_vec_v2(interner: &Interner, db: &Database) -> Result<Vec<u8>,
 /// reassembly restores the exact original, so UTF-8 validation of the whole
 /// name still applies). A snapshot stores its whole dictionary as one, a
 /// delta its appended symbols; catalogs with systematic IRIs win the most.
+/// An entry whose sharing would take the names decoded so far past
+/// [`MAX_NAME_BYTES_PER_DICTIONARY_BYTE`] times the block written so far
+/// shares nothing instead, so every block this writes stays inside the
+/// bound its reader holds it to.
 pub(crate) fn encode_dictionary<'a>(
     symbols: impl Iterator<Item = (SymbolSpace, &'a str)>,
 ) -> Vec<u8> {
+    let push = |dict: &mut Vec<u8>, space, shared: usize, suffix: &[u8]| {
+        dict.push(space_code(space));
+        write_uvarint(dict, shared as u64);
+        write_uvarint(dict, suffix.len() as u64);
+        dict.extend_from_slice(suffix);
+    };
     let mut dict = Vec::new();
     let mut prev: &[u8] = &[];
+    let mut decoded = 0usize;
     for (space, name) in symbols {
         let bytes = name.as_bytes();
         let shared = prev.iter().zip(bytes).take_while(|(a, b)| a == b).count();
-        dict.push(space_code(space));
-        write_uvarint(&mut dict, shared as u64);
-        write_uvarint(&mut dict, (bytes.len() - shared) as u64);
-        dict.extend_from_slice(&bytes[shared..]);
+        let start = dict.len();
+        push(&mut dict, space, shared, &bytes[shared..]);
+        decoded += bytes.len();
+        if decoded > dict.len() * MAX_NAME_BYTES_PER_DICTIONARY_BYTE {
+            dict.truncate(start);
+            push(&mut dict, space, 0, bytes);
+        }
         prev = bytes;
     }
     dict
@@ -584,7 +598,8 @@ pub(crate) fn check_relation(
 /// identically.
 struct Preamble {
     header: SnapshotHeader,
-    symbols: Vec<(SymbolSpace, String)>,
+    /// The dictionary, its fresh-name counter the header's.
+    interner: Interner,
     /// Serialized size of the dictionary section payload.
     dict_bytes: usize,
     /// `header.relations`, bounded against the bytes left to carry them.
@@ -612,7 +627,10 @@ fn read_preamble(r: &mut Reader<'_>) -> Result<Preamble, StoreError> {
         .ok()
         .filter(|&n| u32::try_from(n).is_ok())
         .ok_or_else(|| malformed("dictionary", "symbol count exceeds u32 id space"))?;
-    let symbols = parse_dictionary(section.payload, count)?;
+    let mut interner = parse_dictionary(section.payload, count, |_| {
+        "duplicate symbol entry".to_string()
+    })?;
+    interner.raise_fresh_counter(header.fresh_counter);
 
     let rel_count = checked_count(
         u64::from(header.relations),
@@ -623,7 +641,7 @@ fn read_preamble(r: &mut Reader<'_>) -> Result<Preamble, StoreError> {
     )?;
     Ok(Preamble {
         header,
-        symbols,
+        interner,
         dict_bytes: section.payload.len(),
         rel_count,
     })
@@ -650,12 +668,10 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(Interner, Database), StoreError>
     let mut r = Reader::new(bytes);
     let Preamble {
         header,
-        symbols,
+        interner,
         rel_count,
         ..
     } = read_preamble(&mut r)?;
-    let interner = Interner::from_symbols(symbols, header.fresh_counter)
-        .ok_or_else(|| malformed("dictionary", "duplicate symbol entry"))?;
 
     let mut relations: Vec<(Pred, Relation)> = Vec::with_capacity(rel_count);
     let mut seen_preds = std::collections::HashSet::new();
@@ -688,15 +704,36 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(Interner, Database), StoreError>
     Ok((interner, Database::from_sorted(relations)))
 }
 
+/// How many name bytes a dictionary block may decode to per byte of its
+/// payload. Front coding lets an entry of three bytes repeat its whole
+/// predecessor, so without a bound `n` names `a`, `aa`, `aaa`, … cost
+/// `n²/2` bytes of heap from `3n` bytes of file. Real dictionaries stay
+/// far below it: the benchmark's synthetic and music dictionaries decode
+/// to 1.43× and 1.92× their payload, generated IRIs that share a 60- or
+/// 120-byte prefix to 15.1× and 28.4× (DESIGN.md §13).
+pub(crate) const MAX_NAME_BYTES_PER_DICTIONARY_BYTE: usize = 64;
+
 /// Parses a dictionary block of `count` symbols (inverse of
-/// [`encode_dictionary`]).
+/// [`encode_dictionary`]) into an interner whose `k`-th symbol is the
+/// block's `k`-th; a symbol listed twice is refused with the message
+/// `duplicate` gives its name. Each name is reassembled in one reused
+/// buffer, checked against the decode bound
+/// ([`MAX_NAME_BYTES_PER_DICTIONARY_BYTE`]) before a byte is copied, and
+/// copied into the interner's arena; the table is sized once, for `count`.
 pub(crate) fn parse_dictionary(
     payload: &[u8],
     count: usize,
-) -> Result<Vec<(SymbolSpace, String)>, StoreError> {
+    duplicate: impl Fn(&str) -> String,
+) -> Result<Interner, StoreError> {
     // Minimum entry: space byte + two one-byte varints.
     checked_count(count as u64, 3, payload.len(), "dictionary", "symbols")?;
-    let mut symbols = Vec::with_capacity(count);
+    // The arena's offsets are `u32`s.
+    let bound = payload
+        .len()
+        .saturating_mul(MAX_NAME_BYTES_PER_DICTIONARY_BYTE);
+    let bound = bound.min(u32::MAX as usize);
+    let mut out = Interner::with_capacity(count, payload.len());
+    let mut decoded = 0usize;
     let mut pos = 0usize;
     let mut prev: Vec<u8> = Vec::new();
     let truncated = || StoreError::Truncated {
@@ -727,16 +764,29 @@ pub(crate) fn parse_dictionary(
         )?;
         let suffix = payload.get(pos..pos + suffix_len).ok_or_else(truncated)?;
         pos += suffix_len;
+        decoded += shared + suffix_len;
+        if decoded > bound {
+            return Err(malformed(
+                "dictionary",
+                format!(
+                    "symbol {i} takes the names past {bound} bytes, \
+                     {MAX_NAME_BYTES_PER_DICTIONARY_BYTE}× the block's {} bytes",
+                    payload.len()
+                ),
+            ));
+        }
         prev.truncate(shared);
         prev.extend_from_slice(suffix);
         let name = std::str::from_utf8(&prev)
             .map_err(|_| malformed("dictionary", format!("symbol {i} is not UTF-8")))?;
-        symbols.push((space, name.to_string()));
+        if out.push_new(space, name).is_none() {
+            return Err(malformed("dictionary", duplicate(name)));
+        }
     }
     if pos != payload.len() {
         return Err(malformed("dictionary", "trailing bytes"));
     }
-    Ok(symbols)
+    Ok(out)
 }
 
 /// One decoded relation block: the predicate it belongs to and a strictly
@@ -870,7 +920,7 @@ pub fn inspect_snapshot(bytes: &[u8]) -> Result<SnapshotSummary, StoreError> {
     let mut r = Reader::new(bytes);
     let Preamble {
         header,
-        symbols,
+        interner,
         dict_bytes,
         rel_count,
     } = read_preamble(&mut r)?;
@@ -883,10 +933,10 @@ pub fn inspect_snapshot(bytes: &[u8]) -> Result<SnapshotSummary, StoreError> {
         let pred = pr.u32(&label)?;
         let arity = pr.u32(&label)?;
         let rows = pr.u64(&label)?;
-        let name = symbols
-            .get(pred as usize)
-            .map(|(_, n)| n.clone())
-            .unwrap_or_else(|| format!("<unknown id {pred}>"));
+        let name = match (pred as usize) < interner.len() {
+            true => interner.name(pred).to_string(),
+            false => format!("<unknown id {pred}>"),
+        };
         relations.push(RelationSummary {
             pred,
             name,

@@ -50,9 +50,16 @@
 //! 3 `u32`s per triple. The peak is set by the canonical merge, where the
 //! coded chunks, the worker interners, the global interner and the merge's
 //! sort buffer are live together; the worker interners are dropped before
-//! the remap. Measured with a counting allocator on 400k skewed triples
-//! (`gen-synth --skew 3`) at 2 threads, the peak is 2.5× the result: 27.7
-//! MiB for an 11.1 MiB database and interner (1.75× at 1 thread).
+//! the remap, which rewrites the chunks in place and gathers each
+//! relation's cells into one allocation sized from their run headers, so
+//! the rest of a load holds what its input decides, whatever the
+//! scheduling. Measured with a counting allocator on 400k skewed triples
+//! (`gen-synth --skew 3`: 75 054 names, 0.41 MiB of them) at 2 threads,
+//! the peak is 2.10× the result: 14.5 MiB for a 6.9 MiB database and
+//! interner (13.0 MiB, 1.89×, at 1 thread). An interner keeps its names in
+//! one arena: grown by pushes, as a worker's is, it takes 2.1 MiB for
+//! those names, where a `(namespace, String)` slot per id and a hash map
+//! took 6.5.
 
 use crate::format::StoreError;
 use std::collections::HashMap;
@@ -156,6 +163,19 @@ struct CodedChunk {
     worker: usize,
     code: Box<[u32]>,
     facts: u64,
+}
+
+/// The runs of a coded chunk: each run's predicate, arity and cells.
+fn runs(code: &[u32]) -> impl Iterator<Item = (Pred, usize, &[u32])> {
+    let mut rest = code;
+    std::iter::from_fn(move || match rest {
+        [pred, argc, n, tail @ ..] => {
+            let (cells, next) = tail.split_at(*argc as usize * *n as usize);
+            rest = next;
+            Some((Pred(*pred), *argc as usize, cells))
+        }
+        _ => None,
+    })
 }
 
 /// What a parse worker keeps across its chunks: its own interner, whose
@@ -562,44 +582,45 @@ pub fn bulk_load<R: BufRead + Send>(
         }
     }
 
-    // Pass 2: parallel remap local→global ids, grouping tuples by
-    // predicate. Each thread accumulates its own groups; the groups merge
-    // by concatenation, and any order differences wash out in the sort
+    // Pass 2: remap local→global ids in place, chunks in parallel. Then
+    // gather each predicate's cells, chunk by chunk, into one allocation
+    // sized from the run headers before any is copied, freeing each chunk
+    // once copied: what this holds depends on the input alone, never on
+    // which thread remapped which chunk. Row order washes out in the sort
     // below (the tuple multiset is thread-independent).
-    let queue = Mutex::new(chunks.into_iter());
-    let grouped: Mutex<Vec<PredTuples>> = Mutex::new(Vec::new());
+    let queue = Mutex::new(chunks.iter_mut());
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| {
-                let mut local: PredTuples = HashMap::new();
-                loop {
-                    let Some(chunk) = lock(&queue).next() else {
-                        break;
-                    };
-                    let map = &maps[chunk.worker];
-                    let mut rest = &chunk.code[..];
-                    while let [pred, argc, n, tail @ ..] = rest {
-                        let (argc, cells) = (*argc as usize, *argc as usize * *n as usize);
-                        local
-                            .entry(Pred(map[*pred as usize]))
-                            .or_insert_with(|| (argc, Vec::new()))
-                            .1
-                            .extend(tail[..cells].iter().map(|&c| Const(map[c as usize])));
-                        rest = &tail[cells..];
+            scope.spawn(|| loop {
+                let Some(chunk) = lock(&queue).next() else {
+                    return;
+                };
+                let map = &maps[chunk.worker];
+                let mut rest = &mut chunk.code[..];
+                while let [pred, argc, n, tail @ ..] = rest {
+                    *pred = map[*pred as usize];
+                    let (cells, next) = tail.split_at_mut(*argc as usize * *n as usize);
+                    for cell in cells {
+                        *cell = map[*cell as usize];
                     }
+                    rest = next;
                 }
-                lock(&grouped).push(local);
             });
         }
     });
-    let mut tuples_by_pred: PredTuples = HashMap::new();
-    for local in grouped.into_inner().unwrap_or_else(PoisonError::into_inner) {
-        for (pred, (arity, mut tuples)) in local {
-            tuples_by_pred
-                .entry(pred)
-                .or_insert_with(|| (arity, Vec::new()))
-                .1
-                .append(&mut tuples);
+    drop(maps);
+    let mut sizes: HashMap<Pred, (usize, usize)> = HashMap::new();
+    for (pred, arity, cells) in chunks.iter().flat_map(|c| runs(&c.code)) {
+        sizes.entry(pred).or_insert((arity, 0)).1 += cells.len();
+    }
+    let mut tuples_by_pred: PredTuples = sizes
+        .into_iter()
+        .map(|(pred, (arity, len))| (pred, (arity, Vec::with_capacity(len))))
+        .collect();
+    for chunk in chunks {
+        for (pred, _, cells) in runs(&chunk.code) {
+            let tuples = &mut tuples_by_pred.get_mut(&pred).expect("sized above").1;
+            tuples.extend(cells.iter().map(|&c| Const(c)));
         }
     }
 

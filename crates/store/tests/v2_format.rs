@@ -286,3 +286,123 @@ fn header_version_and_inspect_report_the_sections() {
     let sections: usize = summary.relations.iter().map(|r| r.bytes).sum();
     assert!(sections + summary.dict_bytes < summary.bytes);
 }
+
+/// `file` rebuilt with `entries` appended to its dictionary block and
+/// `more` added to the symbol count at `count_at` of the section tagged
+/// `header_tag`, every section re-framed and re-stamped.
+fn with_more_symbols(
+    file: &[u8],
+    header_tag: u8,
+    count_at: usize,
+    more: u64,
+    entries: &[u8],
+) -> Vec<u8> {
+    let mut out = file[..12].to_vec(); // magic + version
+    let mut pos = 12;
+    while pos < file.len() {
+        let tag = file[pos];
+        let len = u64::from_le_bytes(file[pos + 1..pos + 9].try_into().unwrap()) as usize;
+        let mut payload = file[pos + 9..pos + 9 + len].to_vec();
+        if tag == header_tag {
+            let field = &mut payload[count_at..count_at + 8];
+            let count = u64::from_le_bytes(field.try_into().unwrap()) + more;
+            field.copy_from_slice(&count.to_le_bytes());
+        }
+        if tag == 0x07 {
+            payload.extend_from_slice(entries);
+        }
+        let start = out.len();
+        out.push(tag);
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&payload);
+        let crc = crc32(&out[start..]);
+        out.extend_from_slice(&crc.to_le_bytes());
+        pos += FRAME + len;
+    }
+    out
+}
+
+/// The variables `q`, `qq`, `qqq`, … as dictionary entries, each sharing
+/// its whole predecessor plus one byte: about 5 bytes an entry (past 127
+/// the shared length's varint takes two) for `n²/2` bytes of names.
+fn growing_names(n: usize) -> Vec<u8> {
+    let mut entries = Vec::new();
+    for k in 0..n {
+        entries.push(0); // the variable namespace
+        let mut shared = k as u64;
+        while shared >= 0x80 {
+            entries.push(shared as u8 | 0x80);
+            shared >>= 7;
+        }
+        entries.extend_from_slice(&[shared as u8, 1, b'q']);
+    }
+    entries
+}
+
+fn expect_past_the_decode_bound(what: &str, err: StoreError) {
+    match err {
+        StoreError::Malformed { section, detail } => {
+            assert_eq!(section, "dictionary", "{what}: {detail}");
+            assert!(detail.contains("bytes"), "{what}: {detail}");
+        }
+        other => panic!("{what}: expected Malformed, got {other}"),
+    }
+}
+
+#[test]
+fn a_dictionary_decoding_to_quadratic_bytes_is_refused() {
+    // 20 000 names in about 100 kB, 200 MB of them decoded.
+    let n = 20_000;
+    let entries = growing_names(n);
+    assert!(entries.len() < 110_000);
+    let snapshot = with_more_symbols(&sample_snapshot_v2(), 0x01, 0, n as u64, &entries);
+    let err = decode_snapshot(&snapshot).unwrap_err();
+    expect_past_the_decode_bound("snapshot", err);
+    let err = wdpt_store::inspect_snapshot(&snapshot).unwrap_err();
+    expect_past_the_decode_bound("inspect", err);
+
+    let (base, delta) = sample_delta();
+    let delta = with_more_symbols(&delta, 0x04, 16, n as u64, &entries);
+    let err = decode_delta(&delta).unwrap_err();
+    expect_past_the_decode_bound("delta", err);
+    let err = decode_chain(&base, &[delta]).unwrap_err();
+    assert_eq!(err.0, 1, "the delta is the file refused");
+    expect_past_the_decode_bound("chain", err.1);
+
+    // A few such names are well inside the bound and load.
+    let snapshot = with_more_symbols(&sample_snapshot_v2(), 0x01, 0, 20, &growing_names(20));
+    let (i, _) = decode_snapshot(&snapshot).unwrap();
+    assert_eq!(i.name(i.len() as u32 - 1), "q".repeat(20));
+}
+
+#[test]
+fn a_name_listed_twice_in_one_delta_is_refused() {
+    let (base, delta) = sample_delta();
+    // The delta appends `q` twice.
+    let delta = with_more_symbols(&delta, 0x04, 16, 2, &[0, 0, 1, b'q', 0, 1, 0]);
+    let err = decode_delta(&delta).unwrap_err();
+    assert!(err.to_string().contains("\"q\" is listed twice"), "{err}");
+    assert!(decode_chain(&base, &[delta]).is_err());
+}
+
+#[test]
+fn the_writer_keeps_a_dictionary_inside_its_decode_bound() {
+    // Names sharing all of their predecessor: front-coded throughout they
+    // would decode to ~200× their block; the writer restarts the coding
+    // where the bound would be crossed, and the file reads back.
+    let mut i = Interner::new();
+    for k in 1..=2_000 {
+        i.var(&"q".repeat(k));
+    }
+    let bytes = snapshot_to_vec_v2(&i, &Database::new()).unwrap();
+    let summary = wdpt_store::inspect_snapshot(&bytes).unwrap();
+    let names: usize = i.symbols().map(|(_, n)| n.len()).sum();
+    assert!(names > 100 * 2_000 * 5, "the names alone");
+    assert!(
+        names <= 64 * summary.dict_bytes,
+        "{names} vs {}",
+        summary.dict_bytes
+    );
+    let (back, _) = decode_snapshot(&bytes).unwrap();
+    assert!(back.symbols().eq(i.symbols()));
+}
