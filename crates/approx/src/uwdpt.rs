@@ -105,7 +105,6 @@ fn is_exact_projection(p: &Wdpt, db: &Database, h: &Mapping, engine: Engine) -> 
 /// must be a partial answer of `φ'` over the canonical database of
 /// `q_{T₁}`.
 pub fn uwdpt_subsumed(phi: &Uwdpt, phi2: &Uwdpt, engine: Engine, interner: &mut Interner) -> bool {
-    let _span = wdpt_obs::span!("approx.uwdpt.subsumed");
     let floor = frozen_floor(interner);
     for p in &phi.disjuncts {
         let mut subtrees = Vec::new();
@@ -198,7 +197,6 @@ pub fn uwb_equivalent_union(
 /// union of the `C(k)`-approximations of the CQs in `φ_cq`, pruned by
 /// CQ-subsumption. Exact and single-exponential.
 pub fn uwb_approximation(phi: &Uwdpt, kind: WidthKind, k: usize, interner: &mut Interner) -> Uwdpt {
-    let _span = wdpt_obs::span!("approx.uwdpt.uwb_approximation");
     let mut pool: Vec<ConjunctiveQuery> = Vec::new();
     for q in reduced_phi_cq(phi, interner) {
         pool.extend(cq_approximations(&q, kind, k, interner));

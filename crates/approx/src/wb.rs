@@ -46,7 +46,6 @@ pub const CANDIDATE_POOL_LIMIT: usize = 200_000;
 /// with one another; candidates keep `p`'s free variables restricted to the
 /// surviving nodes.
 pub fn candidate_pool(p: &Wdpt) -> Vec<Wdpt> {
-    let _span = wdpt_obs::span!("approx.wb.candidate_pool");
     let free: BTreeSet<Var> = p.free_set();
     let mut pool = Vec::new();
     let mut subtrees = Vec::new();
@@ -155,7 +154,6 @@ pub fn find_wb_equivalent(
     k: usize,
     interner: &mut Interner,
 ) -> Option<Wdpt> {
-    let _span = wdpt_obs::span!("approx.wb.find_equivalent");
     if in_wb(p, kind, k) {
         return Some(p.clone());
     }
@@ -173,7 +171,6 @@ pub fn wb_approximations(
     k: usize,
     interner: &mut Interner,
 ) -> Vec<Wdpt> {
-    let _span = wdpt_obs::span!("approx.wb.approximations");
     let sound: Vec<Wdpt> = candidate_pool(p)
         .into_iter()
         .filter(|cand| in_wb(cand, kind, k))

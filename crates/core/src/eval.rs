@@ -40,7 +40,6 @@ struct Node<'a> {
 /// Decides `h ∈ p(D)` for an arbitrary WDPT (general, worst-case
 /// exponential — the paper's Σ₂ᵖ upper bound). Records its searches' work.
 pub fn eval_decide(p: &Wdpt, db: &Database, h: &Mapping) -> bool {
-    let _span = wdpt_obs::span!("wdpt.eval.decide");
     let free = p.free_set();
     let dom: Vec<Var> = h.iter().map(|(v, _)| v).collect();
     if !dom.iter().all(|v| free.contains(v)) {

@@ -35,7 +35,6 @@ use wdpt_model::{Const, Database, Mapping, ProbeTally, Relation, Var};
 /// WDPT; polynomial when `p` is locally tractable w.r.t. `engine`'s class
 /// and has bounded interface. Records its oracles' work.
 pub fn eval_bounded_interface(p: &Wdpt, db: &Database, h: &Mapping, engine: Engine) -> bool {
-    let _span = wdpt_obs::span!("wdpt.eval.bounded_interface");
     let free = p.free_set();
     let dom = h.domain();
     if !dom.is_subset(&free) {

@@ -25,8 +25,7 @@
 //! * [`eval_bi`] — the Theorem 6 polynomial algorithm for
 //!   `ℓ-C(k) ∩ BI(c)`.
 //! * [`profile`] — an evaluation's tally as a [`wdpt_obs::QueryProfile`]
-//!   (per-node homomorphism counts, the run's own work counters), and the
-//!   node entries a caller bracketing a run with a recorder attaches.
+//!   (per-node homomorphism counts, the run's own work counters).
 //! * [`variants`] — PARTIAL-EVAL (Theorem 8) and MAX-EVAL (Theorem 9),
 //!   polynomial under global tractability.
 //! * [`subsumption`] — `⊑`, `≡ₛ`, and MAXEQUIVALENCE (Section 4,
@@ -53,7 +52,6 @@ pub use eval::eval_decide;
 pub use eval_bi::eval_bounded_interface;
 pub use optimize::normalize;
 pub use planning::plan_wdpt;
-pub use profile::node_entries;
 pub use semantics::{
     evaluate, evaluate_max, evaluate_rows, maximal_homomorphisms, try_evaluate_parallel_planned,
     Answers, EvalTally,

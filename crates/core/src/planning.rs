@@ -29,7 +29,6 @@ pub fn plan_wdpt(
     strategy: Strategy,
     token: &CancelToken,
 ) -> Result<ExecPlan, Cancelled> {
-    let _span = wdpt_obs::span!("plan.build");
     let n = p.node_count();
     // Preorder ids satisfy parent(t) < t, so a single forward pass can
     // carry each node's inherited-variable set down the tree.

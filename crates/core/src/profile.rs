@@ -3,16 +3,8 @@
 //! Every evaluation hands back an [`EvalTally`] — per-tree-node
 //! homomorphism counts and the searches' work counts, its own and exact.
 //! [`EvalTally::profile`] renders that, and nothing process-wide, as a
-//! [`QueryProfile`]: what a serving layer logs for a slow or deadline-killed
-//! request.
-//!
-//! Time per phase and histograms come from the process-wide span and metric
-//! registries, so a caller that wants them brackets
-//! [`evaluate_rows`](crate::evaluate_rows) with a
-//! [`wdpt_obs::ProfileRecorder`] itself and attaches [`node_entries`] — and
-//! reads deltas that are exact only if nothing else ran meanwhile: a CLI
-//! binary, a bench, a test holding a lock, the one request that asked for a
-//! profile.
+//! [`QueryProfile`]: what a serving layer returns to a request that asked
+//! for a profile and logs for a slow or deadline-killed one.
 
 use crate::semantics::EvalTally;
 use crate::tree::Wdpt;
@@ -21,7 +13,7 @@ use wdpt_obs::{NodeEntry, QueryProfile};
 /// The per-node profile entries for the executor's homomorphism counts
 /// ([`EvalTally::homs`]): preorder ids, parent/depth for indentation, a
 /// label summarizing the node's pattern, and the count.
-pub fn node_entries(p: &Wdpt, hom_counts: &[u64]) -> Vec<NodeEntry> {
+fn node_entries(p: &Wdpt, hom_counts: &[u64]) -> Vec<NodeEntry> {
     (0..p.node_count())
         .map(|t| NodeEntry {
             id: t,
@@ -41,11 +33,10 @@ impl EvalTally {
     /// The tally of an evaluation of `p` that took `wall_ns` and produced
     /// `answers` rows, as a profile: `nodes` are the per-node counts,
     /// `counters` the run's own three under the names of the process-wide
-    /// counters it recorded them in (zero ones left out, as a recorder
-    /// does), `phases` and `histograms` empty.
+    /// counters it recorded them in, zero ones left out.
     pub fn profile(&self, p: &Wdpt, label: &str, wall_ns: u64, answers: u64) -> QueryProfile {
         use wdpt_model::stats::{INDEX_PROBES, NODES_EXPANDED, TUPLES_SCANNED};
-        // Sorted by name, like a recorder's.
+        // Sorted by name.
         let counters = [
             (NODES_EXPANDED, self.work.nodes_expanded),
             (INDEX_PROBES, self.work.index_probes),
@@ -55,13 +46,11 @@ impl EvalTally {
             label: label.to_string(),
             wall_ns,
             answers,
-            phases: Vec::new(),
             counters: counters
                 .into_iter()
                 .filter(|&(_, n)| n > 0)
                 .map(|(name, n)| (name.to_string(), n))
                 .collect(),
-            histograms: Vec::new(),
             nodes: node_entries(p, &self.homs),
         }
     }
@@ -74,7 +63,6 @@ mod tests {
     use crate::tree::WdptBuilder;
     use wdpt_model::parse::{parse_atoms, parse_database};
     use wdpt_model::{CancelToken, Cancelled, Database, Interner, Mapping};
-    use wdpt_obs::ProfileRecorder;
 
     fn fixture() -> (Interner, Wdpt, Database) {
         fixture_with("")
@@ -98,43 +86,49 @@ mod tests {
         (i, p, db)
     }
 
-    /// The evaluation bracketed by a recorder, as a caller that wants a
-    /// span profile does it.
+    /// The evaluation on `threads` workers and its tally's profile.
     fn profiled(
         p: &Wdpt,
         db: &Database,
         threads: usize,
     ) -> (Vec<Mapping>, EvalTally, QueryProfile) {
-        let mut rec = ProfileRecorder::start("test");
         let (answers, tally) =
             evaluate_rows(p, db, threads, CancelToken::never(), None, usize::MAX);
         let answers = answers.unwrap().into_mappings();
-        rec.set_nodes(node_entries(p, &tally.homs));
-        let profile = rec.finish(answers.len() as u64);
+        let profile = tally.profile(p, "test", 0, answers.len() as u64);
         (answers, tally, profile)
     }
 
     #[test]
-    fn profiled_answers_match_unprofiled() {
+    fn a_profile_renders_its_tally() {
         let (_i, p, db) = fixture();
         let (answers, tally, profile) = profiled(&p, &db, 1);
         assert_eq!(answers, evaluate(&p, &db));
         assert_eq!(profile.answers, answers.len() as u64);
         assert_eq!(profile.nodes.len(), p.node_count());
-        // The root saw its 3 local homomorphisms.
+        // The root saw its 3 local homomorphisms; every node its own count.
         assert_eq!(profile.nodes[0].metrics[0], ("homomorphisms", 3));
-        // Spans fired: the executor and the backtrack engine — and with one
-        // worker, nothing was fanned out.
-        assert!(profile.phase("wdpt.eval.execute").is_some());
-        assert!(profile.phase("cq.backtrack.extend_all").is_some());
+        for (t, node) in profile.nodes.iter().enumerate() {
+            assert_eq!(
+                (node.id, node.parent, node.depth),
+                (t, p.parent(t), p.depth(t))
+            );
+            assert_eq!(node.metrics, [("homomorphisms", tally.homs[t])]);
+        }
+        // The run's own work, under the registry's names, sorted by name.
+        assert_eq!(
+            profile.counter("cq.nodes_expanded"),
+            tally.work.nodes_expanded
+        );
+        assert_eq!(profile.counter("db.index_probes"), tally.work.index_probes);
+        assert_eq!(
+            profile.counter("db.tuples_scanned"),
+            tally.work.tuples_scanned
+        );
+        assert!(profile.counters.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(profile.counters.iter().all(|&(_, n)| n > 0));
+        // With one worker, nothing was fanned out.
         assert_eq!(tally.parallel_tasks, 0);
-        // The tally's own profile holds the same nodes and no phases.
-        let own = tally.profile(&p, "test", profile.wall_ns, profile.answers);
-        assert_eq!(own.nodes, profile.nodes);
-        assert_eq!(own.counter("cq.nodes_expanded"), tally.work.nodes_expanded);
-        assert_eq!(own.counter("db.index_probes"), tally.work.index_probes);
-        assert_eq!(own.counter("db.tuples_scanned"), tally.work.tuples_scanned);
-        assert!(own.phases.is_empty() && own.histograms.is_empty());
     }
 
     #[test]
@@ -149,7 +143,7 @@ mod tests {
             }
         }
         let (_i, p, db) = fixture_with(&more);
-        let (seq_answers, seq_tally, _) = profiled(&p, &db, 1);
+        let (seq_answers, seq_tally, seq_profile) = profiled(&p, &db, 1);
         for threads in [2, 4, 8] {
             let (par_answers, par_tally, par_profile) = profiled(&p, &db, threads);
             assert_eq!(par_answers, seq_answers);
@@ -157,10 +151,9 @@ mod tests {
             // and work counts, merged across the scoped workers.
             assert_eq!(par_tally.homs, seq_tally.homs);
             assert_eq!(par_tally.work, seq_tally.work);
+            assert_eq!(par_profile, seq_profile);
             // And the parallel run is visibly parallel.
             assert!(par_tally.parallel_tasks >= 3000);
-            let worker = par_profile.phase("wdpt.parallel.worker").unwrap();
-            assert!(worker.calls >= 2, "expected ≥2 worker spans");
         }
     }
 
@@ -179,15 +172,24 @@ mod tests {
     #[test]
     fn profile_serializes() {
         let (_i, p, db) = fixture();
-        let (_, _, profile) = profiled(&p, &db, 4);
-        assert!(profile.phase("wdpt.eval.execute").is_some());
-        let homs = |n: &wdpt_obs::NodeEntry| n.metrics.iter().any(|(k, _)| *k == "homomorphisms");
-        assert!(profile.nodes.iter().all(homs));
+        let (_, tally, profile) = profiled(&p, &db, 4);
         let json = profile.to_json().to_string();
         let parsed = wdpt_obs::Json::parse(&json).expect("valid JSON");
+        let nodes = parsed.get("nodes").unwrap().as_arr().unwrap();
+        assert_eq!(nodes.len(), p.node_count());
+        for (node, &homs) in nodes.iter().zip(&tally.homs) {
+            let count = node.get("metrics").and_then(|m| m.get("homomorphisms"));
+            assert_eq!(count.and_then(wdpt_obs::Json::as_num), Some(homs as f64));
+        }
+        let counters = parsed.get("counters").unwrap().as_arr().unwrap();
+        assert_eq!(counters.len(), profile.counters.len());
+        for (entry, (name, value)) in counters.iter().zip(&profile.counters) {
+            assert_eq!(entry.get("name").unwrap().as_str(), Some(name.as_str()));
+            assert_eq!(entry.get("value").unwrap().as_num(), Some(*value as f64));
+        }
         assert_eq!(
-            parsed.get("nodes").unwrap().as_arr().unwrap().len(),
-            p.node_count()
+            parsed.get("answers").unwrap().as_num(),
+            Some(profile.answers as f64)
         );
     }
 }

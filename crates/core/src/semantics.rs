@@ -51,7 +51,6 @@ use wdpt_model::{
     mapping::maximal_mappings, stats, CancelToken, Cancelled, Const, Database, Mapping, ProbeTally,
     Var,
 };
-use wdpt_obs::span;
 use wdpt_plan::ExecPlan;
 
 /// Rows of `width` cells, stored flat, in consecutive groups — one group
@@ -179,10 +178,6 @@ impl Run<'_> {
         keys: &Keys,
         range: Range<usize>,
     ) -> (Result<Grouped, Cancelled>, ProbeTally) {
-        // One span per node (and worker), not one per key: the phase keeps
-        // the name of the CQ entry point it times, with the keys as calls.
-        let mut span = span!("cq.backtrack.extend_all");
-        span.set_calls(range.len() as u64);
         let shape = &self.shapes[t];
         let order = self.plan.and_then(|pl| pl.nodes.get(t));
         let mut search = Search::compile(
@@ -230,10 +225,7 @@ impl Run<'_> {
             let handles: Vec<_> = (0..n)
                 .step_by(chunk)
                 .map(|start| {
-                    s.spawn(move || {
-                        let _span = span!("wdpt.parallel.worker");
-                        run.search_keys(t, keys, start..(start + chunk).min(n))
-                    })
+                    s.spawn(move || run.search_keys(t, keys, start..(start + chunk).min(n)))
                 })
                 .collect();
             handles
@@ -371,7 +363,6 @@ impl Run<'_> {
         kept: &[(Var, usize)],
         out: &mut Vec<Option<Const>>,
     ) -> Result<(), Cancelled> {
-        let _span = span!("wdpt.eval.assemble");
         let mut digits = Vec::with_capacity(self.shapes.len());
         Digit::push(self.p, &self.shapes, root, self.p.root(), 0, &mut digits);
         let reset = |digits: &mut [Digit], from: usize| {
@@ -707,7 +698,6 @@ pub(crate) fn execute(
     onto: &BTreeSet<Var>,
     limit: usize,
 ) -> (Result<Answers, Cancelled>, EvalTally) {
-    let _span = span!("wdpt.eval.execute");
     let mut run = Run {
         p,
         db,
@@ -759,10 +749,8 @@ pub(crate) fn execute(
 /// the dynamic most-constrained heuristic per node. Answers are identical
 /// either way — a plan only changes the order work is discovered in.
 ///
-/// A caller that wants time per phase brackets the call with a
-/// [`wdpt_obs::ProfileRecorder`] (see [`crate::profile`]); with more than
-/// one thread its span and counter sections additionally show the fan-out
-/// (`wdpt.parallel.worker` spans, `wdpt.parallel_tasks` counter).
+/// [`EvalTally::profile`] renders the tally as a [`wdpt_obs::QueryProfile`]
+/// (see [`crate::profile`]).
 pub fn evaluate_rows(
     p: &Wdpt,
     db: &Database,

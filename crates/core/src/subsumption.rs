@@ -24,7 +24,6 @@ use wdpt_model::{Interner, Mapping};
 /// for the coNP procedure of Theorem 11, or `Engine::Backtrack` for
 /// arbitrary `p2`.
 pub fn subsumed(p1: &Wdpt, p2: &Wdpt, engine: Engine, interner: &mut Interner) -> bool {
-    let _span = wdpt_obs::span!("wdpt.subsumption.subsumed");
     // Stream the (exponentially many) rooted subtrees instead of
     // materializing them: memory stays linear and the first refuting
     // subtree short-circuits the remaining checks.

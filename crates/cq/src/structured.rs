@@ -19,7 +19,6 @@ use crate::query::ConjunctiveQuery;
 use std::collections::BTreeSet;
 use wdpt_decomp::{hypertree_width_at_most, treewidth_at_most};
 use wdpt_model::{Atom, CancelToken, Const, Database, ProbeTally, Relation, Term, Var};
-use wdpt_obs::span;
 
 /// A join tree over variable bags: the decomposition an [`Oracle`]
 /// evaluates a CQ over.
@@ -268,7 +267,6 @@ impl<'a> Oracle<'a> {
     /// True iff some homomorphism from the atoms into the database agrees
     /// with every seeded slot.
     pub fn exists(&mut self) -> bool {
-        let _span = span!("cq.structured.eval");
         if let [bag] = &mut self.bags[..] {
             // One bag holds every atom and variable: its search decides.
             bag.seed(&self.frame);
@@ -287,7 +285,6 @@ impl<'a> Oracle<'a> {
         }
         // Upward semijoins in reverse preorder: a bag reduces its parent
         // once all its children have reduced it.
-        let _semijoin = span!("cq.structured.semijoin");
         let mut key = Vec::new();
         for &b in self.preorder.iter().rev() {
             let Bag { parent, shared, .. } = &self.bags[b];
@@ -315,7 +312,6 @@ impl<'a> Oracle<'a> {
     /// the targets' candidate values, written into their slots and decided.
     pub fn project(&mut self, targets: &[usize], mut on_row: impl FnMut(&[Const])) {
         debug_assert!(targets.iter().all(|&t| self.seeded[t]));
-        let _span = span!("cq.structured.enumerate");
         let lists: Vec<Vec<Const>> = (targets.iter())
             .map(|&t| self.candidates(t, targets))
             .collect();
@@ -381,7 +377,6 @@ impl Bag<'_> {
     /// bag's search, times every combination of one value from each list of
     /// the loose variables' candidates.
     fn fill(&mut self, frame: &[Const], lists: &[Vec<Const>]) -> Relation {
-        let _span = span!("cq.structured.materialize");
         self.seed(frame);
         let mut combos = Vec::new();
         for_each_combination(lists, |combo| combos.push(combo.to_vec()));

@@ -15,7 +15,7 @@ use crate::hypergraph::Hypergraph;
 use crate::treedecomp::TreeDecomposition;
 use std::collections::{BTreeSet, HashMap};
 use wdpt_model::{CancelToken, Cancelled};
-use wdpt_obs::{counter, histogram, span};
+use wdpt_obs::{counter, histogram};
 
 /// A generalized hypertree decomposition: a tree decomposition whose bags
 /// each carry a cover of at most `k` hyperedges.
@@ -205,7 +205,6 @@ pub fn try_hypertree_width_at_most(
     k: usize,
     token: &CancelToken,
 ) -> Result<Option<HypertreeDecomposition>, Cancelled> {
-    let _span = span!("decomp.hypertree.at_most");
     assert!(k >= 1, "width bound must be positive");
     let m = h.num_edges();
     if m == 0 {

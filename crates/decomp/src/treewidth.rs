@@ -16,7 +16,7 @@ use crate::hypergraph::Hypergraph;
 use crate::treedecomp::TreeDecomposition;
 use std::collections::BTreeSet;
 use wdpt_model::{CancelToken, Cancelled};
-use wdpt_obs::{counter, histogram, span};
+use wdpt_obs::{counter, histogram};
 
 /// Maximum vertex count supported by the exact subset DP.
 pub const EXACT_TW_VERTEX_LIMIT: usize = 26;
@@ -66,7 +66,6 @@ pub fn try_treewidth_exact_with_order(
     h: &Hypergraph,
     token: &CancelToken,
 ) -> Result<(usize, Vec<usize>), Cancelled> {
-    let _span = span!("decomp.treewidth.exact");
     let n = h.num_vertices();
     assert!(
         n <= EXACT_TW_VERTEX_LIMIT,
@@ -219,7 +218,6 @@ fn connect_forest(td: &mut TreeDecomposition) {
 /// Min-fill heuristic: returns `(width, decomposition)`. Fast and never
 /// underestimates the true treewidth.
 pub fn treewidth_upper_bound(h: &Hypergraph) -> (usize, TreeDecomposition) {
-    let _span = span!("decomp.treewidth.minfill");
     let n = h.num_vertices();
     let mut adj = h.primal_adjacency();
     let mut remaining: BTreeSet<usize> = (0..n).collect();
@@ -295,7 +293,6 @@ pub fn try_treewidth_at_most(
     k: usize,
     token: &CancelToken,
 ) -> Result<Option<TreeDecomposition>, Cancelled> {
-    let _span = span!("decomp.treewidth.at_most");
     let (ub, td) = treewidth_upper_bound(h);
     if ub <= k {
         histogram!("decomp.tw_width").record(ub as u64);

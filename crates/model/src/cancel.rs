@@ -4,12 +4,11 @@
 //! service needs a way to bound a pathological query's runtime. A
 //! [`CancelToken`] is a cheaply clonable handle shared between the caller
 //! (who cancels, or attaches a deadline) and the evaluation loops (who
-//! poll). The hot-path cost mirrors the disabled-tracing fast path of
-//! `wdpt-obs`: one relaxed atomic load per backtrack step. Deadlines are
-//! folded into that same flag — the clock is only consulted every
-//! [`DEADLINE_POLL_MASK`]+1 steps, and an expired deadline stores into the
-//! cancelled flag so every other thread sharing the token sees it at the
-//! next load.
+//! poll). The hot-path cost is one relaxed atomic load per backtrack
+//! step. Deadlines are folded into that same flag — the clock is only
+//! consulted every [`DEADLINE_POLL_MASK`]+1 steps, and an expired deadline
+//! stores into the cancelled flag so every other thread sharing the token
+//! sees it at the next load.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};

@@ -1035,11 +1035,7 @@ impl Relation {
                 best = Some(rows);
             }
         }
-        let Some(best) = best else {
-            return self.all();
-        };
-        tally.record_posting_len(best.len());
-        best
+        best.unwrap_or_else(|| self.all())
     }
 
     /// Iterates over tuples matching `pattern`: position `i` must equal

@@ -214,16 +214,14 @@ impl Interner {
     /// into the global interner. Because the ids depend only on the *set* of
     /// new symbols (plus the interner's prior state), the result — and hence
     /// snapshot bytes — is identical across worker counts and scheduling
-    /// orders. Returns how many symbols were appended.
-    pub fn extend_canonical<'a, I>(&mut self, candidates: I) -> usize
-    where
-        I: IntoIterator<Item = (SymbolSpace, &'a str)>,
-    {
-        let mut fresh: Vec<(SymbolSpace, &str)> = candidates.into_iter().collect();
-        fresh.sort_unstable();
-        fresh.dedup();
+    /// orders. Returns how many symbols were appended. The caller collects
+    /// the candidates, so it sizes their buffer from what it knows — the
+    /// bulk loader from its workers' symbol counts.
+    pub fn extend_canonical(&mut self, mut candidates: Vec<(SymbolSpace, &str)>) -> usize {
+        candidates.sort_unstable();
+        candidates.dedup();
         let mut appended = 0usize;
-        for (space, name) in fresh {
+        for (space, name) in candidates {
             if self.insert(space, name).expect("interner overflow").is_ok() {
                 appended += 1;
             }
@@ -629,7 +627,7 @@ mod tests {
                 }
             }
             let mut merged = Interner::new();
-            merged.extend_canonical(parts.into_iter().flatten());
+            merged.extend_canonical(parts.into_iter().flatten().collect());
 
             let a: Vec<_> = reference.symbols().collect();
             let b: Vec<_> = merged.symbols().collect();

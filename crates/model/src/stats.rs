@@ -7,10 +7,10 @@
 //! process-wide `wdpt-obs` registry once, through [`record`], before it
 //! returns: the executor, the decision procedures, containment and cores,
 //! `extend_all`, and the relation warm-up and check. The registry names
-//! below are what [`QueryProfile`](wdpt_obs::QueryProfile)s and benchmark
-//! output read; [`snapshot`] reads them back as a tally.
+//! below also name the counters of a [`QueryProfile`](wdpt_obs::QueryProfile)
+//! and of benchmark output; [`snapshot`] reads the registry back as a tally.
 
-use wdpt_obs::{counter, histogram, LocalHistogram};
+use wdpt_obs::counter;
 
 /// Registry name of the index-build counter.
 pub const INDEX_BUILDS: &str = "db.index_builds";
@@ -25,13 +25,12 @@ pub const PARALLEL_TASKS: &str = "wdpt.parallel_tasks";
 
 /// The work of one search, evaluation or probe sequence, counted locally by
 /// whoever does it. Probes and candidate tuples sit on the innermost loop of
-/// every engine: a relaxed `fetch_add` per tuple and four more per probe for
-/// the posting-length histogram are measurable there, a local increment is
-/// not. Whoever runs a search owns one and lends it to every
-/// [`Relation::candidates`](crate::Relation::candidates) call of that
+/// every engine: a relaxed `fetch_add` per tuple is measurable there, a
+/// local increment is not. Whoever runs a search owns one and lends it to
+/// every [`Relation::candidates`](crate::Relation::candidates) call of that
 /// search; an entry point sums its searches' tallies and [`record`]s the
 /// sum once.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProbeTally {
     /// Search nodes expanded by the backtracking CQ engine.
     pub nodes_expanded: u64,
@@ -43,46 +42,15 @@ pub struct ProbeTally {
     /// first probe that binds the column without the columns before it. A
     /// probe on a leading prefix builds nothing.
     pub index_builds: u64,
-    /// Number of rows each probe settled on. The distribution is only kept
-    /// by a tally made while tracing is on (profiled runs), as it was when
-    /// every probe recorded into the shared histogram directly; the others
-    /// carry no buckets at all.
-    posting_lens: Option<Box<LocalHistogram>>,
-}
-
-impl Default for ProbeTally {
-    fn default() -> Self {
-        ProbeTally {
-            nodes_expanded: 0,
-            index_probes: 0,
-            tuples_scanned: 0,
-            index_builds: 0,
-            posting_lens: wdpt_obs::tracing_enabled().then(Box::default),
-        }
-    }
 }
 
 impl ProbeTally {
-    /// Adds `other`'s counts, and its posting lengths, to this tally.
+    /// Adds `other`'s counts to this tally.
     pub fn add(&mut self, other: ProbeTally) {
         self.nodes_expanded += other.nodes_expanded;
         self.index_probes += other.index_probes;
         self.tuples_scanned += other.tuples_scanned;
         self.index_builds += other.index_builds;
-        match (&mut self.posting_lens, other.posting_lens) {
-            (Some(mine), Some(theirs)) => mine.add(&theirs),
-            (mine @ None, theirs) => *mine = theirs,
-            (Some(_), None) => {}
-        }
-    }
-
-    /// Counts the number of rows a probe settled on, if this tally keeps
-    /// the distribution.
-    #[inline]
-    pub(crate) fn record_posting_len(&mut self, len: usize) {
-        if let Some(lens) = &mut self.posting_lens {
-            lens.record(len as u64);
-        }
     }
 
     /// Counter-wise difference since an earlier [`snapshot`] (saturating).
@@ -92,22 +60,18 @@ impl ProbeTally {
             index_probes: self.index_probes.saturating_sub(earlier.index_probes),
             tuples_scanned: self.tuples_scanned.saturating_sub(earlier.tuples_scanned),
             index_builds: self.index_builds.saturating_sub(earlier.index_builds),
-            ..ProbeTally::default()
         }
     }
 }
 
 /// Adds an entry point's summed tally to the process-wide registry: the
 /// one writer of `cq.nodes_expanded`, `db.index_probes`,
-/// `db.tuples_scanned`, `db.index_builds` and `db.posting_list_len`.
+/// `db.tuples_scanned` and `db.index_builds`.
 pub fn record(tally: &ProbeTally) {
     counter!(NODES_EXPANDED).add(tally.nodes_expanded);
     counter!(INDEX_PROBES).add(tally.index_probes);
     counter!(TUPLES_SCANNED).add(tally.tuples_scanned);
     counter!(INDEX_BUILDS).add(tally.index_builds);
-    if let Some(lens) = &tally.posting_lens {
-        histogram!("db.posting_list_len").merge(lens);
-    }
 }
 
 /// The registry's totals of the four work counters, as a tally. Totals
@@ -120,7 +84,6 @@ pub fn snapshot() -> ProbeTally {
         index_probes: registry.counter(INDEX_PROBES),
         tuples_scanned: registry.counter(TUPLES_SCANNED),
         index_builds: registry.counter(INDEX_BUILDS),
-        ..ProbeTally::default()
     }
 }
 
@@ -135,7 +98,6 @@ mod tests {
             index_probes: n[1],
             tuples_scanned: n[2],
             index_builds: n[3],
-            ..ProbeTally::default()
         };
         let d = count([4, 10, 1, 7]).since(&count([1, 10, 2, 5]));
         let counts = (d.nodes_expanded, d.index_probes, d.tuples_scanned);
@@ -143,26 +105,21 @@ mod tests {
     }
 
     #[test]
-    fn tallies_add_counts_and_posting_lengths() {
-        let mut a = ProbeTally {
+    fn tallies_add_counts() {
+        let a = ProbeTally {
             nodes_expanded: 1,
-            posting_lens: Some(Box::default()),
+            tuples_scanned: 4,
             ..ProbeTally::default()
         };
-        a.record_posting_len(3);
-        let mut b = ProbeTally {
+        let b = ProbeTally {
             index_builds: 2,
-            posting_lens: Some(Box::default()),
+            tuples_scanned: 3,
             ..ProbeTally::default()
         };
-        b.record_posting_len(3);
         let mut sum = ProbeTally::default();
         sum.add(a);
         sum.add(b);
-        assert_eq!((sum.nodes_expanded, sum.index_builds), (1, 2));
-        let mut both = LocalHistogram::default();
-        both.record(3);
-        both.record(3);
-        assert_eq!(sum.posting_lens.as_deref(), Some(&both));
+        let counts = (sum.nodes_expanded, sum.index_probes, sum.tuples_scanned);
+        assert_eq!((counts, sum.index_builds), ((1, 0, 7), 2));
     }
 }

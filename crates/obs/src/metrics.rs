@@ -134,23 +134,6 @@ impl RawHistogram {
         self.buckets[Self::bucket_of(v)].fetch_add(1, Relaxed);
     }
 
-    /// Adds everything `local` holds in one batch: at most one atomic per
-    /// non-empty bucket plus three for count, sum and max, however many
-    /// observations that is.
-    pub fn merge(&self, local: &LocalHistogram) {
-        if local.count == 0 {
-            return;
-        }
-        self.count.fetch_add(local.count, Relaxed);
-        self.sum.fetch_add(local.sum, Relaxed);
-        self.max.fetch_max(local.max, Relaxed);
-        for (bucket, &n) in self.buckets.iter().zip(&local.buckets) {
-            if n != 0 {
-                bucket.fetch_add(n, Relaxed);
-            }
-        }
-    }
-
     /// Number of observations so far.
     pub fn count(&self) -> u64 {
         self.count.load(Relaxed)
@@ -168,53 +151,9 @@ impl RawHistogram {
     }
 }
 
-/// The same bucket layout without atomics: a hot loop records into one it
-/// owns and hands the lot to [`Histogram::merge`] when it is done, so the
-/// shared cache lines are touched once per loop instead of four times per
-/// observation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LocalHistogram {
-    count: u64,
-    sum: u64,
-    max: u64,
-    buckets: [u64; HISTOGRAM_BUCKETS],
-}
-
-impl Default for LocalHistogram {
-    fn default() -> Self {
-        LocalHistogram {
-            count: 0,
-            sum: 0,
-            max: 0,
-            buckets: [0; HISTOGRAM_BUCKETS],
-        }
-    }
-}
-
-impl LocalHistogram {
-    /// Records one observation.
-    #[inline]
-    pub fn record(&mut self, v: u64) {
-        self.count += 1;
-        self.sum += v;
-        self.max = self.max.max(v);
-        self.buckets[RawHistogram::bucket_of(v)] += 1;
-    }
-
-    /// Adds another local batch.
-    pub fn add(&mut self, other: &LocalHistogram) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-        for (bucket, &n) in self.buckets.iter_mut().zip(&other.buckets) {
-            *bucket += n;
-        }
-    }
-}
-
-/// A log₂-bucketed histogram of `u64` observations (posting-list lengths,
-/// bag sizes, per-node answer counts, request latencies, ...), registered
-/// process-wide under a static name.
+/// A log₂-bucketed histogram of `u64` observations (decomposition widths,
+/// request stage latencies, reload phases, ...), registered process-wide
+/// under a static name.
 #[derive(Debug)]
 pub struct Histogram {
     name: &'static str,
@@ -231,11 +170,6 @@ impl Histogram {
     #[inline]
     pub fn record(&self, v: u64) {
         self.raw.record(v);
-    }
-
-    /// Adds a locally accumulated batch (see [`LocalHistogram`]).
-    pub fn merge(&self, local: &LocalHistogram) {
-        self.raw.merge(local);
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
@@ -592,20 +526,6 @@ mod tests {
         assert_eq!(hs.buckets[1], 1); // the 1
         assert_eq!(hs.buckets[3], 2); // the 5s ∈ [4,8)
         assert!((hs.mean() - 202.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merging_a_local_histogram_equals_recording_each_value() {
-        let one_by_one = RawHistogram::new();
-        let merged = RawHistogram::new();
-        let mut local = LocalHistogram::default();
-        merged.merge(&local); // empty: a no-op
-        for v in [0u64, 1, 5, 5, 1000, u64::from(u32::MAX)] {
-            one_by_one.record(v);
-            local.record(v);
-        }
-        merged.merge(&local);
-        assert_eq!(merged.snapshot("h"), one_by_one.snapshot("h"));
     }
 
     #[test]

@@ -235,7 +235,6 @@ pub fn plan_node(
     strategy: Strategy,
     token: &CancelToken,
 ) -> Result<NodeOrder, Cancelled> {
-    let _span = wdpt_obs::span!("plan.enumerate");
     match strategy {
         Strategy::Greedy => Ok(plan_greedy(stats, atoms, bound0)),
         Strategy::Dp => plan_dp(stats, atoms, bound0, token),

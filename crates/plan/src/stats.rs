@@ -177,7 +177,6 @@ impl StatsCatalog {
     /// `O(size(db))` — a counting pass per column — and is paid off the
     /// query path.
     pub fn build(db: &Database) -> StatsCatalog {
-        let _span = wdpt_obs::span!("plan.stats.build");
         StatsCatalog::count(db, |_, _| {})
     }
 
@@ -275,7 +274,6 @@ impl CountedCatalog {
     /// Counts every column of `db` in full — the pass
     /// [`StatsCatalog::build`] makes — keeping the counts.
     pub fn count(db: &Database) -> CountedCatalog {
-        let _span = wdpt_obs::span!("plan.stats.count");
         let mut counts: HashMap<Pred, Vec<PostingCounts>> = HashMap::new();
         let catalog = StatsCatalog::count(db, |pred, column| {
             counts.entry(pred).or_default().push(column)
@@ -302,7 +300,6 @@ impl CountedCatalog {
     ///
     /// Relations `added` does not name keep their stats.
     pub fn derive(&self, added: &Database) -> StatsCatalog {
-        let _span = wdpt_obs::span!("plan.stats.derive");
         let mut relations = HashMap::with_capacity(self.catalog.len() + added.predicate_count());
         for (&pred, stats) in &self.catalog.relations {
             if added.relation(pred).is_none() {

@@ -17,7 +17,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 use wdpt_gen::music::MusicParams;
 use wdpt_model::{Database, Interner};
-use wdpt_obs::{counter, span};
+use wdpt_obs::counter;
 use wdpt_serve::{load_database, serve, ServeConfig, ServeState};
 use wdpt_sparql::parser::MAX_TRIPLE_PATTERNS;
 
@@ -236,7 +236,6 @@ fn main() -> ExitCode {
     let mut primary_log: Option<wdpt_store::ReplLog> = None;
     if let Some(dir) = &args.repl_log {
         let (name, path) = args.snapshots[0].clone();
-        let _g = span!("serve.repl_log_open");
         let base_bytes = match std::fs::read(Path::new(&path)) {
             Ok(b) => b,
             Err(e) => {
@@ -286,7 +285,6 @@ fn main() -> ExitCode {
         if dbs.contains_key(name) {
             continue; // already loaded through the replication log
         }
-        let _g = span!("serve.snapshot_load");
         let t0 = Instant::now();
         let loaded = std::fs::read(Path::new(path))
             .map_err(wdpt_store::StoreError::from)

@@ -299,7 +299,6 @@ impl Plan {
         if let Some(nodes) = self.nodes.get() {
             return Ok(Arc::clone(nodes));
         }
-        let _span = wdpt_obs::span!("serve.plan.facts");
         let mut nodes = Vec::with_capacity(self.wdpt.node_count());
         for t in 0..self.wdpt.node_count() {
             token.check()?;
@@ -362,7 +361,6 @@ pub fn build_plan(
     stats: &StatsCatalog,
     token: &CancelToken,
 ) -> Result<Plan, Cancelled> {
-    let _span = wdpt_obs::span!("serve.plan.build");
     token.check()?;
     let exec = Arc::new(plan_wdpt(wdpt, stats, Strategy::Auto, token)?);
     Ok(Plan {

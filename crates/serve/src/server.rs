@@ -67,7 +67,7 @@ use wdpt_model::{CancelToken, Cancelled, Database, Interner, Var};
 use wdpt_obs::trace::{GaugeGuard, Stage};
 use wdpt_obs::{
     counter, gauge, gauge_scope, histogram, metrics_snapshot, render_prometheus, snapshot_to_json,
-    Json, ProfileRecorder, QueryProfile, RequestTrace,
+    Json, RequestTrace,
 };
 use wdpt_plan::{CountedCatalog, StatsCatalog};
 use wdpt_repl::frames::{delta_frame, snapshot_frame, subscribed_line};
@@ -1472,20 +1472,21 @@ fn handle_query(req: QueryParams<'_>, state: &ServeState, trace: &mut RequestTra
         // statistics refresh swaps the slot, not the orders this run is
         // following.
         let exec = plan.exec_plan();
-        // The tally comes back on cancellation too — deadline-blown queries
-        // are the slowlog's whole reason to exist. The recorder diffs the
-        // process-wide registries and switches tracing on for everybody
-        // meanwhile: only a request that asked for a profile pays for it.
-        let recorder = profile.then(|| ProfileRecorder::start(PROFILE_LABEL));
         // The request's tree, never the plan's ([`crate::cache::build_plan`]).
+        // The tally comes back on cancellation too — deadline-blown queries
+        // are the slowlog's whole reason to exist.
         let (result, tally) =
             wdpt_core::evaluate_rows(&wdpt, &db, threads, &token, Some(&exec), max_rows);
         let answers = result.as_ref().map_or(0, |a| a.len() as u64);
-        let recorded = recorder.map(|mut rec| {
-            rec.set_nodes(wdpt_core::node_entries(&wdpt, &tally.homs));
-            rec.finish(answers)
-        });
         let eval_ns = trace.stage_done(Stage::Eval);
+        // The request's own profile, rendered once: for its `ok` line if it
+        // asked for one, for its slowlog entry if it gets one.
+        let render = || {
+            tally
+                .profile(&wdpt, PROFILE_LABEL, eval_ns, answers)
+                .to_json()
+        };
+        let mut own = profile.then(render);
         let response = match &result {
             Ok(table) => {
                 plan.stats
@@ -1508,7 +1509,7 @@ fn handle_query(req: QueryParams<'_>, state: &ServeState, trace: &mut RequestTra
                     rows,
                     cache_status,
                     eval_ns / 1_000,
-                    recorded.as_ref().map(QueryProfile::to_json),
+                    own.clone(),
                     explain
                         .as_deref()
                         .map(|facts| explain_json(&plan, facts, cache_status)),
@@ -1531,18 +1532,8 @@ fn handle_query(req: QueryParams<'_>, state: &ServeState, trace: &mut RequestTra
             } else {
                 (trace.total_ns() >= threshold_ns).then_some("slow")
             };
-            logged = status.map(|status| {
-                // The recorder's profile if the request asked for one (the
-                // object on its `ok` line), else the tally's, rendered now.
-                let profile = recorded.as_ref().map_or_else(
-                    || {
-                        let profile = tally.profile(&plan.wdpt, PROFILE_LABEL, eval_ns, answers);
-                        profile.to_json()
-                    },
-                    QueryProfile::to_json,
-                );
-                (status, Some(profile))
-            });
+            // The object on the `ok` line if the request asked for one.
+            logged = status.map(|status| (status, Some(own.take().unwrap_or_else(render))));
         }
         response
     });

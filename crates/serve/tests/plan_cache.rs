@@ -11,7 +11,7 @@ use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 use wdpt_gen::music::MusicParams;
 use wdpt_model::{CancelToken, Database, Interner};
-use wdpt_obs::{metrics_snapshot, span_snapshot, with_tracing};
+use wdpt_obs::metrics_snapshot;
 use wdpt_serve::{canonicalize, ServeConfig, ServeState};
 use wdpt_sparql::parse_query;
 
@@ -312,22 +312,13 @@ fn cancelled_facts_are_not_memoised() {
         0
     );
 
-    // Traced, the computation is one `serve.plan.facts` span with the
-    // decomposition searches nested inside it.
+    // With time to spare, the computation runs the decomposition search
+    // once and is counted once.
     let before = metrics_snapshot();
-    let spans_before = span_snapshot();
-    let facts = with_tracing(|| plan.node_facts(CancelToken::never())).unwrap();
+    let facts = plan.node_facts(CancelToken::never()).unwrap();
     let delta = metrics_snapshot().since(&before);
-    let spans = span_snapshot().since(&spans_before);
     assert!(delta.counter("decomp.tw_search_nodes") > 0);
     assert_eq!(delta.counter("serve.plan.facts_computed"), 1);
     assert_eq!(facts[0].treewidth, Some(2), "a cycle has treewidth 2");
     assert!(!facts[0].acyclic);
-    let facts_span = spans.entry("serve.plan.facts").expect("span recorded");
-    let dp_span = spans.entry("decomp.treewidth.exact").expect("DP ran");
-    assert_eq!(facts_span.calls, 1);
-    assert!(
-        facts_span.child_ns >= dp_span.total_ns,
-        "the DP nests inside"
-    );
 }

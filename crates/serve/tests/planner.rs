@@ -2,10 +2,9 @@
 //! across hot reload (the one re-plan trigger), heavy hitters priced from
 //! the catalog, and correlated columns visible as estimate against observed.
 //!
-//! These tests read the global `wdpt-obs` metrics registry and the
-//! process-wide tracing flag, so every test takes a file-local mutex to
-//! serialize against its siblings; the file is its own process, so other
-//! test binaries cannot interfere.
+//! These tests read the global `wdpt-obs` metrics registry, so every test
+//! takes a file-local mutex to serialize against its siblings; the file is
+//! its own process, so other test binaries cannot interfere.
 
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter, Write};
@@ -229,14 +228,26 @@ fn correlated_columns_show_as_estimate_against_observed() {
     );
 }
 
-/// Per-plan `nodes_expanded` figures are each run's own count. Two
-/// connections drive two different queries through four permits, 200
-/// requests each, every fifth one asking for a recorder-bracketed
-/// `profile`; afterwards each plan has expanded exactly executions × what
-/// one run of its query expands, and tracing — on while some recorder was
-/// live — is off. When every request ran under a recorder, a plan was
-/// charged whatever the *process* expanded meanwhile, and two overlapping
-/// recorders restoring each other's flag left tracing on for good.
+/// The `cq.nodes_expanded` counter of a served profile (0 when absent).
+fn profiled_nodes(profile: &Json) -> u64 {
+    let counters = profile.get("counters").and_then(Json::as_arr);
+    let named = |c: &&Json| c.get("name").and_then(Json::as_str) == Some("cq.nodes_expanded");
+    let value = counters.and_then(|cs| cs.iter().find(named));
+    value
+        .and_then(|c| c.get("value"))
+        .and_then(Json::as_num)
+        .map_or(0, |v| v as u64)
+}
+
+/// Per-plan `nodes_expanded` figures and served profiles are each run's own
+/// count. Two connections drive two different queries through four
+/// permits, 200 requests each, every fifth one asking for a `profile`:
+/// each profile counts exactly what one run of its query expands, and
+/// afterwards each plan has expanded exactly executions × that. When
+/// every request ran under a recorder diffing the process-wide counters,
+/// a plan was charged whatever the *process* expanded meanwhile; while a
+/// recorder still built the `profile: true` responses, such a profile did
+/// the same.
 #[test]
 fn concurrent_requests_count_their_own_work() {
     let _guard = LOCK.lock().unwrap();
@@ -259,7 +270,7 @@ fn concurrent_requests_count_their_own_work() {
         std::thread::spawn(move || serve(listener, state))
     };
     std::thread::scope(|s| {
-        for query in [FLIP_QUERY, OTHER_QUERY] {
+        for (query, solo) in [FLIP_QUERY, OTHER_QUERY].into_iter().zip(solo) {
             s.spawn(move || {
                 let stream = TcpStream::connect(addr).expect("connect");
                 let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -284,6 +295,13 @@ fn concurrent_requests_count_their_own_work() {
                         Some("ok"),
                         "{terminal}"
                     );
+                    if let Some(profile) = terminal.get("profile") {
+                        assert_eq!(
+                            profiled_nodes(profile),
+                            solo,
+                            "{query}, request {n}: {profile}"
+                        );
+                    }
                 }
             });
         }
@@ -303,5 +321,4 @@ fn concurrent_requests_count_their_own_work() {
         );
         assert_eq!(plan.stats.nodes_expanded_last(), solo);
     }
-    assert!(!wdpt_obs::tracing_enabled(), "tracing left on");
 }

@@ -42,7 +42,7 @@ use std::collections::BTreeMap;
 use std::ops::Deref;
 use std::path::Path;
 use wdpt_model::{Const, Database, Interner, Pred, Relation, Resolve, SymbolSpace};
-use wdpt_obs::{counter, span};
+use wdpt_obs::counter;
 
 /// The version field of a delta file. Deltas share the snapshot container
 /// and its block codecs but are versioned on their own; version `1` held a
@@ -102,7 +102,6 @@ pub fn delta_to_vec(
     new_interner: &Interner,
     new_db: &Database,
 ) -> Result<Vec<u8>, StoreError> {
-    let _g = span!("store.delta.encode");
     if new_interner.len() < base_interner.len()
         || !base_interner
             .symbols()
@@ -212,7 +211,6 @@ pub fn delta_to_vec(
 /// ascending predicates). Cell namespaces are validated at apply time,
 /// when the combined symbol table exists.
 pub fn decode_delta(bytes: &[u8]) -> Result<Delta, StoreError> {
-    let _g = span!("store.delta.decode");
     let mut r = Reader::new(bytes);
     let version = read_magic_version(&mut r)?;
     if r.peek_u8() == Some(TAG_HEADER) {
@@ -670,7 +668,6 @@ pub fn apply_delta<G: Deref<Target = Interner>>(
     db: Database,
     delta: Delta,
 ) -> Result<Database, StoreError> {
-    let _g = span!("store.delta.apply");
     let Delta {
         header,
         appended,
@@ -803,7 +800,6 @@ pub fn decode_chain(
     base: &[u8],
     deltas: &[Vec<u8>],
 ) -> Result<((Interner, Database), Vec<u64>), (usize, StoreError)> {
-    let _g = span!("store.decode_with_deltas");
     let mut interner = Interner::new();
     let (db, chain) = decode_chain_into(&mut interner, base, deltas)?;
     Ok(((interner, db), chain))
@@ -832,7 +828,6 @@ pub fn load_with_deltas<P: AsRef<Path>>(
     base: &Path,
     deltas: &[P],
 ) -> Result<(Interner, Database), StoreError> {
-    let _g = span!("store.load_with_deltas");
     let base_bytes = std::fs::read(base)?;
     let mut delta_bytes = Vec::with_capacity(deltas.len());
     for p in deltas {

@@ -45,7 +45,7 @@ use std::fmt;
 use std::io::{self, Write};
 use std::path::Path;
 use wdpt_model::{Const, Database, Interner, Pred, Relation, SymbolSpace};
-use wdpt_obs::{counter, span};
+use wdpt_obs::counter;
 
 /// The eight magic bytes opening every snapshot.
 pub const MAGIC: [u8; 8] = *b"WDPTSNAP";
@@ -219,7 +219,6 @@ pub(crate) fn push_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
 /// run), so snapshots can be compared and cached byte-wise. The dictionary
 /// is one `encode_dictionary` block.
 pub fn snapshot_to_vec_v2(interner: &Interner, db: &Database) -> Result<Vec<u8>, StoreError> {
-    let _g = span!("store.encode");
     let mut rel_order: Vec<(Pred, &Relation)> = db.relations().collect();
     rel_order.sort_by_key(|(p, _)| *p);
 
@@ -352,7 +351,6 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> 
 /// rename — a crash mid-write never leaves a partial snapshot under the
 /// final name). Returns the byte count.
 pub fn save_snapshot(path: &Path, interner: &Interner, db: &Database) -> Result<u64, StoreError> {
-    let _g = span!("store.save_snapshot");
     let bytes = snapshot_to_vec_v2(interner, db)?;
     write_atomic(path, &bytes)?;
     counter!("store.snapshot.saves").add(1);
@@ -664,7 +662,6 @@ pub(crate) fn read_end(r: &mut Reader<'_>) -> Result<(), StoreError> {
 /// that borrows nothing from `bytes`. Load cost is CRC verification plus one
 /// validate-and-decode pass per section (`decode_relation`).
 pub fn decode_snapshot(bytes: &[u8]) -> Result<(Interner, Database), StoreError> {
-    let _g = span!("store.decode");
     let mut r = Reader::new(bytes);
     let Preamble {
         header,
@@ -713,29 +710,26 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(Interner, Database), StoreError>
 /// 120-byte prefix to 15.1× and 28.4× (DESIGN.md §13).
 pub(crate) const MAX_NAME_BYTES_PER_DICTIONARY_BYTE: usize = 64;
 
-/// Parses a dictionary block of `count` symbols (inverse of
-/// [`encode_dictionary`]) into an interner whose `k`-th symbol is the
-/// block's `k`-th; a symbol listed twice is refused with the message
-/// `duplicate` gives its name. Each name is reassembled in one reused
-/// buffer, checked against the decode bound
-/// ([`MAX_NAME_BYTES_PER_DICTIONARY_BYTE`]) before a byte is copied, and
-/// copied into the interner's arena; the table is sized once, for `count`.
-pub(crate) fn parse_dictionary(
-    payload: &[u8],
+/// Walks the `count` entry headers of a dictionary block, handing `each`
+/// every entry's index, namespace, the bytes of its predecessor's name it
+/// keeps and the bytes it appends, and checks what the headers alone can
+/// tell: a namespace code, a shared prefix no longer than the
+/// predecessor's name, a suffix inside the block, the names decoded so far
+/// within [`MAX_NAME_BYTES_PER_DICTIONARY_BYTE`] times the block, and no
+/// trailing bytes. It allocates nothing.
+fn walk_dictionary<'a>(
+    payload: &'a [u8],
     count: usize,
-    duplicate: impl Fn(&str) -> String,
-) -> Result<Interner, StoreError> {
-    // Minimum entry: space byte + two one-byte varints.
-    checked_count(count as u64, 3, payload.len(), "dictionary", "symbols")?;
+    mut each: impl FnMut(usize, SymbolSpace, usize, &'a [u8]) -> Result<(), StoreError>,
+) -> Result<(), StoreError> {
     // The arena's offsets are `u32`s.
     let bound = payload
         .len()
         .saturating_mul(MAX_NAME_BYTES_PER_DICTIONARY_BYTE);
     let bound = bound.min(u32::MAX as usize);
-    let mut out = Interner::with_capacity(count, payload.len());
     let mut decoded = 0usize;
+    let mut prev_len = 0usize;
     let mut pos = 0usize;
-    let mut prev: Vec<u8> = Vec::new();
     let truncated = || StoreError::Truncated {
         section: "dictionary".to_string(),
     };
@@ -747,7 +741,7 @@ pub(crate) fn parse_dictionary(
         let shared = read_uvarint(payload, &mut pos).ok_or_else(truncated)?;
         let shared = usize::try_from(shared)
             .ok()
-            .filter(|&s| s <= prev.len())
+            .filter(|&s| s <= prev_len)
             .ok_or_else(|| {
                 malformed(
                     "dictionary",
@@ -764,7 +758,8 @@ pub(crate) fn parse_dictionary(
         )?;
         let suffix = payload.get(pos..pos + suffix_len).ok_or_else(truncated)?;
         pos += suffix_len;
-        decoded += shared + suffix_len;
+        prev_len = shared + suffix_len;
+        decoded += prev_len;
         if decoded > bound {
             return Err(malformed(
                 "dictionary",
@@ -775,17 +770,42 @@ pub(crate) fn parse_dictionary(
                 ),
             ));
         }
-        prev.truncate(shared);
-        prev.extend_from_slice(suffix);
-        let name = std::str::from_utf8(&prev)
-            .map_err(|_| malformed("dictionary", format!("symbol {i} is not UTF-8")))?;
-        if out.push_new(space, name).is_none() {
-            return Err(malformed("dictionary", duplicate(name)));
-        }
+        each(i, space, shared, suffix)?;
     }
     if pos != payload.len() {
         return Err(malformed("dictionary", "trailing bytes"));
     }
+    Ok(())
+}
+
+/// Parses a dictionary block of `count` symbols (inverse of
+/// [`encode_dictionary`]) into an interner whose `k`-th symbol is the
+/// block's `k`-th; a symbol listed twice is refused with the message
+/// `duplicate` gives its name. The entry headers are walked first
+/// ([`walk_dictionary`]), so a block past the decode bound is refused
+/// before anything is allocated or copied. Then each name is reassembled
+/// in one reused buffer and copied into the interner's arena; the table is
+/// sized once, for `count`.
+pub(crate) fn parse_dictionary(
+    payload: &[u8],
+    count: usize,
+    duplicate: impl Fn(&str) -> String,
+) -> Result<Interner, StoreError> {
+    // Minimum entry: space byte + two one-byte varints.
+    checked_count(count as u64, 3, payload.len(), "dictionary", "symbols")?;
+    walk_dictionary(payload, count, |_, _, _, _| Ok(()))?;
+    let mut out = Interner::with_capacity(count, payload.len());
+    let mut prev: Vec<u8> = Vec::new();
+    walk_dictionary(payload, count, |i, space, shared, suffix| {
+        prev.truncate(shared);
+        prev.extend_from_slice(suffix);
+        let name = std::str::from_utf8(&prev)
+            .map_err(|_| malformed("dictionary", format!("symbol {i} is not UTF-8")))?;
+        match out.push_new(space, name) {
+            Some(_) => Ok(()),
+            None => Err(malformed("dictionary", duplicate(name))),
+        }
+    })?;
     Ok(out)
 }
 
@@ -908,7 +928,6 @@ pub fn verify_database_deep(db: &Database) -> Result<(), StoreError> {
 /// Loads a snapshot file: one read of the whole file, one
 /// [`decode_snapshot`]; the file's bytes are released on return.
 pub fn load_snapshot(path: &Path) -> Result<(Interner, Database), StoreError> {
-    let _g = span!("store.load_snapshot");
     decode_snapshot(&std::fs::read(path)?)
 }
 

@@ -68,7 +68,7 @@ use std::path::Path;
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use wdpt_model::{row_id, Const, Database, Interner, Pred, Relation};
-use wdpt_obs::{counter, span};
+use wdpt_obs::counter;
 use wdpt_sparql::{parse_nt_line, TRIPLE_PRED};
 
 /// Tuning knobs for [`bulk_load`].
@@ -450,7 +450,6 @@ pub fn bulk_load<R: BufRead + Send>(
     r: &mut R,
     opts: LoadOptions,
 ) -> Result<(Database, LoadReport), StoreError> {
-    let _g = span!("store.bulk_load");
     let threads = opts.effective_threads();
     let chunk_lines = opts.chunk_lines.max(1);
 
@@ -547,8 +546,11 @@ pub fn bulk_load<R: BufRead + Send>(
     // global interner in (namespace, name) order. Ids depend only on the
     // symbol *set* plus the interner's prior contents — not on thread
     // count, chunking, or scheduling — which is what keeps snapshot bytes
-    // identical across `--threads` settings.
-    let appended = interner.extend_canonical(workers.iter().flat_map(|w| w.names.symbols()));
+    // identical across `--threads` settings. The candidates' buffer is sized
+    // from the workers' symbol counts: this moment sets the load's peak.
+    let mut candidates = Vec::with_capacity(workers.iter().map(|w| w.names.len()).sum());
+    candidates.extend(workers.iter().flat_map(|w| w.names.symbols()));
+    let appended = interner.extend_canonical(candidates);
     counter!("store.intern.appended").add(appended as u64);
 
     // Per-worker translation tables, local id → global id. The lookup
