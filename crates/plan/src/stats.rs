@@ -24,8 +24,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use wdpt_model::{Const, Database, PostingCounts, Pred, Relation};
-use wdpt_obs::counter;
+use wdpt_model::{Const, Database, PostingCounts, Pred};
 
 /// Values a column's most-common-values list holds at most.
 pub const MCV_ENTRIES: usize = 16;
@@ -152,12 +151,6 @@ pub struct RelationStats {
     pub columns: Vec<ColumnStats>,
 }
 
-/// Counts one column of `rel` in full — the work a derivation saves.
-fn count_column(rel: &Relation, col: usize) -> PostingCounts {
-    counter!("plan.stats.columns_counted").incr();
-    rel.posting_counts(col)
-}
-
 /// Process-wide epoch source; every catalog made gets the next value.
 static EPOCH: AtomicU64 = AtomicU64::new(0);
 
@@ -189,7 +182,7 @@ impl StatsCatalog {
             .map(|(pred, rel)| {
                 let columns = (0..rel.arity())
                     .map(|col| {
-                        let counts = count_column(rel, col);
+                        let counts = rel.posting_counts(col);
                         let stats = ColumnStats::ranked(&counts);
                         keep(pred, counts);
                         stats
@@ -286,6 +279,12 @@ impl CountedCatalog {
         &self.catalog
     }
 
+    /// The columns counted in full to make it: the work a derivation
+    /// saves.
+    pub fn columns_counted(&self) -> usize {
+        self.counts.values().map(Vec::len).sum()
+    }
+
     /// The catalog of the counted database with the rows of `added`
     /// inserted — rows it does not hold, per relation, at the relation's
     /// arity — under a fresh epoch. It equals [`StatsCatalog::build`] of
@@ -336,6 +335,7 @@ mod tests {
     use super::*;
     use wdpt_model::parse::parse_database;
     use wdpt_model::Interner;
+    use wdpt_model::Relation;
 
     #[test]
     fn counts_rows_and_distinct() {

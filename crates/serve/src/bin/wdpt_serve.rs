@@ -5,20 +5,23 @@
 //! wdpt-serve --gen-music 200x4 --addr 127.0.0.1:7878
 //! ```
 //!
-//! Datasets come from `--db [name=]PATH` (repeatable; the first one is the
-//! default) or, when none is given, from `--gen-music` (the paper's music
-//! catalog as triples). The protocol is newline-delimited JSON; see
+//! Datasets come from `--snapshot [name=]PATH` and `--db [name=]PATH`
+//! (repeatable; the first snapshot, else the first text, is the default)
+//! or, when neither is given, from `--gen-music` (the paper's music
+//! catalog as triples). Texts and the generated catalog are loaded into
+//! the dictionary the server starts with; every snapshot then enters
+//! through the one install a `reload` request takes, so the server keeps
+//! its base from the start. The protocol is newline-delimited JSON; see
 //! `DESIGN.md` § "The query service".
 
 use std::collections::BTreeMap;
 use std::net::TcpListener;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 use wdpt_gen::music::MusicParams;
 use wdpt_model::{Database, Interner};
-use wdpt_obs::counter;
-use wdpt_serve::{load_database, serve, ServeConfig, ServeState};
+use wdpt_serve::{serve, ServeConfig, ServeState};
 use wdpt_sparql::parser::MAX_TRIPLE_PATTERNS;
 
 const USAGE: &str = "\
@@ -30,18 +33,16 @@ USAGE:
 OPTIONS:
     --addr HOST:PORT          listen address [default: 127.0.0.1:7878]
     --db [NAME=]PATH          load a dataset (N-Triples or facts format);
-                              repeatable, first one is the default database
-    --load-threads N          parser threads for --db bulk loading; 0 means
-                              one per core [default: 0]
-    --snapshot [NAME=]PATH    load a wdpt-store binary snapshot; repeatable,
-                              loads before any --db. A --db with the same
-                              name is skipped when the snapshot loads, and
-                              serves as the text fallback when it is corrupt
-    --save-snapshot PATH      after loading, write the default database as a
-                              snapshot to PATH (build-on-first-load)
+                              repeatable, the first one is the default
+                              database when no --snapshot is given
+    --snapshot [NAME=]PATH    serve a wdpt-store binary snapshot, installed
+                              as a reload installs one; repeatable, the
+                              first one is the default database. A --db of
+                              the same name stays served when the snapshot
+                              fails to load
     --gen-music BANDSxRECORDS generate the music catalog instead of loading
-                              a file (used when no --db is given)
-                              [default when no --db: 100x4]
+                              a file (used when no --db or --snapshot is
+                              given) [default: 100x4]
     --threads N               concurrent evaluations [default: 4]
     --eval-threads N          threads inside one evaluation [default: 2]
     --queue N                 requests that may wait for one, beyond which
@@ -78,9 +79,7 @@ struct Args {
     addr: String,
     dbs: Vec<(String, String)>,
     snapshots: Vec<(String, String)>,
-    save_snapshot: Option<String>,
     gen_music: Option<(usize, usize)>,
-    load_threads: usize,
     repl_log: Option<String>,
     follow: Option<String>,
     cfg: ServeConfig,
@@ -106,9 +105,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         addr: "127.0.0.1:7878".to_string(),
         dbs: Vec::new(),
         snapshots: Vec::new(),
-        save_snapshot: None,
         gen_music: None,
-        load_threads: 0,
         repl_log: None,
         follow: None,
         cfg: ServeConfig::default(),
@@ -120,9 +117,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--help" | "-h" => return Err(String::new()),
             "--addr" => args.addr = value("--addr")?,
             "--db" => args.dbs.push(name_and_path(value("--db")?)),
-            "--load-threads" => args.load_threads = num(&flag, &value("--load-threads")?)?,
             "--snapshot" => args.snapshots.push(name_and_path(value("--snapshot")?)),
-            "--save-snapshot" => args.save_snapshot = Some(value("--save-snapshot")?),
             "--gen-music" => {
                 let spec = value("--gen-music")?;
                 let (bands, records) = match spec.split_once('x') {
@@ -178,23 +173,15 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     Ok(args)
 }
 
-/// Decodes a base snapshot and its deltas into `interner`'s ids, as a
-/// reload does: the snapshot's dictionary is adopted whole into an empty
-/// interner — the usual single-snapshot start, which re-interns nothing —
-/// and resolved name by name into any other.
-fn fold_chain(
-    interner: &mut Interner,
-    base: &[u8],
-    deltas: &[Vec<u8>],
-) -> Result<Database, wdpt_store::StoreError> {
-    let adopted = interner.is_empty();
-    let (db, _) = wdpt_store::decode_chain_into(interner, base, deltas).map_err(|(_, e)| e)?;
-    if adopted {
-        counter!("serve.store.snapshot_adopted").add(1);
-    } else {
-        counter!("serve.store.snapshot_remapped").add(1);
-    }
-    Ok(db)
+/// True iff the bytes at `path` start with the snapshot magic — a cheap
+/// pre-check so a `--db` pointed at a snapshot gives a helpful error.
+fn is_snapshot(path: &Path) -> bool {
+    use std::io::Read;
+    let mut head = [0u8; 8];
+    std::fs::File::open(path)
+        .and_then(|mut f| f.read_exact(&mut head))
+        .map(|()| head == wdpt_store::MAGIC)
+        .unwrap_or(false)
 }
 
 fn num(flag: &str, text: &str) -> Result<usize, String> {
@@ -225,50 +212,84 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
+    // Texts and the generated catalog load into the dictionary the state
+    // starts with.
     let mut interner = Interner::new();
     let mut dbs: BTreeMap<String, Database> = BTreeMap::new();
-    let mut default_db = String::new();
+    for (name, path) in &args.dbs {
+        if is_snapshot(Path::new(path)) {
+            eprintln!("error: {path} is a wdpt-store snapshot; pass it via --snapshot");
+            return ExitCode::from(2);
+        }
+        let opts = wdpt_store::LoadOptions::default();
+        match wdpt_store::bulk_load_path(&mut interner, Path::new(path), opts) {
+            Ok((db, _)) => {
+                eprintln!("loaded {name:?}: {} facts from {path}", db.size());
+                dbs.insert(name.clone(), db);
+            }
+            Err(e) => {
+                eprintln!("error: {path}: {e}");
+                return ExitCode::from(2);
+            }
+        }
+    }
+    let default_db = match args.snapshots.first().or(args.dbs.first()) {
+        Some((name, _)) => name.clone(),
+        None => {
+            let (bands, records_per_band) = args.gen_music.unwrap_or((100, 4));
+            let params = MusicParams {
+                bands,
+                records_per_band,
+                ..MusicParams::default()
+            };
+            let ts = wdpt_gen::music_triples(&mut interner, params);
+            eprintln!(
+                "generated \"music\": {} triples ({bands} bands x {records_per_band} records)",
+                ts.len()
+            );
+            dbs.insert("music".to_string(), ts.into_database());
+            "music".to_string()
+        }
+    };
+    let state = ServeState::new(args.cfg, interner, dbs, default_db);
 
     // A primary opens (or initializes) its replication log against the
-    // base snapshot first: deltas already in the log (accepted before a
-    // restart) are recovered into the served database, and the log's
-    // chain becomes the served head history.
+    // base snapshot first, and installs the base with the deltas already
+    // in the log (accepted before a restart): the log's chain becomes the
+    // served head history.
     let mut primary_log: Option<wdpt_store::ReplLog> = None;
     if let Some(dir) = &args.repl_log {
-        let (name, path) = args.snapshots[0].clone();
-        let base_bytes = match std::fs::read(Path::new(&path)) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: snapshot {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let log = match wdpt_store::ReplLog::open_or_init(Path::new(dir), &base_bytes) {
+        let (name, path) = &args.snapshots[0];
+        let log = std::fs::read(path)
+            .map_err(wdpt_store::StoreError::from)
+            .and_then(|base| wdpt_store::ReplLog::open_or_init(Path::new(dir), &base));
+        let log = match log {
             Ok(l) => l,
             Err(e) => {
-                eprintln!("error: replication log {dir}: {e}");
+                eprintln!("error: replication log {dir} over {path}: {e}");
                 return ExitCode::from(2);
             }
         };
-        let deltas: Result<Vec<Vec<u8>>, _> = log
+        let deltas: Vec<PathBuf> = log
             .entries()
             .iter()
-            .map(|e| std::fs::read(Path::new(dir).join(&e.file)))
+            .map(|e| Path::new(dir).join(&e.file))
             .collect();
-        let loaded = deltas
-            .map_err(wdpt_store::StoreError::from)
-            .and_then(|deltas| fold_chain(&mut interner, &base_bytes, &deltas));
-        match loaded {
-            Ok(db) => {
-                eprintln!(
-                    "primary {name:?}: {} facts from {path} + {} logged delta(s), head {}",
-                    db.size(),
-                    log.entries().len(),
-                    wdpt_store::head_hex(log.head()),
-                );
-                default_db = name.clone();
-                dbs.insert(name, db);
-            }
+        let installed = state
+            .load_stage(Path::new(path), &deltas)
+            .and_then(|loaded| {
+                if loaded.chain != log.chain() {
+                    return Err("the files do not chain as the log records".to_string());
+                }
+                state.install_stage(name, loaded)
+            });
+        match installed {
+            Ok(installed) => eprintln!(
+                "primary {name:?}: {} facts from {path} + {} logged delta(s), head {}",
+                installed.tuples,
+                installed.deltas,
+                wdpt_store::head_hex(log.head()),
+            ),
             Err(e) => {
                 eprintln!("error: replaying replication log {dir}: {e}");
                 return ExitCode::from(2);
@@ -277,95 +298,23 @@ fn main() -> ExitCode {
         primary_log = Some(log);
     }
 
-    // Snapshots load first (so the usual single-snapshot start adopts the
-    // snapshot's interner wholesale). A corrupt snapshot is not fatal when
-    // a same-name --db can fall back.
-    let mut failed_snapshots: Vec<String> = Vec::new();
-    for (name, path) in &args.snapshots {
-        if dbs.contains_key(name) {
-            continue; // already loaded through the replication log
-        }
+    // Every other snapshot is reloaded. One that fails leaves a same-name
+    // --db served.
+    let reloaded = usize::from(primary_log.is_some());
+    for (name, path) in &args.snapshots[reloaded..] {
         let t0 = Instant::now();
-        let loaded = std::fs::read(Path::new(path))
-            .map_err(wdpt_store::StoreError::from)
-            .and_then(|bytes| fold_chain(&mut interner, &bytes, &[]));
-        match loaded {
-            Ok(db) => {
-                counter!("serve.store.snapshot_loaded").add(1);
-                eprintln!(
-                    "loaded snapshot {name:?}: {} facts from {path} in {:.1}ms",
-                    db.size(),
-                    t0.elapsed().as_secs_f64() * 1e3
-                );
-                if default_db.is_empty() {
-                    default_db = name.clone();
-                }
-                dbs.insert(name.clone(), db);
+        match state.reload(name, Path::new(path), &[] as &[&Path]) {
+            Ok(installed) => eprintln!(
+                "loaded snapshot {name:?}: {} facts from {path} ({}) in {:.1}ms",
+                installed.tuples,
+                installed.base.as_str(),
+                t0.elapsed().as_secs_f64() * 1e3
+            ),
+            Err(e) if args.dbs.iter().any(|(n, _)| n == name) => {
+                eprintln!("warning: snapshot {e}; falling back to --db {name:?}");
             }
             Err(e) => {
-                counter!("serve.store.snapshot_error").add(1);
-                let has_fallback = args.dbs.iter().any(|(n, _)| n == name);
-                if has_fallback {
-                    eprintln!("warning: snapshot {path}: {e}; falling back to --db {name:?}");
-                    failed_snapshots.push(name.clone());
-                } else {
-                    eprintln!("error: snapshot {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-    }
-    for (name, path) in &args.dbs {
-        if dbs.contains_key(name) {
-            eprintln!("skipping --db {name:?}: already loaded from snapshot");
-            continue;
-        }
-        if failed_snapshots.iter().any(|n| n == name) {
-            counter!("serve.store.text_fallback").add(1);
-        }
-        if wdpt_serve::looks_like_snapshot(Path::new(path)) {
-            eprintln!("error: {path} is a wdpt-store snapshot; pass it via --snapshot");
-            return ExitCode::from(2);
-        }
-        match load_database(&mut interner, Path::new(path), args.load_threads) {
-            Ok(db) => {
-                eprintln!("loaded {name:?}: {} facts from {path}", db.size());
-                if default_db.is_empty() {
-                    default_db = name.clone();
-                }
-                dbs.insert(name.clone(), db);
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if dbs.is_empty() {
-        let (bands, records_per_band) = args.gen_music.unwrap_or((100, 4));
-        let params = MusicParams {
-            bands,
-            records_per_band,
-            ..MusicParams::default()
-        };
-        let ts = wdpt_gen::music_triples(&mut interner, params);
-        eprintln!(
-            "generated \"music\": {} triples ({bands} bands x {records_per_band} records)",
-            ts.len()
-        );
-        dbs.insert("music".to_string(), ts.into_database());
-        default_db = "music".to_string();
-    }
-
-    if let Some(path) = &args.save_snapshot {
-        let db = dbs.get(&default_db).expect("default database exists");
-        match wdpt_store::save_snapshot(Path::new(path), &interner, db) {
-            Ok(bytes) => {
-                counter!("serve.store.snapshot_saved").add(1);
-                eprintln!("saved snapshot of {default_db:?} to {path} ({bytes} bytes)");
-            }
-            Err(e) => {
-                eprintln!("error: cannot save snapshot {path}: {e}");
+                eprintln!("error: snapshot {e}");
                 return ExitCode::from(2);
             }
         }
@@ -379,7 +328,6 @@ fn main() -> ExitCode {
         }
     };
     let local = listener.local_addr().map(|a| a.to_string());
-    let state = ServeState::new(args.cfg, interner, dbs, default_db);
 
     if let Some(log) = primary_log {
         state.set_primary(wdpt_repl::Primary::new(log));

@@ -16,8 +16,6 @@
 //!   waiting line (backpressure answers `overloaded` instead of queueing
 //!   unboundedly), per-request deadlines as cooperative
 //!   [`wdpt_model::CancelToken`]s, and graceful drain on shutdown.
-//! * [`db`] — dataset loading: lenient N-Triples and the workspace
-//!   `facts` format.
 //!
 //! Replication (`wdpt-repl` underneath): a server started with
 //! `--repl-log DIR` is a **primary** — it records every accepted reload
@@ -25,14 +23,14 @@
 //! with the `subscribe` op. A server started with `--follow ADDR` is a
 //! **follower** — [`server::FollowerApply`] drives the replicated
 //! snapshots and deltas through the loader and install the `reload` op
-//! uses: a snapshot chain enters the server one way. The chain-head hash
+//! uses: a snapshot chain enters the server one way, and so does the
+//! `wdpt-serve` binary's `--snapshot` start. The chain-head hash
 //! doubles as a consistency token (`min_head` on queries).
 //!
 //! Binaries: `wdpt-serve` (the server) and `loadgen` (a concurrent load
 //! generator used by the CI smoke test and the EXPERIMENTS runs).
 
 pub mod cache;
-pub mod db;
 pub mod protocol;
 pub mod server;
 
@@ -40,6 +38,5 @@ pub use cache::{
     build_plan, canonicalize, exec_plan_json, refresh_if_stale, CanonicalQuery, NodePlan, Plan,
     PlanCache,
 };
-pub use db::{load_database, looks_like_snapshot};
 pub use protocol::Request;
-pub use server::{serve, FollowerApply, LoadedChain, ServeConfig, ServeState};
+pub use server::{serve, Base, FollowerApply, Installed, LoadedChain, ServeConfig, ServeState};

@@ -42,20 +42,23 @@
 //!   — load + verify a snapshot (and optional delta chain) without blocking
 //!   queries, then atomically swap the named database (default database if
 //!   `db` is omitted). In-flight queries finish against the old database;
-//!   requests admitted after the swap see the new one.
+//!   requests admitted after the swap see the new one. The response names
+//!   how the base arrived: `"base":"kept"` (the base the server kept,
+//!   nothing decoded), `"adopted"` or `"remapped"` (decoded in full).
 //! * `{"op":"subscribe","base":"<head hex>"}` — turn the connection into a
 //!   replication stream: the primary replays the delta suffix past `base`
 //!   (or a full bootstrap when `base` is absent/unknown) and then pushes
 //!   every subsequently accepted delta. Frame grammar in
 //!   [`wdpt_repl::frames`].
 //!
-//! When the server has a chain identity (it serves a snapshot with a
-//! replication log, or follows a primary), terminal `ok` and `reload`
+//! When the server has a chain identity (it was started from or reloaded
+//! a snapshot, or follows a primary), terminal `ok` and `reload`
 //! lines carry `"head":"<hex>"` — the chain-head consistency token. A
 //! query may demand `"min_head":"<hex>"`; a replica that has not applied
 //! that position by the deadline answers with a typed `stale_replica`
 //! error instead of stale data.
 
+use crate::server::Installed;
 use wdpt_model::{Const, Interner, Var};
 use wdpt_obs::json::push_escaped;
 use wdpt_obs::Json;
@@ -572,24 +575,20 @@ pub fn overloaded_line(id: Option<&str>, retry_after_ms: u64) -> Json {
 }
 
 /// Terminal line for a successful `reload`: what was swapped in, how many
-/// deltas were chained, and how long the load + swap took.
-pub fn reload_line(
-    id: Option<&str>,
-    db: &str,
-    tuples: usize,
-    deltas_applied: usize,
-    wall_us: u64,
-) -> Json {
+/// deltas were chained, how the base arrived, and how long the load + swap
+/// took.
+pub fn reload_line(id: Option<&str>, db: &str, installed: &Installed, wall_us: u64) -> Json {
     with_id(
         vec![
             ("status".to_string(), Json::str("ok")),
             ("kind".to_string(), Json::str("reload")),
             ("db".to_string(), Json::str(db)),
-            ("tuples".to_string(), Json::int(tuples as u64)),
+            ("tuples".to_string(), Json::int(installed.tuples as u64)),
             (
                 "deltas_applied".to_string(),
-                Json::int(deltas_applied as u64),
+                Json::int(installed.deltas as u64),
             ),
+            ("base".to_string(), Json::str(installed.base.as_str())),
             ("wall_us".to_string(), Json::int(wall_us)),
         ],
         id,

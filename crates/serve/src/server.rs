@@ -283,7 +283,7 @@ struct DbEntry {
     db: Arc<Database>,
     stats: Arc<StatsCatalog>,
     /// The base and tip of the chain `db` is the result of; `None` for a
-    /// database the server was started with.
+    /// text or generated database the server was started with.
     chain: Option<Arc<KeptChain>>,
 }
 
@@ -356,7 +356,9 @@ struct KeptBase {
 }
 
 impl ServeState {
-    /// Builds the shared state. `dbs` must contain `default_db`.
+    /// Builds the shared state. `default_db` need not be among `dbs` yet —
+    /// a snapshot may be reloaded under it — but [`serve`] refuses to
+    /// start until it is served.
     pub fn new(
         cfg: ServeConfig,
         interner: Interner,
@@ -364,10 +366,6 @@ impl ServeState {
         default_db: impl Into<String>,
     ) -> Arc<ServeState> {
         let default_db = default_db.into();
-        assert!(
-            dbs.contains_key(&default_db),
-            "default database {default_db:?} not loaded"
-        );
         let cache = PlanCache::new(cfg.cache_capacity);
         let dbs = dbs
             .into_iter()
@@ -427,18 +425,15 @@ impl ServeState {
         &self.shutdown
     }
 
-    /// Runs `f` on the live interner under its write lock, timed as the
-    /// reload's merge: the one place the served dictionary is written.
+    /// Runs `f` on the live interner under its write lock: the one place
+    /// the served dictionary is written.
     ///
     /// A panic in `f` (an install's commit) poisons the lock; it is
     /// recovered, here and in [`ServeState::dictionary`], because the
     /// dictionary stays whole: interning checks before it writes, then
     /// pushes and inserts, and neither unwinds.
     fn fold<R>(&self, f: impl FnOnce(&mut Interner) -> R) -> R {
-        let merge_start = Instant::now();
-        let folded = f(&mut (self.interner.write()).unwrap_or_else(PoisonError::into_inner));
-        histogram!("serve.reload.merge_us").record(merge_start.elapsed().as_micros() as u64);
-        folded
+        f(&mut (self.interner.write()).unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Brings a loaded chain into the live interner and swaps its result
@@ -448,48 +443,57 @@ impl ServeState {
     /// decoded in full is then counted once, and kept. The served catalog
     /// is derived from the base's counts and the rows the chain inserted
     /// since the base ([`CountedCatalog::derive`]), so cached plans see
-    /// the new epoch the moment they can see the new data. Returns the
-    /// tuple count now served.
-    fn install(&self, db_name: &str, loaded: LoadedChain) -> usize {
+    /// the new epoch the moment they can see the new data. Returns what
+    /// it did.
+    fn install(&self, db_name: &str, loaded: LoadedChain) -> Installed {
         let LoadedChain {
-            base, symbols, db, ..
+            base,
+            symbols,
+            db,
+            deltas,
+            ..
         } = loaded;
         let (adopted, committed) = self.fold(|i| (i.is_empty(), symbols.commit(i, db)));
-        let stats_start = Instant::now();
-        let base = match base {
-            ChainBase::Kept(kept) => kept,
+        let (base, arrived) = match base {
+            ChainBase::Kept(kept) => (kept, Base::Kept),
             ChainBase::Decoded { bytes, hash } => {
-                let fold = if adopted {
-                    counter!("serve.store.snapshot_adopted")
-                } else {
-                    counter!("serve.store.snapshot_remapped")
-                };
-                fold.add(1);
-                let base = committed
+                let (map, db) = committed
                     .base
                     .expect("a base decoded in full commits with its chain");
-                let (map, db) = base;
                 let stats = CountedCatalog::count(&db);
-                Arc::new(KeptBase {
+                let kept = KeptBase {
                     bytes,
                     hash,
                     map,
                     db,
                     stats,
-                })
+                };
+                let arrived = if adopted {
+                    Base::Adopted
+                } else {
+                    Base::Remapped
+                };
+                (Arc::new(kept), arrived)
             }
         };
+        let columns_counted = match arrived {
+            Base::Kept => 0,
+            Base::Adopted | Base::Remapped => base.stats.columns_counted(),
+        };
         let stats = base.stats.derive(&committed.added);
-        histogram!("serve.reload.stats_us").record(stats_start.elapsed().as_micros() as u64);
         let (db, map, added) = (committed.db, committed.map, committed.added);
-        let tuples = db.size();
+        let installed = Installed {
+            tuples: db.size(),
+            deltas: deltas.len(),
+            base: arrived,
+            columns_counted,
+        };
         // Only the entry swap holds the write lock.
         let entry = DbEntry {
             db: Arc::new(db),
             stats: Arc::new(stats),
             chain: Some(Arc::new(KeptChain { base, map, added })),
         };
-        let swap_start = Instant::now();
         // The write guard is gone at the end of this statement; the entry
         // it replaced outlives it, so when no query still holds the old
         // database its teardown blocks no `db()` reader.
@@ -498,9 +502,8 @@ impl ServeState {
             .write()
             .expect("dbs lock")
             .insert(db_name.to_string(), entry);
-        histogram!("serve.reload.swap_us").record(swap_start.elapsed().as_micros() as u64);
         drop(replaced);
-        tuples
+        installed
     }
 
     /// Whether slow/cancelled queries are being logged: telemetry on and a
@@ -583,13 +586,14 @@ impl ServeState {
     /// preserved, `serve.store.reload_ok` / `serve.store.reload_failed`
     /// the outcomes.
     ///
-    /// Returns `(tuples now served, deltas applied)`.
+    /// A `--snapshot` start of `wdpt-serve` is a reload too, so a server
+    /// keeps the base it started from. Returns what the install did.
     pub fn reload(
         &self,
         db_name: &str,
         snapshot: &Path,
         deltas: &[impl AsRef<Path>],
-    ) -> Result<(usize, usize), String> {
+    ) -> Result<Installed, String> {
         let loaded = self.load_stage(snapshot, deltas)?;
         self.install_stage(db_name, loaded)
     }
@@ -607,7 +611,6 @@ impl ServeState {
         snapshot: &Path,
         deltas: &[impl AsRef<Path>],
     ) -> Result<LoadedChain, String> {
-        let load_start = Instant::now();
         let read = |p: &Path| -> Result<Vec<u8>, String> {
             std::fs::read(p).map_err(|e| format!("{}: {e}", p.display()))
         };
@@ -624,11 +627,8 @@ impl ServeState {
                 format!("{}: {e}", file.display())
             })
         });
-        match &loaded {
-            Ok(_) => {
-                histogram!("serve.reload.load_us").record(load_start.elapsed().as_micros() as u64)
-            }
-            Err(_) => counter!("serve.store.reload_failed").add(1),
+        if loaded.is_err() {
+            counter!("serve.store.reload_failed").add(1);
         }
         loaded
     }
@@ -699,26 +699,26 @@ impl ServeState {
     /// The swap half of a reload: the one install — the fold, the base
     /// counted if it was decoded in full and kept either way, the served
     /// database swapped — then the chain's hashes as the served head
-    /// history. Fails **typed** (without touching the interner or the kept
-    /// bases) if shutdown began after the load stage — a reload racing the
-    /// drain either completes its swap or reports `shutting down`, never a
+    /// history. Fails (without touching the interner or the kept bases) if
+    /// shutdown began after the load stage — a reload racing the drain
+    /// either completes its swap or reports `shutting down`, never a
     /// half-merged interner.
     pub fn install_stage(
         &self,
         db_name: &str,
         mut loaded: LoadedChain,
-    ) -> Result<(usize, usize), String> {
+    ) -> Result<Installed, String> {
         if self.is_shutting_down() {
             counter!("serve.store.reload_rejected_shutdown").add(1);
             return Err("server is shutting down; reload rejected before the swap".to_string());
         }
-        let (chain, applied) = (std::mem::take(&mut loaded.chain), loaded.deltas.len());
-        let tuples = self.install(db_name, loaded);
+        let chain = std::mem::take(&mut loaded.chain);
+        let installed = self.install(db_name, loaded);
         self.repl_head.install_chain(&chain);
         gauge!("repl.head").set(self.repl_head.head().unwrap_or(0) as i64);
         counter!("serve.store.reload_ok").add(1);
         counter!("serve.store.reload_cache_kept").add(self.cache.len() as u64);
-        Ok((tuples, applied))
+        Ok(installed)
     }
 
     /// The content hash of the base kept for `db_name`, if any (see
@@ -868,6 +868,46 @@ pub struct LoadedChain {
     pub deltas: Vec<(u64, u64, Vec<u8>)>,
 }
 
+/// What one install did, returned by [`ServeState::reload`],
+/// [`ServeState::install_stage`] and a follower's frames: its own account,
+/// exact whatever else the process runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Installed {
+    /// Tuples now served under the name.
+    pub tuples: usize,
+    /// Delta files applied on top of the base.
+    pub deltas: usize,
+    /// How the base arrived.
+    pub base: Base,
+    /// Columns counted in full for the served statistics: the base's, when
+    /// it was decoded; 0 for a kept base, whose counts are derived from.
+    pub columns_counted: usize,
+}
+
+/// How the base of an installed chain arrived.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Base {
+    /// A base an install kept, byte-equal to the file: nothing decoded.
+    Kept,
+    /// Decoded in full into an empty dictionary, which adopted the file's
+    /// whole.
+    Adopted,
+    /// Decoded in full and resolved name by name against the served
+    /// dictionary.
+    Remapped,
+}
+
+impl Base {
+    /// The name the `reload` response gives it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Base::Kept => "kept",
+            Base::Adopted => "adopted",
+            Base::Remapped => "remapped",
+        }
+    }
+}
+
 /// The base a loaded chain applies to.
 enum ChainBase {
     /// A base an install kept, in served ids and counted.
@@ -907,8 +947,13 @@ fn encoded(line: &Json) -> Vec<u8> {
 
 /// Runs the server on `listener` until shutdown is requested, then drains
 /// in-flight work and returns. The listener is switched to nonblocking mode
-/// so the loop can observe the shutdown flag.
+/// so the loop can observe the shutdown flag. Fails at once if the default
+/// database is not served.
 pub fn serve(listener: TcpListener, state: Arc<ServeState>) -> io::Result<()> {
+    if state.db(&state.default_db).is_none() {
+        let missing = format!("default database {:?} is not served", state.default_db);
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, missing));
+    }
     listener.set_nonblocking(true)?;
     let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while !state.is_shutting_down() {
@@ -1247,7 +1292,7 @@ fn handle_request(
                         })
                         .unwrap_or_default();
                     match state.install_stage(db_name, loaded) {
-                        Ok((tuples, applied)) => {
+                        Ok(installed) => {
                             if let Some(primary) = state.primary() {
                                 for (hash, bytes) in publishable {
                                     if let Err(e) = primary.publish(bytes) {
@@ -1260,13 +1305,8 @@ fn handle_request(
                                     }
                                 }
                             }
-                            let mut line = reload_line(
-                                id,
-                                db_name,
-                                tuples,
-                                applied,
-                                start.elapsed().as_micros() as u64,
-                            );
+                            let wall_us = start.elapsed().as_micros() as u64;
+                            let mut line = reload_line(id, db_name, &installed, wall_us);
                             attach_head(&mut line, state.current_head());
                             line
                         }
@@ -1663,40 +1703,27 @@ impl FollowerApply {
     fn has_chain(&self) -> bool {
         self.state.kept_base_hash(&self.db_name).is_some()
     }
-}
 
-impl ReplApply for FollowerApply {
-    // Both predicates report "nothing applied" while no chain is installed
-    // under the name (a fresh follower): the next subscribe then sends no
-    // base — a full bootstrap — and none of its frames are skipped as
-    // duplicates.
-    fn current_head(&self) -> Option<u64> {
-        self.has_chain()
-            .then(|| self.state.current_head())
-            .flatten()
-    }
-
-    // Deliberately `on_chain`, not `contains`: after a re-bootstrap the
-    // history still holds hashes ahead of the freshly installed chain, and
-    // the replay for those must be applied, not skipped as duplicates.
-    fn known(&self, head: u64) -> bool {
-        self.has_chain() && self.state.repl_head.on_chain(head)
-    }
-
-    fn apply_snapshot(&self, head: u64, bytes: &[u8]) -> Result<(), String> {
+    /// Installs a replicated snapshot frame whose content hash is `head`:
+    /// the file loaded as a base with no deltas. Returns the install's
+    /// account.
+    pub fn install_snapshot(&self, head: u64, bytes: &[u8]) -> Result<Installed, String> {
         let start = Instant::now();
         let loaded = self.state.load(bytes.to_vec(), Vec::new());
         let loaded = loaded.map_err(|(_, e)| e.to_string())?;
-        self.state.install(&self.db_name, loaded);
+        let installed = self.state.install(&self.db_name, loaded);
         self.state.repl_head.install_chain(&[head]);
         gauge!("repl.head").set(head as i64);
         counter!("repl.follower.snapshots_applied").add(1);
         counter!("repl.follower.bytes_applied").add(bytes.len() as u64);
         histogram!("repl.follower.apply_us").record(start.elapsed().as_micros() as u64);
-        Ok(())
+        Ok(installed)
     }
 
-    fn apply_delta(&self, head: u64, base: u64, bytes: &[u8]) -> Result<(), String> {
+    /// Installs a replicated delta frame whose content hash is `head`,
+    /// built against the served head `base`, on the chain's tip. Returns
+    /// the install's account.
+    pub fn install_delta(&self, head: u64, base: u64, bytes: &[u8]) -> Result<Installed, String> {
         let start = Instant::now();
         let (db, chain) = {
             let dbs = self.state.dbs.read().expect("dbs lock");
@@ -1721,13 +1748,40 @@ impl ReplApply for FollowerApply {
             .state
             .apply(kept, symbols, ((*db).clone(), base), vec![bytes.to_vec()])
             .map_err(|(_, e)| format!("delta apply failed: {e}"))?;
-        self.state.install(&self.db_name, loaded);
+        let installed = self.state.install(&self.db_name, loaded);
         self.state.repl_head.advance(head);
         gauge!("repl.head").set(head as i64);
         counter!("repl.follower.deltas_applied").add(1);
         counter!("repl.follower.bytes_applied").add(bytes.len() as u64);
         histogram!("repl.follower.apply_us").record(start.elapsed().as_micros() as u64);
-        Ok(())
+        Ok(installed)
+    }
+}
+
+impl ReplApply for FollowerApply {
+    // Both predicates report "nothing applied" while no chain is installed
+    // under the name (a fresh follower): the next subscribe then sends no
+    // base — a full bootstrap — and none of its frames are skipped as
+    // duplicates.
+    fn current_head(&self) -> Option<u64> {
+        self.has_chain()
+            .then(|| self.state.current_head())
+            .flatten()
+    }
+
+    // Deliberately `on_chain`, not `contains`: after a re-bootstrap the
+    // history still holds hashes ahead of the freshly installed chain, and
+    // the replay for those must be applied, not skipped as duplicates.
+    fn known(&self, head: u64) -> bool {
+        self.has_chain() && self.state.repl_head.on_chain(head)
+    }
+
+    fn apply_snapshot(&self, head: u64, bytes: &[u8]) -> Result<(), String> {
+        self.install_snapshot(head, bytes).map(drop)
+    }
+
+    fn apply_delta(&self, head: u64, base: u64, bytes: &[u8]) -> Result<(), String> {
+        self.install_delta(head, base, bytes).map(drop)
     }
 }
 
@@ -1938,10 +1992,16 @@ mod tests {
         let before = state.db("main").expect("default db");
         assert_eq!(before.size(), 1);
 
-        let (tuples, applied) = state
+        let installed = state
             .reload("main", &snap_path, &Vec::<std::path::PathBuf>::new())
             .expect("reload succeeds");
-        assert_eq!((tuples, applied), (3, 0));
+        let expected = Installed {
+            tuples: 3,
+            deltas: 0,
+            base: Base::Remapped,
+            columns_counted: 2,
+        };
+        assert_eq!(installed, expected);
         // The pre-reload handle still sees the old version; a fresh
         // resolution sees the new one.
         assert_eq!(before.size(), 1);

@@ -87,7 +87,11 @@ fn a_reload_and_the_first_point_query_after_it_build_nothing() {
         let (base_map, _) = committed.base.as_ref().expect("a base decoded in full");
         assert_eq!(base_map.is_identity(), base_kept, "base ids kept");
         assert_eq!(committed.map.is_identity(), chain_kept, "chain ids kept");
-        assert_eq!(work.counter("store.delta.relations_merged"), 1);
+        assert_eq!(
+            committed.added.predicate_count(),
+            1,
+            "relations the delta merged"
+        );
         assert_eq!(
             work.counter("db.index_builds"),
             0,

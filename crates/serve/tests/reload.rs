@@ -6,11 +6,12 @@
 //! reloaded the same files, the statistics equal a build of the served
 //! database, and a changed base file is never masked by the kept one.
 //!
-//! Every reload, server start, catalog build, plan and query here runs
-//! inside `delta_scope`, so the counters a reload reads are its own even
-//! with the tests of this binary running in parallel: no other test's index
-//! builds land in a reload's window. The index builds a query made are read
-//! from its own tally.
+//! A reload's own work — how its base arrived, the columns it counted —
+//! is the [`Installed`] account it returns. The one registry counter read
+//! here is `db.index_builds` around a reload or a follower's frame, so
+//! every plan and query here runs inside `delta_scope`: no other test's
+//! index builds land in such a window. The index builds a query made are
+//! read from its own tally.
 
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter, Write};
@@ -20,7 +21,7 @@ use std::sync::Arc;
 use wdpt_model::{Const, Database, Interner, Pred, SymbolSpace, Term};
 use wdpt_obs::{delta_scope, read_json_line, write_json_line, Json};
 use wdpt_plan::StatsCatalog;
-use wdpt_serve::{ServeConfig, ServeState};
+use wdpt_serve::{Base, Installed, ServeConfig, ServeState};
 use wdpt_sparql::TripleStore;
 use wdpt_store::{content_hash, decode_snapshot, delta_to_vec, save_delta, snapshot_to_vec_v2};
 
@@ -160,17 +161,18 @@ fn files(tag: &str) -> Files {
 fn start(base: &Path) -> Arc<ServeState> {
     let (interner, db) = decode_snapshot(&std::fs::read(base).unwrap()).unwrap();
     let dbs: BTreeMap<String, Database> = [(DB.to_string(), db)].into();
-    delta_scope(|| ServeState::new(ServeConfig::default(), interner, dbs, DB)).0
+    ServeState::new(ServeConfig::default(), interner, dbs, DB)
 }
 
-/// What one reload did: the chain's hashes, how many snapshots were folded
-/// in full, how many columns were counted in full for the statistics, and
-/// how many indexes it built.
+/// What one reload did: the chain's hashes, whether the base was decoded
+/// in full (1) or kept (0), how many columns were counted in full for the
+/// statistics — both from its [`Installed`] account — and how many indexes
+/// it built.
 #[derive(Debug)]
 struct Reloaded {
     chain: Vec<u64>,
     folds: u64,
-    counted: u64,
+    counted: usize,
     builds: u64,
 }
 
@@ -189,17 +191,13 @@ fn reload_into(
     let (out, work) = delta_scope(|| {
         let loaded = state.load_stage(base, deltas)?;
         let chain = loaded.chain.clone();
-        state.install_stage(name, loaded).map(|_| chain)
+        state.install_stage(name, loaded).map(|i| (chain, i))
     });
-    let folds = work.counter("serve.store.snapshot_adopted")
-        + work.counter("serve.store.snapshot_remapped");
-    let counted = work.counter("plan.stats.columns_counted");
-    let builds = work.counter("db.index_builds");
-    out.map(|chain| Reloaded {
+    out.map(|(chain, installed)| Reloaded {
         chain,
-        folds,
-        counted,
-        builds,
+        folds: u64::from(installed.base != Base::Kept),
+        counted: installed.columns_counted,
+        builds: work.counter("db.index_builds"),
     })
 }
 
@@ -228,7 +226,7 @@ fn served(state: &ServeState) -> Served {
 fn served_as(state: &ServeState, db_name: &str) -> Served {
     let (db, stats) = state.db_with_stats(db_name).unwrap();
     stats.check().unwrap();
-    let (built, _) = delta_scope(|| StatsCatalog::build(&db));
+    let built = StatsCatalog::build(&db);
     assert_eq!(stats.len(), built.len());
     for (pred, rel) in built.relations() {
         assert_eq!(stats.relation(pred), Some(rel), "predicate {}", pred.0);
@@ -322,7 +320,7 @@ fn every_reload_serves_what_a_fresh_server_reloading_the_same_files_serves() {
             assert_eq!(folds, [*first, *second][pass], "{at}: full base folds");
             // One relation of three columns, counted once per full decode;
             // a reload of the kept base counts none.
-            assert_eq!(counted, 3 * folds, "{at}: columns counted");
+            assert_eq!(counted as u64, 3 * folds, "{at}: columns counted");
             // Every base is kept.
             let kept = content_hash(&std::fs::read(base).unwrap());
             assert_eq!(state.kept_base_hash(DB), Some(kept), "{at}: kept base");
@@ -486,14 +484,19 @@ fn a_symbol_interned_between_the_stages_remaps_the_chains_rows() {
     let (mut si, mut sts) = (Interner::new(), TripleStore::new());
     insert(&mut si, &mut sts, &[("between", "p0", "o0")]);
     std::fs::write(&side, snapshot_to_vec_v2(&si, sts.database()).unwrap()).unwrap();
-    let (loaded, load) = delta_scope(|| state.load_stage(&f.base, &[&f.d1]).unwrap());
+    let loaded = state.load_stage(&f.base, &[&f.d1]).unwrap();
     // Interned now by a reload of the other database, `between` takes the
     // id `d1`'s first new symbol holds provisionally, so the commit remaps
     // the chain.
-    delta_scope(|| state.reload("side", &side, &[] as &[&Path]).unwrap());
-    let (_, install) = delta_scope(|| state.install_stage(DB, loaded).unwrap());
-    let counted = |work: &wdpt_obs::MetricsSnapshot| work.counter("plan.stats.columns_counted");
-    assert_eq!(counted(&load) + counted(&install), 0);
+    state.reload("side", &side, &[] as &[&Path]).unwrap();
+    let installed = state.install_stage(DB, loaded).unwrap();
+    let kept = Installed {
+        tuples: 61,
+        deltas: 1,
+        base: Base::Kept,
+        columns_counted: 0,
+    };
+    assert_eq!(installed, kept);
     let id = |name: &str| state.with_interner(|i| i.lookup_id(SymbolSpace::Const, name).unwrap());
     assert!(
         id("between") < id("n1a"),
@@ -668,15 +671,16 @@ fn a_symbol_interned_between_the_stages_remaps_a_decoded_bases_rows() {
     let (mut si, mut sts) = (Interner::new(), TripleStore::new());
     insert(&mut si, &mut sts, &[("between", "p0", "o0")]);
     std::fs::write(&side, snapshot_to_vec_v2(&si, sts.database()).unwrap()).unwrap();
-    let (loaded, load) = delta_scope(|| state.load_stage(&aux, &[&aux_d0]).unwrap());
-    delta_scope(|| state.reload("side", &side, &[] as &[&Path]).unwrap());
-    let (_, install) = delta_scope(|| state.install_stage("aux", loaded).unwrap());
-    let counted = |work: &wdpt_obs::MetricsSnapshot| work.counter("plan.stats.columns_counted");
-    assert_eq!(
-        counted(&load) + counted(&install),
-        3,
-        "the base is counted once"
-    );
+    let loaded = state.load_stage(&aux, &[&aux_d0]).unwrap();
+    state.reload("side", &side, &[] as &[&Path]).unwrap();
+    let installed = state.install_stage("aux", loaded).unwrap();
+    let decoded = Installed {
+        tuples: 6,
+        deltas: 1,
+        base: Base::Remapped,
+        columns_counted: 3,
+    };
+    assert_eq!(installed, decoded, "the base is counted once");
     let id = |name: &str| state.with_interner(|i| i.lookup_id(SymbolSpace::Const, name).unwrap());
     assert!(
         id("between") < id("aux0"),
@@ -716,7 +720,7 @@ fn a_follower_serves_what_a_fresh_server_reloading_the_same_files_serves() {
     let params = wdpt_gen::music::MusicParams::default();
     let catalog = wdpt_gen::music_triples(&mut interner, params).into_database();
     let dbs: BTreeMap<String, Database> = [(DB.to_string(), catalog)].into();
-    let state = delta_scope(|| ServeState::new(ServeConfig::default(), interner, dbs, DB)).0;
+    let state = ServeState::new(ServeConfig::default(), interner, dbs, DB);
     let apply = wdpt_serve::FollowerApply::new(Arc::clone(&state), DB);
     let same_as_fresh = |deltas: &[&Path]| {
         let fresh = start(&f.base);
@@ -730,13 +734,18 @@ fn a_follower_serves_what_a_fresh_server_reloading_the_same_files_serves() {
     };
     let h = |bytes: &[u8]| content_hash(bytes);
 
-    delta_scope(|| apply.apply_snapshot(h(&base), &base))
-        .0
-        .unwrap();
+    let snapshot = apply.install_snapshot(h(&base), &base).unwrap();
+    assert_eq!(
+        (snapshot.base, snapshot.columns_counted),
+        (Base::Remapped, 3)
+    );
     same_as_fresh(&[]);
-    let (out, work) = delta_scope(|| apply.apply_delta(h(&d1), h(&base), &d1));
-    out.unwrap();
-    assert_eq!(work.counter("plan.stats.columns_counted"), 0, "d1");
+    let installed = apply.install_delta(h(&d1), h(&base), &d1).unwrap();
+    assert_eq!(
+        (installed.base, installed.columns_counted),
+        (Base::Kept, 0),
+        "d1"
+    );
     assert_eq!(
         same_as_fresh(&[&f.d1]),
         0,
@@ -744,8 +753,7 @@ fn a_follower_serves_what_a_fresh_server_reloading_the_same_files_serves() {
     );
 
     let (before, symbols) = (served(&state), state.interner_len());
-    let (out, _) = delta_scope(|| apply.apply_delta(h(&f.bad), h(&d1), &f.bad));
-    let err = out.unwrap_err();
+    let err = apply.apply_delta(h(&f.bad), h(&d1), &f.bad).unwrap_err();
     assert!(err.contains("already holds"), "got: {err}");
     assert_eq!(
         served(&state),
@@ -758,9 +766,13 @@ fn a_follower_serves_what_a_fresh_server_reloading_the_same_files_serves() {
         "the refused frame grew the interner"
     );
 
-    let (out, work) = delta_scope(|| apply.apply_delta(h(&d2), h(&d1), &d2));
-    out.unwrap();
-    assert_eq!(work.counter("plan.stats.columns_counted"), 0, "d2");
+    let (installed, work) = delta_scope(|| apply.install_delta(h(&d2), h(&d1), &d2));
+    let installed = installed.unwrap();
+    assert_eq!(
+        (installed.base, installed.columns_counted),
+        (Base::Kept, 0),
+        "d2"
+    );
     assert_eq!(work.counter("db.index_builds"), 0, "d2");
     assert_eq!(
         same_as_fresh(&[&f.d1, &f.d2]),

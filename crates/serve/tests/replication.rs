@@ -602,11 +602,10 @@ fn reload_racing_shutdown_fails_typed_with_interner_intact() {
     let state2 = follower_state();
     let before2 = state2.interner_len();
     let loaded2 = state2.load_stage(&base_path, &deltas).unwrap();
-    let (tuples, symbols) = state2
+    let installed = state2
         .install_stage("music", loaded2)
         .expect("install before shutdown must succeed");
-    assert_eq!(tuples, 3);
-    assert!(symbols > 0);
+    assert_eq!((installed.tuples, installed.deltas), (3, 2));
     assert!(state2.interner_len() > before2);
     state2.begin_shutdown();
     assert_eq!(state2.repl_head().chain_len(), 3);

@@ -42,7 +42,6 @@ use std::collections::BTreeMap;
 use std::ops::Deref;
 use std::path::Path;
 use wdpt_model::{Const, Database, Interner, Pred, Relation, Resolve, SymbolSpace};
-use wdpt_obs::counter;
 
 /// The version field of a delta file. Deltas share the snapshot container
 /// and its block codecs but are versioned on their own; version `1` held a
@@ -201,8 +200,6 @@ pub fn delta_to_vec(
     }
 
     push_section(&mut out, TAG_END, &[]);
-    counter!("store.delta.bytes_encoded").add(out.len() as u64);
-    counter!("store.delta.encodes").add(1);
     Ok(out)
 }
 
@@ -736,8 +733,6 @@ pub fn apply_delta<G: Deref<Target = Interner>>(
         symbols.record(pred, added);
         rels.insert(pred, rel);
     }
-    counter!("store.delta.relations_merged").add(header.relations.into());
-    counter!("store.delta.tuples_applied").add(header.inserted);
     Ok(Database::from_sorted(rels.into_iter().collect()))
 }
 
@@ -772,7 +767,6 @@ pub fn apply_chain<G: Deref<Target = Interner>>(
         }
         db = apply_delta(&interner, symbols, db, delta).map_err(at)?;
         chain.push(content_hash(bytes));
-        counter!("store.delta.applied").add(1);
     }
     Ok((db, chain))
 }
@@ -789,9 +783,9 @@ pub fn decode_with_deltas(
 }
 
 /// Decodes a base snapshot and applies a chain of deltas to it, in the
-/// snapshot's own ids ([`decode_chain_into`] an empty interner, which
-/// adopts the snapshot's dictionary), handing back the [`content_hash`]
-/// of every file of the chain — the base's, then each delta's — which
+/// snapshot's own ids (its dictionary adopted whole by an empty interner,
+/// see [`ChainSymbols::for_base`]), handing back the [`content_hash`] of
+/// every file of the chain — the base's, then each delta's — which
 /// verifying the chain computes anyway. An error comes with the chain
 /// position of the file that failed — `0` for the base, `i + 1` for
 /// `deltas[i]` — so the caller can name it.
@@ -801,26 +795,12 @@ pub fn decode_chain(
     deltas: &[Vec<u8>],
 ) -> Result<((Interner, Database), Vec<u64>), (usize, StoreError)> {
     let mut interner = Interner::new();
-    let (db, chain) = decode_chain_into(&mut interner, base, deltas)?;
-    Ok(((interner, db), chain))
-}
-
-/// Decodes a base snapshot and applies a chain of deltas to it in
-/// `target`'s ids: the base resolved by [`ChainSymbols::for_base`], the
-/// deltas applied by [`apply_chain`], and the chain committed into
-/// `target` — adopted whole when `target` is empty. Returns the result
-/// and the chain's hashes; an error, with its chain position as
-/// [`decode_chain`] gives it, leaves `target` as it was.
-pub fn decode_chain_into(
-    target: &mut Interner,
-    base: &[u8],
-    deltas: &[Vec<u8>],
-) -> Result<(Database, Vec<u64>), (usize, StoreError)> {
     let at_base = |e| (0, e);
     let pair = decode_snapshot(base).map_err(at_base)?;
-    let (mut symbols, db) = ChainSymbols::for_base(|| &*target, pair).map_err(at_base)?;
-    let (db, chain) = apply_chain(|| &*target, &mut symbols, content_hash(base), db, deltas)?;
-    Ok((symbols.commit(target, db).db, chain))
+    let (mut symbols, db) = ChainSymbols::for_base(|| &interner, pair).map_err(at_base)?;
+    let (db, chain) = apply_chain(|| &interner, &mut symbols, content_hash(base), db, deltas)?;
+    let db = symbols.commit(&mut interner, db).db;
+    Ok(((interner, db), chain))
 }
 
 /// [`decode_chain`] over files.
@@ -841,7 +821,6 @@ pub fn load_with_deltas<P: AsRef<Path>>(
 /// takes).
 pub fn save_delta(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     write_atomic(path, bytes)?;
-    counter!("store.delta.saves").add(1);
     Ok(())
 }
 
@@ -1198,6 +1177,13 @@ mod tests {
         apply_in_live_ids(&["elsewhere", "label"]);
     }
 
+    /// The snapshot `bytes` decoded and committed into `target`'s ids.
+    fn decode_into(target: &mut Interner, bytes: &[u8]) -> Database {
+        let pair = decode_snapshot(bytes).unwrap();
+        let (symbols, db) = ChainSymbols::for_base(|| &*target, pair).unwrap();
+        symbols.commit(target, db).db
+    }
+
     /// A snapshot of one binary relation `p` over `rows`, its symbols
     /// interned in the order the rows name them.
     fn snapshot_of(rows: &[(&str, &str)]) -> Vec<u8> {
@@ -1215,8 +1201,7 @@ mod tests {
     fn a_base_is_adopted_whole_into_an_empty_target() {
         let bytes = snapshot_of(&[("a", "b")]);
         let (file, _) = decode_snapshot(&bytes).unwrap();
-        let mut live = Interner::new();
-        let (db, chain) = decode_chain_into(&mut live, &bytes, &[]).unwrap();
+        let ((mut live, db), chain) = decode_chain(&bytes, &[]).unwrap();
         assert_eq!(chain, [content_hash(&bytes)]);
         // The file's ids are the live ids, in the file's order.
         assert!(live.symbols().eq(file.symbols()));
@@ -1241,7 +1226,7 @@ mod tests {
         let mut live = Interner::new();
         live.constant("unrelated");
         live.constant("z");
-        let (db, _) = decode_chain_into(&mut live, &bytes, &[]).unwrap();
+        let db = decode_into(&mut live, &bytes);
         assert_eq!(db.size(), 1);
         let (p, x, z) = (live.pred("p"), live.constant("x"), live.constant("z"));
         assert_eq!(z.0, 1, "a known name keeps its id");
@@ -1260,7 +1245,7 @@ mod tests {
         for name in ["c", "b", "a"] {
             live.constant(name);
         }
-        let (db, _) = decode_chain_into(&mut live, &bytes, &[]).unwrap();
+        let db = decode_into(&mut live, &bytes);
         let p = live.pred("p");
         let rel = db.relation(p).unwrap();
         let run: Vec<&[Const]> = rel.tuples().collect();

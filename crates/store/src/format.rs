@@ -45,7 +45,6 @@ use std::fmt;
 use std::io::{self, Write};
 use std::path::Path;
 use wdpt_model::{Const, Database, Interner, Pred, Relation, SymbolSpace};
-use wdpt_obs::counter;
 
 /// The eight magic bytes opening every snapshot.
 pub const MAGIC: [u8; 8] = *b"WDPTSNAP";
@@ -245,7 +244,6 @@ pub fn snapshot_to_vec_v2(interner: &Interner, db: &Database) -> Result<Vec<u8>,
     }
 
     push_section(&mut out, TAG_END, &[]);
-    counter!("store.snapshot.bytes_encoded").add(out.len() as u64);
     Ok(out)
 }
 
@@ -353,7 +351,6 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> 
 pub fn save_snapshot(path: &Path, interner: &Interner, db: &Database) -> Result<u64, StoreError> {
     let bytes = snapshot_to_vec_v2(interner, db)?;
     write_atomic(path, &bytes)?;
-    counter!("store.snapshot.saves").add(1);
     Ok(bytes.len() as u64)
 }
 
@@ -696,8 +693,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(Interner, Database), StoreError>
     }
     read_end(&mut r)?;
 
-    counter!("store.snapshot.loads").add(1);
-    counter!("store.snapshot.tuples_loaded").add(total_tuples);
     Ok((interner, Database::from_sorted(relations)))
 }
 

@@ -44,9 +44,8 @@ mod varint;
 
 pub use crc::{crc32, Crc32};
 pub use delta::{
-    apply_chain, apply_delta, decode_chain, decode_chain_into, decode_delta, decode_with_deltas,
-    delta_to_vec, load_with_deltas, save_delta, ChainSymbols, Committed, Delta, DeltaHeader,
-    SymbolMap,
+    apply_chain, apply_delta, decode_chain, decode_delta, decode_with_deltas, delta_to_vec,
+    load_with_deltas, save_delta, ChainSymbols, Committed, Delta, DeltaHeader, SymbolMap,
 };
 pub use format::{
     content_hash, decode_snapshot, inspect_snapshot, load_snapshot, save_snapshot,

@@ -68,7 +68,6 @@ use std::path::Path;
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use wdpt_model::{row_id, Const, Database, Interner, Pred, Relation};
-use wdpt_obs::counter;
 use wdpt_sparql::{parse_nt_line, TRIPLE_PRED};
 
 /// Tuning knobs for [`bulk_load`].
@@ -551,7 +550,6 @@ pub fn bulk_load<R: BufRead + Send>(
     let mut candidates = Vec::with_capacity(workers.iter().map(|w| w.names.len()).sum());
     candidates.extend(workers.iter().flat_map(|w| w.names.symbols()));
     let appended = interner.extend_canonical(candidates);
-    counter!("store.intern.appended").add(appended as u64);
 
     // Per-worker translation tables, local id → global id. The lookup
     // cannot miss: `extend_canonical` has just interned every worker symbol.
@@ -674,9 +672,6 @@ pub fn bulk_load<R: BufRead + Send>(
         threads,
         symbols_appended: appended as u64,
     };
-    counter!("store.bulk.lines").add(report.lines);
-    counter!("store.bulk.tuples").add(report.tuples);
-    counter!("store.bulk.duplicates").add(report.duplicates);
     Ok((db, report))
 }
 

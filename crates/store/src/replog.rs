@@ -22,7 +22,6 @@ use crate::format::{
 };
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use wdpt_obs::counter;
 
 /// Magic prefix of the `repl.log` index file (distinct from the snapshot
 /// magic so a chain-directory scan can tell them apart without heuristics).
@@ -115,7 +114,6 @@ impl ReplLog {
             entries: Vec::new(),
         };
         log.load_index()?;
-        counter!("store.replog.opens").add(1);
         Ok(log)
     }
 
@@ -151,7 +149,6 @@ impl ReplLog {
                 // the delta file (written first) may exist unreferenced,
                 // which is harmless. Drop the partial record.
                 Err(StoreError::Truncated { .. }) => {
-                    counter!("store.replog.partial_tail_dropped").add(1);
                     truncate_file(&path, good_len as u64)?;
                     break;
                 }
@@ -280,8 +277,6 @@ impl ReplLog {
         };
         f.write_all(&record)?;
         f.sync_all()?;
-        counter!("store.replog.appends").add(1);
-        counter!("store.replog.bytes_appended").add(delta_bytes.len() as u64);
         self.entries.push(entry);
         Ok(self.entries.last().expect("entry just pushed"))
     }

@@ -1,22 +1,18 @@
 //! The headline determinism guarantee of two-pass parallel interning:
 //! bulk loads at different `--threads` settings produce byte-identical
-//! snapshots AND identical loader counters.
+//! snapshots AND identical load reports.
 //!
-//! `wdpt-obs` counters are process-global, so each load runs inside
-//! [`wdpt_obs::delta_scope`], which serializes metric-sensitive sections
-//! across threads and hands back exactly the registry delta the section
-//! produced. That makes the counter comparison safe even with other tests
-//! of this binary (or future ones) running concurrently — no own-process
-//! isolation needed.
+//! A load hands back its own [`wdpt_store::LoadReport`], so the comparison
+//! holds with other tests of this binary running concurrently: nothing is
+//! read from a process-wide registry.
 
 use std::io::Cursor;
 use wdpt_gen::{write_synth_nt, SynthParams};
 use wdpt_model::Interner;
-use wdpt_obs::delta_scope;
-use wdpt_store::{bulk_load, snapshot_to_vec_v2, LoadOptions};
+use wdpt_store::{bulk_load, snapshot_to_vec_v2, LoadOptions, LoadReport};
 
 #[test]
-fn snapshots_and_counters_are_identical_across_thread_counts() {
+fn snapshots_and_load_reports_are_identical_across_thread_counts() {
     // Enough triples that every thread count actually exercises multiple
     // chunks per worker, with a universe small enough to force symbol reuse
     // (so local dictionaries overlap heavily across workers).
@@ -31,39 +27,34 @@ fn snapshots_and_counters_are_identical_across_thread_counts() {
     let mut text = Vec::new();
     write_synth_nt(&mut text, params).unwrap();
 
-    let watched = [
-        "store.intern.appended",
-        "store.bulk.lines",
-        "store.bulk.tuples",
-        "store.bulk.duplicates",
-    ];
-    let mut reference: Option<(Vec<u8>, Vec<u64>)> = None;
+    // What a load did, whatever its thread count.
+    let work = |r: &LoadReport| [r.lines, r.tuples, r.duplicates, r.symbols_appended];
+    let mut reference: Option<(Vec<u8>, [u64; 4])> = None;
     for threads in [1usize, 2, 8] {
         let opts = LoadOptions {
             threads,
             chunk_lines: 512,
         };
-        let ((db, report, bytes), delta) = delta_scope(|| {
-            let mut interner = Interner::new();
-            let (db, report) = bulk_load(&mut interner, &mut Cursor::new(&text), opts).unwrap();
-            let bytes = snapshot_to_vec_v2(&interner, &db).unwrap();
-            (db, report, bytes)
-        });
+        let mut interner = Interner::new();
+        let (db, report) = bulk_load(&mut interner, &mut Cursor::new(&text), opts).unwrap();
+        let bytes = snapshot_to_vec_v2(&interner, &db).unwrap();
 
-        let counters: Vec<u64> = watched.iter().map(|n| delta.counter(n)).collect();
         assert_eq!(report.threads, threads);
         assert!(report.duplicates > 0, "universe too large to collide");
         assert_eq!(db.size() as u64, report.tuples);
+        assert_eq!(report.symbols_appended as usize, interner.len());
         match &reference {
-            None => reference = Some((bytes, counters)),
-            Some((ref_bytes, ref_counters)) => {
+            None => reference = Some((bytes, work(&report))),
+            Some((ref_bytes, ref_work)) => {
                 assert_eq!(
                     ref_bytes, &bytes,
                     "threads={threads} changed the snapshot bytes"
                 );
                 assert_eq!(
-                    ref_counters, &counters,
-                    "threads={threads} changed the loader counters {watched:?}"
+                    ref_work,
+                    &work(&report),
+                    "threads={threads} changed the load report's \
+                     (lines, tuples, duplicates, symbols_appended)"
                 );
             }
         }
