@@ -61,11 +61,6 @@ impl Primary {
         self.log.lock().expect("repl log lock").head()
     }
 
-    /// Every hash on the chain, base first.
-    pub fn chain(&self) -> Vec<u64> {
-        self.log.lock().expect("repl log lock").chain()
-    }
-
     /// Number of currently registered subscribers (senders that have not
     /// yet been observed dead).
     pub fn subscriber_count(&self) -> usize {
@@ -167,10 +162,10 @@ mod tests {
         let base = b"pretend snapshot".to_vec();
         // ReplLog::open_or_init hashes but does not decode the base.
         let log = ReplLog::open_or_init(&dir, &base).unwrap();
-        let primary = Primary::new(log);
         let base_hash = content_hash(&base);
+        assert_eq!(log.chain(), vec![base_hash]);
+        let primary = Primary::new(log);
         assert_eq!(primary.head(), base_hash);
-        assert_eq!(primary.chain(), vec![base_hash]);
         assert!(primary.knows(base_hash));
         assert!(!primary.knows(0x1234));
 

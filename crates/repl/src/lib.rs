@@ -17,16 +17,17 @@
 //!
 //! The crate is deliberately below the serving layer: it knows bytes,
 //! hashes, sockets, and the [`ReplApply`] trait — not databases or query
-//! plans. `wdpt-serve` implements [`ReplApply`] on top of its hot-reload
-//! path (plan cache kept, in-flight queries pinned to their database
-//! version) and exposes the `subscribe` op and `--follow` flag.
+//! plans, and it keeps no served position of its own. `wdpt-serve`
+//! implements [`ReplApply`] on top of its hot-reload path (plan cache
+//! kept, in-flight queries pinned to their database version), keeps each
+//! database's chain in the entry it installed, so a head and `min_head`
+//! are read from the version a request pinned, and exposes the
+//! `subscribe` op and `--follow` flag.
 
 pub mod follower;
 pub mod frames;
-pub mod head;
 pub mod hub;
 
 pub use follower::{backoff_delay, run_follower, FollowerConfig, ReplApply};
 pub use frames::{decode_hex, encode_hex, Frame};
-pub use head::ReplHead;
 pub use hub::{DeltaBroadcast, Primary, SubscribeStart};

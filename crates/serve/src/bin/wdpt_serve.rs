@@ -15,6 +15,7 @@
 //! `DESIGN.md` § "The query service".
 
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -255,8 +256,8 @@ fn main() -> ExitCode {
 
     // A primary opens (or initializes) its replication log against the
     // base snapshot first, and installs the base with the deltas already
-    // in the log (accepted before a restart): the log's chain becomes the
-    // served head history.
+    // in the log (accepted before a restart): the installed chain, and so
+    // the head it serves, is the log's.
     let mut primary_log: Option<wdpt_store::ReplLog> = None;
     if let Some(dir) = &args.repl_log {
         let (name, path) = &args.snapshots[0];
@@ -365,7 +366,9 @@ fn main() -> ExitCode {
     }
     match served {
         Ok(()) => {
-            println!("wdpt-serve: drained, exiting");
+            // A reader that has gone away makes this line undeliverable, not
+            // the shutdown unclean.
+            let _ = writeln!(std::io::stdout(), "wdpt-serve: drained, exiting");
             ExitCode::SUCCESS
         }
         Err(e) => {

@@ -51,12 +51,12 @@
 //!   every subsequently accepted delta. Frame grammar in
 //!   [`wdpt_repl::frames`].
 //!
-//! When the server has a chain identity (it was started from or reloaded
-//! a snapshot, or follows a primary), terminal `ok` and `reload`
-//! lines carry `"head":"<hex>"` — the chain-head consistency token. A
-//! query may demand `"min_head":"<hex>"`; a replica that has not applied
-//! that position by the deadline answers with a typed `stale_replica`
-//! error instead of stale data.
+//! When the database a request reads or reloads came from a snapshot chain
+//! (started from or reloaded as a snapshot, or replicated), its terminal
+//! `ok` and `reload` lines carry `"head":"<hex>"` — that database's chain
+//! tip, the consistency token. A query may demand `"min_head":"<hex>"`; a
+//! database whose chain does not hold that position by the deadline is
+//! answered with a typed `stale_replica` error instead of stale data.
 
 use crate::server::Installed;
 use wdpt_model::{Const, Interner, Var};
@@ -575,8 +575,8 @@ pub fn overloaded_line(id: Option<&str>, retry_after_ms: u64) -> Json {
 }
 
 /// Terminal line for a successful `reload`: what was swapped in, how many
-/// deltas were chained, how the base arrived, and how long the load + swap
-/// took.
+/// deltas were chained, how the base arrived, the `head` the database is
+/// now served at, and how long the load + swap took.
 pub fn reload_line(id: Option<&str>, db: &str, installed: &Installed, wall_us: u64) -> Json {
     with_id(
         vec![
@@ -589,6 +589,10 @@ pub fn reload_line(id: Option<&str>, db: &str, installed: &Installed, wall_us: u
                 Json::int(installed.deltas as u64),
             ),
             ("base".to_string(), Json::str(installed.base.as_str())),
+            (
+                "head".to_string(),
+                Json::str(wdpt_store::head_hex(installed.head)),
+            ),
             ("wall_us".to_string(), Json::int(wall_us)),
         ],
         id,

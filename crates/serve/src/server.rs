@@ -66,12 +66,12 @@ use wdpt_core::Wdpt;
 use wdpt_model::{CancelToken, Cancelled, Database, Interner, Var};
 use wdpt_obs::trace::{GaugeGuard, Stage};
 use wdpt_obs::{
-    counter, gauge, gauge_scope, histogram, metrics_snapshot, render_prometheus, snapshot_to_json,
-    Json, RequestTrace,
+    counter, gauge_scope, histogram, metrics_snapshot, render_prometheus, snapshot_to_json, Json,
+    RequestTrace,
 };
 use wdpt_plan::{CountedCatalog, StatsCatalog};
 use wdpt_repl::frames::{delta_frame, snapshot_frame, subscribed_line};
-use wdpt_repl::{Primary, ReplApply, ReplHead, SubscribeStart};
+use wdpt_repl::{Primary, ReplApply, SubscribeStart};
 use wdpt_sparql::algebra::SparqlError;
 use wdpt_sparql::parser::MAX_TRIPLE_PATTERNS;
 use wdpt_sparql::{parse_query, GraphPattern};
@@ -277,13 +277,14 @@ impl Drop for Permit<'_> {
 /// whole `DbEntry` under the map's write lock, so no request can observe a
 /// new database with the old version's statistics (or vice versa) — the
 /// staleness bug a separate catalog map would invite. The chain the
-/// version was installed from travels with them for the same reason.
+/// version was installed from travels with them for the same reason: the
+/// `head` a response carries is read from the entry its rows came from.
 #[derive(Clone)]
 struct DbEntry {
     db: Arc<Database>,
     stats: Arc<StatsCatalog>,
-    /// The base and tip of the chain `db` is the result of; `None` for a
-    /// text or generated database the server was started with.
+    /// The base, tip and hashes of the chain `db` is the result of; `None`
+    /// for a text or generated database the server was started with.
     chain: Option<Arc<KeptChain>>,
 }
 
@@ -296,6 +297,25 @@ impl DbEntry {
             chain: None,
         }
     }
+
+    /// The content hashes of the chain `db` is the result of, base first;
+    /// empty when it has none.
+    fn hashes(&self) -> &[u64] {
+        self.chain.as_ref().map_or(&[], |chain| &chain.hashes)
+    }
+
+    /// The chain's tip: the position `min_head` and `head` name.
+    fn head(&self) -> Option<u64> {
+        self.hashes().last().copied()
+    }
+}
+
+/// Why a request pinned no database.
+enum Unpinned {
+    /// No database is served under the name.
+    Unknown,
+    /// Its chain did not reach `min_head` in time; the head it is at.
+    Stale(Option<u64>),
 }
 
 /// Shared server state: configuration, the interner, the named databases,
@@ -317,21 +337,24 @@ pub struct ServeState {
     shutdown: AtomicBool,
     permits: Permits,
     slowlog: Mutex<SlowLog>,
-    /// Chain position of the served data, when the server has a chain
-    /// identity (primary with a replication log, or follower). Feeds the
-    /// `head` field on terminal lines and the `min_head` admission wait.
-    repl_head: ReplHead,
+    /// Installs so far, counted after each swap; `installed` is signalled
+    /// with it, for the `min_head` wait.
+    installs: Mutex<u64>,
+    installed: Condvar,
     /// The replication hub, present only on a primary (`--repl-log`).
     primary: Mutex<Option<Arc<Primary>>>,
 }
 
 /// What an install keeps with the database it serves: the base the chain
-/// applied to, and the chain's tip — where its files' ids landed and the
-/// rows it inserted since the base. A replicated delta resumes from it.
+/// applied to, the chain's tip — where its files' ids landed and the rows
+/// it inserted since the base — and its content hashes. A replicated delta
+/// resumes from it.
 struct KeptChain {
     base: Arc<KeptBase>,
     map: SymbolMap,
     added: Database,
+    /// The chain's content hashes, base first: `hashes[0]` is `base.hash`.
+    hashes: Vec<u64>,
 }
 
 /// A verified base snapshot in served ids: what a reload of a byte-equal
@@ -386,31 +409,29 @@ impl ServeState {
             shutdown: AtomicBool::new(false),
             permits,
             slowlog,
-            repl_head: ReplHead::new(),
+            installs: Mutex::new(0),
+            installed: Condvar::new(),
             primary: Mutex::new(None),
         })
     }
 
-    /// The served chain position tracker; see [`ReplHead`].
-    pub fn repl_head(&self) -> &ReplHead {
-        &self.repl_head
-    }
-
-    /// Name of the default database (the one `--follow` replicates into).
+    /// Name of the default database (the one `--follow` replicates into
+    /// and a primary publishes).
     pub fn default_db(&self) -> &str {
         &self.default_db
     }
 
-    /// The chain-head hash of the served data, if it has a chain identity.
-    pub fn current_head(&self) -> Option<u64> {
-        self.repl_head.head()
+    /// The content hashes of the chain served as `db_name`, base first:
+    /// the last is the `head` its responses carry. Empty when the name is
+    /// not served or its database came from no chain.
+    pub fn chain(&self, db_name: &str) -> Vec<u64> {
+        self.entry(db_name)
+            .map_or_else(Vec::new, |entry| entry.hashes().to_vec())
     }
 
-    /// Promotes this server to replication primary: installs the log's
-    /// chain as the served head history and accepts `subscribe` ops.
+    /// Promotes this server to replication primary: accepts `subscribe`
+    /// ops and publishes reloads of the default database.
     pub fn set_primary(&self, primary: Arc<Primary>) {
-        self.repl_head.install_chain(&primary.chain());
-        gauge!("repl.head").set(primary.head() as i64);
         *self.primary.lock().expect("primary lock") = Some(primary);
     }
 
@@ -443,15 +464,15 @@ impl ServeState {
     /// decoded in full is then counted once, and kept. The served catalog
     /// is derived from the base's counts and the rows the chain inserted
     /// since the base ([`CountedCatalog::derive`]), so cached plans see
-    /// the new epoch the moment they can see the new data. Returns what
-    /// it did.
+    /// the new epoch the moment they can see the new data. The chain's
+    /// hashes go into the entry with them. Returns what it did.
     fn install(&self, db_name: &str, loaded: LoadedChain) -> Installed {
         let LoadedChain {
             base,
             symbols,
             db,
+            chain: hashes,
             deltas,
-            ..
         } = loaded;
         let (adopted, committed) = self.fold(|i| (i.is_empty(), symbols.commit(i, db)));
         let (base, arrived) = match base {
@@ -487,12 +508,19 @@ impl ServeState {
             deltas: deltas.len(),
             base: arrived,
             columns_counted,
+            head: *hashes.last().expect("a chain holds its base"),
         };
         // Only the entry swap holds the write lock.
+        let kept = KeptChain {
+            base,
+            map,
+            added,
+            hashes,
+        };
         let entry = DbEntry {
             db: Arc::new(db),
             stats: Arc::new(stats),
-            chain: Some(Arc::new(KeptChain { base, map, added })),
+            chain: Some(Arc::new(kept)),
         };
         // The write guard is gone at the end of this statement; the entry
         // it replaced outlives it, so when no query still holds the old
@@ -503,6 +531,8 @@ impl ServeState {
             .expect("dbs lock")
             .insert(db_name.to_string(), entry);
         drop(replaced);
+        *self.installs.lock().expect("installs lock") += 1;
+        self.installed.notify_all();
         installed
     }
 
@@ -535,22 +565,49 @@ impl ServeState {
     /// [`Arc`] pins that version: a concurrent [`ServeState::reload`]
     /// replaces the map entry without disturbing holders.
     pub fn db(&self, name: &str) -> Option<Arc<Database>> {
-        self.dbs
-            .read()
-            .expect("dbs lock")
-            .get(name)
-            .map(|e| Arc::clone(&e.db))
+        self.entry(name).map(|e| e.db)
     }
 
     /// The served database under `name` together with the statistics
     /// catalog built from that exact version — one map read, so the pair
     /// is always consistent.
     pub fn db_with_stats(&self, name: &str) -> Option<(Arc<Database>, Arc<StatsCatalog>)> {
-        self.dbs
-            .read()
-            .expect("dbs lock")
-            .get(name)
-            .map(|e| (Arc::clone(&e.db), Arc::clone(&e.stats)))
+        self.entry(name).map(|e| (e.db, e.stats))
+    }
+
+    /// The entry served under `name`, in one map read.
+    fn entry(&self, name: &str) -> Option<DbEntry> {
+        self.dbs.read().expect("dbs lock").get(name).cloned()
+    }
+
+    /// The entry served under `name`, pinned for one request. With
+    /// `min_head`, the pinned entry's chain must hold that hash — its data
+    /// is then at or after it; until it does, every install re-pins and
+    /// re-checks, for at most `wait`, and then the head the entry is at is
+    /// the error.
+    fn pin(&self, name: &str, min_head: Option<u64>, wait: Duration) -> Result<DbEntry, Unpinned> {
+        let Some(hash) = min_head else {
+            return self.entry(name).ok_or(Unpinned::Unknown);
+        };
+        let deadline = Instant::now() + wait;
+        // An install swaps its entry before it counts itself, and it cannot
+        // count while this lock is held: no install after a pin goes unseen.
+        let mut installs = self.installs.lock().expect("installs lock");
+        loop {
+            let pinned = self.entry(name).ok_or(Unpinned::Unknown)?;
+            if pinned.hashes().contains(&hash) {
+                return Ok(pinned);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(Unpinned::Stale(pinned.head()));
+            }
+            let seen = *installs;
+            (installs, _) = self
+                .installed
+                .wait_timeout_while(installs, left, |n| *n == seen)
+                .expect("installs lock");
+        }
     }
 
     /// Hot-reloads the database `db_name` from `snapshot` plus an optional
@@ -582,9 +639,7 @@ impl ServeState {
     /// The plan cache is **kept**: cached plans depend only on query
     /// structure and interner ids, never on data, and a reload only
     /// appends symbols (existing ids are stable), so every entry stays
-    /// valid — `serve.store.reload_cache_kept` counts the entries
-    /// preserved, `serve.store.reload_ok` / `serve.store.reload_failed`
-    /// the outcomes.
+    /// valid.
     ///
     /// A `--snapshot` start of `wdpt-serve` is a reload too, so a server
     /// keeps the base it started from. Returns what the install did.
@@ -615,22 +670,16 @@ impl ServeState {
             std::fs::read(p).map_err(|e| format!("{}: {e}", p.display()))
         };
         let files = std::iter::once(snapshot).chain(deltas.iter().map(AsRef::as_ref));
-        let bytes = files.map(read).collect::<Result<Vec<_>, _>>();
-        let loaded = bytes.and_then(|mut bytes| {
-            let base = bytes.remove(0);
-            self.load(base, bytes).map_err(|(link, e)| {
-                // Name the file that failed, not the chain's first one.
-                let file = match link.checked_sub(1) {
-                    None => snapshot,
-                    Some(i) => deltas[i].as_ref(),
-                };
-                format!("{}: {e}", file.display())
-            })
-        });
-        if loaded.is_err() {
-            counter!("serve.store.reload_failed").add(1);
-        }
-        loaded
+        let mut bytes = files.map(read).collect::<Result<Vec<_>, _>>()?;
+        let base = bytes.remove(0);
+        self.load(base, bytes).map_err(|(link, e)| {
+            // Name the file that failed, not the chain's first one.
+            let file = match link.checked_sub(1) {
+                None => snapshot,
+                Some(i) => deltas[i].as_ref(),
+            };
+            format!("{}: {e}", file.display())
+        })
     }
 
     /// The one loader, for reloads and replicated snapshots: a base file's
@@ -698,35 +747,15 @@ impl ServeState {
 
     /// The swap half of a reload: the one install — the fold, the base
     /// counted if it was decoded in full and kept either way, the served
-    /// database swapped — then the chain's hashes as the served head
-    /// history. Fails (without touching the interner or the kept bases) if
-    /// shutdown began after the load stage — a reload racing the drain
-    /// either completes its swap or reports `shutting down`, never a
-    /// half-merged interner.
-    pub fn install_stage(
-        &self,
-        db_name: &str,
-        mut loaded: LoadedChain,
-    ) -> Result<Installed, String> {
+    /// database swapped with the chain it came from. Fails (without
+    /// touching the interner or the kept bases) if shutdown began after the
+    /// load stage — a reload racing the drain either completes its swap or
+    /// reports `shutting down`, never a half-merged interner.
+    pub fn install_stage(&self, db_name: &str, loaded: LoadedChain) -> Result<Installed, String> {
         if self.is_shutting_down() {
-            counter!("serve.store.reload_rejected_shutdown").add(1);
             return Err("server is shutting down; reload rejected before the swap".to_string());
         }
-        let chain = std::mem::take(&mut loaded.chain);
-        let installed = self.install(db_name, loaded);
-        self.repl_head.install_chain(&chain);
-        gauge!("repl.head").set(self.repl_head.head().unwrap_or(0) as i64);
-        counter!("serve.store.reload_ok").add(1);
-        counter!("serve.store.reload_cache_kept").add(self.cache.len() as u64);
-        Ok(installed)
-    }
-
-    /// The content hash of the base kept for `db_name`, if any (see
-    /// [`ServeState::reload`]).
-    pub fn kept_base_hash(&self, db_name: &str) -> Option<u64> {
-        let dbs = self.dbs.read().expect("dbs lock");
-        let chain = dbs.get(db_name)?.chain.as_ref()?;
-        Some(chain.base.hash)
+        Ok(self.install(db_name, loaded))
     }
 
     /// The plan cache (for tests and stats).
@@ -882,6 +911,8 @@ pub struct Installed {
     /// Columns counted in full for the served statistics: the base's, when
     /// it was decoded; 0 for a kept base, whose counts are derived from.
     pub columns_counted: usize,
+    /// The chain's tip: the `head` the name is now served at.
+    pub head: u64,
 }
 
 /// How the base of an installed chain arrived.
@@ -1216,7 +1247,7 @@ fn handle_request(
             } else {
                 metrics_json_line(id, snapshot_to_json(&snap), state.cache.stats_json())
             };
-            attach_head(&mut line, state.current_head());
+            attach_head(&mut line, state.chain(&state.default_db).last().copied());
             line
         }
         Request::Slowlog { id: _, keep } => {
@@ -1277,11 +1308,12 @@ fn handle_request(
             let start = Instant::now();
             match state.load_stage(Path::new(&snapshot), &deltas) {
                 Ok(loaded) => {
-                    // A primary re-publishes the chain's new deltas to its
-                    // followers after the swap; clone the bytes first, the
-                    // install consumes the load.
-                    let publishable: Vec<(u64, Vec<u8>)> = state
-                        .primary()
+                    // A primary re-publishes the new deltas of the database
+                    // it replicates to its followers after the swap; clone
+                    // the bytes first, the install consumes the load.
+                    let primary = state.primary().filter(|_| db_name == state.default_db);
+                    let publishable: Vec<(u64, Vec<u8>)> = primary
+                        .as_ref()
                         .map(|p| {
                             loaded
                                 .deltas
@@ -1293,7 +1325,7 @@ fn handle_request(
                         .unwrap_or_default();
                     match state.install_stage(db_name, loaded) {
                         Ok(installed) => {
-                            if let Some(primary) = state.primary() {
+                            if let Some(primary) = primary {
                                 for (hash, bytes) in publishable {
                                     if let Err(e) = primary.publish(bytes) {
                                         counter!("repl.primary.publish_rejected").add(1);
@@ -1306,9 +1338,7 @@ fn handle_request(
                                 }
                             }
                             let wall_us = start.elapsed().as_micros() as u64;
-                            let mut line = reload_line(id, db_name, &installed, wall_us);
-                            attach_head(&mut line, state.current_head());
-                            line
+                            reload_line(id, db_name, &installed, wall_us)
                         }
                         Err(_racing_shutdown) => {
                             counter!("serve.requests.rejected").add(1);
@@ -1411,39 +1441,35 @@ fn handle_query(req: QueryParams<'_>, state: &ServeState, trace: &mut RequestTra
         .unwrap_or(state.cfg.default_deadline_ms)
         .min(state.cfg.max_deadline_ms);
 
-    // Consistency token: a replica that has not applied `min_head` yet
-    // waits for its apply loop (up to the request deadline), then answers
-    // typed `stale_replica` rather than serving data the client knows is
-    // older than its own writes. This runs before the database `Arc` is
-    // resolved, so a successful wait observes the post-apply version.
-    if let Some(min_head) = min_head {
-        if !state.repl_head.contains(min_head) {
-            counter!("serve.requests.min_head_waited").add(1);
-            let wait_deadline = Instant::now() + Duration::from_millis(deadline_ms);
-            if !state.repl_head.wait_contains(min_head, wait_deadline) {
-                counter!("serve.requests.stale_replica").add(1);
-                return encoded(&stale_replica_line(id, min_head, state.current_head()));
-            }
-        }
-    }
-
     let db_name = db.unwrap_or(&state.default_db);
     // Resolve the database *version* now: the request evaluates against
     // this `Arc` even if a `reload` swaps the served map while it waits.
-    // The statistics catalog rides along from the same map read, so the
-    // plan is costed against exactly the version it will execute on.
+    // The statistics catalog and the chain ride along from the same map
+    // read, so the plan is costed against exactly the version it will
+    // execute on, and the `head` it answers with names that version.
     // Pin the database, then resolve names: a served database's ids were all
     // interned before it was installed, so the request-local ids handed out
     // below are above them and match nothing in it.
-    let Some((db, db_stats)) = state.db_with_stats(db_name) else {
-        counter!("serve.requests.error").add(1);
-        return encoded(&error_line(
-            id,
-            "unknown_db",
-            &format!("no database named {db_name:?}"),
-            None,
-        ));
+    //
+    // Consistency token: a database whose chain does not hold `min_head`
+    // yet is re-pinned after each install (up to the request deadline),
+    // then answered typed `stale_replica` rather than with data the client
+    // knows is older than its own writes.
+    let wait = Duration::from_millis(deadline_ms);
+    let pinned = match state.pin(db_name, min_head, wait) {
+        Ok(pinned) => pinned,
+        Err(Unpinned::Unknown) => {
+            counter!("serve.requests.error").add(1);
+            let message = format!("no database named {db_name:?}");
+            return encoded(&error_line(id, "unknown_db", &message, None));
+        }
+        Err(Unpinned::Stale(head)) => {
+            let min_head = min_head.expect("only a min_head pin goes stale");
+            return encoded(&stale_replica_line(id, min_head, head));
+        }
     };
+    let head = pinned.head();
+    let (db, db_stats) = (pinned.db, pinned.stats);
 
     let token = CancelToken::with_deadline(Duration::from_millis(deadline_ms));
     let start = Instant::now();
@@ -1554,8 +1580,9 @@ fn handle_query(req: QueryParams<'_>, state: &ServeState, trace: &mut RequestTra
                         .as_deref()
                         .map(|facts| explain_json(&plan, facts, cache_status)),
                 );
-                // The head the client can quote as `min_head` elsewhere.
-                attach_head(&mut okl, state.current_head());
+                // The head of the version the rows came from: what the
+                // client can quote as `min_head` elsewhere.
+                attach_head(&mut okl, head);
                 push_line(&mut response, &okl);
                 response
             }
@@ -1683,8 +1710,9 @@ fn sparql_error_parts(e: &SparqlError, canon: &CanonicalQuery) -> (&'static str,
 /// symbols from the tip — the live interner also holds other databases'
 /// symbols, so the tip's map, not the interner, anchors the delta's file
 /// ids — applies that one delta to the served database and installs the
-/// result. A frame that fails leaves the tip, the head and the interner as
-/// they were, so the next good frame applies.
+/// result, its chain the tip's extended by the delta's hash. A frame that
+/// fails leaves the tip, the head and the interner as they were, so the
+/// next good frame applies.
 pub struct FollowerApply {
     state: Arc<ServeState>,
     db_name: String,
@@ -1699,11 +1727,6 @@ impl FollowerApply {
         }
     }
 
-    /// True once a chain is installed under the name.
-    fn has_chain(&self) -> bool {
-        self.state.kept_base_hash(&self.db_name).is_some()
-    }
-
     /// Installs a replicated snapshot frame whose content hash is `head`:
     /// the file loaded as a base with no deltas. Returns the install's
     /// account.
@@ -1712,8 +1735,7 @@ impl FollowerApply {
         let loaded = self.state.load(bytes.to_vec(), Vec::new());
         let loaded = loaded.map_err(|(_, e)| e.to_string())?;
         let installed = self.state.install(&self.db_name, loaded);
-        self.state.repl_head.install_chain(&[head]);
-        gauge!("repl.head").set(head as i64);
+        debug_assert_eq!(installed.head, head);
         counter!("repl.follower.snapshots_applied").add(1);
         counter!("repl.follower.bytes_applied").add(bytes.len() as u64);
         histogram!("repl.follower.apply_us").record(start.elapsed().as_micros() as u64);
@@ -1725,32 +1747,27 @@ impl FollowerApply {
     /// the install's account.
     pub fn install_delta(&self, head: u64, base: u64, bytes: &[u8]) -> Result<Installed, String> {
         let start = Instant::now();
-        let (db, chain) = {
-            let dbs = self.state.dbs.read().expect("dbs lock");
-            let entry = dbs.get(&self.db_name);
-            match entry.and_then(|entry| Some((Arc::clone(&entry.db), entry.chain.clone()?))) {
-                Some(served) => served,
-                None => return Err("no snapshot applied yet; delta has no base".to_string()),
-            }
+        let served = self.state.entry(&self.db_name);
+        let Some((db, chain)) = served.and_then(|entry| Some((entry.db, entry.chain?))) else {
+            return Err("no snapshot applied yet; delta has no base".to_string());
         };
-        let served = self.state.current_head();
-        if served != Some(base) {
+        let tip = *chain.hashes.last().expect("a chain holds its base");
+        if tip != base {
             return Err(format!(
                 "delta extends {} but the served head is {}",
                 wdpt_store::head_hex(base),
-                served.map_or_else(|| "unset".to_string(), wdpt_store::head_hex),
+                wdpt_store::head_hex(tip),
             ));
         }
         let len = self.state.interner_len();
         let symbols = ChainSymbols::resume(&chain.map, &chain.added, len);
         let kept = ChainBase::Kept(Arc::clone(&chain.base));
-        let loaded = self
+        let mut loaded = self
             .state
             .apply(kept, symbols, ((*db).clone(), base), vec![bytes.to_vec()])
             .map_err(|(_, e)| format!("delta apply failed: {e}"))?;
+        loaded.chain = [&chain.hashes[..], &[head]].concat();
         let installed = self.state.install(&self.db_name, loaded);
-        self.state.repl_head.advance(head);
-        gauge!("repl.head").set(head as i64);
         counter!("repl.follower.deltas_applied").add(1);
         counter!("repl.follower.bytes_applied").add(bytes.len() as u64);
         histogram!("repl.follower.apply_us").record(start.elapsed().as_micros() as u64);
@@ -1759,21 +1776,17 @@ impl FollowerApply {
 }
 
 impl ReplApply for FollowerApply {
-    // Both predicates report "nothing applied" while no chain is installed
-    // under the name (a fresh follower): the next subscribe then sends no
-    // base — a full bootstrap — and none of its frames are skipped as
-    // duplicates.
+    // Both read the chain installed under the name, which is empty for a
+    // fresh follower: the next subscribe then sends no base — a full
+    // bootstrap — and none of its frames are skipped as duplicates. After
+    // a re-bootstrap the chain is the snapshot's alone, so the replay
+    // after it is applied, not skipped.
     fn current_head(&self) -> Option<u64> {
-        self.has_chain()
-            .then(|| self.state.current_head())
-            .flatten()
+        self.state.chain(&self.db_name).last().copied()
     }
 
-    // Deliberately `on_chain`, not `contains`: after a re-bootstrap the
-    // history still holds hashes ahead of the freshly installed chain, and
-    // the replay for those must be applied, not skipped as duplicates.
     fn known(&self, head: u64) -> bool {
-        self.has_chain() && self.state.repl_head.on_chain(head)
+        self.state.chain(&self.db_name).contains(&head)
     }
 
     fn apply_snapshot(&self, head: u64, bytes: &[u8]) -> Result<(), String> {
@@ -1786,21 +1799,20 @@ impl ReplApply for FollowerApply {
 }
 
 /// The `stats` response: cache occupancy plus every registered counter.
+/// `repl_head` and `repl_chain_len` are the default database's.
 fn stats_line(state: &ServeState) -> Json {
     let snap = metrics_snapshot();
+    let chain = state.chain(&state.default_db);
     Json::obj([
         ("status".to_string(), Json::str("ok")),
         ("kind".to_string(), Json::str("stats")),
         (
             "repl_head".to_string(),
-            state
-                .current_head()
-                .map_or(Json::Null, |h| Json::str(wdpt_store::head_hex(h))),
+            chain
+                .last()
+                .map_or(Json::Null, |&h| Json::str(wdpt_store::head_hex(h))),
         ),
-        (
-            "repl_chain_len".to_string(),
-            Json::int(state.repl_head.chain_len() as u64),
-        ),
+        ("repl_chain_len".to_string(), Json::int(chain.len() as u64)),
         (
             "cache_size".to_string(),
             Json::int(state.cache.len() as u64),
@@ -2000,6 +2012,7 @@ mod tests {
             deltas: 0,
             base: Base::Remapped,
             columns_counted: 2,
+            head: wdpt_store::content_hash(&std::fs::read(&snap_path).unwrap()),
         };
         assert_eq!(installed, expected);
         // The pre-reload handle still sees the old version; a fresh

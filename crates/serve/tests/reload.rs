@@ -254,9 +254,14 @@ fn served_as(state: &ServeState, db_name: &str) -> Served {
             rows,
             stats_rows: rel_stats.rows,
             columns,
-            head: state.current_head(),
+            head: state.chain(db_name).last().copied(),
         }
     })
+}
+
+/// The hash of the base kept for `db_name`: its chain's first link.
+fn kept_base(state: &ServeState, db_name: &str) -> Option<u64> {
+    state.chain(db_name).first().copied()
 }
 
 /// The answers of [`BY_OBJECT`] on what `state` serves as [`DB`], by name
@@ -323,7 +328,7 @@ fn every_reload_serves_what_a_fresh_server_reloading_the_same_files_serves() {
             assert_eq!(counted as u64, 3 * folds, "{at}: columns counted");
             // Every base is kept.
             let kept = content_hash(&std::fs::read(base).unwrap());
-            assert_eq!(state.kept_base_hash(DB), Some(kept), "{at}: kept base");
+            assert_eq!(kept_base(&state, DB), Some(kept), "{at}: kept base");
 
             let fresh = start(&f.base);
             let fresh_reload = reload(&fresh, base, deltas).unwrap();
@@ -344,7 +349,7 @@ fn every_reload_serves_what_a_fresh_server_reloading_the_same_files_serves() {
         }
         settled = Some(state.interner_len());
     }
-    assert_eq!(state.kept_base_hash(DB), Some(base_hash));
+    assert_eq!(kept_base(&state, DB), Some(base_hash));
     std::fs::remove_dir_all(&f.dir).ok();
 }
 
@@ -385,14 +390,14 @@ fn the_kept_base_masks_no_change_to_the_base_file() {
     let state = start(&f.base);
     let old_base = std::fs::read(&f.base).unwrap();
     reload(&state, &f.base, &[&f.d0]).unwrap();
-    assert_eq!(state.kept_base_hash(DB), Some(content_hash(&old_base)));
+    assert_eq!(kept_base(&state, DB), Some(content_hash(&old_base)));
     let before = served(&state);
     let symbols = state.interner_len();
     let unchanged = |what: &str| {
         assert_eq!(served(&state), before, "{what}: served state moved");
         assert_eq!(state.interner_len(), symbols, "{what}: interner grew");
         assert_eq!(
-            state.kept_base_hash(DB),
+            kept_base(&state, DB),
             Some(content_hash(&old_base)),
             "{what}: kept base moved"
         );
@@ -414,7 +419,7 @@ fn the_kept_base_masks_no_change_to_the_base_file() {
     std::fs::write(&f.base, &f.other_base).unwrap();
     let folds = reload(&state, &f.base, &[] as &[&Path]).unwrap().folds;
     assert_eq!(folds, 1, "the new base was not decoded");
-    assert_eq!(state.kept_base_hash(DB), Some(content_hash(&f.other_base)));
+    assert_eq!(kept_base(&state, DB), Some(content_hash(&f.other_base)));
     let other = served(&state);
     assert_eq!(other.rows.len(), 2);
     assert_ne!(other, before);
@@ -495,6 +500,7 @@ fn a_symbol_interned_between_the_stages_remaps_the_chains_rows() {
         deltas: 1,
         base: Base::Kept,
         columns_counted: 0,
+        head: content_hash(&std::fs::read(&f.d1).unwrap()),
     };
     assert_eq!(installed, kept);
     let id = |name: &str| state.with_interner(|i| i.lookup_id(SymbolSpace::Const, name).unwrap());
@@ -633,7 +639,7 @@ fn a_translated_base_is_kept_and_counted_once() {
     let first = reload_into(&state, "aux", &aux, &[]).unwrap();
     assert_eq!((first.folds, first.counted), (1, 3));
     let aux_bytes = std::fs::read(&aux).unwrap();
-    assert_eq!(state.kept_base_hash("aux"), Some(content_hash(&aux_bytes)));
+    assert_eq!(kept_base(&state, "aux"), Some(content_hash(&aux_bytes)));
     let (file, _) = decode_snapshot(&aux_bytes).unwrap();
     let s19 = |i: &Interner| i.lookup_id(SymbolSpace::Const, "s19");
     assert_ne!(
@@ -679,6 +685,7 @@ fn a_symbol_interned_between_the_stages_remaps_a_decoded_bases_rows() {
         deltas: 1,
         base: Base::Remapped,
         columns_counted: 3,
+        head: content_hash(&std::fs::read(&aux_d0).unwrap()),
     };
     assert_eq!(installed, decoded, "the base is counted once");
     let id = |name: &str| state.with_interner(|i| i.lookup_id(SymbolSpace::Const, name).unwrap());
@@ -706,7 +713,7 @@ fn a_symbol_interned_between_the_stages_remaps_a_decoded_bases_rows() {
 
 /// A follower whose dictionary holds a generated catalog, driven frame by
 /// frame, serves after every frame what a fresh server reloading the same
-/// files serves, with the same head and chain length; a delta frame counts
+/// files serves, with the same chain; a delta frame counts
 /// no column and keeps the permutations built before it. A structurally
 /// bad delta is refused and changes nothing, and the next good frame
 /// applies.
@@ -726,8 +733,7 @@ fn a_follower_serves_what_a_fresh_server_reloading_the_same_files_serves() {
         let fresh = start(&f.base);
         reload(&fresh, &f.base, deltas).unwrap();
         assert_eq!(served(&state), served(&fresh), "{deltas:?}");
-        let chain_len = |s: &ServeState| s.repl_head().chain_len();
-        assert_eq!(chain_len(&state), chain_len(&fresh), "{deltas:?}");
+        assert_eq!(state.chain(DB), fresh.chain(DB), "{deltas:?}");
         let (answers, builds) = by_object(&state);
         assert_eq!(answers, by_object(&fresh).0, "{deltas:?}");
         builds

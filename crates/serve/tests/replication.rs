@@ -62,8 +62,17 @@ impl Client {
     }
 
     fn round_trip(&mut self, req: &Json) -> (Json, Vec<Json>) {
+        self.send(req);
+        self.response()
+    }
+
+    fn send(&mut self, req: &Json) {
         write_json_line(&mut self.writer, req).unwrap();
         self.writer.flush().unwrap();
+    }
+
+    /// The lines answering one request: its terminal line and its rows.
+    fn response(&mut self) -> (Json, Vec<Json>) {
         let mut rows = Vec::new();
         loop {
             let line = read_json_line(&mut self.reader)
@@ -131,15 +140,20 @@ fn build_chain(tag: &str) -> (PathBuf, PathBuf, Vec<PathBuf>) {
     (dir, base_path, deltas)
 }
 
-/// A primary ServeState whose default db is the chain base and whose
-/// replication log lives in `log_dir`.
+/// A primary ServeState whose default db is the chain base, installed by
+/// a reload as `wdpt-serve --snapshot` installs it, and whose replication
+/// log lives in `log_dir`.
 fn primary_state(base_path: &Path, log_dir: &Path) -> Arc<ServeState> {
     let base_bytes = std::fs::read(base_path).unwrap();
-    let (interner, db) = wdpt_store::decode_snapshot(&base_bytes).unwrap();
-    let mut dbs: BTreeMap<String, Database> = BTreeMap::new();
-    dbs.insert("music".to_string(), db);
-    let state = ServeState::new(ServeConfig::default(), interner, dbs, "music");
+    let state = ServeState::new(
+        ServeConfig::default(),
+        Interner::new(),
+        BTreeMap::new(),
+        "music",
+    );
+    state.reload("music", base_path, &[] as &[&Path]).unwrap();
     let log = wdpt_store::ReplLog::open_or_init(log_dir, &base_bytes).unwrap();
+    assert_eq!(state.chain("music"), log.chain());
     state.set_primary(wdpt_repl::Primary::new(log));
     state
 }
@@ -168,15 +182,23 @@ fn spawn_follower(
     })
 }
 
-/// Polls until the state's chain head equals `head` (or panics after the
-/// deadline) — follower applies are asynchronous.
+/// Polls until `head` is on the chain served as `music` (or panics after
+/// the deadline) — follower applies are asynchronous.
 fn await_head(state: &ServeState, head: u64, what: &str) {
     let deadline = Instant::now() + Duration::from_secs(10);
-    assert!(
-        state.repl_head().wait_contains(head, deadline),
-        "{what}: follower never reached head {}",
-        wdpt_store::head_hex(head)
-    );
+    while !state.chain("music").contains(&head) {
+        assert!(
+            Instant::now() < deadline,
+            "{what}: follower never reached head {}",
+            wdpt_store::head_hex(head)
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// The tip of the chain served as `music`.
+fn music_head(state: &ServeState) -> Option<u64> {
+    state.chain("music").last().copied()
 }
 
 /// Wire-level check of the subscription stream: a raw client (no
@@ -187,7 +209,7 @@ fn raw_subscription_receives_handshake_and_broadcast() {
     let (dir, base_path, deltas) = build_chain("probe");
     let log_dir = dir.join("repl");
     let primary = start(primary_state(&base_path, &log_dir));
-    let base_head = primary.state.current_head().unwrap();
+    let base_head = music_head(&primary.state).unwrap();
 
     let mut sub = Client::connect(primary.addr);
     write_json_line(
@@ -242,7 +264,7 @@ fn follower_bootstraps_streams_and_serves_read_your_writes() {
 
     // Bootstrap: the follower starts empty and must reach the primary's
     // base head without any reload being issued.
-    let base_head = primary.state.current_head().expect("primary has a head");
+    let base_head = music_head(&primary.state).expect("primary has a head");
     await_head(&follower.state, base_head, "bootstrap");
     let mut fc = Client::connect(follower.addr);
     let (ok, rows) = fc.round_trip(&Json::obj([
@@ -344,8 +366,8 @@ fn follower_bootstraps_streams_and_serves_read_your_writes() {
     ]));
     assert_eq!(status_of(&ok), "ok", "got {ok}");
     assert_eq!(subjects(&rows), ["our_love", "suddenly", "swim"]);
-    // The whole chain is in the follower's history: base, d1, d2.
-    assert_eq!(follower.state.repl_head().chain_len(), 3);
+    // The whole chain is the follower's: base, d1, d2.
+    assert_eq!(follower.state.chain("music").len(), 3);
 
     stop.store(true, Ordering::SeqCst);
     follower_thread.join().unwrap();
@@ -405,7 +427,7 @@ fn a_failed_reload_names_the_delta_that_failed() {
     std::fs::write(&deltas[1], bytes).unwrap();
 
     let server = start(primary_state(&base_path, &dir.join("repl")));
-    let (symbols, head) = (server.state.interner_len(), server.state.current_head());
+    let (symbols, head) = (server.state.interner_len(), music_head(&server.state));
     let mut c = Client::connect(server.addr);
     let paths = deltas.iter().map(|d| Json::str(d.to_str().unwrap()));
     let (err, _) = c.round_trip(&Json::obj([
@@ -436,7 +458,7 @@ fn a_failed_reload_names_the_delta_that_failed() {
 
     // Nothing of the half-applied chain stuck.
     assert_eq!(server.state.interner_len(), symbols);
-    assert_eq!(server.state.current_head(), head);
+    assert_eq!(music_head(&server.state), head);
     let (ok, rows) = c.round_trip(&Json::obj([
         ("op", Json::str("query")),
         ("id", Json::str("q1")),
@@ -474,7 +496,7 @@ fn frames_of_another_format_version_are_refused_at_apply() {
         .apply_snapshot(base_head, &with_version(&base, 2))
         .unwrap_err();
     assert!(err.contains("unsupported format version 2"), "got: {err}");
-    assert_eq!(state.current_head(), None);
+    assert_eq!(music_head(&state), None);
 
     apply.apply_snapshot(base_head, &base).unwrap();
     let symbols = state.interner_len();
@@ -482,11 +504,11 @@ fn frames_of_another_format_version_are_refused_at_apply() {
         .apply_delta(delta_head, base_head, &with_version(&delta, 1))
         .unwrap_err();
     assert!(err.contains("unsupported format version 1"), "got: {err}");
-    assert_eq!(state.current_head(), Some(base_head));
+    assert_eq!(music_head(&state), Some(base_head));
     assert_eq!(state.interner_len(), symbols);
     // The refused frame left the tip as it was: today's frame applies.
     apply.apply_delta(delta_head, base_head, &delta).unwrap();
-    assert_eq!(state.current_head(), Some(delta_head));
+    assert_eq!(music_head(&state), Some(delta_head));
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -551,8 +573,8 @@ fn reload_racing_shutdown_fails_typed_with_interner_intact() {
 
     let state = follower_state();
     state.reload("music", &base_path, &deltas[..1]).unwrap();
-    let kept = state.kept_base_hash("music");
-    assert!(kept.is_some(), "a full reload keeps its base");
+    let kept = state.chain("music");
+    assert_eq!(kept.len(), 2, "a full reload keeps its base and chain");
     let symbols_before = state.interner_len();
 
     // Interleaving A: shutdown lands strictly between load and install.
@@ -590,9 +612,9 @@ fn reload_racing_shutdown_fails_typed_with_interner_intact() {
             "a refused swap must leave the interner untouched"
         );
         assert_eq!(
-            state.kept_base_hash("music"),
+            state.chain("music"),
             kept,
-            "a refused swap must leave the kept base untouched"
+            "a refused swap must leave the kept base and chain untouched"
         );
     }
     shutter.join().unwrap();
@@ -608,7 +630,183 @@ fn reload_racing_shutdown_fails_typed_with_interner_intact() {
     assert_eq!((installed.tuples, installed.deltas), (3, 2));
     assert!(state2.interner_len() > before2);
     state2.begin_shutdown();
-    assert_eq!(state2.repl_head().chain_len(), 3);
+    assert_eq!(state2.chain("music").len(), 3);
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `reload` request of `db` as `base` plus `deltas`.
+fn reload_request(db: &str, base: &Path, deltas: &[PathBuf]) -> Json {
+    let deltas = deltas.iter().map(|d| Json::str(d.to_str().unwrap()));
+    Json::obj([
+        ("op", Json::str("reload")),
+        ("db", Json::str(db)),
+        ("snapshot", Json::str(base.to_str().unwrap())),
+        ("deltas", Json::Arr(deltas.collect())),
+    ])
+}
+
+/// A query of [`Q`] on `db`, demanding `min_head` if given, with a
+/// deadline of `deadline_ms`.
+fn query_request(db: &str, min_head: Option<u64>, deadline_ms: u64) -> Json {
+    let mut pairs = vec![
+        ("op", Json::str("query")),
+        ("db", Json::str(db)),
+        ("query", Json::str(Q)),
+        ("deadline_ms", Json::int(deadline_ms)),
+    ];
+    if let Some(h) = min_head {
+        pairs.push(("min_head", Json::str(wdpt_store::head_hex(h))));
+    }
+    Json::obj(pairs)
+}
+
+/// The `head` a response line carries.
+fn head_of(line: &Json) -> Option<u64> {
+    line.get("head")
+        .and_then(Json::as_str)
+        .and_then(wdpt_store::parse_head_hex)
+}
+
+/// The `kind` of an error line.
+fn kind_of(line: &Json) -> &str {
+    line.get("kind").and_then(Json::as_str).unwrap_or("?")
+}
+
+/// A head belongs to its database: two names reloaded to different chain
+/// positions each answer with their own tip, and a `min_head` on one
+/// quoting the other's tip is not admitted over data that lacks it.
+#[test]
+fn each_database_answers_with_its_own_head() {
+    let (dir, base_path, deltas) = build_chain("own-head");
+    let (base_head, d1_head) = (
+        wdpt_store::content_hash(&std::fs::read(&base_path).unwrap()),
+        wdpt_store::content_hash(&std::fs::read(&deltas[0]).unwrap()),
+    );
+    let server = start(follower_state());
+    let mut c = Client::connect(server.addr);
+    let (main, _) = c.round_trip(&reload_request("main", &base_path, &[]));
+    assert_eq!(head_of(&main), Some(base_head), "got {main}");
+    let (aux, _) = c.round_trip(&reload_request("aux", &base_path, &deltas[..1]));
+    assert_eq!(head_of(&aux), Some(d1_head), "got {aux}");
+
+    let (ok, rows) = c.round_trip(&query_request("main", None, 2_000));
+    assert_eq!(status_of(&ok), "ok", "got {ok}");
+    assert_eq!(subjects(&rows), ["swim"]);
+    assert_eq!(head_of(&ok), Some(base_head), "main's head is aux's: {ok}");
+    let (ok, rows) = c.round_trip(&query_request("aux", None, 2_000));
+    assert_eq!(subjects(&rows), ["our_love", "swim"]);
+    assert_eq!(head_of(&ok), Some(d1_head), "got {ok}");
+
+    let (stale, rows) = c.round_trip(&query_request("main", Some(d1_head), 200));
+    assert_eq!(
+        kind_of(&stale),
+        "stale_replica",
+        "admitted on aux's head: {stale}"
+    );
+    assert!(rows.is_empty());
+    assert_eq!(head_of(&stale), Some(base_head), "got {stale}");
+
+    server.shutdown_and_join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A hash that has left the served chain is not admitted: after a reload
+/// rolls `main` back to its base, and after a follower re-bootstraps from
+/// the base, `min_head: d1` waits and is answered `stale_replica`.
+#[test]
+fn a_rolled_back_head_is_not_admitted() {
+    use wdpt_repl::ReplApply;
+    let (dir, base_path, deltas) = build_chain("rollback");
+    let read = |p: &Path| std::fs::read(p).unwrap();
+    let (base, d1, d2) = (read(&base_path), read(&deltas[0]), read(&deltas[1]));
+    let h = |bytes: &[u8]| wdpt_store::content_hash(bytes);
+
+    let server = start(follower_state());
+    let mut c = Client::connect(server.addr);
+    let (rl, _) = c.round_trip(&reload_request("main", &base_path, &deltas[..1]));
+    assert_eq!(head_of(&rl), Some(h(&d1)), "got {rl}");
+    let (rl, _) = c.round_trip(&reload_request("main", &base_path, &[]));
+    assert_eq!(head_of(&rl), Some(h(&base)), "got {rl}");
+    let (stale, rows) = c.round_trip(&query_request("main", Some(h(&d1)), 200));
+    assert_eq!(
+        kind_of(&stale),
+        "stale_replica",
+        "rolled back, admitted: {stale}"
+    );
+    assert!(rows.is_empty());
+    server.shutdown_and_join();
+
+    let follower = start(follower_state());
+    let apply = FollowerApply::new(Arc::clone(&follower.state), "music");
+    apply.apply_snapshot(h(&base), &base).unwrap();
+    apply.apply_delta(h(&d1), h(&base), &d1).unwrap();
+    apply.apply_delta(h(&d2), h(&d1), &d2).unwrap();
+    apply.install_snapshot(h(&base), &base).unwrap();
+    assert!(!apply.known(h(&d1)), "the replay would be skipped as known");
+    let mut c = Client::connect(follower.addr);
+    let (stale, rows) = c.round_trip(&query_request("music", Some(h(&d1)), 200));
+    assert_eq!(
+        kind_of(&stale),
+        "stale_replica",
+        "re-bootstrapped, admitted: {stale}"
+    );
+    assert!(rows.is_empty());
+    assert_eq!(head_of(&stale), Some(h(&base)), "got {stale}");
+    follower.shutdown_and_join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A primary publishes reloads of the database it replicates only: a
+/// reload of another name leaves the log as it was.
+#[test]
+fn a_primary_publishes_only_its_replicated_database() {
+    let (dir, base_path, deltas) = build_chain("publish");
+    let log_dir = dir.join("repl");
+    let primary = start(primary_state(&base_path, &log_dir));
+    let logged = || {
+        let files = std::fs::read_dir(&log_dir).unwrap();
+        let names = files.map(|f| f.unwrap().file_name().into_string().unwrap());
+        names.filter(|n| n.ends_with(".delta")).count()
+    };
+    let mut c = Client::connect(primary.addr);
+    let (rl, _) = c.round_trip(&reload_request("aux", &base_path, &deltas[..1]));
+    assert_eq!(status_of(&rl), "ok", "got {rl}");
+    assert_eq!(logged(), 0, "aux's delta was published");
+    let (rl, _) = c.round_trip(&reload_request("music", &base_path, &deltas[..1]));
+    assert_eq!(status_of(&rl), "ok", "got {rl}");
+    assert_eq!(logged(), 1, "music's delta was not published");
+    primary.shutdown_and_join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `min_head` query sent before the install that brings its hash waits
+/// for it, and is answered at that install with the delta's row.
+#[test]
+fn a_min_head_query_wakes_at_the_install_that_brings_it() {
+    let (dir, base_path, deltas) = build_chain("wake");
+    let d1_head = wdpt_store::content_hash(&std::fs::read(&deltas[0]).unwrap());
+    let server = start(follower_state());
+    let mut c = Client::connect(server.addr);
+    let (rl, _) = c.round_trip(&reload_request("main", &base_path, &[]));
+    assert_eq!(status_of(&rl), "ok", "got {rl}");
+
+    let mut waiter = Client::connect(server.addr);
+    let sent = Instant::now();
+    waiter.send(&query_request("main", Some(d1_head), 10_000));
+    std::thread::sleep(Duration::from_millis(100));
+    let (rl, _) = c.round_trip(&reload_request("main", &base_path, &deltas[..1]));
+    assert_eq!(status_of(&rl), "ok", "got {rl}");
+    let (ok, rows) = waiter.response();
+    assert_eq!(status_of(&ok), "ok", "got {ok}");
+    assert_eq!(subjects(&rows), ["our_love", "swim"]);
+    assert_eq!(head_of(&ok), Some(d1_head), "got {ok}");
+    let waited = sent.elapsed();
+    assert!(
+        waited >= Duration::from_millis(100),
+        "answered before the install"
+    );
+    assert!(waited < Duration::from_secs(5), "woke only at the deadline");
+    server.shutdown_and_join();
     std::fs::remove_dir_all(&dir).ok();
 }
