@@ -187,6 +187,11 @@ impl<'a> Rows<'a> {
         RowIter(*self)
     }
 
+    /// Column `col`'s cells, in row order.
+    fn column(self, col: usize) -> impl Iterator<Item = Const> + 'a {
+        self.cells.chunks_exact(self.arity).map(move |row| row[col])
+    }
+
     /// `Err(why)` unless the rows are strictly ascending.
     fn check_sorted(&self) -> Result<(), &'static str> {
         for r in 1..self.len {
@@ -874,23 +879,38 @@ impl Relation {
     }
 
     /// The posting lengths of one column — each distinct value with the
-    /// number of tuples holding it — counted in one pass and kept: an
-    /// array indexed by id when the column's ids are dense, sorted pairs
-    /// otherwise. Statistics and the active domain read this.
+    /// number of tuples holding it — counted from the cells of the main
+    /// and the pending run, one pass over each: an array indexed by id when
+    /// the column's ids are dense, sorted pairs otherwise. Each run is
+    /// sorted by its leading column, so that column's greatest id is read
+    /// off the runs' last rows. Statistics and the active domain read this.
     pub fn posting_counts(&self, col: usize) -> PostingCounts {
-        let values = || self.all().map(|t| t[col]);
-        let Some(max) = values().map(|c| c.0).max() else {
+        let runs = [self.run.rows(), self.pending()];
+        let max = if col == 0 {
+            let last = |rows: Rows<'_>| rows.len.checked_sub(1).map(|r| rows.row(r)[0]);
+            runs.into_iter().filter_map(last).max()
+        } else {
+            runs.into_iter().flat_map(|rows| rows.column(col)).max()
+        };
+        let Some(max) = max else {
             return PostingCounts::Sparse(Vec::new());
         };
-        if ids_are_dense(max, self.len()) {
-            let mut counts = vec![0u32; max as usize + 1];
-            for c in values() {
-                counts[c.0 as usize] += 1;
+        if ids_are_dense(max.0, self.len()) {
+            let mut counts = vec![0u32; max.0 as usize + 1];
+            for rows in runs {
+                for c in rows.column(col) {
+                    counts[c.0 as usize] += 1;
+                }
             }
             PostingCounts::Dense(counts)
         } else {
-            // Sorted and then summed in place: one buffer.
-            let mut pairs: Vec<(Const, u32)> = values().map(|c| (c, 1)).collect();
+            // Sorted and then summed in place: one buffer. A leading column
+            // held in one run is sorted already, which the sort sees in one
+            // pass.
+            let mut pairs: Vec<(Const, u32)> = Vec::with_capacity(self.len());
+            for rows in runs {
+                pairs.extend(rows.column(col).map(|c| (c, 1)));
+            }
             pairs.sort_unstable_by_key(|&(c, _)| c);
             pairs.dedup_by(|next, kept| {
                 let same = next.0 == kept.0;

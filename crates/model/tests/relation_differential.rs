@@ -10,7 +10,7 @@
 //! short or past its floor.
 
 use std::collections::{BTreeMap, BTreeSet};
-use wdpt_model::{Const, Database, Pred, ProbeTally, Relation};
+use wdpt_model::{Const, Database, PostingCounts, Pred, ProbeTally, Relation};
 
 type Model = BTreeSet<Vec<Const>>;
 
@@ -470,4 +470,93 @@ fn probe_every_path(
     rel.verify_deep()
         .unwrap_or_else(|why| panic!("{what}, {pending} pending: {why}"));
     assert_prefix_probes_agree(&rel, &model, &misses);
+}
+
+/// `posting_counts` is a count per column, of the main run's and the
+/// pending run's cells together: every value with its count, ascending, as
+/// a `BTreeMap` counts them, and `get` agrees for every value and for one
+/// no row holds. It is `Dense` exactly when the column's greatest id is
+/// below `4 × rows + 1024`, one slot per id up to it. Each case builds a
+/// relation as a main run and a pending run on either side of its floor
+/// of 32 rows, keeps a clone of it as a server keeps a base, and merges a
+/// delta into it; the kept clone and the merged relation are both
+/// checked. The ids are below 1024, or spread 100 003 apart; one row in
+/// three cases out of four holds, in every column, the greatest id that
+/// is still dense, the least one that is not, or an id far past both.
+#[test]
+fn posting_counts_are_a_count_per_column_of_both_runs() {
+    let mut rng = Lcg(47);
+    let mut seen = BTreeSet::new();
+    for case in 0..240 {
+        let arity = 1 + case % 3;
+        let main_size = [0, 20, 100, 700][rng.below(4)];
+        let pending_size = [0, 5, 32, 33, 45][rng.below(5)];
+        let delta_size = rng.below(50);
+        let n = main_size + pending_size + delta_size;
+        // Ids below 1024, dense at any size, or spread far apart.
+        let (domain, stride) = ([1000, 31, 10][arity - 1], 1 + 100_002 * (case % 4 / 3));
+        let edge = match case % 4 {
+            0 => Some(4 * n + 1023),
+            1 => Some(4 * n + 1024),
+            2 => Some(1 << 30),
+            _ => None,
+        };
+        // Distinct tuples in draw order, the edge row among them.
+        let mut pool: Vec<Vec<Const>> = Vec::new();
+        let mut drawn = Model::new();
+        while pool.len() < n {
+            let t: Vec<Const> = match edge {
+                Some(id) if pool.len() == n / 2 => vec![Const(id as u32); arity],
+                _ => (0..arity)
+                    .map(|_| Const((1 + rng.below(domain) * stride) as u32))
+                    .collect(),
+            };
+            if drawn.insert(t.clone()) {
+                pool.push(t);
+            }
+        }
+        let delta = pool.split_off(main_size + pending_size);
+        let pending = pool.split_off(main_size);
+        let kept = held(arity, &pool, &pending);
+        let added = held(arity, &delta, &[]);
+        let merged = kept.clone().merge_sorted(&added).unwrap();
+        let kept_model: Model = pool.iter().chain(&pending).cloned().collect();
+        for (rel, model) in [(&kept, &kept_model), (&merged, &drawn)] {
+            assert_eq!(rel.len(), model.len());
+            for col in 0..arity {
+                let what = format!("case {case}, column {col}, {} rows", rel.len());
+                let mut expected: BTreeMap<Const, u32> = BTreeMap::new();
+                for t in model {
+                    *expected.entry(t[col]).or_default() += 1;
+                }
+                let counts = rel.posting_counts(col);
+                let mut counted = Vec::new();
+                counts.for_each(|c, n| counted.push((c, n)));
+                assert!(counted.into_iter().eq(expected.clone()), "{what}");
+                for (&c, &n) in &expected {
+                    assert_eq!(counts.get(c), n, "{what}: get({c:?})");
+                }
+                assert_eq!(counts.get(Const(0)), 0, "{what}: an absent value");
+                let max = expected.keys().next_back().map(|c| c.0 as usize);
+                let dense = max.map(|max| (max, max < 4 * rel.len() + 1024));
+                match (&counts, dense) {
+                    (PostingCounts::Dense(slots), Some((max, true))) => {
+                        assert_eq!(slots.len(), max + 1, "{what}")
+                    }
+                    (PostingCounts::Sparse(_), None | Some((_, false))) => {}
+                    _ => panic!("{what}: {max:?} is the greatest id, counted {counts:?}"),
+                }
+                if let (Some(id), true) = (edge, rel.len() == n) {
+                    let dense = matches!(counts, PostingCounts::Dense(_));
+                    assert_eq!(dense, id < 4 * n + 1024, "{what}: edge {id}");
+                    seen.insert((case % 4, dense));
+                }
+            }
+        }
+    }
+    // The edge rows fell on both sides of the line.
+    assert_eq!(
+        seen.into_iter().collect::<Vec<_>>(),
+        [(0, true), (1, false), (2, false)]
+    );
 }

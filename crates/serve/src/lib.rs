@@ -39,4 +39,6 @@ pub use cache::{
     PlanCache,
 };
 pub use protocol::Request;
-pub use server::{serve, Base, FollowerApply, Installed, LoadedChain, ServeConfig, ServeState};
+pub use server::{
+    serve, Base, FollowerApply, Installed, LoadedChain, ServeConfig, ServeState, BASE_CHUNK,
+};

@@ -54,7 +54,8 @@ use crate::protocol::{
     RowWriter,
 };
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::fs::File;
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
@@ -653,9 +654,10 @@ impl ServeState {
         self.install_stage(db_name, loaded)
     }
 
-    /// The off-lock half of a reload: reads the snapshot + delta files and
-    /// hands their bytes to the one loader, which verifies the chain and
-    /// applies it to a kept base or the base decoded in full (see
+    /// The off-lock half of a reload: finds the snapshot among the kept
+    /// bases ([`ServeState::find_base`]), reads the delta files, and hands
+    /// their bytes to the one loader, which verifies the chain and applies
+    /// it to a kept base or the base decoded in full (see
     /// [`ServeState::reload`]) while queries keep flowing. The returned
     /// [`LoadedChain`] carries the result, the chain's content hashes, and
     /// the raw delta bytes (so a primary can publish them to its followers
@@ -666,12 +668,18 @@ impl ServeState {
         snapshot: &Path,
         deltas: &[impl AsRef<Path>],
     ) -> Result<LoadedChain, String> {
-        let read = |p: &Path| -> Result<Vec<u8>, String> {
-            std::fs::read(p).map_err(|e| format!("{}: {e}", p.display()))
-        };
-        let files = std::iter::once(snapshot).chain(deltas.iter().map(AsRef::as_ref));
-        let mut bytes = files.map(read).collect::<Result<Vec<_>, _>>()?;
-        let base = bytes.remove(0);
+        let failed = |p: &Path, e: io::Error| format!("{}: {e}", p.display());
+        let base = File::open(snapshot)
+            .and_then(|file| {
+                // A hint: every use of it is checked against the bytes read.
+                let len = file.metadata()?.len() as usize;
+                self.find_base(file, len)
+            })
+            .map_err(|e| failed(snapshot, e))?;
+        let bytes = deltas
+            .iter()
+            .map(|p| std::fs::read(p).map_err(|e| failed(p.as_ref(), e)))
+            .collect::<Result<Vec<_>, _>>()?;
         self.load(base, bytes).map_err(|(link, e)| {
             // Name the file that failed, not the chain's first one.
             let file = match link.checked_sub(1) {
@@ -682,32 +690,73 @@ impl ServeState {
         })
     }
 
-    /// The one loader, for reloads and replicated snapshots: a base file's
-    /// bytes and its deltas', verified and applied off-lock. A kept base
-    /// byte-equal to `bytes`, under any name, resumes from its id map; any
-    /// other base is
-    /// decoded and resolved against the live interner. An error names the
-    /// chain position of the file that failed, as
-    /// [`wdpt_store::decode_chain`] does.
+    /// Finds the base file of about `len` bytes that `reader` reads among
+    /// the bases installs kept, under any name: the file is read
+    /// [`BASE_CHUNK`] bytes at a time into one buffer, and each chunk is
+    /// compared with every kept base of `len` bytes that matched so far.
+    /// Only a kept base equal to the file byte for byte, to its end, is
+    /// found. Otherwise the file is read whole, the prefix that matched
+    /// copied from the kept bytes it equals. The kept bases are picked
+    /// under the map's read lock; every compare runs after it is dropped.
+    fn find_base(&self, mut reader: impl Read, len: usize) -> io::Result<BaseFile> {
+        let mut candidates: Vec<Arc<KeptBase>> = Vec::new();
+        let dbs = self.dbs.read().expect("dbs lock");
+        let kept = dbs
+            .values()
+            .filter_map(|entry| Some(&entry.chain.as_ref()?.base));
+        // A base kept under several names is compared once.
+        for base in kept {
+            if base.bytes.len() == len && !candidates.iter().any(|c| Arc::ptr_eq(c, base)) {
+                candidates.push(Arc::clone(base));
+            }
+        }
+        drop(dbs);
+        let mut bytes = Vec::new();
+        if !candidates.is_empty() {
+            let mut buf = vec![0; BASE_CHUNK.min(len)];
+            let mut at = 0;
+            loop {
+                let chunk = fill(&mut reader, &mut buf)?;
+                let n = chunk.len();
+                // Its first `at` bytes are the file's.
+                let matched = Arc::clone(&candidates[0]);
+                candidates.retain(|kept| kept.bytes.get(at..at + n) == Some(chunk));
+                match (n, candidates.is_empty()) {
+                    (0, false) if at == len => return Ok(BaseFile::Kept(matched)),
+                    (1.., false) => at += n,
+                    _ => {
+                        bytes.reserve(len.max(at + n));
+                        bytes.extend_from_slice(&matched.bytes[..at]);
+                        bytes.extend_from_slice(chunk);
+                        break;
+                    }
+                }
+            }
+        }
+        bytes.reserve(len.saturating_sub(bytes.len()));
+        reader.read_to_end(&mut bytes)?;
+        Ok(BaseFile::Read(bytes))
+    }
+
+    /// The one loader, for reloads and replicated snapshots: a base file,
+    /// found kept or read ([`ServeState::find_base`]), and its deltas'
+    /// bytes, verified and applied off-lock. A kept base resumes from its
+    /// id map; any other base is decoded and resolved against the live
+    /// interner. An error names the chain position of the file that
+    /// failed, as [`wdpt_store::decode_chain`] does.
     fn load(
         &self,
-        bytes: Vec<u8>,
+        base: BaseFile,
         deltas: Vec<Vec<u8>>,
     ) -> Result<LoadedChain, (usize, wdpt_store::StoreError)> {
-        let kept = {
-            let dbs = self.dbs.read().expect("dbs lock");
-            let mut chains = dbs.values().filter_map(|entry| entry.chain.as_ref());
-            let chain = chains.find(|chain| chain.base.bytes == bytes);
-            chain.map(|chain| Arc::clone(&chain.base))
-        };
-        let (base, symbols, db) = match kept {
-            Some(kept) => {
+        let (base, symbols, db) = match base {
+            BaseFile::Kept(kept) => {
                 let none = Database::new();
                 let symbols = ChainSymbols::resume(&kept.map, &none, self.interner_len());
                 let db = (kept.db.clone(), kept.hash);
                 (ChainBase::Kept(kept), symbols, db)
             }
-            None => {
+            BaseFile::Read(bytes) => {
                 let at_base = |e| (0, e);
                 let pair = wdpt_store::decode_snapshot(&bytes).map_err(at_base)?;
                 let (symbols, db) =
@@ -937,6 +986,33 @@ impl Base {
             Base::Remapped => "remapped",
         }
     }
+}
+
+/// Bytes of a base file [`ServeState::find_base`] reads and compares with
+/// the kept bases at a time: one buffer of this size, whatever the file's.
+pub const BASE_CHUNK: usize = 64 * 1024;
+
+/// Reads from `reader` until `buf` is full or the reader is at its end;
+/// the bytes read.
+fn fill<'b>(reader: &mut impl Read, buf: &'b mut [u8]) -> io::Result<&'b [u8]> {
+    let mut n = 0;
+    while n < buf.len() {
+        match reader.read(&mut buf[n..]) {
+            Ok(0) => break,
+            Ok(k) => n += k,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(&buf[..n])
+}
+
+/// A base file as [`ServeState::find_base`] found it.
+enum BaseFile {
+    /// Byte-equal to a base an install kept.
+    Kept(Arc<KeptBase>),
+    /// Equal to no kept base: the file's bytes.
+    Read(Vec<u8>),
 }
 
 /// The base a loaded chain applies to.
@@ -1732,7 +1808,9 @@ impl FollowerApply {
     /// account.
     pub fn install_snapshot(&self, head: u64, bytes: &[u8]) -> Result<Installed, String> {
         let start = Instant::now();
-        let loaded = self.state.load(bytes.to_vec(), Vec::new());
+        let base = self.state.find_base(bytes, bytes.len());
+        let base = base.expect("reading a slice cannot fail");
+        let loaded = self.state.load(base, Vec::new());
         let loaded = loaded.map_err(|(_, e)| e.to_string())?;
         let installed = self.state.install(&self.db_name, loaded);
         debug_assert_eq!(installed.head, head);
@@ -2038,5 +2116,60 @@ mod tests {
         assert!(Arc::ptr_eq(&served, &state.db("main").unwrap()));
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Reads a base file's bytes and checks, at every read, that the
+    /// database map can be write-locked: that an install could swap.
+    struct LockFree<'s> {
+        state: &'s ServeState,
+        bytes: &'s [u8],
+        reads: usize,
+    }
+
+    impl Read for LockFree<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            assert!(self.state.dbs.try_write().is_ok(), "read under a map lock");
+            self.reads += 1;
+            self.bytes.read(buf)
+        }
+    }
+
+    /// A base is read and compared with the kept bases while no lock on
+    /// the database map is held, and found kept. A file that ends before
+    /// or after the length it was opened with — cut or grown while it was
+    /// read — is read whole, not found kept.
+    #[test]
+    fn the_base_is_compared_with_no_lock_held_to_its_end() {
+        let mut si = Interner::new();
+        let mut sdb = Database::new();
+        let p = si.pred("edge");
+        for k in 0..40_000u32 {
+            let (x, y) = (si.constant(&format!("a{k}")), si.constant(&format!("b{k}")));
+            sdb.insert(p, vec![Const(x.0), Const(y.0)]);
+        }
+        let bytes = wdpt_store::snapshot_to_vec_v2(&si, &sdb).unwrap();
+        assert!(bytes.len() > 2 * BASE_CHUNK, "{} bytes", bytes.len());
+        let state = tiny_state(ServeConfig::default());
+        let apply = FollowerApply::new(Arc::clone(&state), "main");
+        let head = wdpt_store::content_hash(&bytes);
+        assert_eq!(
+            apply.install_snapshot(head, &bytes).unwrap().base,
+            Base::Remapped
+        );
+        let mut reader = LockFree {
+            state: &state,
+            bytes: &bytes,
+            reads: 0,
+        };
+        let found = state.find_base(&mut reader, bytes.len()).unwrap();
+        assert!(matches!(found, BaseFile::Kept(_)), "not found kept");
+        assert!(reader.reads > 2, "{} reads", reader.reads);
+        let (n, longer) = (bytes.len(), [&bytes[..], &[0]].concat());
+        for file in [&bytes[..n - 1], &longer[..]] {
+            match state.find_base(file, n).unwrap() {
+                BaseFile::Read(read) => assert_eq!(read, file),
+                BaseFile::Kept(_) => panic!("{} bytes found kept", file.len()),
+            }
+        }
     }
 }

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use wdpt_model::{Const, Database, Interner, Pred, SymbolSpace, Term};
 use wdpt_obs::{delta_scope, read_json_line, write_json_line, Json};
 use wdpt_plan::StatsCatalog;
-use wdpt_serve::{Base, Installed, ServeConfig, ServeState};
+use wdpt_serve::{Base, Installed, ServeConfig, ServeState, BASE_CHUNK};
 use wdpt_sparql::TripleStore;
 use wdpt_store::{content_hash, decode_snapshot, delta_to_vec, save_delta, snapshot_to_vec_v2};
 
@@ -384,9 +384,112 @@ fn permutations_survive_a_reload_of_the_kept_base() {
     std::fs::remove_dir_all(&f.dir).ok();
 }
 
+/// A base snapshot of more than two [`BASE_CHUNK`]s, saved as `big.snap`
+/// in `dir`: its path and bytes.
+fn big_base(dir: &Path) -> (PathBuf, Vec<u8>) {
+    let (mut i, mut ts) = (Interner::new(), TripleStore::new());
+    for k in 0..30_000 {
+        let (s, p, o) = (
+            format!("b{k}"),
+            format!("p{}", k % 18),
+            format!("o{}", k % 1999),
+        );
+        ts.insert_str(&mut i, &s, &p, &o);
+    }
+    let bytes = snapshot_to_vec_v2(&i, ts.database()).unwrap();
+    assert!(bytes.len() > 2 * BASE_CHUNK + 1, "{} bytes", bytes.len());
+    let path = dir.join("big.snap");
+    std::fs::write(&path, &bytes).unwrap();
+    (path, bytes)
+}
+
+/// The base's bytes changed where a chunked compare could miss it: its
+/// first and last byte and each side of the first two chunk boundaries
+/// flipped, one byte appended, the last one dropped.
+fn changed_bytes(base: &[u8]) -> Vec<(String, Vec<u8>)> {
+    let (n, c) = (base.len(), BASE_CHUNK);
+    let mut changed: Vec<(String, Vec<u8>)> = [0, c - 1, c, 2 * c - 1, 2 * c, n - 1]
+        .into_iter()
+        .map(|at| {
+            let mut bytes = base.to_vec();
+            bytes[at] ^= 0x10;
+            (format!("byte {at} of {n} flipped"), bytes)
+        })
+        .collect();
+    changed.push(("one byte longer".to_string(), [base, &[0]].concat()));
+    changed.push(("one byte shorter".to_string(), base[..n - 1].to_vec()));
+    changed
+}
+
 #[test]
 fn the_kept_base_masks_no_change_to_the_base_file() {
     let f = files("masks");
+
+    // A base of several read chunks, kept, changed in each way a chunked
+    // compare could miss: each file is refused or decoded in full exactly
+    // as a server that kept nothing handles it, and never found kept.
+    let (big, big_bytes) = big_base(&f.dir);
+    let state = start(&f.base);
+    assert_eq!(reload(&state, &big, &[]).unwrap().folds, 1);
+    assert_eq!(reload(&state, &big, &[]).unwrap().folds, 0, "not kept");
+    let kept = served(&state);
+    for (what, bytes) in changed_bytes(&big_bytes) {
+        std::fs::write(&big, &bytes).unwrap();
+        let symbols = state.interner_len();
+        match (
+            reload(&state, &big, &[]),
+            reload(&start(&f.base), &big, &[]),
+        ) {
+            (Err(warm), Err(cold)) => {
+                assert_eq!(warm, cold, "{what}: not a cold server's message");
+                assert_eq!(served(&state), kept, "{what}: served state moved");
+                assert_eq!(state.interner_len(), symbols, "{what}: interner grew");
+                assert_eq!(kept_base(&state, DB), Some(content_hash(&big_bytes)));
+            }
+            (Ok(warm), Ok(cold)) => {
+                assert_eq!(warm.folds, 1, "{what}: a changed base was found kept");
+                assert_eq!(warm.chain, cold.chain, "{what}");
+                std::fs::write(&big, &big_bytes).unwrap();
+                assert_eq!(reload(&state, &big, &[]).unwrap().folds, 1, "{what}");
+            }
+            (warm, cold) => panic!("{what}: {warm:?} where a cold server gave {cold:?}"),
+        }
+    }
+    std::fs::write(&big, &big_bytes).unwrap();
+
+    // The same files as a follower's snapshot frames.
+    let follower = |state: &Arc<ServeState>| wdpt_serve::FollowerApply::new(Arc::clone(state), DB);
+    let h = |bytes: &[u8]| content_hash(bytes);
+    let state = start(&f.base);
+    let apply = follower(&state);
+    let first = apply.install_snapshot(h(&big_bytes), &big_bytes).unwrap();
+    assert_eq!(first.base, Base::Remapped);
+    let again = apply.install_snapshot(h(&big_bytes), &big_bytes).unwrap();
+    assert_eq!(again.base, Base::Kept, "not kept");
+    let kept = served(&state);
+    for (what, bytes) in changed_bytes(&big_bytes) {
+        let cold = start(&f.base);
+        let frame = |apply: &wdpt_serve::FollowerApply| apply.install_snapshot(h(&bytes), &bytes);
+        match (frame(&apply), frame(&follower(&cold))) {
+            (Err(warm), Err(cold)) => {
+                assert_eq!(warm, cold, "{what}: not a cold follower's message");
+                assert_eq!(served(&state), kept, "{what}: served state moved");
+                assert_eq!(kept_base(&state, DB), Some(h(&big_bytes)));
+            }
+            (Ok(warm), Ok(_)) => {
+                assert_ne!(
+                    warm.base,
+                    Base::Kept,
+                    "{what}: a changed base was found kept"
+                );
+                assert_eq!(state.chain(DB), cold.chain(DB), "{what}");
+                apply.install_snapshot(h(&big_bytes), &big_bytes).unwrap();
+            }
+            (warm, cold) => panic!("{what}: {warm:?} where a cold follower gave {cold:?}"),
+        }
+    }
+
+    // A small base, kept under a delta.
     let state = start(&f.base);
     let old_base = std::fs::read(&f.base).unwrap();
     reload(&state, &f.base, &[&f.d0]).unwrap();
