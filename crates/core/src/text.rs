@@ -21,9 +21,9 @@
 //! [`parse_wdpt`] and [`to_text`] round-trip.
 
 use crate::tree::{Wdpt, WdptBuilder};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use wdpt_model::parse::{parse_atoms, ParseError};
-use wdpt_model::{Interner, Var};
+use wdpt_model::{Atom, Interner, Var};
 
 /// Errors of the tree text format.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,6 +53,7 @@ pub fn parse_wdpt(interner: &mut Interner, src: &str) -> Result<Wdpt, TreeTextEr
     let mut free: Vec<Var> = Vec::new();
     let mut builder: Option<WdptBuilder> = None;
     let mut ids: HashMap<String, usize> = HashMap::new();
+    let mut mentioned: BTreeSet<Var> = BTreeSet::new();
     for (lineno, raw) in src.lines().enumerate() {
         let line = raw.trim();
         let lineno = lineno + 1;
@@ -84,6 +85,7 @@ pub fn parse_wdpt(interner: &mut Interner, src: &str) -> Result<Wdpt, TreeTextEr
         })?;
         let atoms = parse_atoms(interner, &rest[brace + 1..close])
             .map_err(|e| TreeTextError::Atoms(lineno, e))?;
+        mentioned.extend(atoms.iter().flat_map(Atom::vars));
         match header.as_slice() {
             [name] => {
                 if builder.is_some() {
@@ -120,16 +122,10 @@ pub fn parse_wdpt(interner: &mut Interner, src: &str) -> Result<Wdpt, TreeTextEr
     }
     let builder =
         builder.ok_or_else(|| TreeTextError::Structure(0, "no NODE lines found".to_owned()))?;
-    let free = if free.is_empty() {
+    if free.is_empty() {
         // No FREE line: projection-free.
-        let tmp = builder
-            .clone()
-            .build(Vec::new())
-            .map_err(TreeTextError::Invalid)?;
-        tmp.all_variables().into_iter().collect()
-    } else {
-        free
-    };
+        free = mentioned.into_iter().collect();
+    }
     builder.build(free).map_err(TreeTextError::Invalid)
 }
 

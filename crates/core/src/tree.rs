@@ -6,7 +6,7 @@
 //! the set of nodes mentioning it is connected in `T`. Semantics flows
 //! through the CQs `q_{T'}` of the rooted subtrees `T'` (Definition 2).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use wdpt_cq::ConjunctiveQuery;
 use wdpt_model::{Atom, Interner, Var};
 
@@ -87,37 +87,47 @@ impl WdptBuilder {
 
     /// Finalizes the WDPT, validating well-designedness and the free tuple.
     pub fn build(self, free: Vec<Var>) -> Result<Wdpt, WdptError> {
-        let n = self.labels.len();
-        let mut children = vec![Vec::new(); n];
-        for (i, p) in self.parent.iter().enumerate() {
-            if let Some(p) = p {
-                children[*p].push(i);
+        // Each node's children and each variable's holder nodes, ascending:
+        // one walk of the nodes.
+        let mut children = vec![Vec::new(); self.labels.len()];
+        let mut holders: BTreeMap<Var, Vec<NodeId>> = BTreeMap::new();
+        for (t, label) in self.labels.iter().enumerate() {
+            if let Some(p) = self.parent[t] {
+                children[p].push(t);
+            }
+            for v in label.iter().flat_map(Atom::vars) {
+                let nodes = holders.entry(v).or_default();
+                if nodes.last() != Some(&t) {
+                    nodes.push(t);
+                }
             }
         }
-        let wdpt = Wdpt {
-            labels: self.labels,
-            parent: self.parent,
-            children,
-            free: free.clone(),
-        };
-        // Condition 2: connected occurrences.
-        for v in wdpt.all_variables() {
-            if !wdpt.occurrences_connected(v) {
+        // Condition 2: connected occurrences. A parent's id is below its
+        // child's, so the first holder is the top one; every other holder
+        // must hang from a holder.
+        for (&v, nodes) in &holders {
+            let connected = nodes[1..]
+                .iter()
+                .all(|&t| self.parent[t].is_some_and(|p| nodes.binary_search(&p).is_ok()));
+            if !connected {
                 return Err(WdptError::NotWellDesigned(v));
             }
         }
         // Condition 3: free variables distinct and mentioned.
-        let mentioned = wdpt.all_variables();
-        let mut seen = BTreeSet::new();
-        for &x in &free {
-            if !seen.insert(x) {
+        for (k, &x) in free.iter().enumerate() {
+            if free[..k].contains(&x) {
                 return Err(WdptError::DuplicateFreeVar(x));
             }
-            if !mentioned.contains(&x) {
+            if !holders.contains_key(&x) {
                 return Err(WdptError::FreeVarNotMentioned(x));
             }
         }
-        Ok(wdpt)
+        Ok(Wdpt {
+            labels: self.labels,
+            parent: self.parent,
+            children,
+            free,
+        })
     }
 }
 
@@ -195,33 +205,6 @@ impl Wdpt {
             .intersection(&free)
             .copied()
             .collect()
-    }
-
-    fn occurrences_connected(&self, v: Var) -> bool {
-        let holders: Vec<NodeId> = (0..self.node_count())
-            .filter(|&t| self.node_vars(t).contains(&v))
-            .collect();
-        if holders.len() <= 1 {
-            return true;
-        }
-        // The occurrence set is connected iff every holder except the
-        // top-most one has its parent path reaching another holder through
-        // holders only. Equivalently: walk up from each holder; the parent
-        // of a non-top holder must itself be a holder.
-        let hset: BTreeSet<NodeId> = holders.iter().copied().collect();
-        let top = *holders
-            .iter()
-            .min_by_key(|&&t| self.depth(t))
-            .expect("non-empty");
-        holders.iter().all(|&t| {
-            if t == top {
-                return true;
-            }
-            match self.parent[t] {
-                Some(p) => hset.contains(&p),
-                None => false,
-            }
-        })
     }
 
     /// Depth of a node (root has depth 0).

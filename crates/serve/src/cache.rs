@@ -13,13 +13,17 @@
 //! (`Strategy::Auto`), and the only thing that ever replaces a cached plan's
 //! orders is [`refresh_if_stale`], on a statistics-epoch change.
 //!
-//! A cached [`Plan`] lives in canonical variable space; each request keeps
-//! its own first-occurrence variable list ([`CanonicalQuery::request_vars`])
-//! to translate answer bindings back to the names the client wrote, and its
-//! own tree to evaluate under the plan's orders ([`build_plan`]).
+//! A cached [`Plan`] lives in canonical variable space: every request of its
+//! key evaluates the plan's tree ([`Plan::wdpt`]) under the plan's orders,
+//! and keeps only its own first-occurrence variable list
+//! ([`CanonicalQuery::request_vars`]) to translate answer bindings back to
+//! the names the client wrote. A cached tree names dictionary ids only: a
+//! query whose tree names a constant or predicate the dictionary lacks is
+//! planned for itself alone, and the dictionary's ids never move.
 //!
-//! A miss costs what planning costs: [`build_plan`] is `plan_wdpt` plus one
-//! tree clone, reads no interner and takes no lock. The per-node facts no
+//! A miss costs what planning costs: [`build_plan`] is `plan_wdpt` over the
+//! tree the miss translated, which it keeps; it reads no interner and takes
+//! no lock. The per-node facts no
 //! evaluation reads — core size, exact treewidth, acyclicity, each a
 //! worst-case-exponential search — are not part of a build: they are
 //! computed by the first `explain` that asks ([`Plan::node_facts`]) and
@@ -262,9 +266,9 @@ impl PlanStats {
 /// `explain` has asked — the per-node decomposition/core facts.
 #[derive(Debug)]
 pub struct Plan {
-    /// The tree of the request that built the plan, over canonical
-    /// variables: what `explain` and [`Plan::node_facts`] read. Requests
-    /// evaluate their own tree ([`build_plan`]).
+    /// The query's tree over canonical variables: what every request of
+    /// the plan evaluates, and what `explain` and [`Plan::node_facts`] read.
+    /// A cached plan's tree names dictionary ids only.
     pub wdpt: Wdpt,
     /// `canon_vars[k]` is the canonical variable `#k`, `Var(k)`.
     pub canon_vars: Vec<Var>,
@@ -327,44 +331,41 @@ impl Plan {
 /// Re-plans `plan` against `stats` if its exec plan was costed under a
 /// different statistics epoch (hot reload, delta apply) — the one trigger
 /// that ever replaces a cached plan's orders. The swap is atomic;
-/// concurrent executions finish on the `Arc` they already hold.
-/// `wdpt` is the requester's own tree, never `plan.wdpt` ([`build_plan`]).
+/// concurrent executions finish on the `Arc` they already hold. The new
+/// orders are costed on the plan's own tree.
 pub fn refresh_if_stale(
     plan: &Plan,
-    wdpt: &Wdpt,
     stats: &StatsCatalog,
     token: &CancelToken,
 ) -> Result<bool, Cancelled> {
     if plan.exec.read().expect("exec lock").stats_epoch == stats.epoch() {
         return Ok(false);
     }
-    let exec = Arc::new(plan_wdpt(wdpt, stats, Strategy::Auto, token)?);
+    let exec = Arc::new(plan_wdpt(&plan.wdpt, stats, Strategy::Auto, token)?);
     counter!("serve.plan.stats_refresh").add(1);
     *plan.exec.write().expect("exec lock") = exec;
     Ok(true)
 }
 
-/// Builds a plan from a canonicalized query: the cost-based join orders
-/// ([`plan_wdpt`], whose exponential DP is gated small and polls `token`)
-/// and one clone of the tree. No interner: `wdpt` is the tree the
-/// request's front half translated.
+/// Builds a plan from a canonicalized query and its tree, which the plan
+/// keeps: the cost-based join orders ([`plan_wdpt`], whose exponential DP
+/// is gated small and polls `token`). No interner: `wdpt` is the tree the
+/// miss's front half translated.
 ///
-/// The clone is a record of the plan's shape, never evaluated. A constant
-/// the dictionary lacked has a request-local id in it, and a later reload
-/// may intern a data constant at that very id; a request of the same key
-/// would then match that constant. So each request evaluates its own tree
-/// under the plan's orders — equal keys mean equal shapes — and a stale
-/// plan is re-costed on the requester's tree ([`refresh_if_stale`]).
+/// A plan the cache keeps must not name a request-local id: a later reload
+/// may intern a data constant at that very id, and a request of the same
+/// key would then match that constant. The server builds such a query's
+/// plan for that request alone.
 pub fn build_plan(
     canon: &CanonicalQuery,
-    wdpt: &Wdpt,
+    wdpt: Wdpt,
     stats: &StatsCatalog,
     token: &CancelToken,
 ) -> Result<Plan, Cancelled> {
     token.check()?;
-    let exec = Arc::new(plan_wdpt(wdpt, stats, Strategy::Auto, token)?);
+    let exec = Arc::new(plan_wdpt(&wdpt, stats, Strategy::Auto, token)?);
     Ok(Plan {
-        wdpt: wdpt.clone(),
+        wdpt,
         canon_vars: (0..canon.request_vars.len() as u32).map(Var).collect(),
         nodes: OnceLock::new(),
         stats: PlanStats::default(),
@@ -516,9 +517,18 @@ impl PlanCache {
         )
     }
 
-    /// Looks up the canonical key, building (and inserting) the plan on a
-    /// miss. Returns the plan and `"hit"` or `"miss"` for the response's
-    /// cache field.
+    /// The plan cached under `key`, if any, counted as a hit.
+    pub fn get(&self, key: &str) -> Option<Arc<Plan>> {
+        let plan = Arc::clone(self.inner.lock().expect("cache lock").map.get(key)?);
+        counter!("serve.plan_cache.hit").add(1);
+        Some(plan)
+    }
+
+    /// Looks up the canonical key, building (and inserting) the plan from
+    /// `wdpt`, the query's tree, on a miss. Returns the plan and `"hit"` or
+    /// `"miss"` for the response's cache field. A plan found here may be
+    /// costed under another statistics epoch: the caller re-costs it
+    /// ([`refresh_if_stale`]) before use.
     ///
     /// Locking discipline: the global cache mutex is held only for map
     /// lookups and insertions — never across a build. A miss claims a
@@ -531,24 +541,18 @@ impl PlanCache {
     pub fn get_or_build(
         &self,
         canon: &CanonicalQuery,
-        wdpt: &Wdpt,
+        wdpt: Wdpt,
         stats: &StatsCatalog,
         token: &CancelToken,
     ) -> Result<(Arc<Plan>, &'static str), Cancelled> {
         let key = &canon.key;
-        let build = || build_plan(canon, wdpt, stats, token).map(Arc::new);
+        let mut wdpt = Some(wdpt);
         loop {
             let (slot, claimed) = {
                 let mut inner = self.inner.lock().expect("cache lock");
                 if let Some(plan) = inner.map.get(key) {
                     counter!("serve.plan_cache.hit").add(1);
-                    let plan = Arc::clone(plan);
-                    drop(inner);
-                    // A reload/delta since this entry was planned leaves
-                    // its orders costed against dead statistics — rebuild
-                    // them (not the whole entry) before reuse.
-                    refresh_if_stale(&plan, wdpt, stats, token)?;
-                    return Ok((plan, "hit"));
+                    return Ok((Arc::clone(plan), "hit"));
                 }
                 match inner.building.get(key) {
                     Some(slot) => (Arc::clone(slot), false),
@@ -566,6 +570,12 @@ impl PlanCache {
             }
             // Build — or block on the identical request already building —
             // with no global lock held.
+            // A build polls its own request's token, so one that took this
+            // tree and was cancelled ends this request: no retry needs it.
+            let build = || {
+                let tree = wdpt.take().expect("a cancelled build never retries");
+                build_plan(canon, tree, stats, token).map(Arc::new)
+            };
             let result = slot.get_or_init(build).clone();
             // Whoever gets here first publishes the result and retires the
             // slot (the pointer check keeps a stale slot from clobbering a

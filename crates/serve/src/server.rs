@@ -8,10 +8,13 @@
 //!   no other thread.
 //! * A **connection thread** reads request lines and runs each query
 //!   through every stage. The front half — parse, size caps, canonicalize
-//!   and tree translation — resolves names against the served dictionary
+//!   and cache lookup — resolves names against the served dictionary
 //!   under the interner's read lock and writes nothing: a name the
 //!   dictionary lacks gets a request-local id
-//!   ([`wdpt_model::RequestScope`]). Join-order planning runs lock-free
+//!   ([`wdpt_model::RequestScope`]). A hit translates nothing and
+//!   evaluates its plan's tree; a miss translates the query once, and a
+//!   query naming a request-local id is planned for itself alone, so no
+//!   cached tree holds one. Join-order planning runs lock-free
 //!   and interner-free through the plan cache's per-key in-flight slots,
 //!   and so do the worst-case-exponential per-node facts (cores,
 //!   decompositions) that only an `explain: true` request computes — both
@@ -47,7 +50,9 @@
 //! answer in-flight requests — waiters evaluate as permits free — and
 //! close, and [`serve`] joins them before returning.
 
-use crate::cache::{canonicalize, explain_json, CanonicalQuery, Plan, PlanCache};
+use crate::cache::{
+    build_plan, canonicalize, explain_json, refresh_if_stale, CanonicalQuery, Plan, PlanCache,
+};
 use crate::protocol::{
     attach_head, cancelled_line, error_line, metrics_json_line, metrics_text_line, ok_line,
     overloaded_line, reload_line, shutting_down_line, slowlog_line, stale_replica_line, Request,
@@ -859,17 +864,22 @@ impl ServeState {
             .db_with_stats(&self.default_db)
             .map(|(_, s)| s)
             .unwrap_or_else(|| Arc::new(StatsCatalog::empty()));
-        let (canon, wdpt) = self.front_half(src).map_err(|r| r.message)?;
-        self.cache
-            .get_or_build(&canon, &wdpt, &stats, token)
+        let (canon, found) = self.front_half(src).map_err(|r| r.message)?;
+        self.back_half(&canon, found, &stats, token)
             .map_err(|e| e.to_string())
     }
 
     /// The polynomial front half of every query, under the interner's read
-    /// lock: parse, admission caps, canonicalize, translate to a tree.
-    /// Names resolve through a [`wdpt_model::RequestScope`], so a query,
-    /// admitted or turned away, leaves the dictionary as it found it.
-    fn front_half(&self, src: &str) -> Result<(CanonicalQuery, Wdpt), Rejection> {
+    /// lock: parse, admission caps, canonicalize, cache lookup. Names
+    /// resolve through a [`wdpt_model::RequestScope`], so a query, admitted
+    /// or turned away, leaves the dictionary as it found it.
+    ///
+    /// A hit translates nothing: its key is the canonical query, which
+    /// translated when the plan was built. Only a miss translates, under
+    /// the same scope, and learns whether its tree names a request-local
+    /// id. A query that does can never hit: its key spells a name the
+    /// dictionary lacks, and every cached key spells dictionary names only.
+    fn front_half(&self, src: &str) -> Result<(CanonicalQuery, Found), Rejection> {
         let dictionary = self.dictionary();
         let mut scope = dictionary.scope();
         let parsed = parse_query(&mut scope, src).map_err(|e| {
@@ -907,19 +917,68 @@ impl ServeState {
             });
         }
         let canon = canonicalize(&parsed, &mut scope);
-        match canon.canon.to_wdpt(&mut scope) {
-            Ok(wdpt) => Ok((canon, wdpt)),
-            Err(e) => {
-                let (kind, message) = sparql_error_parts(&e, &canon);
-                Err(Rejection {
-                    kind,
-                    message,
-                    at: None,
-                    malformed: true,
-                })
-            }
+        if let Some(plan) = self.cache.get(&canon.key) {
+            return Ok((canon, Found::Hit(plan)));
         }
+        let wdpt = canon.canon.to_wdpt(&mut scope).map_err(|e| {
+            let (kind, message) = sparql_error_parts(&e, &canon);
+            Rejection {
+                kind,
+                message,
+                at: None,
+                malformed: true,
+            }
+        })?;
+        let local = names_unknown(&wdpt, dictionary.len());
+        Ok((canon, Found::Miss { wdpt, local }))
     }
+
+    /// The back half of planning, with no lock and no interner: a miss is
+    /// built in the cache, coalesced with identical concurrent requests, or
+    /// — when its tree names a request-local id — for this request alone,
+    /// so that every cached tree names dictionary ids only. Ids only grow
+    /// (the fold appends), so a cached tree's ids keep their names across
+    /// every install. A plan whose orders were costed under another
+    /// statistics epoch (a reload, a delta) is re-costed before use.
+    fn back_half(
+        &self,
+        canon: &CanonicalQuery,
+        found: Found,
+        stats: &StatsCatalog,
+        token: &CancelToken,
+    ) -> Result<(Arc<Plan>, &'static str), Cancelled> {
+        let (plan, status) = match found {
+            Found::Hit(plan) => (plan, "hit"),
+            Found::Miss { wdpt, local: false } => {
+                self.cache.get_or_build(canon, wdpt, stats, token)?
+            }
+            Found::Miss { wdpt, local: true } => {
+                counter!("serve.plan_cache.miss").add(1);
+                (Arc::new(build_plan(canon, wdpt, stats, token)?), "miss")
+            }
+        };
+        refresh_if_stale(&plan, stats, token)?;
+        Ok((plan, status))
+    }
+}
+
+/// What a query's front half found for its key.
+enum Found {
+    /// The cached plan: the request evaluates its tree.
+    Hit(Arc<Plan>),
+    /// No plan: the query's tree, and whether it names a constant or
+    /// predicate the dictionary lacks.
+    Miss { wdpt: Wdpt, local: bool },
+}
+
+/// Whether `wdpt` names a predicate or constant id at or above `len`: one
+/// a dictionary of that length lacks.
+fn names_unknown(wdpt: &Wdpt, len: usize) -> bool {
+    let unknown = |id: u32| id as usize >= len;
+    (0..wdpt.node_count()).flat_map(|t| wdpt.atoms(t)).any(|a| {
+        let mut consts = a.args.iter().filter_map(|t| t.as_const());
+        unknown(a.pred.0) || consts.any(|c| unknown(c.0))
+    })
 }
 
 /// A query the front half turned away: the wire error `kind` and message,
@@ -1550,7 +1609,7 @@ fn handle_query(req: QueryParams<'_>, state: &ServeState, trace: &mut RequestTra
     let token = CancelToken::with_deadline(Duration::from_millis(deadline_ms));
     let start = Instant::now();
 
-    let (canon, wdpt) = match state.front_half(query) {
+    let (canon, found) = match state.front_half(query) {
         Ok(admitted) => admitted,
         Err(r) => {
             if r.malformed {
@@ -1563,17 +1622,17 @@ fn handle_query(req: QueryParams<'_>, state: &ServeState, trace: &mut RequestTra
     };
     trace.stage_done(Stage::Admission);
 
-    // Back half of planning, no locks and no interner: plan-cache lookup
-    // or a cancellable build coalesced with identical concurrent requests;
-    // then, only for `explain`, the plan's per-node facts — the
-    // exponential searches, memoised on the plan once they complete.
-    let planned = state
-        .cache
-        .get_or_build(&canon, &wdpt, &db_stats, &token)
-        .and_then(|(plan, cache_status)| {
-            let facts = explain.then(|| plan.node_facts(&token)).transpose()?;
-            Ok((plan, cache_status, facts))
-        });
+    // Back half of planning, no locks and no interner: a hit's re-costing
+    // if its statistics moved, or a miss's cancellable build; then, only
+    // for `explain`, the plan's per-node facts — the exponential searches,
+    // memoised on the plan once they complete.
+    let planned =
+        state
+            .back_half(&canon, found, &db_stats, &token)
+            .and_then(|(plan, cache_status)| {
+                let facts = explain.then(|| plan.node_facts(&token)).transpose()?;
+                Ok((plan, cache_status, facts))
+            });
     let (plan, cache_status, explain) = match planned {
         Ok(planned) => planned,
         Err(Cancelled) => {
@@ -1614,18 +1673,17 @@ fn handle_query(req: QueryParams<'_>, state: &ServeState, trace: &mut RequestTra
         // statistics refresh swaps the slot, not the orders this run is
         // following.
         let exec = plan.exec_plan();
-        // The request's tree, never the plan's ([`crate::cache::build_plan`]).
         // The tally comes back on cancellation too — deadline-blown queries
         // are the slowlog's whole reason to exist.
         let (result, tally) =
-            wdpt_core::evaluate_rows(&wdpt, &db, threads, &token, Some(&exec), max_rows);
+            wdpt_core::evaluate_rows(&plan.wdpt, &db, threads, &token, Some(&exec), max_rows);
         let answers = result.as_ref().map_or(0, |a| a.len() as u64);
         let eval_ns = trace.stage_done(Stage::Eval);
         // The request's own profile, rendered once: for its `ok` line if it
         // asked for one, for its slowlog entry if it gets one.
         let render = || {
             tally
-                .profile(&wdpt, PROFILE_LABEL, eval_ns, answers)
+                .profile(&plan.wdpt, PROFILE_LABEL, eval_ns, answers)
                 .to_json()
         };
         let mut own = profile.then(render);

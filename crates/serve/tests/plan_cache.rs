@@ -29,8 +29,14 @@ fn music_params() -> MusicParams {
     }
 }
 
+/// A server over the music data whose dictionary also holds the cycle
+/// queries' predicates (which the data does not): a query naming a name the
+/// dictionary lacks is planned for itself alone, and these are cached.
 fn music_state(cfg: ServeConfig) -> Arc<ServeState> {
     let mut i = Interner::new();
+    for k in 0..24 {
+        i.constant(&format!("e{k}"));
+    }
     let ts = wdpt_gen::music_triples(&mut i, music_params());
     let mut dbs: BTreeMap<String, Database> = BTreeMap::new();
     dbs.insert("music".to_string(), ts.into_database());
@@ -111,6 +117,9 @@ fn plan_miss_interns_nothing() {
     let unseen = r#"SELECT ?new WHERE { (?new, unseen_pred, "unseen const") }"#;
     assert_eq!(state.plan_for(unseen).unwrap().1, "miss");
     assert_eq!(symbols(), before);
+    // Planned for itself alone: it neither evicted `BASE` nor took a slot.
+    assert_eq!(state.cache().len(), 1);
+    assert_eq!(state.plan_for(BASE).unwrap().1, "hit");
 }
 
 #[test]

@@ -642,12 +642,13 @@ fn outcome(line: &Json) -> (&str, u64, &str) {
     (field("status"), answers as u64, field("cache"))
 }
 
-/// A cached plan's tree is never evaluated. A constant the dictionary lacks
-/// has a request-local id in the tree a plan keeps, and a reload may intern
-/// a data constant at that id: a later request of the same key must still
-/// match nothing, because it evaluates its own tree.
+/// A query naming a constant the dictionary lacks is planned for itself
+/// alone: it answers `miss` every time and leaves the cache as it was, so
+/// no cached tree holds its request-local id. A reload that interns a data
+/// constant at that very id changes nothing for it: it still matches
+/// nothing, and the new constant's own query is cached like any other.
 #[test]
-fn a_cached_plans_ids_never_reach_evaluation() {
+fn a_query_naming_an_unknown_name_is_planned_for_itself_alone() {
     let dir = std::env::temp_dir().join(format!("wdpt-reload-stale-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
@@ -680,8 +681,10 @@ fn a_cached_plans_ids_never_reach_evaluation() {
     let mut ask = |query: &str| delta_scope(|| ask(&mut c, query)).0;
     let nope = r#"(?s, ?p, "nope")"#;
     let local = state.interner_len() as u32;
+    let cached = state.cache().len();
     assert_eq!(outcome(&ask(nope).0), ("ok", 0, "miss"));
-    assert_eq!(outcome(&ask(nope).0), ("ok", 0, "hit"));
+    assert_eq!(outcome(&ask(nope).0), ("ok", 0, "miss"));
+    assert_eq!(state.cache().len(), cached, "a request-local id was cached");
     let (plan, _) = delta_scope(|| state.plan_for(nope).unwrap()).0;
     assert_eq!(plan.wdpt.atoms(0)[0].args[2], Term::Const(Const(local)));
 
@@ -690,24 +693,64 @@ fn a_cached_plans_ids_never_reach_evaluation() {
     assert_eq!(
         o_new,
         Some(local),
-        "the delta's constant took the plan's id"
+        "the delta's constant took the request-local id"
     );
     let (line, rows) = ask(nope);
     assert_eq!(
         (outcome(&line), rows.len()),
-        (("ok", 0, "hit"), 0),
+        (("ok", 0, "miss"), 0),
         "{line}"
     );
-    let (line, rows) = ask(r#"(?s, ?p, "o_new")"#);
-    assert_eq!(
-        (outcome(&line), rows.len()),
-        (("ok", 1, "miss"), 1),
-        "{line}"
-    );
+    for status in ["miss", "hit"] {
+        let (line, rows) = ask(r#"(?s, ?p, "o_new")"#);
+        assert_eq!(
+            (outcome(&line), rows.len()),
+            (("ok", 1, status), 1),
+            "{line}"
+        );
+    }
+    assert_eq!(state.cache().len(), cached + 1);
 
     state.begin_shutdown();
     server.join().unwrap().unwrap();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every symbol of the served dictionary, by id.
+fn dictionary(state: &ServeState) -> Vec<(SymbolSpace, String)> {
+    state.with_interner(|i| i.symbols().map(|(s, n)| (s, n.to_owned())).collect())
+}
+
+/// No install moves a served id: after a reload whose base is remapped
+/// into the served dictionary, one that keeps its base, and one that
+/// applies deltas, every id names what it named before — the dictionary
+/// only grows at its end. A cached plan's tree relies on this.
+#[test]
+fn no_install_moves_a_served_id() {
+    let f = files("ids-stay");
+    let (aux, aux_d0) = translated_base(&f);
+    let state = start(&f.base);
+    let mut before = dictionary(&state);
+    let installs: [(&Path, &str, Vec<&Path>); 4] = [
+        (&aux, "aux", vec![]),
+        (&aux, "aux", vec![&aux_d0]),
+        (&f.base, DB, vec![&f.d0]),
+        (&f.base, "other", vec![&f.d1, &f.d2]),
+    ];
+    let mut arrivals = Vec::new();
+    for (base, name, deltas) in installs {
+        let loaded = state.load_stage(base, &deltas).unwrap();
+        arrivals.push(state.install_stage(name, loaded).unwrap().base);
+        let after = dictionary(&state);
+        assert_eq!(after[..before.len()], before[..], "{name} {deltas:?}");
+        before = after;
+    }
+    assert_eq!(arrivals[..2], [Base::Remapped, Base::Kept]);
+    assert!(
+        before.iter().any(|(_, n)| n == "aux2"),
+        "the delta was interned"
+    );
+    std::fs::remove_dir_all(&f.dir).ok();
 }
 
 /// A base whose symbols sit at other ids in a server started from the

@@ -8,14 +8,15 @@
 //! form* of Letelier et al. ([17]): rewrite `(P₁ OPT P₂) AND P₃ ⇒
 //! (P₁ AND P₃) OPT P₂` to a fixpoint, then read off the tree — AND-groups
 //! become node labels, OPT-nesting becomes the child relation. That
-//! translation ([`GraphPattern::to_wdpt`]) and its inverse
+//! translation ([`GraphPattern::to_wdpt`], one walk that never performs
+//! the rewrite) and its inverse
 //! ([`GraphPattern::from_wdpt`]) connect this front end to the relational
 //! WDPT machinery of `wdpt-core`.
 
 use crate::triples::{TripleStore, TRIPLE_PRED};
 use std::collections::BTreeSet;
-use wdpt_core::{Wdpt, WdptBuilder};
-use wdpt_model::{Atom, Database, Interner, Mapping, Resolve, Term, Var};
+use wdpt_core::{NodeId, Wdpt, WdptBuilder};
+use wdpt_model::{Atom, Database, Interner, Mapping, Pred, Resolve, Term, Var};
 
 /// A SPARQL triple pattern `(s, p, o)` over variables and constants.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,44 +123,13 @@ impl GraphPattern {
     }
 
     /// Checks the well-designedness condition of [18]; returns an offending
-    /// variable on failure.
+    /// variable on failure: of the first OPT sub-pattern in preorder (left
+    /// operands first) that violates the condition, its least variable that
+    /// does.
     pub fn well_designedness_violation(&self) -> Option<Var> {
-        // For every OPT sub-pattern (P1 OPT P2): vars(P2) ∖ vars(P1) must
-        // not occur outside the OPT sub-pattern. We walk the tree carrying
-        // the multiset of variables occurring OUTSIDE the current node.
-        fn walk(p: &GraphPattern, outside: &BTreeSet<Var>) -> Option<Var> {
-            match p {
-                GraphPattern::Triple(_) => None,
-                GraphPattern::And(a, b) => {
-                    let mut oa = outside.clone();
-                    b.collect_vars(&mut oa);
-                    if let Some(v) = walk(a, &oa) {
-                        return Some(v);
-                    }
-                    let mut ob = outside.clone();
-                    a.collect_vars(&mut ob);
-                    walk(b, &ob)
-                }
-                GraphPattern::Opt(a, b) => {
-                    let va = a.variables();
-                    let vb = b.variables();
-                    for &v in vb.difference(&va) {
-                        if outside.contains(&v) {
-                            return Some(v);
-                        }
-                    }
-                    let mut oa = outside.clone();
-                    b.collect_vars(&mut oa);
-                    if let Some(v) = walk(a, &oa) {
-                        return Some(v);
-                    }
-                    let mut ob = outside.clone();
-                    a.collect_vars(&mut ob);
-                    walk(b, &ob)
-                }
-            }
-        }
-        walk(self, &BTreeSet::new())
+        // No atom of this walk is kept: any predicate will do.
+        let (walk, vars) = Walk::of(self, Pred(0));
+        walk.violation(&vars)
     }
 
     /// True iff the pattern is well-designed.
@@ -167,96 +137,42 @@ impl GraphPattern {
         self.well_designedness_violation().is_none()
     }
 
-    /// Rewrites into OPT normal form (no OPT below an AND), valid for
-    /// well-designed patterns: `(P₁ OPT P₂) AND P₃ ⇒ (P₁ AND P₃) OPT P₂`.
-    pub fn opt_normal_form(&self) -> GraphPattern {
-        match self {
-            GraphPattern::Triple(_) => self.clone(),
-            GraphPattern::Opt(a, b) => {
-                GraphPattern::Opt(Box::new(a.opt_normal_form()), Box::new(b.opt_normal_form()))
-            }
-            GraphPattern::And(a, b) => {
-                let a = a.opt_normal_form();
-                let b = b.opt_normal_form();
-                match (a, b) {
-                    (GraphPattern::Opt(a1, a2), b) => GraphPattern::Opt(
-                        Box::new(GraphPattern::And(a1, Box::new(b)).opt_normal_form()),
-                        a2,
-                    ),
-                    (a, GraphPattern::Opt(b1, b2)) => GraphPattern::Opt(
-                        Box::new(GraphPattern::And(Box::new(a), b1).opt_normal_form()),
-                        b2,
-                    ),
-                    (a, b) => GraphPattern::And(Box::new(a), Box::new(b)),
-                }
-            }
-        }
-    }
-
     /// Translates a well-designed pattern into a WDPT with the given free
-    /// variables (`None` = projection-free, all variables free).
+    /// variables (`None` = projection-free, all variables free, in
+    /// ascending order).
+    ///
+    /// The tree is the one read off the pattern's OPT normal form ([17]):
+    /// rewriting `(P₁ OPT P₂) AND P₃ ⇒ (P₁ AND P₃) OPT P₂` to a fixpoint
+    /// and taking AND-groups as labels. It is built in one walk of the
+    /// pattern, without the rewrite: an `AND` labels its node with its left
+    /// operand's root atoms, then its right's, and gives it its right
+    /// operand's children before its left's; an `OPT` adds its right
+    /// operand as the last child of its left operand's node. Nodes are
+    /// numbered in preorder. The well-designedness condition is decided
+    /// from the same walk's records.
     pub fn to_wdpt<'s>(
         &self,
         select: Option<&[Var]>,
         interner: &mut impl Resolve<'s>,
     ) -> Result<Wdpt, SparqlError> {
-        if let Some(v) = self.well_designedness_violation() {
+        let (walk, vars) = Walk::of(self, interner.pred(TRIPLE_PRED));
+        if let Some(v) = walk.violation(&vars) {
             return Err(SparqlError::NotWellDesigned(v));
         }
-        let vars = self.variables();
         let free: Vec<Var> = match select {
             Some(sel) => {
-                for &v in sel {
-                    if !vars.contains(&v) {
-                        return Err(SparqlError::UnknownSelectVar(v));
-                    }
+                if let Some(&v) = sel.iter().find(|v| vars.binary_search(v).is_err()) {
+                    return Err(SparqlError::UnknownSelectVar(v));
                 }
                 sel.to_vec()
             }
-            None => vars.into_iter().collect(),
+            None => vars,
         };
-        let nf = self.opt_normal_form();
-        // Read the tree off the normal form.
-        struct Node {
-            atoms: Vec<Atom>,
-            children: Vec<Node>,
+        let mut labels = walk.labels.into_iter();
+        let mut builder = WdptBuilder::new(labels.next().expect("the walk made a root"));
+        for (label, &parent) in labels.zip(&walk.parent) {
+            builder.child(parent, label);
         }
-        fn collect<'s>(p: &GraphPattern, interner: &mut impl Resolve<'s>) -> Node {
-            match p {
-                GraphPattern::Triple(t) => Node {
-                    atoms: vec![t.to_atom(interner)],
-                    children: Vec::new(),
-                },
-                GraphPattern::And(a, b) => {
-                    let mut na = collect(a, interner);
-                    let nb = collect(b, interner);
-                    debug_assert!(
-                        na.children.is_empty() && nb.children.is_empty(),
-                        "OPT below AND survived normalization"
-                    );
-                    na.atoms.extend(nb.atoms);
-                    Node {
-                        atoms: na.atoms,
-                        children: Vec::new(),
-                    }
-                }
-                GraphPattern::Opt(a, b) => {
-                    let mut na = collect(a, interner);
-                    let nb = collect(b, interner);
-                    na.children.push(nb);
-                    na
-                }
-            }
-        }
-        let root = collect(&nf, interner);
-        let mut builder = WdptBuilder::new(root.atoms.clone());
-        fn attach(builder: &mut WdptBuilder, parent: usize, node: &Node) {
-            for child in &node.children {
-                let id = builder.child(parent, child.atoms.clone());
-                attach(builder, id, child);
-            }
-        }
-        attach(&mut builder, 0, &root);
         builder.build(free).map_err(|e| match e {
             wdpt_core::WdptError::NotWellDesigned(v) => SparqlError::NotWellDesigned(v),
             wdpt_core::WdptError::FreeVarNotMentioned(v)
@@ -298,6 +214,97 @@ impl GraphPattern {
                 format!("({} OPT {})", a.display(interner), b.display(interner))
             }
         }
+    }
+}
+
+/// One walk of a pattern: the labels of the tree it reads off and what
+/// deciding well-designedness needs. Triples are numbered in walk order, so
+/// every sub-pattern covers one interval of numbers.
+struct Walk {
+    triple: Pred,
+    /// Node labels by preorder id; node 0 is the root.
+    labels: Vec<Vec<Atom>>,
+    /// The parent of node `k + 1`.
+    parent: Vec<NodeId>,
+    /// `(variable, number of a triple it occurs in)`.
+    occurs: Vec<(Var, u32)>,
+    /// Per `OPT` sub-pattern, in the preorder of the algebra (left operands
+    /// first): the numbers where it, its right operand and what follows it
+    /// start.
+    opts: Vec<[u32; 3]>,
+    /// Triples walked so far.
+    next: u32,
+}
+
+impl Walk {
+    /// Walks `p`, its atoms over the predicate `triple`; returns the walk
+    /// and the pattern's variables, ascending.
+    fn of(p: &GraphPattern, triple: Pred) -> (Walk, Vec<Var>) {
+        let mut walk = Walk {
+            triple,
+            labels: vec![Vec::new()],
+            parent: Vec::new(),
+            occurs: Vec::new(),
+            opts: Vec::new(),
+            next: 0,
+        };
+        walk.walk(p, 0);
+        walk.occurs.sort_unstable();
+        let mut vars: Vec<Var> = walk.occurs.iter().map(|&(v, _)| v).collect();
+        vars.dedup();
+        (walk, vars)
+    }
+
+    /// Walks `p`, whose root atoms label `node`.
+    fn walk(&mut self, p: &GraphPattern, node: NodeId) {
+        match p {
+            GraphPattern::Triple(t) => {
+                let args = vec![t.s, t.p, t.o];
+                let vars = args.iter().filter_map(|t| t.as_var());
+                self.occurs.extend(vars.map(|v| (v, self.next)));
+                self.next += 1;
+                self.labels[node].push(Atom::new(self.triple, args));
+            }
+            GraphPattern::And(a, b) => {
+                // The right operand first, so its children take the lower
+                // ids; then the left operand's atoms and OPTs are rotated
+                // in front of the right's.
+                let (atoms, opts) = (self.labels[node].len(), self.opts.len());
+                self.walk(b, node);
+                let right = (self.labels[node].len() - atoms, self.opts.len() - opts);
+                self.walk(a, node);
+                self.labels[node][atoms..].rotate_left(right.0);
+                self.opts[opts..].rotate_left(right.1);
+            }
+            GraphPattern::Opt(a, b) => {
+                let k = self.opts.len();
+                self.opts.push([self.next; 3]);
+                self.walk(a, node);
+                self.opts[k][1] = self.next;
+                let child = self.labels.len();
+                self.labels.push(Vec::new());
+                self.parent.push(node);
+                self.walk(b, child);
+                self.opts[k][2] = self.next;
+            }
+        }
+    }
+
+    /// The well-designedness condition, over the pattern's variables
+    /// `vars`: an `OPT`'s right operand may share a variable with the rest
+    /// of the pattern only through its left operand. Returns the least
+    /// offending variable of the first `OPT` that has one.
+    fn violation(&self, vars: &[Var]) -> Option<Var> {
+        self.opts.iter().find_map(|&[lo, mid, hi]| {
+            vars.iter().copied().find(|&v| {
+                // Whether `v` occurs in a triple numbered in `from..to`.
+                let within = |from: u32, to: u32| {
+                    let i = self.occurs.partition_point(|&o| o < (v, from));
+                    self.occurs.get(i).is_some_and(|&(u, k)| u == v && k < to)
+                };
+                within(mid, hi) && !within(lo, mid) && (within(0, lo) || within(hi, u32::MAX))
+            })
+        })
     }
 }
 
