@@ -17,10 +17,13 @@
 //! nothing to undo on backtracking and nothing to allocate per probe. A
 //! `Search` is reusable: the WDPT executor compiles one per tree node and
 //! runs it once per interface valuation. Each run is a probe per step
-//! ([`Relation::candidates`]), and a probe whose bound columns lead the
+//! ([`Relation::probe`]), and a probe whose bound columns lead the
 //! relation reads its leading cell's block off the run's directory in O(1)
 //! and searches only that block, so a node costs its keys times a constant,
-//! in whatever order the keys come.
+//! in whatever order the keys come. The step checks the probe's rows
+//! against its other columns itself and counts them as scanned; the
+//! dynamic order ranks a step by the length of a one-column probe per
+//! pinned column.
 //!
 //! Every homomorphism question of the toolkit is that one search: the
 //! executor's nodes, the structured oracle's bags, and containment and
@@ -292,7 +295,7 @@ impl<'a> Search<'a> {
             let Some(c) = self.pinned(k) else { continue };
             pinned += 1;
             if let Some(rel) = rel {
-                let len = rel.postings(k - start, c, &mut self.tally).len();
+                let len = rel.probe([(k - start, c)], &mut self.tally).len();
                 shortest = Some(shortest.map_or(len, |s| s.min(len)));
             }
         }
@@ -370,7 +373,7 @@ impl<'a> Search<'a> {
                     Col::Bound(s) => Some((col, frame[s as usize])),
                     Col::Bind(_) | Col::Eq(_) => None,
                 });
-            rel.candidates(pinned, &mut self.tally)
+            rel.probe(pinned, &mut self.tally)
         };
         let mut scanned = 0u64;
         let mut found = Found::Continue;

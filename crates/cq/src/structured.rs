@@ -275,7 +275,7 @@ impl<'a> Oracle<'a> {
         let mut relations = Vec::with_capacity(self.bags.len());
         for b in 0..self.bags.len() {
             let lists: Vec<Vec<Const>> = (0..self.bags[b].loose.len())
-                .map(|k| self.candidates(self.bags[b].loose[k], &[]))
+                .map(|k| self.values(self.bags[b].loose[k], &[]))
                 .collect();
             let relation = self.bags[b].fill(&self.frame, &lists);
             if relation.is_empty() {
@@ -312,9 +312,7 @@ impl<'a> Oracle<'a> {
     /// the targets' candidate values, written into their slots and decided.
     pub fn project(&mut self, targets: &[usize], mut on_row: impl FnMut(&[Const])) {
         debug_assert!(targets.iter().all(|&t| self.seeded[t]));
-        let lists: Vec<Vec<Const>> = (targets.iter())
-            .map(|&t| self.candidates(t, targets))
-            .collect();
+        let lists: Vec<Vec<Const>> = (targets.iter()).map(|&t| self.values(t, targets)).collect();
         for_each_combination(&lists, |combo| {
             for (&t, &c) in targets.iter().zip(combo) {
                 self.set(t, c);
@@ -330,26 +328,29 @@ impl<'a> Oracle<'a> {
     /// constants and the values of its pinned slots — the seeded ones but
     /// `unpinned` — a superset of the values any homomorphism agreeing with
     /// the pinned slots gives it.
-    fn candidates(&mut self, slot: usize, unpinned: &[usize]) -> Vec<Const> {
+    fn values(&mut self, slot: usize, unpinned: &[usize]) -> Vec<Const> {
         let v = self.vars[slot];
         let pinned = |s: usize| self.seeded[s] && !unpinned.contains(&s);
         let mut cand: Option<Vec<Const>> = None;
         for atom in self.atoms.iter().filter(|a| a.vars().any(|w| w == v)) {
-            let pattern: Vec<Option<Const>> = (atom.args.iter())
-                .map(|t| match *t {
-                    Term::Const(c) => Some(c),
+            let bound: Vec<(usize, Const)> = (atom.args.iter().enumerate())
+                .filter_map(|(k, t)| match *t {
+                    Term::Const(c) => Some((k, c)),
                     Term::Var(w) => (self.vars.binary_search(&w).ok())
                         .filter(|&s| pinned(s))
-                        .map(|s| self.frame[s]),
+                        .map(|s| (k, self.frame[s])),
                 })
                 .collect();
             let at: Vec<usize> = (0..atom.arity())
                 .filter(|&k| atom.args[k].as_var() == Some(v))
                 .collect();
             let relation = (self.db.relation(atom.pred)).filter(|rel| rel.arity() == atom.arity());
-            // Repeated occurrences of the variable agree within a tuple.
+            // The probe's rows are checked against every bound column, and
+            // repeated occurrences of the variable agree within a tuple.
             let mut values: Vec<Const> = relation.map_or_else(Vec::new, |rel| {
-                (rel.matching(&pattern, &mut self.tally))
+                let rows = rel.probe(bound.iter().copied(), &mut self.tally);
+                self.tally.tuples_scanned += rows.len() as u64;
+                rows.filter(|t| bound.iter().all(|&(k, c)| t[k] == c))
                     .filter(|t| at.iter().all(|&k| t[k] == t[at[0]]))
                     .map(|t| t[at[0]])
                     .collect()

@@ -41,11 +41,6 @@ impl Lcg {
         (hi << 32) | lo
     }
 
-    /// A uniform `usize` (the full 64-bit range on 64-bit targets).
-    pub fn gen_usize(&mut self) -> usize {
-        self.next_u64() as usize
-    }
-
     /// A uniform value in `[lo, hi)`.
     ///
     /// # Panics

@@ -147,32 +147,6 @@ pub fn clique_pattern_wdpt(interner: &mut Interner, m: usize) -> Wdpt {
         .expect("single node")
 }
 
-/// A single-node Boolean WDPT whose body is a random symmetric graph
-/// pattern on `n` variables with about `edges` undirected edges — the
-/// left-hand side of the hard subsumption family (checking whether the
-/// clique pattern maps into it is exactly clique-finding).
-pub fn random_graph_pattern_wdpt(
-    interner: &mut Interner,
-    n: usize,
-    edges: usize,
-    r: &mut Lcg,
-) -> Wdpt {
-    let e = interner.pred("e");
-    let vs: Vec<Var> = (0..n).map(|j| interner.var(&format!("g{j}"))).collect();
-    let mut atoms = vec![Atom::new(e, vec![vs[0].into(), vs[1 % n].into()])];
-    for _ in 0..edges {
-        let a = r.gen_range(0..n);
-        let bq = r.gen_range(0..n);
-        if a != bq {
-            atoms.push(Atom::new(e, vec![vs[a].into(), vs[bq].into()]));
-            atoms.push(Atom::new(e, vec![vs[bq].into(), vs[a].into()]));
-        }
-    }
-    WdptBuilder::new(atoms)
-        .build(Vec::new())
-        .expect("single node")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,8 +20,8 @@ fn main() {
         let (mut hits, mut work) = (0usize, ProbeTally::default());
         for j in 0..n {
             db.insert(e, vec![consts[j], consts[j * 7 % n]]);
-            let pat = [Some(consts[j / 2]), None];
-            hits += db.relation(e).unwrap().matching(&pat, &mut work).count();
+            let probe = [(0, consts[j / 2])];
+            hits += db.relation(e).unwrap().probe(probe, &mut work).count();
         }
         println!(
             "n={n:>6}  interleaved insert+probe: {:>12.1?}  ({hits} probe hits)",
@@ -34,8 +34,8 @@ fn main() {
         let (mut hits, mut work) = (0usize, ProbeTally::default());
         for j in 0..n {
             db.insert(e, vec![consts[j], consts[j * 7 % n]]);
-            let pat = [None, Some(consts[j / 2 * 7 % n])];
-            hits += db.relation(e).unwrap().matching(&pat, &mut work).count();
+            let probe = [(1, consts[j / 2 * 7 % n])];
+            hits += db.relation(e).unwrap().probe(probe, &mut work).count();
         }
         println!(
             "n={n:>6}  interleaved insert+column-1 probe: {:>12.1?}  ({hits} probe hits)",

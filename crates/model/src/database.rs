@@ -22,7 +22,14 @@
 //!   column (the run's row ids sorted by the column's value, 4 bytes per
 //!   row), built by one counting or comparison sort on the first probe
 //!   that needs it and counted as an index build in that probe's tally;
-//! * membership is a prefix probe binding every column.
+//! * membership is a prefix search binding every column.
+//!
+//! [`Relation::probe`] is the one way to read rows by value: it settles on
+//! one of those paths by one rule (the leading prefix in one search, each
+//! further column only while more than one row is in play, the shortest
+//! result winning), counts its searches and builds in the caller's tally,
+//! and returns one row type, [`Probe`], with an exact length. The caller
+//! checks the columns that lost and counts the rows it examines.
 //!
 //! The run sits behind an [`Arc`], so cloning a relation — and with it a
 //! [`Database`] — copies no row of it. [`Database::insert`] and
@@ -92,20 +99,28 @@ fn equal_range(len: usize, cmp: impl Fn(usize) -> Ordering) -> Range<usize> {
     start..end
 }
 
-/// Constant ids count as dense when the largest is within a small multiple
-/// of the number of rows holding them: then an array indexed by id replaces
-/// sorting (a triple store's ids are the dictionary positions, far fewer
-/// than its rows), and otherwise the array could dwarf the data.
-fn ids_are_dense(max_id: u32, rows: usize) -> bool {
-    (max_id as usize) < 4 * rows + 1024
+/// Constant ids from `min` to `max`, held by `rows` rows, count as dense
+/// when they span fewer than four ids a row: then an array indexed by id
+/// less `min` — at most 16 bytes a row — replaces sorting, and otherwise it
+/// could dwarf the data. A run's directory, a counting sort and a column's
+/// posting counts all go by this rule.
+fn ids_are_dense(min: u32, max: u32, rows: usize) -> bool {
+    ((max - min) as usize) < 4 * rows
+}
+
+/// The least and the greatest of `ids`, if there are any.
+fn id_span(mut ids: impl Iterator<Item = Const>) -> Option<(u32, u32)> {
+    let first = ids.next()?.0;
+    Some(ids.fold((first, first), |(min, max), c| (min.min(c.0), max.max(c.0))))
 }
 
 /// The posting lengths of one column ([`Relation::posting_counts`]): how
 /// many tuples hold each value there.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PostingCounts {
-    /// Indexed by constant id; `0` for a value the column does not hold.
-    Dense(Vec<u32>),
+    /// `counts[id - min]` for the ids from the column's least, `min`, to
+    /// its greatest; `0` for a value the column does not hold.
+    Dense { min: u32, counts: Vec<u32> },
     /// Every value the column holds with its count, ascending by value.
     Sparse(Vec<(Const, u32)>),
 }
@@ -114,7 +129,11 @@ impl PostingCounts {
     /// The number of tuples holding `c`.
     pub fn get(&self, c: Const) -> u32 {
         match self {
-            PostingCounts::Dense(counts) => counts.get(c.0 as usize).copied().unwrap_or(0),
+            // An id below `min` wraps to past the end.
+            PostingCounts::Dense { min, counts } => counts
+                .get(c.0.wrapping_sub(*min) as usize)
+                .copied()
+                .unwrap_or(0),
             PostingCounts::Sparse(pairs) => pairs
                 .binary_search_by_key(&c, |&(v, _)| v)
                 .map_or(0, |at| pairs[at].1),
@@ -125,9 +144,9 @@ impl PostingCounts {
     /// by value.
     pub fn for_each(&self, mut f: impl FnMut(Const, u32)) {
         match self {
-            PostingCounts::Dense(counts) => {
-                for (id, &n) in counts.iter().enumerate().filter(|(_, &n)| n > 0) {
-                    f(Const(id as u32), n);
+            PostingCounts::Dense { min, counts } => {
+                for (slot, &n) in counts.iter().enumerate().filter(|(_, &n)| n > 0) {
+                    f(Const(min + slot as u32), n);
                 }
             }
             PostingCounts::Sparse(pairs) => pairs.iter().for_each(|&(c, n)| f(c, n)),
@@ -305,7 +324,7 @@ impl Directory {
         }
         let lead = |r: usize| rows.cells[r * rows.arity].0;
         let (min, max) = (lead(0), lead(rows.len - 1));
-        if (max - min) as usize >= 4 * rows.len {
+        if !ids_are_dense(min, max, rows.len) {
             return None;
         }
         // Rows per id, shifted one up, then summed: where each id starts.
@@ -401,16 +420,17 @@ impl Run {
 /// counting sort where the ids are dense, one comparison sort otherwise.
 fn column_order(rows: Rows<'_>, col: usize) -> Vec<u32> {
     let cell = |r: usize| rows.cells[r * rows.arity + col].0;
-    let Some(max) = (0..rows.len).map(cell).max() else {
+    let Some((min, max)) = id_span(rows.column(col)) else {
         return Vec::new();
     };
-    if !ids_are_dense(max, rows.len) {
+    if !ids_are_dense(min, max, rows.len) {
         let mut perm: Vec<u32> = (0..rows.len as u32).collect();
         perm.sort_unstable_by_key(|&r| (cell(r as usize), r));
         return perm;
     }
-    // Counting sort: `next[v]` is the slot of the next row holding `v`.
-    let mut next = vec![0u32; max as usize + 2];
+    // Counting sort: `next[v - min]` is the slot of the next row holding `v`.
+    let cell = |r: usize| cell(r) - min;
+    let mut next = vec![0u32; (max - min) as usize + 2];
     for r in 0..rows.len {
         next[cell(r) as usize + 1] += 1;
     }
@@ -451,21 +471,28 @@ fn check_order(rows: Rows<'_>, perm: &[u32], col: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// The rows one probe has to look at, in no particular order: exactly the
-/// rows matching the constraint the probe settled on — a leading prefix or
-/// one column — or every row when nothing is bound. The caller checks the
+/// The rows one probe has to look at ([`Relation::probe`]), in no
+/// particular order: exactly the rows matching the constraint the probe
+/// settled on — a leading prefix or one column — or every row when nothing
+/// is bound; the main run's, then the pending run's. The caller checks the
 /// remaining columns itself.
 #[derive(Debug, Clone)]
-pub struct Candidates<'a> {
-    main: RunRows<'a>,
-    pending: PendingRows<'a>,
+pub struct Probe<'a> {
+    main: Source<'a>,
+    pending: Source<'a>,
 }
 
 /// The rows of one run a probe has to look at.
 #[derive(Debug, Clone)]
-enum RunRows<'a> {
-    /// Consecutive rows of the run.
-    Block(RowIter<'a>),
+enum Source<'a> {
+    /// Consecutive rows of the run, `left` of them still to yield. With a
+    /// `filter`, only those holding its value in its column: a pending run
+    /// too short to have permutations, walked.
+    Block {
+        rows: RowIter<'a>,
+        filter: Option<(usize, Const)>,
+        left: usize,
+    },
     /// Rows of the run named by a stretch of a column permutation.
     Picked {
         rows: Rows<'a>,
@@ -473,29 +500,32 @@ enum RunRows<'a> {
     },
 }
 
-/// The rows of the pending run a probe has to look at: as a run's, or,
-/// in a pending run too short to have permutations, found by walking it.
-/// Kept apart from [`RunRows`] so that the main run's rows, the ones every
-/// probe walks, are two cases, not three.
-#[derive(Debug, Clone)]
-enum PendingRows<'a> {
-    Run(RunRows<'a>),
-    /// The `left` rows, among those not yet walked, whose `col` is `value`.
-    Holding {
-        rows: RowIter<'a>,
-        col: usize,
-        value: Const,
-        left: usize,
-    },
-}
+impl<'a> Source<'a> {
+    /// Every row of `rows`.
+    fn block(rows: Rows<'a>) -> Source<'a> {
+        Source::Block {
+            left: rows.len,
+            rows: rows.iter(),
+            filter: None,
+        }
+    }
 
-impl<'a> RunRows<'a> {
+    /// The rows of `rows` holding `c` in column `col`, found by walking
+    /// them.
+    fn walk(rows: Rows<'a>, col: usize, c: Const) -> Source<'a> {
+        Source::Block {
+            left: rows.iter().filter(|row| row[col] == c).count(),
+            rows: rows.iter(),
+            filter: Some((col, c)),
+        }
+    }
+
     /// The rows of `rows` holding `c` in column `col`: the stretch of
     /// `perm`, the column's permutation, that names them.
-    fn picked(rows: Rows<'a>, perm: &'a [u32], col: usize, c: Const) -> RunRows<'a> {
+    fn picked(rows: Rows<'a>, perm: &'a [u32], col: usize, c: Const) -> Source<'a> {
         let cell = |i: usize| rows.cells[perm[i] as usize * rows.arity + col];
         let at = equal_range(perm.len(), |i| cell(i).cmp(&c));
-        RunRows::Picked {
+        Source::Picked {
             rows,
             ids: perm[at].iter(),
         }
@@ -503,56 +533,27 @@ impl<'a> RunRows<'a> {
 
     fn len(&self) -> usize {
         match self {
-            RunRows::Block(rows) => rows.0.len,
-            RunRows::Picked { ids, .. } => ids.len(),
+            Source::Block { left, .. } => *left,
+            Source::Picked { ids, .. } => ids.len(),
         }
     }
 
     #[inline]
     fn next(&mut self) -> Option<&'a [Const]> {
         match self {
-            RunRows::Block(rows) => rows.next(),
-            RunRows::Picked { rows, ids } => ids.next().map(|&r| rows.row(r as usize)),
-        }
-    }
-}
-
-impl<'a> PendingRows<'a> {
-    /// The rows of `rows` holding `c` in column `col`, found by walking
-    /// them.
-    fn holding(rows: Rows<'a>, col: usize, c: Const) -> PendingRows<'a> {
-        PendingRows::Holding {
-            left: rows.iter().filter(|row| row[col] == c).count(),
-            rows: rows.iter(),
-            col,
-            value: c,
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            PendingRows::Run(rows) => rows.len(),
-            PendingRows::Holding { left, .. } => *left,
-        }
-    }
-
-    fn next(&mut self) -> Option<&'a [Const]> {
-        match self {
-            PendingRows::Run(rows) => rows.next(),
-            PendingRows::Holding {
-                rows,
-                col,
-                value,
-                left,
-            } => {
+            Source::Block { rows, filter, left } => {
                 *left = left.checked_sub(1)?;
-                rows.find(|row| row[*col] == *value)
+                match *filter {
+                    None => rows.next(),
+                    Some((col, c)) => rows.find(|row| row[col] == c),
+                }
             }
+            Source::Picked { rows, ids } => ids.next().map(|&r| rows.row(r as usize)),
         }
     }
 }
 
-impl Candidates<'_> {
+impl Probe<'_> {
     /// Number of rows left to yield.
     pub fn len(&self) -> usize {
         self.main.len() + self.pending.len()
@@ -564,7 +565,7 @@ impl Candidates<'_> {
     }
 }
 
-impl<'a> Iterator for Candidates<'a> {
+impl<'a> Iterator for Probe<'a> {
     type Item = &'a [Const];
 
     #[inline]
@@ -574,35 +575,6 @@ impl<'a> Iterator for Candidates<'a> {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         (self.len(), Some(self.len()))
-    }
-}
-
-/// The iterator behind [`Relation::matching`]: the candidates of the probe,
-/// filtered by the pattern. Counts each tuple it examines in the caller's
-/// tally.
-#[derive(Debug)]
-pub struct Matching<'a, 't> {
-    candidates: Candidates<'a>,
-    pattern: &'a [Option<Const>],
-    tally: &'t mut ProbeTally,
-}
-
-impl<'a> Iterator for Matching<'a, '_> {
-    type Item = &'a [Const];
-
-    fn next(&mut self) -> Option<&'a [Const]> {
-        for t in self.candidates.by_ref() {
-            self.tally.tuples_scanned += 1;
-            let hit = self
-                .pattern
-                .iter()
-                .zip(t)
-                .all(|(p, v)| p.is_none_or(|c| c == *v));
-            if hit {
-                return Some(t);
-            }
-        }
-        None
     }
 }
 
@@ -880,29 +852,33 @@ impl Relation {
 
     /// The posting lengths of one column — each distinct value with the
     /// number of tuples holding it — counted from the cells of the main
-    /// and the pending run, one pass over each: an array indexed by id when
-    /// the column's ids are dense, sorted pairs otherwise. Each run is
-    /// sorted by its leading column, so that column's greatest id is read
-    /// off the runs' last rows. Statistics and the active domain read this.
+    /// and the pending run, one pass over each: an array indexed by id less
+    /// the column's least when the column's ids are dense, sorted pairs
+    /// otherwise. Each run is sorted by its leading column, so that
+    /// column's least and greatest ids are read off the runs' first and
+    /// last rows. Statistics and the active domain read this.
     pub fn posting_counts(&self, col: usize) -> PostingCounts {
         let runs = [self.run.rows(), self.pending()];
-        let max = if col == 0 {
-            let last = |rows: Rows<'_>| rows.len.checked_sub(1).map(|r| rows.row(r)[0]);
-            runs.into_iter().filter_map(last).max()
+        let span = if col == 0 {
+            let ends = |rows: Rows<'_>| match rows.len {
+                0 => None,
+                len => Some([rows.row(0)[0], rows.row(len - 1)[0]]),
+            };
+            id_span(runs.into_iter().filter_map(ends).flatten())
         } else {
-            runs.into_iter().flat_map(|rows| rows.column(col)).max()
+            id_span(runs.into_iter().flat_map(|rows| rows.column(col)))
         };
-        let Some(max) = max else {
+        let Some((min, max)) = span else {
             return PostingCounts::Sparse(Vec::new());
         };
-        if ids_are_dense(max.0, self.len()) {
-            let mut counts = vec![0u32; max.0 as usize + 1];
+        if ids_are_dense(min, max, self.len()) {
+            let mut counts = vec![0u32; (max - min) as usize + 1];
             for rows in runs {
                 for c in rows.column(col) {
-                    counts[c.0 as usize] += 1;
+                    counts[(c.0 - min) as usize] += 1;
                 }
             }
-            PostingCounts::Dense(counts)
+            PostingCounts::Dense { min, counts }
         } else {
             // Sorted and then summed in place: one buffer. A leading column
             // held in one run is sorted already, which the sort sees in one
@@ -931,9 +907,11 @@ impl Relation {
         (self.arity(), self.run.rows, self.take_cells(0))
     }
 
-    /// Set-membership test: a prefix probe of each run.
+    /// Set-membership test: a prefix search of each run.
     pub fn contains(&self, tuple: &[Const]) -> bool {
-        tuple.len() == self.arity() && !self.with_prefix(tuple).is_empty()
+        tuple.len() == self.arity()
+            && !(self.run.with_prefix(tuple).is_empty()
+                && self.pending().with_prefix(tuple).is_empty())
     }
 
     fn insert(&mut self, tuple: &[Const]) -> Result<bool, TooManyRows> {
@@ -966,69 +944,30 @@ impl Relation {
         Ok(true)
     }
 
-    /// Every row: the main run's, then the pending run's.
-    fn all(&self) -> Candidates<'_> {
-        Candidates {
-            main: RunRows::Block(self.run.rows().iter()),
-            pending: PendingRows::Run(RunRows::Block(self.pending().iter())),
-        }
-    }
-
-    /// The rows whose leading cells are `prefix`: the main run probed
-    /// ([`Run::with_prefix`]) and the pending run bisected.
-    fn with_prefix(&self, prefix: &[Const]) -> Candidates<'_> {
-        let (main, pending) = (self.run.rows(), self.pending());
-        let found = self.run.with_prefix(prefix);
-        let pending_found = pending.with_prefix(prefix);
-        Candidates {
-            main: RunRows::Block(main.slice(found).iter()),
-            pending: PendingRows::Run(RunRows::Block(pending.slice(pending_found).iter())),
-        }
-    }
-
-    /// The rows with `t[col] == c`: a prefix of one cell for the leading
-    /// column, else a stretch of the column's permutation of the main run
-    /// (built if needed) and, past `PENDING_FLOOR` rows, of the pending run;
-    /// a pending run no longer than that is walked. A build is counted in
-    /// `tally`.
-    fn with_cell(&self, col: usize, c: Const, tally: &mut ProbeTally) -> Candidates<'_> {
-        if col == 0 {
-            return self.with_prefix(&[c]);
-        }
-        let pending = self.pending();
-        Candidates {
-            main: RunRows::picked(self.run.rows(), self.run.perm(col, tally), col, c),
-            pending: if pending.len <= PENDING_FLOOR {
-                PendingRows::holding(pending, col, c)
-            } else {
-                PendingRows::Run(RunRows::picked(pending, self.pending_perm(col), col, c))
-            },
-        }
-    }
-
-    /// The rows with `t[col] == c` (building the column's permutation if
-    /// needed), counted in `tally` as one index probe.
-    #[inline]
-    pub fn postings(&self, col: usize, c: Const, tally: &mut ProbeTally) -> Candidates<'_> {
-        tally.index_probes += 1;
-        self.with_cell(col, c, tally)
-    }
-
-    /// The tuples a probe with the given `(column, value)` constraints has
+    /// The rows a probe with the given `(column, value)` constraints has
     /// to examine. The constraints on columns `0, 1, …` — as far as `bound`
     /// opens with them, so callers list columns in ascending order — are
-    /// one prefix search; each later constraint is one column lookup, made
-    /// only while more than one row is still in play; the shortest result
-    /// wins (the earliest on a tie), and every search or lookup is counted
-    /// in `tally` as one index probe. With no constraint it is the whole
-    /// relation. Tuples are *not* checked against the constraints that lost
-    /// — the caller does that, and counts what it examined in the tally's
-    /// [`ProbeTally::tuples_scanned`].
-    pub fn candidates(
+    /// one prefix search of each run; each later constraint is one column
+    /// lookup — a stretch of the column's permutation of the main run
+    /// (built if needed, and counted in `tally` as an index build) and of a
+    /// pending run past `PENDING_FLOOR` rows, a walk of a shorter one —
+    /// made only while more than one row is still in play; the shortest
+    /// result wins (the earliest on a tie), and every search or lookup is
+    /// counted in `tally` as one index probe. With no constraint it is the
+    /// whole relation. Rows are *not* checked against the constraints that
+    /// lost — the caller does that, and counts what it examined in the
+    /// tally's [`ProbeTally::tuples_scanned`].
+    pub fn probe(
         &self,
-        mut bound: impl Iterator<Item = (usize, Const)>,
+        bound: impl IntoIterator<Item = (usize, Const)>,
         tally: &mut ProbeTally,
-    ) -> Candidates<'_> {
+    ) -> Probe<'_> {
+        let mut bound = bound.into_iter();
+        let (main, pending) = (self.run.rows(), self.pending());
+        let with_prefix = |prefix: &[Const]| Probe {
+            main: Source::block(main.slice(self.run.with_prefix(prefix))),
+            pending: Source::block(pending.slice(pending.with_prefix(prefix))),
+        };
         let mut prefix = [Const(0); PREFIX_CELLS];
         let mut prefix_len = 0;
         // The first constraint past the prefix, taken off `bound` by hand:
@@ -1044,38 +983,33 @@ impl Relation {
         }
         let mut best = (prefix_len > 0).then(|| {
             tally.index_probes += 1;
-            self.with_prefix(&prefix[..prefix_len])
+            with_prefix(&prefix[..prefix_len])
         });
         for (col, c) in beyond.into_iter().chain(bound) {
             if best.as_ref().is_some_and(|b| b.len() <= 1) {
                 break;
             }
-            let rows = self.postings(col, c, tally);
+            tally.index_probes += 1;
+            let rows = if col == 0 {
+                with_prefix(&[c])
+            } else {
+                Probe {
+                    main: Source::picked(main, self.run.perm(col, tally), col, c),
+                    pending: if pending.len <= PENDING_FLOOR {
+                        Source::walk(pending, col, c)
+                    } else {
+                        Source::picked(pending, self.pending_perm(col), col, c)
+                    },
+                }
+            };
             if best.as_ref().is_none_or(|b| rows.len() < b.len()) {
                 best = Some(rows);
             }
         }
-        best.unwrap_or_else(|| self.all())
-    }
-
-    /// Iterates over tuples matching `pattern`: position `i` must equal
-    /// `pattern[i]` when it is `Some(c)`. The probe and the tuples it
-    /// examines are counted in `tally`, as [`Relation::candidates`] counts.
-    pub fn matching<'a, 't>(
-        &'a self,
-        pattern: &'a [Option<Const>],
-        tally: &'t mut ProbeTally,
-    ) -> Matching<'a, 't> {
-        debug_assert_eq!(pattern.len(), self.arity());
-        let bound = pattern
-            .iter()
-            .enumerate()
-            .filter_map(|(col, p)| p.map(|c| (col, c)));
-        Matching {
-            candidates: self.candidates(bound, tally),
-            pattern,
-            tally,
-        }
+        best.unwrap_or_else(|| Probe {
+            main: Source::block(main),
+            pending: Source::block(pending),
+        })
     }
 
     /// Forces every column permutation, of both runs, and cross-checks the
@@ -1446,14 +1380,29 @@ mod tests {
         matches(db.relation(p).unwrap(), pat)
     }
 
-    /// The tuples of `rel` matching `pat`, counted in a tally of their own.
-    fn matches(rel: &Relation, pat: &[Option<Const>]) -> usize {
-        rel.matching(pat, &mut ProbeTally::default()).count()
+    /// The tuples of `rel` matching `pat` — position `i` equal to `pat[i]`
+    /// where that is `Some` — probed and filtered, the probe and every row
+    /// it yields counted in `tally`, as a search counts them.
+    fn hits<'a>(
+        rel: &'a Relation,
+        pat: &[Option<Const>],
+        tally: &mut ProbeTally,
+    ) -> Vec<&'a [Const]> {
+        let bound = (pat.iter().enumerate()).filter_map(|(col, p)| p.map(|c| (col, c)));
+        let rows = rel.probe(bound, tally);
+        tally.tuples_scanned += rows.len() as u64;
+        rows.filter(|t| pat.iter().zip(*t).all(|(p, v)| p.is_none_or(|c| c == *v)))
+            .collect()
     }
 
-    /// The number of tuples of `rel` with `t[col] == c`.
+    /// The number of tuples of `rel` matching `pat`.
+    fn matches(rel: &Relation, pat: &[Option<Const>]) -> usize {
+        hits(rel, pat, &mut ProbeTally::default()).len()
+    }
+
+    /// The number of tuples of `rel` with `t[col] == c`: one probe's rows.
     fn rows_with(rel: &Relation, col: usize, c: Const) -> usize {
-        rel.postings(col, c, &mut ProbeTally::default()).len()
+        rel.probe([(col, c)], &mut ProbeTally::default()).len()
     }
 
     #[test]
@@ -1539,10 +1488,8 @@ mod tests {
             db.insert(e, vec![consts[j], consts[j + 1]]);
             // Query between inserts: results must include the new tuple…
             let rel = db.relation(e).unwrap();
-            let hits =
-                |pat: &[Option<Const>], tally: &mut ProbeTally| rel.matching(pat, tally).count();
-            assert_eq!(hits(&[Some(consts[j]), None], &mut tally), 1);
-            assert_eq!(hits(&[None, Some(consts[j + 1])], &mut tally), 1);
+            assert_eq!(hits(rel, &[Some(consts[j]), None], &mut tally).len(), 1);
+            assert_eq!(hits(rel, &[None, Some(consts[j + 1])], &mut tally).len(), 1);
         }
         // …and column 1's permutation is built once per fold (62 rebuilds
         // would mean the quadratic behavior is back).
@@ -1557,17 +1504,26 @@ mod tests {
     }
 
     #[test]
-    fn scan_counts_land_in_the_tally_even_when_not_exhausted() {
-        let (mut i, db, e) = db3();
-        let a = i.constant("a");
-        let rel = db.relation(e).unwrap();
-        let pat = [Some(a), None];
+    fn a_probe_counts_its_searches_and_leaves_the_rows_to_the_caller() {
+        let rel = Relation::from_sorted(2, 3, [1, 2, 1, 3, 2, 3].map(Const).to_vec());
         let mut tally = ProbeTally::default();
-        let _ = rel.matching(&pat, &mut tally).next(); // one candidate, then abandon
-        assert_eq!((tally.index_probes, tally.tuples_scanned), (1, 1));
-        // Exhausting an iterator counts every candidate.
-        assert_eq!(rel.matching(&pat, &mut tally).count(), 2);
-        assert_eq!((tally.index_probes, tally.tuples_scanned), (2, 3));
+        let mut rows = rel.probe([(0, Const(1))], &mut tally);
+        assert_eq!(rows.len(), 2);
+        rows.next(); // one row, then abandon
+        assert_eq!(rows.len(), 1);
+        assert_eq!((tally.index_probes, tally.tuples_scanned), (1, 0));
+        // A bound prefix is one search.
+        let both = [(0, Const(1)), (1, Const(3))];
+        assert_eq!(rel.probe(both, &mut tally).len(), 1);
+        assert_eq!((tally.index_probes, tally.index_builds), (2, 0));
+        // Column 1 alone: a search of its permutation, built once.
+        for probes in [3, 4] {
+            assert_eq!(rel.probe([(1, Const(3))], &mut tally).len(), 2);
+            assert_eq!((tally.index_probes, tally.index_builds), (probes, 1));
+        }
+        // No constraint: every row, and no search.
+        assert_eq!(rel.probe([], &mut tally).len(), 3);
+        assert_eq!((tally.index_probes, tally.tuples_scanned), (4, 0));
     }
 
     #[test]

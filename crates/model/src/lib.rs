@@ -37,7 +37,7 @@ pub mod term;
 
 pub use atom::Atom;
 pub use cancel::{CancelToken, Cancelled};
-pub use database::{row_id, Candidates, Database, Matching, PostingCounts, Relation, TooManyRows};
+pub use database::{row_id, Database, PostingCounts, Probe, Relation, TooManyRows};
 pub use interner::{Interner, RequestScope, Resolve, SymbolSpace};
 pub use mapping::Mapping;
 pub use stats::ProbeTally;

@@ -3,11 +3,14 @@
 //! arities 0–4 and sizes that fold the pending run dozens of times, checked
 //! step by step against a `BTreeSet<Vec<Const>>` — equal answer sets, equal
 //! counts, and `verify_deep()` after every step — including prefix probes
-//! in ascending, descending and shuffled key order. Hand-built runs then
-//! take the prefix probe through each of its paths: a main run with a
-//! leading-id directory or without one, short and hub blocks, keys below,
-//! between and above the leading ids, and a pending run that is empty,
-//! short or past its floor.
+//! in ascending, descending and shuffled key order. Every probe yields the
+//! rows, the `len()`, the index probes and the index builds that the
+//! choice rule predicts on the model. Hand-built runs then take the probe
+//! through each of its paths: a main run with a leading-id directory or
+//! without one, short and hub blocks, keys below, between and above the
+//! leading ids, a column stretch of a fresh or a built permutation, and a
+//! pending run that is empty, short (walked) or past its floor (its own
+//! permutations); merges into a kept base share its permutations.
 
 use std::collections::{BTreeMap, BTreeSet};
 use wdpt_model::{Const, Database, PostingCounts, Pred, ProbeTally, Relation};
@@ -35,11 +38,60 @@ fn relation(db: &Database, arity: usize) -> Relation {
         .unwrap_or_else(|| Relation::from_sorted(arity, 0, Vec::new()))
 }
 
-/// Every way of reading `rel` agrees with `model`.
-fn assert_agree(rel: &Relation, model: &Model, probes: &[Vec<Const>], absent: Const) {
+/// What the choice rule predicts for a probe of `bound`, columns
+/// ascending, into a relation holding `model`: the constraint that wins —
+/// the bound leading prefix, or one later column, looked up only while
+/// more than one row is in play, the shortest winning and the earliest on
+/// a tie; nothing when nothing is bound — and the probe's index probes and
+/// builds. `built[col]` says whether a lookup of `col` finds the main
+/// run's permutation of it built, or the main run empty; a lookup makes it
+/// so.
+fn predict(
+    model: &Model,
+    bound: &[(usize, Const)],
+    built: &mut [bool],
+) -> (Vec<(usize, Const)>, u64, u64) {
+    let count = |on: &[(usize, Const)]| model.iter().filter(|t| holds(t, on)).count();
+    let lead = (bound.iter().enumerate())
+        .take_while(|&(k, &(col, _))| col == k)
+        .count();
+    let (mut probes, mut builds) = (0, 0);
+    let mut best = None;
+    if lead > 0 {
+        probes += 1;
+        best = Some((bound[..lead].to_vec(), count(&bound[..lead])));
+    }
+    for &(col, c) in &bound[lead..] {
+        if best.as_ref().is_some_and(|&(_, n)| n <= 1) {
+            break;
+        }
+        probes += 1;
+        builds += u64::from(!std::mem::replace(&mut built[col], true));
+        let n = count(&[(col, c)]);
+        if best.as_ref().is_none_or(|&(_, least)| n < least) {
+            best = Some((vec![(col, c)], n));
+        }
+    }
+    (best.map_or_else(Vec::new, |(on, _)| on), probes, builds)
+}
+
+fn holds(t: &[Const], on: &[(usize, Const)]) -> bool {
+    on.iter().all(|&(col, c)| t[col] == c)
+}
+
+/// Every way of reading `rel` agrees with `model`: each probe yields the
+/// rows of the constraint the choice rule picks, as many as its `len()`
+/// says, and counts the index probes and builds the rule predicts (see
+/// [`predict`] for `built`).
+fn assert_agree(
+    rel: &Relation,
+    model: &Model,
+    probes: &[Vec<Const>],
+    absent: Const,
+    built: &mut [bool],
+) {
     let arity = rel.arity();
     assert_eq!(rel.len(), model.len());
-    rel.verify_deep().unwrap();
     // Ascending, each tuple once.
     let rows: Vec<Vec<Const>> = rel.tuples().map(<[Const]>::to_vec).collect();
     assert!(
@@ -52,36 +104,31 @@ fn assert_agree(rel: &Relation, model: &Model, probes: &[Vec<Const>], absent: Co
         // Every subset of bound columns, as given and with one bound cell
         // swapped for a constant no tuple holds.
         for mask in 0..1usize << arity {
-            let bound: Vec<usize> = (0..arity).filter(|col| mask >> col & 1 == 1).collect();
+            let cols: Vec<usize> = (0..arity).filter(|col| mask >> col & 1 == 1).collect();
             let mut patterns = vec![probe.clone()];
-            patterns.extend(bound.iter().map(|&col| {
+            patterns.extend(cols.iter().map(|&col| {
                 let mut miss = probe.clone();
                 miss[col] = absent;
                 miss
             }));
             for values in patterns {
-                let pattern: Vec<Option<Const>> = (0..arity)
-                    .map(|col| bound.contains(&col).then_some(values[col]))
-                    .collect();
-                let expected: Vec<&Vec<Const>> = model
-                    .iter()
-                    .filter(|t| bound.iter().all(|&col| t[col] == values[col]))
+                let bound: Vec<(usize, Const)> =
+                    cols.iter().map(|&col| (col, values[col])).collect();
+                let (winner, probes, builds) = predict(model, &bound, built);
+                let expected: Vec<&[Const]> = (model.iter())
+                    .filter(|t| holds(t, &winner))
+                    .map(|t| &t[..])
                     .collect();
                 let mut tally = ProbeTally::default();
-                let mut got: Vec<&[Const]> = rel.matching(&pattern, &mut tally).collect();
+                let rows = rel.probe(bound.iter().copied(), &mut tally);
+                assert_eq!(rows.len(), expected.len(), "probe({bound:?}).len()");
+                let mut got: Vec<&[Const]> = rows.collect();
                 got.sort_unstable();
-                assert!(
-                    got.into_iter().eq(expected.into_iter().map(|t| &t[..])),
-                    "matching({pattern:?}) differs from the model"
-                );
-            }
-        }
-        for (col, &c) in probe.iter().enumerate() {
-            for c in [c, absent] {
-                let expected = model.iter().filter(|t| t[col] == c).count();
+                assert_eq!(got, expected, "probe({bound:?}) is not {winner:?}'s rows");
                 assert_eq!(
-                    rel.postings(col, c, &mut ProbeTally::default()).len(),
-                    expected
+                    (tally.index_probes, tally.index_builds),
+                    (probes, builds),
+                    "probe({bound:?}): index probes and builds"
                 );
             }
         }
@@ -100,13 +147,15 @@ fn assert_agree(rel: &Relation, model: &Model, probes: &[Vec<Const>], absent: Co
             "column {col} counts differ"
         );
     }
+    rel.verify_deep().unwrap();
 }
 
 /// Prefix probes of every length, in ascending, descending and shuffled
-/// key order, find exactly the model's tuples under each prefix: no probe
-/// depends on the one before it. The keys are prefixes of every few
-/// tuples, hits; the same with the last cell moved one id up, hits or
-/// misses in a gap; and with the last cell swapped for each of `misses`.
+/// key order, find exactly the model's tuples under each prefix, one
+/// search each: no probe depends on the one before it. The keys are
+/// prefixes of every few tuples, hits; the same with the last cell moved
+/// one id up, hits or misses in a gap; and with the last cell swapped for
+/// each of `misses`.
 fn assert_prefix_probes_agree(rel: &Relation, model: &Model, misses: &[Const]) {
     for cells in 1..=rel.arity() {
         let mut keys: Vec<Vec<Const>> = Vec::new();
@@ -133,15 +182,15 @@ fn assert_prefix_probes_agree(rel: &Relation, model: &Model, misses: &[Const]) {
             for key in sequence {
                 let bound = key.iter().copied().enumerate();
                 let mut tally = ProbeTally::default();
-                let mut got: Vec<&[Const]> = rel.candidates(bound, &mut tally).collect();
+                let rows = rel.probe(bound, &mut tally);
+                let expected: Vec<&[Const]> = (model.range(key.clone()..))
+                    .take_while(|t| t.starts_with(key))
+                    .map(|t| &t[..])
+                    .collect();
+                assert_eq!(rows.len(), expected.len(), "prefix {key:?}");
+                let mut got: Vec<&[Const]> = rows.collect();
                 got.sort_unstable();
-                let expected = model
-                    .range(key.clone()..)
-                    .take_while(|t| t.starts_with(key));
-                assert!(
-                    got.into_iter().eq(expected.map(|t| &t[..])),
-                    "prefix {key:?} differs from the model"
-                );
+                assert_eq!(got, expected, "prefix {key:?} differs from the model");
                 assert_eq!(tally.index_probes, 1, "one probe for {key:?}");
             }
         }
@@ -205,9 +254,10 @@ fn run(seed: u64, arity: usize, domain: usize, stride: u32, steps: usize) {
         if step % 16 == 0 || step + 1 == steps {
             let mut probes = vec![tuple(&mut rng)];
             probes.extend(model.iter().nth(rng.below(model.len().max(1))).cloned());
-            assert_agree(&rel, &model, &probes, absent);
+            // Every permutation was built by the checks after each step.
+            assert_agree(&rel, &model, &probes, absent, &mut vec![true; arity]);
             if let Some((rel, model)) = &earlier {
-                assert_agree(rel, model, &probes, absent);
+                assert_agree(rel, model, &probes, absent, &mut vec![true; arity]);
             }
         }
     }
@@ -335,7 +385,11 @@ fn merge_sorted_is_the_set_union_or_names_the_first_held_row() {
             (Ok(merged), None) => {
                 model.extend(add.iter().cloned());
                 let probes: Vec<Vec<Const>> = model.iter().step_by(97).cloned().collect();
-                assert_agree(&merged, &model, &probes, Const(0));
+                // The kept base's permutations serve the merge unless it
+                // folded into a new main run.
+                let folded = pending_after + add.len() > line(main_after);
+                let mut built = vec![!folded; arity];
+                assert_agree(&merged, &model, &probes, Const(0), &mut built);
             }
             (got, want) => panic!(
                 "case {case}: {:?} for held row {want:?}",
@@ -456,7 +510,7 @@ fn probe_every_path(
     let rel = held(arity, &main, &added);
     let mut model: Model = main.iter().chain(&added).cloned().collect();
     let probes: Vec<Vec<Const>> = model.iter().step_by(31).cloned().collect();
-    assert_agree(&rel, &model, &probes, misses[0]);
+    assert_agree(&rel, &model, &probes, misses[0], &mut vec![false; arity]);
     assert_prefix_probes_agree(&rel, &model, &misses);
 
     // Enough inserts to fold whatever is pending.
@@ -475,14 +529,16 @@ fn probe_every_path(
 /// `posting_counts` is a count per column, of the main run's and the
 /// pending run's cells together: every value with its count, ascending, as
 /// a `BTreeMap` counts them, and `get` agrees for every value and for one
-/// no row holds. It is `Dense` exactly when the column's greatest id is
-/// below `4 × rows + 1024`, one slot per id up to it. Each case builds a
-/// relation as a main run and a pending run on either side of its floor
-/// of 32 rows, keeps a clone of it as a server keeps a base, and merges a
-/// delta into it; the kept clone and the merged relation are both
-/// checked. The ids are below 1024, or spread 100 003 apart; one row in
-/// three cases out of four holds, in every column, the greatest id that
-/// is still dense, the least one that is not, or an id far past both.
+/// no row holds. It is `Dense` exactly when the column's ids span fewer
+/// than four ids a row, `max − min < 4 × rows`, one slot per id from the
+/// least to the greatest. Each case builds a relation as a main run and a
+/// pending run on either side of its floor of 32 rows, keeps a clone of it
+/// as a server keeps a base, and merges a delta into it; the kept clone
+/// and the merged relation are both checked. The ids are below 1024, or
+/// spread 100 003 apart; in three cases out of four one row holds id 1,
+/// the least an id can be here, in every column, and another the greatest
+/// id that is still dense, the least one that is not, or an id far past
+/// both.
 #[test]
 fn posting_counts_are_a_count_per_column_of_both_runs() {
     let mut rng = Lcg(47);
@@ -496,16 +552,20 @@ fn posting_counts_are_a_count_per_column_of_both_runs() {
         // Ids below 1024, dense at any size, or spread far apart.
         let (domain, stride) = ([1000, 31, 10][arity - 1], 1 + 100_002 * (case % 4 / 3));
         let edge = match case % 4 {
-            0 => Some(4 * n + 1023),
-            1 => Some(4 * n + 1024),
+            0 => Some(4 * n),
+            1 => Some(4 * n + 1),
             2 => Some(1 << 30),
             _ => None,
         };
-        // Distinct tuples in draw order, the edge row among them.
+        // Drawn ids stay below the edge row's, which is then the greatest.
+        let domain = edge.map_or(domain, |id| domain.min(id.saturating_sub(1)).max(1));
+        // Distinct tuples in draw order, the least and the edge row first
+        // and in the middle.
         let mut pool: Vec<Vec<Const>> = Vec::new();
         let mut drawn = Model::new();
         while pool.len() < n {
             let t: Vec<Const> = match edge {
+                Some(_) if pool.is_empty() => vec![Const(1); arity],
                 Some(id) if pool.len() == n / 2 => vec![Const(id as u32); arity],
                 _ => (0..arity)
                     .map(|_| Const((1 + rng.below(domain) * stride) as u32))
@@ -537,18 +597,22 @@ fn posting_counts_are_a_count_per_column_of_both_runs() {
                     assert_eq!(counts.get(c), n, "{what}: get({c:?})");
                 }
                 assert_eq!(counts.get(Const(0)), 0, "{what}: an absent value");
-                let max = expected.keys().next_back().map(|c| c.0 as usize);
-                let dense = max.map(|max| (max, max < 4 * rel.len() + 1024));
-                match (&counts, dense) {
-                    (PostingCounts::Dense(slots), Some((max, true))) => {
-                        assert_eq!(slots.len(), max + 1, "{what}")
+                let span = (expected.keys().next()).zip(expected.keys().next_back());
+                let span = span.map(|(min, max)| (min.0, max.0));
+                let dense = span.is_some_and(|(min, max)| ((max - min) as usize) < 4 * rel.len());
+                match (&counts, span) {
+                    (PostingCounts::Dense { min, counts: slots }, Some((least, max))) if dense => {
+                        assert_eq!(
+                            (*min, slots.len()),
+                            (least, (max - least) as usize + 1),
+                            "{what}"
+                        )
                     }
-                    (PostingCounts::Sparse(_), None | Some((_, false))) => {}
-                    _ => panic!("{what}: {max:?} is the greatest id, counted {counts:?}"),
+                    (PostingCounts::Sparse(_), _) if !dense => {}
+                    _ => panic!("{what}: ids {span:?}, counted {counts:?}"),
                 }
-                if let (Some(id), true) = (edge, rel.len() == n) {
-                    let dense = matches!(counts, PostingCounts::Dense(_));
-                    assert_eq!(dense, id < 4 * n + 1024, "{what}: edge {id}");
+                if let (Some(id), true) = (edge, rel.len() == n && n > 1) {
+                    assert_eq!(dense, id - 1 < 4 * n, "{what}: edge {id}");
                     seen.insert((case % 4, dense));
                 }
             }

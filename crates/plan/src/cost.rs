@@ -182,7 +182,7 @@ mod tests {
         // Listed: exactly the posting length, heavy hitter or not.
         for listed in ["hot", "mid0", "mid14"] {
             let mut tally = ProbeTally::default();
-            let exact = rel.postings(1, i.constant(listed), &mut tally).len() as f64;
+            let exact = rel.probe([(1, i.constant(listed))], &mut tally).len() as f64;
             assert_eq!(est(&mut i, &format!("t(?s,{listed},?o)")), exact);
         }
         // Unlisted: the mean over the unlisted values, (rows − Σ listed) /

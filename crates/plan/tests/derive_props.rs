@@ -21,10 +21,13 @@ use wdpt_store::{
 const BASE_RELATIONS: [(&str, usize); 4] = [("a", 1), ("b", 2), ("c", 3), ("z", 0)];
 const DELTA_RELATIONS: [(&str, usize); 5] = [("a", 1), ("b", 2), ("c", 3), ("z", 0), ("d", 2)];
 
-/// Constants interned ahead of the data in the sparse case: ids above
-/// `4 × rows + 1024` for every relation generated, so the counting pass
-/// sorts instead of indexing an array.
-const FILLER: usize = 3_000;
+/// Constants interned ahead of each base value in the sparse case, so
+/// that a column holding a few of the values spans four ids a row or more
+/// and is counted by sorting instead of into an array.
+const SPREAD: usize = 100;
+
+/// The values a base draws from.
+const BASE_DOMAIN: u64 = 40;
 
 /// Inserts `rows` random tuples: values skewed toward low indices (the
 /// smaller of two draws), out of a domain of `domain`, so lists are cut in
@@ -91,13 +94,23 @@ fn derive_and_build(seed: u64) -> (StatsCatalog, StatsCatalog) {
     let sparse = seed % 2 == 1;
     let mut i = Interner::new();
     if sparse {
-        for k in 0..FILLER {
-            i.constant(&format!("filler{k}"));
+        for k in 0..BASE_DOMAIN {
+            for f in 0..SPREAD {
+                i.constant(&format!("filler{k}.{f}"));
+            }
+            i.constant(&format!("v{k}"));
         }
     }
     let mut db = Database::new();
     let base_rows = 20 + rng.gen_range(200);
-    insert_random(&mut rng, &mut i, &mut db, &BASE_RELATIONS, base_rows, 40);
+    insert_random(
+        &mut rng,
+        &mut i,
+        &mut db,
+        &BASE_RELATIONS,
+        base_rows,
+        BASE_DOMAIN,
+    );
     let base_bytes = snapshot_to_vec_v2(&i, &db).unwrap();
 
     let mut deltas = Vec::new();
@@ -118,14 +131,23 @@ fn derive_and_build(seed: u64) -> (StatsCatalog, StatsCatalog) {
     // the commit remaps the chain's rows — and, where the base's names were
     // new to it, the base's.
     let (base_i, base_db) = decode_snapshot(&base_bytes).unwrap();
+    // A column is counted into an array where its ids span fewer than four
+    // a row, and sorted otherwise: each seed counts some base relation its
+    // own way, into an array for dense ids, sorted for spread ones.
+    let mut ways = [0, 0];
     for (_, rel) in base_db.relations().filter(|(_, rel)| rel.arity() > 0) {
         let counts = rel.posting_counts(0);
+        let (mut least, mut most) = (u32::MAX, 0);
+        counts.for_each(|c, _| (least, most) = (least.min(c.0), most.max(c.0)));
+        let sorted = matches!(counts, PostingCounts::Sparse(_));
         assert_eq!(
-            matches!(counts, PostingCounts::Sparse(_)),
-            sparse,
+            sorted,
+            (most - least) as usize >= 4 * rel.len(),
             "seed {seed}"
         );
+        ways[usize::from(sorted)] += 1;
     }
+    assert!(ways[usize::from(sparse)] > 0, "seed {seed}: {ways:?}");
     let kind = [Target::Base, Target::Foreign, Target::Empty][(seed / 6 % 3) as usize];
     let at = format!("seed {seed}, {kind:?}");
     let mut live = kind.interner(&base_i);

@@ -904,19 +904,27 @@ impl ServeState {
                 }
             }
         })?;
-        let (atoms, vars) = pattern_size(&parsed.pattern);
-        if atoms > self.cfg.max_query_atoms || vars > self.cfg.max_query_vars {
-            return Err(Rejection {
-                kind: "query_too_large",
-                message: format!(
-                    "query has {atoms} triple patterns and {vars} variables; this server accepts at most {} and {}",
-                    self.cfg.max_query_atoms, self.cfg.max_query_vars
-                ),
-                at: None,
-                malformed: false,
-            });
+        let atoms = atom_count(&parsed.pattern);
+        let too_large = |vars: usize| {
+            Rejection {
+            kind: "query_too_large",
+            message: format!(
+                "query has {atoms} triple patterns and {vars} variables; this server accepts at most {} and {}",
+                self.cfg.max_query_atoms, self.cfg.max_query_vars
+            ),
+            at: None,
+            malformed: false,
         }
+        };
+        if atoms > self.cfg.max_query_atoms {
+            return Err(too_large(parsed.pattern.variables().len()));
+        }
+        // Canonicalizing collects the distinct variables, first occurrence
+        // first: the variable cap counts them there.
         let canon = canonicalize(&parsed, &mut scope);
+        if canon.request_vars.len() > self.cfg.max_query_vars {
+            return Err(too_large(canon.request_vars.len()));
+        }
         if let Some(plan) = self.cache.get(&canon.key) {
             return Ok((canon, Found::Hit(plan)));
         }
@@ -1083,16 +1091,12 @@ enum ChainBase {
     Decoded { bytes: Vec<u8>, hash: u64 },
 }
 
-/// `(triple patterns, distinct variables)` of a parsed pattern — the
-/// quantities the admission caps bound.
-fn pattern_size(p: &GraphPattern) -> (usize, usize) {
-    fn atoms(p: &GraphPattern) -> usize {
-        match p {
-            GraphPattern::Triple(_) => 1,
-            GraphPattern::And(a, b) | GraphPattern::Opt(a, b) => atoms(a) + atoms(b),
-        }
+/// The triple patterns of a parsed pattern, which the atom cap bounds.
+fn atom_count(p: &GraphPattern) -> usize {
+    match p {
+        GraphPattern::Triple(_) => 1,
+        GraphPattern::And(a, b) | GraphPattern::Opt(a, b) => atom_count(a) + atom_count(b),
     }
-    (atoms(p), p.variables().len())
 }
 
 /// The `label` of every profile the server produces.

@@ -103,24 +103,27 @@ fn a_reload_and_the_first_point_query_after_it_build_nothing() {
 
         // The first point query: subject and predicate bound.
         let (s2, p, o1) = (live.constant("s2"), live.constant("p"), live.constant("o1"));
-        let point = [Some(s2), Some(p), None];
         let mut work = ProbeTally::default();
-        let hits: Vec<Const> = rel.matching(&point, &mut work).map(|t| t[2]).collect();
+        let rows = rel.probe([(0, s2), (1, p)], &mut work);
+        assert_eq!(rows.len(), 1, "matches, not candidates");
+        let hits: Vec<Const> = rows.map(|t| t[2]).collect();
         assert_eq!(hits, [o1]);
         assert_eq!(work.index_builds, 0, "a prefix probe built something");
-        assert_eq!(work.tuples_scanned, 1, "matches, not candidates");
 
         // A probe without the leading column builds the permutations of
         // the two columns it consults, once.
-        let pattern = [None, Some(p), Some(o1)];
+        let pattern = [(1, p), (2, o1)];
         let mut work = ProbeTally::default();
-        let mut hits: Vec<Const> = rel.matching(&pattern, &mut work).map(|t| t[0]).collect();
+        let mut hits: Vec<Const> = (rel.probe(pattern, &mut work))
+            .filter(|t| t[1] == p && t[2] == o1)
+            .map(|t| t[0])
+            .collect();
         hits.sort_by_key(|c| live.const_name(*c).to_owned());
         assert_eq!(work.index_builds, 2);
         let names: Vec<&str> = hits.iter().map(|c| live.const_name(*c)).collect();
         assert_eq!(names, ["s1", "s2", "s4"]);
         let mut again = ProbeTally::default();
-        rel.matching(&pattern, &mut again).count();
+        rel.probe(pattern, &mut again).count();
         assert_eq!(again.index_builds, 0);
 
         // And the whole relation equals a from-scratch text load of base+delta.

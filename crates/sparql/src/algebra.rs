@@ -16,7 +16,7 @@
 use crate::triples::{TripleStore, TRIPLE_PRED};
 use std::collections::BTreeSet;
 use wdpt_core::{NodeId, Wdpt, WdptBuilder};
-use wdpt_model::{Atom, Database, Interner, Mapping, Pred, Resolve, Term, Var};
+use wdpt_model::{Atom, Interner, Mapping, Pred, Resolve, Term, Var};
 
 /// A SPARQL triple pattern `(s, p, o)` over variables and constants.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -361,16 +361,6 @@ impl SparqlQuery {
     ) -> Result<Vec<Mapping>, SparqlError> {
         let p = self.to_wdpt(interner)?;
         Ok(wdpt_core::evaluate(&p, store.database()))
-    }
-
-    /// Evaluates over an arbitrary relational database.
-    pub fn evaluate_db(
-        &self,
-        db: &Database,
-        interner: &mut Interner,
-    ) -> Result<Vec<Mapping>, SparqlError> {
-        let p = self.to_wdpt(interner)?;
-        Ok(wdpt_core::evaluate(&p, db))
     }
 }
 

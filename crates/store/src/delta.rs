@@ -923,20 +923,12 @@ mod tests {
         let e = i.pred("edge");
         let rel = rdb.relation(e).unwrap();
         let c = i.constant("c");
+        let rows = rel.probe([(0, c)], &mut ProbeTally::default());
+        assert_eq!((rows.len(), rows.count()), (1, 1), "new tuple not indexed");
         assert_eq!(
-            rel.postings(0, c, &mut ProbeTally::default()).len(),
-            1,
-            "new tuple not indexed"
-        );
-        assert_eq!(
-            rel.postings(1, c, &mut ProbeTally::default()).len(),
+            rel.probe([(1, c)], &mut ProbeTally::default()).len(),
             1,
             "old tuple lost from index"
-        );
-        assert_eq!(
-            rel.matching(&[Some(c), None], &mut ProbeTally::default())
-                .count(),
-            1
         );
         assert_eq!(rel.len(), 3);
     }
@@ -1106,8 +1098,8 @@ mod tests {
             assert!(yes.contains(&[]) && !no.contains(&[]));
             assert_eq!(
                 (
-                    no.matching(&[], &mut ProbeTally::default()).count(),
-                    yes.matching(&[], &mut ProbeTally::default()).count()
+                    no.probe([], &mut ProbeTally::default()).count(),
+                    yes.probe([], &mut ProbeTally::default()).count()
                 ),
                 (0, 1)
             );
@@ -1214,7 +1206,7 @@ mod tests {
         assert_eq!(
             db.relation(p)
                 .unwrap()
-                .postings(0, a, &mut ProbeTally::default())
+                .probe([(0, a)], &mut ProbeTally::default())
                 .len(),
             1
         );
@@ -1251,13 +1243,10 @@ mod tests {
         let run: Vec<&[Const]> = rel.tuples().collect();
         assert!(run.windows(2).all(|w| w[0] < w[1]), "run not re-sorted");
         let (b, u, v) = (live.constant("b"), live.constant("u"), live.constant("v"));
-        assert_eq!(rel.postings(0, b, &mut ProbeTally::default()).len(), 2);
-        assert_eq!(rel.postings(1, u, &mut ProbeTally::default()).len(), 3);
-        assert_eq!(
-            rel.matching(&[Some(b), Some(v)], &mut ProbeTally::default())
-                .count(),
-            1
-        );
+        assert_eq!(rel.probe([(0, b)], &mut ProbeTally::default()).len(), 2);
+        assert_eq!(rel.probe([(1, u)], &mut ProbeTally::default()).len(), 3);
+        let rows = rel.probe([(0, b), (1, v)], &mut ProbeTally::default());
+        assert_eq!((rows.len(), rows.count()), (1, 1));
         crate::format::verify_database_deep(&db).unwrap();
     }
 

@@ -1007,12 +1007,8 @@ mod tests {
         let e = i.pred("edge");
         let rel = db2.relation(e).unwrap();
         let a = i.constant("a");
-        assert_eq!(rel.postings(0, a, &mut ProbeTally::default()).len(), 1);
-        assert_eq!(
-            rel.matching(&[Some(a), None], &mut ProbeTally::default())
-                .count(),
-            1
-        );
+        let rows = rel.probe([(0, a)], &mut ProbeTally::default());
+        assert_eq!((rows.len(), rows.count()), (1, 1));
     }
 
     #[test]

@@ -117,13 +117,13 @@ fn assert_equal(seed: u64, a_int: &Interner, a_db: &Database, b_int: &Interner, 
         at.sort_unstable();
         bt.sort_unstable();
         assert_eq!(at, bt, "seed {seed}: tuples of {pred:?}");
-        // Postings answer identically to a fresh build.
+        // Probes answer identically to a fresh build.
         for col in 0..rel.arity() {
             for c in a_db.active_domain() {
                 let mut tally = ProbeTally::default();
                 assert_eq!(
-                    rel.postings(col, *c, &mut tally).len(),
-                    brel.postings(col, *c, &mut tally).len(),
+                    rel.probe([(col, *c)], &mut tally).len(),
+                    brel.probe([(col, *c)], &mut tally).len(),
                     "seed {seed}: posting length col {col}"
                 );
             }
@@ -178,8 +178,7 @@ fn random_databases_round_trip_losslessly() {
 
 #[test]
 fn queries_answer_identically_after_reload() {
-    // Beyond structural equality: probe `matching` through bound columns on
-    // both sides.
+    // Beyond structural equality: probe each column on both sides.
     let (mut interner, db) = random_instance(0xABCD);
     let bytes = snapshot_to_vec_v2(&interner, &db).unwrap();
     let (_, db2) = decode_snapshot(&bytes).unwrap();
@@ -188,11 +187,9 @@ fn queries_answer_identically_after_reload() {
         let rel2 = db2.relation(pred).unwrap();
         for c in consts.iter().take(10) {
             for col in 0..rel.arity() {
-                let mut probe = vec![None; rel.arity()];
-                probe[col] = Some(*c);
                 let mut tally = ProbeTally::default();
-                let mut a: Vec<_> = rel.matching(&probe, &mut tally).collect();
-                let mut b: Vec<_> = rel2.matching(&probe, &mut tally).collect();
+                let mut a: Vec<_> = rel.probe([(col, *c)], &mut tally).collect();
+                let mut b: Vec<_> = rel2.probe([(col, *c)], &mut tally).collect();
                 a.sort_unstable();
                 b.sort_unstable();
                 assert_eq!(a, b, "probe col {col}");
