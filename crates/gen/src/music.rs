@@ -80,8 +80,8 @@ pub fn music_catalog(interner: &mut Interner, params: MusicParams) -> Database {
 
 /// The same catalog rendered as an RDF triple store over the reserved
 /// `triple(subject, predicate, object)` relation — the schema that
-/// `wdpt-sparql` queries compile to, and the default dataset `wdpt-serve`
-/// loads with `--gen-music`. Predicate names of the binary schema become
+/// `wdpt-sparql` queries compile to, and what `wdpt gen-music` writes as
+/// N-Triples. Predicate names of the binary schema become
 /// predicate *constants* here: `rec_by(r, b)` ⇒ `triple(r, rec_by, b)`.
 /// Same seed ⇒ the same catalog as [`music_catalog`], fact for fact.
 pub fn music_triples(interner: &mut Interner, params: MusicParams) -> wdpt_sparql::TripleStore {

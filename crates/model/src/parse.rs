@@ -1,6 +1,7 @@
-//! A tiny text format for atoms, databases, and mappings.
+//! The two text grammars: a tiny format for atoms, databases and
+//! mappings, and N-Triples lines.
 //!
-//! Grammar (whitespace-insensitive):
+//! The facts grammar (whitespace-insensitive):
 //!
 //! ```text
 //! atoms   := atom ((',')? atom)*
@@ -8,7 +9,7 @@
 //! term    := '?' ident            // variable
 //!          | ident                // constant (bare)
 //!          | '"' (char|esc)* '"'  // constant (quoted, may contain spaces)
-//! esc     := '\"' | '\\' | '\n' | '\t' | '\r'
+//! esc     := '\t' | '\b' | '\n' | '\r' | '\f' | '\"' | '\'' | '\\'
 //!          | '\u' hex{4} | '\U' hex{8}
 //! ident   := [A-Za-z0-9_.'-]+
 //! ```
@@ -22,6 +23,21 @@
 //! through [`parse_ground_atoms`], which parses ground atoms to strings on
 //! worker threads without an interner, and [`parse_database`] interns the
 //! same parse.
+//!
+//! [`parse_nt_line`] is the one N-Triples line grammar, read by the same
+//! cursor: one triple `<s> <p> <o> .` per line, each a fact of
+//! [`TRIPLE_PRED`]. It is lenient where the W3C grammar is strict:
+//!
+//! * bare (unquoted, unbracketed) tokens are terms, as the workspace's
+//!   generators write them;
+//! * a literal's datatype (`^^<…>`) or language (`@xx`) suffix is read
+//!   past and dropped, and the trailing `.` is optional;
+//! * `#` comment lines and blank lines are no triple, and the line may
+//!   carry its `\n` / `\r\n` terminator.
+//!
+//! Both grammars decode exactly the escapes W3C N-Triples defines, through
+//! one decoder: `esc` above in quoted constants and literals, and only
+//! `\uXXXX` / `\UXXXXXXXX` in IRIs. Any other escape is an error.
 
 use crate::atom::Atom;
 use crate::database::Database;
@@ -48,12 +64,12 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Decodes the backslash escapes of a quoted constant — `\"`, `\\`, `\n`,
-/// `\t`, `\r`, `\uXXXX`, and `\UXXXXXXXX` (the same repertoire the
-/// N-Triples dialect accepts in literals). `raw` is the text between the
-/// quotes with escapes intact; escape-free input borrows instead of
+/// Decodes the backslash escapes of `raw` — the text between a quoted
+/// constant's, a literal's or an IRI's delimiters, escapes intact: W3C
+/// N-Triples' `\t \b \n \r \f \" \' \\`, `\uXXXX` and `\UXXXXXXXX`,
+/// or with `iri` the last two alone. Escape-free input borrows instead of
 /// allocating. Error offsets are byte positions relative to `raw`.
-fn unescape(raw: &str) -> Result<Cow<'_, str>, ParseError> {
+fn unescape(raw: &str, iri: bool) -> Result<Cow<'_, str>, ParseError> {
     if !raw.contains('\\') {
         return Ok(Cow::Borrowed(raw));
     }
@@ -68,12 +84,7 @@ fn unescape(raw: &str) -> Result<Cow<'_, str>, ParseError> {
         let Some((_, esc)) = chars.next() else {
             return Err(err(at, "dangling escape at end of string".into()));
         };
-        match esc {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            'n' => out.push('\n'),
-            't' => out.push('\t'),
-            'r' => out.push('\r'),
+        let decoded = match esc {
             'u' | 'U' => {
                 let digits = if esc == 'u' { 4 } else { 8 };
                 let mut code = 0u32;
@@ -89,12 +100,21 @@ fn unescape(raw: &str) -> Result<Cow<'_, str>, ParseError> {
                         .and_then(|c| c.checked_add(d))
                         .ok_or_else(|| err(at, format!("\\{esc} escape out of range")))?;
                 }
-                let decoded = char::from_u32(code)
-                    .ok_or_else(|| err(at, format!("\\{esc} escape is not a scalar value")))?;
-                out.push(decoded);
+                char::from_u32(code)
+                    .ok_or_else(|| err(at, format!("\\{esc} escape is not a scalar value")))?
             }
+            _ if iri => return Err(err(at, format!("unknown IRI escape '\\{esc}'"))),
+            't' => '\t',
+            'b' => '\u{8}',
+            'n' => '\n',
+            'r' => '\r',
+            'f' => '\u{c}',
+            '"' => '"',
+            '\'' => '\'',
+            '\\' => '\\',
             other => return Err(err(at, format!("unknown escape '\\{other}'"))),
-        }
+        };
+        out.push(decoded);
     }
     Ok(Cow::Owned(out))
 }
@@ -165,35 +185,76 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// A `"`-delimited string, decoded; the cursor ends past its closing
+    /// quote.
     fn quoted(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect('"')?;
         let start = self.pos;
-        let mut escaped = false;
-        while let Some(c) = self.rest().chars().next() {
-            if escaped {
-                escaped = false;
-                self.bump();
-                continue;
-            }
-            match c {
-                '\\' => {
-                    escaped = true;
-                    self.bump();
+        let bytes = self.src.as_bytes();
+        let mut p = start;
+        // A backslash takes the byte after it along: `\"` does not close
+        // the string. (A UTF-8 continuation byte is never `"` or `\`.)
+        while p < bytes.len() {
+            match bytes[p] {
+                b'\\' => p += 2,
+                b'"' => {
+                    self.pos = p + 1;
+                    return self.decoded(start, p, false);
                 }
-                '"' => {
-                    let raw = &self.src[start..self.pos];
-                    self.bump();
-                    return unescape(raw).map_err(|e| ParseError {
-                        at: start + e.at,
-                        message: e.message,
-                    });
-                }
-                _ => {
-                    self.bump();
-                }
+                _ => p += 1,
             }
         }
+        self.pos = bytes.len();
         Err(self.error("unterminated string literal"))
+    }
+
+    /// `src[start..end]` with its escapes decoded, error offsets into
+    /// `src`.
+    fn decoded(&self, start: usize, end: usize, iri: bool) -> Result<Cow<'a, str>, ParseError> {
+        unescape(&self.src[start..end], iri).map_err(|e| ParseError {
+            at: start + e.at,
+            message: e.message,
+        })
+    }
+
+    /// One N-Triples term: an `<IRI>`, a `"literal"` (a datatype or
+    /// language suffix read past and dropped) or a bare token, which
+    /// whitespace ends.
+    fn nt_term(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        match self.peek() {
+            Some('<') => {
+                self.bump();
+                let start = self.pos;
+                let Some(len) = self.rest().find('>') else {
+                    return Err(self.error("unterminated IRI"));
+                };
+                self.pos += len + 1;
+                self.decoded(start, start + len, true)
+            }
+            Some('"') => {
+                let literal = self.quoted()?;
+                let rest = self.rest();
+                let suffix = if let Some(tail) = rest.strip_prefix("^^") {
+                    match tail.strip_prefix('<') {
+                        Some(iri) => iri.find('>').map_or(rest.len(), |end| end + 4),
+                        None => 2,
+                    }
+                } else if rest.starts_with('@') {
+                    rest.find(char::is_whitespace).unwrap_or(rest.len())
+                } else {
+                    0
+                };
+                self.pos += suffix;
+                Ok(literal)
+            }
+            Some(_) => {
+                let start = self.pos;
+                let rest = self.rest();
+                self.pos += rest.find(char::is_whitespace).unwrap_or(rest.len());
+                Ok(Cow::Borrowed(&self.src[start..self.pos]))
+            }
+            None => Err(self.error("expected a term, found end of line")),
+        }
     }
 
     /// A constant, bare or quoted, decoded. A `?variable` is an error at
@@ -305,6 +366,35 @@ pub fn parse_database(interner: &mut Interner, src: &str) -> Result<Database, Pa
     Ok(db)
 }
 
+/// The predicate every N-Triples line is a fact of: `triple(s, p, o)`.
+pub const TRIPLE_PRED: &str = "triple";
+
+/// An N-Triples line's subject, predicate and object, decoded.
+pub type Triple<'a> = (Cow<'a, str>, Cow<'a, str>, Cow<'a, str>);
+
+/// Parses one N-Triples line. `Ok(None)` for blank and comment lines; the
+/// line may carry its `\n` / `\r\n` terminator. Error offsets are bytes
+/// into `line`.
+pub fn parse_nt_line(line: &str) -> Result<Option<Triple<'_>>, ParseError> {
+    let line = line.trim_end();
+    let data = line.trim_start();
+    if data.is_empty() || data.starts_with('#') {
+        return Ok(None);
+    }
+    let mut c = Cursor::new(line);
+    let (s, p, o) = (c.nt_term()?, c.nt_term()?, c.nt_term()?);
+    // Anything after the object must be the statement terminator.
+    let rest = c.rest().trim();
+    if !rest.is_empty() && rest != "." {
+        return Err(c.error(format!("trailing content {rest:?} after object")));
+    }
+    // A bare-token "object" that is just the terminator means a 2-term line.
+    if o == "." {
+        return Err(c.error("line has fewer than three terms"));
+    }
+    Ok(Some((s, p, o)))
+}
+
 /// Parses a mapping like `?x -> Swim, ?y -> Caribou` (also accepts `↦` and
 /// `=` as the arrow). The empty string yields the empty mapping.
 pub fn parse_mapping(interner: &mut Interner, src: &str) -> Result<Mapping, ParseError> {
@@ -383,10 +473,10 @@ mod tests {
     #[test]
     fn unescape_borrows_when_escape_free() {
         assert!(matches!(
-            unescape("no escapes here").unwrap(),
+            unescape("no escapes here", false).unwrap(),
             std::borrow::Cow::Borrowed(_)
         ));
-        assert_eq!(unescape(r#"a\\bA"#).unwrap(), "a\\bA");
+        assert_eq!(unescape(r#"a\\bA"#, false).unwrap(), "a\\bA");
     }
 
     #[test]
@@ -467,5 +557,140 @@ mod tests {
         let err = parse_atom(&mut i, "e(?x").unwrap_err();
         assert!(err.at >= 4, "offset was {}", err.at);
         assert!(err.to_string().contains("parse error"));
+    }
+
+    // The N-Triples line grammar.
+
+    #[test]
+    fn rejects_short_and_trailing_garbage_lines() {
+        assert!(parse_nt_line("<a> <b> .").is_err());
+        assert!(parse_nt_line("<a> <b> <c> <d> .").is_err());
+        assert!(parse_nt_line("<a> <b <c> .").is_err());
+    }
+
+    #[test]
+    fn decodes_unicode_escapes_in_literals_and_iris() {
+        // The Rust raw strings below contain literal backslashes, so the
+        // parser sees unicode escape sequences and must decode them.
+        let line = r#"<caf\u00E9> <says> "\u2022 bullet \U0001F600" ."#;
+        let (s, _, o) = parse_nt_line(line).unwrap().unwrap();
+        assert_eq!(s, "caf\u{00E9}");
+        assert_eq!(o, "\u{2022} bullet \u{1F600}");
+        // Escaped and raw spellings of an IRI decode to the same string.
+        let (s2, _, _) = parse_nt_line("<caf\u{00E9}> <says> <x> .")
+            .unwrap()
+            .unwrap();
+        assert_eq!(s2, s);
+        // An escape mixed into a literal body.
+        let (_, _, o3) = parse_nt_line(r#"<a> <b> "snow\u2603man" ."#)
+            .unwrap()
+            .unwrap();
+        assert_eq!(o3, "snow\u{2603}man");
+    }
+
+    #[test]
+    fn rejects_malformed_unicode_escapes() {
+        // Too few digits, bad hex, a surrogate, and a non-unicode IRI escape.
+        assert!(parse_nt_line(r#"<a> <b> "\u12" ."#).is_err());
+        assert!(parse_nt_line(r#"<a> <b> "\uZZZZ" ."#).is_err());
+        assert!(parse_nt_line(r#"<a> <b> "\uD800" ."#).is_err());
+        assert!(parse_nt_line(r#"<a\n> <b> <c> ."#).is_err());
+    }
+
+    #[test]
+    fn handles_crlf_terminators_and_comment_lines() {
+        // A raw line with its terminator still attached parses, and the
+        // literal does not absorb the \r.
+        let parsed = parse_nt_line("<x> <y> \"z\" .\r\n").unwrap().unwrap();
+        assert_eq!(parsed, ("x".into(), "y".into(), "z".into()));
+        // Blank, whitespace-only and (indented) comment lines are no triple;
+        // a `#` inside a literal is data.
+        for line in ["", "   \r\n", "\t", "  # indented comment", "#tail"] {
+            assert_eq!(parse_nt_line(line), Ok(None), "{line:?}");
+        }
+        let (_, _, o) = parse_nt_line("<a> <b> \"#not a comment\" .")
+            .unwrap()
+            .unwrap();
+        assert_eq!(o, "#not a comment");
+    }
+
+    #[test]
+    fn trailing_dot_is_optional() {
+        assert_eq!(
+            parse_nt_line("<a> <b> <c>").unwrap().unwrap(),
+            ("a".into(), "b".into(), "c".into())
+        );
+    }
+
+    /// The literal `p("…")` holds, its constant decoded.
+    fn facts_constant(body: &str) -> Result<String, ParseError> {
+        let src = format!("p(\"{body}\")");
+        Ok(parse_ground_atoms(&src)?[0].1[0].to_string())
+    }
+
+    /// The object of `<s> <p> "…" .`, decoded.
+    fn nt_literal(body: &str) -> Result<String, ParseError> {
+        let line = format!("<s> <p> \"{body}\" .");
+        let (_, _, o) = parse_nt_line(&line)?.expect("a triple");
+        Ok(o.into_owned())
+    }
+
+    #[test]
+    fn both_grammars_decode_exactly_the_n_triples_escapes() {
+        let cases = [
+            (r"a\tc", "a\tc"),
+            (r"a\bc", "a\u{8}c"),
+            (r"a\nc", "a\nc"),
+            (r"a\rc", "a\rc"),
+            (r"a\fc", "a\u{c}c"),
+            (r#"a\"c"#, "a\"c"),
+            (r"a\'c", "a'c"),
+            (r"a\\c", "a\\c"),
+            (r"a\u0041c", "aAc"),
+            (r"a\U0001F600c", "a\u{1F600}c"),
+        ];
+        for (written, decoded) in cases {
+            assert_eq!(nt_literal(written).as_deref(), Ok(decoded), "{written}");
+            assert_eq!(facts_constant(written).as_deref(), Ok(decoded), "{written}");
+        }
+        // Any other escape is an error at its backslash, in both.
+        for written in [r"a\xc", r"a\ac", r"a\/c"] {
+            let err = nt_literal(written).unwrap_err();
+            assert_eq!(err.at, 10, "{err}");
+            assert!(err.message.contains("unknown escape"), "{err}");
+            let err = facts_constant(written).unwrap_err();
+            assert_eq!(err.at, 4, "{err}");
+            assert!(err.message.contains("unknown escape"), "{err}");
+        }
+        // An IRI takes the unicode escapes alone.
+        assert_eq!(
+            parse_nt_line(r"<a\u0041> <b> <c> .").unwrap().unwrap().0,
+            "aA"
+        );
+        for iri in [r"<a\t>", r"<a\'>", r"<a\\>"] {
+            let err = parse_nt_line(&format!("{iri} <b> <c> .")).unwrap_err();
+            assert!(err.message.contains("IRI escape"), "{iri}: {err}");
+        }
+    }
+
+    #[test]
+    fn nt_terms_borrow_what_they_do_not_decode() {
+        let (s, p, o) = parse_nt_line("<s> pred \"lit\"@en .").unwrap().unwrap();
+        for term in [&s, &p, &o] {
+            assert!(matches!(term, Cow::Borrowed(_)), "{term}");
+        }
+        assert_eq!((s, p, o), ("s".into(), "pred".into(), "lit".into()));
+    }
+
+    #[test]
+    fn nt_suffixes_and_bare_tokens_are_read_past_whole() {
+        let line = "caf\u{e0} <p> \"2\"^^<http://example.org/#int> .";
+        let (s, _, o) = parse_nt_line(line).unwrap().unwrap();
+        assert_eq!((s.as_ref(), o.as_ref()), ("caf\u{e0}", "2"));
+        // An unterminated datatype IRI runs to the end of the line.
+        let (_, _, o) = parse_nt_line("<a> <b> \"x\"^^<http").unwrap().unwrap();
+        assert_eq!(o, "x");
+        let err = parse_nt_line("  <a> <b").unwrap_err();
+        assert_eq!(err.at, 7, "{err}");
     }
 }

@@ -3,7 +3,7 @@
 
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use wdpt_obs::{counter, gauge};
+use wdpt_obs::counter;
 use wdpt_store::{ReplLog, StoreError};
 
 /// One delta pushed to subscribers. `bytes` is shared: a broadcast to N
@@ -103,9 +103,7 @@ impl Primary {
             }
         };
         let (tx, rx) = mpsc::channel();
-        let mut subs = self.subs.lock().expect("repl subs lock");
-        subs.push(tx);
-        gauge!("repl.primary.subscribers").set(subs.len() as i64);
+        self.subs.lock().expect("repl subs lock").push(tx);
         Ok((start, rx))
     }
 
@@ -123,7 +121,6 @@ impl Primary {
         let head = entry.hash;
         let mut subs = self.subs.lock().expect("repl subs lock");
         subs.retain(|tx| tx.send(Arc::clone(&broadcast)).is_ok());
-        gauge!("repl.primary.subscribers").set(subs.len() as i64);
         counter!("repl.primary.broadcasts").add(1);
         Ok(head)
     }

@@ -98,7 +98,7 @@ const DUPLICATE_SELECT: &str = "SELECT ?x ?x WHERE { (?x, rec_by, ?y) }";
 const HEAVY_QUERY: &str =
     "((((?a, rec_by, ?b) AND (?c, rec_by, ?d)) AND (?e, publ, ?f)) AND (?g, nme_rating, ?h))";
 /// Self-join over the synthetic catalog's heavy-hitter predicate `p0`
-/// (`wdpt-store gen-synth --skew`). A uniform `rows/distinct` estimate
+/// (`wdpt gen-synth --skew`). A uniform `rows/distinct` estimate
 /// undercounts the `p0` posting list by the skew factor; the statistics
 /// catalog lists `p0` among the column's most common values, so the plan
 /// is costed with its exact length and the observed `nodes_expanded`

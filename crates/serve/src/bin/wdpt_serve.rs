@@ -2,17 +2,19 @@
 //!
 //! ```text
 //! wdpt-serve --db music.nt --threads 8
-//! wdpt-serve --gen-music 200x4 --addr 127.0.0.1:7878
+//! wdpt-serve --snapshot music.snap --addr 127.0.0.1:7878
+//! wdpt-serve --follow 127.0.0.1:7878 --addr 127.0.0.1:7879
 //! ```
 //!
-//! Datasets come from `--snapshot [name=]PATH` and `--db [name=]PATH`
-//! (repeatable; the first snapshot, else the first text, is the default)
-//! or, when neither is given, from `--gen-music` (the paper's music
-//! catalog as triples). Texts and the generated catalog are loaded into
+//! A server serves only the data it is given: datasets come from
+//! `--snapshot [name=]PATH` and `--db [name=]PATH` (repeatable; the first
+//! snapshot, else the first text, is the default). Texts are loaded into
 //! the dictionary the server starts with; every snapshot then enters
 //! through the one install a `reload` request takes, so the server keeps
-//! its base from the start. The protocol is newline-delimited JSON; see
-//! `DESIGN.md` § "The query service".
+//! its base from the start. A `--follow` replica given neither starts from
+//! an empty `music` database, which its primary's first frame fills; a
+//! server given none of the three refuses to start. The protocol is
+//! newline-delimited JSON; see `DESIGN.md` § "The query service".
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -20,7 +22,6 @@ use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
-use wdpt_gen::music::MusicParams;
 use wdpt_model::{Database, Interner};
 use wdpt_serve::{serve, ServeConfig, ServeState};
 use wdpt_sparql::parser::MAX_TRIPLE_PATTERNS;
@@ -41,17 +42,11 @@ OPTIONS:
                               first one is the default database. A --db of
                               the same name stays served when the snapshot
                               fails to load
-    --gen-music BANDSxRECORDS generate the music catalog instead of loading
-                              a file (used when no --db or --snapshot is
-                              given) [default: 100x4]
     --threads N               concurrent evaluations [default: 4]
     --eval-threads N          threads inside one evaluation [default: 2]
     --queue N                 requests that may wait for one, beyond which
                               a request is answered overloaded
                               [default: 64]
-    --default-deadline-ms MS  deadline when the request names none
-                              [default: 10000]
-    --max-deadline-ms MS      clamp on requested deadlines [default: 60000]
     --max-rows N              default cap on streamed rows [default: 1000]
     --max-query-atoms N       reject queries with more triple patterns;
                               at most 1024, as many as the parser reads
@@ -72,7 +67,9 @@ OPTIONS:
                               DIR and stream it to subscribed followers
     --follow HOST:PORT        act as read replica: subscribe to the primary
                               at HOST:PORT and apply its delta stream to the
-                              default database (conflicts with --repl-log)
+                              default database (conflicts with --repl-log);
+                              with no --db or --snapshot it is an empty
+                              database named music until the first frame
     --help                    print this help
 ";
 
@@ -80,7 +77,6 @@ struct Args {
     addr: String,
     dbs: Vec<(String, String)>,
     snapshots: Vec<(String, String)>,
-    gen_music: Option<(usize, usize)>,
     repl_log: Option<String>,
     follow: Option<String>,
     cfg: ServeConfig,
@@ -106,7 +102,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         addr: "127.0.0.1:7878".to_string(),
         dbs: Vec::new(),
         snapshots: Vec::new(),
-        gen_music: None,
         repl_log: None,
         follow: None,
         cfg: ServeConfig::default(),
@@ -119,30 +114,9 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--addr" => args.addr = value("--addr")?,
             "--db" => args.dbs.push(name_and_path(value("--db")?)),
             "--snapshot" => args.snapshots.push(name_and_path(value("--snapshot")?)),
-            "--gen-music" => {
-                let spec = value("--gen-music")?;
-                let (bands, records) = match spec.split_once('x') {
-                    Some((b, r)) => (
-                        b.parse().map_err(|_| format!("bad --gen-music {spec:?}"))?,
-                        r.parse().map_err(|_| format!("bad --gen-music {spec:?}"))?,
-                    ),
-                    None => (
-                        spec.parse()
-                            .map_err(|_| format!("bad --gen-music {spec:?}"))?,
-                        4,
-                    ),
-                };
-                args.gen_music = Some((bands, records));
-            }
             "--threads" => args.cfg.workers = num(&flag, &value("--threads")?)?,
             "--eval-threads" => args.cfg.eval_threads = num(&flag, &value("--eval-threads")?)?,
             "--queue" => args.cfg.queue_capacity = num(&flag, &value("--queue")?)?,
-            "--default-deadline-ms" => {
-                args.cfg.default_deadline_ms = num(&flag, &value("--default-deadline-ms")?)? as u64
-            }
-            "--max-deadline-ms" => {
-                args.cfg.max_deadline_ms = num(&flag, &value("--max-deadline-ms")?)? as u64
-            }
             "--max-rows" => args.cfg.max_rows = num(&flag, &value("--max-rows")?)?,
             "--max-query-atoms" => {
                 args.cfg.max_query_atoms = num(&flag, &value("--max-query-atoms")?)?;
@@ -212,9 +186,13 @@ fn main() -> ExitCode {
         eprintln!("error: --repl-log requires the default database to come from --snapshot");
         return ExitCode::from(2);
     }
+    if args.snapshots.is_empty() && args.dbs.is_empty() && args.follow.is_none() {
+        eprintln!("error: no data to serve: give --snapshot, --db or --follow");
+        eprint!("{USAGE}");
+        return ExitCode::from(2);
+    }
 
-    // Texts and the generated catalog load into the dictionary the state
-    // starts with.
+    // Texts load into the dictionary the state starts with.
     let mut interner = Interner::new();
     let mut dbs: BTreeMap<String, Database> = BTreeMap::new();
     for (name, path) in &args.dbs {
@@ -234,21 +212,12 @@ fn main() -> ExitCode {
             }
         }
     }
+    // A follower given no data serves an empty database, with no chain,
+    // under the name it replicates into until its first frame installs.
     let default_db = match args.snapshots.first().or(args.dbs.first()) {
         Some((name, _)) => name.clone(),
         None => {
-            let (bands, records_per_band) = args.gen_music.unwrap_or((100, 4));
-            let params = MusicParams {
-                bands,
-                records_per_band,
-                ..MusicParams::default()
-            };
-            let ts = wdpt_gen::music_triples(&mut interner, params);
-            eprintln!(
-                "generated \"music\": {} triples ({bands} bands x {records_per_band} records)",
-                ts.len()
-            );
-            dbs.insert("music".to_string(), ts.into_database());
+            dbs.insert("music".to_string(), Database::new());
             "music".to_string()
         }
     };

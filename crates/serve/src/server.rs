@@ -70,7 +70,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockRead
 use std::time::{Duration, Instant, SystemTime};
 use wdpt_core::Wdpt;
 use wdpt_model::{CancelToken, Cancelled, Database, Interner, Var};
-use wdpt_obs::trace::{GaugeGuard, Stage};
+use wdpt_obs::trace::Stage;
 use wdpt_obs::{
     counter, gauge_scope, histogram, metrics_snapshot, render_prometheus, snapshot_to_json, Json,
     RequestTrace,
@@ -94,19 +94,10 @@ pub struct ServeConfig {
     /// Requests that may wait for a permit when all are taken; the
     /// backpressure threshold.
     pub queue_capacity: usize,
-    /// Deadline applied when a request names none, in milliseconds.
-    pub default_deadline_ms: u64,
-    /// Upper clamp on requested deadlines, in milliseconds.
-    pub max_deadline_ms: u64,
     /// Plan-cache capacity (entries).
     pub cache_capacity: usize,
     /// Default cap on streamed rows per query.
     pub max_rows: usize,
-    /// *Base* client backoff on `overloaded`, in milliseconds. The hint a
-    /// client actually receives scales with the requests waiting and
-    /// carries a deterministic per-request jitter so a flood of rejected
-    /// clients does not retry in lockstep — see [`retry_after_hint`].
-    pub retry_after_ms: u64,
     /// Admission cap on a query's triple-pattern count: planning and
     /// evaluation are worst-case exponential in query size, so unbounded
     /// client queries are rejected up front with `query_too_large`. The
@@ -134,17 +125,26 @@ pub struct ServeConfig {
     pub telemetry: bool,
 }
 
+/// Deadline applied when a request names none, in milliseconds.
+const DEFAULT_DEADLINE_MS: u64 = 10_000;
+
+/// Upper clamp on a requested deadline, in milliseconds.
+const MAX_DEADLINE_MS: u64 = 60_000;
+
+/// *Base* client backoff on `overloaded`, in milliseconds. The hint a
+/// client actually receives scales with the requests waiting and carries a
+/// deterministic per-request jitter so a flood of rejected clients does not
+/// retry in lockstep — see [`retry_after_hint`].
+const RETRY_AFTER_MS: u64 = 50;
+
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             workers: 4,
             eval_threads: 2,
             queue_capacity: 64,
-            default_deadline_ms: 10_000,
-            max_deadline_ms: 60_000,
             cache_capacity: 256,
             max_rows: 1_000,
-            retry_after_ms: 50,
             max_query_atoms: 64,
             max_query_vars: 26,
             slowlog_threshold_ms: 1_000,
@@ -215,7 +215,6 @@ enum Refused {
 /// A held evaluation permit; dropping it — on unwind too — returns it.
 struct Permit<'a> {
     permits: &'a Permits,
-    _busy: GaugeGuard,
 }
 
 impl Permits {
@@ -242,7 +241,6 @@ impl Permits {
                 return Err(Refused::Full { waiting: counts.1 });
             }
             counts.1 += 1;
-            let _waiting = gauge_scope!("serve.queue.depth");
             let deadline = token.deadline();
             while counts.0 >= self.permits {
                 let left = deadline.map_or(Duration::MAX, |d| {
@@ -259,10 +257,7 @@ impl Permits {
             }
         }
         counts.0 += 1;
-        Ok(Permit {
-            permits: self,
-            _busy: gauge_scope!("serve.workers.busy"),
-        })
+        Ok(Permit { permits: self })
     }
 }
 
@@ -552,7 +547,6 @@ impl ServeState {
     }
 
     fn slowlog_push(&self, entry: Json) {
-        counter!("serve.slowlog.captured").add(1);
         self.slowlog.lock().expect("slowlog lock").push(entry);
     }
 
@@ -1256,7 +1250,6 @@ fn decode_line(line: &[u8]) -> Result<Option<(Option<String>, Request)>, Vec<u8>
     if line.is_empty() {
         return Ok(None);
     }
-    counter!("serve.requests.received").add(1);
     let value = Json::parse(line).map_err(|e| bad_request(None, &format!("invalid JSON: {e}")))?;
     let id = value.get("id").and_then(Json::as_str).map(str::to_string);
     match Request::from_json(&value) {
@@ -1299,6 +1292,8 @@ fn run_subscription(
             return writer.flush();
         }
     };
+    // A follower counts as subscribed while its stream is served.
+    let _subscribed = gauge_scope!("repl.primary.subscribers");
     let head = primary.head();
     match start {
         SubscribeStart::Suffix(replay) => {
@@ -1440,7 +1435,6 @@ fn handle_request(
             deltas,
         } => {
             if state.is_shutting_down() {
-                counter!("serve.requests.rejected").add(1);
                 return (encoded(&shutting_down_line(id)), None);
             }
             let db_name = db.as_deref().unwrap_or(&state.default_db);
@@ -1479,10 +1473,7 @@ fn handle_request(
                             let wall_us = start.elapsed().as_micros() as u64;
                             reload_line(id, db_name, &installed, wall_us)
                         }
-                        Err(_racing_shutdown) => {
-                            counter!("serve.requests.rejected").add(1);
-                            shutting_down_line(id)
-                        }
+                        Err(_racing_shutdown) => shutting_down_line(id),
                     }
                 }
                 Err(e) => {
@@ -1568,7 +1559,6 @@ fn handle_query(req: QueryParams<'_>, state: &ServeState, trace: &mut RequestTra
     } = req;
     let _in_flight = gauge_scope!("serve.requests.in_flight");
     if state.is_shutting_down() {
-        counter!("serve.requests.rejected").add(1);
         return encoded(&shutting_down_line(id));
     }
 
@@ -1577,8 +1567,8 @@ fn handle_query(req: QueryParams<'_>, state: &ServeState, trace: &mut RequestTra
     // are worst-case exponential in the query, so an adversarial query
     // must not outlive its budget while planning.
     let deadline_ms = deadline_ms
-        .unwrap_or(state.cfg.default_deadline_ms)
-        .min(state.cfg.max_deadline_ms);
+        .unwrap_or(DEFAULT_DEADLINE_MS)
+        .min(MAX_DEADLINE_MS);
 
     let db_name = db.unwrap_or(&state.default_db);
     // Resolve the database *version* now: the request evaluates against
@@ -1618,8 +1608,6 @@ fn handle_query(req: QueryParams<'_>, state: &ServeState, trace: &mut RequestTra
         Err(r) => {
             if r.malformed {
                 counter!("serve.requests.error").add(1);
-            } else {
-                counter!("serve.requests.rejected").add(1);
             }
             return encoded(&error_line(id, r.kind, &r.message, r.at));
         }
@@ -1745,7 +1733,6 @@ fn handle_query(req: QueryParams<'_>, state: &ServeState, trace: &mut RequestTra
     let response = match admitted {
         Ok(response) => response,
         Err(Refused::Full { waiting }) => {
-            counter!("serve.requests.rejected").add(1);
             let retry_after_ms = retry_after_hint(&state.cfg, waiting, id);
             return encoded(&overloaded_line(id, retry_after_ms));
         }
@@ -1799,7 +1786,7 @@ fn admitted(
     )
 }
 
-/// The backoff hint sent with `overloaded`: the configured base, scaled up
+/// The backoff hint sent with `overloaded`: [`RETRY_AFTER_MS`], scaled up
 /// linearly with how many requests wait for a permit, plus a deterministic
 /// per-request jitter (a hash of the request id, modulo the base).
 ///
@@ -1809,7 +1796,7 @@ fn admitted(
 /// the line lengthens. Hashing the id keeps the hint reproducible for a
 /// given request, so tests and clients see stable values.
 fn retry_after_hint(cfg: &ServeConfig, waiting: usize, id: Option<&str>) -> u64 {
-    let base = cfg.retry_after_ms.max(1);
+    let base = RETRY_AFTER_MS;
     let capacity = cfg.queue_capacity.max(1) as u64;
     let scaled = base + base * (waiting as u64).min(capacity) / capacity;
     let jitter = wdpt_store::content_hash(id.unwrap_or("").as_bytes()) % base;
@@ -2054,7 +2041,7 @@ mod tests {
         let cfg = ServeConfig::default();
         let empty = retry_after_hint(&cfg, 0, Some("x"));
         let full = retry_after_hint(&cfg, cfg.queue_capacity, Some("x"));
-        assert_eq!(full - empty, cfg.retry_after_ms);
+        assert_eq!(full - empty, RETRY_AFTER_MS);
         // More waiters than capacity clamps rather than growing without
         // bound.
         assert_eq!(
@@ -2066,7 +2053,7 @@ mod tests {
     #[test]
     fn retry_hint_is_deterministic_per_request_but_spreads_across_requests() {
         let cfg = ServeConfig::default();
-        let base = cfg.retry_after_ms;
+        let base = RETRY_AFTER_MS;
         let hints: Vec<u64> = (0..64)
             .map(|k| retry_after_hint(&cfg, 32, Some(&format!("req-{k}"))))
             .collect();

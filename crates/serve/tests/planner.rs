@@ -126,7 +126,7 @@ fn skew_flipping_reload_replans_the_cached_entry() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `wdpt-store gen-synth N --skew K` as a database.
+/// `wdpt gen-synth N --skew K` as a database.
 fn synth(i: &mut Interner, triples: u64, skew: u64) -> Database {
     let mut nt = Vec::new();
     let params = wdpt_gen::SynthParams {

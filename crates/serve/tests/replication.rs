@@ -2,19 +2,29 @@
 //! over real sockets, plus the deterministic reload-vs-shutdown drain
 //! race that the two-stage reload (`load_stage` / `install_stage`) makes
 //! testable.
+//!
+//! The tests run one at a time ([`serial`]): the `repl.*` metrics are
+//! process-wide, and one test reads their exact changes.
 
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use wdpt_model::{Database, Interner};
-use wdpt_obs::{read_json_line, write_json_line, Json};
+use wdpt_obs::{delta_scope, read_json_line, write_json_line, Json};
 use wdpt_serve::{serve, FollowerApply, ServeConfig, ServeState};
 
 const Q: &str = "SELECT ?x ?y WHERE { (?x, rec_by, ?y) }";
+
+/// Holds the other tests of this file off: each starts primaries or
+/// followers, and their `repl.*` metrics are process-wide.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 struct Server {
     addr: SocketAddr,
@@ -206,6 +216,7 @@ fn music_head(state: &ServeState) -> Option<u64> {
 /// published delta as a broadcast frame.
 #[test]
 fn raw_subscription_receives_handshake_and_broadcast() {
+    let _serial = serial();
     let (dir, base_path, deltas) = build_chain("probe");
     let log_dir = dir.join("repl");
     let primary = start(primary_state(&base_path, &log_dir));
@@ -252,12 +263,48 @@ fn raw_subscription_receives_handshake_and_broadcast() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A follower bootstraps, serves read-your-writes, and catches up on the
+/// suffix it missed while stopped. The run is one metric window, the
+/// reader of the `repl.*` metrics (DESIGN.md §6): besides the bootstrap
+/// and the catch-up it holds a duplicate frame and a delta the primary's
+/// log refuses, and it pins each counter's exact change and each gauge's
+/// final level.
 #[test]
 fn follower_bootstraps_streams_and_serves_read_your_writes() {
+    let _serial = serial();
     let (dir, base_path, deltas) = build_chain("stream");
-    let log_dir = dir.join("repl");
+    let file_bytes = [&base_path, &deltas[0], &deltas[1]]
+        .map(|p| std::fs::metadata(p).unwrap().len())
+        .iter()
+        .sum::<u64>();
+    let ((), m) =
+        delta_scope(|| follow_bootstrap_catch_up_and_duplicate(&dir, &base_path, &deltas));
+    let counters = [
+        ("repl.primary.subscribe_bootstrap", 1),
+        ("repl.primary.subscribe_suffix", 1),
+        ("repl.primary.broadcasts", 2),
+        ("repl.primary.publish_rejected", 1),
+        ("repl.follower.bootstraps", 1),
+        ("repl.follower.snapshots_applied", 1),
+        ("repl.follower.deltas_applied", 2),
+        ("repl.follower.bytes_applied", file_bytes),
+        ("repl.follower.duplicates_dropped", 1),
+        ("repl.follower.reconnects", 1),
+    ];
+    for (name, change) in counters {
+        assert_eq!(m.counter(name), change, "{name}");
+    }
+    let applies = m.histogram("repl.follower.apply_us").map(|h| h.count);
+    assert_eq!(applies, Some(3), "one apply time per frame installed");
+    for gauge in ["repl.primary.subscribers", "repl.follower.backlog_deltas"] {
+        assert_eq!(m.gauge(gauge), 0, "{gauge}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
 
-    let primary = start(primary_state(&base_path, &log_dir));
+fn follow_bootstrap_catch_up_and_duplicate(dir: &Path, base_path: &Path, deltas: &[PathBuf]) {
+    let log_dir = dir.join("repl");
+    let primary = start(primary_state(base_path, &log_dir));
     let follower = start(follower_state());
     let stop = Arc::new(AtomicBool::new(false));
     let follower_thread = spawn_follower(&follower.state, primary.addr, &stop);
@@ -371,9 +418,59 @@ fn follower_bootstraps_streams_and_serves_read_your_writes() {
 
     stop.store(true, Ordering::SeqCst);
     follower_thread.join().unwrap();
+
+    // A duplicate frame: a primary that replays d2, which the follower
+    // holds, and hangs up. The follower drops the frame and reconnects;
+    // the listener outlives the follower, so a second attempt waits for
+    // frames until `stop` instead of failing.
+    let fake = TcpListener::bind("127.0.0.1:0").unwrap();
+    let reconnects = wdpt_obs::counter!("repl.follower.reconnects");
+    let reconnected = reconnects.get() + 1;
+    stop.store(false, Ordering::SeqCst);
+    let follower_thread = spawn_follower(&follower.state, fake.local_addr().unwrap(), &stop);
+    let (conn, _) = fake.accept().unwrap();
+    let subscribe = read_json_line(&mut BufReader::new(conn.try_clone().unwrap()))
+        .unwrap()
+        .unwrap();
+    let base = subscribe.get("base").and_then(Json::as_str);
+    assert_eq!(base, Some(wdpt_store::head_hex(head2).as_str()));
+    let mut replay = BufWriter::new(conn);
+    let d2 = std::fs::read(&deltas[1]).unwrap();
+    for frame in [
+        wdpt_repl::frames::subscribed_line(None, head2, "suffix", 1),
+        wdpt_repl::frames::delta_frame(head2, head1, &d2),
+    ] {
+        write_json_line(&mut replay, &frame).unwrap();
+    }
+    drop(replay.into_inner().unwrap());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while reconnects.get() < reconnected {
+        assert!(Instant::now() < deadline, "the follower never reconnected");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    stop.store(true, Ordering::SeqCst);
+    follower_thread.join().unwrap();
+    drop(fake);
+    assert_eq!(follower.state.chain("music").len(), 3);
+
+    // A delta the primary's log refuses: a reload of the replicated
+    // database from another base installs, and its delta, which does not
+    // extend the log, is not published.
+    let other_base = dir.join("other.snap");
+    let other_delta = dir.join("other.delta");
+    let (mut i, mut ts) = (Interner::new(), wdpt_sparql::TripleStore::new());
+    ts.insert_str(&mut i, "one_more_time", "rec_by", "daft_punk");
+    wdpt_store::save_snapshot(&other_base, &i, ts.database()).unwrap();
+    let (old_i, old_db) = (i.clone(), ts.database().clone());
+    ts.insert_str(&mut i, "around_the_world", "rec_by", "daft_punk");
+    let base_hash = wdpt_store::content_hash(&std::fs::read(&other_base).unwrap());
+    let bytes = wdpt_store::delta_to_vec(base_hash, &old_i, &old_db, &i, ts.database()).unwrap();
+    wdpt_store::save_delta(&other_delta, &bytes).unwrap();
+    let (rl3, _) = pc.round_trip(&reload_request("music", &other_base, &[other_delta]));
+    assert_eq!(status_of(&rl3), "ok", "got {rl3}");
+
     follower.shutdown_and_join();
     primary.shutdown_and_join();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The primary's replication log survives a restart: reopening the same
@@ -385,6 +482,7 @@ fn follower_bootstraps_streams_and_serves_read_your_writes() {
 /// `bad_request` on a connection that goes on answering.
 #[test]
 fn an_escaped_subscribe_op_still_inverts_the_connection() {
+    let _serial = serial();
     let (dir, base_path, _) = build_chain("escaped");
     let primary = start(primary_state(&base_path, &dir.join("repl")));
 
@@ -420,6 +518,7 @@ fn an_escaped_subscribe_op_still_inverts_the_connection() {
 /// A reload that fails inside the chain says which file failed.
 #[test]
 fn a_failed_reload_names_the_delta_that_failed() {
+    let _serial = serial();
     let (dir, base_path, deltas) = build_chain("named");
     let mut bytes = std::fs::read(&deltas[1]).unwrap();
     let last = bytes.len() - 1;
@@ -476,6 +575,7 @@ fn a_failed_reload_names_the_delta_that_failed() {
 /// it has (DESIGN.md §11, failure matrix).
 #[test]
 fn frames_of_another_format_version_are_refused_at_apply() {
+    let _serial = serial();
     use wdpt_repl::ReplApply;
     let (dir, base_path, deltas) = build_chain("versions");
     let base = std::fs::read(&base_path).unwrap();
@@ -515,6 +615,7 @@ fn frames_of_another_format_version_are_refused_at_apply() {
 
 #[test]
 fn primary_log_replays_after_restart() {
+    let _serial = serial();
     let (dir, base_path, deltas) = build_chain("replay");
     let log_dir = dir.join("repl");
 
@@ -562,6 +663,7 @@ fn primary_log_replays_after_restart() {
 /// would replace it.
 #[test]
 fn reload_racing_shutdown_fails_typed_with_interner_intact() {
+    let _serial = serial();
     let (dir, base_path, deltas) = build_chain("race");
     let other_path = dir.join("other.snap");
     {
@@ -678,6 +780,7 @@ fn kind_of(line: &Json) -> &str {
 /// quoting the other's tip is not admitted over data that lacks it.
 #[test]
 fn each_database_answers_with_its_own_head() {
+    let _serial = serial();
     let (dir, base_path, deltas) = build_chain("own-head");
     let (base_head, d1_head) = (
         wdpt_store::content_hash(&std::fs::read(&base_path).unwrap()),
@@ -716,6 +819,7 @@ fn each_database_answers_with_its_own_head() {
 /// the base, `min_head: d1` waits and is answered `stale_replica`.
 #[test]
 fn a_rolled_back_head_is_not_admitted() {
+    let _serial = serial();
     use wdpt_repl::ReplApply;
     let (dir, base_path, deltas) = build_chain("rollback");
     let read = |p: &Path| std::fs::read(p).unwrap();
@@ -761,6 +865,7 @@ fn a_rolled_back_head_is_not_admitted() {
 /// reload of another name leaves the log as it was.
 #[test]
 fn a_primary_publishes_only_its_replicated_database() {
+    let _serial = serial();
     let (dir, base_path, deltas) = build_chain("publish");
     let log_dir = dir.join("repl");
     let primary = start(primary_state(&base_path, &log_dir));
@@ -784,6 +889,7 @@ fn a_primary_publishes_only_its_replicated_database() {
 /// for it, and is answered at that install with the delta's row.
 #[test]
 fn a_min_head_query_wakes_at_the_install_that_brings_it() {
+    let _serial = serial();
     let (dir, base_path, deltas) = build_chain("wake");
     let d1_head = wdpt_store::content_hash(&std::fs::read(&deltas[0]).unwrap());
     let server = start(follower_state());

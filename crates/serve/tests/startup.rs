@@ -4,7 +4,9 @@
 //!
 //! A `--snapshot` start is a reload: the server keeps the base from its
 //! first response on, so it reports the snapshot's content hash as its
-//! head, and a reload of that base with a delta decodes no base. Every
+//! head, and a reload of that base with a delta decodes no base. A server
+//! serves only the data it is given: a follower given none serves an empty
+//! database until its first frame, and a start with no data fails. Every
 //! spawned server is stopped with the `shutdown` op, and killed by its
 //! guard if a test fails first, so no process outlives the test.
 
@@ -238,19 +240,67 @@ fn the_removed_start_up_knobs_are_usage_errors() {
     for knob in [
         ["--save-snapshot", path_str(&saved)],
         ["--load-threads", "0"],
+        ["--gen-music", "4x2"],
+        ["--default-deadline-ms", "1"],
+        ["--max-deadline-ms", "1"],
     ] {
         let args = [&["--snapshot", path_str(&base_path)][..], &knob[..]].concat();
         let mut process = Process(Some(spawn(&args)));
         assert_eq!(exit_code(&mut process), Some(2), "{knob:?}");
     }
     assert!(!saved.exists());
+    // With no --snapshot, --db or --follow there is nothing to serve.
+    let mut process = Process(Some(spawn(&[])));
+    assert_eq!(exit_code(&mut process), Some(2), "a start with no data");
+}
+
+/// A follower started with no data serves an empty database, with no
+/// chain, until its primary's first frame arrives (this one's primary
+/// never answers): a query has no rows and no head, and a `min_head` query
+/// is `stale_replica` at its deadline.
+#[test]
+fn a_follower_with_no_data_serves_nothing_before_its_first_frame() {
+    let mut server = Server::start(&["--follow", "127.0.0.1:1"]);
+    let query = |min_head: Option<&str>| {
+        let mut pairs = vec![
+            ("op", Json::str("query")),
+            (
+                "query",
+                Json::str("SELECT ?x ?y WHERE { (?x, rec_by, ?y) }"),
+            ),
+            ("deadline_ms", Json::int(300)),
+        ];
+        pairs.extend(min_head.map(|h| ("min_head", Json::str(h))));
+        Json::obj(pairs)
+    };
+    let (line, rows) = server.request(&query(None));
+    assert_eq!(field(&line, "status"), Some("ok"), "{line}");
+    assert_eq!(
+        line.get("answers").and_then(Json::as_num),
+        Some(0.0),
+        "{line}"
+    );
+    assert!(rows.is_empty() && line.get("head").is_none(), "{line}");
+
+    let sent = Instant::now();
+    let (line, rows) = server.request(&query(Some("deadbeefdeadbeef")));
+    let waited = sent.elapsed();
+    assert_eq!(field(&line, "kind"), Some("stale_replica"), "{line}");
+    assert!(rows.is_empty() && line.get("head").is_none(), "{line}");
+    assert!(
+        waited >= Duration::from_millis(300),
+        "answered after {waited:?}"
+    );
+    server.shut_down();
 }
 
 /// A reader that went away after the `listening on` line makes the
 /// server's last line undeliverable, and a clean shutdown still exits 0.
 #[test]
 fn a_closed_stdout_does_not_fail_a_clean_shutdown() {
-    let mut server = Server::start(&["--gen-music", "4x2"]);
+    let dir = Dir::new("stdout");
+    let text = dir.file("small.nt", b"<a> <p> <b> .\n<c> <p> <d> .\n");
+    let mut server = Server::start(&["--db", path_str(&text)]);
     server.stdout = None;
     server.shut_down();
 }

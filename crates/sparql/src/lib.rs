@@ -16,11 +16,9 @@
 //!   optionally wrapped in `SELECT ?y ?z WHERE { … }` for projection.
 
 pub mod algebra;
-pub mod nt;
 pub mod parser;
 pub mod triples;
 
 pub use algebra::{GraphPattern, SparqlQuery, TriplePattern, UnionQuery};
-pub use nt::parse_nt_line;
 pub use parser::{parse_query, parse_union_query};
 pub use triples::{TripleStore, TRIPLE_PRED};

@@ -1,9 +1,7 @@
 //! RDF triple stores: the single-ternary-relation databases of "RDF WDPTs".
 
+pub use wdpt_model::parse::TRIPLE_PRED;
 use wdpt_model::{Const, Database, Interner, Pred};
-
-/// The reserved predicate name of the ternary triple relation.
-pub const TRIPLE_PRED: &str = "triple";
 
 /// An RDF dataset: a thin wrapper over [`Database`] holding the single
 /// ternary relation `triple(subject, predicate, object)`. The paper notes

@@ -7,9 +7,10 @@
 //! wdpt-store inspect SNAPSHOT_OR_DELTA [--json]
 //! wdpt-store delta BASE INPUT DELTA_OUT [--delta PRIOR]... [--threads N]
 //! wdpt-store apply BASE SNAPSHOT_OUT [--delta DELTA]...
-//! wdpt-store gen-music BANDSxRECORDS OUTPUT.nt [--seed S]
-//! wdpt-store gen-synth TRIPLES OUTPUT.nt [--seed S] [--skew K]
 //! ```
+//!
+//! The datasets it builds from are text files; `wdpt gen-music` and `wdpt
+//! gen-synth` write synthetic ones.
 //!
 //! Exit codes: `0` success, `1` corrupt or unparsable input, `2` usage or
 //! I/O error — so CI can distinguish "snapshot is bad" from "I was called
@@ -44,13 +45,7 @@ const USAGE: &str = "usage:
       BASE (after any PRIOR deltas, in order)
   wdpt-store apply BASE SNAPSHOT_OUT [--delta DELTA]...
       apply a delta chain to BASE and write the merged full snapshot; with
-      no deltas this is a verified re-encode of BASE (a checked copy)
-  wdpt-store gen-music BANDSxRECORDS OUTPUT.nt [--seed S]
-      write a synthetic music-catalog dataset as N-Triples
-  wdpt-store gen-synth TRIPLES OUTPUT.nt [--seed S] [--skew K]
-      stream a synthetic uniform-universe N-Triples dataset of any size;
-      --skew K (0..=10) re-aims K tenths of the stream at heavy-hitter
-      symbols, the shape the join planner's statistics catalog detects";
+      no deltas this is a verified re-encode of BASE (a checked copy)";
 
 fn usage_err(msg: &str) -> ExitCode {
     eprintln!("wdpt-store: {msg}\n{USAGE}");
@@ -465,111 +460,6 @@ fn cmd_inspect(mut args: Vec<String>) -> ExitCode {
     }
 }
 
-/// Writes a term as an N-Triples IRI, escaping the characters that would
-/// break the angle-bracket syntax via `\uXXXX`.
-fn write_iri(out: &mut String, term: &str) {
-    out.push('<');
-    for c in term.chars() {
-        if c == '>' || c == '<' || c == '\\' || c.is_whitespace() || c.is_control() {
-            let code = c as u32;
-            if code > 0xFFFF {
-                out.push_str(&format!("\\U{code:08X}"));
-            } else {
-                out.push_str(&format!("\\u{code:04X}"));
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out.push('>');
-}
-
-fn cmd_gen_music(mut args: Vec<String>) -> ExitCode {
-    let seed = match take_flag(&mut args, "--seed") {
-        Ok(v) => v.map(|s| s as u64),
-        Err(e) => return usage_err(&e),
-    };
-    let [spec, output] = args.as_slice() else {
-        return usage_err("gen-music takes BANDSxRECORDS and OUTPUT paths");
-    };
-    let Some((bands, records)) = spec
-        .split_once('x')
-        .and_then(|(b, r)| Some((b.parse::<usize>().ok()?, r.parse::<usize>().ok()?)))
-    else {
-        return usage_err("gen-music size must look like 500x20");
-    };
-    let mut params = wdpt_gen::music::MusicParams {
-        bands,
-        records_per_band: records,
-        ..Default::default()
-    };
-    if let Some(s) = seed {
-        params.seed = s;
-    }
-    let mut interner = Interner::new();
-    let ts = wdpt_gen::music_triples(&mut interner, params);
-    let triple = wdpt_sparql::TripleStore::pred(&mut interner);
-    let mut out = String::new();
-    if let Some(rel) = ts.database().relation(triple) {
-        for t in rel.tuples() {
-            for (i, c) in t.iter().enumerate() {
-                if i > 0 {
-                    out.push(' ');
-                }
-                write_iri(&mut out, interner.name(c.0));
-            }
-            out.push_str(" .\n");
-        }
-    }
-    if let Err(e) = std::fs::write(output, &out) {
-        return data_err(&StoreError::Io(e));
-    }
-    println!("wrote {output}: {} triples", ts.len());
-    ExitCode::SUCCESS
-}
-
-fn cmd_gen_synth(mut args: Vec<String>) -> ExitCode {
-    let seed = match take_flag(&mut args, "--seed") {
-        Ok(v) => v.map(|s| s as u64),
-        Err(e) => return usage_err(&e),
-    };
-    let skew = match take_flag(&mut args, "--skew") {
-        Ok(v) => v.map(|s| s as u64),
-        Err(e) => return usage_err(&e),
-    };
-    let [triples, output] = args.as_slice() else {
-        return usage_err("gen-synth takes TRIPLES and OUTPUT paths");
-    };
-    let Ok(triples) = triples.parse::<u64>() else {
-        return usage_err("gen-synth TRIPLES must be a number");
-    };
-    if skew.is_some_and(|k| k > 10) {
-        return usage_err("gen-synth --skew must be in 0..=10 (tenths of the stream)");
-    }
-    let mut params = wdpt_gen::SynthParams::sized_skewed(triples, skew.unwrap_or(0));
-    if let Some(s) = seed {
-        params.seed = s;
-    }
-    let t0 = Instant::now();
-    let f = match std::fs::File::create(output) {
-        Ok(f) => f,
-        Err(e) => return data_err(&StoreError::Io(e)),
-    };
-    let mut w = std::io::BufWriter::new(f);
-    let written = wdpt_gen::write_synth_nt(&mut w, params)
-        .and_then(|n| std::io::Write::flush(&mut w).map(|()| n));
-    match written {
-        Ok(n) => {
-            println!(
-                "wrote {output}: {n} triples in {:.1}ms",
-                t0.elapsed().as_secs_f64() * 1e3
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => data_err(&StoreError::Io(e)),
-    }
-}
-
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
@@ -582,8 +472,6 @@ fn main() -> ExitCode {
         "inspect" => cmd_inspect(args),
         "delta" => cmd_delta(args),
         "apply" => cmd_apply(args),
-        "gen-music" => cmd_gen_music(args),
-        "gen-synth" => cmd_gen_synth(args),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             ExitCode::SUCCESS

@@ -28,7 +28,7 @@
 //!   record), hash-keyed suffix extraction for subscribing followers, and
 //!   the chain-directory scanner behind `verify --chain`.
 //! * `wdpt-store` (binary) — `build` / `verify` / `inspect` / `delta` /
-//!   `apply` / `gen-music` / `gen-synth`.
+//!   `apply`.
 //!
 //! Snapshots are byte-deterministic for a given `(Interner, Database)`
 //! pair, and the canonical merge makes bulk-load interning a pure function

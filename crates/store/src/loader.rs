@@ -36,8 +36,8 @@
 //!
 //! This is the one way text becomes a [`Database`] (in memory, read it from
 //! an `io::Cursor`). Two formats, sniffed from the first data line:
-//! lenient N-Triples, parsed by [`wdpt_sparql::parse_nt_line`] (one triple
-//! per line — chunks cut anywhere), and the facts format, parsed by
+//! lenient N-Triples, parsed by [`wdpt_model::parse::parse_nt_line`] (one
+//! triple per line — chunks cut anywhere), and the facts format, parsed by
 //! [`wdpt_model::parse::parse_ground_atoms`] (atoms may span lines — chunks
 //! cut only where all parentheses outside quoted constants are balanced,
 //! tracked escape-aware so `\"` inside a quoted constant cannot fake a
@@ -67,8 +67,8 @@ use std::io::BufRead;
 use std::path::Path;
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use wdpt_model::parse::{parse_ground_atoms, parse_nt_line, TRIPLE_PRED};
 use wdpt_model::{row_id, Const, Database, Interner, Pred, Relation};
-use wdpt_sparql::{parse_nt_line, TRIPLE_PRED};
 
 /// Tuning knobs for [`bulk_load`].
 #[derive(Debug, Clone, Copy)]
@@ -224,11 +224,13 @@ impl Worker {
             Format::Nt => {
                 for (off, text) in chunk.text.lines().enumerate() {
                     let line = chunk.start_line + off;
-                    let Some(spo) = parse_nt_line(text).map_err(|e| parse_err(line, e))? else {
+                    let Some((s, p, o)) =
+                        parse_nt_line(text).map_err(|e| parse_err(line, e.message))?
+                    else {
                         continue;
                     };
                     self.head(&mut run, TRIPLE_PRED, 3, line)?;
-                    let spo = [&spo.0, &spo.1, &spo.2].map(|c| self.names.constant(c).0);
+                    let spo = [s, p, o].map(|c| self.names.constant(&c).0);
                     self.code.extend(spo);
                     facts += 1;
                 }
@@ -242,7 +244,7 @@ impl Worker {
                     seen.0 = off;
                     seen.1
                 };
-                let atoms = wdpt_model::parse::parse_ground_atoms(&chunk.text)
+                let atoms = parse_ground_atoms(&chunk.text)
                     .map_err(|e| parse_err(line_at(e.at), e.message))?;
                 for (p, args) in atoms {
                     // A predicate name is a slice of the chunk text.
@@ -931,6 +933,18 @@ Swim NME_rating "2"^^<http://www.w3.org/2001/XMLSchema#integer> .
         let (line, message) = parse_error(b"<a> <b> <c> .\n<a> \xFF <c> .\n");
         assert_eq!(line, 2);
         assert!(message.contains("utf-8"), "{message}");
+    }
+
+    #[test]
+    fn unknown_escapes_are_refused_on_their_line() {
+        for text in [
+            &b"<a> <b> \"ok\" .\n<a> <b> \"\\x\" .\n"[..],
+            b"p(\"ok\")\np(\"\\x\")\n",
+        ] {
+            let (line, message) = parse_error(text);
+            assert_eq!(line, 2, "{message}");
+            assert!(message.contains("unknown escape"), "{message}");
+        }
     }
 
     #[test]

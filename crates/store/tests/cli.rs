@@ -1,6 +1,6 @@
 //! End-to-end tests of the `wdpt-store` binary: the empty-delta-chain
-//! `apply` no-op and the `gen-synth` / `build` determinism path that CI's
-//! store_smoke job relies on.
+//! `apply` no-op and the `build` determinism path that CI's store_smoke job
+//! relies on. Inputs are written by the generator `wdpt gen-synth` runs.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -52,13 +52,24 @@ fn s(p: &Path) -> &str {
     p.to_str().expect("utf-8 path")
 }
 
+/// Writes the N-Triples `wdpt gen-synth TRIPLES PATH --seed SEED` writes.
+fn synth(path: &Path, triples: u64, seed: u64) {
+    let params = wdpt_gen::SynthParams {
+        seed,
+        ..wdpt_gen::SynthParams::sized(triples)
+    };
+    let mut out = Vec::new();
+    wdpt_gen::write_synth_nt(&mut out, params).unwrap();
+    std::fs::write(path, out).unwrap();
+}
+
 #[test]
 fn apply_with_no_deltas_is_a_verified_byte_identical_copy() {
     let dir = TempDir::new("apply-noop");
     let input = dir.path("in.nt");
     let base = dir.path("base.snap");
     let copy = dir.path("copy.snap");
-    run_ok(&["gen-music", "20x3", s(&input), "--seed", "11"]);
+    synth(&input, 60, 11);
     run_ok(&["build", s(&input), s(&base)]);
 
     // No --delta flags at all: must succeed (the seed CLI rejected this)
@@ -85,7 +96,7 @@ fn the_format_flag_is_gone_and_version_1_files_are_refused() {
     let dir = TempDir::new("one-format");
     let input = dir.path("in.nt");
     let snap = dir.path("out.snap");
-    run_ok(&["gen-music", "5x2", s(&input), "--seed", "3"]);
+    synth(&input, 10, 3);
 
     // `--format 1|2` is no longer an option of `build` or `apply`: typed as
     // a user would, it is a usage error and nothing is written.
@@ -119,20 +130,10 @@ fn the_format_flag_is_gone_and_version_1_files_are_refused() {
 }
 
 #[test]
-fn gen_synth_streams_deterministic_nt_and_builds_identical_snapshots() {
-    let dir = TempDir::new("gen-synth");
+fn builds_are_byte_identical_at_any_thread_count() {
+    let dir = TempDir::new("threads");
     let a = dir.path("a.nt");
-    let b = dir.path("b.nt");
-    run_ok(&["gen-synth", "5000", s(&a), "--seed", "3"]);
-    run_ok(&["gen-synth", "5000", s(&b), "--seed", "3"]);
-    let bytes_a = std::fs::read(&a).unwrap();
-    assert_eq!(bytes_a, std::fs::read(&b).unwrap(), "same seed, same bytes");
-    assert_eq!(bytes_a.iter().filter(|&&c| c == b'\n').count(), 5000);
-
-    // Different seed, different stream.
-    let c = dir.path("c.nt");
-    run_ok(&["gen-synth", "5000", s(&c), "--seed", "4"]);
-    assert_ne!(bytes_a, std::fs::read(&c).unwrap());
+    synth(&a, 5000, 3);
 
     // The CI determinism check in miniature: build the same input at
     // --threads 1 and --threads 8 and compare snapshots bytewise.
@@ -155,9 +156,9 @@ fn inspect_json_covers_snapshots_and_delta_files() {
     let update_in = dir.path("update.nt");
     let base = dir.path("base.snap");
     let delta = dir.path("d1.wdpt");
-    run_ok(&["gen-music", "10x2", s(&base_in), "--seed", "7"]);
+    synth(&base_in, 40, 7);
     run_ok(&["build", s(&base_in), s(&base)]);
-    run_ok(&["gen-music", "3x1", s(&update_in), "--seed", "8"]);
+    std::fs::write(&update_in, "<s_new> <p0> <o_new> .\n").unwrap();
     run_ok(&["delta", s(&base), s(&update_in), s(&delta)]);
 
     // Snapshot: one JSON document with the header and per-relation rows.

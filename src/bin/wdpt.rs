@@ -7,21 +7,28 @@
 //! wdpt classify  (--tree|--sparql)                                  class membership
 //! wdpt subsume   --left TREE --right TREE                           decide p1 ⊑ p2
 //! wdpt optimize  (--tree|--sparql)                                  Lemma 1 normal form
+//! wdpt gen-music BANDSxRECORDS OUTPUT.nt [--seed S]                 music catalog
+//! wdpt gen-synth TRIPLES OUTPUT.nt [--seed S] [--skew K]            synthetic triples
 //! ```
 //!
 //! Databases use the fact syntax of `wdpt_model::parse`
 //! (`rec_by(Swim, Caribou) publ(Swim, "after_2010") …`); trees use the
 //! `FREE`/`NODE` format of `wdpt_core::text`; `--sparql` accepts the
 //! paper's algebraic {AND, OPT} notation. Arguments starting with `@` are
-//! read from the named file, anything else is taken literally.
+//! read from the named file, anything else is taken literally. The two
+//! generator verbs write N-Triples datasets that `wdpt-store build` and
+//! `wdpt-serve --db` load.
 
 use std::process::ExitCode;
+use std::time::Instant;
 use wdpt::core::{
     classes, eval_bounded_interface, evaluate, evaluate_max, max_eval_decide, normalize,
     parse_wdpt, partial_eval_decide, subsumed, to_text, Engine, Wdpt, WidthKind,
 };
+use wdpt::gen::music::{music_triples, MusicParams};
+use wdpt::gen::{write_synth_nt, SynthParams};
 use wdpt::model::parse::{parse_database, parse_mapping};
-use wdpt::sparql::parse_query;
+use wdpt::sparql::{parse_query, TripleStore};
 use wdpt::{Database, Interner};
 
 fn main() -> ExitCode {
@@ -35,6 +42,8 @@ fn main() -> ExitCode {
 }
 
 struct Args {
+    /// The arguments that are no flag: a generator's size and output path.
+    operands: Vec<String>,
     flags: Vec<(String, String)>,
 }
 
@@ -58,26 +67,56 @@ impl Args {
             },
         }
     }
+
+    /// Refuses a flag outside `known`, so a mistyped one is no silent
+    /// default.
+    fn only(&self, known: &[&str]) -> Result<(), String> {
+        let unknown = self
+            .flags
+            .iter()
+            .find(|(k, _)| !known.contains(&k.as_str()));
+        match unknown {
+            Some((k, _)) => Err(format!("unknown flag --{k}")),
+            None => Ok(()),
+        }
+    }
+
+    /// A numeric flag's value.
+    fn number(&self, name: &str) -> Result<Option<u64>, String> {
+        self.get(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("--{name} needs a number, got {v:?}"))
+            })
+            .transpose()
+    }
 }
 
 fn parse_args(argv: &[String]) -> Result<(String, Args), String> {
     let mut it = argv.iter();
     let cmd = it.next().ok_or_else(usage)?.clone();
-    let mut flags = Vec::new();
-    while let Some(flag) = it.next() {
-        let name = flag
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected --flag, got '{flag}'"))?;
+    let (mut operands, mut flags) = (Vec::new(), Vec::new());
+    while let Some(arg) = it.next() {
+        let Some(name) = arg.strip_prefix("--") else {
+            if !cmd.starts_with("gen-") {
+                return Err(format!("expected --flag, got '{arg}'"));
+            }
+            operands.push(arg.clone());
+            continue;
+        };
         let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
         flags.push((name.to_owned(), value.clone()));
     }
-    Ok((cmd, Args { flags }))
+    Ok((cmd, Args { operands, flags }))
 }
 
 fn usage() -> String {
     "usage: wdpt <eval|check|classify|subsume|optimize> [--db ...] [--tree ...] \
      [--sparql ...] [--mapping ...] [--mode eval|partial|max] [--engine backtrack|tw:K|hw:K] \
-     [--left ...] [--right ...]  (values starting with @ are read from files)"
+     [--left ...] [--right ...]  (values starting with @ are read from files)
+       wdpt gen-music BANDSxRECORDS OUTPUT.nt [--seed S]
+       wdpt gen-synth TRIPLES OUTPUT.nt [--seed S] [--skew K]  (--skew K, 0..=10, re-aims \
+     K tenths of the stream at the heavy-hitter predicate p0)"
         .to_owned()
 }
 
@@ -126,6 +165,92 @@ fn mode<'a>(args: &'a Args, modes: &[&str]) -> Result<&'a str, String> {
             modes.join(", ")
         ))
     }
+}
+
+/// Writes a term as an N-Triples IRI, escaping the characters that would
+/// break the angle-bracket syntax via `\uXXXX`.
+fn write_iri(out: &mut String, term: &str) {
+    out.push('<');
+    for c in term.chars() {
+        if c == '>' || c == '<' || c == '\\' || c.is_whitespace() || c.is_control() {
+            let code = c as u32;
+            if code > 0xFFFF {
+                out.push_str(&format!("\\U{code:08X}"));
+            } else {
+                out.push_str(&format!("\\u{code:04X}"));
+            }
+        } else {
+            out.push(c);
+        }
+    }
+    out.push('>');
+}
+
+/// `gen-music BANDSxRECORDS OUTPUT.nt`: the music catalog as N-Triples.
+fn gen_music(args: &Args) -> Result<(), String> {
+    args.only(&["seed"])?;
+    let [spec, output] = args.operands.as_slice() else {
+        return Err("gen-music takes BANDSxRECORDS and OUTPUT paths".to_owned());
+    };
+    let (bands, records_per_band) = (spec.split_once('x'))
+        .and_then(|(b, r)| Some((b.parse().ok()?, r.parse().ok()?)))
+        .ok_or("gen-music size must look like 500x20")?;
+    let mut params = MusicParams {
+        bands,
+        records_per_band,
+        ..Default::default()
+    };
+    if let Some(seed) = args.number("seed")? {
+        params.seed = seed;
+    }
+    let mut i = Interner::new();
+    let ts = music_triples(&mut i, params);
+    let triple = TripleStore::pred(&mut i);
+    let mut out = String::new();
+    if let Some(rel) = ts.database().relation(triple) {
+        for t in rel.tuples() {
+            for (k, c) in t.iter().enumerate() {
+                if k > 0 {
+                    out.push(' ');
+                }
+                write_iri(&mut out, i.name(c.0));
+            }
+            out.push_str(" .\n");
+        }
+    }
+    std::fs::write(output, &out).map_err(|e| format!("cannot write {output}: {e}"))?;
+    println!("wrote {output}: {} triples", ts.len());
+    Ok(())
+}
+
+/// `gen-synth TRIPLES OUTPUT.nt`: a synthetic uniform-universe dataset of
+/// any size, streamed.
+fn gen_synth(args: &Args) -> Result<(), String> {
+    args.only(&["seed", "skew"])?;
+    let [triples, output] = args.operands.as_slice() else {
+        return Err("gen-synth takes TRIPLES and OUTPUT paths".to_owned());
+    };
+    let triples = triples
+        .parse()
+        .map_err(|_| "gen-synth TRIPLES must be a number")?;
+    let skew = args.number("skew")?.unwrap_or(0);
+    if skew > 10 {
+        return Err("gen-synth --skew must be in 0..=10 (tenths of the stream)".to_owned());
+    }
+    let mut params = SynthParams::sized_skewed(triples, skew);
+    if let Some(seed) = args.number("seed")? {
+        params.seed = seed;
+    }
+    let t0 = Instant::now();
+    let failed = |e: std::io::Error| format!("cannot write {output}: {e}");
+    let mut w = std::io::BufWriter::new(std::fs::File::create(output).map_err(failed)?);
+    let n = write_synth_nt(&mut w, params).map_err(failed)?;
+    std::io::Write::flush(&mut w).map_err(failed)?;
+    println!(
+        "wrote {output}: {n} triples in {:.1}ms",
+        t0.elapsed().as_secs_f64() * 1e3
+    );
+    Ok(())
 }
 
 fn run() -> Result<(), String> {
@@ -213,6 +338,8 @@ fn run() -> Result<(), String> {
             print!("{}", to_text(&n, &i));
             Ok(())
         }
+        "gen-music" => gen_music(&args),
+        "gen-synth" => gen_synth(&args),
         "--help" | "help" => {
             println!("{}", usage());
             Ok(())
