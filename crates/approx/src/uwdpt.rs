@@ -91,12 +91,10 @@ impl Uwdpt {
 /// check of the MAX-EVAL analysis.)
 fn is_exact_projection(p: &Wdpt, db: &Database, h: &Mapping, engine: Engine) -> bool {
     let dom = h.domain();
-    if !dom.is_subset(&p.free_set()) {
-        return false;
-    }
     let Some(t1) = p.minimal_subtree_covering(&dom) else {
         return false;
     };
+    // Exactness also keeps every variable of dom(h) free.
     p.subtree_free_vars(&t1) == dom && engine.hom_exists(&p.cq_of_subtree(&t1), db, h)
 }
 

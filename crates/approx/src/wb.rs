@@ -20,7 +20,7 @@
 //!   space is doubly exponential and is represented here by the explicit
 //!   [`crate::figure2`] family rather than by blind enumeration.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use wdpt_core::{in_wb, subsumed, subsumption_equivalent, Engine, Wdpt, WdptBuilder, WidthKind};
 use wdpt_cq::quotient::apply_var_subst;
 use wdpt_model::{Interner, Var};
@@ -46,7 +46,6 @@ pub const CANDIDATE_POOL_LIMIT: usize = 200_000;
 /// with one another; candidates keep `p`'s free variables restricted to the
 /// surviving nodes.
 pub fn candidate_pool(p: &Wdpt) -> Vec<Wdpt> {
-    let free: BTreeSet<Var> = p.free_set();
     let mut pool = Vec::new();
     let mut subtrees = Vec::new();
     p.for_each_rooted_subtree(&mut |s| subtrees.push(s.clone()));
@@ -54,7 +53,7 @@ pub fn candidate_pool(p: &Wdpt) -> Vec<Wdpt> {
         let vars: Vec<Var> = p.subtree_vars(&subtree).into_iter().collect();
         // Enumerate partitions (no two free variables together).
         let mut classes: Vec<Vec<Var>> = Vec::new();
-        partitions(p, &subtree, &free, &vars, 0, &mut classes, &mut pool);
+        partitions(p, &subtree, &vars, 0, &mut classes, &mut pool);
         assert!(
             pool.len() <= CANDIDATE_POOL_LIMIT,
             "candidate pool exceeded {CANDIDATE_POOL_LIMIT} entries"
@@ -66,39 +65,34 @@ pub fn candidate_pool(p: &Wdpt) -> Vec<Wdpt> {
 fn partitions(
     p: &Wdpt,
     subtree: &wdpt_core::Subtree,
-    free: &BTreeSet<Var>,
     vars: &[Var],
     idx: usize,
     classes: &mut Vec<Vec<Var>>,
     pool: &mut Vec<Wdpt>,
 ) {
     if idx == vars.len() {
-        if let Some(candidate) = build_candidate(p, subtree, free, classes) {
+        if let Some(candidate) = build_candidate(p, subtree, classes) {
             pool.push(candidate);
         }
         return;
     }
-    let v = vars[idx];
+    let (v, free) = (vars[idx], p.free_vars());
     let is_free = free.contains(&v);
     for c in 0..classes.len() {
         if is_free && classes[c].iter().any(|w| free.contains(w)) {
             continue;
         }
         classes[c].push(v);
-        partitions(p, subtree, free, vars, idx + 1, classes, pool);
+        partitions(p, subtree, vars, idx + 1, classes, pool);
         classes[c].pop();
     }
     classes.push(vec![v]);
-    partitions(p, subtree, free, vars, idx + 1, classes, pool);
+    partitions(p, subtree, vars, idx + 1, classes, pool);
     classes.pop();
 }
 
-fn build_candidate(
-    p: &Wdpt,
-    subtree: &wdpt_core::Subtree,
-    free: &BTreeSet<Var>,
-    classes: &[Vec<Var>],
-) -> Option<Wdpt> {
+fn build_candidate(p: &Wdpt, subtree: &wdpt_core::Subtree, classes: &[Vec<Var>]) -> Option<Wdpt> {
+    let free = p.free_vars();
     let mut subst: BTreeMap<Var, Var> = BTreeMap::new();
     for class in classes {
         let rep = class
@@ -130,19 +124,10 @@ fn build_candidate(
             }
         }
     }
-    let builder = builder?;
-    let kept_vars: BTreeSet<Var> = subtree
-        .iter()
-        .flat_map(|&t| apply_var_subst(p.atoms(t), &subst))
-        .flat_map(|a| a.var_set())
-        .collect();
-    let free_kept: Vec<Var> = p
-        .free_vars()
-        .iter()
-        .copied()
-        .filter(|v| kept_vars.contains(v))
-        .collect();
-    builder.build(free_kept).ok()
+    // Each class holds at most one free variable and is represented by it,
+    // so the free variables the candidate keeps are those of the subtree.
+    let free_kept = free.iter().copied().filter(|v| subst.contains_key(v));
+    builder?.build(free_kept.collect()).ok()
 }
 
 /// Bounded search for a `WB(k)`-equivalent tree: returns a witness from the

@@ -26,7 +26,6 @@
 
 use crate::engine::{self, Engine};
 use crate::tree::{NodeId, Wdpt};
-use std::cmp::Reverse;
 use std::collections::BTreeSet;
 use wdpt_cq::Oracle;
 use wdpt_model::{Const, Database, Mapping, ProbeTally, Relation, Var};
@@ -35,16 +34,13 @@ use wdpt_model::{Const, Database, Mapping, ProbeTally, Relation, Var};
 /// WDPT; polynomial when `p` is locally tractable w.r.t. `engine`'s class
 /// and has bounded interface. Records its oracles' work.
 pub fn eval_bounded_interface(p: &Wdpt, db: &Database, h: &Mapping, engine: Engine) -> bool {
-    let free = p.free_set();
     let dom = h.domain();
-    if !dom.is_subset(&free) {
-        return false;
-    }
     let Some(tprime) = p.minimal_subtree_covering(&dom) else {
         return false;
     };
     // Any homomorphism covering dom(h) also defines the free variables of
-    // T'; projection-exactness forces them to be exactly dom(h).
+    // T'; projection-exactness forces them to be exactly dom(h) (so dom(h)
+    // holds only free variables).
     if p.subtree_free_vars(&tprime) != dom {
         return false;
     }
@@ -59,18 +55,14 @@ pub fn eval_bounded_interface(p: &Wdpt, db: &Database, h: &Mapping, engine: Engi
             asked.then(|| engine.plan(&p.node_cq(t))).flatten()
         })
         .collect();
-    let iface: Vec<Vec<Var>> = (0..p.node_count())
-        .map(|t| interface_vars(p, t, &free))
-        .collect();
+    let iface: Vec<Vec<Var>> = (0..p.node_count()).map(|t| p.interface_vars(t)).collect();
 
-    // Deepest nodes first: the interface relation R_t (step 2), each row
-    // kept only if the children admit it (step 3, fused with the acyclic
-    // join over T' of step 4).
-    let mut order: Vec<NodeId> = tsecond.iter().copied().collect();
-    order.sort_by_key(|&t| Reverse(p.depth(t)));
+    // Children before parents (a child's id is above its parent's): the
+    // interface relation R_t (step 2), each row kept only if the children
+    // admit it (step 3, fused with the acyclic join over T' of step 4).
     let mut relations = vec![Relation::default(); p.node_count()];
     let mut work = ProbeTally::default();
-    for &t in &order {
+    for &t in tsecond.iter().rev() {
         // `(position, column of g)` per variable of `vars` in the interface.
         let columns = |vars: &[Var]| -> Vec<(usize, usize)> {
             (vars.iter().enumerate())
@@ -146,19 +138,6 @@ impl Child<'_> {
         // for a child in T', the acyclic join.
         (relations[self.node].tuples()).any(|gc| self.shared.iter().all(|&(a, b)| gc[a] == g[b]))
     }
-}
-
-/// The interface variables of node `t`, ascending: existential variables
-/// shared with the parent or with any child (in the full tree). Under
-/// `BI(c)` there are at most `2c` of them.
-fn interface_vars(p: &Wdpt, t: NodeId, free: &BTreeSet<Var>) -> Vec<Var> {
-    let vars_t = p.node_vars(t);
-    let neighbours = p.parent(t).into_iter().chain(p.children(t).iter().copied());
-    let mut shared = BTreeSet::new();
-    for n in neighbours {
-        shared.extend(vars_t.intersection(&p.node_vars(n)).copied());
-    }
-    shared.into_iter().filter(|v| !free.contains(v)).collect()
 }
 
 #[cfg(test)]

@@ -193,17 +193,24 @@ impl Wdpt {
             .collect()
     }
 
+    /// True iff the label `λ(t)` mentions `v`.
+    fn mentions(&self, t: NodeId, v: Var) -> bool {
+        self.labels[t].iter().flat_map(Atom::vars).any(|u| u == v)
+    }
+
     /// Variables mentioned in a subtree.
     pub fn subtree_vars(&self, subtree: &Subtree) -> BTreeSet<Var> {
-        subtree.iter().flat_map(|&t| self.node_vars(t)).collect()
+        (subtree.iter())
+            .flat_map(|&t| self.labels[t].iter().flat_map(Atom::vars))
+            .collect()
     }
 
     /// Free variables mentioned in a subtree.
     pub fn subtree_free_vars(&self, subtree: &Subtree) -> BTreeSet<Var> {
-        let free = self.free_set();
-        self.subtree_vars(subtree)
-            .intersection(&free)
+        let vars = self.subtree_vars(subtree);
+        (self.free.iter())
             .copied()
+            .filter(|v| vars.contains(v))
             .collect()
     }
 
@@ -300,11 +307,10 @@ impl Wdpt {
 
     /// The unique node containing `v` that is closest to the root (the top
     /// of `v`'s connected occurrence set), or `None` if `v` is not
-    /// mentioned.
+    /// mentioned. A parent's id is below its child's, so the top is the
+    /// first holder in id order.
     pub fn top_node_of(&self, v: Var) -> Option<NodeId> {
-        (0..self.node_count())
-            .filter(|&t| self.node_vars(t).contains(&v))
-            .min_by_key(|&t| self.depth(t))
+        (0..self.node_count()).find(|&t| self.mentions(t, v))
     }
 
     /// The minimal rooted subtree mentioning every variable in `vars`, or
@@ -332,27 +338,36 @@ impl Wdpt {
     /// included and it introduces no free variable outside `allowed`.
     /// (The subtree `T''` of the Theorem 6 algorithm.)
     pub fn maximal_subtree_with_free_vars_in(&self, allowed: &BTreeSet<Var>) -> Subtree {
-        let free = self.free_set();
-        let mut subtree = Subtree::new();
-        let mut stack = vec![self.root()];
+        let admits = |t: NodeId| {
+            (self.labels[t].iter().flat_map(Atom::vars))
+                .all(|v| allowed.contains(&v) || !self.free.contains(&v))
+        };
+        // The root belongs to every rooted subtree; callers must handle a
+        // root that introduces disallowed free vars.
+        let root = self.root();
+        let mut subtree: Subtree = [root].into_iter().collect();
+        let mut stack = if admits(root) { vec![root] } else { Vec::new() };
         while let Some(t) = stack.pop() {
-            let bad = self
-                .node_vars(t)
-                .iter()
-                .any(|v| free.contains(v) && !allowed.contains(v));
-            if bad && t != self.root() {
-                continue;
+            for &c in self.children(t).iter().filter(|&&c| admits(c)) {
+                subtree.insert(c);
+                stack.push(c);
             }
-            if bad && t == self.root() {
-                // The root always belongs to every rooted subtree; callers
-                // must handle a root that introduces disallowed free vars.
-                subtree.insert(t);
-                continue;
-            }
-            subtree.insert(t);
-            stack.extend(self.children(t).iter().copied());
         }
         subtree
+    }
+
+    /// The interface variables of node `t`, ascending: existential
+    /// variables shared with the parent or with any child. Under `BI(c)`
+    /// there are at most `2c` of them.
+    pub fn interface_vars(&self, t: NodeId) -> Vec<Var> {
+        let neighbours = self.parent[t].iter().chain(&self.children[t]);
+        let mut shared: Vec<Var> = (self.labels[t].iter().flat_map(Atom::vars))
+            .filter(|v| !self.free.contains(v))
+            .filter(|&v| neighbours.clone().any(|&n| self.mentions(n, v)))
+            .collect();
+        shared.sort_unstable();
+        shared.dedup();
+        shared
     }
 
     /// Renders the tree with one line per node, indented by depth.

@@ -33,7 +33,7 @@ pub(crate) fn partial_eval(
     prepared: &mut BTreeMap<Subtree, (ConjunctiveQuery, Option<StructuredPlan>)>,
 ) -> bool {
     let dom = h.domain();
-    if !dom.is_subset(&p.free_set()) {
+    if !dom.iter().all(|v| p.free_vars().contains(v)) {
         return false;
     }
     let Some(t1) = p.minimal_subtree_covering(&dom) else {
@@ -49,15 +49,11 @@ pub(crate) fn partial_eval(
 
 /// MAX-EVAL: is `h ∈ p_m(D)` (an answer maximal under ⊑)?
 pub fn max_eval_decide(p: &Wdpt, db: &Database, h: &Mapping, engine: Engine) -> bool {
-    let free = p.free_set();
     let dom = h.domain();
-    if !dom.is_subset(&free) {
-        return false;
-    }
     let Some(t1) = p.minimal_subtree_covering(&dom) else {
         return false;
     };
-    // (i) some homomorphism projects exactly to h.
+    // (i) some homomorphism projects exactly to h (so dom(h) ⊆ x̄).
     if p.subtree_free_vars(&t1) != dom {
         return false;
     }
@@ -74,14 +70,13 @@ pub fn max_eval_decide(p: &Wdpt, db: &Database, h: &Mapping, engine: Engine) -> 
 /// of WDPTs in `wdpt-approx`). Requires `dom(h) ⊆ x̄`; returns `false`
 /// otherwise (no answer of `p` even covers `h`).
 pub fn has_proper_extension(p: &Wdpt, db: &Database, h: &Mapping, engine: Engine) -> bool {
-    let free = p.free_set();
-    let dom = h.domain();
-    if !dom.is_subset(&free) {
+    let (dom, free) = (h.domain(), p.free_vars());
+    if !dom.iter().all(|v| free.contains(v)) {
         return false;
     }
     // Free variables of one node share their minimal covering subtree: its
     // CQ is asked about once.
-    let subtrees: BTreeSet<Subtree> = (free.difference(&dom))
+    let subtrees: BTreeSet<Subtree> = (free.iter().filter(|x| !dom.contains(x)))
         .filter_map(|&x| {
             let mut extended = dom.clone();
             extended.insert(x);

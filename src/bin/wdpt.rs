@@ -19,6 +19,7 @@
 //! generator verbs write N-Triples datasets that `wdpt-store build` and
 //! `wdpt-serve --db` load.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 use wdpt::core::{
@@ -32,12 +33,51 @@ use wdpt::sparql::{parse_query, TripleStore};
 use wdpt::{Database, Interner};
 
 fn main() -> ExitCode {
-    match run() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut out = io::BufWriter::new(io::stdout().lock());
+    match run(&argv, &mut out).and_then(|()| Ok(out.flush()?)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
+        // A reader that stops early (`| head`) just ends the output.
+        Err(Stop::Stdout(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(stop) => {
+            eprintln!("error: {stop}");
             ExitCode::from(2)
         }
+    }
+}
+
+/// Why a command stopped early.
+enum Stop {
+    /// A usage or input error.
+    Error(String),
+    /// Writing the output failed.
+    Stdout(io::Error),
+}
+
+impl std::fmt::Display for Stop {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Stop::Error(msg) => f.write_str(msg),
+            Stop::Stdout(e) => write!(f, "cannot write to stdout: {e}"),
+        }
+    }
+}
+
+impl From<String> for Stop {
+    fn from(msg: String) -> Stop {
+        Stop::Error(msg)
+    }
+}
+
+impl From<&str> for Stop {
+    fn from(msg: &str) -> Stop {
+        Stop::Error(msg.to_owned())
+    }
+}
+
+impl From<io::Error> for Stop {
+    fn from(e: io::Error) -> Stop {
+        Stop::Stdout(e)
     }
 }
 
@@ -187,10 +227,10 @@ fn write_iri(out: &mut String, term: &str) {
 }
 
 /// `gen-music BANDSxRECORDS OUTPUT.nt`: the music catalog as N-Triples.
-fn gen_music(args: &Args) -> Result<(), String> {
+fn gen_music(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
     args.only(&["seed"])?;
     let [spec, output] = args.operands.as_slice() else {
-        return Err("gen-music takes BANDSxRECORDS and OUTPUT paths".to_owned());
+        return Err("gen-music takes BANDSxRECORDS and OUTPUT paths".into());
     };
     let (bands, records_per_band) = (spec.split_once('x'))
         .and_then(|(b, r)| Some((b.parse().ok()?, r.parse().ok()?)))
@@ -206,36 +246,36 @@ fn gen_music(args: &Args) -> Result<(), String> {
     let mut i = Interner::new();
     let ts = music_triples(&mut i, params);
     let triple = TripleStore::pred(&mut i);
-    let mut out = String::new();
+    let mut nt = String::new();
     if let Some(rel) = ts.database().relation(triple) {
         for t in rel.tuples() {
             for (k, c) in t.iter().enumerate() {
                 if k > 0 {
-                    out.push(' ');
+                    nt.push(' ');
                 }
-                write_iri(&mut out, i.name(c.0));
+                write_iri(&mut nt, i.name(c.0));
             }
-            out.push_str(" .\n");
+            nt.push_str(" .\n");
         }
     }
-    std::fs::write(output, &out).map_err(|e| format!("cannot write {output}: {e}"))?;
-    println!("wrote {output}: {} triples", ts.len());
+    std::fs::write(output, &nt).map_err(|e| format!("cannot write {output}: {e}"))?;
+    writeln!(out, "wrote {output}: {} triples", ts.len())?;
     Ok(())
 }
 
 /// `gen-synth TRIPLES OUTPUT.nt`: a synthetic uniform-universe dataset of
 /// any size, streamed.
-fn gen_synth(args: &Args) -> Result<(), String> {
+fn gen_synth(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
     args.only(&["seed", "skew"])?;
     let [triples, output] = args.operands.as_slice() else {
-        return Err("gen-synth takes TRIPLES and OUTPUT paths".to_owned());
+        return Err("gen-synth takes TRIPLES and OUTPUT paths".into());
     };
     let triples = triples
         .parse()
         .map_err(|_| "gen-synth TRIPLES must be a number")?;
     let skew = args.number("skew")?.unwrap_or(0);
     if skew > 10 {
-        return Err("gen-synth --skew must be in 0..=10 (tenths of the stream)".to_owned());
+        return Err("gen-synth --skew must be in 0..=10 (tenths of the stream)".into());
     }
     let mut params = SynthParams::sized_skewed(triples, skew);
     if let Some(seed) = args.number("seed")? {
@@ -243,35 +283,37 @@ fn gen_synth(args: &Args) -> Result<(), String> {
     }
     let t0 = Instant::now();
     let failed = |e: std::io::Error| format!("cannot write {output}: {e}");
-    let mut w = std::io::BufWriter::new(std::fs::File::create(output).map_err(failed)?);
+    let mut w = io::BufWriter::new(std::fs::File::create(output).map_err(failed)?);
     let n = write_synth_nt(&mut w, params).map_err(failed)?;
-    std::io::Write::flush(&mut w).map_err(failed)?;
-    println!(
+    w.flush().map_err(failed)?;
+    writeln!(
+        out,
         "wrote {output}: {n} triples in {:.1}ms",
         t0.elapsed().as_secs_f64() * 1e3
-    );
+    )?;
     Ok(())
 }
 
-fn run() -> Result<(), String> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (cmd, args) = parse_args(&argv)?;
+/// Runs the command `argv` names, writing its output to `out`.
+fn run(argv: &[String], out: &mut impl Write) -> Result<(), Stop> {
+    let (cmd, args) = parse_args(argv)?;
     let mut i = Interner::new();
     match cmd.as_str() {
         "eval" => {
+            args.only(&["tree", "sparql", "db", "mode"])?;
             let p = load_tree(&args, &mut i)?;
             let db = load_db(&args, &mut i)?;
             let answers = match mode(&args, &["eval", "max"])? {
                 "max" => evaluate_max(&p, &db),
                 _ => evaluate(&p, &db),
             };
-            println!("{} answer(s):", answers.len());
+            writeln!(out, "{} answer(s):", answers.len())?;
             for a in &answers {
-                println!("  {}", a.display(&i));
+                writeln!(out, "  {}", a.display(&i))?;
             }
-            Ok(())
         }
         "check" => {
+            args.only(&["tree", "sparql", "db", "mapping", "engine", "mode"])?;
             let p = load_tree(&args, &mut i)?;
             let db = load_db(&args, &mut i)?;
             let m = args
@@ -284,37 +326,31 @@ fn run() -> Result<(), String> {
                 "max" => max_eval_decide(&p, &db, &h, eng),
                 _ => eval_bounded_interface(&p, &db, &h, eng),
             };
-            println!("{verdict}");
-            Ok(())
+            writeln!(out, "{verdict}")?;
         }
         "classify" => {
+            args.only(&["tree", "sparql"])?;
             let p = load_tree(&args, &mut i)?;
-            println!("nodes: {}", p.node_count());
-            println!("free variables: {}", p.free_vars().len());
-            println!("projection-free: {}", p.is_projection_free());
-            println!("interface width: {}", classes::interface_width(&p));
+            writeln!(out, "nodes: {}", p.node_count())?;
+            writeln!(out, "free variables: {}", p.free_vars().len())?;
+            writeln!(out, "projection-free: {}", p.is_projection_free())?;
+            writeln!(out, "interface width: {}", classes::interface_width(&p))?;
             for k in 1..=3usize {
-                println!(
-                    "locally in TW({k}): {}",
-                    classes::is_locally_in(&p, WidthKind::Tw, k)
-                );
+                let local = classes::is_locally_in(&p, WidthKind::Tw, k);
+                writeln!(out, "locally in TW({k}): {local}")?;
             }
             if p.rooted_subtree_count() <= 4096 {
                 for k in 1..=3usize {
-                    println!(
-                        "globally in TW({k}): {}",
-                        classes::is_globally_in(&p, WidthKind::Tw, k)
-                    );
+                    let global = classes::is_globally_in(&p, WidthKind::Tw, k);
+                    writeln!(out, "globally in TW({k}): {global}")?;
                 }
             } else {
-                println!(
-                    "globally in TW(k): skipped ({} subtrees)",
-                    p.rooted_subtree_count()
-                );
+                let count = p.rooted_subtree_count();
+                writeln!(out, "globally in TW(k): skipped ({count} subtrees)")?;
             }
-            Ok(())
         }
         "subsume" => {
+            args.only(&["left", "right", "engine"])?;
             let left = args
                 .content("left")?
                 .ok_or_else(|| "need --left".to_owned())?;
@@ -324,28 +360,26 @@ fn run() -> Result<(), String> {
             let p1 = parse_wdpt(&mut i, &left).map_err(|e| e.to_string())?;
             let p2 = parse_wdpt(&mut i, &right).map_err(|e| e.to_string())?;
             let eng = engine(&args)?;
-            println!("{}", subsumed(&p1, &p2, eng, &mut i));
-            Ok(())
+            writeln!(out, "{}", subsumed(&p1, &p2, eng, &mut i))?;
         }
         "optimize" => {
+            args.only(&["tree", "sparql"])?;
             let p = load_tree(&args, &mut i)?;
             let n = normalize(&p);
-            println!(
+            writeln!(
+                out,
                 "# normalized: {} -> {} nodes (≡ₛ-preserving)",
                 p.node_count(),
                 n.node_count()
-            );
-            print!("{}", to_text(&n, &i));
-            Ok(())
+            )?;
+            write!(out, "{}", to_text(&n, &i))?;
         }
-        "gen-music" => gen_music(&args),
-        "gen-synth" => gen_synth(&args),
-        "--help" | "help" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown command '{other}'\n{}", usage())),
+        "gen-music" => gen_music(&args, out)?,
+        "gen-synth" => gen_synth(&args, out)?,
+        "--help" | "help" => writeln!(out, "{}", usage())?,
+        other => return Err(format!("unknown command '{other}'\n{}", usage()).into()),
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -388,5 +422,82 @@ mod tests {
             Some("--max needs a value")
         );
         assert!(usage().contains("--mode eval|partial|max"));
+    }
+
+    const TREE: &str = "FREE ?x ?z\nNODE root { a(?x, ?y) }\nNODE leaf PARENT root { b(?y, ?z) }";
+    const DB: &str = r#"a("s", "u") b("u", "t")"#;
+
+    /// Runs `argv` in process: its output, or the error it stops with.
+    fn wdpt(argv: &[&str]) -> Result<String, String> {
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        let mut out = Vec::new();
+        run(&argv, &mut out).map_err(|stop| stop.to_string())?;
+        Ok(String::from_utf8(out).expect("utf-8 output"))
+    }
+
+    /// `argv` runs, and each flag of `unread` added to it is refused before
+    /// the command does anything.
+    fn reads_no(argv: &[&str], unread: &[&str]) -> String {
+        let output = wdpt(argv).unwrap_or_else(|e| panic!("{argv:?}: {e}"));
+        for flag in unread {
+            let mut with = argv.to_vec();
+            with.extend([flag, "tw:1"]);
+            assert_eq!(wdpt(&with), Err(format!("unknown flag {flag}")));
+        }
+        output
+    }
+
+    #[test]
+    fn eval_refuses_the_flags_it_does_not_read() {
+        let argv = ["eval", "--tree", TREE, "--db", DB, "--mode", "max"];
+        let out = reads_no(&argv, &["--engine", "--mapping", "--engin", "--left"]);
+        assert!(out.starts_with("1 answer(s):"), "{out}");
+    }
+
+    #[test]
+    fn check_refuses_the_flags_it_does_not_read() {
+        let mapping = r#"?x -> "s", ?z -> "t""#;
+        let argv = [
+            "check",
+            "--tree",
+            TREE,
+            "--db",
+            DB,
+            "--mapping",
+            mapping,
+            "--engine",
+            "tw:1",
+            "--mode",
+            "max",
+        ];
+        let out = reads_no(&argv, &["--engin", "--left", "--right"]);
+        assert_eq!(out, "true\n");
+    }
+
+    #[test]
+    fn classify_refuses_the_flags_it_does_not_read() {
+        let out = reads_no(
+            &["classify", "--tree", TREE],
+            &["--engin", "--engine", "--db", "--mode"],
+        );
+        assert!(out.starts_with("nodes: 2\n"), "{out}");
+        assert!(wdpt(&["classify", "--sparql", "(?x, a, ?y)"]).is_ok());
+    }
+
+    #[test]
+    fn subsume_refuses_the_flags_it_does_not_read() {
+        let argv = [
+            "subsume", "--left", TREE, "--right", TREE, "--engine", "tw:1",
+        ];
+        assert_eq!(reads_no(&argv, &["--tree", "--db", "--mode"]), "true\n");
+    }
+
+    #[test]
+    fn optimize_refuses_the_flags_it_does_not_read() {
+        let out = reads_no(
+            &["optimize", "--tree", TREE],
+            &["--engine", "--db", "--left"],
+        );
+        assert!(out.starts_with("# normalized: 2 -> 2 nodes"), "{out}");
     }
 }

@@ -1,9 +1,12 @@
 //! End-to-end tests of the `wdpt` binary's generator verbs: `gen-synth`
 //! streams a deterministic N-Triples file, `gen-music` writes the music
 //! catalog as one, and both read back through the one N-Triples grammar.
+//! Also the binary's one stdout: a reader that closes it early ends the
+//! output, not the process with a panic.
 
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use wdpt::model::parse::parse_nt_line;
 
 fn run(args: &[&str]) -> Output {
@@ -102,5 +105,44 @@ fn generator_usage_errors_exit_2() {
         let result = run(&args);
         assert_eq!(result.status.code(), Some(2), "{args:?}");
         assert!(!std::path::Path::new(&out).exists(), "{args:?} wrote");
+    }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_output_quietly() {
+    let dir = TempDir::new("pipe");
+    let tree = dir.path("star.wdpt");
+    let mut text = "FREE ?x\nNODE root { a(?x, ?u) }\n".to_owned();
+    for j in 0..30 {
+        text += &format!("NODE b{j} PARENT root {{ e(?u, ?z{j}) }}\n");
+    }
+    std::fs::write(&tree, text).unwrap();
+    let tree = format!("@{tree}");
+    // The reader hangs up before any output arrives, then after one line.
+    for lines_read in [0, 1] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_wdpt"))
+            .args(["classify", "--tree", &tree])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn wdpt");
+        let mut stdout = BufReader::new(child.stdout.take().expect("piped"));
+        for _ in 0..lines_read {
+            let mut line = String::new();
+            stdout.read_line(&mut line).unwrap();
+            assert_eq!(line, "nodes: 31\n");
+        }
+        drop(stdout);
+        let out = child.wait_with_output().expect("wait for wdpt");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !stderr.contains("panicked"),
+            "after {lines_read} line(s): {stderr}"
+        );
+        assert!(
+            out.status.success(),
+            "after {lines_read} line(s): {:?}",
+            out.status
+        );
     }
 }
